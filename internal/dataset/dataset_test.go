@@ -2,8 +2,11 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -193,6 +196,44 @@ func TestSaveLoad(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
 		t.Fatal("loading missing file must error")
+	}
+}
+
+// TestLoadPresizesFromFileNotHeader: Load allocates the rect slice once,
+// sized from the file — and a header that lies about its count still fails
+// without that count being allocated.
+func TestLoadPresizesFromFileNotHeader(t *testing.T) {
+	d := SpSkew(100_000, 5)
+	path := filepath.Join(t.TempDir(), "sp.bin")
+	if err := d.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rects) != len(d.Rects) || cap(got.Rects) != len(d.Rects) {
+		t.Fatalf("Load: len %d cap %d, want both %d", len(got.Rects), cap(got.Rects), len(d.Rects))
+	}
+
+	// Claim 2^31 objects (64 GB of rects) in a file holding 100 000.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	countAt := len(raw) - 32*len(d.Rects) - 8
+	binary.LittleEndian.PutUint64(raw[countAt:], 1<<31)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Load(path); err == nil {
+		t.Fatal("a count beyond the file's payload must error")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("lying header made Load allocate %d MB for a %d MB file", grew>>20, len(raw)>>20)
 	}
 }
 

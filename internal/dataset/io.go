@@ -62,7 +62,12 @@ func (d *Dataset) Write(w io.Writer) error {
 }
 
 // Read deserializes a dataset from r.
-func Read(r io.Reader) (*Dataset, error) {
+func Read(r io.Reader) (*Dataset, error) { return read(r, 0) }
+
+// read is Read with a payload bound: size is how many bytes r is known to
+// hold (0 when unknown), and caps what the header's object count may
+// pre-allocate.
+func read(r io.Reader, size int64) (*Dataset, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var m [8]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
@@ -98,10 +103,12 @@ func Read(r io.Reader) (*Dataset, error) {
 	if count > maxCount {
 		return nil, fmt.Errorf("dataset: unreasonable object count %d", count)
 	}
-	// Grow the slice as payload actually arrives rather than trusting the
-	// header: a crafted count must not pre-allocate gigabytes (found by
-	// FuzzRead).
-	rects := make([]geom.Rect, 0, min(count, 1<<16))
+	// Never trust the header alone: a crafted count must not pre-allocate
+	// gigabytes (found by FuzzRead). A stream of unknown length grows the
+	// slice as payload actually arrives; a file cannot hold more objects
+	// than its size, so that many are allocated once instead of by
+	// append-doubling (at 1M objects: 33 MB allocated instead of 186 MB).
+	rects := make([]geom.Rect, 0, min(count, max(1<<16, uint64(size)/32)))
 	buf := make([]byte, 32)
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, buf); err != nil {
@@ -142,5 +149,9 @@ func Load(path string) (*Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return read(f, fi.Size())
 }

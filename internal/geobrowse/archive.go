@@ -1,7 +1,6 @@
 package geobrowse
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
@@ -158,13 +157,7 @@ func (s *ArchiveServer) handleBrowse(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		resp := FacetedBrowseResponse{Cols: cols, Rows: rows, Matching: matching,
-			Tiles: TileEstimates(sc.Grid, span, cols, rows, ests)}
-		return json.Marshal(resp)
+		return encoded(appendFacetedBrowseResponse(nil, sc.Grid, span, cols, rows, matching, ests))
 	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSONBytes(w, data)
+	writeBrowse(w, data, err)
 }

@@ -69,11 +69,8 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp := DrillResponse{Relation: rel.String(), Tiles: make([]DrillTile, 0, len(leaves))}
-	for _, l := range leaves {
-		resp.Tiles = append(resp.Tiles, DrillTile{TileEstimate: tileFor(est, l.Span), Depth: l.Depth})
-	}
-	writeJSON(w, resp)
+	data, err := AppendDrillResponse(nil, s.g, rel, leaves)
+	writeEncoded(w, data, err)
 	s.warmFromDrill(span, depth)
 }
 

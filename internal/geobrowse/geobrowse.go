@@ -24,6 +24,7 @@ package geobrowse
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -306,7 +307,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	est, _, release := acquireEstimator(s.src)
 	defer release()
-	writeJSON(w, tileFor(est, span))
+	data, err := AppendTile(nil, s.g, span, est.Estimate(span))
+	writeEncoded(w, data, err)
 }
 
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
@@ -322,15 +324,41 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	est, gen, release := acquireEstimator(s.src)
 	defer release()
 	data, err := s.browseBytes(est, gen, span, cols, rows)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSONBytes(w, data)
+	writeBrowse(w, data, err)
 }
 
-// browseBytes computes (or serves from cache) the marshaled browse
-// response for one tiling against a pinned estimator — the shared body of
+// encodeError marks a browse computation that failed while encoding its
+// response — a server bug (500) — apart from one whose request could not
+// be estimated (400).
+type encodeError struct{ err error }
+
+func (e *encodeError) Error() string { return e.err.Error() }
+func (e *encodeError) Unwrap() error { return e.err }
+
+// encoded adapts an append encoder's result to a browse-cache computation:
+// its failures become encodeErrors.
+func encoded(data []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, &encodeError{err}
+	}
+	return data, nil
+}
+
+// writeBrowse writes the outcome of a browse-cache computation.
+func writeBrowse(w http.ResponseWriter, data []byte, err error) {
+	var enc *encodeError
+	switch {
+	case errors.As(err, &enc):
+		writeEncoded(w, nil, enc.err)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	default:
+		writeJSONBytes(w, data)
+	}
+}
+
+// browseBytes computes (or serves from cache) the encoded browse response
+// for one tiling against a pinned estimator — the shared body of
 // handleBrowse and the drill-triggered cache warmer.
 func (s *Server) browseBytes(est core.Estimator, gen uint64, span grid.Span, cols, rows int) ([]byte, error) {
 	// ε-opted servers key their entries on a distinct facet: whether a
@@ -347,20 +375,14 @@ func (s *Server) browseBytes(est core.Estimator, gen uint64, span grid.Span, col
 		if tryApprox {
 			if ests, bound, ok := z.EstimateGridApprox(span, cols, rows, s.epsilon); ok {
 				s.approx.Inc()
-				resp := BrowseResponse{
-					Cols: cols, Rows: rows,
-					Tiles:            TileEstimates(s.g, span, cols, rows, ests),
-					ApproxErrorBound: &bound,
-				}
-				return json.Marshal(resp)
+				return encoded(AppendBrowseResponse(nil, s.g, span, cols, rows, ests, &bound))
 			}
 		}
 		ests, err := s.estimateTiles(est, span, cols, rows)
 		if err != nil {
 			return nil, err
 		}
-		resp := BrowseResponse{Cols: cols, Rows: rows, Tiles: TileEstimates(s.g, span, cols, rows, ests)}
-		return json.Marshal(resp)
+		return encoded(AppendBrowseResponse(nil, s.g, span, cols, rows, ests, nil))
 	})
 }
 
@@ -425,9 +447,9 @@ func rowParallel(sem chan struct{}, pm *poolMetrics, region grid.Span, cols, row
 }
 
 // TileEstimates pairs clamped estimates with their tile rectangles in
-// row-major order — the browse response body. Exported so a scatter-gather
-// coordinator can render merged raw estimates into the identical wire form
-// a single server produces.
+// row-major order — the decoded form of a browse response body. Servers
+// write the wire form with AppendBrowseResponse; this is what clients
+// decode into and the oracle that encoder is tested against.
 func TileEstimates(g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate) []TileEstimate {
 	tw := region.Width() / cols
 	th := region.Height() / rows
@@ -504,10 +526,6 @@ func parseBrowse(g *grid.Grid, r *http.Request) (span grid.Span, cols, rows int,
 	return span, cols, rows, nil
 }
 
-func tileFor(est core.Estimator, span grid.Span) TileEstimate {
-	return NewTileEstimate(est.Grid(), span, est.Estimate(span))
-}
-
 // ParseBrowseRequest reads the region and tiling parameters of a browse
 // request against g — exported for front-ends (the shard coordinator) that
 // must accept exactly the requests a Server accepts.
@@ -574,7 +592,16 @@ func posIntParam(r *http.Request, name string, max int) (int, error) {
 func writeJSON(w http.ResponseWriter, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		logf("geobrowse: encoding %T: %v", v, err)
+		err = fmt.Errorf("%T: %w", v, err)
+	}
+	writeEncoded(w, data, err)
+}
+
+// writeEncoded writes an encoder's output, or reports its failure: logged,
+// counted and answered with a 500.
+func writeEncoded(w http.ResponseWriter, data []byte, err error) {
+	if err != nil {
+		logf("geobrowse: encoding %v", err)
 		if mw, ok := w.(interface{ countEncodeError() }); ok {
 			mw.countEncodeError()
 		}
@@ -584,14 +611,17 @@ func writeJSON(w http.ResponseWriter, v any) {
 	writeJSONBytes(w, data)
 }
 
-// writeJSONBytes writes pre-marshaled JSON, setting the content type
-// before the status code is committed. Write errors mean the client went
-// away; they are logged, and because every handler runs behind the
-// telemetry middleware, the bytes written and the error also land in the
-// geobrowse_http_response_bytes_total and geobrowse_http_write_errors_total
-// counters through the metricsWriter this writes to.
+// writeJSONBytes writes pre-encoded JSON, setting the content type and —
+// the body being fully known — its length before the status code is
+// committed, so large tile maps are not chunk-framed. Write errors mean
+// the client went away; they are logged, and because every handler runs
+// behind the telemetry middleware, the bytes written and the error also
+// land in the geobrowse_http_response_bytes_total and
+// geobrowse_http_write_errors_total counters through the metricsWriter
+// this writes to.
 func writeJSONBytes(w http.ResponseWriter, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(data); err != nil {
 		logf("geobrowse: writing response: %v", err)

@@ -23,9 +23,23 @@ type Health struct {
 
 // handleHealthz serves the single-dataset readiness probe.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := Health{Status: "ok", Dataset: s.name, Tenants: 1}
-	_, h.Generation = s.src.CurrentEstimator()
+	h := Health{Status: "ok", Dataset: s.name, Generation: currentGeneration(s.src), Tenants: 1}
 	writeHealth(w, h, s.drain.Load())
+}
+
+// currentGeneration reads the serving generation without taking an
+// estimator. A live store counts every estimator acquisition as a reader
+// (which keeps it off the packed cold tier) and withdraws an unpinned
+// snapshot's buffers from recycling, so a probe must not look like one:
+// sources that can report the generation alone are asked only for that,
+// the rest are pinned and released at once.
+func currentGeneration(src EstimatorSource) uint64 {
+	if g, ok := src.(interface{ Generation() uint64 }); ok {
+		return g.Generation()
+	}
+	_, gen, release := acquireEstimator(src)
+	release()
+	return gen
 }
 
 // StartDrain flips the server into draining: /healthz turns 503 so

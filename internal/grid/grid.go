@@ -219,27 +219,28 @@ func (g *Grid) AlignedSpan(r geom.Rect, tol float64) (Span, error) {
 	return s, nil
 }
 
+// XEdge returns the x coordinate of grid line i, the west edge of cell
+// column i (i = NX is the east edge of the data space). Every rectangle the
+// grid hands out is built from XEdge and YEdge, so a span's rectangle is
+// separable per axis: callers that render many tiles of one tiling can
+// compute (or format) each edge once instead of once per tile.
+func (g *Grid) XEdge(i int) float64 { return g.extent.XMin + float64(i)*g.cw }
+
+// YEdge returns the y coordinate of grid line j, the south edge of cell
+// row j.
+func (g *Grid) YEdge(j int) float64 { return g.extent.YMin + float64(j)*g.ch }
+
 // CellRect returns the closed rectangle of cell (i, j).
 func (g *Grid) CellRect(i, j int) geom.Rect {
 	g.checkCell(i, j)
-	return geom.Rect{
-		XMin: g.extent.XMin + float64(i)*g.cw,
-		YMin: g.extent.YMin + float64(j)*g.ch,
-		XMax: g.extent.XMin + float64(i+1)*g.cw,
-		YMax: g.extent.YMin + float64(j+1)*g.ch,
-	}
+	return geom.Rect{XMin: g.XEdge(i), YMin: g.YEdge(j), XMax: g.XEdge(i + 1), YMax: g.YEdge(j + 1)}
 }
 
 // SpanRect returns the closed rectangle covered by the span.
 func (g *Grid) SpanRect(s Span) geom.Rect {
 	g.checkCell(s.I1, s.J1)
 	g.checkCell(s.I2, s.J2)
-	return geom.Rect{
-		XMin: g.extent.XMin + float64(s.I1)*g.cw,
-		YMin: g.extent.YMin + float64(s.J1)*g.ch,
-		XMax: g.extent.XMin + float64(s.I2+1)*g.cw,
-		YMax: g.extent.YMin + float64(s.J2+1)*g.ch,
-	}
+	return geom.Rect{XMin: g.XEdge(s.I1), YMin: g.YEdge(s.J1), XMax: g.XEdge(s.I2 + 1), YMax: g.YEdge(s.J2 + 1)}
 }
 
 // SpanArea returns the geometric area of a span at this grid's resolution.

@@ -201,11 +201,22 @@ func (n *node) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		logf("shard: encoding %T: %v", v, err)
+		err = fmt.Errorf("%T: %w", v, err)
+	}
+	writeEncoded(w, data, err)
+}
+
+// writeEncoded writes an encoder's output with its length declared — the
+// body is fully known, so large tile maps are not chunk-framed — or
+// reports its failure as a logged 500.
+func writeEncoded(w http.ResponseWriter, data []byte, err error) {
+	if err != nil {
+		logf("shard: encoding %v", err)
 		http.Error(w, "internal error", http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(data); err != nil {
 		logf("shard: writing response: %v", err)

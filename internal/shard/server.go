@@ -23,8 +23,8 @@ import (
 //	GET  /healthz       200 while every shard has an alive backend
 //	GET  /metrics       the registry's exposition
 //
-// Requests are parsed with the geobrowse parsers and responses rendered
-// with the geobrowse tile helpers, so the coordinator's wire format —
+// Requests are parsed with the geobrowse parsers and responses written
+// with the geobrowse tile encoders, so the coordinator's wire format —
 // including clamping, tile order and rectangle geometry — is byte-for-byte
 // the single-server format. The merge happens on raw sums; clamping is
 // applied only afterward, exactly once, like a single store does.
@@ -72,7 +72,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, geobrowse.NewTileEstimate(s.c.Grid(), span, ests[0]))
+	data, err := geobrowse.AppendTile(nil, s.c.Grid(), span, ests[0])
+	writeEncoded(w, data, err)
 }
 
 func (s *server) handleBrowse(w http.ResponseWriter, r *http.Request) {
@@ -86,10 +87,8 @@ func (s *server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, geobrowse.BrowseResponse{
-		Cols: cols, Rows: rows,
-		Tiles: geobrowse.TileEstimates(s.c.Grid(), span, cols, rows, ests),
-	})
+	data, err := geobrowse.AppendBrowseResponse(nil, s.c.Grid(), span, cols, rows, ests, nil)
+	writeEncoded(w, data, err)
 }
 
 func (s *server) handleDrill(w http.ResponseWriter, r *http.Request) {
@@ -108,14 +107,8 @@ func (s *server) handleDrill(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp := geobrowse.DrillResponse{Relation: rel.String(), Tiles: make([]geobrowse.DrillTile, 0, len(leaves))}
-	for _, l := range leaves {
-		resp.Tiles = append(resp.Tiles, geobrowse.DrillTile{
-			TileEstimate: geobrowse.NewTileEstimate(s.c.Grid(), l.Span, l.Estimate),
-			Depth:        l.Depth,
-		})
-	}
-	writeJSON(w, resp)
+	data, err := geobrowse.AppendDrillResponse(nil, s.c.Grid(), rel, leaves)
+	writeEncoded(w, data, err)
 }
 
 func (s *server) handleMutation(w http.ResponseWriter, r *http.Request, op byte) {

@@ -374,6 +374,12 @@ func readBody(t *testing.T, url string) (int, string) {
 			break
 		}
 	}
+	// Every body here is written whole, so its length is declared — the
+	// 8×8 maps are past the size net/http would have counted by itself.
+	if resp.StatusCode == http.StatusOK && resp.ContentLength != int64(n) {
+		t.Fatalf("GET %s: Content-Length %d (transfer encoding %v) for a body of %d bytes",
+			url, resp.ContentLength, resp.TransferEncoding, n)
+	}
 	return resp.StatusCode, string(buf[:n])
 }
 
@@ -399,16 +405,16 @@ func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
 	t.Cleanup(ref.Close)
 
 	for _, q := range []string{
-		"/api/browse?i1=0&j1=0&i2=31&j2=31&cols=8&rows=8",
-		"/api/browse?i1=4&j1=4&i2=27&j2=19&cols=4&rows=2",
-		"/api/query?i1=0&j1=0&i2=31&j2=31",
-		"/api/query?i1=10&j1=3&i2=18&j2=30",
-		"/api/drill?i1=0&j1=0&i2=31&j2=31&relation=overlap&hot=3&depth=4",
-		"/api/drill?i1=0&j1=0&i2=31&j2=31&relation=contained&hot=1&depth=3",
+		"/api/browse?x1=0&y1=0&x2=64&y2=64&cols=8&rows=8",
+		"/api/browse?x1=8&y1=8&x2=56&y2=40&cols=4&rows=2",
+		"/api/query?x1=0&y1=0&x2=64&y2=64",
+		"/api/query?x1=20&y1=6&x2=38&y2=62",
+		"/api/drill?x1=0&y1=0&x2=64&y2=64&relation=overlap&hot=3&depth=4",
+		"/api/drill?x1=0&y1=0&x2=64&y2=64&relation=contained&hot=1&depth=3",
 	} {
 		cs, cb := readBody(t, coord.URL+q)
 		rs, rb := readBody(t, ref.URL+q)
-		if cs != rs {
+		if cs != http.StatusOK || rs != http.StatusOK {
 			t.Fatalf("%s: coordinator status %d, single %d (%s vs %s)", q, cs, rs, cb, rb)
 		}
 		if cb != rb {
