@@ -37,6 +37,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -505,6 +506,11 @@ func run(addr string, handler http.Handler, drain func(), gb *geobrowse.Server, 
 	if report > 0 {
 		go selfReport(gb, report, store)
 	}
+	// The runtime last collected while start-up garbage — dataset buffers,
+	// the builders' difference arrays, each as large as a lattice — was
+	// still live, and paces the next collection at twice that. Collect once
+	// here so the heap under load is paced by what the server keeps.
+	runtime.GC()
 	srv := &http.Server{
 		Addr:         addr,
 		Handler:      handler,

@@ -1,5 +1,5 @@
 // Compressed-lattice checks. The packed int32 tier claims bit-identity
-// with the full int64 representation at a quarter of the lattice bytes —
+// with the full int64 representation at half the lattice bytes —
 // a differential oracle recomputes every query family over both. The
 // reduced overview tier claims a certified additive error: every bound
 // it reports must actually contain the exact answer — a metamorphic
@@ -53,13 +53,23 @@ func runPackedVsFull(seed int64) *Divergence {
 			Detail: fmt.Sprintf("Pack refused a count (%d) far inside the int32 range", h.Count())}
 	}
 
-	// The compression claim is structural: the packed plane stores one
-	// int32 per bucket against the full form's raw+cumulative int64 pair.
-	if 100*p.LatticeBytes() > 55*h.LatticeBytes() {
+	// The compression claim is structural: packing narrows the cumulative
+	// plane from int64 to int32 and carries a class plane as it is, so it
+	// saves exactly 4 bytes per bucket — half the lattice without a class
+	// plane, less with one, which is why this compares computed bytes and
+	// not a percentage.
+	wrongBytes := func(h *euler.Histogram, p *euler.PackedHistogram, g *grid.Grid) *Divergence {
+		want := h.LatticeBytes() - 4*h.StorageBuckets()
+		if p.LatticeBytes() == want {
+			return nil
+		}
 		return &Divergence{Check: name, Seed: seed, Grid: gridDesc(g),
-			Detail: "packed lattice exceeds 55% of the full lattice bytes",
+			Detail: "packed lattice is not the full lattice less 4 bytes per bucket",
 			Got:    fmt.Sprintf("%d bytes packed", p.LatticeBytes()),
-			Want:   fmt.Sprintf("<= 55%% of %d bytes", h.LatticeBytes())}
+			Want:   fmt.Sprintf("%d bytes (full %d, %d buckets)", want, h.LatticeBytes(), h.StorageBuckets())}
+	}
+	if d := wrongBytes(h, p, g); d != nil {
+		return d
 	}
 
 	// Every scalar query family must be bit-identical.
@@ -118,6 +128,9 @@ func runPackedVsFull(seed int64) *Divergence {
 	if pr.HasClassPlane() != hr.HasClassPlane() {
 		return &Divergence{Check: name, Seed: seed, Grid: gridDesc(rg), Polys: polys,
 			Detail: "Pack dropped the partial-cell class plane"}
+	}
+	if d := wrongBytes(hr, pr, rg); d != nil {
+		return d
 	}
 	rasterDiverges := func(ps []geom.Polygon, q grid.Span) (got, want string, bad bool) {
 		hh, _ := rasterSide(rg, ps)

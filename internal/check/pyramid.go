@@ -111,7 +111,7 @@ func runPyramidVsFresh(seed int64) *Divergence {
 		case 0:
 			crossover = -1 // always repair
 		case 1:
-			crossover = 1e-9 // always recoarsen
+			crossover = 1e-9 // always rebuild the base in full
 		}
 		var bopts euler.BuildFromOpts
 		bopts.Crossover = crossover
@@ -123,11 +123,10 @@ func runPyramidVsFresh(seed int64) *Divergence {
 		}
 		next, stats := b.BuildFrom(h, bopts)
 		np := euler.PyramidFrom(next, euler.PyramidFromOpts{
-			Opts:      popts,
-			Donor:     donor,
-			Stale:     stats.Dirty,
-			InPlace:   inPlace,
-			Crossover: crossover,
+			Opts:    popts,
+			Donor:   donor,
+			Stale:   stats.Dirty,
+			InPlace: inPlace,
 		})
 		ctx := fmt.Sprintf("step %d/%d crossover=%g inPlace=%v", step+1, steps, crossover, inPlace)
 		if d := checkPyramidLevels(name, seed, g, np, live, ctx); d != nil {

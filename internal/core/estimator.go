@@ -95,6 +95,14 @@ type Estimator interface {
 	StorageBuckets() int
 }
 
+// LatticeSizer is the capability of estimators that serve from Euler
+// lattices: the resident payload bytes of every lattice they hold,
+// whatever its tier. Memory budgets charge this; StorageBuckets counts
+// values (the storage cost of §6), not bytes.
+type LatticeSizer interface {
+	LatticeBytes() int
+}
+
 // EstimateSet runs the estimator over every tile of a browsing query set.
 func EstimateSet(e Estimator, tiles []grid.Span) []Estimate {
 	out := make([]Estimate, len(tiles))

@@ -61,6 +61,9 @@ func (e *Euler) Count() int64 { return e.h.Count() }
 // StorageBuckets implements Estimator.
 func (e *Euler) StorageBuckets() int { return e.h.StorageBuckets() }
 
+// LatticeBytes implements LatticeSizer.
+func (e *Euler) LatticeBytes() int { return e.h.LatticeBytes() }
+
 // Histogram exposes the underlying full-tier Euler histogram, or nil when
 // the estimator serves the packed tier.
 func (e *Euler) Histogram() *euler.Histogram {

@@ -116,7 +116,7 @@ func joinLattices(e Estimator) ([]euler.Lattice, error) {
 }
 
 // coarsenSide halves a side's lattices down to nx×ny, promoting packed
-// tiers first (the stencil needs the raw plane).
+// tiers first (coarsening samples the int64 cumulative plane).
 func coarsenSide(ls []euler.Lattice, nx, ny int) ([]euler.Lattice, error) {
 	if ls[0].Grid().NX() == nx && ls[0].Grid().NY() == ny {
 		return ls, nil

@@ -187,6 +187,15 @@ func (m *MEuler) StorageBuckets() int {
 	return total
 }
 
+// LatticeBytes implements LatticeSizer: every group's lattice.
+func (m *MEuler) LatticeBytes() int {
+	total := 0
+	for _, h := range m.hists {
+		total += h.LatticeBytes()
+	}
+	return total
+}
+
 // Areas returns a copy of the area thresholds.
 func (m *MEuler) Areas() []float64 { return append([]float64(nil), m.areas...) }
 

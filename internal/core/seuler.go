@@ -45,6 +45,9 @@ func (e *SEuler) Count() int64 { return e.h.Count() }
 // StorageBuckets implements Estimator.
 func (e *SEuler) StorageBuckets() int { return e.h.StorageBuckets() }
 
+// LatticeBytes implements LatticeSizer.
+func (e *SEuler) LatticeBytes() int { return e.h.LatticeBytes() }
+
 // Histogram exposes the underlying full-tier Euler histogram, or nil when
 // the estimator serves the packed tier.
 func (e *SEuler) Histogram() *euler.Histogram {

@@ -187,6 +187,18 @@ func (z *Zoom) StorageBuckets() int {
 	return total
 }
 
+// LatticeBytes implements LatticeSizer: every level of the stack. An
+// attached overview adds nothing — its reduced lattices are these levels.
+func (z *Zoom) LatticeBytes() int {
+	total := 0
+	for _, l := range z.levels {
+		if s, ok := l.(LatticeSizer); ok {
+			total += s.LatticeBytes()
+		}
+	}
+	return total
+}
+
 // Estimate implements Estimator, descending to the coarsest level that
 // expresses q exactly. Drill-down refinement (core.Drilldown) calls this
 // per child tile, so a drill descends the pyramid natively: each half-step

@@ -69,7 +69,7 @@ func BenchmarkBrowsePyramid(b *testing.B) {
 			}
 		})
 		b.Run(c.name+"/pyramid", func(b *testing.B) {
-			b.ReportMetric(float64(zoom.Level(level).StorageBuckets()*16), "lattice-bytes")
+			b.ReportMetric(float64(zoom.Level(level).(LatticeSizer).LatticeBytes()), "lattice-bytes")
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := zoom.EstimateGrid(c.region, c.cols, c.rows); err != nil {

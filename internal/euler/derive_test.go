@@ -1,0 +1,274 @@
+package euler
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"spatialhist/internal/check/gen"
+	"spatialhist/internal/grid"
+)
+
+// The histogram keeps no bucket plane: Bucket and RawRow difference values
+// out of the cumulative form. These tests hold that derivation against a
+// plane accumulated independently of every code path under test — object by
+// object, lattice element by lattice element, from the covering rule of
+// §5.1 itself — after each way a cumulative plane comes to be: Build,
+// BuildFrom repair (cloned, in a donated scratch, copy-first, full rebuild
+// into the scratch), Pack→Unpack, and pyramid derivation and repair.
+
+// refBuckets accumulates the signed bucket plane of a set of objects over
+// an nx×ny grid, each object given as cell spans. A lattice element is
+// covered by an object exactly when every cell around it is; faces and
+// vertices count +1, edges −1.
+func refBuckets(nx, ny int, objects [][]grid.Span) []int64 {
+	lx, ly := 2*nx-1, 2*ny-1
+	plane := make([]int64, lx*ly)
+	cells := make([]bool, nx*ny)
+	for _, spans := range objects {
+		clear(cells)
+		for _, s := range spans {
+			for i := s.I1; i <= s.I2; i++ {
+				for j := s.J1; j <= s.J2; j++ {
+					cells[i*ny+j] = true
+				}
+			}
+		}
+		for u := 0; u < lx; u++ {
+			for v := 0; v < ly; v++ {
+				// Element (u,v) touches cells ⌊u/2⌋..⌈u/2⌉ × ⌊v/2⌋..⌈v/2⌉.
+				covered := true
+				for i := u / 2; i <= (u+1)/2; i++ {
+					for j := v / 2; j <= (v+1)/2; j++ {
+						covered = covered && cells[i*ny+j]
+					}
+				}
+				if !covered {
+					continue
+				}
+				if (u^v)&1 == 1 {
+					plane[u*ly+v]--
+				} else {
+					plane[u*ly+v]++
+				}
+			}
+		}
+	}
+	return plane
+}
+
+// bucketSource is what both resident tiers derive raw values through.
+type bucketSource interface {
+	Buckets() (lx, ly int)
+	RawRow(u int, buf []int64) []int64
+}
+
+func requireBuckets(t *testing.T, ctx string, l bucketSource, want []int64) {
+	t.Helper()
+	lx, ly := l.Buckets()
+	if lx*ly != len(want) {
+		t.Fatalf("%s: lattice %dx%d, reference has %d buckets", ctx, lx, ly, len(want))
+	}
+	h, _ := l.(*Histogram)
+	var buf []int64
+	for u := 0; u < lx; u++ {
+		buf = l.RawRow(u, buf)
+		for v := 0; v < ly; v++ {
+			if buf[v] != want[u*ly+v] {
+				t.Fatalf("%s: RawRow(%d)[%d] = %d, want %d", ctx, u, v, buf[v], want[u*ly+v])
+			}
+			if h != nil && h.Bucket(u, v) != want[u*ly+v] {
+				t.Fatalf("%s: Bucket(%d,%d) = %d, want %d", ctx, u, v, h.Bucket(u, v), want[u*ly+v])
+			}
+		}
+	}
+}
+
+func TestDerivedBucketsMatchIndependentPlane(t *testing.T) {
+	var donated, copied, rebuiltIntoScratch int
+	for seed := int64(1); seed <= 12; seed++ {
+		r := gen.Rand(seed)
+		g := gen.Grid(r, 20, 20)
+		nx, ny := g.NX(), g.NY()
+		whole := DirtyRegion{U2: 2*nx - 2, V2: 2*ny - 2}
+		b := NewBuilder(g)
+		var objects [][]grid.Span
+		mutate := func(n int) {
+			for k := 0; k < n; k++ {
+				switch {
+				case len(objects) > 0 && r.Intn(4) == 0:
+					i := r.Intn(len(objects))
+					if !b.RemoveObject(objects[i]) {
+						t.Fatalf("seed %d: RemoveObject refused an inserted object", seed)
+					}
+					objects[i] = objects[len(objects)-1]
+					objects = objects[:len(objects)-1]
+				case r.Intn(3) == 0:
+					rasters, _ := rasterObjects(r, g, 1, gen.PolyOpts{})
+					for _, rst := range rasters {
+						b.AddObject(rst.Spans)
+						objects = append(objects, rst.Spans)
+					}
+				default:
+					s := gen.Span(r, g)
+					b.AddSpan(s)
+					objects = append(objects, []grid.Span{s})
+				}
+			}
+		}
+		check := func(ctx string, h *Histogram) {
+			t.Helper()
+			ctx = fmt.Sprintf("seed %d %s", seed, ctx)
+			want := refBuckets(nx, ny, objects)
+			requireBuckets(t, ctx, h, want)
+			p, ok := h.Pack()
+			if !ok {
+				t.Fatalf("%s: Pack refused", ctx)
+			}
+			requireBuckets(t, ctx+" packed", p, want)
+			requireBuckets(t, ctx+" unpacked", p.Unpack(), want)
+			requireBuckets(t, ctx+" resumed", BuilderFromHistogram(h).Build(), want)
+		}
+
+		mutate(10 + r.Intn(30))
+		prev := b.Build()
+		check("Build", prev)
+
+		// The live arena in miniature: the generation before prev retires
+		// and is donated, its stale box widened by every publish since.
+		var retired *Histogram
+		stale := EmptyRegion()
+		for step := 0; step < 8; step++ {
+			mutate(1 + r.Intn(6))
+			opts := BuildFromOpts{Crossover: []float64{-1, -1, 0, 1e-9}[r.Intn(4)]}
+			if retired != nil && r.Intn(3) > 0 {
+				opts.Scratch, opts.Stale = retired, stale
+				if r.Intn(2) == 0 {
+					// Stale is a bound; a long-retired lease reports the whole
+					// lattice, which is what makes copy-first the cheaper plan.
+					opts.Stale = whole
+				}
+				retired = nil
+			}
+			h, stats := b.BuildFrom(prev, opts)
+			if opts.Scratch != nil {
+				donated++
+				if stats.Copied {
+					copied++
+				}
+				if !stats.Incremental {
+					rebuiltIntoScratch++
+				}
+			}
+			check(fmt.Sprintf("BuildFrom step %d %+v", step, stats), h)
+			if h == prev {
+				continue
+			}
+			if retired == nil {
+				retired, stale = prev, stats.Dirty
+			} else {
+				stale = stale.Union(stats.Dirty)
+			}
+			prev = h
+		}
+	}
+	if donated == 0 || copied == 0 || rebuiltIntoScratch == 0 {
+		t.Fatalf("chains never exercised a path: %d donations, %d copy-first, %d full rebuilds into a scratch",
+			donated, copied, rebuiltIntoScratch)
+	}
+}
+
+func TestDerivedPyramidBucketsMatchIndependentPlane(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		r := gen.Rand(seed)
+		g := grid.NewUnit(8*(1+r.Intn(4)), 8*(1+r.Intn(4)))
+		opts := PyramidOpts{MaxLevels: 2, MinGrid: 2}
+		b := NewBuilder(g)
+		var spans []grid.Span
+		mutate := func(n int) {
+			for k := 0; k < n; k++ {
+				if len(spans) > 0 && r.Intn(3) == 0 {
+					i := r.Intn(len(spans))
+					b.RemoveSpan(spans[i])
+					spans[i] = spans[len(spans)-1]
+					spans = spans[:len(spans)-1]
+					continue
+				}
+				s := gen.Span(r, g)
+				b.AddSpan(s)
+				spans = append(spans, s)
+			}
+		}
+		check := func(ctx string, p *Pyramid) {
+			t.Helper()
+			if p.Levels() != 3 {
+				t.Fatalf("seed %d %s: %d levels, want 3", seed, ctx, p.Levels())
+			}
+			for k := 0; k < p.Levels(); k++ {
+				objects := make([][]grid.Span, len(spans))
+				for i, s := range spans {
+					objects[i] = []grid.Span{CoarseSpan(s, k)}
+				}
+				requireBuckets(t, fmt.Sprintf("seed %d %s level %d", seed, ctx, k),
+					p.Level(k), refBuckets(g.NX()>>k, g.NY()>>k, objects))
+			}
+		}
+		mutate(20 + r.Intn(40))
+		prevHist := b.Build()
+		prev := NewPyramid(prevHist, opts)
+		check("cold", prev)
+		var retired *Pyramid
+		stale := EmptyRegion()
+		for step := 0; step < 8; step++ {
+			mutate(1 + r.Intn(5))
+			bopts := BuildFromOpts{Crossover: -1}
+			popts := PyramidFromOpts{Opts: opts, Donor: prev}
+			if retired != nil && step%3 != 0 {
+				// In-place repair of the retired generation's buffers, base
+				// and coarse levels alike, as a collectible lease donates them.
+				bopts.Scratch, bopts.Stale = retired.Base(), stale
+				popts.Donor, popts.InPlace = retired, true
+				retired = nil
+			}
+			h, stats := b.BuildFrom(prevHist, bopts)
+			popts.Stale = stats.Dirty
+			p := PyramidFrom(h, popts)
+			check(fmt.Sprintf("step %d inPlace=%v", step, popts.InPlace), p)
+			if retired == nil {
+				retired, stale = prev, stats.Dirty
+			} else {
+				stale = stale.Union(stats.Dirty)
+			}
+			prevHist, prev = h, p
+		}
+	}
+}
+
+// TestBuildAllocatesOnePlane is the allocation gate of the single-plane
+// layout: a cold Build materializes the buckets in the array that becomes
+// the cumulative form, so it allocates one lattice-sized array (the
+// two-plane layout allocated two), plus a column accumulator.
+func TestBuildAllocatesOnePlane(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement on a 1024×1024 grid")
+	}
+	g := grid.NewUnit(1024, 1024)
+	b := NewBuilder(g)
+	r := rand.New(rand.NewSource(5))
+	for k := 0; k < 10_000; k++ {
+		b.AddSpan(randSpan(r, g))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	h := b.Build()
+	runtime.ReadMemStats(&after)
+	plane := uint64(8 * h.StorageBuckets())
+	if got := after.TotalAlloc - before.TotalAlloc; got > plane+plane/4 {
+		t.Errorf("Build allocated %d bytes, want < 1.25 × one %d-byte plane", got, plane)
+	}
+	if h.LatticeBytes() != int(plane) {
+		t.Errorf("LatticeBytes = %d, want one plane of %d bytes", h.LatticeBytes(), plane)
+	}
+}

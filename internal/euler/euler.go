@@ -164,29 +164,29 @@ func (b *Builder) Count() int64 { return b.n }
 
 // BuilderFromHistogram reconstructs a Builder whose state reproduces h:
 // the inverse of Build, obtained by 2-d backward differencing of the raw
-// (sign-restored) bucket counts. It lets a checkpointed or deserialized
-// histogram resume accepting mutations — Build on the returned builder is
-// bit-identical to h, and further Add/Remove calls behave exactly as if
-// the original builder had never been finalized. The skipped-object
-// counter is not part of a histogram and restarts at zero.
+// (sign-restored) bucket counts, streamed row by row out of the cumulative
+// form. It lets a checkpointed or deserialized histogram resume accepting
+// mutations — Build on the returned builder is bit-identical to h, and
+// further Add/Remove calls behave exactly as if the original builder had
+// never been finalized. The skipped-object counter is not part of a
+// histogram and restarts at zero.
 func BuilderFromHistogram(h *Histogram) *Builder {
 	b := NewBuilder(h.g)
-	// raw unsigned count at (u,v): edge buckets carry inverted sign in h.
-	at := func(u, v int) int64 {
-		if u < 0 || v < 0 {
-			return 0
-		}
-		c := h.h[u*h.ly+v]
-		if (u^v)&1 == 1 {
-			c = -c
-		}
-		return c
-	}
 	w := b.ly + 1
+	cur, above := make([]int64, b.ly), make([]int64, b.ly)
 	for u := 0; u < b.lx; u++ {
-		for v := 0; v < b.ly; v++ {
-			b.diff[u*w+v] = at(u, v) - at(u-1, v) - at(u, v-1) + at(u-1, v-1)
+		rawRow(h.hc.Row, u, 0, cur)
+		// raw unsigned counts: edge buckets carry inverted sign in h.
+		for v := u&1 ^ 1; v < b.ly; v += 2 {
+			cur[v] = -cur[v]
 		}
+		var left, aboveLeft int64
+		drow := b.diff[u*w : u*w+b.ly]
+		for v, c := range cur {
+			drow[v] = c - left - above[v] + aboveLeft
+			left, aboveLeft = c, above[v]
+		}
+		cur, above = above, cur
 	}
 	// Entries in the diff array's closing row/column (u = lx or v = ly)
 	// only ever cancel increments and are never read by Build; zero is
@@ -207,37 +207,31 @@ func (b *Builder) Skipped() int64 { return b.rects }
 // the dirty region: the returned histogram is a faithful baseline for a
 // later BuildFrom.
 func (b *Builder) Build() *Histogram {
-	return b.buildInto(nil, nil, 1)
+	return b.buildInto(nil, 1)
 }
 
 // BuildParallel is Build with the two cumulative passes (raw
 // materialization and prefix-sum construction) fanned across up to workers
 // goroutines. The result is bit-identical to Build.
 func (b *Builder) BuildParallel(workers int) *Histogram {
-	return b.buildInto(nil, nil, workers)
+	return b.buildInto(nil, workers)
 }
 
-// buildInto materializes the signed buckets into raw (allocated when nil)
-// and the cumulative form into hc (rebuilt in place when non-nil, so
-// recycled generation buffers avoid the O(lattice) allocation), using up to
-// workers goroutines for both passes.
-func (b *Builder) buildInto(raw []int64, hc *prefixsum.Sum2D, workers int) *Histogram {
-	if raw == nil {
-		raw = make([]int64, b.lx*b.ly)
+// buildInto materializes the signed buckets into buf (allocated when nil,
+// so recycled generation buffers avoid the O(lattice) allocation) and turns
+// them into the cumulative form in place — one lattice-sized array in all —
+// using up to workers goroutines for both passes.
+func (b *Builder) buildInto(buf []int64, workers int) *Histogram {
+	if buf == nil {
+		buf = make([]int64, b.lx*b.ly)
 	}
-	b.rawInto(raw, workers)
-	if hc == nil {
-		hc = prefixsum.NewSum2DParallel(raw, b.lx, b.ly, workers)
-	} else {
-		hc.Rebuild(raw, workers)
-	}
+	b.rawInto(buf, workers)
 	b.dirty = EmptyRegion()
 	return &Histogram{
 		g:  b.g,
 		lx: b.lx,
 		ly: b.ly,
-		h:  raw,
-		hc: hc,
+		hc: prefixsum.AdoptSum2D(buf, b.lx, b.ly, workers),
 		pc: b.partialPlane(),
 		n:  b.n,
 	}
@@ -295,15 +289,45 @@ func (b *Builder) rawInto(raw []int64, workers int) {
 	})
 }
 
-// Histogram is an immutable Euler histogram with its cumulative form. All
-// query operations run in constant time.
+// Histogram is an immutable Euler histogram, held as its cumulative form
+// H_c alone (§5.2): every query is a constant-time combination of prefix
+// values, and the signed bucket values themselves — needed only to
+// serialize, to resume a builder and by the join sweep — are recovered from
+// it on demand (Bucket, RawRow).
 type Histogram struct {
 	g      *grid.Grid
 	lx, ly int
-	h      []int64 // signed buckets, row-major [u*ly+v]
-	hc     *prefixsum.Sum2D
+	hc     *prefixsum.Sum2D // prefix sums of the signed buckets, row-major [u*ly+v]
 	pc     *prefixsum.Sum2D // optional nx×ny partial-cell count plane
 	n      int64
+}
+
+// rawRow writes the signed buckets (u, v1), (u, v1+1), … of a lattice into
+// out: the 2-d backward difference of prefix rows u−1 and u, which is the
+// point sum RangeSum(u, v, u, v) with the corners shared along the row.
+// rowOf is the cumulative plane's Row method, of either tier.
+func rawRow[T ~int32 | ~int64](rowOf func(int) []T, u, v1 int, out []int64) {
+	cur, above := rowOf(u), rowOf(u-1)
+	var left, aboveLeft int64
+	if v1 > 0 {
+		left = int64(cur[v1-1])
+	}
+	if above == nil { // u == 0: the prefix row above is all zero
+		for k := range out {
+			c := int64(cur[v1+k])
+			out[k] = c - left
+			left = c
+		}
+		return
+	}
+	if v1 > 0 {
+		aboveLeft = int64(above[v1-1])
+	}
+	for k := range out {
+		c, a := int64(cur[v1+k]), int64(above[v1+k])
+		out[k] = c - left - a + aboveLeft
+		left, aboveLeft = c, a
+	}
 }
 
 // FromRects builds an Euler histogram over g directly from a set of MBRs.
@@ -331,7 +355,7 @@ func (h *Histogram) Bucket(u, v int) int64 {
 	if u < 0 || u >= h.lx || v < 0 || v >= h.ly {
 		panic(fmt.Sprintf("euler: bucket (%d,%d) outside %dx%d lattice", u, v, h.lx, h.ly))
 	}
-	return h.h[u*h.ly+v]
+	return h.hc.RangeSum(u, v, u, v)
 }
 
 // Total returns the sum of all buckets. By Corollary 4.1 this equals the
@@ -388,10 +412,15 @@ func (h *Histogram) LatticeSum(u1, v1, u2, v2 int) int64 {
 // O(area) and exists to cross-check the cumulative form in tests and
 // ablation benchmarks.
 func (h *Histogram) NaiveInsideSum(q grid.Span) int64 {
+	if !q.Valid() {
+		return 0
+	}
 	var sum int64
+	row := make([]int64, 2*(q.J2-q.J1)+1)
 	for u := 2 * q.I1; u <= 2*q.I2; u++ {
-		for v := 2 * q.J1; v <= 2*q.J2; v++ {
-			sum += h.h[u*h.ly+v]
+		rawRow(h.hc.Row, u, 2*q.J1, row)
+		for _, c := range row {
+			sum += c
 		}
 	}
 	return sum

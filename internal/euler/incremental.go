@@ -68,13 +68,12 @@ func (b *Builder) MarkDirty(d DirtyRegion) { b.dirty = b.dirty.Union(d) }
 
 // DefaultCrossover is the repair-cost fraction above which BuildFrom falls
 // back to a full rebuild. The repairCost estimate is compared against
-// 3·lattice (the full pass: raw materialization plus two prefix sweeps).
-// BenchmarkCrossover on a 1024×1024 grid puts the measured break-even
-// between 50% and 80% dirty *area* (32.6 vs 35.4 ms at 50%, 59.9 vs
-// 38.2 ms at 80%); for a centered box of area fraction a the cost model
-// evaluates to ((√a)²+√a)/3 of the full pass, so that window is a cost
-// fraction of ≈0.43–0.49.
-const DefaultCrossover = 0.45
+// 3·lattice, the unit of the fraction. BenchmarkCrossover on a 1024×1024
+// grid puts the measured break-even at 25% dirty *area* (6.8 vs 17.1 ms at
+// 10%, 16.3 vs 16.4 ms at 25%, 27.5 vs 17.4 ms at 50%); for a centered box
+// of area fraction a the cost model evaluates to ((√a)²+√a)/3, which is
+// 0.25 at a = 0.25.
+const DefaultCrossover = 0.25
 
 // copyWeight is the relative cost of one copied lattice element against one
 // repaired element in BuildFrom's strategy choice: a copy is a straight
@@ -109,9 +108,9 @@ type BuildStats struct {
 	// than recomputed.
 	Incremental bool
 	// Copied is true when the donated scratch was refreshed from prev
-	// (raw copy + CloneInto of the cumulative plane) before repairing,
-	// because repairing its stale region would have cost more; only the
-	// builder's dirty box was then arithmetically repaired.
+	// (CloneInto of the cumulative plane) before repairing, because
+	// repairing its stale region would have cost more; only the builder's
+	// dirty box was then arithmetically repaired.
 	Copied bool
 	// Dirty is the builder dirty ∪ scratch stale bounding box: everywhere
 	// the returned histogram may differ from state derived before this
@@ -135,8 +134,7 @@ type BuildStats struct {
 func (b *Builder) BuildFrom(prev *Histogram, opts BuildFromOpts) (*Histogram, BuildStats) {
 	lattice := int64(b.lx) * int64(b.ly)
 	if prev == nil || prev.lx != b.lx || prev.ly != b.ly {
-		raw, hc := scratchArrays(opts.Scratch, b)
-		return b.buildInto(raw, hc, opts.Workers), BuildStats{Dirty: EmptyRegion(), DirtyFrac: 1}
+		return b.buildInto(scratchBuffer(opts.Scratch, b), opts.Workers), BuildStats{Dirty: EmptyRegion(), DirtyFrac: 1}
 	}
 	stale := EmptyRegion()
 	if opts.Scratch != nil {
@@ -157,15 +155,15 @@ func (b *Builder) BuildFrom(prev *Histogram, opts BuildFromOpts) (*Histogram, Bu
 	// Third strategy: a recycled scratch can carry stale damage far larger
 	// than this round's mutations (it is typically two generations behind).
 	// When repairing the stale union costs more than refreshing the scratch
-	// from prev outright — one raw copy plus a CloneInto of the cumulative
-	// plane, no allocation — and repairing only the dirty box, copy first.
-	// A copied element is a straight memmove while a repaired one is
-	// diff-array arithmetic plus a prefix patch, so copy writes are weighed
-	// at copyWeight of a repair write.
+	// from prev outright — a CloneInto of the cumulative plane, no
+	// allocation — and repairing only the dirty box, copy first. A copied
+	// element is a straight memmove while a repaired one is diff-array
+	// arithmetic plus a prefix patch, so copy writes are weighed at
+	// copyWeight of a repair write.
 	copied := false
 	rr := r // the region actually repaired arithmetically
 	if scratchFits && !stale.Empty() {
-		alt := copyWeight * 2 * float64(lattice)
+		alt := copyWeight * float64(lattice)
 		if !b.dirty.Empty() {
 			alt += b.repairCost(b.dirty, prev.n)
 		}
@@ -179,33 +177,35 @@ func (b *Builder) BuildFrom(prev *Histogram, opts BuildFromOpts) (*Histogram, Bu
 		crossover = DefaultCrossover
 	}
 	if crossover >= 0 && cost > crossover*3*float64(lattice) {
-		raw, hc := scratchArrays(opts.Scratch, b)
-		return b.buildInto(raw, hc, opts.Workers), BuildStats{Dirty: r, DirtyFrac: frac}
+		return b.buildInto(scratchBuffer(opts.Scratch, b), opts.Workers), BuildStats{Dirty: r, DirtyFrac: frac}
 	}
-	h := opts.Scratch
-	if !scratchFits {
-		// No recycled buffers: clone prev and repair the clone. Stale is
+	var hc *prefixsum.Sum2D
+	switch {
+	case !scratchFits:
+		// No recycled buffer: clone prev and repair the clone. Stale is
 		// necessarily empty relative to a fresh copy of prev.
-		h = &Histogram{g: b.g, lx: b.lx, ly: b.ly, h: append([]int64(nil), prev.h...), hc: prev.hc.Clone()}
-	} else if copied {
-		copy(h.h, prev.h)
-		h.hc = prev.hc.CloneInto(h.hc)
+		hc = prev.hc.Clone()
+	case copied:
+		hc = prev.hc.CloneInto(opts.Scratch.hc)
+	default:
+		hc = opts.Scratch.hc
 	}
 	if !rr.Empty() {
-		b.repairInto(h.h, h.hc, rr)
+		b.repairInto(hc, rr)
 	}
 	b.dirty = EmptyRegion()
-	return &Histogram{g: b.g, lx: b.lx, ly: b.ly, h: h.h, hc: h.hc, pc: b.partialPlane(), n: b.n},
+	return &Histogram{g: b.g, lx: b.lx, ly: b.ly, hc: hc, pc: b.partialPlane(), n: b.n},
 		BuildStats{Incremental: true, Copied: copied, Dirty: r, DirtyFrac: frac}
 }
 
-// scratchArrays returns buildInto's (raw, hc) arguments from a donated
-// scratch histogram, or nils when none fits the builder's lattice.
-func scratchArrays(scratch *Histogram, b *Builder) ([]int64, *prefixsum.Sum2D) {
+// scratchBuffer takes the lattice array out of a donated scratch histogram
+// for buildInto to refill, or returns nil when none fits the builder's
+// lattice.
+func scratchBuffer(scratch *Histogram, b *Builder) []int64 {
 	if scratch == nil || scratch.lx != b.lx || scratch.ly != b.ly {
-		return nil, nil
+		return nil
 	}
-	return scratch.h, scratch.hc
+	return scratch.hc.Release()
 }
 
 // repairCost estimates the bucket-writes of repairInto for region r: the
@@ -228,49 +228,56 @@ func (b *Builder) repairCost(r DirtyRegion, prevN int64) float64 {
 
 // repairInto recomputes the raw buckets inside r from the difference array
 // and clean borders, then repairs the cumulative form via
-// Sum2D.AddRegionDelta. raw/hc must agree with the builder's state
-// everywhere outside r.
+// Sum2D.AddRegionDelta. hc must agree with the builder's state everywhere
+// outside r.
 //
 // The border decomposition: the unsigned raw value is the 2-d prefix S of
 // the difference array, and for (u,v) inside the box
 //
 //	S(u,v) = S(u1−1,v) + S(u,v1−1) − S(u1−1,v1−1) + Σ diff[u1..u][v1..v]
 //
-// where the three border terms are read from the clean raw cells
-// (sign-restored) just outside the box and the last term is a local 2-d
-// prefix streamed with one column accumulator — O(box) total.
-func (b *Builder) repairInto(raw []int64, hc *prefixsum.Sum2D, r DirtyRegion) {
+// where the three border terms are the clean raw cells (sign-restored) just
+// outside the box and the last term is a local 2-d prefix streamed with one
+// column accumulator — O(box) total. There is no raw plane to read borders
+// and old values from: both come out of the cumulative form, which still
+// holds the pre-repair state until AddRegionDelta patches it — the top
+// border and every box row by backward differencing (rawRow), the left
+// border as one point sum per row.
+func (b *Builder) repairInto(hc *prefixsum.Sum2D, r DirtyRegion) {
 	u1, v1, u2, v2 := r.U1, r.V1, r.U2, r.V2
 	w := b.ly + 1
 	bw := v2 - v1 + 1
 	bh := u2 - u1 + 1
-	at := func(u, v int) int64 {
-		if u < 0 || v < 0 {
-			return 0
-		}
-		c := raw[u*b.ly+v]
+	// unsigned restores the raw count of the signed bucket c at (u, v).
+	unsigned := func(c int64, u, v int) int64 {
 		if (u^v)&1 == 1 {
-			c = -c
+			return -c
 		}
 		return c
 	}
+	// top[0] is the corner S(u1−1, v1−1), top[1+k] the border S(u1−1, v1+k).
+	top := make([]int64, bw+1)
+	if u1 > 0 {
+		lo := max(v1-1, 0)
+		rawRow(hc.Row, u1-1, lo, top[lo-v1+1:])
+		for k := lo; k <= v2; k++ {
+			top[1+k-v1] = unsigned(top[1+k-v1], u1-1, k)
+		}
+	}
 	delta := make([]int64, bh*bw)
 	colAcc := make([]int64, bw)
-	corner := at(u1-1, v1-1)
 	for u := u1; u <= u2; u++ {
-		var rowAcc int64
-		left := at(u, v1-1)
+		var rowAcc, left int64
+		if v1 > 0 {
+			left = unsigned(hc.RangeSum(u, v1-1, u, v1-1), u, v1-1)
+		}
 		drow := delta[(u-u1)*bw : (u-u1+1)*bw]
+		rawRow(hc.Row, u, v1, drow) // the old values, replaced by new − old below
 		for v := v1; v <= v2; v++ {
 			rowAcc += b.diff[u*w+v]
 			colAcc[v-v1] += rowAcc
-			s := at(u1-1, v) + left - corner + colAcc[v-v1]
-			if (u^v)&1 == 1 {
-				s = -s
-			}
-			idx := u*b.ly + v
-			drow[v-v1] = s - raw[idx]
-			raw[idx] = s
+			s := unsigned(top[1+v-v1]+left-top[0]+colAcc[v-v1], u, v)
+			drow[v-v1] = s - drow[v-v1]
 		}
 	}
 	hc.AddRegionDelta(u1, v1, u2, v2, delta)

@@ -7,8 +7,9 @@ import (
 	"spatialhist/internal/grid"
 )
 
-// assertIdentical checks bit-identity of two histograms: buckets,
-// cumulative sums and count.
+// assertIdentical checks bit-identity of two histograms: the whole
+// cumulative plane (which determines every bucket and every sum) and the
+// count.
 func assertIdentical(t *testing.T, want, got *Histogram) {
 	t.Helper()
 	if want.lx != got.lx || want.ly != got.ly {
@@ -17,19 +18,19 @@ func assertIdentical(t *testing.T, want, got *Histogram) {
 	if want.n != got.n {
 		t.Fatalf("count = %d, want %d", got.n, want.n)
 	}
-	for i, v := range want.h {
-		if got.h[i] != v {
-			t.Fatalf("bucket[%d] = %d, want %d", i, got.h[i], v)
-		}
-	}
-	for u := -1; u < want.lx; u += 1 + want.lx/7 {
-		for v := -1; v < want.ly; v += 1 + want.ly/7 {
-			if w, g := want.hc.PrefixAt(u, v), got.hc.PrefixAt(u, v); w != g {
-				t.Fatalf("cumulative(%d,%d) = %d, want %d", u, v, g, w)
+	for u := 0; u < want.lx; u++ {
+		wrow, grow := want.hc.Row(u), got.hc.Row(u)
+		for v, w := range wrow {
+			if grow[v] != w {
+				t.Fatalf("cumulative(%d,%d) = %d, want %d", u, v, grow[v], w)
 			}
 		}
 	}
 }
+
+// planeAddr identifies a histogram's lattice array, for tests asserting
+// that a donated buffer was (or was not) reused.
+func planeAddr(h *Histogram) *int64 { return &h.hc.Row(0)[0] }
 
 func randSpan(r *rand.Rand, g *grid.Grid) grid.Span {
 	i1, j1 := r.Intn(g.NX()), r.Intn(g.NY())
@@ -198,16 +199,16 @@ func TestBuildFromScratchReuse(t *testing.T) {
 	if !stats2.Incremental {
 		t.Fatal("scratch path should be incremental at crossover -1")
 	}
-	if &gen2.h[0] != &prev.h[0] {
-		t.Fatal("BuildFrom did not reuse the scratch raw array")
+	if planeAddr(gen2) != planeAddr(prev) {
+		t.Fatal("BuildFrom did not reuse the scratch array")
 	}
 
 	// Next cycle: gen1 is retired, stale vs gen2 is stats2.Dirty.
 	present = applyScript(r, b, present, 8)
 	gen3, _ := b.BuildFrom(gen2, BuildFromOpts{Scratch: gen1, Stale: stats2.Dirty, Crossover: -1})
 	assertIdentical(t, freshBuild(g, present), gen3)
-	if &gen3.h[0] != &gen1.h[0] {
-		t.Fatal("BuildFrom did not reuse the second scratch raw array")
+	if planeAddr(gen3) != planeAddr(gen1) {
+		t.Fatal("BuildFrom did not reuse the second scratch array")
 	}
 }
 
@@ -275,7 +276,7 @@ func FuzzIncrementalRebuild(f *testing.F) {
 
 // TestBuildFromCopyRepair pins the copy-first strategy: a scratch whose
 // stale region covers (nearly) the whole lattice is cheaper to refresh from
-// prev — memmove plus CloneInto, reusing its buffers — than to repair, when
+// prev — one CloneInto, reusing its buffer — than to repair, when
 // the round's own dirty box is small.
 func TestBuildFromCopyRepair(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
@@ -301,8 +302,8 @@ func TestBuildFromCopyRepair(t *testing.T) {
 	if !stats.Incremental || !stats.Copied {
 		t.Fatalf("want copy-repair, got %+v", stats)
 	}
-	if &h.h[0] != &scratch.h[0] {
-		t.Fatal("copy-repair did not reuse the scratch raw array")
+	if planeAddr(h) != planeAddr(scratch) {
+		t.Fatal("copy-repair did not reuse the scratch array")
 	}
 	// Dirty stays the conservative union — donor pyramids and retired
 	// buffers may lag anywhere in it — even though only the small box was
@@ -348,7 +349,7 @@ func TestBuildFromCopyRepairEmptyDirty(t *testing.T) {
 	if !stats.Copied || stats.Dirty != stale {
 		t.Fatalf("want refresh-only copy reporting the stale union, got %+v", stats)
 	}
-	if &h.h[0] != &scratch.h[0] {
-		t.Fatal("refresh did not reuse the scratch raw array")
+	if planeAddr(h) != planeAddr(scratch) {
+		t.Fatal("refresh did not reuse the scratch array")
 	}
 }

@@ -32,8 +32,11 @@ import (
 //	classes 1 byte: 1 when a plane follows, 0 otherwise
 //	plane   nx·ny × per-cell partial counts at the same bucket width
 //
-// Little-endian throughout. The cumulative form is recomputed on load: it
-// is derived data and rebuilding it is cheaper than shipping it.
+// Little-endian throughout. Files carry bucket values, not the cumulative
+// form the histogram holds in memory: the writer differences them back out
+// row by row and the reader accumulates them in place, so the formats are
+// independent of the resident layout (and bucket values, bounded by the
+// object count, are what makes the 4-byte width exact).
 //
 // WriteCompact chooses the 4-byte width whenever the object count fits
 // int32: each object contributes exactly one increment per bucket of its
@@ -118,34 +121,29 @@ func (h *Histogram) write(w io.Writer, compact bool) error {
 		_, err := bw.Write(buf)
 		return err
 	}
-	for _, v := range h.h {
-		if err := writeVal(v); err != nil {
-			return err
+	// Both planes are cumulative-only in memory and ship as the values they
+	// accumulate: buckets, then per-cell partial counts.
+	writePlane := func(plane *prefixsum.Sum2D) error {
+		row := make([]int64, plane.NY())
+		for i := 0; i < plane.NX(); i++ {
+			rawRow(plane.Row, i, 0, row)
+			for _, v := range row {
+				if err := writeVal(v); err != nil {
+					return err
+				}
+			}
 		}
+		return nil
+	}
+	if err := writePlane(h.hc); err != nil {
+		return err
 	}
 	if classed {
 		if err := bw.WriteByte(1); err != nil {
 			return err
 		}
-		// The plane is stored cumulative-only in memory; ship per-cell counts
-		// (2-d backward difference of adjacent cumulative rows), symmetric
-		// with how buckets ship raw and rebuild their cumulative form.
-		nx, ny := h.g.NX(), h.g.NY()
-		var prev []int64
-		for i := 0; i < nx; i++ {
-			row := h.pc.Row(i)
-			var left, prevLeft int64
-			for j := 0; j < ny; j++ {
-				up := int64(0)
-				if prev != nil {
-					up = prev[j]
-				}
-				if err := writeVal(row[j] - left - up + prevLeft); err != nil {
-					return err
-				}
-				left, prevLeft = row[j], up
-			}
-			prev = row
+		if err := writePlane(h.pc); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -247,7 +245,7 @@ func Read(r io.Reader) (*Histogram, error) {
 				}
 				cells = append(cells, v)
 			}
-			pc = prefixsum.NewSum2D(cells, int(nx), int(ny))
+			pc = prefixsum.AdoptSum2D(cells, int(nx), int(ny), 1)
 		default:
 			return nil, fmt.Errorf("euler: invalid class-plane flag %d", fb)
 		}
@@ -256,8 +254,7 @@ func Read(r io.Reader) (*Histogram, error) {
 		g:  g,
 		lx: lx,
 		ly: ly,
-		h:  buckets,
-		hc: prefixsum.NewSum2D(buckets, lx, ly),
+		hc: prefixsum.AdoptSum2D(buckets, lx, ly, 1),
 		pc: pc,
 		n:  int64(count),
 	}

@@ -322,7 +322,7 @@ func TestWriteCompactWideCounts(t *testing.T) {
 	// bucket holds the whole count.
 	n := int64(1) << 33
 	g := grid.NewUnit(1, 1)
-	h := &Histogram{g: g, lx: 1, ly: 1, h: []int64{n}, hc: prefixsum.NewSum2D([]int64{n}, 1, 1), n: n}
+	h := &Histogram{g: g, lx: 1, ly: 1, hc: prefixsum.NewSum2D([]int64{n}, 1, 1), n: n}
 	var buf bytes.Buffer
 	if err := h.WriteCompact(&buf); err != nil {
 		t.Fatal(err)

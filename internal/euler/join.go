@@ -19,48 +19,35 @@
 // pairs, and for rasterized objects it is Σχ, the paper-style signed count
 // of intersection regions.
 //
-// The sum needs the raw bucket planes, which the cumulative forms do not
-// expose through the Lattice interface; both resident tiers provide
-// row-major access via RawRow, asserted dynamically so the Lattice
-// interface (and external implementors) stay untouched.
+// The sum needs the bucket values themselves, which no tier keeps: both
+// resident tiers difference them out of their cumulative plane a row at a
+// time via RawRow, asserted dynamically so the Lattice interface (and
+// external implementors) stay untouched.
 package euler
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// RawRow returns the signed bucket values of lattice row u (all v). The
-// returned slice aliases the histogram's raw plane and must not be
-// modified; buf is unused on this tier.
+// RawRow returns the signed bucket values of lattice row u (all v),
+// recovered from the cumulative plane by 2-d backward differencing into buf
+// (grown when too small).
 func (h *Histogram) RawRow(u int, buf []int64) []int64 {
-	return h.h[u*h.ly : (u+1)*h.ly]
-}
-
-// RawRow returns the signed bucket values of lattice row u, reconstructed
-// from the packed cumulative plane by 2-d backward differencing into buf
-// (grown when too small). The values are bit-identical to the full tier's.
-func (p *PackedHistogram) RawRow(u int, buf []int64) []int64 {
-	if cap(buf) < p.ly {
-		buf = make([]int64, p.ly)
-	}
-	buf = buf[:p.ly]
-	row := p.hc.Row(u)
-	var prev []int32
-	if u > 0 {
-		prev = p.hc.Row(u - 1)
-	}
-	var left, prevLeft int64
-	for v := 0; v < p.ly; v++ {
-		cur := int64(row[v])
-		up := int64(0)
-		if prev != nil {
-			up = int64(prev[v])
-		}
-		buf[v] = cur - left - up + prevLeft
-		left, prevLeft = cur, up
-	}
+	buf = slices.Grow(buf[:0], h.ly)[:h.ly]
+	rawRow(h.hc.Row, u, 0, buf)
 	return buf
 }
 
-// rawRower is the row-major raw-plane access ProductSum needs. Both
+// RawRow mirrors Histogram.RawRow on the packed plane. The values are
+// bit-identical to the full tier's.
+func (p *PackedHistogram) RawRow(u int, buf []int64) []int64 {
+	buf = slices.Grow(buf[:0], p.ly)[:p.ly]
+	rawRow(p.hc.Row, u, 0, buf)
+	return buf
+}
+
+// rawRower is the row-major bucket access ProductSum needs. Both
 // resident tiers implement it; derived tiers (Reduced) deliberately do not.
 type rawRower interface {
 	RawRow(u int, buf []int64) []int64
@@ -134,7 +121,7 @@ func CoarsenTo(h *Histogram, nx, ny int) (*Histogram, error) {
 		if cnx%2 != 0 || cny%2 != 0 || cnx/2 < nx || cny/2 < ny {
 			return nil, fmt.Errorf("euler: %dx%d does not halve to %dx%d", h.g.NX(), h.g.NY(), nx, ny)
 		}
-		cur = coarsenHistogram(cur, nil, 1)
+		cur = coarsenHistogram(cur, 1)
 	}
 	return cur, nil
 }

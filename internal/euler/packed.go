@@ -29,12 +29,10 @@ type Lattice interface {
 }
 
 // PackedHistogram is the int32-packed tier of an Euler histogram: the
-// cumulative lattice re-encoded at 4 bytes per bucket, dropping the raw
-// bucket plane entirely (every query reads only the cumulative form; the
-// raw plane exists for rebuilds, which the packed tier does not do). It
-// serves every Lattice query bit-identically to the full histogram it was
-// packed from, at 1/4 of its resident bytes — the tier for cold and
-// archive datasets.
+// cumulative lattice re-encoded at 4 bytes per bucket. It serves every
+// Lattice query bit-identically to the full histogram it was packed from,
+// at half its resident bytes, but is never repaired in place — the tier
+// for cold and archive datasets.
 //
 // Packing is always exact for the Euler lattice: each object contributes
 // exactly one increment to every bucket of its lattice rectangle, so a
@@ -62,32 +60,12 @@ func (h *Histogram) Pack() (*PackedHistogram, bool) {
 }
 
 // Unpack promotes the packed tier back to a full histogram — the checked
-// promotion path when a cold dataset warms up or outgrows int32. The raw
-// bucket plane is reconstructed by 2-d backward differencing of the
-// cumulative form, so the result is bit-identical to the histogram that
-// was packed (Build, repair and pyramid derivation all work on it).
+// promotion path when a cold dataset warms up or outgrows int32. Widening
+// the cumulative plane is all of it, so the result is bit-identical to the
+// histogram that was packed (Build, repair and pyramid derivation all work
+// on it).
 func (p *PackedHistogram) Unpack() *Histogram {
-	hc := p.hc.Unpack()
-	raw := make([]int64, p.lx*p.ly)
-	for u := 0; u < p.lx; u++ {
-		row := hc.Row(u)
-		var prev []int64
-		if u > 0 {
-			prev = hc.Row(u - 1)
-		}
-		var left, prevLeft int64
-		for v := 0; v < p.ly; v++ {
-			cur := row[v]
-			up := int64(0)
-			if prev != nil {
-				up = prev[v]
-			}
-			raw[u*p.ly+v] = cur - left - up + prevLeft
-			left = cur
-			prevLeft = up
-		}
-	}
-	return &Histogram{g: p.g, lx: p.lx, ly: p.ly, h: raw, hc: hc, pc: p.pc, n: p.n}
+	return &Histogram{g: p.g, lx: p.lx, ly: p.ly, hc: p.hc.Unpack(), pc: p.pc, n: p.n}
 }
 
 // Grid returns the underlying grid.
@@ -188,9 +166,9 @@ func (p *PackedHistogram) GridEulerSums(region grid.Span, cols, rows int) (*Eule
 }
 
 // LatticeBytes returns the resident payload bytes of the full tier: the
-// raw bucket plane plus the cumulative plane, 8 bytes per bucket each,
-// plus the class plane when present.
-func (h *Histogram) LatticeBytes() int { return 16*h.lx*h.ly + planeBytes(h.pc, h.g) }
+// cumulative plane at 8 bytes per bucket, plus the class plane when
+// present.
+func (h *Histogram) LatticeBytes() int { return 8*h.lx*h.ly + planeBytes(h.pc, h.g) }
 
 // planeBytes is the resident cost of an optional partial-cell count plane:
 // 8 bytes per cell, cumulative form only.

@@ -1,9 +1,6 @@
 package euler
 
-import (
-	"spatialhist/internal/grid"
-	"spatialhist/internal/prefixsum"
-)
+import "spatialhist/internal/grid"
 
 // Multi-resolution pyramid of Euler histograms. Level 0 is the base
 // histogram; level k is the Euler histogram of the same objects over the
@@ -18,10 +15,18 @@ import (
 // (per axis; the 2-d stencil is the product). The even case follows from
 // the inclusion–exclusion of the two fine cells a coarse cell merges, the
 // odd case because the coarse interior grid line 2A+1 is the fine line
-// 4A+3. Coarsening is therefore one pass over the finer level — never a
-// dataset scan — and bit-identical to building the coarse histogram
-// directly from the coarsened spans, which is what the check oracle
-// asserts.
+// 4A+3. The stencil weights are exactly the §5.1 edge-inversion signs of
+// the fine buckets they multiply, so on the stored signed values every
+// weight is +1: a coarse signed bucket is the plain sum of the fine signed
+// buckets in its footprint, and the footprints — fine {4A, 4A+1, 4A+2} for
+// coarse 2A, fine {4A+3} for coarse 2A+1 — tile the fine axis in order.
+// A prefix sum of coarse buckets up to U is therefore the fine prefix sum
+// up to the last fine coordinate of U's footprint (fineEnds): the coarse
+// cumulative plane is the fine cumulative plane sampled at those
+// coordinates. Coarsening is one gather over the finer level's H_c — never
+// a dataset scan, no arithmetic, no bucket values formed — and
+// bit-identical to building the coarse histogram directly from the
+// coarsened spans, which is what the check oracle asserts.
 //
 // Floor-halving spans rather than re-snapping geometry at the coarse
 // resolution keeps the levels float-free: snapping the same rectangle
@@ -42,8 +47,8 @@ type PyramidOpts struct {
 	// MinGrid stops coarsening before either axis would drop below this
 	// many cells. 0 means DefaultPyramidMinGrid.
 	MinGrid int
-	// Workers bounds the goroutines of cold level construction (and of a
-	// full level rebuild past the crossover). Repairs are serial.
+	// Workers bounds the goroutines of cold level construction. Repairs
+	// are serial.
 	Workers int
 }
 
@@ -77,7 +82,7 @@ func NewPyramid(base *Histogram, opts PyramidOpts) *Pyramid {
 		if !opts.canCoarsen(fine.g) {
 			break
 		}
-		levels = append(levels, coarsenHistogram(fine, nil, opts.Workers))
+		levels = append(levels, coarsenHistogram(fine, opts.Workers))
 	}
 	return &Pyramid{levels: levels}
 }
@@ -107,76 +112,24 @@ func CoarseSpan(s grid.Span, k int) grid.Span {
 	return grid.Span{I1: s.I1 >> k, J1: s.J1 >> k, I2: s.I2 >> k, J2: s.J2 >> k}
 }
 
-// axisTaps fills the fine-axis stencil of coarse lattice coordinate U and
-// returns the tap count.
-func axisTaps(U int, idx *[3]int, w *[3]int64) int {
-	if U&1 == 1 {
-		idx[0] = 2*U + 1
-		w[0] = 1
-		return 1
+// fineEnds tabulates, for each of the n coarse lattice coordinates of one
+// axis, the last fine lattice coordinate of its footprint: 2U+2 for even U
+// (a merged face and its two interior seams), 2U+1 for odd U (the
+// surviving grid line).
+func fineEnds(n int) []int {
+	ends := make([]int, n)
+	for U := range ends {
+		ends[U] = 2*U + 2 - U&1
 	}
-	idx[0], idx[1], idx[2] = 2*U, 2*U+1, 2*U+2
-	w[0], w[1], w[2] = 1, -1, 1
-	return 3
+	return ends
 }
 
-// rawAt returns the unsigned raw bucket count at (u, v): stored values
-// carry the §5.1 sign inversion on edge buckets.
-func (h *Histogram) rawAt(u, v int) int64 {
-	c := h.h[u*h.ly+v]
-	if (u^v)&1 == 1 {
-		c = -c
-	}
-	return c
-}
-
-// coarsenRange writes the signed coarse bucket values derived from fine
-// into out (the full coarse lattice array, row width cly) for the
-// inclusive coarse lattice box [U1..U2]×[V1..V2].
-func coarsenRange(fine *Histogram, out []int64, cly int, U1, V1, U2, V2 int) {
-	var us, vs [3]int
-	var uw, vw [3]int64
-	for U := U1; U <= U2; U++ {
-		nu := axisTaps(U, &us, &uw)
-		row := out[U*cly : (U+1)*cly]
-		for V := V1; V <= V2; V++ {
-			nv := axisTaps(V, &vs, &vw)
-			var c int64
-			for a := 0; a < nu; a++ {
-				for b := 0; b < nv; b++ {
-					c += uw[a] * vw[b] * fine.rawAt(us[a], vs[b])
-				}
-			}
-			if (U^V)&1 == 1 {
-				c = -c
-			}
-			row[V] = c
-		}
-	}
-}
-
-// coarsenHistogram derives the next pyramid level from fine. When scratch
-// matches the coarse lattice its arrays are rebuilt in place (generation
-// recycling); otherwise fresh arrays are allocated.
-func coarsenHistogram(fine *Histogram, scratch *Histogram, workers int) *Histogram {
+// coarsenHistogram derives the next pyramid level from fine.
+func coarsenHistogram(fine *Histogram, workers int) *Histogram {
 	cg := grid.New(fine.g.Extent(), fine.g.NX()/2, fine.g.NY()/2)
 	lx, ly := 2*cg.NX()-1, 2*cg.NY()-1
-	var raw []int64
-	var hc *prefixsum.Sum2D
-	if scratch != nil && scratch.lx == lx && scratch.ly == ly {
-		raw, hc = scratch.h, scratch.hc
-	} else {
-		raw = make([]int64, lx*ly)
-	}
-	fanLatticeChunks(lx, workers, func(lo, hi int) {
-		coarsenRange(fine, raw, ly, lo, 0, hi-1, ly-1)
-	})
-	if hc == nil {
-		hc = prefixsum.NewSum2DParallel(raw, lx, ly, workers)
-	} else {
-		hc.Rebuild(raw, workers)
-	}
-	return &Histogram{g: cg, lx: lx, ly: ly, h: raw, hc: hc, n: fine.n}
+	hc := fine.hc.Sample(fineEnds(lx), fineEnds(ly), workers)
+	return &Histogram{g: cg, lx: lx, ly: ly, hc: hc, n: fine.n}
 }
 
 // coarseCoord maps a fine lattice coordinate to the single coarse lattice
@@ -219,16 +172,12 @@ type PyramidFromOpts struct {
 	// cloning them — only sound when no live snapshot references the donor
 	// (the arena's collectible condition).
 	InPlace bool
-	// Crossover is the per-level repair-cost fraction above which a level
-	// is recoarsened outright; BuildFromOpts.Crossover semantics (0 means
-	// DefaultCrossover, negative always repairs).
-	Crossover float64
 }
 
 // PyramidFrom derives the pyramid of base incrementally: the donor's
-// coarse levels are patched only inside the dirty box mapped up level by
-// level (coarseDirty), each repair O(dirty box) via the stencil plus a
-// restricted cumulative sweep. The result is bit-identical to
+// coarse levels are refreshed only where the dirty box, mapped up level by
+// level (coarseDirty), can have moved their prefix values. The result is
+// bit-identical to
 // NewPyramid(base, opts.Opts). An empty Stale rewraps the donor's coarse
 // levels around base without touching a bucket.
 func PyramidFrom(base *Histogram, opts PyramidFromOpts) *Pyramid {
@@ -242,7 +191,7 @@ func PyramidFrom(base *Histogram, opts PyramidFromOpts) *Pyramid {
 		fine := levels[k-1]
 		donor := d.levels[k]
 		dirty = coarseDirty(dirty)
-		levels = append(levels, repairLevel(fine, donor, dirty, opts))
+		levels = append(levels, repairLevel(fine, donor, dirty, opts.InPlace))
 	}
 	// The donor may have been shallower than the options allow (it never
 	// is in steady state — the shape is fixed per store — but a cold donor
@@ -252,65 +201,35 @@ func PyramidFrom(base *Histogram, opts PyramidFromOpts) *Pyramid {
 		if !opts.Opts.canCoarsen(fine.g) {
 			break
 		}
-		levels = append(levels, coarsenHistogram(fine, nil, opts.Opts.Workers))
+		levels = append(levels, coarsenHistogram(fine, opts.Opts.Workers))
 	}
 	return &Pyramid{levels: levels}
 }
 
 // repairLevel produces the coarse level above fine from a donor level
-// whose content differs from the target only inside dirty (coarse
-// coordinates). Outside the crossover it recoarsens the whole level into
-// the donor's buffers (or fresh ones).
-func repairLevel(fine, donor *Histogram, dirty DirtyRegion, opts PyramidFromOpts) *Histogram {
-	if dirty.Empty() {
-		// Untouched: the donor's arrays are already exact. Rewrap so the
-		// returned level carries the (unchanged) count of the new base.
-		return &Histogram{g: donor.g, lx: donor.lx, ly: donor.ly, h: donor.h, hc: donor.hc, n: fine.n}
-	}
-	target := donor
-	if !opts.InPlace {
-		target = &Histogram{
-			g: donor.g, lx: donor.lx, ly: donor.ly,
-			h:  append([]int64(nil), donor.h...),
-			hc: donor.hc.Clone(),
+// whose buckets differ from the target only inside dirty (coarse
+// coordinates). A bucket change inside the box moves the prefix values of
+// the box, of the row tails to its right, of the column strips below it and
+// — only when the object count changed, the box total being the count delta
+// — of the quadrant beyond both; exactly that region is resampled from
+// fine's cumulative plane, in the donor's buffer when inPlace and in a
+// clone otherwise. That is never more than resampling the whole level, so
+// unlike BuildFrom there is no crossover to a full rebuild.
+func repairLevel(fine, donor *Histogram, dirty DirtyRegion, inPlace bool) *Histogram {
+	hc := donor.hc
+	if !dirty.Empty() {
+		if !inPlace {
+			hc = hc.Clone()
 		}
-	}
-	crossover := opts.Crossover
-	if crossover == 0 {
-		crossover = DefaultCrossover
-	}
-	lattice := float64(donor.lx) * float64(donor.ly)
-	if crossover >= 0 && levelRepairCost(donor, dirty, donor.n != fine.n) > crossover*3*lattice {
-		return coarsenHistogram(fine, target, opts.Opts.Workers)
-	}
-	u1, v1, u2, v2 := dirty.U1, dirty.V1, dirty.U2, dirty.V2
-	bw := v2 - v1 + 1
-	delta := make([]int64, int(dirty.Area()))
-	coarsenRange(fine, target.h, target.ly, u1, v1, u2, v2)
-	// The stencil wrote the new values over the dirty box; the cumulative
-	// form still holds the old ones, so read each delta back out of the
-	// prefix array via a 1-cell range sum before patching it.
-	for u := u1; u <= u2; u++ {
-		drow := delta[(u-u1)*bw : (u-u1+1)*bw]
-		for v := v1; v <= v2; v++ {
-			drow[v-v1] = target.h[u*target.ly+v] - target.hc.RangeSum(u, v, u, v)
+		rows, cols := fineEnds(donor.lx), fineEnds(donor.ly)
+		hc.Resample(fine.hc, rows, cols, dirty.U1, dirty.V1, dirty.U2, donor.ly-1)
+		below := dirty.V2
+		if donor.n != fine.n {
+			below = donor.ly - 1
 		}
+		hc.Resample(fine.hc, rows, cols, dirty.U2+1, dirty.V1, donor.lx-1, below)
 	}
-	target.hc.AddRegionDelta(u1, v1, u2, v2, delta)
-	return &Histogram{g: target.g, lx: target.lx, ly: target.ly, h: target.h, hc: target.hc, n: fine.n}
-}
-
-// levelRepairCost mirrors Builder.repairCost for a coarse-level repair:
-// the box is visited for the stencil gather (9 reads per bucket ≈ two
-// box passes) and the delta add, the prefix tails and strips once, and
-// the quadrant only when the object count changed.
-func levelRepairCost(donor *Histogram, r DirtyRegion, countChanged bool) float64 {
-	box := float64(r.Area())
-	bh := float64(r.U2 - r.U1 + 1)
-	bw := float64(r.V2 - r.V1 + 1)
-	cost := 3*box + bh*float64(donor.ly-r.V2-1) + float64(donor.lx-r.U2-1)*bw
-	if countChanged {
-		cost += float64(donor.lx-r.U2-1) * float64(donor.ly-r.V2-1)
-	}
-	return cost
+	// An untouched donor plane is already exact; rewrapping makes the level
+	// carry the count of the new base.
+	return &Histogram{g: donor.g, lx: donor.lx, ly: donor.ly, hc: hc, n: fine.n}
 }

@@ -32,7 +32,7 @@ func (h *pyramidHarness) publish(crossover float64) {
 		return
 	}
 	np := PyramidFrom(nh, PyramidFromOpts{
-		Opts: h.opts, Donor: donor, Stale: stats.Dirty, InPlace: inPlace, Crossover: crossover,
+		Opts: h.opts, Donor: donor, Stale: stats.Dirty, InPlace: inPlace,
 	})
 	h.scratch, h.stale = h.prev, stats.Dirty
 	h.prev = nh

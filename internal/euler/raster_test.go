@@ -183,7 +183,7 @@ func TestAddObjectDirtyUnion(t *testing.T) {
 		fresh.AddRaster(rst)
 	}
 	assertIdentical(t, fresh.Build(), gen2)
-	if &gen2.h[0] != &prev.h[0] {
+	if planeAddr(gen2) != planeAddr(prev) {
 		t.Fatal("BuildFrom did not repair in the donated scratch")
 	}
 	// The class plane must survive the donor path too.

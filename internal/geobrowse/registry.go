@@ -138,10 +138,14 @@ func (r *Registry) Stats() (configured, loaded int, bytes int64) {
 	return len(r.tenants), r.lru.Len(), r.loadedB
 }
 
-// estimatorBytes approximates an estimator's resident footprint: its
-// storage buckets are int64 lattice counters, which dominate everything
-// else a tenant holds.
+// estimatorBytes is an estimator's resident footprint as the tenant budget
+// charges it: the lattices it serves from, at their tier's real bytes per
+// bucket, which dominate everything else a tenant holds. Estimators that
+// are not lattice-backed (the baselines) keep int64 counters.
 func estimatorBytes(est core.Estimator) int64 {
+	if s, ok := est.(core.LatticeSizer); ok {
+		return int64(s.LatticeBytes())
+	}
 	return int64(est.StorageBuckets()) * 8
 }
 

@@ -306,3 +306,72 @@ func fixedEstimator(t *testing.T) core.Estimator {
 	g := grid.NewUnit(36, 18)
 	return core.NewEuler(euler.FromRects(g, []geom.Rect{geom.NewRect(2, 2, 4, 4)}))
 }
+
+// TestTenantBytesAreLatticeBytes pins the budget's unit: a loaded tenant is
+// charged the resident bytes of the lattices it serves from — every group
+// and pyramid level at its tier's real width — not a flat 8 bytes per
+// storage bucket, which overcharged packed tenants twofold.
+func TestTenantBytesAreLatticeBytes(t *testing.T) {
+	g := grid.NewUnit(64, 32)
+	rects := []geom.Rect{geom.NewRect(2, 1, 5, 5), geom.NewRect(10, 5, 30, 15), geom.NewRect(40, 3, 41, 4)}
+	areas := []float64{1, 9}
+	meuler, err := core.NewMEuler(g, areas, rects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pyrs []*euler.Pyramid
+	var packed []euler.Lattice
+	static, zoomBytes, packedBytes := 0, 0, 0
+	for _, h := range meuler.Histograms() {
+		static += h.LatticeBytes()
+		p := euler.NewPyramid(h, euler.PyramidOpts{MinGrid: 8})
+		pyrs = append(pyrs, p)
+		for k := 0; k < p.Levels(); k++ {
+			zoomBytes += p.Level(k).LatticeBytes()
+		}
+		ph, ok := h.Pack()
+		if !ok {
+			t.Fatal("Pack refused")
+		}
+		packed = append(packed, ph)
+		packedBytes += ph.LatticeBytes()
+	}
+	zoom, err := core.ZoomMEuler(areas, pyrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := core.MEulerFromLattices(areas, packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pyrs[0].Levels() < 2 || 2*packedBytes != static {
+		t.Fatalf("fixture: %d levels, static %d B, packed %d B", pyrs[0].Levels(), static, packedBytes)
+	}
+
+	tel := telemetry.NewRegistry()
+	load := func(e core.Estimator) func() (core.Estimator, error) {
+		return func() (core.Estimator, error) { return e, nil }
+	}
+	reg, err := NewRegistry([]TenantConfig{
+		{Name: "static", Load: load(meuler)},
+		{Name: "zoom", Load: load(zoom)},
+		{Name: "packed", Load: load(cold)},
+	}, RegistryOptions{Server: Options{Telemetry: tel}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := tel.Gauge("geobrowse_tenant_bytes", "")
+	want := int64(0)
+	for _, c := range []struct {
+		name  string
+		bytes int
+	}{{"static", static}, {"zoom", zoomBytes}, {"packed", packedBytes}} {
+		if _, err := reg.Resolve(c.name); err != nil {
+			t.Fatal(err)
+		}
+		want += int64(c.bytes)
+		if _, _, got := reg.Stats(); got != want || gauge.Value() != want {
+			t.Fatalf("after loading %s: loaded bytes %d (gauge %d), want %d", c.name, got, gauge.Value(), want)
+		}
+	}
+}

@@ -7,13 +7,13 @@ import (
 	"spatialhist/internal/euler"
 )
 
-// Generation buffer reuse. Every published histogram's lattice arrays
-// (raw buckets + cumulative form, ~2×8 B per bucket) used to become
-// garbage at the next publish. The arena keeps a lease per histogram
-// still referenced by any snapshot; once every snapshot holding it has
-// been released — and none escaped through an unpinned accessor — the
-// buffers are donated back to euler.BuildFrom as scratch, so steady-state
-// publishes allocate O(dirty region) instead of O(lattice).
+// Generation buffer reuse. Every published histogram's lattice array (the
+// cumulative form, 8 B per bucket) used to become garbage at the next
+// publish. The arena keeps a lease per histogram still referenced by any
+// snapshot; once every snapshot holding it has been released — and none
+// escaped through an unpinned accessor — the buffer is donated back to
+// euler.BuildFrom as scratch, so steady-state publishes allocate O(dirty
+// region) instead of O(lattice).
 //
 // A lease's stale region bounds where its histogram's content lags the
 // currently published one: it starts empty when the histogram is
@@ -23,7 +23,7 @@ import (
 
 // histLease tracks one retained histogram of one partition, together with
 // the pyramid published over it (nil when pyramids are disabled). A
-// collectible lease donates both: the base arrays go to euler.BuildFrom as
+// collectible lease donates both: the base array goes to euler.BuildFrom as
 // scratch and the pyramid's coarse levels to euler.PyramidFrom for
 // in-place repair — the collectible condition covers them jointly, since
 // the snapshots referencing the histogram are exactly the ones whose zoom

@@ -2,6 +2,7 @@ package live
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -165,6 +166,38 @@ func TestLeaseListBounded(t *testing.T) {
 	for i, leases := range s.arena.parts {
 		if len(leases) > maxLeases {
 			t.Fatalf("partition %d retains %d leases, want ≤ %d", i, len(leases), maxLeases)
+		}
+	}
+}
+
+// TestSteadyStatePublishAllocatesDirty is the store-level allocation gate:
+// once the arena holds a retired generation, publishing a small mutation
+// repairs the leased base plane and its pyramid levels in place, so a
+// publish allocates a delta box and descriptors — a small fraction of the
+// 511×511×8 B ≈ 2 MB cumulative plane a cloned generation would cost.
+func TestSteadyStatePublishAllocatesDirty(t *testing.T) {
+	g := grid.NewUnit(256, 256)
+	s := openTestStore(t, Config{Grid: g, Algo: AlgoSEuler, RebuildEvery: -1, PyramidLevels: 3})
+	publish := func(k int) uint64 {
+		x := float64(100 + k%20)
+		if ok, err := s.Insert(geom.NewRect(x+0.25, 100.25, x+2.5, 102.5)); err != nil || !ok {
+			t.Fatalf("insert: %v %v", ok, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for k := 0; k < 4; k++ { // fill the arena: steady state from here on
+		publish(k)
+	}
+	plane := uint64(8 * 511 * 511)
+	for k := 4; k < 12; k++ {
+		if got := publish(k); got > plane/8 {
+			t.Fatalf("publish %d allocated %d bytes, want O(dirty) — well under the %d-byte plane", k, got, plane)
 		}
 	}
 }

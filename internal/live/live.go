@@ -9,7 +9,7 @@
 // difference array: every mutation is journaled to a write-ahead log
 // (crash recovery), applied to the per-partition builders, and made
 // visible by the rebuild policy, which finalizes the builders into a fresh
-// generation — raw lattice → cumulative form → core estimator — published
+// generation — difference array → cumulative form → core estimator — published
 // by atomic pointer swap. Readers never lock: they grab the current
 // Snapshot and query it; a snapshot is exactly as stale as the mutations
 // applied since its generation was built, which Status reports.
@@ -126,7 +126,7 @@ type Config struct {
 	// PackColdPublishes demotes the published estimator to the packed
 	// int32 lattice tier after this many consecutive publishes during
 	// which no reader acquired an estimator: cold datasets then serve
-	// bit-identical answers from a quarter of the lattice bytes. Any
+	// bit-identical answers from half the lattice bytes. Any
 	// acquisition between publishes promotes the next publish back to
 	// the full tier (and its zoom stack). <= 0 disables demotion; it is
 	// also skipped when a partition's count overflows the packed
@@ -613,10 +613,9 @@ func (s *Store) derivePyramids(hists []*euler.Histogram, dmg []euler.DirtyRegion
 			continue
 		}
 		opts := euler.PyramidFromOpts{
-			Opts:      popts,
-			Donor:     s.lastPyrs[i],
-			Stale:     dmg[i],
-			Crossover: s.cfg.RebuildCrossover,
+			Opts:  popts,
+			Donor: s.lastPyrs[i],
+			Stale: dmg[i],
 		}
 		opts.Opts.Workers = euler.AutoWorkers((2*s.cfg.Grid.NX()-1)*(2*s.cfg.Grid.NY()-1), int(h.Count()))
 		if lease := leases[i]; lease != nil && lease.pyr != nil {

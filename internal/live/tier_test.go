@@ -69,8 +69,8 @@ func TestPackedTierDemotionPromotion(t *testing.T) {
 		t.Fatal("packed publish carries a zoom stack")
 	}
 	sweep(t, snap.Est, core.NewSEuler(s.lastHists[0]))
-	if p, f := packedGauge.Value(), fullGauge.Value(); p <= 0 || 4*p != f {
-		t.Fatalf("lattice byte gauges full=%d packed=%d, want packed = full/4", f, p)
+	if p, f := packedGauge.Value(), fullGauge.Value(); p <= 0 || 2*p != f {
+		t.Fatalf("lattice byte gauges full=%d packed=%d, want packed = full/2", f, p)
 	}
 
 	// One estimator acquisition between publishes promotes the next one

@@ -25,31 +25,103 @@ func assertEqualSum2D(t *testing.T, want, got *Sum2D) {
 	}
 }
 
-func TestNewSum2DParallelMatchesSerial(t *testing.T) {
+// naivePlane is the independent reference for construction: each prefix
+// value by inclusion–exclusion over its three finished neighbours.
+func naivePlane(src []int64, nx, ny int) *Sum2D {
+	s := &Sum2D{nx: nx, ny: ny, p: make([]int64, nx*ny)}
+	for i := 0; i < nx; i++ {
+		for j := 0; j < ny; j++ {
+			s.p[i*ny+j] = src[i*ny+j] + s.at(i-1, j) + s.at(i, j-1) - s.at(i-1, j-1)
+		}
+	}
+	return s
+}
+
+func TestAdoptSum2DInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, dim := range [][2]int{{1, 1}, {3, 7}, {64, 64}, {200, 350}, {513, 129}} {
+	for _, dim := range [][2]int{{0, 0}, {1, 1}, {3, 7}, {64, 64}, {200, 350}, {513, 129}} {
 		nx, ny := dim[0], dim[1]
 		src := randArray(rng, nx*ny)
-		want := NewSum2D(src, nx, ny)
-		for _, workers := range []int{2, 3, 8} {
-			got := NewSum2DParallel(src, nx, ny, workers)
+		want := naivePlane(src, nx, ny)
+		kept := append([]int64(nil), src...)
+		assertEqualSum2D(t, want, NewSum2D(src, nx, ny))
+		for i, v := range kept {
+			if src[i] != v {
+				t.Fatalf("%dx%d: NewSum2D modified its source at %d", nx, ny, i)
+			}
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			buf := append([]int64(nil), src...)
+			got := AdoptSum2D(buf, nx, ny, workers)
 			assertEqualSum2D(t, want, got)
+			if len(buf) > 0 && &got.p[0] != &buf[0] {
+				t.Fatalf("%dx%d workers %d: AdoptSum2D did not adopt the buffer", nx, ny, workers)
+			}
 		}
 	}
 }
 
-func TestRebuildReusesBuffer(t *testing.T) {
+func TestReleaseRecyclesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	nx, ny := 300, 400
-	a := randArray(rng, nx*ny)
 	b := randArray(rng, nx*ny)
-	s := NewSum2D(a, nx, ny)
+	s := NewSum2D(randArray(rng, nx*ny), nx, ny)
 	p0 := &s.p[0]
-	s.Rebuild(b, 4)
-	if &s.p[0] != p0 {
-		t.Fatal("Rebuild reallocated the prefix buffer")
+	buf := s.Release()
+	copy(buf, b)
+	s2 := AdoptSum2D(buf, nx, ny, 4)
+	if &s2.p[0] != p0 {
+		t.Fatal("Release + AdoptSum2D reallocated the prefix buffer")
 	}
-	assertEqualSum2D(t, NewSum2D(b, nx, ny), s)
+	assertEqualSum2D(t, NewSum2D(b, nx, ny), s2)
+}
+
+// TestSampleSumsTheGaps pins the identity pyramid coarsening rests on:
+// sampling a prefix plane at a monotone subsequence of coordinates gives
+// the prefix plane of the source summed over the gaps.
+func TestSampleSumsTheGaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	nx, ny := 37, 53
+	src := randArray(rng, nx*ny)
+	s := NewSum2D(src, nx, ny)
+	pick := func(n int) []int {
+		var idx []int
+		for i := rng.Intn(3); i < n; i += 1 + rng.Intn(3) {
+			idx = append(idx, i)
+		}
+		return idx
+	}
+	for trial := 0; trial < 20; trial++ {
+		rows, cols := pick(nx), pick(ny)
+		merged := make([]int64, len(rows)*len(cols))
+		for a, i2 := range rows {
+			i1 := 0
+			if a > 0 {
+				i1 = rows[a-1] + 1
+			}
+			for b, j2 := range cols {
+				j1 := 0
+				if b > 0 {
+					j1 = cols[b-1] + 1
+				}
+				merged[a*len(cols)+b] = s.RangeSum(i1, j1, i2, j2)
+			}
+		}
+		want := NewSum2D(merged, len(rows), len(cols))
+		got := s.Sample(rows, cols, 1+trial%3)
+		assertEqualSum2D(t, want, got)
+
+		// A box-limited Resample restores exactly the box.
+		i1, j1 := rng.Intn(len(rows)), rng.Intn(len(cols))
+		i2, j2 := i1+rng.Intn(len(rows)-i1), j1+rng.Intn(len(cols)-j1)
+		for i := i1; i <= i2; i++ {
+			for j := j1; j <= j2; j++ {
+				got.p[i*got.ny+j] = -1 << 40
+			}
+		}
+		got.Resample(s, rows, cols, i1, j1, i2, j2)
+		assertEqualSum2D(t, want, got)
+	}
 }
 
 func TestAddRegionDelta(t *testing.T) {
@@ -94,105 +166,4 @@ func TestAddRegionDeltaPanicsOutsideArray(t *testing.T) {
 		}
 	}()
 	s.AddRegionDelta(0, 0, 3, 0, make([]int64, 4))
-}
-
-func TestTiled2DMatchesSum2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, dim := range [][2]int{{1, 1}, {5, 9}, {64, 64}, {130, 70}, {200, 257}} {
-		nx, ny := dim[0], dim[1]
-		src := randArray(rng, nx*ny)
-		flat := NewSum2D(src, nx, ny)
-		for _, b := range []int{1, 7, 64} {
-			tiled := NewTiled2D(src, nx, ny, b)
-			if tiled.Total() != flat.Total() {
-				t.Fatalf("b=%d: Total = %d, want %d", b, tiled.Total(), flat.Total())
-			}
-			for trial := 0; trial < 200; trial++ {
-				i1, j1 := rng.Intn(nx)-1, rng.Intn(ny)-1
-				i2, j2 := i1+rng.Intn(nx), j1+rng.Intn(ny)
-				if got, want := tiled.RangeSum(i1, j1, i2, j2), flat.RangeSum(i1, j1, i2, j2); got != want {
-					t.Fatalf("b=%d: RangeSum(%d,%d,%d,%d) = %d, want %d", b, i1, j1, i2, j2, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestTiled2DRebuildRegionBoundaries pins the boundary cases of
-// RebuildRegion: regions clipped against the array edges (including edges
-// of partial tiles when the dimensions don't divide by the block size),
-// single-cell regions, and regions spanning tile seams — where the dirty
-// box touches more than one tile and the w/ta aggregates must be repaired
-// across the seam.
-func TestTiled2DRebuildRegionBoundaries(t *testing.T) {
-	const b = 16
-	// 150×190 leaves partial tiles on the right/top; 64×64 divides evenly.
-	for _, dim := range [][2]int{{150, 190}, {64, 64}, {b, b}, {b - 1, 2*b + 3}} {
-		nx, ny := dim[0], dim[1]
-		rng := rand.New(rand.NewSource(int64(7 + nx)))
-		src := randArray(rng, nx*ny)
-		tiled := NewTiled2D(src, nx, ny, b)
-		regions := [][4]int{
-			{0, 0, 0, 0},                                     // single cell at the origin corner
-			{nx - 1, ny - 1, nx - 1, ny - 1},                 // single cell at the far corner
-			{nx / 2, ny / 2, nx / 2, ny / 2},                 // single interior cell
-			{0, 0, nx - 1, 0},                                // first-column strip, clipped at both u edges
-			{0, ny - 1, nx - 1, ny - 1},                      // last-column strip
-			{0, 0, 0, ny - 1},                                // first-row strip, clipped at both v edges
-			{nx - 1, 0, nx - 1, ny - 1},                      // last-row strip
-			{0, 0, nx - 1, ny - 1},                           // the whole array
-			{min(b-1, nx-1), 0, min(b, nx-1), 0},             // spans the first row seam
-			{0, min(b-1, ny-1), 0, min(b, ny-1)},             // spans the first column seam
-			{max(0, nx-b-1), max(0, ny-b-1), nx - 1, ny - 1}, // seam-crossing box clipped at the far edges
-		}
-		for ri, reg := range regions {
-			u1, v1, u2, v2 := reg[0], reg[1], reg[2], reg[3]
-			for u := u1; u <= u2; u++ {
-				for v := v1; v <= v2; v++ {
-					src[u*ny+v] += int64(rng.Intn(9) - 4)
-				}
-			}
-			tiled.RebuildRegion(src, u1, v1, u2, v2)
-			flat := NewSum2D(src, nx, ny)
-			if tiled.Total() != flat.Total() {
-				t.Fatalf("%dx%d region %d [%d..%d]x[%d..%d]: Total = %d, want %d",
-					nx, ny, ri, u1, u2, v1, v2, tiled.Total(), flat.Total())
-			}
-			for q := 0; q < 200; q++ {
-				i1, j1 := rng.Intn(nx)-1, rng.Intn(ny)-1
-				i2, j2 := i1+rng.Intn(nx+1), j1+rng.Intn(ny+1)
-				if got, want := tiled.RangeSum(i1, j1, i2, j2), flat.RangeSum(i1, j1, i2, j2); got != want {
-					t.Fatalf("%dx%d region %d [%d..%d]x[%d..%d]: RangeSum(%d,%d,%d,%d) = %d, want %d",
-						nx, ny, ri, u1, u2, v1, v2, i1, j1, i2, j2, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestTiled2DRebuildRegion(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	nx, ny := 150, 190
-	src := randArray(rng, nx*ny)
-	tiled := NewTiled2D(src, nx, ny, 16)
-	for trial := 0; trial < 50; trial++ {
-		u1 := rng.Intn(nx)
-		u2 := u1 + rng.Intn(nx-u1)
-		v1 := rng.Intn(ny)
-		v2 := v1 + rng.Intn(ny-v1)
-		for u := u1; u <= u2; u++ {
-			for v := v1; v <= v2; v++ {
-				src[u*ny+v] += int64(rng.Intn(9) - 4)
-			}
-		}
-		tiled.RebuildRegion(src, u1, v1, u2, v2)
-		flat := NewSum2D(src, nx, ny)
-		for q := 0; q < 100; q++ {
-			i1, j1 := rng.Intn(nx)-1, rng.Intn(ny)-1
-			i2, j2 := i1+rng.Intn(nx), j1+rng.Intn(ny)
-			if got, want := tiled.RangeSum(i1, j1, i2, j2), flat.RangeSum(i1, j1, i2, j2); got != want {
-				t.Fatalf("trial %d: RangeSum(%d,%d,%d,%d) = %d, want %d", trial, i1, j1, i2, j2, got, want)
-			}
-		}
-	}
 }

@@ -22,40 +22,40 @@ type Sum2D struct {
 }
 
 // NewSum2D builds the prefix sums of an nx×ny row-major array. The source
-// slice must have exactly nx*ny entries.
+// slice must have exactly nx*ny entries and is left untouched.
 func NewSum2D(src []int64, nx, ny int) *Sum2D {
-	return NewSum2DParallel(src, nx, ny, 1)
+	return AdoptSum2D(append([]int64(nil), src...), nx, ny, 1)
 }
 
-// NewSum2DParallel builds the prefix sums of an nx×ny row-major array
-// fanning the two passes across up to workers goroutines. The result is
-// bit-identical to NewSum2D (integer addition commutes); workers <= 1 is
-// the serial path.
-func NewSum2DParallel(src []int64, nx, ny, workers int) *Sum2D {
-	if nx < 0 || ny < 0 || len(src) != nx*ny {
-		panic(fmt.Sprintf("prefixsum: source length %d does not match %dx%d", len(src), nx, ny))
+// AdoptSum2D turns buf — the nx×ny row-major source values — into their
+// prefix sums in place and returns the Sum2D that now owns it: the
+// construction for callers that produce the source themselves (a histogram
+// build, a checkpoint load) and would otherwise hold a second array of the
+// same size just to have it copied. The two passes fan across up to workers
+// goroutines; the result is bit-identical for every worker count (integer
+// addition commutes) and workers <= 1 is the serial path.
+func AdoptSum2D(buf []int64, nx, ny, workers int) *Sum2D {
+	if nx < 0 || ny < 0 || len(buf) != nx*ny {
+		panic(fmt.Sprintf("prefixsum: source length %d does not match %dx%d", len(buf), nx, ny))
 	}
-	s := &Sum2D{nx: nx, ny: ny, p: make([]int64, nx*ny)}
-	s.fill(src, workers)
+	s := &Sum2D{nx: nx, ny: ny, p: buf}
+	s.accumulate(workers)
 	return s
 }
 
-// Rebuild recomputes the prefix array in place from a fresh source of the
-// same dimensions, reusing the existing buffer — the full-rebuild path of
-// generation recycling, which must not allocate O(nx·ny) per publish.
-func (s *Sum2D) Rebuild(src []int64, workers int) {
-	if len(src) != len(s.p) {
-		panic(fmt.Sprintf("prefixsum: rebuild source length %d does not match %dx%d", len(src), s.nx, s.ny))
-	}
-	s.fill(src, workers)
+// Release surrenders the buffer for refilling and re-adoption — generation
+// recycling, which must not allocate O(nx·ny) per publish. s is unusable
+// afterwards.
+func (s *Sum2D) Release() []int64 {
+	p := s.p
+	s.p = nil
+	return p
 }
 
 // Clone returns an independent copy, the donor for copy-then-repair
 // incremental maintenance when no recycled buffer is available.
 func (s *Sum2D) Clone() *Sum2D {
-	p := make([]int64, len(s.p))
-	copy(p, s.p)
-	return &Sum2D{nx: s.nx, ny: s.ny, p: p}
+	return &Sum2D{nx: s.nx, ny: s.ny, p: append([]int64(nil), s.p...)}
 }
 
 // CloneInto copies s into dst's buffer and returns dst, falling back to a
@@ -72,32 +72,35 @@ func (s *Sum2D) CloneInto(dst *Sum2D) *Sum2D {
 	return dst
 }
 
-// fill computes the two prefix passes over src into s.p. Pass one (prefix
-// along y) is independent per row; pass two (prefix along x) is
-// independent per column, so each parallelizes over disjoint chunks.
-func (s *Sum2D) fill(src []int64, workers int) {
+// accumulate replaces the source values in s.p by their 2-d prefix sums.
+// Serially that is one pass: a row's running sum plus the finished row
+// above. In parallel it is two — prefix along y, independent per row, then
+// along x, independent per column — each over disjoint chunks.
+func (s *Sum2D) accumulate(workers int) {
 	nx, ny, p := s.nx, s.ny, s.p
 	if workers <= 1 || nx*ny < 1<<16 {
-		copy(p, src)
+		var prev []int64
 		for i := 0; i < nx; i++ {
 			row := p[i*ny : (i+1)*ny]
-			for j := 1; j < ny; j++ {
-				row[j] += row[j-1]
+			var acc int64
+			if prev == nil {
+				for j, v := range row {
+					acc += v
+					row[j] = acc
+				}
+			} else {
+				for j, v := range row {
+					acc += v
+					row[j] = acc + prev[j]
+				}
 			}
-		}
-		for i := 1; i < nx; i++ {
-			prev := p[(i-1)*ny : i*ny]
-			row := p[i*ny : (i+1)*ny]
-			for j := 0; j < ny; j++ {
-				row[j] += prev[j]
-			}
+			prev = row
 		}
 		return
 	}
 	fanChunks(nx, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := p[i*ny : (i+1)*ny]
-			copy(row, src[i*ny:(i+1)*ny])
 			for j := 1; j < ny; j++ {
 				row[j] += row[j-1]
 			}
@@ -112,6 +115,31 @@ func (s *Sum2D) fill(src []int64, workers int) {
 			}
 		}
 	})
+}
+
+// Sample returns the len(rows)×len(cols) plane t(i, j) = s(rows[i],
+// cols[j]), gathered by up to workers goroutines. Sampling prefix sums at a
+// monotone subsequence of coordinates yields the prefix sums of the source
+// summed over the gaps in between — which is how a pyramid level is derived
+// from the finer one without ever forming source values.
+func (s *Sum2D) Sample(rows, cols []int, workers int) *Sum2D {
+	t := &Sum2D{nx: len(rows), ny: len(cols), p: make([]int64, len(rows)*len(cols))}
+	fanChunks(t.nx, workers, func(lo, hi int) {
+		t.Resample(s, rows, cols, lo, 0, hi-1, t.ny-1)
+	})
+	return t
+}
+
+// Resample refreshes s inside the inclusive box [i1..i2]×[j1..j2] from
+// src through the index tables of Sample: s(i, j) = src(rows[i], cols[j]).
+func (s *Sum2D) Resample(src *Sum2D, rows, cols []int, i1, j1, i2, j2 int) {
+	for i := i1; i <= i2; i++ {
+		from := src.p[rows[i]*src.ny : (rows[i]+1)*src.ny]
+		to := s.p[i*s.ny : (i+1)*s.ny]
+		for j := j1; j <= j2; j++ {
+			to[j] = from[cols[j]]
+		}
+	}
 }
 
 // fanChunks splits [0, n) into up to workers contiguous chunks and runs fn
