@@ -13,8 +13,9 @@
 //	                        exact evaluators cross-checked against each
 //	                        other (EvaluateQuery vs EvaluateSet vs the
 //	                        4-d prefix-sum Oracle).
-//	batch vs per-tile       core.EstimateGrid / EstimateGridParallel vs a
-//	                        per-tile Estimate loop.
+//	batch vs per-tile       core.EstimateGrid / EstimateGridParallel /
+//	                        EstimateGridInto (dirty plane, row bands) vs
+//	                        a per-tile Estimate loop.
 //	incremental vs fresh    euler.BuildFrom chains (dirty-region repair,
 //	                        scratch reuse, crossover fallback) vs a fresh
 //	                        Build over the same objects.
@@ -141,7 +142,7 @@ func Oracles() []Check {
 		{
 			Name: "batch-vs-per-tile",
 			Kind: KindOracle,
-			Doc:  "EstimateGrid and EstimateGridParallel are bit-identical to a per-tile Estimate loop",
+			Doc:  "EstimateGrid, EstimateGridParallel and EstimateGridInto (dirty plane, row bands) are bit-identical to a per-tile Estimate loop",
 			Run:  runBatchVsPerTile,
 		},
 		{

@@ -242,6 +242,24 @@ func runBatchVsPerTile(seed int64) *Divergence {
 			{"EstimateGridParallel", func(e core.Estimator) ([]core.Estimate, error) {
 				return core.EstimateGridParallel(e, region, cols, rows, 2+r.Intn(3))
 			}},
+			{"EstimateGridInto", func(e core.Estimator) ([]core.Estimate, error) {
+				// A dirty plane filled in random row bands: none of the
+				// garbage may show through and the seams must not either.
+				plane := make([]core.Estimate, cols*rows)
+				for k := range plane {
+					plane[k] = core.Estimate{Disjoint: r.Int63(), Contains: -r.Int63(), Contained: r.Int63(), Overlap: -r.Int63()}
+				}
+				th := region.Height() / rows
+				for r0 := 0; r0 < rows; {
+					r1 := r0 + 1 + r.Intn(rows-r0)
+					err := core.EstimateGridInto(e, plane[r0*cols:r1*cols], query.RowBand(region, th, r0, r1-1), cols, r1-r0)
+					if err != nil {
+						return nil, err
+					}
+					r0 = r1
+				}
+				return plane, nil
+			}},
 		} {
 			batch, err := variant.run(est)
 			if err != nil {

@@ -1,15 +1,17 @@
 // Batch estimation: a browsing interaction is not one query but a
 // cols×rows tile map of them (§1, §2), and the per-tile sums of all three
-// algorithms are corner combinations of one shared cumulative lattice.
-// EstimateGrid answers the whole map in one sweep per histogram
-// (euler.GridQuerySums/GridEulerSums), bit-identical to calling Estimate
-// per tile but without re-deriving corner values, span bookkeeping and
-// row-level Region A/B bands for every tile.
+// algorithms are corner combinations of one shared cumulative lattice. A
+// tile map is answered in ONE plane of Estimates, bit-identical to calling
+// Estimate per tile: every histogram involved adds its own four counts for
+// every tile into the plane (gridAdder). M-EulerApprox is the sum over its
+// area groups (§5.4) — N_d = Σ(n_i − n_ii) and N_cd = Σ(n_i − N_d^i − N_o^i
+// − N_cs^i) are |S| − Σ n_ii and |S| − N_d − N_o − N_cs by linearity, in
+// exact integer arithmetic — and a lone S-EulerApprox or EulerApprox
+// histogram is the one-term sum: Equations 16–17 and 21–22 added to zero.
 package core
 
 import (
-	"runtime"
-	"sync"
+	"fmt"
 	"time"
 
 	"spatialhist/internal/euler"
@@ -27,124 +29,183 @@ type BatchEstimator interface {
 	EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error)
 }
 
-// EstimateGrid answers every tile of the cols×rows tiling of region using
-// est's batch path when it has one and a per-tile fallback otherwise, so
-// callers can serve tile maps through one entry point for any Estimator.
-// Each successful call records one sweep (tile count, duration) into
-// telemetry.Default() under the estimator's name.
+// gridAdder is that sum's term: addGrid adds the estimator's counts for
+// every tile of the tiling into dst (row-major, len cols×rows), each field
+// into its own.
+type gridAdder interface {
+	Estimator
+	addGrid(dst []Estimate, region grid.Span, cols, rows int) error
+}
+
+// EstimateGrid answers every tile of the cols×rows tiling of region: one
+// accumulating sweep per histogram for the paper's estimators, a per-tile
+// loop for any other Estimator, so callers serve tile maps through one
+// entry point. Each successful call records one sweep (tile count,
+// duration) into telemetry.Default() under the estimator's name.
 func EstimateGrid(est Estimator, region grid.Span, cols, rows int) ([]Estimate, error) {
-	start := time.Now()
-	out, err := estimateGridRaw(est, region, cols, rows)
-	if err == nil {
-		observeSweep(est.Name(), len(out), start)
-	}
-	return out, err
+	return EstimateGridPooled(est, region, cols, rows, nil)
 }
-
-// estimateGridRaw is EstimateGrid without the telemetry, shared by the
-// instrumented entry points so a parallel map is observed once, not once
-// per band.
-func estimateGridRaw(est Estimator, region grid.Span, cols, rows int) ([]Estimate, error) {
-	if be, ok := est.(BatchEstimator); ok {
-		return be.EstimateGrid(region, cols, rows)
-	}
-	qs, err := query.Browsing(region, cols, rows)
-	if err != nil {
-		return nil, err
-	}
-	return EstimateSet(est, qs.Tiles), nil
-}
-
-// parallelMinTiles is the tile count below which EstimateGridParallel runs
-// inline: the batch sweep clears 100k tiles in a few milliseconds, so
-// goroutine fan-out only pays for itself on large maps.
-const parallelMinTiles = 4096
 
 // EstimateGridParallel is EstimateGrid with the tile rows of large maps
 // fanned across up to workers goroutines (workers <= 0 means GOMAXPROCS).
-// Each worker sweeps a contiguous band of tile rows with the batch path,
-// writing its slice of the result directly, so output is identical to
-// EstimateGrid in content and order.
 func EstimateGridParallel(est Estimator, region grid.Span, cols, rows, workers int) ([]Estimate, error) {
-	_, th, err := query.Tiling(region, cols, rows)
-	if err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, rows)
-	if workers <= 1 || cols*rows < parallelMinTiles {
-		return EstimateGrid(est, region, cols, rows)
-	}
-	start := time.Now()
-	active := parallelWorkersActive()
-	out := make([]Estimate, cols*rows)
-	band := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		r0 := w * band
-		r1 := min(r0+band-1, rows-1)
-		if r0 > r1 {
-			break
-		}
-		wg.Add(1)
-		go func(w, r0, r1 int) {
-			defer wg.Done()
-			active.Inc()
-			defer active.Dec()
-			sub := query.RowBand(region, th, r0, r1)
-			part, err := estimateGridRaw(est, sub, cols, r1-r0+1)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			copy(out[r0*cols:], part)
-		}(w, r0, r1)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	observeSweep(est.Name(), len(out), start)
-	return out, nil
+	return EstimateGridPooled(est, region, cols, rows, NewBandPool(workers, parallelWorkersActive(), nil))
 }
 
-// EstimateGrid implements BatchEstimator: the S-EulerApprox identities of
-// Equations 16–17 assembled straight from the cumulative lattice rows —
-// no per-tile span bookkeeping or corner re-derivation — iterating tile
-// columns outermost so the four prefix rows of a column stream through
-// cache. The boundary tile rows (at most the first and last, where corner
-// positions leave the lattice) take the per-tile path, which loads the
-// same clamped values, so results stay bit-identical throughout.
+// EstimateGridPooled is EstimateGrid with the tile rows of large maps
+// fanned across pool (nil runs inline). Each band sweeps straight into its
+// rows of the one result plane, so the output is identical to EstimateGrid
+// in content and order, and the map is recorded as one sweep.
+func EstimateGridPooled(est Estimator, region grid.Span, cols, rows int, pool *BandPool) ([]Estimate, error) {
+	if _, _, err := query.Tiling(region, cols, rows); err != nil {
+		return nil, err
+	}
+	dst := make([]Estimate, cols*rows)
+	if err := sweepBands(est, dst, region, cols, rows, pool); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// EstimateGridInto is EstimateGrid into a caller-supplied plane of
+// cols×rows estimates — a reused buffer, or one band's rows of a larger
+// plane. dst need not be zeroed: nothing of its previous content survives.
+func EstimateGridInto(est Estimator, dst []Estimate, region grid.Span, cols, rows int) error {
+	clear(dst)
+	return sweepBands(est, dst, region, cols, rows, nil)
+}
+
+// sweepBands fills the zeroed plane dst band by band and observes the map
+// as one sweep. A zoom stack is routed once for the whole map — every band
+// of an aligned tiling resolves the level the map does — so the per-level
+// telemetry also counts maps, not bands.
+func sweepBands(est Estimator, dst []Estimate, region grid.Span, cols, rows int, pool *BandPool) error {
+	start := time.Now()
+	_, th, err := query.Tiling(region, cols, rows)
+	if err != nil {
+		return err
+	}
+	if len(dst) != cols*rows {
+		return fmt.Errorf("core: plane of %d estimates for a %dx%d tile map", len(dst), cols, rows)
+	}
+	level := est
+	z, _ := est.(*Zoom)
+	k := 0
+	if z != nil {
+		k, region = z.RouteGrid(region, cols, rows)
+		level, th = z.levels[k], th>>k
+	}
+	err = pool.Bands(cols, rows, func(r0, r1 int) error {
+		return sumGrid(level, dst[r0*cols:r1*cols], query.RowBand(region, th, r0, r1-1), cols, r1-r0)
+	})
+	if err != nil {
+		return err
+	}
+	if z != nil {
+		z.hits[k].Inc()
+		z.sweeps[k].ObserveDuration(time.Since(start))
+	}
+	observeSweep(est.Name(), len(dst), start)
+	return nil
+}
+
+// sumGrid answers one tiling into the zeroed plane dst, without telemetry.
+func sumGrid(est Estimator, dst []Estimate, region grid.Span, cols, rows int) error {
+	if a, ok := est.(gridAdder); ok {
+		return a.addGrid(dst, region, cols, rows)
+	}
+	tw, th, err := query.Tiling(region, cols, rows)
+	if err != nil {
+		return err
+	}
+	for k := range dst {
+		i1, j1 := region.I1+k%cols*tw, region.J1+k/cols*th
+		dst[k] = est.Estimate(grid.Span{I1: i1, J1: j1, I2: i1 + tw - 1, J2: j1 + th - 1})
+	}
+	return nil
+}
+
+// makeGrid is the EstimateGrid method of the paper's estimators: one
+// plane, one uninstrumented sweep.
+func makeGrid(est gridAdder, region grid.Span, cols, rows int) ([]Estimate, error) {
+	if _, _, err := query.Tiling(region, cols, rows); err != nil {
+		return nil, err
+	}
+	dst := make([]Estimate, cols*rows)
+	if err := sumGrid(est, dst, region, cols, rows); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// addSEuler adds one histogram's S-EulerApprox counts for one tile
+// (Equations 16–17): N_d = n − n_ii, N_o = n_ei − N_d, and n − n_ei, which
+// is N_cs under mask cs = all ones and N_cd under cs = 0 — the
+// M-EulerApprox group whose objects cannot fit inside the tile, where
+// N_cs = 0 by construction and N_cd closes the group's books.
+func addSEuler(d *Estimate, n, nii, nei, cs int64) {
+	nd := n - nii
+	d.Disjoint += nd
+	d.Contains += (n - nei) & cs
+	d.Contained += (n - nei) &^ cs
+	d.Overlap += nei - nd
+}
+
+// addEuler adds one histogram's EulerApprox counts for one tile: N_d and
+// N_o as above, ncd (Equation 21's N_cd) and N_cs = n − N_cd − N_d − N_o
+// (Equation 22).
+func addEuler(d *Estimate, n, nii, neiPrime, ncd int64) {
+	nd := n - nii
+	no := neiPrime - nd
+	d.Disjoint += nd
+	d.Contains += n - ncd - nd - no
+	d.Contained += ncd
+	d.Overlap += no
+}
+
+// EstimateGrid implements BatchEstimator.
 func (e *SEuler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error) {
+	return makeGrid(e, region, cols, rows)
+}
+
+func (e *SEuler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error {
+	return e.addGridMasked(dst, region, cols, rows, -1)
+}
+
+// addGridMasked is the S-EulerApprox batch kernel: the sums of Equations
+// 16–17 assembled straight from the cumulative lattice rows — no per-tile
+// span bookkeeping or corner re-derivation — iterating tile columns
+// outermost so the four prefix rows of a column stream through cache. The
+// boundary tile rows (at most the first and last, where corner positions
+// leave the lattice) take the per-tile sums, which load the same clamped
+// values, so results stay bit-identical throughout. The packed tier has no
+// CornerView; its fused GridQuerySums sweep feeds the same adds. cs is
+// addSEuler's mask.
+func (e *SEuler) addGridMasked(dst []Estimate, region grid.Span, cols, rows int, cs int64) error {
+	n := e.h.Count()
+	total := e.h.Total()
 	fh, ok := e.h.(*euler.Histogram)
 	if !ok {
-		return e.estimateGridLattice(region, cols, rows)
+		ts, err := e.h.GridQuerySums(region, cols, rows)
+		if err != nil {
+			return err
+		}
+		for k := range dst {
+			addSEuler(&dst[k], n, ts.Inside[k], total-ts.Closed[k], cs)
+		}
+		return nil
 	}
 	cv, err := fh.CornerView(region, cols, rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := e.h.Count()
-	total := e.h.Total()
-	out := make([]Estimate, cols*rows)
 	v0, step, r0, r1 := cv.Interior()
 	for col := 0; col < cols; col++ {
 		inL, inR, clL, clR := cv.ColumnRows(col)
 		for r, v := r0, v0+r0*step; r < r1; r, v = r+1, v+step {
 			nii := inR[v+step-1] - inL[v+step-1] - inR[v] + inL[v]
 			nei := total - (clR[v+step] - clL[v+step] - clR[v-1] + clL[v-1])
-			nd := n - nii
-			out[r*cols+col] = Estimate{
-				Disjoint:  nd,
-				Contains:  n - nei,
-				Contained: 0,
-				Overlap:   nei - nd,
-			}
+			addSEuler(&dst[r*cols+col], n, nii, nei, cs)
 		}
 	}
 	for r := 0; r < rows; r++ {
@@ -152,52 +213,45 @@ func (e *SEuler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, err
 			continue
 		}
 		for col := 0; col < cols; col++ {
-			out[r*cols+col] = e.Estimate(cv.Tile(col, r))
+			q := cv.Tile(col, r)
+			addSEuler(&dst[r*cols+col], n, e.h.InsideSum(q), e.h.OutsideSum(q), cs)
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// estimateGridLattice is the batch path for non-full lattice tiers (the
-// packed tier has no CornerView): the fused GridQuerySums sweep plus the
-// same Equation 16–17 assembly, bit-identical to the corner-view path.
-func (e *SEuler) estimateGridLattice(region grid.Span, cols, rows int) ([]Estimate, error) {
-	ts, err := e.h.GridQuerySums(region, cols, rows)
-	if err != nil {
-		return nil, err
-	}
+// EstimateGrid implements BatchEstimator.
+func (e *Euler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error) {
+	return makeGrid(e, region, cols, rows)
+}
+
+// addGrid is the EulerApprox batch kernel: every tile's sums from one
+// corner sweep, with the Region A band sum and the Region B contained
+// count — which depend only on the tile row — hoisted to one computation
+// per row instead of one per tile. The packed tier's fused GridEulerSums
+// sweep feeds the same adds.
+func (e *Euler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error {
 	n := e.h.Count()
 	total := e.h.Total()
-	out := make([]Estimate, cols*rows)
-	for k := range out {
-		nii := ts.Inside[k]
-		nei := total - ts.Closed[k]
-		nd := n - nii
-		out[k] = Estimate{
-			Disjoint:  nd,
-			Contains:  n - nei,
-			Contained: 0,
-			Overlap:   nei - nd,
-		}
-	}
-	return out, nil
-}
-
-// EstimateGrid implements BatchEstimator: the EulerApprox estimate of
-// every tile from one corner sweep, with the Region A band sum and the
-// Region B contained count — which depend only on the tile row — hoisted
-// to one computation per row instead of one per tile.
-func (e *Euler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error) {
 	fh, ok := e.h.(*euler.Histogram)
 	if !ok {
-		return e.estimateGridLattice(region, cols, rows)
+		es, err := e.h.GridEulerSums(region, cols, rows)
+		if err != nil {
+			return err
+		}
+		for r := 0; r < rows; r++ {
+			for k := r * cols; k < (r+1)*cols; k++ {
+				neiPrime := total - es.Closed[k]
+				niA := es.BandInside[r] - es.AWide[k]
+				addEuler(&dst[k], n, es.Inside[k], neiPrime, niA+es.BelowContained[r]-neiPrime)
+			}
+		}
+		return nil
 	}
 	cv, err := fh.CornerView(region, cols, rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := e.h.Count()
-	total := e.h.Total()
 	g := e.h.Grid()
 	nx, ny := g.NX(), g.NY()
 	th := region.Height() / rows
@@ -210,18 +264,9 @@ func (e *Euler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, erro
 			belowContained[r] = e.h.ContainedIn(grid.Span{I1: 0, J1: 0, I2: nx - 1, J2: j1 - 1})
 		}
 	}
-	out := make([]Estimate, cols*rows)
 	v0, step, r0, r1 := cv.Interior()
-	estimate := func(r, col int, nii, neiPrime, niA int64) {
-		nd := n - nii
-		no := neiPrime - nd
-		ncd := niA + belowContained[r] - neiPrime
-		out[r*cols+col] = Estimate{
-			Disjoint:  nd,
-			Contains:  n - ncd - nd - no,
-			Contained: ncd,
-			Overlap:   no,
-		}
+	add := func(r, col int, nii, neiPrime, niA int64) {
+		addEuler(&dst[r*cols+col], n, nii, neiPrime, niA+belowContained[r]-neiPrime)
 	}
 	for col := 0; col < cols; col++ {
 		inL, inR, clL, clR := cv.ColumnRows(col)
@@ -238,7 +283,7 @@ func (e *Euler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, erro
 			nii := inR[v+step-1] - inL[v+step-1] - inR[v] + inL[v]
 			neiPrime := total - (clRT - clLT - clR[v-1] + clL[v-1])
 			niA := bandInside[r] - (clRT - clLT - awRB + awLB)
-			estimate(r, col, nii, neiPrime, niA)
+			add(r, col, nii, neiPrime, niA)
 			awLB, awRB = clLT, clRT
 		}
 	}
@@ -246,14 +291,14 @@ func (e *Euler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, erro
 	// bottom row reads zeros below the lattice (dropping half its loads); a
 	// pure top row clamps the closed/A-wide top onto the inside top
 	// position. Rows that are both at once (a rows==1 full-height map) take
-	// the per-tile path.
+	// the per-tile sums.
 	if r0 == 1 && rows > 1 { // bottom row: corners below the lattice are zero
 		vT := v0 + step
 		for col := 0; col < cols; col++ {
 			inL, inR, clL, clR := cv.ColumnRows(col)
 			nii := inR[vT-1] - inL[vT-1]
 			wide := clR[vT] - clL[vT]
-			estimate(0, col, nii, total-wide, bandInside[0]-wide)
+			add(0, col, nii, total-wide, bandInside[0]-wide)
 		}
 	}
 	if r1 == rows-1 && rows > 1 { // top row: the closed top clamps to the edge
@@ -266,7 +311,7 @@ func (e *Euler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, erro
 			nii := inR[top] - inL[top] - inR[v] + inL[v]
 			neiPrime := total - (clRT - clLT - clR[v-1] + clL[v-1])
 			niA := bandInside[r] - (clRT - clLT - clR[v] + clL[v])
-			estimate(r, col, nii, neiPrime, niA)
+			add(r, col, nii, neiPrime, niA)
 		}
 	}
 	for r := 0; r < rows; r++ {
@@ -274,95 +319,42 @@ func (e *Euler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, erro
 			continue
 		}
 		for col := 0; col < cols; col++ {
-			out[r*cols+col] = e.Estimate(cv.Tile(col, r))
+			q := cv.Tile(col, r)
+			neiPrime := e.h.OutsideSum(q)
+			addEuler(&dst[r*cols+col], n, e.h.InsideSum(q), neiPrime, e.estimateContained(q, neiPrime))
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// estimateGridLattice is the batch path for non-full lattice tiers: the
-// fused GridEulerSums sweep — per-tile inside, closed and A-wide sums plus
-// the per-row Region A/B bands — assembled with the Equation 21–22
-// identities, bit-identical to the corner-view path.
-func (e *Euler) estimateGridLattice(region grid.Span, cols, rows int) ([]Estimate, error) {
-	es, err := e.h.GridEulerSums(region, cols, rows)
-	if err != nil {
-		return nil, err
-	}
-	n := e.h.Count()
-	total := e.h.Total()
-	out := make([]Estimate, cols*rows)
-	for r := 0; r < rows; r++ {
-		for col := 0; col < cols; col++ {
-			k := r*cols + col
-			nii := es.Inside[k]
-			neiPrime := total - es.Closed[k]
-			niA := es.BandInside[r] - es.AWide[k]
-			nd := n - nii
-			no := neiPrime - nd
-			ncd := niA + es.BelowContained[r] - neiPrime
-			out[k] = Estimate{
-				Disjoint:  nd,
-				Contains:  n - ncd - nd - no,
-				Contained: ncd,
-				Overlap:   no,
-			}
-		}
-	}
-	return out, nil
-}
-
-// EstimateGrid implements BatchEstimator. Every tile of an equal tiling
-// has the same area, so the per-group algorithm choice of §5.4 is made
-// once for the whole map and each group contributes one batch sweep of its
-// histogram.
+// EstimateGrid implements BatchEstimator.
 func (m *MEuler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error) {
+	return makeGrid(m, region, cols, rows)
+}
+
+// addGrid sums the area groups into the one plane. Every tile of an equal
+// tiling has the same area, so the per-group algorithm choice of §5.4 is
+// made once for the whole map and each group contributes one batch sweep
+// of its histogram.
+func (m *MEuler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error {
 	tw, th, err := query.Tiling(region, cols, rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	tile := grid.Span{I1: region.I1, J1: region.J1, I2: region.I1 + tw - 1, J2: region.J1 + th - 1}
-	aq := float64(tile.Cells()) * m.unit // exact, matching MEuler.estimate
-	nTiles := cols * rows
-	nii := make([]int64, nTiles)
-	no := make([]int64, nTiles)
-	ncs := make([]int64, nTiles)
+	aq := float64(tw*th) * m.unit // exact, matching MEuler.estimate
 	last := len(m.hists) - 1
 	for i := range m.hists {
-		var part []Estimate
-		var role GroupRole
 		switch {
-		case aq <= m.areas[i]:
-			role = GroupNoContains
-			part, err = m.seuler[i].EstimateGrid(region, cols, rows)
-		case i < last && aq >= m.areas[i+1]:
-			role = GroupSEuler
-			part, err = m.seuler[i].EstimateGrid(region, cols, rows)
-		default:
-			role = GroupEulerApprox
-			part, err = m.eapx[i].EstimateGrid(region, cols, rows)
+		case aq <= m.areas[i]: // GroupNoContains
+			err = m.seuler[i].addGridMasked(dst, region, cols, rows, 0)
+		case i < last && aq >= m.areas[i+1]: // GroupSEuler
+			err = m.seuler[i].addGrid(dst, region, cols, rows)
+		default: // GroupEulerApprox
+			err = m.eapx[i].addGrid(dst, region, cols, rows)
 		}
 		if err != nil {
-			return nil, err
-		}
-		ng := m.hists[i].Count()
-		for k, p := range part {
-			nii[k] += ng - p.Disjoint
-			no[k] += p.Overlap
-			if role != GroupNoContains {
-				ncs[k] += p.Contains
-			}
+			return err
 		}
 	}
-	out := make([]Estimate, nTiles)
-	for k := range out {
-		nd := m.n - nii[k]
-		out[k] = Estimate{
-			Disjoint:  nd,
-			Contains:  ncs[k],
-			Contained: m.n - nd - no[k] - ncs[k],
-			Overlap:   no[k],
-		}
-	}
-	return out, nil
+	return nil
 }

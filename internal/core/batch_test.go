@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"spatialhist/internal/check/gen"
+	"spatialhist/internal/euler"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/query"
@@ -136,5 +138,106 @@ func TestEstimateGridErrors(t *testing.T) {
 	}
 	if _, err := EstimateGridParallel(est, whole, 3, 2, 4); err == nil {
 		t.Error("parallel non-dividing tiling: expected error")
+	}
+}
+
+// intoEstimators returns every batch path over one dataset: the three
+// algorithms on the full tier, on the packed tier, as zoom stacks, and the
+// per-tile fallback.
+func intoEstimators(t *testing.T, g *grid.Grid, rects []geom.Rect) []Estimator {
+	t.Helper()
+	ests := testEstimators(t, g, rects)
+	se, eu, m := ests[0].(*SEuler), ests[1].(*Euler), ests[2].(*MEuler)
+	packed := make([]euler.Lattice, 0, len(m.Histograms()))
+	pyrs := make([]*euler.Pyramid, 0, len(m.Histograms()))
+	for _, h := range m.Histograms() {
+		packed = append(packed, mustPack(t, h))
+		pyrs = append(pyrs, euler.NewPyramid(h, euler.PyramidOpts{MinGrid: 4}))
+	}
+	mp, err := MEulerFromLattices(m.Areas(), packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zm, err := ZoomMEuler(m.Areas(), pyrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(ests,
+		NewSEuler(mustPack(t, se.Histogram())), NewEuler(mustPack(t, eu.Histogram())), mp,
+		ZoomSEuler(euler.NewPyramid(se.Histogram(), euler.PyramidOpts{MinGrid: 4})),
+		ZoomEuler(euler.NewPyramid(eu.Histogram(), euler.PyramidOpts{MinGrid: 4})), zm)
+}
+
+// TestEstimateGridInto pins the accumulate contract from outside:
+// EstimateGridInto over a plane pre-filled with garbage — whole, and in
+// every two-band split of its rows — equals EstimateGrid equals the
+// per-tile loop, bit for bit, for every algorithm on the full tier, the
+// packed tier and a zoom stack, on maps whose rows are both lattice edges
+// at once (rows == 1 full-height), one of them, or neither.
+func TestEstimateGridInto(t *testing.T) {
+	r := rand.New(rand.NewSource(55))
+	g := grid.NewUnit(48, 40)
+	garbage := func(n int) []Estimate {
+		p := make([]Estimate, n)
+		for k := range p {
+			p[k] = Estimate{Disjoint: r.Int63(), Contains: -r.Int63(), Contained: r.Int63(), Overlap: -r.Int63()}
+		}
+		return p
+	}
+	tilings := []struct {
+		region     grid.Span
+		cols, rows int
+	}{
+		{grid.Span{I2: 47, J2: 39}, 12, 1},               // one row, bottom and top edge at once
+		{grid.Span{I2: 47, J2: 39}, 48, 40},              // every cell
+		{grid.Span{I2: 47, J2: 39}, 6, 10},               // both edge rows, level-2 aligned
+		{grid.Span{I1: 4, I2: 43, J2: 19}, 10, 5},        // bottom edge only
+		{grid.Span{I1: 4, J1: 20, I2: 43, J2: 39}, 8, 4}, // top edge only
+		{grid.Span{I1: 8, J1: 8, I2: 39, J2: 31}, 8, 6},  // interior
+		{grid.Span{J1: 8, I2: 47, J2: 15}, 3, 1},         // one interior row
+	}
+	for _, est := range intoEstimators(t, g, batchRects(r, g, 500)) {
+		for _, tl := range tilings {
+			region, cols, rows := tl.region, tl.cols, tl.rows
+			qs, err := query.Browsing(region, cols, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := EstimateSet(est, qs.Tiles)
+			check := func(how string, got []Estimate) {
+				t.Helper()
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("%s %v %dx%d %s: tile %d = %v, per-tile %v", est.Name(), region, cols, rows, how, k, got[k], want[k])
+					}
+				}
+			}
+			got, err := EstimateGrid(est, region, cols, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("EstimateGrid", got)
+			for split := 0; split < rows; split++ { // split 0: the whole plane at once
+				plane := garbage(cols * rows)
+				for _, band := range [][2]int{{0, split}, {split, rows}} {
+					r0, r1 := band[0], band[1]
+					if r0 == r1 {
+						continue
+					}
+					sub := query.RowBand(region, region.Height()/rows, r0, r1-1)
+					if err := EstimateGridInto(est, plane[r0*cols:r1*cols], sub, cols, r1-r0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(fmt.Sprintf("EstimateGridInto split at row %d", split), plane)
+			}
+		}
+	}
+	se := SEulerFromRects(g, nil)
+	if err := EstimateGridInto(se, make([]Estimate, 5), grid.Span{I2: 47, J2: 39}, 2, 2); err == nil {
+		t.Error("plane of the wrong length: expected error")
+	}
+	if err := EstimateGridInto(se, make([]Estimate, 4), grid.Span{I2: 95, J2: 39}, 2, 2); err == nil {
+		t.Error("region outside the grid: expected error")
 	}
 }

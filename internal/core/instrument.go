@@ -1,9 +1,10 @@
 // Runtime telemetry for the estimation entry points. Instrumentation
 // records into telemetry.Default() — the registry cmd/geobrowsed exposes
-// at /metrics — at sweep granularity, never per tile: one counter add and
-// one histogram observation per batch sweep keeps the overhead invisible
-// next to a multi-thousand-tile lattice pass (the BenchmarkBrowseGrid
-// "batched" case calls the estimator method directly and is untouched).
+// at /metrics — at tile-map granularity, never per tile or per row band:
+// one counter add and one histogram observation per map keeps the
+// overhead invisible next to a multi-thousand-tile lattice pass (the
+// BenchmarkBrowseGrid "batched" case calls the estimator method directly
+// and is untouched).
 package core
 
 import (
@@ -35,8 +36,8 @@ func observeSweep(algo string, tiles int, start time.Time) {
 		sweepBuckets, "algo", algo).ObserveDuration(time.Since(start))
 }
 
-// parallelWorkersActive is the number of row-band workers currently
-// running inside EstimateGridParallel.
+// parallelWorkersActive is the number of row bands currently running in
+// EstimateGridParallel's per-call pools.
 func parallelWorkersActive() *telemetry.Gauge {
 	return telemetry.Default().Gauge("core_parallel_workers_active",
 		"Row-band workers currently running in EstimateGridParallel.")

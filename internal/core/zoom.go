@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
-	"time"
 
 	"spatialhist/internal/euler"
 	"spatialhist/internal/grid"
@@ -210,16 +209,9 @@ func (z *Zoom) Estimate(q grid.Span) Estimate {
 }
 
 // EstimateGrid implements BatchEstimator: one sweep over the resolved
-// level's lattice. The tile geometry scales exactly (tile size 2^-k×, same
-// cols×rows), so the output is tile-for-tile what the base sweep returns.
+// level's lattice (the package-level EstimateGrid routes a zoom stack).
+// The tile geometry scales exactly (tile size 2^-k×, same cols×rows), so
+// the output is tile-for-tile what the base sweep returns.
 func (z *Zoom) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error) {
-	start := time.Now()
-	k, lregion := z.RouteGrid(region, cols, rows)
-	out, err := estimateGridRaw(z.levels[k], lregion, cols, rows)
-	if err != nil {
-		return nil, err
-	}
-	z.hits[k].Inc()
-	z.sweeps[k].ObserveDuration(time.Since(start))
-	return out, nil
+	return EstimateGrid(z, region, cols, rows)
 }

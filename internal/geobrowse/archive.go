@@ -7,7 +7,7 @@ import (
 
 	"spatialhist/internal/archive"
 	"spatialhist/internal/core"
-	"spatialhist/internal/grid"
+	"spatialhist/internal/query"
 )
 
 // ArchiveServer serves faceted browsing over a multi-attribute archive —
@@ -31,8 +31,7 @@ type ArchiveServer struct {
 	a     *archive.Archive
 	mux   *http.ServeMux
 	cache *browseCache
-	sem   chan struct{}
-	pool  *poolMetrics
+	pool  *core.BandPool
 }
 
 // NewArchiveServer creates an ArchiveServer for a named archive with
@@ -50,8 +49,7 @@ func NewArchiveServerOpts(name string, a *archive.Archive, opts Options) *Archiv
 		a:     a,
 		mux:   http.NewServeMux(),
 		cache: newBrowseCache(opts.CacheSize, opts.Telemetry, opts.Tenant),
-		sem:   make(chan struct{}, opts.Workers),
-		pool:  newPoolMetrics(opts.Telemetry, opts.Workers),
+		pool:  newBandPool(opts.Telemetry, opts.Workers),
 	}
 	// The facet endpoints run behind the same telemetry middleware as the
 	// plain Server's, so archive traffic shows up in the identical metric
@@ -151,13 +149,20 @@ func (s *ArchiveServer) handleBrowse(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		ests, err := rowParallel(s.sem, s.pool, span, cols, rows, func(sub grid.Span, subRows int) ([]core.Estimate, error) {
-			return s.a.Browse(f, sub, cols, subRows)
+		_, th, err := query.Tiling(span, cols, rows)
+		if err != nil {
+			return nil, err
+		}
+		ests := make([]core.Estimate, cols*rows)
+		err = s.pool.Bands(cols, rows, func(r0, r1 int) error {
+			part, err := s.a.Browse(f, query.RowBand(span, th, r0, r1-1), cols, r1-r0)
+			copy(ests[r0*cols:], part)
+			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		return encoded(appendFacetedBrowseResponse(nil, sc.Grid, span, cols, rows, matching, ests))
+		return encoded(appendFacetedBrowseResponse(s.pool, nil, sc.Grid, span, cols, rows, matching, ests))
 	})
 	writeBrowse(w, data, err)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 
 	"spatialhist/internal/core"
@@ -20,6 +21,12 @@ import (
 // encoding/json produces for BrowseResponse, FacetedBrowseResponse,
 // DrillResponse and TileEstimate, which stay the decode-side types and
 // the oracle the encoders are fuzzed against (FuzzBrowseEncode).
+//
+// A tile map is encoded in two phases (appendMapResponse): a measuring
+// pass gives every tile row its exact place in the body, which is
+// allocated once at the exact size, and the row bands of the sweep's pool
+// write their disjoint slices of it. A map too small to split is the
+// one-band case of the same code.
 //
 // A tile map's rectangles are separable per axis (grid.XEdge/YEdge), so a
 // cols×rows map has only cols+1 distinct x and rows+1 distinct y
@@ -63,7 +70,7 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 
 // appendTile appends one tile object up to, not including, its closing
 // brace (a drill leaf adds its depth there): the rectangle from four
-// pre-formatted coordinates, the counts clamped at zero like
+// pre-formatted coordinates, the counts clamped at zero (appendCount) like
 // core.Estimate.Clamped.
 func appendTile(dst, x0, y0, x1, y1 []byte, e core.Estimate) []byte {
 	dst = append(dst, tileRect...)
@@ -75,13 +82,13 @@ func appendTile(dst, x0, y0, x1, y1 []byte, e core.Estimate) []byte {
 	dst = append(dst, ',')
 	dst = append(dst, y1...)
 	dst = append(dst, tileDisjoint...)
-	dst = strconv.AppendInt(dst, max(e.Disjoint, 0), 10)
+	dst = appendCount(dst, e.Disjoint)
 	dst = append(dst, tileContains...)
-	dst = strconv.AppendInt(dst, max(e.Contains, 0), 10)
+	dst = appendCount(dst, e.Contains)
 	dst = append(dst, tileContained...)
-	dst = strconv.AppendInt(dst, max(e.Contained, 0), 10)
+	dst = appendCount(dst, e.Contained)
 	dst = append(dst, tileOverlap...)
-	return strconv.AppendInt(dst, max(e.Overlap, 0), 10)
+	return appendCount(dst, e.Overlap)
 }
 
 // appendSpanTile is appendTile for one free-standing span: its four
@@ -187,30 +194,21 @@ func newTileMap(g *grid.Grid, region grid.Span, cols, rows int, ests []core.Esti
 	return m, bad
 }
 
-// size returns the exact byte count appendTo writes.
-func (m *tileMap) size() int {
-	// Each tile holds the edges on both its sides, in every row (column).
-	xs, ys := 0, 0
-	for c := 0; c < m.cols; c++ {
-		xs += len(m.x(c)) + len(m.x(c+1))
-	}
-	for r := 0; r < m.rows; r++ {
-		ys += len(m.y(r)) + len(m.y(r+1))
-	}
-	n := len(m.ests)
-	size := 2 + n*tileFixed + n - 1 + m.rows*xs + m.cols*ys
-	for i := range m.ests {
-		e := &m.ests[i]
+// rowSize returns the exact byte count appendRows writes for tile row r;
+// xs of it are x-edges, the same in every row.
+func (m *tileMap) rowSize(r, xs int) int {
+	size := m.cols*(tileFixed+1+len(m.y(r))+len(m.y(r+1))) + xs
+	for _, e := range m.ests[r*m.cols : (r+1)*m.cols] {
 		size += decimalLen(e.Disjoint) + decimalLen(e.Contains) + decimalLen(e.Contained) + decimalLen(e.Overlap)
 	}
 	return size
 }
 
-// appendTo appends the tiles array, row-major from the south-west.
-func (m *tileMap) appendTo(dst []byte) []byte {
-	dst = append(dst, '[')
-	k := 0
-	for r := 0; r < m.rows; r++ {
+// appendRows appends the tiles of rows [r0, r1), row-major from the
+// south-west, each followed by a comma.
+func (m *tileMap) appendRows(dst []byte, r0, r1 int) []byte {
+	k := r0 * m.cols
+	for r := r0; r < r1; r++ {
 		y0, y1 := m.y(r), m.y(r+1)
 		x1 := m.x(0)
 		for c := 0; c < m.cols; c++ {
@@ -221,7 +219,6 @@ func (m *tileMap) appendTo(dst []byte) []byte {
 			k++
 		}
 	}
-	dst[len(dst)-1] = ']'
 	return dst
 }
 
@@ -241,28 +238,77 @@ func decimalLen(v int64) int {
 	return max(t, 1)
 }
 
+// digitPairs is "00" "01" … "99": two digits per step of appendCount.
+const digitPairs = "00010203040506070809" + "10111213141516171819" +
+	"20212223242526272829" + "30313233343536373839" + "40414243444546474849" +
+	"50515253545556575859" + "60616263646566676869" + "70717273747576777879" +
+	"80818283848586878889" + "90919293949596979899"
+
+// appendCount appends v clamped at zero in decimal — the bytes of
+// strconv.AppendInt(dst, max(v, 0), 10) — writing the digits in place from
+// the last pair back at the length decimalLen gives, with no staging
+// buffer to copy from.
+func appendCount(dst []byte, v int64) []byte {
+	u := uint64(max(v, 0))
+	if u < 10 { // most counts of a fine tile map
+		return append(dst, byte('0'+u))
+	}
+	i := len(dst) + decimalLen(v)
+	dst = slices.Grow(dst, i-len(dst))[:i]
+	for u >= 100 {
+		p := u % 100 * 2
+		u /= 100
+		i -= 2
+		dst[i], dst[i+1] = digitPairs[p], digitPairs[p+1]
+	}
+	if u >= 10 {
+		dst[i-2], dst[i-1] = digitPairs[u*2], digitPairs[u*2+1]
+	} else {
+		dst[i-1] = byte('0' + u)
+	}
+	return dst
+}
+
 // appendMapResponse appends a tile-map response object: cols, rows, then
 // mid (further members, each with its leading comma), the tiles array, and
 // tail (likewise) — growing dst once, to exactly the bytes written, so a
-// body kept by the browse cache retains no slack.
-func appendMapResponse(dst []byte, m tileMap, mid, tail []byte) []byte {
+// body kept by the browse cache retains no slack. The rows are measured,
+// then written by the row bands of pool, each band into its own slice of
+// the body; a nil pool is one band on the caller's goroutine.
+func appendMapResponse(pool *core.BandPool, dst []byte, m tileMap, mid, tail []byte) ([]byte, error) {
 	var scratch [64]byte
-	head := append(scratch[:0], `{"cols":`...)
-	head = strconv.AppendInt(head, int64(m.cols), 10)
-	head = append(head, `,"rows":`...)
-	head = strconv.AppendInt(head, int64(m.rows), 10)
-	const tiles = `,"tiles":`
-	if need := len(head) + len(mid) + len(tiles) + m.size() + len(tail) + 1; cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
+	head := fmt.Appendf(scratch[:0], `{"cols":%d,"rows":%d`, m.cols, m.rows)
+	const tiles = `,"tiles":[`
+
+	// off[r] is where row r's tiles start in the body and off[r+1] where
+	// they end. Every row holds each inner x-edge twice, the two outer
+	// ones once.
+	xs := 2*int(m.off[m.cols+1]) - len(m.x(0)) - len(m.x(m.cols))
+	off := make([]int, m.rows+1)
+	off[0] = len(dst) + len(head) + len(mid) + len(tiles)
+	for r := 0; r < m.rows; r++ {
+		off[r+1] = off[r] + m.rowSize(r, xs)
+	}
+	end := off[m.rows]
+	if total := end + len(tail) + 1; cap(dst) < total {
+		grown := make([]byte, len(dst), total)
 		copy(grown, dst)
 		dst = grown
 	}
 	dst = append(dst, head...)
 	dst = append(dst, mid...)
-	dst = append(dst, tiles...)
-	dst = m.appendTo(dst)
-	dst = append(dst, tail...)
-	return append(dst, '}')
+	body := append(dst, tiles...)[:end]
+	err := pool.Bands(m.cols, m.rows, func(r0, r1 int) error {
+		if n := len(m.appendRows(body[off[r0]:off[r0]:off[r1]], r0, r1)); n != off[r1]-off[r0] {
+			return fmt.Errorf("geobrowse: tile rows %d..%d encoded to %d bytes, measured %d", r0, r1-1, n, off[r1]-off[r0])
+		}
+		return nil
+	})
+	if err != nil {
+		return dst, err
+	}
+	body[end-1] = ']' // over the last tile's comma
+	return append(append(body, tail...), '}'), nil
 }
 
 // AppendBrowseResponse appends the /api/browse wire form of a tile map:
@@ -272,6 +318,12 @@ func appendMapResponse(dst []byte, m tileMap, mid, tail []byte) []byte {
 // region, cols, rows, ests), bound}), and so is the error for a non-finite
 // bound or coordinate.
 func AppendBrowseResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
+	return appendBrowseResponse(nil, dst, g, region, cols, rows, ests, bound)
+}
+
+// appendBrowseResponse is AppendBrowseResponse with large maps encoded by
+// the row bands of pool.
+func appendBrowseResponse(pool *core.BandPool, dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
 	m, err := newTileMap(g, region, cols, rows, ests)
 	if err != nil {
 		return dst, err
@@ -284,17 +336,17 @@ func AppendBrowseResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows
 			return dst, err
 		}
 	}
-	return appendMapResponse(dst, m, nil, tail), nil
+	return appendMapResponse(pool, dst, m, nil, tail)
 }
 
-// appendFacetedBrowseResponse is AppendBrowseResponse for the archive's
+// appendFacetedBrowseResponse is appendBrowseResponse for the archive's
 // FacetedBrowseResponse, which carries the matching-record count.
-func appendFacetedBrowseResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, matching int64, ests []core.Estimate) ([]byte, error) {
+func appendFacetedBrowseResponse(pool *core.BandPool, dst []byte, g *grid.Grid, region grid.Span, cols, rows int, matching int64, ests []core.Estimate) ([]byte, error) {
 	m, err := newTileMap(g, region, cols, rows, ests)
 	if err != nil {
 		return dst, err
 	}
 	var scratch [48]byte
 	mid := strconv.AppendInt(append(scratch[:0], `,"matching":`...), matching, 10)
-	return appendMapResponse(dst, m, mid, nil), nil
+	return appendMapResponse(pool, dst, m, mid, nil)
 }

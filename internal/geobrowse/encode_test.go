@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -233,27 +234,138 @@ func TestDecimalLen(t *testing.T) {
 	}
 }
 
-// TestBrowseEncodeAllocs bounds the encoder's allocations on a 16k-tile
-// map by a small constant — the body and the two edge-table arrays — and
-// checks the body it hands the cache retains no slack.
-func TestBrowseEncodeAllocs(t *testing.T) {
-	g := grid.New(geom.NewRect(-180, -90, 180, 90), 1440, 720)
-	region := grid.Span{I1: 16, J1: 8, I2: 16 + 1024 - 1, J2: 8 + 512 - 1}
-	const cols, rows = 128, 128
-	ests := wireEstimates(rand.New(rand.NewSource(17)), cols*rows)
+// TestBrowseMissBudget bounds what one cache miss allocates, sweep to
+// body: a 16k-tile M-EulerApprox map through Server.browseBytes, banded
+// over four workers, may take one plane of estimates (32 B/tile), one body
+// and O(cols+rows) of edge tables, row offsets and per-row band sums — no
+// per-group, per-band or staging plane. The body it hands the cache
+// retains no slack.
+func TestBrowseMissBudget(t *testing.T) {
+	g := grid.NewUnit(260, 130)
+	r := rand.New(rand.NewSource(17))
+	rects := make([]geom.Rect, 3000)
+	for k := range rects {
+		x, y := r.Float64()*250, r.Float64()*120
+		rects[k] = geom.NewRect(x, y, x+r.Float64()*r.Float64()*10, y+r.Float64()*r.Float64()*10)
+	}
+	est, err := core.NewMEuler(g, []float64{1, 9, 100}, rects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServerOpts("budget", est, Options{CacheSize: -1, Workers: 4, Telemetry: telemetry.NewRegistry()})
+	// Off the left edge, so no lattice-height row of zeros is made up.
+	span := grid.Span{I1: 2, J1: 1, I2: 2 + 256 - 1, J2: 1 + 128 - 1}
+	const cols, rows, runs = 128, 128, 10
 	var body []byte
-	allocs := testing.AllocsPerRun(20, func() {
-		var err error
-		if body, err = AppendBrowseResponse(nil, g, region, cols, rows, ests, nil); err != nil {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if body, err = s.browseBytes(est, 0, span, cols, rows); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 3 {
-		t.Errorf("%v allocations per 16k-tile map, want at most 3", allocs)
 	}
-	if float64(cap(body)) > 1.05*float64(len(body)) {
+	runtime.ReadMemStats(&after)
+	perMap := int((after.TotalAlloc - before.TotalAlloc) / runs)
+	// 32 KB covers the allocator's page rounding of the two large objects
+	// and the constant-size bookkeeping of a request.
+	budget := 32*cols*rows + len(body) + 64*(cols+rows) + 32<<10
+	if perMap > budget {
+		t.Errorf("%d bytes allocated per 16k-tile miss, budget %d (plane %d + body %d + O(cols+rows))",
+			perMap, budget, 32*cols*rows, len(body))
+	}
+	if cap(body) != len(body) {
 		t.Errorf("body of %d bytes retains capacity %d", len(body), cap(body))
 	}
+	want, err := core.EstimateGrid(est, span, cols, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial, err := AppendBrowseResponse(nil, g, span, cols, rows, want, nil); err != nil || !bytes.Equal(body, serial) {
+		t.Fatalf("banded miss body differs from the serial encoding of EstimateGrid (err %v)", err)
+	}
+}
+
+// TestBandedEncodeMatchesSerial: the two-phase band encoder writes the
+// bytes of the one-band case for every band count from 1 to rows, on row
+// counts the bands divide exactly and ones they do not, with row sizes
+// that differ (counts of every digit length).
+func TestBandedEncodeMatchesSerial(t *testing.T) {
+	g := grid.New(geom.NewRect(-180, -90, 180, 90), 128, 134)
+	active := telemetry.NewRegistry().Gauge("active", "")
+	r := rand.New(rand.NewSource(18))
+	bound := 2.5
+	for _, rows := range []int{64, 67} { // 64×64 and 64×67 tiles clear the fan-out floor
+		const cols = 64
+		region := grid.Span{I2: 2*cols - 1, J2: 2*rows - 1}
+		ests := wireEstimates(r, cols*rows)
+		want, err := AppendBrowseResponse(nil, g, region, cols, rows, ests, &bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for workers := 1; workers <= rows; workers++ {
+			pool := core.NewBandPool(workers, active, nil)
+			got, err := appendBrowseResponse(pool, nil, g, region, cols, rows, ests, &bound)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%d rows over %d workers: body differs from the serial one (err %v)", rows, workers, err)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("%d rows over %d workers: body of %d bytes retains capacity %d", rows, workers, len(got), cap(got))
+			}
+			faceted, err := appendFacetedBrowseResponse(pool, []byte("prefix"), g, region, cols, rows, 12345, ests)
+			serial, _ := appendFacetedBrowseResponse(nil, []byte("prefix"), g, region, cols, rows, 12345, ests)
+			if err != nil || !bytes.Equal(faceted, serial) {
+				t.Fatalf("%d rows over %d workers: faceted body onto a prefix differs (err %v)", rows, workers, err)
+			}
+		}
+	}
+	if v := active.Value(); v != 0 {
+		t.Errorf("active gauge = %d after all bands returned", v)
+	}
+}
+
+// countBoundaries are the values where the count writer's digit length or
+// its pair loop changes: 0, every 10^k−1 / 10^k / 10^k+1, the extremes,
+// and negatives (which clamp to 0).
+func countBoundaries() []int64 {
+	vals := []int64{math.MinInt64, -100, -10, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	for p := int64(10); ; p *= 10 {
+		vals = append(vals, p-1, p, p+1)
+		if p > math.MaxInt64/10 {
+			return vals
+		}
+	}
+}
+
+// checkAppendCount compares appendCount with strconv.AppendInt of the
+// clamped value, onto a buffer with spare capacity and onto a full one.
+func checkAppendCount(t *testing.T, prefix string, v int64) {
+	t.Helper()
+	want := strconv.AppendInt([]byte(prefix), max(v, 0), 10)
+	roomy := append(make([]byte, 0, len(prefix)+32), prefix...)
+	full := []byte(prefix)
+	for name, dst := range map[string][]byte{"roomy": roomy, "full": full[:len(full):len(full)], "nil": nil} {
+		if name == "nil" && prefix != "" {
+			continue
+		}
+		if got := appendCount(dst, v); !bytes.Equal(got, want) {
+			t.Fatalf("appendCount(%s %q, %d) = %q, want %q", name, prefix, v, got, want)
+		}
+	}
+}
+
+func TestAppendCount(t *testing.T) {
+	for _, v := range countBoundaries() {
+		checkAppendCount(t, "", v)
+		checkAppendCount(t, `,"overlap":`, v)
+	}
+}
+
+func FuzzAppendCount(f *testing.F) {
+	for _, v := range countBoundaries() {
+		f.Add(v, "")
+		f.Add(v, `{"n":`)
+	}
+	f.Fuzz(func(t *testing.T, v int64, prefix string) { checkAppendCount(t, prefix, v) })
 }
 
 // TestServedBodiesAreCanonicalJSON drives every tile-serving handler and
@@ -373,6 +485,9 @@ func FuzzBrowseEncode(f *testing.F) {
 	f.Add(5e20, -2e21, 2e21, 2e21, uint8(6), uint8(8), uint8(1), uint8(1), uint8(2), uint8(3), int64(3), int64(math.MinInt64), 1e21, true)
 	f.Add(-1.7e308, 0.0, 1.7e308, 1.0, uint8(4), uint8(4), uint8(0), uint8(0), uint8(2), uint8(2), int64(4), int64(1), math.NaN(), true)
 	f.Add(0.0, 0.0, 1.0, 1.0, uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), int64(5), int64(9), math.Inf(-1), true)
+	for k, v := range countBoundaries() { // first lands in the first tile's disjoint, −first in the last's overlap
+		f.Add(0.0, 0.0, 360.0, 180.0, uint8(36), uint8(18), uint8(0), uint8(0), uint8(6), uint8(3), int64(k), v, 0.0, false)
+	}
 	f.Fuzz(func(t *testing.T, x1, y1, x2, y2 float64, nx, ny, i1, j1, cols, rows uint8, seed, first int64, bound float64, hasBound bool) {
 		extent := geom.Rect{XMin: x1, YMin: y1, XMax: x2, YMax: y2}
 		if nx == 0 || ny == 0 || !extent.Valid() || extent.Degenerate() {

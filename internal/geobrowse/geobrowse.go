@@ -38,7 +38,6 @@ import (
 	"spatialhist/internal/core"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
-	"spatialhist/internal/query"
 	"spatialhist/internal/telemetry"
 )
 
@@ -49,11 +48,6 @@ var logf = log.Printf
 // maxTiles bounds one browse response; it doubles as the individual bound
 // on cols and rows so their product cannot overflow before the check.
 const maxTiles = 100_000
-
-// browseParallelMinTiles is the tile-map size from which a browse request
-// is split across the worker pool; smaller maps run inline on the request
-// goroutine.
-const browseParallelMinTiles = 4096
 
 // Options tunes a Server's serving machinery.
 type Options struct {
@@ -89,11 +83,10 @@ type Options struct {
 	// every map is exact.
 	OverviewEpsilon float64
 
-	// sem and pool, when set, share one tile-row worker pool across
-	// servers (the Registry sets them so N tenants contend for one CPU
-	// budget instead of N).
-	sem  chan struct{}
-	pool *poolMetrics
+	// pool, when set, shares one tile-row worker pool across servers (the
+	// Registry sets it so N tenants contend for one CPU budget instead of
+	// N).
+	pool *core.BandPool
 }
 
 func (o Options) withDefaults() Options {
@@ -120,22 +113,17 @@ func (o Options) accessLogger() *telemetry.Logger {
 	return telemetry.NewLogger(o.AccessLog)
 }
 
-// poolMetrics observes the shared tile-row worker pool: how many slots are
-// in use and how many row bands have been dispatched.
-type poolMetrics struct {
-	active *telemetry.Gauge
-	bands  *telemetry.Counter
-}
-
-func newPoolMetrics(reg *telemetry.Registry, capacity int) *poolMetrics {
+// newBandPool creates the bounded tile-row worker pool large maps are
+// fanned across, observed in reg: its size, how many slots are in use and
+// how many row bands have been dispatched.
+func newBandPool(reg *telemetry.Registry, workers int) *core.BandPool {
 	reg.Gauge("geobrowse_pool_capacity",
-		"Size of the shared tile-row worker pool.").Set(int64(capacity))
-	return &poolMetrics{
-		active: reg.Gauge("geobrowse_pool_active_workers",
+		"Size of the shared tile-row worker pool.").Set(int64(workers))
+	return core.NewBandPool(workers,
+		reg.Gauge("geobrowse_pool_active_workers",
 			"Tile-row workers currently holding a pool slot."),
-		bands: reg.Counter("geobrowse_pool_bands_total",
-			"Tile-row bands dispatched to the worker pool."),
-	}
+		reg.Counter("geobrowse_pool_bands_total",
+			"Tile-row bands dispatched to the worker pool."))
 }
 
 // Server answers browsing queries over one summarized dataset. The
@@ -149,8 +137,7 @@ type Server struct {
 	g       *grid.Grid // constant across generations
 	mux     *http.ServeMux
 	cache   *browseCache
-	sem     chan struct{} // bounded tile-row worker pool
-	pool    *poolMetrics
+	pool    *core.BandPool // bounded tile-row workers, sweep and encode
 	tenant  string
 	limiter *Limiter
 	epsilon float64 // ε-approximate overview serving; 0 = exact only
@@ -187,15 +174,13 @@ func NewSourceServer(name string, src EstimatorSource, opts Options) *Server {
 		g:       est.Grid(),
 		mux:     http.NewServeMux(),
 		cache:   newBrowseCache(opts.CacheSize, opts.Telemetry, opts.Tenant),
-		sem:     opts.sem,
 		pool:    opts.pool,
 		tenant:  opts.Tenant,
 		limiter: opts.Limiter,
 		epsilon: opts.OverviewEpsilon,
 	}
-	if s.sem == nil {
-		s.sem = make(chan struct{}, opts.Workers)
-		s.pool = newPoolMetrics(opts.Telemetry, opts.Workers)
+	if s.pool == nil {
+		s.pool = newBandPool(opts.Telemetry, opts.Workers)
 	}
 	var warmLabels []string
 	if opts.Tenant != "" {
@@ -378,72 +363,15 @@ func (s *Server) browseBytes(est core.Estimator, gen uint64, span grid.Span, col
 				return encoded(AppendBrowseResponse(nil, s.g, span, cols, rows, ests, &bound))
 			}
 		}
-		ests, err := s.estimateTiles(est, span, cols, rows)
+		// The one plane of the miss path: row bands of a large map sweep
+		// straight into their rows of it on the server's bounded pool,
+		// then encode from it into their slices of the body.
+		ests, err := core.EstimateGridPooled(est, span, cols, rows, s.pool)
 		if err != nil {
 			return nil, err
 		}
-		return encoded(AppendBrowseResponse(nil, s.g, span, cols, rows, ests, nil))
+		return encoded(appendBrowseResponse(s.pool, nil, s.g, span, cols, rows, ests, nil))
 	})
-}
-
-// estimateTiles answers a tile map with the batch path, fanning tile rows
-// of large maps across the server's bounded worker pool.
-func (s *Server) estimateTiles(est core.Estimator, region grid.Span, cols, rows int) ([]core.Estimate, error) {
-	return rowParallel(s.sem, s.pool, region, cols, rows, func(sub grid.Span, subRows int) ([]core.Estimate, error) {
-		return core.EstimateGrid(est, sub, cols, subRows)
-	})
-}
-
-// rowParallel runs a tile-map estimation, splitting large maps into
-// contiguous bands of tile rows fanned across the bounded pool sem (shared
-// by all in-flight requests). Every band keeps its row-major order and
-// lands in its slice of the result, so the output is identical to a single
-// sweep. estimate answers one band: a sub-region spanning subRows tile
-// rows at the map's column count. pm observes slot occupancy while bands
-// hold the pool.
-func rowParallel(sem chan struct{}, pm *poolMetrics, region grid.Span, cols, rows int,
-	estimate func(sub grid.Span, subRows int) ([]core.Estimate, error)) ([]core.Estimate, error) {
-	_, th, err := query.Tiling(region, cols, rows)
-	if err != nil {
-		return nil, err
-	}
-	workers := min(cap(sem), rows)
-	if workers <= 1 || cols*rows < browseParallelMinTiles {
-		return estimate(region, rows)
-	}
-	out := make([]core.Estimate, cols*rows)
-	band := (rows + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		r0 := w * band
-		r1 := min(r0+band-1, rows-1)
-		if r0 > r1 {
-			break
-		}
-		wg.Add(1)
-		go func(w, r0, r1 int) {
-			defer wg.Done()
-			sem <- struct{}{} // acquire a pool slot
-			defer func() { <-sem }()
-			pm.bands.Inc()
-			pm.active.Inc()
-			defer pm.active.Dec()
-			part, err := estimate(query.RowBand(region, th, r0, r1), r1-r0+1)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			copy(out[r0*cols:], part)
-		}(w, r0, r1)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // TileEstimates pairs clamped estimates with their tile rectangles in

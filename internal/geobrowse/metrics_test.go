@@ -131,6 +131,53 @@ func TestMetricsDefaultRegistryIncludesEstimatorCounters(t *testing.T) {
 	}
 }
 
+// TestSweepTelemetryCountsMaps: a 16k-tile request is split into row bands
+// over the worker pool, and is still ONE sweep to core's telemetry — the
+// per-algorithm counter and duration histogram and the per-level pyramid
+// histogram each record it once, with the whole map's tiles — while the
+// pool counts its bands.
+func TestSweepTelemetryCountsMaps(t *testing.T) {
+	g := grid.NewUnit(256, 128)
+	z := core.ZoomEuler(euler.NewPyramid(euler.FromRects(g, []geom.Rect{geom.NewRect(3, 3, 40, 20)}), euler.PyramidOpts{}))
+	reg := telemetry.NewRegistry()
+	srv := httptest.NewServer(NewServerOpts("wide", z, Options{Telemetry: reg, Workers: 4}))
+	t.Cleanup(srv.Close)
+
+	def := telemetry.Default() // where core records, whatever the server's registry
+	sweeps := def.Counter("core_batch_sweeps_total", "", "algo", z.Name())
+	tiles := def.Counter("core_tile_estimates_total", "", "algo", z.Name())
+	sweeps0, tiles0 := sweeps.Value(), tiles.Value()
+	seconds0 := def.FamilySnapshot("core_batch_sweep_seconds").Count
+	levels0 := def.FamilySnapshot("core_pyramid_sweep_seconds").Count
+
+	const maps = 3
+	for k := 0; k < maps; k++ { // shifted regions: every request misses the cache
+		url := fmt.Sprintf("%s/api/browse?x1=0&y1=%d&x2=256&y2=%d&cols=128&rows=126", srv.URL, k, k+126)
+		if code, body := get(t, url); code != http.StatusOK {
+			t.Fatalf("browse status %d: %.200s", code, body)
+		}
+	}
+	if got := sweeps.Value() - sweeps0; got != maps {
+		t.Errorf("core_batch_sweeps_total rose by %d for %d banded maps", got, maps)
+	}
+	if got := tiles.Value() - tiles0; got != maps*128*126 {
+		t.Errorf("core_tile_estimates_total rose by %d, want %d", got, maps*128*126)
+	}
+	if got := def.FamilySnapshot("core_batch_sweep_seconds").Count - seconds0; got != maps {
+		t.Errorf("core_batch_sweep_seconds observed %d sweeps for %d maps", got, maps)
+	}
+	if got := def.FamilySnapshot("core_pyramid_sweep_seconds").Count - levels0; got != maps {
+		t.Errorf("core_pyramid_sweep_seconds observed %d sweeps for %d maps", got, maps)
+	}
+	// The sweep and the encode each fan out over the four workers.
+	if got := reg.Counter("geobrowse_pool_bands_total", "").Value(); got != maps*2*4 {
+		t.Errorf("geobrowse_pool_bands_total = %d, want %d", got, maps*2*4)
+	}
+	if got := reg.Gauge("geobrowse_pool_active_workers", "").Value(); got != 0 {
+		t.Errorf("geobrowse_pool_active_workers = %d at rest", got)
+	}
+}
+
 // TestArchiveEndpointsShareMiddleware asserts the facet endpoints run
 // behind the same instrumentation as the plain server's.
 func TestArchiveEndpointsShareMiddleware(t *testing.T) {

@@ -56,8 +56,8 @@ type RegistryOptions struct {
 	// so a single oversized tenant still serves). 0 means unlimited.
 	MemoryBudget int64
 	// Server is the per-tenant serving configuration. Its Workers bound
-	// is applied once to a pool shared by every tenant; Tenant, sem and
-	// pool are managed by the registry.
+	// is applied once to a pool shared by every tenant; Tenant and pool
+	// are managed by the registry.
 	Server Options
 }
 
@@ -106,8 +106,7 @@ func NewRegistry(tenants []TenantConfig, opts RegistryOptions) (*Registry, error
 	}
 	// One worker pool for the whole process: tenants contend for the
 	// same CPU budget instead of multiplying it.
-	r.opts.Server.sem = make(chan struct{}, opts.Server.Workers)
-	r.opts.Server.pool = newPoolMetrics(reg, opts.Server.Workers)
+	r.opts.Server.pool = newBandPool(reg, opts.Server.Workers)
 	for _, tc := range tenants {
 		if tc.Name == "" || tc.Load == nil {
 			return nil, fmt.Errorf("geobrowse: tenant %q needs a name and a loader", tc.Name)

@@ -360,13 +360,15 @@ func (c *Coordinator) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) 
 	return c.merge(parts)
 }
 
-// merge sums the per-shard raw estimates field-wise.
+// merge sums the per-shard raw estimates field-wise into shard 0's slice:
+// every Handle returns a slice the caller owns, so no further plane is
+// needed.
 func (c *Coordinator) merge(parts [][]core.Estimate) ([]core.Estimate, error) {
 	start := time.Now()
-	out := make([]core.Estimate, len(parts[0]))
-	for si, p := range parts {
+	out := parts[0]
+	for si, p := range parts[1:] {
 		if len(p) != len(out) {
-			return nil, fmt.Errorf("shard %d returned %d estimates, shard 0 returned %d", si, len(p), len(out))
+			return nil, fmt.Errorf("shard %d returned %d estimates, shard 0 returned %d", si+1, len(p), len(out))
 		}
 		mergeInto(out, p)
 	}

@@ -26,7 +26,9 @@ type Handle interface {
 	Info() (geobrowse.Info, error)
 	// EstimateGrid answers the cols×rows tiling of region with RAW
 	// (unclamped) estimates, row-major from the south-west — raw because
-	// the coordinator merges by addition and clamping is not additive.
+	// the coordinator merges by addition and clamping is not additive. The
+	// slice (EstimateSpans' too) is the caller's: the coordinator sums the
+	// other shards' answers into it.
 	EstimateGrid(region grid.Span, cols, rows int) ([]core.Estimate, error)
 	// EstimateSpans answers a batch of arbitrary spans with raw estimates.
 	EstimateSpans(spans []grid.Span) ([]core.Estimate, error)
