@@ -78,7 +78,6 @@ func main() {
 		pyrLevels   = flag.Int("pyramid-levels", 4, "coarse histogram levels above the base for zoom-native browse routing (0 disables the pyramid)")
 		pyrMinGrid  = flag.Int("pyramid-min-grid", euler.DefaultPyramidMinGrid, "stop pyramid coarsening before either grid axis would drop below this many cells")
 		overviewEps = flag.Float64("overview-epsilon", 0, "serve overview browse maps from the reduced tier when every tile certifies within eps*|tile| objects of exact (0 = always exact; needs pyramids)")
-		packCold    = flag.Int("pack-cold", 0, "live mode: demote to int32-packed lattices after N consecutive snapshot publishes with no reads (0 disables)")
 
 		tenantsArg   = flag.String("tenants", "", `serve multiple datasets behind /api/{tenant}/: comma-separated name=dataset[:n] specs (e.g. "west=adl:100000,east=uni")`)
 		tenantBudget = flag.Int64("tenant-budget", 0, "memory budget in MiB for resident tenant estimators (0 = unlimited); cold tenants are evicted LRU-first")
@@ -246,18 +245,17 @@ func main() {
 			log.Fatalf("geobrowsed: %v", err)
 		}
 		cfg := live.Config{
-			Grid:              g,
-			Algo:              algoV,
-			Seed:              d.Rects,
-			WALPath:           *walPath,
-			CheckpointPath:    *ckptPath,
-			RebuildEvery:      *rebuildN,
-			RebuildInterval:   *rebuildT,
-			SyncEvery:         *syncEvery,
-			RebuildCrossover:  *crossover,
-			PyramidLevels:     *pyrLevels,
-			PyramidMinGrid:    *pyrMinGrid,
-			PackColdPublishes: *packCold,
+			Grid:             g,
+			Algo:             algoV,
+			Seed:             d.Rects,
+			WALPath:          *walPath,
+			CheckpointPath:   *ckptPath,
+			RebuildEvery:     *rebuildN,
+			RebuildInterval:  *rebuildT,
+			SyncEvery:        *syncEvery,
+			RebuildCrossover: *crossover,
+			PyramidLevels:    *pyrLevels,
+			PyramidMinGrid:   *pyrMinGrid,
 		}
 		if algoV == live.AlgoMEuler {
 			if cfg.Areas, err = parseAreas(*areasArg); err != nil {
@@ -293,7 +291,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("geobrowsed: %v", err)
 	}
-	log.Printf("built %s (%d buckets) in %v", est.Name(), est.StorageBuckets(), time.Since(start).Round(time.Millisecond))
+	log.Printf("built %s (%d buckets, %s) in %v", est.Name(), est.StorageBuckets(), latticeSummary(est), time.Since(start).Round(time.Millisecond))
 
 	if *saveSum != "" {
 		sum, err := spatialhist.SummaryOf(est)
@@ -306,6 +304,18 @@ func main() {
 		log.Printf("saved summary to %s", *saveSum)
 	}
 	serve(*addr, d.Name, zoomWrap(est, *pyrLevels, *pyrMinGrid), opts, *pprofOn, *report)
+}
+
+// latticeSummary renders the resident lattice bytes of an estimator and the
+// cell width they come to — 4 bytes per bucket unless a histogram outgrew
+// the narrow cells — so the start-up log says which width a dataset got.
+func latticeSummary(est core.Estimator) string {
+	ls, ok := est.(core.LatticeSizer)
+	if !ok {
+		return "no resident lattice"
+	}
+	bytes := ls.LatticeBytes()
+	return fmt.Sprintf("%.1f MB of lattice at %.3g B/bucket", float64(bytes)/1e6, float64(bytes)/float64(est.StorageBuckets()))
 }
 
 // zoomWrap stacks a multi-resolution pyramid over a fixed-summary

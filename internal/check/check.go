@@ -176,10 +176,10 @@ func Oracles() []Check {
 			Run:  runShardedVsSingle,
 		},
 		{
-			Name: "packed-vs-full",
+			Name: widthCheck,
 			Kind: KindOracle,
-			Doc:  "the int32-packed lattice tier answers every query family and batch sweep bit-identically to the full lattice, at <= 55% of its bytes",
-			Run:  runPackedVsFull,
+			Doc:  "one script of publishes, pyramid repairs, file round trips, tile maps and joins reads the same whether every lattice plane stays at 4 bytes per bucket or the builders outgrow them mid-script and go to 8",
+			Run:  runNarrowVsWide,
 		},
 		{
 			Name: "replica-failover",
@@ -190,7 +190,7 @@ func Oracles() []Check {
 		{
 			Name: "join-vs-exact",
 			Kind: KindOracle,
-			Doc:  "the two-histogram join product sum equals the exact dual-rtree pair count for MBR datasets and the exact summed Euler characteristic for rasterized objects, across lattice tiers and the resampling path",
+			Doc:  "the two-histogram join product sum equals the exact dual-rtree pair count for MBR datasets and the exact summed Euler characteristic for rasterized objects, directly and through the resampling path",
 			Run:  runJoinVsExact,
 		},
 	}

@@ -172,39 +172,36 @@ func (e *SEuler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error
 	return e.addGridMasked(dst, region, cols, rows, -1)
 }
 
-// addGridMasked is the S-EulerApprox batch kernel: the sums of Equations
+// addGridMasked resolves the histogram's cell width, once per sweep, and
+// runs the S-EulerApprox kernel compiled for it. cs is addSEuler's mask.
+func (e *SEuler) addGridMasked(dst []Estimate, region grid.Span, cols, rows int, cs int64) error {
+	if e.h.CellWidth() == 4 {
+		return addSEulerGrid[int32](e, dst, region, cols, rows, cs)
+	}
+	return addSEulerGrid[int64](e, dst, region, cols, rows, cs)
+}
+
+// addSEulerGrid is the S-EulerApprox batch kernel: the sums of Equations
 // 16–17 assembled straight from the cumulative lattice rows — no per-tile
 // span bookkeeping or corner re-derivation — iterating tile columns
-// outermost so the four prefix rows of a column stream through cache. The
-// boundary tile rows (at most the first and last, where corner positions
-// leave the lattice) take the per-tile sums, which load the same clamped
-// values, so results stay bit-identical throughout. The packed tier has no
-// CornerView; its fused GridQuerySums sweep feeds the same adds. cs is
-// addSEuler's mask.
-func (e *SEuler) addGridMasked(dst []Estimate, region grid.Span, cols, rows int, cs int64) error {
-	n := e.h.Count()
-	total := e.h.Total()
-	fh, ok := e.h.(*euler.Histogram)
-	if !ok {
-		ts, err := e.h.GridQuerySums(region, cols, rows)
-		if err != nil {
-			return err
-		}
-		for k := range dst {
-			addSEuler(&dst[k], n, ts.Inside[k], total-ts.Closed[k], cs)
-		}
-		return nil
-	}
-	cv, err := fh.CornerView(region, cols, rows)
+// outermost so the four prefix rows of a column stream through cache. Each
+// corner is widened to int64 as it is loaded, so the arithmetic is the same
+// at both cell widths. The boundary tile rows (at most the first and last,
+// where corner positions leave the lattice) take the per-tile sums, which
+// load the same clamped values, so results stay bit-identical throughout.
+func addSEulerGrid[T euler.Cell](e *SEuler, dst []Estimate, region grid.Span, cols, rows int, cs int64) error {
+	cv, err := euler.CornerViewOf[T](e.h, region, cols, rows)
 	if err != nil {
 		return err
 	}
+	n := e.h.Count()
+	total := e.h.Total()
 	v0, step, r0, r1 := cv.Interior()
 	for col := 0; col < cols; col++ {
 		inL, inR, clL, clR := cv.ColumnRows(col)
 		for r, v := r0, v0+r0*step; r < r1; r, v = r+1, v+step {
-			nii := inR[v+step-1] - inL[v+step-1] - inR[v] + inL[v]
-			nei := total - (clR[v+step] - clL[v+step] - clR[v-1] + clL[v-1])
+			nii := int64(inR[v+step-1]) - int64(inL[v+step-1]) - int64(inR[v]) + int64(inL[v])
+			nei := total - (int64(clR[v+step]) - int64(clL[v+step]) - int64(clR[v-1]) + int64(clL[v-1]))
 			addSEuler(&dst[r*cols+col], n, nii, nei, cs)
 		}
 	}
@@ -213,8 +210,7 @@ func (e *SEuler) addGridMasked(dst []Estimate, region grid.Span, cols, rows int,
 			continue
 		}
 		for col := 0; col < cols; col++ {
-			q := cv.Tile(col, r)
-			addSEuler(&dst[r*cols+col], n, e.h.InsideSum(q), e.h.OutsideSum(q), cs)
+			e.addMasked(&dst[r*cols+col], cv.Tile(col, r), cs)
 		}
 	}
 	return nil
@@ -225,33 +221,26 @@ func (e *Euler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, erro
 	return makeGrid(e, region, cols, rows)
 }
 
-// addGrid is the EulerApprox batch kernel: every tile's sums from one
+// addGrid resolves the histogram's cell width, once per sweep, and runs the
+// EulerApprox kernel compiled for it.
+func (e *Euler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error {
+	if e.h.CellWidth() == 4 {
+		return addEulerGrid[int32](e, dst, region, cols, rows)
+	}
+	return addEulerGrid[int64](e, dst, region, cols, rows)
+}
+
+// addEulerGrid is the EulerApprox batch kernel: every tile's sums from one
 // corner sweep, with the Region A band sum and the Region B contained
 // count — which depend only on the tile row — hoisted to one computation
-// per row instead of one per tile. The packed tier's fused GridEulerSums
-// sweep feeds the same adds.
-func (e *Euler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error {
-	n := e.h.Count()
-	total := e.h.Total()
-	fh, ok := e.h.(*euler.Histogram)
-	if !ok {
-		es, err := e.h.GridEulerSums(region, cols, rows)
-		if err != nil {
-			return err
-		}
-		for r := 0; r < rows; r++ {
-			for k := r * cols; k < (r+1)*cols; k++ {
-				neiPrime := total - es.Closed[k]
-				niA := es.BandInside[r] - es.AWide[k]
-				addEuler(&dst[k], n, es.Inside[k], neiPrime, niA+es.BelowContained[r]-neiPrime)
-			}
-		}
-		return nil
-	}
-	cv, err := fh.CornerView(region, cols, rows)
+// per row instead of one per tile.
+func addEulerGrid[T euler.Cell](e *Euler, dst []Estimate, region grid.Span, cols, rows int) error {
+	cv, err := euler.CornerViewOf[T](e.h, region, cols, rows)
 	if err != nil {
 		return err
 	}
+	n := e.h.Count()
+	total := e.h.Total()
 	g := e.h.Grid()
 	nx, ny := g.NX(), g.NY()
 	th := region.Height() / rows
@@ -276,12 +265,12 @@ func (e *Euler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error 
 		// iterations; its top corners coincide with the closed top.
 		var awLB, awRB int64
 		if r0 < r1 {
-			awLB, awRB = clL[v], clR[v]
+			awLB, awRB = int64(clL[v]), int64(clR[v])
 		}
 		for r := r0; r < r1; r, v = r+1, v+step {
-			clLT, clRT := clL[v+step], clR[v+step]
-			nii := inR[v+step-1] - inL[v+step-1] - inR[v] + inL[v]
-			neiPrime := total - (clRT - clLT - clR[v-1] + clL[v-1])
+			clLT, clRT := int64(clL[v+step]), int64(clR[v+step])
+			nii := int64(inR[v+step-1]) - int64(inL[v+step-1]) - int64(inR[v]) + int64(inL[v])
+			neiPrime := total - (clRT - clLT - int64(clR[v-1]) + int64(clL[v-1]))
 			niA := bandInside[r] - (clRT - clLT - awRB + awLB)
 			add(r, col, nii, neiPrime, niA)
 			awLB, awRB = clLT, clRT
@@ -296,8 +285,8 @@ func (e *Euler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error 
 		vT := v0 + step
 		for col := 0; col < cols; col++ {
 			inL, inR, clL, clR := cv.ColumnRows(col)
-			nii := inR[vT-1] - inL[vT-1]
-			wide := clR[vT] - clL[vT]
+			nii := int64(inR[vT-1]) - int64(inL[vT-1])
+			wide := int64(clR[vT]) - int64(clL[vT])
 			add(0, col, nii, total-wide, bandInside[0]-wide)
 		}
 	}
@@ -307,10 +296,10 @@ func (e *Euler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error 
 		top := v + step - 1
 		for col := 0; col < cols; col++ {
 			inL, inR, clL, clR := cv.ColumnRows(col)
-			clLT, clRT := clL[top], clR[top]
-			nii := inR[top] - inL[top] - inR[v] + inL[v]
-			neiPrime := total - (clRT - clLT - clR[v-1] + clL[v-1])
-			niA := bandInside[r] - (clRT - clLT - clR[v] + clL[v])
+			clLT, clRT := int64(clL[top]), int64(clR[top])
+			nii := int64(inR[top]) - int64(inL[top]) - int64(inR[v]) + int64(inL[v])
+			neiPrime := total - (clRT - clLT - int64(clR[v-1]) + int64(clL[v-1]))
+			niA := bandInside[r] - (clRT - clLT - int64(clR[v]) + int64(clL[v]))
 			add(r, col, nii, neiPrime, niA)
 		}
 	}
@@ -319,9 +308,7 @@ func (e *Euler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error 
 			continue
 		}
 		for col := 0; col < cols; col++ {
-			q := cv.Tile(col, r)
-			neiPrime := e.h.OutsideSum(q)
-			addEuler(&dst[r*cols+col], n, e.h.InsideSum(q), neiPrime, e.estimateContained(q, neiPrime))
+			e.add(&dst[r*cols+col], cv.Tile(col, r))
 		}
 	}
 	return nil
@@ -342,14 +329,13 @@ func (m *MEuler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error
 		return err
 	}
 	aq := float64(tw*th) * m.unit // exact, matching MEuler.estimate
-	last := len(m.hists) - 1
 	for i := range m.hists {
-		switch {
-		case aq <= m.areas[i]: // GroupNoContains
+		switch m.role(i, aq) {
+		case GroupNoContains:
 			err = m.seuler[i].addGridMasked(dst, region, cols, rows, 0)
-		case i < last && aq >= m.areas[i+1]: // GroupSEuler
+		case GroupSEuler:
 			err = m.seuler[i].addGrid(dst, region, cols, rows)
-		default: // GroupEulerApprox
+		default:
 			err = m.eapx[i].addGrid(dst, region, cols, rows)
 		}
 		if err != nil {

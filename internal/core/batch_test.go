@@ -142,19 +142,19 @@ func TestEstimateGridErrors(t *testing.T) {
 }
 
 // intoEstimators returns every batch path over one dataset: the three
-// algorithms on the full tier, on the packed tier, as zoom stacks, and the
-// per-tile fallback.
+// algorithms at the cell width they are built with, over the same planes
+// widened, as zoom stacks, and the per-tile fallback.
 func intoEstimators(t *testing.T, g *grid.Grid, rects []geom.Rect) []Estimator {
 	t.Helper()
 	ests := testEstimators(t, g, rects)
 	se, eu, m := ests[0].(*SEuler), ests[1].(*Euler), ests[2].(*MEuler)
-	packed := make([]euler.Lattice, 0, len(m.Histograms()))
+	wide := make([]*euler.Histogram, 0, len(m.Histograms()))
 	pyrs := make([]*euler.Pyramid, 0, len(m.Histograms()))
 	for _, h := range m.Histograms() {
-		packed = append(packed, mustPack(t, h))
+		wide = append(wide, widened(t, h))
 		pyrs = append(pyrs, euler.NewPyramid(h, euler.PyramidOpts{MinGrid: 4}))
 	}
-	mp, err := MEulerFromLattices(m.Areas(), packed)
+	mp, err := MEulerFromHistograms(m.Areas(), wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func intoEstimators(t *testing.T, g *grid.Grid, rects []geom.Rect) []Estimator {
 		t.Fatal(err)
 	}
 	return append(ests,
-		NewSEuler(mustPack(t, se.Histogram())), NewEuler(mustPack(t, eu.Histogram())), mp,
+		NewSEuler(widened(t, se.Histogram())), NewEuler(widened(t, eu.Histogram())), mp,
 		ZoomSEuler(euler.NewPyramid(se.Histogram(), euler.PyramidOpts{MinGrid: 4})),
 		ZoomEuler(euler.NewPyramid(eu.Histogram(), euler.PyramidOpts{MinGrid: 4})), zm)
 }
@@ -171,8 +171,8 @@ func intoEstimators(t *testing.T, g *grid.Grid, rects []geom.Rect) []Estimator {
 // TestEstimateGridInto pins the accumulate contract from outside:
 // EstimateGridInto over a plane pre-filled with garbage — whole, and in
 // every two-band split of its rows — equals EstimateGrid equals the
-// per-tile loop, bit for bit, for every algorithm on the full tier, the
-// packed tier and a zoom stack, on maps whose rows are both lattice edges
+// per-tile loop, bit for bit, for every algorithm at both cell widths and
+// as a zoom stack, on maps whose rows are both lattice edges
 // at once (rows == 1 full-height), one of them, or neither.
 func TestEstimateGridInto(t *testing.T) {
 	r := rand.New(rand.NewSource(55))

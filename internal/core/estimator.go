@@ -97,7 +97,7 @@ type Estimator interface {
 
 // LatticeSizer is the capability of estimators that serve from Euler
 // lattices: the resident payload bytes of every lattice they hold,
-// whatever its tier. Memory budgets charge this; StorageBuckets counts
+// at its cells' width. Memory budgets charge this; StorageBuckets counts
 // values (the storage cost of §6), not bytes.
 type LatticeSizer interface {
 	LatticeBytes() int

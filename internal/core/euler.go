@@ -37,12 +37,11 @@ import (
 // two kinds tend to cancel for small queries; §5.4 explains why they stop
 // canceling as queries grow, motivating M-EulerApprox.
 type Euler struct {
-	h euler.Lattice
+	h *euler.Histogram
 }
 
-// NewEuler wraps an Euler lattice — the full *euler.Histogram or the
-// packed tier — with the EulerApprox query logic.
-func NewEuler(h euler.Lattice) *Euler { return &Euler{h: h} }
+// NewEuler wraps an Euler histogram with the EulerApprox query logic.
+func NewEuler(h *euler.Histogram) *Euler { return &Euler{h: h} }
 
 // EulerFromRects builds the histogram over g and returns the estimator.
 func EulerFromRects(g *grid.Grid, rects []geom.Rect) *Euler {
@@ -64,32 +63,22 @@ func (e *Euler) StorageBuckets() int { return e.h.StorageBuckets() }
 // LatticeBytes implements LatticeSizer.
 func (e *Euler) LatticeBytes() int { return e.h.LatticeBytes() }
 
-// Histogram exposes the underlying full-tier Euler histogram, or nil when
-// the estimator serves the packed tier.
-func (e *Euler) Histogram() *euler.Histogram {
-	h, _ := e.h.(*euler.Histogram)
-	return h
-}
-
-// Lattice exposes the underlying lattice tier.
-func (e *Euler) Lattice() euler.Lattice { return e.h }
+// Histogram exposes the underlying Euler histogram.
+func (e *Euler) Histogram() *euler.Histogram { return e.h }
 
 // Estimate implements Estimator. A constant number of cumulative-histogram
 // lookups: constant time per query.
 func (e *Euler) Estimate(q grid.Span) Estimate {
-	n := e.h.Count()
-	nii := e.h.InsideSum(q)
-	neiPrime := e.h.OutsideSum(q)
-	nd := n - nii
-	no := neiPrime - nd
+	var d Estimate
+	e.add(&d, q)
+	return d
+}
 
-	ncd := e.estimateContained(q, neiPrime)
-	return Estimate{
-		Disjoint:  nd,
-		Contains:  n - ncd - nd - no,
-		Contained: ncd,
-		Overlap:   no,
-	}
+// add adds the histogram's counts for q into d: the one-tile case of
+// addGrid, each lattice sum read once.
+func (e *Euler) add(d *Estimate, q grid.Span) {
+	neiPrime := e.h.OutsideSum(q)
+	addEuler(d, e.h.Count(), e.h.InsideSum(q), neiPrime, e.estimateContained(q, neiPrime))
 }
 
 // estimateContained computes N_cd = N_i(A) + N_cs(B) − n'_ei.

@@ -39,7 +39,7 @@ type JoinEstimate struct {
 // two estimators from their lattices alone.
 type JoinEstimator struct {
 	a, b      Estimator
-	la, lb    []euler.Lattice
+	la, lb    []*euler.Histogram
 	resampled bool
 }
 
@@ -50,11 +50,11 @@ type JoinEstimator struct {
 // common grid by the exact pyramid stencil, which requires that side to be
 // an MBR histogram (rasterized histograms do not coarsen exactly).
 func NewJoin(a, b Estimator) (*JoinEstimator, error) {
-	la, err := joinLattices(a)
+	la, err := joinHistograms(a)
 	if err != nil {
 		return nil, fmt.Errorf("core: join side A: %w", err)
 	}
-	lb, err := joinLattices(b)
+	lb, err := joinHistograms(b)
 	if err != nil {
 		return nil, fmt.Errorf("core: join side B: %w", err)
 	}
@@ -74,7 +74,7 @@ func NewJoin(a, b Estimator) (*JoinEstimator, error) {
 }
 
 // Estimate computes the join estimate: the sum of pairwise product sums
-// across the sides' lattices (M-EulerApprox sides hold one lattice per
+// across the sides' histograms (M-EulerApprox sides hold one per
 // area group; raw counts are additive, so the product sum distributes).
 func (j *JoinEstimator) Estimate() (JoinEstimate, error) {
 	out := JoinEstimate{
@@ -98,35 +98,30 @@ func (j *JoinEstimator) Estimate() (JoinEstimate, error) {
 	return out, nil
 }
 
-// joinLattices extracts the Euler lattices an estimator serves from.
-func joinLattices(e Estimator) ([]euler.Lattice, error) {
+// joinHistograms extracts the Euler histograms an estimator serves from.
+func joinHistograms(e Estimator) ([]*euler.Histogram, error) {
 	switch v := e.(type) {
 	case *SEuler:
-		return []euler.Lattice{v.Lattice()}, nil
+		return []*euler.Histogram{v.Histogram()}, nil
 	case *Euler:
-		return []euler.Lattice{v.Lattice()}, nil
+		return []*euler.Histogram{v.Histogram()}, nil
 	case *MEuler:
-		return v.Lattices(), nil
+		return v.Histograms(), nil
 	case *Zoom:
 		// Join at the base resolution; coarse levels are derived views.
-		return joinLattices(v.Base())
+		return joinHistograms(v.Base())
 	default:
 		return nil, fmt.Errorf("estimator %T exposes no Euler lattice", e)
 	}
 }
 
-// coarsenSide halves a side's lattices down to nx×ny, promoting packed
-// tiers first (coarsening samples the int64 cumulative plane).
-func coarsenSide(ls []euler.Lattice, nx, ny int) ([]euler.Lattice, error) {
-	if ls[0].Grid().NX() == nx && ls[0].Grid().NY() == ny {
-		return ls, nil
+// coarsenSide halves a side's histograms down to nx×ny.
+func coarsenSide(hs []*euler.Histogram, nx, ny int) ([]*euler.Histogram, error) {
+	if hs[0].Grid().NX() == nx && hs[0].Grid().NY() == ny {
+		return hs, nil
 	}
-	out := make([]euler.Lattice, len(ls))
-	for i, l := range ls {
-		h, err := latticeHistogram(l)
-		if err != nil {
-			return nil, err
-		}
+	out := make([]*euler.Histogram, len(hs))
+	for i, h := range hs {
 		c, err := euler.CoarsenTo(h, nx, ny)
 		if err != nil {
 			return nil, err
@@ -136,25 +131,13 @@ func coarsenSide(ls []euler.Lattice, nx, ny int) ([]euler.Lattice, error) {
 	return out, nil
 }
 
-// latticeHistogram promotes any resident lattice tier to a full histogram.
-func latticeHistogram(l euler.Lattice) (*euler.Histogram, error) {
-	switch v := l.(type) {
-	case *euler.Histogram:
-		return v, nil
-	case *euler.PackedHistogram:
-		return v.Unpack(), nil
-	default:
-		return nil, fmt.Errorf("lattice %T cannot be promoted for resampling", l)
-	}
-}
-
-// sideCertified reports whether every lattice of a side carries a class
+// sideCertified reports whether every histogram of a side carries a class
 // plane with zero partial incidences over the full grid.
-func sideCertified(ls []euler.Lattice) bool {
-	for _, l := range ls {
-		g := l.Grid()
+func sideCertified(hs []*euler.Histogram) bool {
+	for _, h := range hs {
+		g := h.Grid()
 		full := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
-		p, ok := euler.PartialInLattice(l, full)
+		p, ok := h.PartialIn(full)
 		if !ok || p != 0 {
 			return false
 		}

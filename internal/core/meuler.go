@@ -33,7 +33,7 @@ import (
 type MEuler struct {
 	g      *grid.Grid
 	areas  []float64 // ascending thresholds in unit cells, areas[0] == 1
-	hists  []euler.Lattice
+	hists  []*euler.Histogram
 	seuler []*SEuler
 	eapx   []*Euler
 	n      int64
@@ -75,17 +75,18 @@ func NewMEuler(g *grid.Grid, areas []float64, rects []geom.Rect) (*MEuler, error
 		}
 		builders[gi].Add(r)
 	}
-	m.hists = make([]euler.Lattice, len(builders))
-	m.seuler = make([]*SEuler, len(builders))
-	m.eapx = make([]*Euler, len(builders))
-	for i, b := range builders {
-		h := b.Build()
-		m.hists[i] = h
-		m.seuler[i] = NewSEuler(h)
-		m.eapx[i] = NewEuler(h)
-		m.n += h.Count()
+	for _, b := range builders {
+		m.addGroup(b.Build())
 	}
 	return m, nil
+}
+
+// addGroup appends the next area group's histogram.
+func (m *MEuler) addGroup(h *euler.Histogram) {
+	m.hists = append(m.hists, h)
+	m.seuler = append(m.seuler, NewSEuler(h))
+	m.eapx = append(m.eapx, NewEuler(h))
+	m.n += h.Count()
 }
 
 // MEulerFromHistograms reassembles an M-EulerApprox estimator from
@@ -94,17 +95,6 @@ func NewMEuler(g *grid.Grid, areas []float64, rects []geom.Rect) (*MEuler, error
 // which must all share one grid. Group membership is taken as-is: the
 // histograms are trusted to have been built with the same thresholds.
 func MEulerFromHistograms(areas []float64, hists []*euler.Histogram) (*MEuler, error) {
-	ls := make([]euler.Lattice, len(hists))
-	for i, h := range hists {
-		ls[i] = h
-	}
-	return MEulerFromLattices(areas, ls)
-}
-
-// MEulerFromLattices is MEulerFromHistograms over any mix of lattice tiers:
-// full histograms, packed histograms, or both — a cold store can reassemble
-// its estimator directly over packed per-group lattices without unpacking.
-func MEulerFromLattices(areas []float64, hists []euler.Lattice) (*MEuler, error) {
 	if len(hists) == 0 || len(hists) != len(areas) {
 		return nil, fmt.Errorf("core: %d histograms for %d thresholds", len(hists), len(areas))
 	}
@@ -126,10 +116,7 @@ func MEulerFromLattices(areas []float64, hists []euler.Lattice) (*MEuler, error)
 		if hg.Extent() != g.Extent() || hg.NX() != g.NX() || hg.NY() != g.NY() {
 			return nil, fmt.Errorf("core: histogram grids differ (%v vs %v)", hg, g)
 		}
-		m.hists = append(m.hists, h)
-		m.seuler = append(m.seuler, NewSEuler(h))
-		m.eapx = append(m.eapx, NewEuler(h))
-		m.n += h.Count()
+		m.addGroup(h)
 	}
 	return m, nil
 }
@@ -199,20 +186,9 @@ func (m *MEuler) LatticeBytes() int {
 // Areas returns a copy of the area thresholds.
 func (m *MEuler) Areas() []float64 { return append([]float64(nil), m.areas...) }
 
-// Histograms returns the per-group full-tier histograms, smallest area
-// group first. Entries backed by the packed tier are nil; Lattices has
-// every tier.
+// Histograms returns the per-group histograms, smallest area group first.
 func (m *MEuler) Histograms() []*euler.Histogram {
-	out := make([]*euler.Histogram, len(m.hists))
-	for i, l := range m.hists {
-		out[i], _ = l.(*euler.Histogram)
-	}
-	return out
-}
-
-// Lattices returns the per-group lattice tiers, smallest area group first.
-func (m *MEuler) Lattices() []euler.Lattice {
-	return append([]euler.Lattice(nil), m.hists...)
+	return append([]*euler.Histogram(nil), m.hists...)
 }
 
 // Estimate implements Estimator. Constant time: a constant number of
@@ -269,59 +245,54 @@ func (m *MEuler) EstimateDetail(q grid.Span) (Estimate, []GroupDetail) {
 	return m.estimate(q, true)
 }
 
+// role picks the §5.4 case of area group i for a query of aq base cells.
+func (m *MEuler) role(i int, aq float64) GroupRole {
+	switch {
+	case aq <= m.areas[i]:
+		return GroupNoContains // no group-i object fits inside the query
+	case i < len(m.hists)-1 && aq >= m.areas[i+1]:
+		return GroupSEuler // no group-i object can contain the query
+	}
+	return GroupEulerApprox
+}
+
+// estimate is the one-tile case of addGrid: every group adds its four
+// counts for q — each of its lattice sums read once — under the mask rule
+// of its role, and by the linearity argument in batch.go's header the sums
+// are N_d = |S| − Σ n_ii, N_o, N_cs and N_cd = |S| − N_d − N_o − N_cs. A
+// group's own counts, summed apart, are its line of the breakdown.
 func (m *MEuler) estimate(q grid.Span, detail bool) (Estimate, []GroupDetail) {
 	// The query's area in base-resolution cells, computed in exact integer
 	// arithmetic (cell counts are small enough for float64 to hold exactly)
 	// so a level-k zoom member makes the same per-group choice as level 0.
 	aq := float64(q.Cells()) * m.unit
-	var no, ncs, nii int64
+	var sum Estimate
 	var details []GroupDetail
 	if detail {
 		details = make([]GroupDetail, 0, len(m.hists))
 	}
-	last := len(m.hists) - 1
 	for i := range m.hists {
-		gi := m.hists[i].InsideSum(q)
-		nii += gi
-		var p Estimate
-		var role GroupRole
-		switch {
-		case aq <= m.areas[i]:
-			// No group-i object fits inside q.
-			p = m.seuler[i].Estimate(q)
-			p.Contains = 0
-			role = GroupNoContains
-		case i < last && aq >= m.areas[i+1]:
-			// No group-i object can contain q.
-			p = m.seuler[i].Estimate(q)
-			role = GroupSEuler
-		default:
-			p = m.eapx[i].Estimate(q)
-			role = GroupEulerApprox
-		}
-		no += p.Overlap
-		ncs += p.Contains
+		d := &sum
+		var group Estimate
 		if detail {
-			gn := m.hists[i].Count()
-			gd := gn - gi
-			details = append(details, GroupDetail{
-				Area:  m.areas[i],
-				Count: gn,
-				Role:  role,
-				Estimate: Estimate{
-					Disjoint:  gd,
-					Contains:  p.Contains,
-					Overlap:   p.Overlap,
-					Contained: gn - gd - p.Contains - p.Overlap,
-				},
-			})
+			d = &group
+		}
+		role := m.role(i, aq)
+		switch role {
+		case GroupNoContains:
+			m.seuler[i].addMasked(d, q, 0)
+		case GroupSEuler:
+			m.seuler[i].addMasked(d, q, -1)
+		default:
+			m.eapx[i].add(d, q)
+		}
+		if detail {
+			sum.Disjoint += group.Disjoint
+			sum.Contains += group.Contains
+			sum.Contained += group.Contained
+			sum.Overlap += group.Overlap
+			details = append(details, GroupDetail{Area: m.areas[i], Count: m.hists[i].Count(), Role: role, Estimate: group})
 		}
 	}
-	nd := m.n - nii
-	return Estimate{
-		Disjoint:  nd,
-		Contains:  ncs,
-		Contained: m.n - nd - no - ncs,
-		Overlap:   no,
-	}, details
+	return sum, details
 }

@@ -20,13 +20,11 @@ import (
 // objects contain the query (each such object is missed by n_ei through the
 // loophole effect and silently inflates N_cs).
 type SEuler struct {
-	h euler.Lattice
+	h *euler.Histogram
 }
 
-// NewSEuler wraps an Euler lattice — the full *euler.Histogram or the
-// packed tier — with the S-EulerApprox query logic. Both tiers answer
-// bit-identically; which one backs a dataset is a storage decision.
-func NewSEuler(h euler.Lattice) *SEuler { return &SEuler{h: h} }
+// NewSEuler wraps an Euler histogram with the S-EulerApprox query logic.
+func NewSEuler(h *euler.Histogram) *SEuler { return &SEuler{h: h} }
 
 // SEulerFromRects builds the histogram over g and returns the estimator.
 func SEulerFromRects(g *grid.Grid, rects []geom.Rect) *SEuler {
@@ -48,27 +46,19 @@ func (e *SEuler) StorageBuckets() int { return e.h.StorageBuckets() }
 // LatticeBytes implements LatticeSizer.
 func (e *SEuler) LatticeBytes() int { return e.h.LatticeBytes() }
 
-// Histogram exposes the underlying full-tier Euler histogram, or nil when
-// the estimator serves the packed tier.
-func (e *SEuler) Histogram() *euler.Histogram {
-	h, _ := e.h.(*euler.Histogram)
-	return h
-}
-
-// Lattice exposes the underlying lattice tier.
-func (e *SEuler) Lattice() euler.Lattice { return e.h }
+// Histogram exposes the underlying Euler histogram.
+func (e *SEuler) Histogram() *euler.Histogram { return e.h }
 
 // Estimate implements Estimator. Four cumulative-histogram lookups total:
 // constant time per query.
 func (e *SEuler) Estimate(q grid.Span) Estimate {
-	n := e.h.Count()
-	nii := e.h.InsideSum(q)
-	nei := e.h.OutsideSum(q)
-	nd := n - nii
-	return Estimate{
-		Disjoint:  nd,
-		Contains:  n - nei,
-		Contained: 0,
-		Overlap:   nei - nd,
-	}
+	var d Estimate
+	e.addMasked(&d, q, -1)
+	return d
+}
+
+// addMasked adds the histogram's counts for q into d: the one-tile case of
+// addGridMasked, each lattice sum read once. cs is addSEuler's mask.
+func (e *SEuler) addMasked(d *Estimate, q grid.Span, cs int64) {
+	addSEuler(d, e.h.Count(), e.h.InsideSum(q), e.h.OutsideSum(q), cs)
 }

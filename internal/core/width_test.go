@@ -17,32 +17,31 @@ func randSpans(r *rand.Rand, nx, ny, n int) []grid.Span {
 	return spans
 }
 
-func mustPack(t *testing.T, h *euler.Histogram) *euler.PackedHistogram {
+// widened returns h at 8 bytes per bucket; h itself is built at 4.
+func widened(t *testing.T, h *euler.Histogram) *euler.Histogram {
 	t.Helper()
-	p, ok := h.Pack()
-	if !ok {
-		t.Fatal("Pack refused")
+	w := h.Unpack()
+	if h.CellWidth() != 4 || w.CellWidth() != 8 {
+		t.Fatalf("built %d-byte cells, unpacked to %d", h.CellWidth(), w.CellWidth())
 	}
-	return p
+	return w
 }
 
-// TestPackedEstimatorsBitIdentical is the packed-tier serving contract:
-// S-EulerApprox and EulerApprox over the packed lattice answer every query
-// and every batch sweep bit-identically to the full tier.
-func TestPackedEstimatorsBitIdentical(t *testing.T) {
+// TestCellWidthsBitIdentical is the serving contract of the two cell
+// widths: S-EulerApprox and EulerApprox answer every query and every batch
+// sweep bit-identically over the narrow plane a histogram is built with
+// and over the same plane widened.
+func TestCellWidthsBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(201))
 	nx, ny := 48, 40
 	g := grid.NewUnit(nx, ny)
-	h := histFromSpans(g, randSpans(r, nx, ny, 300))
-	p := mustPack(t, h)
+	p := histFromSpans(g, randSpans(r, nx, ny, 300))
+	h := widened(t, p)
 
 	seF, seP := NewSEuler(h), NewSEuler(p)
 	euF, euP := NewEuler(h), NewEuler(p)
-	if seP.Histogram() != nil || euP.Histogram() != nil {
-		t.Fatal("packed-backed estimators must not expose a full histogram")
-	}
-	if seP.Lattice() != euler.Lattice(p) || seF.Histogram() != h {
-		t.Fatal("lattice accessors diverge")
+	if seP.Histogram() != p || euF.Histogram() != h {
+		t.Fatal("histogram accessors diverge")
 	}
 	for trial := 0; trial < 400; trial++ {
 		i1, j1 := r.Intn(nx), r.Intn(ny)
@@ -76,9 +75,10 @@ func TestPackedEstimatorsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMEulerFromLatticesPacked reassembles M-EulerApprox over packed
-// per-group lattices and checks it against the full-tier estimator.
-func TestMEulerFromLatticesPacked(t *testing.T) {
+// TestMEulerMixedCellWidths reassembles M-EulerApprox over groups of
+// different cell widths — what a store looks like after one partition has
+// outgrown 4 bytes — and checks it against the all-narrow estimator.
+func TestMEulerMixedCellWidths(t *testing.T) {
 	r := rand.New(rand.NewSource(202))
 	nx, ny := 32, 32
 	g := grid.NewUnit(nx, ny)
@@ -92,29 +92,30 @@ func TestMEulerFromLatticesPacked(t *testing.T) {
 		builders[AreaGroup(areas, float64(s.Cells()))].AddSpan(s)
 	}
 	full := make([]*euler.Histogram, len(builders))
-	mixed := make([]euler.Lattice, len(builders))
+	mixed := make([]*euler.Histogram, len(builders))
 	for i, b := range builders {
 		full[i] = b.Build()
+		mixed[i] = full[i]
 		if i%2 == 0 {
-			mixed[i] = mustPack(t, full[i])
-		} else {
-			mixed[i] = full[i]
+			mixed[i] = widened(t, full[i])
 		}
 	}
 	mF, err := MEulerFromHistograms(areas, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mP, err := MEulerFromLattices(areas, mixed)
+	mP, err := MEulerFromHistograms(areas, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mP.Count() != mF.Count() || mP.StorageBuckets() != mF.StorageBuckets() {
 		t.Fatal("reassembled MEuler metadata diverges")
 	}
-	hs := mP.Histograms()
-	if hs[0] != nil || hs[1] == nil {
-		t.Fatal("Histograms must report nil for packed groups and the histogram otherwise")
+	if hs := mP.Histograms(); hs[0] != mixed[0] || hs[1] != mixed[1] {
+		t.Fatal("Histograms must return the groups it was assembled from")
+	}
+	if lx, ly := full[0].Buckets(); mP.LatticeBytes() != mF.LatticeBytes()+2*4*lx*ly {
+		t.Fatalf("LatticeBytes = %d with two of three groups widened, %d all narrow", mP.LatticeBytes(), mF.LatticeBytes())
 	}
 	for trial := 0; trial < 300; trial++ {
 		i1, j1 := r.Intn(nx), r.Intn(ny)

@@ -34,7 +34,7 @@ func benchZoom(b *testing.B) (*SEuler, *Zoom) {
 // level-0-only vs pyramid-routed. The routed variants report the lattice
 // footprint of the level actually swept — the ~1/4^k memory a coarse
 // tiling touches. The coarser the tiling, the wider apart the level-0
-// corner reads land (tile width × 16 bytes): past the prefetcher's reach
+// corner reads land (tile width × 8 bytes): past the prefetcher's reach
 // every corner is an LLC miss and past 4 KB every corner is also a TLB
 // walk, which is exactly the traffic the routed level never generates.
 // Fine maps route near the base and stay within noise of it; unaligned

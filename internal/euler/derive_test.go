@@ -16,7 +16,8 @@ import (
 // object, lattice element by lattice element, from the covering rule of
 // §5.1 itself — after each way a cumulative plane comes to be: Build,
 // BuildFrom repair (cloned, in a donated scratch, copy-first, full rebuild
-// into the scratch), Pack→Unpack, and pyramid derivation and repair.
+// into the scratch), Pack and Unpack, builder resumption, and pyramid
+// derivation and repair — with the whole chain built narrow and built wide.
 
 // refBuckets accumulates the signed bucket plane of a set of objects over
 // an nx×ny grid, each object given as cell spans. A lattice element is
@@ -58,34 +59,42 @@ func refBuckets(nx, ny int, objects [][]grid.Span) []int64 {
 	return plane
 }
 
-// bucketSource is what both resident tiers derive raw values through.
-type bucketSource interface {
-	Buckets() (lx, ly int)
-	RawRow(u int, buf []int64) []int64
-}
-
-func requireBuckets(t *testing.T, ctx string, l bucketSource, want []int64) {
+func requireBuckets(t *testing.T, ctx string, h *Histogram, want []int64) {
 	t.Helper()
-	lx, ly := l.Buckets()
+	lx, ly := h.Buckets()
 	if lx*ly != len(want) {
 		t.Fatalf("%s: lattice %dx%d, reference has %d buckets", ctx, lx, ly, len(want))
 	}
-	h, _ := l.(*Histogram)
 	var buf []int64
 	for u := 0; u < lx; u++ {
-		buf = l.RawRow(u, buf)
+		buf = h.RawRow(u, buf)
 		for v := 0; v < ly; v++ {
 			if buf[v] != want[u*ly+v] {
 				t.Fatalf("%s: RawRow(%d)[%d] = %d, want %d", ctx, u, v, buf[v], want[u*ly+v])
 			}
-			if h != nil && h.Bucket(u, v) != want[u*ly+v] {
+			if h.Bucket(u, v) != want[u*ly+v] {
 				t.Fatalf("%s: Bucket(%d,%d) = %d, want %d", ctx, u, v, h.Bucket(u, v), want[u*ly+v])
 			}
 		}
 	}
 }
 
+// atBothWidths runs fn with builders that stay narrow (the default limit)
+// and that go wide at their first update (a limit of 0), passing the cell
+// width every histogram they build must have.
+func atBothWidths(t *testing.T, fn func(t *testing.T, cellWidth int)) {
+	t.Run("narrow", func(t *testing.T) { fn(t, 4) })
+	t.Run("wide", func(t *testing.T) {
+		defer LowerNarrowLimit(0)()
+		fn(t, 8)
+	})
+}
+
 func TestDerivedBucketsMatchIndependentPlane(t *testing.T) {
+	atBothWidths(t, testDerivedBuckets)
+}
+
+func testDerivedBuckets(t *testing.T, cellWidth int) {
 	var donated, copied, rebuiltIntoScratch int
 	for seed := int64(1); seed <= 12; seed++ {
 		r := gen.Rand(seed)
@@ -120,15 +129,26 @@ func TestDerivedBucketsMatchIndependentPlane(t *testing.T) {
 		check := func(ctx string, h *Histogram) {
 			t.Helper()
 			ctx = fmt.Sprintf("seed %d %s", seed, ctx)
+			if h.CellWidth() != cellWidth {
+				t.Fatalf("%s: %d-byte cells, want %d", ctx, h.CellWidth(), cellWidth)
+			}
 			want := refBuckets(nx, ny, objects)
 			requireBuckets(t, ctx, h, want)
 			p, ok := h.Pack()
-			if !ok {
-				t.Fatalf("%s: Pack refused", ctx)
+			if !ok || p.CellWidth() != 4 || (cellWidth == 4 && p != h) {
+				t.Fatalf("%s: Pack = %v, %v", ctx, p, ok)
 			}
 			requireBuckets(t, ctx+" packed", p, want)
-			requireBuckets(t, ctx+" unpacked", p.Unpack(), want)
-			requireBuckets(t, ctx+" resumed", BuilderFromHistogram(h).Build(), want)
+			u := h.Unpack()
+			if u.CellWidth() != 8 || (cellWidth == 8 && u != h) {
+				t.Fatalf("%s: Unpack gave %d-byte cells (same histogram: %v)", ctx, u.CellWidth(), u == h)
+			}
+			requireBuckets(t, ctx+" unpacked", u, want)
+			resumed := BuilderFromHistogram(h).Build()
+			if resumed.CellWidth() != cellWidth {
+				t.Fatalf("%s: resumed at %d-byte cells, want %d", ctx, resumed.CellWidth(), cellWidth)
+			}
+			requireBuckets(t, ctx+" resumed", resumed, want)
 		}
 
 		mutate(10 + r.Intn(30))
@@ -180,6 +200,10 @@ func TestDerivedBucketsMatchIndependentPlane(t *testing.T) {
 }
 
 func TestDerivedPyramidBucketsMatchIndependentPlane(t *testing.T) {
+	atBothWidths(t, testDerivedPyramidBuckets)
+}
+
+func testDerivedPyramidBuckets(t *testing.T, cellWidth int) {
 	for seed := int64(1); seed <= 8; seed++ {
 		r := gen.Rand(seed)
 		g := grid.NewUnit(8*(1+r.Intn(4)), 8*(1+r.Intn(4)))
@@ -206,6 +230,9 @@ func TestDerivedPyramidBucketsMatchIndependentPlane(t *testing.T) {
 				t.Fatalf("seed %d %s: %d levels, want 3", seed, ctx, p.Levels())
 			}
 			for k := 0; k < p.Levels(); k++ {
+				if got := p.Level(k).CellWidth(); got != cellWidth {
+					t.Fatalf("seed %d %s: level %d has %d-byte cells, want %d", seed, ctx, k, got, cellWidth)
+				}
 				objects := make([][]grid.Span, len(spans))
 				for i, s := range spans {
 					objects[i] = []grid.Span{CoarseSpan(s, k)}
@@ -245,26 +272,34 @@ func TestDerivedPyramidBucketsMatchIndependentPlane(t *testing.T) {
 	}
 }
 
-// TestBuildAllocatesOnePlane is the allocation gate of the single-plane
-// layout: a cold Build materializes the buckets in the array that becomes
-// the cumulative form, so it allocates one lattice-sized array (the
-// two-plane layout allocated two), plus a column accumulator.
+// TestBuildAllocatesOnePlane is the allocation gate of the single narrow
+// plane: a builder holds one difference array of 4-byte entries, and a cold
+// Build materializes the buckets in the array that becomes the cumulative
+// form, so it allocates one lattice-sized array of 4-byte cells, plus a
+// column accumulator — no 8-byte plane is staged anywhere on the way.
 func TestBuildAllocatesOnePlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement on a 1024×1024 grid")
 	}
 	g := grid.NewUnit(1024, 1024)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	b := NewBuilder(g)
+	runtime.ReadMemStats(&after)
+	diff := uint64(4 * 2048 * 2048)
+	if got := after.TotalAlloc - before.TotalAlloc; got > diff+diff/4 {
+		t.Errorf("NewBuilder allocated %d bytes, want < 1.25 × one %d-byte difference array", got, diff)
+	}
 	r := rand.New(rand.NewSource(5))
 	for k := 0; k < 10_000; k++ {
 		b.AddSpan(randSpan(r, g))
 	}
-	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	h := b.Build()
 	runtime.ReadMemStats(&after)
-	plane := uint64(8 * h.StorageBuckets())
+	plane := uint64(4 * h.StorageBuckets())
 	if got := after.TotalAlloc - before.TotalAlloc; got > plane+plane/4 {
 		t.Errorf("Build allocated %d bytes, want < 1.25 × one %d-byte plane", got, plane)
 	}

@@ -30,36 +30,103 @@ package euler
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/prefixsum"
 )
 
+// Cell is the element type of a lattice plane: 4 or 8 bytes per bucket.
+type Cell = prefixsum.Cell
+
+// narrowLimit is the largest magnitude a 4-byte cell is trusted with:
+// builders, Read and BuilderFromHistogram keep a lattice narrow while they
+// can show that no value exceeds it, and go wide when they cannot.
+var narrowLimit atomic.Int64
+
+func init() { narrowLimit.Store(math.MaxInt32) }
+
+// LowerNarrowLimit is a test seam, not a setting: it lowers narrowLimit so
+// that a few hundred objects reach the widening and wide-plane paths that
+// otherwise need two billion, and returns the function that restores it.
+// Builders read the limit when they are made.
+func LowerNarrowLimit(limit int64) (restore func()) {
+	old := narrowLimit.Swap(limit)
+	return func() { narrowLimit.Store(old) }
+}
+
 // Builder accumulates object insertions and produces an immutable
 // Histogram. Construction uses a 2-d difference array, so inserting an
 // object is O(1) regardless of its size and Build is O(lattice).
+//
+// The difference array, and the lattice built from it, are narrow — 4
+// bytes per value — while bound shows that every value fits, and wide from
+// the mutation that takes bound past the limit, for good.
 type Builder struct {
 	g      *grid.Grid
 	lx, ly int
-	diff   []int64 // (lx+1)×(ly+1) difference array
+	d32    []int32 // (lx+1)×(ly+1) difference array while narrow, else nil
+	d64    []int64 // the same array once wide
 	pdiff  []int64 // optional (nx+1)×(ny+1) partial-cell count difference array
 	n      int64
 	rects  int64 // objects rejected as outside the space
 	dirty  DirtyRegion
+	// bound is at least the magnitude of every difference entry and of
+	// every cumulative lattice value of the builder's state. A rectangle
+	// update moves each of them by at most 1 (its per-axis signed interval
+	// sums telescope to {0, 1}), so bound grows by one per update: lifetime
+	// adds plus removes for MBR objects.
+	bound int64
+	limit int64 // narrowLimit when the builder was made
 }
 
 // NewBuilder returns a Builder for the Euler histogram of g.
-func NewBuilder(g *grid.Grid) *Builder {
+func NewBuilder(g *grid.Grid) *Builder { return newBuilder(g, false) }
+
+func newBuilder(g *grid.Grid, wide bool) *Builder {
 	lx := 2*g.NX() - 1
 	ly := 2*g.NY() - 1
-	return &Builder{
-		g:     g,
-		lx:    lx,
-		ly:    ly,
-		diff:  make([]int64, (lx+1)*(ly+1)),
-		dirty: EmptyRegion(),
+	b := &Builder{g: g, lx: lx, ly: ly, dirty: EmptyRegion(), limit: narrowLimit.Load()}
+	if wide {
+		b.d64 = make([]int64, (lx+1)*(ly+1))
+	} else {
+		b.d32 = make([]int32, (lx+1)*(ly+1))
 	}
+	return b
+}
+
+// addRect adds dir = ±1 to the raw counts of lattice rectangle
+// [u1..u2]×[v1..v2] and charges the update to bound, widening the
+// difference array first when that takes it past the limit.
+func (b *Builder) addRect(u1, v1, u2, v2 int, dir int) {
+	b.bound++
+	if b.d32 != nil {
+		if b.bound <= b.limit {
+			diffRect(b.d32, b.ly+1, u1, v1, u2, v2, int32(dir))
+			return
+		}
+		b.widen()
+	}
+	diffRect(b.d64, b.ly+1, u1, v1, u2, v2, int64(dir))
+}
+
+// widen moves the difference array to 8-byte cells, exactly: its narrow
+// entries are all within bound.
+func (b *Builder) widen() {
+	b.d64 = make([]int64, len(b.d32))
+	addCells(b.d64, b.d32)
+	b.d32 = nil
+}
+
+// diffRect is the difference-array form of a rectangle increment: four
+// corner updates that cancel everywhere outside the rectangle.
+func diffRect[T Cell](d []T, w, u1, v1, u2, v2 int, dir T) {
+	d[u1*w+v1] += dir
+	d[u1*w+v2+1] -= dir
+	d[(u2+1)*w+v1] -= dir
+	d[(u2+1)*w+v2+1] += dir
 }
 
 // Grid returns the grid this builder operates on.
@@ -74,12 +141,7 @@ func (b *Builder) AddSpan(s grid.Span) {
 	}
 	u1, v1 := 2*s.I1, 2*s.J1
 	u2, v2 := 2*s.I2, 2*s.J2
-	// Difference-array rectangle increment on the raw (unsigned) counts.
-	w := b.ly + 1
-	b.diff[u1*w+v1]++
-	b.diff[u1*w+v2+1]--
-	b.diff[(u2+1)*w+v1]--
-	b.diff[(u2+1)*w+v2+1]++
+	b.addRect(u1, v1, u2, v2, 1)
 	b.n++
 	// A difference-array rectangle update changes the raw prefix only
 	// inside [u1..u2]×[v1..v2]: the four corners cancel everywhere else.
@@ -110,11 +172,7 @@ func (b *Builder) RemoveSpan(s grid.Span) bool {
 	}
 	u1, v1 := 2*s.I1, 2*s.J1
 	u2, v2 := 2*s.I2, 2*s.J2
-	w := b.ly + 1
-	b.diff[u1*w+v1]--
-	b.diff[u1*w+v2+1]++
-	b.diff[(u2+1)*w+v1]++
-	b.diff[(u2+1)*w+v2+1]--
+	b.addRect(u1, v1, u2, v2, -1)
 	b.n--
 	b.dirty = b.dirty.Union(DirtyRegion{U1: u1, V1: v1, U2: u2, V2: v2})
 	if b.pdiff != nil {
@@ -170,20 +228,45 @@ func (b *Builder) Count() int64 { return b.n }
 // further Add/Remove calls behave exactly as if the original builder had
 // never been finalized. The skipped-object counter is not part of a
 // histogram and restarts at zero.
+//
+// The builder resumes at h's cell width, so that BuildFrom against h
+// repairs instead of rebuilding — narrow only once every reconstructed
+// difference entry and every value of h is seen to be within the limit:
+// h may come from a file, and nothing about it is assumed.
 func BuilderFromHistogram(h *Histogram) *Builder {
-	b := NewBuilder(h.g)
-	w := b.ly + 1
-	cur, above := make([]int64, b.ly), make([]int64, b.ly)
-	for u := 0; u < b.lx; u++ {
-		rawRow(h.hc.Row, u, 0, cur)
+	b := newBuilder(h.g, !h.hc.Narrow())
+	if b.d32 != nil {
+		if b.bound = resumeDiff(b.d32, h); b.bound > b.limit {
+			b.d32, b.d64 = nil, make([]int64, len(b.d32))
+		}
+	}
+	if b.d64 != nil {
+		b.bound = resumeDiff(b.d64, h)
+	}
+	b.restorePlane(h)
+	b.n = h.n
+	return b
+}
+
+// resumeDiff fills diff, zeroed, with the difference array that builds h,
+// and returns the largest magnitude among its entries and h's cumulative
+// values. Entries are stored truncated: the array is exact only if the
+// returned bound fits T.
+func resumeDiff[T Cell](diff []T, h *Histogram) (bound int64) {
+	w := h.ly + 1
+	cur, above := make([]int64, h.ly), make([]int64, h.ly)
+	for u := 0; u < h.lx; u++ {
+		rawRowOf(h.hc, u, 0, cur)
 		// raw unsigned counts: edge buckets carry inverted sign in h.
-		for v := u&1 ^ 1; v < b.ly; v += 2 {
+		for v := u&1 ^ 1; v < h.ly; v += 2 {
 			cur[v] = -cur[v]
 		}
 		var left, aboveLeft int64
-		drow := b.diff[u*w : u*w+b.ly]
+		drow := diff[u*w : u*w+h.ly]
 		for v, c := range cur {
-			drow[v] = c - left - above[v] + aboveLeft
+			d := c - left - above[v] + aboveLeft
+			drow[v] = T(d)
+			bound = max(bound, d, ^d)
 			left, aboveLeft = c, above[v]
 		}
 		cur, above = above, cur
@@ -191,9 +274,7 @@ func BuilderFromHistogram(h *Histogram) *Builder {
 	// Entries in the diff array's closing row/column (u = lx or v = ly)
 	// only ever cancel increments and are never read by Build; zero is
 	// consistent with the reconstructed interior.
-	b.restorePlane(h)
-	b.n = h.n
-	return b
+	return max(bound, h.hc.MaxMagnitude())
 }
 
 // Skipped returns the number of objects rejected because they lie entirely
@@ -217,66 +298,78 @@ func (b *Builder) BuildParallel(workers int) *Histogram {
 	return b.buildInto(nil, workers)
 }
 
-// buildInto materializes the signed buckets into buf (allocated when nil,
-// so recycled generation buffers avoid the O(lattice) allocation) and turns
-// them into the cumulative form in place — one lattice-sized array in all —
-// using up to workers goroutines for both passes.
-func (b *Builder) buildInto(buf []int64, workers int) *Histogram {
-	if buf == nil {
-		buf = make([]int64, b.lx*b.ly)
+// buildInto runs a full build at the builder's cell width, refilling the
+// lattice array of a donated scratch histogram when it has one of that
+// shape and width (recycled generation buffers avoid the O(lattice)
+// allocation; a narrow scratch is no use to a builder gone wide).
+func (b *Builder) buildInto(scratch *Histogram, workers int) *Histogram {
+	var hc *prefixsum.Sum2D
+	if b.d32 != nil {
+		hc = buildPlane(b, b.d32, scratch, workers)
+	} else {
+		hc = buildPlane(b, b.d64, scratch, workers)
 	}
-	b.rawInto(buf, workers)
 	b.dirty = EmptyRegion()
-	return &Histogram{
-		g:  b.g,
-		lx: b.lx,
-		ly: b.ly,
-		hc: prefixsum.AdoptSum2D(buf, b.lx, b.ly, workers),
-		pc: b.partialPlane(),
-		n:  b.n,
-	}
+	return &Histogram{g: b.g, lx: b.lx, ly: b.ly, hc: hc, pc: b.partialPlane(), n: b.n}
 }
 
-// rawInto computes the signed bucket values from the difference array. The
-// serial path streams row by row with one running column accumulator; the
-// parallel path splits the same 2-d prefix into a per-row pass (independent
-// rows) and a per-column accumulation pass (independent column chunks),
-// which is bit-identical because int64 addition is exact and
-// order-independent.
-func (b *Builder) rawInto(raw []int64, workers int) {
-	w := b.ly + 1
-	if workers <= 1 || b.lx*b.ly < 1<<16 {
-		colAcc := make([]int64, b.ly)
-		for u := 0; u < b.lx; u++ {
-			var rowAcc int64
-			for v := 0; v < b.ly; v++ {
-				rowAcc += b.diff[u*w+v]
+// buildPlane materializes the signed buckets from the difference array and
+// turns them into the cumulative form in place — one lattice-sized array in
+// all, of the difference array's cell type — using up to workers goroutines
+// for both passes.
+func buildPlane[T Cell](b *Builder, diff []T, scratch *Histogram, workers int) *prefixsum.Sum2D {
+	var buf []T
+	if scratch != nil && scratch.lx == b.lx && scratch.ly == b.ly {
+		buf = prefixsum.Release[T](scratch.hc)
+	}
+	if buf == nil {
+		buf = make([]T, b.lx*b.ly)
+	}
+	rawInto(diff, buf, b.lx, b.ly, workers)
+	return prefixsum.AdoptSum2D(buf, b.lx, b.ly, workers)
+}
+
+// rawInto computes the lx×ly signed bucket values from the difference
+// array. The serial path streams row by row with one running column
+// accumulator; the parallel path splits the same 2-d prefix into a per-row
+// pass (independent rows) and a per-column accumulation pass (independent
+// column chunks), which is bit-identical because integer addition is exact
+// and order-independent — in narrow cells too, where it wraps: only the
+// values that come out need to fit, and bound vouches for those.
+func rawInto[T Cell](diff, raw []T, lx, ly, workers int) {
+	w := ly + 1
+	if workers <= 1 || lx*ly < 1<<16 {
+		colAcc := make([]T, ly)
+		for u := 0; u < lx; u++ {
+			var rowAcc T
+			for v := 0; v < ly; v++ {
+				rowAcc += diff[u*w+v]
 				colAcc[v] += rowAcc
 				c := colAcc[v]
 				if (u^v)&1 == 1 { // edge bucket: invert
 					c = -c
 				}
-				raw[u*b.ly+v] = c
+				raw[u*ly+v] = c
 			}
 		}
 		return
 	}
 	// Pass A: prefix each diff row along v (rows are independent).
-	fanLatticeChunks(b.lx, workers, func(lo, hi int) {
+	fanLatticeChunks(lx, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			var rowAcc int64
-			for v := 0; v < b.ly; v++ {
-				rowAcc += b.diff[u*w+v]
-				raw[u*b.ly+v] = rowAcc
+			var rowAcc T
+			for v := 0; v < ly; v++ {
+				rowAcc += diff[u*w+v]
+				raw[u*ly+v] = rowAcc
 			}
 		}
 	})
 	// Pass B: accumulate down each column and fold in the edge-bucket sign
 	// (columns are independent).
-	fanLatticeChunks(b.ly, workers, func(vlo, vhi int) {
-		acc := make([]int64, vhi-vlo)
-		for u := 0; u < b.lx; u++ {
-			row := raw[u*b.ly : (u+1)*b.ly]
+	fanLatticeChunks(ly, workers, func(vlo, vhi int) {
+		acc := make([]T, vhi-vlo)
+		for u := 0; u < lx; u++ {
+			row := raw[u*ly : (u+1)*ly]
 			for v := vlo; v < vhi; v++ {
 				s := acc[v-vlo] + row[v]
 				acc[v-vlo] = s
@@ -293,21 +386,22 @@ func (b *Builder) rawInto(raw []int64, workers int) {
 // H_c alone (§5.2): every query is a constant-time combination of prefix
 // values, and the signed bucket values themselves — needed only to
 // serialize, to resume a builder and by the join sweep — are recovered from
-// it on demand (Bucket, RawRow).
+// it on demand (Bucket, RawRow). The plane's cells are 4 bytes wide
+// whenever whoever built it could show the values fit, 8 otherwise
+// (CellWidth); answers do not depend on which.
 type Histogram struct {
 	g      *grid.Grid
 	lx, ly int
 	hc     *prefixsum.Sum2D // prefix sums of the signed buckets, row-major [u*ly+v]
-	pc     *prefixsum.Sum2D // optional nx×ny partial-cell count plane
+	pc     *prefixsum.Sum2D // optional nx×ny partial-cell count plane, always wide
 	n      int64
 }
 
 // rawRow writes the signed buckets (u, v1), (u, v1+1), … of a lattice into
 // out: the 2-d backward difference of prefix rows u−1 and u, which is the
 // point sum RangeSum(u, v, u, v) with the corners shared along the row.
-// rowOf is the cumulative plane's Row method, of either tier.
-func rawRow[T ~int32 | ~int64](rowOf func(int) []T, u, v1 int, out []int64) {
-	cur, above := rowOf(u), rowOf(u-1)
+func rawRow[T Cell](hc prefixsum.Plane[T], u, v1 int, out []int64) {
+	cur, above := hc.Row(u), hc.Row(u-1)
 	var left, aboveLeft int64
 	if v1 > 0 {
 		left = int64(cur[v1-1])
@@ -330,6 +424,15 @@ func rawRow[T ~int32 | ~int64](rowOf func(int) []T, u, v1 int, out []int64) {
 	}
 }
 
+// rawRowOf is rawRow over a plane of either cell width.
+func rawRowOf(hc *prefixsum.Sum2D, u, v1 int, out []int64) {
+	if hc.Narrow() {
+		rawRow(prefixsum.PlaneOf[int32](hc), u, v1, out)
+	} else {
+		rawRow(prefixsum.PlaneOf[int64](hc), u, v1, out)
+	}
+}
+
 // FromRects builds an Euler histogram over g directly from a set of MBRs.
 func FromRects(g *grid.Grid, rs []geom.Rect) *Histogram {
 	b := NewBuilder(g)
@@ -349,6 +452,49 @@ func (h *Histogram) Buckets() (lx, ly int) { return h.lx, h.ly }
 // StorageBuckets returns the number of histogram buckets, the storage cost
 // reported in §5.2: (2nx−1)(2ny−1).
 func (h *Histogram) StorageBuckets() int { return h.lx * h.ly }
+
+// CellWidth returns the bytes the cumulative plane spends per bucket: 4
+// when it was built narrow, 8 otherwise.
+func (h *Histogram) CellWidth() int {
+	if h.hc.Narrow() {
+		return 4
+	}
+	return 8
+}
+
+// LatticeBytes returns the resident payload bytes of the histogram: the
+// cumulative plane at its cell width, plus the class plane — 8 bytes per
+// cell, cumulative form only — when present.
+func (h *Histogram) LatticeBytes() int {
+	bytes := h.hc.Bytes()
+	if h.pc != nil {
+		bytes += h.pc.Bytes()
+	}
+	return bytes
+}
+
+// Pack returns the histogram at 4 bytes per bucket: h itself when it is
+// narrow already, else a copy narrowed value by value. ok is false when a
+// cumulative value does not fit int32; the caller then keeps h.
+func (h *Histogram) Pack() (packed *Histogram, ok bool) {
+	hc, ok := h.hc.Pack()
+	if !ok {
+		return nil, false
+	}
+	return h.withPlane(hc), true
+}
+
+// Unpack returns the histogram at 8 bytes per bucket: h itself when it is
+// wide already, else a widened copy.
+func (h *Histogram) Unpack() *Histogram { return h.withPlane(h.hc.Unpack()) }
+
+// withPlane returns h over another rendering of its cumulative plane.
+func (h *Histogram) withPlane(hc *prefixsum.Sum2D) *Histogram {
+	if hc == h.hc {
+		return h
+	}
+	return &Histogram{g: h.g, lx: h.lx, ly: h.ly, hc: hc, pc: h.pc, n: h.n}
+}
 
 // Bucket returns the signed value of lattice bucket (u, v).
 func (h *Histogram) Bucket(u, v int) int64 {
@@ -418,7 +564,7 @@ func (h *Histogram) NaiveInsideSum(q grid.Span) int64 {
 	var sum int64
 	row := make([]int64, 2*(q.J2-q.J1)+1)
 	for u := 2 * q.I1; u <= 2*q.I2; u++ {
-		rawRow(h.hc.Row, u, 2*q.J1, row)
+		rawRowOf(h.hc, u, 2*q.J1, row)
 		for _, c := range row {
 			sum += c
 		}

@@ -33,24 +33,6 @@ type TileSums struct {
 	Closed []int64
 }
 
-// EulerSums extends TileSums with the Region A/B auxiliary sums of the
-// EulerApprox algorithm (§5.3), hoisted to one value per tile row where
-// the per-tile formulation recomputes them for every tile.
-type EulerSums struct {
-	TileSums
-	// AWide[k] is the lattice sum over tile k's footprint widened by its
-	// left, right and top boundary — the subtraction term of the Region A
-	// inside sum.
-	AWide []int64
-	// BandInside[r] is the inside sum of the full-width band from tile row
-	// r's bottom edge to the top of the space (the R_A band). It depends
-	// only on the row, not the column.
-	BandInside []int64
-	// BelowContained[r] is ContainedIn of the full-width strip below tile
-	// row r (Region B); 0 when the row touches the bottom of the space.
-	BelowContained []int64
-}
-
 // checkTiling validates a cols×rows tiling of region against g and returns
 // the tile size in cells. The rules match query.Browsing: the region must
 // lie within the grid and divide evenly.
@@ -110,9 +92,9 @@ func putCorners(c []int64) {
 
 // gatherLine gathers one lattice prefix row's tile-corner samples into
 // dst: the even/odd y-pair of every tile boundary b=0..rows, interleaved
-// as dst[2b], dst[2b+1]. The source row may be a packed (int32) or flat
-// (int64) plane row — values widen to int64 as they are gathered, so
-// downstream arithmetic is identical for both.
+// as dst[2b], dst[2b+1]. The source row is of either cell width — values
+// widen to int64 as they are gathered, so downstream arithmetic is
+// identical for both.
 //
 // The y coordinates form two interleaved arithmetic progressions of step
 // 2·th, so the loop advances a single cursor instead of loading indices,
@@ -120,7 +102,7 @@ func putCorners(c []int64) {
 // negative (prefix value zero, when the region touches the bottom edge)
 // and only the last odd coordinate can clamp at the lattice edge (top
 // edge), both handled outside the loop.
-func gatherLine[T ~int32 | ~int64](prow []T, dst []int64, j1, th, rows int) {
+func gatherLine[T Cell](prow []T, dst []int64, j1, th, rows int) {
 	if prow == nil { // row below the lattice: every prefix value is zero
 		clear(dst)
 		return
@@ -147,11 +129,10 @@ func gatherLine[T ~int32 | ~int64](prow []T, dst []int64, j1, th, rows int) {
 	dst[2*rows+1] = int64(prow[min(v+1, len(prow)-1)])
 }
 
-// fusedTileSums runs the fused row sweep over any prefix plane: rowOf
-// hands out lattice prefix rows (Sum2D.Row or Sum2DPacked.Row semantics —
-// clamped high, nil below zero). Inside and Closed of ts must be sized
-// cols×rows; Cols/Rows are not touched.
-func fusedTileSums[T ~int32 | ~int64](rowOf func(int) []T, region grid.Span, cols, rows, tw, th int, ts *TileSums) {
+// fusedTileSums runs the fused row sweep over a prefix plane of either
+// cell width. Inside and Closed of ts must be sized cols×rows; Cols/Rows
+// are not touched.
+func fusedTileSums[T Cell](hc prefixsum.Plane[T], region grid.Span, cols, rows, tw, th int, ts *TileSums) {
 	nyp := 2 * (rows + 1)
 	buf := getCorners(4 * nyp)
 	defer putCorners(buf)
@@ -160,8 +141,8 @@ func fusedTileSums[T ~int32 | ~int64](rowOf func(int) []T, region grid.Span, col
 	inside, closed := ts.Inside, ts.Closed
 	for a := 0; a <= cols; a++ {
 		bx := region.I1 + a*tw
-		gatherLine(rowOf(2*bx-2), curE, region.J1, th, rows)
-		gatherLine(rowOf(2*bx-1), curO, region.J1, th, rows)
+		gatherLine(hc.Row(2*bx-2), curE, region.J1, th, rows)
+		gatherLine(hc.Row(2*bx-1), curO, region.J1, th, rows)
 		if a > 0 {
 			// Tile column a−1: inside range [2i(c) .. 2i(c+1)−2] reads the
 			// left boundary's odd line and the right boundary's even line;
@@ -191,34 +172,40 @@ func tileSums(hc *prefixsum.Sum2D, region grid.Span, cols, rows, tw, th int) Til
 		Inside: make([]int64, cols*rows),
 		Closed: make([]int64, cols*rows),
 	}
-	fusedTileSums(hc.Row, region, cols, rows, tw, th, &ts)
+	if hc.Narrow() {
+		fusedTileSums(prefixsum.PlaneOf[int32](hc), region, cols, rows, tw, th, &ts)
+	} else {
+		fusedTileSums(prefixsum.PlaneOf[int64](hc), region, cols, rows, tw, th, &ts)
+	}
 	return ts
 }
 
-// CornerView is a zero-copy view of the cumulative lattice organized for
-// one cols×rows tiling — the raw material of the fused batch estimator
-// paths in core. ColumnRows hands out the four prefix lattice rows
-// flanking a tile column and Interior tells which tile rows can read them
-// branch-free; sums assembled from those rows are bit-identical to the
-// per-tile RangeSum path because they load the very same prefix values.
-type CornerView struct {
-	hc         *prefixsum.Sum2D
+// CornerView is a zero-copy view of the cumulative lattice, at its cell
+// width T, organized for one cols×rows tiling — the raw material of the
+// fused batch estimator paths in core. ColumnRows hands out the four prefix
+// lattice rows flanking a tile column and Interior tells which tile rows
+// can read them branch-free; sums assembled from those rows, widened to
+// int64, are bit-identical to the per-tile RangeSum path because they load
+// the very same prefix values.
+type CornerView[T Cell] struct {
+	hc         prefixsum.Plane[T]
 	region     grid.Span
 	ny         int // grid cells in y
 	tw, th     int
 	cols, rows int
-	zeros      []int64 // stand-in for lattice rows below the space
+	zeros      []T // stand-in for lattice rows below the space
 }
 
-// CornerView validates the tiling and returns the lattice view for it.
-// Unlike the Grid*Sums sweeps it gathers nothing: callers stream the
-// prefix rows directly.
-func (h *Histogram) CornerView(region grid.Span, cols, rows int) (*CornerView, error) {
+// CornerViewOf validates the tiling and returns the lattice view for it. T
+// must be h's cell type (CellWidth); a batch kernel resolves it once per
+// sweep and runs monomorphic from there. Unlike GridQuerySums the view
+// gathers nothing: callers stream the prefix rows directly.
+func CornerViewOf[T Cell](h *Histogram, region grid.Span, cols, rows int) (*CornerView[T], error) {
 	tw, th, err := checkTiling(h.g, region, cols, rows)
 	if err != nil {
 		return nil, err
 	}
-	return &CornerView{hc: h.hc, region: region, ny: h.g.NY(), tw: tw, th: th, cols: cols, rows: rows}, nil
+	return &CornerView[T]{hc: prefixsum.PlaneOf[T](h.hc), region: region, ny: h.g.NY(), tw: tw, th: th, cols: cols, rows: rows}, nil
 }
 
 // ColumnRows returns the four prefix lattice rows flanking tile column
@@ -226,7 +213,7 @@ func (h *Histogram) CornerView(region grid.Span, cols, rows int) (*CornerView, e
 // Rows below the lattice (region at the left edge) come back as shared
 // zero rows, matching the zero-prefix convention; rows past it are
 // clamped, matching RangeSum.
-func (s *CornerView) ColumnRows(col int) (inL, inR, clL, clR []int64) {
+func (s *CornerView[T]) ColumnRows(col int) (inL, inR, clL, clR []T) {
 	bxL := s.region.I1 + col*s.tw
 	bxR := bxL + s.tw
 	inL = s.rowOrZeros(2*bxL - 1)
@@ -236,12 +223,12 @@ func (s *CornerView) ColumnRows(col int) (inL, inR, clL, clR []int64) {
 	return inL, inR, clL, clR
 }
 
-func (s *CornerView) rowOrZeros(u int) []int64 {
+func (s *CornerView[T]) rowOrZeros(u int) []T {
 	if r := s.hc.Row(u); r != nil {
 		return r
 	}
 	if s.zeros == nil {
-		s.zeros = make([]int64, s.hc.NY())
+		s.zeros = make([]T, s.hc.NY())
 	}
 	return s.zeros
 }
@@ -253,7 +240,7 @@ func (s *CornerView) rowOrZeros(u int) []int64 {
 // A-wide sum at v and v+step — all in range. Tile rows outside [r0, r1)
 // (at most the first and last, when the region touches the bottom or top
 // of the space) take the per-tile path instead.
-func (s *CornerView) Interior() (v0, step, r0, r1 int) {
+func (s *CornerView[T]) Interior() (v0, step, r0, r1 int) {
 	v0 = 2*s.region.J1 - 1
 	step = 2 * s.th
 	r0, r1 = 0, s.rows
@@ -267,7 +254,7 @@ func (s *CornerView) Interior() (v0, step, r0, r1 int) {
 }
 
 // Tile returns the cell span of tile (col, r) of the tiling.
-func (s *CornerView) Tile(col, r int) grid.Span {
+func (s *CornerView[T]) Tile(col, r int) grid.Span {
 	return grid.Span{
 		I1: s.region.I1 + col*s.tw,
 		J1: s.region.J1 + r*s.th,
@@ -311,74 +298,6 @@ func (h *Histogram) GridOutsideSums(region grid.Span, cols, rows int) ([]int64, 
 		out[k] = total - closed
 	}
 	return out, nil
-}
-
-// GridEulerSums computes, in one corner sweep plus O(rows) band lookups,
-// every sum the EulerApprox algorithm needs for a cols×rows tile map:
-// per-tile inside/closed/A-wide sums and the per-row Region A/B band
-// values. Results are bit-identical to the per-tile formulation.
-func (h *Histogram) GridEulerSums(region grid.Span, cols, rows int) (*EulerSums, error) {
-	tw, th, err := checkTiling(h.g, region, cols, rows)
-	if err != nil {
-		return nil, err
-	}
-	es := &EulerSums{
-		TileSums: TileSums{
-			Cols:   cols,
-			Rows:   rows,
-			Inside: make([]int64, cols*rows),
-			Closed: make([]int64, cols*rows),
-		},
-		AWide:          make([]int64, cols*rows),
-		BandInside:     make([]int64, rows),
-		BelowContained: make([]int64, rows),
-	}
-	nx, ny := h.g.NX(), h.g.NY()
-	for r := 0; r < rows; r++ {
-		j1 := region.J1 + r*th
-		es.BandInside[r] = h.InsideSum(grid.Span{I1: 0, J1: j1, I2: nx - 1, J2: ny - 1})
-		if j1 > 0 {
-			es.BelowContained[r] = h.ContainedIn(grid.Span{I1: 0, J1: 0, I2: nx - 1, J2: j1 - 1})
-		}
-	}
-	fusedEulerSums(h.hc.Row, region, cols, rows, tw, th, es)
-	return es, nil
-}
-
-// fusedEulerSums is the fused row sweep of GridEulerSums, shared with the
-// packed tier: the tileSums rolling-pair kernel extended with the A-wide
-// sum. A-wide widens the tile footprint left/right/top but not down:
-// lattice range [2i1−1 .. 2i2+1]×[2j1 .. 2j2+1], whose prefix corners are
-// the closed pair in x and the odd pair in y — so it shares the closed
-// lattice lines and its top corner values with the closed sum.
-func fusedEulerSums[T ~int32 | ~int64](rowOf func(int) []T, region grid.Span, cols, rows, tw, th int, es *EulerSums) {
-	nyp := 2 * (rows + 1)
-	buf := getCorners(4 * nyp)
-	defer putCorners(buf)
-	prevE, prevO := buf[0:nyp], buf[nyp:2*nyp]
-	curE, curO := buf[2*nyp:3*nyp], buf[3*nyp:4*nyp]
-	for a := 0; a <= cols; a++ {
-		bx := region.I1 + a*tw
-		gatherLine(rowOf(2*bx-2), curE, region.J1, th, rows)
-		gatherLine(rowOf(2*bx-1), curO, region.J1, th, rows)
-		if a > 0 {
-			col := a - 1
-			cinL, cinR := prevO, curE
-			cclL, cclR := prevE, curO
-			for r := 0; r < rows; r++ {
-				inB, inT := 2*r+1, 2*r+2
-				clB, clT := 2*r, 2*r+3
-				awB := 2*r + 1 // awT coincides with clT
-				k := r*cols + col
-				clLT, clRT := cclL[clT], cclR[clT]
-				es.Inside[k] = cinR[inT] - cinL[inT] - cinR[inB] + cinL[inB]
-				es.Closed[k] = clRT - clLT - cclR[clB] + cclL[clB]
-				es.AWide[k] = clRT - clLT - cclR[awB] + cclL[awB]
-			}
-		}
-		prevE, curE = curE, prevE
-		prevO, curO = curO, prevO
-	}
 }
 
 // GridInsideSums is the exterior histogram's batch analogue: InsideSum for

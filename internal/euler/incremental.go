@@ -130,11 +130,14 @@ type BuildStats struct {
 // result is bit-identical to Build. When the dirty region is empty (and no
 // scratch is donated) prev itself is returned. Past the crossover fraction
 // it falls back to a full (possibly parallel) rebuild, reusing scratch
-// buffers when donated.
+// buffers when donated. So it does when the builder has gone wide since
+// prev: a narrow plane is neither repaired into a wide one nor refilled as
+// its scratch, and the wide generations that follow repair and recycle
+// among themselves again.
 func (b *Builder) BuildFrom(prev *Histogram, opts BuildFromOpts) (*Histogram, BuildStats) {
 	lattice := int64(b.lx) * int64(b.ly)
 	if prev == nil || prev.lx != b.lx || prev.ly != b.ly {
-		return b.buildInto(scratchBuffer(opts.Scratch, b), opts.Workers), BuildStats{Dirty: EmptyRegion(), DirtyFrac: 1}
+		return b.buildInto(opts.Scratch, opts.Workers), BuildStats{Dirty: EmptyRegion(), DirtyFrac: 1}
 	}
 	stale := EmptyRegion()
 	if opts.Scratch != nil {
@@ -146,7 +149,9 @@ func (b *Builder) BuildFrom(prev *Histogram, opts BuildFromOpts) (*Histogram, Bu
 		// untouched (the caller keeps it pooled).
 		return prev, BuildStats{Incremental: true, Dirty: r}
 	}
-	scratchFits := opts.Scratch != nil && opts.Scratch.lx == b.lx && opts.Scratch.ly == b.ly
+	narrow := b.d32 != nil
+	scratchFits := opts.Scratch != nil && opts.Scratch.lx == b.lx && opts.Scratch.ly == b.ly &&
+		opts.Scratch.hc.Narrow() == narrow
 	baselineN := prev.n
 	if scratchFits {
 		baselineN = opts.Scratch.n
@@ -176,8 +181,8 @@ func (b *Builder) BuildFrom(prev *Histogram, opts BuildFromOpts) (*Histogram, Bu
 	if crossover == 0 {
 		crossover = DefaultCrossover
 	}
-	if crossover >= 0 && cost > crossover*3*float64(lattice) {
-		return b.buildInto(scratchBuffer(opts.Scratch, b), opts.Workers), BuildStats{Dirty: r, DirtyFrac: frac}
+	if prev.hc.Narrow() != narrow || crossover >= 0 && cost > crossover*3*float64(lattice) {
+		return b.buildInto(opts.Scratch, opts.Workers), BuildStats{Dirty: r, DirtyFrac: frac}
 	}
 	var hc *prefixsum.Sum2D
 	switch {
@@ -191,21 +196,15 @@ func (b *Builder) BuildFrom(prev *Histogram, opts BuildFromOpts) (*Histogram, Bu
 		hc = opts.Scratch.hc
 	}
 	if !rr.Empty() {
-		b.repairInto(hc, rr)
+		if narrow {
+			repairInto(b, b.d32, hc, rr)
+		} else {
+			repairInto(b, b.d64, hc, rr)
+		}
 	}
 	b.dirty = EmptyRegion()
 	return &Histogram{g: b.g, lx: b.lx, ly: b.ly, hc: hc, pc: b.partialPlane(), n: b.n},
 		BuildStats{Incremental: true, Copied: copied, Dirty: r, DirtyFrac: frac}
-}
-
-// scratchBuffer takes the lattice array out of a donated scratch histogram
-// for buildInto to refill, or returns nil when none fits the builder's
-// lattice.
-func scratchBuffer(scratch *Histogram, b *Builder) []int64 {
-	if scratch == nil || scratch.lx != b.lx || scratch.ly != b.ly {
-		return nil
-	}
-	return scratch.hc.Release()
 }
 
 // repairCost estimates the bucket-writes of repairInto for region r: the
@@ -228,8 +227,8 @@ func (b *Builder) repairCost(r DirtyRegion, prevN int64) float64 {
 
 // repairInto recomputes the raw buckets inside r from the difference array
 // and clean borders, then repairs the cumulative form via
-// Sum2D.AddRegionDelta. hc must agree with the builder's state everywhere
-// outside r.
+// Sum2D.AddRegionDelta. hc, a plane of the difference array's cell type,
+// must agree with the builder's state everywhere outside r.
 //
 // The border decomposition: the unsigned raw value is the 2-d prefix S of
 // the difference array, and for (u,v) inside the box
@@ -243,7 +242,8 @@ func (b *Builder) repairCost(r DirtyRegion, prevN int64) float64 {
 // holds the pre-repair state until AddRegionDelta patches it — the top
 // border and every box row by backward differencing (rawRow), the left
 // border as one point sum per row.
-func (b *Builder) repairInto(hc *prefixsum.Sum2D, r DirtyRegion) {
+func repairInto[T Cell](b *Builder, diff []T, hc *prefixsum.Sum2D, r DirtyRegion) {
+	rows := prefixsum.PlaneOf[T](hc)
 	u1, v1, u2, v2 := r.U1, r.V1, r.U2, r.V2
 	w := b.ly + 1
 	bw := v2 - v1 + 1
@@ -259,7 +259,7 @@ func (b *Builder) repairInto(hc *prefixsum.Sum2D, r DirtyRegion) {
 	top := make([]int64, bw+1)
 	if u1 > 0 {
 		lo := max(v1-1, 0)
-		rawRow(hc.Row, u1-1, lo, top[lo-v1+1:])
+		rawRow(rows, u1-1, lo, top[lo-v1+1:])
 		for k := lo; k <= v2; k++ {
 			top[1+k-v1] = unsigned(top[1+k-v1], u1-1, k)
 		}
@@ -272,9 +272,9 @@ func (b *Builder) repairInto(hc *prefixsum.Sum2D, r DirtyRegion) {
 			left = unsigned(hc.RangeSum(u, v1-1, u, v1-1), u, v1-1)
 		}
 		drow := delta[(u-u1)*bw : (u-u1+1)*bw]
-		rawRow(hc.Row, u, v1, drow) // the old values, replaced by new − old below
+		rawRow(rows, u, v1, drow) // the old values, replaced by new − old below
 		for v := v1; v <= v2; v++ {
-			rowAcc += b.diff[u*w+v]
+			rowAcc += int64(diff[u*w+v])
 			colAcc[v-v1] += rowAcc
 			s := unsigned(top[1+v-v1]+left-top[0]+colAcc[v-v1], u, v)
 			drow[v-v1] = s - drow[v-v1]

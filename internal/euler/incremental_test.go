@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"spatialhist/internal/grid"
+	"spatialhist/internal/prefixsum"
 )
 
-// assertIdentical checks bit-identity of two histograms: the whole
-// cumulative plane (which determines every bucket and every sum) and the
-// count.
+// assertIdentical checks bit-identity of two histograms, whatever their
+// cell widths: the whole cumulative plane (which determines every bucket
+// and every sum) and the count.
 func assertIdentical(t *testing.T, want, got *Histogram) {
 	t.Helper()
 	if want.lx != got.lx || want.ly != got.ly {
@@ -19,10 +20,9 @@ func assertIdentical(t *testing.T, want, got *Histogram) {
 		t.Fatalf("count = %d, want %d", got.n, want.n)
 	}
 	for u := 0; u < want.lx; u++ {
-		wrow, grow := want.hc.Row(u), got.hc.Row(u)
-		for v, w := range wrow {
-			if grow[v] != w {
-				t.Fatalf("cumulative(%d,%d) = %d, want %d", u, v, grow[v], w)
+		for v := 0; v < want.ly; v++ {
+			if g, w := got.hc.PrefixAt(u, v), want.hc.PrefixAt(u, v); g != w {
+				t.Fatalf("cumulative(%d,%d) = %d, want %d", u, v, g, w)
 			}
 		}
 	}
@@ -30,7 +30,12 @@ func assertIdentical(t *testing.T, want, got *Histogram) {
 
 // planeAddr identifies a histogram's lattice array, for tests asserting
 // that a donated buffer was (or was not) reused.
-func planeAddr(h *Histogram) *int64 { return &h.hc.Row(0)[0] }
+func planeAddr(h *Histogram) any {
+	if h.hc.Narrow() {
+		return &prefixsum.PlaneOf[int32](h.hc).Row(0)[0]
+	}
+	return &prefixsum.PlaneOf[int64](h.hc).Row(0)[0]
+}
 
 func randSpan(r *rand.Rand, g *grid.Grid) grid.Span {
 	i1, j1 := r.Intn(g.NX()), r.Intn(g.NY())
@@ -231,47 +236,66 @@ func FuzzIncrementalRebuild(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(8), []byte{0, 1, 2, 0xFF, 3, 0xFE})
 	f.Add(int64(7), uint8(1), uint8(13), []byte{0xFF, 0xFF, 0, 0xFE, 0xFE})
 	f.Add(int64(42), uint8(30), uint8(2), []byte{1, 1, 1, 0xFD, 2, 2, 0xFF})
-	f.Fuzz(func(t *testing.T, seed int64, nx, ny uint8, script []byte) {
-		if nx == 0 || ny == 0 || nx > 40 || ny > 40 {
-			t.Skip()
-		}
-		r := rand.New(rand.NewSource(seed))
-		g := grid.NewUnit(int(nx), int(ny))
-		b := NewBuilder(g)
-		var present []grid.Span
-		var prev *Histogram
-		var scratch *Histogram
-		stale := EmptyRegion()
-		for _, op := range script {
-			switch {
-			case op == 0xFF: // publish incrementally
-				h, stats := b.BuildFrom(prev, BuildFromOpts{Scratch: scratch, Stale: stale, Crossover: 1})
-				assertIdentical(t, freshBuild(g, present), h)
-				if h != prev && prev != nil {
-					// A real publish consumes any donated scratch and
-					// retires prev, whose content lags h by exactly the
-					// repaired region — the next cycle's scratch.
-					scratch, stale = prev, stats.Dirty
-				}
-				prev = h
-			case op == 0xFE: // full rebuild baseline
-				prev = b.Build()
-				scratch, stale = nil, EmptyRegion()
-			case op == 0xFD && len(present) > 0: // remove
-				i := r.Intn(len(present))
-				if b.RemoveSpan(present[i]) {
-					present[i] = present[len(present)-1]
-					present = present[:len(present)-1]
-				}
-			default: // add
-				s := randSpan(r, g)
-				b.AddSpan(s)
-				present = append(present, s)
-			}
-		}
-		h, _ := b.BuildFrom(prev, BuildFromOpts{Scratch: scratch, Stale: stale})
-		assertIdentical(t, freshBuild(g, present), h)
+	f.Fuzz(fuzzIncrementalRebuild)
+}
+
+// FuzzLowLimitIncrementalRebuild is FuzzIncrementalRebuild with the narrow
+// limit lowered to a fuzzed handful of updates, so that scripts cross it:
+// the builder widens mid-life, narrow scratch is refused, and the wide
+// generations after it repair and recycle like the narrow ones before.
+func FuzzLowLimitIncrementalRebuild(f *testing.F) {
+	f.Add(uint8(3), int64(1), uint8(8), uint8(8), []byte{0, 1, 2, 0xFF, 3, 0xFF, 4, 0xFF, 5, 6, 0xFF, 0xFD, 0xFF})
+	f.Add(uint8(0), int64(7), uint8(1), uint8(13), []byte{0xFF, 0xFF, 0, 0xFE, 0xFE, 1, 0xFF})
+	f.Add(uint8(6), int64(42), uint8(30), uint8(2), []byte{1, 1, 1, 0xFD, 2, 2, 0xFF, 3, 3, 0xFF, 0xFD, 0xFF})
+	f.Fuzz(func(t *testing.T, limit uint8, seed int64, nx, ny uint8, script []byte) {
+		defer LowerNarrowLimit(int64(limit))()
+		fuzzIncrementalRebuild(t, seed, nx, ny, script)
 	})
+}
+
+func fuzzIncrementalRebuild(t *testing.T, seed int64, nx, ny uint8, script []byte) {
+	if nx == 0 || ny == 0 || nx > 40 || ny > 40 {
+		t.Skip()
+	}
+	r := rand.New(rand.NewSource(seed))
+	g := grid.NewUnit(int(nx), int(ny))
+	b := NewBuilder(g)
+	var present []grid.Span
+	var prev *Histogram
+	var scratch *Histogram
+	stale := EmptyRegion()
+	for _, op := range script {
+		switch {
+		case op == 0xFF: // publish incrementally
+			h, stats := b.BuildFrom(prev, BuildFromOpts{Scratch: scratch, Stale: stale, Crossover: 1})
+			assertIdentical(t, freshBuild(g, present), h)
+			if wide := b.d32 == nil; wide == h.hc.Narrow() && h != prev {
+				t.Fatalf("builder wide=%v published a %d-byte-cell plane", wide, h.CellWidth())
+			}
+			if h != prev && prev != nil {
+				// A real publish consumes any donated scratch and
+				// retires prev, whose content lags h by exactly the
+				// repaired region — the next cycle's scratch.
+				scratch, stale = prev, stats.Dirty
+			}
+			prev = h
+		case op == 0xFE: // full rebuild baseline
+			prev = b.Build()
+			scratch, stale = nil, EmptyRegion()
+		case op == 0xFD && len(present) > 0: // remove
+			i := r.Intn(len(present))
+			if b.RemoveSpan(present[i]) {
+				present[i] = present[len(present)-1]
+				present = present[:len(present)-1]
+			}
+		default: // add
+			s := randSpan(r, g)
+			b.AddSpan(s)
+			present = append(present, s)
+		}
+	}
+	h, _ := b.BuildFrom(prev, BuildFromOpts{Scratch: scratch, Stale: stale})
+	assertIdentical(t, freshBuild(g, present), h)
 }
 
 // TestBuildFromCopyRepair pins the copy-first strategy: a scratch whose

@@ -34,9 +34,12 @@ import (
 //
 // Little-endian throughout. Files carry bucket values, not the cumulative
 // form the histogram holds in memory: the writer differences them back out
-// row by row and the reader accumulates them in place, so the formats are
-// independent of the resident layout (and bucket values, bounded by the
-// object count, are what makes the 4-byte width exact).
+// row by row and the reader accumulates them as they arrive, so the formats
+// are independent of the resident layout and of its cell width (and bucket
+// values, bounded by the object count, are what makes the 4-byte file width
+// exact). The file width follows the object count, the resident width what
+// the reader sees: a plane comes back narrow when every cumulative value it
+// accumulates is within the limit, whatever width the file was written at.
 //
 // WriteCompact chooses the 4-byte width whenever the object count fits
 // int32: each object contributes exactly one increment per bucket of its
@@ -99,7 +102,7 @@ func (h *Histogram) write(w io.Writer, compact bool) error {
 		return err
 	}
 	width := 8
-	if compact && Packable(h.n) {
+	if compact && h.n >= 0 && h.n <= math.MaxInt32 {
 		width = 4
 	}
 	if compact || classed {
@@ -126,7 +129,7 @@ func (h *Histogram) write(w io.Writer, compact bool) error {
 	writePlane := func(plane *prefixsum.Sum2D) error {
 		row := make([]int64, plane.NY())
 		for i := 0; i < plane.NX(); i++ {
-			rawRow(plane.Row, i, 0, row)
+			rawRowOf(plane, i, 0, row)
 			for _, v := range row {
 				if err := writeVal(v); err != nil {
 					return err
@@ -203,21 +206,10 @@ func Read(r io.Reader) (*Histogram, error) {
 		}
 		width = int(wb)
 	}
-	// Grow as payload arrives rather than trusting the header dimensions
-	// with one huge up-front allocation (found by FuzzHistogramRead's
-	// dataset sibling).
-	total := lx * ly
-	buckets := make([]int64, 0, min(total, 1<<20))
 	buf := make([]byte, 8)
-	for i := 0; i < total; i++ {
-		if _, err := io.ReadFull(br, buf[:width]); err != nil {
-			return nil, fmt.Errorf("euler: reading bucket %d: %w", i, err)
-		}
-		if width == 4 {
-			buckets = append(buckets, int64(int32(binary.LittleEndian.Uint32(buf[:4]))))
-		} else {
-			buckets = append(buckets, int64(binary.LittleEndian.Uint64(buf)))
-		}
+	hc, err := readLattice(br, buf, width, lx, ly)
+	if err != nil {
+		return nil, err
 	}
 	var pc *prefixsum.Sum2D
 	if classed {
@@ -230,14 +222,9 @@ func Read(r io.Reader) (*Histogram, error) {
 		case 1:
 			cells := make([]int64, 0, min(int(nx)*int(ny), 1<<20))
 			for i := 0; i < int(nx)*int(ny); i++ {
-				if _, err := io.ReadFull(br, buf[:width]); err != nil {
+				v, err := readValue(br, buf, width)
+				if err != nil {
 					return nil, fmt.Errorf("euler: reading class plane cell %d: %w", i, err)
-				}
-				var v int64
-				if width == 4 {
-					v = int64(int32(binary.LittleEndian.Uint32(buf[:4])))
-				} else {
-					v = int64(binary.LittleEndian.Uint64(buf))
 				}
 				// A cell's partial count is a count of inserted objects.
 				if v < 0 || uint64(v) > count {
@@ -250,16 +237,61 @@ func Read(r io.Reader) (*Histogram, error) {
 			return nil, fmt.Errorf("euler: invalid class-plane flag %d", fb)
 		}
 	}
-	h := &Histogram{
-		g:  g,
-		lx: lx,
-		ly: ly,
-		hc: prefixsum.AdoptSum2D(buckets, lx, ly, 1),
-		pc: pc,
-		n:  int64(count),
-	}
+	h := &Histogram{g: g, lx: lx, ly: ly, hc: hc, pc: pc, n: int64(count)}
 	if h.Total() != h.n {
 		return nil, fmt.Errorf("euler: corrupt histogram: bucket sum %d != object count %d", h.Total(), h.n)
 	}
 	return h, nil
+}
+
+// readValue reads one little-endian value of a histogram file, 4 or 8
+// bytes wide, through the caller's 8-byte buffer.
+func readValue(br *bufio.Reader, buf []byte, width int) (int64, error) {
+	if _, err := io.ReadFull(br, buf[:width]); err != nil {
+		return 0, err
+	}
+	if width == 4 {
+		return int64(int32(binary.LittleEndian.Uint32(buf[:4]))), nil
+	}
+	return int64(binary.LittleEndian.Uint64(buf)), nil
+}
+
+// readLattice reads the lx×ly signed bucket values of a histogram file, at
+// width bytes each, into their cumulative plane: narrow while every prefix
+// value is within the limit, widened at the first that is not and wide from
+// there. Each value is checked as it is formed, so no plane is staged at
+// one width and converted afterwards, and nothing is taken on the header's
+// word — the arrays grow as payload arrives, not to the declared size.
+func readLattice(br *bufio.Reader, buf []byte, width, lx, ly int) (*prefixsum.Sum2D, error) {
+	limit := narrowLimit.Load()
+	total := lx * ly
+	p32 := make([]int32, 0, min(total, 1<<20))
+	var p64 []int64            // the plane from the first value that did not fit
+	above := make([]int64, ly) // the prefix row above the one arriving
+	for u := 0; u < lx; u++ {
+		var acc int64
+		for v := range above {
+			b, err := readValue(br, buf, width)
+			if err != nil {
+				return nil, fmt.Errorf("euler: reading bucket %d: %w", u*ly+v, err)
+			}
+			acc += b
+			c := acc + above[v]
+			above[v] = c
+			if p64 == nil && max(c, ^c) > limit {
+				p64 = make([]int64, len(p32), cap(p32))
+				addCells(p64, p32)
+				p32 = nil
+			}
+			if p64 != nil {
+				p64 = append(p64, c)
+			} else {
+				p32 = append(p32, int32(c))
+			}
+		}
+	}
+	if p64 != nil {
+		return prefixsum.Wrap(p64, lx, ly), nil
+	}
+	return prefixsum.Wrap(p32, lx, ly), nil
 }

@@ -334,8 +334,8 @@ func TestWriteCompactWideCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Count() != n || got.Bucket(0, 0) != n {
-		t.Fatal("wide compact round trip diverges")
+	if got.Count() != n || got.Bucket(0, 0) != n || got.CellWidth() != 8 {
+		t.Fatalf("wide compact round trip diverges: count %d, bucket %d, %d-byte cells", got.Count(), got.Bucket(0, 0), got.CellWidth())
 	}
 }
 

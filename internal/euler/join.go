@@ -19,10 +19,9 @@
 // pairs, and for rasterized objects it is Σχ, the paper-style signed count
 // of intersection regions.
 //
-// The sum needs the bucket values themselves, which no tier keeps: both
-// resident tiers difference them out of their cumulative plane a row at a
-// time via RawRow, asserted dynamically so the Lattice interface (and
-// external implementors) stay untouched.
+// The sum needs the bucket values themselves, which a histogram does not
+// keep: RawRow differences them out of the cumulative plane a row at a
+// time.
 package euler
 
 import (
@@ -35,52 +34,29 @@ import (
 // (grown when too small).
 func (h *Histogram) RawRow(u int, buf []int64) []int64 {
 	buf = slices.Grow(buf[:0], h.ly)[:h.ly]
-	rawRow(h.hc.Row, u, 0, buf)
+	rawRowOf(h.hc, u, 0, buf)
 	return buf
-}
-
-// RawRow mirrors Histogram.RawRow on the packed plane. The values are
-// bit-identical to the full tier's.
-func (p *PackedHistogram) RawRow(u int, buf []int64) []int64 {
-	buf = slices.Grow(buf[:0], p.ly)[:p.ly]
-	rawRow(p.hc.Row, u, 0, buf)
-	return buf
-}
-
-// rawRower is the row-major bucket access ProductSum needs. Both
-// resident tiers implement it; derived tiers (Reduced) deliberately do not.
-type rawRower interface {
-	RawRow(u int, buf []int64) []int64
 }
 
 // ProductSum computes the join product sum Σ s(u,v)·hA(u,v)·hB(u,v) of two
-// lattices over the same grid in one fused sweep: the exact number of
+// histograms over the same grid in one fused sweep: the exact number of
 // span-intersecting pairs for MBR histograms, and Σ_pairs χ(shared cells)
-// for rasterized objects. The result is bit-identical across tier
-// combinations (full+full, packed+full, packed+packed) because packed rows
-// reconstruct the exact raw values.
+// for rasterized objects. The result does not depend on either side's cell
+// width: rows of both reconstruct the exact raw values.
 //
 // Each term is bounded by |A|·|B| and the sum by |A|·|B|·lattice; callers
 // joining billions of objects over megacell grids own the int64 headroom.
-func ProductSum(a, b Lattice) (int64, error) {
+func ProductSum(a, b *Histogram) (int64, error) {
 	ga, gb := a.Grid(), b.Grid()
 	if ga.NX() != gb.NX() || ga.NY() != gb.NY() || ga.Extent() != gb.Extent() {
 		return 0, fmt.Errorf("euler: product sum over mismatched grids %v and %v", ga, gb)
-	}
-	ra, ok := a.(rawRower)
-	if !ok {
-		return 0, fmt.Errorf("euler: lattice %T does not expose raw rows", a)
-	}
-	rb, ok := b.(rawRower)
-	if !ok {
-		return 0, fmt.Errorf("euler: lattice %T does not expose raw rows", b)
 	}
 	lx, ly := 2*ga.NX()-1, 2*ga.NY()-1
 	var bufA, bufB []int64
 	var sum int64
 	for u := 0; u < lx; u++ {
-		rowA := ra.RawRow(u, bufA)
-		rowB := rb.RawRow(u, bufB)
+		rowA := a.RawRow(u, bufA)
+		rowB := b.RawRow(u, bufB)
 		bufA, bufB = rowA, rowB
 		var even, odd int64
 		for v := 0; v < ly-1; v += 2 {
@@ -126,11 +102,11 @@ func CoarsenTo(h *Histogram, nx, ny int) (*Histogram, error) {
 	return cur, nil
 }
 
-// CommonGrid reports the grid two lattices can be joined on: their shared
+// CommonGrid reports the grid two histograms can be joined on: their shared
 // grid, or the coarser of the two when one halves exactly to the other
 // (same extent, both axes related by the same power of two). ok is false
 // when no common grid exists.
-func CommonGrid(a, b Lattice) (nx, ny int, resample, ok bool) {
+func CommonGrid(a, b *Histogram) (nx, ny int, resample, ok bool) {
 	ga, gb := a.Grid(), b.Grid()
 	if ga.Extent() != gb.Extent() {
 		return 0, 0, false, false

@@ -83,14 +83,17 @@ func FromRectsParallel(g *grid.Grid, rects []geom.Rect, workers int) *Histogram 
 	// Merge worker diffs into the first builder and finalize once. The
 	// merge is chunked by lattice range: each chunk of the index space sums
 	// every worker's slice of it independently, so the chunks fan across
-	// cores with disjoint writes and perfectly sequential reads.
-	root := builders[0]
+	// cores with disjoint writes and perfectly sequential reads. The sum is
+	// bounded by the sum of the workers' bounds, so the merged array is
+	// narrow exactly when a single builder fed every object would be.
+	root := merged(builders)
+	size := (root.lx + 1) * (root.ly + 1)
 	mergeWorkers := min(workers, runtime.GOMAXPROCS(0))
-	chunk := (len(root.diff) + mergeWorkers - 1) / mergeWorkers
+	chunk := (size + mergeWorkers - 1) / mergeWorkers
 	var merge sync.WaitGroup
 	for c := 0; c < mergeWorkers; c++ {
-		lo := min(c*chunk, len(root.diff))
-		hi := min(lo+chunk, len(root.diff))
+		lo := min(c*chunk, size)
+		hi := min(lo+chunk, size)
 		if lo >= hi {
 			break
 		}
@@ -99,20 +102,19 @@ func FromRectsParallel(g *grid.Grid, rects []geom.Rect, workers int) *Histogram 
 			defer merge.Done()
 			active.Inc()
 			defer active.Dec()
-			dst := root.diff[lo:hi]
 			for _, b := range builders[1:] {
-				src := b.diff[lo:hi]
-				for i, v := range src {
-					dst[i] += v
+				switch {
+				case root.d32 != nil:
+					addCells(root.d32[lo:hi], b.d32[lo:hi])
+				case b.d32 != nil:
+					addCells(root.d64[lo:hi], b.d32[lo:hi])
+				default:
+					addCells(root.d64[lo:hi], b.d64[lo:hi])
 				}
 			}
 		}(lo, hi)
 	}
 	merge.Wait()
-	for _, b := range builders[1:] {
-		root.n += b.n
-		root.rects += b.rects
-	}
 	h := root.BuildParallel(buildWorkers)
 	reg.Counter("euler_parallel_builds_total",
 		"Parallel histogram constructions completed.").Inc()
@@ -120,4 +122,27 @@ func FromRectsParallel(g *grid.Grid, rects []geom.Rect, workers int) *Histogram 
 		"Parallel histogram construction duration in seconds.", nil).
 		ObserveDuration(time.Since(start))
 	return h
+}
+
+// merged returns the builder the shards' difference arrays are summed into
+// — the first, carrying every shard's counts and bounds, and widened first
+// when together they pass the limit.
+func merged(builders []*Builder) *Builder {
+	root := builders[0]
+	for _, b := range builders[1:] {
+		root.n += b.n
+		root.rects += b.rects
+		root.bound += b.bound
+	}
+	if root.d32 != nil && root.bound > root.limit {
+		root.widen()
+	}
+	return root
+}
+
+// addCells adds src into dst element by element, across cell widths.
+func addCells[D, S Cell](dst []D, src []S) {
+	for i, v := range src {
+		dst[i] += D(v)
+	}
 }

@@ -214,8 +214,14 @@ func PyramidFrom(base *Histogram, opts PyramidFromOpts) *Pyramid {
 // — of the quadrant beyond both; exactly that region is resampled from
 // fine's cumulative plane, in the donor's buffer when inPlace and in a
 // clone otherwise. That is never more than resampling the whole level, so
-// unlike BuildFrom there is no crossover to a full rebuild.
+// unlike BuildFrom there is no crossover to a full rebuild — except across
+// a change of cell width: a level is sampled at its finer level's width,
+// so when the base has gone wide since the donor was built the level is
+// derived afresh.
 func repairLevel(fine, donor *Histogram, dirty DirtyRegion, inPlace bool) *Histogram {
+	if donor.hc.Narrow() != fine.hc.Narrow() {
+		return coarsenHistogram(fine, 1)
+	}
 	hc := donor.hc
 	if !dirty.Empty() {
 		if !inPlace {

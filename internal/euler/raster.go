@@ -99,13 +99,11 @@ func (b *Builder) checkObject(spans []grid.Span, classes []grid.CellClass) ([]gr
 // applyObject applies the object's strip increments (dir = ±1) to the raw
 // difference array, the dirty region, and — when present — the class plane.
 func (b *Builder) applyObject(runs []grid.Span, spans []grid.Span, classes []grid.CellClass, dir int64) {
-	w := b.ly + 1
-	strip := func(u1, u2, v int) {
-		b.diff[u1*w+v] += dir
-		b.diff[u1*w+v+1] -= dir
-		b.diff[(u2+1)*w+v] -= dir
-		b.diff[(u2+1)*w+v+1] += dir
-	}
+	// Each strip is a one-column lattice rectangle, and moves a cumulative
+	// value by at most 1 as an MBR's rectangle does — an object's strips
+	// together can move one by more, which is why bound counts updates and
+	// not objects.
+	strip := func(u1, u2, v int) { b.addRect(u1, v, u2, v, int(dir)) }
 	bounds := runs[0]
 	for _, r := range runs {
 		strip(2*r.I1, 2*r.I2, 2*r.J1)
@@ -245,34 +243,4 @@ func (h *Histogram) PartialIn(q grid.Span) (count int64, ok bool) {
 		return 0, false
 	}
 	return h.pc.RangeSum(q.I1, q.J1, q.I2, q.J2), true
-}
-
-// HasClassPlane mirrors Histogram.HasClassPlane on the packed tier.
-func (p *PackedHistogram) HasClassPlane() bool { return p.pc != nil }
-
-// PartialIn mirrors Histogram.PartialIn on the packed tier. The plane is
-// carried by reference through Pack/Unpack: it is already cumulative-only
-// and cell-resolution (a quarter of the lattice), so re-encoding it would
-// save little.
-func (p *PackedHistogram) PartialIn(q grid.Span) (count int64, ok bool) {
-	if p.pc == nil {
-		return 0, false
-	}
-	return p.pc.RangeSum(q.I1, q.J1, q.I2, q.J2), true
-}
-
-// classPlaner is the optional certification surface a Lattice may expose.
-// It is asserted dynamically (like rawRower) rather than added to Lattice:
-// coarsened pyramid levels and reduced overviews legitimately lack planes.
-type classPlaner interface {
-	PartialIn(q grid.Span) (int64, bool)
-}
-
-// PartialInLattice reports the partial-incidence count of q on any lattice
-// tier, with ok false when the tier carries no class plane.
-func PartialInLattice(l Lattice, q grid.Span) (int64, bool) {
-	if cp, k := l.(classPlaner); k {
-		return cp.PartialIn(q)
-	}
-	return 0, false
 }

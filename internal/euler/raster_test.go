@@ -344,7 +344,7 @@ func TestClassPlaneSurvivesPack(t *testing.T) {
 		t.Fatal("packing dropped the class plane")
 	}
 	if p.LatticeBytes() <= p.hc.Bytes() {
-		t.Error("packed LatticeBytes does not account for the plane")
+		t.Error("LatticeBytes does not account for the plane")
 	}
 	u := p.Unpack()
 	if !u.HasClassPlane() {
@@ -406,16 +406,16 @@ func TestProductSumMatchesJoinSpans(t *testing.T) {
 		if sym, _ := ProductSum(hb, ha); sym != got {
 			t.Fatalf("round %d: ProductSum not symmetric: %d vs %d", round, sym, got)
 		}
-		// Tier combinations are bit-identical.
-		pa, oka := ha.Pack()
-		pb, okb := hb.Pack()
-		if !oka || !okb {
-			t.Fatalf("round %d: pack failed", round)
+		// Cell-width combinations are bit-identical.
+		wa, wb := ha.Unpack(), hb.Unpack()
+		if ha.CellWidth() != 4 || hb.CellWidth() != 4 || wa.CellWidth() != 8 || wb.CellWidth() != 8 {
+			t.Fatalf("round %d: built %d/%d-byte cells, unpacked to %d/%d", round,
+				ha.CellWidth(), hb.CellWidth(), wa.CellWidth(), wb.CellWidth())
 		}
-		for name, pair := range map[string][2]Lattice{
-			"packed+full":   {pa, hb},
-			"full+packed":   {ha, pb},
-			"packed+packed": {pa, pb},
+		for name, pair := range map[string][2]*Histogram{
+			"wide+narrow": {wa, hb},
+			"narrow+wide": {ha, wb},
+			"wide+wide":   {wa, wb},
 		} {
 			if v, err := ProductSum(pair[0], pair[1]); err != nil || v != got {
 				t.Fatalf("round %d: %s ProductSum = (%d, %v), want %d", round, name, v, err, got)

@@ -158,7 +158,7 @@ func BenchmarkCrossover(b *testing.B) {
 // TestIncrementalRebuildAllocs is the steady-state allocation regression
 // gate: publishing a small dirty region through the scratch ping-pong must
 // allocate O(dirty) — the delta buffer and a few descriptors — not
-// O(lattice). The lattice arrays here are 2047²×8 B ≈ 33 MB each; the
+// O(lattice). The lattice arrays here are 2047²×4 B ≈ 17 MB each; the
 // asserted ceilings are ~3 orders of magnitude below one of them.
 func TestIncrementalRebuildAllocs(t *testing.T) {
 	if testing.Short() {
@@ -187,7 +187,7 @@ func TestIncrementalRebuildAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := after.TotalAlloc - before.TotalAlloc
 	// The repair box is ≤ 203² buckets; its delta buffer is ≤ 330 KB. A
-	// lattice-sized allocation would be ≥ 33 MB.
+	// lattice-sized allocation would be ≥ 17 MB.
 	if bytes > 2<<20 {
 		t.Errorf("steady-state incremental publish allocated %d bytes, want O(dirty) (< 2 MB)", bytes)
 	}

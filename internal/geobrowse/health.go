@@ -28,11 +28,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // currentGeneration reads the serving generation without taking an
-// estimator. A live store counts every estimator acquisition as a reader
-// (which keeps it off the packed cold tier) and withdraws an unpinned
-// snapshot's buffers from recycling, so a probe must not look like one:
-// sources that can report the generation alone are asked only for that,
-// the rest are pinned and released at once.
+// estimator. A live store withdraws an unpinned snapshot's buffers from
+// recycling, so a probe must not look like a reader: sources that can
+// report the generation alone are asked only for that, the rest are pinned
+// and released at once.
 func currentGeneration(src EstimatorSource) uint64 {
 	if g, ok := src.(interface{ Generation() uint64 }); ok {
 		return g.Generation()

@@ -50,7 +50,7 @@ type TenantConfig struct {
 // RegistryOptions tunes a Registry.
 type RegistryOptions struct {
 	// MemoryBudget bounds the summed estimator footprint of loaded
-	// tenants, in bytes (8 bytes per storage bucket). When a load pushes
+	// tenants, in bytes (their lattices' resident bytes). When a load pushes
 	// the total past the budget, least-recently-touched tenants are
 	// evicted until it fits (the tenant being loaded is never evicted,
 	// so a single oversized tenant still serves). 0 means unlimited.
@@ -138,8 +138,9 @@ func (r *Registry) Stats() (configured, loaded int, bytes int64) {
 }
 
 // estimatorBytes is an estimator's resident footprint as the tenant budget
-// charges it: the lattices it serves from, at their tier's real bytes per
-// bucket, which dominate everything else a tenant holds. Estimators that
+// charges it: the lattices it serves from, at their cells' real width — 4
+// bytes per bucket unless a histogram outgrew them — which dominate
+// everything else a tenant holds. Estimators that
 // are not lattice-backed (the baselines) keep int64 counters.
 func estimatorBytes(est core.Estimator) int64 {
 	if s, ok := est.(core.LatticeSizer); ok {

@@ -309,8 +309,9 @@ func fixedEstimator(t *testing.T) core.Estimator {
 
 // TestTenantBytesAreLatticeBytes pins the budget's unit: a loaded tenant is
 // charged the resident bytes of the lattices it serves from — every group
-// and pyramid level at its tier's real width — not a flat 8 bytes per
-// storage bucket, which overcharged packed tenants twofold.
+// and pyramid level at its cells' real width, 4 bytes per bucket as built —
+// not a flat 8 bytes per storage bucket, which charges a tenant for twice
+// the memory it holds.
 func TestTenantBytesAreLatticeBytes(t *testing.T) {
 	g := grid.NewUnit(64, 32)
 	rects := []geom.Rect{geom.NewRect(2, 1, 5, 5), geom.NewRect(10, 5, 30, 15), geom.NewRect(40, 3, 41, 4)}
@@ -320,32 +321,28 @@ func TestTenantBytesAreLatticeBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pyrs []*euler.Pyramid
-	var packed []euler.Lattice
-	static, zoomBytes, packedBytes := 0, 0, 0
+	var widened []*euler.Histogram
+	const lattice = 127 * 63                                    // buckets per group
+	static, zoomBytes, wideBytes := 2*4*lattice, 0, 2*8*lattice // two groups each
 	for _, h := range meuler.Histograms() {
-		static += h.LatticeBytes()
 		p := euler.NewPyramid(h, euler.PyramidOpts{MinGrid: 8})
 		pyrs = append(pyrs, p)
 		for k := 0; k < p.Levels(); k++ {
-			zoomBytes += p.Level(k).LatticeBytes()
+			zoomBytes += 4 * p.Level(k).StorageBuckets()
 		}
-		ph, ok := h.Pack()
-		if !ok {
-			t.Fatal("Pack refused")
-		}
-		packed = append(packed, ph)
-		packedBytes += ph.LatticeBytes()
+		widened = append(widened, h.Unpack())
 	}
 	zoom, err := core.ZoomMEuler(areas, pyrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := core.MEulerFromLattices(areas, packed)
+	wide, err := core.MEulerFromHistograms(areas, widened)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pyrs[0].Levels() < 2 || 2*packedBytes != static {
-		t.Fatalf("fixture: %d levels, static %d B, packed %d B", pyrs[0].Levels(), static, packedBytes)
+	// 64×32 halves to 32×16, 16×8 and stops at the floor of 8 cells.
+	if pyrs[0].Levels() != 3 || zoomBytes != 2*4*(lattice+63*31+31*15) {
+		t.Fatalf("fixture: %d levels, %d zoom bytes", pyrs[0].Levels(), zoomBytes)
 	}
 
 	tel := telemetry.NewRegistry()
@@ -355,7 +352,7 @@ func TestTenantBytesAreLatticeBytes(t *testing.T) {
 	reg, err := NewRegistry([]TenantConfig{
 		{Name: "static", Load: load(meuler)},
 		{Name: "zoom", Load: load(zoom)},
-		{Name: "packed", Load: load(cold)},
+		{Name: "wide", Load: load(wide)},
 	}, RegistryOptions{Server: Options{Telemetry: tel}})
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +362,7 @@ func TestTenantBytesAreLatticeBytes(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		bytes int
-	}{{"static", static}, {"zoom", zoomBytes}, {"packed", packedBytes}} {
+	}{{"static", static}, {"zoom", zoomBytes}, {"wide", wideBytes}} {
 		if _, err := reg.Resolve(c.name); err != nil {
 			t.Fatal(err)
 		}

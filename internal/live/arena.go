@@ -8,7 +8,7 @@ import (
 )
 
 // Generation buffer reuse. Every published histogram's lattice array (the
-// cumulative form, 8 B per bucket) used to become garbage at the next
+// cumulative form, 4 B per bucket) used to become garbage at the next
 // publish. The arena keeps a lease per histogram still referenced by any
 // snapshot; once every snapshot holding it has been released — and none
 // escaped through an unpinned accessor — the buffer is donated back to
@@ -162,7 +162,6 @@ func (s *Store) release(snap *Snapshot) { snap.refs.Add(-1) }
 // one request; holding it indefinitely only costs the store a recyclable
 // buffer. This is the geobrowse.PinnedEstimatorSource contract.
 func (s *Store) AcquireEstimator() (core.Estimator, uint64, func()) {
-	s.reads.Add(1)
 	snap := s.acquireSnapshot()
 	var once sync.Once
 	return snap.Est, snap.Gen, func() { once.Do(func() { s.release(snap) }) }

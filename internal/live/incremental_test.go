@@ -174,7 +174,7 @@ func TestLeaseListBounded(t *testing.T) {
 // once the arena holds a retired generation, publishing a small mutation
 // repairs the leased base plane and its pyramid levels in place, so a
 // publish allocates a delta box and descriptors — a small fraction of the
-// 511×511×8 B ≈ 2 MB cumulative plane a cloned generation would cost.
+// 511×511×4 B ≈ 1 MB cumulative plane a cloned generation would cost.
 func TestSteadyStatePublishAllocatesDirty(t *testing.T) {
 	g := grid.NewUnit(256, 256)
 	s := openTestStore(t, Config{Grid: g, Algo: AlgoSEuler, RebuildEvery: -1, PyramidLevels: 3})
@@ -194,7 +194,7 @@ func TestSteadyStatePublishAllocatesDirty(t *testing.T) {
 	for k := 0; k < 4; k++ { // fill the arena: steady state from here on
 		publish(k)
 	}
-	plane := uint64(8 * 511 * 511)
+	plane := uint64(4 * 511 * 511)
 	for k := 4; k < 12; k++ {
 		if got := publish(k); got > plane/8 {
 			t.Fatalf("publish %d allocated %d bytes, want O(dirty) — well under the %d-byte plane", k, got, plane)

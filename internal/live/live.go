@@ -123,15 +123,6 @@ type Config struct {
 	// PyramidMinGrid stops coarsening before either axis would drop below
 	// this many cells. 0 means euler.DefaultPyramidMinGrid.
 	PyramidMinGrid int
-	// PackColdPublishes demotes the published estimator to the packed
-	// int32 lattice tier after this many consecutive publishes during
-	// which no reader acquired an estimator: cold datasets then serve
-	// bit-identical answers from half the lattice bytes. Any
-	// acquisition between publishes promotes the next publish back to
-	// the full tier (and its zoom stack). <= 0 disables demotion; it is
-	// also skipped when a partition's count overflows the packed
-	// representation.
-	PackColdPublishes int
 	// Telemetry receives the store's metrics; nil means telemetry.Default().
 	Telemetry *telemetry.Registry
 }
@@ -171,7 +162,10 @@ func (c Config) groups() int {
 	return 1
 }
 
-// Lattice tiers a publish can select between (Snapshot.Tier, Status.Tier).
+// The cell width of a generation's lattices, as Snapshot.Tier and
+// Status.Tier name it: packed when every partition's plane is held at 4
+// bytes per bucket — every store until a partition has seen more than
+// MaxInt32 mutations — and full once one is held at 8.
 const (
 	TierFull   = "full"
 	TierPacked = "packed"
@@ -196,9 +190,8 @@ type Snapshot struct {
 	Seq int64
 	// BuiltAt is when the generation was published.
 	BuiltAt time.Time
-	// Tier is the lattice representation serving this generation:
-	// TierFull (int64 lattices, zoom stack when pyramids are enabled) or
-	// TierPacked (int32-packed lattices for read-cold stores).
+	// Tier is the cell width of the lattices serving this generation:
+	// TierPacked (4 bytes per bucket) or TierFull (8).
 	Tier string
 
 	// refs pins the generation's histogram buffers against arena reuse:
@@ -226,10 +219,7 @@ type Store struct {
 	rebuildMu sync.Mutex // serializes rebuilds so generations publish in order
 	lastHists []*euler.Histogram
 	lastPyrs  []*euler.Pyramid // nil entries when pyramids are disabled
-	coldRuns  int              // consecutive publishes with zero reads (rebuildMu)
-	lastTier  string           // tier of the published estimator (rebuildMu)
 
-	reads   atomic.Int64 // estimator acquisitions since the last rebuild
 	arena   *genArena
 	snap    atomic.Pointer[Snapshot]
 	gen     atomic.Uint64
@@ -453,22 +443,6 @@ func (s *Store) rebuild() {
 	defer s.rebuildMu.Unlock()
 	start := time.Now()
 
-	// Tier selection: a publish with no estimator acquisitions since the
-	// previous one is a cold run; enough consecutive cold runs demote the
-	// next generation to the packed tier. The initial publish is always
-	// full — nothing could have read yet.
-	if s.snap.Load() != nil {
-		if s.reads.Swap(0) > 0 {
-			s.coldRuns = 0
-		} else {
-			s.coldRuns++
-		}
-	}
-	wantTier := TierFull
-	if s.cfg.PackColdPublishes > 0 && s.coldRuns >= s.cfg.PackColdPublishes {
-		wantTier = TierPacked
-	}
-
 	lattice := (2*s.cfg.Grid.NX() - 1) * (2*s.cfg.Grid.NY() - 1)
 	hists := make([]*euler.Histogram, len(s.builders))
 	dmg := make([]euler.DirtyRegion, len(s.builders))
@@ -511,7 +485,7 @@ func (s *Store) rebuild() {
 			changed = true
 		}
 	}
-	if !changed && prevSnap != nil && wantTier == s.lastTier {
+	if !changed && prevSnap != nil {
 		// Every mutation since the last publish was rejected or net-zero:
 		// the published snapshot is already exact. Skip the generation
 		// bump so browse caches stay warm. The snapshot is nonetheless
@@ -527,10 +501,16 @@ func (s *Store) rebuild() {
 	}
 
 	pyrs := s.derivePyramids(hists, dmg, leases)
-	est, packedBytes := s.estimatorFor(hists, pyrs, wantTier)
-	tier := TierFull
-	if packedBytes > 0 {
-		tier = TierPacked
+	est := s.estimatorFor(hists, pyrs)
+	tier := TierPacked
+	var fullBytes, packedBytes int
+	for _, h := range hists {
+		if h.CellWidth() == 4 {
+			packedBytes += h.LatticeBytes()
+		} else {
+			fullBytes += h.LatticeBytes()
+			tier = TierFull
+		}
 	}
 	snap := &Snapshot{
 		Gen:       s.gen.Add(1),
@@ -563,15 +543,10 @@ func (s *Store) rebuild() {
 	old := s.snap.Swap(snap)
 	s.visible.Store(seq)
 	s.pending.Store(0)
-	s.lastTier = tier
 	if old != nil {
 		s.release(old)
 	}
 
-	fullBytes := 0
-	for _, h := range hists {
-		fullBytes += h.LatticeBytes()
-	}
 	s.m.latticeFull.Set(int64(fullBytes))
 	s.m.latticePacked.Set(int64(packedBytes))
 
@@ -634,46 +609,36 @@ func (s *Store) pyrAt(pyrs []*euler.Pyramid, i int) *euler.Pyramid {
 	return pyrs[i]
 }
 
-// estimatorFor assembles the estimator for a publish. The full tier is
-// the configured algorithm over the int64 lattices — zoom-routing stacks
-// with an attached ε-approximate overview when pyramids are enabled. The
-// packed tier re-expresses every lattice as int32 prefix sums (answers
-// stay bit-identical; see euler.PackedHistogram) and carries no zoom
-// stack: it exists for read-cold stores where nobody is browsing.
-// packedBytes reports the packed lattices' resident bytes, 0 when the
-// publish is full-tier (including a refused demotion on count overflow).
-// The config was validated at Open and every histogram shares the store's
-// grid, so assembly cannot fail.
-func (s *Store) estimatorFor(hists []*euler.Histogram, pyrs []*euler.Pyramid, tier string) (est core.Estimator, packedBytes int) {
-	if tier == TierPacked {
-		if est, packedBytes = s.packedEstimator(hists); est != nil {
-			return est, packedBytes
-		}
-	}
+// estimatorFor assembles the estimator for a publish: the configured
+// algorithm over the generation's lattices — zoom-routing stacks with an
+// attached ε-approximate overview when pyramids are enabled. The config was
+// validated at Open and every histogram shares the store's grid, so
+// assembly cannot fail.
+func (s *Store) estimatorFor(hists []*euler.Histogram, pyrs []*euler.Pyramid) core.Estimator {
 	switch s.cfg.Algo {
 	case AlgoSEuler:
 		if pyrs != nil {
-			return s.withOverview(core.ZoomSEuler(pyrs[0]), pyrs[:1]), 0
+			return s.withOverview(core.ZoomSEuler(pyrs[0]), pyrs[:1])
 		}
-		return core.NewSEuler(hists[0]), 0
+		return core.NewSEuler(hists[0])
 	case AlgoEuler:
 		if pyrs != nil {
-			return s.withOverview(core.ZoomEuler(pyrs[0]), pyrs[:1]), 0
+			return s.withOverview(core.ZoomEuler(pyrs[0]), pyrs[:1])
 		}
-		return core.NewEuler(hists[0]), 0
+		return core.NewEuler(hists[0])
 	default:
 		if pyrs != nil {
 			z, err := core.ZoomMEuler(s.cfg.Areas, pyrs)
 			if err != nil {
 				panic(fmt.Sprintf("live: rebuilding validated config: %v", err))
 			}
-			return s.withOverview(z, pyrs), 0
+			return s.withOverview(z, pyrs)
 		}
 		m, err := core.MEulerFromHistograms(s.cfg.Areas, hists)
 		if err != nil {
 			panic(fmt.Sprintf("live: rebuilding validated config: %v", err))
 		}
-		return m, 0
+		return m
 	}
 }
 
@@ -691,34 +656,6 @@ func (s *Store) withOverview(z *core.Zoom, pyrs []*euler.Pyramid) *core.Zoom {
 		z.AttachOverview(o)
 	}
 	return z
-}
-
-// packedEstimator assembles the cold-tier estimator over int32-packed
-// lattices, or returns nil when a partition's count overflows the packed
-// representation (the publish then stays full-tier).
-func (s *Store) packedEstimator(hists []*euler.Histogram) (core.Estimator, int) {
-	lats := make([]euler.Lattice, len(hists))
-	bytes := 0
-	for i, h := range hists {
-		p, ok := h.Pack()
-		if !ok {
-			return nil, 0
-		}
-		lats[i] = p
-		bytes += p.LatticeBytes()
-	}
-	switch s.cfg.Algo {
-	case AlgoSEuler:
-		return core.NewSEuler(lats[0]), bytes
-	case AlgoEuler:
-		return core.NewEuler(lats[0]), bytes
-	default:
-		m, err := core.MEulerFromLattices(s.cfg.Areas, lats)
-		if err != nil {
-			panic(fmt.Sprintf("live: rebuilding validated config: %v", err))
-		}
-		return m, bytes
-	}
 }
 
 // rebuildLoop is the interval half of the rebuild policy: whenever
@@ -757,7 +694,6 @@ func (s *Store) Snapshot() *Snapshot {
 // are withdrawn from recycling; bounded readers should use
 // AcquireEstimator.
 func (s *Store) CurrentEstimator() (core.Estimator, uint64) {
-	s.reads.Add(1)
 	snap := s.acquireSnapshot()
 	snap.leaked.Store(true)
 	s.release(snap)
@@ -795,10 +731,10 @@ type Status struct {
 	GridNX          int     `json:"gridNX"`
 	GridNY          int     `json:"gridNY"`
 	// PyramidLevels is the number of coarse levels above the base in the
-	// current snapshot's zoom stack; 0 when pyramids are disabled or the
-	// snapshot is packed-tier (the packed tier carries no zoom stack).
+	// current snapshot's zoom stack; 0 when pyramids are disabled.
 	PyramidLevels int `json:"pyramidLevels"`
-	// Tier is the published snapshot's lattice tier: "full" or "packed".
+	// Tier is the cell width of the published snapshot's lattices:
+	// "packed" (4 bytes per bucket) or "full" (8).
 	Tier string `json:"tier"`
 	// AppliedSeq is the replication sequence the builders have consumed:
 	// the store's own WAL size for journaled stores, the shipped leader

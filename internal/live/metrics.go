@@ -19,12 +19,11 @@ import "spatialhist/internal/telemetry"
 //	live_store_objects              objects in the current snapshot
 //	live_pending_mutations          mutations not yet in a snapshot
 //	live_last_rebuild_unix_seconds  when the current snapshot was built
-//	euler_lattice_bytes{tier}       resident lattice bytes by tier: "full"
-//	                                is the builders' int64 lattices (always
-//	                                resident — they are the rebuild donors),
-//	                                "packed" the int32 copies serving a
-//	                                packed-tier snapshot, 0 on full-tier
-//	                                publishes
+//	euler_lattice_bytes{tier}       lattice bytes of the published base
+//	                                histograms by cell width: "packed" is
+//	                                the planes held at 4 bytes per bucket,
+//	                                "full" those held at 8 (0 until a
+//	                                partition outgrows the narrow cells)
 type metrics struct {
 	inserts, deletes, updates *telemetry.Counter
 	rejected                  *telemetry.Counter
@@ -55,7 +54,7 @@ var dirtyFracBuckets = []float64{
 	0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 1,
 }
 
-const latticeBytesHelp = "Resident Euler-lattice bytes by representation tier."
+const latticeBytesHelp = "Published Euler-lattice bytes by cell width: packed is 4 bytes per bucket, full is 8."
 
 func newMetrics(reg *telemetry.Registry) *metrics {
 	if reg == nil {
