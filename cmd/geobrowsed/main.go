@@ -69,10 +69,10 @@ func main() {
 		gridH    = flag.Int("gh", 180, "grid cells in y")
 		loadSum  = flag.String("load", "", "serve a saved summary file instead of building one")
 		saveSum  = flag.String("save", "", "after building, save the summary to this file")
-		cacheSz  = flag.Int("cache", 0, "browse-response cache entries (0 = default, negative disables)")
+		cacheSz  = flag.Int("cache", 0, "browse-response cache entries, each worth 128 KiB of stored bodies: at most N responses in at most N x 128 KiB (0 = default 64, i.e. 8 MiB; negative disables)")
 		workers  = flag.Int("workers", 0, "tile-map worker pool size (0 = GOMAXPROCS)")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		report   = flag.Duration("report", time.Minute, "self-report interval (QPS, p50/p99, cache hit rate; 0 disables)")
+		report   = flag.Duration("report", time.Minute, "self-report interval (QPS, p50/p99, cache hit rate and bytes; 0 disables)")
 		logReq   = flag.Bool("log-requests", false, "log one structured JSON line per API request to stderr")
 
 		pyrLevels   = flag.Int("pyramid-levels", 4, "coarse histogram levels above the base for zoom-native browse routing (0 disables the pyramid)")
@@ -561,7 +561,8 @@ func run(addr string, handler http.Handler, drain func(), gb *geobrowse.Server, 
 
 // selfReport emits one structured line per interval with the window's
 // request rate, latency quantiles (from the merged per-endpoint latency
-// histograms in telemetry.Default()), and browse-cache hit rate. When a
+// histograms in telemetry.Default()), browse-cache hit rate and the bytes
+// of response bodies the cache holds. When a
 // pyramid is serving it appends the window's per-level hit distribution —
 // how much traffic the coarse levels absorbed. When fronting a live store
 // it appends a rebuild line: publish latency p50/p99 and the mean dirty
@@ -574,20 +575,21 @@ func selfReport(s *geobrowse.Server, every time.Duration, store *live.Store) {
 	prev := reg.FamilySnapshot("geobrowse_http_request_seconds")
 	prevRebuild := reg.FamilySnapshot("live_rebuild_seconds")
 	prevDirty := reg.FamilySnapshot("live_rebuild_dirty_frac")
-	cacheStats := func() (int64, int64) {
+	cacheStats := func() (hits, misses, bytes int64) {
 		if s == nil { // multi-tenant mode: caches are per tenant
-			return 0, 0
+			return 0, 0, 0
 		}
-		return s.CacheStats()
+		hits, misses = s.CacheStats()
+		return hits, misses, s.CacheBytes()
 	}
-	prevHits, prevMisses := cacheStats()
+	prevHits, prevMisses, _ := cacheStats()
 	prevLevels := reg.CounterValues(pyramidHitsMetric)
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for range ticker.C {
 		snap := reg.FamilySnapshot("geobrowse_http_request_seconds")
 		delta := snap.Sub(prev)
-		hits, misses := cacheStats()
+		hits, misses, cacheBytes := cacheStats()
 		dh, dm := hits-prevHits, misses-prevMisses
 		hitRate := 0.0
 		if dh+dm > 0 {
@@ -599,6 +601,7 @@ func selfReport(s *geobrowse.Server, every time.Duration, store *live.Store) {
 			"p50_ms", delta.Quantile(0.50)*1000,
 			"p99_ms", delta.Quantile(0.99)*1000,
 			"cache_hit_rate", hitRate,
+			"cache_bytes", cacheBytes,
 		)
 		prev, prevHits, prevMisses = snap, hits, misses
 

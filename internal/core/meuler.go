@@ -48,6 +48,11 @@ type MEuler struct {
 // the area attributes area(H_i) in unit cells, ascending, and must start
 // at 1 (the unit cell, §5.4). Objects are assigned by their geometric area
 // clipped to the data space.
+//
+// The groups are built one after another through a single euler.Builder, so
+// construction holds one difference array beside the m planes it returns,
+// not m: each object's group is worked out once up front (4 bytes per
+// object while building), then one pass per group inserts its members.
 func NewMEuler(g *grid.Grid, areas []float64, rects []geom.Rect) (*MEuler, error) {
 	if len(areas) == 0 {
 		return nil, fmt.Errorf("core: M-EulerApprox needs at least one area threshold")
@@ -64,18 +69,23 @@ func NewMEuler(g *grid.Grid, areas []float64, rects []geom.Rect) (*MEuler, error
 		}
 	}
 	m := &MEuler{g: g, areas: append([]float64(nil), areas...), unit: 1}
-	builders := make([]*euler.Builder, len(areas))
-	for i := range builders {
-		builders[i] = euler.NewBuilder(g)
-	}
-	for _, r := range rects {
-		gi, ok := ObjectAreaGroup(g, areas, r)
-		if !ok {
-			continue
+	group := make([]int32, len(rects)) // -1: outside the data space
+	for i, r := range rects {
+		group[i] = -1
+		if gi, ok := ObjectAreaGroup(g, areas, r); ok {
+			group[i] = int32(gi)
 		}
-		builders[gi].Add(r)
 	}
-	for _, b := range builders {
+	b := euler.NewBuilder(g)
+	for gi := range areas {
+		if gi > 0 {
+			b.Reset()
+		}
+		for i, r := range rects {
+			if group[i] == int32(gi) {
+				b.Add(r)
+			}
+		}
 		m.addGroup(b.Build())
 	}
 	return m, nil

@@ -220,6 +220,22 @@ func (b *Builder) AddAll(rs []geom.Rect) int {
 // Count returns the number of objects inserted so far.
 func (b *Builder) Count() int64 { return b.n }
 
+// Reset empties the builder to the state NewBuilder returns, keeping its
+// difference array: a caller building several histograms over one grid, one
+// after another, pays for one array instead of one per histogram. Histograms
+// already built are unaffected (they share no memory with the builder) but
+// are no baseline for a BuildFrom after the Reset.
+func (b *Builder) Reset() {
+	if b.d32 != nil {
+		clear(b.d32)
+	} else { // gone wide: a new builder starts narrow
+		b.d32, b.d64 = make([]int32, len(b.d64)), nil
+	}
+	b.pdiff = nil
+	b.n, b.rects, b.bound = 0, 0, 0
+	b.dirty = EmptyRegion()
+}
+
 // BuilderFromHistogram reconstructs a Builder whose state reproduces h:
 // the inverse of Build, obtained by 2-d backward differencing of the raw
 // (sign-restored) bucket counts, streamed row by row out of the cumulative

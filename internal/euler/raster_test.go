@@ -421,6 +421,10 @@ func TestProductSumMatchesJoinSpans(t *testing.T) {
 				t.Fatalf("round %d: %s ProductSum = (%d, %v), want %d", round, name, v, err, got)
 			}
 		}
+		// The buckets are differenced inside the product loop: no staged rows.
+		if allocs := testing.AllocsPerRun(5, func() { _, _ = ProductSum(ha, wb) }); allocs != 0 {
+			t.Fatalf("round %d: ProductSum allocates %v times per call, want 0", round, allocs)
+		}
 	}
 }
 

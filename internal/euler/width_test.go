@@ -348,3 +348,83 @@ func TestResumeChecksDifferenceEntries(t *testing.T) {
 	}
 	assertIdentical(t, wide, b.Build())
 }
+
+// TestBuilderResetEqualsFreshAtBothWidths: a builder emptied by Reset is a
+// new builder that kept its array. Whatever went through it before — a
+// script that took it wide, a rasterized object with its class plane,
+// rejected objects — the next script builds the bytes, count, cell width,
+// skip count and dirty region a fresh builder builds, and histograms built
+// before the Reset are not disturbed by it.
+func TestBuilderResetEqualsFreshAtBothWidths(t *testing.T) {
+	defer LowerNarrowLimit(100)()
+	g := grid.NewUnit(24, 20)
+	written := func(h *Histogram) []byte {
+		var buf bytes.Buffer
+		if err := h.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// run plays n random adds (every fifth followed by its removal, every
+	// seventh an object outside the space) and returns the build.
+	run := func(b *Builder, seed int64, n int) *Histogram {
+		r := rand.New(rand.NewSource(seed))
+		for k := 0; k < n; k++ {
+			s := randSpan(r, g)
+			b.AddSpan(s)
+			if k%5 == 4 {
+				b.RemoveSpan(s)
+			}
+			if k%7 == 6 {
+				b.Add(g.SpanRect(s).Translate(1000, 1000))
+			}
+		}
+		return b.Build()
+	}
+	b := NewBuilder(g)
+	for step, script := range []struct {
+		n     int
+		width int
+	}{{150, 8}, {40, 4}, {40, 4}, {150, 8}, {0, 4}, {60, 4}} {
+		if step == 2 { // a class plane from the previous life must not survive
+			b.AddObject([]grid.Span{spanOf(1, 1, 3, 1), spanOf(1, 2, 2, 2)})
+			if b.Build().pc == nil {
+				t.Fatal("raster object built no class plane")
+			}
+			b.Reset()
+		}
+		before := b.Dirty()
+		got := run(b, int64(300+step), script.n)
+		fresh := NewBuilder(g)
+		want := run(fresh, int64(300+step), script.n)
+		if !before.Empty() {
+			t.Fatalf("step %d: dirty region %+v after Reset, want empty", step, before)
+		}
+		if got.CellWidth() != script.width || want.CellWidth() != script.width {
+			t.Fatalf("step %d: reset builder built %d B/bucket, fresh %d, want %d", step, got.CellWidth(), want.CellWidth(), script.width)
+		}
+		assertIdentical(t, want, got)
+		if !bytes.Equal(written(got), written(want)) {
+			t.Fatalf("step %d: Write bytes differ from a fresh builder's", step)
+		}
+		if b.Count() != fresh.Count() || b.Skipped() != fresh.Skipped() || b.bound != fresh.bound || b.Dirty() != fresh.Dirty() {
+			t.Fatalf("step %d: count %d/%d, skipped %d/%d, bound %d/%d, dirty %+v/%+v (reset/fresh)", step,
+				b.Count(), fresh.Count(), b.Skipped(), fresh.Skipped(), b.bound, fresh.bound, b.Dirty(), fresh.Dirty())
+		}
+		keep := written(got)
+		b.Reset()
+		if b.Count() != 0 || b.Skipped() != 0 || b.bound != 0 || b.d32 == nil || b.d64 != nil || b.pdiff != nil {
+			t.Fatalf("step %d: Reset left count %d, skipped %d, bound %d, narrow %v", step, b.Count(), b.Skipped(), b.bound, b.d32 != nil)
+		}
+		if !bytes.Equal(written(got), keep) {
+			t.Fatalf("step %d: Reset changed a histogram already built", step)
+		}
+	}
+	// While narrow, Reset keeps the array it has.
+	arr := &b.d32[0]
+	run(b, 400, 30)
+	b.Reset()
+	if &b.d32[0] != arr {
+		t.Fatal("Reset of a narrow builder replaced its difference array")
+	}
+}

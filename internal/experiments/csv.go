@@ -96,10 +96,11 @@ func fig18CSV(cw *csv.Writer, r Fig18Result) error {
 	if err := cw.Write([]string{"config", "relation", "queryN", "avgRelError"}); err != nil {
 		return err
 	}
-	for cfg, byRel := range r.Curves {
+	for _, cfg := range Fig18Configs { // declared order, not map order
+		byRel := r.Curves[cfg.Name]
 		for _, rel := range []geom.Rel2{geom.Rel2Contains, geom.Rel2Contained} {
 			for i, e := range byRel[rel] {
-				if err := cw.Write([]string{cfg, rel.String(), strconv.Itoa(r.Ns[i]), ftoa(e)}); err != nil {
+				if err := cw.Write([]string{cfg.Name, rel.String(), strconv.Itoa(r.Ns[i]), ftoa(e)}); err != nil {
 					return err
 				}
 			}
@@ -112,8 +113,8 @@ func fig19CSV(cw *csv.Writer, r Fig19Result) error {
 	if err := cw.Write([]string{"series", "queryN", "queries", "totalNanoseconds"}); err != nil {
 		return err
 	}
-	for algo, times := range r.AlgoTimes {
-		for i, t := range times {
+	for _, algo := range r.AlgoOrder { // declared order, not map order
+		for i, t := range r.AlgoTimes[algo] {
 			rec := []string{algo, strconv.Itoa(r.Ns[i]), strconv.Itoa(t.Queries),
 				strconv.FormatInt(t.Total.Nanoseconds(), 10)}
 			if err := cw.Write(rec); err != nil {
@@ -121,8 +122,8 @@ func fig19CSV(cw *csv.Writer, r Fig19Result) error {
 			}
 		}
 	}
-	for m, times := range r.MEulerTimes {
-		for i, t := range times {
+	for m := 2; m <= 5; m++ {
+		for i, t := range r.MEulerTimes[m] {
 			rec := []string{fmt.Sprintf("M-EulerApprox m=%d", m), strconv.Itoa(r.Ns[i]),
 				strconv.Itoa(t.Queries), strconv.FormatInt(t.Total.Nanoseconds(), 10)}
 			if err := cw.Write(rec); err != nil {

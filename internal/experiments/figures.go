@@ -177,12 +177,16 @@ func Fig17(e *Env) ErrFigure {
 // 6-histogram configuration produced by one more round of the paper's §6.4
 // tuning procedure on our data: the residual error peaks at the Q2 query
 // area (4 cells), so a threshold is added there. See EXPERIMENTS.md for the
-// analysis of why the 2×2 tiles need their own threshold here.
-var Fig18Configs = map[string][]float64{
-	"3 histograms":         {1, 9, 100},
-	"4 histograms":         {1, 9, 25, 100},
-	"5 histograms":         {1, 9, 25, 100, 225},
-	"6 histograms (tuned)": {1, 4, 9, 25, 100, 225},
+// analysis of why the 2×2 tiles need their own threshold here. The order
+// is the order every report and CSV file lists them in.
+var Fig18Configs = []struct {
+	Name  string
+	Areas []float64
+}{
+	{"3 histograms", []float64{1, 9, 100}},
+	{"4 histograms", []float64{1, 9, 25, 100}},
+	{"5 histograms", []float64{1, 9, 25, 100, 225}},
+	{"6 histograms (tuned)", []float64{1, 4, 9, 25, 100, 225}},
 }
 
 // Fig18Result holds the per-configuration error curves of Figure 18.
@@ -196,8 +200,8 @@ type Fig18Result struct {
 // Fig18 evaluates M-EulerApprox with 3, 4 and 5 histograms on sz_skew.
 func Fig18(e *Env) Fig18Result {
 	res := Fig18Result{Ns: query.PaperNs(), Dataset: "sz_skew", Curves: make(map[string]map[geom.Rel2][]float64)}
-	for cfgName, areas := range Fig18Configs {
-		est := e.MEuler(res.Dataset, areas)
+	for _, cfg := range Fig18Configs {
+		est := e.MEuler(res.Dataset, cfg.Areas)
 		byRel := make(map[geom.Rel2][]float64)
 		for _, rel := range []geom.Rel2{geom.Rel2Contains, geom.Rel2Contained} {
 			errs := make([]float64, 0, len(res.Ns))
@@ -208,7 +212,7 @@ func Fig18(e *Env) Fig18Result {
 			}
 			byRel[rel] = errs
 		}
-		res.Curves[cfgName] = byRel
+		res.Curves[cfg.Name] = byRel
 	}
 	return res
 }
@@ -217,12 +221,12 @@ func Fig18(e *Env) Fig18Result {
 func (r Fig18Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 18 — avg relative error of M-EulerApprox on %s, more histograms\n\n", r.Dataset)
-	for _, cfgName := range []string{"3 histograms", "4 histograms", "5 histograms", "6 histograms (tuned)"} {
-		byRel, ok := r.Curves[cfgName]
+	for _, cfg := range Fig18Configs {
+		byRel, ok := r.Curves[cfg.Name]
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(&b, "%s (areas %v):\n", cfgName, Fig18Configs[cfgName])
+		fmt.Fprintf(&b, "%s (areas %v):\n", cfg.Name, cfg.Areas)
 		writeErrTable(&b, r.Ns, []ErrRow{
 			{Dataset: r.Dataset, Relation: geom.Rel2Contains, Errors: byRel[geom.Rel2Contains]},
 			{Dataset: r.Dataset, Relation: geom.Rel2Contained, Errors: byRel[geom.Rel2Contained]},

@@ -51,8 +51,9 @@ const maxTiles = 100_000
 
 // Options tunes a Server's serving machinery.
 type Options struct {
-	// CacheSize bounds the browse-response LRU in entries. 0 means the
-	// default (64); negative disables storage while keeping single-flight
+	// CacheSize bounds the browse-response LRU: at most CacheSize entries
+	// in at most CacheSize × 128 KiB of stored bodies. 0 means the default
+	// (64, so 8 MiB); negative disables storage while keeping single-flight
 	// deduplication of concurrent identical requests.
 	CacheSize int
 	// Workers bounds the pool that large tile maps are fanned across,
@@ -226,6 +227,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // CacheStats reports browse-cache hits (served from memory or a shared
 // in-flight computation) and misses (computed).
 func (s *Server) CacheStats() (hits, misses int64) { return s.cache.Stats() }
+
+// CacheBytes reports the bytes of response bodies the browse cache holds.
+func (s *Server) CacheBytes() int64 { return s.cache.Bytes() }
 
 // Estimator returns the server's current estimator snapshot: the fixed
 // estimator for summaries, the latest published generation for live

@@ -67,8 +67,9 @@ func TestMetricsReflectBrowseRequest(t *testing.T) {
 	srv := smallServer(t, Options{Telemetry: reg})
 	browse := srv.URL + "/api/browse?x1=0&y1=0&x2=36&y2=18&cols=6&rows=3"
 
-	if code, body := get(t, browse); code != http.StatusOK {
-		t.Fatalf("browse status %d: %s", code, body)
+	code, browseBody := get(t, browse)
+	if code != http.StatusOK {
+		t.Fatalf("browse status %d: %s", code, browseBody)
 	}
 	_, body := get(t, srv.URL+"/metrics")
 
@@ -89,6 +90,12 @@ func TestMetricsReflectBrowseRequest(t *testing.T) {
 	}
 	if got := metricValue(t, body, `geobrowse_cache_entries`); got != 1 {
 		t.Errorf("cache entries = %d, want 1", got)
+	}
+	if got := metricValue(t, body, `geobrowse_cache_bytes`); got != int64(len(browseBody)) {
+		t.Errorf("cache bytes = %d, want the stored body's %d", got, len(browseBody))
+	}
+	if got := metricValue(t, body, `geobrowse_cache_bypass_total`); got != 0 {
+		t.Errorf("cache bypasses = %d, want 0", got)
 	}
 
 	// A repeat of the same browse request is a cache hit, and a bad
