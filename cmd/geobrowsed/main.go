@@ -30,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -56,254 +57,328 @@ import (
 	"spatialhist/internal/telemetry"
 )
 
+// config is geobrowsed's flag set, parsed: everything assemble needs to
+// build a serving mode, so a test can build one without a command line.
+type config struct {
+	addr, dataset, file, algo, areas string
+	n, gridW, gridH                  int
+	seed                             int64
+	load, save                       string
+	cache, workers                   int
+	pprof, logRequests               bool
+	report                           time.Duration
+
+	pyramidLevels, pyramidMinGrid int
+	overviewEps                   float64
+
+	tenants      string
+	tenantBudget int64
+	maxInflight  int
+	shedAfter    time.Duration
+
+	live                        bool
+	wal, checkpoint             string
+	rebuildEvery, syncEvery     int
+	rebuildInterval             time.Duration
+	crossover                   float64
+	shards                      int
+	replicaOf, coordinator      string
+	maxLag                      int64
+	probeInterval, pollInterval time.Duration
+}
+
+// register binds every flag to its field of c.
+func (c *config) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.addr, "addr", "localhost:8080", "listen address")
+	fs.StringVar(&c.dataset, "dataset", "adl", "dataset to generate: "+strings.Join(dataset.Names(), ", "))
+	fs.IntVar(&c.n, "n", 200_000, "number of objects to generate")
+	fs.Int64Var(&c.seed, "seed", 2002, "generator seed")
+	fs.StringVar(&c.file, "file", "", "load a dataset file instead of generating")
+	fs.StringVar(&c.algo, "algo", "meuler", "estimator: seuler, euler, meuler")
+	fs.StringVar(&c.areas, "areas", "1,9,100", "meuler area thresholds in unit cells")
+	fs.IntVar(&c.gridW, "gw", 360, "grid cells in x")
+	fs.IntVar(&c.gridH, "gh", 180, "grid cells in y")
+	fs.StringVar(&c.load, "load", "", "serve a saved summary file instead of building one")
+	fs.StringVar(&c.save, "save", "", "after building, save the summary to this file")
+	fs.IntVar(&c.cache, "cache", 0, "browse-response cache entries, each worth 128 KiB of stored bodies: at most N responses in at most N x 128 KiB (0 = default 64, i.e. 8 MiB; negative disables)")
+	fs.IntVar(&c.workers, "workers", 0, "tile-map worker pool size (0 = GOMAXPROCS)")
+	fs.BoolVar(&c.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
+	fs.DurationVar(&c.report, "report", time.Minute, "self-report interval (QPS, p50/p99, cache hit rate and bytes; 0 disables)")
+	fs.BoolVar(&c.logRequests, "log-requests", false, "log one structured JSON line per API request to stderr")
+
+	fs.IntVar(&c.pyramidLevels, "pyramid-levels", 4, "coarse histogram levels above the base for zoom-native browse routing (0 disables the pyramid)")
+	fs.IntVar(&c.pyramidMinGrid, "pyramid-min-grid", euler.DefaultPyramidMinGrid, "stop pyramid coarsening before either grid axis would drop below this many cells")
+	fs.Float64Var(&c.overviewEps, "overview-epsilon", 0, "serve overview browse maps from the reduced tier when every tile certifies within eps*|tile| objects of exact (0 = always exact; needs pyramids)")
+
+	fs.StringVar(&c.tenants, "tenants", "", `serve multiple datasets behind /api/{tenant}/: comma-separated name=dataset[:n] specs (e.g. "west=adl:100000,east=uni")`)
+	fs.Int64Var(&c.tenantBudget, "tenant-budget", 0, "memory budget in MiB for resident tenant estimators (0 = unlimited); cold tenants are evicted LRU-first")
+	fs.IntVar(&c.maxInflight, "max-inflight", 0, "admission control: concurrent browse-path requests admitted (0 disables)")
+	fs.DurationVar(&c.shedAfter, "shed-after", geobrowse.DefaultShedAfter, "admission control: bounded wait before a queued request is shed with 429")
+
+	fs.BoolVar(&c.live, "live", false, "serve a mutable ingestion store (POST /api/ingest, /api/delete) instead of a fixed summary")
+	fs.StringVar(&c.wal, "wal", "", "live mode: write-ahead log file (empty = in-memory, no durability)")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "live mode: checkpoint file written on shutdown and loaded on start")
+	fs.IntVar(&c.rebuildEvery, "rebuild-every", live.DefaultRebuildEvery, "live mode: publish a snapshot every N mutations (negative disables)")
+	fs.DurationVar(&c.rebuildInterval, "rebuild-interval", 0, "live mode: also publish a snapshot at this interval when mutations are pending (0 disables)")
+	fs.IntVar(&c.syncEvery, "sync-every", 0, "live mode: fsync the WAL every N mutations (0 = on flush/checkpoint/shutdown only)")
+	fs.Float64Var(&c.crossover, "rebuild-crossover", 0, "live mode: dirty-fraction cost threshold above which a rebuild falls back to a full pass (0 = tuned default, negative = always repair)")
+
+	fs.IntVar(&c.shards, "shards", 0, "live mode: split the store across N column-band shards behind an in-process scatter-gather coordinator")
+	fs.StringVar(&c.replicaOf, "replica-of", "", "serve a WAL-shipped read replica of the live leader at this base URL (requires -checkpoint)")
+	fs.StringVar(&c.coordinator, "coordinator", "", `scatter-gather over remote shard nodes: ';'-separated shards, each a ','-separated list of backend URLs with the leader first`)
+	fs.Int64Var(&c.maxLag, "max-lag-bytes", 1<<20, "coordinator: WAL bytes a follower may lag before its reads route back to the leader (0 = fully caught-up only)")
+	fs.DurationVar(&c.probeInterval, "probe-interval", 250*time.Millisecond, "coordinator: backend liveness/lag probe interval")
+	fs.DurationVar(&c.pollInterval, "poll-interval", 50*time.Millisecond, "replica mode: WAL tail poll interval when caught up")
+}
+
 func main() {
-	var (
-		addr     = flag.String("addr", "localhost:8080", "listen address")
-		name     = flag.String("dataset", "adl", "dataset to generate: "+strings.Join(dataset.Names(), ", "))
-		n        = flag.Int("n", 200_000, "number of objects to generate")
-		seed     = flag.Int64("seed", 2002, "generator seed")
-		file     = flag.String("file", "", "load a dataset file instead of generating")
-		algo     = flag.String("algo", "meuler", "estimator: seuler, euler, meuler")
-		areasArg = flag.String("areas", "1,9,100", "meuler area thresholds in unit cells")
-		gridW    = flag.Int("gw", 360, "grid cells in x")
-		gridH    = flag.Int("gh", 180, "grid cells in y")
-		loadSum  = flag.String("load", "", "serve a saved summary file instead of building one")
-		saveSum  = flag.String("save", "", "after building, save the summary to this file")
-		cacheSz  = flag.Int("cache", 0, "browse-response cache entries, each worth 128 KiB of stored bodies: at most N responses in at most N x 128 KiB (0 = default 64, i.e. 8 MiB; negative disables)")
-		workers  = flag.Int("workers", 0, "tile-map worker pool size (0 = GOMAXPROCS)")
-		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		report   = flag.Duration("report", time.Minute, "self-report interval (QPS, p50/p99, cache hit rate and bytes; 0 disables)")
-		logReq   = flag.Bool("log-requests", false, "log one structured JSON line per API request to stderr")
-
-		pyrLevels   = flag.Int("pyramid-levels", 4, "coarse histogram levels above the base for zoom-native browse routing (0 disables the pyramid)")
-		pyrMinGrid  = flag.Int("pyramid-min-grid", euler.DefaultPyramidMinGrid, "stop pyramid coarsening before either grid axis would drop below this many cells")
-		overviewEps = flag.Float64("overview-epsilon", 0, "serve overview browse maps from the reduced tier when every tile certifies within eps*|tile| objects of exact (0 = always exact; needs pyramids)")
-
-		tenantsArg   = flag.String("tenants", "", `serve multiple datasets behind /api/{tenant}/: comma-separated name=dataset[:n] specs (e.g. "west=adl:100000,east=uni")`)
-		tenantBudget = flag.Int64("tenant-budget", 0, "memory budget in MiB for resident tenant estimators (0 = unlimited); cold tenants are evicted LRU-first")
-		maxInflight  = flag.Int("max-inflight", 0, "admission control: concurrent browse-path requests admitted (0 disables)")
-		shedAfter    = flag.Duration("shed-after", geobrowse.DefaultShedAfter, "admission control: bounded wait before a queued request is shed with 429")
-
-		liveMode  = flag.Bool("live", false, "serve a mutable ingestion store (POST /api/ingest, /api/delete) instead of a fixed summary")
-		walPath   = flag.String("wal", "", "live mode: write-ahead log file (empty = in-memory, no durability)")
-		ckptPath  = flag.String("checkpoint", "", "live mode: checkpoint file written on shutdown and loaded on start")
-		rebuildN  = flag.Int("rebuild-every", live.DefaultRebuildEvery, "live mode: publish a snapshot every N mutations (negative disables)")
-		rebuildT  = flag.Duration("rebuild-interval", 0, "live mode: also publish a snapshot at this interval when mutations are pending (0 disables)")
-		syncEvery = flag.Int("sync-every", 0, "live mode: fsync the WAL every N mutations (0 = on flush/checkpoint/shutdown only)")
-		crossover = flag.Float64("rebuild-crossover", 0, "live mode: dirty-fraction cost threshold above which a rebuild falls back to a full pass (0 = tuned default, negative = always repair)")
-
-		shards    = flag.Int("shards", 0, "live mode: split the store across N column-band shards behind an in-process scatter-gather coordinator")
-		replicaOf = flag.String("replica-of", "", "serve a WAL-shipped read replica of the live leader at this base URL (requires -checkpoint)")
-		coordSpec = flag.String("coordinator", "", `scatter-gather over remote shard nodes: ';'-separated shards, each a ','-separated list of backend URLs with the leader first`)
-		maxLag    = flag.Int64("max-lag-bytes", 1<<20, "coordinator: WAL bytes a follower may lag before its reads route back to the leader (0 = fully caught-up only)")
-		probeIvl  = flag.Duration("probe-interval", 250*time.Millisecond, "coordinator: backend liveness/lag probe interval")
-		pollIvl   = flag.Duration("poll-interval", 50*time.Millisecond, "replica mode: WAL tail poll interval when caught up")
-	)
+	var cfg config
+	cfg.register(flag.CommandLine)
 	flag.Parse()
+	nd, err := assemble(cfg)
+	if err != nil {
+		log.Fatalf("geobrowsed: %v", err)
+	}
+	if err := run(cfg, nd); err != nil {
+		log.Fatalf("geobrowsed: %v", err)
+	}
+}
 
-	opts := geobrowse.Options{CacheSize: *cacheSz, Workers: *workers, OverviewEpsilon: *overviewEps}
-	if *logReq {
+// node is one assembled serving mode — what run needs of it and nothing of
+// how it was composed.
+type node struct {
+	handler http.Handler
+	// drain flips /healthz to 503 ahead of a shutdown; nil when the mode's
+	// front has no drain state (coordinators).
+	drain func()
+	// gb and store feed the self-report: the server whose cache is
+	// reported (nil for registry and coordinator fronts) and the single
+	// live store whose rebuilds are (nil otherwise).
+	gb    *geobrowse.Server
+	store *live.Store
+	// close releases what the mode holds — stores, followers, coordinators
+	// — after the listener has drained.
+	close func() error
+}
+
+// assemble composes the serving mode cfg selects: a coordinator over remote
+// shards, a read replica, a tenant registry, a saved summary, a live store
+// (one, or -shards of them behind an in-process coordinator) or a summary
+// built from the dataset.
+func assemble(cfg config) (node, error) {
+	opts := geobrowse.Options{CacheSize: cfg.cache, Workers: cfg.workers, OverviewEpsilon: cfg.overviewEps}
+	if cfg.logRequests {
 		opts.AccessLog = os.Stderr
 	}
-	if *maxInflight > 0 {
+	if cfg.maxInflight > 0 {
 		opts.Limiter = geobrowse.NewLimiter(geobrowse.AdmissionConfig{
-			MaxInflight: *maxInflight,
-			ShedAfter:   *shedAfter,
+			MaxInflight: cfg.maxInflight,
+			ShedAfter:   cfg.shedAfter,
 			Telemetry:   telemetry.Default(),
 		})
-		log.Printf("admission control: %d in-flight, shed after %v", *maxInflight, *shedAfter)
+		log.Printf("admission control: %d in-flight, shed after %v", cfg.maxInflight, cfg.shedAfter)
 	}
 
-	if *liveMode && *loadSum != "" {
-		log.Fatal("geobrowsed: -live builds its own store; it cannot serve a -load summary")
-	}
-	if *shards != 0 && !*liveMode {
-		log.Fatal("geobrowsed: -shards partitions a live store; it requires -live")
-	}
-	if (*replicaOf != "" || *coordSpec != "") && (*liveMode || *tenantsArg != "" || *loadSum != "") {
-		log.Fatal("geobrowsed: -replica-of and -coordinator are serving topologies of their own; they do not compose with -live, -tenants or -load")
-	}
-
-	if *coordSpec != "" {
-		groups, err := parseShardSpec(*coordSpec)
+	switch {
+	case cfg.live && cfg.load != "":
+		return node{}, errors.New("-live builds its own store; it cannot serve a -load summary")
+	case cfg.shards != 0 && !cfg.live:
+		return node{}, errors.New("-shards partitions a live store; it requires -live")
+	case (cfg.replicaOf != "" || cfg.coordinator != "") && (cfg.live || cfg.tenants != "" || cfg.load != ""):
+		return node{}, errors.New("-replica-of and -coordinator are serving topologies of their own; they do not compose with -live, -tenants or -load")
+	case cfg.coordinator != "":
+		return assembleCoordinator(cfg)
+	case cfg.replicaOf != "":
+		return assembleReplica(cfg, opts)
+	case cfg.tenants != "":
+		return assembleTenants(cfg, opts)
+	case cfg.load != "":
+		sum, err := spatialhist.LoadFile(cfg.load)
 		if err != nil {
-			log.Fatalf("geobrowsed: %v", err)
-		}
-		c, err := shard.NewCoordinator(shard.Config{
-			Shards:        groups,
-			MaxLagBytes:   *maxLag,
-			ProbeInterval: *probeIvl,
-			Telemetry:     telemetry.Default(),
-		})
-		if err != nil {
-			log.Fatalf("geobrowsed: %v", err)
-		}
-		log.Printf("coordinator over %d shards (max follower lag %d bytes, probe every %v)",
-			c.Shards(), *maxLag, *probeIvl)
-		run(*addr, shard.NewServer(c, telemetry.Default()), nil, nil, *pprofOn, *report, nil,
-			func() {
-				if err := c.Close(); err != nil {
-					log.Printf("geobrowsed: closing coordinator: %v", err)
-				}
-			})
-		return
-	}
-
-	if *replicaOf != "" {
-		if *ckptPath == "" {
-			log.Fatal("geobrowsed: -replica-of needs -checkpoint for the replica's own durable state")
-		}
-		leader := &shard.HTTPHandle{Base: strings.TrimSuffix(*replicaOf, "/")}
-		info, err := leader.Info()
-		if err != nil {
-			log.Fatalf("geobrowsed: probing leader %s: %v", *replicaOf, err)
-		}
-		f, err := shard.StartFollower(shard.FollowerConfig{
-			Source:          leader,
-			CheckpointPath:  *ckptPath,
-			PollInterval:    *pollIvl,
-			RebuildEvery:    *rebuildN,
-			RebuildInterval: *rebuildT,
-			PyramidLevels:   *pyrLevels,
-			Telemetry:       telemetry.Default(),
-		})
-		if err != nil {
-			log.Fatalf("geobrowsed: starting replica: %v", err)
-		}
-		log.Printf("replica of %s (%s) tailing from seq %d, polling every %v",
-			*replicaOf, info.Dataset, f.Seq(), *pollIvl)
-		gb := geobrowse.NewLiveServer(info.Dataset, f.Store(), opts)
-		run(*addr, replicaHandler(gb, f.Store()), gb.StartDrain, gb, *pprofOn, *report, nil,
-			func() {
-				if err := f.Close(); err != nil {
-					log.Printf("geobrowsed: closing replica: %v", err)
-				}
-			})
-		return
-	}
-
-	if *tenantsArg != "" {
-		if *liveMode || *loadSum != "" || *file != "" {
-			log.Fatal("geobrowsed: -tenants generates its datasets; it composes with -algo/-n/-seed only")
-		}
-		tenants, err := parseTenants(*tenantsArg, *n, func(dsName string, count int, seed int64) (core.Estimator, error) {
-			d, err := dataset.Generate(dsName, count, seed)
-			if err != nil {
-				return nil, err
-			}
-			est, err := buildEstimator(*algo, *areasArg, grid.New(d.Extent, *gridW, *gridH), d)
-			if err != nil {
-				return nil, err
-			}
-			return zoomWrap(est, *pyrLevels, *pyrMinGrid), nil
-		}, *seed)
-		if err != nil {
-			log.Fatalf("geobrowsed: %v", err)
-		}
-		reg, err := geobrowse.NewRegistry(tenants, geobrowse.RegistryOptions{
-			MemoryBudget: *tenantBudget << 20,
-			Server:       opts,
-		})
-		if err != nil {
-			log.Fatalf("geobrowsed: %v", err)
-		}
-		ms := geobrowse.NewMultiServer(reg)
-		log.Printf("serving %d tenants (%s), budget %d MiB, lazy-loaded on first touch",
-			len(tenants), strings.Join(reg.Tenants(), ", "), *tenantBudget)
-		run(*addr, ms, ms.StartDrain, nil, *pprofOn, *report, nil)
-		return
-	}
-
-	if *loadSum != "" {
-		sum, err := spatialhist.LoadFile(*loadSum)
-		if err != nil {
-			log.Fatalf("geobrowsed: %v", err)
+			return node{}, err
 		}
 		log.Printf("loaded summary: %s, %d objects, %d buckets",
 			sum.Algorithm(), sum.Count(), sum.StorageBuckets())
-		serve(*addr, *loadSum, zoomWrap(sum.Estimator(), *pyrLevels, *pyrMinGrid), opts, *pprofOn, *report)
-		return
+		return staticNode(cfg, cfg.load, sum.Estimator(), opts)
 	}
 
 	var d *dataset.Dataset
 	var err error
-	if *file != "" {
-		d, err = dataset.Load(*file)
+	if cfg.file != "" {
+		d, err = dataset.Load(cfg.file)
 	} else {
-		d, err = dataset.Generate(*name, *n, *seed)
+		d, err = dataset.Generate(cfg.dataset, cfg.n, cfg.seed)
 	}
 	if err != nil {
-		log.Fatalf("geobrowsed: %v", err)
+		return node{}, err
 	}
 	log.Printf("loaded %v", d)
-
-	g := grid.New(d.Extent, *gridW, *gridH)
-
-	if *liveMode {
-		algoV, err := live.ParseAlgo(*algo)
-		if err != nil {
-			log.Fatalf("geobrowsed: %v", err)
-		}
-		cfg := live.Config{
-			Grid:             g,
-			Algo:             algoV,
-			Seed:             d.Rects,
-			WALPath:          *walPath,
-			CheckpointPath:   *ckptPath,
-			RebuildEvery:     *rebuildN,
-			RebuildInterval:  *rebuildT,
-			SyncEvery:        *syncEvery,
-			RebuildCrossover: *crossover,
-			PyramidLevels:    *pyrLevels,
-			PyramidMinGrid:   *pyrMinGrid,
-		}
-		if algoV == live.AlgoMEuler {
-			if cfg.Areas, err = parseAreas(*areasArg); err != nil {
-				log.Fatalf("geobrowsed: %v", err)
-			}
-		}
-		if *shards > 1 {
-			serveSharded(*addr, cfg, d, *shards, *maxLag, *probeIvl, *pprofOn, *report)
-			return
-		}
-		start := time.Now()
-		store, err := live.Open(cfg)
-		if err != nil {
-			log.Fatalf("geobrowsed: %v", err)
-		}
-		st := store.Status()
-		log.Printf("live store open in %v: %s, %d objects, generation %d, %d replayed mutations (wal %q, %d bytes)",
-			time.Since(start).Round(time.Millisecond), st.Algorithm, st.LiveObjects, st.Generation, st.Mutations, *walPath, st.WALBytes)
-		gb := geobrowse.NewLiveServer(d.Name, store, opts)
-		// Mount the shard/replication API beside the browse API so this
-		// node can serve as a scatter-gather backend or replication leader.
-		nh := shard.NodeHandler(store, telemetry.Default())
-		mux := http.NewServeMux()
-		mux.Handle("/", gb)
-		mux.Handle("/api/shard/", nh)
-		mux.Handle("/api/replica/", nh)
-		run(*addr, mux, gb.StartDrain, gb, *pprofOn, *report, store)
-		return
+	g := grid.New(d.Extent, cfg.gridW, cfg.gridH)
+	if cfg.live {
+		return assembleLive(cfg, opts, g, d)
 	}
 
 	start := time.Now()
-	est, err := buildEstimator(*algo, *areasArg, g, d)
+	est, err := buildEstimator(cfg.algo, cfg.areas, g, d)
 	if err != nil {
-		log.Fatalf("geobrowsed: %v", err)
+		return node{}, err
 	}
 	log.Printf("built %s (%d buckets, %s) in %v", est.Name(), est.StorageBuckets(), latticeSummary(est), time.Since(start).Round(time.Millisecond))
-
-	if *saveSum != "" {
+	if cfg.save != "" {
 		sum, err := spatialhist.SummaryOf(est)
 		if err != nil {
-			log.Fatalf("geobrowsed: %v", err)
+			return node{}, err
 		}
-		if err := sum.SaveFile(*saveSum); err != nil {
-			log.Fatalf("geobrowsed: %v", err)
+		if err := sum.SaveFile(cfg.save); err != nil {
+			return node{}, err
 		}
-		log.Printf("saved summary to %s", *saveSum)
+		log.Printf("saved summary to %s", cfg.save)
 	}
-	serve(*addr, d.Name, zoomWrap(est, *pyrLevels, *pyrMinGrid), opts, *pprofOn, *report)
+	return staticNode(cfg, d.Name, est, opts)
+}
+
+// staticNode serves a fixed estimator, stacked over its pyramid.
+func staticNode(cfg config, name string, est core.Estimator, opts geobrowse.Options) (node, error) {
+	est, err := zoomWrap(est, cfg.pyramidLevels, cfg.pyramidMinGrid)
+	if err != nil {
+		return node{}, err
+	}
+	gb := geobrowse.NewServerOpts(name, est, opts)
+	return node{handler: gb, drain: gb.StartDrain, gb: gb}, nil
+}
+
+// assembleCoordinator scatter-gathers over the remote shard nodes of
+// -coordinator.
+func assembleCoordinator(cfg config) (node, error) {
+	groups, err := parseShardSpec(cfg.coordinator)
+	if err != nil {
+		return node{}, err
+	}
+	c, err := shard.NewCoordinator(shard.Config{
+		Shards:        groups,
+		MaxLagBytes:   cfg.maxLag,
+		ProbeInterval: cfg.probeInterval,
+		Telemetry:     telemetry.Default(),
+	})
+	if err != nil {
+		return node{}, err
+	}
+	log.Printf("coordinator over %d shards (max follower lag %d bytes, probe every %v)",
+		c.Shards(), cfg.maxLag, cfg.probeInterval)
+	return node{handler: shard.NewServer(c, telemetry.Default()), close: c.Close}, nil
+}
+
+// assembleReplica tails the live leader at -replica-of into a store of its
+// own and serves it read-only.
+func assembleReplica(cfg config, opts geobrowse.Options) (node, error) {
+	if cfg.checkpoint == "" {
+		return node{}, errors.New("-replica-of needs -checkpoint for the replica's own durable state")
+	}
+	leader := &shard.HTTPHandle{Base: strings.TrimSuffix(cfg.replicaOf, "/")}
+	info, err := leader.Info()
+	if err != nil {
+		return node{}, fmt.Errorf("probing leader %s: %w", cfg.replicaOf, err)
+	}
+	f, err := shard.StartFollower(shard.FollowerConfig{
+		Source:          leader,
+		CheckpointPath:  cfg.checkpoint,
+		PollInterval:    cfg.pollInterval,
+		RebuildEvery:    cfg.rebuildEvery,
+		RebuildInterval: cfg.rebuildInterval,
+		PyramidLevels:   cfg.pyramidLevels,
+		Telemetry:       telemetry.Default(),
+	})
+	if err != nil {
+		return node{}, fmt.Errorf("starting replica: %w", err)
+	}
+	log.Printf("replica of %s (%s) tailing from seq %d, polling every %v",
+		cfg.replicaOf, info.Dataset, f.Seq(), cfg.pollInterval)
+	gb := geobrowse.NewLiveServer(info.Dataset, f.Store(), opts)
+	return node{handler: replicaHandler(gb, f.Store()), drain: gb.StartDrain, gb: gb, close: f.Close}, nil
+}
+
+// assembleTenants serves the generated datasets of -tenants behind one
+// registry front.
+func assembleTenants(cfg config, opts geobrowse.Options) (node, error) {
+	if cfg.live || cfg.load != "" || cfg.file != "" {
+		return node{}, errors.New("-tenants generates its datasets; it composes with -algo/-n/-seed only")
+	}
+	tenants, err := parseTenants(cfg.tenants, cfg.n, func(dsName string, count int, seed int64) (core.Estimator, error) {
+		d, err := dataset.Generate(dsName, count, seed)
+		if err != nil {
+			return nil, err
+		}
+		est, err := buildEstimator(cfg.algo, cfg.areas, grid.New(d.Extent, cfg.gridW, cfg.gridH), d)
+		if err != nil {
+			return nil, err
+		}
+		return zoomWrap(est, cfg.pyramidLevels, cfg.pyramidMinGrid)
+	}, cfg.seed)
+	if err != nil {
+		return node{}, err
+	}
+	reg, err := geobrowse.NewRegistry(tenants, geobrowse.RegistryOptions{
+		MemoryBudget: cfg.tenantBudget << 20,
+		Server:       opts,
+	})
+	if err != nil {
+		return node{}, err
+	}
+	ms := geobrowse.NewMultiServer(reg)
+	log.Printf("serving %d tenants (%s), budget %d MiB, lazy-loaded on first touch",
+		len(tenants), strings.Join(reg.Tenants(), ", "), cfg.tenantBudget)
+	return node{handler: ms, drain: ms.StartDrain}, nil
+}
+
+// assembleLive opens the mutable store over the dataset's objects — split
+// across -shards column bands when asked — with the shard/replication API
+// mounted beside the browse API, so the node can serve as a scatter-gather
+// backend or a replication leader.
+func assembleLive(cfg config, opts geobrowse.Options, g *grid.Grid, d *dataset.Dataset) (node, error) {
+	spec, err := parseSpec(cfg.algo, cfg.areas)
+	if err != nil {
+		return node{}, err
+	}
+	lc := live.Config{
+		Grid:             g,
+		Algo:             spec.Algo,
+		Areas:            spec.Areas,
+		Seed:             d.Rects,
+		WALPath:          cfg.wal,
+		CheckpointPath:   cfg.checkpoint,
+		RebuildEvery:     cfg.rebuildEvery,
+		RebuildInterval:  cfg.rebuildInterval,
+		SyncEvery:        cfg.syncEvery,
+		RebuildCrossover: cfg.crossover,
+		PyramidLevels:    cfg.pyramidLevels,
+		PyramidMinGrid:   cfg.pyramidMinGrid,
+	}
+	if cfg.shards > 1 {
+		return assembleSharded(cfg, lc, d)
+	}
+	start := time.Now()
+	store, err := live.Open(lc)
+	if err != nil {
+		return node{}, err
+	}
+	st := store.Status()
+	log.Printf("live store open in %v: %s, %d objects, generation %d, %d replayed mutations (wal %q, %d bytes)",
+		time.Since(start).Round(time.Millisecond), st.Algorithm, st.LiveObjects, st.Generation, st.Mutations, cfg.wal, st.WALBytes)
+	gb := geobrowse.NewLiveServer(d.Name, store, opts)
+	return node{handler: withNodeAPI(gb, store), drain: gb.StartDrain, gb: gb, store: store, close: func() error {
+		return closeStore("live store", store)
+	}}, nil
+}
+
+// closeStore closes a live store — syncing its journal and writing its
+// checkpoint — and logs where it stopped.
+func closeStore(what string, s *live.Store) error {
+	st := s.Status()
+	if err := s.Close(); err != nil {
+		return fmt.Errorf("closing %s: %w", what, err)
+	}
+	log.Printf("%s closed at generation %d (%d mutations journaled)", what, st.Generation, st.Mutations)
+	return nil
 }
 
 // latticeSummary renders the resident lattice bytes of an estimator and the
@@ -321,86 +396,63 @@ func latticeSummary(est core.Estimator) string {
 // zoomWrap stacks a multi-resolution pyramid over a fixed-summary
 // estimator so aligned browse requests are served from coarse levels.
 // Grids too small (or too odd) to coarsen keep the plain estimator.
-func zoomWrap(est core.Estimator, levels, minGrid int) core.Estimator {
+func zoomWrap(est core.Estimator, levels, minGrid int) (core.Estimator, error) {
 	if levels <= 0 {
-		return est
+		return est, nil
 	}
-	opts := euler.PyramidOpts{MaxLevels: levels, MinGrid: minGrid}
-	var z *core.Zoom
-	var pyrs []*euler.Pyramid
-	switch e := est.(type) {
-	case *core.SEuler:
-		p := euler.NewPyramid(e.Histogram(), opts)
-		if p.Levels() < 2 {
-			return est
-		}
-		z, pyrs = core.ZoomSEuler(p), []*euler.Pyramid{p}
-	case *core.Euler:
-		p := euler.NewPyramid(e.Histogram(), opts)
-		if p.Levels() < 2 {
-			return est
-		}
-		z, pyrs = core.ZoomEuler(p), []*euler.Pyramid{p}
-	case *core.MEuler:
-		hists := e.Histograms()
-		pyrs = make([]*euler.Pyramid, len(hists))
-		for i, h := range hists {
-			pyrs[i] = euler.NewPyramid(h, opts)
-		}
-		if pyrs[0].Levels() < 2 {
-			return est
-		}
-		zm, err := core.ZoomMEuler(e.Areas(), pyrs)
-		if err != nil {
-			log.Fatalf("geobrowsed: assembling zoom stack: %v", err)
-		}
-		z = zm
-	default:
-		return est
+	spec, pyrs, ok := core.Pyramids(est, euler.PyramidOpts{MaxLevels: levels, MinGrid: minGrid})
+	if !ok {
+		return est, nil
 	}
-	// The reduced tier shares the coarse pyramid lattices, so attaching
-	// the overview is free; geobrowse only consults it when the server
-	// (or tenant) opted in with a positive OverviewEpsilon.
-	depth := pyrs[0].Levels()
-	for _, p := range pyrs[1:] {
-		depth = min(depth, p.Levels())
+	z, err := spec.FromPyramids(pyrs)
+	if err != nil {
+		return nil, fmt.Errorf("assembling zoom stack: %w", err)
 	}
-	if o, ok := core.OverviewFromPyramids(pyrs, core.OverviewShift(depth)); ok {
-		z.AttachOverview(o)
+	if n := core.NumLevels(z); n > 1 {
+		log.Printf("pyramid: %d levels over the base grid (%d buckets total)", n-1, z.StorageBuckets())
 	}
-	log.Printf("pyramid: %d levels over the base grid (%d buckets total)",
-		z.NumLevels()-1, z.StorageBuckets())
-	return z
+	return z, nil
 }
 
-// serveSharded opens n live stores — one per column band — routes the
-// dataset's seed objects to their owning shards, and serves an
-// in-process scatter-gather coordinator over them. Per-shard WAL and
-// checkpoint files derive from the configured paths by suffix, so each
-// shard recovers its own band independently on restart.
-func serveSharded(addr string, base live.Config, d *dataset.Dataset, n int, maxLag int64, probe time.Duration, pprofOn bool, report time.Duration) {
+// assembleSharded opens one live store per column band, routes the
+// dataset's seed objects to their owning shards, and serves an in-process
+// scatter-gather coordinator over them. Per-shard WAL and checkpoint files
+// derive from the configured paths by suffix, so each shard recovers its
+// own band independently on restart.
+func assembleSharded(cfg config, base live.Config, d *dataset.Dataset) (node, error) {
+	n := cfg.shards
 	part, err := shard.NewPartition(base.Grid, n)
 	if err != nil {
-		log.Fatalf("geobrowsed: %v", err)
+		return node{}, err
 	}
 	seeds := part.RouteRects(d.Rects)
 	start := time.Now()
-	stores := make([]*live.Store, n)
+	stores := make([]*live.Store, 0, n)
+	closeStores := func() error {
+		var first error
+		for i, s := range stores {
+			if err := closeStore(fmt.Sprintf("shard %d", i), s); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
 	groups := make([]shard.Backends, n)
 	for i := 0; i < n; i++ {
-		cfg := base
-		cfg.Seed = seeds[i]
+		sc := base
+		sc.Seed = seeds[i]
 		if base.WALPath != "" {
-			cfg.WALPath = fmt.Sprintf("%s.%d", base.WALPath, i)
+			sc.WALPath = fmt.Sprintf("%s.%d", base.WALPath, i)
 		}
 		if base.CheckpointPath != "" {
-			cfg.CheckpointPath = fmt.Sprintf("%s.%d", base.CheckpointPath, i)
+			sc.CheckpointPath = fmt.Sprintf("%s.%d", base.CheckpointPath, i)
 		}
-		s, err := live.Open(cfg)
+		s, err := live.Open(sc)
 		if err != nil {
-			log.Fatalf("geobrowsed: opening shard %d: %v", i, err)
+			closeStores()
+			return node{}, fmt.Errorf("opening shard %d: %w", i, err)
 		}
-		stores[i] = s
+		stores = append(stores, s)
 		groups[i] = shard.Backends{Leader: &shard.LocalHandle{
 			Store: s, Label: fmt.Sprintf("%s/shard%d", d.Name, i),
 		}}
@@ -408,12 +460,13 @@ func serveSharded(addr string, base live.Config, d *dataset.Dataset, n int, maxL
 	c, err := shard.NewCoordinator(shard.Config{
 		Name:          d.Name,
 		Shards:        groups,
-		MaxLagBytes:   maxLag,
-		ProbeInterval: probe,
+		MaxLagBytes:   cfg.maxLag,
+		ProbeInterval: cfg.probeInterval,
 		Telemetry:     telemetry.Default(),
 	})
 	if err != nil {
-		log.Fatalf("geobrowsed: %v", err)
+		closeStores()
+		return node{}, err
 	}
 	var objects int64
 	for i, s := range stores {
@@ -424,18 +477,13 @@ func serveSharded(addr string, base live.Config, d *dataset.Dataset, n int, maxL
 	}
 	log.Printf("sharded live store open in %v: %d shards, %d objects total",
 		time.Since(start).Round(time.Millisecond), n, objects)
-	run(addr, shard.NewServer(c, telemetry.Default()), nil, nil, pprofOn, report, nil, func() {
-		if err := c.Close(); err != nil {
-			log.Printf("geobrowsed: closing coordinator: %v", err)
+	return node{handler: shard.NewServer(c, telemetry.Default()), close: func() error {
+		err := c.Close()
+		if serr := closeStores(); err == nil {
+			err = serr
 		}
-		for i, s := range stores {
-			st := s.Status()
-			if err := s.Close(); err != nil {
-				log.Fatalf("geobrowsed: closing shard %d: %v", i, err)
-			}
-			log.Printf("shard %d closed at generation %d (%d mutations journaled)", i, st.Generation, st.Mutations)
-		}
-	})
+		return err
+	}}, nil
 }
 
 // parseShardSpec expands a -coordinator spec into backend groups:
@@ -469,16 +517,23 @@ func parseShardSpec(spec string) ([]shard.Backends, error) {
 	return groups, nil
 }
 
-// replicaHandler fronts a follower's store: browse reads and the shard
-// estimate API are served locally, but local mutations are refused —
-// writes belong to the leader, and a replica that accepted one would
-// silently diverge from the stream it tails.
-func replicaHandler(gb *geobrowse.Server, store *live.Store) http.Handler {
+// withNodeAPI mounts a store's shard/replication API beside its browse
+// API.
+func withNodeAPI(gb *geobrowse.Server, store *live.Store) *http.ServeMux {
 	nh := shard.NodeHandler(store, telemetry.Default())
 	mux := http.NewServeMux()
 	mux.Handle("/", gb)
 	mux.Handle("/api/shard/", nh)
 	mux.Handle("/api/replica/", nh)
+	return mux
+}
+
+// replicaHandler fronts a follower's store: browse reads and the shard
+// estimate API are served locally, but local mutations are refused —
+// writes belong to the leader, and a replica that accepted one would
+// silently diverge from the stream it tails.
+func replicaHandler(gb *geobrowse.Server, store *live.Store) http.Handler {
+	mux := withNodeAPI(gb, store)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && (r.URL.Path == "/api/ingest" || r.URL.Path == "/api/delete") {
 			http.Error(w, "read-only replica: send writes to the leader", http.StatusForbidden)
@@ -488,21 +543,15 @@ func replicaHandler(gb *geobrowse.Server, store *live.Store) http.Handler {
 	})
 }
 
-// serve runs the GeoBrowse handler over a fixed estimator.
-func serve(addr, name string, est core.Estimator, opts geobrowse.Options, pprofOn bool, report time.Duration) {
-	gb := geobrowse.NewServerOpts(name, est, opts)
-	run(addr, gb, gb.StartDrain, gb, pprofOn, report, nil)
-}
-
-// run serves handler (which exposes Prometheus metrics at /metrics),
-// optionally mounts net/http/pprof, and starts the periodic self-report
-// loop (gb may be nil in multi-tenant mode; cache stats are skipped). On
-// SIGINT/SIGTERM it calls drain — flipping /healthz to 503 so load
-// balancers stop routing here — then drains in-flight requests and, when
-// fronting a live store, closes it — syncing the journal and writing the
-// checkpoint — so a clean shutdown never loses acknowledged mutations.
-func run(addr string, handler http.Handler, drain func(), gb *geobrowse.Server, pprofOn bool, report time.Duration, store *live.Store, cleanup ...func()) {
-	if pprofOn {
+// run serves the node's handler (which exposes Prometheus metrics at
+// /metrics), optionally mounts net/http/pprof, and starts the periodic
+// self-report loop. On SIGINT/SIGTERM it drains — flipping /healthz to 503
+// so load balancers stop routing here — then waits out in-flight requests
+// and closes the node, which for a live store syncs the journal and writes
+// the checkpoint, so a clean shutdown never loses acknowledged mutations.
+func run(cfg config, nd node) error {
+	handler := nd.handler
+	if cfg.pprof {
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -511,10 +560,10 @@ func run(addr string, handler http.Handler, drain func(), gb *geobrowse.Server, 
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
-		log.Printf("pprof enabled at http://%s/debug/pprof/", addr)
+		log.Printf("pprof enabled at http://%s/debug/pprof/", cfg.addr)
 	}
-	if report > 0 {
-		go selfReport(gb, report, store)
+	if cfg.report > 0 {
+		go selfReport(nd.gb, cfg.report, nd.store)
 	}
 	// The runtime last collected while start-up garbage — dataset buffers,
 	// the builders' difference arrays, each as large as a lattice — was
@@ -522,41 +571,35 @@ func run(addr string, handler http.Handler, drain func(), gb *geobrowse.Server, 
 	// here so the heap under load is paced by what the server keeps.
 	runtime.GC()
 	srv := &http.Server{
-		Addr:         addr,
+		Addr:         cfg.addr,
 		Handler:      handler,
 		ReadTimeout:  10 * time.Second,
 		WriteTimeout: 30 * time.Second,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("serving GeoBrowse on http://%s/ (metrics at /metrics)", addr)
+	log.Printf("serving GeoBrowse on http://%s/ (metrics at /metrics)", cfg.addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
-		log.Fatal(err)
+		return err
 	case got := <-sig:
 		log.Printf("received %v, shutting down", got)
-		if drain != nil {
-			drain()
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("geobrowsed: draining requests: %v", err)
-		}
-		if store != nil {
-			st := store.Status()
-			if err := store.Close(); err != nil {
-				log.Fatalf("geobrowsed: closing live store: %v", err)
-			}
-			log.Printf("live store closed at generation %d (%d mutations journaled)", st.Generation, st.Mutations)
-		}
-		for _, fn := range cleanup {
-			fn()
-		}
 	}
+	if nd.drain != nil {
+		nd.drain()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		log.Printf("geobrowsed: draining requests: %v", err)
+	}
+	if nd.close != nil {
+		return nd.close()
+	}
+	return nil
 }
 
 // selfReport emits one structured line per interval with the window's
@@ -664,20 +707,26 @@ func pyramidReportFields(prev, cur map[string]int64) []any {
 	return fields
 }
 
-func buildEstimator(algo, areasArg string, g *grid.Grid, d *dataset.Dataset) (core.Estimator, error) {
+// parseSpec reads -algo and, for meuler, -areas.
+func parseSpec(algo, areasArg string) (core.Spec, error) {
 	switch algo {
 	case "seuler":
-		return core.SEulerFromRects(g, d.Rects), nil
+		return core.Spec{Algo: core.AlgoSEuler}, nil
 	case "euler":
-		return core.EulerFromRects(g, d.Rects), nil
+		return core.Spec{Algo: core.AlgoEuler}, nil
 	case "meuler":
 		areas, err := parseAreas(areasArg)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewMEuler(g, areas, d.Rects)
+		return core.Spec{Algo: core.AlgoMEuler, Areas: areas}, err
 	}
-	return nil, fmt.Errorf("unknown algorithm %q (want seuler, euler or meuler)", algo)
+	return core.Spec{}, fmt.Errorf("unknown algorithm %q (want seuler, euler or meuler)", algo)
+}
+
+func buildEstimator(algo, areasArg string, g *grid.Grid, d *dataset.Dataset) (core.Estimator, error) {
+	spec, err := parseSpec(algo, areasArg)
+	if err != nil {
+		return nil, err
+	}
+	return spec.FromRects(g, d.Rects)
 }
 
 // parseTenants expands a "-tenants" spec — comma-separated

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"flag"
+	"io"
+	"log"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"spatialhist/internal/core"
@@ -100,6 +105,45 @@ func TestParseShardSpec(t *testing.T) {
 	for _, bad := range []string{"", " ; ", "http://a:1,,http://b:2"} {
 		if _, err := parseShardSpec(bad); err == nil {
 			t.Errorf("spec %q must error", bad)
+		}
+	}
+}
+
+// TestAssembleRefusesBadCommandLines: every flag combination main used to
+// die on inside a mode is an error assemble returns before serving anything.
+func TestAssembleRefusesBadCommandLines(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+	for _, args := range [][]string{
+		{"-live", "-load", "summary.bin"},
+		{"-shards", "2"},
+		{"-replica-of", "http://localhost:1", "-live"},
+		{"-coordinator", "http://localhost:1", "-tenants", "a=adl"},
+		{"-coordinator", " ; "},
+		{"-replica-of", "http://localhost:1"}, // no -checkpoint
+		{"-tenants", "a=adl", "-file", "adl.bin"},
+		{"-tenants", "a=uni"},
+		{"-load", filepath.Join(t.TempDir(), "missing.bin")},
+		{"-file", filepath.Join(t.TempDir(), "missing.bin")},
+		{"-dataset", "uni"},
+		{"-algo", "bogus"},
+		{"-algo", "meuler", "-areas", "9,1"},
+		{"-live", "-algo", "bogus"},
+		{"-live", "-areas", "1,x"},
+		{"-live", "-shards", "100000", "-gw", "8"},
+		{"-save", filepath.Join(t.TempDir(), "no", "such", "dir", "s.bin")},
+	} {
+		fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
+		var cfg config
+		cfg.register(fs)
+		if err := fs.Parse(append([]string{"-n", "50"}, args...)); err != nil {
+			t.Fatal(err)
+		}
+		if nd, err := assemble(cfg); err == nil {
+			t.Errorf("%v: assembled a node", args)
+			if nd.close != nil {
+				nd.close()
+			}
 		}
 	}
 }

@@ -14,8 +14,9 @@
 //	                        other (EvaluateQuery vs EvaluateSet vs the
 //	                        4-d prefix-sum Oracle).
 //	batch vs per-tile       core.EstimateGrid / EstimateGridParallel /
-//	                        EstimateGridInto (dirty plane, row bands) vs
-//	                        a per-tile Estimate loop.
+//	                        EstimateGridInto (dirty plane, row bands) —
+//	                        every caller of core.PlanGrid's exact path —
+//	                        vs a per-tile Estimate loop.
 //	incremental vs fresh    euler.BuildFrom chains (dirty-region repair,
 //	                        scratch reuse, crossover fallback) vs a fresh
 //	                        Build over the same objects.
@@ -28,6 +29,10 @@
 // error collapse once the N_cd = 0 assumption holds) and deterministic
 // failpoint crash checks over the WAL/checkpoint machinery
 // (internal/check/failpoint).
+//
+// The checks read a live store the one way there is: estimators are pinned
+// (AcquireEstimator) for as long as they are compared and released after
+// (storeDiff), so the harness models the use it verifies.
 //
 // Every check is a pure function of a seed. On divergence the harness
 // shrinks the dataset, query or mutation stream to a minimal reproducing

@@ -43,6 +43,17 @@ func estDiff(got, want core.Estimator, queries []grid.Span) (string, string, boo
 	return "", "", false
 }
 
+// storeDiff is estDiff over two stores' published generations, pinned for
+// as long as they are read and released after — as every reader of a live
+// store does.
+func storeDiff(got, want *live.Store, queries []grid.Span) (string, string, bool) {
+	estA, _, releaseA := got.AcquireEstimator()
+	defer releaseA()
+	estB, _, releaseB := want.AcquireEstimator()
+	defer releaseB()
+	return estDiff(estA, estB, queries)
+}
+
 // randLiveAlgo draws a store algorithm (with thresholds for M-EulerApprox).
 func randLiveAlgo(r *rand.Rand) (live.Algo, []float64) {
 	switch r.Intn(3) {
@@ -151,9 +162,7 @@ func replayDiverges(lc liveCase, muts []gen.Mutation, queries []grid.Span) (got,
 	if err := a2.Flush(); err != nil {
 		return "flushing recovered store: " + err.Error(), "", true
 	}
-	estA, _ := a2.CurrentEstimator()
-	estB, _ := b.CurrentEstimator()
-	return estDiff(estA, estB, queries)
+	return storeDiff(a2, b, queries)
 }
 
 // ---------------------------------------------------------------------------
@@ -307,9 +316,7 @@ func runWALCrashBoundary(seed int64) *Divergence {
 	if err := b.Flush(); err != nil {
 		return &Divergence{Check: name, Seed: seed, Grid: gridDesc(g), Detail: "flushing reference twin: " + err.Error()}
 	}
-	estA, _ := a2.CurrentEstimator()
-	estB, _ := b.CurrentEstimator()
-	if got, want, bad := estDiff(estA, estB, queries); bad {
+	if got, want, bad := storeDiff(a2, b, queries); bad {
 		return &Divergence{
 			Check: name, Seed: seed, Grid: gridDesc(g),
 			Detail: fmt.Sprintf("store recovered from a crash at record-stream byte %d is not bit-identical to replaying the %d surviving records", budget, surviving),
@@ -425,9 +432,7 @@ func runCheckpointCrash(seed int64) *Divergence {
 	if err := b.Flush(); err != nil {
 		return &Divergence{Check: name, Seed: seed, Grid: gridDesc(g), Detail: "flushing reference twin: " + err.Error()}
 	}
-	estA, _ := a2.CurrentEstimator()
-	estB, _ := b.CurrentEstimator()
-	if got, want, bad := estDiff(estA, estB, queries); bad {
+	if got, want, bad := storeDiff(a2, b, queries); bad {
 		return &Divergence{
 			Check: name, Seed: seed, Grid: gridDesc(g),
 			Detail: "store recovered from the surviving checkpoint + WAL tail differs from the uninterrupted twin",
@@ -497,9 +502,7 @@ func runFsyncFailure(seed int64) *Divergence {
 	if err := b.Flush(); err != nil {
 		return &Divergence{Check: name, Seed: seed, Grid: gridDesc(g), Detail: "flushing reference twin: " + err.Error()}
 	}
-	estA, _ := a.CurrentEstimator()
-	estB, _ := b.CurrentEstimator()
-	if got, want, bad := estDiff(estA, estB, queries); bad {
+	if got, want, bad := storeDiff(a, b, queries); bad {
 		return &Divergence{
 			Check: name, Seed: seed, Grid: gridDesc(g),
 			Detail: "snapshot served across a failed fsync differs from the uninterrupted twin",

@@ -77,8 +77,10 @@ func runRegistryEvictReload(seed int64) *Divergence {
 					Detail: fmt.Sprintf("round %d: resolving %s: %v", round, baselines[i].name, err),
 					Grid:   gridDesc(g)}
 			}
-			if d := compareTenantEstimates(seed, g, baselines[i].name, round,
-				srv.Estimator(), baselines[i].est, queries); d != nil {
+			est, _, release := srv.AcquireEstimator()
+			d := compareTenantEstimates(seed, g, baselines[i].name, round, est, baselines[i].est, queries)
+			release()
+			if d != nil {
 				return d
 			}
 		}

@@ -11,9 +11,6 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"spatialhist/internal/euler"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/query"
@@ -57,56 +54,24 @@ func EstimateGridParallel(est Estimator, region grid.Span, cols, rows, workers i
 // rows of the one result plane, so the output is identical to EstimateGrid
 // in content and order, and the map is recorded as one sweep.
 func EstimateGridPooled(est Estimator, region grid.Span, cols, rows int, pool *BandPool) ([]Estimate, error) {
-	if _, _, err := query.Tiling(region, cols, rows); err != nil {
+	p, err := PlanGrid(est, region, cols, rows, 0)
+	if err != nil {
 		return nil, err
 	}
-	dst := make([]Estimate, cols*rows)
-	if err := sweepBands(est, dst, region, cols, rows, pool); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	ests, _, err := p.Estimates(pool)
+	return ests, err
 }
 
 // EstimateGridInto is EstimateGrid into a caller-supplied plane of
 // cols×rows estimates — a reused buffer, or one band's rows of a larger
 // plane. dst need not be zeroed: nothing of its previous content survives.
 func EstimateGridInto(est Estimator, dst []Estimate, region grid.Span, cols, rows int) error {
+	p, err := PlanGrid(est, region, cols, rows, 0)
+	if err != nil {
+		return err
+	}
 	clear(dst)
-	return sweepBands(est, dst, region, cols, rows, nil)
-}
-
-// sweepBands fills the zeroed plane dst band by band and observes the map
-// as one sweep. A zoom stack is routed once for the whole map — every band
-// of an aligned tiling resolves the level the map does — so the per-level
-// telemetry also counts maps, not bands.
-func sweepBands(est Estimator, dst []Estimate, region grid.Span, cols, rows int, pool *BandPool) error {
-	start := time.Now()
-	_, th, err := query.Tiling(region, cols, rows)
-	if err != nil {
-		return err
-	}
-	if len(dst) != cols*rows {
-		return fmt.Errorf("core: plane of %d estimates for a %dx%d tile map", len(dst), cols, rows)
-	}
-	level := est
-	z, _ := est.(*Zoom)
-	k := 0
-	if z != nil {
-		k, region = z.RouteGrid(region, cols, rows)
-		level, th = z.levels[k], th>>k
-	}
-	err = pool.Bands(cols, rows, func(r0, r1 int) error {
-		return sumGrid(level, dst[r0*cols:r1*cols], query.RowBand(region, th, r0, r1-1), cols, r1-r0)
-	})
-	if err != nil {
-		return err
-	}
-	if z != nil {
-		z.hits[k].Inc()
-		z.sweeps[k].ObserveDuration(time.Since(start))
-	}
-	observeSweep(est.Name(), len(dst), start)
-	return nil
+	return p.sweep(dst, nil)
 }
 
 // sumGrid answers one tiling into the zeroed plane dst, without telemetry.

@@ -98,21 +98,15 @@ func (j *JoinEstimator) Estimate() (JoinEstimate, error) {
 	return out, nil
 }
 
-// joinHistograms extracts the Euler histograms an estimator serves from.
+// joinHistograms extracts the Euler histograms an estimator serves from: a
+// zoom stack joins at its base resolution, coarse levels being derived
+// views.
 func joinHistograms(e Estimator) ([]*euler.Histogram, error) {
-	switch v := e.(type) {
-	case *SEuler:
-		return []*euler.Histogram{v.Histogram()}, nil
-	case *Euler:
-		return []*euler.Histogram{v.Histogram()}, nil
-	case *MEuler:
-		return v.Histograms(), nil
-	case *Zoom:
-		// Join at the base resolution; coarse levels are derived views.
-		return joinHistograms(v.Base())
-	default:
+	_, hists, ok := SpecOf(e)
+	if !ok {
 		return nil, fmt.Errorf("estimator %T exposes no Euler lattice", e)
 	}
+	return hists, nil
 }
 
 // coarsenSide halves a side's histograms down to nx×ny.

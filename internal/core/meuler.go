@@ -45,28 +45,17 @@ type MEuler struct {
 }
 
 // NewMEuler builds the m histograms of M-EulerApprox over g. areas lists
-// the area attributes area(H_i) in unit cells, ascending, and must start
-// at 1 (the unit cell, §5.4). Objects are assigned by their geometric area
-// clipped to the data space.
+// the area attributes area(H_i) in unit cells, under the rules of
+// Spec.Validate. Objects are assigned by their geometric area clipped to the
+// data space.
 //
 // The groups are built one after another through a single euler.Builder, so
 // construction holds one difference array beside the m planes it returns,
 // not m: each object's group is worked out once up front (4 bytes per
 // object while building), then one pass per group inserts its members.
 func NewMEuler(g *grid.Grid, areas []float64, rects []geom.Rect) (*MEuler, error) {
-	if len(areas) == 0 {
-		return nil, fmt.Errorf("core: M-EulerApprox needs at least one area threshold")
-	}
-	if areas[0] != 1 {
-		return nil, fmt.Errorf("core: area(H_0) must be the unit cell (1), got %g", areas[0])
-	}
-	if !sort.Float64sAreSorted(areas) {
-		return nil, fmt.Errorf("core: area thresholds %v not ascending", areas)
-	}
-	for i := 1; i < len(areas); i++ {
-		if areas[i] == areas[i-1] {
-			return nil, fmt.Errorf("core: duplicate area threshold %g", areas[i])
-		}
+	if err := (Spec{Algo: AlgoMEuler, Areas: areas}).Validate(); err != nil {
+		return nil, err
 	}
 	m := &MEuler{g: g, areas: append([]float64(nil), areas...), unit: 1}
 	group := make([]int32, len(rects)) // -1: outside the data space
@@ -101,23 +90,15 @@ func (m *MEuler) addGroup(h *euler.Histogram) {
 
 // MEulerFromHistograms reassembles an M-EulerApprox estimator from
 // prebuilt per-group histograms (e.g. loaded from disk). The thresholds
-// follow the NewMEuler rules and must pair one-to-one with the histograms,
+// follow the Spec.Validate rules and must pair one-to-one with the histograms,
 // which must all share one grid. Group membership is taken as-is: the
 // histograms are trusted to have been built with the same thresholds.
 func MEulerFromHistograms(areas []float64, hists []*euler.Histogram) (*MEuler, error) {
 	if len(hists) == 0 || len(hists) != len(areas) {
 		return nil, fmt.Errorf("core: %d histograms for %d thresholds", len(hists), len(areas))
 	}
-	if areas[0] != 1 {
-		return nil, fmt.Errorf("core: area(H_0) must be the unit cell (1), got %g", areas[0])
-	}
-	if !sort.Float64sAreSorted(areas) {
-		return nil, fmt.Errorf("core: area thresholds %v not ascending", areas)
-	}
-	for i := 1; i < len(areas); i++ {
-		if areas[i] == areas[i-1] {
-			return nil, fmt.Errorf("core: duplicate area threshold %g", areas[i])
-		}
+	if err := (Spec{Algo: AlgoMEuler, Areas: areas}).Validate(); err != nil {
+		return nil, err
 	}
 	g := hists[0].Grid()
 	m := &MEuler{g: g, areas: append([]float64(nil), areas...), unit: 1}

@@ -1,0 +1,98 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"spatialhist/internal/euler"
+	"spatialhist/internal/grid"
+	"spatialhist/internal/query"
+)
+
+// Plan is one tile map resolved against one estimator, once: the tiling,
+// the pyramid level that answers it exactly and the region in that level's
+// coordinates, and whether the ε-approximate reduced tier is worth trying
+// first. The caller states a bound and the plan picks the cheapest path
+// that certifies it — so the cache key, the sweep and the response all read
+// one decision instead of re-deriving it.
+type Plan struct {
+	// Level is the pyramid level the exact sweep runs at: the coarsest whose
+	// cells evenly tile the map, 0 for an estimator that is not a zoom stack.
+	Level int
+	// Epsilon is the bound the reduced tier will be tried under, or 0 when
+	// the map is exact only: no bound asked, no overview attached, or the
+	// exact route already at or above the reduced tier's level — then the
+	// exact sweep touches no more memory and approximation buys nothing.
+	Epsilon float64
+
+	est        Estimator // what the caller named
+	zoom       *Zoom     // est when it is a zoom stack, else nil
+	sweeper    Estimator // the stack member that sweeps; est unless a zoom
+	base       grid.Span // the region in base cells
+	region     grid.Span // the region in Level's cells
+	cols, rows int
+	th         int // tile height in Level's cells
+}
+
+// PlanGrid resolves the cols×rows tiling of region against est under the
+// per-tile error bound eps·|tile| (0 asks for exact answers). It fails on a
+// tiling that does not divide the region. The routing rule is pure span
+// arithmetic — a map is answerable at level k iff the region origin and
+// both tile dimensions are multiples of 2^k base cells, which puts every
+// tile boundary on a level grid line.
+func PlanGrid(est Estimator, region grid.Span, cols, rows int, eps float64) (Plan, error) {
+	tw, th, err := query.Tiling(region, cols, rows)
+	if err != nil {
+		return Plan{}, err
+	}
+	p := Plan{est: est, sweeper: est, base: region, region: region, cols: cols, rows: rows, th: th}
+	if z, ok := est.(*Zoom); ok {
+		p.zoom, p.Level = z, alignShift(len(z.levels)-1, region.I1, region.J1, tw, th)
+		p.sweeper, p.region, p.th = z.levels[p.Level], euler.CoarseSpan(region, p.Level), th>>p.Level
+		if eps > 0 && z.overview != nil && p.Level < z.overview.Shift() {
+			p.Epsilon = eps
+		}
+	}
+	return p, nil
+}
+
+// Estimates answers the plan into a new plane, row-major from the
+// south-west. bound is non-nil when the reduced tier served the map: every
+// tile certified within Epsilon·|tile|, and *bound is the largest certified
+// per-tile error. Otherwise the plane is the exact sweep's, its row bands
+// fanned across pool (nil runs inline) — the reduced tier never returns an
+// uncertified answer.
+func (p Plan) Estimates(pool *BandPool) (ests []Estimate, bound *float64, err error) {
+	if p.Epsilon > 0 {
+		if ests, b, ok := p.zoom.overview.EstimateGrid(p.base, p.cols, p.rows, p.Epsilon); ok {
+			return ests, &b, nil
+		}
+	}
+	ests = make([]Estimate, p.cols*p.rows)
+	if err := p.sweep(ests, pool); err != nil {
+		return nil, nil, err
+	}
+	return ests, nil, nil
+}
+
+// sweep fills the zeroed plane dst band by band and observes the map as one
+// sweep: the level was resolved for the whole map, so the per-level
+// telemetry also counts maps, not bands.
+func (p Plan) sweep(dst []Estimate, pool *BandPool) error {
+	start := time.Now()
+	if len(dst) != p.cols*p.rows {
+		return fmt.Errorf("core: plane of %d estimates for a %dx%d tile map", len(dst), p.cols, p.rows)
+	}
+	err := pool.Bands(p.cols, p.rows, func(r0, r1 int) error {
+		return sumGrid(p.sweeper, dst[r0*p.cols:r1*p.cols], query.RowBand(p.region, p.th, r0, r1-1), p.cols, r1-r0)
+	})
+	if err != nil {
+		return err
+	}
+	if p.zoom != nil {
+		p.zoom.hits[p.Level].Inc()
+		p.zoom.sweeps[p.Level].ObserveDuration(time.Since(start))
+	}
+	observeSweep(p.est.Name(), len(dst), start)
+	return nil
+}

@@ -17,17 +17,10 @@ import (
 	"spatialhist/internal/telemetry"
 )
 
-// DefaultOverviewShift is the pyramid level backing the reduced tier when
-// the caller does not choose one: two halvings (1/16 the base lattice
-// memory), clamped to the pyramid depth by OverviewShift.
+// DefaultOverviewShift is the pyramid level backing the reduced tier: two
+// halvings (1/16 the base lattice memory), or as deep as a shallower
+// pyramid goes.
 const DefaultOverviewShift = 2
-
-// OverviewShift clamps DefaultOverviewShift to a pyramid of the given
-// depth. 0 means the pyramid has no coarse level and no overview tier can
-// be derived.
-func OverviewShift(levels int) int {
-	return min(DefaultOverviewShift, levels-1)
-}
 
 // Overview serves certified approximate browse maps from one reduced
 // lattice per area group (a single group for S-Euler/Euler stacks). The
@@ -86,18 +79,6 @@ func OverviewFromPyramids(pyrs []*euler.Pyramid, shift int) (*Overview, bool) {
 // Shift returns the base→coarse halvings of the tier.
 func (o *Overview) Shift() int { return o.groups[0].Shift() }
 
-// Count returns |S| across all groups.
-func (o *Overview) Count() int64 { return o.n }
-
-// LatticeBytes returns the resident bytes of every reduced lattice.
-func (o *Overview) LatticeBytes() int {
-	total := 0
-	for _, r := range o.groups {
-		total += r.LatticeBytes()
-	}
-	return total
-}
-
 // EstimateGrid answers the cols×rows tiling of region from the reduced
 // tier when every tile's certified error is at most eps·|tile| (in base
 // cells). On success it returns the estimates, the largest certified
@@ -153,27 +134,5 @@ func (o *Overview) EstimateGrid(region grid.Span, cols, rows int, eps float64) (
 	return out, maxErr, true
 }
 
-// AttachOverview gives the zoom stack a reduced tier for approximate
-// overview serving; EstimateGridApprox stays declined without one.
-func (z *Zoom) AttachOverview(o *Overview) { z.overview = o }
-
-// Overview returns the attached reduced tier, or nil.
+// Overview returns the stack's reduced tier, or nil.
 func (z *Zoom) Overview() *Overview { return z.overview }
-
-// EstimateGridApprox serves the tiling from the reduced tier when that is
-// both profitable and certifiable under eps. ok=false — decline — when no
-// overview is attached, eps is not positive, the exact route already
-// resolves at or above the reduced tier's level (the exact sweep then
-// touches no more memory than the reduced one, so approximation buys
-// nothing), or a tile's certificate exceeds eps·|tile|. The caller falls
-// back to the exact EstimateGrid path; a served answer reports the largest
-// certified per-tile error bound.
-func (z *Zoom) EstimateGridApprox(region grid.Span, cols, rows int, eps float64) ([]Estimate, float64, bool) {
-	if z.overview == nil || eps <= 0 {
-		return nil, 0, false
-	}
-	if k, _ := z.RouteGrid(region, cols, rows); k >= z.overview.Shift() {
-		return nil, 0, false
-	}
-	return z.overview.EstimateGrid(region, cols, rows, eps)
-}

@@ -15,8 +15,26 @@ func abs64(v int64) int64 {
 	return v
 }
 
+// approxGrid answers a tile map through the ε plan; ok reports whether the
+// reduced tier served it.
+func approxGrid(t *testing.T, est Estimator, region grid.Span, cols, rows int, eps float64) ([]Estimate, float64, bool) {
+	t.Helper()
+	p, err := PlanGrid(est, region, cols, rows, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests, bound, err := p.Estimates(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound == nil {
+		return nil, 0, false
+	}
+	return ests, *bound, true
+}
+
 // TestOverviewEpsilonBound is the serving contract of the reduced tier:
-// when EstimateGridApprox serves a map under eps, every tile's Disjoint,
+// when the ε plan serves a map under eps, every tile's Disjoint,
 // Contains and Overlap are within the reported bound — and within
 // eps·|tile| — of the exact S-EulerApprox answer, and the four counts sum
 // to |S|.
@@ -27,13 +45,9 @@ func TestOverviewEpsilonBound(t *testing.T) {
 	h := histFromSpans(g, randSpans(r, nx, ny, 500))
 	p := euler.NewPyramid(h, euler.PyramidOpts{MinGrid: 8})
 	z := ZoomSEuler(p)
-	o, ok := OverviewFromPyramids([]*euler.Pyramid{p}, OverviewShift(p.Levels()))
-	if !ok {
-		t.Fatal("overview derivation refused")
-	}
-	z.AttachOverview(o)
-	if z.Overview() != o {
-		t.Fatal("overview not attached")
+	o := z.Overview()
+	if o == nil || o.Shift() != DefaultOverviewShift {
+		t.Fatal("overview not attached two halvings down")
 	}
 
 	served := 0
@@ -46,7 +60,7 @@ func TestOverviewEpsilonBound(t *testing.T) {
 		j1 := 1 + r.Intn(ny-rows*th-1)
 		region := spanOf(i1, j1, i1+cols*tw-1, j1+rows*th-1)
 		eps := 0.5 + r.Float64()
-		approx, bound, ok := z.EstimateGridApprox(region, cols, rows, eps)
+		approx, bound, ok := approxGrid(t, z, region, cols, rows, eps)
 		if !ok {
 			continue
 		}
@@ -75,19 +89,25 @@ func TestOverviewEpsilonBound(t *testing.T) {
 	}
 
 	// eps = 0 must always decline, as must a missing overview.
-	if _, _, ok := z.EstimateGridApprox(spanOf(1, 1, 96, 96), 2, 2, 0); ok {
+	if _, _, ok := approxGrid(t, z, spanOf(1, 1, 96, 96), 2, 2, 0); ok {
 		t.Fatal("eps=0 served")
 	}
-	bare := ZoomSEuler(p)
-	if _, _, ok := bare.EstimateGridApprox(spanOf(1, 1, 96, 96), 2, 2, 1); ok {
+	bare, err := NewZoom([]Estimator{NewSEuler(p.Level(0)), NewSEuler(p.Level(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := approxGrid(t, bare, spanOf(1, 1, 96, 96), 2, 2, 1); ok {
 		t.Fatal("overview-less zoom served approximately")
+	}
+	if _, _, ok := approxGrid(t, NewSEuler(h), spanOf(1, 1, 96, 96), 2, 2, 1); ok {
+		t.Fatal("plain estimator served approximately")
 	}
 
 	// A tiling the exact route already answers at the reduced level (or
 	// coarser) must decline: alignment at 2^shift makes the exact sweep as
 	// cheap as the approximate one.
 	w := 1 << o.Shift()
-	if _, _, ok := z.EstimateGridApprox(spanOf(0, 0, 16*w-1, 16*w-1), 2, 2, 5); ok {
+	if _, _, ok := approxGrid(t, z, spanOf(0, 0, 16*w-1, 16*w-1), 2, 2, 5); ok {
 		t.Fatal("aligned overview map served approximately")
 	}
 }
@@ -126,13 +146,25 @@ func TestOverviewExactWhenCertZero(t *testing.T) {
 	}
 }
 
+// TestOverviewShiftClamp: the reduced tier sits two halvings down, or as
+// deep as a shallower stack goes; a stack with no coarse level has none and
+// is served as the plain estimator.
 func TestOverviewShiftClamp(t *testing.T) {
+	h := histFromSpans(grid.NewUnit(64, 64), randSpans(rand.New(rand.NewSource(213)), 64, 64, 50))
 	for _, tc := range []struct{ levels, want int }{
-		{1, 0}, {2, 1}, {3, 2}, {5, 2},
+		{2, 1}, {3, 2}, {5, 2},
 	} {
-		if got := OverviewShift(tc.levels); got != tc.want {
-			t.Fatalf("OverviewShift(%d) = %d, want %d", tc.levels, got, tc.want)
+		z := ZoomSEuler(euler.NewPyramid(h, euler.PyramidOpts{MaxLevels: tc.levels - 1, MinGrid: 2}))
+		if NumLevels(z) != tc.levels || z.Overview() == nil || z.Overview().Shift() != tc.want {
+			t.Fatalf("%d levels: overview %v, want shift %d", NumLevels(z), z.Overview(), tc.want)
 		}
+	}
+	flat := []*euler.Pyramid{euler.NewPyramid(h, euler.PyramidOpts{MinGrid: 64})}
+	if z := ZoomSEuler(flat[0]); NumLevels(z) != 1 || z.Overview() != nil {
+		t.Fatalf("one-level stack: %d levels, overview %v", NumLevels(z), z.Overview())
+	}
+	if est, err := (Spec{Algo: AlgoSEuler}).FromPyramids(flat); err != nil || est.Name() != "S-EulerApprox" {
+		t.Fatalf("FromPyramids over no coarse level = %v, %v; want the plain estimator", est, err)
 	}
 	if _, ok := OverviewFromPyramids(nil, 2); ok {
 		t.Fatal("empty pyramid set accepted")

@@ -16,7 +16,6 @@ import (
 
 	"spatialhist/internal/euler"
 	"spatialhist/internal/grid"
-	"spatialhist/internal/query"
 	"spatialhist/internal/telemetry"
 )
 
@@ -32,7 +31,7 @@ type Zoom struct {
 	name     string
 	hits     []*telemetry.Counter
 	sweeps   []*telemetry.Histogram
-	overview *Overview // optional ε-approximate tier (AttachOverview)
+	overview *Overview // the ε-approximate tier; nil when the stack is too shallow
 }
 
 // NewZoom wraps per-level estimators into a zoom-routing estimator.
@@ -66,25 +65,15 @@ func NewZoom(levels []Estimator) (*Zoom, error) {
 }
 
 // ZoomSEuler assembles the S-EulerApprox zoom stack over a pyramid.
-func ZoomSEuler(p *euler.Pyramid) *Zoom {
-	levels := make([]Estimator, p.Levels())
-	for k := range levels {
-		levels[k] = NewSEuler(p.Level(k))
-	}
-	z, err := NewZoom(levels)
-	if err != nil {
-		panic(fmt.Sprintf("core: pyramid levels violate the halving invariant: %v", err))
-	}
-	return z
-}
+func ZoomSEuler(p *euler.Pyramid) *Zoom { return mustZoom(Spec{Algo: AlgoSEuler}, p) }
 
 // ZoomEuler assembles the EulerApprox zoom stack over a pyramid.
-func ZoomEuler(p *euler.Pyramid) *Zoom {
-	levels := make([]Estimator, p.Levels())
-	for k := range levels {
-		levels[k] = NewEuler(p.Level(k))
-	}
-	z, err := NewZoom(levels)
+func ZoomEuler(p *euler.Pyramid) *Zoom { return mustZoom(Spec{Algo: AlgoEuler}, p) }
+
+// mustZoom stacks a single-histogram spec over one pyramid, whose levels
+// halve by construction.
+func mustZoom(s Spec, p *euler.Pyramid) *Zoom {
+	z, err := s.zoom([]*euler.Pyramid{p})
 	if err != nil {
 		panic(fmt.Sprintf("core: pyramid levels violate the halving invariant: %v", err))
 	}
@@ -92,32 +81,10 @@ func ZoomEuler(p *euler.Pyramid) *Zoom {
 }
 
 // ZoomMEuler assembles the M-EulerApprox zoom stack over one pyramid per
-// area group. The stack depth is the shallowest pyramid's (all share the
-// base grid, so in practice they coincide); each level's MEuler measures
-// query areas in base-grid cells (unit 4^k) so its per-group algorithm
-// choice matches level 0 exactly.
+// area group, as deep as the shallowest of them (all share the base grid,
+// so in practice they coincide).
 func ZoomMEuler(areas []float64, pyrs []*euler.Pyramid) (*Zoom, error) {
-	if len(pyrs) == 0 {
-		return nil, fmt.Errorf("core: M-EulerApprox zoom needs one pyramid per group")
-	}
-	depth := pyrs[0].Levels()
-	for _, p := range pyrs[1:] {
-		depth = min(depth, p.Levels())
-	}
-	levels := make([]Estimator, depth)
-	for k := 0; k < depth; k++ {
-		hists := make([]*euler.Histogram, len(pyrs))
-		for i, p := range pyrs {
-			hists[i] = p.Level(k)
-		}
-		m, err := MEulerFromHistograms(areas, hists)
-		if err != nil {
-			return nil, err
-		}
-		m.unit = float64(int64(1) << (2 * k))
-		levels[k] = m
-	}
-	return NewZoom(levels)
+	return Spec{Algo: AlgoMEuler, Areas: areas}.zoom(pyrs)
 }
 
 // alignShift returns the largest k ≤ max such that every value is a
@@ -143,25 +110,25 @@ func (z *Zoom) RouteSpan(q grid.Span) (level int, lq grid.Span) {
 	return level, euler.CoarseSpan(q, level)
 }
 
-// RouteGrid returns the coarsest level whose cells evenly tile the
-// cols×rows tiling of region: the region origin and both tile dimensions
-// must be multiples of 2^level base cells, which puts every tile boundary
-// of the map on a level grid line. Tilings that do not divide the region
-// evenly (rejected downstream) route to level 0 unchanged.
+// RouteGrid returns the level PlanGrid resolves for the cols×rows tiling of
+// region and the region in that level's coordinates. Tilings that do not
+// divide the region evenly route to level 0 unchanged.
 func (z *Zoom) RouteGrid(region grid.Span, cols, rows int) (level int, lregion grid.Span) {
-	tw, th, err := query.Tiling(region, cols, rows)
+	p, err := PlanGrid(z, region, cols, rows, 0)
 	if err != nil {
 		return 0, region
 	}
-	level = alignShift(len(z.levels)-1, region.I1, region.J1, tw, th)
-	return level, euler.CoarseSpan(region, level)
+	return p.Level, p.region
 }
 
-// NumLevels returns the stack depth including the base.
-func (z *Zoom) NumLevels() int { return len(z.levels) }
-
-// Base returns the level-0 estimator.
-func (z *Zoom) Base() Estimator { return z.levels[0] }
+// NumLevels returns how many pyramid levels est routes across, the base
+// included: 1 for anything but a zoom stack.
+func NumLevels(est Estimator) int {
+	if z, ok := est.(*Zoom); ok {
+		return len(z.levels)
+	}
+	return 1
+}
 
 // Level returns the estimator serving level k (0 = base).
 func (z *Zoom) Level(k int) Estimator { return z.levels[k] }
@@ -209,7 +176,7 @@ func (z *Zoom) Estimate(q grid.Span) Estimate {
 }
 
 // EstimateGrid implements BatchEstimator: one sweep over the resolved
-// level's lattice (the package-level EstimateGrid routes a zoom stack).
+// level's lattice (PlanGrid routes a zoom stack).
 // The tile geometry scales exactly (tile size 2^-k×, same cols×rows), so
 // the output is tile-for-tile what the base sweep returns.
 func (z *Zoom) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error) {

@@ -24,8 +24,8 @@ func benchZoom(b *testing.B) (*SEuler, *Zoom) {
 	}
 	base := SEulerFromRects(g, rects)
 	zoom := ZoomSEuler(euler.NewPyramid(base.Histogram(), euler.PyramidOpts{MinGrid: 16}))
-	if zoom.NumLevels() != 9 {
-		b.Fatalf("zoom stack has %d levels, want 9", zoom.NumLevels())
+	if NumLevels(zoom) != 9 {
+		b.Fatalf("zoom stack has %d levels, want 9", NumLevels(zoom))
 	}
 	return base, zoom
 }

@@ -51,8 +51,8 @@ func zoomStacks(t *testing.T, g *grid.Grid, rects []geom.Rect) map[string][2]Est
 func TestZoomRouting(t *testing.T) {
 	g := grid.NewUnit(64, 64)
 	z := ZoomSEuler(euler.NewPyramid(euler.FromRects(g, nil), euler.PyramidOpts{MinGrid: 4}))
-	if z.NumLevels() != 5 { // 64 → 32 → 16 → 8 → 4
-		t.Fatalf("NumLevels() = %d, want 5", z.NumLevels())
+	if NumLevels(z) != 5 { // 64 → 32 → 16 → 8 → 4
+		t.Fatalf("NumLevels = %d, want 5", NumLevels(z))
 	}
 	cases := []struct {
 		q     grid.Span

@@ -108,7 +108,7 @@ type FacetedBrowseResponse struct {
 
 func (s *ArchiveServer) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	sc := s.a.Schema()
-	span, cols, rows, err := parseBrowse(sc.Grid, r)
+	span, cols, rows, err := ParseBrowseRequest(sc.Grid, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

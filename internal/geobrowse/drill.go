@@ -33,7 +33,7 @@ const drillMaxDepth = 16
 // shard coordinator) that must accept exactly the requests a Server
 // accepts.
 func ParseDrillRequest(g *grid.Grid, r *http.Request) (span grid.Span, rel geom.Rel2, hot, depth int, err error) {
-	if span, err = parseRegion(g, r); err != nil {
+	if span, err = ParseRegionRequest(g, r); err != nil {
 		return grid.Span{}, 0, 0, 0, err
 	}
 	if rel, err = parseRelation(r.URL.Query().Get("relation")); err != nil {
@@ -57,7 +57,7 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	est, _, release := acquireEstimator(s.src)
+	est, _, release := s.src.AcquireEstimator()
 	defer release()
 	leaves, err := core.Drilldown(est, span, core.DrillOptions{
 		Relation:     rel,
@@ -91,7 +91,7 @@ func (s *Server) warmFromDrill(span grid.Span, depth int) {
 		// returns, which may be before the warmer finishes. Warming against
 		// whatever generation is current is exactly right — that is the one
 		// the follow-up browse will hit.
-		est, gen, release := acquireEstimator(s.src)
+		est, gen, release := s.src.AcquireEstimator()
 		defer release()
 		if _, err := s.browseBytes(est, gen, span, cols, rows); err == nil {
 			s.warms.Inc()
@@ -103,7 +103,7 @@ func (s *Server) warmFromDrill(span grid.Span, depth int) {
 // the largest power of two that both divides the span evenly (browse
 // tilings must be exact) and stays within the drill's splitting depth.
 // Maps smaller than 2×2 warm nothing worth caching, and the product is
-// bounded the same way parseBrowse bounds requested tilings.
+// bounded the same way ParseBrowseRequest bounds requested tilings.
 func warmTiling(span grid.Span, depth int) (cols, rows int, ok bool) {
 	cols = pow2Divisor(span.Width(), depth+1)
 	rows = pow2Divisor(span.Height(), depth+1)

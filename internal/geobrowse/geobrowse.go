@@ -167,7 +167,7 @@ func NewServerOpts(name string, est core.Estimator, opts Options) *Server {
 // (fresh keys miss, old entries age out of the LRU untouched).
 func NewSourceServer(name string, src EstimatorSource, opts Options) *Server {
 	opts = opts.withDefaults()
-	est, _, release := acquireEstimator(src)
+	est, _, release := src.AcquireEstimator()
 	defer release()
 	s := &Server{
 		name:    name,
@@ -231,13 +231,12 @@ func (s *Server) CacheStats() (hits, misses int64) { return s.cache.Stats() }
 // CacheBytes reports the bytes of response bodies the browse cache holds.
 func (s *Server) CacheBytes() int64 { return s.cache.Bytes() }
 
-// Estimator returns the server's current estimator snapshot: the fixed
-// estimator for summaries, the latest published generation for live
-// stores. Differential checks use it to compare server incarnations
-// without going through HTTP.
-func (s *Server) Estimator() core.Estimator {
-	est, _ := s.src.CurrentEstimator()
-	return est
+// AcquireEstimator implements EstimatorSource with the server's own: the
+// fixed estimator for summaries, the latest published generation, pinned,
+// for live stores. Differential checks and the join front read a server's
+// estimator through it without going through HTTP.
+func (s *Server) AcquireEstimator() (core.Estimator, uint64, func()) {
+	return s.src.AcquireEstimator()
 }
 
 // Info is the /api/info response.
@@ -273,7 +272,7 @@ type BrowseResponse struct {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	est, gen, release := acquireEstimator(s.src)
+	est, gen, release := s.src.AcquireEstimator()
 	defer release()
 	ext := s.g.Extent()
 	writeJSON(w, Info{
@@ -289,19 +288,19 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	span, err := s.parseRegion(r)
+	span, err := ParseRegionRequest(s.g, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	est, _, release := acquireEstimator(s.src)
+	est, _, release := s.src.AcquireEstimator()
 	defer release()
 	data, err := AppendTile(nil, s.g, span, est.Estimate(span))
 	writeEncoded(w, data, err)
 }
 
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
-	span, cols, rows, err := parseBrowse(s.g, r)
+	span, cols, rows, err := ParseBrowseRequest(s.g, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -310,7 +309,7 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	// generation, so a swap mid-request cannot cache a mixed result. The
 	// pin spans the cache fill, since the computation reads the
 	// generation's histogram buffers.
-	est, gen, release := acquireEstimator(s.src)
+	est, gen, release := s.src.AcquireEstimator()
 	defer release()
 	data, err := s.browseBytes(est, gen, span, cols, rows)
 	writeBrowse(w, data, err)
@@ -348,33 +347,32 @@ func writeBrowse(w http.ResponseWriter, data []byte, err error) {
 
 // browseBytes computes (or serves from cache) the encoded browse response
 // for one tiling against a pinned estimator — the shared body of
-// handleBrowse and the drill-triggered cache warmer.
+// handleBrowse and the drill-triggered cache warmer. The plan is resolved
+// once and read three times: its level and ε key the cache entry, and it
+// answers the miss.
 func (s *Server) browseBytes(est core.Estimator, gen uint64, span grid.Span, cols, rows int) ([]byte, error) {
-	// ε-opted servers key their entries on a distinct facet: whether a
-	// map is served approximately depends on the data (certification),
-	// so its bytes must never collide with an exact-only server's.
-	facet := ""
-	z, _ := est.(*core.Zoom)
-	tryApprox := s.epsilon > 0 && z != nil
-	if tryApprox {
-		facet = fmt.Sprintf("~%g", s.epsilon)
+	plan, err := core.PlanGrid(est, span, cols, rows, s.epsilon)
+	if err != nil {
+		return nil, err
 	}
-	key := browseKey(gen, resolvedLevel(est, span, cols, rows), span, cols, rows, facet)
-	return s.cache.Do(key, func() ([]byte, error) {
-		if tryApprox {
-			if ests, bound, ok := z.EstimateGridApprox(span, cols, rows, s.epsilon); ok {
-				s.approx.Inc()
-				return encoded(AppendBrowseResponse(nil, s.g, span, cols, rows, ests, &bound))
-			}
-		}
+	// Whether an ε plan is served approximately depends on the data
+	// (certification), so its entries carry a facet an exact plan's never do.
+	facet := ""
+	if plan.Epsilon > 0 {
+		facet = fmt.Sprintf("~%g", plan.Epsilon)
+	}
+	return s.cache.Do(browseKey(gen, plan.Level, span, cols, rows, facet), func() ([]byte, error) {
 		// The one plane of the miss path: row bands of a large map sweep
 		// straight into their rows of it on the server's bounded pool,
 		// then encode from it into their slices of the body.
-		ests, err := core.EstimateGridPooled(est, span, cols, rows, s.pool)
+		ests, bound, err := plan.Estimates(s.pool)
 		if err != nil {
 			return nil, err
 		}
-		return encoded(appendBrowseResponse(s.pool, nil, s.g, span, cols, rows, ests, nil))
+		if bound != nil {
+			s.approx.Inc()
+		}
+		return encoded(appendBrowseResponse(s.pool, nil, s.g, span, cols, rows, ests, bound))
 	})
 }
 
@@ -409,38 +407,26 @@ func NewTileEstimate(g *grid.Grid, span grid.Span, e core.Estimate) TileEstimate
 	}
 }
 
-// resolvedLevel returns the pyramid level a zoom-routing estimator would
-// serve this tile map from, and 0 for plain estimators. The browse cache
-// key must carry it: two requests over the same base-grid region and
-// tiling can still resolve different levels once a snapshot swap changes
-// the stack depth, and — more fundamentally — the level is part of what
-// was computed, so keying on the request alone would be lying to the
-// cache if routing rules ever coarsen differently per request.
-func resolvedLevel(est core.Estimator, span grid.Span, cols, rows int) int {
-	if z, ok := est.(*core.Zoom); ok {
-		level, _ := z.RouteGrid(span, cols, rows)
-		return level
-	}
-	return 0
-}
-
 // browseKey identifies one browse computation. gen is the snapshot
 // generation the response was computed against (0 for fixed summaries), so
 // publishing a new generation invalidates exactly the stale entries:
 // fresh requests form new keys and miss, while entries for other
 // generations are left to age out of the LRU rather than being flushed.
-// level is the resolved pyramid level the map is served from (0 when no
-// pyramid is in play). facets distinguishes faceted (archive) requests
-// over the same region.
+// level is the plan's pyramid level (0 when no pyramid is in play): it is
+// part of what was computed, and two requests over the same region and
+// tiling resolve different levels once a snapshot swap changes the stack
+// depth. facets distinguishes faceted (archive) and ε requests over the same
+// region.
 func browseKey(gen uint64, level int, span grid.Span, cols, rows int, facets string) string {
 	return fmt.Sprintf("g%d:l%d:%d,%d,%d,%d/%dx%d;%s", gen, level, span.I1, span.J1, span.I2, span.J2, cols, rows, facets)
 }
 
-// parseBrowse reads the region and tiling of a browse request, bounding
-// cols and rows individually before multiplying so the product check
-// cannot be bypassed by overflow.
-func parseBrowse(g *grid.Grid, r *http.Request) (span grid.Span, cols, rows int, err error) {
-	span, err = parseRegion(g, r)
+// ParseBrowseRequest reads the region and tiling of a browse request
+// against g, bounding cols and rows individually before multiplying so the
+// product check cannot be bypassed by overflow. Exported for front-ends (the
+// shard coordinator) that must accept exactly the requests a Server accepts.
+func ParseBrowseRequest(g *grid.Grid, r *http.Request) (span grid.Span, cols, rows int, err error) {
+	span, err = ParseRegionRequest(g, r)
 	if err != nil {
 		return grid.Span{}, 0, 0, err
 	}
@@ -458,32 +444,9 @@ func parseBrowse(g *grid.Grid, r *http.Request) (span grid.Span, cols, rows int,
 	return span, cols, rows, nil
 }
 
-// ParseBrowseRequest reads the region and tiling parameters of a browse
-// request against g — exported for front-ends (the shard coordinator) that
-// must accept exactly the requests a Server accepts.
-func ParseBrowseRequest(g *grid.Grid, r *http.Request) (span grid.Span, cols, rows int, err error) {
-	return parseBrowse(g, r)
-}
-
-// ParseRegionRequest reads the x1..y2 region parameters of a request
-// against g.
+// ParseRegionRequest reads the x1..y2 region parameters of a request and
+// converts them to a span aligned with g.
 func ParseRegionRequest(g *grid.Grid, r *http.Request) (grid.Span, error) {
-	return parseRegion(g, r)
-}
-
-// ParseRelation converts a relation query parameter to its geom.Rel2.
-func ParseRelation(arg string) (geom.Rel2, error) { return parseRelation(arg) }
-
-// WriteJSON marshals v and writes it with the JSON content type — the
-// Server's own response writer, exported for coordinator front-ends.
-func WriteJSON(w http.ResponseWriter, v any) { writeJSON(w, v) }
-
-// parseRegion reads x1..y2 and converts them to a grid-aligned span.
-func (s *Server) parseRegion(r *http.Request) (grid.Span, error) {
-	return parseRegion(s.g, r)
-}
-
-func parseRegion(g *grid.Grid, r *http.Request) (grid.Span, error) {
 	var vals [4]float64
 	for i, name := range []string{"x1", "y1", "x2", "y2"} {
 		raw := r.URL.Query().Get(name)

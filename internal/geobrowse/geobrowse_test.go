@@ -185,9 +185,7 @@ func approxTestServer(t *testing.T, eps float64) *httptest.Server {
 	h := euler.FromRects(g, rects)
 	p := euler.NewPyramid(h, euler.PyramidOpts{MinGrid: 8})
 	z := core.ZoomSEuler(p)
-	if o, ok := core.OverviewFromPyramids([]*euler.Pyramid{p}, core.OverviewShift(p.Levels())); ok {
-		z.AttachOverview(o)
-	} else {
+	if z.Overview() == nil {
 		t.Fatal("overview derivation refused")
 	}
 	srv := httptest.NewServer(NewServerOpts("approx", z, Options{OverviewEpsilon: eps}))

@@ -21,24 +21,12 @@ type Health struct {
 	Tenants int `json:"tenants"`
 }
 
-// handleHealthz serves the single-dataset readiness probe.
+// handleHealthz serves the single-dataset readiness probe. The generation
+// is read as every reader reads it: pinned, and released at once.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := Health{Status: "ok", Dataset: s.name, Generation: currentGeneration(s.src), Tenants: 1}
-	writeHealth(w, h, s.drain.Load())
-}
-
-// currentGeneration reads the serving generation without taking an
-// estimator. A live store withdraws an unpinned snapshot's buffers from
-// recycling, so a probe must not look like a reader: sources that can
-// report the generation alone are asked only for that, the rest are pinned
-// and released at once.
-func currentGeneration(src EstimatorSource) uint64 {
-	if g, ok := src.(interface{ Generation() uint64 }); ok {
-		return g.Generation()
-	}
-	_, gen, release := acquireEstimator(src)
+	_, gen, release := s.src.AcquireEstimator()
 	release()
-	return gen
+	writeHealth(w, Health{Status: "ok", Dataset: s.name, Generation: gen, Tenants: 1}, s.drain.Load())
 }
 
 // StartDrain flips the server into draining: /healthz turns 503 so

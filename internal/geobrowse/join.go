@@ -102,9 +102,9 @@ func (f *joinFront) estimate(req JoinRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	estA, genA, releaseA := acquireEstimator(srvA.src)
+	estA, genA, releaseA := srvA.AcquireEstimator()
 	defer releaseA()
-	estB, genB, releaseB := acquireEstimator(srvB.src)
+	estB, genB, releaseB := srvB.AcquireEstimator()
 	defer releaseB()
 
 	key := fmt.Sprintf("%s@%d|%s@%d", req.A, genA, req.B, genB)

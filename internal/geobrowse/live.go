@@ -13,41 +13,21 @@ import (
 )
 
 // EstimatorSource supplies the estimator a request is answered with,
-// together with the generation it belongs to. Fixed summaries are always
-// generation 0; a live store advances the generation at every snapshot
-// swap, which is what keys browse-cache invalidation.
+// pinned, together with the generation it belongs to and the release that
+// undoes the pin — never nil, called when the request is done with the
+// estimator. Fixed summaries are always generation 0 and release nothing; a
+// live store advances the generation at every snapshot swap, which is what
+// keys browse-cache invalidation, and recycles a generation's histogram
+// buffers once every pin on it is released. There is no unpinned accessor:
+// a reader the store cannot see would make every buffer it might still be
+// reading unrecyclable forever.
 //
 // Implementations must be safe for concurrent use and must return
 // estimators that never change after being returned (the live store's
 // snapshots are immutable by construction).
 type EstimatorSource interface {
-	CurrentEstimator() (core.Estimator, uint64)
-}
-
-// PinnedEstimatorSource is an EstimatorSource whose estimators are pinned
-// for the duration of a request: AcquireEstimator additionally returns a
-// release callback the handler invokes when done, which lets a live store
-// recycle the generation's histogram buffers instead of leaving them to
-// the garbage collector. Sources that cannot pin fall back to
-// CurrentEstimator via acquireEstimator.
-type PinnedEstimatorSource interface {
-	EstimatorSource
 	AcquireEstimator() (core.Estimator, uint64, func())
 }
-
-// acquireEstimator resolves a request's estimator from src, pinning it
-// when the source supports pinning. The returned release is never nil and
-// must be called when the request is done with the estimator.
-func acquireEstimator(src EstimatorSource) (core.Estimator, uint64, func()) {
-	if p, ok := src.(PinnedEstimatorSource); ok {
-		return p.AcquireEstimator()
-	}
-	est, gen := src.CurrentEstimator()
-	return est, gen, func() {}
-}
-
-// The live store is the pinning source the browse stack is built for.
-var _ PinnedEstimatorSource = (*live.Store)(nil)
 
 // StaticSource adapts a fixed estimator to the EstimatorSource contract at
 // generation 0.
@@ -55,10 +35,9 @@ func StaticSource(est core.Estimator) EstimatorSource { return staticSource{est}
 
 type staticSource struct{ est core.Estimator }
 
-func (s staticSource) CurrentEstimator() (core.Estimator, uint64) { return s.est, 0 }
-
-// maxMutationRects bounds one ingestion request body.
-const maxMutationRects = 100_000
+func (s staticSource) AcquireEstimator() (core.Estimator, uint64, func()) {
+	return s.est, 0, func() {}
+}
 
 // NewLiveServer creates a Server over a live ingestion store: the browse
 // endpoints read the store's current snapshot, and three extra endpoints
@@ -77,10 +56,10 @@ func NewLiveServer(name string, store *live.Store, opts Options) *Server {
 	s := NewSourceServer(name, store, opts)
 	m := newHTTPMetrics(opts.Telemetry, opts.accessLogger(), opts.Tenant)
 	s.mux.HandleFunc("POST /api/ingest", m.wrap("/api/ingest", func(w http.ResponseWriter, r *http.Request) {
-		s.handleMutation(w, r, store, store.Insert)
+		handleMutation(w, r, store, live.OpInsert)
 	}))
 	s.mux.HandleFunc("POST /api/delete", m.wrap("/api/delete", func(w http.ResponseWriter, r *http.Request) {
-		s.handleMutation(w, r, store, store.Delete)
+		handleMutation(w, r, store, live.OpDelete)
 	}))
 	s.mux.HandleFunc("GET /api/store/status", m.wrap("/api/store/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, store.Status())
@@ -106,52 +85,56 @@ type MutationResponse struct {
 	Generation uint64 `json:"generation"`
 }
 
-// handleMutation decodes a mutation body and feeds every MBR through op.
-func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request,
-	store *live.Store, op func(geom.Rect) (bool, error)) {
-	var req MutationRequest
+// maxMutationRects bounds one ingestion request body.
+const maxMutationRects = 100_000
+
+// DecodeBody decodes a request body that must be exactly one JSON value of
+// at most 8 MiB into v: trailing bytes mean a truncated or concatenated
+// request, and acting on its prefix would silently drop the rest.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("decoding body: %v", err), http.StatusBadRequest)
-		return
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding body: %w", err)
 	}
-	// The body must be exactly one JSON value: trailing bytes mean a
-	// truncated or concatenated request, and applying its prefix would
-	// silently drop the rest.
 	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		http.Error(w, "trailing data after JSON body", http.StatusBadRequest)
-		return
+		return errors.New("trailing data after JSON body")
+	}
+	return nil
+}
+
+// ParseMutationRequest reads the body of an ingest or delete request — one
+// to maxMutationRects MBRs — and its flush parameter: exported for
+// front-ends (the shard coordinator) that must accept exactly the requests
+// a live Server accepts.
+func ParseMutationRequest(w http.ResponseWriter, r *http.Request) (rects []geom.Rect, flush bool, err error) {
+	var req MutationRequest
+	if err := DecodeBody(w, r, &req); err != nil {
+		return nil, false, err
 	}
 	if len(req.Rects) == 0 {
-		http.Error(w, "body must carry at least one rect", http.StatusBadRequest)
-		return
+		return nil, false, errors.New("body must carry at least one rect")
 	}
 	if len(req.Rects) > maxMutationRects {
-		http.Error(w, fmt.Sprintf("at most %d rects per request, got %d", maxMutationRects, len(req.Rects)),
-			http.StatusBadRequest)
+		return nil, false, fmt.Errorf("at most %d rects per request, got %d", maxMutationRects, len(req.Rects))
+	}
+	rects = make([]geom.Rect, len(req.Rects))
+	for i, q := range req.Rects {
+		rects[i] = geom.NewRect(q[0], q[1], q[2], q[3])
+	}
+	return rects, r.URL.Query().Get("flush") == "1", nil
+}
+
+// handleMutation applies one mutation request to the store.
+func handleMutation(w http.ResponseWriter, r *http.Request, store *live.Store, op byte) {
+	rects, flush, err := ParseMutationRequest(w, r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var resp MutationResponse
-	for _, q := range req.Rects {
-		ok, err := op(geom.NewRect(q[0], q[1], q[2], q[3]))
-		switch {
-		case err != nil:
-			// The store is closed or its journal failed; nothing later in
-			// the batch can succeed.
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		case ok:
-			resp.Applied++
-		default:
-			resp.Rejected++
-		}
+	applied, rejected, gen, err := store.Apply(op, rects, flush)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
 	}
-	if r.URL.Query().Get("flush") == "1" {
-		if err := store.Flush(); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-	}
-	resp.Generation = store.Generation()
-	writeJSON(w, resp)
+	writeJSON(w, MutationResponse{Applied: applied, Rejected: rejected, Generation: gen})
 }

@@ -208,10 +208,10 @@ type swappableSource struct {
 	gen uint64
 }
 
-func (s *swappableSource) CurrentEstimator() (core.Estimator, uint64) {
+func (s *swappableSource) AcquireEstimator() (core.Estimator, uint64, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.est, s.gen
+	return s.est, s.gen, func() {}
 }
 
 // TestPreSwapSingleFlight pins down the other half of the satellite
@@ -301,7 +301,7 @@ func TestConcurrentIngestAndBrowse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, gen := store.CurrentEstimator(); gen < 2 {
+	if gen := store.Generation(); gen < 2 {
 		t.Fatalf("no snapshot swaps under load (gen %d)", gen)
 	}
 }

@@ -10,10 +10,10 @@ import (
 // Generation buffer reuse. Every published histogram's lattice array (the
 // cumulative form, 4 B per bucket) used to become garbage at the next
 // publish. The arena keeps a lease per histogram still referenced by any
-// snapshot; once every snapshot holding it has been released — and none
-// escaped through an unpinned accessor — the buffer is donated back to
-// euler.BuildFrom as scratch, so steady-state publishes allocate O(dirty
-// region) instead of O(lattice).
+// snapshot; once every snapshot holding it has been released the buffer is
+// donated back to euler.BuildFrom as scratch, so steady-state publishes
+// allocate O(dirty region) instead of O(lattice). Every reader pins
+// (AcquireEstimator), so a released snapshot has no reader left.
 //
 // A lease's stale region bounds where its histogram's content lags the
 // currently published one: it starts empty when the histogram is
@@ -36,38 +36,22 @@ type histLease struct {
 }
 
 // collectible reports whether the lease's buffers can be reused: every
-// referencing snapshot fully released and none leaked through an unpinned
-// accessor. For each snapshot, refs is read before leaked: a leaking
-// reader marks leaked while still holding a pin, so observing refs == 0
-// (terminal — pins only succeed from refs ≥ 1) guarantees the mark, if
-// any, is visible.
+// referencing snapshot fully released (refs == 0 is terminal — pins only
+// succeed from refs ≥ 1).
 func (l *histLease) collectible() bool {
 	for _, sn := range l.snaps {
 		if sn.refs.Load() != 0 {
-			return false
-		}
-		if sn.leaked.Load() {
 			return false
 		}
 	}
 	return true
 }
 
-// leaked reports whether any referencing snapshot escaped unpinned,
-// making the lease permanently unreusable.
-func (l *histLease) leaked() bool {
-	for _, sn := range l.snaps {
-		if sn.leaked.Load() {
-			return true
-		}
-	}
-	return false
-}
-
 // maxLeases bounds the per-partition lease list: the published histogram
 // plus a few retired ones awaiting release. Beyond it the oldest retired
 // leases are forgotten — their buffers stay alive only as long as their
-// snapshots do, they just lose reuse eligibility.
+// snapshots do, they just lose reuse eligibility — so a reader that never
+// releases its pin costs the store one recyclable buffer, not a leak.
 const maxLeases = 4
 
 // genArena is the per-store pool of retained histogram leases, one list
@@ -82,22 +66,14 @@ func newGenArena(partitions int) *genArena {
 }
 
 // take removes and returns a reusable lease for partition i, or nil.
-// Permanently leaked leases are dropped on the way.
 func (a *genArena) take(i int) *histLease {
-	kept := a.parts[i][:0]
-	var found *histLease
-	for _, l := range a.parts[i] {
-		switch {
-		case found == nil && l.collectible():
-			found = l
-		case l.leaked():
-			// Forget it: an unpinned reader may hold the estimator forever.
-		default:
-			kept = append(kept, l)
+	for k, l := range a.parts[i] {
+		if l.collectible() {
+			a.parts[i] = append(a.parts[i][:k], a.parts[i][k+1:]...)
+			return l
 		}
 	}
-	a.parts[i] = kept
-	return found
+	return nil
 }
 
 // damage widens every tracked lease of partition i: a new histogram was
@@ -160,7 +136,7 @@ func (s *Store) release(snap *Snapshot) { snap.refs.Add(-1) }
 // against generation-buffer reuse, with the release callback that undoes
 // the pin (idempotent). Browse handlers hold the pin for the duration of
 // one request; holding it indefinitely only costs the store a recyclable
-// buffer. This is the geobrowse.PinnedEstimatorSource contract.
+// buffer. This is the geobrowse.EstimatorSource contract.
 func (s *Store) AcquireEstimator() (core.Estimator, uint64, func()) {
 	snap := s.acquireSnapshot()
 	var once sync.Once

@@ -146,14 +146,15 @@ func TestRejectedMutationsSkipGeneration(t *testing.T) {
 	}
 }
 
-// TestLeaseListBounded: unpinned Snapshot calls leak generations, which
-// must be dropped from the arena rather than accumulate.
+// TestLeaseListBounded: readers that never release their pin keep every
+// generation's lease uncollectible, and the arena must forget the oldest
+// rather than accumulate them.
 func TestLeaseListBounded(t *testing.T) {
 	s := openTestStore(t, Config{Grid: testGrid(), Algo: AlgoSEuler, Seed: seedRects(100),
 		RebuildEvery: -1, RebuildCrossover: -1})
 	r := rand.New(rand.NewSource(17))
 	for round := 0; round < 3*maxLeases; round++ {
-		s.Snapshot() // leak every generation
+		s.AcquireEstimator() // pin every generation, never release
 		if _, err := s.Insert(randRect(r)); err != nil {
 			t.Fatal(err)
 		}

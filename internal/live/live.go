@@ -10,9 +10,10 @@
 // (crash recovery), applied to the per-partition builders, and made
 // visible by the rebuild policy, which finalizes the builders into a fresh
 // generation — difference array → cumulative form → core estimator — published
-// by atomic pointer swap. Readers never lock: they grab the current
-// Snapshot and query it; a snapshot is exactly as stale as the mutations
-// applied since its generation was built, which Status reports.
+// by atomic pointer swap. Readers never lock: they pin the current Snapshot
+// (AcquireEstimator), query it and release it; a snapshot is exactly as
+// stale as the mutations applied since its generation was built, which
+// Status reports.
 //
 // Rebuilds are triggered every RebuildEvery mutations, every
 // RebuildInterval of wall time, or by an explicit Flush. For
@@ -36,42 +37,16 @@ import (
 	"spatialhist/internal/telemetry"
 )
 
-// Algo selects which estimator snapshots are rebuilt into. The values
-// match the on-disk tags of the summary and WAL formats.
-type Algo uint8
+// Algo selects which estimator snapshots are rebuilt into: core's, whose
+// values are the on-disk tags of the WAL and checkpoint formats.
+type Algo = core.Algo
 
 // The three paper algorithms.
 const (
-	AlgoSEuler Algo = 1
-	AlgoEuler  Algo = 2
-	AlgoMEuler Algo = 3
+	AlgoSEuler = core.AlgoSEuler
+	AlgoEuler  = core.AlgoEuler
+	AlgoMEuler = core.AlgoMEuler
 )
-
-// String implements fmt.Stringer.
-func (a Algo) String() string {
-	switch a {
-	case AlgoSEuler:
-		return "seuler"
-	case AlgoEuler:
-		return "euler"
-	case AlgoMEuler:
-		return "meuler"
-	}
-	return fmt.Sprintf("algo(%d)", uint8(a))
-}
-
-// ParseAlgo converts the flag-style name to an Algo.
-func ParseAlgo(s string) (Algo, error) {
-	switch s {
-	case "seuler":
-		return AlgoSEuler, nil
-	case "euler":
-		return AlgoEuler, nil
-	case "meuler":
-		return AlgoMEuler, nil
-	}
-	return 0, fmt.Errorf("live: unknown algorithm %q (want seuler, euler or meuler)", s)
-}
 
 // DefaultRebuildEvery is the mutation count between snapshot rebuilds when
 // Config.RebuildEvery is zero.
@@ -131,36 +106,15 @@ func (c Config) validate() error {
 	if c.Grid == nil {
 		return errors.New("live: Config.Grid is required")
 	}
-	switch c.Algo {
-	case AlgoSEuler, AlgoEuler:
-		if len(c.Areas) != 0 {
-			return fmt.Errorf("live: area thresholds are only for meuler, got %v", c.Areas)
-		}
-	case AlgoMEuler:
-		if len(c.Areas) == 0 {
-			return errors.New("live: meuler needs area thresholds")
-		}
-		if c.Areas[0] != 1 {
-			return fmt.Errorf("live: area(H_0) must be the unit cell (1), got %g", c.Areas[0])
-		}
-		for i := 1; i < len(c.Areas); i++ {
-			if c.Areas[i] <= c.Areas[i-1] {
-				return fmt.Errorf("live: area thresholds %v not strictly ascending", c.Areas)
-			}
-		}
-	default:
-		return fmt.Errorf("live: unknown algorithm %v", c.Algo)
+	if err := c.spec().Validate(); err != nil {
+		return fmt.Errorf("live: %w", err)
 	}
 	return nil
 }
 
-// groups returns how many builders the config partitions objects into.
-func (c Config) groups() int {
-	if c.Algo == AlgoMEuler {
-		return len(c.Areas)
-	}
-	return 1
-}
+// spec is the estimator the config names; its Groups is how many builders
+// the store partitions objects into.
+func (c Config) spec() core.Spec { return core.Spec{Algo: c.Algo, Areas: c.Areas} }
 
 // The cell width of a generation's lattices, as Snapshot.Tier and
 // Status.Tier name it: packed when every partition's plane is held at 4
@@ -196,18 +150,16 @@ type Snapshot struct {
 
 	// refs pins the generation's histogram buffers against arena reuse:
 	// initialized to 1 (the published ref, dropped on retirement), raised
-	// by pinned readers, terminal at 0. leaked marks that the snapshot
-	// escaped through an unpinned accessor, disqualifying its buffers from
-	// reuse forever.
-	refs   atomic.Int64
-	leaked atomic.Bool
+	// by pinned readers, terminal at 0.
+	refs atomic.Int64
 }
 
 // Store is a WAL-backed mutable histogram store with generational
 // snapshots. All methods are safe for concurrent use.
 type Store struct {
 	cfg    Config
-	header []byte // config-pinning WAL/checkpoint header
+	spec   core.Spec // cfg's algorithm and thresholds
+	header []byte    // config-pinning WAL/checkpoint header
 
 	mu       sync.Mutex // guards builders, wal appends, applied, seq, closed
 	builders []*euler.Builder
@@ -244,21 +196,23 @@ func Open(cfg Config) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	spec := cfg.spec()
 	s := &Store{
 		cfg:       cfg,
+		spec:      spec,
 		header:    encodeHeader(uint8(cfg.Algo), cfg.Grid, cfg.Areas),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		m:         newMetrics(cfg.Telemetry),
-		lastHists: make([]*euler.Histogram, cfg.groups()),
-		lastPyrs:  make([]*euler.Pyramid, cfg.groups()),
-		arena:     newGenArena(cfg.groups()),
+		lastHists: make([]*euler.Histogram, spec.Groups()),
+		lastPyrs:  make([]*euler.Pyramid, spec.Groups()),
+		arena:     newGenArena(spec.Groups()),
 	}
 
 	var walOff int64
 	seeded := false
 	if cfg.CheckpointPath != "" {
-		builders, off, applied, err := loadCheckpoint(cfg.CheckpointPath, s.header, cfg.groups())
+		builders, off, applied, err := loadCheckpoint(cfg.CheckpointPath, s.header, spec.Groups())
 		switch {
 		case err == nil:
 			s.builders, walOff, s.applied = builders, off, applied
@@ -274,7 +228,7 @@ func Open(cfg Config) (*Store, error) {
 		}
 	}
 	if !seeded {
-		s.builders = make([]*euler.Builder, cfg.groups())
+		s.builders = make([]*euler.Builder, spec.Groups())
 		for i := range s.builders {
 			s.builders[i] = euler.NewBuilder(cfg.Grid)
 		}
@@ -337,6 +291,36 @@ func (s *Store) Delete(r geom.Rect) (bool, error) {
 // inserted into the partition of the new one.
 func (s *Store) Update(old, new geom.Rect) (bool, error) {
 	return s.mutate(walRecord{op: opUpdate, old: old, r: new})
+}
+
+// Apply feeds one batch of inserts (OpInsert) or deletes (OpDelete) through
+// the store, publishing and syncing at the end when flush is set — the body
+// of every mutation endpoint. applied counts the mutations that changed the
+// store, rejected those that did not (journaled regardless); gen is the
+// generation published after the batch. An error — the store is closed, its
+// journal failed — stops the batch where it is, since nothing later in it
+// can succeed, with the counts so far.
+func (s *Store) Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
+	if op != OpInsert && op != OpDelete {
+		return 0, 0, 0, fmt.Errorf("live: unsupported mutation opcode %d", op)
+	}
+	for _, r := range rects {
+		ok, err := s.mutate(walRecord{op: op, r: r})
+		if err != nil {
+			return applied, rejected, 0, err
+		}
+		if ok {
+			applied++
+		} else {
+			rejected++
+		}
+	}
+	if flush {
+		if err := s.Flush(); err != nil {
+			return applied, rejected, 0, err
+		}
+	}
+	return applied, rejected, s.Generation(), nil
 }
 
 // mutate journals rec (write-ahead), applies it to the builders, and
@@ -416,14 +400,10 @@ func (s *Store) applyDelete(r geom.Rect) bool {
 	return b.Remove(r)
 }
 
-// route picks the builder for an object MBR: the single builder for the
-// one-histogram algorithms, or the M-EulerApprox area partition chosen by
-// the same rule NewMEuler applies at batch construction.
+// route picks the builder for an object MBR: the partition the spec assigns
+// it to, by the same rule a batch construction applies.
 func (s *Store) route(r geom.Rect) (*euler.Builder, bool) {
-	if len(s.builders) == 1 {
-		return s.builders[0], true
-	}
-	gi, ok := core.ObjectAreaGroup(s.cfg.Grid, s.cfg.Areas, r)
+	gi, ok := s.spec.Group(s.cfg.Grid, r)
 	if !ok {
 		return nil, false
 	}
@@ -609,53 +589,22 @@ func (s *Store) pyrAt(pyrs []*euler.Pyramid, i int) *euler.Pyramid {
 	return pyrs[i]
 }
 
-// estimatorFor assembles the estimator for a publish: the configured
-// algorithm over the generation's lattices — zoom-routing stacks with an
-// attached ε-approximate overview when pyramids are enabled. The config was
-// validated at Open and every histogram shares the store's grid, so
-// assembly cannot fail.
+// estimatorFor assembles the estimator for a publish: the configured spec
+// over the generation's lattices — its pyramids when they are enabled. The
+// config was validated at Open and every histogram shares the store's grid,
+// so assembly cannot fail.
 func (s *Store) estimatorFor(hists []*euler.Histogram, pyrs []*euler.Pyramid) core.Estimator {
-	switch s.cfg.Algo {
-	case AlgoSEuler:
-		if pyrs != nil {
-			return s.withOverview(core.ZoomSEuler(pyrs[0]), pyrs[:1])
-		}
-		return core.NewSEuler(hists[0])
-	case AlgoEuler:
-		if pyrs != nil {
-			return s.withOverview(core.ZoomEuler(pyrs[0]), pyrs[:1])
-		}
-		return core.NewEuler(hists[0])
-	default:
-		if pyrs != nil {
-			z, err := core.ZoomMEuler(s.cfg.Areas, pyrs)
-			if err != nil {
-				panic(fmt.Sprintf("live: rebuilding validated config: %v", err))
-			}
-			return s.withOverview(z, pyrs)
-		}
-		m, err := core.MEulerFromHistograms(s.cfg.Areas, hists)
-		if err != nil {
-			panic(fmt.Sprintf("live: rebuilding validated config: %v", err))
-		}
-		return m
+	var est core.Estimator
+	var err error
+	if pyrs != nil {
+		est, err = s.spec.FromPyramids(pyrs)
+	} else {
+		est, err = s.spec.FromHistograms(hists)
 	}
-}
-
-// withOverview attaches the ε-approximate reduced tier to a zoom stack
-// when the pyramids are deep enough to derive one. Attachment costs no
-// lattice memory (the reduced lattices share the pyramid levels) and is
-// inert until a caller opts in with a positive ε, so every zoom publish
-// gets one.
-func (s *Store) withOverview(z *core.Zoom, pyrs []*euler.Pyramid) *core.Zoom {
-	depth := pyrs[0].Levels()
-	for _, p := range pyrs[1:] {
-		depth = min(depth, p.Levels())
+	if err != nil {
+		panic(fmt.Sprintf("live: rebuilding validated config: %v", err))
 	}
-	if o, ok := core.OverviewFromPyramids(pyrs, core.OverviewShift(depth)); ok {
-		z.AttachOverview(o)
-	}
-	return z
+	return est
 }
 
 // rebuildLoop is the interval half of the rebuild policy: whenever
@@ -674,30 +623,6 @@ func (s *Store) rebuildLoop(every time.Duration) {
 			}
 		}
 	}
-}
-
-// Snapshot returns the current generation. It never blocks on writers.
-// The returned snapshot holds no pin, so its histogram buffers are marked
-// as escaped and excluded from generation recycling forever; readers that
-// can bound their use should prefer AcquireEstimator.
-func (s *Store) Snapshot() *Snapshot {
-	snap := s.acquireSnapshot()
-	snap.leaked.Store(true)
-	s.release(snap)
-	return snap
-}
-
-// CurrentEstimator returns the current generation's estimator and number,
-// the geobrowse.EstimatorSource contract: browse caches tag their keys
-// with the generation so a snapshot swap invalidates exactly the stale
-// entries. Like Snapshot, the estimator escapes unpinned and its buffers
-// are withdrawn from recycling; bounded readers should use
-// AcquireEstimator.
-func (s *Store) CurrentEstimator() (core.Estimator, uint64) {
-	snap := s.acquireSnapshot()
-	snap.leaked.Store(true)
-	s.release(snap)
-	return snap.Est, snap.Gen
 }
 
 // Flush forces a rebuild and makes every journaled mutation durable. The
@@ -762,10 +687,6 @@ func (s *Store) Status() Status {
 		walBytes = s.wal.size
 	}
 	s.mu.Unlock()
-	pyramidLevels := 0
-	if z, ok := snap.Est.(*core.Zoom); ok {
-		pyramidLevels = z.NumLevels() - 1
-	}
 	return Status{
 		Algorithm:       snap.Est.Name(),
 		Generation:      snap.Gen,
@@ -782,7 +703,7 @@ func (s *Store) Status() Status {
 		SnapshotSwapped: snap.Mutations,
 		GridNX:          s.cfg.Grid.NX(),
 		GridNY:          s.cfg.Grid.NY(),
-		PyramidLevels:   pyramidLevels,
+		PyramidLevels:   core.NumLevels(snap.Est) - 1,
 		Tier:            snap.Tier,
 		AppliedSeq:      seq,
 		SnapshotSeq:     s.visible.Load(),

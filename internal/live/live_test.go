@@ -1,6 +1,7 @@
 package live
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -96,6 +97,14 @@ func seedRects(n int) []geom.Rect {
 	return out
 }
 
+// current returns the store's published estimator and generation, pinned
+// until the test ends.
+func current(t testing.TB, s *Store) (core.Estimator, uint64) {
+	est, gen, release := s.AcquireEstimator()
+	t.Cleanup(release)
+	return est, gen
+}
+
 func openTestStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
 	if cfg.Telemetry == nil {
@@ -131,7 +140,7 @@ func TestWALReplayRoundTrip(t *testing.T) {
 			if err := a.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			estA, genA := a.CurrentEstimator()
+			estA, genA := current(t, a)
 			if genA < 2 {
 				t.Fatalf("flush did not publish a new generation (gen %d)", genA)
 			}
@@ -142,7 +151,7 @@ func TestWALReplayRoundTrip(t *testing.T) {
 			// A restart over the same seed and journal reconstructs the
 			// store bit-identically.
 			b := openTestStore(t, cfg)
-			estB, _ := b.CurrentEstimator()
+			estB, _ := current(t, b)
 			sweep(t, estB, estA)
 			if got, want := b.Status().Mutations, int64(300); got != want {
 				t.Fatalf("replayed mutation count %d, want %d", got, want)
@@ -205,8 +214,8 @@ func TestCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		gotEst, _ := recovered.CurrentEstimator()
-		wantEst, _ := ref.CurrentEstimator()
+		gotEst, _ := current(t, recovered)
+		wantEst, _ := current(t, ref)
 		sweep(t, gotEst, wantEst)
 		recovered.Close()
 		ref.Close()
@@ -318,13 +327,13 @@ func TestLiveMatchesBatchBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, _ := s.CurrentEstimator()
+	est, _ := current(t, s)
 	sweep(t, est, batch)
 }
 
 func TestRebuildPolicyCount(t *testing.T) {
 	s := openTestStore(t, Config{Grid: testGrid(), Algo: AlgoSEuler, RebuildEvery: 4})
-	_, gen0 := s.CurrentEstimator()
+	gen0 := s.Generation()
 	if gen0 != 1 {
 		t.Fatalf("initial generation %d, want 1", gen0)
 	}
@@ -333,7 +342,7 @@ func TestRebuildPolicyCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	est, gen := s.CurrentEstimator()
+	est, gen := current(t, s)
 	if gen != 2 {
 		t.Fatalf("generation after 4 mutations = %d, want 2", gen)
 	}
@@ -350,7 +359,7 @@ func TestRebuildPolicyCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, gen := s.CurrentEstimator(); gen != 2 {
+	if gen := s.Generation(); gen != 2 {
 		t.Fatalf("generation advanced early to %d", gen)
 	}
 	if p := s.Status().Pending; p != 3 {
@@ -366,7 +375,7 @@ func TestRebuildPolicyInterval(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, gen := s.CurrentEstimator(); gen >= 2 {
+		if gen := s.Generation(); gen >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -374,7 +383,7 @@ func TestRebuildPolicyInterval(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	est, _ := s.CurrentEstimator()
+	est, _ := current(t, s)
 	if est.Count() != 1 {
 		t.Fatalf("interval snapshot count %d, want 1", est.Count())
 	}
@@ -397,7 +406,7 @@ func TestCheckpointRestart(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := s.CurrentEstimator()
+	want, _ := current(t, s)
 	if err := s.Close(); err != nil { // re-checkpoints at the final state
 		t.Fatal(err)
 	}
@@ -407,7 +416,7 @@ func TestCheckpointRestart(t *testing.T) {
 	rcfg := cfg
 	rcfg.Seed = nil
 	restarted := openTestStore(t, rcfg)
-	got, _ := restarted.CurrentEstimator()
+	got, _ := current(t, restarted)
 	sweep(t, got, want)
 	if m := restarted.Status().Mutations; m != int64(len(recs)) {
 		t.Fatalf("restarted mutation count %d, want %d", m, len(recs))
@@ -438,7 +447,7 @@ func TestCheckpointMidCrash(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := s.CurrentEstimator()
+	want, _ := current(t, s)
 
 	// Crash: copy the WAL and checkpoint as the dead process left them —
 	// no Close, so the checkpoint still points at record 60.
@@ -456,7 +465,7 @@ func TestCheckpointMidCrash(t *testing.T) {
 	rcfg.WALPath = filepath.Join(dir, "crash-store.wal")
 	rcfg.CheckpointPath = filepath.Join(dir, "crash-store.ckpt")
 	recovered := openTestStore(t, rcfg)
-	got, _ := recovered.CurrentEstimator()
+	got, _ := current(t, recovered)
 	sweep(t, got, want)
 }
 
@@ -490,12 +499,70 @@ func TestConfigValidation(t *testing.T) {
 		"areas not unit": {Grid: testGrid(), Algo: AlgoMEuler, Areas: []float64{2, 4}},
 		"areas unsorted": {Grid: testGrid(), Algo: AlgoMEuler, Areas: []float64{1, 9, 4}},
 		"seuler w/areas": {Grid: testGrid(), Algo: AlgoSEuler, Areas: []float64{1, 4}},
+		"euler w/areas":  {Grid: testGrid(), Algo: AlgoEuler, Areas: []float64{1}},
+		"unknown algo":   {Grid: testGrid(), Algo: 4},
+		"areas empty":    {Grid: testGrid(), Algo: AlgoMEuler, Areas: []float64{}},
+		"areas repeated": {Grid: testGrid(), Algo: AlgoMEuler, Areas: []float64{1, 9, 9}},
+		"areas NaN":      {Grid: testGrid(), Algo: AlgoMEuler, Areas: []float64{1, math.NaN()}},
+		"areas infinite": {Grid: testGrid(), Algo: AlgoMEuler, Areas: []float64{1, 9, math.Inf(1)}},
 	}
 	for name, cfg := range cases {
 		cfg.Telemetry = telemetry.NewRegistry()
 		if _, err := Open(cfg); err == nil {
 			t.Errorf("%s: Open must reject the config", name)
 		}
+	}
+}
+
+// TestApply: a batch through Apply is the per-mutation calls it replaces —
+// same counts, same journal, same published estimator — flushing only when
+// asked, refusing opcodes that are not batch mutations, and stopping with
+// its counts so far when the store fails under it.
+func TestApply(t *testing.T) {
+	seed := seedRects(50)
+	batch := append(seedRects(30), geom.NewRect(100, 100, 110, 110)) // the last lies outside
+	cfg := Config{Grid: testGrid(), Algo: AlgoMEuler, Areas: []float64{1, 9, 40}, Seed: seed, RebuildEvery: -1}
+	a, b := openTestStore(t, cfg), openTestStore(t, cfg)
+
+	applied, rejected, gen, err := a.Apply(OpInsert, batch, false)
+	if err != nil || applied != 30 || rejected != 1 || gen != 1 {
+		t.Fatalf("Apply(insert) = %d %d gen %d %v, want 30 1 gen 1", applied, rejected, gen, err)
+	}
+	if a.Status().Pending != 31 {
+		t.Fatalf("unflushed batch left %d pending, want 31", a.Status().Pending)
+	}
+	applied, rejected, gen, err = a.Apply(OpDelete, batch[10:], true)
+	if err != nil || applied != 20 || rejected != 1 || gen != 2 {
+		t.Fatalf("Apply(delete, flush) = %d %d gen %d %v, want 20 1 gen 2", applied, rejected, gen, err)
+	}
+	for _, r := range batch {
+		if _, err := b.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range batch[10:] {
+		if _, err := b.Delete(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	estA, _ := current(t, a)
+	estB, _ := current(t, b)
+	sweep(t, estA, estB)
+	if sa, sb := a.Status(), b.Status(); sa.Mutations != sb.Mutations || sa.Rejected != sb.Rejected || sa.LiveObjects != sb.LiveObjects {
+		t.Fatalf("status diverges: %+v vs %+v", sa, sb)
+	}
+
+	if _, _, _, err := a.Apply(OpUpdate, batch, false); err == nil {
+		t.Fatal("Apply accepted an update opcode")
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if applied, rejected, _, err := a.Apply(OpInsert, batch, true); err != ErrClosed || applied != 0 || rejected != 0 {
+		t.Fatalf("Apply on a closed store = %d %d %v, want 0 0 ErrClosed", applied, rejected, err)
 	}
 }
 
@@ -527,7 +594,7 @@ func TestClosedStore(t *testing.T) {
 		t.Fatalf("insert after close: %v, want ErrClosed", err)
 	}
 	// The last snapshot keeps serving reads.
-	est, _ := s.CurrentEstimator()
+	est, _ := current(t, s)
 	if est == nil {
 		t.Fatal("snapshot gone after close")
 	}
@@ -587,7 +654,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 					return
 				default:
 				}
-				est, gen := s.CurrentEstimator()
+				est, gen, release := s.AcquireEstimator()
 				if gen == 0 {
 					t.Error("observed unpublished snapshot")
 					return
@@ -596,6 +663,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 					t.Errorf("gen %d: estimate total %d != count %d", gen, got, est.Count())
 					return
 				}
+				release()
 				s.Status()
 			}
 		}()
@@ -606,7 +674,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, gen := s.CurrentEstimator()
+	gen := s.Generation()
 	if gen < 2 {
 		t.Fatalf("no rebuilds under concurrent load (gen %d)", gen)
 	}

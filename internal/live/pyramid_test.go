@@ -84,8 +84,8 @@ func TestPyramidGenerations(t *testing.T) {
 			if !ok {
 				t.Fatalf("snapshot estimator is %T, want *core.Zoom", est)
 			}
-			if z.NumLevels() != 4 {
-				t.Fatalf("zoom stack has %d levels, want 4", z.NumLevels())
+			if core.NumLevels(z) != 4 {
+				t.Fatalf("zoom stack has %d levels, want 4", core.NumLevels(z))
 			}
 			ref := openTestStore(t, Config{Grid: g, Algo: algo.algo, Areas: algo.areas, Seed: live})
 			want, _, refRelease := ref.AcquireEstimator()

@@ -93,32 +93,7 @@ func (h *LocalHandle) Status() (live.Status, error) { return h.Store.Status(), n
 
 // Mutate implements Handle.
 func (h *LocalHandle) Mutate(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
-	var mutate func(geom.Rect) (bool, error)
-	switch op {
-	case live.OpInsert:
-		mutate = h.Store.Insert
-	case live.OpDelete:
-		mutate = h.Store.Delete
-	default:
-		return 0, 0, 0, fmt.Errorf("shard: unsupported mutation opcode %d", op)
-	}
-	for _, r := range rects {
-		ok, err := mutate(r)
-		if err != nil {
-			return applied, rejected, 0, err
-		}
-		if ok {
-			applied++
-		} else {
-			rejected++
-		}
-	}
-	if flush {
-		if err := h.Store.Flush(); err != nil {
-			return applied, rejected, 0, err
-		}
-	}
-	return applied, rejected, h.Store.Generation(), nil
+	return h.Store.Apply(op, rects, flush)
 }
 
 // Wire types of the shard-node batch endpoints. Estimates travel as raw

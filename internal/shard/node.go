@@ -2,13 +2,12 @@ package shard
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
 	"spatialhist/internal/core"
+	"spatialhist/internal/geobrowse"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/live"
 	"spatialhist/internal/telemetry"
@@ -77,18 +76,6 @@ type node struct {
 	checkpoints *telemetry.Counter
 }
 
-// decodeBody decodes exactly one bounded JSON value into v.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding body: %w", err)
-	}
-	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
-}
-
 // checkSpan validates that a span is well-formed and inside the grid.
 func checkSpan(g *grid.Grid, s grid.Span) error {
 	if !s.Valid() || s.I1 < 0 || s.J1 < 0 || s.I2 >= g.NX() || s.J2 >= g.NY() {
@@ -99,7 +86,7 @@ func checkSpan(g *grid.Grid, s grid.Span) error {
 
 func (n *node) handleEstimateGrid(w http.ResponseWriter, r *http.Request) {
 	var req estimateGridRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := geobrowse.DecodeBody(w, r, &req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -126,7 +113,7 @@ func (n *node) handleEstimateGrid(w http.ResponseWriter, r *http.Request) {
 
 func (n *node) handleEstimateSpans(w http.ResponseWriter, r *http.Request) {
 	var req estimateSpansRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := geobrowse.DecodeBody(w, r, &req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

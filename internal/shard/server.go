@@ -6,7 +6,6 @@ import (
 
 	"spatialhist/internal/core"
 	"spatialhist/internal/geobrowse"
-	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/live"
 	"spatialhist/internal/telemetry"
@@ -112,25 +111,12 @@ func (s *server) handleDrill(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleMutation(w http.ResponseWriter, r *http.Request, op byte) {
-	var req geobrowse.MutationRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	rects, flush, err := geobrowse.ParseMutationRequest(w, r)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(req.Rects) == 0 {
-		http.Error(w, "body must carry at least one rect", http.StatusBadRequest)
-		return
-	}
-	if len(req.Rects) > maxSpanBatch {
-		http.Error(w, fmt.Sprintf("at most %d rects per request, got %d", maxSpanBatch, len(req.Rects)),
-			http.StatusBadRequest)
-		return
-	}
-	rects := make([]geom.Rect, len(req.Rects))
-	for i, q := range req.Rects {
-		rects[i] = geom.NewRect(q[0], q[1], q[2], q[3])
-	}
-	applied, rejected, gen, err := s.c.Ingest(op, rects, r.URL.Query().Get("flush") == "1")
+	applied, rejected, gen, err := s.c.Ingest(op, rects, flush)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return

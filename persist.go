@@ -37,35 +37,20 @@ var summaryMagic = [8]byte{'S', 'P', 'S', 'U', 'M', '0', '0', '2'}
 // version mismatch precisely.
 var summaryMagicV1 = [8]byte{'S', 'P', 'S', 'U', 'M', '0', '0', '1'}
 
-const (
-	algoSEuler uint8 = 1
-	algoEuler  uint8 = 2
-	algoMEuler uint8 = 3
-)
-
 // Save serializes the summary.
 func (s *Summary) Save(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(summaryMagic[:]); err != nil {
 		return err
 	}
-	var algo uint8
-	var areas []float64
-	var hists []*euler.Histogram
-	switch est := s.est.(type) {
-	case *core.SEuler:
-		algo, hists = algoSEuler, []*euler.Histogram{est.Histogram()}
-	case *core.Euler:
-		algo, hists = algoEuler, []*euler.Histogram{est.Histogram()}
-	case *core.MEuler:
-		algo, areas, hists = algoMEuler, est.Areas(), est.Histograms()
-	default:
+	spec, hists, ok := core.SpecOf(s.est)
+	if !ok {
 		return fmt.Errorf("spatialhist: summaries over %T cannot be saved", s.est)
 	}
-	header := make([]byte, 0, 5+8*len(areas))
-	header = append(header, algo)
+	header := make([]byte, 0, 5+8*len(spec.Areas))
+	header = append(header, uint8(spec.Algo))
 	header = binary.LittleEndian.AppendUint32(header, uint32(len(hists)))
-	for _, a := range areas {
+	for _, a := range spec.Areas {
 		header = binary.LittleEndian.AppendUint64(header, math.Float64bits(a))
 	}
 	if _, err := bw.Write(header); err != nil {
@@ -103,27 +88,24 @@ func Load(r io.Reader) (*Summary, error) {
 	if _, err := io.ReadFull(br, header); err != nil {
 		return nil, fmt.Errorf("spatialhist: reading header: %w", err)
 	}
-	algo := header[0]
 	// Validate the tag before trusting anything downstream of it: an
 	// unknown byte here means the rest of the stream cannot be interpreted,
 	// so failing late (after parsing megabytes of histograms) would bury
 	// the actual problem under a misleading decode error.
-	switch algo {
-	case algoSEuler, algoEuler, algoMEuler:
-	default:
+	spec := core.Spec{Algo: core.Algo(header[0])}
+	if spec.Algo < core.AlgoSEuler || spec.Algo > core.AlgoMEuler {
 		return nil, fmt.Errorf("spatialhist: unknown algorithm tag %d (want %d=S-EulerApprox, %d=EulerApprox or %d=M-EulerApprox)",
-			algo, algoSEuler, algoEuler, algoMEuler)
+			spec.Algo, core.AlgoSEuler, core.AlgoEuler, core.AlgoMEuler)
 	}
 	count := binary.LittleEndian.Uint32(header[1:5])
 	const maxHists = 64
 	if count == 0 || count > maxHists {
 		return nil, fmt.Errorf("spatialhist: unreasonable histogram count %d", count)
 	}
-	if (algo == algoSEuler || algo == algoEuler) && count != 1 {
+	if spec.Algo != core.AlgoMEuler && count != 1 {
 		return nil, fmt.Errorf("spatialhist: single-histogram algorithm with %d histograms", count)
 	}
-	var areas []float64
-	if algo == algoMEuler {
+	if spec.Algo == core.AlgoMEuler {
 		raw := make([]byte, 8*count)
 		if n, err := io.ReadFull(br, raw); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -132,13 +114,13 @@ func Load(r io.Reader) (*Summary, error) {
 			return nil, fmt.Errorf("spatialhist: reading area table: %w", err)
 		}
 		header = append(header, raw...)
-		areas = make([]float64, count)
-		for i := range areas {
-			areas[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-			if math.IsNaN(areas[i]) || math.IsInf(areas[i], 0) {
-				return nil, fmt.Errorf("spatialhist: invalid area threshold %g", areas[i])
-			}
+		spec.Areas = make([]float64, count)
+		for i := range spec.Areas {
+			spec.Areas[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("spatialhist: %w", err)
 	}
 	var storedCRC uint32
 	if err := binary.Read(br, binary.LittleEndian, &storedCRC); err != nil {
@@ -155,19 +137,11 @@ func Load(r io.Reader) (*Summary, error) {
 		}
 		hists[i] = h
 	}
-	switch algo {
-	case algoSEuler:
-		return &Summary{est: core.NewSEuler(hists[0]), g: hists[0].Grid()}, nil
-	case algoEuler:
-		return &Summary{est: core.NewEuler(hists[0]), g: hists[0].Grid()}, nil
-	case algoMEuler:
-		me, err := core.MEulerFromHistograms(areas, hists)
-		if err != nil {
-			return nil, fmt.Errorf("spatialhist: %w", err)
-		}
-		return &Summary{est: me, g: me.Grid()}, nil
+	est, err := spec.FromHistograms(hists)
+	if err != nil {
+		return nil, fmt.Errorf("spatialhist: %w", err)
 	}
-	return nil, fmt.Errorf("spatialhist: unknown algorithm tag %d", algo)
+	return &Summary{est: est, g: est.Grid()}, nil
 }
 
 // SaveFile writes the summary to a file.

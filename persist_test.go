@@ -2,7 +2,11 @@ package spatialhist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -253,6 +257,96 @@ func TestLoadNamesV1Format(t *testing.T) {
 	for _, frag := range []string{"SPSUM001", "SPSUM002", "re-save"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Fatalf("v1 error %q does not mention %q", err, frag)
+		}
+	}
+}
+
+// TestLoadRefusesMalformedThresholds: every threshold list Spec.Validate
+// refuses is refused by Load too, checksum intact — the loader runs the one
+// copy of the §5.4 rules, not a subset of its own.
+func TestLoadRefusesMalformedThresholds(t *testing.T) {
+	d := dataset.SpSkew(100, 2)
+	g := NewGrid(d.Extent, 16, 8)
+	me, err := NewMEuler(g, []float64{1, 4, 25}, d.Rects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := me.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	for name, areas := range map[string][3]float64{
+		"not the unit cell": {2, 4, 25},
+		"descending":        {1, 25, 4},
+		"repeated":          {1, 4, 4},
+		"NaN":               {1, 4, math.NaN()},
+		"infinite":          {1, 4, math.Inf(1)},
+	} {
+		c := cp(raw)
+		for i, a := range areas {
+			binary.LittleEndian.PutUint64(c[13+8*i:], math.Float64bits(a))
+		}
+		binary.LittleEndian.PutUint32(c[13+8*3:], crc32.ChecksumIEEE(c[8:13+8*3]))
+		if _, err := Load(bytes.NewReader(c)); err == nil || !strings.Contains(err.Error(), "area") {
+			t.Errorf("%s thresholds %v: Load = %v, want a threshold error", name, areas, err)
+		}
+	}
+	// The harness itself is sound: the original thresholds, re-stamped the
+	// same way, load.
+	c := cp(raw)
+	binary.LittleEndian.PutUint32(c[13+8*3:], crc32.ChecksumIEEE(c[8:13+8*3]))
+	if _, err := Load(bytes.NewReader(c)); err != nil {
+		t.Fatalf("re-stamped original: %v", err)
+	}
+}
+
+// TestSummaryFilesFromBeforeSpec: summaries written by the commit before
+// persistence went through core.Spec load, answer as a fresh build of the
+// same dataset does, and re-save to the bytes they were read from.
+func TestSummaryFilesFromBeforeSpec(t *testing.T) {
+	d := dataset.SpSkew(120, 2)
+	g := NewGrid(d.Extent, 16, 8)
+	me, err := NewMEuler(g, []float64{1, 4, 25}, d.Rects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fresh := range map[string]*Summary{
+		"seuler": NewSEuler(g, d.Rects), "euler": NewEuler(g, d.Rects), "meuler": me,
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "summary_pr21_"+name+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Algorithm() != fresh.Algorithm() || got.Count() != fresh.Count() || got.StorageBuckets() != fresh.StorageBuckets() {
+			t.Fatalf("%s: loaded %s/%d/%d, built %s/%d/%d", name, got.Algorithm(), got.Count(), got.StorageBuckets(),
+				fresh.Algorithm(), fresh.Count(), fresh.StorageBuckets())
+		}
+		for i1 := 0; i1 < 16; i1++ {
+			for j1 := 0; j1 < 8; j1++ {
+				q := Span{I1: i1, J1: j1, I2: i1 + (15-i1)/2, J2: j1 + (7-j1)/2}
+				if got.QuerySpan(q) != fresh.QuerySpan(q) {
+					t.Fatalf("%s: estimates diverge at %v", name, q)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := got.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("%s: re-saved summary differs from the file it was loaded from", name)
+		}
+		var again bytes.Buffer
+		if err := fresh.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), raw) {
+			t.Fatalf("%s: a fresh build saves different bytes than the commit before did", name)
 		}
 	}
 }

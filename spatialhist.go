@@ -140,15 +140,14 @@ func (s *Summary) Algorithm() string { return s.est.Name() }
 // modules cannot name the returned type but can pass it along.
 func (s *Summary) Estimator() core.Estimator { return s.est }
 
-// SummaryOf wraps an existing core estimator (one of the three algorithms)
-// as a Summary, e.g. to Save it. It rejects estimator types the Summary
-// API cannot persist.
+// SummaryOf wraps an existing core estimator (one of the three algorithms,
+// or a zoom stack of one, which saves as its base level) as a Summary, e.g.
+// to Save it. It rejects estimator types the Summary API cannot persist.
 func SummaryOf(est core.Estimator) (*Summary, error) {
-	switch est.(type) {
-	case *core.SEuler, *core.Euler, *core.MEuler:
-		return &Summary{est: est, g: est.Grid()}, nil
+	if _, _, ok := core.SpecOf(est); !ok {
+		return nil, fmt.Errorf("spatialhist: unsupported estimator %T", est)
 	}
-	return nil, fmt.Errorf("spatialhist: unsupported estimator %T", est)
+	return &Summary{est: est, g: est.Grid()}, nil
 }
 
 // Grid returns the resolution the summary answers queries at.
