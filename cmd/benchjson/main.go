@@ -27,8 +27,8 @@
 // hermetic benchmarks with a generous tolerance; wall-clock ratios on
 // shared runners are noisy.
 //
-//	go test -bench 'Rebuild' | benchjson -out BENCH_ci.json -baseline BENCH_pr4.json -tolerance 0.20
-//	go test -bench 'Estimate' | benchjson -baseline BENCH_pr7.json -tolerance 2.0 -fail-on-regression
+//	go test -bench 'Rebuild' | benchjson -out BENCH_ci.json -baseline BENCH_pr6.json -tolerance 0.20
+//	go test -bench 'Estimate' | benchjson -baseline BENCH_pr10.json -tolerance 2.0 -fail-on-regression
 package main
 
 import (

@@ -1,8 +1,7 @@
-// Command checker soaks the differential verification harness
-// (internal/check) for a time budget: it round-robins every oracle,
-// metamorphic property and failpoint check with fresh per-round seeds
-// until the budget runs out, then emits a JSON report and exits non-zero
-// if anything diverged.
+// Command checker soaks the verification harness (internal/check) for a
+// time budget: it round-robins every oracle, transcript, metamorphic and
+// failpoint check with fresh per-round seeds until the budget runs out,
+// then emits a JSON report and exits non-zero if anything diverged.
 //
 //	checker -seed 2002 -budget 30s -out report.json
 //
@@ -58,7 +57,7 @@ func main() {
 	all := check.All()
 	if *list {
 		for _, c := range all {
-			fmt.Printf("%-22s %-12s %s\n", c.Name, c.Kind, c.Doc)
+			fmt.Printf("%-26s %-12s %s\n", c.Name, c.Kind, c.Doc)
 		}
 		return
 	}
@@ -149,7 +148,7 @@ func main() {
 		if cr.Divergence != nil {
 			status = "DIVERGED"
 		}
-		fmt.Fprintf(os.Stderr, "checker: %-22s %-12s %4d rounds %6dms  %s\n",
+		fmt.Fprintf(os.Stderr, "checker: %-26s %-12s %4d rounds %6dms  %s\n",
 			cr.Name, cr.Kind, cr.Rounds, cr.Millis, status)
 	}
 	fmt.Fprintf(os.Stderr, "checker: %d rounds in %s, %d divergence(s)\n", totalRounds, rep.Elapsed, divergences)

@@ -1,41 +1,34 @@
-// Package check is the differential verification harness of the repo: one
-// place that knows how to prove, with randomized evidence, that every
-// estimation path agrees with every other path that must be its equal.
+// Package check is the verification harness of the repo: one place that
+// knows how to prove, with randomized evidence, that every estimation path
+// gives the answers the paper (§4–§5) says it must.
 //
-// The paper's claim (§4–§5) is that Euler-histogram estimators agree with
-// exact Level 2 counts wherever their assumptions hold; after the batch,
-// live-ingestion and incremental-rebuild work this repo has four
-// independent implementations that must agree bit-for-bit:
+// Three families compare against truth:
 //
-//	estimator vs exact      S/M/EulerApprox vs internal/exact (N_d and
-//	                        conservation always; all four counts on
-//	                        assumption-clean configurations), plus the
-//	                        exact evaluators cross-checked against each
-//	                        other (EvaluateQuery vs EvaluateSet vs the
-//	                        4-d prefix-sum Oracle).
-//	batch vs per-tile       core.EstimateGrid / EstimateGridParallel /
-//	                        EstimateGridInto (dirty plane, row bands) —
-//	                        every caller of core.PlanGrid's exact path —
-//	                        vs a per-tile Estimate loop.
-//	incremental vs fresh    euler.BuildFrom chains (dirty-region repair,
-//	                        scratch reuse, crossover fallback) vs a fresh
-//	                        Build over the same objects.
-//	replay vs live          WAL replay and checkpoint resume of a
-//	                        live.Store vs an uninterrupted in-memory
-//	                        store fed the identical mutations.
+//	estimator vs exact   S/M/EulerApprox vs internal/exact (N_d and
+//	                     conservation always; all four counts on
+//	                     assumption-clean configurations), the exact
+//	                     evaluators cross-checked against each other, and
+//	                     the join product sum vs the exact dual-rtree joins.
+//	metamorphic          relations the paper implies: per-tile
+//	                     conservation, translation and refinement of tile
+//	                     maps, error collapse once N_cd = 0 holds, the
+//	                     certified ε bounds, zoom-stack drill-down.
+//	failpoint            WAL and checkpoint crashes (internal/check/failpoint),
+//	                     recovery held to a fresh build of what survived.
 //
-// plus the metamorphic properties the paper implies (per-tile
-// conservation, translation and refinement consistency of tile maps,
-// error collapse once the N_cd = 0 assumption holds) and deterministic
-// failpoint crash checks over the WAL/checkpoint machinery
-// (internal/check/failpoint).
+// The fourth compares paths with each other: the transcript checks carry
+// out one seeded script (gen.Script) of mutations, publishes, checkpoints,
+// restarts and probes with a set of interpreters — fresh builds, BuildFrom
+// chains, live stores over journals, shard coordinators, followers, the
+// tenant registry, every tile-map sweep, a lowered cell-width limit — and
+// hold every transcript to the fresh reference's, entry for entry.
 //
-// The checks read a live store the one way there is: estimators are pinned
-// (AcquireEstimator) for as long as they are compared and released after
-// (storeDiff), so the harness models the use it verifies.
+// Stores are read the one way there is: estimators are pinned
+// (AcquireEstimator) for as long as they are read and released after, so
+// the harness models the use it verifies.
 //
 // Every check is a pure function of a seed. On divergence the harness
-// shrinks the dataset, query or mutation stream to a minimal reproducing
+// shrinks the dataset, query or script to a minimal reproducing
 // counterexample and reports it with the seed, so a red soak run is
 // immediately debuggable. Consumer packages run short budgets as ordinary
 // `go test` property suites; cmd/checker soaks the same checks for a time
@@ -69,8 +62,8 @@ type Divergence struct {
 	// for the rasterized-object checks.
 	Polys  []geom.Polygon `json:"polys,omitempty"`
 	PolysB []geom.Polygon `json:"polysB,omitempty"`
-	// Mutations is the minimized mutation stream, for the live checks.
-	Mutations []gen.Mutation `json:"mutations,omitempty"`
+	// Steps is the minimized script, for the transcript checks.
+	Steps []gen.Step `json:"steps,omitempty"`
 	// Query is the minimized diverging query span, when query-shaped.
 	Query *grid.Span `json:"query,omitempty"`
 	// Got and Want render the two sides of the disagreement.
@@ -99,14 +92,10 @@ func (d *Divergence) String() string {
 	if len(d.PolysB) > 0 {
 		s += fmt.Sprintf("\n  polysB (%d, minimized): %v", len(d.PolysB), d.PolysB)
 	}
-	if len(d.Mutations) > 0 {
-		s += fmt.Sprintf("\n  mutations (%d, minimized):", len(d.Mutations))
-		for _, m := range d.Mutations {
-			if m.Op == gen.OpUpdate {
-				s += fmt.Sprintf("\n    %v %v -> %v", m.Op, m.Old, m.R)
-			} else {
-				s += fmt.Sprintf("\n    %v %v", m.Op, m.R)
-			}
+	if len(d.Steps) > 0 {
+		s += fmt.Sprintf("\n  script (%d steps, minimized):", len(d.Steps))
+		for _, st := range d.Steps {
+			s += "\n    " + st.String()
 		}
 	}
 	if d.Got != "" || d.Want != "" {
@@ -118,9 +107,10 @@ func (d *Divergence) String() string {
 // Kind classifies a check for reporting.
 type Kind string
 
-// The three check families.
+// The four check families.
 const (
 	KindOracle      Kind = "oracle"
+	KindTranscript  Kind = "transcript"
 	KindMetamorphic Kind = "metamorphic"
 	KindFailpoint   Kind = "failpoint"
 )
@@ -135,117 +125,89 @@ type Check struct {
 	Run func(seed int64) *Divergence
 }
 
-// Oracles returns the four differential oracles, in deterministic order.
+// Oracles returns the checks against exact ground truth.
 func Oracles() []Check {
 	return []Check{
-		{
-			Name: "estimator-vs-exact",
-			Kind: KindOracle,
-			Doc:  "S/M/EulerApprox agree with internal/exact wherever the paper guarantees it; the exact evaluators agree with each other everywhere",
-			Run:  runEstimatorVsExact,
-		},
-		{
-			Name: "batch-vs-per-tile",
-			Kind: KindOracle,
-			Doc:  "EstimateGrid, EstimateGridParallel and EstimateGridInto (dirty plane, row bands) are bit-identical to a per-tile Estimate loop",
-			Run:  runBatchVsPerTile,
-		},
-		{
-			Name: "incremental-vs-fresh",
-			Kind: KindOracle,
-			Doc:  "BuildFrom chains (repair, scratch reuse, crossover) are bit-identical to fresh builds",
-			Run:  runIncrementalVsFresh,
-		},
-		{
-			Name: "replay-vs-live",
-			Kind: KindOracle,
-			Doc:  "WAL replay and checkpoint resume reconstruct a store bit-identical to an uninterrupted one",
-			Run:  runReplayVsLive,
-		},
-		{
-			Name: "pyramid-vs-fresh",
-			Kind: KindOracle,
-			Doc:  "every pyramid level — cold-built or incrementally repaired through donor generations — is bit-identical to a fresh build of that coarse grid",
-			Run:  runPyramidVsFresh,
-		},
-		{
-			Name: "registry-evict-reload",
-			Kind: KindOracle,
-			Doc:  "a tenant evicted by the registry memory budget and rebuilt by its loader estimates bit-identically to its first incarnation",
-			Run:  runRegistryEvictReload,
-		},
-		{
-			Name: "sharded-vs-single",
-			Kind: KindOracle,
-			Doc:  "a coordinator's merged scatter-gather answers over column-band shards are bit-identical to one store fed the same stream, including under concurrent reads",
-			Run:  runShardedVsSingle,
-		},
-		{
-			Name: widthCheck,
-			Kind: KindOracle,
-			Doc:  "one script of publishes, pyramid repairs, file round trips, tile maps and joins reads the same whether every lattice plane stays at 4 bytes per bucket or the builders outgrow them mid-script and go to 8",
-			Run:  runNarrowVsWide,
-		},
-		{
-			Name: "replica-failover",
-			Kind: KindOracle,
-			Doc:  "a WAL-shipped follower killed and restarted mid-stream catches up bit-identical to its leader, and serves failover reads identically",
-			Run:  runReplicaFailover,
-		},
-		{
-			Name: "join-vs-exact",
-			Kind: KindOracle,
-			Doc:  "the two-histogram join product sum equals the exact dual-rtree pair count for MBR datasets and the exact summed Euler characteristic for rasterized objects, directly and through the resampling path",
-			Run:  runJoinVsExact,
-		},
+		{"estimator-vs-exact", KindOracle,
+			"S/M/EulerApprox agree with internal/exact wherever the paper guarantees it; the exact evaluators agree with each other everywhere", runEstimatorVsExact},
+		{"join-vs-exact", KindOracle,
+			"the two-histogram join product sum equals the exact dual-rtree pair count for MBR datasets and the exact summed Euler characteristic for rasterized objects, directly and through the resampling path", runJoinVsExact},
+	}
+}
+
+// Transcripts returns the transcript checks: the fresh reference against
+// one interpreter per axis, then against compositions of the axes.
+func Transcripts() []Check {
+	// lowered draws the narrow limit: a few dozen updates one time in n,
+	// so that builders start narrow and widen mid-script, else the real one.
+	lowered := func(r *rand.Rand, n int) int64 {
+		if r.Intn(n) == 0 {
+			return int64(r.Intn(48))
+		}
+		return -1
+	}
+	sw := func(r *rand.Rand) sweep { return sweep(r.Intn(4)) }
+	// store draws a store interpreter on the axes given — up to
+	// axes.shards shards — with the dice.
+	store := func(axes storeOpts) func(r *rand.Rand) []config {
+		return func(r *rand.Rand) []config {
+			o := drawStore(r)
+			o.wal, o.follower = axes.wal, axes.follower
+			if axes.shards > 0 {
+				o.shards = 1 + r.Intn(axes.shards)
+			}
+			return []config{storeConfig(o, lowered(r, 4), sw(r), r.Int63())}
+		}
+	}
+	return []Check{
+		transcriptCheck("sweeps-vs-per-tile", "EstimateGrid, EstimateGridParallel and EstimateGridInto (a dirty plane, random row bands) answer every tile map as a per-tile Estimate loop does",
+			func(r *rand.Rand) []config { return []config{freshConfig(sweep(1+r.Intn(3)), r.Int63())} }),
+		transcriptCheck("chain-vs-fresh", "BuildFrom chains (repair, full rebuild, scratch donation, copy-first) and PyramidFrom repairs read as fresh and direct coarse builds, at either cell width, and each width follows its builder's count of updates",
+			func(r *rand.Rand) []config { return []config{chainConfig(lowered(r, 2), sw(r), r.Int63())} }),
+		transcriptCheck("store-vs-fresh", "a live.Store publishing on its own schedule, through its arena and pyramids, reads as fresh builds",
+			store(storeOpts{})),
+		transcriptCheck("durable-vs-fresh", "a journaled live.Store, checkpointed and reopened mid-script — by full replay or from its checkpoint and the journal tail — reads as fresh builds",
+			store(storeOpts{wal: true})),
+		transcriptCheck("sharded-vs-fresh", "a coordinator over 1–4 column-band shards, written and read through while a concurrent reader maps the space, reads as fresh builds",
+			store(storeOpts{shards: 4})),
+		transcriptCheck("follower-vs-fresh", "a WAL-shipped follower of a leader that widens mid-stream, killed and restarted from its own checkpoint while the leader writes on, serves dead-leader failover reads as fresh builds",
+			func(r *rand.Rand) []config {
+				o := drawStore(r)
+				o.follower = true
+				return []config{storeConfig(o, 25+int64(r.Intn(24)), sw(r), r.Int63())}
+			}),
+		transcriptCheck("registry-vs-fresh", "a registry tenant evicted under a one-tenant budget and rebuilt by its loader reads as fresh builds",
+			func(r *rand.Rand) []config { return []config{registryConfig(lowered(r, 4), sw(r), r.Int63())} }),
+		transcriptCheck("composed-vs-fresh", "compositions read as fresh builds: a journaled, checkpointed store under a lowered cell-width limit, reopened mid-script; a 2-shard coordinator over journaled shards restarted from their WALs",
+			func(r *rand.Rand) []config {
+				durable, shards := drawStore(r), drawStore(r)
+				durable.wal, durable.ckpt = true, true
+				shards.wal, shards.shards = true, 2
+				return []config{
+					storeConfig(durable, int64(r.Intn(48)), sw(r), r.Int63()),
+					storeConfig(shards, lowered(r, 2), sw(r), r.Int63()),
+				}
+			}),
 	}
 }
 
 // Metamorphic returns the paper-derived metamorphic property checks.
 func Metamorphic() []Check {
 	return []Check{
-		{
-			Name: "conservation",
-			Kind: KindMetamorphic,
-			Doc:  "N_d + N_o + N_cs + N_cd = N for every estimator, every query and every tile of every map",
-			Run:  runConservation,
-		},
-		{
-			Name: "translation",
-			Kind: KindMetamorphic,
-			Doc:  "translating dataset and query by whole cells leaves every estimate unchanged",
-			Run:  runTranslation,
-		},
-		{
-			Name: "refinement",
-			Kind: KindMetamorphic,
-			Doc:  "tile maps are consistent under refinement: each coarse tile equals its own sub-map's tiles re-estimated directly",
-			Run:  runRefinement,
-		},
-		{
-			Name: "error-collapse",
-			Kind: KindMetamorphic,
-			Doc:  "once no object can contain or cross a query (N_cd = 0 holds), S-EulerApprox error collapses to zero and stays there as queries grow",
-			Run:  runErrorCollapse,
-		},
-		{
-			Name: "epsilon-bound",
-			Kind: KindMetamorphic,
-			Doc:  "the reduced tier's sandwich and slack certificates contain the exact sums for every query, and every served overview map stays within its reported ε bound",
-			Run:  runEpsilonBound,
-		},
-		{
-			Name: "pyramid-drill-conservation",
-			Kind: KindMetamorphic,
-			Doc:  "zoom-stack estimates equal the base level's for every query, and drill-down through pyramid levels preserves Eq. 11 conservation at every leaf",
-			Run:  runPyramidDrill,
-		},
-		{
-			Name: "raster-vs-mbr-refinement",
-			Kind: KindMetamorphic,
-			Doc:  "for the same objects, the MBR join equals the exact bounding-span pair count, the raster join equals the exact summed Euler characteristic, rasterization never raises the join above its MBR coarsening when all pair characteristics are unit, and aligned-rectangle joins certify exact",
-			Run:  runRasterVsMBR,
-		},
+		{"conservation", KindMetamorphic,
+			"N_d + N_o + N_cs + N_cd = N for every estimator, every query and every tile of every map", runConservation},
+		{"translation", KindMetamorphic,
+			"translating dataset and query by whole cells leaves every estimate unchanged", runTranslation},
+		{"refinement", KindMetamorphic,
+			"tile maps are consistent under refinement: each coarse tile equals its own sub-map's tiles re-estimated directly", runRefinement},
+		{"error-collapse", KindMetamorphic,
+			"once no object can contain or cross a query (N_cd = 0 holds), S-EulerApprox error collapses to zero and stays there as queries grow", runErrorCollapse},
+		{"epsilon-bound", KindMetamorphic,
+			"the reduced tier's sandwich and slack certificates contain the exact sums for every query, and every served overview map stays within its reported ε bound", runEpsilonBound},
+		{"pyramid-drill-conservation", KindMetamorphic,
+			"drill-down through the zoom stack's pyramid levels preserves Eq. 11 conservation at every leaf", runPyramidDrill},
+		{"raster-vs-mbr-refinement", KindMetamorphic,
+			"for the same objects, the MBR join equals the exact bounding-span pair count, the raster join equals the exact summed Euler characteristic, rasterization never raises the join above its MBR coarsening when all pair characteristics are unit, and aligned-rectangle joins certify exact", runRasterVsMBR},
 	}
 }
 
@@ -253,24 +215,12 @@ func Metamorphic() []Check {
 // live store's durability machinery.
 func Failpoints() []Check {
 	return []Check{
-		{
-			Name: "wal-crash-boundary",
-			Kind: KindFailpoint,
-			Doc:  "a WAL crash at an arbitrary byte boundary recovers to a store bit-identical to replaying the surviving record prefix",
-			Run:  runWALCrashBoundary,
-		},
-		{
-			Name: "checkpoint-crash",
-			Kind: KindFailpoint,
-			Doc:  "a crash mid-checkpoint leaves the previous checkpoint intact and recovery consistent",
-			Run:  runCheckpointCrash,
-		},
-		{
-			Name: "fsync-failure",
-			Kind: KindFailpoint,
-			Doc:  "an injected fsync failure surfaces as an error without corrupting the served snapshot",
-			Run:  runFsyncFailure,
-		},
+		{"wal-crash-boundary", KindFailpoint,
+			"a WAL crash at an arbitrary byte boundary recovers to a store bit-identical to replaying the surviving record prefix", runWALCrashBoundary},
+		{"checkpoint-crash", KindFailpoint,
+			"a crash mid-checkpoint leaves the previous checkpoint intact and recovery consistent", runCheckpointCrash},
+		{"fsync-failure", KindFailpoint,
+			"an injected fsync failure surfaces as an error without corrupting the served snapshot", runFsyncFailure},
 	}
 }
 
@@ -278,6 +228,7 @@ func Failpoints() []Check {
 func All() []Check {
 	var all []Check
 	all = append(all, Oracles()...)
+	all = append(all, Transcripts()...)
 	all = append(all, Metamorphic()...)
 	all = append(all, Failpoints()...)
 	return all

@@ -1,17 +1,22 @@
 package check
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"spatialhist/internal/euler"
+	"spatialhist/internal/check/gen"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
+	"spatialhist/internal/live"
+	"spatialhist/internal/telemetry"
 )
 
 // TestAllChecksClean is the harness's own short soak: every oracle,
-// metamorphic property and failpoint check must come back clean on the
-// canonical seed. cmd/checker runs the same suites for a time budget.
+// transcript check, metamorphic property and failpoint check must come
+// back clean on the canonical seed. cmd/checker runs the same suites for a
+// time budget.
 func TestAllChecksClean(t *testing.T) {
 	rounds := 3
 	if testing.Short() {
@@ -134,23 +139,110 @@ func TestMinimizeProducesMinimalCounterexample(t *testing.T) {
 	}
 }
 
-// TestHistDiffDetects exercises the bit-identity comparator the incremental
-// oracle relies on: identical histograms pass, a single differing object
-// fails.
-func TestHistDiffDetects(t *testing.T) {
-	g := grid.NewUnit(6, 6)
-	mk := func(extra bool) *euler.Histogram {
-		rs := []geom.Rect{geom.NewRect(0.5, 0.5, 2.5, 2.5), geom.NewRect(3, 1, 5, 4)}
-		if extra {
-			rs = append(rs, geom.NewRect(1, 4, 2, 5))
+// TestWALRecordBytes holds walRecordBytes to internal/live's journal
+// format: each mutation grows a SyncEvery 1 journal by exactly that much.
+func TestWALRecordBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	st, err := live.Open(live.Config{Grid: grid.NewUnit(8, 8), Algo: live.AlgoSEuler,
+		WALPath: path, SyncEvery: 1, Telemetry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	a, b := geom.NewRect(1, 1, 3, 3), geom.NewRect(2, 2, 5, 4)
+	size := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return euler.FromRects(g, rs)
+		return fi.Size()
 	}
-	probes := []grid.Span{{I2: 5, J2: 5}, {I1: 1, J1: 1, I2: 3, J2: 4}}
-	if got, want, bad := histDiff(mk(false), mk(false), probes); bad {
-		t.Fatalf("identical histograms reported different: got %s want %s", got, want)
+	for _, m := range []gen.Mutation{{Op: gen.OpInsert, R: a}, {Op: gen.OpUpdate, Old: a, R: b}, {Op: gen.OpDelete, R: b}} {
+		before := size()
+		if ok, err := applyMut(st, m); !ok || err != nil {
+			t.Fatalf("%v: applied %v, %v", m.Op, ok, err)
+		}
+		if grew := size() - before; grew != walRecordBytes(m) {
+			t.Fatalf("%v grew the journal by %d bytes; walRecordBytes says %d", m.Op, grew, walRecordBytes(m))
+		}
 	}
-	if _, _, bad := histDiff(mk(true), mk(false), probes); !bad {
-		t.Fatal("histDiff missed a one-object difference")
+}
+
+// faulty breaks an interpreter in one place: it swallows its k-th Apply,
+// reporting it applied, or alters the k-th probe it answers.
+type faulty struct {
+	interpreter
+	swallow bool
+	k, n    int
+}
+
+func (f *faulty) Apply(m gen.Mutation) (bool, error) {
+	if f.swallow {
+		if f.n++; f.n == f.k {
+			return true, nil
+		}
+	}
+	return f.interpreter.Apply(m)
+}
+
+func (f *faulty) Observe(p gen.Probe) string {
+	v := f.interpreter.Observe(p)
+	if !f.swallow && v != "" {
+		if f.n++; f.n == f.k {
+			v += " (altered)"
+		}
+	}
+	return v
+}
+
+func (f *faulty) Checkpoint() error {
+	if rs, ok := f.interpreter.(restarter); ok {
+		return rs.Checkpoint()
+	}
+	return nil
+}
+
+func (f *faulty) Restart() error {
+	if rs, ok := f.interpreter.(restarter); ok {
+		return rs.Restart()
+	}
+	return nil
+}
+
+// TestTranscriptsAreNotVacuous breaks every interpreter in one place and
+// expects its pair with the reference to diverge, the report to name both
+// interpreters and the first entry they differ at, and the shrunk script to
+// reproduce the divergence alone.
+func TestTranscriptsAreNotVacuous(t *testing.T) {
+	sc := newScenario(gen.Rand(11))
+	for i, c := range []config{
+		freshConfig(banded, 1),
+		chainConfig(20, oneSweep, 2),
+		storeConfig(storeOpts{rebuildEvery: 7}, -1, parallel, 3),
+		storeConfig(storeOpts{wal: true, ckpt: true, syncEvery: 1}, 30, perTile, 4),
+		storeConfig(storeOpts{shards: 2}, -1, oneSweep, 5),
+		storeConfig(storeOpts{follower: true}, -1, banded, 6),
+		registryConfig(-1, perTile, 7),
+	} {
+		swallow := i%2 == 0
+		open := c.open
+		c.open = func(sc *scenario) (interpreter, error) {
+			it, err := open(sc)
+			return &faulty{interpreter: it, swallow: swallow, k: 4}, err
+		}
+		_, want, got := diverge(sc, c)
+		d := shrinkScript("faulty", 11, sc, c, want, got)
+		small := sc.with(d.Steps)
+		at, _, _ := diverge(small, c)
+		switch {
+		case !strings.Contains(d.Detail, c.name) || !strings.Contains(d.Detail, reference.name):
+			t.Errorf("%s: the report does not name both interpreters: %s", c.name, d.Detail)
+		case at < 0:
+			t.Errorf("%s: the shrunk script of %d steps does not diverge alone:\n%s", c.name, len(d.Steps), d)
+		case !strings.HasSuffix(d.Detail, small.what(at)) || d.Got == d.Want:
+			t.Errorf("%s: the report does not name the first differing entry, %s:\n%s", c.name, small.what(at), d)
+		case len(d.Steps) >= len(sc.Steps):
+			t.Errorf("%s: the script did not shrink below %d steps", c.name, len(sc.Steps))
+		}
 	}
 }

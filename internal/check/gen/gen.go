@@ -15,6 +15,7 @@ package gen
 
 import (
 	"math/rand"
+	"slices"
 
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
@@ -36,8 +37,18 @@ func Grid(r *rand.Rand, maxNX, maxNY int) *grid.Grid {
 	if maxNY < 4 {
 		maxNY = 4
 	}
-	nx := 4 + r.Intn(maxNX-3)
-	ny := 4 + r.Intn(maxNY-3)
+	return extent(r, 4+r.Intn(maxNX-3), 4+r.Intn(maxNY-3))
+}
+
+// EvenGrid generates a grid of even cell counts between 8 and max a side:
+// one that halves into at least one pyramid level of four cells or more.
+func EvenGrid(r *rand.Rand, max int) *grid.Grid {
+	return extent(r, 2*(4+r.Intn(max/2-3)), 2*(4+r.Intn(max/2-3)))
+}
+
+// extent lays an nx×ny grid over the paper's unit extent, or one time in
+// four over a translated, non-unit one.
+func extent(r *rand.Rand, nx, ny int) *grid.Grid {
 	if r.Intn(4) == 0 {
 		x0 := (r.Float64() - 0.5) * 100
 		y0 := (r.Float64() - 0.5) * 100
@@ -201,6 +212,15 @@ type Mutation struct {
 	R, Old geom.Rect
 }
 
+// Removed is the object the mutation takes away, if it takes one: the
+// deleted object, or the pre-image of an update.
+func (m Mutation) Removed() (geom.Rect, bool) {
+	if m.Op == OpUpdate {
+		return m.Old, true
+	}
+	return m.R, m.Op == OpDelete
+}
+
 // Mutations generates a stream of n inserts, deletes and updates over g,
 // starting from the given seed objects. The generator tracks the live
 // multiset so deletes and update pre-images always name objects that were
@@ -208,51 +228,36 @@ type Mutation struct {
 // with roughly half the stream inserting and a quarter each deleting and
 // updating (when enough objects are live).
 func Mutations(r *rand.Rand, g *grid.Grid, seed []geom.Rect, n int, o RectOpts) []Mutation {
-	live := append([]geom.Rect(nil), seed...)
+	live := slices.Clone(seed)
 	out := make([]Mutation, 0, n)
 	for len(out) < n {
+		var m Mutation
 		switch {
 		case len(live) > 4 && r.Intn(4) == 0:
-			k := r.Intn(len(live))
-			out = append(out, Mutation{Op: OpDelete, R: live[k]})
-			live[k] = live[len(live)-1]
-			live = live[:len(live)-1]
+			m = Mutation{Op: OpDelete, R: live[r.Intn(len(live))]}
 		case len(live) > 4 && r.Intn(4) == 0:
-			k := r.Intn(len(live))
-			nr := Rect(r, g, o)
-			out = append(out, Mutation{Op: OpUpdate, Old: live[k], R: nr})
-			live[k] = nr
+			m = Mutation{Op: OpUpdate, Old: live[r.Intn(len(live))], R: Rect(r, g, o)}
 		default:
-			nr := Rect(r, g, o)
-			out = append(out, Mutation{Op: OpInsert, R: nr})
-			live = append(live, nr)
+			m = Mutation{Op: OpInsert, R: Rect(r, g, o)}
 		}
+		out = append(out, m)
+		live = Apply(live, m)
 	}
 	return out
 }
 
 // Apply folds a mutation into a tracked object multiset, returning the new
-// slice. It mirrors what a correct store must end up containing and is the
-// reference the differential oracles compare stores against.
+// slice. It mirrors what a correct store must end up containing: the
+// objects the transcript checks' fresh reference builds from.
 func Apply(objects []geom.Rect, m Mutation) []geom.Rect {
-	switch m.Op {
-	case OpInsert:
-		return append(objects, m.R)
-	case OpDelete:
-		for i := range objects {
-			if objects[i] == m.R {
-				objects[i] = objects[len(objects)-1]
-				return objects[:len(objects)-1]
-			}
+	if old, ok := m.Removed(); ok {
+		if i := slices.Index(objects, old); i >= 0 {
+			objects[i] = objects[len(objects)-1]
+			objects = objects[:len(objects)-1]
 		}
-	case OpUpdate:
-		for i := range objects {
-			if objects[i] == m.Old {
-				objects[i] = m.R
-				return objects
-			}
-		}
-		return append(objects, m.R)
+	}
+	if m.Op != OpDelete {
+		objects = append(objects, m.R)
 	}
 	return objects
 }

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"spatialhist/internal/geom"
@@ -169,6 +170,32 @@ func TestMutOpString(t *testing.T) {
 	for op, want := range map[MutOp]string{OpInsert: "insert", OpDelete: "delete", OpUpdate: "update", MutOp(9): "op(?)"} {
 		if got := op.String(); got != want {
 			t.Fatalf("MutOp(%d).String() = %q, want %q", op, got, want)
+		}
+	}
+}
+
+// TestScriptWithStaysFeedable drops every insert of a script and expects
+// With to drop the deletes and updates that named the objects they
+// inserted, and to keep a script that needs nothing dropped as it is.
+func TestScriptWithStaysFeedable(t *testing.T) {
+	r := Rand(3)
+	s := NewScript(r, Grid(r, 16, 16))
+	if got := len(s.With(s.Steps).Steps); got != len(s.Steps) {
+		t.Fatalf("With dropped %d steps of a script that needs none dropped", len(s.Steps)-got)
+	}
+	var kept []Step
+	for _, st := range s.Steps {
+		if st.Kind != StepMutate || st.Mut.Op != OpInsert {
+			kept = append(kept, st)
+		}
+	}
+	live := slices.Clone(s.Seed)
+	for _, st := range s.With(kept).Steps {
+		if st.Kind == StepMutate {
+			if old, ok := st.Mut.Removed(); ok && !slices.Contains(live, old) {
+				t.Fatalf("%v names an object that is not live", st)
+			}
+			live = Apply(live, st.Mut)
 		}
 	}
 }

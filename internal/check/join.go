@@ -2,9 +2,9 @@
 // (euler.ProductSum, core.JoinEstimator) claims exact pair counts for MBR
 // histograms and exact Σχ for rasterized objects; an oracle recomputes
 // both against the dual-rtree exact joins of internal/exact, and through
-// the resampling path (the narrow-vs-wide oracle joins across cell widths). A metamorphic companion pins the
-// relationship between a dataset's rasterized join and the join of its
-// MBR coarsening.
+// the resampling path (the transcript checks join across cell widths). A
+// metamorphic companion pins the relationship between a dataset's
+// rasterized join and the join of its MBR coarsening.
 package check
 
 import (
@@ -58,11 +58,11 @@ func productSum(a, b *euler.Histogram) string {
 	return fmt.Sprintf("%d", s)
 }
 
-// shrinkJoinPolys minimizes both polygon sides while pred keeps failing.
-func shrinkJoinPolys(pa, pb []geom.Polygon, pred func(a, b []geom.Polygon) bool) ([]geom.Polygon, []geom.Polygon) {
-	pa = shrinkSlice(pa, 200, func(cand []geom.Polygon) bool { return pred(cand, pb) })
-	pb = shrinkSlice(pb, 200, func(cand []geom.Polygon) bool { return pred(pa, cand) })
-	return pa, pb
+// shrinkPair minimizes both sides of a join while pred keeps failing.
+func shrinkPair[T any](a, b []T, pred func(a, b []T) bool) ([]T, []T) {
+	a = shrinkSlice(a, 200, func(cand []T) bool { return pred(cand, b) })
+	b = shrinkSlice(b, 200, func(cand []T) bool { return pred(a, cand) })
+	return a, b
 }
 
 // ---------------------------------------------------------------------------
@@ -90,18 +90,12 @@ func runJoinVsExact(seed int64) *Divergence {
 		}
 		return b.Build()
 	}
-	ha, hb := build(spansA), build(spansB)
-	want := fmt.Sprintf("%d", exact.JoinSpans(g, spansA, spansB))
-	if got := productSum(ha, hb); got != want {
+	mbrDiverges := func(a, b []grid.Span) bool {
+		return productSum(build(a), build(b)) != fmt.Sprintf("%d", exact.JoinSpans(g, a, b))
+	}
+	if mbrDiverges(spansA, spansB) {
 		// Shrink on the span level: spans are rect-shaped evidence.
-		spansA = shrinkSlice(spansA, 200, func(cand []grid.Span) bool {
-			return productSum(build(cand), hb) != fmt.Sprintf("%d", exact.JoinSpans(g, cand, spansB))
-		})
-		hb2 := hb
-		spansB = shrinkSlice(spansB, 200, func(cand []grid.Span) bool {
-			hb2 = build(cand)
-			return productSum(build(spansA), hb2) != fmt.Sprintf("%d", exact.JoinSpans(g, spansA, cand))
-		})
+		spansA, spansB = shrinkPair(spansA, spansB, mbrDiverges)
 		return &Divergence{Check: name, Seed: seed, Grid: gridDesc(g),
 			Detail: fmt.Sprintf("MBR product sum diverges from the exact join on %d vs %d spans", len(spansA), len(spansB)),
 			Got:    productSum(build(spansA), build(spansB)),
@@ -121,7 +115,7 @@ func runJoinVsExact(seed int64) *Divergence {
 		return got, want, got != want
 	}
 	if got, want, bad := rasterDiverges(polysA, polysB); bad {
-		polysA, polysB = shrinkJoinPolys(polysA, polysB, func(a, b []geom.Polygon) bool {
+		polysA, polysB = shrinkPair(polysA, polysB, func(a, b []geom.Polygon) bool {
 			_, _, bad := rasterDiverges(a, b)
 			return bad
 		})
@@ -231,7 +225,7 @@ func runRasterVsMBR(seed int64) *Divergence {
 		return "", "", "", false
 	}
 	if detail, got, want, diverged := bad(measure(polysA, polysB)); diverged {
-		polysA, polysB = shrinkJoinPolys(polysA, polysB, func(a, b []geom.Polygon) bool {
+		polysA, polysB = shrinkPair(polysA, polysB, func(a, b []geom.Polygon) bool {
 			_, _, _, d := bad(measure(a, b))
 			return d
 		})
@@ -265,7 +259,7 @@ func runRasterVsMBR(seed int64) *Divergence {
 		return got, want, got != want || !truth.AllUnit
 	}
 	if got, want, diverged := alignedDiverges(alignedA, alignedB); diverged {
-		alignedA, alignedB = shrinkJoinPolys(alignedA, alignedB, func(a, b []geom.Polygon) bool {
+		alignedA, alignedB = shrinkPair(alignedA, alignedB, func(a, b []geom.Polygon) bool {
 			_, _, d := alignedDiverges(a, b)
 			return d
 		})

@@ -6,7 +6,6 @@ import (
 
 	"spatialhist/internal/check/gen"
 	"spatialhist/internal/core"
-	"spatialhist/internal/euler"
 	"spatialhist/internal/exact"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
@@ -25,6 +24,12 @@ func randAreas(r *rand.Rand) []float64 {
 	return []float64{1, a2, a2 + 1 + r.Float64()*40}
 }
 
+// paperSpecs returns the specs of the paper's three algorithms (§5), the
+// M-EulerApprox thresholds drawn from r.
+func paperSpecs(r *rand.Rand) []core.Spec {
+	return []core.Spec{{Algo: core.AlgoSEuler}, {Algo: core.AlgoEuler}, {Algo: core.AlgoMEuler, Areas: randAreas(r)}}
+}
+
 // mkEstimator is a named estimator constructor, so shrink predicates can
 // rebuild the estimator over candidate datasets.
 type mkEstimator struct {
@@ -32,21 +37,19 @@ type mkEstimator struct {
 	mk   func([]geom.Rect) core.Estimator
 }
 
-// paperEstimators returns constructors for all three §5 algorithms over g,
-// with M-EulerApprox thresholds drawn from r.
+// paperEstimators returns constructors for all three §5 algorithms over g.
 func paperEstimators(r *rand.Rand, g *grid.Grid) []mkEstimator {
-	areas := randAreas(r)
-	return []mkEstimator{
-		{"S-EulerApprox", func(rs []geom.Rect) core.Estimator { return core.SEulerFromRects(g, rs) }},
-		{"EulerApprox", func(rs []geom.Rect) core.Estimator { return core.NewEuler(euler.FromRects(g, rs)) }},
-		{"M-EulerApprox", func(rs []geom.Rect) core.Estimator {
-			m, err := core.NewMEuler(g, areas, rs)
+	var out []mkEstimator
+	for _, spec := range paperSpecs(r) {
+		out = append(out, mkEstimator{spec.Algo.String(), func(rs []geom.Rect) core.Estimator {
+			est, err := spec.FromRects(g, rs)
 			if err != nil {
-				panic(fmt.Sprintf("check: NewMEuler(%v): %v", areas, err))
+				panic(fmt.Sprintf("check: %v over %d objects: %v", spec, len(rs), err))
 			}
-			return m
-		}},
+			return est
+		}})
 	}
+	return out
 }
 
 // toCounts maps an Estimate onto the exact tally type for field-by-field
@@ -89,7 +92,7 @@ func minimize(name, detail string, seed int64, g *grid.Grid, rects []geom.Rect, 
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 1: estimators vs internal/exact (and exact vs exact).
+// Oracle: estimators vs internal/exact (and exact vs exact).
 
 func runEstimatorVsExact(seed int64) *Divergence {
 	const name = "estimator-vs-exact"
@@ -206,215 +209,4 @@ func conservationDiverge(me mkEstimator) divergeFn {
 		e := est.Estimate(q)
 		return fmt.Sprintf("%v Total=%d", e, e.Total()), fmt.Sprintf("|S|=%d", est.Count()), e.Total() != est.Count()
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Oracle 2: batched tile maps vs the per-tile loop.
-
-func runBatchVsPerTile(seed int64) *Divergence {
-	const name = "batch-vs-per-tile"
-	r := gen.Rand(seed)
-	g := gen.Grid(r, 48, 48)
-	rects := gen.Rects(r, g, 50+r.Intn(400), gen.RectOpts{PointFrac: 0.05})
-
-	var region grid.Span
-	var cols, rows int
-	if r.Intn(4) == 0 {
-		// Full-resolution map: one tile per cell, the densest browse the
-		// server allows, large enough to cross the parallel fan-out floor
-		// on big grids.
-		region = grid.Span{I2: g.NX() - 1, J2: g.NY() - 1}
-		cols, rows = g.NX(), g.NY()
-	} else {
-		region, cols, rows = gen.Tiling(r, g)
-	}
-	tiles := gen.Tiles(region, cols, rows)
-
-	for _, me := range paperEstimators(r, g) {
-		est := me.mk(rects)
-		for _, variant := range []struct {
-			label string
-			run   func(core.Estimator) ([]core.Estimate, error)
-		}{
-			{"EstimateGrid", func(e core.Estimator) ([]core.Estimate, error) {
-				return core.EstimateGrid(e, region, cols, rows)
-			}},
-			{"EstimateGridParallel", func(e core.Estimator) ([]core.Estimate, error) {
-				return core.EstimateGridParallel(e, region, cols, rows, 2+r.Intn(3))
-			}},
-			{"EstimateGridInto", func(e core.Estimator) ([]core.Estimate, error) {
-				// A dirty plane filled in random row bands: none of the
-				// garbage may show through and the seams must not either.
-				plane := make([]core.Estimate, cols*rows)
-				for k := range plane {
-					plane[k] = core.Estimate{Disjoint: r.Int63(), Contains: -r.Int63(), Contained: r.Int63(), Overlap: -r.Int63()}
-				}
-				th := region.Height() / rows
-				for r0 := 0; r0 < rows; {
-					r1 := r0 + 1 + r.Intn(rows-r0)
-					err := core.EstimateGridInto(e, plane[r0*cols:r1*cols], query.RowBand(region, th, r0, r1-1), cols, r1-r0)
-					if err != nil {
-						return nil, err
-					}
-					r0 = r1
-				}
-				return plane, nil
-			}},
-		} {
-			batch, err := variant.run(est)
-			if err != nil {
-				return &Divergence{Check: name, Seed: seed, Grid: gridDesc(g),
-					Detail: fmt.Sprintf("%s/%s rejected tiling %v %dx%d: %v", me.name, variant.label, region, cols, rows, err)}
-			}
-			per := core.EstimateSet(est, tiles)
-			for k := range tiles {
-				if batch[k] != per[k] {
-					me, variant, k := me, variant, k
-					return minimize(name,
-						fmt.Sprintf("%s/%s tile %d differs from per-tile Estimate", me.name, variant.label, k),
-						seed, g, rects, tiles[k],
-						func(rs []geom.Rect, _ grid.Span) (string, string, bool) {
-							// The tile index is fixed by the tiling; only the
-							// dataset shrinks.
-							e := me.mk(rs)
-							b, err := variant.run(e)
-							if err != nil {
-								return "", "", false
-							}
-							w := e.Estimate(tiles[k])
-							return b[k].String(), w.String(), b[k] != w
-						})
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Oracle 3: incremental BuildFrom chains vs fresh builds.
-
-// histDiff reports the first difference between two histograms that must be
-// bit-identical, probing raw buckets, counts and the cumulative lattice.
-func histDiff(got, want *euler.Histogram, probes []grid.Span) (string, string, bool) {
-	if got.Count() != want.Count() {
-		return fmt.Sprintf("Count=%d", got.Count()), fmt.Sprintf("Count=%d", want.Count()), true
-	}
-	glx, gly := got.Buckets()
-	wlx, wly := want.Buckets()
-	if glx != wlx || gly != wly {
-		return fmt.Sprintf("lattice %dx%d", glx, gly), fmt.Sprintf("lattice %dx%d", wlx, wly), true
-	}
-	for u := 0; u < glx; u++ {
-		for v := 0; v < gly; v++ {
-			if got.Bucket(u, v) != want.Bucket(u, v) {
-				return fmt.Sprintf("bucket(%d,%d)=%d", u, v, got.Bucket(u, v)),
-					fmt.Sprintf("bucket(%d,%d)=%d", u, v, want.Bucket(u, v)), true
-			}
-		}
-	}
-	// Raw buckets equal; probe the cumulative form too, which repair
-	// maintains separately and could corrupt independently.
-	if got.Total() != want.Total() {
-		return fmt.Sprintf("Total=%d", got.Total()), fmt.Sprintf("Total=%d", want.Total()), true
-	}
-	for _, q := range probes {
-		if got.InsideSum(q) != want.InsideSum(q) {
-			return fmt.Sprintf("InsideSum(%v)=%d", q, got.InsideSum(q)),
-				fmt.Sprintf("InsideSum(%v)=%d", q, want.InsideSum(q)), true
-		}
-	}
-	return "", "", false
-}
-
-func runIncrementalVsFresh(seed int64) *Divergence {
-	const name = "incremental-vs-fresh"
-	r := gen.Rand(seed)
-	g := gen.Grid(r, 32, 32)
-	b := euler.NewBuilder(g)
-
-	var live []grid.Span
-	addRandom := func() {
-		if s, ok := g.Snap(gen.Rect(r, g, gen.RectOpts{PointFrac: 0.1})); ok {
-			b.AddSpan(s)
-			live = append(live, s)
-		}
-	}
-	for i, n := 0, 20+r.Intn(150); i < n; i++ {
-		addRandom()
-	}
-	h := b.Build()
-	probes := randQueries(r, g, 8)
-
-	// Arena emulation: the previous generation is a scratch donor whose
-	// stale region is the dirty box that separated it from the current one.
-	var retired *euler.Histogram
-	var retiredStale euler.DirtyRegion
-
-	steps := 3 + r.Intn(5)
-	for step := 0; step < steps; step++ {
-		for i, n := 0, 1+r.Intn(40); i < n; i++ {
-			if len(live) > 0 && r.Intn(4) == 0 {
-				k := r.Intn(len(live))
-				if b.RemoveSpan(live[k]) {
-					live[k] = live[len(live)-1]
-					live = live[:len(live)-1]
-				}
-			} else {
-				addRandom()
-			}
-		}
-		d := b.Dirty()
-		var opts euler.BuildFromOpts
-		switch r.Intn(3) {
-		case 0:
-			opts.Crossover = -1 // always repair
-		case 1:
-			opts.Crossover = 1e-9 // always fall back to a full rebuild
-			opts.Workers = 1 + r.Intn(3)
-		}
-		if retired != nil && r.Intn(2) == 0 {
-			opts.Scratch, opts.Stale = retired, retiredStale
-			retired = nil // donated arrays are consumed
-		}
-		prev := h
-		next, _ := b.BuildFrom(h, opts)
-
-		fb := euler.NewBuilder(g)
-		for _, s := range live {
-			fb.AddSpan(s)
-		}
-		want := fb.Build()
-		if got, w, bad := histDiff(next, want, probes); bad {
-			return &Divergence{
-				Check: name, Seed: seed, Grid: gridDesc(g),
-				Detail: fmt.Sprintf(
-					"BuildFrom chain diverged from a fresh build at step %d/%d (opts crossover=%g scratch=%v, %d live spans)",
-					step+1, steps, opts.Crossover, opts.Scratch != nil, len(live)),
-				Got: got, Want: w,
-			}
-		}
-		// prev differs from next only inside the dirty box captured before
-		// the build, making it a valid donor for the next generation.
-		retired, retiredStale = prev, d
-		h = next
-	}
-
-	// Drain to empty: the histogram of zero objects must be bit-identical
-	// to a freshly built empty one (no residual dirty-box damage).
-	for len(live) > 0 {
-		k := r.Intn(len(live))
-		b.RemoveSpan(live[k])
-		live[k] = live[len(live)-1]
-		live = live[:len(live)-1]
-	}
-	final, _ := b.BuildFrom(h, euler.BuildFromOpts{Crossover: -1})
-	if got, w, bad := histDiff(final, euler.NewBuilder(g).Build(), probes); bad {
-		return &Divergence{
-			Check: name, Seed: seed, Grid: gridDesc(g),
-			Detail: "draining every object and repairing did not return the histogram to the empty state",
-			Got:    got, Want: w,
-		}
-	}
-	return nil
 }

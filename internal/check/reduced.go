@@ -5,7 +5,6 @@ package check
 
 import (
 	"fmt"
-	"math/rand"
 
 	"spatialhist/internal/check/gen"
 	"spatialhist/internal/core"
@@ -13,25 +12,13 @@ import (
 	"spatialhist/internal/grid"
 )
 
-// divisorTiling draws a tiling whose tile counts divide the full-grid
-// region evenly.
-func divisorTiling(r *rand.Rand, n int) int {
-	divs := []int{1}
-	for d := 2; d <= n; d++ {
-		if n%d == 0 {
-			divs = append(divs, d)
-		}
-	}
-	return divs[r.Intn(len(divs))]
-}
-
 // ---------------------------------------------------------------------------
 // Metamorphic: certified ε bounds of the reduced tier.
 
 func runEpsilonBound(seed int64) *Divergence {
 	const name = "epsilon-bound"
 	r := gen.Rand(seed)
-	g := pyramidGrid(r)
+	g := gen.EvenGrid(r, 62)
 	rects := gen.Rects(r, g, 30+r.Intn(300), gen.RectOpts{PointFrac: 0.1})
 	h := euler.FromRects(g, rects)
 	p := euler.NewPyramid(h, euler.PyramidOpts{MinGrid: 4})

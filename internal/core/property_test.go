@@ -1,8 +1,8 @@
-// Property suite: a short fixed-round budget of the differential
-// verification harness checks whose subject lives in this package — the
-// estimator-vs-exact and batch-vs-per-tile oracles plus all four
-// paper-derived metamorphic properties. cmd/checker soaks the same checks
-// for arbitrarily longer.
+// Property suite: a short fixed-round budget of the verification harness
+// checks whose subject lives in this package — the estimator-vs-exact
+// oracle, the tile-map sweeps held to a per-tile loop through one script,
+// and all four paper-derived metamorphic properties. cmd/checker soaks the
+// same checks for arbitrarily longer.
 //
 // External test package (core_test) because internal/check imports core.
 package core_test
@@ -29,7 +29,7 @@ func runProperty(t *testing.T, name string) {
 }
 
 func TestEstimatorVsExactProperty(t *testing.T) { runProperty(t, "estimator-vs-exact") }
-func TestBatchVsPerTileProperty(t *testing.T)   { runProperty(t, "batch-vs-per-tile") }
+func TestSweepsVsPerTileProperty(t *testing.T)  { runProperty(t, "sweeps-vs-per-tile") }
 func TestConservationProperty(t *testing.T)     { runProperty(t, "conservation") }
 func TestTranslationProperty(t *testing.T)      { runProperty(t, "translation") }
 func TestRefinementProperty(t *testing.T)       { runProperty(t, "refinement") }

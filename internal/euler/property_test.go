@@ -22,13 +22,14 @@ func propertyRounds() int {
 	return 3
 }
 
-// TestIncrementalVsFreshProperty runs the harness oracle that pins
-// BuildFrom chains (dirty-region repair, scratch reuse, crossover
-// fallback) bit-identically to fresh builds.
-func TestIncrementalVsFreshProperty(t *testing.T) {
-	c, ok := check.Named("incremental-vs-fresh")
+// TestChainVsFreshProperty runs the harness's chain-vs-fresh check:
+// BuildFrom chains (dirty-region repair, scratch donation, crossover
+// fallback) and PyramidFrom repairs read as fresh and direct coarse builds
+// through one script, at either cell width.
+func TestChainVsFreshProperty(t *testing.T) {
+	c, ok := check.Named("chain-vs-fresh")
 	if !ok {
-		t.Fatal("harness lost the incremental-vs-fresh oracle")
+		t.Fatal("harness lost the chain-vs-fresh check")
 	}
 	if d := check.Run(c, 2002, propertyRounds()); d != nil {
 		t.Fatalf("divergence:\n%s", d)

@@ -1,7 +1,7 @@
-// Property suite: a short fixed-round budget of the replay-vs-live oracle
-// and the deterministic failpoint crash checks, run as part of this
-// package's ordinary tests. cmd/checker soaks the same checks for
-// arbitrarily longer.
+// Property suite: a short fixed-round budget of the store and durable
+// interpreters held to fresh builds through one script, and of the
+// deterministic failpoint crash checks, run as part of this package's
+// ordinary tests. cmd/checker soaks the same checks for arbitrarily longer.
 //
 // External test package (live_test) because internal/check imports live.
 // The failpoint checks arm and reset the process-global failpoint
@@ -30,7 +30,9 @@ func runLiveProperty(t *testing.T, name string) {
 	}
 }
 
-func TestReplayVsLiveProperty(t *testing.T) { runLiveProperty(t, "replay-vs-live") }
+func TestStoreVsFreshProperty(t *testing.T) { runLiveProperty(t, "store-vs-fresh") }
+
+func TestDurableVsFreshProperty(t *testing.T) { runLiveProperty(t, "durable-vs-fresh") }
 
 func TestWALCrashBoundaryProperty(t *testing.T) { runLiveProperty(t, "wal-crash-boundary") }
 
