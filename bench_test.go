@@ -150,8 +150,8 @@ func benchQueries(g *grid.Grid, n int) []grid.Span {
 }
 
 // BenchmarkEstimate measures one constant-time estimate per algorithm —
-// the §5 claim — grouped under one name so CI's bench-regression job
-// (-bench 'BenchmarkBrowseGrid|BenchmarkEstimate') tracks all three.
+// the §5 claim — grouped under one name so one -bench pattern runs all
+// three.
 func BenchmarkEstimate(b *testing.B) {
 	e := benchEnv()
 	for _, c := range []struct {
@@ -329,7 +329,7 @@ func BenchmarkBrowseGrid(b *testing.B) {
 // BenchmarkJoinEstimate measures the two-histogram join product sum —
 // one fused lattice sweep per estimate — for same-grid and resampled
 // (fine joined against 2x-coarser) pairs. Hermetic: synthetic datasets,
-// no fixture files; CI gates it against the committed baseline.
+// no fixture files. core's TestJoinEstimateAllocs bounds its allocations.
 func BenchmarkJoinEstimate(b *testing.B) {
 	da := dataset.SzSkew(100_000, 3)
 	db := dataset.SpSkew(100_000, 7)
@@ -356,7 +356,8 @@ func BenchmarkJoinEstimate(b *testing.B) {
 
 // BenchmarkRasterIngest measures polygon rasterization plus multi-span
 // AddRaster ingest and the Build sweep — the beyond-MBR ingest path —
-// over 2000 synthetic polygons. Hermetic like BenchmarkJoinEstimate.
+// over 2000 synthetic polygons. Hermetic like BenchmarkJoinEstimate;
+// euler's TestRasterIngestAllocs bounds its allocations.
 func BenchmarkRasterIngest(b *testing.B) {
 	d := dataset.SzSkew(2_000, 3)
 	pd := dataset.Polygonize(d, 11, 0.25, 0.2)

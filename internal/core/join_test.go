@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"spatialhist/internal/check/gen"
+	"spatialhist/internal/dataset"
 	"spatialhist/internal/euler"
 	"spatialhist/internal/exact"
 	"spatialhist/internal/geom"
@@ -169,6 +171,59 @@ func TestJoinEstimatorMEulerAndZoom(t *testing.T) {
 	if want := exact.JoinSpans(g, as, bs); ez.Pairs != want {
 		t.Fatalf("Zoom join Pairs = %d, want %d", ez.Pairs, want)
 	}
+}
+
+// TestJoinEstimateAllocs bounds what one NewJoin plus Estimate allocates
+// over the fixtures of the root BenchmarkJoinEstimate: 100k sz_skew objects
+// on a 400×300 grid joined against 100k sp_skew objects on the same grid,
+// and against the same objects at 200×150, which coarsens the fine side to
+// the common grid. Measured: same-grid 3 allocations / 112 B (the estimator
+// and its two side slices; the product sum stages nothing), resampled 11 /
+// 489,592 B (the coarsened side's one plane, 399×299 lattice cells at 4 B =
+// 477,204 B, plus descriptors).
+func TestJoinEstimateAllocs(t *testing.T) {
+	da := dataset.SzSkew(100_000, 3)
+	db := dataset.SpSkew(100_000, 7)
+	db.Extent = da.Extent // joins require a shared extent
+	g := grid.New(da.Extent, 400, 300)
+	ea := NewSEuler(euler.FromRects(g, da.Rects))
+	eb := NewSEuler(euler.FromRects(g, db.Rects))
+	coarse := euler.FromRects(grid.New(da.Extent, 200, 150), db.Rects)
+	ec := NewSEuler(coarse)
+
+	const runs = 5
+	measure := func(t *testing.T, right Estimator) (allocs float64, bytes uint64) {
+		join := func() {
+			j, err := NewJoin(ea, right)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Estimate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(runs, join)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			join()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+
+	t.Run("same-grid", func(t *testing.T) {
+		if allocs, bytes := measure(t, eb); allocs > 3 || bytes > 256 {
+			t.Errorf("%.0f allocations / %d B per estimate, want ≤ 3 / 256 B", allocs, bytes)
+		}
+	})
+	t.Run("resampled", func(t *testing.T) {
+		plane := uint64(coarse.LatticeBytes())
+		if _, bytes := measure(t, ec); bytes > plane+plane/4 {
+			t.Errorf("%d B per estimate, want ≤ 1.25 × one coarse plane of %d B", bytes, plane)
+		}
+	})
 }
 
 func TestJoinEstimatorErrors(t *testing.T) {

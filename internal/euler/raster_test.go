@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spatialhist/internal/check/gen"
+	"spatialhist/internal/dataset"
 	"spatialhist/internal/exact"
 	"spatialhist/internal/grid"
 )
@@ -425,6 +426,35 @@ func TestProductSumMatchesJoinSpans(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, func() { _, _ = ProductSum(ha, wb) }); allocs != 0 {
 			t.Fatalf("round %d: ProductSum allocates %v times per call, want 0", round, allocs)
 		}
+	}
+}
+
+// TestRasterIngestAllocs bounds the beyond-MBR ingest path over the
+// fixtures of the root BenchmarkRasterIngest: Rasterize, AddRaster per
+// component and one Build over 2,000 polygonized sz_skew objects on a
+// 180×90 grid. Measured: 56,964 allocations (5.78 MB) per ingest, 28.5 per
+// polygon: about half in the rasterizer's cell states, flood fill and
+// component runs, half in AddObject's run normalization and topology check.
+// The bound is 1.5× that, per polygon.
+func TestRasterIngestAllocs(t *testing.T) {
+	d := dataset.SzSkew(2_000, 3)
+	pd := dataset.Polygonize(d, 11, 0.25, 0.2)
+	g := grid.New(d.Extent, 180, 90)
+	allocs := testing.AllocsPerRun(3, func() {
+		b := NewBuilder(g)
+		for _, p := range pd.Polys {
+			for _, rst := range g.Rasterize(p) {
+				b.AddRaster(rst)
+			}
+		}
+		if b.Build().Count() == 0 {
+			t.Fatal("empty raster ingest")
+		}
+	})
+	const measured = 28.5
+	if perPoly := allocs / float64(len(pd.Polys)); perPoly > 1.5*measured {
+		t.Errorf("raster ingest made %.1f allocations per polygon (%.0f for %d), want ≤ %.1f",
+			perPoly, allocs, len(pd.Polys), 1.5*measured)
 	}
 }
 

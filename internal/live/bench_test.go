@@ -66,7 +66,8 @@ func BenchmarkIngest(b *testing.B) {
 // cost a snapshot swap adds while browse traffic keeps reading the old
 // generation. One mutation lands between publishes so every iteration
 // pays a real (dirty-region) rebuild rather than the unchanged-skip path;
-// its allocations are the publish-path number BENCH_pr6.json tracks.
+// its allocations are the publish-path number that
+// TestSteadyStatePublishAllocatesDirty bounds.
 func BenchmarkRebuild(b *testing.B) {
 	s, err := Open(Config{Grid: grid.NewUnit(50, 50), Algo: AlgoMEuler,
 		Areas: []float64{1, 9, 100}, Seed: benchRects(10000),
