@@ -21,11 +21,11 @@
 // can act as a scatter-gather backend or a replication leader.
 //
 // -shards N splits the live store across N column-band shards behind an
-// in-process scatter-gather coordinator (per-shard WAL and checkpoint
-// files get a .0, .1, ... suffix). -replica-of runs a WAL-shipped read
-// replica of a remote leader, and -coordinator scatter-gathers over
-// remote shard nodes: ';'-separated shards, each a ','-separated backend
-// list with the leader first.
+// in-process coordinator that sums them into one plane (per-shard WAL and
+// checkpoint files get a .0, .1, ... suffix). -replica-of runs a
+// WAL-shipped read replica of a remote leader, and -coordinator
+// scatter-gathers over remote shard nodes: ';'-separated shards, each a
+// ','-separated backend list with the leader first.
 package main
 
 import (
@@ -416,9 +416,9 @@ func zoomWrap(est core.Estimator, levels, minGrid int) (core.Estimator, error) {
 
 // assembleSharded opens one live store per column band, routes the
 // dataset's seed objects to their owning shards, and serves an in-process
-// scatter-gather coordinator over them. Per-shard WAL and checkpoint files
-// derive from the configured paths by suffix, so each shard recovers its
-// own band independently on restart.
+// coordinator over them that sums every map into one plane. Per-shard WAL
+// and checkpoint files derive from the configured paths by suffix, so each
+// shard recovers its own band independently on restart.
 func assembleSharded(cfg config, base live.Config, d *dataset.Dataset) (node, error) {
 	n := cfg.shards
 	part, err := shard.NewPartition(base.Grid, n)

@@ -10,6 +10,7 @@ import (
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/live"
+	"spatialhist/internal/shard"
 	"spatialhist/internal/telemetry"
 )
 
@@ -44,6 +45,15 @@ func TestNamed(t *testing.T) {
 	}
 	if _, ok := Named("no-such-check"); ok {
 		t.Fatal("Named accepted an unknown name")
+	}
+}
+
+// TestDeadLeaderIsReadRemotely: the follower interpreter's dead leader is
+// read through Handle, so its downed read path fails over to the follower;
+// summed in place as an in-process shard, it would serve every read itself.
+func TestDeadLeaderIsReadRemotely(t *testing.T) {
+	if _, ok := shard.Handle(deadLeader{}).(shard.InProcess); ok {
+		t.Fatal("deadLeader takes the coordinator's in-process path")
 	}
 }
 

@@ -71,10 +71,10 @@ func EstimateGridInto(est Estimator, dst []Estimate, region grid.Span, cols, row
 		return err
 	}
 	clear(dst)
-	return p.sweep(dst, nil)
+	return p.Add(dst, nil)
 }
 
-// sumGrid answers one tiling into the zeroed plane dst, without telemetry.
+// sumGrid adds the answer to one tiling into dst, without telemetry.
 func sumGrid(est Estimator, dst []Estimate, region grid.Span, cols, rows int) error {
 	if a, ok := est.(gridAdder); ok {
 		return a.addGrid(dst, region, cols, rows)
@@ -85,7 +85,7 @@ func sumGrid(est Estimator, dst []Estimate, region grid.Span, cols, rows int) er
 	}
 	for k := range dst {
 		i1, j1 := region.I1+k%cols*tw, region.J1+k/cols*th
-		dst[k] = est.Estimate(grid.Span{I1: i1, J1: j1, I2: i1 + tw - 1, J2: j1 + th - 1})
+		dst[k].Add(est.Estimate(grid.Span{I1: i1, J1: j1, I2: i1 + tw - 1, J2: j1 + th - 1}))
 	}
 	return nil
 }

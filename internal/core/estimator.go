@@ -39,6 +39,16 @@ func (e Estimate) Total() int64 {
 	return e.Disjoint + e.Contains + e.Contained + e.Overlap
 }
 
+// Add adds o's counts into e, field by field. Raw estimates are
+// integer-linear in their histogram sums, so the sum of the estimates of
+// disjoint object sets is the estimate of their union.
+func (e *Estimate) Add(o Estimate) {
+	e.Disjoint += o.Disjoint
+	e.Contains += o.Contains
+	e.Contained += o.Contained
+	e.Overlap += o.Overlap
+}
+
 // Get returns the estimate for one relation (Equals is always 0).
 func (e Estimate) Get(r geom.Rel2) int64 {
 	switch r {

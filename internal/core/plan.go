@@ -69,16 +69,21 @@ func (p Plan) Estimates(pool *BandPool) (ests []Estimate, bound *float64, err er
 		}
 	}
 	ests = make([]Estimate, p.cols*p.rows)
-	if err := p.sweep(ests, pool); err != nil {
+	if err := p.Add(ests, pool); err != nil {
 		return nil, nil, err
 	}
 	return ests, nil, nil
 }
 
-// sweep fills the zeroed plane dst band by band and observes the map as one
-// sweep: the level was resolved for the whole map, so the per-level
-// telemetry also counts maps, not bands.
-func (p Plan) sweep(dst []Estimate, pool *BandPool) error {
+// Add adds the plan's exact raw sweep into dst, a cols×rows plane the
+// caller owns, row bands fanned across pool (nil runs inline); the reduced
+// tier is never consulted. Every kernel adds, so sweeping several stores
+// over disjoint object sets into one plane gives the plane one store over
+// all of them would — which is how a coordinator sums in-process shards
+// without a plane per shard. The map is observed as one sweep: the level
+// was resolved for the whole map, so the per-level telemetry counts maps,
+// not bands.
+func (p Plan) Add(dst []Estimate, pool *BandPool) error {
 	start := time.Now()
 	if len(dst) != p.cols*p.rows {
 		return fmt.Errorf("core: plane of %d estimates for a %dx%d tile map", len(dst), p.cols, p.rows)

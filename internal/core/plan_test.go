@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spatialhist/internal/euler"
@@ -81,6 +82,17 @@ func TestPlanGridSweep(t *testing.T) {
 			}
 			if perTile := EstimateSet(est, qs.Tiles); !reflect.DeepEqual(got, perTile) {
 				t.Fatalf("%s: plan for %v %dx%d diverges from the per-tile loop", est.Name(), region, cols, rows)
+			}
+			// Add sums into what the plane holds, the per-tile fallback too.
+			twice := slices.Clone(got)
+			if err := p.Add(twice, nil); err != nil {
+				t.Fatal(err)
+			}
+			for k, e := range got {
+				e.Add(e)
+				if twice[k] != e {
+					t.Fatalf("%s: Add onto the plan's own plane gave tile %d = %v, want %v", est.Name(), k, twice[k], e)
+				}
 			}
 		}
 		if _, err := PlanGrid(est, spanOf(0, 0, 63, 47), 5, 4, 0); err == nil {

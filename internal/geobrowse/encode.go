@@ -316,14 +316,10 @@ func appendMapResponse(pool *core.BandPool, dst []byte, m tileMap, mid, tail []b
 // bound the certified ε-tier error (nil for an exact map). The bytes are
 // those of json.Marshal(BrowseResponse{cols, rows, TileEstimates(g,
 // region, cols, rows, ests), bound}), and so is the error for a non-finite
-// bound or coordinate.
-func AppendBrowseResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
-	return appendBrowseResponse(nil, dst, g, region, cols, rows, ests, bound)
-}
-
-// appendBrowseResponse is AppendBrowseResponse with large maps encoded by
-// the row bands of pool.
-func appendBrowseResponse(pool *core.BandPool, dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
+// bound or coordinate. Large maps are encoded by the row bands of pool
+// (nil encodes on the caller's goroutine). dst is grown only when its
+// capacity is short of the body, so a recycled buffer costs no allocation.
+func AppendBrowseResponse(pool *core.BandPool, dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
 	m, err := newTileMap(g, region, cols, rows, ests)
 	if err != nil {
 		return dst, err
@@ -339,7 +335,7 @@ func appendBrowseResponse(pool *core.BandPool, dst []byte, g *grid.Grid, region 
 	return appendMapResponse(pool, dst, m, nil, tail)
 }
 
-// appendFacetedBrowseResponse is appendBrowseResponse for the archive's
+// appendFacetedBrowseResponse is AppendBrowseResponse for the archive's
 // FacetedBrowseResponse, which carries the matching-record count.
 func appendFacetedBrowseResponse(pool *core.BandPool, dst []byte, g *grid.Grid, region grid.Span, cols, rows int, matching int64, ests []core.Estimate) ([]byte, error) {
 	m, err := newTileMap(g, region, cols, rows, ests)

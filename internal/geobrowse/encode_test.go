@@ -53,7 +53,7 @@ func wireEstimates(r *rand.Rand, n int) []core.Estimate {
 func checkBrowseWire(t *testing.T, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) {
 	t.Helper()
 	want, wantErr := oracleBrowse(g, region, cols, rows, ests, bound)
-	got, err := AppendBrowseResponse(nil, g, region, cols, rows, ests, bound)
+	got, err := AppendBrowseResponse(nil, nil, g, region, cols, rows, ests, bound)
 	if wantErr != nil {
 		if err == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("error = %v, want json.Marshal's %v", err, wantErr)
@@ -71,9 +71,15 @@ func checkBrowseWire(t *testing.T, g *grid.Grid, region grid.Span, cols, rows in
 	}
 	// Appending after existing content must leave it alone.
 	pre := []byte("prefix")
-	if got, err = AppendBrowseResponse(pre, g, region, cols, rows, ests, bound); err != nil ||
+	if got, err = AppendBrowseResponse(nil, pre, g, region, cols, rows, ests, bound); err != nil ||
 		!bytes.Equal(got, append([]byte("prefix"), want...)) {
 		t.Fatalf("append onto a non-empty buffer diverges (err %v)", err)
+	}
+	// A recycled buffer with room is written in place over its stale bytes.
+	stale := bytes.Repeat([]byte{'x'}, len(want)+16)
+	if got, err = AppendBrowseResponse(nil, stale[:0], g, region, cols, rows, ests, bound); err != nil ||
+		!bytes.Equal(got, want) || &got[0] != &stale[0] {
+		t.Fatalf("encode into a recycled buffer diverges or reallocates (err %v)", err)
 	}
 }
 
@@ -164,10 +170,14 @@ func TestBrowseEncodeRejectsMismatch(t *testing.T) {
 	g := grid.NewUnit(8, 8)
 	full := grid.Span{I2: 7, J2: 7}
 	for name, call := range map[string]func() ([]byte, error){
-		"too few estimates": func() ([]byte, error) { return AppendBrowseResponse(nil, g, full, 2, 2, make([]core.Estimate, 3), nil) },
-		"non-dividing":      func() ([]byte, error) { return AppendBrowseResponse(nil, g, full, 3, 2, make([]core.Estimate, 6), nil) },
+		"too few estimates": func() ([]byte, error) {
+			return AppendBrowseResponse(nil, nil, g, full, 2, 2, make([]core.Estimate, 3), nil)
+		},
+		"non-dividing": func() ([]byte, error) {
+			return AppendBrowseResponse(nil, nil, g, full, 3, 2, make([]core.Estimate, 6), nil)
+		},
 		"outside the grid": func() ([]byte, error) {
-			return AppendBrowseResponse(nil, g, grid.Span{I1: 4, I2: 11, J2: 7}, 2, 2, make([]core.Estimate, 4), nil)
+			return AppendBrowseResponse(nil, nil, g, grid.Span{I1: 4, I2: 11, J2: 7}, 2, 2, make([]core.Estimate, 4), nil)
 		},
 	} {
 		if _, err := call(); err == nil {
@@ -280,7 +290,7 @@ func TestBrowseMissBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial, err := AppendBrowseResponse(nil, g, span, cols, rows, want, nil); err != nil || !bytes.Equal(body, serial) {
+	if serial, err := AppendBrowseResponse(nil, nil, g, span, cols, rows, want, nil); err != nil || !bytes.Equal(body, serial) {
 		t.Fatalf("banded miss body differs from the serial encoding of EstimateGrid (err %v)", err)
 	}
 }
@@ -298,13 +308,13 @@ func TestBandedEncodeMatchesSerial(t *testing.T) {
 		const cols = 64
 		region := grid.Span{I2: 2*cols - 1, J2: 2*rows - 1}
 		ests := wireEstimates(r, cols*rows)
-		want, err := AppendBrowseResponse(nil, g, region, cols, rows, ests, &bound)
+		want, err := AppendBrowseResponse(nil, nil, g, region, cols, rows, ests, &bound)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for workers := 1; workers <= rows; workers++ {
 			pool := core.NewBandPool(workers, active, nil)
-			got, err := appendBrowseResponse(pool, nil, g, region, cols, rows, ests, &bound)
+			got, err := AppendBrowseResponse(pool, nil, g, region, cols, rows, ests, &bound)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%d rows over %d workers: body differs from the serial one (err %v)", rows, workers, err)
 			}
@@ -425,7 +435,7 @@ func TestEncodeFailureIs500(t *testing.T) {
 	nan := math.NaN()
 	g := grid.NewUnit(4, 4)
 	h := newHTTPMetrics(reg, nil, "").wrap("/api/browse", func(w http.ResponseWriter, r *http.Request) {
-		data, err := encoded(AppendBrowseResponse(nil, g, grid.Span{I2: 3, J2: 3}, 2, 2, make([]core.Estimate, 4), &nan))
+		data, err := encoded(AppendBrowseResponse(nil, nil, g, grid.Span{I2: 3, J2: 3}, 2, 2, make([]core.Estimate, 4), &nan))
 		writeBrowse(w, data, err)
 	})
 	prevLogf := logf
@@ -513,7 +523,7 @@ func FuzzBrowseEncode(f *testing.F) {
 		}
 
 		want, wantErr := oracleBrowse(g, region, c, r, ests, b)
-		got, err := AppendBrowseResponse(nil, g, region, c, r, ests, b)
+		got, err := AppendBrowseResponse(nil, nil, g, region, c, r, ests, b)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("error = %v, json.Marshal's = %v", err, wantErr)
 		}
@@ -563,7 +573,7 @@ func BenchmarkBrowseEncode(b *testing.B) {
 		b.Run("append/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				body, err := AppendBrowseResponse(nil, g, region, m.cols, m.rows, ests, nil)
+				body, err := AppendBrowseResponse(nil, nil, g, region, m.cols, m.rows, ests, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -372,7 +372,7 @@ func (s *Server) browseBytes(est core.Estimator, gen uint64, span grid.Span, col
 		if bound != nil {
 			s.approx.Inc()
 		}
-		return encoded(appendBrowseResponse(s.pool, nil, s.g, span, cols, rows, ests, bound))
+		return encoded(AppendBrowseResponse(s.pool, nil, s.g, span, cols, rows, ests, bound))
 	})
 }
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,11 +61,25 @@ type shardGroup struct {
 	leader *backend
 	all    []*backend // leader first
 	rr     atomic.Uint64
+	gen    atomic.Uint64 // the leader's highest generation seen by a probe or an ack
 }
 
-// Coordinator fans queries out to every shard, merges the raw per-tile
-// sums by addition, and routes ingest to the writer shard owning each
-// object. Reads balance across each shard's leader and its sufficiently
+// raiseGen records a generation the leader reported; the known one only
+// rises, whatever order probes and acks land in.
+func (grp *shardGroup) raiseGen(gen uint64) {
+	for {
+		known := grp.gen.Load()
+		if gen <= known || grp.gen.CompareAndSwap(known, gen) {
+			return
+		}
+	}
+}
+
+// Coordinator answers queries by summing every shard's raw per-tile
+// estimates — in-process shards straight into one plane on the request
+// goroutine, remote and wrapped backends concurrently, their planes added
+// in after — and routes ingest to the writer shard owning each object.
+// Reads balance across each shard's leader and its sufficiently
 // fresh followers; freshness is judged by the replica's snapshot-visible
 // sequence against the leader's applied sequence, both refreshed by the
 // prober.
@@ -103,14 +118,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		fanout: reg.Histogram("shard_fanout_seconds",
-			"Scatter latency: slowest shard response per fan-out.", nil),
+			"Gather latency: every shard read, in-process sums included.", nil),
 		mergeTime: reg.Histogram("shard_merge_seconds",
-			"Time merging per-shard raw sums into one answer.", nil),
+			"Time adding the planes of remote and wrapped backends into the sum.", nil),
 		reads: map[string]*telemetry.Counter{
 			"leader": reg.Counter("shard_reads_total",
-				"Backend reads by role.", "role", "leader"),
+				"Backend reads by role, in-process ones included.", "role", "leader"),
 			"follower": reg.Counter("shard_reads_total",
-				"Backend reads by role.", "role", "follower"),
+				"Backend reads by role, in-process ones included.", "role", "follower"),
 		},
 		scatterErr: reg.Counter("shard_scatter_errors_total",
 			"Backend requests that failed and were retried or gave up."),
@@ -207,6 +222,9 @@ func (c *Coordinator) Probe() {
 				be.appliedSeq.Store(st.AppliedSeq)
 				be.snapshotSeq.Store(st.SnapshotSeq)
 				be.gen.Store(st.Generation)
+				if be == grp.leader {
+					grp.raiseGen(st.Generation)
+				}
 			}(grp, be)
 		}
 	}
@@ -263,117 +281,168 @@ func (grp *shardGroup) candidates(maxLag int64) []*backend {
 	return append(eligible, rest...)
 }
 
-// scatter runs fn against one backend of every shard concurrently,
-// failing over across each shard's remaining backends when one errors. A
-// failing backend is marked down on the spot (the prober revives it), so
-// one slow death doesn't tax every later request.
-func (c *Coordinator) scatter(fn func(si int, h Handle) error) error {
+// gather reads one backend of every shard, failing over across each
+// shard's remaining candidates when one errors. A shard whose preferred
+// backend is InProcess is read on the calling goroutine, one such shard
+// after another, while the others — remote nodes, wrapped handles — are
+// read concurrently; read's inline argument says which, and only an inline
+// read may write state it shares with the other shards' reads. A failing
+// backend is marked down on the spot (the prober revives it), so one slow
+// death doesn't tax every later request.
+func (c *Coordinator) gather(read func(si int, h Handle, inline bool) error) error {
 	start := time.Now()
+	orders := make([][]*backend, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
-	for si := range c.shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			var lastErr error
-			for _, be := range c.shards[si].candidates(c.maxLag) {
-				if err := fn(si, be.h); err != nil {
-					c.scatterErr.Inc()
-					be.alive.Store(false)
-					be.upGauge.Set(0)
-					lastErr = err
-					continue
-				}
-				c.reads[be.role].Inc()
-				return
-			}
-			errs[si] = fmt.Errorf("shard %d: every backend failed: %w", si, lastErr)
-		}(si)
+	for si, grp := range c.shards {
+		orders[si] = grp.candidates(c.maxLag)
+		if _, ok := orders[si][0].h.(InProcess); !ok {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[si] = c.failover(si, orders[si], read, false)
+			}()
+		}
+	}
+	for si, order := range orders {
+		if _, ok := order[0].h.(InProcess); ok {
+			errs[si] = c.failover(si, order, read, true)
+		}
 	}
 	wg.Wait()
 	c.fanout.ObserveDuration(time.Since(start))
 	return errors.Join(errs...)
 }
 
-// mergeInto adds raw per-tile sums from one shard into the merged answer.
-// Addition is exact for Euler histograms: each estimator field is an
-// integer-linear function of its histogram's bucket sums, so summing the
-// per-shard fields equals evaluating one store over all the objects.
-func mergeInto(dst, part []core.Estimate) {
-	for k := range dst {
-		dst[k].Disjoint += part[k].Disjoint
-		dst[k].Contains += part[k].Contains
-		dst[k].Contained += part[k].Contained
-		dst[k].Overlap += part[k].Overlap
+// failover tries shard si's backends in order until one reads.
+func (c *Coordinator) failover(si int, order []*backend, read func(si int, h Handle, inline bool) error, inline bool) error {
+	var lastErr error
+	for _, be := range order {
+		if err := read(si, be.h, inline); err != nil {
+			c.scatterErr.Inc()
+			be.alive.Store(false)
+			be.upGauge.Set(0)
+			lastErr = err
+			continue
+		}
+		c.reads[be.role].Inc()
+		return nil
 	}
+	return fmt.Errorf("shard %d: every backend failed: %w", si, lastErr)
 }
 
-// EstimateGrid scatter-gathers one tile map: every shard answers the full
-// cols×rows tiling of region over its own objects, and the merged raw
-// sums are bit-identical to a single store's answer.
-func (c *Coordinator) EstimateGrid(region grid.Span, cols, rows int) ([]core.Estimate, error) {
-	// Validate before scattering: a malformed query must come back as a
-	// request error, not walk the failover path marking healthy backends
-	// dead on their own 400s.
+// RequestError is a query the coordinator refuses before reading any
+// shard: a span outside the grid, or a tiling that does not divide its
+// region. It is the client's error, not a backend failure, so no backend
+// is marked dead and the shard front answers 400.
+type RequestError struct{ Err error }
+
+func (e *RequestError) Error() string { return e.Err.Error() }
+func (e *RequestError) Unwrap() error { return e.Err }
+
+// checkGrid refuses a tile map before it is gathered: a malformed query
+// must not walk the failover path marking healthy backends dead on their
+// own 400s.
+func (c *Coordinator) checkGrid(region grid.Span, cols, rows int) error {
 	if err := checkSpan(c.g, region); err != nil {
-		return nil, err
+		return &RequestError{err}
 	}
 	w, h := region.I2-region.I1+1, region.J2-region.J1+1
 	if cols <= 0 || rows <= 0 || w%cols != 0 || h%rows != 0 {
-		return nil, fmt.Errorf("query: %dx%d tiling does not divide region %v at this resolution", cols, rows, region)
+		return &RequestError{fmt.Errorf("query: %dx%d tiling does not divide region %v at this resolution", cols, rows, region)}
 	}
-	parts := make([][]core.Estimate, len(c.shards))
-	err := c.scatter(func(si int, h Handle) error {
-		ests, err := h.EstimateGrid(region, cols, rows)
-		if err != nil {
-			return err
-		}
-		parts[si] = ests
-		return nil
-	})
+	return nil
+}
+
+// EstimateGrid gathers one tile map: every shard answers the full cols×rows
+// tiling of region over its own objects, and the summed raw estimates are
+// bit-identical to a single store's answer. The slice is the caller's.
+func (c *Coordinator) EstimateGrid(region grid.Span, cols, rows int) ([]core.Estimate, error) {
+	ests, err := c.SumGrid(nil, region, cols, rows, nil)
 	if err != nil {
 		return nil, err
 	}
-	return c.merge(parts)
+	return ests, nil
 }
 
-// EstimateSpans scatter-gathers a batch of arbitrary spans — the query
-// and drill-down frontier path.
+// SumGrid is EstimateGrid into buf's storage, which it grows to cols×rows
+// and zeroes, returning the plane. In-process shards sweep straight into
+// it, their row bands fanned across pool for large maps (nil runs inline);
+// every other shard's plane is added into it once all have answered.
+// Addition is exact for Euler histograms: each estimator field is an
+// integer-linear function of its histogram's bucket sums, so summing the
+// per-shard fields equals evaluating one store over all the objects.
+func (c *Coordinator) SumGrid(buf []core.Estimate, region grid.Span, cols, rows int, pool *core.BandPool) ([]core.Estimate, error) {
+	if err := c.checkGrid(region, cols, rows); err != nil {
+		return buf, err
+	}
+	dst := slices.Grow(buf[:0], cols*rows)[:cols*rows]
+	clear(dst)
+	return dst, c.sum(dst,
+		func(l InProcess, dst []core.Estimate) error { return l.AddGrid(dst, region, cols, rows, pool) },
+		func(h Handle) ([]core.Estimate, error) { return h.EstimateGrid(region, cols, rows) })
+}
+
+// EstimateSpans gathers a batch of arbitrary spans — the query and
+// drill-down frontier path — summed like SumGrid into one new slice.
 func (c *Coordinator) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) {
 	for _, s := range spans {
 		if err := checkSpan(c.g, s); err != nil {
-			return nil, err
+			return nil, &RequestError{err}
 		}
 	}
-	parts := make([][]core.Estimate, len(c.shards))
-	err := c.scatter(func(si int, h Handle) error {
-		ests, err := h.EstimateSpans(spans)
-		if err != nil {
-			return err
-		}
-		parts[si] = ests
-		return nil
-	})
+	dst := make([]core.Estimate, len(spans))
+	err := c.sum(dst,
+		func(l InProcess, dst []core.Estimate) error { return l.AddSpans(dst, spans) },
+		func(h Handle) ([]core.Estimate, error) { return h.EstimateSpans(spans) })
 	if err != nil {
 		return nil, err
 	}
-	return c.merge(parts)
+	return dst, nil
 }
 
-// merge sums the per-shard raw estimates field-wise into shard 0's slice:
-// every Handle returns a slice the caller owns, so no further plane is
-// needed.
-func (c *Coordinator) merge(parts [][]core.Estimate) ([]core.Estimate, error) {
-	start := time.Now()
-	out := parts[0]
-	for si, p := range parts[1:] {
-		if len(p) != len(out) {
-			return nil, fmt.Errorf("shard %d returned %d estimates, shard 0 returned %d", si+1, len(p), len(out))
+// sum gathers every shard's raw estimates into the zeroed plane dst. An
+// inline in-process read adds into dst itself; any other read yields a
+// plane of its own — fetched, or added into a fresh one by an in-process
+// follower a remote-first shard failed over to — and those planes are
+// added into dst once every shard has answered: the one merge site,
+// observed only when there is a plane to add.
+func (c *Coordinator) sum(dst []core.Estimate, add func(l InProcess, dst []core.Estimate) error, fetch func(h Handle) ([]core.Estimate, error)) error {
+	parts := make([][]core.Estimate, len(c.shards))
+	err := c.gather(func(si int, h Handle, inline bool) (err error) {
+		l, ok := h.(InProcess)
+		switch {
+		case ok && inline:
+			return add(l, dst)
+		case ok:
+			parts[si] = make([]core.Estimate, len(dst))
+			return add(l, parts[si])
+		default:
+			parts[si], err = fetch(h)
+			return err
 		}
-		mergeInto(out, p)
+	})
+	if err != nil {
+		return err
 	}
-	c.mergeTime.ObserveDuration(time.Since(start))
-	return out, nil
+	start := time.Now()
+	merged := false
+	for si, p := range parts {
+		if p == nil {
+			continue
+		}
+		if len(p) != len(dst) {
+			return fmt.Errorf("shard %d returned %d estimates for %d", si, len(p), len(dst))
+		}
+		for k := range dst {
+			dst[k].Add(p[k])
+		}
+		merged = true
+	}
+	if merged {
+		c.mergeTime.ObserveDuration(time.Since(start))
+	}
+	return nil
 }
 
 // Close stops the prober. Backends are not owned by the coordinator and
@@ -392,7 +461,11 @@ func (c *Coordinator) Close() error {
 // owning each object and applies them in parallel. The per-shard applied
 // and rejected counts sum to exactly what a single store would report:
 // out-of-space objects route to shard 0, which journals and rejects them
-// just as the unsharded store does.
+// just as the unsharded store does. The acknowledged generation is the sum
+// over every shard of its leader's highest known generation — the shards
+// this batch touched at their acks, the rest as last probed or acked — so
+// successive acks never decrease and none exceeds the generation Info
+// reads after it.
 func (c *Coordinator) Ingest(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
 	groups := c.part.RouteRects(rects)
 	var wg sync.WaitGroup
@@ -403,26 +476,27 @@ func (c *Coordinator) Ingest(op byte, rects []geom.Rect, flush bool) (applied, r
 			continue
 		}
 		wg.Add(1)
-		go func(si int, g []geom.Rect) {
+		go func() {
 			defer wg.Done()
-			a, r, gn, err := c.shards[si].leader.h.Mutate(op, g, flush)
-			mu.Lock()
-			defer mu.Unlock()
+			grp := c.shards[si]
+			a, r, gn, err := grp.leader.h.Mutate(op, g, flush)
 			if err != nil {
 				errs[si] = fmt.Errorf("shard %d leader: %w", si, err)
 				return
 			}
+			grp.raiseGen(gn)
+			mu.Lock()
+			defer mu.Unlock()
 			applied += a
 			rejected += r
-			gen += gn
 			c.ingestRouted.Add(int64(len(g)))
-		}(si, g)
+		}()
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return applied, rejected, gen, err
+	for _, grp := range c.shards {
+		gen += grp.gen.Load()
 	}
-	return applied, rejected, gen, nil
+	return applied, rejected, gen, errors.Join(errs...)
 }
 
 // Info aggregates the logical dataset's metadata: object and bucket
@@ -440,7 +514,7 @@ func (c *Coordinator) Info() (geobrowse.Info, error) {
 		GridNY:    c.g.NY(),
 	}
 	var mu sync.Mutex
-	err := c.scatter(func(_ int, h Handle) error {
+	err := c.gather(func(_ int, h Handle, _ bool) error {
 		si, err := h.Info()
 		if err != nil {
 			return err

@@ -26,9 +26,8 @@ type Handle interface {
 	Info() (geobrowse.Info, error)
 	// EstimateGrid answers the cols×rows tiling of region with RAW
 	// (unclamped) estimates, row-major from the south-west — raw because
-	// the coordinator merges by addition and clamping is not additive. The
-	// slice (EstimateSpans' too) is the caller's: the coordinator sums the
-	// other shards' answers into it.
+	// the coordinator sums shards by addition and clamping is not additive.
+	// The slice (EstimateSpans' too) is the caller's.
 	EstimateGrid(region grid.Span, cols, rows int) ([]core.Estimate, error)
 	// EstimateSpans answers a batch of arbitrary spans with raw estimates.
 	EstimateSpans(spans []grid.Span) ([]core.Estimate, error)
@@ -41,8 +40,28 @@ type Handle interface {
 	Mutate(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error)
 }
 
-// LocalHandle adapts an in-process live store to the Handle contract —
-// the zero-network backend used by tests and the differential oracles.
+// InProcess is the capability of a backend whose store lives in the
+// coordinator's process: instead of answering with a plane of its own, it
+// adds its raw estimates into a plane the caller owns, so the coordinator
+// sums every such shard into one plane on the request goroutine. Each call
+// pins the backend's snapshot, plans, adds and releases the pin. Only
+// LocalHandle has it: a Handle that wraps another (fault injection, a
+// proxy) embeds the Handle interface, whose method set lacks these, and so
+// is read through Handle like a remote node.
+type InProcess interface {
+	// AddGrid adds the raw estimates of the cols×rows tiling of region into
+	// dst, row-major from the south-west (len cols×rows), row bands fanned
+	// across pool for large maps (nil runs inline). It fails only before
+	// adding anything — on a tiling that does not divide its region — so a
+	// failed read can be retried on another backend into the same plane.
+	AddGrid(dst []core.Estimate, region grid.Span, cols, rows int, pool *core.BandPool) error
+	// AddSpans adds the raw estimate of every span into dst, one per span.
+	AddSpans(dst []core.Estimate, spans []grid.Span) error
+}
+
+// LocalHandle adapts an in-process live store to the Handle contract and
+// the InProcess capability — the zero-network backend of `geobrowsed -live
+// -shards N`, the tests and the differential oracles.
 type LocalHandle struct {
 	Store *live.Store
 	Label string
@@ -86,6 +105,30 @@ func (h *LocalHandle) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) 
 	est, _, release := h.Store.AcquireEstimator()
 	defer release()
 	return core.EstimateSet(est, spans), nil
+}
+
+// AddGrid implements InProcess.
+func (h *LocalHandle) AddGrid(dst []core.Estimate, region grid.Span, cols, rows int, pool *core.BandPool) error {
+	est, _, release := h.Store.AcquireEstimator()
+	defer release()
+	p, err := core.PlanGrid(est, region, cols, rows, 0)
+	if err != nil {
+		return err
+	}
+	return p.Add(dst, pool)
+}
+
+// AddSpans implements InProcess.
+func (h *LocalHandle) AddSpans(dst []core.Estimate, spans []grid.Span) error {
+	if len(dst) != len(spans) {
+		return fmt.Errorf("shard: plane of %d estimates for %d spans", len(dst), len(spans))
+	}
+	est, _, release := h.Store.AcquireEstimator()
+	defer release()
+	for k, s := range spans {
+		dst[k].Add(est.Estimate(s))
+	}
+	return nil
 }
 
 // Status implements Handle.

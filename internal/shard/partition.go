@@ -1,7 +1,7 @@
 // Package shard is the horizontal distribution layer over the live store:
 // one logical dataset split across N writer shards by spatial column
 // bands, each shard optionally trailed by WAL-shipped read replicas, with
-// a scatter-gather coordinator in front.
+// a coordinator in front that sums their raw estimates.
 //
 // The layer leans on one algebraic fact: Euler histograms are signed
 // counts, so the histogram of a union of disjoint object sets is the

@@ -1,11 +1,15 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -226,6 +230,122 @@ func TestScatterGatherBitIdentity(t *testing.T) {
 	estimatesEqual(t, "spans", got, want)
 }
 
+// FuzzCoordinatorSum: whatever the shard count (1–4), the backend of each
+// shard — in-process, an HTTP node, or a wrapped leader whose read path is
+// down in front of an in-process follower — the algorithm, the objects
+// and the tiling, the coordinator's summed raw estimates are a single
+// store's over the same objects, bit for bit. In-process shards are summed
+// in place, row bands fanned out on maps at or past the 4096-tile band
+// floor; remote and wrapped shards are merged from planes of their own,
+// and a follower a wrapped leader failed over to is summed off the request
+// goroutine into a plane of its own.
+func FuzzCoordinatorSum(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(0), uint16(300), uint8(0), uint8(0), uint16(0))         // 128×64 tiles: banded
+	f.Add(int64(2), uint8(3), uint8(0b100100), uint16(250), uint8(6), uint8(1), uint16(33)) // in-process, HTTP, wrapped
+	f.Add(int64(3), uint8(4), uint8(0b10011001), uint16(120), uint8(5), uint8(0x55), uint16(530))
+	f.Add(int64(4), uint8(1), uint8(2), uint16(0), uint8(1), uint8(0xff), uint16(511))
+	f.Fuzz(func(t *testing.T, seed int64, shards, topo uint8, objects uint16, algo, tiling uint8, origin uint16) {
+		// Handles that embed Handle have its method set only: read as remote.
+		for _, h := range []Handle{&flakyHandle{}, &HTTPHandle{}} {
+			if _, ok := h.(InProcess); ok {
+				t.Fatalf("%T takes the in-process path", h)
+			}
+		}
+		g := grid.New(geom.Rect{XMax: 128, YMax: 64}, 128, 64)
+		n := 1 + int(shards)%4
+		rng := rand.New(rand.NewSource(seed))
+		rects := make([]geom.Rect, int(objects)%400)
+		for k := range rects {
+			x, y := rng.Float64()*132-2, rng.Float64()*66-1 // a few outside the space
+			rects[k] = geom.NewRect(x, y, x+rng.ExpFloat64()*4, y+rng.ExpFloat64()*4)
+		}
+		cfg := live.Config{Grid: g, Algo: []live.Algo{live.AlgoEuler, live.AlgoSEuler, live.AlgoMEuler}[algo%3],
+			PyramidMinGrid: 8, Telemetry: telemetry.NewRegistry()}
+		if cfg.Algo == live.AlgoMEuler {
+			cfg.Areas = []float64{1, 9, 100}
+		}
+		if algo&4 != 0 {
+			cfg.PyramidLevels = 3
+		}
+		open := func(seed []geom.Rect) *live.Store {
+			c := cfg
+			c.Seed = seed
+			s, err := live.Open(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		}
+		single := open(rects)
+		part, err := NewPartition(g, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ccfg := Config{ProbeInterval: -1, Telemetry: telemetry.NewRegistry()}
+		var dead []*flakyHandle
+		for si, seed := range part.RouteRects(rects) {
+			s := open(seed)
+			local := &LocalHandle{Store: s, Label: fmt.Sprint("s", si)}
+			switch topo >> (2 * si) & 3 % 3 {
+			case 0:
+				ccfg.Shards = append(ccfg.Shards, Backends{Leader: local})
+			case 1:
+				ccfg.Shards = append(ccfg.Shards, Backends{Leader: &HTTPHandle{Base: nodeServer(t, local.Label, s).URL}})
+			case 2:
+				leader := &flakyHandle{Handle: &LocalHandle{Store: s, Label: local.Label + "-leader"}}
+				dead = append(dead, leader)
+				ccfg.Shards = append(ccfg.Shards, Backends{Leader: leader, Followers: []Handle{local}})
+			}
+		}
+		c, err := NewCoordinator(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		// Down after the probe: the first read still prefers the leader.
+		for _, h := range dead {
+			h.down.Store(true)
+		}
+
+		tw, th := 1+int(tiling%4), 1+int(tiling/4%4)
+		i1, j1 := int(origin%32), int(origin/32%16)
+		cols := max(1, (128-i1)/tw>>(tiling/16%4))
+		rows := max(1, (64-j1)/th>>(tiling/64))
+		region := grid.Span{I1: i1, J1: j1, I2: i1 + cols*tw - 1, J2: j1 + rows*th - 1}
+		want := singleEstimates(t, single, region, cols, rows)
+		pool := core.NewBandPool(2+int(uint64(seed)%3), telemetry.NewRegistry().Gauge("active", ""), nil)
+		stale := make([]core.Estimate, cols*rows+5)
+		for k := range stale {
+			stale[k].Overlap = 42 // the plane is zeroed before anything is summed
+		}
+		got, err := c.SumGrid(stale[:3], region, cols, rows, pool)
+		if err != nil {
+			t.Fatalf("SumGrid %v %dx%d: %v", region, cols, rows, err)
+		}
+		estimatesEqual(t, fmt.Sprintf("banded %v %dx%d", region, cols, rows), got, want)
+		got, err = c.EstimateGrid(region, cols, rows)
+		if err != nil {
+			t.Fatalf("EstimateGrid %v %dx%d: %v", region, cols, rows, err)
+		}
+		estimatesEqual(t, fmt.Sprintf("inline %v %dx%d", region, cols, rows), got, want)
+
+		spans := make([]grid.Span, 1+rng.Intn(24))
+		for k := range spans {
+			i, j := rng.Intn(128), rng.Intn(64)
+			spans[k] = grid.Span{I1: i, J1: j, I2: i + rng.Intn(128-i), J2: j + rng.Intn(64-j)}
+		}
+		est, _, release := single.AcquireEstimator()
+		want = core.EstimateSet(est, spans)
+		release()
+		got, err = c.EstimateSpans(spans)
+		if err != nil {
+			t.Fatalf("EstimateSpans: %v", err)
+		}
+		estimatesEqual(t, "spans", got, want)
+	})
+}
+
 func TestCoordinatorIngestMatchesSingle(t *testing.T) {
 	g := testGrid(t)
 	single := openTestStore(t, g, "", "single")
@@ -277,6 +397,106 @@ func TestCoordinatorIngestMatchesSingle(t *testing.T) {
 	}
 	if info.Objects != int64(wantApplied) {
 		t.Fatalf("Info.Objects = %d, want %d", info.Objects, wantApplied)
+	}
+}
+
+// TestIngestAcksMonotone: a batch acknowledges the generation of the whole
+// logical store, not of the shards it touched — two flushed batches in
+// band 0 then one in band 1 must not ack a generation lower than the one
+// before it, and no ack may run ahead of /api/info's.
+func TestIngestAcksMonotone(t *testing.T) {
+	g := testGrid(t)
+	c := localCoordinator(t, []*live.Store{openTestStore(t, g, "", "s0"), openTestStore(t, g, "", "s1")}, nil, 0)
+	west, east := geom.NewRect(2, 2, 4, 4), geom.NewRect(40, 2, 42, 4)
+	var last uint64
+	for k, r := range []geom.Rect{west, west, east, west, east} {
+		_, _, gen, err := c.Ingest(live.OpInsert, []geom.Rect{r}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := c.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen < last || gen > info.Generation {
+			t.Fatalf("batch %d acked generation %d after %d, /api/info then read %d", k, gen, last, info.Generation)
+		}
+		last = gen
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing of the body, so a
+// request's allocations are the handler's own.
+type discardWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// TestCoordinatorBrowseBudget bounds what one browse map through the
+// in-process shard front allocates once warm: O(cols+rows) of edge tables,
+// row offsets and per-row band sums plus a constant — no plane per shard,
+// no merge plane, no body; those are recycled. Measured on a 2-core VM
+// (median bytes per map, 45×45 / 90×90): the scatter-and-merge front
+// allocated 306,744 / 1,196,600 — two shard planes and a body — and the
+// in-place sum allocates 11,832 / 19,592.
+func TestCoordinatorBrowseBudget(t *testing.T) {
+	g := grid.New(geom.Rect{XMin: 0, YMin: 0, XMax: 360, YMax: 180}, 180, 90)
+	var stores []*live.Store
+	for i := 0; i < 2; i++ {
+		stores = append(stores, openTestStore(t, g, "", fmt.Sprintf("s%d", i)))
+	}
+	part, err := NewPartition(g, len(stores))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	rects := make([]geom.Rect, 3000)
+	for k := range rects {
+		x, y := rng.Float64()*350, rng.Float64()*170
+		rects[k] = geom.NewRect(x, y, x+rng.Float64()*10, y+rng.Float64()*10)
+	}
+	for si, batch := range part.RouteRects(rects) {
+		if _, _, _, err := stores[si].Apply(live.OpInsert, batch, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	front := NewServer(localCoordinator(t, stores, nil, 0), telemetry.NewRegistry())
+	for _, n := range []int{45, 90} {
+		req := httptest.NewRequest("GET", fmt.Sprintf("/api/browse?x1=0&y1=0&x2=360&y2=180&cols=%d&rows=%d", n, n), nil)
+		serve := func() int {
+			w := &discardWriter{h: http.Header{}}
+			front.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				t.Fatalf("%dx%d map: status %d", n, n, w.status)
+			}
+			return w.n
+		}
+		body := serve() // warm: the recycled plane and body reach this map's size
+		// The median request: a sync.Pool may drop what it holds (at a GC,
+		// and at random under the race detector), and a request that finds
+		// it empty allocates afresh — rarely, and it must not be the norm.
+		allocs := make([]uint64, 21)
+		var before, after runtime.MemStats
+		for i := range allocs {
+			runtime.ReadMemStats(&before)
+			serve()
+			runtime.ReadMemStats(&after)
+			allocs[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		slices.Sort(allocs)
+		perMap := int(allocs[len(allocs)/2])
+		t.Logf("%dx%d map: %d bytes allocated per request (plane %d, body %d)", n, n, perMap, 32*n*n, body)
+		// 16 KiB: the query parser, the lattice-height zero row a map at the
+		// grid's west edge reads per histogram, and a request's bookkeeping.
+		if budget := 64*(n+n) + 16<<10; perMap > budget {
+			t.Errorf("%dx%d map: %d bytes allocated per request, budget %d: a plane is %d and the body %d",
+				n, n, perMap, budget, 32*n*n, body)
+		}
 	}
 }
 
@@ -428,6 +648,45 @@ func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
 	if st, body := readBody(t, coord.URL+"/api/shards"); st != http.StatusOK || body == "" {
 		t.Fatalf("topology status %d body %q", st, body)
 	}
+}
+
+// TestInProcessFrontConcurrentMaps: concurrent browse requests through an
+// in-process front, past the band floor and below it, each get the single
+// node's bytes — no request sees another's recycled plane or body.
+func TestInProcessFrontConcurrentMaps(t *testing.T) {
+	g := grid.New(geom.Rect{XMax: 128, YMax: 64}, 128, 64)
+	single, shards := buildSharded(t, g, 2, 300, 43)
+	front := NewServer(localCoordinator(t, shards, nil, 0), telemetry.NewRegistry())
+	ref := geobrowse.NewLiveServer("test", single, geobrowse.Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
+	queries := []string{
+		"/api/browse?x1=0&y1=0&x2=128&y2=64&cols=128&rows=64", // 8192 tiles: banded
+		"/api/browse?x1=0&y1=0&x2=128&y2=64&cols=64&rows=32",
+		"/api/browse?x1=8&y1=4&x2=40&y2=60&cols=16&rows=7",
+		"/api/browse?x1=0&y1=0&x2=128&y2=64&cols=1&rows=1",
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		rec := httptest.NewRecorder()
+		ref.ServeHTTP(rec, httptest.NewRequest("GET", q, nil))
+		want[i] = rec.Body.String()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 12; k++ {
+				i := (w + k) % len(queries)
+				rec := httptest.NewRecorder()
+				front.ServeHTTP(rec, httptest.NewRequest("GET", queries[i], nil))
+				if rec.Code != http.StatusOK || rec.Body.String() != want[i] {
+					t.Errorf("%s: status %d, body differs from the single node's", queries[i], rec.Code)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // flakyHandle wraps a Handle and fails every call while down.
@@ -585,23 +844,38 @@ func TestCandidatesLagGating(t *testing.T) {
 	}
 }
 
+// second returns a call's error, dropping its result.
+func second[T any](_ T, err error) error { return err }
+
 // TestCoordinatorRejectsBadQueries: malformed queries must be refused at
-// the coordinator without scattering — a client's 400 is not a backend
-// failure and must not mark anyone dead.
+// the coordinator without reading a shard — a client's 400 is not a
+// backend failure and must not mark anyone dead.
 func TestCoordinatorRejectsBadQueries(t *testing.T) {
 	g := testGrid(t)
 	_, stores := buildSharded(t, g, 2, 50, 1)
 	c := localCoordinator(t, stores, nil, 0)
-	if _, err := c.EstimateGrid(grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}, 7, 1); err == nil {
-		t.Fatal("non-dividing tiling accepted")
+	for what, err := range map[string]error{
+		"non-dividing tiling": second(c.EstimateGrid(grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}, 7, 1)),
+		"out-of-grid span":    second(c.EstimateGrid(grid.Span{I1: 0, J1: 0, I2: g.NX(), J2: 0}, 1, 1)),
+		"negative span":       second(c.EstimateSpans([]grid.Span{{I1: -1, J1: 0, I2: 0, J2: 0}})),
+	} {
+		var re *RequestError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: error %v, want a RequestError", what, err)
+		}
 	}
-	if _, err := c.EstimateGrid(grid.Span{I1: 0, J1: 0, I2: g.NX(), J2: 0}, 1, 1); err == nil {
-		t.Fatal("out-of-grid span accepted")
+	// Through the shard front the same tiling is the single node's 400.
+	front := httptest.NewServer(NewServer(c, telemetry.NewRegistry()))
+	t.Cleanup(front.Close)
+	for _, q := range []string{
+		"/api/browse?x1=0&y1=0&x2=64&y2=64&cols=7&rows=1",
+		"/api/browse?x1=0&y1=0&x2=64&y2=64&cols=64&rows=64",
+	} {
+		if st, body := readBody(t, front.URL+q); st != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%s), want 400", q, st, body)
+		}
 	}
-	if _, err := c.EstimateSpans([]grid.Span{{I1: -1, J1: 0, I2: 0, J2: 0}}); err == nil {
-		t.Fatal("negative span accepted")
-	}
-	// Nobody was scattered to, so every backend is still alive.
+	// Nobody was read, so every backend is still alive.
 	for _, grp := range c.shards {
 		for _, b := range grp.all {
 			if !b.alive.Load() {
