@@ -295,8 +295,8 @@ type perTileOnly struct{ core.Estimator }
 // paper's GeoBrowsing interaction — answered three ways: per-tile
 // Estimate calls over a query.Browsing tiling, the one-sweep batch path,
 // and the batch path with tile rows fanned across GOMAXPROCS workers.
-// All three run the same region→estimates request through
-// core.EstimateGrid/EstimateGridParallel.
+// The first two run through core.EstimateGrid, the third through
+// Summary.BrowseParallel.
 func BenchmarkBrowseGrid(b *testing.B) {
 	d := dataset.SzSkew(200_000, 3)
 	g := grid.New(d.Extent, 400, 300)
@@ -312,14 +312,15 @@ func BenchmarkBrowseGrid(b *testing.B) {
 	})
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := est.EstimateGrid(region, cols, rows); err != nil {
+			if _, err := core.EstimateGrid(est, region, cols, rows); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+	s := &Summary{est: est, g: g}
 	b.Run("batched-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.EstimateGridParallel(est, region, cols, rows, 0); err != nil {
+			if _, err := s.BrowseParallel(g.Extent(), cols, rows, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -166,6 +166,9 @@ type node struct {
 // (one, or -shards of them behind an in-process coordinator) or a summary
 // built from the dataset.
 func assemble(cfg config) (node, error) {
+	if flag, why := cfg.droppedFlag(); flag != "" {
+		return node{}, fmt.Errorf("%s would be ignored: %s", flag, why)
+	}
 	opts := geobrowse.Options{CacheSize: cfg.cache, Workers: cfg.workers, OverviewEpsilon: cfg.overviewEps}
 	if cfg.logRequests {
 		opts.AccessLog = os.Stderr
@@ -235,6 +238,34 @@ func assemble(cfg config) (node, error) {
 		log.Printf("saved summary to %s", cfg.save)
 	}
 	return staticNode(cfg, d.Name, est, opts)
+}
+
+// droppedFlag names a flag the selected mode would accept and then ignore,
+// and why, so assemble refuses it before any store is opened or backend
+// probed; "" when every flag given takes effect.
+func (c *config) droppedFlag() (flag, why string) {
+	if c.coordinator != "" || c.live && c.shards > 1 {
+		const front = "the shard coordinator front has no response cache, browse worker pool, admission control, overview tier or access log"
+		switch {
+		case c.cache != 0:
+			return "-cache", front
+		case c.workers != 0:
+			return "-workers", front
+		case c.maxInflight != 0:
+			return "-max-inflight", front
+		case c.overviewEps != 0:
+			return "-overview-epsilon", front
+		case c.logRequests:
+			return "-log-requests", front
+		}
+	}
+	switch {
+	case c.live && c.save != "":
+		return "-save", "-live serves a store, not a built summary to save"
+	case c.replicaOf != "" && c.pyramidMinGrid != euler.DefaultPyramidMinGrid:
+		return "-pyramid-min-grid", "a replica builds its pyramids at the default minimum grid"
+	}
+	return "", ""
 }
 
 // staticNode serves a fixed estimator, stacked over its pyramid.

@@ -6,6 +6,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spatialhist/internal/core"
@@ -110,40 +111,68 @@ func TestParseShardSpec(t *testing.T) {
 }
 
 // TestAssembleRefusesBadCommandLines: every flag combination main used to
-// die on inside a mode is an error assemble returns before serving anything.
+// die on inside a mode, and every flag a mode would silently drop, is an
+// error assemble returns before serving anything. A dropped flag's error
+// must name it, so a case cannot pass for another reason (an unreachable
+// -coordinator, say).
 func TestAssembleRefusesBadCommandLines(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)
-	for _, args := range [][]string{
-		{"-live", "-load", "summary.bin"},
-		{"-shards", "2"},
-		{"-replica-of", "http://localhost:1", "-live"},
-		{"-coordinator", "http://localhost:1", "-tenants", "a=adl"},
-		{"-coordinator", " ; "},
-		{"-replica-of", "http://localhost:1"}, // no -checkpoint
-		{"-tenants", "a=adl", "-file", "adl.bin"},
-		{"-tenants", "a=uni"},
-		{"-load", filepath.Join(t.TempDir(), "missing.bin")},
-		{"-file", filepath.Join(t.TempDir(), "missing.bin")},
-		{"-dataset", "uni"},
-		{"-algo", "bogus"},
-		{"-algo", "meuler", "-areas", "9,1"},
-		{"-live", "-algo", "bogus"},
-		{"-live", "-areas", "1,x"},
-		{"-live", "-shards", "100000", "-gw", "8"},
-		{"-save", filepath.Join(t.TempDir(), "no", "such", "dir", "s.bin")},
+	ckpt := filepath.Join(t.TempDir(), "r.ckpt")
+	save := filepath.Join(t.TempDir(), "s.bin")
+	for _, tc := range []struct {
+		args []string
+		flag string // the flag the error must name; "" for any error
+	}{
+		{[]string{"-live", "-load", "summary.bin"}, ""},
+		{[]string{"-shards", "2"}, ""},
+		{[]string{"-replica-of", "http://localhost:1", "-live"}, ""},
+		{[]string{"-coordinator", "http://localhost:1", "-tenants", "a=adl"}, ""},
+		{[]string{"-coordinator", " ; "}, ""},
+		{[]string{"-replica-of", "http://localhost:1"}, ""}, // no -checkpoint
+		{[]string{"-tenants", "a=adl", "-file", "adl.bin"}, ""},
+		{[]string{"-tenants", "a=uni"}, ""},
+		{[]string{"-load", filepath.Join(t.TempDir(), "missing.bin")}, ""},
+		{[]string{"-file", filepath.Join(t.TempDir(), "missing.bin")}, ""},
+		{[]string{"-dataset", "uni"}, ""},
+		{[]string{"-algo", "bogus"}, ""},
+		{[]string{"-algo", "meuler", "-areas", "9,1"}, ""},
+		{[]string{"-live", "-algo", "bogus"}, ""},
+		{[]string{"-live", "-areas", "1,x"}, ""},
+		{[]string{"-live", "-shards", "100000", "-gw", "8"}, ""},
+		{[]string{"-save", filepath.Join(t.TempDir(), "no", "such", "dir", "s.bin")}, ""},
+		{[]string{"-live", "-shards", "2", "-cache", "8"}, "-cache"},
+		{[]string{"-live", "-shards", "2", "-workers", "2"}, "-workers"},
+		{[]string{"-live", "-shards", "2", "-max-inflight", "4"}, "-max-inflight"},
+		{[]string{"-live", "-shards", "2", "-overview-epsilon", "0.05"}, "-overview-epsilon"},
+		{[]string{"-live", "-shards", "2", "-log-requests"}, "-log-requests"},
+		{[]string{"-coordinator", "http://localhost:1", "-cache", "8"}, "-cache"},
+		{[]string{"-coordinator", "http://localhost:1", "-workers", "2"}, "-workers"},
+		{[]string{"-coordinator", "http://localhost:1", "-max-inflight", "4"}, "-max-inflight"},
+		{[]string{"-coordinator", "http://localhost:1", "-overview-epsilon", "0.05"}, "-overview-epsilon"},
+		{[]string{"-coordinator", "http://localhost:1", "-log-requests"}, "-log-requests"},
+		{[]string{"-live", "-save", save}, "-save"},
+		{[]string{"-live", "-shards", "2", "-save", save}, "-save"},
+		{[]string{"-replica-of", "http://localhost:1", "-checkpoint", ckpt, "-pyramid-min-grid", "8"}, "-pyramid-min-grid"},
 	} {
 		fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
 		var cfg config
 		cfg.register(fs)
-		if err := fs.Parse(append([]string{"-n", "50"}, args...)); err != nil {
+		if err := fs.Parse(append([]string{"-n", "50"}, tc.args...)); err != nil {
 			t.Fatal(err)
 		}
-		if nd, err := assemble(cfg); err == nil {
-			t.Errorf("%v: assembled a node", args)
+		nd, err := assemble(cfg)
+		switch {
+		case err == nil:
+			t.Errorf("%v: assembled a node", tc.args)
 			if nd.close != nil {
 				nd.close()
 			}
+		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" would be ignored"):
+			t.Errorf("%v: error %q, want %s refused", tc.args, err, tc.flag)
 		}
+	}
+	if _, err := os.Stat(save); !os.IsNotExist(err) {
+		t.Errorf("a refused -save wrote %s (stat: %v)", save, err)
 	}
 }

@@ -268,9 +268,10 @@ func (a *Archive) estimate(subjects []int, bandLo, bandHi int, tile grid.Span) c
 
 // Browse answers a full browsing interaction: the filtered records against
 // every tile of a cols×rows tiling of the region (row-major from the
-// south-west). Each selected partition contributes one batch sweep of its
-// histogram (core.BatchEstimator) instead of per-tile lookups, so the cost
-// is O(partitions × tiles) additions over O(1)-gathered corner sums.
+// south-west). Partitions hold disjoint record sets, so their raw estimates
+// add: every selected partition's plan (core.PlanGrid) sweeps straight into
+// the one result plane, O(partitions × tiles) additions and no plane per
+// partition.
 func (a *Archive) Browse(f Filter, region grid.Span, cols, rows int) ([]core.Estimate, error) {
 	subjects, bandLo, bandHi, err := a.resolve(f)
 	if err != nil {
@@ -286,15 +287,12 @@ func (a *Archive) Browse(f Filter, region grid.Span, cols, rows int) ([]core.Est
 			if p == nil {
 				continue
 			}
-			part, err := p.EstimateGrid(region, cols, rows)
+			plan, err := core.PlanGrid(p, region, cols, rows, 0)
 			if err != nil {
 				return nil, err
 			}
-			for k, e := range part {
-				out[k].Disjoint += e.Disjoint
-				out[k].Contains += e.Contains
-				out[k].Contained += e.Contained
-				out[k].Overlap += e.Overlap
+			if err := plan.Add(out, nil); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -2,9 +2,12 @@ package archive
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"spatialhist/internal/check/gen"
+	"spatialhist/internal/core"
 	"spatialhist/internal/exact"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
@@ -169,6 +172,117 @@ func TestFilteredBrowseMatchesBrute(t *testing.T) {
 				t.Fatalf("filter %d tile %d: N_cs %d vs exact %d", fi, k, e.Contains, want.Contains)
 			}
 		}
+	}
+}
+
+// TestBrowseMatchesPerTileEstimate: summing the selected partitions' sweeps
+// into one plane is the per-tile Estimate loop, bit for bit, across
+// filters and tilings — the region's edges, its interior, one row.
+func TestBrowseMatchesPerTileEstimate(t *testing.T) {
+	a := buildArchive(t, genRecords(rand.New(rand.NewSource(112)), 3000))
+	filters := []Filter{
+		{},
+		{Subjects: []int{1}},
+		{DateFrom: 1950, DateTo: 1980},
+		{Subjects: []int{0, 2}, DateFrom: 1900, DateTo: 1910},
+		{Subjects: []int{2, 0, 2}, DateFrom: 1990, DateTo: 2000},
+	}
+	tilings := []struct {
+		region     grid.Span
+		cols, rows int
+	}{
+		{grid.Span{I2: 39, J2: 19}, 8, 4},
+		{grid.Span{I2: 39, J2: 19}, 40, 20},
+		{grid.Span{I2: 39, J2: 19}, 5, 1},
+		{grid.Span{I1: 4, J1: 2, I2: 35, J2: 17}, 4, 8},
+	}
+	for fi, f := range filters {
+		for _, tl := range tilings {
+			got, err := a.Browse(f, tl.region, tl.cols, tl.rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, tile := range gen.Tiles(tl.region, tl.cols, tl.rows) {
+				want, err := a.Estimate(f, tile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[k] != want {
+					t.Fatalf("filter %d %v %dx%d tile %d: Browse %v, Estimate %v", fi, tl.region, tl.cols, tl.rows, k, got[k], want)
+				}
+			}
+		}
+	}
+}
+
+// TestBrowseEmptySelection: a filter that selects no populated partition
+// plans nothing, so the tiling is checked before the partition loop — an
+// all-zero map for a valid one, an error for one that does not divide.
+func TestBrowseEmptySelection(t *testing.T) {
+	a := buildArchive(t, []Record{{MBR: geom.NewRect(1, 1, 2, 2), Date: 1905, Subject: 0}})
+	f := Filter{Subjects: []int{1}}
+	region := grid.Span{I2: 39, J2: 19}
+	got, err := a.Browse(f, region, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 32 {
+		t.Fatalf("%d tiles, want 32", len(got))
+	}
+	for k, e := range got {
+		if e != (core.Estimate{}) {
+			t.Fatalf("tile %d of an empty selection = %v", k, e)
+		}
+	}
+	if _, err := a.Browse(f, region, 7, 4); err == nil {
+		t.Fatal("non-dividing tiling over an empty selection must error")
+	}
+}
+
+// TestBrowseAllocatesOnePlane: a map over many partitions costs the one
+// result plane plus per-sweep bookkeeping of O(rows), not a plane per
+// partition. Before every partition swept into the shared plane, this
+// 6-partition, 256×128-tile map allocated 7,359,971 bytes: seven 1 MiB
+// planes, one per partition and the sum.
+func TestBrowseAllocatesOnePlane(t *testing.T) {
+	b, err := NewBuilder(Schema{Grid: grid.NewUnit(256, 128), Subjects: []string{"map", "photo"}, DateLo: 1900, DateHi: 2000, DateBands: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range genRecords(rand.New(rand.NewSource(113)), 600) {
+		rec.Subject %= 2
+		b.Add(rec)
+	}
+	a := b.Build()
+	parts := 0
+	for sub := range a.Schema().Subjects {
+		for band := 0; band < a.Schema().DateBands; band++ {
+			if a.PartitionCount(sub, band) > 0 {
+				parts++
+			}
+		}
+	}
+	if parts < 4 {
+		t.Fatalf("%d partitions: the test exercises nothing", parts)
+	}
+	region := grid.Span{I2: 255, J2: 127}
+	const cols, rows, runs = 256, 128, 10
+	if _, err := a.Browse(Filter{}, region, cols, rows); err != nil { // warm the metric registry
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := a.Browse(Filter{}, region, cols, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perMap := int((after.TotalAlloc - before.TotalAlloc) / runs)
+	plane := int(unsafe.Sizeof(core.Estimate{})) * cols * rows
+	t.Logf("%d bytes per %d-partition map; one plane is %d", perMap, parts, plane)
+	if budget := plane*5/4 + parts*64*rows; perMap > budget {
+		t.Errorf("%d bytes per %d-partition map, budget %d (1.25 x one %d-byte plane + O(rows) per partition)", perMap, parts, budget, plane)
 	}
 }
 

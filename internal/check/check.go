@@ -160,7 +160,7 @@ func Transcripts() []Check {
 		}
 	}
 	return []Check{
-		transcriptCheck("sweeps-vs-per-tile", "EstimateGrid, EstimateGridParallel and EstimateGridInto (a dirty plane, random row bands) answer every tile map as a per-tile Estimate loop does",
+		transcriptCheck("sweeps-vs-per-tile", "EstimateGrid, Plan.Estimates on a pool and Plan.Add (onto a dirty plane, in random row bands) answer every tile map as a per-tile Estimate loop does",
 			func(r *rand.Rand) []config { return []config{freshConfig(sweep(1+r.Intn(3)), r.Int63())} }),
 		transcriptCheck("chain-vs-fresh", "BuildFrom chains (repair, full rebuild, scratch donation, copy-first) and PyramidFrom repairs read as fresh and direct coarse builds, at either cell width, and each width follows its builder's count of updates",
 			func(r *rand.Rand) []config { return []config{chainConfig(lowered(r, 2), sw(r), r.Int63())} }),

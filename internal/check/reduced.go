@@ -72,7 +72,7 @@ func runEpsilonBound(seed int64) *Divergence {
 			return &Divergence{Check: name, Seed: seed, Grid: gridDesc(g), Rects: rects,
 				Detail: fmt.Sprintf("served bound %g exceeds ε·|tile| = %g", bound, eps*float64(tw)*float64(th))}
 		}
-		exactEsts, err := se.EstimateGrid(region, cols, rows)
+		exactEsts, err := core.EstimateGrid(se, region, cols, rows)
 		if err != nil {
 			return &Divergence{Check: name, Seed: seed, Grid: gridDesc(g),
 				Detail: "exact sweep failed on a served tiling: " + err.Error()}

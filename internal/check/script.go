@@ -23,6 +23,7 @@ import (
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/query"
+	"spatialhist/internal/telemetry"
 )
 
 // interpreter is one way of carrying out a script.
@@ -210,12 +211,12 @@ type sweep int
 const (
 	perTile  sweep = iota // one Estimate per tile
 	oneSweep              // core.EstimateGrid
-	parallel              // core.EstimateGridParallel on 2–4 workers
-	banded                // core.EstimateGridInto over a garbage-filled plane, in random row bands
+	pooled                // core.PlanGrid, then Plan.Estimates on a 2–4-slot pool
+	banded                // Plan.Add onto a garbage-filled plane, one plan per random row band
 )
 
 func (s sweep) String() string {
-	return [...]string{"per-tile", "EstimateGrid", "EstimateGridParallel", "banded EstimateGridInto"}[s]
+	return [...]string{"per-tile", "EstimateGrid", "pooled Plan.Estimates", "banded Plan.Add"}[s]
 }
 
 // reader answers probes from an estimator: tile maps by its sweep, the
@@ -246,21 +247,37 @@ func (rd *reader) mapOf(est core.Estimator, region grid.Span, cols, rows int) ([
 	switch rd.sweep {
 	case oneSweep:
 		return core.EstimateGrid(est, region, cols, rows)
-	case parallel:
-		return core.EstimateGridParallel(est, region, cols, rows, 2+rd.r.Intn(3))
+	case pooled:
+		p, err := core.PlanGrid(est, region, cols, rows, 0)
+		if err != nil {
+			return nil, err
+		}
+		ests, _, err := p.Estimates(core.NewBandPool(2+rd.r.Intn(3), new(telemetry.Gauge), nil))
+		return ests, err
 	case banded:
-		// None of the garbage may show through, nor the seams.
+		// Every band adds onto the garbage, and adding its negation back
+		// must leave the map: nothing overwritten, no seam.
 		plane := make([]core.Estimate, cols*rows)
+		undo := make([]core.Estimate, cols*rows)
 		for k := range plane {
-			plane[k] = core.Estimate{Disjoint: rd.r.Int63(), Contains: -rd.r.Int63(), Contained: rd.r.Int63(), Overlap: -rd.r.Int63()}
+			a, b, c, d := rd.r.Int63(), rd.r.Int63(), rd.r.Int63(), rd.r.Int63()
+			plane[k] = core.Estimate{Disjoint: a, Contains: -b, Contained: c, Overlap: -d}
+			undo[k] = core.Estimate{Disjoint: -a, Contains: b, Contained: -c, Overlap: d}
 		}
 		th := region.Height() / rows
 		for r0 := 0; r0 < rows; {
 			r1 := r0 + 1 + rd.r.Intn(rows-r0)
-			if err := core.EstimateGridInto(est, plane[r0*cols:r1*cols], query.RowBand(region, th, r0, r1-1), cols, r1-r0); err != nil {
+			p, err := core.PlanGrid(est, query.RowBand(region, th, r0, r1-1), cols, r1-r0, 0)
+			if err != nil {
+				return nil, err
+			}
+			if err := p.Add(plane[r0*cols:r1*cols], nil); err != nil {
 				return nil, err
 			}
 			r0 = r1
+		}
+		for k, u := range undo {
+			plane[k].Add(u)
 		}
 		return plane, nil
 	}

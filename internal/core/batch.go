@@ -16,16 +16,6 @@ import (
 	"spatialhist/internal/query"
 )
 
-// BatchEstimator is implemented by estimators that can answer a whole tile
-// map in one sweep. EstimateGrid returns the estimate of every tile of the
-// cols×rows tiling of region, row-major from the south-west (index
-// row*cols+col, the query.Browsing order), and must return exactly the
-// estimates the per-tile Estimate path would.
-type BatchEstimator interface {
-	Estimator
-	EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error)
-}
-
 // gridAdder is that sum's term: addGrid adds the estimator's counts for
 // every tile of the tiling into dst (row-major, len cols×rows), each field
 // into its own.
@@ -34,47 +24,23 @@ type gridAdder interface {
 	addGrid(dst []Estimate, region grid.Span, cols, rows int) error
 }
 
-// EstimateGrid answers every tile of the cols×rows tiling of region: one
-// accumulating sweep per histogram for the paper's estimators, a per-tile
-// loop for any other Estimator, so callers serve tile maps through one
-// entry point. Each successful call records one sweep (tile count,
-// duration) into telemetry.Default() under the estimator's name.
+// EstimateGrid answers every tile of the cols×rows tiling of region, exact
+// and inline: PlanGrid then Plan.Estimates, for callers that neither bound
+// the error nor bring a pool. The plane is row-major from the south-west
+// (index row*cols+col, the query.Browsing order), bit-identical to calling
+// Estimate per tile, and the map is recorded as one sweep.
 func EstimateGrid(est Estimator, region grid.Span, cols, rows int) ([]Estimate, error) {
-	return EstimateGridPooled(est, region, cols, rows, nil)
-}
-
-// EstimateGridParallel is EstimateGrid with the tile rows of large maps
-// fanned across up to workers goroutines (workers <= 0 means GOMAXPROCS).
-func EstimateGridParallel(est Estimator, region grid.Span, cols, rows, workers int) ([]Estimate, error) {
-	return EstimateGridPooled(est, region, cols, rows, NewBandPool(workers, parallelWorkersActive(), nil))
-}
-
-// EstimateGridPooled is EstimateGrid with the tile rows of large maps
-// fanned across pool (nil runs inline). Each band sweeps straight into its
-// rows of the one result plane, so the output is identical to EstimateGrid
-// in content and order, and the map is recorded as one sweep.
-func EstimateGridPooled(est Estimator, region grid.Span, cols, rows int, pool *BandPool) ([]Estimate, error) {
 	p, err := PlanGrid(est, region, cols, rows, 0)
 	if err != nil {
 		return nil, err
 	}
-	ests, _, err := p.Estimates(pool)
+	ests, _, err := p.Estimates(nil)
 	return ests, err
 }
 
-// EstimateGridInto is EstimateGrid into a caller-supplied plane of
-// cols×rows estimates — a reused buffer, or one band's rows of a larger
-// plane. dst need not be zeroed: nothing of its previous content survives.
-func EstimateGridInto(est Estimator, dst []Estimate, region grid.Span, cols, rows int) error {
-	p, err := PlanGrid(est, region, cols, rows, 0)
-	if err != nil {
-		return err
-	}
-	clear(dst)
-	return p.Add(dst, nil)
-}
-
-// sumGrid adds the answer to one tiling into dst, without telemetry.
+// sumGrid adds the answer to one tiling into dst, without telemetry: one
+// accumulating sweep per histogram for the paper's estimators, a per-tile
+// loop for any other Estimator.
 func sumGrid(est Estimator, dst []Estimate, region grid.Span, cols, rows int) error {
 	if a, ok := est.(gridAdder); ok {
 		return a.addGrid(dst, region, cols, rows)
@@ -88,19 +54,6 @@ func sumGrid(est Estimator, dst []Estimate, region grid.Span, cols, rows int) er
 		dst[k].Add(est.Estimate(grid.Span{I1: i1, J1: j1, I2: i1 + tw - 1, J2: j1 + th - 1}))
 	}
 	return nil
-}
-
-// makeGrid is the EstimateGrid method of the paper's estimators: one
-// plane, one uninstrumented sweep.
-func makeGrid(est gridAdder, region grid.Span, cols, rows int) ([]Estimate, error) {
-	if _, _, err := query.Tiling(region, cols, rows); err != nil {
-		return nil, err
-	}
-	dst := make([]Estimate, cols*rows)
-	if err := sumGrid(est, dst, region, cols, rows); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // addSEuler adds one histogram's S-EulerApprox counts for one tile
@@ -126,11 +79,6 @@ func addEuler(d *Estimate, n, nii, neiPrime, ncd int64) {
 	d.Contains += n - ncd - nd - no
 	d.Contained += ncd
 	d.Overlap += no
-}
-
-// EstimateGrid implements BatchEstimator.
-func (e *SEuler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error) {
-	return makeGrid(e, region, cols, rows)
 }
 
 func (e *SEuler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error {
@@ -179,11 +127,6 @@ func addSEulerGrid[T euler.Cell](e *SEuler, dst []Estimate, region grid.Span, co
 		}
 	}
 	return nil
-}
-
-// EstimateGrid implements BatchEstimator.
-func (e *Euler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error) {
-	return makeGrid(e, region, cols, rows)
 }
 
 // addGrid resolves the histogram's cell width, once per sweep, and runs the
@@ -277,11 +220,6 @@ func addEulerGrid[T euler.Cell](e *Euler, dst []Estimate, region grid.Span, cols
 		}
 	}
 	return nil
-}
-
-// EstimateGrid implements BatchEstimator.
-func (m *MEuler) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error) {
-	return makeGrid(m, region, cols, rows)
 }
 
 // addGrid sums the area groups into the one plane. Every tile of an equal

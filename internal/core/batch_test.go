@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialhist/internal/check/gen"
@@ -10,6 +10,7 @@ import (
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/query"
+	"spatialhist/internal/telemetry"
 )
 
 // batchRects draws from the shared generators with two interleaved
@@ -29,8 +30,8 @@ func batchRects(r *rand.Rand, g *grid.Grid, n int) []geom.Rect {
 	return out
 }
 
-// hideBatch masks the batch interface so EstimateGrid's per-tile fallback
-// is exercised with the same golden comparison.
+// hideBatch masks the batch kernel (gridAdder) so the plan's per-tile
+// fallback is exercised with the same golden comparison.
 type hideBatch struct{ Estimator }
 
 func testEstimators(t *testing.T, g *grid.Grid, rects []geom.Rect) []Estimator {
@@ -100,19 +101,27 @@ func TestEstimateGridEdgeTilings(t *testing.T) {
 	}
 }
 
-func TestEstimateGridParallelMatchesSerial(t *testing.T) {
+// TestPooledEstimatesMatchSerial: one plan answered on pools of every
+// size — fewer slots than rows, more, and GOMAXPROCS — is the inline
+// answer, tile for tile.
+func TestPooledEstimatesMatchSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	g := grid.NewUnit(128, 96)
 	rects := batchRects(r, g, 500)
 	whole := grid.Span{I1: 0, J1: 0, I2: 127, J2: 95}
+	active := telemetry.NewRegistry().Gauge("active", "")
 	for _, est := range testEstimators(t, g, rects) {
-		// 128×96 = 12288 tiles clears the parallel threshold.
+		// 128×96 = 12288 tiles clears the band floor.
 		serial, err := EstimateGrid(est, whole, 128, 96)
 		if err != nil {
 			t.Fatal(err)
 		}
+		p, err := PlanGrid(est, whole, 128, 96, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{0, 1, 3, 8, 200} {
-			par, err := EstimateGridParallel(est, whole, 128, 96, workers)
+			par, _, err := p.Estimates(NewBandPool(workers, active, nil))
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", est.Name(), workers, err)
 			}
@@ -136,8 +145,8 @@ func TestEstimateGridErrors(t *testing.T) {
 	if _, err := EstimateGrid(est, whole, 0, 2); err == nil {
 		t.Error("zero cols: expected error")
 	}
-	if _, err := EstimateGridParallel(est, whole, 3, 2, 4); err == nil {
-		t.Error("parallel non-dividing tiling: expected error")
+	if _, err := PlanGrid(est, whole, 3, 2, 0); err == nil {
+		t.Error("planning a non-dividing tiling: expected error")
 	}
 }
 
@@ -168,22 +177,15 @@ func intoEstimators(t *testing.T, g *grid.Grid, rects []geom.Rect) []Estimator {
 		ZoomEuler(euler.NewPyramid(eu.Histogram(), euler.PyramidOpts{MinGrid: 4})), zm)
 }
 
-// TestEstimateGridInto pins the accumulate contract from outside:
-// EstimateGridInto over a plane pre-filled with garbage — whole, and in
-// every two-band split of its rows — equals EstimateGrid equals the
-// per-tile loop, bit for bit, for every algorithm at both cell widths and
-// as a zoom stack, on maps whose rows are both lattice edges
-// at once (rows == 1 full-height), one of them, or neither.
-func TestEstimateGridInto(t *testing.T) {
+// TestPlanAdd pins the accumulate contract from outside: Plan.Add onto a
+// plane pre-filled with garbage — whole, and in every two-band split of its
+// rows, one plan per band — is the garbage plus the per-tile loop, bit for
+// bit, for every algorithm at both cell widths and as a zoom stack, on maps
+// whose rows are both lattice edges at once (rows == 1 full-height), one of
+// them, or neither. EstimateGrid is the same map on a zero plane.
+func TestPlanAdd(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	g := grid.NewUnit(48, 40)
-	garbage := func(n int) []Estimate {
-		p := make([]Estimate, n)
-		for k := range p {
-			p[k] = Estimate{Disjoint: r.Int63(), Contains: -r.Int63(), Contained: r.Int63(), Overlap: -r.Int63()}
-		}
-		return p
-	}
 	tilings := []struct {
 		region     grid.Span
 		cols, rows int
@@ -204,40 +206,56 @@ func TestEstimateGridInto(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := EstimateSet(est, qs.Tiles)
-			check := func(how string, got []Estimate) {
-				t.Helper()
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("%s %v %dx%d %s: tile %d = %v, per-tile %v", est.Name(), region, cols, rows, how, k, got[k], want[k])
-					}
-				}
-			}
 			got, err := EstimateGrid(est, region, cols, rows)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("EstimateGrid", got)
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%s %v %dx%d EstimateGrid: tile %d = %v, per-tile %v", est.Name(), region, cols, rows, k, got[k], want[k])
+				}
+			}
 			for split := 0; split < rows; split++ { // split 0: the whole plane at once
-				plane := garbage(cols * rows)
+				garbage := make([]Estimate, cols*rows)
+				for k := range garbage {
+					garbage[k] = Estimate{Disjoint: r.Int63n(1 << 40), Contains: -r.Int63n(1 << 40), Contained: r.Int63n(1 << 40), Overlap: -r.Int63n(1 << 40)}
+				}
+				plane := slices.Clone(garbage)
 				for _, band := range [][2]int{{0, split}, {split, rows}} {
 					r0, r1 := band[0], band[1]
 					if r0 == r1 {
 						continue
 					}
-					sub := query.RowBand(region, region.Height()/rows, r0, r1-1)
-					if err := EstimateGridInto(est, plane[r0*cols:r1*cols], sub, cols, r1-r0); err != nil {
+					p, err := PlanGrid(est, query.RowBand(region, region.Height()/rows, r0, r1-1), cols, r1-r0, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := p.Add(plane[r0*cols:r1*cols], nil); err != nil {
 						t.Fatal(err)
 					}
 				}
-				check(fmt.Sprintf("EstimateGridInto split at row %d", split), plane)
+				for k := range want {
+					w := garbage[k]
+					w.Add(want[k])
+					if plane[k] != w {
+						t.Fatalf("%s %v %dx%d Add split at row %d: tile %d = %v, garbage + per-tile %v", est.Name(), region, cols, rows, split, k, plane[k], w)
+					}
+				}
 			}
 		}
 	}
 	se := SEulerFromRects(g, nil)
-	if err := EstimateGridInto(se, make([]Estimate, 5), grid.Span{I2: 47, J2: 39}, 2, 2); err == nil {
+	p, err := PlanGrid(se, grid.Span{I2: 47, J2: 39}, 2, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Add(make([]Estimate, 5), nil); err == nil {
 		t.Error("plane of the wrong length: expected error")
 	}
-	if err := EstimateGridInto(se, make([]Estimate, 4), grid.Span{I2: 95, J2: 39}, 2, 2); err == nil {
+	if p, err = PlanGrid(se, grid.Span{I2: 95, J2: 39}, 2, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Add(make([]Estimate, 4), nil); err == nil {
 		t.Error("region outside the grid: expected error")
 	}
 }

@@ -2,9 +2,7 @@
 // records into telemetry.Default() — the registry cmd/geobrowsed exposes
 // at /metrics — at tile-map granularity, never per tile or per row band:
 // one counter add and one histogram observation per map keeps the
-// overhead invisible next to a multi-thousand-tile lattice pass (the
-// BenchmarkBrowseGrid "batched" case calls the estimator method directly
-// and is untouched).
+// overhead invisible next to a multi-thousand-tile lattice pass.
 package core
 
 import (
@@ -34,11 +32,4 @@ func observeSweep(algo string, tiles int, start time.Time) {
 	reg.Histogram("core_batch_sweep_seconds",
 		"Batch sweep duration in seconds, by algorithm.",
 		sweepBuckets, "algo", algo).ObserveDuration(time.Since(start))
-}
-
-// parallelWorkersActive is the number of row bands currently running in
-// EstimateGridParallel's per-call pools.
-func parallelWorkersActive() *telemetry.Gauge {
-	return telemetry.Default().Gauge("core_parallel_workers_active",
-		"Row-band workers currently running in EstimateGridParallel.")
 }

@@ -198,10 +198,10 @@ func TestPlanCountsMapsNotBands(t *testing.T) {
 	if h1-h0 != 1 || s1-s0 != 1 {
 		t.Fatalf("one banded map advanced level hits by %d and sweeps by %d, want 1 and 1", h1-h0, s1-s0)
 	}
-	if _, err := EstimateGridPooled(z, full, 128, 64, pool); err != nil {
+	if _, err := EstimateGrid(z, full, 128, 64); err != nil {
 		t.Fatal(err)
 	}
-	if err := EstimateGridInto(z, make([]Estimate, 128*64), full, 128, 64); err != nil {
+	if err := p.Add(make([]Estimate, 128*64), pool); err != nil {
 		t.Fatal(err)
 	}
 	if h2, s2, _ := counts(); h2-h1 != 2 || s2-s1 != 2 {

@@ -68,7 +68,7 @@ func TestOverviewEpsilonBound(t *testing.T) {
 		if bound > eps*float64(tw)*float64(th) {
 			t.Fatalf("reported bound %g exceeds the budget", bound)
 		}
-		exact, err := z.EstimateGrid(region, cols, rows)
+		exact, err := EstimateGrid(z, region, cols, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestOverviewExactWhenCertZero(t *testing.T) {
 	if bound != 0 {
 		t.Fatalf("aligned map bound = %g, want 0", bound)
 	}
-	exact, err := se.EstimateGrid(region, 4, 2)
+	exact, err := EstimateGrid(se, region, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

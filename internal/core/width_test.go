@@ -56,12 +56,12 @@ func TestCellWidthsBitIdentical(t *testing.T) {
 	region := spanOf(0, 0, nx-1, ny-1)
 	for _, tiling := range [][2]int{{1, 1}, {8, 8}, {12, 10}, {nx, ny}} {
 		cols, rows := tiling[0], tiling[1]
-		for _, pair := range [][2]BatchEstimator{{seF, seP}, {euF, euP}} {
-			want, err := pair[0].EstimateGrid(region, cols, rows)
+		for _, pair := range [][2]Estimator{{seF, seP}, {euF, euP}} {
+			want, err := EstimateGrid(pair[0], region, cols, rows)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := pair[1].EstimateGrid(region, cols, rows)
+			got, err := EstimateGrid(pair[1], region, cols, rows)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,11 +125,11 @@ func TestMEulerMixedCellWidths(t *testing.T) {
 		}
 	}
 	region := spanOf(0, 0, nx-1, ny-1)
-	want, err := mF.EstimateGrid(region, 8, 8)
+	want, err := EstimateGrid(mF, region, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mP.EstimateGrid(region, 8, 8)
+	got, err := EstimateGrid(mP, region, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,11 +174,3 @@ func (z *Zoom) Estimate(q grid.Span) Estimate {
 	z.hits[k].Inc()
 	return z.levels[k].Estimate(lq)
 }
-
-// EstimateGrid implements BatchEstimator: one sweep over the resolved
-// level's lattice (PlanGrid routes a zoom stack).
-// The tile geometry scales exactly (tile size 2^-k×, same cols×rows), so
-// the output is tile-for-tile what the base sweep returns.
-func (z *Zoom) EstimateGrid(region grid.Span, cols, rows int) ([]Estimate, error) {
-	return EstimateGrid(z, region, cols, rows)
-}

@@ -63,7 +63,7 @@ func BenchmarkBrowsePyramid(b *testing.B) {
 		b.Run(c.name+"/level0", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := base.EstimateGrid(c.region, c.cols, c.rows); err != nil {
+				if _, err := EstimateGrid(base, c.region, c.cols, c.rows); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -72,7 +72,7 @@ func BenchmarkBrowsePyramid(b *testing.B) {
 			b.ReportMetric(float64(zoom.Level(level).(LatticeSizer).LatticeBytes()), "lattice-bytes")
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := zoom.EstimateGrid(c.region, c.cols, c.rows); err != nil {
+				if _, err := EstimateGrid(zoom, c.region, c.cols, c.rows); err != nil {
 					b.Fatal(err)
 				}
 			}

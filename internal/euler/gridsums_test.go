@@ -8,6 +8,27 @@ import (
 	"spatialhist/internal/grid"
 )
 
+// checkGridSums holds GridQuerySums to per-tile InsideSum, ClosedSum and
+// OutsideSum (Total − Closed) on one tiling.
+func checkGridSums(t *testing.T, h *Histogram, region grid.Span, cols, rows int) {
+	t.Helper()
+	ts, err := h.GridQuerySums(region, cols, rows)
+	if err != nil {
+		t.Fatalf("grid %v: GridQuerySums(%v,%d,%d): %v", h.Grid(), region, cols, rows, err)
+	}
+	for k, q := range gen.Tiles(region, cols, rows) {
+		if got, want := ts.Inside[k], h.InsideSum(q); got != want {
+			t.Fatalf("%v %dx%d tile %d %v: inside %d, want %d", region, cols, rows, k, q, got, want)
+		}
+		if got, want := ts.Closed[k], h.ClosedSum(q); got != want {
+			t.Fatalf("%v %dx%d tile %d %v: closed %d, want %d", region, cols, rows, k, q, got, want)
+		}
+		if got, want := h.Total()-ts.Closed[k], h.OutsideSum(q); got != want {
+			t.Fatalf("%v %dx%d tile %d %v: outside %d, want %d", region, cols, rows, k, q, got, want)
+		}
+	}
+}
+
 func TestGridSumsMatchPerTile(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for _, gc := range [][2]int{{1, 1}, {7, 5}, {36, 18}, {61, 43}} {
@@ -19,25 +40,33 @@ func TestGridSumsMatchPerTile(t *testing.T) {
 				h = narrow.Unpack() // the same sweep over 8-byte cells
 			}
 			region, cols, rows := gen.Tiling(r, g)
-			ts, err := h.GridQuerySums(region, cols, rows)
-			if err != nil {
-				t.Fatalf("grid %v: GridQuerySums(%v,%d,%d): %v", g, region, cols, rows, err)
-			}
-			outs, err := h.GridOutsideSums(region, cols, rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, q := range gen.Tiles(region, cols, rows) {
-				if got, want := ts.Inside[k], h.InsideSum(q); got != want {
-					t.Fatalf("tile %d %v: inside %d, want %d", k, q, got, want)
-				}
-				if got, want := ts.Closed[k], h.ClosedSum(q); got != want {
-					t.Fatalf("tile %d %v: closed %d, want %d", k, q, got, want)
-				}
-				if got, want := outs[k], h.OutsideSum(q); got != want {
-					t.Fatalf("tile %d %v: outside %d, want %d", k, q, got, want)
-				}
-			}
+			checkGridSums(t, h, region, cols, rows)
+		}
+	}
+}
+
+// TestGridSumsEdgeRows pins the tile rows whose corners leave the lattice —
+// the bottom row, the top row, both at once (rows == 1 over the full
+// height) — beside interior-only maps, at both cell widths.
+func TestGridSumsEdgeRows(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	g := grid.NewUnit(48, 40)
+	narrow := FromRects(g, gen.Rects(r, g, 500, gen.RectOpts{}))
+	for _, h := range []*Histogram{narrow, narrow.Unpack()} {
+		for _, tl := range []struct {
+			region     grid.Span
+			cols, rows int
+		}{
+			{grid.Span{I2: 47, J2: 39}, 12, 1},                // one row, bottom and top edge at once
+			{grid.Span{I2: 47, J2: 39}, 48, 40},               // every cell
+			{grid.Span{I2: 47, J2: 39}, 6, 10},                // both edge rows
+			{grid.Span{I1: 4, I2: 43, J2: 19}, 10, 5},         // bottom edge only
+			{grid.Span{I1: 4, J1: 20, I2: 43, J2: 39}, 8, 4},  // top edge only
+			{grid.Span{I1: 8, J1: 8, I2: 39, J2: 31}, 8, 6},   // interior
+			{grid.Span{J1: 8, I2: 47, J2: 15}, 3, 1},          // one interior row
+			{grid.Span{I1: 47, J1: 39, I2: 47, J2: 39}, 1, 1}, // the top-right cell
+		} {
+			checkGridSums(t, h, tl.region, tl.cols, tl.rows)
 		}
 	}
 }
@@ -55,16 +84,7 @@ func TestGridSumsWholeSpaceSingleTile(t *testing.T) {
 		t.Fatalf("1x1 whole-space tile: got %d/%d, want %d/%d",
 			ts.Inside[0], ts.Closed[0], h.InsideSum(whole), h.ClosedSum(whole))
 	}
-	// Max tiling: every tile a single cell.
-	ins, err := h.GridInsideSums(whole, 12, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, q := range gen.Tiles(whole, 12, 9) {
-		if ins[k] != h.InsideSum(q) {
-			t.Fatalf("cell tile %d: %d, want %d", k, ins[k], h.InsideSum(q))
-		}
-	}
+	checkGridSums(t, h, whole, 12, 9) // max tiling: every tile a single cell
 }
 
 func TestGridSumsBadTiling(t *testing.T) {
@@ -84,30 +104,6 @@ func TestGridSumsBadTiling(t *testing.T) {
 	} {
 		if _, err := h.GridQuerySums(c.region, c.cols, c.rows); err == nil {
 			t.Errorf("GridQuerySums(%v, %d, %d): expected error", c.region, c.cols, c.rows)
-		}
-	}
-}
-
-func TestExteriorGridInsideSums(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	g := grid.NewUnit(24, 16)
-	b := NewExteriorBuilder(g)
-	for _, rect := range gen.Rects(r, g, 150, gen.RectOpts{}) {
-		if s, ok := g.Snap(rect); ok {
-			b.AddSpan(s)
-		}
-	}
-	h := b.Build()
-	for trial := 0; trial < 30; trial++ {
-		region, cols, rows := gen.Tiling(r, g)
-		ins, err := h.GridInsideSums(region, cols, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, q := range gen.Tiles(region, cols, rows) {
-			if got, want := ins[k], h.InsideSum(q); got != want {
-				t.Fatalf("tile %d %v: %d, want %d", k, q, got, want)
-			}
 		}
 	}
 }

@@ -14,13 +14,13 @@ import (
 	"spatialhist/internal/query"
 )
 
-// Wire encoding. Every tile payload — browse maps, faceted maps, drill
-// leaves, single queries, on the Server and on the shard front — is
-// written by the append encoders in this file, straight from the sweep's
-// []core.Estimate into one exactly-sized buffer. The bytes are those
-// encoding/json produces for BrowseResponse, FacetedBrowseResponse,
-// DrillResponse and TileEstimate, which stay the decode-side types and
-// the oracle the encoders are fuzzed against (FuzzBrowseEncode).
+// Wire encoding. Every tile payload — browse maps, drill leaves, single
+// queries, on the Server and on the shard front — is written by the append
+// encoders in this file, straight from the sweep's []core.Estimate into one
+// exactly-sized buffer. The bytes are those encoding/json produces for
+// BrowseResponse, DrillResponse and TileEstimate, which stay the
+// decode-side types and the oracle the encoders are fuzzed against
+// (FuzzBrowseEncode).
 //
 // A tile map is encoded in two phases (appendMapResponse): a measuring
 // pass gives every tile row its exact place in the body, which is
@@ -269,13 +269,13 @@ func appendCount(dst []byte, v int64) []byte {
 	return dst
 }
 
-// appendMapResponse appends a tile-map response object: cols, rows, then
-// mid (further members, each with its leading comma), the tiles array, and
-// tail (likewise) — growing dst once, to exactly the bytes written, so a
-// body kept by the browse cache retains no slack. The rows are measured,
-// then written by the row bands of pool, each band into its own slice of
-// the body; a nil pool is one band on the caller's goroutine.
-func appendMapResponse(pool *core.BandPool, dst []byte, m tileMap, mid, tail []byte) ([]byte, error) {
+// appendMapResponse appends a tile-map response object: cols, rows, the
+// tiles array, then tail (further members, each with its leading comma) —
+// growing dst once, to exactly the bytes written, so a body kept by the
+// browse cache retains no slack. The rows are measured, then written by
+// the row bands of pool, each band into its own slice of the body; a nil
+// pool is one band on the caller's goroutine.
+func appendMapResponse(pool *core.BandPool, dst []byte, m tileMap, tail []byte) ([]byte, error) {
 	var scratch [64]byte
 	head := fmt.Appendf(scratch[:0], `{"cols":%d,"rows":%d`, m.cols, m.rows)
 	const tiles = `,"tiles":[`
@@ -285,7 +285,7 @@ func appendMapResponse(pool *core.BandPool, dst []byte, m tileMap, mid, tail []b
 	// ones once.
 	xs := 2*int(m.off[m.cols+1]) - len(m.x(0)) - len(m.x(m.cols))
 	off := make([]int, m.rows+1)
-	off[0] = len(dst) + len(head) + len(mid) + len(tiles)
+	off[0] = len(dst) + len(head) + len(tiles)
 	for r := 0; r < m.rows; r++ {
 		off[r+1] = off[r] + m.rowSize(r, xs)
 	}
@@ -295,9 +295,7 @@ func appendMapResponse(pool *core.BandPool, dst []byte, m tileMap, mid, tail []b
 		copy(grown, dst)
 		dst = grown
 	}
-	dst = append(dst, head...)
-	dst = append(dst, mid...)
-	body := append(dst, tiles...)[:end]
+	body := append(append(dst, head...), tiles...)[:end]
 	err := pool.Bands(m.cols, m.rows, func(r0, r1 int) error {
 		if n := len(m.appendRows(body[off[r0]:off[r0]:off[r1]], r0, r1)); n != off[r1]-off[r0] {
 			return fmt.Errorf("geobrowse: tile rows %d..%d encoded to %d bytes, measured %d", r0, r1-1, n, off[r1]-off[r0])
@@ -332,17 +330,5 @@ func AppendBrowseResponse(pool *core.BandPool, dst []byte, g *grid.Grid, region 
 			return dst, err
 		}
 	}
-	return appendMapResponse(pool, dst, m, nil, tail)
-}
-
-// appendFacetedBrowseResponse is AppendBrowseResponse for the archive's
-// FacetedBrowseResponse, which carries the matching-record count.
-func appendFacetedBrowseResponse(pool *core.BandPool, dst []byte, g *grid.Grid, region grid.Span, cols, rows int, matching int64, ests []core.Estimate) ([]byte, error) {
-	m, err := newTileMap(g, region, cols, rows, ests)
-	if err != nil {
-		return dst, err
-	}
-	var scratch [48]byte
-	mid := strconv.AppendInt(append(scratch[:0], `,"matching":`...), matching, 10)
-	return appendMapResponse(pool, dst, m, mid, nil)
+	return appendMapResponse(pool, dst, m, tail)
 }

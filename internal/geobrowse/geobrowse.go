@@ -16,10 +16,11 @@
 // the paper's queries-at-resolution model; misaligned requests get 400s.
 //
 // Browse requests take the batch estimation path: the whole tile map is
-// answered in one sweep per histogram (core.EstimateGrid), large maps are
-// split by tile row across a bounded worker pool shared by all requests,
-// and responses are cached in a small LRU with single-flight deduplication
-// so identical concurrent requests are computed once.
+// planned once and answered in one sweep per histogram (core.PlanGrid,
+// Plan.Estimates), large maps are split by tile row across a bounded
+// worker pool shared by all requests, and responses are cached in a small
+// LRU with single-flight deduplication so identical concurrent requests
+// are computed once.
 package geobrowse
 
 import (
@@ -415,10 +416,9 @@ func NewTileEstimate(g *grid.Grid, span grid.Span, e core.Estimate) TileEstimate
 // level is the plan's pyramid level (0 when no pyramid is in play): it is
 // part of what was computed, and two requests over the same region and
 // tiling resolve different levels once a snapshot swap changes the stack
-// depth. facets distinguishes faceted (archive) and ε requests over the same
-// region.
-func browseKey(gen uint64, level int, span grid.Span, cols, rows int, facets string) string {
-	return fmt.Sprintf("g%d:l%d:%d,%d,%d,%d/%dx%d;%s", gen, level, span.I1, span.J1, span.I2, span.J2, cols, rows, facets)
+// depth. facet tells an ε request from an exact one over the same region.
+func browseKey(gen uint64, level int, span grid.Span, cols, rows int, facet string) string {
+	return fmt.Sprintf("g%d:l%d:%d,%d,%d,%d/%dx%d;%s", gen, level, span.I1, span.J1, span.I2, span.J2, cols, rows, facet)
 }
 
 // ParseBrowseRequest reads the region and tiling of a browse request

@@ -68,7 +68,7 @@ func newJoinFront(reg *Registry) *joinFront {
 func (s *MultiServer) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s.join.mReqs.Inc()
 	var req JoinRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
+	if err := DecodeBody(w, r, &req, 64<<10); err != nil {
 		s.join.mErrs.Inc()
 		http.Error(w, "bad join request body: "+err.Error(), http.StatusBadRequest)
 		return

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"spatialhist/internal/core"
@@ -124,16 +125,22 @@ func TestJoinEndpointErrors(t *testing.T) {
 	if rec, _ := postJoin(t, ms, JoinRequest{A: "roads"}); rec.Code != http.StatusBadRequest {
 		t.Fatalf("missing side: %d, want 400", rec.Code)
 	}
-	rec := httptest.NewRecorder()
-	ms.ServeHTTP(rec, httptest.NewRequest("POST", "/api/join", bytes.NewReader([]byte("{not json"))))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad body: %d, want 400", rec.Code)
+	for name, body := range map[string]string{
+		"bad body":       "{not json",
+		"trailing bytes": `{"a":"roads","b":"roads"}{"a":"roads","b":"nope"}`,
+		"past 64 KiB":    `{"a":"roads","b":"roads","pad":"` + strings.Repeat("x", 64<<10) + `"}`,
+	} {
+		rec := httptest.NewRecorder()
+		ms.ServeHTTP(rec, httptest.NewRequest("POST", "/api/join", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: %d, want 400", name, rec.Code)
+		}
 	}
 	if rec, _ := postJoin(t, ms, JoinRequest{A: "roads", B: "elsewhere"}); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("incompatible grids: %d, want 422", rec.Code)
 	}
-	if v := reg.CounterValues("core_join_errors_total"); v[""] != 4 {
-		t.Fatalf("core_join_errors_total = %v, want 4", v)
+	if v := reg.CounterValues("core_join_errors_total"); v[""] != 6 {
+		t.Fatalf("core_join_errors_total = %v, want 6", v)
 	}
 	// Tenant routing still works next to the literal /api/join route.
 	rr := httptest.NewRecorder()

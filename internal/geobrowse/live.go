@@ -85,14 +85,19 @@ type MutationResponse struct {
 	Generation uint64 `json:"generation"`
 }
 
-// maxMutationRects bounds one ingestion request body.
-const maxMutationRects = 100_000
+// maxMutationRects bounds one ingestion request body, maxMutationBody its
+// bytes.
+const (
+	maxMutationRects = 100_000
+	maxMutationBody  = 8 << 20
+)
 
 // DecodeBody decodes a request body that must be exactly one JSON value of
-// at most 8 MiB into v: trailing bytes mean a truncated or concatenated
-// request, and acting on its prefix would silently drop the rest.
-func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
+// at most limit bytes into v: trailing bytes mean a truncated or
+// concatenated request, and acting on its prefix would silently drop the
+// rest.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding body: %w", err)
 	}
@@ -108,7 +113,7 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // a live Server accepts.
 func ParseMutationRequest(w http.ResponseWriter, r *http.Request) (rects []geom.Rect, flush bool, err error) {
 	var req MutationRequest
-	if err := DecodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, &req, maxMutationBody); err != nil {
 		return nil, false, err
 	}
 	if len(req.Rects) == 0 {

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"spatialhist/internal/archive"
 	"spatialhist/internal/core"
 	"spatialhist/internal/euler"
 	"spatialhist/internal/geom"
@@ -182,39 +181,6 @@ func TestSweepTelemetryCountsMaps(t *testing.T) {
 	}
 	if got := reg.Gauge("geobrowse_pool_active_workers", "").Value(); got != 0 {
 		t.Errorf("geobrowse_pool_active_workers = %d at rest", got)
-	}
-}
-
-// TestArchiveEndpointsShareMiddleware asserts the facet endpoints run
-// behind the same instrumentation as the plain server's.
-func TestArchiveEndpointsShareMiddleware(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	b, err := archive.NewBuilder(archive.Schema{
-		Grid:      grid.NewUnit(36, 18),
-		Subjects:  []string{"map"},
-		DateLo:    1900,
-		DateHi:    2000,
-		DateBands: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Add(archive.Record{MBR: geom.NewRect(2, 2, 4, 4), Date: 1905, Subject: 0}) {
-		t.Fatal("record rejected")
-	}
-	s := NewArchiveServerOpts("arch", b.Build(), Options{Telemetry: reg})
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
-
-	if code, body := get(t, srv.URL+"/api/info"); code != http.StatusOK {
-		t.Fatalf("info status %d: %s", code, body)
-	}
-	_, body := get(t, srv.URL+"/metrics")
-	if got := metricValue(t, body, `geobrowse_http_requests_total{code="200",endpoint="/api/info"}`); got != 1 {
-		t.Errorf("archive info counter = %d, want 1", got)
-	}
-	if got := metricValue(t, body, `geobrowse_http_request_seconds_count{endpoint="/api/info"}`); got != 1 {
-		t.Errorf("archive latency count = %d, want 1", got)
 	}
 }
 

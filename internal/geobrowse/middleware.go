@@ -8,11 +8,11 @@ import (
 	"spatialhist/internal/telemetry"
 )
 
-// httpMetrics instruments every API endpoint of a Server or ArchiveServer:
-// per-endpoint request counts by status code, latency histograms, response
-// bytes, and write/encode error counters, plus optional structured access
-// logging. Both servers route every handler — including the archive facet
-// endpoints — through wrap, so /metrics reflects the whole surface.
+// httpMetrics instruments every API endpoint of a Server: per-endpoint
+// request counts by status code, latency histograms, response bytes, and
+// write/encode error counters, plus optional structured access logging.
+// The Server routes every handler through wrap, so /metrics reflects the
+// whole surface.
 type httpMetrics struct {
 	reg    *telemetry.Registry
 	access *telemetry.Logger // nil disables request logging

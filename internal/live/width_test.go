@@ -104,7 +104,7 @@ func TestStoreCrossesTheNarrowLimit(t *testing.T) {
 				t.Fatalf("estimate at %v = %v, want %v", q, a, b)
 			}
 		}
-		want, err := fresh.EstimateGrid(grid.Span{I2: 127, J2: 127}, 32, 16)
+		want, err := core.EstimateGrid(fresh, grid.Span{I2: 127, J2: 127}, 32, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

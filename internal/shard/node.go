@@ -18,8 +18,12 @@ import (
 // empty one.
 const walSizeHeader = "X-Wal-Size"
 
-// maxSpanBatch bounds one /api/shard/spans request.
-const maxSpanBatch = 100_000
+// maxSpanBatch bounds one /api/shard/spans request, and maxBody the bytes
+// of any shard request body.
+const (
+	maxSpanBatch = 100_000
+	maxBody      = 8 << 20
+)
 
 // defaultSegmentBytes is the WAL segment size served when the tailer
 // doesn't ask for a specific max; maxSegmentBytes caps what it may ask
@@ -86,7 +90,7 @@ func checkSpan(g *grid.Grid, s grid.Span) error {
 
 func (n *node) handleEstimateGrid(w http.ResponseWriter, r *http.Request) {
 	var req estimateGridRequest
-	if err := geobrowse.DecodeBody(w, r, &req); err != nil {
+	if err := geobrowse.DecodeBody(w, r, &req, maxBody); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -113,7 +117,7 @@ func (n *node) handleEstimateGrid(w http.ResponseWriter, r *http.Request) {
 
 func (n *node) handleEstimateSpans(w http.ResponseWriter, r *http.Request) {
 	var req estimateSpansRequest
-	if err := geobrowse.DecodeBody(w, r, &req); err != nil {
+	if err := geobrowse.DecodeBody(w, r, &req, maxBody); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -78,6 +78,43 @@ func TestBrowse(t *testing.T) {
 	}
 }
 
+// TestBrowseParallelMatchesBrowse: the banded façade path answers a map
+// past the band floor (120×60 = 7200 tiles) exactly as Browse does, tile for
+// tile, for all three algorithms at every pool size, and refuses what
+// Browse refuses.
+func TestBrowseParallelMatchesBrowse(t *testing.T) {
+	d := dataset.SzSkew(5000, 11)
+	g := NewGrid(d.Extent, 360, 180)
+	m, err := NewMEuler(g, []float64{1, 9, 100}, d.Rects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cols, rows = 120, 60
+	for _, s := range []*Summary{NewSEuler(g, d.Rects), NewEuler(g, d.Rects), m} {
+		want, err := s.Browse(d.Extent, cols, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 1, 2, 4} {
+			got, err := s.BrowseParallel(d.Extent, cols, rows, workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", s.Algorithm(), workers, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s workers=%d: %d tiles, want %d", s.Algorithm(), workers, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%s workers=%d tile %d: %v, Browse %v", s.Algorithm(), workers, k, got[k], want[k])
+				}
+			}
+		}
+		if _, err := s.BrowseParallel(d.Extent, 7, rows, 2); err == nil {
+			t.Fatalf("%s: non-dividing tiling must error", s.Algorithm())
+		}
+	}
+}
+
 func TestMEulerAndTune(t *testing.T) {
 	d := dataset.SzSkew(4000, 5)
 	g := NewGrid(d.Extent, 72, 36)
