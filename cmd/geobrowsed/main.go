@@ -80,7 +80,6 @@ type config struct {
 	wal, checkpoint             string
 	rebuildEvery, syncEvery     int
 	rebuildInterval             time.Duration
-	crossover                   float64
 	shards                      int
 	replicaOf, coordinator      string
 	maxLag                      int64
@@ -121,7 +120,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.rebuildEvery, "rebuild-every", live.DefaultRebuildEvery, "live mode: publish a snapshot every N mutations (negative disables)")
 	fs.DurationVar(&c.rebuildInterval, "rebuild-interval", 0, "live mode: also publish a snapshot at this interval when mutations are pending (0 disables)")
 	fs.IntVar(&c.syncEvery, "sync-every", 0, "live mode: fsync the WAL every N mutations (0 = on flush/checkpoint/shutdown only)")
-	fs.Float64Var(&c.crossover, "rebuild-crossover", 0, "live mode: dirty-fraction cost threshold above which a rebuild falls back to a full pass (0 = tuned default, negative = always repair)")
 
 	fs.IntVar(&c.shards, "shards", 0, "live mode: split the store across N column-band shards behind an in-process scatter-gather coordinator")
 	fs.StringVar(&c.replicaOf, "replica-of", "", "serve a WAL-shipped read replica of the live leader at this base URL (requires -checkpoint)")
@@ -371,18 +369,17 @@ func assembleLive(cfg config, opts geobrowse.Options, g *grid.Grid, d *dataset.D
 		return node{}, err
 	}
 	lc := live.Config{
-		Grid:             g,
-		Algo:             spec.Algo,
-		Areas:            spec.Areas,
-		Seed:             d.Rects,
-		WALPath:          cfg.wal,
-		CheckpointPath:   cfg.checkpoint,
-		RebuildEvery:     cfg.rebuildEvery,
-		RebuildInterval:  cfg.rebuildInterval,
-		SyncEvery:        cfg.syncEvery,
-		RebuildCrossover: cfg.crossover,
-		PyramidLevels:    cfg.pyramidLevels,
-		PyramidMinGrid:   cfg.pyramidMinGrid,
+		Grid:            g,
+		Algo:            spec.Algo,
+		Areas:           spec.Areas,
+		Seed:            d.Rects,
+		WALPath:         cfg.wal,
+		CheckpointPath:  cfg.checkpoint,
+		RebuildEvery:    cfg.rebuildEvery,
+		RebuildInterval: cfg.rebuildInterval,
+		SyncEvery:       cfg.syncEvery,
+		PyramidLevels:   cfg.pyramidLevels,
+		PyramidMinGrid:  cfg.pyramidMinGrid,
 	}
 	if cfg.shards > 1 {
 		return assembleSharded(cfg, lc, d)

@@ -176,3 +176,20 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 		t.Errorf("a refused -save wrote %s (stat: %v)", save, err)
 	}
 }
+
+// TestRetiredFlagsAreErrors: flags whose settings the code now makes from
+// the data are gone, and passing one fails the command line instead of
+// being ignored.
+func TestRetiredFlagsAreErrors(t *testing.T) {
+	for _, args := range [][]string{{"-rebuild-crossover", "-1"}, {"-pack-cold", "3"}} {
+		t.Run(args[0], func(t *testing.T) {
+			fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			var cfg config
+			cfg.register(fs)
+			if err := fs.Parse(append([]string{"-live"}, args...)); err == nil || !strings.Contains(err.Error(), args[0][1:]) {
+				t.Fatalf("%v parsed (err %v), want an undefined-flag error", args, err)
+			}
+		})
+	}
+}

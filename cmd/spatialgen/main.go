@@ -82,7 +82,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			err = h.WriteCompact(f)
+			err = h.Write(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

@@ -57,6 +57,34 @@ func TestDeadLeaderIsReadRemotely(t *testing.T) {
 	}
 }
 
+// TestChainReachesBothStrategies: nothing forces BuildFrom's hand, so the
+// chain interpreter must reach both of its strategies through the scripts'
+// own data — a repair into a donated scratch and a full rebuild into one —
+// within the first rounds of the canonical seed.
+func TestChainReachesBothStrategies(t *testing.T) {
+	var seen strategies
+	const rounds = 10
+	for i := 0; i < rounds; i++ {
+		r := gen.Rand(RoundSeed(2002, i))
+		sc := newScenario(r)
+		c := chainConfig(-1, perTile, r.Int63())
+		var ch *chain
+		open := c.open
+		c.open = func(sc *scenario) (interpreter, error) {
+			it, err := open(sc)
+			ch, _ = it.(*chain)
+			return it, err
+		}
+		transcript(sc, c)
+		seen.repaired += ch.intoScratch.repaired
+		seen.rebuilt += ch.intoScratch.rebuilt
+	}
+	t.Logf("into a donated scratch over %d rounds: %d repairs, %d full rebuilds", rounds, seen.repaired, seen.rebuilt)
+	if seen.repaired == 0 || seen.rebuilt == 0 {
+		t.Fatalf("the chain missed a strategy: %d repairs, %d full rebuilds into a donated scratch", seen.repaired, seen.rebuilt)
+	}
+}
+
 func TestRoundSeedsDiffer(t *testing.T) {
 	seen := map[int64]bool{}
 	for i := 0; i < 100; i++ {

@@ -86,7 +86,8 @@ func (s Step) String() string {
 }
 
 // NewScript draws a script over g: a few seed objects, then three to five
-// rounds of a mutation batch, a publish, and probes of the estimator and,
+// rounds of a mutation batch — scattered, or localized in one window — a
+// publish, and probes of the estimator and,
 // by turns, of its histograms' buckets or pyramid levels — one checkpoint
 // mid-batch, one restart at or after it with a round still to come, and
 // more restarts now and then — and last, after deleting every object one
@@ -106,9 +107,25 @@ func NewScript(r *rand.Rand, g *grid.Grid) *Script {
 			live = Apply(live, st.Mut)
 		}
 	}
+	// One script in two is localized: every mutation after the seed lands
+	// in a window a quarter of the grid a side and takes away only objects
+	// placed there, so its publishes repair a small box. The others scatter
+	// objects up to 80 % of the space a side, and their publishes rebuild.
+	var window *grid.Grid
+	var placed []geom.Rect
+	if r.Intn(2) == 0 {
+		window = windowOf(r, g)
+	}
 	batch := func(n int) {
-		for _, m := range Mutations(r, g, live, n, RectOpts{PointFrac: 0.1}) {
+		if window == nil {
+			for _, m := range Mutations(r, g, live, n, RectOpts{PointFrac: 0.1}) {
+				add(Step{Kind: StepMutate, Mut: m})
+			}
+			return
+		}
+		for _, m := range Mutations(r, window, placed, n, RectOpts{Inside: true, PointFrac: 0.1}) {
 			add(Step{Kind: StepMutate, Mut: m})
+			placed = Apply(placed, m)
 		}
 	}
 
@@ -150,6 +167,17 @@ func NewScript(r *rand.Rand, g *grid.Grid) *Script {
 	add(Step{Kind: StepProbe, Probe: Probe{Kind: ProbeFile, Spans: spans}})
 	add(Step{Kind: StepProbe, Probe: Probe{Kind: ProbeJoin, Polys: Polygons(r, g, 1+r.Intn(3), PolyOpts{Aligned: 0.2})}})
 	return s
+}
+
+// windowOf draws a grid over a block of g's cells a quarter of g a side (at
+// least one cell), at a random offset: its objects are g's objects, placed
+// in that block.
+func windowOf(r *rand.Rand, g *grid.Grid) *grid.Grid {
+	wx, wy := max(g.NX()/4, 1), max(g.NY()/4, 1)
+	i0, j0 := r.Intn(g.NX()-wx+1), r.Intn(g.NY()-wy+1)
+	ext, cw, ch := g.Extent(), g.CellWidth(), g.CellHeight()
+	x0, y0 := ext.XMin+float64(i0)*cw, ext.YMin+float64(j0)*ch
+	return grid.New(geom.NewRect(x0, y0, x0+float64(wx)*cw, y0+float64(wy)*ch), wx, wy)
 }
 
 // Divisor draws a tile count that divides n.

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math/rand"
 	"slices"
 	"sync"
@@ -364,23 +363,21 @@ func histsProbe(hs []*euler.Histogram, p gen.Probe) string {
 		case gen.ProbeBuckets:
 			s += fmt.Sprintf("group %d: %s; ", i, histPrint(h, p.Spans))
 		case gen.ProbeFile:
-			for _, w := range []func(io.Writer) error{h.Write, h.WriteCompact} {
-				var buf bytes.Buffer
-				fileW.Reset(&buf)
-				if err := w(fileW); err != nil {
-					return "error: " + err.Error()
-				}
-				sum := fnv.New64a()
-				sum.Write(buf.Bytes())
-				s += fmt.Sprintf("group %d: %d bytes %016x", i, buf.Len(), sum.Sum64())
-				fileR.Reset(&buf)
-				back, err := euler.Read(fileR)
-				if err != nil {
-					return "error: reading back: " + err.Error()
-				}
-				s += fmt.Sprintf(", read %s, resumed %s; ", histPrint(back, p.Spans),
-					histPrint(euler.BuilderFromHistogram(back).Build(), p.Spans))
+			var buf bytes.Buffer
+			fileW.Reset(&buf)
+			if err := h.Write(fileW); err != nil {
+				return "error: " + err.Error()
 			}
+			sum := fnv.New64a()
+			sum.Write(buf.Bytes())
+			s += fmt.Sprintf("group %d: %d bytes %016x", i, buf.Len(), sum.Sum64())
+			fileR.Reset(&buf)
+			back, err := euler.Read(fileR)
+			if err != nil {
+				return "error: reading back: " + err.Error()
+			}
+			s += fmt.Sprintf(", read %s, resumed %s; ", histPrint(back, p.Spans),
+				histPrint(euler.BuilderFromHistogram(back).Build(), p.Spans))
 		case gen.ProbeJoin:
 			s += fmt.Sprintf("group %d: raster %s", i, productSum(h, raster))
 			for _, o := range hs {
@@ -464,11 +461,11 @@ func (f *fresh) Close() error { return nil }
 var popts = euler.PyramidOpts{MinGrid: 4}
 
 // chain publishes the way the live store does, without the store: one
-// builder per group, each generation a BuildFrom of the last — repaired,
-// rebuilt in full on 1–3 workers, or as the cost model says; into a donated
-// retired buffer with its stale box, or with the whole lattice stale — and
-// its pyramid a PyramidFrom of the last, cloned or repaired in place. It
-// holds each cell width to its builder's count of updates.
+// builder per group, each generation a BuildFrom of the last on 1–3
+// workers — repaired or rebuilt in full as the script's mutations say, into
+// a donated retired buffer with its stale box or not — and its pyramid a
+// PyramidFrom of the last, cloned or repaired in place. It holds each cell
+// width to its builder's count of updates.
 type chain struct {
 	reader
 	spec   core.Spec
@@ -476,7 +473,13 @@ type chain struct {
 	limit  int64
 	groups []*link
 	est    core.Estimator
+	// intoScratch counts the publishes into a donated buffer by strategy:
+	// what the scripts' data reach.
+	intoScratch strategies
 }
+
+// strategies counts BuildFrom's publishes by strategy.
+type strategies struct{ repaired, rebuilt int }
 
 // link is one group of the chain: the live store's arena in miniature.
 type link struct {
@@ -528,7 +531,7 @@ func (c *chain) update(r geom.Rect, add bool) bool {
 func (c *chain) Publish() (err error) {
 	pyrs := make([]*euler.Pyramid, len(c.groups))
 	for i, l := range c.groups {
-		if err := l.publish(c.r, c.limit); err != nil {
+		if err := l.publish(c.r, c.limit, &c.intoScratch); err != nil {
 			return fmt.Errorf("group %d: %w", i, err)
 		}
 		pyrs[i] = l.p
@@ -537,36 +540,31 @@ func (c *chain) Publish() (err error) {
 	return err
 }
 
-func (l *link) publish(r *rand.Rand, limit int64) error {
-	var opts euler.BuildFromOpts
-	switch r.Intn(3) {
-	case 0:
-		opts.Crossover = -1 // always repair
-	case 1:
-		opts.Crossover = 1e-9 // always rebuild in full: into the scratch, when one is donated
-		opts.Workers = 1 + r.Intn(3)
-	}
+func (l *link) publish(r *rand.Rand, limit int64, intoScratch *strategies) error {
+	opts := euler.BuildFromOpts{Workers: 1 + r.Intn(3)}
 	donor, inPlace := l.p, false
-	if l.retired != nil && r.Intn(2) == 0 {
+	if l.retired != nil && r.Intn(3) > 0 {
 		opts.Scratch, opts.Stale = l.retired.Base(), l.stale
-		if r.Intn(3) == 0 {
-			lx, ly := l.h.Buckets() // a long-retired lease: copy-first territory
-			opts.Stale = euler.DirtyRegion{U2: lx - 1, V2: ly - 1}
-		}
 		donor, inPlace = l.retired, true
 	}
+	moved := l.b.Dirty()
 	next, stats := l.b.BuildFrom(l.h, opts)
 	if next != l.h {
 		if inPlace {
 			l.retired = nil // donated arrays are consumed
+			if stats.Incremental {
+				intoScratch.repaired++
+			} else {
+				intoScratch.rebuilt++
+			}
 		}
 		np := euler.PyramidFrom(next, euler.PyramidFromOpts{Opts: popts, Donor: donor, Stale: stats.Dirty, InPlace: inPlace})
 		switch {
 		case l.p == nil:
 		case l.retired == nil:
-			l.retired, l.stale = l.p, stats.Dirty
+			l.retired, l.stale = l.p, moved
 		default:
-			l.stale = l.stale.Union(stats.Dirty)
+			l.stale = l.stale.Union(moved)
 		}
 		l.h, l.p = next, np
 	}

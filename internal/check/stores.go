@@ -32,13 +32,12 @@ type storeOpts struct {
 	follower     bool // each shard's reads served by a follower of its journaled leader
 	syncEvery    int
 	rebuildEvery int
-	crossover    float64
 }
 
-// drawStore draws the dice every store takes: how it publishes, syncs and
-// repairs, and whether it keeps a checkpoint file.
+// drawStore draws the dice every store takes: how often it publishes and
+// syncs, and whether it keeps a checkpoint file.
 func drawStore(r *rand.Rand) storeOpts {
-	return storeOpts{syncEvery: r.Intn(4), rebuildEvery: []int{-1, 1, 7, 0}[r.Intn(4)], crossover: []float64{0, -1}[r.Intn(2)], ckpt: r.Intn(2) == 0}
+	return storeOpts{syncEvery: r.Intn(4), rebuildEvery: []int{-1, 1, 7, 0}[r.Intn(4)], ckpt: r.Intn(2) == 0}
 }
 
 func storeConfig(o storeOpts, limit int64, sw sweep, seed int64) config {
@@ -76,7 +75,7 @@ func (o storeOpts) open(sc *scenario, seed []geom.Rect, rd reader) (*store, erro
 		return nil, err
 	}
 	s := &store{reader: rd, dir: dir, cfg: live.Config{Grid: sc.Grid, Algo: sc.spec.Algo, Areas: sc.spec.Areas, Seed: seed,
-		RebuildEvery: o.rebuildEvery, SyncEvery: o.syncEvery, RebuildCrossover: o.crossover,
+		RebuildEvery: o.rebuildEvery, SyncEvery: o.syncEvery,
 		PyramidLevels: 8, PyramidMinGrid: popts.MinGrid, Telemetry: telemetry.NewRegistry()}}
 	if o.wal || o.follower {
 		s.cfg.WALPath = filepath.Join(dir, "journal.wal")

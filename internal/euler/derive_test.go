@@ -15,8 +15,8 @@ import (
 // plane accumulated independently of every code path under test — object by
 // object, lattice element by lattice element, from the covering rule of
 // §5.1 itself — after each way a cumulative plane comes to be: Build,
-// BuildFrom repair (cloned, in a donated scratch, copy-first, full rebuild
-// into the scratch), Pack and Unpack, builder resumption, and pyramid
+// BuildFrom repair (cloned or in a donated scratch) and full rebuild into
+// the scratch, Pack and Unpack, builder resumption, and pyramid
 // derivation and repair — with the whole chain built narrow and built wide.
 
 // refBuckets accumulates the signed bucket plane of a set of objects over
@@ -95,7 +95,7 @@ func TestDerivedBucketsMatchIndependentPlane(t *testing.T) {
 }
 
 func testDerivedBuckets(t *testing.T, cellWidth int) {
-	var donated, copied, rebuiltIntoScratch int
+	var repairedIntoScratch, rebuiltIntoScratch int
 	for seed := int64(1); seed <= 12; seed++ {
 		r := gen.Rand(seed)
 		g := gen.Grid(r, 20, 20)
@@ -161,25 +161,23 @@ func testDerivedBuckets(t *testing.T, cellWidth int) {
 		stale := EmptyRegion()
 		for step := 0; step < 8; step++ {
 			mutate(1 + r.Intn(6))
-			opts := BuildFromOpts{Crossover: []float64{-1, -1, 0, 1e-9}[r.Intn(4)]}
+			var opts BuildFromOpts
 			if retired != nil && r.Intn(3) > 0 {
 				opts.Scratch, opts.Stale = retired, stale
 				if r.Intn(2) == 0 {
 					// Stale is a bound; a long-retired lease reports the whole
-					// lattice, which is what makes copy-first the cheaper plan.
+					// lattice.
 					opts.Stale = whole
 				}
 				retired = nil
 			}
-			h, stats := b.BuildFrom(prev, opts)
-			if opts.Scratch != nil {
-				donated++
-				if stats.Copied {
-					copied++
-				}
-				if !stats.Incremental {
-					rebuiltIntoScratch++
-				}
+			h, stats := []strategy{byPolicy, byPolicy, repairOnly, fullOnly}[r.Intn(4)].publish(b, prev, opts)
+			switch {
+			case opts.Scratch == nil || h == prev:
+			case stats.Incremental:
+				repairedIntoScratch++
+			default:
+				rebuiltIntoScratch++
 			}
 			check(fmt.Sprintf("BuildFrom step %d %+v", step, stats), h)
 			if h == prev {
@@ -193,9 +191,9 @@ func testDerivedBuckets(t *testing.T, cellWidth int) {
 			prev = h
 		}
 	}
-	if donated == 0 || copied == 0 || rebuiltIntoScratch == 0 {
-		t.Fatalf("chains never exercised a path: %d donations, %d copy-first, %d full rebuilds into a scratch",
-			donated, copied, rebuiltIntoScratch)
+	if repairedIntoScratch == 0 || rebuiltIntoScratch == 0 {
+		t.Fatalf("chains never exercised a path: %d repairs and %d full rebuilds into a scratch",
+			repairedIntoScratch, rebuiltIntoScratch)
 	}
 }
 
@@ -249,7 +247,7 @@ func testDerivedPyramidBuckets(t *testing.T, cellWidth int) {
 		stale := EmptyRegion()
 		for step := 0; step < 8; step++ {
 			mutate(1 + r.Intn(5))
-			bopts := BuildFromOpts{Crossover: -1}
+			var bopts BuildFromOpts
 			popts := PyramidFromOpts{Opts: opts, Donor: prev}
 			if retired != nil && step%3 != 0 {
 				// In-place repair of the retired generation's buffers, base
@@ -258,7 +256,7 @@ func testDerivedPyramidBuckets(t *testing.T, cellWidth int) {
 				popts.Donor, popts.InPlace = retired, true
 				retired = nil
 			}
-			h, stats := b.BuildFrom(prevHist, bopts)
+			h, stats := repairOnly.publish(b, prevHist, bopts)
 			popts.Stale = stats.Dirty
 			p := PyramidFrom(h, popts)
 			check(fmt.Sprintf("step %d inPlace=%v", step, popts.InPlace), p)

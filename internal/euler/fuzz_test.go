@@ -2,6 +2,8 @@ package euler
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"spatialhist/internal/geom"
@@ -42,7 +44,17 @@ func histogramReadSeeds(f *testing.F) [][]byte {
 	}
 	corrupt := append([]byte(nil), buf.Bytes()...)
 	corrupt[len(corrupt)-1] ^= 0x80
-	return [][]byte{buf.Bytes(), {}, []byte("SPHEUL01"), bytes.Repeat([]byte{0x01}, 100), corrupt}
+	seeds := [][]byte{buf.Bytes(), {}, []byte("SPHEUL01"), bytes.Repeat([]byte{0x01}, 100), corrupt}
+	// The golden files carry the formats Write no longer emits.
+	golden, _ := filepath.Glob(filepath.Join("testdata", "golden_*.bin"))
+	for _, path := range golden {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, data)
+	}
+	return seeds
 }
 
 func fuzzHistogramRead(t *testing.T, data []byte) {

@@ -66,39 +66,29 @@ func (b *Builder) Dirty() DirtyRegion { return b.dirty }
 // later BuildFrom would under-repair.
 func (b *Builder) MarkDirty(d DirtyRegion) { b.dirty = b.dirty.Union(d) }
 
-// DefaultCrossover is the repair-cost fraction above which BuildFrom falls
-// back to a full rebuild. The repairCost estimate is compared against
-// 3·lattice, the unit of the fraction. BenchmarkCrossover on a 1024×1024
-// grid puts the measured break-even at 25% dirty *area* (6.8 vs 17.1 ms at
-// 10%, 16.3 vs 16.4 ms at 25%, 27.5 vs 17.4 ms at 50%); for a centered box
-// of area fraction a the cost model evaluates to ((√a)²+√a)/3, which is
-// 0.25 at a = 0.25.
+// DefaultCrossover is the repair-cost fraction above which BuildFrom
+// rebuilds in full instead of repairing. The repairCost estimate is
+// compared against 3·lattice, the unit of the fraction. BenchmarkCrossover
+// on a 1024×1024 grid puts the measured break-even at 25% dirty *area* (6.8
+// vs 17.1 ms at 10%, 16.3 vs 16.4 ms at 25%, 27.5 vs 17.4 ms at 50%); for a
+// centered box of area fraction a the cost model evaluates to (a+√a)/3,
+// which is 0.25 at a = 0.25.
 const DefaultCrossover = 0.25
-
-// copyWeight is the relative cost of one copied lattice element against one
-// repaired element in BuildFrom's strategy choice: a copy is a straight
-// memmove, a repair recomputes the bucket from the difference array and
-// patches the cumulative form — several dependent operations per element
-// against a bulk move, conservatively weighed at 4:1.
-const copyWeight = 0.25
 
 // BuildFromOpts tunes BuildFrom.
 type BuildFromOpts struct {
 	// Scratch donates the arrays of a retired histogram of the same
-	// lattice for in-place repair (generation recycling). Stale must then
-	// bound every bucket where Scratch's content differs from prev's;
-	// BuildFrom repairs the union of Stale and the builder's dirty box.
-	// Stale is ignored when Scratch is nil; note the DirtyRegion zero
-	// value names bucket (0,0) — a donor with no damage passes
+	// lattice and cell width (generation recycling): a repair patches them
+	// in place, a full rebuild refills them. Stale must then bound every
+	// bucket where Scratch's content differs from prev's; a repair covers
+	// the union of Stale and the builder's dirty box. A scratch of another
+	// shape or width is refused, and Stale with it. Note the DirtyRegion
+	// zero value names bucket (0,0) — a donor with no damage passes
 	// EmptyRegion().
 	Scratch *Histogram
 	Stale   DirtyRegion
-	// Crossover overrides DefaultCrossover: the repair-cost fraction above
-	// which a full rebuild is cheaper. Negative disables the fallback
-	// (always repair); zero means DefaultCrossover.
-	Crossover float64
-	// Workers bounds the goroutines of a full-rebuild fallback. Repair
-	// itself is serial — it is small by definition.
+	// Workers bounds the goroutines of a full rebuild. Repair itself is
+	// serial — it is small by definition.
 	Workers int
 }
 
@@ -107,122 +97,93 @@ type BuildStats struct {
 	// Incremental is true when the cumulative form was repaired rather
 	// than recomputed.
 	Incremental bool
-	// Copied is true when the donated scratch was refreshed from prev
-	// (CloneInto of the cumulative plane) before repairing, because
-	// repairing its stale region would have cost more; only the builder's
-	// dirty box was then arithmetically repaired.
-	Copied bool
-	// Dirty is the builder dirty ∪ scratch stale bounding box: everywhere
-	// the returned histogram may differ from state derived before this
-	// build (retired buffers, donor pyramids) — regardless of which
-	// repair strategy produced it.
+	// Dirty is the builder dirty ∪ accepted scratch stale bounding box:
+	// everywhere the returned histogram may differ from the donated
+	// scratch or from prev, whichever strategy produced it — what a
+	// pyramid over the scratch lags. Where it differs from prev alone is
+	// the builder's dirty box (Builder.Dirty before the build), which is
+	// what other retained buffers lag by.
 	Dirty DirtyRegion
 	// DirtyFrac is Dirty's share of the lattice.
 	DirtyFrac float64
 }
 
 // BuildFrom is Build for a builder that has drifted from a previous
-// histogram by a bounded set of mutations: it recomputes raw buckets only
-// inside the dirty bounding box and repairs the cumulative form with a
-// restricted sweep, so publish cost scales with what changed instead of
-// lattice size. prev must be a histogram the builder produced (Build,
-// BuildParallel or BuildFrom) with only Add/Remove calls in between; the
-// result is bit-identical to Build. When the dirty region is empty (and no
-// scratch is donated) prev itself is returned. Past the crossover fraction
-// it falls back to a full (possibly parallel) rebuild, reusing scratch
-// buffers when donated. So it does when the builder has gone wide since
-// prev: a narrow plane is neither repaired into a wide one nor refilled as
-// its scratch, and the wide generations that follow repair and recycle
-// among themselves again.
+// histogram by a bounded set of mutations. prev must be a histogram the
+// builder produced (Build, BuildParallel or BuildFrom) with only Add/Remove
+// calls in between; the result is bit-identical to Build. It takes one of
+// two strategies, chosen from the data alone:
+//
+//   - repair: recompute raw buckets only inside the dirty bounding box and
+//     patch the cumulative form with a restricted sweep, on the donated
+//     scratch or on a clone of prev, so publish cost scales with what
+//     changed instead of lattice size;
+//   - full rebuild: one (possibly parallel) pass over the lattice, into the
+//     donated scratch when there is one — once repairCost passes
+//     DefaultCrossover, and whenever the builder has gone wide since prev
+//     (a narrow plane is neither repaired into a wide one nor refilled as
+//     its scratch; the wide generations that follow repair and recycle
+//     among themselves again).
+//
+// When nothing changed since prev, prev itself is returned.
 func (b *Builder) BuildFrom(prev *Histogram, opts BuildFromOpts) (*Histogram, BuildStats) {
-	lattice := int64(b.lx) * int64(b.ly)
 	if prev == nil || prev.lx != b.lx || prev.ly != b.ly {
 		return b.buildInto(opts.Scratch, opts.Workers), BuildStats{Dirty: EmptyRegion(), DirtyFrac: 1}
 	}
-	stale := EmptyRegion()
-	if opts.Scratch != nil {
-		stale = opts.Stale
+	scratch, r := opts.Scratch, b.dirty
+	if scratch != nil && scratch.lx == b.lx && scratch.ly == b.ly && scratch.hc.Narrow() == (b.d32 != nil) {
+		r = r.Union(opts.Stale)
+	} else {
+		scratch = nil // refused, and its stale box with it
 	}
-	r := b.dirty.Union(stale)
 	if r.Empty() {
 		// Nothing changed since prev: share it. A donated scratch stays
 		// untouched (the caller keeps it pooled).
 		return prev, BuildStats{Incremental: true, Dirty: r}
 	}
-	narrow := b.d32 != nil
-	scratchFits := opts.Scratch != nil && opts.Scratch.lx == b.lx && opts.Scratch.ly == b.ly &&
-		opts.Scratch.hc.Narrow() == narrow
-	baselineN := prev.n
-	if scratchFits {
-		baselineN = opts.Scratch.n
+	lattice := float64(b.lx) * float64(b.ly)
+	stats := BuildStats{Dirty: r, DirtyFrac: float64(r.Area()) / lattice}
+	if prev.hc.Narrow() != (b.d32 != nil) || b.repairCost(r) > DefaultCrossover*3*lattice {
+		return b.buildInto(scratch, opts.Workers), stats
 	}
-	cost := b.repairCost(r, baselineN)
-	// Third strategy: a recycled scratch can carry stale damage far larger
-	// than this round's mutations (it is typically two generations behind).
-	// When repairing the stale union costs more than refreshing the scratch
-	// from prev outright — a CloneInto of the cumulative plane, no
-	// allocation — and repairing only the dirty box, copy first. A copied
-	// element is a straight memmove while a repaired one is diff-array
-	// arithmetic plus a prefix patch, so copy writes are weighed at
-	// copyWeight of a repair write.
-	copied := false
-	rr := r // the region actually repaired arithmetically
-	if scratchFits && !stale.Empty() {
-		alt := copyWeight * float64(lattice)
-		if !b.dirty.Empty() {
-			alt += b.repairCost(b.dirty, prev.n)
-		}
-		if alt < cost {
-			copied, rr, cost = true, b.dirty, alt
-		}
-	}
-	frac := float64(r.Area()) / float64(lattice)
-	crossover := opts.Crossover
-	if crossover == 0 {
-		crossover = DefaultCrossover
-	}
-	if prev.hc.Narrow() != narrow || crossover >= 0 && cost > crossover*3*float64(lattice) {
-		return b.buildInto(opts.Scratch, opts.Workers), BuildStats{Dirty: r, DirtyFrac: frac}
-	}
+	stats.Incremental = true
+	return b.repair(prev, scratch, r), stats
+}
+
+// repair is BuildFrom's incremental strategy: r, which must contain the
+// builder's dirty box, recomputed on scratch's plane — which must agree
+// with prev outside r — or, with no scratch, on a clone of prev.
+func (b *Builder) repair(prev, scratch *Histogram, r DirtyRegion) *Histogram {
 	var hc *prefixsum.Sum2D
-	switch {
-	case !scratchFits:
-		// No recycled buffer: clone prev and repair the clone. Stale is
-		// necessarily empty relative to a fresh copy of prev.
+	if scratch != nil {
+		hc = scratch.hc
+	} else {
 		hc = prev.hc.Clone()
-	case copied:
-		hc = prev.hc.CloneInto(opts.Scratch.hc)
-	default:
-		hc = opts.Scratch.hc
 	}
-	if !rr.Empty() {
-		if narrow {
-			repairInto(b, b.d32, hc, rr)
-		} else {
-			repairInto(b, b.d64, hc, rr)
-		}
+	if b.d32 != nil {
+		repairInto(b, b.d32, hc, r)
+	} else {
+		repairInto(b, b.d64, hc, r)
 	}
 	b.dirty = EmptyRegion()
-	return &Histogram{g: b.g, lx: b.lx, ly: b.ly, hc: hc, pc: b.partialPlane(), n: b.n},
-		BuildStats{Incremental: true, Copied: copied, Dirty: r, DirtyFrac: frac}
+	return &Histogram{g: b.g, lx: b.lx, ly: b.ly, hc: hc, pc: b.partialPlane(), n: b.n}
 }
 
 // repairCost estimates the bucket-writes of repairInto for region r: the
 // box is visited twice (raw recompute + prefix add), the row tails and
-// column strips once, and — only when the object count changed, which
-// makes the prefix-delta quadrant constant non-zero — the lower-right
-// quadrant once.
-func (b *Builder) repairCost(r DirtyRegion, prevN int64) float64 {
+// column strips once. The lower-right quadrant, which AddRegionDelta also
+// shifts when the object count changed, is left out: that is one streaming
+// constant add per cell, not the recompute-and-patch the model prices, and
+// pricing it so sent localized feeds that change the count to full
+// rebuilds costing twice the repair (DESIGN, "Incremental snapshot
+// rebuilds").
+func (b *Builder) repairCost(r DirtyRegion) float64 {
 	box := float64(r.Area())
 	bh := float64(r.U2 - r.U1 + 1)
 	bw := float64(r.V2 - r.V1 + 1)
 	tails := bh * float64(b.ly-r.V2-1)
 	strips := float64(b.lx-r.U2-1) * bw
-	cost := 2*box + tails + strips
-	if prevN != b.n {
-		cost += float64(b.lx-r.U2-1) * float64(b.ly-r.V2-1)
-	}
-	return cost
+	return 2*box + tails + strips
 }
 
 // repairInto recomputes the raw buckets inside r from the difference array

@@ -2,6 +2,7 @@ package euler
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialhist/internal/grid"
@@ -106,8 +107,9 @@ func TestBuildParallelMatchesBuild(t *testing.T) {
 }
 
 // applyScript drives a builder and a shadow span multiset through a random
-// add/remove script and returns the spans currently present.
-func applyScript(r *rand.Rand, b *Builder, present []grid.Span, ops int) []grid.Span {
+// add/remove script, adding spans drawn by draw, and returns the spans
+// currently present.
+func applyScript(r *rand.Rand, b *Builder, present []grid.Span, ops int, draw func(*rand.Rand, *grid.Grid) grid.Span) []grid.Span {
 	for k := 0; k < ops; k++ {
 		if len(present) > 0 && r.Intn(3) == 0 {
 			i := r.Intn(len(present))
@@ -116,12 +118,48 @@ func applyScript(r *rand.Rand, b *Builder, present []grid.Span, ops int) []grid.
 				present = present[:len(present)-1]
 			}
 		} else {
-			s := randSpan(r, b.Grid())
+			s := draw(r, b.Grid())
 			b.AddSpan(s)
 			present = append(present, s)
 		}
 	}
 	return present
+}
+
+// localSpan draws a span of at most three cells a side starting in the
+// first quarter of the grid: the localized churn repair is for.
+func localSpan(r *rand.Rand, g *grid.Grid) grid.Span {
+	i1, j1 := r.Intn(max(g.NX()/4, 1)), r.Intn(max(g.NY()/4, 1))
+	return spanOf(i1, j1, min(i1+r.Intn(3), g.NX()-1), min(j1+r.Intn(3), g.NY()-1))
+}
+
+// strategy is how a test publishes: through BuildFrom's own choice, or with
+// one of its two strategies forced whatever the data say — for tests and
+// benchmarks about one strategy's arithmetic, or its price, over boxes the
+// policy would send the other way.
+type strategy string
+
+const (
+	byPolicy   strategy = "policy"
+	repairOnly strategy = "repair"
+	fullOnly   strategy = "full"
+)
+
+// publish is BuildFrom under strategy s. A forced strategy expects a
+// donated scratch to fit and prev to have the builder's cell width.
+func (s strategy) publish(b *Builder, prev *Histogram, opts BuildFromOpts) (*Histogram, BuildStats) {
+	r := b.dirty
+	if opts.Scratch != nil {
+		r = r.Union(opts.Stale)
+	}
+	if s == byPolicy || prev == nil || r.Empty() {
+		return b.BuildFrom(prev, opts)
+	}
+	stats := BuildStats{Incremental: s == repairOnly, Dirty: r, DirtyFrac: float64(r.Area()) / float64(b.lx*b.ly)}
+	if s == repairOnly {
+		return b.repair(prev, opts.Scratch, r), stats
+	}
+	return b.buildInto(opts.Scratch, opts.Workers), stats
 }
 
 func freshBuild(g *grid.Grid, present []grid.Span) *Histogram {
@@ -134,25 +172,70 @@ func freshBuild(g *grid.Grid, present []grid.Span) *Histogram {
 
 func TestBuildFromMatchesFreshBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
+	var repaired, rebuilt int
 	for trial := 0; trial < 30; trial++ {
 		g := grid.NewUnit(1+r.Intn(30), 1+r.Intn(30))
 		b := NewBuilder(g)
 		var present []grid.Span
-		present = applyScript(r, b, present, 30)
+		present = applyScript(r, b, present, 30, randSpan)
 		prev := b.Build()
-		crossover := []float64{-1, 0, 1}[trial%3] // always-repair, default, generous
+		draw := []func(*rand.Rand, *grid.Grid) grid.Span{localSpan, randSpan}[trial%2]
 		for round := 0; round < 4; round++ {
-			present = applyScript(r, b, present, 1+r.Intn(10))
-			h, stats := b.BuildFrom(prev, BuildFromOpts{Crossover: crossover})
+			present = applyScript(r, b, present, 1+r.Intn(10), draw)
+			h, stats := b.BuildFrom(prev, BuildFromOpts{})
 			assertIdentical(t, freshBuild(g, present), h)
 			if !b.Dirty().Empty() {
 				t.Fatal("BuildFrom did not reset the dirty region")
 			}
-			if crossover < 0 && !stats.Incremental {
-				t.Fatal("negative crossover must force the incremental path")
+			if h != prev && stats.Incremental {
+				repaired++
+			} else if h != prev {
+				rebuilt++
 			}
 			prev = h
 		}
+	}
+	if repaired == 0 || rebuilt == 0 {
+		t.Fatalf("%d repairs and %d full rebuilds: the scripts missed a strategy", repaired, rebuilt)
+	}
+}
+
+// TestBuildFromPolicy: the strategy follows the data. On a 64×64 grid a
+// batch of small spans repairs, wherever it lands and whether or not it
+// changes the object count — near the origin the prefix-delta quadrant a
+// count change shifts is nearly the whole lattice, and that is one constant
+// add per cell, not a reason to rebuild — while spans scattered to the
+// corners rebuild in full.
+func TestBuildFromPolicy(t *testing.T) {
+	g := grid.NewUnit(64, 64)
+	r := rand.New(rand.NewSource(34))
+	b := NewBuilder(g)
+	var present []grid.Span
+	present = applyScript(r, b, present, 400, randSpan)
+	prev := b.Build()
+	for _, tc := range []struct {
+		name        string
+		add, remove []grid.Span
+		incremental bool
+	}{
+		{"net inserts near the origin", []grid.Span{spanOf(2, 2, 4, 3), spanOf(3, 4, 5, 5), spanOf(2, 3, 2, 3)}, nil, true},
+		{"balanced churn near the origin", []grid.Span{spanOf(4, 2, 6, 3)}, []grid.Span{spanOf(3, 4, 5, 5)}, true},
+		{"scattered to the corners", []grid.Span{spanOf(0, 0, 1, 1), spanOf(62, 62, 63, 63), spanOf(0, 63, 0, 63)}, nil, false},
+	} {
+		for _, s := range tc.add {
+			b.AddSpan(s)
+			present = append(present, s)
+		}
+		for _, s := range tc.remove {
+			b.RemoveSpan(s)
+			present = slices.Delete(present, slices.Index(present, s), slices.Index(present, s)+1)
+		}
+		h, stats := b.BuildFrom(prev, BuildFromOpts{})
+		if stats.Incremental != tc.incremental {
+			t.Errorf("%s: incremental %v over %+v, want %v", tc.name, stats.Incremental, stats.Dirty, tc.incremental)
+		}
+		assertIdentical(t, freshBuild(g, present), h)
+		prev = h
 	}
 }
 
@@ -185,35 +268,108 @@ func TestBuildFromScratchReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	g := grid.NewUnit(25, 25)
 	b := NewBuilder(g)
-	var present []grid.Span
-	present = applyScript(r, b, present, 40)
+	seed := applyScript(r, b, nil, 40, randSpan)
 	prev := b.Build()
+	// The churn after the seed is localized — small spans added and taken
+	// away near one corner, each round in a window of its own so that a
+	// scratch's stale box is not inside the round's dirty box — so every
+	// publish repairs.
+	var local []grid.Span
+	fresh := func() *Histogram { return freshBuild(g, append(slices.Clone(seed), local...)) }
+	window := func(i0, j0 int) func(*rand.Rand, *grid.Grid) grid.Span {
+		return func(r *rand.Rand, g *grid.Grid) grid.Span {
+			i1, j1 := i0+r.Intn(3), j0+r.Intn(3)
+			return spanOf(i1, j1, i1+r.Intn(2), j1+r.Intn(2))
+		}
+	}
 
 	// Retire a snapshot to serve as scratch, then track the damage it
 	// accumulates relative to each published generation, the way the live
 	// arena does.
-	present = applyScript(r, b, present, 8)
-	gen1, stats1 := b.BuildFrom(prev, BuildFromOpts{Crossover: -1})
-	assertIdentical(t, freshBuild(g, present), gen1)
+	local = applyScript(r, b, local, 8, window(0, 0))
+	gen1, stats1 := b.BuildFrom(prev, BuildFromOpts{})
+	assertIdentical(t, fresh(), gen1)
 
 	// prev is now retired; its content lags gen1 by stats1.Dirty.
 	stale := stats1.Dirty
-	present = applyScript(r, b, present, 8)
-	gen2, stats2 := b.BuildFrom(gen1, BuildFromOpts{Scratch: prev, Stale: stale, Crossover: -1})
-	assertIdentical(t, freshBuild(g, present), gen2)
-	if !stats2.Incremental {
-		t.Fatal("scratch path should be incremental at crossover -1")
+	local = applyScript(r, b, local, 8, window(4, 4))
+	gen2, stats2 := b.BuildFrom(gen1, BuildFromOpts{Scratch: prev, Stale: stale})
+	assertIdentical(t, fresh(), gen2)
+	if !stats1.Incremental || !stats2.Incremental {
+		t.Fatalf("localized churn rebuilt in full: %+v, %+v", stats1, stats2)
 	}
 	if planeAddr(gen2) != planeAddr(prev) {
 		t.Fatal("BuildFrom did not reuse the scratch array")
 	}
 
 	// Next cycle: gen1 is retired, stale vs gen2 is stats2.Dirty.
-	present = applyScript(r, b, present, 8)
-	gen3, _ := b.BuildFrom(gen2, BuildFromOpts{Scratch: gen1, Stale: stats2.Dirty, Crossover: -1})
-	assertIdentical(t, freshBuild(g, present), gen3)
+	local = applyScript(r, b, local, 8, window(0, 4))
+	gen3, _ := b.BuildFrom(gen2, BuildFromOpts{Scratch: gen1, Stale: stats2.Dirty})
+	assertIdentical(t, fresh(), gen3)
 	if planeAddr(gen3) != planeAddr(gen1) {
 		t.Fatal("BuildFrom did not reuse the second scratch array")
+	}
+}
+
+// TestBuildFromWholeStaleRebuildsIntoScratch: a scratch whose stale box is
+// the whole lattice — the worst case a long-lived lease accumulates — makes
+// repair a pass over everything, so the policy rebuilds in full, into the
+// scratch's array, however small the round's own change.
+func TestBuildFromWholeStaleRebuildsIntoScratch(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	g := grid.NewUnit(30, 30)
+	b := NewBuilder(g)
+	var present []grid.Span
+	present = applyScript(r, b, present, 60, randSpan)
+	scratch := b.Build()
+	present = applyScript(r, b, present, 40, randSpan)
+	prev := b.Build()
+	stale := DirtyRegion{U1: 0, V1: 0, U2: 2*30 - 2, V2: 2*30 - 2}
+	s := spanOf(2, 3, 4, 5)
+	b.AddSpan(s)
+	present = append(present, s)
+
+	addr := planeAddr(scratch)
+	h, stats := b.BuildFrom(prev, BuildFromOpts{Scratch: scratch, Stale: stale})
+	assertIdentical(t, freshBuild(g, present), h)
+	if stats.Incremental || stats.Dirty != stale {
+		t.Fatalf("want a full rebuild reporting the stale union, got %+v", stats)
+	}
+	if planeAddr(h) != addr {
+		t.Fatal("the full rebuild did not refill the scratch array")
+	}
+}
+
+// TestBuildFromRefusedScratchStale: a scratch the builder cannot use — a
+// narrow plane once the builder has gone wide — is refused with its stale
+// box, so a long-retired narrow lease does not push a small wide repair
+// into a full rebuild, and Dirty reports only what the round changed.
+func TestBuildFromRefusedScratchStale(t *testing.T) {
+	defer LowerNarrowLimit(50)()
+	g := grid.NewUnit(32, 32)
+	r := rand.New(rand.NewSource(46))
+	b := NewBuilder(g)
+	var present []grid.Span
+	present = applyScript(r, b, present, 50, randSpan)
+	narrow := b.Build()
+	s := spanOf(9, 9, 10, 10)
+	b.AddSpan(s) // update 51 widens the builder
+	present = append(present, s)
+	prev := b.Build()
+	if narrow.CellWidth() != 4 || prev.CellWidth() != 8 {
+		t.Fatalf("cells %d and %d bytes, want 4 then 8", narrow.CellWidth(), prev.CellWidth())
+	}
+	s = spanOf(12, 12, 13, 12)
+	b.AddSpan(s)
+	present = append(present, s)
+	addr := planeAddr(narrow)
+	h, stats := b.BuildFrom(prev, BuildFromOpts{Scratch: narrow, Stale: DirtyRegion{U2: 62, V2: 62}})
+	assertIdentical(t, freshBuild(g, present), h)
+	if want := (DirtyRegion{U1: 24, V1: 24, U2: 26, V2: 24}); !stats.Incremental || stats.Dirty != want {
+		t.Fatalf("got %+v, want a repair of %+v alone", stats, want)
+	}
+	if planeAddr(narrow) != addr {
+		t.Fatal("the refused scratch was taken apart")
 	}
 }
 
@@ -267,7 +423,7 @@ func fuzzIncrementalRebuild(t *testing.T, seed int64, nx, ny uint8, script []byt
 	for _, op := range script {
 		switch {
 		case op == 0xFF: // publish incrementally
-			h, stats := b.BuildFrom(prev, BuildFromOpts{Scratch: scratch, Stale: stale, Crossover: 1})
+			h, stats := b.BuildFrom(prev, BuildFromOpts{Scratch: scratch, Stale: stale})
 			assertIdentical(t, freshBuild(g, present), h)
 			if wide := b.d32 == nil; wide == h.hc.Narrow() && h != prev {
 				t.Fatalf("builder wide=%v published a %d-byte-cell plane", wide, h.CellWidth())
@@ -296,84 +452,4 @@ func fuzzIncrementalRebuild(t *testing.T, seed int64, nx, ny uint8, script []byt
 	}
 	h, _ := b.BuildFrom(prev, BuildFromOpts{Scratch: scratch, Stale: stale})
 	assertIdentical(t, freshBuild(g, present), h)
-}
-
-// TestBuildFromCopyRepair pins the copy-first strategy: a scratch whose
-// stale region covers (nearly) the whole lattice is cheaper to refresh from
-// prev — one CloneInto, reusing its buffer — than to repair, when
-// the round's own dirty box is small.
-func TestBuildFromCopyRepair(t *testing.T) {
-	r := rand.New(rand.NewSource(44))
-	g := grid.NewUnit(30, 30)
-	b := NewBuilder(g)
-	var present []grid.Span
-	present = applyScript(r, b, present, 60)
-	scratch := b.Build()
-
-	// Drift the builder far from the retired scratch: a full-lattice stale
-	// box, the worst case a long-lived lease accumulates.
-	present = applyScript(r, b, present, 40)
-	prev := b.Build()
-	stale := DirtyRegion{U1: 0, V1: 0, U2: 2*30 - 2, V2: 2*30 - 2}
-
-	// One small mutation this round.
-	s := spanOf(2, 3, 4, 5)
-	b.AddSpan(s)
-	present = append(present, s)
-
-	h, stats := b.BuildFrom(prev, BuildFromOpts{Scratch: scratch, Stale: stale, Crossover: -1})
-	assertIdentical(t, freshBuild(g, present), h)
-	if !stats.Incremental || !stats.Copied {
-		t.Fatalf("want copy-repair, got %+v", stats)
-	}
-	if planeAddr(h) != planeAddr(scratch) {
-		t.Fatal("copy-repair did not reuse the scratch array")
-	}
-	// Dirty stays the conservative union — donor pyramids and retired
-	// buffers may lag anywhere in it — even though only the small box was
-	// arithmetically repaired.
-	if stats.Dirty.Area() < stale.Area() {
-		t.Fatalf("copy-repair must report the stale union, got %v", stats.Dirty)
-	}
-
-	// A small stale box must keep the plain repair path: copying the whole
-	// lattice cannot beat repairing a few buckets. The new mutation lands
-	// next to the stale box so the union stays small.
-	scratch2 := prev
-	prev = h
-	s2 := spanOf(3, 4, 5, 6)
-	b.AddSpan(s2)
-	present = append(present, s2)
-	// scratch2 (the retired prev) actually lags h by phase 1's mutation
-	// alone: the lattice box of spanOf(2,3,4,5).
-	smallStale := DirtyRegion{U1: 2 * 2, V1: 2 * 3, U2: 2 * 4, V2: 2 * 5}
-	h2, stats2 := b.BuildFrom(prev, BuildFromOpts{Scratch: scratch2, Stale: smallStale, Crossover: -1})
-	assertIdentical(t, freshBuild(g, present), h2)
-	if !stats2.Incremental || stats2.Copied {
-		t.Fatalf("want plain repair, got %+v", stats2)
-	}
-}
-
-// TestBuildFromCopyRepairEmptyDirty covers the refresh-only corner: stale
-// scratch, no mutations since prev. The union path would repair the whole
-// stale box; copy-first just refreshes the buffers.
-func TestBuildFromCopyRepairEmptyDirty(t *testing.T) {
-	r := rand.New(rand.NewSource(45))
-	g := grid.NewUnit(20, 20)
-	b := NewBuilder(g)
-	var present []grid.Span
-	present = applyScript(r, b, present, 50)
-	scratch := b.Build()
-	present = applyScript(r, b, present, 30)
-	prev := b.Build()
-	stale := DirtyRegion{U1: 0, V1: 0, U2: 2*20 - 2, V2: 2*20 - 2}
-
-	h, stats := b.BuildFrom(prev, BuildFromOpts{Scratch: scratch, Stale: stale, Crossover: -1})
-	assertIdentical(t, freshBuild(g, present), h)
-	if !stats.Copied || stats.Dirty != stale {
-		t.Fatalf("want refresh-only copy reporting the stale union, got %+v", stats)
-	}
-	if planeAddr(h) != planeAddr(scratch) {
-		t.Fatal("refresh did not reuse the scratch array")
-	}
 }

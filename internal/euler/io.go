@@ -41,13 +41,13 @@ import (
 // the reader sees: a plane comes back narrow when every cumulative value it
 // accumulates is within the limit, whatever width the file was written at.
 //
-// WriteCompact chooses the 4-byte width whenever the object count fits
-// int32: each object contributes exactly one increment per bucket of its
-// lattice rectangle, so every signed bucket value lies in [−n, n] and the
-// narrow encoding is exact. Checkpoints and shard/replica bootstrap
-// transport use it, halving histogram payload bytes for every dataset
-// under ~2.1 billion objects. Read accepts both magics, so pre-packing
-// checkpoints and archives keep loading.
+// Write emits SPHEUL02, or SPHEUL03 when there is a class plane, at the
+// 4-byte width whenever the object count fits int32: each object
+// contributes exactly one increment per bucket of its lattice rectangle, so
+// every signed bucket value lies in [−n, n] and the narrow encoding is
+// exact. Summary files, checkpoints and shard/replica bootstrap transport
+// all carry it. Read accepts all three magics, so files written at 8 bytes
+// per bucket before Write packed keep loading.
 //
 // Persistence is what makes the browsing service operational: a histogram
 // over millions of objects is a few MB and loads in milliseconds, so a
@@ -59,29 +59,16 @@ var (
 	histMagicClassed = [8]byte{'S', 'P', 'H', 'E', 'U', 'L', '0', '3'}
 )
 
-// Write serializes the histogram to w in the SPHEUL01 (8-byte bucket)
-// format.
+// Write serializes the histogram to w in the SPHEUL02 format (SPHEUL03
+// with a class plane), packing buckets to 4 bytes when the object count
+// fits int32 (see the package format comment for why that is exact) and
+// falling back to 8-byte buckets otherwise.
 func (h *Histogram) Write(w io.Writer) error {
-	return h.write(w, false)
-}
-
-// WriteCompact serializes the histogram to w in the SPHEUL02 format,
-// packing buckets to 4 bytes when the object count fits int32 (see the
-// package format comment for why that is exact) and falling back to 8-byte
-// buckets otherwise. Read understands both.
-func (h *Histogram) WriteCompact(w io.Writer) error {
-	return h.write(w, true)
-}
-
-func (h *Histogram) write(w io.Writer, compact bool) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	classed := h.pc != nil
-	magic := histMagic
-	switch {
-	case classed:
+	magic := histMagicPacked
+	if classed {
 		magic = histMagicClassed
-	case compact:
-		magic = histMagicPacked
 	}
 	if _, err := bw.Write(magic[:]); err != nil {
 		return err
@@ -102,13 +89,11 @@ func (h *Histogram) write(w io.Writer, compact bool) error {
 		return err
 	}
 	width := 8
-	if compact && h.n >= 0 && h.n <= math.MaxInt32 {
+	if h.n >= 0 && h.n <= math.MaxInt32 {
 		width = 4
 	}
-	if compact || classed {
-		if err := bw.WriteByte(byte(width)); err != nil {
-			return err
-		}
+	if err := bw.WriteByte(byte(width)); err != nil {
+		return err
 	}
 	buf := make([]byte, 8)
 	writeVal := func(v int64) error {
@@ -152,8 +137,8 @@ func (h *Histogram) write(w io.Writer, compact bool) error {
 	return bw.Flush()
 }
 
-// Read deserializes a histogram written by Write, rebuilding its cumulative
-// form. The structural invariant Σ buckets == count is verified, so a
+// Read deserializes a histogram written by Write, or in any of the three
+// formats, rebuilding its cumulative form. The structural invariant Σ buckets == count is verified, so a
 // corrupted or truncated payload is detected rather than silently served.
 func Read(r io.Reader) (*Histogram, error) {
 	br := bufio.NewReaderSize(r, 1<<20)

@@ -3,6 +3,7 @@ package euler
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -266,7 +267,28 @@ func TestChurnMatchesRebuild(t *testing.T) {
 	}
 }
 
-func TestWriteCompactRoundTrip(t *testing.T) {
+// writeSPHEUL01 writes h, which must have no class plane and a count that
+// fits int32, in the 8-byte format Write emitted before it packed: what the
+// compatibility reader is held to beside the golden file.
+func writeSPHEUL01(h *Histogram, w *bytes.Buffer) error {
+	var packed bytes.Buffer
+	if err := h.Write(&packed); err != nil {
+		return err
+	}
+	const header = 8 + 32 + 8 + 8 // magic, extent, nx/ny, count
+	p := packed.Bytes()
+	if p[header] != 4 || h.HasClassPlane() {
+		return fmt.Errorf("not a packed, class-free histogram")
+	}
+	w.WriteString("SPHEUL01")
+	w.Write(p[8:header])
+	for i := header + 1; i < len(p); i += 4 {
+		w.Write(binary.LittleEndian.AppendUint64(nil, uint64(int64(int32(binary.LittleEndian.Uint32(p[i:]))))))
+	}
+	return nil
+}
+
+func TestWritePacksBuckets(t *testing.T) {
 	r := rand.New(rand.NewSource(72))
 	g := grid.New(geom.NewRect(0, 0, 100, 80), 20, 16)
 	b := NewBuilder(g)
@@ -277,46 +299,48 @@ func TestWriteCompactRoundTrip(t *testing.T) {
 	h := b.Build()
 
 	var full, compact bytes.Buffer
-	if err := h.Write(&full); err != nil {
+	if err := writeSPHEUL01(h, &full); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.WriteCompact(&compact); err != nil {
+	if err := h.Write(&compact); err != nil {
 		t.Fatal(err)
 	}
 	// 250 objects packs: header + width byte + 4-byte buckets, about half
 	// the SPHEUL01 payload.
 	lx, ly := h.Buckets()
 	wantCompact := 8 + 32 + 8 + 8 + 1 + 4*lx*ly
-	if compact.Len() != wantCompact {
-		t.Fatalf("compact payload %d bytes, want %d", compact.Len(), wantCompact)
+	if compact.Len() != wantCompact || !bytes.HasPrefix(compact.Bytes(), []byte("SPHEUL02")) {
+		t.Fatalf("payload %d bytes (%.8q), want %d of SPHEUL02", compact.Len(), compact.Bytes(), wantCompact)
 	}
 	if ratio := float64(compact.Len()) / float64(full.Len()); ratio > 0.55 {
-		t.Fatalf("compact/full ratio %.3f exceeds 0.55", ratio)
+		t.Fatalf("packed/SPHEUL01 ratio %.3f exceeds 0.55", ratio)
 	}
-	got, err := Read(&compact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Count() != h.Count() || got.Total() != h.Total() {
-		t.Fatal("compact round trip diverges on counts")
-	}
-	for u := 0; u < lx; u++ {
-		for v := 0; v < ly; v++ {
-			if got.Bucket(u, v) != h.Bucket(u, v) {
-				t.Fatalf("bucket (%d,%d) diverges after compact round trip", u, v)
+	for name, file := range map[string][]byte{"SPHEUL02": compact.Bytes(), "SPHEUL01": full.Bytes()} {
+		got, err := Read(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Count() != h.Count() || got.Total() != h.Total() {
+			t.Fatalf("%s round trip diverges on counts", name)
+		}
+		for u := 0; u < lx; u++ {
+			for v := 0; v < ly; v++ {
+				if got.Bucket(u, v) != h.Bucket(u, v) {
+					t.Fatalf("bucket (%d,%d) diverges after a %s round trip", u, v, name)
+				}
 			}
 		}
-	}
-	for trial := 0; trial < 100; trial++ {
-		i1, j1 := r.Intn(20), r.Intn(16)
-		q := grid.Span{I1: i1, J1: j1, I2: i1 + r.Intn(20-i1), J2: j1 + r.Intn(16-j1)}
-		if got.InsideSum(q) != h.InsideSum(q) || got.OutsideSum(q) != h.OutsideSum(q) {
-			t.Fatalf("sums diverge at %v", q)
+		for trial := 0; trial < 100; trial++ {
+			i1, j1 := r.Intn(20), r.Intn(16)
+			q := grid.Span{I1: i1, J1: j1, I2: i1 + r.Intn(20-i1), J2: j1 + r.Intn(16-j1)}
+			if got.InsideSum(q) != h.InsideSum(q) || got.OutsideSum(q) != h.OutsideSum(q) {
+				t.Fatalf("%s: sums diverge at %v", name, q)
+			}
 		}
 	}
 }
 
-func TestWriteCompactWideCounts(t *testing.T) {
+func TestWriteWideCounts(t *testing.T) {
 	// A histogram whose count exceeds int32 must fall back to 8-byte
 	// buckets inside SPHEUL02. Built directly: a 1×1 grid whose single
 	// bucket holds the whole count.
@@ -324,18 +348,18 @@ func TestWriteCompactWideCounts(t *testing.T) {
 	g := grid.NewUnit(1, 1)
 	h := &Histogram{g: g, lx: 1, ly: 1, hc: prefixsum.NewSum2D([]int64{n}, 1, 1), n: n}
 	var buf bytes.Buffer
-	if err := h.WriteCompact(&buf); err != nil {
+	if err := h.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if want := 8 + 32 + 8 + 8 + 1 + 8; buf.Len() != want {
-		t.Fatalf("wide compact payload %d bytes, want %d", buf.Len(), want)
+		t.Fatalf("wide payload %d bytes, want %d", buf.Len(), want)
 	}
 	got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Count() != n || got.Bucket(0, 0) != n || got.CellWidth() != 8 {
-		t.Fatalf("wide compact round trip diverges: count %d, bucket %d, %d-byte cells", got.Count(), got.Bucket(0, 0), got.CellWidth())
+		t.Fatalf("wide round trip diverges: count %d, bucket %d, %d-byte cells", got.Count(), got.Bucket(0, 0), got.CellWidth())
 	}
 }
 
@@ -344,7 +368,7 @@ func TestReadRejectsBadPackedWidth(t *testing.T) {
 	b := NewBuilder(g)
 	b.AddSpan(grid.Span{I1: 1, J1: 1, I2: 2, J2: 2})
 	var buf bytes.Buffer
-	if err := b.Build().WriteCompact(&buf); err != nil {
+	if err := b.Build().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

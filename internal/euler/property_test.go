@@ -23,8 +23,8 @@ func propertyRounds() int {
 }
 
 // TestChainVsFreshProperty runs the harness's chain-vs-fresh check:
-// BuildFrom chains (dirty-region repair, scratch donation, crossover
-// fallback) and PyramidFrom repairs read as fresh and direct coarse builds
+// BuildFrom chains (dirty-region repair and full rebuild as the scripts'
+// data choose, scratch donation) and PyramidFrom repairs read as fresh and direct coarse builds
 // through one script, at either cell width.
 func TestChainVsFreshProperty(t *testing.T) {
 	c, ok := check.Named("chain-vs-fresh")

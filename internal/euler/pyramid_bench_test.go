@@ -21,13 +21,14 @@ func newPyramidHarness(n, objects, hotLo, hotHi, hotCount int, opts PyramidOpts)
 	return h
 }
 
-// publish is publishIncremental plus the pyramid propagation.
-func (h *pyramidHarness) publish(crossover float64) {
+// publish is rebuildHarness.publish by BuildFrom's own choice plus the
+// pyramid propagation.
+func (h *pyramidHarness) publish() {
 	donor, inPlace := h.pyr, false
 	if h.scratch != nil && h.retired != nil {
 		donor, inPlace = h.retired, true
 	}
-	nh, stats := h.bld.BuildFrom(h.prev, BuildFromOpts{Scratch: h.scratch, Stale: h.stale, Crossover: crossover})
+	nh, stats := h.bld.BuildFrom(h.prev, BuildFromOpts{Scratch: h.scratch, Stale: h.stale})
 	if nh == h.prev {
 		return
 	}
@@ -50,7 +51,7 @@ func BenchmarkPyramidRepair(b *testing.B) {
 		h := newPyramidHarness(benchGridN, 200_000, benchHotLo, benchHotHi, 64, opts)
 		for i := 0; i < 3; i++ { // establish the ping-pong before timing
 			h.mutate()
-			h.publish(-1)
+			h.publish()
 		}
 		if h.pyr.Levels() != 7 {
 			b.Fatalf("pyramid has %d levels, want 7", h.pyr.Levels())
@@ -59,7 +60,7 @@ func BenchmarkPyramidRepair(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			h.mutate()
-			h.publish(-1)
+			h.publish()
 		}
 	})
 	b.Run("full", func(b *testing.B) {

@@ -125,13 +125,14 @@ func TestPyramidShape(t *testing.T) {
 }
 
 // TestPyramidFromIncremental drives the live-store publish shape: mutate,
-// BuildFrom, PyramidFrom with the retired generation as donor — both the
-// clone-and-repair and the in-place arena path — and checks every level
-// of every generation against a fresh direct build.
+// BuildFrom (by its own choice, or either strategy forced), PyramidFrom
+// with the retired generation as donor — both the clone-and-repair and the
+// in-place arena path — and checks every level of every generation against
+// a fresh direct build.
 func TestPyramidFromIncremental(t *testing.T) {
 	for _, inPlace := range []bool{false, true} {
-		for _, crossover := range []float64{-1, 0, 1e-12} {
-			t.Run(fmt.Sprintf("inplace=%v/crossover=%g", inPlace, crossover), func(t *testing.T) {
+		for _, st := range []strategy{byPolicy, repairOnly, fullOnly} {
+			t.Run(fmt.Sprintf("inplace=%v/strategy=%s", inPlace, st), func(t *testing.T) {
 				r := rand.New(rand.NewSource(29))
 				g := grid.NewUnit(64, 64)
 				spans := randSpans(r, g, 300)
@@ -161,13 +162,13 @@ func TestPyramidFromIncremental(t *testing.T) {
 						b.AddSpan(ns)
 						spans = append(spans, ns)
 					}
-					bopts := BuildFromOpts{Crossover: crossover}
+					var bopts BuildFromOpts
 					donor := prev
 					if inPlace && retired != nil {
 						bopts.Scratch, bopts.Stale = retired.Base(), retiredStale
 						donor = retired
 					}
-					h, stats := b.BuildFrom(prevHist, bopts)
+					h, stats := st.publish(b, prevHist, bopts)
 					p := PyramidFrom(h, PyramidFromOpts{
 						Opts:    opts,
 						Donor:   donor,

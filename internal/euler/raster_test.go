@@ -160,21 +160,19 @@ func TestAddObjectDirtyUnion(t *testing.T) {
 	if b.Dirty() != wantDirty {
 		t.Fatalf("dirty after L-shaped AddObject = %+v, want %+v", b.Dirty(), wantDirty)
 	}
-	gen1, stats1 := b.BuildFrom(prev, BuildFromOpts{Crossover: -1})
+	gen1, stats1 := b.BuildFrom(prev, BuildFromOpts{})
 	if stats1.Dirty != wantDirty {
 		t.Fatalf("BuildStats.Dirty = %+v, want %+v", stats1.Dirty, wantDirty)
 	}
 
 	// Exercise the donor path: prev is retired and donated as scratch,
-	// stale by stats1.Dirty. More objects land meanwhile.
+	// stale by stats1.Dirty, and repaired over the whole lattice — more than
+	// the policy would ever repair. More objects land meanwhile.
 	more, _ := rasterObjects(r, g, 3, gen.PolyOpts{})
 	for _, rst := range more {
 		b.AddRaster(rst)
 	}
-	gen2, stats2 := b.BuildFrom(gen1, BuildFromOpts{Scratch: prev, Stale: stats1.Dirty, Crossover: -1})
-	if !stats2.Incremental {
-		t.Fatal("donor path was not incremental at crossover -1")
-	}
+	gen2, _ := repairOnly.publish(b, gen1, BuildFromOpts{Scratch: prev, Stale: stats1.Dirty})
 	fresh := NewBuilder(g)
 	for _, rst := range seed {
 		fresh.AddRaster(rst)
@@ -185,7 +183,7 @@ func TestAddObjectDirtyUnion(t *testing.T) {
 	}
 	assertIdentical(t, fresh.Build(), gen2)
 	if planeAddr(gen2) != planeAddr(prev) {
-		t.Fatal("BuildFrom did not repair in the donated scratch")
+		t.Fatal("the repair did not happen in the donated scratch")
 	}
 	// The class plane must survive the donor path too.
 	full := spanOf(0, 0, 15, 15)
@@ -280,34 +278,26 @@ func TestClassPlaneRoundTrip(t *testing.T) {
 	}
 	h := b.Build()
 
-	for _, compact := range []bool{false, true} {
-		var buf bytes.Buffer
-		var err error
-		if compact {
-			err = h.WriteCompact(&buf)
-		} else {
-			err = h.Write(&buf)
-		}
-		if err != nil {
-			t.Fatalf("compact=%v: write: %v", compact, err)
-		}
-		if !bytes.HasPrefix(buf.Bytes(), []byte("SPHEUL03")) {
-			t.Fatalf("compact=%v: class-plane histogram not written as SPHEUL03", compact)
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("compact=%v: read: %v", compact, err)
-		}
-		assertIdentical(t, h, got)
-		if !got.HasClassPlane() {
-			t.Fatalf("compact=%v: plane lost in round trip", compact)
-		}
-		for trial := 0; trial < 60; trial++ {
-			q := randSpan(r, g)
-			w, _ := h.PartialIn(q)
-			if p, ok := got.PartialIn(q); !ok || p != w {
-				t.Fatalf("compact=%v: PartialIn(%v) = (%d, %v), want (%d, true)", compact, q, p, ok, w)
-			}
+	var buf bytes.Buffer
+	if err := h.Write(&buf); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte("SPHEUL03")) {
+		t.Fatal("class-plane histogram not written as SPHEUL03")
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	assertIdentical(t, h, got)
+	if !got.HasClassPlane() {
+		t.Fatal("plane lost in round trip")
+	}
+	for trial := 0; trial < 60; trial++ {
+		q := randSpan(r, g)
+		w, _ := h.PartialIn(q)
+		if p, ok := got.PartialIn(q); !ok || p != w {
+			t.Fatalf("PartialIn(%v) = (%d, %v), want (%d, true)", q, p, ok, w)
 		}
 	}
 
@@ -315,11 +305,11 @@ func TestClassPlaneRoundTrip(t *testing.T) {
 	// needs to distinguish "no partials" from "no plane".
 	zb := NewBuilder(g)
 	zb.AddObject([]grid.Span{spanOf(2, 2, 5, 5)}, grid.CellFull)
-	var buf bytes.Buffer
+	buf.Reset()
 	if err := zb.Build().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err = Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

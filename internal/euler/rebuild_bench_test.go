@@ -1,6 +1,7 @@
 package euler
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -20,6 +21,7 @@ type rebuildHarness struct {
 	scratch      *Histogram
 	stale        DirtyRegion
 	hotLo, hotHi int
+	workers      int // of a full rebuild, as the live store sizes it
 }
 
 func hotSpan(r *rand.Rand, lo, hi int) grid.Span {
@@ -34,21 +36,29 @@ func hotSpan(r *rand.Rand, lo, hi int) grid.Span {
 // space plus hotCount objects inside the hot cell range [hotLo..hotHi]²,
 // the region each benchmark iteration mutates.
 func newRebuildHarness(n, objects, hotLo, hotHi, hotCount int) *rebuildHarness {
-	r := rand.New(rand.NewSource(97))
-	g := grid.NewUnit(n, n)
-	bld := NewBuilder(g)
-	for k := 0; k < objects; k++ {
-		i1, j1 := r.Intn(n), r.Intn(n)
-		bld.AddSpan(grid.Span{I1: i1, J1: j1, I2: min(i1+r.Intn(8), n-1), J2: min(j1+r.Intn(8), n-1)})
-	}
-	h := &rebuildHarness{bld: bld, r: r, hotLo: hotLo, hotHi: hotHi, stale: EmptyRegion()}
+	h := seedHarness(n, n, objects)
+	h.hotLo, h.hotHi = hotLo, hotHi
 	for k := 0; k < hotCount; k++ {
-		s := hotSpan(r, hotLo, hotHi)
-		bld.AddSpan(s)
+		s := hotSpan(h.r, hotLo, hotHi)
+		h.bld.AddSpan(s)
 		h.hot = append(h.hot, s)
 	}
-	h.prev = bld.Build()
+	h.prev = h.bld.Build()
 	return h
+}
+
+// seedHarness is a harness over an nx×ny grid seeded with objects of up to
+// eight cells a side spread over the whole space, not yet built.
+func seedHarness(nx, ny, objects int) *rebuildHarness {
+	r := rand.New(rand.NewSource(97))
+	g := grid.NewUnit(nx, ny)
+	bld := NewBuilder(g)
+	for k := 0; k < objects; k++ {
+		i1, j1 := r.Intn(nx), r.Intn(ny)
+		bld.AddSpan(grid.Span{I1: i1, J1: j1, I2: min(i1+r.Intn(8), nx-1), J2: min(j1+r.Intn(8), ny-1)})
+	}
+	return &rebuildHarness{bld: bld, r: r, stale: EmptyRegion(),
+		workers: AutoWorkers((2*nx-1)*(2*ny-1), objects)}
 }
 
 // mutate moves every hot object: one remove plus one add, all inside the
@@ -63,12 +73,14 @@ func (h *rebuildHarness) mutate() {
 	}
 }
 
-// publishIncremental publishes via BuildFrom with the retired-generation
-// scratch ping-pong.
-func (h *rebuildHarness) publishIncremental(crossover float64) BuildStats {
-	nh, stats := h.bld.BuildFrom(h.prev, BuildFromOpts{Scratch: h.scratch, Stale: h.stale, Crossover: crossover})
+// publish publishes the next generation under strategy st with the
+// retired-generation scratch ping-pong: the generation it replaces lags it
+// by the builder's dirty box.
+func (h *rebuildHarness) publish(st strategy) BuildStats {
+	moved := h.bld.Dirty()
+	nh, stats := st.publish(h.bld, h.prev, BuildFromOpts{Scratch: h.scratch, Stale: h.stale, Workers: h.workers})
 	if nh != h.prev {
-		h.scratch, h.stale = h.prev, stats.Dirty
+		h.scratch, h.stale = h.prev, moved
 		h.prev = nh
 	}
 	return stats
@@ -102,22 +114,35 @@ func BenchmarkRebuildIncremental(b *testing.B) {
 	// Reach the steady state (scratch ping-pong established) before timing.
 	for i := 0; i < 2; i++ {
 		h.mutate()
-		h.publishIncremental(-1)
+		h.publish(byPolicy)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.mutate()
-		if stats := h.publishIncremental(-1); !stats.Incremental {
+		if stats := h.publish(byPolicy); !stats.Incremental {
 			b.Fatal("expected the incremental path")
 		}
 	}
 }
 
-// BenchmarkCrossover measures incremental repair against a full in-place
-// rebuild across dirty fractions — the data behind DefaultCrossover. The
-// sub-benchmark name carries the repair-cost fraction repairCost/3·lattice
-// that BuildFrom's policy actually compares against.
+// BenchmarkCrossover prices BuildFrom's two strategies against each other
+// and against its own choice between them: the data behind
+// DefaultCrossover and the table in DESIGN ("Incremental snapshot
+// rebuilds"). Sub-benchmarks are named shape/strategy, strategy one of
+// policy (BuildFrom's choice), repair and full (forced); one op is one
+// publish.
+//
+//   - dirtyNpct: balanced churn of 64 objects inside a centered box of
+//     about N % of a 1024×1024 grid's lattice, the sweep that puts the
+//     break-even;
+//   - feed=localized|scattered/NXxNY: the live ingest feed shape on the
+//     ingest-browse grid (360×180, 200,000 seed objects) and on a
+//     1440×720 one (1,000,000 objects): one publish per 20 batches of 50
+//     objects of 1–4 cells a side, four insert batches then a delete of the
+//     group's first, each batch within 12 cells of a focus drifting by at
+//     most 3 cells a batch, or (scattered) drawn anywhere. policy reports
+//     the share of its publishes that repaired.
 func BenchmarkCrossover(b *testing.B) {
 	for _, hot := range []struct {
 		name   string
@@ -132,28 +157,90 @@ func BenchmarkCrossover(b *testing.B) {
 		h := newRebuildHarness(benchGridN, 200_000, hot.lo, hot.hi, 64)
 		for i := 0; i < 2; i++ {
 			h.mutate()
-			h.publishIncremental(-1)
+			h.publish(repairOnly)
 		}
-		b.Run(hot.name+"/incremental", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				h.mutate()
-				h.publishIncremental(-1)
-			}
-		})
-		b.Run(hot.name+"/full", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				h.mutate()
-				// Full rebuild into the recycled buffers, forced via a
-				// vanishingly small crossover bound.
-				nh, stats := h.bld.BuildFrom(h.prev, BuildFromOpts{Scratch: h.scratch, Stale: h.stale, Crossover: 1e-12})
-				if nh != h.prev {
-					h.scratch, h.stale = h.prev, stats.Dirty
-					h.prev = nh
+		for _, st := range []strategy{repairOnly, fullOnly} {
+			b.Run(hot.name+"/"+string(st), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					h.mutate()
+					h.publish(st)
 				}
+			})
+		}
+	}
+	for _, size := range []struct{ nx, ny, objects int }{{360, 180, 200_000}, {1440, 720, 1_000_000}} {
+		for _, scattered := range []bool{false, true} {
+			f := newFeedHarness(size.nx, size.ny, size.objects, scattered)
+			name := fmt.Sprintf("feed=localized/%dx%d", size.nx, size.ny)
+			if scattered {
+				name = fmt.Sprintf("feed=scattered/%dx%d", size.nx, size.ny)
 			}
-		})
+			for _, st := range []strategy{byPolicy, repairOnly, fullOnly} {
+				b.Run(name+"/"+string(st), func(b *testing.B) {
+					repaired := 0
+					for i := 0; i < b.N; i++ {
+						f.feed()
+						if f.publish(st).Incremental {
+							repaired++
+						}
+					}
+					if st == byPolicy {
+						b.ReportMetric(float64(repaired)/float64(b.N), "repaired/op")
+					}
+				})
+			}
+		}
 	}
 }
+
+// feedHarness is a rebuildHarness fed the live ingest feed shape (see
+// BenchmarkCrossover).
+type feedHarness struct {
+	*rebuildHarness
+	scattered bool
+	fi, fj    int
+	n         int         // batches fed
+	group     []grid.Span // first insert batch of the current group of five
+}
+
+func newFeedHarness(nx, ny, objects int, scattered bool) *feedHarness {
+	h := seedHarness(nx, ny, objects)
+	h.prev = h.bld.Build()
+	return &feedHarness{rebuildHarness: h, scattered: scattered, fi: h.r.Intn(nx), fj: h.r.Intn(ny)}
+}
+
+// feed applies the 20 batches of one publish.
+func (f *feedHarness) feed() {
+	g := f.bld.Grid()
+	nx, ny := g.NX(), g.NY()
+	for k := 0; k < 20; k++ {
+		if f.n%5 == 4 {
+			for _, s := range f.group {
+				f.bld.RemoveSpan(s)
+			}
+			f.n++
+			continue
+		}
+		batch := make([]grid.Span, 50)
+		for i := range batch {
+			ci := clamp(f.fi+f.r.Intn(25)-12, 0, nx-1)
+			cj := clamp(f.fj+f.r.Intn(25)-12, 0, ny-1)
+			if f.scattered {
+				ci, cj = f.r.Intn(nx), f.r.Intn(ny)
+			}
+			batch[i] = grid.Span{I1: ci, J1: cj, I2: min(ci+f.r.Intn(4), nx-1), J2: min(cj+f.r.Intn(4), ny-1)}
+			f.bld.AddSpan(batch[i])
+		}
+		if f.n%5 == 0 {
+			f.group = batch
+		}
+		f.fi = clamp(f.fi+f.r.Intn(7)-3, 0, nx-1)
+		f.fj = clamp(f.fj+f.r.Intn(7)-3, 0, ny-1)
+		f.n++
+	}
+}
+
+func clamp(v, lo, hi int) int { return min(max(v, lo), hi) }
 
 // TestIncrementalRebuildAllocs is the steady-state allocation regression
 // gate: publishing a small dirty region through the scratch ping-pong must
@@ -167,11 +254,11 @@ func TestIncrementalRebuildAllocs(t *testing.T) {
 	h := newRebuildHarness(benchGridN, 50_000, benchHotLo, benchHotHi, 16)
 	for i := 0; i < 2; i++ {
 		h.mutate()
-		h.publishIncremental(-1)
+		h.publish(byPolicy)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		h.mutate()
-		if stats := h.publishIncremental(-1); !stats.Incremental {
+		if stats := h.publish(byPolicy); !stats.Incremental {
 			t.Fatal("expected the incremental path")
 		}
 	})
@@ -183,7 +270,7 @@ func TestIncrementalRebuildAllocs(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	h.mutate()
-	h.publishIncremental(-1)
+	h.publish(byPolicy)
 	runtime.ReadMemStats(&after)
 	bytes := after.TotalAlloc - before.TotalAlloc
 	// The repair box is ≤ 203² buckets; its delta buffer is ≤ 330 KB. A

@@ -96,20 +96,15 @@ func TestWidthsAnswerIdentically(t *testing.T) {
 				}
 			}
 		}
-		for name, write := range map[string]func(*Histogram, *bytes.Buffer) error{
-			"Write":        func(h *Histogram, b *bytes.Buffer) error { return h.Write(b) },
-			"WriteCompact": func(h *Histogram, b *bytes.Buffer) error { return h.WriteCompact(b) },
-		} {
-			var nb, wb bytes.Buffer
-			if err := write(narrow, &nb); err != nil {
-				t.Fatal(err)
-			}
-			if err := write(wide, &wb); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(nb.Bytes(), wb.Bytes()) {
-				t.Fatalf("%dx%d: %s bytes depend on the cell width", nx, ny, name)
-			}
+		var nb, wb bytes.Buffer
+		if err := narrow.Write(&nb); err != nil {
+			t.Fatal(err)
+		}
+		if err := wide.Write(&wb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(nb.Bytes(), wb.Bytes()) {
+			t.Fatalf("%dx%d: file bytes depend on the cell width", nx, ny)
 		}
 	}
 }
@@ -127,10 +122,10 @@ func TestGoldenFilesAtBothWidths(t *testing.T) {
 			t.Fatalf("%s: built %d- and %d-byte cells, want 4 and 8", c.name, c.h.CellWidth(), wide[i].h.CellWidth())
 		}
 		var nb, wb bytes.Buffer
-		if err := c.write(c.h, &nb); err != nil {
+		if err := c.h.Write(&nb); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.write(wide[i].h, &wb); err != nil {
+		if err := wide[i].h.Write(&wb); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(nb.Bytes(), wb.Bytes()) {
@@ -157,30 +152,30 @@ func TestBuilderWidensAtTheLimit(t *testing.T) {
 	g := grid.NewUnit(32, 32)
 	b := NewBuilder(g)
 	var present []grid.Span
-	add := func(n int) {
+	add := func(n int, draw func(*rand.Rand, *grid.Grid) grid.Span) {
 		for k := 0; k < n; k++ {
-			s := randSpan(r, g)
+			s := draw(r, g)
 			b.AddSpan(s)
 			present = append(present, s)
 		}
 	}
 
-	add(limit - 20)
+	add(limit-20, randSpan)
 	gen0 := b.Build()
-	add(10)
-	gen1, stats := b.BuildFrom(gen0, BuildFromOpts{Crossover: -1})
+	add(10, localSpan)
+	gen1, stats := b.BuildFrom(gen0, BuildFromOpts{})
 	if gen0.CellWidth() != 4 || gen1.CellWidth() != 4 || !stats.Incremental {
 		t.Fatalf("below the limit: %d/%d-byte cells, incremental %v", gen0.CellWidth(), gen1.CellWidth(), stats.Incremental)
 	}
 
 	// The update that takes the count of updates to limit+1 widens the
 	// builder; the next publish cannot repair gen1 or refill gen0.
-	add(11)
+	add(11, randSpan)
 	if b.d32 != nil || b.bound != limit+1 {
 		t.Fatalf("after %d updates: narrow=%v bound=%d", limit+1, b.d32 != nil, b.bound)
 	}
 	gen0Addr := planeAddr(gen0)
-	gen2, stats := b.BuildFrom(gen1, BuildFromOpts{Scratch: gen0, Stale: stats.Dirty, Crossover: -1})
+	gen2, stats := b.BuildFrom(gen1, BuildFromOpts{Scratch: gen0, Stale: stats.Dirty})
 	if gen2.CellWidth() != 8 || stats.Incremental {
 		t.Fatalf("crossing publish: %d-byte cells, incremental %v", gen2.CellWidth(), stats.Incremental)
 	}
@@ -190,16 +185,17 @@ func TestBuilderWidensAtTheLimit(t *testing.T) {
 	assertIdentical(t, freshBuild(g, present), gen2)
 	assertIdentical(t, gen0, freshBuild(g, present[:limit-20]))
 
-	// Wide from here on: repair against gen2, then recycle it.
-	add(5)
-	gen3, stats3 := b.BuildFrom(gen2, BuildFromOpts{Scratch: gen1, Stale: stats.Dirty, Crossover: -1})
+	// Wide from here on: repair against gen2 — the narrow gen1 refused as
+	// scratch — then recycle it.
+	add(5, localSpan)
+	gen3, stats3 := b.BuildFrom(gen2, BuildFromOpts{Scratch: gen1, Stale: stats.Dirty})
 	if gen3.CellWidth() != 8 || !stats3.Incremental {
 		t.Fatalf("first wide repair: %d-byte cells, incremental %v", gen3.CellWidth(), stats3.Incremental)
 	}
 	assertIdentical(t, freshBuild(g, present), gen3)
-	add(5)
+	add(5, localSpan)
 	gen2Addr := planeAddr(gen2)
-	gen4, stats4 := b.BuildFrom(gen3, BuildFromOpts{Scratch: gen2, Stale: stats3.Dirty, Crossover: -1})
+	gen4, stats4 := b.BuildFrom(gen3, BuildFromOpts{Scratch: gen2, Stale: stats3.Dirty})
 	if !stats4.Incremental || planeAddr(gen4) != gen2Addr {
 		t.Fatalf("wide scratch not recycled: incremental %v", stats4.Incremental)
 	}
@@ -263,7 +259,7 @@ func TestForeignRemoveRoundTrips(t *testing.T) {
 				h.CellWidth(), h.Bucket(2, 2), h.InsideSum(spanOf(0, 0, 5, 4)), h.Total())
 		}
 		var buf bytes.Buffer
-		if err := h.WriteCompact(&buf); err != nil {
+		if err := h.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		got, err := Read(&buf)
@@ -290,12 +286,12 @@ func TestForeignRemoveRoundTrips(t *testing.T) {
 func TestReadWidensWhatDoesNotFit(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	h, _ := buildRandom(r, 20, 16, 300)
-	for name, write := range map[string]func(*bytes.Buffer) error{
-		"Write":        func(b *bytes.Buffer) error { return h.Write(b) },
-		"WriteCompact": func(b *bytes.Buffer) error { return h.WriteCompact(b) },
+	for name, file := range map[string]func(*bytes.Buffer) error{
+		"SPHEUL02 at 4 bytes": func(b *bytes.Buffer) error { return h.Write(b) },
+		"SPHEUL01 at 8 bytes": func(b *bytes.Buffer) error { return writeSPHEUL01(h, b) },
 	} {
 		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
+		if err := file(&buf); err != nil {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct {
@@ -319,7 +315,7 @@ func TestReadWidensWhatDoesNotFit(t *testing.T) {
 				t.Fatalf("%s at limit %d: resumed narrow=%v with bound %d", name, tc.limit, b.d32 != nil, b.bound)
 			}
 			b.AddSpan(spanOf(1, 1, 2, 2))
-			next, stats := b.BuildFrom(got, BuildFromOpts{Crossover: -1})
+			next, stats := b.BuildFrom(got, BuildFromOpts{})
 			if next.CellWidth() != 8 || stats.Incremental != (tc.width == 8) {
 				t.Fatalf("%s at limit %d: next publish has %d-byte cells, incremental %v", name, tc.limit, next.CellWidth(), stats.Incremental)
 			}

@@ -40,11 +40,6 @@ var ErrUnknownTenant = errors.New("unknown tenant")
 type TenantConfig struct {
 	Name string
 	Load func() (core.Estimator, error)
-	// OverviewEpsilon opts this tenant into ε-approximate overview
-	// serving, overriding the registry-wide Options.OverviewEpsilon.
-	// 0 inherits the registry default; tenants with no pyramid-backed
-	// estimator serve exactly regardless.
-	OverviewEpsilon float64
 }
 
 // RegistryOptions tunes a Registry.
@@ -175,9 +170,6 @@ func (r *Registry) Resolve(name string) (*Server, error) {
 	}
 	opts := r.opts.Server
 	opts.Tenant = name
-	if t.cfg.OverviewEpsilon > 0 {
-		opts.OverviewEpsilon = t.cfg.OverviewEpsilon
-	}
 	srv := NewSourceServer(name, StaticSource(est), opts)
 	r.mLoads.Inc()
 

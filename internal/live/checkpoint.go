@@ -90,7 +90,7 @@ func writeCheckpointPayload(w io.Writer, header []byte, walOff, applied int64, h
 		return err
 	}
 	for _, h := range hists {
-		if err := h.WriteCompact(w); err != nil {
+		if err := h.Write(w); err != nil {
 			return err
 		}
 	}

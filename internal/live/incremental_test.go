@@ -3,6 +3,7 @@ package live
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,11 +13,13 @@ import (
 	"spatialhist/internal/telemetry"
 )
 
-// survivorScript builds a mutation script and the set of objects that
-// survive it, so tests can construct a ground-truth batch estimator.
-func survivorScript(seed []geom.Rect, n int, rngSeed int64) ([]walRecord, []geom.Rect) {
+// survivorScript builds a mutation script whose inserts and update images
+// draw draws, and whose deletes and updates take objects the script itself
+// inserted, and returns it with the objects that survive it over seed, so
+// tests can construct a ground-truth batch estimator.
+func survivorScript(seed []geom.Rect, n int, rngSeed int64, draw func(*rand.Rand) geom.Rect) ([]walRecord, []geom.Rect) {
 	r := rand.New(rand.NewSource(rngSeed))
-	live := append([]geom.Rect(nil), seed...)
+	var live []geom.Rect
 	recs := make([]walRecord, 0, n)
 	for len(recs) < n {
 		switch {
@@ -27,31 +30,43 @@ func survivorScript(seed []geom.Rect, n int, rngSeed int64) ([]walRecord, []geom
 			live = live[:len(live)-1]
 		case len(live) > 4 && r.Intn(4) == 0:
 			k := r.Intn(len(live))
-			nr := randRect(r)
+			nr := draw(r)
 			recs = append(recs, walRecord{op: opUpdate, old: live[k], r: nr})
 			live[k] = nr
 		default:
-			nr := randRect(r)
+			nr := draw(r)
 			recs = append(recs, walRecord{op: opInsert, r: nr})
 			live = append(live, nr)
 		}
 	}
-	return recs, live
+	return recs, append(slices.Clone(seed), live...)
+}
+
+// localRect returns a small MBR inside the lower-left corner [1,5]×[1,4] of
+// the unit test space: churn a publish repairs.
+func localRect(r *rand.Rand) geom.Rect {
+	x, y := 1+3*r.Float64(), 1+2*r.Float64()
+	return geom.NewRect(x, y, x+0.2+r.Float64(), y+0.2+r.Float64())
 }
 
 // TestIncrementalPublishMatchesBatch drives stores through many small
 // rebuilds — which exercises dirty-region repair and generation-buffer
 // recycling — and checks the final snapshot against a store built in one
-// shot from the surviving objects, across crossover settings that force
-// the repair path, the full path and the tuned policy.
+// shot from the surviving objects, over feeds that send every publish
+// after the first down the repair path, the full path, or either.
 func TestIncrementalPublishMatchesBatch(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		crossover float64
+		name string
+		draw func(*rand.Rand) geom.Rect
 	}{
-		{"always-repair", -1},
-		{"always-full", 1e-12},
-		{"default", 0},
+		{"localized", localRect},
+		{"scattered", randRect},
+		{"mixed", func(r *rand.Rand) geom.Rect {
+			if r.Intn(8) == 0 {
+				return randRect(r)
+			}
+			return localRect(r)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, algo := range []struct {
@@ -64,12 +79,20 @@ func TestIncrementalPublishMatchesBatch(t *testing.T) {
 			} {
 				t.Run(algo.name, func(t *testing.T) {
 					seed := seedRects(200)
-					recs, survivors := survivorScript(seed, 300, 11)
+					recs, survivors := survivorScript(seed, 300, 11, tc.draw)
 					s := openTestStore(t, Config{Grid: testGrid(), Algo: algo.algo, Areas: algo.areas,
-						Seed: seed, RebuildEvery: 16, RebuildCrossover: tc.crossover})
+						Seed: seed, RebuildEvery: 16})
 					play(t, s, recs)
 					if err := s.Flush(); err != nil {
 						t.Fatal(err)
+					}
+					// The opening build is the one full rebuild a localized
+					// feed pays; a scattered one pays them throughout.
+					switch full := s.m.rebuildFull.Value(); {
+					case tc.name == "localized" && full != 1:
+						t.Errorf("localized feed: %d full rebuilds, want only the opening one", full)
+					case tc.name == "scattered" && full < 10:
+						t.Errorf("scattered feed: %d full rebuilds over 19 publishes, want most of them", full)
 					}
 					ref := openTestStore(t, Config{Grid: testGrid(), Algo: algo.algo, Areas: algo.areas,
 						Seed: survivors})
@@ -90,7 +113,7 @@ func TestIncrementalPublishMatchesBatch(t *testing.T) {
 func TestPinnedEstimatorStableAcrossRebuilds(t *testing.T) {
 	seed := seedRects(300)
 	s := openTestStore(t, Config{Grid: testGrid(), Algo: AlgoSEuler, Seed: seed,
-		RebuildEvery: 8, RebuildCrossover: -1})
+		RebuildEvery: 8})
 	est, gen, release := s.AcquireEstimator()
 	spans := []grid.Span{
 		{I1: 0, J1: 0, I2: 15, J2: 11},
@@ -103,8 +126,9 @@ func TestPinnedEstimatorStableAcrossRebuilds(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(13))
 	for round := 0; round < 6; round++ {
+		draw := []func(*rand.Rand) geom.Rect{localRect, randRect}[round%2] // repaired and rebuilt buffers
 		for k := 0; k < 20; k++ {
-			if _, err := s.Insert(randRect(r)); err != nil {
+			if _, err := s.Insert(draw(r)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -151,7 +175,7 @@ func TestRejectedMutationsSkipGeneration(t *testing.T) {
 // rather than accumulate them.
 func TestLeaseListBounded(t *testing.T) {
 	s := openTestStore(t, Config{Grid: testGrid(), Algo: AlgoSEuler, Seed: seedRects(100),
-		RebuildEvery: -1, RebuildCrossover: -1})
+		RebuildEvery: -1})
 	r := rand.New(rand.NewSource(17))
 	for round := 0; round < 3*maxLeases; round++ {
 		s.AcquireEstimator() // pin every generation, never release
@@ -208,10 +232,10 @@ func TestSteadyStatePublishAllocatesDirty(t *testing.T) {
 func TestRebuildTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := openTestStore(t, Config{Grid: testGrid(), Algo: AlgoSEuler, Seed: seedRects(200),
-		RebuildEvery: -1, RebuildCrossover: -1, Telemetry: reg})
+		RebuildEvery: -1, Telemetry: reg})
 	r := rand.New(rand.NewSource(19))
 	for k := 0; k < 10; k++ {
-		if _, err := s.Insert(randRect(r)); err != nil {
+		if _, err := s.Insert(localRect(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +258,7 @@ func TestRebuildTelemetry(t *testing.T) {
 // run under -race this is the memory-safety gate for buffer recycling.
 func TestConcurrentPinnedBrowse(t *testing.T) {
 	s := openTestStore(t, Config{Grid: testGrid(), Algo: AlgoMEuler, Areas: []float64{1, 9, 40},
-		Seed: seedRects(200), RebuildEvery: 4, RebuildCrossover: -1})
+		Seed: seedRects(200), RebuildEvery: 4})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {

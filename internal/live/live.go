@@ -85,10 +85,6 @@ type Config struct {
 	// Flush/Checkpoint/Close (fastest; a crash may lose buffered records —
 	// never corrupt the store). 1 makes every mutation durable.
 	SyncEvery int
-	// RebuildCrossover is the repair-cost fraction above which a rebuild
-	// falls back to a full cumulative pass instead of dirty-region repair.
-	// 0 means euler.DefaultCrossover; negative always repairs.
-	RebuildCrossover float64
 	// PyramidLevels enables multi-resolution serving: each generation
 	// carries up to this many coarse histogram levels above the base, kept
 	// incrementally by propagating the rebuild's dirty region up the stack,
@@ -413,11 +409,11 @@ func (s *Store) route(r geom.Rect) (*euler.Builder, bool) {
 // rebuild finalizes the builders into a new generation and publishes it.
 // Each partition goes through euler.BuildFrom against the last published
 // histogram: untouched partitions are shared by pointer, touched ones are
-// repaired in place on a recycled buffer from the arena (or a clone when
-// none is free), and only past the crossover fraction does a partition pay
-// a full cumulative pass. When every partition is untouched the current
-// snapshot already represents the store and no new generation is
-// published.
+// repaired on a recycled buffer from the arena (or a clone when none is
+// free) or, when their dirty box is too wide for repair to pay, rebuilt in
+// full into that buffer — BuildFrom decides from the box alone. When every
+// partition is untouched the current snapshot already represents the store
+// and no new generation is published.
 func (s *Store) rebuild() {
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
@@ -425,6 +421,11 @@ func (s *Store) rebuild() {
 
 	lattice := (2*s.cfg.Grid.NX() - 1) * (2*s.cfg.Grid.NY() - 1)
 	hists := make([]*euler.Histogram, len(s.builders))
+	// moved bounds where a partition's new histogram differs from the last
+	// published one: its builder's dirty box. dmg bounds where it differs
+	// from the buffers the build was handed — moved, widened by a donated
+	// lease's staleness — which is what the pyramid over that lease lags.
+	moved := make([]euler.DirtyRegion, len(s.builders))
 	dmg := make([]euler.DirtyRegion, len(s.builders))
 	leases := make([]*histLease, len(s.builders))
 	incremental := true
@@ -438,14 +439,12 @@ func (s *Store) rebuild() {
 			dmg[i] = euler.EmptyRegion()
 			continue
 		}
-		opts := euler.BuildFromOpts{
-			Crossover: s.cfg.RebuildCrossover,
-			Workers:   euler.AutoWorkers(lattice, int(b.Count())),
-		}
+		opts := euler.BuildFromOpts{Workers: euler.AutoWorkers(lattice, int(b.Count()))}
 		if lease := s.arena.take(i); lease != nil {
 			opts.Scratch, opts.Stale = lease.hist, lease.stale
 			leases[i] = lease
 		}
+		moved[i] = b.Dirty()
 		h, stats := b.BuildFrom(prev, opts)
 		hists[i] = h
 		dmg[i] = stats.Dirty
@@ -509,9 +508,12 @@ func (s *Store) rebuild() {
 			continue
 		}
 		// Everything retained for this partition now lags the published
-		// content by the repaired region; record that before tracking the
-		// new histogram (whose lag is empty).
-		s.arena.damage(i, dmg[i])
+		// content by what moved; record that before tracking the new
+		// histogram (whose lag is empty). Not dmg: a lease's own
+		// staleness, handed to the build, is no lag of the others', and
+		// charging it to them would spread one wide publish to every later
+		// one.
+		s.arena.damage(i, moved[i])
 		s.arena.track(i, hists[i], s.pyrAt(pyrs, i), snap)
 		s.arena.prune(i)
 		s.lastHists[i] = hists[i]

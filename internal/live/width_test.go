@@ -66,26 +66,29 @@ func TestStoreCrossesTheNarrowLimit(t *testing.T) {
 	g := grid.NewUnit(128, 128)
 	reg := telemetry.NewRegistry()
 	ckpt := filepath.Join(t.TempDir(), "store.ckpt")
-	// Crossover −1: a publish repairs whenever it can, so a full rebuild in
-	// the counters below is one the cell width forced.
-	cfg := Config{Grid: g, Algo: AlgoSEuler, RebuildEvery: -1, RebuildCrossover: -1, PyramidLevels: 2,
+	cfg := Config{Grid: g, Algo: AlgoSEuler, RebuildEvery: -1, PyramidLevels: 2,
 		CheckpointPath: ckpt, Telemetry: reg}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var objects []geom.Rect
-	insert := func(n int) {
+	// insert draws objects anywhere; insertNear draws them in one corner of
+	// the space, localized enough that a publish repairs them, so a full
+	// rebuild in the counters below is one the cell width forced.
+	insertIn := func(n int, at, spread, size float64) {
 		t.Helper()
 		for k := 0; k < n; k++ {
-			x, y := 2+r.Float64()*100, 2+r.Float64()*100
-			o := geom.NewRect(x, y, x+1+r.Float64()*20, y+1+r.Float64()*20)
+			x, y := at+r.Float64()*spread, at+r.Float64()*spread
+			o := geom.NewRect(x, y, x+1+r.Float64()*size, y+1+r.Float64()*size)
 			if ok, err := s.Insert(o); err != nil || !ok {
 				t.Fatalf("insert: %v %v", ok, err)
 			}
 			objects = append(objects, o)
 		}
 	}
+	insert := func(n int) { insertIn(n, 2, 100, 20) }
+	insertNear := func(n int) { insertIn(n, 40, 8, 3) }
 	publish := func() {
 		t.Helper()
 		if err := s.Flush(); err != nil {
@@ -175,7 +178,7 @@ func TestStoreCrossesTheNarrowLimit(t *testing.T) {
 	// Wide generations fill the arena in their turn, and from then on a
 	// publish allocates for what changed, not for a plane.
 	for k := 0; k < 8; k++ {
-		insert(2)
+		insertNear(2)
 		publish()
 	}
 	if got := s.m.rebuildFull.Value() - fullRebuilds; got != 1 {
@@ -185,7 +188,7 @@ func TestStoreCrossesTheNarrowLimit(t *testing.T) {
 	readers.Wait()
 	var before, after runtime.MemStats
 	for k := 0; k < 4; k++ {
-		insert(1)
+		insertNear(1)
 		runtime.ReadMemStats(&before)
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
@@ -211,7 +214,7 @@ func TestStoreCrossesTheNarrowLimit(t *testing.T) {
 		t.Fatalf("reopened: tier %q, %d objects, want %q and %d", st.Tier, st.Objects, TierFull, len(objects))
 	}
 	publish()
-	insert(3)
+	insertNear(3)
 	publish()
 	if got := s.m.rebuildFull.Value() - fullRebuilds; got != 1 {
 		t.Fatalf("reopened store counted %d full rebuilds, want the opening one only", got)

@@ -149,21 +149,6 @@ func (s *Sum2D) Clone() *Sum2D {
 	return &Sum2D{nx: s.nx, ny: s.ny, p32: slices.Clone(s.p32), p64: slices.Clone(s.p64)}
 }
 
-// CloneInto copies s into dst's buffer and returns dst, falling back to a
-// fresh Clone when dst is nil or its buffer has the wrong size or cell
-// width. It is the allocation-free sibling of Clone for callers holding a
-// recycled buffer of the same dimensions — a donated arena lease whose
-// content is unrelated but whose storage is reusable.
-func (s *Sum2D) CloneInto(dst *Sum2D) *Sum2D {
-	if dst == nil || dst == s || len(dst.p32) != len(s.p32) || len(dst.p64) != len(s.p64) {
-		return s.Clone()
-	}
-	dst.nx, dst.ny = s.nx, s.ny
-	copy(dst.p32, s.p32)
-	copy(dst.p64, s.p64)
-	return dst
-}
-
 // accumulate replaces the nx×ny source values in p by their 2-d prefix
 // sums. Serially that is one pass: a row's running sum plus the finished
 // row above. In parallel it is two — prefix along y, independent per row,
@@ -333,9 +318,7 @@ func addPrefixDelta[T Cell](p []T, nx, ny, u1, v1, u2, v2 int, delta []int64) {
 			prow[v1+j] += T(v)
 		}
 		if tail := T(drow[bw-1]); tail != 0 {
-			for v := v2 + 1; v < ny; v++ {
-				prow[v] += tail
-			}
+			addConst(prow[v2+1:], tail)
 		}
 	}
 	// Rows below the box: the box column totals, then the box total c over
@@ -348,10 +331,28 @@ func addPrefixDelta[T Cell](p []T, nx, ny, u1, v1, u2, v2 int, delta []int64) {
 			prow[v1+j] += T(v)
 		}
 		if c != 0 {
-			for v := v2 + 1; v < ny; v++ {
-				prow[v] += c
-			}
+			addConst(prow[v2+1:], c)
 		}
+	}
+}
+
+// addConst adds c to every cell of row: the row tails and the quadrant of
+// addPrefixDelta, the bulk of a repair's writes. Eight cells a turn: the
+// loop's own overhead would otherwise cost as much as the adds.
+func addConst[T Cell](row []T, c T) {
+	for ; len(row) >= 8; row = row[8:] {
+		r := row[:8:8]
+		r[0] += c
+		r[1] += c
+		r[2] += c
+		r[3] += c
+		r[4] += c
+		r[5] += c
+		r[6] += c
+		r[7] += c
+	}
+	for i := range row {
+		row[i] += c
 	}
 }
 

@@ -73,65 +73,3 @@ func TestPackRefusesOverflow(t *testing.T) {
 		t.Fatalf("extreme prefixes corrupted: %d, %d", p.PrefixAt(0, 0), p.PrefixAt(1, 0))
 	}
 }
-
-func TestCloneInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	nx, ny := 40, 30
-	// first returns the address of the plane's first cell, at either width.
-	first := func(s *Sum2D) any {
-		if s.Narrow() {
-			return &s.p32[0]
-		}
-		return &s.p64[0]
-	}
-	bump := func(s *Sum2D) {
-		if s.Narrow() {
-			s.p32[0]++
-		} else {
-			s.p64[0]++
-		}
-	}
-	otherWidth := func(s *Sum2D) *Sum2D {
-		if s.Narrow() {
-			return s.Unpack()
-		}
-		p, _ := s.Pack()
-		return p
-	}
-	bothWidths(t, randArray(rng, nx*ny), nx, ny, func(t *testing.T, s *Sum2D) {
-		// Matching buffer: reused in place, content identical.
-		dst := s.Clone()
-		bump(dst)
-		p0 := first(dst)
-		got := s.CloneInto(dst)
-		if got != dst || first(got) != p0 {
-			t.Fatal("CloneInto did not reuse the destination buffer")
-		}
-		assertEqualSum2D(t, s, got)
-
-		// The clone is independent of the source.
-		bump(got)
-		if s.PrefixAt(0, 0) == got.PrefixAt(0, 0) {
-			t.Fatal("CloneInto aliased the source buffer")
-		}
-
-		// nil, self, mismatched and other-width destinations fall back to a
-		// fresh clone of the source's width.
-		for name, dst := range map[string]*Sum2D{
-			"nil":      nil,
-			"self":     s,
-			"mismatch": NewSum2D(make([]int64, 6), 2, 3),
-			"width":    otherWidth(s),
-		} {
-			got := s.CloneInto(dst)
-			if got == s || got == dst || got.Narrow() != s.Narrow() {
-				t.Fatalf("%s: CloneInto returned %p (narrow %v) for source %p", name, got, got.Narrow(), s)
-			}
-			assertEqualSum2D(t, s, got)
-			bump(got)
-			if s.PrefixAt(0, 0) == got.PrefixAt(0, 0) {
-				t.Fatalf("%s: fallback clone aliased the source", name)
-			}
-		}
-	})
-}

@@ -50,8 +50,6 @@ type FollowerConfig struct {
 	// PollInterval is how often the tailer polls when caught up. 0 means
 	// 50ms.
 	PollInterval time.Duration
-	// MaxBatchBytes bounds one segment fetch. 0 means 1 MiB.
-	MaxBatchBytes int
 	// RebuildEvery / RebuildInterval / PyramidLevels tune the follower's
 	// store exactly as live.Config does; the replication protocol is
 	// correct under any rebuild cadence.
@@ -73,7 +71,6 @@ type Follower struct {
 	store *live.Store
 	src   SegmentSource
 	poll  time.Duration
-	batch int
 
 	stop chan struct{}
 	done chan struct{}
@@ -100,11 +97,10 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 		reg = telemetry.Default()
 	}
 	f := &Follower{
-		src:   cfg.Source,
-		poll:  cfg.PollInterval,
-		batch: cfg.MaxBatchBytes,
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		src:  cfg.Source,
+		poll: cfg.PollInterval,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 		applied: reg.Counter("replica_applied_records_total",
 			"WAL records applied from the leader."),
 		fetches: reg.Counter("replica_fetches_total",
@@ -120,9 +116,6 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	}
 	if f.poll <= 0 {
 		f.poll = 50 * time.Millisecond
-	}
-	if f.batch <= 0 {
-		f.batch = defaultSegmentBytes
 	}
 
 	if _, err := os.Stat(cfg.CheckpointPath); os.IsNotExist(err) {
@@ -203,7 +196,7 @@ func (f *Follower) tail() {
 		default:
 		}
 		seq := f.store.Seq()
-		data, size, err := f.src.Segment(seq, f.batch)
+		data, size, err := f.src.Segment(seq, defaultSegmentBytes)
 		f.fetches.Inc()
 		if err != nil {
 			f.fetchErrors.Inc()

@@ -25,9 +25,9 @@ const (
 	maxBody      = 8 << 20
 )
 
-// defaultSegmentBytes is the WAL segment size served when the tailer
-// doesn't ask for a specific max; maxSegmentBytes caps what it may ask
-// for.
+// defaultSegmentBytes is the WAL segment size a follower fetches, and the
+// one served when a tailer doesn't ask for a specific max;
+// maxSegmentBytes caps what it may ask for.
 const (
 	defaultSegmentBytes = 1 << 20
 	maxSegmentBytes     = 8 << 20

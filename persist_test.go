@@ -302,8 +302,10 @@ func TestLoadRefusesMalformedThresholds(t *testing.T) {
 }
 
 // TestSummaryFilesFromBeforeSpec: summaries written by the commit before
-// persistence went through core.Spec load, answer as a fresh build of the
-// same dataset does, and re-save to the bytes they were read from.
+// persistence went through core.Spec — at 8 bytes per bucket, before Write
+// packed — load and answer as a fresh build of the same dataset does. They
+// re-save in the current form, about half their size, which is byte for
+// byte what the fresh build saves and loads to the same answers.
 func TestSummaryFilesFromBeforeSpec(t *testing.T) {
 	d := dataset.SpSkew(120, 2)
 	g := NewGrid(d.Extent, 16, 8)
@@ -314,6 +316,21 @@ func TestSummaryFilesFromBeforeSpec(t *testing.T) {
 	for name, fresh := range map[string]*Summary{
 		"seuler": NewSEuler(g, d.Rects), "euler": NewEuler(g, d.Rects), "meuler": me,
 	} {
+		answersAsFresh := func(what string, got *Summary) {
+			t.Helper()
+			if got.Algorithm() != fresh.Algorithm() || got.Count() != fresh.Count() || got.StorageBuckets() != fresh.StorageBuckets() {
+				t.Fatalf("%s %s: %s/%d/%d, built %s/%d/%d", name, what, got.Algorithm(), got.Count(), got.StorageBuckets(),
+					fresh.Algorithm(), fresh.Count(), fresh.StorageBuckets())
+			}
+			for i1 := 0; i1 < 16; i1++ {
+				for j1 := 0; j1 < 8; j1++ {
+					q := Span{I1: i1, J1: j1, I2: i1 + (15-i1)/2, J2: j1 + (7-j1)/2}
+					if got.QuerySpan(q) != fresh.QuerySpan(q) {
+						t.Fatalf("%s %s: estimates diverge at %v", name, what, q)
+					}
+				}
+			}
+		}
 		raw, err := os.ReadFile(filepath.Join("testdata", "summary_pr21_"+name+".bin"))
 		if err != nil {
 			t.Fatal(err)
@@ -322,31 +339,25 @@ func TestSummaryFilesFromBeforeSpec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Algorithm() != fresh.Algorithm() || got.Count() != fresh.Count() || got.StorageBuckets() != fresh.StorageBuckets() {
-			t.Fatalf("%s: loaded %s/%d/%d, built %s/%d/%d", name, got.Algorithm(), got.Count(), got.StorageBuckets(),
-				fresh.Algorithm(), fresh.Count(), fresh.StorageBuckets())
-		}
-		for i1 := 0; i1 < 16; i1++ {
-			for j1 := 0; j1 < 8; j1++ {
-				q := Span{I1: i1, J1: j1, I2: i1 + (15-i1)/2, J2: j1 + (7-j1)/2}
-				if got.QuerySpan(q) != fresh.QuerySpan(q) {
-					t.Fatalf("%s: estimates diverge at %v", name, q)
-				}
-			}
-		}
-		var buf bytes.Buffer
-		if err := got.Save(&buf); err != nil {
+		answersAsFresh("loaded", got)
+
+		var resaved, saved bytes.Buffer
+		if err := got.Save(&resaved); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), raw) {
-			t.Fatalf("%s: re-saved summary differs from the file it was loaded from", name)
-		}
-		var again bytes.Buffer
-		if err := fresh.Save(&again); err != nil {
+		if err := fresh.Save(&saved); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again.Bytes(), raw) {
-			t.Fatalf("%s: a fresh build saves different bytes than the commit before did", name)
+		if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+			t.Fatalf("%s: the re-saved summary differs from a fresh build's", name)
 		}
+		if ratio := float64(resaved.Len()) / float64(len(raw)); ratio > 0.55 {
+			t.Fatalf("%s: re-saved in %d bytes, %.2f of the old file's %d", name, resaved.Len(), ratio, len(raw))
+		}
+		back, err := Load(&resaved)
+		if err != nil {
+			t.Fatalf("%s: loading the re-saved summary: %v", name, err)
+		}
+		answersAsFresh("re-saved and loaded", back)
 	}
 }
