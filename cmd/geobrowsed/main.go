@@ -68,8 +68,8 @@ type config struct {
 	pprof, logRequests               bool
 	report                           time.Duration
 
-	pyramidLevels, pyramidMinGrid int
-	overviewEps                   float64
+	pyramidLevels int
+	overviewEps   float64
 
 	tenants      string
 	tenantBudget int64
@@ -106,7 +106,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.logRequests, "log-requests", false, "log one structured JSON line per API request to stderr")
 
 	fs.IntVar(&c.pyramidLevels, "pyramid-levels", 4, "coarse histogram levels above the base for zoom-native browse routing (0 disables the pyramid)")
-	fs.IntVar(&c.pyramidMinGrid, "pyramid-min-grid", euler.DefaultPyramidMinGrid, "stop pyramid coarsening before either grid axis would drop below this many cells")
 	fs.Float64Var(&c.overviewEps, "overview-epsilon", 0, "serve overview browse maps from the reduced tier when every tile certifies within eps*|tile| objects of exact (0 = always exact; needs pyramids)")
 
 	fs.StringVar(&c.tenants, "tenants", "", `serve multiple datasets behind /api/{tenant}/: comma-separated name=dataset[:n] specs (e.g. "west=adl:100000,east=uni")`)
@@ -260,15 +259,13 @@ func (c *config) droppedFlag() (flag, why string) {
 	switch {
 	case c.live && c.save != "":
 		return "-save", "-live serves a store, not a built summary to save"
-	case c.replicaOf != "" && c.pyramidMinGrid != euler.DefaultPyramidMinGrid:
-		return "-pyramid-min-grid", "a replica builds its pyramids at the default minimum grid"
 	}
 	return "", ""
 }
 
 // staticNode serves a fixed estimator, stacked over its pyramid.
 func staticNode(cfg config, name string, est core.Estimator, opts geobrowse.Options) (node, error) {
-	est, err := zoomWrap(est, cfg.pyramidLevels, cfg.pyramidMinGrid)
+	est, err := zoomWrap(est, cfg.pyramidLevels)
 	if err != nil {
 		return node{}, err
 	}
@@ -341,7 +338,7 @@ func assembleTenants(cfg config, opts geobrowse.Options) (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return zoomWrap(est, cfg.pyramidLevels, cfg.pyramidMinGrid)
+		return zoomWrap(est, cfg.pyramidLevels)
 	}, cfg.seed)
 	if err != nil {
 		return node{}, err
@@ -379,7 +376,6 @@ func assembleLive(cfg config, opts geobrowse.Options, g *grid.Grid, d *dataset.D
 		RebuildInterval: cfg.rebuildInterval,
 		SyncEvery:       cfg.syncEvery,
 		PyramidLevels:   cfg.pyramidLevels,
-		PyramidMinGrid:  cfg.pyramidMinGrid,
 	}
 	if cfg.shards > 1 {
 		return assembleSharded(cfg, lc, d)
@@ -424,11 +420,11 @@ func latticeSummary(est core.Estimator) string {
 // zoomWrap stacks a multi-resolution pyramid over a fixed-summary
 // estimator so aligned browse requests are served from coarse levels.
 // Grids too small (or too odd) to coarsen keep the plain estimator.
-func zoomWrap(est core.Estimator, levels, minGrid int) (core.Estimator, error) {
+func zoomWrap(est core.Estimator, levels int) (core.Estimator, error) {
 	if levels <= 0 {
 		return est, nil
 	}
-	spec, pyrs, ok := core.Pyramids(est, euler.PyramidOpts{MaxLevels: levels, MinGrid: minGrid})
+	spec, pyrs, ok := core.Pyramids(est, euler.PyramidOpts{MaxLevels: levels})
 	if !ok {
 		return est, nil
 	}

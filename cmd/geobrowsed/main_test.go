@@ -118,7 +118,6 @@ func TestParseShardSpec(t *testing.T) {
 func TestAssembleRefusesBadCommandLines(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)
-	ckpt := filepath.Join(t.TempDir(), "r.ckpt")
 	save := filepath.Join(t.TempDir(), "s.bin")
 	for _, tc := range []struct {
 		args []string
@@ -153,7 +152,6 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 		{[]string{"-coordinator", "http://localhost:1", "-log-requests"}, "-log-requests"},
 		{[]string{"-live", "-save", save}, "-save"},
 		{[]string{"-live", "-shards", "2", "-save", save}, "-save"},
-		{[]string{"-replica-of", "http://localhost:1", "-checkpoint", ckpt, "-pyramid-min-grid", "8"}, "-pyramid-min-grid"},
 	} {
 		fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
 		var cfg config
@@ -181,7 +179,7 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 // the data are gone, and passing one fails the command line instead of
 // being ignored.
 func TestRetiredFlagsAreErrors(t *testing.T) {
-	for _, args := range [][]string{{"-rebuild-crossover", "-1"}, {"-pack-cold", "3"}} {
+	for _, args := range [][]string{{"-rebuild-crossover", "-1"}, {"-pack-cold", "3"}, {"-pyramid-min-grid", "8"}} {
 		t.Run(args[0], func(t *testing.T) {
 			fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)

@@ -263,7 +263,7 @@ func (s *fleet) stop() (err error) {
 func (s *fleet) Apply(m gen.Mutation) (bool, error) {
 	applied := 0
 	ingest := func(op byte, r geom.Rect) error {
-		a, _, _, err := s.c.Ingest(op, []geom.Rect{r}, false)
+		a, _, _, err := s.c.Apply(op, []geom.Rect{r}, false)
 		applied += a
 		return err
 	}

@@ -71,55 +71,6 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := AppendDrillResponse(nil, s.g, rel, leaves)
 	writeEncoded(w, data, err)
-	s.warmFromDrill(span, depth)
-}
-
-// warmFromDrill asynchronously pre-populates the browse cache entry for
-// the even tile map a drill over this region implies: a client that
-// drilled to depth d typically follows with a browse of the same region at
-// the matching granularity, and that map's level-keyed cache entry can be
-// computed while the drill response is still being read.
-func (s *Server) warmFromDrill(span grid.Span, depth int) {
-	cols, rows, ok := warmTiling(span, depth)
-	if !ok {
-		return
-	}
-	s.warmWG.Add(1)
-	go func() {
-		defer s.warmWG.Done()
-		// A fresh pin: the drill request's pin is released when its handler
-		// returns, which may be before the warmer finishes. Warming against
-		// whatever generation is current is exactly right — that is the one
-		// the follow-up browse will hit.
-		est, gen, release := s.src.AcquireEstimator()
-		defer release()
-		if _, err := s.browseBytes(est, gen, span, cols, rows); err == nil {
-			s.warms.Inc()
-		}
-	}()
-}
-
-// warmTiling picks the browse tiling a drill to depth implies: per axis,
-// the largest power of two that both divides the span evenly (browse
-// tilings must be exact) and stays within the drill's splitting depth.
-// Maps smaller than 2×2 warm nothing worth caching, and the product is
-// bounded the same way ParseBrowseRequest bounds requested tilings.
-func warmTiling(span grid.Span, depth int) (cols, rows int, ok bool) {
-	cols = pow2Divisor(span.Width(), depth+1)
-	rows = pow2Divisor(span.Height(), depth+1)
-	if cols*rows < 4 || cols*rows > maxTiles {
-		return 0, 0, false
-	}
-	return cols, rows, true
-}
-
-// pow2Divisor returns the largest power of two ≤ 2^maxExp dividing n.
-func pow2Divisor(n, maxExp int) int {
-	d := 1
-	for e := 0; e < maxExp && n%(d*2) == 0; e++ {
-		d *= 2
-	}
-	return d
 }
 
 func parseRelation(arg string) (geom.Rel2, error) {

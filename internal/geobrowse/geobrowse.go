@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"spatialhist/internal/core"
@@ -146,8 +145,6 @@ type Server struct {
 	drain   atomic.Bool
 
 	approx *telemetry.Counter // browse maps served from the reduced tier
-	warms  *telemetry.Counter // drill-triggered cache warmups
-	warmWG sync.WaitGroup     // in-flight warmers, awaited by tests and Close paths
 }
 
 // NewServer creates a Server for a named dataset summarized by est, with
@@ -184,14 +181,12 @@ func NewSourceServer(name string, src EstimatorSource, opts Options) *Server {
 	if s.pool == nil {
 		s.pool = newBandPool(opts.Telemetry, opts.Workers)
 	}
-	var warmLabels []string
+	var labels []string
 	if opts.Tenant != "" {
-		warmLabels = []string{"tenant", opts.Tenant}
+		labels = []string{"tenant", opts.Tenant}
 	}
-	s.warms = opts.Telemetry.Counter("geobrowse_drill_warm_total",
-		"Browse-cache entries pre-populated by drill-down requests.", warmLabels...)
 	s.approx = opts.Telemetry.Counter("geobrowse_approx_maps_total",
-		"Browse maps served from the ε-approximate reduced tier.", warmLabels...)
+		"Browse maps served from the ε-approximate reduced tier.", labels...)
 	m := newHTTPMetrics(opts.Telemetry, opts.accessLogger(), opts.Tenant)
 	s.mux.HandleFunc("GET /api/info", m.wrap("/api/info", s.handleInfo))
 	s.mux.HandleFunc("GET /api/query", m.wrap("/api/query", s.admit(s.handleQuery)))
@@ -347,10 +342,9 @@ func writeBrowse(w http.ResponseWriter, data []byte, err error) {
 }
 
 // browseBytes computes (or serves from cache) the encoded browse response
-// for one tiling against a pinned estimator — the shared body of
-// handleBrowse and the drill-triggered cache warmer. The plan is resolved
-// once and read three times: its level and ε key the cache entry, and it
-// answers the miss.
+// for one tiling against a pinned estimator. The plan is resolved once and
+// read three times: its level and ε key the cache entry, and it answers the
+// miss.
 func (s *Server) browseBytes(est core.Estimator, gen uint64, span grid.Span, cols, rows int) ([]byte, error) {
 	plan, err := core.PlanGrid(est, span, cols, rows, s.epsilon)
 	if err != nil {

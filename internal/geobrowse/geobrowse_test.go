@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"spatialhist/internal/core"
 	"spatialhist/internal/euler"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
+	"spatialhist/internal/telemetry"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -168,6 +170,24 @@ func TestDrill(t *testing.T) {
 		if r2.StatusCode != http.StatusBadRequest {
 			t.Errorf("GET %s: status %d, want 400", path, r2.StatusCode)
 		}
+	}
+}
+
+// TestDrillLeavesBrowseCacheAlone: a drill is answered from the estimator
+// alone. Nothing computes or stores a browse map behind its response, then
+// or a while later.
+func TestDrillLeavesBrowseCacheAlone(t *testing.T) {
+	g := grid.NewUnit(36, 18)
+	h := euler.FromRects(g, []geom.Rect{geom.NewRect(2, 2, 4, 4), geom.NewRect(10, 5, 30, 15)})
+	s := NewServerOpts("testdata", core.NewEuler(h), Options{Telemetry: telemetry.NewRegistry()})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	var resp DrillResponse
+	getJSON(t, srv.URL+"/api/drill?x1=0&y1=0&x2=36&y2=18&relation=overlap&hot=1&depth=2", &resp)
+	time.Sleep(200 * time.Millisecond)
+	if hits, misses := s.CacheStats(); hits != 0 || misses != 0 || s.CacheBytes() != 0 {
+		t.Fatalf("after a drill the browse cache saw %d hits and %d misses and holds %d bytes, want none", hits, misses, s.CacheBytes())
 	}
 }
 

@@ -55,12 +55,8 @@ func NewLiveServer(name string, store *live.Store, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := NewSourceServer(name, store, opts)
 	m := newHTTPMetrics(opts.Telemetry, opts.accessLogger(), opts.Tenant)
-	s.mux.HandleFunc("POST /api/ingest", m.wrap("/api/ingest", func(w http.ResponseWriter, r *http.Request) {
-		handleMutation(w, r, store, live.OpInsert)
-	}))
-	s.mux.HandleFunc("POST /api/delete", m.wrap("/api/delete", func(w http.ResponseWriter, r *http.Request) {
-		handleMutation(w, r, store, live.OpDelete)
-	}))
+	s.mux.HandleFunc("POST /api/ingest", m.wrap("/api/ingest", MutationHandler(store, live.OpInsert)))
+	s.mux.HandleFunc("POST /api/delete", m.wrap("/api/delete", MutationHandler(store, live.OpDelete)))
 	s.mux.HandleFunc("GET /api/store/status", m.wrap("/api/store/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, store.Status())
 	}))
@@ -107,11 +103,37 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) erro
 	return nil
 }
 
-// ParseMutationRequest reads the body of an ingest or delete request — one
-// to maxMutationRects MBRs — and its flush parameter: exported for
-// front-ends (the shard coordinator) that must accept exactly the requests
-// a live Server accepts.
-func ParseMutationRequest(w http.ResponseWriter, r *http.Request) (rects []geom.Rect, flush bool, err error) {
+// Mutator applies one batch of inserts (live.OpInsert) or deletes
+// (live.OpDelete), publishing at the end when flush is set, with
+// live.Store.Apply's contract. A live store, a shard backend and a shard
+// coordinator all are one.
+type Mutator interface {
+	Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error)
+}
+
+// MutationHandler serves the op endpoint against m — POST /api/ingest
+// with live.OpInsert, /api/delete with live.OpDelete — for a live Server
+// and a shard coordinator front alike, so both accept exactly the same
+// requests and answer them with the same bodies.
+func MutationHandler(m Mutator, op byte) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		rects, flush, err := parseMutationRequest(w, r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		applied, rejected, gen, err := m.Apply(op, rects, flush)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		writeJSON(w, MutationResponse{Applied: applied, Rejected: rejected, Generation: gen})
+	}
+}
+
+// parseMutationRequest reads the body of an ingest or delete request — one
+// to maxMutationRects MBRs — and its flush parameter.
+func parseMutationRequest(w http.ResponseWriter, r *http.Request) (rects []geom.Rect, flush bool, err error) {
 	var req MutationRequest
 	if err := DecodeBody(w, r, &req, maxMutationBody); err != nil {
 		return nil, false, err
@@ -127,19 +149,4 @@ func ParseMutationRequest(w http.ResponseWriter, r *http.Request) (rects []geom.
 		rects[i] = geom.NewRect(q[0], q[1], q[2], q[3])
 	}
 	return rects, r.URL.Query().Get("flush") == "1", nil
-}
-
-// handleMutation applies one mutation request to the store.
-func handleMutation(w http.ResponseWriter, r *http.Request, store *live.Store, op byte) {
-	rects, flush, err := ParseMutationRequest(w, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	applied, rejected, gen, err := store.Apply(op, rects, flush)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	writeJSON(w, MutationResponse{Applied: applied, Rejected: rejected, Generation: gen})
 }

@@ -26,8 +26,8 @@ import (
 // The builders are reconstructed from the histograms with
 // euler.BuilderFromHistogram — the exact inverse of Build — so a
 // checkpointed store resumes mutating as if it had never stopped.
-// Checkpoints are written to a temp file and renamed into place; a crash
-// mid-write leaves the previous checkpoint intact.
+// Checkpoints are written to a temp file and renamed into place
+// (SaveCheckpoint); a crash mid-write leaves the previous checkpoint intact.
 
 var ckptMagic = [8]byte{'S', 'P', 'C', 'K', 'P', 'T', '0', '1'}
 
@@ -102,28 +102,77 @@ func (s *Store) writeCheckpoint(path string) error {
 	if err != nil {
 		return err
 	}
+	return SaveCheckpoint(path, func(w io.Writer) error {
+		return writeCheckpointPayload(w, s.header, walOff, applied, hists)
+	})
+}
+
+// SaveCheckpoint is the one writer of checkpoint files: write streams the
+// payload into a temp file beside path, through the FailpointCheckpointWrite
+// site, which is fsynced and renamed into place. A crash or error
+// mid-write leaves whatever was at path before — the previous checkpoint,
+// or nothing. A store's own checkpoints and a follower's bootstrap from its
+// leader's stream both go through it.
+func SaveCheckpoint(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	// Checkpoint bytes flow through their failpoint site: a crash test can
-	// kill the writer mid-payload and assert the previous checkpoint (and
-	// the rename-into-place protocol) survives.
 	bw := bufio.NewWriterSize(failpoint.Wrap(FailpointCheckpointWrite, tmp), 1<<20)
-	if err := writeCheckpointPayload(bw, s.header, walOff, applied, hists); err != nil {
-		return err
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
+}
+
+// readCheckpointConfig reads what opens every checkpoint — the magic and
+// the config-pinning header — and returns the configuration it pins.
+func readCheckpointConfig(r io.Reader) (Config, error) {
+	var magic [8]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return Config{}, fmt.Errorf("reading checkpoint magic: %w", err)
+	}
+	if magic != ckptMagic {
+		return Config{}, fmt.Errorf("not a checkpoint (magic %q)", magic)
+	}
+	algo, g, areas, err := decodeHeader(r)
+	if err != nil {
+		return Config{}, err
+	}
+	cfg := Config{Grid: g, Algo: Algo(algo), Areas: areas}
+	if err := cfg.validate(); err != nil {
+		return Config{}, err
+	}
+	return cfg, nil
+}
+
+// PeekCheckpoint reads just the configuration pinned in a checkpoint
+// file: the grid, algorithm and area thresholds the state was built
+// under. A follower bootstrapping from a shipped checkpoint derives its
+// Config from this, so replica topology needs no out-of-band config
+// distribution — the checkpoint is self-describing.
+func PeekCheckpoint(path string) (Config, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Config{}, err
+	}
+	defer f.Close()
+	cfg, err := readCheckpointConfig(bufio.NewReader(f))
+	if err != nil {
+		return Config{}, fmt.Errorf("live: checkpoint %s: %w", path, err)
+	}
+	return cfg, nil
 }
 
 // loadCheckpoint reads a checkpoint written for the given header and
@@ -141,18 +190,11 @@ func loadCheckpoint(path string, header []byte, groups int) (builders []*euler.B
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, 0, 0, fmt.Errorf("live: reading checkpoint magic: %w", err)
+	cfg, err := readCheckpointConfig(br)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("live: checkpoint %s: %w", path, err)
 	}
-	if magic != ckptMagic {
-		return nil, 0, 0, fmt.Errorf("live: %s is not a checkpoint (magic %q)", path, magic)
-	}
-	got := make([]byte, len(header))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, 0, 0, fmt.Errorf("live: reading checkpoint header: %w", err)
-	}
-	if !bytes.Equal(got, header) {
+	if !bytes.Equal(cfg.header(), header) {
 		return nil, 0, 0, fmt.Errorf("live: checkpoint %s was written for a different store configuration", path)
 	}
 	var off, app uint64

@@ -17,25 +17,25 @@ import (
 // draw draws, and whose deletes and updates take objects the script itself
 // inserted, and returns it with the objects that survive it over seed, so
 // tests can construct a ground-truth batch estimator.
-func survivorScript(seed []geom.Rect, n int, rngSeed int64, draw func(*rand.Rand) geom.Rect) ([]walRecord, []geom.Rect) {
+func survivorScript(seed []geom.Rect, n int, rngSeed int64, draw func(*rand.Rand) geom.Rect) ([]Record, []geom.Rect) {
 	r := rand.New(rand.NewSource(rngSeed))
 	var live []geom.Rect
-	recs := make([]walRecord, 0, n)
+	recs := make([]Record, 0, n)
 	for len(recs) < n {
 		switch {
 		case len(live) > 4 && r.Intn(4) == 0:
 			k := r.Intn(len(live))
-			recs = append(recs, walRecord{op: opDelete, r: live[k]})
+			recs = append(recs, Record{Op: OpDelete, Rect: live[k]})
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 		case len(live) > 4 && r.Intn(4) == 0:
 			k := r.Intn(len(live))
 			nr := draw(r)
-			recs = append(recs, walRecord{op: opUpdate, old: live[k], r: nr})
+			recs = append(recs, Record{Op: OpUpdate, Old: live[k], Rect: nr})
 			live[k] = nr
 		default:
 			nr := draw(r)
-			recs = append(recs, walRecord{op: opInsert, r: nr})
+			recs = append(recs, Record{Op: OpInsert, Rect: nr})
 			live = append(live, nr)
 		}
 	}

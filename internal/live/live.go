@@ -112,6 +112,9 @@ func (c Config) validate() error {
 // the store partitions objects into.
 func (c Config) spec() core.Spec { return core.Spec{Algo: c.Algo, Areas: c.Areas} }
 
+// header is the config-pinning header of the store's WAL and checkpoints.
+func (c Config) header() []byte { return encodeHeader(uint8(c.Algo), c.Grid, c.Areas) }
+
 // The cell width of a generation's lattices, as Snapshot.Tier and
 // Status.Tier name it: packed when every partition's plane is held at 4
 // bytes per bucket — every store until a partition has seen more than
@@ -182,12 +185,14 @@ type Store struct {
 	m *metrics
 }
 
-// Open builds (or recovers) a store. The sequence is: start from the
-// checkpoint if one is configured and present, else from Seed; then replay
-// the WAL tail (everything past the checkpoint's offset, or the whole log)
-// through the identical apply path as a live mutation; then publish
-// generation 1 and start the rebuild timer. Replay is deterministic, so a
-// recovered store's estimates are bit-identical to an uninterrupted one's.
+// Open builds (or recovers) a store. It starts from the checkpoint if one
+// is configured and present, else from Seed. It then tails its own journal
+// past the checkpoint's offset (or the whole log) the way a follower tails
+// its leader's: one buffer through DecodeRecords, each record applied as
+// it is decoded, through the apply path of a live mutation. Last it
+// publishes generation 1 and starts the rebuild timer. Replay is
+// deterministic, so a recovered store's estimates are bit-identical to an
+// uninterrupted one's.
 func Open(cfg Config) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -196,7 +201,7 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:       cfg,
 		spec:      spec,
-		header:    encodeHeader(uint8(cfg.Algo), cfg.Grid, cfg.Areas),
+		header:    cfg.header(),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		m:         newMetrics(cfg.Telemetry),
@@ -234,7 +239,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 
 	if cfg.WALPath != "" {
-		w, tail, torn, err := openWAL(cfg.WALPath, s.header, walOff, cfg.SyncEvery)
+		w, torn, err := openWAL(cfg.WALPath, s.header, walOff, cfg.SyncEvery, s.replayed)
 		if err != nil {
 			return nil, err
 		}
@@ -242,12 +247,6 @@ func Open(cfg Config) (*Store, error) {
 		s.seq = w.size
 		if torn {
 			s.m.tornTails.Inc()
-		}
-		for _, rec := range tail {
-			if !s.apply(rec) {
-				s.rejected.Add(1)
-			}
-			s.applied++
 		}
 		s.m.walBytes.Add(w.size)
 	}
@@ -271,14 +270,14 @@ func (s *Store) Algo() Algo { return s.cfg.Algo }
 // the data space (objects entirely outside are journaled but rejected,
 // exactly as a batch build skips them).
 func (s *Store) Insert(r geom.Rect) (bool, error) {
-	return s.mutate(walRecord{op: opInsert, r: r})
+	return s.mutate(Record{Op: OpInsert, Rect: r})
 }
 
 // Delete removes one previously inserted object MBR. It reports whether
 // the delete was applied: deletes of objects outside the space, or against
 // an empty partition (which would underflow its count), are rejected.
 func (s *Store) Delete(r geom.Rect) (bool, error) {
-	return s.mutate(walRecord{op: opDelete, r: r})
+	return s.mutate(Record{Op: OpDelete, Rect: r})
 }
 
 // Update replaces an object's MBR in one atomic journal record. When the
@@ -286,7 +285,7 @@ func (s *Store) Delete(r geom.Rect) (bool, error) {
 // partitions: removed from the partition its old MBR mapped to and
 // inserted into the partition of the new one.
 func (s *Store) Update(old, new geom.Rect) (bool, error) {
-	return s.mutate(walRecord{op: opUpdate, old: old, r: new})
+	return s.mutate(Record{Op: OpUpdate, Old: old, Rect: new})
 }
 
 // Apply feeds one batch of inserts (OpInsert) or deletes (OpDelete) through
@@ -301,7 +300,7 @@ func (s *Store) Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected
 		return 0, 0, 0, fmt.Errorf("live: unsupported mutation opcode %d", op)
 	}
 	for _, r := range rects {
-		ok, err := s.mutate(walRecord{op: op, r: r})
+		ok, err := s.mutate(Record{Op: op, Rect: r})
 		if err != nil {
 			return applied, rejected, 0, err
 		}
@@ -319,28 +318,45 @@ func (s *Store) Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected
 	return applied, rejected, s.Generation(), nil
 }
 
-// mutate journals rec (write-ahead), applies it to the builders, and
-// triggers the count-based rebuild policy.
-func (s *Store) mutate(rec walRecord) (bool, error) {
+// mutate journals rec (write-ahead) and commits it.
+func (s *Store) mutate(rec Record) (bool, error) {
 	s.mu.Lock()
+	return s.commit(rec, s.journal(rec))
+}
+
+// journal is a local mutation's sequence step, with mu held: append rec
+// to the WAL, when there is one, before it is applied.
+func (s *Store) journal(rec Record) error {
 	if s.closed {
-		s.mu.Unlock()
-		return false, ErrClosed
+		return ErrClosed
 	}
-	if s.wal != nil {
-		n, err := s.wal.append(rec)
-		if err != nil {
-			s.mu.Unlock()
-			return false, fmt.Errorf("live: journaling mutation: %w", err)
-		}
-		s.seq = s.wal.size
-		s.m.walBytes.Add(n)
+	if s.wal == nil {
+		return nil
+	}
+	n, err := s.wal.append(rec)
+	if err != nil {
+		return fmt.Errorf("live: journaling mutation: %w", err)
+	}
+	s.seq = s.wal.size
+	s.m.walBytes.Add(n)
+	return nil
+}
+
+// commit is everything a mutation does past its sequence step — journal
+// for a local one, follow for a replicated one — which ran under mu with
+// outcome stepErr: apply rec to the builders, release mu, count it and run
+// the count-based rebuild policy. A failed step applies nothing. Called
+// with mu held; returns with it released.
+func (s *Store) commit(rec Record, stepErr error) (bool, error) {
+	if stepErr != nil {
+		s.mu.Unlock()
+		return false, stepErr
 	}
 	ok := s.apply(rec)
 	s.applied++
 	s.mu.Unlock()
 
-	s.m.mutation(rec.op)
+	s.m.mutation(rec.Op)
 	if !ok {
 		s.rejected.Add(1)
 		s.m.rejected.Inc()
@@ -353,6 +369,16 @@ func (s *Store) mutate(rec walRecord) (bool, error) {
 	return ok, nil
 }
 
+// replayed applies one record read back from the journal at Open: the
+// apply of every mutation, with the telemetry and the publish policy left
+// to the generation Open publishes once the journal is consumed.
+func (s *Store) replayed(rec Record) {
+	if !s.apply(rec) {
+		s.rejected.Add(1)
+	}
+	s.applied++
+}
+
 func (s *Store) rebuildEvery() int {
 	switch {
 	case s.cfg.RebuildEvery > 0:
@@ -363,18 +389,19 @@ func (s *Store) rebuildEvery() int {
 	return 0
 }
 
-// apply routes one journal record into the builders. Called with mu held;
-// the identical code path serves live mutations and WAL replay, which is
-// what makes recovery bit-identical.
-func (s *Store) apply(rec walRecord) bool {
-	switch rec.op {
-	case opInsert:
-		return s.applyInsert(rec.r)
-	case opDelete:
-		return s.applyDelete(rec.r)
-	case opUpdate:
-		removed := s.applyDelete(rec.old)
-		added := s.applyInsert(rec.r)
+// apply routes one journal record into the builders. Called with mu held
+// (or, during Open, before the store is shared); the identical code path
+// serves live, replicated and replayed mutations, which is what makes
+// recovery and replication bit-identical.
+func (s *Store) apply(rec Record) bool {
+	switch rec.Op {
+	case OpInsert:
+		return s.applyInsert(rec.Rect)
+	case OpDelete:
+		return s.applyDelete(rec.Rect)
+	case OpUpdate:
+		removed := s.applyDelete(rec.Old)
+		added := s.applyInsert(rec.Rect)
 		return removed || added
 	}
 	return false

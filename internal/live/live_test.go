@@ -1,10 +1,12 @@
 package live
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -53,34 +55,34 @@ func sweep(t *testing.T, got, want core.Estimator) {
 
 // mutationScript adapts the shared mutation-stream generator to the WAL
 // record shape the replay tests feed through the store API.
-func mutationScript(seed []geom.Rect, n int) []walRecord {
+func mutationScript(seed []geom.Rect, n int) []Record {
 	muts := gen.Mutations(rand.New(rand.NewSource(7)), testGrid(), seed, n, liveRectOpts)
-	recs := make([]walRecord, len(muts))
+	recs := make([]Record, len(muts))
 	for i, m := range muts {
 		switch m.Op {
 		case gen.OpInsert:
-			recs[i] = walRecord{op: opInsert, r: m.R}
+			recs[i] = Record{Op: OpInsert, Rect: m.R}
 		case gen.OpDelete:
-			recs[i] = walRecord{op: opDelete, r: m.R}
+			recs[i] = Record{Op: OpDelete, Rect: m.R}
 		case gen.OpUpdate:
-			recs[i] = walRecord{op: opUpdate, old: m.Old, r: m.R}
+			recs[i] = Record{Op: OpUpdate, Old: m.Old, Rect: m.R}
 		}
 	}
 	return recs
 }
 
 // play feeds a mutation script through the store's public API.
-func play(t *testing.T, s *Store, recs []walRecord) {
+func play(t *testing.T, s *Store, recs []Record) {
 	t.Helper()
 	for _, rec := range recs {
 		var err error
-		switch rec.op {
-		case opInsert:
-			_, err = s.Insert(rec.r)
-		case opDelete:
-			_, err = s.Delete(rec.r)
-		case opUpdate:
-			_, err = s.Update(rec.old, rec.r)
+		switch rec.Op {
+		case OpInsert:
+			_, err = s.Insert(rec.Rect)
+		case OpDelete:
+			_, err = s.Delete(rec.Rect)
+		case OpUpdate:
+			_, err = s.Update(rec.Old, rec.Rect)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -179,11 +181,7 @@ func TestCrashRecovery(t *testing.T) {
 	lenAfter := func(n int) int64 {
 		off := int64(len(s.header))
 		for _, rec := range recs[:n] {
-			if rec.op == opUpdate {
-				off += updateRecordBytes
-			} else {
-				off += recordBytes
-			}
+			off += rec.EncodedLen()
 		}
 		return off
 	}
@@ -273,6 +271,124 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 	if reg.Counter("live_wal_torn_tails_total", "").Value() == 0 {
 		t.Error("torn-tail recoveries were not counted")
+	}
+}
+
+// TestReplayAcrossBufferBoundary recovers a journal longer than the replay
+// buffer, cut at every offset within a record or so of where the first
+// read ends, and holds each recovery to a fresh store fed the records
+// before the cut: the partial record one read carries into the next
+// decodes like any other, the journal is truncated to the last whole
+// record, and only a cut inside a record counts as torn.
+func TestReplayAcrossBufferBoundary(t *testing.T) {
+	dir := t.TempDir()
+	seed := seedRects(20)
+	recs := mutationScript(seed, 2500)
+	cfg := Config{Grid: testGrid(), Algo: AlgoMEuler, Areas: []float64{1, 9, 40},
+		Seed: seed, WALPath: filepath.Join(dir, "store.wal"), RebuildEvery: -1}
+	s := openTestStore(t, cfg)
+	play(t, s, recs)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(cfg.WALPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := []int64{int64(len(s.header))} // journal length after each record
+	for _, rec := range recs {
+		ends = append(ends, ends[len(ends)-1]+rec.EncodedLen())
+	}
+	boundary := int64(len(s.header)) + replayBufBytes
+	if int64(len(raw)) != ends[len(recs)] || int64(len(raw)) < boundary+updateRecordBytes {
+		t.Fatalf("journal of %d bytes (records end at %d) does not span the %d-byte buffer", len(raw), ends[len(recs)], replayBufBytes)
+	}
+
+	for cut := boundary - updateRecordBytes; cut <= boundary+updateRecordBytes; cut++ {
+		n := 0
+		for ends[n+1] <= cut {
+			n++
+		}
+		path := filepath.Join(dir, "cut.wal")
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		rcfg := cfg
+		rcfg.WALPath, rcfg.Telemetry = path, reg
+		recovered := openTestStore(t, rcfg)
+		ref := openTestStore(t, Config{Grid: cfg.Grid, Algo: cfg.Algo, Areas: cfg.Areas, Seed: seed, RebuildEvery: -1})
+		play(t, ref, recs[:n])
+		if err := ref.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		gotEst, _ := current(t, recovered)
+		wantEst, _ := current(t, ref)
+		sweep(t, gotEst, wantEst)
+		st := recovered.Status()
+		if st.Mutations != int64(n) || st.WALBytes != ends[n] {
+			t.Fatalf("cut at %d: recovered %d mutations in %d journal bytes, want %d in %d", cut, st.Mutations, st.WALBytes, n, ends[n])
+		}
+		wantTorn := int64(0)
+		if cut != ends[n] {
+			wantTorn = 1
+		}
+		if got := reg.Counter("live_wal_torn_tails_total", "").Value(); got != wantTorn {
+			t.Fatalf("cut at %d (last record ends at %d): %d torn tails counted, want %d", cut, ends[n], got, wantTorn)
+		}
+		recovered.Close()
+		ref.Close()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != ends[n] {
+			t.Fatalf("cut at %d: journal left at %d bytes, want truncated to %d", cut, fi.Size(), ends[n])
+		}
+	}
+}
+
+// TestReplayMemoryIsOneBuffer bounds what Open allocates to replay its
+// journal: a 100k-record tail may cost less than 1 MiB more than a
+// 10k-record one, where a slice of the decoded tail alone would cost
+// several.
+func TestReplayMemoryIsOneBuffer(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Grid: testGrid(), Algo: AlgoEuler, RebuildEvery: -1}
+	journal := func(n int) string {
+		path := filepath.Join(dir, fmt.Sprintf("%d.wal", n))
+		r := rand.New(rand.NewSource(int64(n)))
+		buf := cfg.header()
+		for i := 0; i < n; i++ {
+			buf = encodeRecord(buf, Record{Op: OpInsert, Rect: randRect(r)})
+		}
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	openAllocs := func(path string, n int) int64 {
+		c := cfg
+		c.WALPath, c.Telemetry = path, telemetry.NewRegistry()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s, err := Open(c)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if got := s.Status().Mutations; got != int64(n) {
+			t.Fatalf("replayed %d of %d records", got, n)
+		}
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	small := openAllocs(journal(10_000), 10_000)
+	large := openAllocs(journal(100_000), 100_000)
+	t.Logf("Open allocated %d bytes over 10k records, %d over 100k", small, large)
+	if large-small >= 1<<20 {
+		t.Fatalf("replaying 90k more records allocated %d more bytes, want < 1 MiB", large-small)
 	}
 }
 

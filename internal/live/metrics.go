@@ -98,11 +98,11 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 // mutation counts one received mutation by opcode.
 func (m *metrics) mutation(op byte) {
 	switch op {
-	case opInsert:
+	case OpInsert:
 		m.inserts.Inc()
-	case opDelete:
+	case OpDelete:
 		m.deletes.Inc()
-	case opUpdate:
+	case OpUpdate:
 		m.updates.Inc()
 	}
 }

@@ -2,14 +2,9 @@ package live
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-
-	"spatialhist/internal/geom"
 )
 
 // Replication surface of the store: the WAL doubles as a shipping log.
@@ -19,80 +14,15 @@ import (
 // A follower is a journal-less store fed through ApplyReplicated: it
 // bootstraps from a shipped checkpoint (whose walOff field is the leader
 // offset the state embodies), then tails the leader's WAL, decoding
-// shipped bytes with DecodeRecords and applying each record through the
-// exact code path a local mutation takes. Because replay is deterministic
-// and the apply path is shared, a caught-up follower is bit-identical to
-// its leader.
+// shipped bytes with DecodeRecords — the decoder that replays a journal at
+// Open — and applying each record through the exact code path a local
+// mutation takes. Because replay is deterministic and the apply path is
+// shared, a caught-up follower is bit-identical to its leader.
 //
 // The replication sequence ("seq") is the leader's WAL byte offset: the
 // store's own WAL size on a leader, the shipped offset on a follower. A
 // follower's checkpoint records its seq as walOff, so a restarted
 // follower resumes tailing exactly where it stopped.
-
-// Exported mutation opcodes, the Record.Op values of the shipping stream.
-// They match the on-disk WAL opcodes.
-const (
-	OpInsert = opInsert
-	OpDelete = opDelete
-	OpUpdate = opUpdate
-)
-
-// Record is one decoded journal mutation, the unit of WAL shipping.
-type Record struct {
-	// Op is OpInsert, OpDelete or OpUpdate.
-	Op byte
-	// Rect is the object MBR (the post-image for updates).
-	Rect geom.Rect
-	// Old is the update pre-image; zero otherwise.
-	Old geom.Rect
-}
-
-// EncodedLen is the record's journal wire size in bytes — what applying
-// it advances the replication sequence by.
-func (r Record) EncodedLen() int64 {
-	if r.Op == OpUpdate {
-		return updateRecordBytes
-	}
-	return recordBytes
-}
-
-// DecodeRecords decodes whole records from the front of a shipped WAL
-// segment. A segment may end mid-record (the leader keeps appending while
-// bytes are in flight); the partial tail is not consumed and not an error
-// — the tailer re-requests from the consumed offset. A complete record
-// that fails its CRC, or an unknown opcode, is corruption and errors.
-func DecodeRecords(buf []byte) (recs []Record, consumed int, err error) {
-	for consumed < len(buf) {
-		op := buf[consumed]
-		var plen int
-		switch op {
-		case opInsert, opDelete:
-			plen = rectBytes
-		case opUpdate:
-			plen = 2 * rectBytes
-		default:
-			return recs, consumed, fmt.Errorf("live: unknown opcode %d at segment offset %d", op, consumed)
-		}
-		total := 1 + plen + 4
-		if consumed+total > len(buf) {
-			return recs, consumed, nil // partial tail: wait for more bytes
-		}
-		body := buf[consumed+1 : consumed+total]
-		if crc32.ChecksumIEEE(buf[consumed:consumed+1+plen]) != binary.LittleEndian.Uint32(body[plen:]) {
-			return recs, consumed, fmt.Errorf("live: record CRC mismatch at segment offset %d", consumed)
-		}
-		rec := Record{Op: op}
-		if op == opUpdate {
-			rec.Old = getRect(body[:rectBytes])
-			rec.Rect = getRect(body[rectBytes : 2*rectBytes])
-		} else {
-			rec.Rect = getRect(body[:rectBytes])
-		}
-		recs = append(recs, rec)
-		consumed += total
-	}
-	return recs, consumed, nil
-}
 
 // Seq returns the store's replication sequence: the WAL byte offset its
 // builders have consumed. On a leader this is the journal size (header
@@ -117,38 +47,26 @@ var ErrNotReplica = errors.New("live: store has its own journal; ApplyReplicated
 // sequence to seq (the leader offset just past the record). It reports
 // whether the record changed the store, exactly as the leader's own apply
 // did — rejected records reject identically here, which is what keeps
-// applied/rejected accounting in lockstep. The store's rebuild policy
-// publishes snapshots for replicated mutations just as for local ones.
+// applied/rejected accounting in lockstep. Past the sequence step it is a
+// local mutation: the same apply, counters and rebuild policy.
 func (s *Store) ApplyReplicated(rec Record, seq int64) (bool, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false, ErrClosed
-	}
-	if s.wal != nil {
-		s.mu.Unlock()
-		return false, ErrNotReplica
-	}
-	if seq < s.seq {
-		s.mu.Unlock()
-		return false, fmt.Errorf("live: replicated sequence %d behind applied sequence %d", seq, s.seq)
-	}
-	ok := s.apply(walRecord{op: rec.Op, r: rec.Rect, old: rec.Old})
-	s.applied++
-	s.seq = seq
-	s.mu.Unlock()
+	return s.commit(rec, s.follow(seq))
+}
 
-	s.m.mutation(rec.Op)
-	if !ok {
-		s.rejected.Add(1)
-		s.m.rejected.Inc()
+// follow is a replicated record's sequence step, with mu held: a replica
+// takes the leader's offset instead of journaling.
+func (s *Store) follow(seq int64) error {
+	switch {
+	case s.closed:
+		return ErrClosed
+	case s.wal != nil:
+		return ErrNotReplica
+	case seq < s.seq:
+		return fmt.Errorf("live: replicated sequence %d behind applied sequence %d", seq, s.seq)
 	}
-	p := s.pending.Add(1)
-	s.m.pendingG.Set(p)
-	if every := s.rebuildEvery(); every > 0 && p >= int64(every) {
-		s.rebuild()
-	}
-	return ok, nil
+	s.seq = seq
+	return nil
 }
 
 // WALSegment returns up to max journal bytes starting at byte offset
@@ -156,7 +74,7 @@ func (s *Store) ApplyReplicated(rec Record, seq int64) (bool, error) {
 // WAL-tail shipping. from == 0 means the start of the record stream
 // (just past the header). Buffered records are flushed (not fsynced)
 // first so every acknowledged mutation is shippable; the returned bytes
-// may end mid-record, which DecodeRecords handles.
+// may end mid-record, which DecodeRecords leaves for the next fetch.
 func (s *Store) WALSegment(from int64, max int) (data []byte, size int64, err error) {
 	s.mu.Lock()
 	if s.wal == nil {
@@ -210,34 +128,4 @@ func (s *Store) StreamCheckpoint(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// PeekCheckpoint reads just the configuration pinned in a checkpoint
-// file: the grid, algorithm and area thresholds the state was built
-// under. A follower bootstrapping from a shipped checkpoint derives its
-// Config from this, so replica topology needs no out-of-band config
-// distribution — the checkpoint is self-describing.
-func PeekCheckpoint(path string) (Config, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Config{}, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return Config{}, fmt.Errorf("live: reading checkpoint magic: %w", err)
-	}
-	if magic != ckptMagic {
-		return Config{}, fmt.Errorf("live: %s is not a checkpoint (magic %q)", path, magic)
-	}
-	algo, g, areas, err := decodeHeader(br)
-	if err != nil {
-		return Config{}, fmt.Errorf("live: checkpoint %s: %w", path, err)
-	}
-	cfg := Config{Grid: g, Algo: Algo(algo), Areas: areas}
-	if err := cfg.validate(); err != nil {
-		return Config{}, fmt.Errorf("live: checkpoint %s: %w", path, err)
-	}
-	return cfg, nil
 }

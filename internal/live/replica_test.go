@@ -61,9 +61,18 @@ func leaderWithRecords(t *testing.T, n int) (*Store, []byte) {
 	return s, data
 }
 
+// decodeAll collects what DecodeRecords decodes from seg.
+func decodeAll(seg []byte) (recs []Record, consumed int, err error) {
+	consumed, err = DecodeRecords(seg, func(rec Record) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, consumed, err
+}
+
 func TestDecodeRecordsRoundTrip(t *testing.T) {
 	s, data := leaderWithRecords(t, 40)
-	recs, consumed, err := DecodeRecords(data)
+	recs, consumed, err := decodeAll(data)
 	if err != nil {
 		t.Fatalf("DecodeRecords: %v", err)
 	}
@@ -88,6 +97,21 @@ func TestDecodeRecordsRoundTrip(t *testing.T) {
 	if int64(inserts+deletes) != st.Mutations {
 		t.Fatalf("decoded %d+%d records, store applied %d", inserts, deletes, st.Mutations)
 	}
+
+	// An error from fn stops decoding before that record and comes back as
+	// it is: consumed spans only the records fn accepted.
+	stop := errors.New("stop")
+	seen := 0
+	n, err := DecodeRecords(data, func(Record) error {
+		if seen == 3 {
+			return stop
+		}
+		seen++
+		return nil
+	})
+	if err != stop || int64(n) != recs[0].EncodedLen()+recs[1].EncodedLen()+recs[2].EncodedLen() {
+		t.Fatalf("stopped decode consumed %d with %v", n, err)
+	}
 }
 
 func TestDecodeRecordsPartialTail(t *testing.T) {
@@ -96,7 +120,7 @@ func TestDecodeRecordsPartialTail(t *testing.T) {
 	// and stop before the torn tail — that is what lets a tailer re-fetch
 	// from a record boundary after a mid-record disconnect.
 	for cut := 0; cut <= len(data); cut++ {
-		recs, consumed, err := DecodeRecords(data[:cut])
+		recs, consumed, err := decodeAll(data[:cut])
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -118,20 +142,20 @@ func TestDecodeRecordsCorruption(t *testing.T) {
 	// Flip a payload byte of the first record: its CRC must fail, loudly.
 	bad := bytes.Clone(data)
 	bad[5] ^= 0xff
-	if _, _, err := DecodeRecords(bad); err == nil {
+	if _, _, err := decodeAll(bad); err == nil {
 		t.Fatal("corrupt record decoded cleanly")
 	}
 	// An unknown opcode is a protocol error, not a torn tail.
 	bad = bytes.Clone(data)
 	bad[0] = 0x7f
-	if _, _, err := DecodeRecords(bad); err == nil {
+	if _, _, err := decodeAll(bad); err == nil {
 		t.Fatal("unknown opcode decoded cleanly")
 	}
 	// Corruption after a valid prefix: the prefix decodes, the error names
 	// the bad record.
 	bad = bytes.Clone(data)
 	bad[len(bad)-1] ^= 0xff // last record's CRC
-	recs, _, err := DecodeRecords(bad)
+	recs, _, err := decodeAll(bad)
 	if err == nil {
 		t.Fatal("corrupt last record decoded cleanly")
 	}
@@ -267,7 +291,7 @@ func TestApplyReplicatedMirrorsLeader(t *testing.T) {
 	}
 	defer replica.Close()
 
-	recs, _, err := DecodeRecords(data)
+	recs, _, err := decodeAll(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +330,7 @@ func TestReplicaCheckpointWithoutJournal(t *testing.T) {
 	// sequence so a restart resumes tailing from it.
 	dir := t.TempDir()
 	leader, data := leaderWithRecords(t, 20)
-	recs, _, err := DecodeRecords(data)
+	recs, _, err := decodeAll(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,15 +48,19 @@ const (
 // corrupt tail — the expected shape of a crash mid-append — is detected by
 // the per-record CRC and truncated on open; everything after the first bad
 // byte is untrusted by design.
+//
+// The same record bytes are the replication stream: a follower decodes
+// shipped segments with the DecodeRecords that replays the journal at Open.
 
 var walMagic = [8]byte{'S', 'P', 'W', 'A', 'L', '0', '0', '1'}
 
-// Mutation opcodes. Update is one record so a delete+insert pair that
-// re-routes an object between area partitions is atomic in the journal.
+// Mutation opcodes, the Record.Op values. Update is one record so a
+// delete+insert pair that re-routes an object between area partitions is
+// atomic in the journal.
 const (
-	opInsert byte = 1
-	opDelete byte = 2
-	opUpdate byte = 3
+	OpInsert byte = 1
+	OpDelete byte = 2
+	OpUpdate byte = 3
 )
 
 const (
@@ -65,10 +69,27 @@ const (
 	updateRecordBytes = 1 + 2*rectBytes + 4 // op + two rects + crc
 )
 
-// walRecord is one decoded mutation.
-type walRecord struct {
-	op     byte
-	r, old geom.Rect // old is set only for opUpdate (the pre-image)
+// replayBufBytes is the one buffer Open reads the journal through.
+const replayBufBytes = 1 << 16
+
+// Record is one journal mutation: what a store appends to its WAL, what
+// replay at Open and a follower's tail decode, and the unit of WAL shipping.
+type Record struct {
+	// Op is OpInsert, OpDelete or OpUpdate.
+	Op byte
+	// Rect is the object MBR (the post-image for updates).
+	Rect geom.Rect
+	// Old is the update pre-image; zero otherwise.
+	Old geom.Rect
+}
+
+// EncodedLen is the record's journal wire size in bytes — what applying
+// it advances the replication sequence by.
+func (r Record) EncodedLen() int64 {
+	if r.Op == OpUpdate {
+		return updateRecordBytes
+	}
+	return recordBytes
 }
 
 // encodeHeader renders the config-pinning header; openWAL compares it
@@ -91,7 +112,7 @@ func encodeHeader(algo uint8, g *grid.Grid, areas []float64) []byte {
 }
 
 // decodeHeader parses a config-pinning header from r — the inverse of
-// encodeHeader, used to reconstruct a store configuration from a shipped
+// encodeHeader, used to reconstruct a store configuration from a
 // checkpoint. Re-encoding the result reproduces the input bytes exactly
 // (the fields are raw float64/uint32 little-endian), so a config derived
 // this way passes the byte-for-byte header checks of openWAL and
@@ -120,8 +141,9 @@ func decodeHeader(r io.Reader) (algo uint8, g *grid.Grid, areas []float64, err e
 			return 0, nil, nil, fmt.Errorf("live: reading header grid: %w", err)
 		}
 	}
-	if nx == 0 || ny == 0 || nx > 1<<20 || ny > 1<<20 || m > 64 {
-		return 0, nil, nil, fmt.Errorf("live: implausible header (grid %dx%d, %d areas)", nx, ny, m)
+	extent := geom.Rect{XMin: ext[0], YMin: ext[1], XMax: ext[2], YMax: ext[3]}
+	if nx == 0 || ny == 0 || nx > 1<<20 || ny > 1<<20 || m > 64 || !extent.Valid() || extent.Degenerate() {
+		return 0, nil, nil, fmt.Errorf("live: implausible header (grid %dx%d over %v, %d areas)", nx, ny, extent, m)
 	}
 	if m > 0 {
 		areas = make([]float64, m)
@@ -131,7 +153,7 @@ func decodeHeader(r io.Reader) (algo uint8, g *grid.Grid, areas []float64, err e
 			}
 		}
 	}
-	return a[0], grid.New(geom.Rect{XMin: ext[0], YMin: ext[1], XMax: ext[2], YMax: ext[3]}, int(nx), int(ny)), areas, nil
+	return a[0], grid.New(extent, int(nx), int(ny)), areas, nil
 }
 
 func putRect(buf []byte, r geom.Rect) {
@@ -151,22 +173,94 @@ func getRect(buf []byte) geom.Rect {
 }
 
 // encodeRecord appends the wire form of rec to dst and returns it.
-func encodeRecord(dst []byte, rec walRecord) []byte {
+func encodeRecord(dst []byte, rec Record) []byte {
 	start := len(dst)
-	dst = append(dst, rec.op)
+	dst = append(dst, rec.Op)
 	var payload [2 * rectBytes]byte
 	n := rectBytes
-	if rec.op == opUpdate {
-		putRect(payload[:], rec.old)
-		putRect(payload[rectBytes:], rec.r)
+	if rec.Op == OpUpdate {
+		putRect(payload[:], rec.Old)
+		putRect(payload[rectBytes:], rec.Rect)
 		n = 2 * rectBytes
 	} else {
-		putRect(payload[:], rec.r)
+		putRect(payload[:], rec.Rect)
 	}
 	dst = append(dst, payload[:n]...)
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(dst[start:]))
 	return append(dst, crc[:]...)
+}
+
+// DecodeRecords is the one parser of journal record bytes, for replay at
+// Open and for a follower's shipped segments alike. It decodes the whole
+// records at the front of seg and hands each to fn as it is decoded,
+// allocating nothing per record. A segment may end mid-record — a journal
+// cut short by a crash, or a segment the leader was still appending to —
+// and that partial tail is left unconsumed without error. A complete record that
+// fails its CRC, or an unknown opcode, is corruption and errors. consumed
+// spans the records fn accepted; an error from fn stops decoding and is
+// returned as it is.
+func DecodeRecords(seg []byte, fn func(Record) error) (consumed int, err error) {
+	for consumed < len(seg) {
+		b := seg[consumed:]
+		op := b[0]
+		var plen int
+		switch op {
+		case OpInsert, OpDelete:
+			plen = rectBytes
+		case OpUpdate:
+			plen = 2 * rectBytes
+		default:
+			return consumed, fmt.Errorf("live: unknown opcode %d at segment offset %d", op, consumed)
+		}
+		total := 1 + plen + 4
+		if len(b) < total {
+			return consumed, nil // partial tail: the rest has not arrived
+		}
+		if crc32.ChecksumIEEE(b[:1+plen]) != binary.LittleEndian.Uint32(b[1+plen:]) {
+			return consumed, fmt.Errorf("live: record CRC mismatch at segment offset %d", consumed)
+		}
+		rec := Record{Op: op, Rect: getRect(b[1:])}
+		if op == OpUpdate {
+			rec.Old, rec.Rect = rec.Rect, getRect(b[1+rectBytes:])
+		}
+		if err := fn(rec); err != nil {
+			return consumed, err
+		}
+		consumed += total
+	}
+	return consumed, nil
+}
+
+// replay feeds the record stream of r through DecodeRecords, reading into
+// buf (at least one update record long) and carrying each read's partial
+// tail to the front of the next, so memory stays one buffer however long
+// the journal. It returns the bytes the valid records span and whether a
+// torn tail follows them: bytes left over at EOF, or a corrupt record.
+// Only a read error is an error.
+func replay(r io.Reader, buf []byte, apply func(Record)) (consumed int64, torn bool, err error) {
+	fn := func(rec Record) error {
+		apply(rec)
+		return nil
+	}
+	n := 0 // undecoded bytes at the front of buf
+	for {
+		m, rerr := io.ReadFull(r, buf[n:])
+		n += m
+		used, derr := DecodeRecords(buf[:n], fn)
+		consumed += int64(used)
+		if derr != nil {
+			return consumed, true, nil
+		}
+		n = copy(buf, buf[used:n])
+		switch rerr {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			return consumed, n > 0, nil
+		default:
+			return consumed, false, rerr
+		}
+	}
 }
 
 // wal is the append side of an open journal. All methods are called with
@@ -182,13 +276,13 @@ type wal struct {
 
 // openWAL opens (or creates) the journal at path, validates its header
 // against the expected one, replays the records from byte offset `from`
-// (0 means just past the header), truncates any torn or corrupt tail, and
-// returns the handle positioned for append together with the replayed
-// tail and whether a tail had to be dropped.
-func openWAL(path string, header []byte, from int64, syncEvery int) (w *wal, tail []walRecord, torn bool, err error) {
+// (0 means just past the header) into apply as they are decoded, truncates
+// any torn or corrupt tail, and returns the handle positioned for append
+// together with whether a tail had to be dropped.
+func openWAL(path string, header []byte, from int64, syncEvery int, apply func(Record)) (w *wal, torn bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	defer func() {
 		if err != nil {
@@ -197,7 +291,7 @@ func openWAL(path string, header []byte, from int64, syncEvery int) (w *wal, tai
 	}()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	headerLen := int64(len(header))
 	if from == 0 {
@@ -205,40 +299,43 @@ func openWAL(path string, header []byte, from int64, syncEvery int) (w *wal, tai
 	}
 	if st.Size() == 0 {
 		if from != headerLen {
-			return nil, nil, false, fmt.Errorf("live: checkpoint expects %d bytes of WAL but %s is empty", from, path)
+			return nil, false, fmt.Errorf("live: checkpoint expects %d bytes of WAL but %s is empty", from, path)
 		}
 		if _, err := f.Write(header); err != nil {
-			return nil, nil, false, fmt.Errorf("live: writing WAL header: %w", err)
+			return nil, false, fmt.Errorf("live: writing WAL header: %w", err)
 		}
 		if err := f.Sync(); err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		return newWAL(f, headerLen, syncEvery), nil, false, nil
+		return newWAL(f, headerLen, syncEvery), false, nil
 	}
 	got := make([]byte, headerLen)
 	if _, err := io.ReadFull(f, got); err != nil {
-		return nil, nil, false, fmt.Errorf("live: WAL %s shorter than its header: %w", path, err)
+		return nil, false, fmt.Errorf("live: WAL %s shorter than its header: %w", path, err)
 	}
 	if !bytes.Equal(got, header) {
-		return nil, nil, false, fmt.Errorf("live: WAL %s was written for a different store configuration (grid, algorithm or area partitioning)", path)
+		return nil, false, fmt.Errorf("live: WAL %s was written for a different store configuration (grid, algorithm or area partitioning)", path)
 	}
 	if from < headerLen || from > st.Size() {
-		return nil, nil, false, fmt.Errorf("live: checkpoint expects %d bytes of WAL but %s has %d", from, path, st.Size())
+		return nil, false, fmt.Errorf("live: checkpoint expects %d bytes of WAL but %s has %d", from, path, st.Size())
 	}
 	if _, err := f.Seek(from, io.SeekStart); err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
-	tail, consumed, torn := scanRecords(f)
+	consumed, torn, err := replay(f, make([]byte, replayBufBytes), apply)
+	if err != nil {
+		return nil, false, fmt.Errorf("live: replaying WAL %s: %w", path, err)
+	}
 	valid := from + consumed
-	if valid < st.Size() {
+	if torn {
 		if err := f.Truncate(valid); err != nil {
-			return nil, nil, false, fmt.Errorf("live: truncating torn WAL tail: %w", err)
+			return nil, false, fmt.Errorf("live: truncating torn WAL tail: %w", err)
 		}
 	}
 	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
-	return newWAL(f, valid, syncEvery), tail, torn, nil
+	return newWAL(f, valid, syncEvery), torn, nil
 }
 
 // newWAL assembles the append side over f. Record bytes flow through the
@@ -252,50 +349,10 @@ func newWAL(f *os.File, size int64, syncEvery int) *wal {
 	}
 }
 
-// scanRecords decodes records until EOF or the first corruption, returning
-// the valid records, how many bytes they span, and whether scanning
-// stopped because of a torn or corrupt tail (rather than a clean EOF).
-func scanRecords(r io.Reader) (recs []walRecord, consumed int64, torn bool) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var head [1]byte
-	for {
-		if _, err := io.ReadFull(br, head[:]); err != nil {
-			return recs, consumed, false // clean end
-		}
-		op := head[0]
-		var plen int
-		switch op {
-		case opInsert, opDelete:
-			plen = rectBytes
-		case opUpdate:
-			plen = 2 * rectBytes
-		default:
-			return recs, consumed, true // unknown opcode: corrupt
-		}
-		body := make([]byte, plen+4)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return recs, consumed, true // torn mid-record
-		}
-		sum := crc32.ChecksumIEEE(append([]byte{op}, body[:plen]...))
-		if sum != binary.LittleEndian.Uint32(body[plen:]) {
-			return recs, consumed, true // payload corrupt
-		}
-		rec := walRecord{op: op}
-		if op == opUpdate {
-			rec.old = getRect(body[:rectBytes])
-			rec.r = getRect(body[rectBytes : 2*rectBytes])
-		} else {
-			rec.r = getRect(body[:rectBytes])
-		}
-		recs = append(recs, rec)
-		consumed += int64(1 + plen + 4)
-	}
-}
-
 // append journals one record. Durability follows the sync policy: with
 // syncEvery <= 0 the record is buffered until sync() (a Flush, checkpoint
 // or Close); with syncEvery N every Nth append fsyncs.
-func (w *wal) append(rec walRecord) (int64, error) {
+func (w *wal) append(rec Record) (int64, error) {
 	w.buf = encodeRecord(w.buf[:0], rec)
 	if _, err := w.w.Write(w.buf); err != nil {
 		return 0, err

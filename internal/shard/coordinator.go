@@ -457,7 +457,7 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// Ingest routes one batch of inserts or deletes to the writer shards
+// Apply routes one batch of inserts or deletes to the writer shards
 // owning each object and applies them in parallel. The per-shard applied
 // and rejected counts sum to exactly what a single store would report:
 // out-of-space objects route to shard 0, which journals and rejects them
@@ -465,8 +465,9 @@ func (c *Coordinator) Close() error {
 // over every shard of its leader's highest known generation — the shards
 // this batch touched at their acks, the rest as last probed or acked — so
 // successive acks never decrease and none exceeds the generation Info
-// reads after it.
-func (c *Coordinator) Ingest(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
+// reads after it. It is the geobrowse.Mutator the coordinator front's
+// ingest and delete endpoints serve.
+func (c *Coordinator) Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
 	groups := c.part.RouteRects(rects)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -479,7 +480,7 @@ func (c *Coordinator) Ingest(op byte, rects []geom.Rect, flush bool) (applied, r
 		go func() {
 			defer wg.Done()
 			grp := c.shards[si]
-			a, r, gn, err := grp.leader.h.Mutate(op, g, flush)
+			a, r, gn, err := grp.leader.h.Apply(op, g, flush)
 			if err != nil {
 				errs[si] = fmt.Errorf("shard %d leader: %w", si, err)
 				return

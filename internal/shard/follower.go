@@ -5,7 +5,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"spatialhist/internal/live"
@@ -149,27 +148,12 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	return f, nil
 }
 
-// bootstrap fetches a leader checkpoint into path via temp-and-rename, so
-// a crash mid-fetch leaves no half-written checkpoint to resume from.
+// bootstrap fetches a leader checkpoint into path through the store's
+// own checkpoint writer, so a crash or a failure mid-fetch leaves no
+// half-written checkpoint to resume from.
 func (f *Follower) bootstrap(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := f.src.Checkpoint(tmp); err != nil {
-		tmp.Close()
+	if err := live.SaveCheckpoint(path, f.src.Checkpoint); err != nil {
 		return fmt.Errorf("shard: bootstrapping from leader checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
 	}
 	f.bootstraps.Inc()
 	return nil
@@ -184,8 +168,9 @@ func (f *Follower) Store() *live.Store { return f.store }
 func (f *Follower) Seq() int64 { return f.store.Seq() }
 
 // tail is the replication loop: fetch the segment past the applied
-// sequence, decode whole records, apply each through the shared live
-// apply path, publish when caught up, sleep only when there is nothing to
+// sequence, apply each whole record through the shared live apply path as
+// DecodeRecords decodes it — the loop Store.Open runs over its own
+// journal — publish when caught up, sleep only when there is nothing to
 // pull.
 func (f *Follower) tail() {
 	defer close(f.done)
@@ -204,18 +189,23 @@ func (f *Follower) tail() {
 			continue
 		}
 		f.lag.Set(size - seq)
-		recs, _, derr := live.DecodeRecords(data)
-		for _, rec := range recs {
+		var stopped error
+		consumed, derr := live.DecodeRecords(data, func(rec live.Record) error {
 			seq += rec.EncodedLen()
 			if _, err := f.store.ApplyReplicated(rec, seq); err != nil {
-				// Closed underneath us (shutdown) — or a protocol bug;
-				// either way the loop cannot continue.
-				if err != live.ErrClosed {
-					logf("shard: replica apply at seq %d: %v", seq, err)
-				}
-				return
+				stopped = err
+				return err
 			}
 			f.applied.Inc()
+			return nil
+		})
+		if stopped != nil {
+			// Closed underneath us (shutdown) — or a protocol bug; either
+			// way the loop cannot continue.
+			if stopped != live.ErrClosed {
+				logf("shard: replica apply at seq %d: %v", seq, stopped)
+			}
+			return
 		}
 		if derr != nil {
 			// A complete record failed its CRC: the valid prefix is applied,
@@ -229,7 +219,7 @@ func (f *Follower) tail() {
 			// Caught up: publish what was applied so readers (and the
 			// coordinator's lag gate) see it. With nothing newly applied the
 			// rebuild skip path just advances the visibility watermark.
-			if len(recs) > 0 {
+			if consumed > 0 {
 				f.store.Flush()
 				f.lag.Set(0)
 			}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialhist/internal/check/failpoint"
 	"spatialhist/internal/core"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/live"
@@ -279,6 +281,49 @@ func TestFollowerRestartResumesFromOwnCheckpoint(t *testing.T) {
 			got, leader.Seq()-resumeSeq, resumeSeq, leader.Seq())
 	}
 	assertStoresIdentical(t, "after restart", leader, f2.Store())
+}
+
+// TestFollowerBootstrapIsTornCheckpointSafe: the bootstrap writes its
+// checkpoint through the store's checkpoint writer, failpoint site
+// included. A bootstrap that dies mid-write fails StartFollower and leaves
+// no checkpoint — not even a temp file — to resume from, and a retry
+// bootstraps from scratch and serves the leader's answers.
+func TestFollowerBootstrapIsTornCheckpointSafe(t *testing.T) {
+	g := testGrid(t)
+	dir := t.TempDir()
+	leader := openTestStore(t, g, dir, "leader")
+	rng := rand.New(rand.NewSource(37))
+	for k := 0; k < 120; k++ {
+		leader.Insert(randTestRect(rng))
+	}
+	leader.Flush()
+
+	ckpt := filepath.Join(dir, "f.ckpt")
+	defer failpoint.Reset()
+	for _, arm := range []func(){
+		func() { failpoint.SetError(live.FailpointCheckpointWrite, nil) },
+		func() { failpoint.SetWriteBudget(live.FailpointCheckpointWrite, 100) },
+	} {
+		arm()
+		f, err := StartFollower(FollowerConfig{Source: LocalSource{Store: leader}, CheckpointPath: ckpt,
+			PollInterval: time.Millisecond, RebuildEvery: 1, Telemetry: telemetry.NewRegistry()})
+		failpoint.Reset()
+		if err == nil {
+			f.Close()
+			t.Fatal("StartFollower succeeded through a failing checkpoint write")
+		}
+		if !errors.Is(err, failpoint.ErrInjected) {
+			t.Fatalf("StartFollower failed with %v, want the injected failure", err)
+		}
+		if left, _ := filepath.Glob(ckpt + "*"); len(left) != 0 {
+			t.Fatalf("a failed bootstrap left %v", left)
+		}
+	}
+
+	f := startTestFollower(t, LocalSource{Store: leader}, ckpt)
+	defer f.Close()
+	waitCaughtUp(t, f, leader)
+	assertStoresIdentical(t, "bootstrap after a torn one", leader, f.Store())
 }
 
 func TestFollowerRejectsLocalWrites(t *testing.T) {

@@ -35,9 +35,10 @@ type Handle interface {
 	// snapshot-visible replication sequences the coordinator gates
 	// stale-bounded reads on.
 	Status() (live.Status, error)
-	// Mutate applies one batch of inserts (live.OpInsert) or deletes
-	// (live.OpDelete) — leaders only; followers reject writes.
-	Mutate(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error)
+	// Apply applies one batch of inserts (live.OpInsert) or deletes
+	// (live.OpDelete) with live.Store.Apply's contract — leaders only;
+	// followers reject writes. A Handle is a geobrowse.Mutator.
+	Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error)
 }
 
 // InProcess is the capability of a backend whose store lives in the
@@ -134,8 +135,8 @@ func (h *LocalHandle) AddSpans(dst []core.Estimate, spans []grid.Span) error {
 // Status implements Handle.
 func (h *LocalHandle) Status() (live.Status, error) { return h.Store.Status(), nil }
 
-// Mutate implements Handle.
-func (h *LocalHandle) Mutate(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
+// Apply implements Handle.
+func (h *LocalHandle) Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
 	return h.Store.Apply(op, rects, flush)
 }
 
@@ -277,8 +278,8 @@ func (h *HTTPHandle) Status() (live.Status, error) {
 	return st, err
 }
 
-// Mutate implements Handle.
-func (h *HTTPHandle) Mutate(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
+// Apply implements Handle.
+func (h *HTTPHandle) Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
 	var path string
 	switch op {
 	case live.OpInsert:

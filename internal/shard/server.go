@@ -25,8 +25,9 @@ import (
 //	GET  /healthz       200 while every shard has an alive backend
 //	GET  /metrics       the registry's exposition
 //
-// Requests are parsed with the geobrowse parsers and responses written
-// with the geobrowse tile encoders, so the coordinator's wire format —
+// Requests are parsed with the geobrowse parsers, mutations served by
+// geobrowse's one mutation handler and responses written with the
+// geobrowse tile encoders, so the coordinator's wire format —
 // including clamping, tile order and rectangle geometry — is byte-for-byte
 // the single-server format. Shards are summed on raw estimates; clamping
 // is applied only afterward, exactly once, like a single store does. A
@@ -49,12 +50,8 @@ func NewServer(c *Coordinator, reg *telemetry.Registry) http.Handler {
 	mux.HandleFunc("GET /api/query", s.handleQuery)
 	mux.HandleFunc("GET /api/browse", s.handleBrowse)
 	mux.HandleFunc("GET /api/drill", s.handleDrill)
-	mux.HandleFunc("POST /api/ingest", func(w http.ResponseWriter, r *http.Request) {
-		s.handleMutation(w, r, live.OpInsert)
-	})
-	mux.HandleFunc("POST /api/delete", func(w http.ResponseWriter, r *http.Request) {
-		s.handleMutation(w, r, live.OpDelete)
-	})
+	mux.HandleFunc("POST /api/ingest", geobrowse.MutationHandler(c, live.OpInsert))
+	mux.HandleFunc("POST /api/delete", geobrowse.MutationHandler(c, live.OpDelete))
 	mux.HandleFunc("GET /api/shards", s.handleTopology)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", reg.Handler())
@@ -157,20 +154,6 @@ func (s *server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := geobrowse.AppendDrillResponse(nil, s.c.Grid(), rel, leaves)
 	writeEncoded(w, data, err)
-}
-
-func (s *server) handleMutation(w http.ResponseWriter, r *http.Request, op byte) {
-	rects, flush, err := geobrowse.ParseMutationRequest(w, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	applied, rejected, gen, err := s.c.Ingest(op, rects, flush)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	writeJSON(w, geobrowse.MutationResponse{Applied: applied, Rejected: rejected, Generation: gen})
 }
 
 // TopologyBackend is one backend's probed state in /api/shards.

@@ -376,12 +376,12 @@ func TestCoordinatorIngestMatchesSingle(t *testing.T) {
 	}
 	single.Flush()
 
-	applied, rejected, _, err := c.Ingest(live.OpInsert, rects, true)
+	applied, rejected, _, err := c.Apply(live.OpInsert, rects, true)
 	if err != nil {
-		t.Fatalf("Ingest: %v", err)
+		t.Fatalf("Apply: %v", err)
 	}
 	if applied != wantApplied || rejected != wantRejected {
-		t.Fatalf("Ingest applied=%d rejected=%d, single store applied=%d rejected=%d",
+		t.Fatalf("Apply applied=%d rejected=%d, single store applied=%d rejected=%d",
 			applied, rejected, wantApplied, wantRejected)
 	}
 	full := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
@@ -410,7 +410,7 @@ func TestIngestAcksMonotone(t *testing.T) {
 	west, east := geom.NewRect(2, 2, 4, 4), geom.NewRect(40, 2, 42, 4)
 	var last uint64
 	for k, r := range []geom.Rect{west, west, east, west, east} {
-		_, _, gen, err := c.Ingest(live.OpInsert, []geom.Rect{r}, true)
+		_, _, gen, err := c.Apply(live.OpInsert, []geom.Rect{r}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -566,14 +566,14 @@ func TestHTTPHandleMatchesLocal(t *testing.T) {
 			hSt.AppliedSeq, hSt.SnapshotSeq, lSt.AppliedSeq, lSt.SnapshotSeq)
 	}
 
-	applied, rejected, _, err := hh.Mutate(live.OpInsert, []geom.Rect{
+	applied, rejected, _, err := hh.Apply(live.OpInsert, []geom.Rect{
 		geom.NewRect(1, 1, 2, 2), geom.NewRect(900, 900, 901, 901),
 	}, true)
 	if err != nil {
-		t.Fatalf("http Mutate: %v", err)
+		t.Fatalf("http Apply: %v", err)
 	}
 	if applied != 1 || rejected != 1 {
-		t.Fatalf("http Mutate applied=%d rejected=%d, want 1/1", applied, rejected)
+		t.Fatalf("http Apply applied=%d rejected=%d, want 1/1", applied, rejected)
 	}
 }
 
