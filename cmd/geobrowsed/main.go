@@ -145,17 +145,22 @@ func main() {
 // how it was composed.
 type node struct {
 	handler http.Handler
-	// drain flips /healthz to 503 ahead of a shutdown; nil when the mode's
-	// front has no drain state (coordinators).
+	// drain flips /healthz to 503 ahead of a shutdown.
 	drain func()
 	// gb and store feed the self-report: the server whose cache is
-	// reported (nil for registry and coordinator fronts) and the single
-	// live store whose rebuilds are (nil otherwise).
+	// reported (nil for a registry front) and the single live store whose
+	// rebuilds are (nil otherwise).
 	gb    *geobrowse.Server
 	store *live.Store
 	// close releases what the mode holds — stores, followers, coordinators
 	// — after the listener has drained.
 	close func() error
+}
+
+// front is the node of a single-dataset front: every mode but the tenant
+// registry.
+func front(gb *geobrowse.Server, store *live.Store, close func() error) node {
+	return node{handler: gb, drain: gb.StartDrain, gb: gb, store: store, close: close}
 }
 
 // assemble composes the serving mode cfg selects: a coordinator over remote
@@ -187,7 +192,7 @@ func assemble(cfg config) (node, error) {
 	case (cfg.replicaOf != "" || cfg.coordinator != "") && (cfg.live || cfg.tenants != "" || cfg.load != ""):
 		return node{}, errors.New("-replica-of and -coordinator are serving topologies of their own; they do not compose with -live, -tenants or -load")
 	case cfg.coordinator != "":
-		return assembleCoordinator(cfg)
+		return assembleCoordinator(cfg, opts)
 	case cfg.replicaOf != "":
 		return assembleReplica(cfg, opts)
 	case cfg.tenants != "":
@@ -242,18 +247,12 @@ func assemble(cfg config) (node, error) {
 // probed; "" when every flag given takes effect.
 func (c *config) droppedFlag() (flag, why string) {
 	if c.coordinator != "" || c.live && c.shards > 1 {
-		const front = "the shard coordinator front has no response cache, browse worker pool, admission control, overview tier or access log"
+		const uncached = "the coordinator pins no generation, so nothing can key a cache entry or certify ε"
 		switch {
 		case c.cache != 0:
-			return "-cache", front
-		case c.workers != 0:
-			return "-workers", front
-		case c.maxInflight != 0:
-			return "-max-inflight", front
+			return "-cache", uncached
 		case c.overviewEps != 0:
-			return "-overview-epsilon", front
-		case c.logRequests:
-			return "-log-requests", front
+			return "-overview-epsilon", uncached
 		}
 	}
 	switch {
@@ -269,13 +268,12 @@ func staticNode(cfg config, name string, est core.Estimator, opts geobrowse.Opti
 	if err != nil {
 		return node{}, err
 	}
-	gb := geobrowse.NewServerOpts(name, est, opts)
-	return node{handler: gb, drain: gb.StartDrain, gb: gb}, nil
+	return front(geobrowse.New(name, geobrowse.StaticSource(est), opts), nil, nil), nil
 }
 
 // assembleCoordinator scatter-gathers over the remote shard nodes of
 // -coordinator.
-func assembleCoordinator(cfg config) (node, error) {
+func assembleCoordinator(cfg config, opts geobrowse.Options) (node, error) {
 	groups, err := parseShardSpec(cfg.coordinator)
 	if err != nil {
 		return node{}, err
@@ -291,11 +289,12 @@ func assembleCoordinator(cfg config) (node, error) {
 	}
 	log.Printf("coordinator over %d shards (max follower lag %d bytes, probe every %v)",
 		c.Shards(), cfg.maxLag, cfg.probeInterval)
-	return node{handler: shard.NewServer(c, telemetry.Default()), close: c.Close}, nil
+	return front(shard.Front(c, opts), nil, c.Close), nil
 }
 
 // assembleReplica tails the live leader at -replica-of into a store of its
-// own and serves it read-only.
+// own and serves it, with the shard-node API a coordinator reads it by.
+// The follower is the source: it refuses writes itself.
 func assembleReplica(cfg config, opts geobrowse.Options) (node, error) {
 	if cfg.checkpoint == "" {
 		return node{}, errors.New("-replica-of needs -checkpoint for the replica's own durable state")
@@ -319,8 +318,9 @@ func assembleReplica(cfg config, opts geobrowse.Options) (node, error) {
 	}
 	log.Printf("replica of %s (%s) tailing from seq %d, polling every %v",
 		cfg.replicaOf, info.Dataset, f.Seq(), cfg.pollInterval)
-	gb := geobrowse.NewLiveServer(info.Dataset, f.Store(), opts)
-	return node{handler: replicaHandler(gb, f.Store()), drain: gb.StartDrain, gb: gb, close: f.Close}, nil
+	gb := geobrowse.New(info.Dataset, f, opts)
+	shard.ServeNode(gb, f.Store(), telemetry.Default())
+	return front(gb, nil, f.Close), nil
 }
 
 // assembleTenants serves the generated datasets of -tenants behind one
@@ -378,7 +378,7 @@ func assembleLive(cfg config, opts geobrowse.Options, g *grid.Grid, d *dataset.D
 		PyramidLevels:   cfg.pyramidLevels,
 	}
 	if cfg.shards > 1 {
-		return assembleSharded(cfg, lc, d)
+		return assembleSharded(cfg, opts, lc, d)
 	}
 	start := time.Now()
 	store, err := live.Open(lc)
@@ -388,10 +388,9 @@ func assembleLive(cfg config, opts geobrowse.Options, g *grid.Grid, d *dataset.D
 	st := store.Status()
 	log.Printf("live store open in %v: %s, %d objects, generation %d, %d replayed mutations (wal %q, %d bytes)",
 		time.Since(start).Round(time.Millisecond), st.Algorithm, st.LiveObjects, st.Generation, st.Mutations, cfg.wal, st.WALBytes)
-	gb := geobrowse.NewLiveServer(d.Name, store, opts)
-	return node{handler: withNodeAPI(gb, store), drain: gb.StartDrain, gb: gb, store: store, close: func() error {
-		return closeStore("live store", store)
-	}}, nil
+	gb := geobrowse.New(d.Name, store, opts)
+	shard.ServeNode(gb, store, telemetry.Default())
+	return front(gb, store, func() error { return closeStore("live store", store) }), nil
 }
 
 // closeStore closes a live store — syncing its journal and writing its
@@ -443,7 +442,7 @@ func zoomWrap(est core.Estimator, levels int) (core.Estimator, error) {
 // coordinator over them that sums every map into one plane. Per-shard WAL
 // and checkpoint files derive from the configured paths by suffix, so each
 // shard recovers its own band independently on restart.
-func assembleSharded(cfg config, base live.Config, d *dataset.Dataset) (node, error) {
+func assembleSharded(cfg config, opts geobrowse.Options, base live.Config, d *dataset.Dataset) (node, error) {
 	n := cfg.shards
 	part, err := shard.NewPartition(base.Grid, n)
 	if err != nil {
@@ -501,13 +500,13 @@ func assembleSharded(cfg config, base live.Config, d *dataset.Dataset) (node, er
 	}
 	log.Printf("sharded live store open in %v: %d shards, %d objects total",
 		time.Since(start).Round(time.Millisecond), n, objects)
-	return node{handler: shard.NewServer(c, telemetry.Default()), close: func() error {
+	return front(shard.Front(c, opts), nil, func() error {
 		err := c.Close()
 		if serr := closeStores(); err == nil {
 			err = serr
 		}
 		return err
-	}}, nil
+	}), nil
 }
 
 // parseShardSpec expands a -coordinator spec into backend groups:
@@ -539,32 +538,6 @@ func parseShardSpec(spec string) ([]shard.Backends, error) {
 		return nil, fmt.Errorf("coordinator spec %q declares no shards", spec)
 	}
 	return groups, nil
-}
-
-// withNodeAPI mounts a store's shard/replication API beside its browse
-// API.
-func withNodeAPI(gb *geobrowse.Server, store *live.Store) *http.ServeMux {
-	nh := shard.NodeHandler(store, telemetry.Default())
-	mux := http.NewServeMux()
-	mux.Handle("/", gb)
-	mux.Handle("/api/shard/", nh)
-	mux.Handle("/api/replica/", nh)
-	return mux
-}
-
-// replicaHandler fronts a follower's store: browse reads and the shard
-// estimate API are served locally, but local mutations are refused —
-// writes belong to the leader, and a replica that accepted one would
-// silently diverge from the stream it tails.
-func replicaHandler(gb *geobrowse.Server, store *live.Store) http.Handler {
-	mux := withNodeAPI(gb, store)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && (r.URL.Path == "/api/ingest" || r.URL.Path == "/api/delete") {
-			http.Error(w, "read-only replica: send writes to the leader", http.StatusForbidden)
-			return
-		}
-		mux.ServeHTTP(w, r)
-	})
 }
 
 // run serves the node's handler (which exposes Prometheus metrics at
@@ -612,9 +585,7 @@ func run(cfg config, nd node) error {
 	case got := <-sig:
 		log.Printf("received %v, shutting down", got)
 	}
-	if nd.drain != nil {
-		nd.drain()
-	}
+	nd.drain()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

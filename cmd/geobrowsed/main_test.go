@@ -4,6 +4,8 @@ import (
 	"flag"
 	"io"
 	"log"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,15 +143,9 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 		{[]string{"-live", "-shards", "100000", "-gw", "8"}, ""},
 		{[]string{"-save", filepath.Join(t.TempDir(), "no", "such", "dir", "s.bin")}, ""},
 		{[]string{"-live", "-shards", "2", "-cache", "8"}, "-cache"},
-		{[]string{"-live", "-shards", "2", "-workers", "2"}, "-workers"},
-		{[]string{"-live", "-shards", "2", "-max-inflight", "4"}, "-max-inflight"},
 		{[]string{"-live", "-shards", "2", "-overview-epsilon", "0.05"}, "-overview-epsilon"},
-		{[]string{"-live", "-shards", "2", "-log-requests"}, "-log-requests"},
 		{[]string{"-coordinator", "http://localhost:1", "-cache", "8"}, "-cache"},
-		{[]string{"-coordinator", "http://localhost:1", "-workers", "2"}, "-workers"},
-		{[]string{"-coordinator", "http://localhost:1", "-max-inflight", "4"}, "-max-inflight"},
 		{[]string{"-coordinator", "http://localhost:1", "-overview-epsilon", "0.05"}, "-overview-epsilon"},
-		{[]string{"-coordinator", "http://localhost:1", "-log-requests"}, "-log-requests"},
 		{[]string{"-live", "-save", save}, "-save"},
 		{[]string{"-live", "-shards", "2", "-save", save}, "-save"},
 	} {
@@ -189,5 +185,76 @@ func TestRetiredFlagsAreErrors(t *testing.T) {
 				t.Fatalf("%v parsed (err %v), want an undefined-flag error", args, err)
 			}
 		})
+	}
+}
+
+// heldWriter is a ResponseWriter whose first Write blocks until release is
+// closed, signalling held as it starts to wait: the handler writing through
+// it keeps whatever it holds — an admission slot — until then.
+type heldWriter struct {
+	h       http.Header
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (w *heldWriter) Header() http.Header { return w.h }
+func (w *heldWriter) WriteHeader(int)     {}
+func (w *heldWriter) Write(p []byte) (int, error) {
+	if w.held != nil {
+		close(w.held)
+		w.held = nil
+		<-w.release
+	}
+	return len(p), nil
+}
+
+// TestCoordinatorFrontHonoursServingFlags: an in-process coordinator front
+// is assembled like any other, so the admission limiter and the worker
+// pool the command line sizes are its own — a second browse map is shed
+// with 429 while the one slot is held, and the pool reports the -workers
+// it was given.
+func TestCoordinatorFrontHonoursServingFlags(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+	fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
+	var cfg config
+	cfg.register(fs)
+	if err := fs.Parse([]string{"-live", "-shards", "2", "-dataset", "adl", "-n", "2000",
+		"-max-inflight", "1", "-shed-after", "10ms", "-workers", "3", "-report", "0"}); err != nil {
+		t.Fatal(err)
+	}
+	nd, err := assemble(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.close()
+	const browse = "/api/browse?x1=0&y1=0&x2=360&y2=180&cols=12&rows=9"
+
+	hold := &heldWriter{h: http.Header{}, held: make(chan struct{}), release: make(chan struct{})}
+	held := hold.held
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		nd.handler.ServeHTTP(hold, httptest.NewRequest("GET", browse, nil))
+	}()
+	<-held // the first map is writing its body, its slot held
+	rec := httptest.NewRecorder()
+	nd.handler.ServeHTTP(rec, httptest.NewRequest("GET", browse, nil))
+	close(hold.release)
+	<-done
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+		t.Errorf("browse while the one slot is held: %d (Retry-After %q), want 429",
+			rec.Code, rec.Header().Get("Retry-After"))
+	}
+	rec = httptest.NewRecorder()
+	nd.handler.ServeHTTP(rec, httptest.NewRequest("GET", browse, nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("browse once the slot is free: %d %s", rec.Code, rec.Body.String())
+	}
+
+	rec = httptest.NewRecorder()
+	nd.handler.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "\ngeobrowse_pool_capacity 3\n") {
+		t.Errorf("/metrics does not report the -workers 3 pool:\n%s", rec.Body.String())
 	}
 }

@@ -229,6 +229,21 @@ func TestTopology(t *testing.T) {
 		}
 	})
 
+	// The follower the replica serves refuses writes itself: a write it took
+	// would silently diverge from the stream it tails.
+	t.Run("replica-refuses-writes", func(t *testing.T) {
+		before := storeStatus(t, replica.URL).Mutations
+		for _, path := range []string{"/api/ingest?flush=1", "/api/delete?flush=1"} {
+			code, body := httpPost(t, replica.URL+path, `{"rects":[[10,10,20,20]]}`)
+			if code != http.StatusForbidden || string(body) != "read-only replica: send writes to the leader\n" {
+				t.Errorf("POST %s to the replica: %d %q, want 403 and the read-only body", path, code, body)
+			}
+		}
+		if after := storeStatus(t, replica.URL).Mutations; after != before {
+			t.Errorf("replica mutations %d -> %d across two refused writes", before, after)
+		}
+	})
+
 	// Raw sums merge by addition, so the shards together answer bit for bit
 	// as one store holding everything.
 	t.Run("coordinator-vs-single", func(t *testing.T) { sameReads(t, coord.URL, single.URL) })

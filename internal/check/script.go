@@ -251,7 +251,7 @@ func (rd *reader) mapOf(est core.Estimator, region grid.Span, cols, rows int) ([
 		if err != nil {
 			return nil, err
 		}
-		ests, _, err := p.Estimates(core.NewBandPool(2+rd.r.Intn(3), new(telemetry.Gauge), nil))
+		ests, _, err := p.Estimates(nil, core.NewBandPool(2+rd.r.Intn(3), new(telemetry.Gauge), nil))
 		return ests, err
 	case banded:
 		// Every band adds onto the garbage, and adding its negation back

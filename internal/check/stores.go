@@ -355,7 +355,7 @@ func (s *fleet) Close() error {
 // tenant is ever resident.
 type registry struct {
 	*fresh
-	srv *geobrowse.Server
+	est core.Estimator // what the script's tenant serves
 }
 
 func registryConfig(limit int64, sw sweep, seed int64) config {
@@ -390,7 +390,7 @@ func (g *registry) Publish() error {
 		return err
 	}
 	for _, name := range []string{"script", "ballast", "script"} {
-		if g.srv, err = reg.Resolve(name); err != nil {
+		if _, g.est, err = reg.Resolve(name); err != nil {
 			return err
 		}
 		if _, loaded, bytes := reg.Stats(); loaded != 1 {
@@ -400,8 +400,4 @@ func (g *registry) Publish() error {
 	return nil
 }
 
-func (g *registry) Observe(p gen.Probe) string {
-	est, _, release := g.srv.AcquireEstimator()
-	defer release()
-	return g.observe(est, p)
-}
+func (g *registry) Observe(p gen.Probe) string { return g.observe(g.est, p) }

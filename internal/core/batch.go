@@ -34,7 +34,7 @@ func EstimateGrid(est Estimator, region grid.Span, cols, rows int) ([]Estimate, 
 	if err != nil {
 		return nil, err
 	}
-	ests, _, err := p.Estimates(nil)
+	ests, _, err := p.Estimates(nil, nil)
 	return ests, err
 }
 

@@ -121,7 +121,7 @@ func TestPooledEstimatesMatchSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 3, 8, 200} {
-			par, _, err := p.Estimates(NewBandPool(workers, active, nil))
+			par, _, err := p.Estimates(nil, NewBandPool(workers, active, nil))
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", est.Name(), workers, err)
 			}

@@ -56,19 +56,25 @@ func PlanGrid(est Estimator, region grid.Span, cols, rows int, eps float64) (Pla
 	return p, nil
 }
 
-// Estimates answers the plan into a new plane, row-major from the
-// south-west. bound is non-nil when the reduced tier served the map: every
+// Estimates answers the plan row-major from the south-west. bound is
+// non-nil when the reduced tier served the map in a plane of its own: every
 // tile certified within Epsilon·|tile|, and *bound is the largest certified
-// per-tile error. Otherwise the plane is the exact sweep's, its row bands
-// fanned across pool (nil runs inline) — the reduced tier never returns an
-// uncertified answer.
-func (p Plan) Estimates(pool *BandPool) (ests []Estimate, bound *float64, err error) {
+// per-tile error. Otherwise the plane is the exact sweep's — in buf's
+// storage, zeroed, when it holds cols×rows, else in a new plane — its row
+// bands fanned across pool (nil runs inline); the reduced tier never
+// returns an uncertified answer.
+func (p Plan) Estimates(buf []Estimate, pool *BandPool) (ests []Estimate, bound *float64, err error) {
 	if p.Epsilon > 0 {
 		if ests, b, ok := p.zoom.overview.EstimateGrid(p.base, p.cols, p.rows, p.Epsilon); ok {
 			return ests, &b, nil
 		}
 	}
-	ests = make([]Estimate, p.cols*p.rows)
+	if n := p.cols * p.rows; cap(buf) >= n {
+		ests = buf[:n]
+		clear(ests)
+	} else {
+		ests = make([]Estimate, n) // zeroed once, by the allocator
+	}
 	if err := p.Add(ests, pool); err != nil {
 		return nil, nil, err
 	}

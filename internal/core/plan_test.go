@@ -72,7 +72,7 @@ func TestPlanGridSweep(t *testing.T) {
 			if p.Level != want || p.Epsilon != 0 {
 				t.Fatalf("%s: PlanGrid(%v, %dx%d) level %d ε %g, want level %d", est.Name(), region, cols, rows, p.Level, p.Epsilon, want)
 			}
-			got, bound, err := p.Estimates(nil)
+			got, bound, err := p.Estimates(nil, nil)
 			if err != nil || bound != nil {
 				t.Fatalf("%s: Estimates = %v, bound %v", est.Name(), err, bound)
 			}
@@ -138,7 +138,7 @@ func TestPlanEpsilonServesWhatApproxDid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, bound, err := p.Estimates(nil)
+			got, bound, err := p.Estimates(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func TestPlanCountsMapsNotBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Estimates(pool); err != nil {
+	if _, _, err := p.Estimates(nil, pool); err != nil {
 		t.Fatal(err)
 	}
 	h1, s1, b1 := counts()
@@ -212,7 +212,7 @@ func TestPlanCountsMapsNotBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, bound, err := p.Estimates(pool); err != nil || bound == nil {
+	if _, bound, err := p.Estimates(nil, pool); err != nil || bound == nil {
 		t.Fatalf("empty dataset under a huge ε not served approximately: %v", err)
 	}
 	if h3, s3, _ := counts(); h3 != h2 || s3 != s2 {

@@ -27,7 +27,7 @@ func newTestHTTPServer(t *testing.T, opts Options) *httptest.Server {
 		geom.NewRect(2, 2, 4, 4),
 		geom.NewRect(10, 5, 30, 15),
 	})
-	srv := httptest.NewServer(NewServerOpts("testdata", core.NewEuler(h), opts))
+	srv := httptest.NewServer(New("testdata", StaticSource(core.NewEuler(h)), opts))
 	t.Cleanup(srv.Close)
 	return srv
 }

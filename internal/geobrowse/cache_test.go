@@ -127,7 +127,7 @@ func denseServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	g := grid.NewUnit(128, 64)
 	rects := denseRects(g)
-	s := NewServerOpts("dense", core.NewEuler(euler.FromRects(g, rects)), opts)
+	s := New("dense", StaticSource(core.NewEuler(euler.FromRects(g, rects))), opts)
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 	return s, srv
@@ -221,14 +221,14 @@ func BenchmarkBrowseCache(b *testing.B) {
 		}
 	}
 	b.Run("hit", func(b *testing.B) {
-		s := NewServerOpts("bench", est, Options{})
+		s := New("bench", StaticSource(est), Options{})
 		w := httptest.NewRecorder()
 		s.ServeHTTP(w, req) // warm the cache
 		b.ResetTimer()
 		run(b, s)
 	})
 	b.Run("miss", func(b *testing.B) {
-		run(b, NewServerOpts("bench", est, Options{CacheSize: -1}))
+		run(b, New("bench", StaticSource(est), Options{CacheSize: -1}))
 	})
 }
 

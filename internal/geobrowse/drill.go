@@ -21,19 +21,16 @@ type DrillTile struct {
 	Depth int `json:"depth"`
 }
 
-// DrillMaxTiles bounds the leaves of one drill response; exported so a
-// coordinator front-end applies the identical cap.
+// DrillMaxTiles bounds the leaves of one drill response.
 const DrillMaxTiles = 50_000
 
 // drillMaxDepth bounds the depth parameter.
 const drillMaxDepth = 16
 
-// ParseDrillRequest reads the region, relation, hot threshold and depth
-// parameters of a drill request against g — exported for front-ends (the
-// shard coordinator) that must accept exactly the requests a Server
-// accepts.
-func ParseDrillRequest(g *grid.Grid, r *http.Request) (span grid.Span, rel geom.Rel2, hot, depth int, err error) {
-	if span, err = ParseRegionRequest(g, r); err != nil {
+// parseDrillRequest reads the region, relation, hot threshold and depth
+// parameters of a drill request against g.
+func parseDrillRequest(g *grid.Grid, r *http.Request) (span grid.Span, rel geom.Rel2, hot, depth int, err error) {
+	if span, err = parseRegionRequest(g, r); err != nil {
 		return grid.Span{}, 0, 0, 0, err
 	}
 	if rel, err = parseRelation(r.URL.Query().Get("relation")); err != nil {
@@ -50,27 +47,35 @@ func ParseDrillRequest(g *grid.Grid, r *http.Request) (span grid.Span, rel geom.
 
 // handleDrill serves GET /api/drill?x1=&y1=&x2=&y2=&relation=&hot=&depth=:
 // adaptive refinement of the region, splitting only tiles whose count for
-// the relation reaches the hot threshold.
+// the relation reaches the hot threshold. Each depth level is one span
+// batch of the request's one read, so a drill sees one generation.
 func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
-	span, rel, hot, depth, err := ParseDrillRequest(s.g, r)
+	span, rel, hot, depth, err := parseDrillRequest(s.g, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	est, _, release := s.src.AcquireEstimator()
+	rd, release := s.read()
 	defer release()
-	leaves, err := core.Drilldown(est, span, core.DrillOptions{
+	var readErr error
+	leaves, err := core.DrilldownBatch(func(spans []grid.Span) ([]core.Estimate, error) {
+		ests, err := rd.EstimateSpans(spans)
+		readErr = err
+		return ests, err
+	}, span, core.DrillOptions{
 		Relation:     rel,
 		HotThreshold: int64(hot),
 		MaxDepth:     depth,
 		MaxTiles:     DrillMaxTiles,
 	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	var data []byte
+	switch {
+	case err != nil && readErr == nil:
+		err = &RequestError{err} // a drill the request itself made too large
+	case err == nil:
+		data, err = encoded(AppendDrillResponse(nil, s.g, rel, leaves))
 	}
-	data, err := AppendDrillResponse(nil, s.g, rel, leaves)
-	writeEncoded(w, data, err)
+	writeRead(w, data, err)
 }
 
 func parseRelation(arg string) (geom.Rel2, error) {

@@ -15,9 +15,9 @@ import (
 )
 
 // Wire encoding. Every tile payload — browse maps, drill leaves, single
-// queries, on the Server and on the shard front — is written by the append
-// encoders in this file, straight from the sweep's []core.Estimate into one
-// exactly-sized buffer. The bytes are those encoding/json produces for
+// queries, on every Server — is written by the append encoders in this
+// file, straight from the sweep's []core.Estimate into one exactly-sized
+// buffer. The bytes are those encoding/json produces for
 // BrowseResponse, DrillResponse and TileEstimate, which stay the
 // decode-side types and the oracle the encoders are fuzzed against
 // (FuzzBrowseEncode).

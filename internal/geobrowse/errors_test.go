@@ -17,7 +17,7 @@ import (
 func TestLiveServerErrorPaths(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	store := newLiveStore(t, live.Config{})
-	srv := NewLiveServer("errs", store, Options{Telemetry: reg})
+	srv := New("errs", store, Options{Telemetry: reg})
 
 	cases := []struct {
 		name     string
@@ -129,7 +129,7 @@ func TestLiveServerErrorPaths(t *testing.T) {
 // byte are applied when the body is clean.
 func TestMutationRejectsTrailingGarbageButAppliesCleanBody(t *testing.T) {
 	store := newLiveStore(t, live.Config{})
-	srv := NewLiveServer("trail", store, Options{Telemetry: telemetry.NewRegistry()})
+	srv := New("trail", store, Options{Telemetry: telemetry.NewRegistry()})
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/ingest?flush=1",

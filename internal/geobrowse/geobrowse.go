@@ -4,16 +4,12 @@
 // the dataset's Euler histograms — the "hundreds of trial queries with a
 // single click" interaction, without touching the actual objects.
 //
-// Endpoints:
-//
-//	GET /            minimal built-in heat-map client
-//	GET /api/info    dataset and summary metadata
-//	GET /api/query   one estimate: x1,y1,x2,y2
-//	GET /api/browse  tiled estimates: x1,y1,x2,y2,cols,rows
-//	GET /api/drill   adaptive refinement: x1,y1,x2,y2,relation,hot,depth
-//
-// All coordinates must align with the summary's grid resolution, matching
-// the paper's queries-at-resolution model; misaligned requests get 400s.
+// One constructor, New, builds the front of every single-dataset mode over
+// a Source; its doc lists the endpoints. Query parameters are
+// x1,y1,x2,y2 for a region, plus cols,rows for a browse map and
+// relation,hot,depth for a drill-down. All coordinates must align with the
+// summary's grid resolution, matching the paper's queries-at-resolution
+// model; misaligned requests get 400s.
 //
 // Browse requests take the batch estimation path: the whole tile map is
 // planned once and answered in one sweep per histogram (core.PlanGrid,
@@ -33,11 +29,14 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 
 	"spatialhist/internal/core"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
+	"spatialhist/internal/live"
 	"spatialhist/internal/telemetry"
 )
 
@@ -127,56 +126,73 @@ func newBandPool(reg *telemetry.Registry, workers int) *core.BandPool {
 			"Tile-row bands dispatched to the worker pool."))
 }
 
-// Server answers browsing queries over one summarized dataset. The
-// estimator is resolved per request through an EstimatorSource, so a
-// Server can front either a fixed summary (the source always returns the
-// same estimator at generation 0) or a live ingestion store whose
-// snapshots advance generations.
+// Server answers browsing queries over one dataset. Every single-dataset
+// front — a fixed summary, a live store, a replica, a shard coordinator —
+// is one, built by New.
 type Server struct {
 	name    string
-	src     EstimatorSource
 	g       *grid.Grid // constant across generations
+	read    func() (reading, func())
 	mux     *http.ServeMux
-	cache   *browseCache
+	metrics *httpMetrics
+	cache   *browseCache   // nil for a Reader: it pins no generation
 	pool    *core.BandPool // bounded tile-row workers, sweep and encode
+	maps    sync.Pool      // *mapBuffers
 	tenant  string
 	limiter *Limiter
-	epsilon float64 // ε-approximate overview serving; 0 = exact only
+	epsilon float64     // ε-approximate overview serving; 0 = exact only
+	healthy func() bool // nil when the source has no health of its own
 	drain   atomic.Bool
 
 	approx *telemetry.Counter // browse maps served from the reduced tier
 }
 
-// NewServer creates a Server for a named dataset summarized by est, with
-// default options.
-func NewServer(name string, est core.Estimator) *Server {
-	return NewServerOpts(name, est, Options{})
-}
-
-// NewServerOpts creates a Server with explicit serving options.
+// NewServerOpts is New over a fixed estimator; benchmark/layers.go builds
+// its summary fronts with it.
 func NewServerOpts(name string, est core.Estimator, opts Options) *Server {
-	return NewSourceServer(name, StaticSource(est), opts)
+	return New(name, StaticSource(est), opts)
 }
 
-// NewSourceServer creates a Server whose estimator is resolved per request
-// from src. Each handler resolves the estimator once, so a snapshot swap
-// mid-request is invisible to that request; the browse cache tags its keys
-// with the generation, so a swap invalidates exactly the stale entries
-// (fresh keys miss, old entries age out of the LRU untouched).
-func NewSourceServer(name string, src EstimatorSource, opts Options) *Server {
+// New creates the Server for a named dataset read from src (see Source):
+//
+//	GET  /                 minimal built-in heat-map client
+//	GET  /api/info         dataset and summary metadata
+//	GET  /api/query        one estimate
+//	GET  /api/browse       tiled estimates
+//	GET  /api/drill        adaptive refinement
+//	GET  /healthz          readiness: 503 while draining or unhealthy
+//	GET  /metrics          the telemetry registry's exposition
+//	POST /api/ingest       inserts, when src is a Mutator
+//	POST /api/delete       deletes, when src is a Mutator
+//	GET  /api/store/status store status, when src has Status() live.Status
+//
+// It is the one place a mux is made and wired: every route, and every one
+// mounted later with Handle, runs behind the same request metrics and
+// access log; query, browse and drill also wait for admission.
+func New(name string, src Source, opts Options) *Server {
 	opts = opts.withDefaults()
-	est, _, release := src.AcquireEstimator()
-	defer release()
 	s := &Server{
 		name:    name,
-		src:     src,
-		g:       est.Grid(),
+		g:       src.Grid(),
 		mux:     http.NewServeMux(),
-		cache:   newBrowseCache(opts.CacheSize, opts.Telemetry, opts.Tenant),
+		metrics: newHTTPMetrics(opts.Telemetry, opts.accessLogger(), opts.Tenant),
 		pool:    opts.pool,
 		tenant:  opts.Tenant,
 		limiter: opts.Limiter,
 		epsilon: opts.OverviewEpsilon,
+	}
+	switch src := src.(type) {
+	case EstimatorSource:
+		s.cache = newBrowseCache(opts.CacheSize, opts.Telemetry, opts.Tenant)
+		s.read = func() (reading, func()) {
+			est, gen, release := src.AcquireEstimator()
+			return &pinned{s: s, est: est, gen: gen}, release
+		}
+	case Reader:
+		rd := reading(uncached{Reader: src, s: s})
+		s.read = func() (reading, func()) { return rd, func() {} }
+	default:
+		panic(fmt.Sprintf("geobrowse: %T is neither an EstimatorSource nor a Reader", src))
 	}
 	if s.pool == nil {
 		s.pool = newBandPool(opts.Telemetry, opts.Workers)
@@ -187,15 +203,31 @@ func NewSourceServer(name string, src EstimatorSource, opts Options) *Server {
 	}
 	s.approx = opts.Telemetry.Counter("geobrowse_approx_maps_total",
 		"Browse maps served from the ε-approximate reduced tier.", labels...)
-	m := newHTTPMetrics(opts.Telemetry, opts.accessLogger(), opts.Tenant)
-	s.mux.HandleFunc("GET /api/info", m.wrap("/api/info", s.handleInfo))
-	s.mux.HandleFunc("GET /api/query", m.wrap("/api/query", s.admit(s.handleQuery)))
-	s.mux.HandleFunc("GET /api/browse", m.wrap("/api/browse", s.admit(s.handleBrowse)))
-	s.mux.HandleFunc("GET /api/drill", m.wrap("/api/drill", s.admit(s.handleDrill)))
-	s.mux.HandleFunc("GET /healthz", m.wrap("/healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /{$}", m.wrap("/", s.handleIndex))
+	s.Handle("GET /api/info", s.handleInfo)
+	s.Handle("GET /api/query", s.admit(s.handleQuery))
+	s.Handle("GET /api/browse", s.admit(s.handleBrowse))
+	s.Handle("GET /api/drill", s.admit(s.handleDrill))
+	s.Handle("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /{$}", s.metrics.wrap("/", s.handleIndex))
 	s.mux.Handle("GET /metrics", opts.Telemetry.Handler())
+	if m, ok := src.(Mutator); ok {
+		s.Handle("POST /api/ingest", mutationHandler(m, live.OpInsert))
+		s.Handle("POST /api/delete", mutationHandler(m, live.OpDelete))
+	}
+	if st, ok := src.(interface{ Status() live.Status }); ok {
+		s.Handle("GET /api/store/status", func(w http.ResponseWriter, r *http.Request) { WriteJSON(w, st.Status()) })
+	}
+	if h, ok := src.(interface{ Healthy() bool }); ok {
+		s.healthy = h.Healthy
+	}
 	return s
+}
+
+// Handle mounts h at pattern ("METHOD /path") behind the server's request
+// metrics and access log, labelled with the pattern's path — the one way
+// anything is added to a Server's routes.
+func (s *Server) Handle(pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, s.metrics.wrap(pattern[strings.IndexByte(pattern, ' ')+1:], h))
 }
 
 // admit applies the server's admission limiter to one browse-path
@@ -221,18 +253,21 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // CacheStats reports browse-cache hits (served from memory or a shared
-// in-flight computation) and misses (computed).
-func (s *Server) CacheStats() (hits, misses int64) { return s.cache.Stats() }
+// in-flight computation) and misses (computed); a server with no cache
+// reports none.
+func (s *Server) CacheStats() (hits, misses int64) {
+	if s.cache == nil {
+		return 0, 0
+	}
+	return s.cache.Stats()
+}
 
 // CacheBytes reports the bytes of response bodies the browse cache holds.
-func (s *Server) CacheBytes() int64 { return s.cache.Bytes() }
-
-// AcquireEstimator implements EstimatorSource with the server's own: the
-// fixed estimator for summaries, the latest published generation, pinned,
-// for live stores. Differential checks and the join front read a server's
-// estimator through it without going through HTTP.
-func (s *Server) AcquireEstimator() (core.Estimator, uint64, func()) {
-	return s.src.AcquireEstimator()
+func (s *Server) CacheBytes() int64 {
+	if s.cache == nil {
+		return 0
+	}
+	return s.cache.Bytes()
 }
 
 // Info is the /api/info response.
@@ -268,59 +303,63 @@ type BrowseResponse struct {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	est, gen, release := s.src.AcquireEstimator()
+	rd, release := s.read()
 	defer release()
-	ext := s.g.Extent()
-	writeJSON(w, Info{
-		Dataset:        s.name,
-		Algorithm:      est.Name(),
-		Objects:        est.Count(),
-		StorageBuckets: est.StorageBuckets(),
-		Extent:         [4]float64{ext.XMin, ext.YMin, ext.XMax, ext.YMax},
-		GridNX:         s.g.NX(),
-		GridNY:         s.g.NY(),
-		Generation:     gen,
-	})
+	info, err := rd.Info()
+	if err != nil {
+		http.Error(w, err.Error(), readStatus(err))
+		return
+	}
+	WriteJSON(w, info)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	span, err := ParseRegionRequest(s.g, r)
+	span, err := parseRegionRequest(s.g, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	est, _, release := s.src.AcquireEstimator()
+	rd, release := s.read()
 	defer release()
-	data, err := AppendTile(nil, s.g, span, est.Estimate(span))
-	writeEncoded(w, data, err)
+	ests, err := rd.EstimateSpans([]grid.Span{span})
+	var data []byte
+	if err == nil {
+		data, err = encoded(AppendTile(nil, s.g, span, ests[0]))
+	}
+	writeRead(w, data, err)
 }
 
+// handleBrowse answers a tile map from one recycled plane. The read spans
+// the whole computation — the cache fill included — since it reads the
+// generation's histogram buffers, and the plane goes back only once the
+// body is written: w keeps no reference to it once Write returns.
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
-	span, cols, rows, err := ParseBrowseRequest(s.g, r)
+	span, cols, rows, err := parseBrowseRequest(s.g, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Resolve the snapshot once: key and computation use the same
-	// generation, so a swap mid-request cannot cache a mixed result. The
-	// pin spans the cache fill, since the computation reads the
-	// generation's histogram buffers.
-	est, gen, release := s.src.AcquireEstimator()
+	rd, release := s.read()
 	defer release()
-	data, err := s.browseBytes(est, gen, span, cols, rows)
-	writeBrowse(w, data, err)
+	m, _ := s.maps.Get().(*mapBuffers)
+	if m == nil {
+		m = new(mapBuffers)
+	}
+	defer s.maps.Put(m)
+	data, err := rd.browseMap(m, span, cols, rows)
+	writeRead(w, data, err)
 }
 
-// encodeError marks a browse computation that failed while encoding its
-// response — a server bug (500) — apart from one whose request could not
-// be estimated (400).
+// encodeError marks a read that failed while encoding its response — a
+// server bug (500) — apart from one the source refused (400) or could not
+// answer (502).
 type encodeError struct{ err error }
 
 func (e *encodeError) Error() string { return e.err.Error() }
 func (e *encodeError) Unwrap() error { return e.err }
 
-// encoded adapts an append encoder's result to a browse-cache computation:
-// its failures become encodeErrors.
+// encoded adapts an append encoder's result to a read's: its failures
+// become encodeErrors.
 func encoded(data []byte, err error) ([]byte, error) {
 	if err != nil {
 		return nil, &encodeError{err}
@@ -328,47 +367,18 @@ func encoded(data []byte, err error) ([]byte, error) {
 	return data, nil
 }
 
-// writeBrowse writes the outcome of a browse-cache computation.
-func writeBrowse(w http.ResponseWriter, data []byte, err error) {
+// writeRead writes the outcome of a read: the body, or its failure's
+// status.
+func writeRead(w http.ResponseWriter, data []byte, err error) {
 	var enc *encodeError
 	switch {
 	case errors.As(err, &enc):
 		writeEncoded(w, nil, enc.err)
 	case err != nil:
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), readStatus(err))
 	default:
 		writeJSONBytes(w, data)
 	}
-}
-
-// browseBytes computes (or serves from cache) the encoded browse response
-// for one tiling against a pinned estimator. The plan is resolved once and
-// read three times: its level and ε key the cache entry, and it answers the
-// miss.
-func (s *Server) browseBytes(est core.Estimator, gen uint64, span grid.Span, cols, rows int) ([]byte, error) {
-	plan, err := core.PlanGrid(est, span, cols, rows, s.epsilon)
-	if err != nil {
-		return nil, err
-	}
-	// Whether an ε plan is served approximately depends on the data
-	// (certification), so its entries carry a facet an exact plan's never do.
-	facet := ""
-	if plan.Epsilon > 0 {
-		facet = fmt.Sprintf("~%g", plan.Epsilon)
-	}
-	return s.cache.Do(browseKey(gen, plan.Level, span, cols, rows, facet), func() ([]byte, error) {
-		// The one plane of the miss path: row bands of a large map sweep
-		// straight into their rows of it on the server's bounded pool,
-		// then encode from it into their slices of the body.
-		ests, bound, err := plan.Estimates(s.pool)
-		if err != nil {
-			return nil, err
-		}
-		if bound != nil {
-			s.approx.Inc()
-		}
-		return encoded(AppendBrowseResponse(s.pool, nil, s.g, span, cols, rows, ests, bound))
-	})
 }
 
 // TileEstimates pairs clamped estimates with their tile rectangles in
@@ -415,12 +425,11 @@ func browseKey(gen uint64, level int, span grid.Span, cols, rows int, facet stri
 	return fmt.Sprintf("g%d:l%d:%d,%d,%d,%d/%dx%d;%s", gen, level, span.I1, span.J1, span.I2, span.J2, cols, rows, facet)
 }
 
-// ParseBrowseRequest reads the region and tiling of a browse request
+// parseBrowseRequest reads the region and tiling of a browse request
 // against g, bounding cols and rows individually before multiplying so the
-// product check cannot be bypassed by overflow. Exported for front-ends (the
-// shard coordinator) that must accept exactly the requests a Server accepts.
-func ParseBrowseRequest(g *grid.Grid, r *http.Request) (span grid.Span, cols, rows int, err error) {
-	span, err = ParseRegionRequest(g, r)
+// product check cannot be bypassed by overflow.
+func parseBrowseRequest(g *grid.Grid, r *http.Request) (span grid.Span, cols, rows int, err error) {
+	span, err = parseRegionRequest(g, r)
 	if err != nil {
 		return grid.Span{}, 0, 0, err
 	}
@@ -438,9 +447,9 @@ func ParseBrowseRequest(g *grid.Grid, r *http.Request) (span grid.Span, cols, ro
 	return span, cols, rows, nil
 }
 
-// ParseRegionRequest reads the x1..y2 region parameters of a request and
+// parseRegionRequest reads the x1..y2 region parameters of a request and
 // converts them to a span aligned with g.
-func ParseRegionRequest(g *grid.Grid, r *http.Request) (grid.Span, error) {
+func parseRegionRequest(g *grid.Grid, r *http.Request) (grid.Span, error) {
 	var vals [4]float64
 	for i, name := range []string{"x1", "y1", "x2", "y2"} {
 		raw := r.URL.Query().Get(name)
@@ -474,11 +483,11 @@ func posIntParam(r *http.Request, name string, max int) (int, error) {
 	return v, nil
 }
 
-// writeJSON marshals v and writes it with the JSON content type. Encoding
+// WriteJSON marshals v and writes it with the JSON content type. Encoding
 // failures are a server bug: they are logged, counted (via the middleware's
 // metricsWriter), and turned into a 500 before any of the response is
 // committed.
-func writeJSON(w http.ResponseWriter, v any) {
+func WriteJSON(w http.ResponseWriter, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		err = fmt.Errorf("%T: %w", v, err)

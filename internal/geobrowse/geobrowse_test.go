@@ -25,7 +25,7 @@ func testServer(t *testing.T) *httptest.Server {
 		geom.NewRect(10, 5, 30, 15),
 		geom.NewRect(2.5, 2.5, 3, 3),
 	})
-	srv := httptest.NewServer(NewServer("testdata", core.NewEuler(h)))
+	srv := httptest.NewServer(New("testdata", StaticSource(core.NewEuler(h)), Options{}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -179,7 +179,7 @@ func TestDrill(t *testing.T) {
 func TestDrillLeavesBrowseCacheAlone(t *testing.T) {
 	g := grid.NewUnit(36, 18)
 	h := euler.FromRects(g, []geom.Rect{geom.NewRect(2, 2, 4, 4), geom.NewRect(10, 5, 30, 15)})
-	s := NewServerOpts("testdata", core.NewEuler(h), Options{Telemetry: telemetry.NewRegistry()})
+	s := New("testdata", StaticSource(core.NewEuler(h)), Options{Telemetry: telemetry.NewRegistry()})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -208,7 +208,7 @@ func approxTestServer(t *testing.T, eps float64) *httptest.Server {
 	if z.Overview() == nil {
 		t.Fatal("overview derivation refused")
 	}
-	srv := httptest.NewServer(NewServerOpts("approx", z, Options{OverviewEpsilon: eps}))
+	srv := httptest.NewServer(New("approx", StaticSource(z), Options{OverviewEpsilon: eps}))
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -7,14 +7,17 @@ import "net/http"
 // estimation work) so probing it never competes with browse traffic for
 // admission slots.
 type Health struct {
-	// Status is "ok", or "draining" once a graceful shutdown began
-	// (reported with a 503 so probes stop routing new traffic here).
+	// Status is "ok"; "draining" once a graceful shutdown began; or
+	// "unhealthy" while the source cannot answer (a shard coordinator with
+	// a shard that has no alive backend). Anything but "ok" is reported
+	// with a 503 so probes stop routing new traffic here.
 	Status string `json:"status"`
 	// Dataset names the served dataset (single-tenant servers) or is
 	// empty for a tenant registry front.
 	Dataset string `json:"dataset,omitempty"`
-	// Generation is the serving snapshot's generation (0 for fixed
-	// summaries and registry fronts).
+	// Generation is the serving generation (0 for fixed summaries and
+	// registry fronts; for a coordinator, the sum of the leader generations
+	// its prober last saw).
 	Generation uint64 `json:"generation"`
 	// Tenants is how many datasets this process serves: 1 for a
 	// single-dataset server, loaded-tenant count for a registry front.
@@ -22,11 +25,19 @@ type Health struct {
 }
 
 // handleHealthz serves the single-dataset readiness probe. The generation
-// is read as every reader reads it: pinned, and released at once.
+// is read as every reader reads it — through the request's one read,
+// released at once — and reading it touches no data.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	_, gen, release := s.src.AcquireEstimator()
+	rd, release := s.read()
+	h := Health{Status: "ok", Dataset: s.name, Generation: rd.Generation(), Tenants: 1}
 	release()
-	writeHealth(w, Health{Status: "ok", Dataset: s.name, Generation: gen, Tenants: 1}, s.drain.Load())
+	switch {
+	case s.drain.Load():
+		h.Status = "draining"
+	case s.healthy != nil && !s.healthy():
+		h.Status = "unhealthy"
+	}
+	writeHealth(w, h)
 }
 
 // StartDrain flips the server into draining: /healthz turns 503 so
@@ -35,19 +46,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // http.Server.Shutdown's job). Call it just before Shutdown.
 func (s *Server) StartDrain() { s.drain.Store(true) }
 
-// writeHealth renders h, downgrading to draining/503 when drain is set.
-func writeHealth(w http.ResponseWriter, h Health, drain bool) {
-	if drain {
-		h.Status = "draining"
+// writeHealth renders h, with a 503 unless its status is "ok".
+func writeHealth(w http.ResponseWriter, h Health) {
+	if h.Status != "ok" {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		writeJSON(&committedWriter{w}, h)
+		WriteJSON(&committedWriter{w}, h)
 		return
 	}
-	writeJSON(w, h)
+	WriteJSON(w, h)
 }
 
-// committedWriter suppresses the duplicate WriteHeader writeJSON would
+// committedWriter suppresses the duplicate WriteHeader WriteJSON would
 // issue after the health handler already committed a 503.
 type committedWriter struct{ http.ResponseWriter }
 

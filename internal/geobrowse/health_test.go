@@ -34,7 +34,7 @@ func TestHealthzProbesAreNotReaders(t *testing.T) {
 		// 511×511 lattice buckets: a cloned generation is a megabyte, a
 		// repaired one kilobytes.
 		store := newLiveStore(t, live.Config{Grid: grid.NewUnit(256, 256), Algo: live.AlgoSEuler, RebuildEvery: -1})
-		srv := NewLiveServer("live", store, Options{Telemetry: telemetry.NewRegistry()})
+		srv := New("live", store, Options{Telemetry: telemetry.NewRegistry()})
 		publishBytes := func(probes int) (total uint64) {
 			var before, after runtime.MemStats
 			for round := 0; round < 8; round++ {

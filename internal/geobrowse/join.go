@@ -4,15 +4,14 @@
 // once, so it is where two-histogram join selectivity (core.JoinEstimator)
 // becomes a serving feature: pick two tenant names, get the estimated
 // number of cell-sharing object pairs and the selectivity, computed from
-// the resident lattices alone — no object data is ever loaded. Responses
-// are cached keyed by both tenants' estimator generations, so live-store
-// tenants invalidate exactly when either side publishes a new snapshot.
+// the resident lattices alone — no object data is ever loaded. Tenants are
+// fixed summaries whose loaders are deterministic, so a response cached by
+// the pair of names stays right across evictions and reloads.
 package geobrowse
 
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"spatialhist/internal/core"
@@ -29,7 +28,7 @@ type JoinRequest struct {
 type JoinResponse struct {
 	A           string  `json:"a"`
 	B           string  `json:"b"`
-	GenerationA uint64  `json:"generationA"`
+	GenerationA uint64  `json:"generationA"` // 0: tenants are fixed summaries
 	GenerationB uint64  `json:"generationB"`
 	Pairs       int64   `json:"pairs"`
 	CountA      int64   `json:"countA"`
@@ -91,24 +90,18 @@ func (s *MultiServer) handleJoin(w http.ResponseWriter, r *http.Request) {
 	writeJSONBytes(w, data)
 }
 
-// estimate resolves both tenants, pins their current estimator
-// generations, and returns the (possibly cached) join estimate.
+// estimate resolves both tenants and returns the (possibly cached) join
+// estimate. Tenants are fixed summaries, so both generations are 0.
 func (f *joinFront) estimate(req JoinRequest) ([]byte, error) {
-	srvA, err := f.reg.Resolve(req.A)
+	_, estA, err := f.reg.Resolve(req.A)
 	if err != nil {
 		return nil, err
 	}
-	srvB, err := f.reg.Resolve(req.B)
+	_, estB, err := f.reg.Resolve(req.B)
 	if err != nil {
 		return nil, err
 	}
-	estA, genA, releaseA := srvA.AcquireEstimator()
-	defer releaseA()
-	estB, genB, releaseB := srvB.AcquireEstimator()
-	defer releaseB()
-
-	key := fmt.Sprintf("%s@%d|%s@%d", req.A, genA, req.B, genB)
-	return f.cache.Do(key, func() ([]byte, error) {
+	return f.cache.Do(req.A+"\x00"+req.B, func() ([]byte, error) {
 		je, err := core.NewJoin(estA, estB)
 		if err != nil {
 			return nil, err
@@ -123,8 +116,6 @@ func (f *joinFront) estimate(req JoinRequest) ([]byte, error) {
 		return json.Marshal(JoinResponse{
 			A:           req.A,
 			B:           req.B,
-			GenerationA: genA,
-			GenerationB: genB,
 			Pairs:       est.Pairs,
 			CountA:      est.CountA,
 			CountB:      est.CountB,

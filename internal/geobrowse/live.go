@@ -7,60 +7,14 @@ import (
 	"io"
 	"net/http"
 
-	"spatialhist/internal/core"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/live"
 )
 
-// EstimatorSource supplies the estimator a request is answered with,
-// pinned, together with the generation it belongs to and the release that
-// undoes the pin — never nil, called when the request is done with the
-// estimator. Fixed summaries are always generation 0 and release nothing; a
-// live store advances the generation at every snapshot swap, which is what
-// keys browse-cache invalidation, and recycles a generation's histogram
-// buffers once every pin on it is released. There is no unpinned accessor:
-// a reader the store cannot see would make every buffer it might still be
-// reading unrecyclable forever.
-//
-// Implementations must be safe for concurrent use and must return
-// estimators that never change after being returned (the live store's
-// snapshots are immutable by construction).
-type EstimatorSource interface {
-	AcquireEstimator() (core.Estimator, uint64, func())
-}
-
-// StaticSource adapts a fixed estimator to the EstimatorSource contract at
-// generation 0.
-func StaticSource(est core.Estimator) EstimatorSource { return staticSource{est} }
-
-type staticSource struct{ est core.Estimator }
-
-func (s staticSource) AcquireEstimator() (core.Estimator, uint64, func()) {
-	return s.est, 0, func() {}
-}
-
-// NewLiveServer creates a Server over a live ingestion store: the browse
-// endpoints read the store's current snapshot, and three extra endpoints
-// mutate and observe it:
-//
-//	POST /api/ingest        insert object MBRs ({"rects":[[x1,y1,x2,y2],...]})
-//	POST /api/delete        delete previously inserted MBRs (same body)
-//	GET  /api/store/status  generation, staleness and journal size
-//
-// Mutations become visible when the store's rebuild policy publishes the
-// next snapshot (or immediately with ?flush=1); until then browse traffic
-// keeps reading the current generation, and the generation-tagged cache
-// keys guarantee a swap is never served from a stale entry.
+// NewLiveServer is New over a live store; benchmark/layers.go builds its
+// live fronts with it.
 func NewLiveServer(name string, store *live.Store, opts Options) *Server {
-	opts = opts.withDefaults()
-	s := NewSourceServer(name, store, opts)
-	m := newHTTPMetrics(opts.Telemetry, opts.accessLogger(), opts.Tenant)
-	s.mux.HandleFunc("POST /api/ingest", m.wrap("/api/ingest", MutationHandler(store, live.OpInsert)))
-	s.mux.HandleFunc("POST /api/delete", m.wrap("/api/delete", MutationHandler(store, live.OpDelete)))
-	s.mux.HandleFunc("GET /api/store/status", m.wrap("/api/store/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, store.Status())
-	}))
-	return s
+	return New(name, store, opts)
 }
 
 // MutationRequest is the body of POST /api/ingest and /api/delete.
@@ -105,17 +59,21 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) erro
 
 // Mutator applies one batch of inserts (live.OpInsert) or deletes
 // (live.OpDelete), publishing at the end when flush is set, with
-// live.Store.Apply's contract. A live store, a shard backend and a shard
-// coordinator all are one.
+// live.Store.Apply's contract. A live store, a shard backend, a shard
+// coordinator and a replica (which refuses with ErrReadOnly) all are one;
+// a Server over one mounts POST /api/ingest and /api/delete.
 type Mutator interface {
 	Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error)
 }
 
-// MutationHandler serves the op endpoint against m — POST /api/ingest
-// with live.OpInsert, /api/delete with live.OpDelete — for a live Server
-// and a shard coordinator front alike, so both accept exactly the same
-// requests and answer them with the same bodies.
-func MutationHandler(m Mutator, op byte) http.HandlerFunc {
+// ErrReadOnly is what a Mutator that takes no writes of its own returns —
+// a read replica, whose writes belong to its leader. It is answered 403.
+var ErrReadOnly = errors.New("read-only replica: send writes to the leader")
+
+// mutationHandler serves the op endpoint against m — POST /api/ingest
+// with live.OpInsert, /api/delete with live.OpDelete. A refused write is a
+// 403, any other failure to apply a 503.
+func mutationHandler(m Mutator, op byte) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rects, flush, err := parseMutationRequest(w, r)
 		if err != nil {
@@ -124,10 +82,14 @@ func MutationHandler(m Mutator, op byte) http.HandlerFunc {
 		}
 		applied, rejected, gen, err := m.Apply(op, rects, flush)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			code := http.StatusServiceUnavailable
+			if errors.Is(err, ErrReadOnly) {
+				code = http.StatusForbidden
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
-		writeJSON(w, MutationResponse{Applied: applied, Rejected: rejected, Generation: gen})
+		WriteJSON(w, MutationResponse{Applied: applied, Rejected: rejected, Generation: gen})
 	}
 }
 

@@ -51,7 +51,7 @@ func BenchmarkBrowseUnderIngest(b *testing.B) {
 			defer store.Close()
 			// Storage off (single-flight kept): every browse computes, so
 			// the measurement is estimation latency, not cache hits.
-			srv := NewLiveServer("bench", store, Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
+			srv := New("bench", store, Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
 
 			stop := make(chan struct{})
 			var muts atomic.Int64

@@ -72,7 +72,7 @@ func getBrowse(t *testing.T, h http.Handler, query string) BrowseResponse {
 
 func TestLiveServerEndpoints(t *testing.T) {
 	store := newLiveStore(t, live.Config{RebuildEvery: -1})
-	srv := NewLiveServer("live", store, Options{Telemetry: telemetry.NewRegistry()})
+	srv := New("live", store, Options{Telemetry: telemetry.NewRegistry()})
 
 	// Ingest two objects and one rect outside the space, flushing so the
 	// response generation has them.
@@ -141,7 +141,7 @@ func TestLiveServerEndpoints(t *testing.T) {
 // being flushed.
 func TestGenerationCacheInvalidation(t *testing.T) {
 	store := newLiveStore(t, live.Config{RebuildEvery: -1})
-	srv := NewLiveServer("live", store, Options{Telemetry: telemetry.NewRegistry()})
+	srv := New("live", store, Options{Telemetry: telemetry.NewRegistry()})
 	if _, resp := postJSON(t, srv, "/api/ingest?flush=1", MutationRequest{Rects: [][4]float64{{1, 1, 3, 3}}}); resp.Applied != 1 {
 		t.Fatalf("seed ingest: %+v", resp)
 	}
@@ -208,6 +208,8 @@ type swappableSource struct {
 	gen uint64
 }
 
+func (s *swappableSource) Grid() *grid.Grid { return s.est.Grid() }
+
 func (s *swappableSource) AcquireEstimator() (core.Estimator, uint64, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -227,7 +229,7 @@ func TestPreSwapSingleFlight(t *testing.T) {
 		entered: make(chan struct{}, 1), release: make(chan struct{})}
 	src := &swappableSource{est: gate, gen: 7}
 	reg := telemetry.NewRegistry()
-	srv := NewSourceServer("gated", src, Options{Telemetry: reg})
+	srv := New("gated", src, Options{Telemetry: reg})
 
 	const q = "x1=0&y1=0&x2=20&y2=20&cols=2&rows=2"
 	results := make(chan BrowseResponse, 2)
@@ -259,7 +261,7 @@ func TestPreSwapSingleFlight(t *testing.T) {
 func TestConcurrentIngestAndBrowse(t *testing.T) {
 	store := newLiveStore(t, live.Config{Algo: live.AlgoMEuler, Areas: []float64{1, 9, 40},
 		RebuildEvery: 8})
-	srv := NewLiveServer("live", store, Options{Telemetry: telemetry.NewRegistry()})
+	srv := New("live", store, Options{Telemetry: telemetry.NewRegistry()})
 
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {

@@ -26,7 +26,7 @@ func smallServer(t *testing.T, opts Options) *httptest.Server {
 		geom.NewRect(10.5, 5.5, 14.5, 8.5),
 		geom.NewRect(20.25, 10.25, 21.75, 11.75),
 	}
-	s := NewServerOpts("small", core.NewEuler(euler.FromRects(g, rects)), opts)
+	s := New("small", StaticSource(core.NewEuler(euler.FromRects(g, rects))), opts)
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 	return srv
@@ -146,7 +146,7 @@ func TestSweepTelemetryCountsMaps(t *testing.T) {
 	g := grid.NewUnit(256, 128)
 	z := core.ZoomEuler(euler.NewPyramid(euler.FromRects(g, []geom.Rect{geom.NewRect(3, 3, 40, 20)}), euler.PyramidOpts{}))
 	reg := telemetry.NewRegistry()
-	srv := httptest.NewServer(NewServerOpts("wide", z, Options{Telemetry: reg, Workers: 4}))
+	srv := httptest.NewServer(New("wide", StaticSource(z), Options{Telemetry: reg, Workers: 4}))
 	t.Cleanup(srv.Close)
 
 	def := telemetry.Default() // where core records, whatever the server's registry
@@ -198,13 +198,13 @@ func TestAccessLogLine(t *testing.T) {
 	}
 }
 
-// TestEncodeErrorCounted routes a marshal failure through writeJSON behind
+// TestEncodeErrorCounted routes a marshal failure through WriteJSON behind
 // the middleware and checks it lands in the encode-error counter and a 500.
 func TestEncodeErrorCounted(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := newHTTPMetrics(reg, nil, "")
 	h := m.wrap("/boom", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, make(chan int)) // unmarshalable: server bug path
+		WriteJSON(w, make(chan int)) // unmarshalable: server bug path
 	})
 	prevLogf := logf
 	logf = func(string, ...any) {}

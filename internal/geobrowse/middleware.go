@@ -80,7 +80,7 @@ func (m *httpMetrics) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc
 }
 
 // metricsWriter records what the handler did with the response: the status
-// code, bytes written, and the first write error. writeJSON/writeJSONBytes
+// code, bytes written, and the first write error. WriteJSON/writeJSONBytes
 // feed it through the normal ResponseWriter path, so the byte and error
 // accounting the middleware records covers every response body.
 type metricsWriter struct {
@@ -110,6 +110,6 @@ func (w *metricsWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// countEncodeError is called by writeJSON when marshaling fails, so the
+// countEncodeError is called by WriteJSON when marshaling fails, so the
 // failure lands in a counter as well as the log.
 func (w *metricsWriter) countEncodeError() { w.encodeErrs++ }

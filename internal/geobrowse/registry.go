@@ -56,12 +56,14 @@ type RegistryOptions struct {
 	Server Options
 }
 
-// tenant is one registry entry. srv is nil while unloaded; loading is
-// serialized per tenant by mu so concurrent first touches build once.
+// tenant is one registry entry. srv and est are nil while unloaded;
+// loading is serialized per tenant by mu so concurrent first touches build
+// once.
 type tenant struct {
 	cfg   TenantConfig
 	mu    sync.Mutex
 	srv   *Server
+	est   core.Estimator // what srv serves
 	bytes int64
 	el    *list.Element // position in Registry.lru while loaded
 }
@@ -72,7 +74,7 @@ type Registry struct {
 	opts    RegistryOptions
 	tenants map[string]*tenant
 
-	mu      sync.Mutex // guards lru, loadedB and every tenant's srv/el
+	mu      sync.Mutex // guards lru, loadedB and every tenant's srv/est/el
 	lru     *list.List // front = most recently touched *tenant
 	loadedB int64
 
@@ -144,12 +146,13 @@ func estimatorBytes(est core.Estimator) int64 {
 	return int64(est.StorageBuckets()) * 8
 }
 
-// Resolve returns the server for a tenant name, loading it on first
-// touch (or after eviction) and marking it most recently used.
-func (r *Registry) Resolve(name string) (*Server, error) {
+// Resolve returns a tenant's server and the estimator it serves — a fixed
+// summary, so it holds no pin — loading them on first touch (or after
+// eviction) and marking the tenant most recently used.
+func (r *Registry) Resolve(name string) (*Server, core.Estimator, error) {
 	t, ok := r.tenants[name]
 	if !ok {
-		return nil, fmt.Errorf("geobrowse: %w %q", ErrUnknownTenant, name)
+		return nil, nil, fmt.Errorf("geobrowse: %w %q", ErrUnknownTenant, name)
 	}
 	// Serialize loading per tenant: one flight builds, concurrent
 	// touches wait on the same build rather than duplicating it.
@@ -158,23 +161,23 @@ func (r *Registry) Resolve(name string) (*Server, error) {
 	r.mu.Lock()
 	if t.srv != nil {
 		r.lru.MoveToFront(t.el)
-		srv := t.srv
+		srv, est := t.srv, t.est
 		r.mu.Unlock()
-		return srv, nil
+		return srv, est, nil
 	}
 	r.mu.Unlock()
 
 	est, err := t.cfg.Load()
 	if err != nil {
-		return nil, fmt.Errorf("geobrowse: loading tenant %q: %w", name, err)
+		return nil, nil, fmt.Errorf("geobrowse: loading tenant %q: %w", name, err)
 	}
 	opts := r.opts.Server
 	opts.Tenant = name
-	srv := NewSourceServer(name, StaticSource(est), opts)
+	srv := New(name, StaticSource(est), opts)
 	r.mLoads.Inc()
 
 	r.mu.Lock()
-	t.srv = srv
+	t.srv, t.est = srv, est
 	t.bytes = estimatorBytes(est)
 	t.el = r.lru.PushFront(t)
 	r.loadedB += t.bytes
@@ -182,7 +185,7 @@ func (r *Registry) Resolve(name string) (*Server, error) {
 	r.mLoaded.Set(int64(r.lru.Len()))
 	r.mBytes.Set(r.loadedB)
 	r.mu.Unlock()
-	return srv, nil
+	return srv, est, nil
 }
 
 // evictLocked drops least-recently-touched tenants until the resident
@@ -203,7 +206,7 @@ func (r *Registry) evictLocked(keep *tenant) {
 		}
 		r.lru.Remove(oldest)
 		r.loadedB -= t.bytes
-		t.srv, t.el, t.bytes = nil, nil, 0
+		t.srv, t.est, t.el, t.bytes = nil, nil, nil, 0
 		r.mEvictions.Inc()
 	}
 }
@@ -241,7 +244,7 @@ func (s *MultiServer) StartDrain() { s.drain.Store(true) }
 // ordinary /api/... route table.
 func (s *MultiServer) handleTenant(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
-	srv, err := s.reg.Resolve(name)
+	srv, _, err := s.reg.Resolve(name)
 	if err != nil {
 		// An unconfigured name is the client's mistake; a configured
 		// tenant whose loader failed is ours, and must not hide as 404.
@@ -261,7 +264,11 @@ func (s *MultiServer) handleTenant(w http.ResponseWriter, r *http.Request) {
 // handleHealthz reports process readiness and the loaded tenant count.
 func (s *MultiServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_, loaded, _ := s.reg.Stats()
-	writeHealth(w, Health{Status: "ok", Tenants: loaded}, s.drain.Load())
+	h := Health{Status: "ok", Tenants: loaded}
+	if s.drain.Load() {
+		h.Status = "draining"
+	}
+	writeHealth(w, h)
 }
 
 // handleIndex lists the configured tenants and their API roots.
@@ -277,5 +284,5 @@ func (s *MultiServer) handleIndex(w http.ResponseWriter, r *http.Request) {
 	for _, n := range names {
 		out.Tenants = append(out.Tenants, tenantInfo{Name: n, API: "/api/" + n + "/"})
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }

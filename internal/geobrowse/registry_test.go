@@ -148,7 +148,7 @@ func TestRegistryUnlimitedBudgetKeepsAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"a", "b", "c", "a", "b", "c"} {
-		if _, err := reg.Resolve(name); err != nil {
+		if _, _, err := reg.Resolve(name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestRegistryConcurrentFirstTouchLoadsOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := reg.Resolve("a"); err != nil {
+			if _, _, err := reg.Resolve("a"); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -201,7 +201,7 @@ func TestRegistryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Resolve("broken"); err == nil || !strings.Contains(err.Error(), "disk on fire") {
+	if _, _, err := reg.Resolve("broken"); err == nil || !strings.Contains(err.Error(), "disk on fire") {
 		t.Fatalf("loader failure must surface: %v", err)
 	}
 
@@ -271,7 +271,7 @@ func getBody(t *testing.T, url string) []byte {
 }
 
 func TestHealthzSingleServerAndDrain(t *testing.T) {
-	gb := NewServerOpts("testdata", fixedEstimator(t), Options{Telemetry: telemetry.NewRegistry()})
+	gb := New("testdata", StaticSource(fixedEstimator(t)), Options{Telemetry: telemetry.NewRegistry()})
 	srv := httptest.NewServer(gb)
 	defer srv.Close()
 
@@ -363,7 +363,7 @@ func TestTenantBytesAreLatticeBytes(t *testing.T) {
 		name  string
 		bytes int
 	}{{"static", static}, {"zoom", zoomBytes}, {"wide", wideBytes}} {
-		if _, err := reg.Resolve(c.name); err != nil {
+		if _, _, err := reg.Resolve(c.name); err != nil {
 			t.Fatal(err)
 		}
 		want += int64(c.bytes)

@@ -24,7 +24,7 @@ func TestEveryReaderReleasesItsPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	srv := geobrowse.NewLiveServer("live", store, geobrowse.Options{Telemetry: telemetry.NewRegistry(), OverviewEpsilon: 0.5})
+	srv := geobrowse.New("live", store, geobrowse.Options{Telemetry: telemetry.NewRegistry(), OverviewEpsilon: 0.5})
 	for _, target := range []string{
 		"/healthz",
 		"/api/info",
@@ -47,7 +47,7 @@ func TestEveryReaderReleasesItsPin(t *testing.T) {
 			}
 		}
 	}
-	_, _, release := srv.AcquireEstimator()
+	_, _, release := store.AcquireEstimator()
 	if refs := store.PublishedRefs(); refs != 2 {
 		t.Fatalf("a held pin shows as %d references, want 2", refs)
 	}

@@ -331,25 +331,17 @@ func (c *Coordinator) failover(si int, order []*backend, read func(si int, h Han
 	return fmt.Errorf("shard %d: every backend failed: %w", si, lastErr)
 }
 
-// RequestError is a query the coordinator refuses before reading any
-// shard: a span outside the grid, or a tiling that does not divide its
-// region. It is the client's error, not a backend failure, so no backend
-// is marked dead and the shard front answers 400.
-type RequestError struct{ Err error }
-
-func (e *RequestError) Error() string { return e.Err.Error() }
-func (e *RequestError) Unwrap() error { return e.Err }
-
-// checkGrid refuses a tile map before it is gathered: a malformed query
+// checkGrid refuses a tile map before it is gathered, with a
+// geobrowse.RequestError: a malformed query is the client's error, and
 // must not walk the failover path marking healthy backends dead on their
 // own 400s.
 func (c *Coordinator) checkGrid(region grid.Span, cols, rows int) error {
 	if err := checkSpan(c.g, region); err != nil {
-		return &RequestError{err}
+		return &geobrowse.RequestError{Err: err}
 	}
 	w, h := region.I2-region.I1+1, region.J2-region.J1+1
 	if cols <= 0 || rows <= 0 || w%cols != 0 || h%rows != 0 {
-		return &RequestError{fmt.Errorf("query: %dx%d tiling does not divide region %v at this resolution", cols, rows, region)}
+		return &geobrowse.RequestError{Err: fmt.Errorf("query: %dx%d tiling does not divide region %v at this resolution", cols, rows, region)}
 	}
 	return nil
 }
@@ -358,11 +350,7 @@ func (c *Coordinator) checkGrid(region grid.Span, cols, rows int) error {
 // tiling of region over its own objects, and the summed raw estimates are
 // bit-identical to a single store's answer. The slice is the caller's.
 func (c *Coordinator) EstimateGrid(region grid.Span, cols, rows int) ([]core.Estimate, error) {
-	ests, err := c.SumGrid(nil, region, cols, rows, nil)
-	if err != nil {
-		return nil, err
-	}
-	return ests, nil
+	return c.SumGrid(nil, region, cols, rows, nil)
 }
 
 // SumGrid is EstimateGrid into buf's storage, which it grows to cols×rows
@@ -388,17 +376,13 @@ func (c *Coordinator) SumGrid(buf []core.Estimate, region grid.Span, cols, rows 
 func (c *Coordinator) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) {
 	for _, s := range spans {
 		if err := checkSpan(c.g, s); err != nil {
-			return nil, &RequestError{err}
+			return nil, &geobrowse.RequestError{Err: err}
 		}
 	}
 	dst := make([]core.Estimate, len(spans))
-	err := c.sum(dst,
+	return dst, c.sum(dst,
 		func(l InProcess, dst []core.Estimate) error { return l.AddSpans(dst, spans) },
 		func(h Handle) ([]core.Estimate, error) { return h.EstimateSpans(spans) })
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // sum gathers every shard's raw estimates into the zeroed plane dst. An
@@ -465,8 +449,8 @@ func (c *Coordinator) Close() error {
 // over every shard of its leader's highest known generation — the shards
 // this batch touched at their acks, the rest as last probed or acked — so
 // successive acks never decrease and none exceeds the generation Info
-// reads after it. It is the geobrowse.Mutator the coordinator front's
-// ingest and delete endpoints serve.
+// reads after it. It makes the coordinator a geobrowse.Mutator, so its
+// front serves ingest and delete.
 func (c *Coordinator) Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
 	groups := c.part.RouteRects(rects)
 	var wg sync.WaitGroup
@@ -494,10 +478,18 @@ func (c *Coordinator) Apply(op byte, rects []geom.Rect, flush bool) (applied, re
 		}()
 	}
 	wg.Wait()
+	return applied, rejected, c.Generation(), errors.Join(errs...)
+}
+
+// Generation is the sum over every shard of its leader's highest
+// generation seen by a probe or an ack — what an ingest acknowledges and
+// the coordinator front's /healthz reports, read without touching a shard.
+func (c *Coordinator) Generation() uint64 {
+	var gen uint64
 	for _, grp := range c.shards {
 		gen += grp.gen.Load()
 	}
-	return applied, rejected, gen, errors.Join(errs...)
+	return gen
 }
 
 // Info aggregates the logical dataset's metadata: object and bucket
@@ -531,7 +523,8 @@ func (c *Coordinator) Info() (geobrowse.Info, error) {
 }
 
 // Healthy reports whether every shard currently has at least one alive
-// backend — the coordinator /healthz condition.
+// backend, as last probed: the coordinator front's /healthz is 503 while it
+// does not.
 func (c *Coordinator) Healthy() bool {
 	for _, grp := range c.shards {
 		ok := false

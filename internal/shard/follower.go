@@ -7,6 +7,10 @@ import (
 	"os"
 	"time"
 
+	"spatialhist/internal/core"
+	"spatialhist/internal/geobrowse"
+	"spatialhist/internal/geom"
+	"spatialhist/internal/grid"
 	"spatialhist/internal/live"
 	"spatialhist/internal/telemetry"
 )
@@ -159,10 +163,29 @@ func (f *Follower) bootstrap(path string) error {
 	return nil
 }
 
-// Store returns the follower's live store — the read side a geobrowse
-// server or shard NodeHandler serves from. The store is owned by the
-// Follower; mutate it only through the replication stream.
+// Store returns the follower's live store — what the shard-node API of a
+// replica serves. The store is owned by the Follower; mutate it only
+// through the replication stream.
 func (f *Follower) Store() *live.Store { return f.store }
+
+// Grid implements geobrowse.Source: a Follower is the source of a
+// replica's front, read through its store.
+func (f *Follower) Grid() *grid.Grid { return f.store.Grid() }
+
+// AcquireEstimator implements geobrowse.EstimatorSource.
+func (f *Follower) AcquireEstimator() (core.Estimator, uint64, func()) {
+	return f.store.AcquireEstimator()
+}
+
+// Status reports the store's status, as /api/store/status serves it.
+func (f *Follower) Status() live.Status { return f.store.Status() }
+
+// Apply refuses every write with geobrowse.ErrReadOnly: a replica's writes
+// belong to its leader, and one it accepted would silently diverge from
+// the stream it tails. Its front answers them 403.
+func (f *Follower) Apply(byte, []geom.Rect, bool) (applied, rejected int, gen uint64, err error) {
+	return 0, 0, 0, geobrowse.ErrReadOnly
+}
 
 // Seq returns the leader journal offset the follower has applied through.
 func (f *Follower) Seq() int64 { return f.store.Seq() }

@@ -80,18 +80,7 @@ func (h *LocalHandle) Name() string {
 func (h *LocalHandle) Info() (geobrowse.Info, error) {
 	est, gen, release := h.Store.AcquireEstimator()
 	defer release()
-	g := h.Store.Grid()
-	ext := g.Extent()
-	return geobrowse.Info{
-		Dataset:        h.Name(),
-		Algorithm:      est.Name(),
-		Objects:        est.Count(),
-		StorageBuckets: est.StorageBuckets(),
-		Extent:         [4]float64{ext.XMin, ext.YMin, ext.XMax, ext.YMax},
-		GridNX:         g.NX(),
-		GridNY:         g.NY(),
-		Generation:     gen,
-	}, nil
+	return geobrowse.EstimatorInfo(h.Name(), est, gen), nil
 }
 
 // EstimateGrid implements Handle.
@@ -175,7 +164,7 @@ func unpackEstimates(resp estimateResponse) []core.Estimate {
 	return out
 }
 
-// HTTPHandle is a Handle over a shard node's HTTP API (the NodeHandler
+// HTTPHandle is a Handle over a shard node's HTTP API (the ServeNode
 // endpoints plus the live server's ingest and status endpoints).
 type HTTPHandle struct {
 	// Base is the node's base URL, e.g. "http://host:port".

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -33,7 +32,7 @@ const (
 	maxSegmentBytes     = 8 << 20
 )
 
-// NodeHandler exposes a live store's shard-node API — the endpoints a
+// ServeNode mounts a live store's shard-node API on srv — the endpoints a
 // coordinator and a replica tailer consume:
 //
 //	POST /api/shard/estimate    raw tile-map estimates {"region":[i1,j1,i2,j2],"cols":C,"rows":R}
@@ -43,10 +42,10 @@ const (
 //
 // Estimates are served RAW (unclamped): the coordinator merges them by
 // addition and clamps only the merged sums, which is what keeps sharded
-// answers bit-identical to a single store's. Mount it alongside the
-// geobrowse live server; reg receives shard_node_* telemetry (nil means
-// telemetry.Default()).
-func NodeHandler(store *live.Store, reg *telemetry.Registry) http.Handler {
+// answers bit-identical to a single store's. The endpoints run behind
+// srv's middleware like its own; reg receives shard_node_* telemetry (nil
+// means telemetry.Default()).
+func ServeNode(srv *geobrowse.Server, store *live.Store, reg *telemetry.Registry) {
 	if reg == nil {
 		reg = telemetry.Default()
 	}
@@ -63,12 +62,10 @@ func NodeHandler(store *live.Store, reg *telemetry.Registry) http.Handler {
 		checkpoints: reg.Counter("shard_node_checkpoint_total",
 			"Checkpoint streams served to bootstrapping replicas."),
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/shard/estimate", n.handleEstimateGrid)
-	mux.HandleFunc("POST /api/shard/spans", n.handleEstimateSpans)
-	mux.HandleFunc("GET /api/replica/wal", n.handleWAL)
-	mux.HandleFunc("GET /api/replica/checkpoint", n.handleCheckpoint)
-	return mux
+	srv.Handle("POST /api/shard/estimate", n.handleEstimateGrid)
+	srv.Handle("POST /api/shard/spans", n.handleEstimateSpans)
+	srv.Handle("GET /api/replica/wal", n.handleWAL)
+	srv.Handle("GET /api/replica/checkpoint", n.handleCheckpoint)
 }
 
 type node struct {
@@ -112,7 +109,7 @@ func (n *node) handleEstimateGrid(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.estimates.Inc()
-	writeJSON(w, packEstimates(gen, ests))
+	geobrowse.WriteJSON(w, packEstimates(gen, ests))
 }
 
 func (n *node) handleEstimateSpans(w http.ResponseWriter, r *http.Request) {
@@ -137,7 +134,7 @@ func (n *node) handleEstimateSpans(w http.ResponseWriter, r *http.Request) {
 	est, gen, release := n.store.AcquireEstimator()
 	defer release()
 	n.spanBatches.Inc()
-	writeJSON(w, packEstimates(gen, core.EstimateSet(est, spans)))
+	geobrowse.WriteJSON(w, packEstimates(gen, core.EstimateSet(est, spans)))
 }
 
 func (n *node) handleWAL(w http.ResponseWriter, r *http.Request) {
@@ -186,30 +183,5 @@ func (n *node) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// reject a truncated file.
 	if err := n.store.StreamCheckpoint(w); err != nil {
 		logf("shard: streaming checkpoint: %v", err)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		err = fmt.Errorf("%T: %w", v, err)
-	}
-	writeEncoded(w, data, err)
-}
-
-// writeEncoded writes an encoder's output with its length declared — the
-// body is fully known, so large tile maps are not chunk-framed — or
-// reports its failure as a logged 500.
-func writeEncoded(w http.ResponseWriter, data []byte, err error) {
-	if err != nil {
-		logf("shard: encoding %v", err)
-		http.Error(w, "internal error", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(data); err != nil {
-		logf("shard: writing response: %v", err)
 	}
 }

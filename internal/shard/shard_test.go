@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -438,12 +439,13 @@ func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
 // TestCoordinatorBrowseBudget bounds what one browse map through the
-// in-process shard front allocates once warm: O(cols+rows) of edge tables,
-// row offsets and per-row band sums plus a constant — no plane per shard,
-// no merge plane, no body; those are recycled. Measured on a 2-core VM
-// (median bytes per map, 45×45 / 90×90): the scatter-and-merge front
+// in-process coordinator front allocates once warm: O(cols+rows) of edge
+// tables, row offsets and per-row band sums plus a constant — no plane per
+// shard, no merge plane, no body; those are recycled. Measured on a 2-core
+// VM (median bytes per map, 45×45 / 90×90): the scatter-and-merge front
 // allocated 306,744 / 1,196,600 — two shard planes and a body — and the
-// in-place sum allocates 11,832 / 19,592.
+// in-place sum allocates 12,744 / 20,504, the request metrics of the
+// front's middleware included.
 func TestCoordinatorBrowseBudget(t *testing.T) {
 	g := grid.New(geom.Rect{XMin: 0, YMin: 0, XMax: 360, YMax: 180}, 180, 90)
 	var stores []*live.Store
@@ -500,16 +502,14 @@ func TestCoordinatorBrowseBudget(t *testing.T) {
 	}
 }
 
-// nodeServer mounts a live store the way geobrowsed does in shard-node
-// mode: the geobrowse API plus the shard-node endpoints on one mux.
+// nodeServer serves a live store the way geobrowsed -live does: the
+// geobrowse API with the shard-node endpoints mounted on it.
 func nodeServer(t *testing.T, name string, s *live.Store) *httptest.Server {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	mux := http.NewServeMux()
-	mux.Handle("/api/shard/", NodeHandler(s, reg))
-	mux.Handle("/api/replica/", NodeHandler(s, reg))
-	mux.Handle("/", geobrowse.NewLiveServer(name, s, geobrowse.Options{Telemetry: reg}))
-	ts := httptest.NewServer(mux)
+	srv := geobrowse.New(name, s, geobrowse.Options{Telemetry: reg})
+	ServeNode(srv, s, reg)
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -621,7 +621,7 @@ func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
 
 	coord := httptest.NewServer(NewServer(c, telemetry.NewRegistry()))
 	t.Cleanup(coord.Close)
-	ref := httptest.NewServer(geobrowse.NewLiveServer("world", single, geobrowse.Options{Telemetry: telemetry.NewRegistry()}))
+	ref := httptest.NewServer(geobrowse.New("world", single, geobrowse.Options{Telemetry: telemetry.NewRegistry()}))
 	t.Cleanup(ref.Close)
 
 	for _, q := range []string{
@@ -657,7 +657,7 @@ func TestInProcessFrontConcurrentMaps(t *testing.T) {
 	g := grid.New(geom.Rect{XMax: 128, YMax: 64}, 128, 64)
 	single, shards := buildSharded(t, g, 2, 300, 43)
 	front := NewServer(localCoordinator(t, shards, nil, 0), telemetry.NewRegistry())
-	ref := geobrowse.NewLiveServer("test", single, geobrowse.Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
+	ref := geobrowse.New("test", single, geobrowse.Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
 	queries := []string{
 		"/api/browse?x1=0&y1=0&x2=128&y2=64&cols=128&rows=64", // 8192 tiles: banded
 		"/api/browse?x1=0&y1=0&x2=128&y2=64&cols=64&rows=32",
@@ -859,12 +859,12 @@ func TestCoordinatorRejectsBadQueries(t *testing.T) {
 		"out-of-grid span":    second(c.EstimateGrid(grid.Span{I1: 0, J1: 0, I2: g.NX(), J2: 0}, 1, 1)),
 		"negative span":       second(c.EstimateSpans([]grid.Span{{I1: -1, J1: 0, I2: 0, J2: 0}})),
 	} {
-		var re *RequestError
+		var re *geobrowse.RequestError
 		if !errors.As(err, &re) {
 			t.Fatalf("%s: error %v, want a RequestError", what, err)
 		}
 	}
-	// Through the shard front the same tiling is the single node's 400.
+	// Through the coordinator front the same tiling is the single node's 400.
 	front := httptest.NewServer(NewServer(c, telemetry.NewRegistry()))
 	t.Cleanup(front.Close)
 	for _, q := range []string{
@@ -883,4 +883,50 @@ func TestCoordinatorRejectsBadQueries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCoordinatorFrontHealthz: the coordinator front reports health as a
+// node does — the node's Health body, at the sum of the leader generations
+// the prober last saw — and turns 503 while a shard has no alive backend
+// or once it drains. /healthz reads no shard: a leader that died since the
+// last probe still reads healthy until the prober sees it.
+func TestCoordinatorFrontHealthz(t *testing.T) {
+	g := testGrid(t)
+	_, stores := buildSharded(t, g, 2, 100, 61)
+	east := &flakyHandle{Handle: &LocalHandle{Store: stores[1], Label: "s1"}}
+	c, err := NewCoordinator(Config{Name: "test", ProbeInterval: -1, Telemetry: telemetry.NewRegistry(), Shards: []Backends{
+		{Leader: &LocalHandle{Store: stores[0], Label: "s0"}},
+		{Leader: east},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	front := Front(c, geobrowse.Options{Telemetry: telemetry.NewRegistry()})
+	healthz := func(wantCode int, wantStatus string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		front.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		var h geobrowse.Health
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+			t.Fatalf("healthz body %q: %v", rec.Body.String(), err)
+		}
+		want := geobrowse.Health{Status: wantStatus, Dataset: "test", Tenants: 1,
+			Generation: stores[0].Generation() + stores[1].Generation()}
+		if rec.Code != wantCode || h != want {
+			t.Fatalf("healthz: %d %+v, want %d %+v", rec.Code, h, wantCode, want)
+		}
+	}
+	healthz(http.StatusOK, "ok")
+
+	east.down.Store(true)
+	healthz(http.StatusOK, "ok") // no shard read, no probe yet
+	c.Probe()
+	healthz(http.StatusServiceUnavailable, "unhealthy")
+	east.down.Store(false)
+	c.Probe()
+	healthz(http.StatusOK, "ok")
+
+	front.StartDrain()
+	healthz(http.StatusServiceUnavailable, "draining")
 }

@@ -25,36 +25,10 @@ var allowedConcreteSites = map[string]bool{"spatialhist.go:QueryDetail": false}
 // *core.Zoom. Code that needs to know which algorithm it holds asks
 // core.SpecOf; code that needs a level or an ε answer asks core.PlanGrid.
 func TestNoConcreteEstimatorTypesOutsideCore(t *testing.T) {
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			// benchmark/ is a module of its own; dot-directories hold build output.
-			if path == "benchmark" || path == filepath.Join("internal", "core") || (strings.HasPrefix(d.Name(), ".") && path != ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		corePkg := ""
-		for _, imp := range file.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "spatialhist/internal/core" {
-				corePkg = "core"
-				if imp.Name != nil {
-					corePkg = imp.Name.Name
-				}
-			}
-		}
+	walkModule(t, filepath.Join("internal", "core"), func(fset *token.FileSet, path string, file *ast.File) {
+		corePkg := importName(file, "spatialhist/internal/core")
 		if corePkg == "" {
-			return nil
+			return
 		}
 		named := func(e ast.Expr) string {
 			if star, ok := e.(*ast.StarExpr); ok {
@@ -69,43 +43,31 @@ func TestNoConcreteEstimatorTypesOutsideCore(t *testing.T) {
 			}
 			return "*core." + sel.Sel.Name
 		}
-		for _, decl := range file.Decls {
-			fn, _ := decl.(*ast.FuncDecl)
-			site := path + ":"
-			if fn != nil {
-				site += fn.Name.Name
+		eachSite(path, file, func(site string, n ast.Node) {
+			var exprs []ast.Expr
+			switch n := n.(type) {
+			case *ast.TypeAssertExpr:
+				if n.Type != nil { // nil in x.(type); the cases are visited below
+					exprs = []ast.Expr{n.Type}
+				}
+			case *ast.TypeSwitchStmt:
+				for _, clause := range n.Body.List {
+					exprs = append(exprs, clause.(*ast.CaseClause).List...)
+				}
 			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				var exprs []ast.Expr
-				switch n := n.(type) {
-				case *ast.TypeAssertExpr:
-					if n.Type != nil { // nil in x.(type); the cases are visited below
-						exprs = []ast.Expr{n.Type}
-					}
-				case *ast.TypeSwitchStmt:
-					for _, clause := range n.Body.List {
-						exprs = append(exprs, clause.(*ast.CaseClause).List...)
-					}
+			for _, e := range exprs {
+				name := named(e)
+				if name == "" {
+					continue
 				}
-				for _, e := range exprs {
-					name := named(e)
-					if name == "" {
-						continue
-					}
-					if _, ok := allowedConcreteSites[site]; ok {
-						allowedConcreteSites[site] = true
-						continue
-					}
-					t.Errorf("%s: %s named in a type assertion or switch outside internal/core", fset.Position(e.Pos()), name)
+				if _, ok := allowedConcreteSites[site]; ok {
+					allowedConcreteSites[site] = true
+					continue
 				}
-				return true
-			})
-		}
-		return nil
+				t.Errorf("%s: %s named in a type assertion or switch outside internal/core", fset.Position(e.Pos()), name)
+			}
+		})
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for site, seen := range allowedConcreteSites {
 		if !seen {
 			t.Errorf("allow-listed site %s no longer names a concrete estimator type: drop it from the list", site)
@@ -113,5 +75,102 @@ func TestNoConcreteEstimatorTypesOutsideCore(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Log("ask core.SpecOf which algorithm an estimator is, core.PlanGrid for its level and ε answer")
+	}
+}
+
+// allowedMuxSites lists, as file:function, the non-test sites outside
+// internal/geobrowse that may make a mux: geobrowsed's -pprof wrapper,
+// which puts net/http/pprof beside whatever front the mode assembled.
+var allowedMuxSites = map[string]bool{filepath.Join("cmd", "geobrowsed", "main.go") + ":run": false}
+
+// TestOneServerAssembly keeps every dataset front one geobrowse.Server:
+// outside internal/geobrowse no non-test file calls http.NewServeMux, so
+// every route runs behind geobrowse.New's one middleware site — a package
+// that serves more mounts it with (*geobrowse.Server).Handle.
+func TestOneServerAssembly(t *testing.T) {
+	walkModule(t, filepath.Join("internal", "geobrowse"), func(fset *token.FileSet, path string, file *ast.File) {
+		httpPkg := importName(file, "net/http")
+		if httpPkg == "" {
+			return
+		}
+		eachSite(path, file, func(site string, n ast.Node) {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "NewServeMux" {
+				return
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != httpPkg {
+				return
+			}
+			if _, ok := allowedMuxSites[site]; ok {
+				allowedMuxSites[site] = true
+				return
+			}
+			t.Errorf("%s: http.NewServeMux outside internal/geobrowse: build the front with geobrowse.New and mount routes with Server.Handle", fset.Position(sel.Pos()))
+		})
+	})
+	for site, seen := range allowedMuxSites {
+		if !seen {
+			t.Errorf("allow-listed site %s no longer makes a mux: drop it from the list", site)
+		}
+	}
+}
+
+// walkModule parses every non-test Go file of the main module outside
+// skip and hands it to fn. benchmark/ is a module of its own, and
+// dot-directories hold build output.
+func walkModule(t *testing.T, skip string, fn func(fset *token.FileSet, path string, file *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || path == skip || (strings.HasPrefix(d.Name(), ".") && path != ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(fset, path, file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// importName is the name file refers to the package at importPath by, or
+// "" when it does not import it.
+func importName(file *ast.File, importPath string) string {
+	for _, imp := range file.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == importPath {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return importPath[strings.LastIndexByte(importPath, '/')+1:]
+		}
+	}
+	return ""
+}
+
+// eachSite visits every node of file with the file:function site it sits
+// in (file: alone outside a function).
+func eachSite(path string, file *ast.File, visit func(site string, n ast.Node)) {
+	for _, decl := range file.Decls {
+		site := path + ":"
+		if fn, ok := decl.(*ast.FuncDecl); ok {
+			site += fn.Name.Name
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			visit(site, n)
+			return true
+		})
 	}
 }

@@ -206,7 +206,7 @@ func (s *Summary) BrowseParallel(region Rect, cols, rows, workers int) ([]Estima
 	}
 	active := telemetry.Default().Gauge("core_parallel_workers_active",
 		"Row-band workers currently running in Summary.BrowseParallel.")
-	ests, _, err := p.Estimates(core.NewBandPool(workers, active, nil))
+	ests, _, err := p.Estimates(nil, core.NewBandPool(workers, active, nil))
 	return ests, err
 }
 
