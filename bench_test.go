@@ -7,7 +7,6 @@ package spatialhist
 // paper` for paper-scale numbers (recorded in EXPERIMENTS.md).
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -270,19 +269,6 @@ func BenchmarkTuneAreas(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkParallelHistogramBuild(b *testing.B) {
-	e := benchEnv()
-	d := e.Dataset("adl")
-	g := e.Grid()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = euler.FromRectsParallel(g, d.Rects, workers)
-			}
-		})
 	}
 }
 

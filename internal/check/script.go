@@ -287,19 +287,13 @@ func (rd *reader) mapOf(est core.Estimator, region grid.Span, cols, rows int) ([
 func mix(hash uint64, v int64) uint64 { return (hash ^ uint64(v)) * 1099511628211 }
 
 // histPrint renders everything a histogram can be asked: counts, every
-// bucket (a diagonal of them through both accessors), and the query
-// families at each span.
+// bucket, and the query families at each span.
 func histPrint(h *euler.Histogram, spans []grid.Span) string {
 	hash := uint64(14695981039346656037)
 	lx, ly := h.Buckets()
-	var row []int64
 	for u := 0; u < lx; u++ {
-		row = h.RawRow(u, row)
-		if v := u * ly / lx; h.Bucket(u, v) != row[v] {
-			return fmt.Sprintf("Bucket(%d,%d)=%d but RawRow gives %d", u, v, h.Bucket(u, v), row[v])
-		}
-		for _, c := range row {
-			hash = mix(hash, c)
+		for v := 0; v < ly; v++ {
+			hash = mix(hash, h.Bucket(u, v))
 		}
 	}
 	s := fmt.Sprintf("count=%d total=%d buckets=%016x", h.Count(), h.Total(), hash)
@@ -461,11 +455,11 @@ func (f *fresh) Close() error { return nil }
 var popts = euler.PyramidOpts{MinGrid: 4}
 
 // chain publishes the way the live store does, without the store: one
-// builder per group, each generation a BuildFrom of the last on 1–3
-// workers — repaired or rebuilt in full as the script's mutations say, into
-// a donated retired buffer with its stale box or not — and its pyramid a
-// PyramidFrom of the last, cloned or repaired in place. It holds each cell
-// width to its builder's count of updates.
+// builder per group, each generation a BuildFrom of the last — repaired or
+// rebuilt in full as the script's mutations say, into a donated retired
+// buffer with its stale box or not — and its pyramid a PyramidFrom of the
+// last, cloned or repaired in place. It holds each cell width to its
+// builder's count of updates.
 type chain struct {
 	reader
 	spec   core.Spec
@@ -541,7 +535,7 @@ func (c *chain) Publish() (err error) {
 }
 
 func (l *link) publish(r *rand.Rand, limit int64, intoScratch *strategies) error {
-	opts := euler.BuildFromOpts{Workers: 1 + r.Intn(3)}
+	var opts euler.BuildFromOpts
 	donor, inPlace := l.p, false
 	if l.retired != nil && r.Intn(3) > 0 {
 		opts.Scratch, opts.Stale = l.retired.Base(), l.stale

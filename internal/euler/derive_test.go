@@ -10,7 +10,7 @@ import (
 	"spatialhist/internal/grid"
 )
 
-// The histogram keeps no bucket plane: Bucket and RawRow difference values
+// The histogram keeps no bucket plane: Bucket and rawRowOf difference values
 // out of the cumulative form. These tests hold that derivation against a
 // plane accumulated independently of every code path under test — object by
 // object, lattice element by lattice element, from the covering rule of
@@ -65,12 +65,12 @@ func requireBuckets(t *testing.T, ctx string, h *Histogram, want []int64) {
 	if lx*ly != len(want) {
 		t.Fatalf("%s: lattice %dx%d, reference has %d buckets", ctx, lx, ly, len(want))
 	}
-	var buf []int64
+	buf := make([]int64, ly)
 	for u := 0; u < lx; u++ {
-		buf = h.RawRow(u, buf)
+		rawRowOf(h.hc, u, 0, buf)
 		for v := 0; v < ly; v++ {
 			if buf[v] != want[u*ly+v] {
-				t.Fatalf("%s: RawRow(%d)[%d] = %d, want %d", ctx, u, v, buf[v], want[u*ly+v])
+				t.Fatalf("%s: rawRowOf(%d)[%d] = %d, want %d", ctx, u, v, buf[v], want[u*ly+v])
 			}
 			if h.Bucket(u, v) != want[u*ly+v] {
 				t.Fatalf("%s: Bucket(%d,%d) = %d, want %d", ctx, u, v, h.Bucket(u, v), want[u*ly+v])
@@ -274,7 +274,9 @@ func testDerivedPyramidBuckets(t *testing.T, cellWidth int) {
 // plane: a builder holds one difference array of 4-byte entries, and a cold
 // Build materializes the buckets in the array that becomes the cumulative
 // form, so it allocates one lattice-sized array of 4-byte cells, plus a
-// column accumulator — no 8-byte plane is staged anywhere on the way.
+// column accumulator — no 8-byte plane is staged anywhere on the way. A
+// build from rectangles is those two arrays and no more, whatever worker
+// count it is handed: no second difference array is filled beside the first.
 func TestBuildAllocatesOnePlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement on a 1024×1024 grid")
@@ -303,5 +305,25 @@ func TestBuildAllocatesOnePlane(t *testing.T) {
 	}
 	if h.LatticeBytes() != int(plane) {
 		t.Errorf("LatticeBytes = %d, want one plane of %d bytes", h.LatticeBytes(), plane)
+	}
+
+	rects := gen.Rects(r, g, 10_000, gen.RectOpts{})
+	for _, tc := range []struct {
+		name  string
+		build func() *Histogram
+	}{
+		{"FromRects", func() *Histogram { return FromRects(g, rects) }},
+		{"FromRectsParallel", func() *Histogram { return FromRectsParallel(g, rects, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			tc.build()
+			runtime.ReadMemStats(&after)
+			if got, want := after.TotalAlloc-before.TotalAlloc, diff+plane; got > want+want/4 {
+				t.Errorf("allocated %d bytes, want < 1.25 × one %d-byte difference array and one %d-byte plane", got, diff, plane)
+			}
+		})
 	}
 }

@@ -120,6 +120,13 @@ func (b *Builder) widen() {
 	b.d32 = nil
 }
 
+// addCells adds src into dst element by element, across cell widths.
+func addCells[D, S Cell](dst []D, src []S) {
+	for i, v := range src {
+		dst[i] += D(v)
+	}
+}
+
 // diffRect is the difference-array form of a rectangle increment: four
 // corner updates that cancel everywhere outside the rectangle.
 func diffRect[T Cell](d []T, w, u1, v1, u2, v2 int, dir T) {
@@ -304,26 +311,19 @@ func (b *Builder) Skipped() int64 { return b.rects }
 // the dirty region: the returned histogram is a faithful baseline for a
 // later BuildFrom.
 func (b *Builder) Build() *Histogram {
-	return b.buildInto(nil, 1)
-}
-
-// BuildParallel is Build with the two cumulative passes (raw
-// materialization and prefix-sum construction) fanned across up to workers
-// goroutines. The result is bit-identical to Build.
-func (b *Builder) BuildParallel(workers int) *Histogram {
-	return b.buildInto(nil, workers)
+	return b.buildInto(nil)
 }
 
 // buildInto runs a full build at the builder's cell width, refilling the
 // lattice array of a donated scratch histogram when it has one of that
 // shape and width (recycled generation buffers avoid the O(lattice)
 // allocation; a narrow scratch is no use to a builder gone wide).
-func (b *Builder) buildInto(scratch *Histogram, workers int) *Histogram {
+func (b *Builder) buildInto(scratch *Histogram) *Histogram {
 	var hc *prefixsum.Sum2D
 	if b.d32 != nil {
-		hc = buildPlane(b, b.d32, scratch, workers)
+		hc = buildPlane(b, b.d32, scratch)
 	} else {
-		hc = buildPlane(b, b.d64, scratch, workers)
+		hc = buildPlane(b, b.d64, scratch)
 	}
 	b.dirty = EmptyRegion()
 	return &Histogram{g: b.g, lx: b.lx, ly: b.ly, hc: hc, pc: b.partialPlane(), n: b.n}
@@ -331,9 +331,8 @@ func (b *Builder) buildInto(scratch *Histogram, workers int) *Histogram {
 
 // buildPlane materializes the signed buckets from the difference array and
 // turns them into the cumulative form in place — one lattice-sized array in
-// all, of the difference array's cell type — using up to workers goroutines
-// for both passes.
-func buildPlane[T Cell](b *Builder, diff []T, scratch *Histogram, workers int) *prefixsum.Sum2D {
+// all, of the difference array's cell type.
+func buildPlane[T Cell](b *Builder, diff []T, scratch *Histogram) *prefixsum.Sum2D {
 	var buf []T
 	if scratch != nil && scratch.lx == b.lx && scratch.ly == b.ly {
 		buf = prefixsum.Release[T](scratch.hc)
@@ -341,68 +340,36 @@ func buildPlane[T Cell](b *Builder, diff []T, scratch *Histogram, workers int) *
 	if buf == nil {
 		buf = make([]T, b.lx*b.ly)
 	}
-	rawInto(diff, buf, b.lx, b.ly, workers)
-	return prefixsum.AdoptSum2D(buf, b.lx, b.ly, workers)
+	rawInto(diff, buf, b.lx, b.ly)
+	return prefixsum.AdoptSum2D(buf, b.lx, b.ly)
 }
 
 // rawInto computes the lx×ly signed bucket values from the difference
-// array. The serial path streams row by row with one running column
-// accumulator; the parallel path splits the same 2-d prefix into a per-row
-// pass (independent rows) and a per-column accumulation pass (independent
-// column chunks), which is bit-identical because integer addition is exact
-// and order-independent — in narrow cells too, where it wraps: only the
-// values that come out need to fit, and bound vouches for those.
-func rawInto[T Cell](diff, raw []T, lx, ly, workers int) {
+// array, row by row with one running column accumulator. In narrow cells
+// the sums wrap: only the values that come out need to fit, and bound
+// vouches for those.
+func rawInto[T Cell](diff, raw []T, lx, ly int) {
 	w := ly + 1
-	if workers <= 1 || lx*ly < 1<<16 {
-		colAcc := make([]T, ly)
-		for u := 0; u < lx; u++ {
-			var rowAcc T
-			for v := 0; v < ly; v++ {
-				rowAcc += diff[u*w+v]
-				colAcc[v] += rowAcc
-				c := colAcc[v]
-				if (u^v)&1 == 1 { // edge bucket: invert
-					c = -c
-				}
-				raw[u*ly+v] = c
+	colAcc := make([]T, ly)
+	for u := 0; u < lx; u++ {
+		var rowAcc T
+		for v := 0; v < ly; v++ {
+			rowAcc += diff[u*w+v]
+			colAcc[v] += rowAcc
+			c := colAcc[v]
+			if (u^v)&1 == 1 { // edge bucket: invert
+				c = -c
 			}
+			raw[u*ly+v] = c
 		}
-		return
 	}
-	// Pass A: prefix each diff row along v (rows are independent).
-	fanLatticeChunks(lx, workers, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			var rowAcc T
-			for v := 0; v < ly; v++ {
-				rowAcc += diff[u*w+v]
-				raw[u*ly+v] = rowAcc
-			}
-		}
-	})
-	// Pass B: accumulate down each column and fold in the edge-bucket sign
-	// (columns are independent).
-	fanLatticeChunks(ly, workers, func(vlo, vhi int) {
-		acc := make([]T, vhi-vlo)
-		for u := 0; u < lx; u++ {
-			row := raw[u*ly : (u+1)*ly]
-			for v := vlo; v < vhi; v++ {
-				s := acc[v-vlo] + row[v]
-				acc[v-vlo] = s
-				if (u^v)&1 == 1 {
-					s = -s
-				}
-				row[v] = s
-			}
-		}
-	})
 }
 
 // Histogram is an immutable Euler histogram, held as its cumulative form
 // H_c alone (§5.2): every query is a constant-time combination of prefix
 // values, and the signed bucket values themselves — needed only to
 // serialize, to resume a builder and by the join sweep — are recovered from
-// it on demand (Bucket, RawRow). The plane's cells are 4 bytes wide
+// it on demand (Bucket, rawRowOf). The plane's cells are 4 bytes wide
 // whenever whoever built it could show the values fit, 8 otherwise
 // (CellWidth); answers do not depend on which.
 type Histogram struct {
@@ -454,6 +421,13 @@ func FromRects(g *grid.Grid, rs []geom.Rect) *Histogram {
 	b := NewBuilder(g)
 	b.AddAll(rs)
 	return b.Build()
+}
+
+// FromRectsParallel is FromRects: builds run on one goroutine, and the
+// worker count is ignored. It remains for callers written against the
+// parallel build.
+func FromRectsParallel(g *grid.Grid, rs []geom.Rect, _ int) *Histogram {
+	return FromRects(g, rs)
 }
 
 // Grid returns the underlying grid.

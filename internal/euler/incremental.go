@@ -2,7 +2,6 @@ package euler
 
 import (
 	"math"
-	"sync"
 
 	"spatialhist/internal/prefixsum"
 )
@@ -87,9 +86,6 @@ type BuildFromOpts struct {
 	// EmptyRegion().
 	Scratch *Histogram
 	Stale   DirtyRegion
-	// Workers bounds the goroutines of a full rebuild. Repair itself is
-	// serial — it is small by definition.
-	Workers int
 }
 
 // BuildStats reports which path BuildFrom took.
@@ -110,25 +106,25 @@ type BuildStats struct {
 
 // BuildFrom is Build for a builder that has drifted from a previous
 // histogram by a bounded set of mutations. prev must be a histogram the
-// builder produced (Build, BuildParallel or BuildFrom) with only Add/Remove
-// calls in between; the result is bit-identical to Build. It takes one of
-// two strategies, chosen from the data alone:
+// builder produced (Build or BuildFrom) with only Add/Remove calls in
+// between; the result is bit-identical to Build. It takes one of two
+// strategies, chosen from the data alone:
 //
 //   - repair: recompute raw buckets only inside the dirty bounding box and
 //     patch the cumulative form with a restricted sweep, on the donated
 //     scratch or on a clone of prev, so publish cost scales with what
 //     changed instead of lattice size;
-//   - full rebuild: one (possibly parallel) pass over the lattice, into the
-//     donated scratch when there is one — once repairCost passes
-//     DefaultCrossover, and whenever the builder has gone wide since prev
-//     (a narrow plane is neither repaired into a wide one nor refilled as
-//     its scratch; the wide generations that follow repair and recycle
-//     among themselves again).
+//   - full rebuild: one pass over the lattice, into the donated scratch
+//     when there is one — once repairCost passes DefaultCrossover, and
+//     whenever the builder has gone wide since prev (a narrow plane is
+//     neither repaired into a wide one nor refilled as its scratch; the
+//     wide generations that follow repair and recycle among themselves
+//     again).
 //
 // When nothing changed since prev, prev itself is returned.
 func (b *Builder) BuildFrom(prev *Histogram, opts BuildFromOpts) (*Histogram, BuildStats) {
 	if prev == nil || prev.lx != b.lx || prev.ly != b.ly {
-		return b.buildInto(opts.Scratch, opts.Workers), BuildStats{Dirty: EmptyRegion(), DirtyFrac: 1}
+		return b.buildInto(opts.Scratch), BuildStats{Dirty: EmptyRegion(), DirtyFrac: 1}
 	}
 	scratch, r := opts.Scratch, b.dirty
 	if scratch != nil && scratch.lx == b.lx && scratch.ly == b.ly && scratch.hc.Narrow() == (b.d32 != nil) {
@@ -144,7 +140,7 @@ func (b *Builder) BuildFrom(prev *Histogram, opts BuildFromOpts) (*Histogram, Bu
 	lattice := float64(b.lx) * float64(b.ly)
 	stats := BuildStats{Dirty: r, DirtyFrac: float64(r.Area()) / lattice}
 	if prev.hc.Narrow() != (b.d32 != nil) || b.repairCost(r) > DefaultCrossover*3*lattice {
-		return b.buildInto(scratch, opts.Workers), stats
+		return b.buildInto(scratch), stats
 	}
 	stats.Incremental = true
 	return b.repair(prev, scratch, r), stats
@@ -242,30 +238,4 @@ func repairInto[T Cell](b *Builder, diff []T, hc *prefixsum.Sum2D, r DirtyRegion
 		}
 	}
 	hc.AddRegionDelta(u1, v1, u2, v2, delta)
-}
-
-// fanLatticeChunks splits [0, n) into up to workers contiguous chunks and
-// runs fn on each concurrently.
-func fanLatticeChunks(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

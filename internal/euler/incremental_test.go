@@ -91,21 +91,6 @@ func TestBuilderDirtyTracking(t *testing.T) {
 	}
 }
 
-func TestBuildParallelMatchesBuild(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for _, dim := range [][2]int{{1, 1}, {3, 17}, {40, 40}, {200, 130}} {
-		g := grid.NewUnit(dim[0], dim[1])
-		b := NewBuilder(g)
-		for k := 0; k < 200; k++ {
-			b.AddSpan(randSpan(r, g))
-		}
-		want := b.Build()
-		for _, workers := range []int{2, 4, 9} {
-			assertIdentical(t, want, b.BuildParallel(workers))
-		}
-	}
-}
-
 // applyScript drives a builder and a shadow span multiset through a random
 // add/remove script, adding spans drawn by draw, and returns the spans
 // currently present.
@@ -159,7 +144,7 @@ func (s strategy) publish(b *Builder, prev *Histogram, opts BuildFromOpts) (*His
 	if s == repairOnly {
 		return b.repair(prev, opts.Scratch, r), stats
 	}
-	return b.buildInto(opts.Scratch, opts.Workers), stats
+	return b.buildInto(opts.Scratch), stats
 }
 
 func freshBuild(g *grid.Grid, present []grid.Span) *Histogram {
@@ -370,18 +355,6 @@ func TestBuildFromRefusedScratchStale(t *testing.T) {
 	}
 	if planeAddr(narrow) != addr {
 		t.Fatal("the refused scratch was taken apart")
-	}
-}
-
-func TestAutoWorkers(t *testing.T) {
-	if got := AutoWorkers(100, 100); got != 1 {
-		t.Fatalf("tiny build: AutoWorkers = %d, want 1", got)
-	}
-	// A huge lattice must request parallel workers even with no objects —
-	// the regression the policy fix is about. The cap is GOMAXPROCS, so
-	// only assert when more than one core is available.
-	if got := AutoWorkers(16<<20, 0); got == 1 && AutoWorkers(0, 10_000_000) > 1 {
-		t.Fatalf("lattice-dominated build: AutoWorkers = %d, want > 1", got)
 	}
 }
 

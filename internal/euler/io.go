@@ -217,7 +217,7 @@ func Read(r io.Reader) (*Histogram, error) {
 				}
 				cells = append(cells, v)
 			}
-			pc = prefixsum.AdoptSum2D(cells, int(nx), int(ny), 1)
+			pc = prefixsum.AdoptSum2D(cells, int(nx), int(ny))
 		default:
 			return nil, fmt.Errorf("euler: invalid class-plane flag %d", fb)
 		}

@@ -26,19 +26,9 @@ package euler
 
 import (
 	"fmt"
-	"slices"
 
 	"spatialhist/internal/prefixsum"
 )
-
-// RawRow returns the signed bucket values of lattice row u (all v),
-// recovered from the cumulative plane by 2-d backward differencing into buf
-// (grown when too small).
-func (h *Histogram) RawRow(u int, buf []int64) []int64 {
-	buf = slices.Grow(buf[:0], h.ly)[:h.ly]
-	rawRowOf(h.hc, u, 0, buf)
-	return buf
-}
 
 // ProductSum computes the join product sum Σ s(u,v)·hA(u,v)·hB(u,v) of two
 // histograms over the same grid in one fused sweep: the exact number of
@@ -137,7 +127,7 @@ func CoarsenTo(h *Histogram, nx, ny int) (*Histogram, error) {
 		if cnx%2 != 0 || cny%2 != 0 || cnx/2 < nx || cny/2 < ny {
 			return nil, fmt.Errorf("euler: %dx%d does not halve to %dx%d", h.g.NX(), h.g.NY(), nx, ny)
 		}
-		cur = coarsenHistogram(cur, 1)
+		cur = coarsenHistogram(cur)
 	}
 	return cur, nil
 }

@@ -47,9 +47,6 @@ type PyramidOpts struct {
 	// MinGrid stops coarsening before either axis would drop below this
 	// many cells. 0 means DefaultPyramidMinGrid.
 	MinGrid int
-	// Workers bounds the goroutines of cold level construction. Repairs
-	// are serial.
-	Workers int
 }
 
 func (o PyramidOpts) minGrid() int {
@@ -82,7 +79,7 @@ func NewPyramid(base *Histogram, opts PyramidOpts) *Pyramid {
 		if !opts.canCoarsen(fine.g) {
 			break
 		}
-		levels = append(levels, coarsenHistogram(fine, opts.Workers))
+		levels = append(levels, coarsenHistogram(fine))
 	}
 	return &Pyramid{levels: levels}
 }
@@ -125,10 +122,10 @@ func fineEnds(n int) []int {
 }
 
 // coarsenHistogram derives the next pyramid level from fine.
-func coarsenHistogram(fine *Histogram, workers int) *Histogram {
+func coarsenHistogram(fine *Histogram) *Histogram {
 	cg := grid.New(fine.g.Extent(), fine.g.NX()/2, fine.g.NY()/2)
 	lx, ly := 2*cg.NX()-1, 2*cg.NY()-1
-	hc := fine.hc.Sample(fineEnds(lx), fineEnds(ly), workers)
+	hc := fine.hc.Sample(fineEnds(lx), fineEnds(ly))
 	return &Histogram{g: cg, lx: lx, ly: ly, hc: hc, n: fine.n}
 }
 
@@ -201,7 +198,7 @@ func PyramidFrom(base *Histogram, opts PyramidFromOpts) *Pyramid {
 		if !opts.Opts.canCoarsen(fine.g) {
 			break
 		}
-		levels = append(levels, coarsenHistogram(fine, opts.Opts.Workers))
+		levels = append(levels, coarsenHistogram(fine))
 	}
 	return &Pyramid{levels: levels}
 }
@@ -220,7 +217,7 @@ func PyramidFrom(base *Histogram, opts PyramidFromOpts) *Pyramid {
 // derived afresh.
 func repairLevel(fine, donor *Histogram, dirty DirtyRegion, inPlace bool) *Histogram {
 	if donor.hc.Narrow() != fine.hc.Narrow() {
-		return coarsenHistogram(fine, 1)
+		return coarsenHistogram(fine)
 	}
 	hc := donor.hc
 	if !dirty.Empty() {

@@ -82,23 +82,21 @@ func TestPyramidColdBitIdentical(t *testing.T) {
 			b.AddSpan(s)
 		}
 		base := b.Build()
-		for _, workers := range []int{1, 4} {
-			p := NewPyramid(base, PyramidOpts{MinGrid: 4, Workers: workers})
-			if p.Levels() < 2 {
-				t.Fatalf("grid %d: pyramid did not coarsen (%d levels)", gi, p.Levels())
+		p := NewPyramid(base, PyramidOpts{MinGrid: 4})
+		if p.Levels() < 2 {
+			t.Fatalf("grid %d: pyramid did not coarsen (%d levels)", gi, p.Levels())
+		}
+		if p.Base() != base {
+			t.Fatalf("grid %d: level 0 is not the base histogram", gi)
+		}
+		for k := 1; k < p.Levels(); k++ {
+			ctx := fmt.Sprintf("grid %d level %d", gi, k)
+			lvl := p.Level(k)
+			lg := lvl.Grid()
+			if lg.NX() != g.NX()>>k || lg.NY() != g.NY()>>k {
+				t.Fatalf("%s: grid %dx%d, want %dx%d", ctx, lg.NX(), lg.NY(), g.NX()>>k, g.NY()>>k)
 			}
-			if p.Base() != base {
-				t.Fatalf("grid %d: level 0 is not the base histogram", gi)
-			}
-			for k := 1; k < p.Levels(); k++ {
-				ctx := fmt.Sprintf("grid %d workers %d level %d", gi, workers, k)
-				lvl := p.Level(k)
-				lg := lvl.Grid()
-				if lg.NX() != g.NX()>>k || lg.NY() != g.NY()>>k {
-					t.Fatalf("%s: grid %dx%d, want %dx%d", ctx, lg.NX(), lg.NY(), g.NX()>>k, g.NY()>>k)
-				}
-				requireHistEqual(t, ctx, lvl, freshCoarse(g, spans, k))
-			}
+			requireHistEqual(t, ctx, lvl, freshCoarse(g, spans, k))
 		}
 	}
 }

@@ -21,7 +21,6 @@ type rebuildHarness struct {
 	scratch      *Histogram
 	stale        DirtyRegion
 	hotLo, hotHi int
-	workers      int // of a full rebuild, as the live store sizes it
 }
 
 func hotSpan(r *rand.Rand, lo, hi int) grid.Span {
@@ -57,8 +56,7 @@ func seedHarness(nx, ny, objects int) *rebuildHarness {
 		i1, j1 := r.Intn(nx), r.Intn(ny)
 		bld.AddSpan(grid.Span{I1: i1, J1: j1, I2: min(i1+r.Intn(8), nx-1), J2: min(j1+r.Intn(8), ny-1)})
 	}
-	return &rebuildHarness{bld: bld, r: r, stale: EmptyRegion(),
-		workers: AutoWorkers((2*nx-1)*(2*ny-1), objects)}
+	return &rebuildHarness{bld: bld, r: r, stale: EmptyRegion()}
 }
 
 // mutate moves every hot object: one remove plus one add, all inside the
@@ -78,7 +76,7 @@ func (h *rebuildHarness) mutate() {
 // by the builder's dirty box.
 func (h *rebuildHarness) publish(st strategy) BuildStats {
 	moved := h.bld.Dirty()
-	nh, stats := st.publish(h.bld, h.prev, BuildFromOpts{Scratch: h.scratch, Stale: h.stale, Workers: h.workers})
+	nh, stats := st.publish(h.bld, h.prev, BuildFromOpts{Scratch: h.scratch, Stale: h.stale})
 	if nh != h.prev {
 		h.scratch, h.stale = h.prev, moved
 		h.prev = nh

@@ -216,22 +216,6 @@ func TestBuilderWidensAtTheLimit(t *testing.T) {
 	}
 }
 
-// TestParallelBuildWidensAtTheLimit: shard builders each stay under the
-// limit; it is their sum that decides the merged width.
-func TestParallelBuildWidensAtTheLimit(t *testing.T) {
-	r := rand.New(rand.NewSource(96))
-	g := grid.NewUnit(40, 40)
-	rects := gen.Rects(r, g, 300, gen.RectOpts{})
-	narrow := FromRectsParallel(g, rects, 4)
-	defer LowerNarrowLimit(120)()
-	wide := FromRectsParallel(g, rects, 4)
-	if narrow.CellWidth() != 4 || wide.CellWidth() != 8 {
-		t.Fatalf("parallel builds: %d- and %d-byte cells, want 4 and 8", narrow.CellWidth(), wide.CellWidth())
-	}
-	assertIdentical(t, narrow, wide)
-	assertIdentical(t, narrow, FromRects(g, rects))
-}
-
 // TestForeignRemoveRoundTrips: removing a span that was never inserted
 // drives buckets and prefix values negative. The histogram has no way to
 // notice, but it must keep its values: narrow cells are signed, the bound

@@ -466,7 +466,7 @@ func (s *Store) rebuild() {
 			dmg[i] = euler.EmptyRegion()
 			continue
 		}
-		opts := euler.BuildFromOpts{Workers: euler.AutoWorkers(lattice, int(b.Count()))}
+		var opts euler.BuildFromOpts
 		if lease := s.arena.take(i); lease != nil {
 			opts.Scratch, opts.Stale = lease.hist, lease.stale
 			leases[i] = lease
@@ -601,7 +601,6 @@ func (s *Store) derivePyramids(hists []*euler.Histogram, dmg []euler.DirtyRegion
 			Donor: s.lastPyrs[i],
 			Stale: dmg[i],
 		}
-		opts.Opts.Workers = euler.AutoWorkers((2*s.cfg.Grid.NX()-1)*(2*s.cfg.Grid.NY()-1), int(h.Count()))
 		if lease := leases[i]; lease != nil && lease.pyr != nil {
 			opts.Donor, opts.InPlace = lease.pyr, true
 		}

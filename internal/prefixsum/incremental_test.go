@@ -1,6 +1,7 @@
 package prefixsum
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,7 +29,7 @@ func narrowed(src []int64) []int32 {
 func bothWidths(t *testing.T, src []int64, nx, ny int, fn func(t *testing.T, s *Sum2D)) {
 	t.Helper()
 	wide := NewSum2D(src, nx, ny)
-	narrow := AdoptSum2D(narrowed(src), nx, ny, 1)
+	narrow := AdoptSum2D(narrowed(src), nx, ny)
 	if wide.Narrow() || (nx*ny > 0 && !narrow.Narrow()) {
 		t.Fatalf("%dx%d: built widths wide=%v narrow=%v", nx, ny, !wide.Narrow(), narrow.Narrow())
 	}
@@ -76,45 +77,47 @@ func TestAdoptSum2DInPlace(t *testing.T) {
 	for _, dim := range [][2]int{{0, 0}, {1, 1}, {3, 7}, {64, 64}, {200, 350}, {513, 129}} {
 		nx, ny := dim[0], dim[1]
 		src := randArray(rng, nx*ny)
-		want := naivePlane(src, nx, ny)
-		kept := append([]int64(nil), src...)
-		assertEqualSum2D(t, want, NewSum2D(src, nx, ny))
-		for i, v := range kept {
-			if src[i] != v {
-				t.Fatalf("%dx%d: NewSum2D modified its source at %d", nx, ny, i)
+		t.Run(fmt.Sprintf("%dx%d", nx, ny), func(t *testing.T) {
+			want := naivePlane(src, nx, ny)
+			kept := append([]int64(nil), src...)
+			assertEqualSum2D(t, want, NewSum2D(src, nx, ny))
+			for i, v := range kept {
+				if src[i] != v {
+					t.Fatalf("NewSum2D modified its source at %d", i)
+				}
 			}
-		}
-		for _, workers := range []int{1, 2, 3, 8} {
 			buf := append([]int64(nil), src...)
-			got := AdoptSum2D(buf, nx, ny, workers)
+			got := AdoptSum2D(buf, nx, ny)
 			assertEqualSum2D(t, want, got)
 			if len(buf) > 0 && &got.p64[0] != &buf[0] {
-				t.Fatalf("%dx%d workers %d: AdoptSum2D did not adopt the buffer", nx, ny, workers)
+				t.Fatal("AdoptSum2D did not adopt the buffer")
 			}
 			buf32 := narrowed(src)
-			got = AdoptSum2D(buf32, nx, ny, workers)
+			got = AdoptSum2D(buf32, nx, ny)
 			assertEqualSum2D(t, want, got)
 			if len(buf32) > 0 && (&got.p32[0] != &buf32[0] || got.Bytes() != 4*nx*ny) {
-				t.Fatalf("%dx%d workers %d: AdoptSum2D did not adopt the narrow buffer", nx, ny, workers)
+				t.Fatal("AdoptSum2D did not adopt the narrow buffer")
 			}
-		}
+		})
 	}
 }
 
 // TestNarrowAccumulateWraps pins what lets a builder vouch only for the
-// finished values: intermediates of the narrow passes may leave int32, and
+// finished values: intermediates of the narrow pass may leave int32, and
 // the plane is exact as long as its prefix values do not.
 func TestNarrowAccumulateWraps(t *testing.T) {
 	const m = math.MaxInt32
-	for _, n := range []int{2, 300} { // the serial and the two-pass paths
-		src := make([]int64, n*n)
-		src[0], src[1] = -m, -1 // row 0 sums to −m, −m−1
-		src[n], src[n+1] = m, m // row 1's running sum reaches 2m; its prefix m−1
-		want := NewSum2D(src, n, n)
-		if want.PrefixAt(1, 1) != m-1 || want.PrefixAt(0, 1) != math.MinInt32 {
-			t.Fatalf("test plane is not the one intended: %d, %d", want.PrefixAt(1, 1), want.PrefixAt(0, 1))
-		}
-		assertEqualSum2D(t, want, AdoptSum2D(narrowed(src), n, n, 4))
+	for _, n := range []int{2, 300} {
+		t.Run(fmt.Sprintf("%dx%d", n, n), func(t *testing.T) {
+			src := make([]int64, n*n)
+			src[0], src[1] = -m, -1 // row 0 sums to −m, −m−1
+			src[n], src[n+1] = m, m // row 1's running sum reaches 2m; its prefix m−1
+			want := NewSum2D(src, n, n)
+			if want.PrefixAt(1, 1) != m-1 || want.PrefixAt(0, 1) != math.MinInt32 {
+				t.Fatalf("test plane is not the one intended: %d, %d", want.PrefixAt(1, 1), want.PrefixAt(0, 1))
+			}
+			assertEqualSum2D(t, want, AdoptSum2D(narrowed(src), n, n))
+		})
 	}
 }
 
@@ -129,13 +132,13 @@ func TestReleaseRecyclesBuffer(t *testing.T) {
 	}
 	buf := Release[int64](s)
 	copy(buf, b)
-	s2 := AdoptSum2D(buf, nx, ny, 4)
+	s2 := AdoptSum2D(buf, nx, ny)
 	if &s2.p64[0] != p0 {
 		t.Fatal("Release + AdoptSum2D reallocated the prefix buffer")
 	}
 	assertEqualSum2D(t, NewSum2D(b, nx, ny), s2)
 
-	n := AdoptSum2D(narrowed(b), nx, ny, 1)
+	n := AdoptSum2D(narrowed(b), nx, ny)
 	n0 := &n.p32[0]
 	if Release[int64](n) != nil || n.p32 == nil {
 		t.Fatal("a narrow plane released a wide buffer")
@@ -176,7 +179,7 @@ func TestSampleSumsTheGaps(t *testing.T) {
 				}
 			}
 			want := NewSum2D(merged, len(rows), len(cols))
-			got := s.Sample(rows, cols, 1+trial%3)
+			got := s.Sample(rows, cols)
 			if got.Narrow() != s.Narrow() {
 				t.Fatal("Sample changed the cell width")
 			}
@@ -204,7 +207,7 @@ func TestSampleSumsTheGaps(t *testing.T) {
 // finer level of the other width; the pyramid rebuilds it instead.
 func TestResampleRefusesMixedWidths(t *testing.T) {
 	wide := NewSum2D(make([]int64, 4), 2, 2)
-	narrow := AdoptSum2D(make([]int32, 4), 2, 2, 1)
+	narrow := AdoptSum2D(make([]int32, 4), 2, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic resampling a narrow plane from a wide one")
@@ -243,7 +246,7 @@ func TestAddRegionDelta(t *testing.T) {
 			}
 		}
 		want := NewSum2D(after, nx, ny)
-		for _, s := range []*Sum2D{NewSum2D(src, nx, ny), AdoptSum2D(narrowed(src), nx, ny, 1)} {
+		for _, s := range []*Sum2D{NewSum2D(src, nx, ny), AdoptSum2D(narrowed(src), nx, ny)} {
 			s.AddRegionDelta(u1, v1, u2, v2, append([]int64(nil), delta...))
 			assertEqualSum2D(t, want, s)
 		}

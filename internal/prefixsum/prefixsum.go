@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 )
 
 // Cell is the element type of a prefix plane: 4 or 8 bytes per value.
@@ -36,7 +35,7 @@ type Sum2D struct {
 // NewSum2D builds the prefix sums of an nx×ny row-major array. The source
 // slice must have exactly nx*ny entries and is left untouched.
 func NewSum2D(src []int64, nx, ny int) *Sum2D {
-	return AdoptSum2D(append([]int64(nil), src...), nx, ny, 1)
+	return AdoptSum2D(append([]int64(nil), src...), nx, ny)
 }
 
 // AdoptSum2D turns buf — the nx×ny row-major source values — into their
@@ -45,15 +44,12 @@ func NewSum2D(src []int64, nx, ny int) *Sum2D {
 // build) and would otherwise hold a second array of the same size just to
 // have it copied. The plane keeps buf's cell width. In an int32 buffer the
 // sums are formed in wrapping arithmetic, so the caller vouches only for
-// the finished prefix values fitting, not for every intermediate. The two
-// passes fan across up to workers goroutines; the result is bit-identical
-// for every worker count (integer addition commutes) and workers <= 1 is
-// the serial path.
-func AdoptSum2D[T Cell](buf []T, nx, ny, workers int) *Sum2D {
+// the finished prefix values fitting, not for every intermediate.
+func AdoptSum2D[T Cell](buf []T, nx, ny int) *Sum2D {
 	if nx < 0 || ny < 0 || len(buf) != nx*ny {
 		panic(fmt.Sprintf("prefixsum: source length %d does not match %dx%d", len(buf), nx, ny))
 	}
-	accumulate(buf, nx, ny, workers)
+	accumulate(buf, nx, ny)
 	return Wrap(buf, nx, ny)
 }
 
@@ -150,65 +146,40 @@ func (s *Sum2D) Clone() *Sum2D {
 }
 
 // accumulate replaces the nx×ny source values in p by their 2-d prefix
-// sums. Serially that is one pass: a row's running sum plus the finished
-// row above. In parallel it is two — prefix along y, independent per row,
-// then along x, independent per column — each over disjoint chunks.
-func accumulate[T Cell](p []T, nx, ny, workers int) {
-	if workers <= 1 || nx*ny < 1<<16 {
-		var prev []T
-		for i := 0; i < nx; i++ {
-			row := p[i*ny : (i+1)*ny]
-			var acc T
-			if prev == nil {
-				for j, v := range row {
-					acc += v
-					row[j] = acc
-				}
-			} else {
-				for j, v := range row {
-					acc += v
-					row[j] = acc + prev[j]
-				}
+// sums in one pass: a row's running sum plus the finished row above.
+func accumulate[T Cell](p []T, nx, ny int) {
+	var prev []T
+	for i := 0; i < nx; i++ {
+		row := p[i*ny : (i+1)*ny]
+		var acc T
+		if prev == nil {
+			for j, v := range row {
+				acc += v
+				row[j] = acc
 			}
-			prev = row
+		} else {
+			for j, v := range row {
+				acc += v
+				row[j] = acc + prev[j]
+			}
 		}
-		return
+		prev = row
 	}
-	fanChunks(nx, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := p[i*ny : (i+1)*ny]
-			for j := 1; j < ny; j++ {
-				row[j] += row[j-1]
-			}
-		}
-	})
-	fanChunks(ny, workers, func(jlo, jhi int) {
-		for i := 1; i < nx; i++ {
-			prev := p[(i-1)*ny : i*ny]
-			row := p[i*ny : (i+1)*ny]
-			for j := jlo; j < jhi; j++ {
-				row[j] += prev[j]
-			}
-		}
-	})
 }
 
 // Sample returns the len(rows)×len(cols) plane t(i, j) = s(rows[i],
-// cols[j]), at s's cell width, gathered by up to workers goroutines.
-// Sampling prefix sums at a monotone subsequence of coordinates yields the
+// cols[j]), at s's cell width. Sampling prefix sums at a monotone subsequence of coordinates yields the
 // prefix sums of the source summed over the gaps in between — which is how
 // a pyramid level is derived from the finer one without ever forming
 // source values.
-func (s *Sum2D) Sample(rows, cols []int, workers int) *Sum2D {
+func (s *Sum2D) Sample(rows, cols []int) *Sum2D {
 	t := &Sum2D{nx: len(rows), ny: len(cols)}
 	if s.p32 != nil {
 		t.p32 = make([]int32, t.nx*t.ny)
 	} else {
 		t.p64 = make([]int64, t.nx*t.ny)
 	}
-	fanChunks(t.nx, workers, func(lo, hi int) {
-		t.Resample(s, rows, cols, lo, 0, hi-1, t.ny-1)
-	})
+	t.Resample(s, rows, cols, 0, 0, t.nx-1, t.ny-1)
 	return t
 }
 
@@ -234,32 +205,6 @@ func resample[T Cell](dst []T, dny int, src []T, sny int, rows, cols []int, i1, 
 			to[j] = from[cols[j]]
 		}
 	}
-}
-
-// fanChunks splits [0, n) into up to workers contiguous chunks and runs fn
-// on each concurrently.
-func fanChunks(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // AddRegionDelta repairs the prefix array in place after the source

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -113,6 +114,28 @@ func TestOneServerAssembly(t *testing.T) {
 			t.Errorf("allow-listed site %s no longer makes a mux: drop it from the list", site)
 		}
 	}
+}
+
+// serialBuildPackages are the packages whose builds run on one goroutine:
+// the histogram and prefix-sum constructions of the paper, one pass each.
+var serialBuildPackages = []string{filepath.Join("internal", "euler"), filepath.Join("internal", "prefixsum")}
+
+// TestBuildsRunOnOneGoroutine keeps histogram construction serial: no
+// non-test file of internal/euler or internal/prefixsum starts a goroutine.
+// No workload ever reached the parallel build paths these packages carried,
+// and where they ran they bought little on two cores (DESIGN, "Why builds
+// run on one goroutine"); concurrency belongs to the callers that serve.
+func TestBuildsRunOnOneGoroutine(t *testing.T) {
+	walkModule(t, "", func(fset *token.FileSet, path string, file *ast.File) {
+		if !slices.Contains(serialBuildPackages, filepath.Dir(path)) {
+			return
+		}
+		eachSite(path, file, func(site string, n ast.Node) {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement in %s: builds run on one goroutine", fset.Position(g.Pos()), site)
+			}
+		})
+	})
 }
 
 // walkModule parses every non-test Go file of the main module outside
