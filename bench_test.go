@@ -278,11 +278,9 @@ func BenchmarkTuneAreas(b *testing.B) {
 type perTileOnly struct{ core.Estimator }
 
 // BenchmarkBrowseGrid measures a full 100x100-tile browse map — the
-// paper's GeoBrowsing interaction — answered three ways: per-tile
-// Estimate calls over a query.Browsing tiling, the one-sweep batch path,
-// and the batch path with tile rows fanned across GOMAXPROCS workers.
-// The first two run through core.EstimateGrid, the third through
-// Summary.BrowseParallel.
+// paper's GeoBrowsing interaction — answered two ways through
+// core.EstimateGrid: per-tile Estimate calls over a query.Browsing tiling,
+// and the one-sweep batch path.
 func BenchmarkBrowseGrid(b *testing.B) {
 	d := dataset.SzSkew(200_000, 3)
 	g := grid.New(d.Extent, 400, 300)
@@ -299,14 +297,6 @@ func BenchmarkBrowseGrid(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.EstimateGrid(est, region, cols, rows); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	s := &Summary{est: est, g: g}
-	b.Run("batched-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := s.BrowseParallel(g.Extent(), cols, rows, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

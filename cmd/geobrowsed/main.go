@@ -64,7 +64,7 @@ type config struct {
 	n, gridW, gridH                  int
 	seed                             int64
 	load, save                       string
-	cache, workers                   int
+	cache                            int
 	pprof, logRequests               bool
 	report                           time.Duration
 
@@ -100,7 +100,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.load, "load", "", "serve a saved summary file instead of building one")
 	fs.StringVar(&c.save, "save", "", "after building, save the summary to this file")
 	fs.IntVar(&c.cache, "cache", 0, "browse-response cache entries, each worth 128 KiB of stored bodies: at most N responses in at most N x 128 KiB (0 = default 64, i.e. 8 MiB; negative disables)")
-	fs.IntVar(&c.workers, "workers", 0, "tile-map worker pool size (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	fs.DurationVar(&c.report, "report", time.Minute, "self-report interval (QPS, p50/p99, cache hit rate and bytes; 0 disables)")
 	fs.BoolVar(&c.logRequests, "log-requests", false, "log one structured JSON line per API request to stderr")
@@ -171,7 +170,7 @@ func assemble(cfg config) (node, error) {
 	if flag, why := cfg.droppedFlag(); flag != "" {
 		return node{}, fmt.Errorf("%s would be ignored: %s", flag, why)
 	}
-	opts := geobrowse.Options{CacheSize: cfg.cache, Workers: cfg.workers, OverviewEpsilon: cfg.overviewEps}
+	opts := geobrowse.Options{CacheSize: cfg.cache, OverviewEpsilon: cfg.overviewEps}
 	if cfg.logRequests {
 		opts.AccessLog = os.Stderr
 	}

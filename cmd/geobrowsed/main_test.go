@@ -175,7 +175,7 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 // the data are gone, and passing one fails the command line instead of
 // being ignored.
 func TestRetiredFlagsAreErrors(t *testing.T) {
-	for _, args := range [][]string{{"-rebuild-crossover", "-1"}, {"-pack-cold", "3"}, {"-pyramid-min-grid", "8"}} {
+	for _, args := range [][]string{{"-rebuild-crossover", "-1"}, {"-pack-cold", "3"}, {"-pyramid-min-grid", "8"}, {"-workers", "2"}} {
 		t.Run(args[0], func(t *testing.T) {
 			fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
@@ -209,10 +209,9 @@ func (w *heldWriter) Write(p []byte) (int, error) {
 }
 
 // TestCoordinatorFrontHonoursServingFlags: an in-process coordinator front
-// is assembled like any other, so the admission limiter and the worker
-// pool the command line sizes are its own — a second browse map is shed
-// with 429 while the one slot is held, and the pool reports the -workers
-// it was given.
+// is assembled like any other, so the admission limiter the command line
+// sizes is its own — a second browse map is shed with 429 while the one
+// slot is held.
 func TestCoordinatorFrontHonoursServingFlags(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)
@@ -220,7 +219,7 @@ func TestCoordinatorFrontHonoursServingFlags(t *testing.T) {
 	var cfg config
 	cfg.register(fs)
 	if err := fs.Parse([]string{"-live", "-shards", "2", "-dataset", "adl", "-n", "2000",
-		"-max-inflight", "1", "-shed-after", "10ms", "-workers", "3", "-report", "0"}); err != nil {
+		"-max-inflight", "1", "-shed-after", "10ms", "-report", "0"}); err != nil {
 		t.Fatal(err)
 	}
 	nd, err := assemble(cfg)
@@ -250,11 +249,5 @@ func TestCoordinatorFrontHonoursServingFlags(t *testing.T) {
 	nd.handler.ServeHTTP(rec, httptest.NewRequest("GET", browse, nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("browse once the slot is free: %d %s", rec.Code, rec.Body.String())
-	}
-
-	rec = httptest.NewRecorder()
-	nd.handler.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if !strings.Contains(rec.Body.String(), "\ngeobrowse_pool_capacity 3\n") {
-		t.Errorf("/metrics does not report the -workers 3 pool:\n%s", rec.Body.String())
 	}
 }

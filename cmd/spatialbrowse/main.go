@@ -36,7 +36,6 @@ func main() {
 		region   = flag.String("region", "", "browse region x1,y1,x2,y2 (default: whole space)")
 		cols     = flag.Int("cols", 36, "tile columns")
 		rows     = flag.Int("rows", 18, "tile rows")
-		workers  = flag.Int("workers", 0, "worker goroutines for large tile maps (0 = GOMAXPROCS)")
 		relArg   = flag.String("relation", "contains", "relation to render: contains, contained, overlap, disjoint")
 	)
 	flag.Parse()
@@ -66,7 +65,7 @@ func main() {
 		fatal(err)
 	}
 
-	ests, err := s.BrowseParallel(browseRect, *cols, *rows, *workers)
+	ests, err := s.Browse(browseRect, *cols, *rows)
 	if err != nil {
 		fatal(err)
 	}

@@ -291,7 +291,7 @@ func (a *Archive) Browse(f Filter, region grid.Span, cols, rows int) ([]core.Est
 			if err != nil {
 				return nil, err
 			}
-			if err := plan.Add(out, nil); err != nil {
+			if err := plan.Add(out); err != nil {
 				return nil, err
 			}
 		}

@@ -146,7 +146,7 @@ func Transcripts() []Check {
 		}
 		return -1
 	}
-	sw := func(r *rand.Rand) sweep { return sweep(r.Intn(4)) }
+	sw := func(r *rand.Rand) sweep { return sweep(r.Intn(3)) }
 	// store draws a store interpreter on the axes given — up to
 	// axes.shards shards — with the dice.
 	store := func(axes storeOpts) func(r *rand.Rand) []config {
@@ -160,8 +160,8 @@ func Transcripts() []Check {
 		}
 	}
 	return []Check{
-		transcriptCheck("sweeps-vs-per-tile", "EstimateGrid, Plan.Estimates on a pool and Plan.Add (onto a dirty plane, in random row bands) answer every tile map as a per-tile Estimate loop does",
-			func(r *rand.Rand) []config { return []config{freshConfig(sweep(1+r.Intn(3)), r.Int63())} }),
+		transcriptCheck("sweeps-vs-per-tile", "EstimateGrid and Plan.Add (onto a dirty plane, in random row bands) answer every tile map as a per-tile Estimate loop does",
+			func(r *rand.Rand) []config { return []config{freshConfig(sweep(1+r.Intn(2)), r.Int63())} }),
 		transcriptCheck("chain-vs-fresh", "BuildFrom chains (repair and full rebuild as the script's data choose, with and without scratch donation) and PyramidFrom repairs read as fresh and direct coarse builds, at either cell width, and each width follows its builder's count of updates",
 			func(r *rand.Rand) []config { return []config{chainConfig(lowered(r, 2), sw(r), r.Int63())} }),
 		transcriptCheck("store-vs-fresh", "a live.Store publishing on its own schedule, through its arena and pyramids, reads as fresh builds",

@@ -256,7 +256,7 @@ func TestTranscriptsAreNotVacuous(t *testing.T) {
 	for i, c := range []config{
 		freshConfig(banded, 1),
 		chainConfig(20, oneSweep, 2),
-		storeConfig(storeOpts{rebuildEvery: 7}, -1, pooled, 3),
+		storeConfig(storeOpts{rebuildEvery: 7}, -1, oneSweep, 3),
 		storeConfig(storeOpts{wal: true, ckpt: true, syncEvery: 1}, 30, perTile, 4),
 		storeConfig(storeOpts{shards: 2}, -1, oneSweep, 5),
 		storeConfig(storeOpts{follower: true}, -1, banded, 6),

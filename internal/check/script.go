@@ -22,7 +22,6 @@ import (
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/query"
-	"spatialhist/internal/telemetry"
 )
 
 // interpreter is one way of carrying out a script.
@@ -210,19 +209,18 @@ type sweep int
 const (
 	perTile  sweep = iota // one Estimate per tile
 	oneSweep              // core.EstimateGrid
-	pooled                // core.PlanGrid, then Plan.Estimates on a 2–4-slot pool
 	banded                // Plan.Add onto a garbage-filled plane, one plan per random row band
 )
 
 func (s sweep) String() string {
-	return [...]string{"per-tile", "EstimateGrid", "pooled Plan.Estimates", "banded Plan.Add"}[s]
+	return [...]string{"per-tile", "EstimateGrid", "banded Plan.Add"}[s]
 }
 
 // reader answers probes from an estimator: tile maps by its sweep, the
 // histogram probes through core.SpecOf and the zoom stack's levels.
 type reader struct {
 	sweep sweep
-	r     *rand.Rand // the sweep's workers, bands and garbage
+	r     *rand.Rand // the sweep's bands and garbage
 }
 
 func (rd *reader) observe(est core.Estimator, p gen.Probe) string {
@@ -246,13 +244,6 @@ func (rd *reader) mapOf(est core.Estimator, region grid.Span, cols, rows int) ([
 	switch rd.sweep {
 	case oneSweep:
 		return core.EstimateGrid(est, region, cols, rows)
-	case pooled:
-		p, err := core.PlanGrid(est, region, cols, rows, 0)
-		if err != nil {
-			return nil, err
-		}
-		ests, _, err := p.Estimates(nil, core.NewBandPool(2+rd.r.Intn(3), new(telemetry.Gauge), nil))
-		return ests, err
 	case banded:
 		// Every band adds onto the garbage, and adding its negation back
 		// must leave the map: nothing overwritten, no seam.
@@ -270,7 +261,7 @@ func (rd *reader) mapOf(est core.Estimator, region grid.Span, cols, rows int) ([
 			if err != nil {
 				return nil, err
 			}
-			if err := p.Add(plane[r0*cols:r1*cols], nil); err != nil {
+			if err := p.Add(plane[r0*cols : r1*cols]); err != nil {
 				return nil, err
 			}
 			r0 = r1

@@ -24,17 +24,17 @@ type gridAdder interface {
 	addGrid(dst []Estimate, region grid.Span, cols, rows int) error
 }
 
-// EstimateGrid answers every tile of the cols×rows tiling of region, exact
-// and inline: PlanGrid then Plan.Estimates, for callers that neither bound
-// the error nor bring a pool. The plane is row-major from the south-west
-// (index row*cols+col, the query.Browsing order), bit-identical to calling
-// Estimate per tile, and the map is recorded as one sweep.
+// EstimateGrid answers every tile of the cols×rows tiling of region,
+// exact: PlanGrid then Plan.Estimates, for callers that do not bound the
+// error. The plane is row-major from the south-west (index row*cols+col,
+// the query.Browsing order), bit-identical to calling Estimate per tile,
+// and the map is recorded as one sweep.
 func EstimateGrid(est Estimator, region grid.Span, cols, rows int) ([]Estimate, error) {
 	p, err := PlanGrid(est, region, cols, rows, 0)
 	if err != nil {
 		return nil, err
 	}
-	ests, _, err := p.Estimates(nil, nil)
+	ests, _, err := p.Estimates(nil)
 	return ests, err
 }
 

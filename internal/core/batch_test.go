@@ -10,7 +10,6 @@ import (
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/query"
-	"spatialhist/internal/telemetry"
 )
 
 // batchRects draws from the shared generators with two interleaved
@@ -101,34 +100,43 @@ func TestEstimateGridEdgeTilings(t *testing.T) {
 	}
 }
 
-// TestPooledEstimatesMatchSerial: one plan answered on pools of every
-// size — fewer slots than rows, more, and GOMAXPROCS — is the inline
-// answer, tile for tile.
-func TestPooledEstimatesMatchSerial(t *testing.T) {
+// TestPlanEstimatesIntoRecycledPlane: one plan answered into no buffer, a
+// dirty buffer of exactly cols×rows, a dirty larger one and one too small
+// is the EstimateGrid answer, tile for tile. A buffer with room is written
+// in place, so a server recycling its plane serves no stale tile.
+func TestPlanEstimatesIntoRecycledPlane(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	g := grid.NewUnit(128, 96)
 	rects := batchRects(r, g, 500)
 	whole := grid.Span{I1: 0, J1: 0, I2: 127, J2: 95}
-	active := telemetry.NewRegistry().Gauge("active", "")
+	const cols, rows = 64, 48
+	dirty := func(n int) []Estimate {
+		buf := make([]Estimate, n)
+		for k := range buf {
+			buf[k] = Estimate{Contains: int64(k) + 1, Overlap: -7}
+		}
+		return buf
+	}
 	for _, est := range testEstimators(t, g, rects) {
-		// 128×96 = 12288 tiles clears the band floor.
-		serial, err := EstimateGrid(est, whole, 128, 96)
+		want, err := EstimateGrid(est, whole, cols, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := PlanGrid(est, whole, 128, 96, 0)
+		p, err := PlanGrid(est, whole, cols, rows, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 1, 3, 8, 200} {
-			par, _, err := p.Estimates(nil, NewBandPool(workers, active, nil))
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", est.Name(), workers, err)
+		for _, n := range []int{0, cols * rows, cols*rows + 9, cols*rows - 1} {
+			buf := dirty(n)
+			got, bound, err := p.Estimates(buf)
+			if err != nil || bound != nil {
+				t.Fatalf("%s buffer of %d: err %v, bound %v", est.Name(), n, err, bound)
 			}
-			for k := range serial {
-				if par[k] != serial[k] {
-					t.Fatalf("%s workers=%d tile %d: %v != %v", est.Name(), workers, k, par[k], serial[k])
-				}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s buffer of %d: plane differs from EstimateGrid", est.Name(), n)
+			}
+			if inPlace := n >= cols*rows; n > 0 && inPlace != (&got[0] == &buf[0]) {
+				t.Fatalf("%s buffer of %d: written in place = %v, want %v", est.Name(), n, !inPlace, inPlace)
 			}
 		}
 	}
@@ -230,7 +238,7 @@ func TestPlanAdd(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := p.Add(plane[r0*cols:r1*cols], nil); err != nil {
+					if err := p.Add(plane[r0*cols : r1*cols]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -249,13 +257,13 @@ func TestPlanAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(make([]Estimate, 5), nil); err == nil {
+	if err := p.Add(make([]Estimate, 5)); err == nil {
 		t.Error("plane of the wrong length: expected error")
 	}
 	if p, err = PlanGrid(se, grid.Span{I2: 95, J2: 39}, 2, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(make([]Estimate, 4), nil); err == nil {
+	if err := p.Add(make([]Estimate, 4)); err == nil {
 		t.Error("region outside the grid: expected error")
 	}
 }

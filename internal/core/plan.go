@@ -31,7 +31,6 @@ type Plan struct {
 	base       grid.Span // the region in base cells
 	region     grid.Span // the region in Level's cells
 	cols, rows int
-	th         int // tile height in Level's cells
 }
 
 // PlanGrid resolves the cols×rows tiling of region against est under the
@@ -45,10 +44,10 @@ func PlanGrid(est Estimator, region grid.Span, cols, rows int, eps float64) (Pla
 	if err != nil {
 		return Plan{}, err
 	}
-	p := Plan{est: est, sweeper: est, base: region, region: region, cols: cols, rows: rows, th: th}
+	p := Plan{est: est, sweeper: est, base: region, region: region, cols: cols, rows: rows}
 	if z, ok := est.(*Zoom); ok {
 		p.zoom, p.Level = z, alignShift(len(z.levels)-1, region.I1, region.J1, tw, th)
-		p.sweeper, p.region, p.th = z.levels[p.Level], euler.CoarseSpan(region, p.Level), th>>p.Level
+		p.sweeper, p.region = z.levels[p.Level], euler.CoarseSpan(region, p.Level)
 		if eps > 0 && z.overview != nil && p.Level < z.overview.Shift() {
 			p.Epsilon = eps
 		}
@@ -60,10 +59,9 @@ func PlanGrid(est Estimator, region grid.Span, cols, rows int, eps float64) (Pla
 // non-nil when the reduced tier served the map in a plane of its own: every
 // tile certified within Epsilon·|tile|, and *bound is the largest certified
 // per-tile error. Otherwise the plane is the exact sweep's — in buf's
-// storage, zeroed, when it holds cols×rows, else in a new plane — its row
-// bands fanned across pool (nil runs inline); the reduced tier never
-// returns an uncertified answer.
-func (p Plan) Estimates(buf []Estimate, pool *BandPool) (ests []Estimate, bound *float64, err error) {
+// storage, zeroed, when it holds cols×rows, else in a new plane; the
+// reduced tier never returns an uncertified answer.
+func (p Plan) Estimates(buf []Estimate) (ests []Estimate, bound *float64, err error) {
 	if p.Epsilon > 0 {
 		if ests, b, ok := p.zoom.overview.EstimateGrid(p.base, p.cols, p.rows, p.Epsilon); ok {
 			return ests, &b, nil
@@ -75,29 +73,24 @@ func (p Plan) Estimates(buf []Estimate, pool *BandPool) (ests []Estimate, bound 
 	} else {
 		ests = make([]Estimate, n) // zeroed once, by the allocator
 	}
-	if err := p.Add(ests, pool); err != nil {
+	if err := p.Add(ests); err != nil {
 		return nil, nil, err
 	}
 	return ests, nil, nil
 }
 
 // Add adds the plan's exact raw sweep into dst, a cols×rows plane the
-// caller owns, row bands fanned across pool (nil runs inline); the reduced
-// tier is never consulted. Every kernel adds, so sweeping several stores
-// over disjoint object sets into one plane gives the plane one store over
-// all of them would — which is how a coordinator sums in-process shards
-// without a plane per shard. The map is observed as one sweep: the level
-// was resolved for the whole map, so the per-level telemetry counts maps,
-// not bands.
-func (p Plan) Add(dst []Estimate, pool *BandPool) error {
+// caller owns, in one sweep on the caller's goroutine; the reduced tier is
+// never consulted. Every kernel adds, so sweeping several stores over
+// disjoint object sets into one plane gives the plane one store over all
+// of them would — which is how a coordinator sums in-process shards
+// without a plane per shard.
+func (p Plan) Add(dst []Estimate) error {
 	start := time.Now()
 	if len(dst) != p.cols*p.rows {
 		return fmt.Errorf("core: plane of %d estimates for a %dx%d tile map", len(dst), p.cols, p.rows)
 	}
-	err := pool.Bands(p.cols, p.rows, func(r0, r1 int) error {
-		return sumGrid(p.sweeper, dst[r0*p.cols:r1*p.cols], query.RowBand(p.region, p.th, r0, r1-1), p.cols, r1-r0)
-	})
-	if err != nil {
+	if err := sumGrid(p.sweeper, dst, p.region, p.cols, p.rows); err != nil {
 		return err
 	}
 	if p.zoom != nil {

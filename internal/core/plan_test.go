@@ -72,7 +72,7 @@ func TestPlanGridSweep(t *testing.T) {
 			if p.Level != want || p.Epsilon != 0 {
 				t.Fatalf("%s: PlanGrid(%v, %dx%d) level %d ε %g, want level %d", est.Name(), region, cols, rows, p.Level, p.Epsilon, want)
 			}
-			got, bound, err := p.Estimates(nil, nil)
+			got, bound, err := p.Estimates(nil)
 			if err != nil || bound != nil {
 				t.Fatalf("%s: Estimates = %v, bound %v", est.Name(), err, bound)
 			}
@@ -85,7 +85,7 @@ func TestPlanGridSweep(t *testing.T) {
 			}
 			// Add sums into what the plane holds, the per-tile fallback too.
 			twice := slices.Clone(got)
-			if err := p.Add(twice, nil); err != nil {
+			if err := p.Add(twice); err != nil {
 				t.Fatal(err)
 			}
 			for k, e := range got {
@@ -138,7 +138,7 @@ func TestPlanEpsilonServesWhatApproxDid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, bound, err := p.Estimates(nil, nil)
+			got, bound, err := p.Estimates(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,55 +167,50 @@ func TestPlanEpsilonServesWhatApproxDid(t *testing.T) {
 	}
 }
 
-// TestPlanCountsMapsNotBands: a map fanned across row bands advances the
-// per-level hit counter and the batch sweep counter once, and a map the
-// reduced tier serves advances neither.
-func TestPlanCountsMapsNotBands(t *testing.T) {
+// TestPlanCountsMaps: a map advances the per-level hit counter and the
+// batch sweep counter once, whether Plan.Estimates, EstimateGrid or
+// Plan.Add answers it, and a map the reduced tier serves advances neither.
+func TestPlanCountsMaps(t *testing.T) {
 	g := grid.NewUnit(128, 128)
 	z := ZoomSEuler(euler.NewPyramid(euler.FromRects(g, nil), euler.PyramidOpts{MinGrid: 8}))
-	reg, poolReg := telemetry.Default(), telemetry.NewRegistry()
-	dispatched := poolReg.Counter("bands_total", "Bands the test pool dispatched.")
-	pool := NewBandPool(4, poolReg.Gauge("active", "Test pool slots in use."), dispatched)
-	counts := func() (hits, sweeps, bands int64) {
+	reg := telemetry.Default()
+	counts := func() (hits, sweeps int64) {
 		for _, v := range reg.CounterValues("core_pyramid_level_hits_total") {
 			hits += v
 		}
-		return hits, reg.CounterValues("core_batch_sweeps_total")[`{algo="`+z.Name()+`"}`], dispatched.Value()
+		return hits, reg.CounterValues("core_batch_sweeps_total")[`{algo="`+z.Name()+`"}`]
 	}
 	full := spanOf(0, 0, 127, 127)
-	h0, s0, b0 := counts()
-	p, err := PlanGrid(z, full, 128, 64, 0) // 8192 tiles: banded
+	h0, s0 := counts()
+	p, err := PlanGrid(z, full, 128, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Estimates(nil, pool); err != nil {
+	if _, _, err := p.Estimates(nil); err != nil {
 		t.Fatal(err)
 	}
-	h1, s1, b1 := counts()
-	if b1-b0 != 4 {
-		t.Fatalf("map ran in %d bands, want 4: the test exercises nothing", b1-b0)
-	}
+	h1, s1 := counts()
 	if h1-h0 != 1 || s1-s0 != 1 {
-		t.Fatalf("one banded map advanced level hits by %d and sweeps by %d, want 1 and 1", h1-h0, s1-s0)
+		t.Fatalf("one map advanced level hits by %d and sweeps by %d, want 1 and 1", h1-h0, s1-s0)
 	}
 	if _, err := EstimateGrid(z, full, 128, 64); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(make([]Estimate, 128*64), pool); err != nil {
+	if err := p.Add(make([]Estimate, 128*64)); err != nil {
 		t.Fatal(err)
 	}
-	if h2, s2, _ := counts(); h2-h1 != 2 || s2-s1 != 2 {
+	if h2, s2 := counts(); h2-h1 != 2 || s2-s1 != 2 {
 		t.Fatalf("two more maps advanced level hits by %d and sweeps by %d, want 2 and 2", h2-h1, s2-s1)
 	}
-	h2, s2, _ := counts()
+	h2, s2 := counts()
 	p, err = PlanGrid(z, spanOf(1, 1, 96, 96), 1, 1, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, bound, err := p.Estimates(nil, pool); err != nil || bound == nil {
+	if _, bound, err := p.Estimates(nil); err != nil || bound == nil {
 		t.Fatalf("empty dataset under a huge ε not served approximately: %v", err)
 	}
-	if h3, s3, _ := counts(); h3 != h2 || s3 != s2 {
+	if h3, s3 := counts(); h3 != h2 || s3 != s2 {
 		t.Fatalf("a reduced-tier map advanced level hits by %d and sweeps by %d, want 0", h3-h2, s3-s2)
 	}
 }

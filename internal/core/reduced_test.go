@@ -23,7 +23,7 @@ func approxGrid(t *testing.T, est Estimator, region grid.Span, cols, rows int, e
 	if err != nil {
 		t.Fatal(err)
 	}
-	ests, bound, err := p.Estimates(nil, nil)
+	ests, bound, err := p.Estimates(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,14 @@ import (
 )
 
 // Admission control for the browse path. Estimation work is CPU-bound and
-// the tile-row pool already bounds intra-request parallelism; what it does
-// not bound is how many requests queue *behind* the pool when offered load
-// exceeds capacity. Past that point every request's latency grows without
-// bound while throughput stays flat — the classic overload collapse. The
-// Limiter keeps the knee sharp: at most MaxInflight browse-path requests
-// run at once, a bounded number wait for a bounded time, and everything
-// beyond that is shed immediately with 429 + Retry-After so clients back
-// off instead of piling on.
+// runs on the request's goroutine, so nothing else bounds how many
+// requests compete for the cores when offered load exceeds capacity. Past
+// that point every request's latency grows without bound while throughput
+// stays flat — the classic overload collapse. The Limiter keeps the knee
+// sharp: at most MaxInflight browse-path requests run at once, a bounded
+// number wait for a bounded time, and everything beyond that is shed
+// immediately with 429 + Retry-After so clients back off instead of piling
+// on.
 //
 // Waiters are queued per tenant and admitted round-robin across tenants,
 // so one tenant flooding the queue cannot starve another: under

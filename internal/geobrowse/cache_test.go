@@ -121,8 +121,8 @@ func denseRects(g *grid.Grid) []geom.Rect {
 	return gen.Rects(gen.Rand(9), g, 300, gen.RectOpts{MaxCellsX: 10, MaxCellsY: 6, Inside: true})
 }
 
-// denseServer builds a server over a grid large enough to cross the
-// parallel fan-out threshold.
+// denseServer builds a server over a 128×64 grid, large enough for
+// 8192-tile maps.
 func denseServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	g := grid.NewUnit(128, 64)
@@ -175,30 +175,6 @@ func TestBrowseConcurrentIdenticalRequests(t *testing.T) {
 	hits, misses := s.CacheStats()
 	if misses != 1 || hits != clients-1 {
 		t.Fatalf("cache stats %d hits / %d misses, want %d/1", hits, misses, clients-1)
-	}
-}
-
-// TestBrowseParallelMatchesSmallWorkerPool verifies the row-split worker
-// pool changes nothing about the payload, by comparing a 1-worker server
-// with a many-worker server over a map large enough to fan out.
-func TestBrowseParallelMatchesSmallWorkerPool(t *testing.T) {
-	_, serial := denseServer(t, Options{Workers: 1, CacheSize: -1})
-	_, parallel := denseServer(t, Options{Workers: 8, CacheSize: -1})
-	path := "/api/browse?x1=0&y1=0&x2=128&y2=64&cols=64&rows=64"
-	get := func(base string) string {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, b)
-		}
-		return string(b)
-	}
-	if get(serial.URL) != get(parallel.URL) {
-		t.Fatal("worker pool changed the browse payload")
 	}
 }
 

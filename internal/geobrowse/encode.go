@@ -22,11 +22,8 @@ import (
 // decode-side types and the oracle the encoders are fuzzed against
 // (FuzzBrowseEncode).
 //
-// A tile map is encoded in two phases (appendMapResponse): a measuring
-// pass gives every tile row its exact place in the body, which is
-// allocated once at the exact size, and the row bands of the sweep's pool
-// write their disjoint slices of it. A map too small to split is the
-// one-band case of the same code.
+// A tile map is measured before it is written (appendMapResponse), so its
+// body is allocated once, at the exact size.
 //
 // A tile map's rectangles are separable per axis (grid.XEdge/YEdge), so a
 // cols×rows map has only cols+1 distinct x and rows+1 distinct y
@@ -194,21 +191,25 @@ func newTileMap(g *grid.Grid, region grid.Span, cols, rows int, ests []core.Esti
 	return m, bad
 }
 
-// rowSize returns the exact byte count appendRows writes for tile row r;
-// xs of it are x-edges, the same in every row.
-func (m *tileMap) rowSize(r, xs int) int {
-	size := m.cols*(tileFixed+1+len(m.y(r))+len(m.y(r+1))) + xs
-	for _, e := range m.ests[r*m.cols : (r+1)*m.cols] {
+// tilesSize returns the exact byte count appendTiles writes.
+func (m *tileMap) tilesSize() int {
+	// Every row holds each inner x-edge twice, the two outer ones once.
+	xs := 2*int(m.off[m.cols+1]) - len(m.x(0)) - len(m.x(m.cols))
+	size := 0
+	for r := 0; r < m.rows; r++ {
+		size += m.cols*(tileFixed+1+len(m.y(r))+len(m.y(r+1))) + xs
+	}
+	for _, e := range m.ests {
 		size += decimalLen(e.Disjoint) + decimalLen(e.Contains) + decimalLen(e.Contained) + decimalLen(e.Overlap)
 	}
 	return size
 }
 
-// appendRows appends the tiles of rows [r0, r1), row-major from the
-// south-west, each followed by a comma.
-func (m *tileMap) appendRows(dst []byte, r0, r1 int) []byte {
-	k := r0 * m.cols
-	for r := r0; r < r1; r++ {
+// appendTiles appends every tile, row-major from the south-west, each
+// followed by a comma.
+func (m *tileMap) appendTiles(dst []byte) []byte {
+	k := 0
+	for r := 0; r < m.rows; r++ {
 		y0, y1 := m.y(r), m.y(r+1)
 		x1 := m.x(0)
 		for c := 0; c < m.cols; c++ {
@@ -272,40 +273,22 @@ func appendCount(dst []byte, v int64) []byte {
 // appendMapResponse appends a tile-map response object: cols, rows, the
 // tiles array, then tail (further members, each with its leading comma) —
 // growing dst once, to exactly the bytes written, so a body kept by the
-// browse cache retains no slack. The rows are measured, then written by
-// the row bands of pool, each band into its own slice of the body; a nil
-// pool is one band on the caller's goroutine.
-func appendMapResponse(pool *core.BandPool, dst []byte, m tileMap, tail []byte) ([]byte, error) {
+// browse cache retains no slack. The tiles are measured, then written.
+func appendMapResponse(dst []byte, m tileMap, tail []byte) ([]byte, error) {
 	var scratch [64]byte
-	head := fmt.Appendf(scratch[:0], `{"cols":%d,"rows":%d`, m.cols, m.rows)
-	const tiles = `,"tiles":[`
-
-	// off[r] is where row r's tiles start in the body and off[r+1] where
-	// they end. Every row holds each inner x-edge twice, the two outer
-	// ones once.
-	xs := 2*int(m.off[m.cols+1]) - len(m.x(0)) - len(m.x(m.cols))
-	off := make([]int, m.rows+1)
-	off[0] = len(dst) + len(head) + len(tiles)
-	for r := 0; r < m.rows; r++ {
-		off[r+1] = off[r] + m.rowSize(r, xs)
-	}
-	end := off[m.rows]
-	if total := end + len(tail) + 1; cap(dst) < total {
-		grown := make([]byte, len(dst), total)
+	head := fmt.Appendf(scratch[:0], `{"cols":%d,"rows":%d,"tiles":[`, m.cols, m.rows)
+	size := m.tilesSize()
+	n := len(dst)
+	if total := n + len(head) + size + len(tail) + 1; cap(dst) < total {
+		grown := make([]byte, n, total)
 		copy(grown, dst)
 		dst = grown
 	}
-	body := append(append(dst, head...), tiles...)[:end]
-	err := pool.Bands(m.cols, m.rows, func(r0, r1 int) error {
-		if n := len(m.appendRows(body[off[r0]:off[r0]:off[r1]], r0, r1)); n != off[r1]-off[r0] {
-			return fmt.Errorf("geobrowse: tile rows %d..%d encoded to %d bytes, measured %d", r0, r1-1, n, off[r1]-off[r0])
-		}
-		return nil
-	})
-	if err != nil {
-		return dst, err
+	body := m.appendTiles(append(dst, head...))
+	if got := len(body) - n - len(head); got != size {
+		return dst, fmt.Errorf("geobrowse: tiles encoded to %d bytes, measured %d", got, size)
 	}
-	body[end-1] = ']' // over the last tile's comma
+	body[len(body)-1] = ']' // over the last tile's comma
 	return append(append(body, tail...), '}'), nil
 }
 
@@ -314,10 +297,9 @@ func appendMapResponse(pool *core.BandPool, dst []byte, m tileMap, tail []byte) 
 // bound the certified ε-tier error (nil for an exact map). The bytes are
 // those of json.Marshal(BrowseResponse{cols, rows, TileEstimates(g,
 // region, cols, rows, ests), bound}), and so is the error for a non-finite
-// bound or coordinate. Large maps are encoded by the row bands of pool
-// (nil encodes on the caller's goroutine). dst is grown only when its
-// capacity is short of the body, so a recycled buffer costs no allocation.
-func AppendBrowseResponse(pool *core.BandPool, dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
+// bound or coordinate. dst is grown only when its capacity is short of the
+// body, so a recycled buffer costs no allocation.
+func AppendBrowseResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
 	m, err := newTileMap(g, region, cols, rows, ests)
 	if err != nil {
 		return dst, err
@@ -330,5 +312,5 @@ func AppendBrowseResponse(pool *core.BandPool, dst []byte, g *grid.Grid, region 
 			return dst, err
 		}
 	}
-	return appendMapResponse(pool, dst, m, tail)
+	return appendMapResponse(dst, m, tail)
 }

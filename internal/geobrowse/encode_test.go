@@ -54,7 +54,7 @@ func wireEstimates(r *rand.Rand, n int) []core.Estimate {
 func checkBrowseWire(t *testing.T, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) {
 	t.Helper()
 	want, wantErr := oracleBrowse(g, region, cols, rows, ests, bound)
-	got, err := AppendBrowseResponse(nil, nil, g, region, cols, rows, ests, bound)
+	got, err := AppendBrowseResponse(nil, g, region, cols, rows, ests, bound)
 	if wantErr != nil {
 		if err == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("error = %v, want json.Marshal's %v", err, wantErr)
@@ -72,13 +72,13 @@ func checkBrowseWire(t *testing.T, g *grid.Grid, region grid.Span, cols, rows in
 	}
 	// Appending after existing content must leave it alone.
 	pre := []byte("prefix")
-	if got, err = AppendBrowseResponse(nil, pre, g, region, cols, rows, ests, bound); err != nil ||
+	if got, err = AppendBrowseResponse(pre, g, region, cols, rows, ests, bound); err != nil ||
 		!bytes.Equal(got, append([]byte("prefix"), want...)) {
 		t.Fatalf("append onto a non-empty buffer diverges (err %v)", err)
 	}
 	// A recycled buffer with room is written in place over its stale bytes.
 	stale := bytes.Repeat([]byte{'x'}, len(want)+16)
-	if got, err = AppendBrowseResponse(nil, stale[:0], g, region, cols, rows, ests, bound); err != nil ||
+	if got, err = AppendBrowseResponse(stale[:0], g, region, cols, rows, ests, bound); err != nil ||
 		!bytes.Equal(got, want) || &got[0] != &stale[0] {
 		t.Fatalf("encode into a recycled buffer diverges or reallocates (err %v)", err)
 	}
@@ -172,13 +172,13 @@ func TestBrowseEncodeRejectsMismatch(t *testing.T) {
 	full := grid.Span{I2: 7, J2: 7}
 	for name, call := range map[string]func() ([]byte, error){
 		"too few estimates": func() ([]byte, error) {
-			return AppendBrowseResponse(nil, nil, g, full, 2, 2, make([]core.Estimate, 3), nil)
+			return AppendBrowseResponse(nil, g, full, 2, 2, make([]core.Estimate, 3), nil)
 		},
 		"non-dividing": func() ([]byte, error) {
-			return AppendBrowseResponse(nil, nil, g, full, 3, 2, make([]core.Estimate, 6), nil)
+			return AppendBrowseResponse(nil, g, full, 3, 2, make([]core.Estimate, 6), nil)
 		},
 		"outside the grid": func() ([]byte, error) {
-			return AppendBrowseResponse(nil, nil, g, grid.Span{I1: 4, I2: 11, J2: 7}, 2, 2, make([]core.Estimate, 4), nil)
+			return AppendBrowseResponse(nil, g, grid.Span{I1: 4, I2: 11, J2: 7}, 2, 2, make([]core.Estimate, 4), nil)
 		},
 	} {
 		if _, err := call(); err == nil {
@@ -261,9 +261,9 @@ func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len
 // request to body, by the budget TestCoordinatorBrowseBudget holds the
 // coordinator's maps to: a miss sweeps into the server's recycled plane,
 // so it may take the body — fresh, since the cache or the waiters of the
-// single-flight keep it — and O(cols+rows) of edge tables, row offsets and
-// per-row band sums plus a constant, but no plane. A 90×90 M-EulerApprox
-// map, banded over four workers, through a server that stores nothing.
+// single-flight keep it — and O(cols+rows) of edge tables plus a
+// constant, but no plane. A 90×90 M-EulerApprox map, through a server
+// that stores nothing.
 func TestBrowseMissBudget(t *testing.T) {
 	g := grid.NewUnit(184, 92)
 	r := rand.New(rand.NewSource(17))
@@ -276,7 +276,7 @@ func TestBrowseMissBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New("budget", StaticSource(est), Options{CacheSize: -1, Workers: 4, Telemetry: telemetry.NewRegistry()})
+	s := New("budget", StaticSource(est), Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
 	// Off the west edge, so no lattice-height row of zeros is made up.
 	span := grid.Span{I1: 2, J1: 1, I2: 2 + 180 - 1, J2: 1 + 90 - 1}
 	const cols, rows = 90, 90
@@ -315,45 +315,33 @@ func TestBrowseMissBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial, err := AppendBrowseResponse(nil, nil, g, span, cols, rows, want, nil); err != nil || !bytes.Equal(body, serial) {
-		t.Fatalf("banded miss body differs from the serial encoding of EstimateGrid (err %v)", err)
+	if serial, err := AppendBrowseResponse(nil, g, span, cols, rows, want, nil); err != nil || !bytes.Equal(body, serial) {
+		t.Fatalf("miss body differs from the encoding of EstimateGrid (err %v)", err)
 	}
 }
 
-// TestBandedEncodeMatchesSerial: the two-phase band encoder writes the
-// bytes of the one-band case for every band count from 1 to rows, on row
-// counts the bands divide exactly and ones they do not, with row sizes
-// that differ (counts of every digit length).
-func TestBandedEncodeMatchesSerial(t *testing.T) {
+// TestBrowseEncodeSizesExactly: the measured encoder allocates a body of
+// exactly its bytes, with row sizes that differ (counts of every digit
+// length), and a body appended onto a prefix is the prefix and the body.
+func TestBrowseEncodeSizesExactly(t *testing.T) {
 	g := grid.New(geom.NewRect(-180, -90, 180, 90), 128, 134)
-	active := telemetry.NewRegistry().Gauge("active", "")
 	r := rand.New(rand.NewSource(18))
 	bound := 2.5
-	for _, rows := range []int{64, 67} { // 64×64 and 64×67 tiles clear the fan-out floor
+	for _, rows := range []int{64, 67} {
 		const cols = 64
 		region := grid.Span{I2: 2*cols - 1, J2: 2*rows - 1}
 		ests := wireEstimates(r, cols*rows)
-		want, err := AppendBrowseResponse(nil, nil, g, region, cols, rows, ests, &bound)
+		got, err := AppendBrowseResponse(nil, g, region, cols, rows, ests, &bound)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for workers := 1; workers <= rows; workers++ {
-			pool := core.NewBandPool(workers, active, nil)
-			got, err := AppendBrowseResponse(pool, nil, g, region, cols, rows, ests, &bound)
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("%d rows over %d workers: body differs from the serial one (err %v)", rows, workers, err)
-			}
-			if cap(got) != len(got) {
-				t.Fatalf("%d rows over %d workers: body of %d bytes retains capacity %d", rows, workers, len(got), cap(got))
-			}
-			onto, err := AppendBrowseResponse(pool, []byte("prefix"), g, region, cols, rows, ests, &bound)
-			if err != nil || !bytes.Equal(onto, append([]byte("prefix"), want...)) {
-				t.Fatalf("%d rows over %d workers: body onto a prefix differs (err %v)", rows, workers, err)
-			}
+		if cap(got) != len(got) {
+			t.Fatalf("%d rows: body of %d bytes retains capacity %d", rows, len(got), cap(got))
 		}
-	}
-	if v := active.Value(); v != 0 {
-		t.Errorf("active gauge = %d after all bands returned", v)
+		onto, err := AppendBrowseResponse([]byte("prefix"), g, region, cols, rows, ests, &bound)
+		if err != nil || !bytes.Equal(onto, append([]byte("prefix"), got...)) {
+			t.Fatalf("%d rows: body onto a prefix differs (err %v)", rows, err)
+		}
 	}
 }
 
@@ -456,7 +444,7 @@ func TestEncodeFailureIs500(t *testing.T) {
 	nan := math.NaN()
 	g := grid.NewUnit(4, 4)
 	h := newHTTPMetrics(reg, nil, "").wrap("/api/browse", func(w http.ResponseWriter, r *http.Request) {
-		data, err := encoded(AppendBrowseResponse(nil, nil, g, grid.Span{I2: 3, J2: 3}, 2, 2, make([]core.Estimate, 4), &nan))
+		data, err := encoded(AppendBrowseResponse(nil, g, grid.Span{I2: 3, J2: 3}, 2, 2, make([]core.Estimate, 4), &nan))
 		writeRead(w, data, err)
 	})
 	prevLogf := logf
@@ -544,7 +532,7 @@ func FuzzBrowseEncode(f *testing.F) {
 		}
 
 		want, wantErr := oracleBrowse(g, region, c, r, ests, b)
-		got, err := AppendBrowseResponse(nil, nil, g, region, c, r, ests, b)
+		got, err := AppendBrowseResponse(nil, g, region, c, r, ests, b)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("error = %v, json.Marshal's = %v", err, wantErr)
 		}
@@ -594,7 +582,7 @@ func BenchmarkBrowseEncode(b *testing.B) {
 		b.Run("append/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				body, err := AppendBrowseResponse(nil, nil, g, region, m.cols, m.rows, ests, nil)
+				body, err := AppendBrowseResponse(nil, g, region, m.cols, m.rows, ests, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

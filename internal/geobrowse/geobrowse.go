@@ -13,10 +13,9 @@
 //
 // Browse requests take the batch estimation path: the whole tile map is
 // planned once and answered in one sweep per histogram (core.PlanGrid,
-// Plan.Estimates), large maps are split by tile row across a bounded
-// worker pool shared by all requests, and responses are cached in a small
-// LRU with single-flight deduplication so identical concurrent requests
-// are computed once.
+// Plan.Estimates) on the request's goroutine, and responses are cached
+// in a small LRU with single-flight deduplication so identical concurrent
+// requests are computed once.
 package geobrowse
 
 import (
@@ -27,7 +26,6 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,9 +53,6 @@ type Options struct {
 	// (64, so 8 MiB); negative disables storage while keeping single-flight
 	// deduplication of concurrent identical requests.
 	CacheSize int
-	// Workers bounds the pool that large tile maps are fanned across,
-	// shared by all in-flight requests. 0 means GOMAXPROCS.
-	Workers int
 	// Telemetry receives the server's runtime metrics and backs its
 	// /metrics endpoint. nil means telemetry.Default().
 	Telemetry *telemetry.Registry
@@ -82,11 +77,6 @@ type Options struct {
 	// carry the certified bound in approxErrorBound. 0 disables —
 	// every map is exact.
 	OverviewEpsilon float64
-
-	// pool, when set, shares one tile-row worker pool across servers (the
-	// Registry sets it so N tenants contend for one CPU budget instead of
-	// N).
-	pool *core.BandPool
 }
 
 func (o Options) withDefaults() Options {
@@ -95,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheSize < 0 {
 		o.CacheSize = 0
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.Telemetry == nil {
 		o.Telemetry = telemetry.Default()
@@ -113,19 +100,6 @@ func (o Options) accessLogger() *telemetry.Logger {
 	return telemetry.NewLogger(o.AccessLog)
 }
 
-// newBandPool creates the bounded tile-row worker pool large maps are
-// fanned across, observed in reg: its size, how many slots are in use and
-// how many row bands have been dispatched.
-func newBandPool(reg *telemetry.Registry, workers int) *core.BandPool {
-	reg.Gauge("geobrowse_pool_capacity",
-		"Size of the shared tile-row worker pool.").Set(int64(workers))
-	return core.NewBandPool(workers,
-		reg.Gauge("geobrowse_pool_active_workers",
-			"Tile-row workers currently holding a pool slot."),
-		reg.Counter("geobrowse_pool_bands_total",
-			"Tile-row bands dispatched to the worker pool."))
-}
-
 // Server answers browsing queries over one dataset. Every single-dataset
 // front — a fixed summary, a live store, a replica, a shard coordinator —
 // is one, built by New.
@@ -135,9 +109,8 @@ type Server struct {
 	read    func() (reading, func())
 	mux     *http.ServeMux
 	metrics *httpMetrics
-	cache   *browseCache   // nil for a Reader: it pins no generation
-	pool    *core.BandPool // bounded tile-row workers, sweep and encode
-	maps    sync.Pool      // *mapBuffers
+	cache   *browseCache // nil for a Reader: it pins no generation
+	maps    sync.Pool    // *mapBuffers
 	tenant  string
 	limiter *Limiter
 	epsilon float64     // ε-approximate overview serving; 0 = exact only
@@ -176,7 +149,6 @@ func New(name string, src Source, opts Options) *Server {
 		g:       src.Grid(),
 		mux:     http.NewServeMux(),
 		metrics: newHTTPMetrics(opts.Telemetry, opts.accessLogger(), opts.Tenant),
-		pool:    opts.pool,
 		tenant:  opts.Tenant,
 		limiter: opts.Limiter,
 		epsilon: opts.OverviewEpsilon,
@@ -193,9 +165,6 @@ func New(name string, src Source, opts Options) *Server {
 		s.read = func() (reading, func()) { return rd, func() {} }
 	default:
 		panic(fmt.Sprintf("geobrowse: %T is neither an EstimatorSource nor a Reader", src))
-	}
-	if s.pool == nil {
-		s.pool = newBandPool(opts.Telemetry, opts.Workers)
 	}
 	var labels []string
 	if opts.Tenant != "" {

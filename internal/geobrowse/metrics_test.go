@@ -129,7 +129,6 @@ func TestMetricsDefaultRegistryIncludesEstimatorCounters(t *testing.T) {
 		`core_batch_sweep_seconds_count{algo="EulerApprox"}`,
 		`geobrowse_http_requests_total{code="200",endpoint="/api/browse"}`,
 		`geobrowse_cache_misses_total`,
-		`geobrowse_pool_capacity`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -137,16 +136,15 @@ func TestMetricsDefaultRegistryIncludesEstimatorCounters(t *testing.T) {
 	}
 }
 
-// TestSweepTelemetryCountsMaps: a 16k-tile request is split into row bands
-// over the worker pool, and is still ONE sweep to core's telemetry — the
-// per-algorithm counter and duration histogram and the per-level pyramid
-// histogram each record it once, with the whole map's tiles — while the
-// pool counts its bands.
+// TestSweepTelemetryCountsMaps: a 16k-tile request is ONE sweep to core's
+// telemetry — the per-algorithm counter and duration histogram and the
+// per-level pyramid histogram each record it once, with the whole map's
+// tiles.
 func TestSweepTelemetryCountsMaps(t *testing.T) {
 	g := grid.NewUnit(256, 128)
 	z := core.ZoomEuler(euler.NewPyramid(euler.FromRects(g, []geom.Rect{geom.NewRect(3, 3, 40, 20)}), euler.PyramidOpts{}))
 	reg := telemetry.NewRegistry()
-	srv := httptest.NewServer(New("wide", StaticSource(z), Options{Telemetry: reg, Workers: 4}))
+	srv := httptest.NewServer(New("wide", StaticSource(z), Options{Telemetry: reg}))
 	t.Cleanup(srv.Close)
 
 	def := telemetry.Default() // where core records, whatever the server's registry
@@ -164,7 +162,7 @@ func TestSweepTelemetryCountsMaps(t *testing.T) {
 		}
 	}
 	if got := sweeps.Value() - sweeps0; got != maps {
-		t.Errorf("core_batch_sweeps_total rose by %d for %d banded maps", got, maps)
+		t.Errorf("core_batch_sweeps_total rose by %d for %d maps", got, maps)
 	}
 	if got := tiles.Value() - tiles0; got != maps*128*126 {
 		t.Errorf("core_tile_estimates_total rose by %d, want %d", got, maps*128*126)
@@ -174,13 +172,6 @@ func TestSweepTelemetryCountsMaps(t *testing.T) {
 	}
 	if got := def.FamilySnapshot("core_pyramid_sweep_seconds").Count - levels0; got != maps {
 		t.Errorf("core_pyramid_sweep_seconds observed %d sweeps for %d maps", got, maps)
-	}
-	// The sweep and the encode each fan out over the four workers.
-	if got := reg.Counter("geobrowse_pool_bands_total", "").Value(); got != maps*2*4 {
-		t.Errorf("geobrowse_pool_bands_total = %d, want %d", got, maps*2*4)
-	}
-	if got := reg.Gauge("geobrowse_pool_active_workers", "").Value(); got != 0 {
-		t.Errorf("geobrowse_pool_active_workers = %d at rest", got)
 	}
 }
 

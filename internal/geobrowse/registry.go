@@ -11,9 +11,9 @@
 // deterministic: an evict/reload round trip must serve bit-identical
 // estimates, which internal/check enforces as a differential oracle.
 //
-// All tenants share one tile-row worker pool and one admission Limiter
-// (so CPU bounds and fairness span the process), while each keeps its own
-// browse cache partition and tenant-labelled metrics.
+// All tenants share one admission Limiter (so CPU bounds and fairness
+// span the process), while each keeps its own browse cache partition and
+// tenant-labelled metrics.
 
 package geobrowse
 
@@ -50,9 +50,8 @@ type RegistryOptions struct {
 	// evicted until it fits (the tenant being loaded is never evicted,
 	// so a single oversized tenant still serves). 0 means unlimited.
 	MemoryBudget int64
-	// Server is the per-tenant serving configuration. Its Workers bound
-	// is applied once to a pool shared by every tenant; Tenant and pool
-	// are managed by the registry.
+	// Server is the per-tenant serving configuration; Tenant is managed
+	// by the registry.
 	Server Options
 }
 
@@ -101,9 +100,6 @@ func NewRegistry(tenants []TenantConfig, opts RegistryOptions) (*Registry, error
 		mBytes: reg.Gauge("geobrowse_tenant_bytes",
 			"Summed estimator footprint of resident tenants in bytes."),
 	}
-	// One worker pool for the whole process: tenants contend for the
-	// same CPU budget instead of multiplying it.
-	r.opts.Server.pool = newBandPool(reg, opts.Server.Workers)
 	for _, tc := range tenants {
 		if tc.Name == "" || tc.Load == nil {
 			return nil, fmt.Errorf("geobrowse: tenant %q needs a name and a loader", tc.Name)

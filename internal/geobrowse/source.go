@@ -52,15 +52,15 @@ func (s staticSource) AcquireEstimator() (core.Estimator, uint64, func()) {
 // Reader is a Source that answers every read itself, in raw estimates the
 // Server clamps once, as it encodes them: /api/info, the generation
 // /healthz reports (read without touching the data), span batches for
-// queries and each drill-down level, and tile maps into buf's storage,
-// row bands fanned across pool. A read fails with a *RequestError for a
-// request the source refuses, answered 400; any other failure is a 502.
+// queries and each drill-down level, and tile maps into buf's storage. A
+// read fails with a *RequestError for a request the source refuses,
+// answered 400; any other failure is a 502.
 type Reader interface {
 	Source
 	Info() (Info, error)
 	Generation() uint64
 	EstimateSpans(spans []grid.Span) ([]core.Estimate, error)
-	SumGrid(buf []core.Estimate, region grid.Span, cols, rows int, pool *core.BandPool) ([]core.Estimate, error)
+	SumGrid(buf []core.Estimate, region grid.Span, cols, rows int) ([]core.Estimate, error)
 }
 
 // RequestError is a read a source refuses before doing any work: a span
@@ -148,7 +148,7 @@ func (p *pinned) browseMap(m *mapBuffers, span grid.Span, cols, rows int) ([]byt
 		facet = fmt.Sprintf("~%g", plan.Epsilon)
 	}
 	return s.cache.Do(browseKey(p.gen, plan.Level, span, cols, rows, facet), func() ([]byte, error) {
-		plane, bound, err := plan.Estimates(m.plane, s.pool)
+		plane, bound, err := plan.Estimates(m.plane)
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +157,7 @@ func (p *pinned) browseMap(m *mapBuffers, span grid.Span, cols, rows int) ([]byt
 		} else {
 			m.plane = plane
 		}
-		return encoded(AppendBrowseResponse(s.pool, nil, s.g, span, cols, rows, plane, bound))
+		return encoded(AppendBrowseResponse(nil, s.g, span, cols, rows, plane, bound))
 	})
 }
 
@@ -170,9 +170,9 @@ type uncached struct {
 
 func (u uncached) browseMap(m *mapBuffers, span grid.Span, cols, rows int) ([]byte, error) {
 	var err error
-	if m.plane, err = u.SumGrid(m.plane, span, cols, rows, u.s.pool); err != nil {
+	if m.plane, err = u.SumGrid(m.plane, span, cols, rows); err != nil {
 		return nil, err
 	}
-	m.body, err = AppendBrowseResponse(u.s.pool, m.body[:0], u.s.g, span, cols, rows, m.plane, nil)
+	m.body, err = AppendBrowseResponse(m.body[:0], u.s.g, span, cols, rows, m.plane, nil)
 	return encoded(m.body, err)
 }

@@ -115,15 +115,6 @@ func (c Config) spec() core.Spec { return core.Spec{Algo: c.Algo, Areas: c.Areas
 // header is the config-pinning header of the store's WAL and checkpoints.
 func (c Config) header() []byte { return encodeHeader(uint8(c.Algo), c.Grid, c.Areas) }
 
-// The cell width of a generation's lattices, as Snapshot.Tier and
-// Status.Tier name it: packed when every partition's plane is held at 4
-// bytes per bucket — every store until a partition has seen more than
-// MaxInt32 mutations — and full once one is held at 8.
-const (
-	TierFull   = "full"
-	TierPacked = "packed"
-)
-
 // Snapshot is one immutable generation of the store: a finalized estimator
 // plus its provenance. Snapshots are safe for unlimited concurrent queries
 // and never change after publication.
@@ -143,9 +134,10 @@ type Snapshot struct {
 	Seq int64
 	// BuiltAt is when the generation was published.
 	BuiltAt time.Time
-	// Tier is the cell width of the lattices serving this generation:
-	// TierPacked (4 bytes per bucket) or TierFull (8).
-	Tier string
+	// CellWidth is the widest cell, in bytes per bucket, of the lattices
+	// serving this generation: 4 for every store until a partition has
+	// seen more than MaxInt32 mutations, 8 once one is held that wide.
+	CellWidth int
 
 	// refs pins the generation's histogram buffers against arena reuse:
 	// initialized to 1 (the published ref, dropped on retirement), raised
@@ -508,14 +500,14 @@ func (s *Store) rebuild() {
 
 	pyrs := s.derivePyramids(hists, dmg, leases)
 	est := s.estimatorFor(hists, pyrs)
-	tier := TierPacked
+	width := 4
 	var fullBytes, packedBytes int
 	for _, h := range hists {
 		if h.CellWidth() == 4 {
 			packedBytes += h.LatticeBytes()
 		} else {
 			fullBytes += h.LatticeBytes()
-			tier = TierFull
+			width = 8
 		}
 	}
 	snap := &Snapshot{
@@ -525,7 +517,7 @@ func (s *Store) rebuild() {
 		Mutations: applied,
 		Seq:       seq,
 		BuiltAt:   time.Now(),
-		Tier:      tier,
+		CellWidth: width,
 	}
 	snap.refs.Store(1) // the published ref, dropped at retirement
 
@@ -686,9 +678,9 @@ type Status struct {
 	// PyramidLevels is the number of coarse levels above the base in the
 	// current snapshot's zoom stack; 0 when pyramids are disabled.
 	PyramidLevels int `json:"pyramidLevels"`
-	// Tier is the cell width of the published snapshot's lattices:
-	// "packed" (4 bytes per bucket) or "full" (8).
-	Tier string `json:"tier"`
+	// CellWidth is the published snapshot's Snapshot.CellWidth: 4 or 8
+	// bytes per bucket.
+	CellWidth int `json:"cellWidth"`
 	// AppliedSeq is the replication sequence the builders have consumed:
 	// the store's own WAL size for journaled stores, the shipped leader
 	// offset for read replicas (see Store.Seq).
@@ -732,7 +724,7 @@ func (s *Store) Status() Status {
 		GridNX:          s.cfg.Grid.NX(),
 		GridNY:          s.cfg.Grid.NY(),
 		PyramidLevels:   core.NumLevels(snap.Est) - 1,
-		Tier:            snap.Tier,
+		CellWidth:       snap.CellWidth,
 		AppliedSeq:      seq,
 		SnapshotSeq:     s.visible.Load(),
 	}

@@ -19,11 +19,11 @@ import "spatialhist/internal/telemetry"
 //	live_store_objects              objects in the current snapshot
 //	live_pending_mutations          mutations not yet in a snapshot
 //	live_last_rebuild_unix_seconds  when the current snapshot was built
-//	euler_lattice_bytes{tier}       lattice bytes of the published base
-//	                                histograms by cell width: "packed" is
-//	                                the planes held at 4 bytes per bucket,
-//	                                "full" those held at 8 (0 until a
-//	                                partition outgrows the narrow cells)
+//	euler_lattice_bytes{width}      lattice bytes of the published base
+//	                                histograms by cell width: "4" is the
+//	                                planes held at 4 bytes per bucket, "8"
+//	                                those held at 8 (0 until a partition
+//	                                outgrows the narrow cells)
 type metrics struct {
 	inserts, deletes, updates *telemetry.Counter
 	rejected                  *telemetry.Counter
@@ -54,7 +54,7 @@ var dirtyFracBuckets = []float64{
 	0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 1,
 }
 
-const latticeBytesHelp = "Published Euler-lattice bytes by cell width: packed is 4 bytes per bucket, full is 8."
+const latticeBytesHelp = "Published Euler-lattice bytes by cell width in bytes per bucket."
 
 func newMetrics(reg *telemetry.Registry) *metrics {
 	if reg == nil {
@@ -89,9 +89,9 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		lastRebuild: reg.Gauge("live_last_rebuild_unix_seconds",
 			"Unix time the published snapshot was built."),
 		latticeFull: reg.Gauge("euler_lattice_bytes",
-			latticeBytesHelp, "tier", "full"),
+			latticeBytesHelp, "width", "8"),
 		latticePacked: reg.Gauge("euler_lattice_bytes",
-			latticeBytesHelp, "tier", "packed"),
+			latticeBytesHelp, "width", "4"),
 	}
 }
 

@@ -14,11 +14,11 @@ import (
 	"spatialhist/internal/telemetry"
 )
 
-// TestTierReportsCellWidth: Status.Tier and the euler_lattice_bytes gauges
-// name the published planes by cell width. A store is packed from its first
-// publish — 4 bytes per bucket, pyramid and ε overview included — with no
-// policy to wait out.
-func TestTierReportsCellWidth(t *testing.T) {
+// TestStatusReportsCellWidth: Status.CellWidth and the euler_lattice_bytes
+// gauges name the published planes by cell width. A store is packed from
+// its first publish — 4 bytes per bucket, pyramid and ε overview included
+// — with no policy to wait out.
+func TestStatusReportsCellWidth(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
 	reg := telemetry.NewRegistry()
 	s := openTestStore(t, Config{
@@ -40,15 +40,15 @@ func TestTierReportsCellWidth(t *testing.T) {
 	}
 	// 16×12 halves to 8×6 and stops: 6/2 is the floor, but 3 is odd.
 	st := s.Status()
-	if st.Tier != TierPacked || st.PyramidLevels != 2 {
-		t.Fatalf("tier %q with %d pyramid levels, want %q with 2", st.Tier, st.PyramidLevels, TierPacked)
+	if st.CellWidth != 4 || st.PyramidLevels != 2 {
+		t.Fatalf("cell width %d with %d pyramid levels, want 4 with 2", st.CellWidth, st.PyramidLevels)
 	}
 	z, ok := s.snap.Load().Est.(*core.Zoom)
 	if !ok || z.Overview() == nil {
 		t.Fatal("a narrow publish with pyramids is not a zoom stack with the overview attached")
 	}
-	packed := reg.Gauge("euler_lattice_bytes", latticeBytesHelp, "tier", "packed").Value()
-	full := reg.Gauge("euler_lattice_bytes", latticeBytesHelp, "tier", "full").Value()
+	packed := reg.Gauge("euler_lattice_bytes", latticeBytesHelp, "width", "4").Value()
+	full := reg.Gauge("euler_lattice_bytes", latticeBytesHelp, "width", "8").Value()
 	if want := int64(3 * 4 * 31 * 23); packed != want || full != 0 {
 		t.Fatalf("lattice byte gauges packed=%d full=%d, want %d and 0", packed, full, want)
 	}
@@ -156,21 +156,21 @@ func TestStoreCrossesTheNarrowLimit(t *testing.T) {
 		insert(10)
 		publish()
 	}
-	if st := s.Status(); st.Tier != TierPacked || st.PyramidLevels != 2 {
-		t.Fatalf("below the limit: tier %q, %d pyramid levels", st.Tier, st.PyramidLevels)
+	if st := s.Status(); st.CellWidth != 4 || st.PyramidLevels != 2 {
+		t.Fatalf("below the limit: cell width %d, %d pyramid levels", st.CellWidth, st.PyramidLevels)
 	}
 	fullRebuilds := s.m.rebuildFull.Value()
 
 	insert(30) // update limit+1 is among these
 	publish()
-	if st := s.Status(); st.Tier != TierFull || st.PyramidLevels != 2 {
-		t.Fatalf("past the limit: tier %q, %d pyramid levels", st.Tier, st.PyramidLevels)
+	if st := s.Status(); st.CellWidth != 8 || st.PyramidLevels != 2 {
+		t.Fatalf("past the limit: cell width %d, %d pyramid levels", st.CellWidth, st.PyramidLevels)
 	}
 	if got := s.m.rebuildFull.Value() - fullRebuilds; got != 1 {
 		t.Fatalf("the crossing publish counted %d full rebuilds, want 1", got)
 	}
-	packed := reg.Gauge("euler_lattice_bytes", latticeBytesHelp, "tier", "packed").Value()
-	full := reg.Gauge("euler_lattice_bytes", latticeBytesHelp, "tier", "full").Value()
+	packed := reg.Gauge("euler_lattice_bytes", latticeBytesHelp, "width", "4").Value()
+	full := reg.Gauge("euler_lattice_bytes", latticeBytesHelp, "width", "8").Value()
 	if want := int64(8 * 255 * 255); packed != 0 || full != want {
 		t.Fatalf("lattice byte gauges packed=%d full=%d, want 0 and %d", packed, full, want)
 	}
@@ -210,8 +210,8 @@ func TestStoreCrossesTheNarrowLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if st := s.Status(); st.Tier != TierFull || st.Objects != int64(len(objects)) {
-		t.Fatalf("reopened: tier %q, %d objects, want %q and %d", st.Tier, st.Objects, TierFull, len(objects))
+	if st := s.Status(); st.CellWidth != 8 || st.Objects != int64(len(objects)) {
+		t.Fatalf("reopened: cell width %d, %d objects, want 8 and %d", st.CellWidth, st.Objects, len(objects))
 	}
 	publish()
 	insertNear(3)

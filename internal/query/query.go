@@ -78,8 +78,9 @@ func Tiling(region grid.Span, cols, rows int) (tw, th int, err error) {
 }
 
 // RowBand returns the sub-region covering tile rows [r0..r1] of a cols×rows
-// tiling of region — the unit of work when a tile map is split across
-// workers by row. th must be the tile height Tiling reported.
+// tiling of region, which can be planned and summed as a map of its own
+// onto those rows of the whole map's plane. th must be the tile height
+// Tiling reported.
 func RowBand(region grid.Span, th, r0, r1 int) grid.Span {
 	return grid.Span{
 		I1: region.I1,

@@ -350,24 +350,24 @@ func (c *Coordinator) checkGrid(region grid.Span, cols, rows int) error {
 // tiling of region over its own objects, and the summed raw estimates are
 // bit-identical to a single store's answer. The slice is the caller's.
 func (c *Coordinator) EstimateGrid(region grid.Span, cols, rows int) ([]core.Estimate, error) {
-	return c.SumGrid(nil, region, cols, rows, nil)
+	return c.SumGrid(nil, region, cols, rows)
 }
 
 // SumGrid is EstimateGrid into buf's storage, which it grows to cols×rows
 // and zeroes, returning the plane. In-process shards sweep straight into
-// it, their row bands fanned across pool for large maps (nil runs inline);
-// every other shard's plane is added into it once all have answered.
-// Addition is exact for Euler histograms: each estimator field is an
-// integer-linear function of its histogram's bucket sums, so summing the
-// per-shard fields equals evaluating one store over all the objects.
-func (c *Coordinator) SumGrid(buf []core.Estimate, region grid.Span, cols, rows int, pool *core.BandPool) ([]core.Estimate, error) {
+// it on the caller's goroutine; every other shard's plane is added into
+// it once all have answered. Addition is exact for Euler histograms: each
+// estimator field is an integer-linear function of its histogram's bucket
+// sums, so summing the per-shard fields equals evaluating one store over
+// all the objects.
+func (c *Coordinator) SumGrid(buf []core.Estimate, region grid.Span, cols, rows int) ([]core.Estimate, error) {
 	if err := c.checkGrid(region, cols, rows); err != nil {
 		return buf, err
 	}
 	dst := slices.Grow(buf[:0], cols*rows)[:cols*rows]
 	clear(dst)
 	return dst, c.sum(dst,
-		func(l InProcess, dst []core.Estimate) error { return l.AddGrid(dst, region, cols, rows, pool) },
+		func(l InProcess, dst []core.Estimate) error { return l.AddGrid(dst, region, cols, rows) },
 		func(h Handle) ([]core.Estimate, error) { return h.EstimateGrid(region, cols, rows) })
 }
 

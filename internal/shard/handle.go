@@ -51,11 +51,11 @@ type Handle interface {
 // is read through Handle like a remote node.
 type InProcess interface {
 	// AddGrid adds the raw estimates of the cols×rows tiling of region into
-	// dst, row-major from the south-west (len cols×rows), row bands fanned
-	// across pool for large maps (nil runs inline). It fails only before
-	// adding anything — on a tiling that does not divide its region — so a
-	// failed read can be retried on another backend into the same plane.
-	AddGrid(dst []core.Estimate, region grid.Span, cols, rows int, pool *core.BandPool) error
+	// dst, row-major from the south-west (len cols×rows). It fails only
+	// before adding anything — on a tiling that does not divide its region
+	// — so a failed read can be retried on another backend into the same
+	// plane.
+	AddGrid(dst []core.Estimate, region grid.Span, cols, rows int) error
 	// AddSpans adds the raw estimate of every span into dst, one per span.
 	AddSpans(dst []core.Estimate, spans []grid.Span) error
 }
@@ -98,14 +98,14 @@ func (h *LocalHandle) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) 
 }
 
 // AddGrid implements InProcess.
-func (h *LocalHandle) AddGrid(dst []core.Estimate, region grid.Span, cols, rows int, pool *core.BandPool) error {
+func (h *LocalHandle) AddGrid(dst []core.Estimate, region grid.Span, cols, rows int) error {
 	est, _, release := h.Store.AcquireEstimator()
 	defer release()
 	p, err := core.PlanGrid(est, region, cols, rows, 0)
 	if err != nil {
 		return err
 	}
-	return p.Add(dst, pool)
+	return p.Add(dst)
 }
 
 // AddSpans implements InProcess.

@@ -236,12 +236,11 @@ func TestScatterGatherBitIdentity(t *testing.T) {
 // down in front of an in-process follower — the algorithm, the objects
 // and the tiling, the coordinator's summed raw estimates are a single
 // store's over the same objects, bit for bit. In-process shards are summed
-// in place, row bands fanned out on maps at or past the 4096-tile band
-// floor; remote and wrapped shards are merged from planes of their own,
+// in place; remote and wrapped shards are merged from planes of their own,
 // and a follower a wrapped leader failed over to is summed off the request
 // goroutine into a plane of its own.
 func FuzzCoordinatorSum(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(0), uint16(300), uint8(0), uint8(0), uint16(0))         // 128×64 tiles: banded
+	f.Add(int64(1), uint8(2), uint8(0), uint16(300), uint8(0), uint8(0), uint16(0))         // 128×64 tiles
 	f.Add(int64(2), uint8(3), uint8(0b100100), uint16(250), uint8(6), uint8(1), uint16(33)) // in-process, HTTP, wrapped
 	f.Add(int64(3), uint8(4), uint8(0b10011001), uint16(120), uint8(5), uint8(0x55), uint16(530))
 	f.Add(int64(4), uint8(1), uint8(2), uint16(0), uint8(1), uint8(0xff), uint16(511))
@@ -315,16 +314,15 @@ func FuzzCoordinatorSum(f *testing.F) {
 		rows := max(1, (64-j1)/th>>(tiling/64))
 		region := grid.Span{I1: i1, J1: j1, I2: i1 + cols*tw - 1, J2: j1 + rows*th - 1}
 		want := singleEstimates(t, single, region, cols, rows)
-		pool := core.NewBandPool(2+int(uint64(seed)%3), telemetry.NewRegistry().Gauge("active", ""), nil)
 		stale := make([]core.Estimate, cols*rows+5)
 		for k := range stale {
 			stale[k].Overlap = 42 // the plane is zeroed before anything is summed
 		}
-		got, err := c.SumGrid(stale[:3], region, cols, rows, pool)
+		got, err := c.SumGrid(stale[:3], region, cols, rows)
 		if err != nil {
 			t.Fatalf("SumGrid %v %dx%d: %v", region, cols, rows, err)
 		}
-		estimatesEqual(t, fmt.Sprintf("banded %v %dx%d", region, cols, rows), got, want)
+		estimatesEqual(t, fmt.Sprintf("recycled %v %dx%d", region, cols, rows), got, want)
 		got, err = c.EstimateGrid(region, cols, rows)
 		if err != nil {
 			t.Fatalf("EstimateGrid %v %dx%d: %v", region, cols, rows, err)
@@ -440,12 +438,12 @@ func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len
 
 // TestCoordinatorBrowseBudget bounds what one browse map through the
 // in-process coordinator front allocates once warm: O(cols+rows) of edge
-// tables, row offsets and per-row band sums plus a constant — no plane per
-// shard, no merge plane, no body; those are recycled. Measured on a 2-core
-// VM (median bytes per map, 45×45 / 90×90): the scatter-and-merge front
-// allocated 306,744 / 1,196,600 — two shard planes and a body — and the
-// in-place sum allocates 12,744 / 20,504, the request metrics of the
-// front's middleware included.
+// tables plus a constant — no plane per shard, no merge plane, no body;
+// those are recycled. Measured on a 2-core VM (median bytes per map,
+// 45×45 / 90×90): the scatter-and-merge front allocated 306,744 /
+// 1,196,600 — two shard planes and a body — and the in-place sum on the
+// request's goroutine allocates 11,816 / 16,296, the request metrics of
+// the front's middleware included.
 func TestCoordinatorBrowseBudget(t *testing.T) {
 	g := grid.New(geom.Rect{XMin: 0, YMin: 0, XMax: 360, YMax: 180}, 180, 90)
 	var stores []*live.Store
@@ -651,7 +649,7 @@ func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
 }
 
 // TestInProcessFrontConcurrentMaps: concurrent browse requests through an
-// in-process front, past the band floor and below it, each get the single
+// in-process front, large and small, each get the single
 // node's bytes — no request sees another's recycled plane or body.
 func TestInProcessFrontConcurrentMaps(t *testing.T) {
 	g := grid.New(geom.Rect{XMax: 128, YMax: 64}, 128, 64)
@@ -659,7 +657,7 @@ func TestInProcessFrontConcurrentMaps(t *testing.T) {
 	front := NewServer(localCoordinator(t, shards, nil, 0), telemetry.NewRegistry())
 	ref := geobrowse.New("test", single, geobrowse.Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
 	queries := []string{
-		"/api/browse?x1=0&y1=0&x2=128&y2=64&cols=128&rows=64", // 8192 tiles: banded
+		"/api/browse?x1=0&y1=0&x2=128&y2=64&cols=128&rows=64", // 8192 tiles
 		"/api/browse?x1=0&y1=0&x2=128&y2=64&cols=64&rows=32",
 		"/api/browse?x1=8&y1=4&x2=40&y2=60&cols=16&rows=7",
 		"/api/browse?x1=0&y1=0&x2=128&y2=64&cols=1&rows=1",

@@ -116,23 +116,32 @@ func TestOneServerAssembly(t *testing.T) {
 	}
 }
 
-// serialBuildPackages are the packages whose builds run on one goroutine:
-// the histogram and prefix-sum constructions of the paper, one pass each.
-var serialBuildPackages = []string{filepath.Join("internal", "euler"), filepath.Join("internal", "prefixsum")}
+// serialPackages are the packages that run on their caller's goroutine:
+// the histogram and prefix-sum constructions of the paper, one pass each,
+// and the tile-map sweep and its wire encoder, one linear pass per map.
+var serialPackages = []string{
+	filepath.Join("internal", "euler"),
+	filepath.Join("internal", "prefixsum"),
+	filepath.Join("internal", "core"),
+	filepath.Join("internal", "geobrowse"),
+}
 
-// TestBuildsRunOnOneGoroutine keeps histogram construction serial: no
-// non-test file of internal/euler or internal/prefixsum starts a goroutine.
-// No workload ever reached the parallel build paths these packages carried,
-// and where they ran they bought little on two cores (DESIGN, "Why builds
-// run on one goroutine"); concurrency belongs to the callers that serve.
-func TestBuildsRunOnOneGoroutine(t *testing.T) {
+// TestBuildsAndMapsRunOnOneGoroutine keeps histogram construction and
+// tile maps serial: no non-test file of serialPackages starts a goroutine.
+// No workload ever reached the parallel build paths euler and prefixsum
+// carried, and the row bands core and geobrowse fanned large maps across
+// made them slower on two cores (DESIGN, "Why builds run on one goroutine"
+// and "Why a map runs on one goroutine"); a request runs on its own, and
+// admission control bounds how many run at once.
+func TestBuildsAndMapsRunOnOneGoroutine(t *testing.T) {
 	walkModule(t, "", func(fset *token.FileSet, path string, file *ast.File) {
-		if !slices.Contains(serialBuildPackages, filepath.Dir(path)) {
+		pkg := filepath.Dir(path)
+		if !slices.Contains(serialPackages, pkg) {
 			return
 		}
 		eachSite(path, file, func(site string, n ast.Node) {
 			if g, ok := n.(*ast.GoStmt); ok {
-				t.Errorf("%s: go statement in %s: builds run on one goroutine", fset.Position(g.Pos()), site)
+				t.Errorf("%s: go statement in %s: %s runs on its caller's goroutine", fset.Position(g.Pos()), site, filepath.ToSlash(pkg))
 			}
 		})
 	})

@@ -43,7 +43,6 @@ import (
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/query"
-	"spatialhist/internal/telemetry"
 )
 
 // Re-exported geometry types. Rect is the MBR representation of every
@@ -188,26 +187,6 @@ func (s *Summary) Browse(region Rect, cols, rows int) ([]Estimate, error) {
 		return nil, err
 	}
 	return core.EstimateGrid(s.est, span, cols, rows)
-}
-
-// BrowseParallel is Browse with the tile rows of large maps fanned across
-// up to workers goroutines (workers <= 0 means GOMAXPROCS). The map is
-// planned once and each row band sweeps straight into its rows of the one
-// plane, so results are identical to Browse in content and order. The
-// core_parallel_workers_active gauge counts the bands running.
-func (s *Summary) BrowseParallel(region Rect, cols, rows, workers int) ([]Estimate, error) {
-	span, err := s.g.AlignedSpan(region, 1e-9)
-	if err != nil {
-		return nil, err
-	}
-	p, err := core.PlanGrid(s.est, span, cols, rows, 0)
-	if err != nil {
-		return nil, err
-	}
-	active := telemetry.Default().Gauge("core_parallel_workers_active",
-		"Row-band workers currently running in Summary.BrowseParallel.")
-	ests, _, err := p.Estimates(nil, core.NewBandPool(workers, active, nil))
-	return ests, err
 }
 
 // Builder incrementally constructs an Euler histogram; see FromHistogram.

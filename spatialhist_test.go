@@ -78,11 +78,10 @@ func TestBrowse(t *testing.T) {
 	}
 }
 
-// TestBrowseParallelMatchesBrowse: the banded façade path answers a map
-// past the band floor (120×60 = 7200 tiles) exactly as Browse does, tile for
-// tile, for all three algorithms at every pool size, and refuses what
-// Browse refuses.
-func TestBrowseParallelMatchesBrowse(t *testing.T) {
+// TestBrowseMatchesQuerySpan: a façade map of 120×60 = 7200 tiles is, for
+// all three algorithms, the per-tile QuerySpan answers in row-major order
+// from the south-west, tile for tile.
+func TestBrowseMatchesQuerySpan(t *testing.T) {
 	d := dataset.SzSkew(5000, 11)
 	g := NewGrid(d.Extent, 360, 180)
 	m, err := NewMEuler(g, []float64{1, 9, 100}, d.Rects)
@@ -91,26 +90,18 @@ func TestBrowseParallelMatchesBrowse(t *testing.T) {
 	}
 	const cols, rows = 120, 60
 	for _, s := range []*Summary{NewSEuler(g, d.Rects), NewEuler(g, d.Rects), m} {
-		want, err := s.Browse(d.Extent, cols, rows)
+		got, err := s.Browse(d.Extent, cols, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 1, 2, 4} {
-			got, err := s.BrowseParallel(d.Extent, cols, rows, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", s.Algorithm(), workers, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s workers=%d: %d tiles, want %d", s.Algorithm(), workers, len(got), len(want))
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("%s workers=%d tile %d: %v, Browse %v", s.Algorithm(), workers, k, got[k], want[k])
-				}
-			}
+		if len(got) != cols*rows {
+			t.Fatalf("%s: %d tiles, want %d", s.Algorithm(), len(got), cols*rows)
 		}
-		if _, err := s.BrowseParallel(d.Extent, 7, rows, 2); err == nil {
-			t.Fatalf("%s: non-dividing tiling must error", s.Algorithm())
+		for k := range got {
+			i1, j1 := k%cols*3, k/cols*3
+			if want := s.QuerySpan(Span{I1: i1, J1: j1, I2: i1 + 2, J2: j1 + 2}); got[k] != want {
+				t.Fatalf("%s tile %d: Browse %v, QuerySpan %v", s.Algorithm(), k, got[k], want)
+			}
 		}
 	}
 }
