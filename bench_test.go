@@ -278,29 +278,32 @@ func BenchmarkTuneAreas(b *testing.B) {
 type perTileOnly struct{ core.Estimator }
 
 // BenchmarkBrowseGrid measures a full 100x100-tile browse map — the
-// paper's GeoBrowsing interaction — answered two ways through
-// core.EstimateGrid: per-tile Estimate calls over a query.Browsing tiling,
-// and the one-sweep batch path.
+// paper's GeoBrowsing interaction — answered through core.EstimateGrid:
+// EulerApprox per tile over a query.Browsing tiling and in one sweep, and
+// the served M-EulerApprox(1, 9, 100), whose groups run the S-EulerApprox
+// and EulerApprox kernels by tile area.
 func BenchmarkBrowseGrid(b *testing.B) {
 	d := dataset.SzSkew(200_000, 3)
 	g := grid.New(d.Extent, 400, 300)
 	est := core.EulerFromRects(g, d.Rects)
+	served, err := core.NewMEuler(g, []float64{1, 9, 100}, d.Rects)
+	if err != nil {
+		b.Fatal(err)
+	}
 	region := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
 	const cols, rows = 100, 100
-	b.Run("per-tile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.EstimateGrid(perTileOnly{est}, region, cols, rows); err != nil {
-				b.Fatal(err)
+	for _, run := range []struct {
+		name string
+		est  core.Estimator
+	}{{"per-tile", perTileOnly{est}}, {"batched", est}, {"batched-meuler", served}} {
+		b.Run(run.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.EstimateGrid(run.est, region, cols, rows); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.EstimateGrid(est, region, cols, rows); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkJoinEstimate measures the two-histogram join product sum —

@@ -94,6 +94,13 @@ func (e *SEuler) addGridMasked(dst []Estimate, region grid.Span, cols, rows int,
 	return addSEulerGrid[int64](e, dst, region, cols, rows, cs)
 }
 
+// interiorWindow returns the lattice positions [lo, hi) the interior tile
+// rows [r0, r1) of CornerView.Interior read, first closed bottom to last
+// closed top: a column's four rows resliced to it share one cursor.
+func interiorWindow(v0, step, r0, r1 int) (lo, hi int) {
+	return v0 + r0*step - 1, v0 + r1*step + 1
+}
+
 // addSEulerGrid is the S-EulerApprox batch kernel: the sums of Equations
 // 16–17 assembled straight from the cumulative lattice rows — no per-tile
 // span bookkeeping or corner re-derivation — iterating tile columns
@@ -110,12 +117,18 @@ func addSEulerGrid[T euler.Cell](e *SEuler, dst []Estimate, region grid.Span, co
 	n := e.h.Count()
 	total := e.h.Total()
 	v0, step, r0, r1 := cv.Interior()
-	for col := 0; col < cols; col++ {
-		inL, inR, clL, clR := cv.ColumnRows(col)
-		for r, v := r0, v0+r0*step; r < r1; r, v = r+1, v+step {
-			nii := int64(inR[v+step-1]) - int64(inL[v+step-1]) - int64(inR[v]) + int64(inL[v])
-			nei := total - (int64(clR[v+step]) - int64(clL[v+step]) - int64(clR[v-1]) + int64(clL[v-1]))
-			addSEuler(&dst[r*cols+col], n, nii, nei, cs)
+	if r0 < r1 {
+		lo, hi := interiorWindow(v0, step, r0, r1)
+		for col := 0; col < cols; col++ {
+			inL, inR, clL, clR := cv.ColumnRows(col)
+			inL, inR, clL, clR = inL[lo:hi], inR[lo:hi], clL[lo:hi], clR[lo:hi]
+			// b is a tile row's closed bottom corner in the window, b+1 and
+			// b+step its inside corners, b+step+1 its closed top.
+			for b, d := 0, r0*cols+col; b+step < len(clR)-1; b, d = b+step, d+cols {
+				nii := int64(inR[b+step]) - int64(inL[b+step]) - int64(inR[b+1]) + int64(inL[b+1])
+				nei := total - (int64(clR[b+step+1]) - int64(clL[b+step+1]) - int64(clR[b]) + int64(clL[b]))
+				addSEuler(&dst[d], n, nii, nei, cs)
+			}
 		}
 	}
 	for r := 0; r < rows; r++ {
@@ -152,36 +165,35 @@ func addEulerGrid[T euler.Cell](e *Euler, dst []Estimate, region grid.Span, cols
 	g := e.h.Grid()
 	nx, ny := g.NX(), g.NY()
 	th := region.Height() / rows
-	bandInside := make([]int64, rows)
-	belowContained := make([]int64, rows)
+	// aBase[r] is row r's Region A band inside sum plus its Region B
+	// contained count: N_cd is aBase[r] less the A-wide sum and N'_ei.
+	aBase := make([]int64, rows)
 	for r := 0; r < rows; r++ {
 		j1 := region.J1 + r*th
-		bandInside[r] = e.h.InsideSum(grid.Span{I1: 0, J1: j1, I2: nx - 1, J2: ny - 1})
+		aBase[r] = e.h.InsideSum(grid.Span{I1: 0, J1: j1, I2: nx - 1, J2: ny - 1})
 		if j1 > 0 {
-			belowContained[r] = e.h.ContainedIn(grid.Span{I1: 0, J1: 0, I2: nx - 1, J2: j1 - 1})
+			aBase[r] += e.h.ContainedIn(grid.Span{I1: 0, J1: 0, I2: nx - 1, J2: j1 - 1})
 		}
 	}
 	v0, step, r0, r1 := cv.Interior()
-	add := func(r, col int, nii, neiPrime, niA int64) {
-		addEuler(&dst[r*cols+col], n, nii, neiPrime, niA+belowContained[r]-neiPrime)
+	add := func(r, col int, nii, neiPrime, aWide int64) {
+		addEuler(&dst[r*cols+col], n, nii, neiPrime, aBase[r]-aWide-neiPrime)
 	}
-	for col := 0; col < cols; col++ {
-		inL, inR, clL, clR := cv.ColumnRows(col)
-		v := v0 + r0*step
-		// The A-wide sum's bottom corners (at v) sit where the previous
-		// row's closed/A-wide top corners were, so they carry across
-		// iterations; its top corners coincide with the closed top.
-		var awLB, awRB int64
-		if r0 < r1 {
-			awLB, awRB = int64(clL[v]), int64(clR[v])
-		}
-		for r := r0; r < r1; r, v = r+1, v+step {
-			clLT, clRT := int64(clL[v+step]), int64(clR[v+step])
-			nii := int64(inR[v+step-1]) - int64(inL[v+step-1]) - int64(inR[v]) + int64(inL[v])
-			neiPrime := total - (clRT - clLT - int64(clR[v-1]) + int64(clL[v-1]))
-			niA := bandInside[r] - (clRT - clLT - awRB + awLB)
-			add(r, col, nii, neiPrime, niA)
-			awLB, awRB = clLT, clRT
+	if r0 < r1 {
+		lo, hi := interiorWindow(v0, step, r0, r1)
+		for col := 0; col < cols; col++ {
+			inL, inR, clL, clR := cv.ColumnRows(col)
+			inL, inR, clL, clR = inL[lo:hi], inR[lo:hi], clL[lo:hi], clR[lo:hi]
+			// The A-wide sum's bottom corners (b+1) are the row below's top
+			// corners, carried; its top corners are the closed top.
+			awLB, awRB := int64(clL[1]), int64(clR[1])
+			for b, d, base := 0, r0*cols+col, aBase[r0:r1]; len(base) > 0; b, d, base = b+step, d+cols, base[1:] {
+				clLT, clRT := int64(clL[b+step+1]), int64(clR[b+step+1])
+				nii := int64(inR[b+step]) - int64(inL[b+step]) - int64(inR[b+1]) + int64(inL[b+1])
+				neiPrime := total - (clRT - clLT - int64(clR[b]) + int64(clL[b]))
+				addEuler(&dst[d], n, nii, neiPrime, base[0]-(clRT-clLT-awRB+awLB)-neiPrime)
+				awLB, awRB = clLT, clRT
+			}
 		}
 	}
 	// Edge tile rows, where corner positions leave the lattice. A pure
@@ -195,7 +207,7 @@ func addEulerGrid[T euler.Cell](e *Euler, dst []Estimate, region grid.Span, cols
 			inL, inR, clL, clR := cv.ColumnRows(col)
 			nii := int64(inR[vT-1]) - int64(inL[vT-1])
 			wide := int64(clR[vT]) - int64(clL[vT])
-			add(0, col, nii, total-wide, bandInside[0]-wide)
+			add(0, col, nii, total-wide, wide)
 		}
 	}
 	if r1 == rows-1 && rows > 1 { // top row: the closed top clamps to the edge
@@ -207,8 +219,7 @@ func addEulerGrid[T euler.Cell](e *Euler, dst []Estimate, region grid.Span, cols
 			clLT, clRT := int64(clL[top]), int64(clR[top])
 			nii := int64(inR[top]) - int64(inL[top]) - int64(inR[v]) + int64(inL[v])
 			neiPrime := total - (clRT - clLT - int64(clR[v-1]) + int64(clL[v-1]))
-			niA := bandInside[r] - (clRT - clLT - int64(clR[v]) + int64(clL[v]))
-			add(r, col, nii, neiPrime, niA)
+			add(r, col, nii, neiPrime, clRT-clLT-int64(clR[v])+int64(clL[v]))
 		}
 	}
 	for r := 0; r < rows; r++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -266,4 +267,141 @@ func TestPlanAdd(t *testing.T) {
 	if err := p.Add(make([]Estimate, 4)); err == nil {
 		t.Error("region outside the grid: expected error")
 	}
+}
+
+// TestKernelWindowsExhaustive sweeps every region of a 6×5 grid in every
+// tiling that divides it — so every interior band (r0, r1) and row step
+// the kernels meet there, edge rows on both sides or neither — and holds
+// each kernel to the per-tile path at both cell widths: S-EulerApprox
+// under both masks, EulerApprox and M-EulerApprox, EstimateGrid against
+// the same estimator behind hideBatch. It also pins interiorWindow to the
+// lowest and highest lattice positions the interior rows' corner sums
+// read, inside the lattice rows ColumnRows hands out.
+func TestKernelWindowsExhaustive(t *testing.T) {
+	r := rand.New(rand.NewSource(56))
+	g := grid.NewUnit(6, 5)
+	rects := batchRects(r, g, 80)
+	m, err := NewMEuler(g, []float64{1, 4, 12}, rects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := make([]*euler.Histogram, 0, len(m.Histograms()))
+	for _, h := range m.Histograms() {
+		wide = append(wide, widened(t, h))
+	}
+	mw, err := MEulerFromHistograms(m.Areas(), wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, eu := SEulerFromRects(g, rects), EulerFromRects(g, rects)
+	seW, euW := NewSEuler(widened(t, se.Histogram())), NewEuler(widened(t, eu.Histogram()))
+	ests := []Estimator{se, seW, eu, euW, m, mw}
+
+	windows := map[[3]int]bool{}
+	for i1 := 0; i1 < g.NX(); i1++ {
+		for i2 := i1; i2 < g.NX(); i2++ {
+			for j1 := 0; j1 < g.NY(); j1++ {
+				for j2 := j1; j2 < g.NY(); j2++ {
+					region := grid.Span{I1: i1, J1: j1, I2: i2, J2: j2}
+					for cols := 1; cols <= region.Width(); cols++ {
+						for rows := 1; rows <= region.Height(); rows++ {
+							if region.Width()%cols != 0 || region.Height()%rows != 0 {
+								continue
+							}
+							for _, est := range ests {
+								checkBatchAgainstPerTile(t, est, region, cols, rows)
+							}
+							for _, s := range []*SEuler{se, seW} {
+								checkMaskedAgainstPerTile(t, s, region, cols, rows)
+							}
+							windows[checkInteriorWindow(t, se.Histogram(), region, cols, rows)] = true
+							checkInteriorWindow(t, seW.Histogram(), region, cols, rows)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d distinct (r0, r1, step) interior bands", len(windows))
+}
+
+func checkBatchAgainstPerTile(t *testing.T, est Estimator, region grid.Span, cols, rows int) {
+	t.Helper()
+	got, err := EstimateGrid(est, region, cols, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EstimateGrid(hideBatch{est}, region, cols, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s %v %dx%d: batch %v, per-tile %v", est.Name(), region, cols, rows, got, want)
+	}
+}
+
+// checkMaskedAgainstPerTile runs the S-EulerApprox kernel under the
+// no-contains mask, the M-EulerApprox role whose N_cs is zero.
+func checkMaskedAgainstPerTile(t *testing.T, s *SEuler, region grid.Span, cols, rows int) {
+	t.Helper()
+	got, want := make([]Estimate, cols*rows), make([]Estimate, cols*rows)
+	if err := s.addGridMasked(got, region, cols, rows, 0); err != nil {
+		t.Fatal(err)
+	}
+	qs, err := query.Browsing(region, cols, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, q := range qs.Tiles {
+		s.addMasked(&want[k], q, 0)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("masked %v %dx%d: batch %v, per-tile %v", region, cols, rows, got, want)
+	}
+}
+
+// checkInteriorWindow pins interiorWindow for one tiling and returns its
+// interior band and step.
+func checkInteriorWindow(t *testing.T, h *euler.Histogram, region grid.Span, cols, rows int) [3]int {
+	t.Helper()
+	var (
+		v0, step, r0, r1 int
+		rowLen           int
+	)
+	if h.CellWidth() == 4 {
+		cv, err := euler.CornerViewOf[int32](h, region, cols, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v0, step, r0, r1 = cv.Interior()
+		inL, _, _, _ := cv.ColumnRows(0)
+		rowLen = len(inL)
+	} else {
+		cv, err := euler.CornerViewOf[int64](h, region, cols, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v0, step, r0, r1 = cv.Interior()
+		inL, _, _, _ := cv.ColumnRows(0)
+		rowLen = len(inL)
+	}
+	if r0 >= r1 {
+		return [3]int{r0, r1, step}
+	}
+	// The positions the interior rows read: the inside sum at v and
+	// v+step−1, the closed sum at v−1 and v+step, the A-wide sum at v and
+	// v+step.
+	least, most := math.MaxInt, math.MinInt
+	for r := r0; r < r1; r++ {
+		v := v0 + r*step
+		for _, p := range []int{v - 1, v, v + step - 1, v + step} {
+			least, most = min(least, p), max(most, p)
+		}
+	}
+	lo, hi := interiorWindow(v0, step, r0, r1)
+	if lo != least || hi != most+1 || lo < 0 || hi > rowLen {
+		t.Fatalf("%v %dx%d (r0 %d, r1 %d, step %d): window [%d, %d), reads [%d, %d] of %d",
+			region, cols, rows, r0, r1, step, lo, hi, least, most, rowLen)
+	}
+	return [3]int{r0, r1, step}
 }

@@ -2,6 +2,7 @@ package geobrowse
 
 import (
 	"net/http"
+	"net/url"
 
 	"spatialhist/internal/core"
 	"spatialhist/internal/geom"
@@ -29,17 +30,17 @@ const drillMaxDepth = 16
 
 // parseDrillRequest reads the region, relation, hot threshold and depth
 // parameters of a drill request against g.
-func parseDrillRequest(g *grid.Grid, r *http.Request) (span grid.Span, rel geom.Rel2, hot, depth int, err error) {
-	if span, err = parseRegionRequest(g, r); err != nil {
+func parseDrillRequest(g *grid.Grid, q url.Values) (span grid.Span, rel geom.Rel2, hot, depth int, err error) {
+	if span, err = parseRegionRequest(g, q); err != nil {
 		return grid.Span{}, 0, 0, 0, err
 	}
-	if rel, err = parseRelation(r.URL.Query().Get("relation")); err != nil {
+	if rel, err = parseRelation(q.Get("relation")); err != nil {
 		return grid.Span{}, 0, 0, 0, err
 	}
-	if hot, err = posIntParam(r, "hot", unboundedParam); err != nil {
+	if hot, err = posIntParam(q, "hot", unboundedParam); err != nil {
 		return grid.Span{}, 0, 0, 0, err
 	}
-	if depth, err = posIntParam(r, "depth", drillMaxDepth); err != nil {
+	if depth, err = posIntParam(q, "depth", drillMaxDepth); err != nil {
 		return grid.Span{}, 0, 0, 0, err
 	}
 	return span, rel, hot, depth, nil
@@ -50,7 +51,7 @@ func parseDrillRequest(g *grid.Grid, r *http.Request) (span grid.Span, rel geom.
 // the relation reaches the hot threshold. Each depth level is one span
 // batch of the request's one read, so a drill sees one generation.
 func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
-	span, rel, hot, depth, err := parseDrillRequest(s.g, r)
+	span, rel, hot, depth, err := parseDrillRequest(s.g, r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -1,11 +1,11 @@
 package geobrowse
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"strconv"
 
 	"spatialhist/internal/core"
@@ -27,9 +27,9 @@ import (
 //
 // A tile map's rectangles are separable per axis (grid.XEdge/YEdge), so a
 // cols×rows map has only cols+1 distinct x and rows+1 distinct y
-// coordinates: each is formatted once per request (tileMap) and copied
-// into the tiles that touch it, instead of 4·cols·rows
-// shortest-float conversions. The tables live for one request.
+// coordinates: each is formatted once per request into the blocks of
+// tileMap and moved into the tiles that touch it, instead of 4·cols·rows
+// shortest-float conversions. The blocks live for one request.
 
 // Tile object skeleton, in TileEstimate's field order.
 const (
@@ -38,10 +38,8 @@ const (
 	tileContains  = `,"contains":`
 	tileContained = `,"contained":`
 	tileOverlap   = `,"overlap":`
-	// tileFixed is a tile's byte count besides its four coordinates and
-	// four counts: the skeleton, three commas inside rect, closing brace.
-	tileFixed = len(tileRect) + 3 + len(tileDisjoint) + len(tileContains) +
-		len(tileContained) + len(tileOverlap) + 1
+	tileClose     = `},`
+	tileLabels    = len(tileContains + tileContained + tileOverlap + tileClose) // a tile's text after its rect, besides counts
 )
 
 // appendJSONFloat appends f exactly as encoding/json renders a float64:
@@ -66,40 +64,30 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 }
 
 // appendTile appends one tile object up to, not including, its closing
-// brace (a drill leaf adds its depth there): the rectangle from four
-// pre-formatted coordinates, the counts clamped at zero (appendCount) like
+// brace (a drill leaf adds its depth there): the rectangle from the four
+// texts a tileMap block holds — `{"rect":[x0,`, `y0,`, `x1,` and
+// `y1],"disjoint":` — then the counts clamped at zero (appendCount) like
 // core.Estimate.Clamped.
 func appendTile(dst, x0, y0, x1, y1 []byte, e core.Estimate) []byte {
-	dst = append(dst, tileRect...)
-	dst = append(dst, x0...)
-	dst = append(dst, ',')
-	dst = append(dst, y0...)
-	dst = append(dst, ',')
-	dst = append(dst, x1...)
-	dst = append(dst, ',')
-	dst = append(dst, y1...)
-	dst = append(dst, tileDisjoint...)
-	dst = appendCount(dst, e.Disjoint)
-	dst = append(dst, tileContains...)
-	dst = appendCount(dst, e.Contains)
-	dst = append(dst, tileContained...)
-	dst = appendCount(dst, e.Contained)
-	dst = append(dst, tileOverlap...)
-	return appendCount(dst, e.Overlap)
+	dst = appendCount(append(append(append(append(dst, x0...), y0...), x1...), y1...), e.Disjoint)
+	dst = appendCount(append(dst, tileContains...), e.Contains)
+	dst = appendCount(append(dst, tileContained...), e.Contained)
+	return appendCount(append(dst, tileOverlap...), e.Overlap)
 }
 
 // appendSpanTile is appendTile for one free-standing span: its four
 // coordinates are formatted on the spot.
 func appendSpanTile(dst []byte, g *grid.Grid, span grid.Span, e core.Estimate) ([]byte, error) {
 	rect := g.SpanRect(span)
-	var scratch [4 * 32]byte
-	b := scratch[:0]
+	var scratch [4*32 + len(tileRect) + len(tileDisjoint)]byte
+	b := append(scratch[:0], tileRect...)
 	var end [4]int
 	for k, f := range [4]float64{rect.XMin, rect.YMin, rect.XMax, rect.YMax} {
 		var err error
 		if b, err = appendJSONFloat(b, f); err != nil {
 			return dst, err
 		}
+		b = append(b, [4]string{",", ",", ",", tileDisjoint}[k]...)
 		end[k] = len(b)
 	}
 	return appendTile(dst, b[:end[0]], b[end[0]:end[1]], b[end[1]:end[2]], b[end[2]:], e), nil
@@ -137,26 +125,26 @@ func AppendDrillResponse(dst []byte, g *grid.Grid, rel geom.Rel2, leaves []core.
 	return append(dst, "]}"...), nil
 }
 
+// tileBlock is the stride of a tileMap's text blocks (16+16+8 bytes): the
+// longest is `],"disjoint":` after a 25-byte -0.0000012345678901234567.
+const tileBlock = 40
+
 // tileMap is the tiles array of one browse response before it is written:
-// the sweep's estimates plus the formatted edges of their tiling.
+// the sweep's estimates plus their tiling's fixed text in zero-padded
+// blocks, block k at text[k·tileBlock:], lens[k] bytes long. Tile column c
+// has blocks 2c and 2c+1, `{"rect":[x_c,` and `x_{c+1},`; tile row r
+// blocks 2·cols+2r and the next, `y_r,` and `y_{r+1}],"disjoint":`.
 type tileMap struct {
 	cols, rows int
 	ests       []core.Estimate
-	// text holds the edge coordinates back to back, x-edges 0..cols then
-	// y-edges 0..rows; the k-th of them is text[off[k]:off[k+1]].
-	text []byte
-	off  []int32
+	text       []byte
+	lens       []uint8
 }
 
-func (m *tileMap) x(c int) []byte { return m.text[m.off[c]:m.off[c+1]] }
-
-func (m *tileMap) y(r int) []byte {
-	k := m.cols + 1 + r
-	return m.text[m.off[k]:m.off[k+1]]
-}
+func (m *tileMap) block(k int) []byte { return m.text[k*tileBlock:][:m.lens[k]] }
 
 // newTileMap formats the cols+1 x-edges and rows+1 y-edges of a tiling of
-// region. ests must be the tiling's row-major estimates.
+// region into its blocks. ests must be the tiling's row-major estimates.
 func newTileMap(g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate) (tileMap, error) {
 	tw, th, err := query.Tiling(region, cols, rows)
 	if err != nil {
@@ -168,36 +156,47 @@ func newTileMap(g *grid.Grid, region grid.Span, cols, rows int, ests []core.Esti
 	if len(ests) != cols*rows {
 		return tileMap{}, fmt.Errorf("geobrowse: %d estimates for a %dx%d tile map", len(ests), cols, rows)
 	}
-	edges := cols + rows + 2
 	m := tileMap{cols: cols, rows: rows, ests: ests,
-		text: make([]byte, 0, 24*edges), off: make([]int32, 1, edges+1)}
-	// The first non-finite edge is the error. An axis whose cell size
-	// overflowed has no finite edge at all, so that is also the coordinate
-	// json.Marshal meets first.
+		text: make([]byte, 2*(cols+rows)*tileBlock), lens: make([]uint8, 2*(cols+rows))}
+	// The first non-finite edge is the error: an axis whose cell size
+	// overflowed has no finite edge, so json.Marshal meets it first too.
 	var bad error
-	edge := func(f float64) {
-		var err error
-		if m.text, err = appendJSONFloat(m.text, f); err != nil && bad == nil {
+	var num [32]byte
+	// Edge k of an axis of n tiles closes tile k−1, opens tile k.
+	edge := func(first, k, n int, f float64, open, close string) {
+		t, err := appendJSONFloat(num[:0], f)
+		if err != nil && bad == nil {
 			bad = err
 		}
-		m.off = append(m.off, int32(len(m.text)))
+		put := func(b int, pre, post string) {
+			at := b * tileBlock
+			m.lens[b] = uint8(len(append(append(append(m.text[at:at:at+tileBlock], pre...), t...), post...)))
+		}
+		if k > 0 {
+			put(first+2*k-1, "", close)
+		}
+		if k < n {
+			put(first+2*k, open, ",")
+		}
 	}
 	for c := 0; c <= cols; c++ {
-		edge(g.XEdge(region.I1 + c*tw))
+		edge(0, c, cols, g.XEdge(region.I1+c*tw), tileRect, ",")
 	}
 	for r := 0; r <= rows; r++ {
-		edge(g.YEdge(region.J1 + r*th))
+		edge(2*cols, r, rows, g.YEdge(region.J1+r*th), "", tileDisjoint)
 	}
 	return m, bad
 }
 
-// tilesSize returns the exact byte count appendTiles writes.
+// tilesSize returns the exact byte count writeTiles writes: a column's
+// blocks are in every row, a row's in every column.
 func (m *tileMap) tilesSize() int {
-	// Every row holds each inner x-edge twice, the two outer ones once.
-	xs := 2*int(m.off[m.cols+1]) - len(m.x(0)) - len(m.x(m.cols))
-	size := 0
-	for r := 0; r < m.rows; r++ {
-		size += m.cols*(tileFixed+1+len(m.y(r))+len(m.y(r+1))) + xs
+	size := len(m.ests) * tileLabels
+	for k, l := range m.lens {
+		size += int(l) * m.rows
+		if k >= 2*m.cols {
+			size += int(l) * (m.cols - m.rows)
+		}
 	}
 	for _, e := range m.ests {
 		size += decimalLen(e.Disjoint) + decimalLen(e.Contains) + decimalLen(e.Contained) + decimalLen(e.Overlap)
@@ -205,22 +204,94 @@ func (m *tileMap) tilesSize() int {
 	return size
 }
 
-// appendTiles appends every tile, row-major from the south-west, each
-// followed by a comma.
-func (m *tileMap) appendTiles(dst []byte) []byte {
-	k := 0
-	for r := 0; r < m.rows; r++ {
-		y0, y1 := m.y(r), m.y(r+1)
-		x1 := m.x(0)
-		for c := 0; c < m.cols; c++ {
-			x0 := x1
-			x1 = m.x(c + 1)
-			dst = appendTile(dst, x0, y0, x1, y1, m.ests[k])
-			dst = append(dst, "},"...)
-			k++
+// The labels before a tile's last three counts in 16 bytes, its end in 8.
+var (
+	labelContains, labelContained, labelOverlap = padded(tileContains), padded(tileContained), padded(tileOverlap)
+	wordClose                                   = [8]byte{tileClose[0], tileClose[1]}
+)
+
+func padded(s string) (b [16]byte) {
+	copy(b[:], s)
+	return b
+}
+
+// closeReach is how far wordClose reaches past its tile: no move reaches further.
+const closeReach = len(wordClose) - len(tileClose)
+
+// putBlock moves parts of block (16 bytes, 16, 8) to t[o:]; o moves past its n.
+func putBlock(t []byte, o int, block []byte, parts int, n uint8) int {
+	*(*[16]byte)(t[o:]) = *(*[16]byte)(block)
+	if parts > 1 {
+		*(*[16]byte)(t[o+16:]) = *(*[16]byte)(block[16:])
+		if parts > 2 {
+			*(*[8]byte)(t[o+32:]) = *(*[8]byte)(block[32:])
 		}
 	}
-	return dst
+	return o + int(n)
+}
+
+// writeTiles writes every tile, row-major from the south-west, each
+// followed by a comma, after dst's bytes within its capacity. A tile is
+// moved in place — its blocks in as many parts as the longest of the kind
+// needs, labels, counts (putQuad, putOctet), wordClose — each move over
+// the last one's overhang. A tile with a count of 10^8 or more, and every
+// tile within closeReach and one widest tile (longest blocks, 8-digit
+// counts) of the capacity's end, goes by appendTile instead, so no move
+// leaves the capacity; capacity past the tiles may be overwritten.
+func (m *tileMap) writeTiles(dst []byte) []byte {
+	var longest, parts [4]int // x opening, x closing, y opening, y closing
+	for k, n := range m.lens {
+		i := k%2 + 2*min(k/(2*m.cols), 1)
+		longest[i] = max(longest[i], int(n))
+		parts[i] = (longest[i] + 15) / 16
+	}
+	buf, pos := dst[:cap(dst)], len(dst)
+	stop := len(buf) - closeReach - (longest[0] + longest[1] + longest[2] + longest[3] + tileLabels + 4*8)
+	text, lens, k := m.text, m.lens, 0
+	for r := 2 * m.cols; r < len(lens); r += 2 {
+		yOpen, yClose := text[r*tileBlock:], text[(r+1)*tileBlock:]
+		for c := 0; c < 2*m.cols; c, k = c+2, k+1 {
+			e := &m.ests[k]
+			if pos > stop || max(e.Disjoint, e.Contains, e.Contained, e.Overlap) >= 1e8 {
+				pos = len(append(appendTile(buf[:pos], m.block(c), m.block(r), m.block(c+1), m.block(r+1), *e), tileClose...))
+				continue
+			}
+			t := buf[pos:]
+			o := putBlock(t, 0, text[c*tileBlock:], parts[0], lens[c])
+			o = putBlock(t, o, yOpen, parts[2], lens[r])
+			o = putBlock(t, o, text[(c+1)*tileBlock:], parts[1], lens[c+1])
+			o = putBlock(t, o, yClose, parts[3], lens[r+1])
+			if u := uint64(max(e.Disjoint, 0)); u < 1e4 {
+				o += putQuad(t[o:], u)
+			} else {
+				o += putOctet(t[o:], u)
+			}
+			*(*[16]byte)(t[o:]) = labelContains
+			o += len(tileContains)
+			if u := uint64(max(e.Contains, 0)); u < 1e4 {
+				o += putQuad(t[o:], u)
+			} else {
+				o += putOctet(t[o:], u)
+			}
+			*(*[16]byte)(t[o:]) = labelContained
+			o += len(tileContained)
+			if u := uint64(max(e.Contained, 0)); u < 1e4 {
+				o += putQuad(t[o:], u)
+			} else {
+				o += putOctet(t[o:], u)
+			}
+			*(*[16]byte)(t[o:]) = labelOverlap
+			o += len(tileOverlap)
+			if u := uint64(max(e.Overlap, 0)); u < 1e4 {
+				o += putQuad(t[o:], u)
+			} else {
+				o += putOctet(t[o:], u)
+			}
+			*(*[8]byte)(t[o:]) = wordClose
+			pos += o + len(tileClose)
+		}
+	}
+	return buf[:pos]
 }
 
 // pow10 backs decimalLen.
@@ -228,52 +299,67 @@ var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
 // decimalLen returns the number of digits strconv.AppendInt writes for v
-// clamped at zero.
+// clamped at zero: ⌊log10 u⌋ is ⌊log2 u⌋·log10(2) rounded down, or one
+// more when u reaches the next power of ten (the borrow's sign bit).
 func decimalLen(v int64) int {
 	u := uint64(max(v, 0))
-	// ⌊log10 u⌋ is ⌊log2 u⌋·log10(2) rounded down, or one more.
 	t := bits.Len64(u|1) * 1233 >> 12
-	if u >= pow10[t] {
-		t++
-	}
-	return max(t, 1)
+	return max(t+int((pow10[t]-1-u)>>63), 1)
 }
 
-// digitPairs is "00" "01" … "99": two digits per step of appendCount.
-const digitPairs = "00010203040506070809" + "10111213141516171819" +
-	"20212223242526272829" + "30313233343536373839" + "40414243444546474849" +
-	"50515253545556575859" + "60616263646566676869" + "70717273747576777879" +
-	"80818283848586878889" + "90919293949596979899"
+// digitQuads holds each number below 10^4 as four ASCII digits, leading
+// zeros included, the first in the lowest byte.
+var digitQuads = func() (q [1e4]uint32) {
+	for v := range q {
+		q[v] = uint32('0'+v/1000) | uint32('0'+v/100%10)<<8 | uint32('0'+v/10%10)<<16 | uint32('0'+v%10)<<24
+	}
+	return q
+}()
 
-// appendCount appends v clamped at zero in decimal — the bytes of
-// strconv.AppendInt(dst, max(v, 0), 10) — writing the digits in place from
-// the last pair back at the length decimalLen gives, with no staging
-// buffer to copy from.
+// putCount writes strconv.AppendUint(nil, u, 10) at the start of b as
+// words of digitQuads entries, the first less its leading zeros, and
+// returns the digit count. b must hold max(8, digits) bytes.
+func putCount(b []byte, u uint64) int {
+	switch {
+	case u < 1e4:
+		return putQuad(b, u)
+	case u < 1e8:
+		return putOctet(b, u)
+	}
+	n := putCount(b, u/1e8)
+	binary.LittleEndian.PutUint64(b[n:], uint64(digitQuads[u/1e4%1e4])|uint64(digitQuads[u%1e4])<<32)
+	return n + 8
+}
+
+// putQuad and putOctet are putCount below 10^4 and 10^8: one entry or two.
+func putQuad(b []byte, u uint64) int {
+	q := digitQuads[u]
+	z := leadingZeros(q)
+	binary.LittleEndian.PutUint32(b, q>>(8*z))
+	return 4 - z
+}
+
+func putOctet(b []byte, u uint64) int {
+	q := digitQuads[u/1e4]
+	z := leadingZeros(q)
+	binary.LittleEndian.PutUint64(b, (uint64(q)|uint64(digitQuads[u%1e4])<<32)>>(8*z))
+	return 8 - z
+}
+
+// leadingZeros counts the '0's before a digitQuads entry's last digit.
+func leadingZeros(q uint32) int { return bits.TrailingZeros32(q^0x30303030|1<<24) / 8 }
+
+// appendCount appends v clamped at zero in decimal, as putCount writes it.
 func appendCount(dst []byte, v int64) []byte {
-	u := uint64(max(v, 0))
-	if u < 10 { // most counts of a fine tile map
-		return append(dst, byte('0'+u))
-	}
-	i := len(dst) + decimalLen(v)
-	dst = slices.Grow(dst, i-len(dst))[:i]
-	for u >= 100 {
-		p := u % 100 * 2
-		u /= 100
-		i -= 2
-		dst[i], dst[i+1] = digitPairs[p], digitPairs[p+1]
-	}
-	if u >= 10 {
-		dst[i-2], dst[i-1] = digitPairs[u*2], digitPairs[u*2+1]
-	} else {
-		dst[i-1] = byte('0' + u)
-	}
-	return dst
+	var b [24]byte // math.MaxInt64 has 19 digits
+	return append(dst, b[:putCount(b[:], uint64(max(v, 0)))]...)
 }
 
 // appendMapResponse appends a tile-map response object: cols, rows, the
 // tiles array, then tail (further members, each with its leading comma) —
 // growing dst once, to exactly the bytes written, so a body kept by the
-// browse cache retains no slack. The tiles are measured, then written.
+// browse cache retains no slack. The tiles are measured, then written in
+// place (writeTiles).
 func appendMapResponse(dst []byte, m tileMap, tail []byte) ([]byte, error) {
 	var scratch [64]byte
 	head := fmt.Appendf(scratch[:0], `{"cols":%d,"rows":%d,"tiles":[`, m.cols, m.rows)
@@ -284,7 +370,7 @@ func appendMapResponse(dst []byte, m tileMap, tail []byte) ([]byte, error) {
 		copy(grown, dst)
 		dst = grown
 	}
-	body := m.appendTiles(append(dst, head...))
+	body := m.writeTiles(append(dst, head...))
 	if got := len(body) - n - len(head); got != size {
 		return dst, fmt.Errorf("geobrowse: tiles encoded to %d bytes, measured %d", got, size)
 	}
@@ -298,7 +384,8 @@ func appendMapResponse(dst []byte, m tileMap, tail []byte) ([]byte, error) {
 // those of json.Marshal(BrowseResponse{cols, rows, TileEstimates(g,
 // region, cols, rows, ests), bound}), and so is the error for a non-finite
 // bound or coordinate. dst is grown only when its capacity is short of the
-// body, so a recycled buffer costs no allocation.
+// body, so a recycled buffer costs no allocation; capacity past the body
+// may be overwritten.
 func AppendBrowseResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
 	m, err := newTileMap(g, region, cols, rows, ests)
 	if err != nil {

@@ -345,9 +345,43 @@ func TestBrowseEncodeSizesExactly(t *testing.T) {
 	}
 }
 
-// countBoundaries are the values where the count writer's digit length or
-// its pair loop changes: 0, every 10^k−1 / 10^k / 10^k+1, the extremes,
-// and negatives (which clamp to 0).
+// TestBrowseEncodeIntoSpareCapacity writes maps whose every tile is the
+// widest the word moves write — 25-byte coordinates, every count
+// 99,999,999 (a count of 10^8 or more sends its tile to appendTile) —
+// onto a prefix with each spare capacity from none to twice the body, so
+// the last tile written by moves ends at every distance from the
+// capacity's end: a move past the capacity panics, and the bytes must
+// still be json.Marshal's.
+func TestBrowseEncodeIntoSpareCapacity(t *testing.T) {
+	const lo, hi = -1.2345678901234567e-6, -1.2345678901234566e-6
+	widest := core.Estimate{Disjoint: 1e8 - 1, Contains: 1e8 - 1, Contained: 1e8 - 1, Overlap: 1e8 - 1}
+	for _, shape := range [][2]int{{1, 1}, {1, 3}, {3, 1}} {
+		cols, rows := shape[0], shape[1]
+		// One cell per tile, every edge a 25-byte text.
+		g := grid.New(geom.NewRect(lo, lo, hi, hi), cols, rows)
+		region := grid.Span{I2: cols - 1, J2: rows - 1}
+		ests := make([]core.Estimate, cols*rows)
+		for k := range ests {
+			ests[k] = widest
+		}
+		want, err := oracleBrowse(g, region, cols, rows, ests, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for spare := 0; spare <= 2*len(want); spare++ {
+			dst := append(make([]byte, 0, 3+len(want)+spare), "pre"...)
+			got, err := AppendBrowseResponse(dst, g, region, cols, rows, ests, nil)
+			if err != nil || !bytes.Equal(got[3:], want) || string(got[:3]) != "pre" {
+				t.Fatalf("%dx%d with %d spare bytes: wire bytes differ from json.Marshal (err %v)\n got: %.300s\nwant: %.300s",
+					cols, rows, spare, err, got, want)
+			}
+		}
+	}
+}
+
+// countBoundaries are the values where a count's digit length or the
+// table words the count writer stores change: 0, every 10^k−1 / 10^k /
+// 10^k+1, the extremes, and negatives (which clamp to 0).
 func countBoundaries() []int64 {
 	vals := []int64{math.MinInt64, -100, -10, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
 	for p := int64(10); ; p *= 10 {
@@ -358,8 +392,11 @@ func countBoundaries() []int64 {
 	}
 }
 
-// checkAppendCount compares appendCount with strconv.AppendInt of the
-// clamped value, onto a buffer with spare capacity and onto a full one.
+// checkAppendCount compares the count writer with strconv.AppendInt of the
+// clamped value: appendCount onto a buffer with spare capacity and onto a
+// full one, and putCount's stores into the fewest bytes it may be given,
+// max(8, digits), over stale bytes. The digit count is decimalLen's, which
+// sizes the body.
 func checkAppendCount(t *testing.T, prefix string, v int64) {
 	t.Helper()
 	want := strconv.AppendInt([]byte(prefix), max(v, 0), 10)
@@ -372,6 +409,11 @@ func checkAppendCount(t *testing.T, prefix string, v int64) {
 		if got := appendCount(dst, v); !bytes.Equal(got, want) {
 			t.Fatalf("appendCount(%s %q, %d) = %q, want %q", name, prefix, v, got, want)
 		}
+	}
+	digits := want[len(prefix):]
+	b := bytes.Repeat([]byte{'x'}, max(8, len(digits)))
+	if n := putCount(b, uint64(max(v, 0))); n != len(digits) || !bytes.Equal(b[:n], digits) || n != decimalLen(v) {
+		t.Fatalf("putCount(%d) = %q (%d digits), want %q (decimalLen %d)", v, b[:n], n, digits, decimalLen(v))
 	}
 }
 
@@ -494,20 +536,37 @@ func TestLargeMapIsNotChunked(t *testing.T) {
 }
 
 // FuzzBrowseEncode checks AppendBrowseResponse against json.Marshal over
-// arbitrary extents, tilings, counts and bounds: identical bytes, or both
-// fail — with the identical error when a finite grid meets a non-finite
-// bound.
+// arbitrary extents, tilings, counts and bounds, appended onto a prefix of
+// that many bytes with spare bytes of capacity: identical bytes after the
+// prefix, or both fail — with the identical error when a finite grid meets
+// a non-finite bound. A body that had to grow has no slack (cap == len);
+// one that fit is written in place. first is every count of the first
+// tile and, negated, the last tile's overlap.
 func FuzzBrowseEncode(f *testing.F) {
-	f.Add(0.0, 0.0, 360.0, 180.0, uint8(36), uint8(18), uint8(0), uint8(0), uint8(6), uint8(3), int64(2002), int64(-5), 0.0, false)
-	f.Add(-180.0, -90.0, 180.0, 90.0, uint8(144), uint8(72), uint8(4), uint8(2), uint8(10), uint8(7), int64(7), int64(math.MaxInt64), 1.5, true)
-	f.Add(1e-9, -1e-8, 1e-8, 1e-8, uint8(9), uint8(20), uint8(0), uint8(0), uint8(9), uint8(20), int64(1), int64(0), 1e-9, true)
-	f.Add(5e20, -2e21, 2e21, 2e21, uint8(6), uint8(8), uint8(1), uint8(1), uint8(2), uint8(3), int64(3), int64(math.MinInt64), 1e21, true)
-	f.Add(-1.7e308, 0.0, 1.7e308, 1.0, uint8(4), uint8(4), uint8(0), uint8(0), uint8(2), uint8(2), int64(4), int64(1), math.NaN(), true)
-	f.Add(0.0, 0.0, 1.0, 1.0, uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), int64(5), int64(9), math.Inf(-1), true)
+	f.Add(0.0, 0.0, 360.0, 180.0, uint8(36), uint8(18), uint8(0), uint8(0), uint8(6), uint8(3), int64(2002), int64(-5), 0.0, false, uint8(0), uint8(0))
+	f.Add(-180.0, -90.0, 180.0, 90.0, uint8(144), uint8(72), uint8(4), uint8(2), uint8(10), uint8(7), int64(7), int64(math.MaxInt64), 1.5, true, uint8(0), uint8(0))
+	f.Add(1e-9, -1e-8, 1e-8, 1e-8, uint8(9), uint8(20), uint8(0), uint8(0), uint8(9), uint8(20), int64(1), int64(0), 1e-9, true, uint8(0), uint8(0))
+	f.Add(5e20, -2e21, 2e21, 2e21, uint8(6), uint8(8), uint8(1), uint8(1), uint8(2), uint8(3), int64(3), int64(math.MinInt64), 1e21, true, uint8(0), uint8(0))
+	f.Add(-1.7e308, 0.0, 1.7e308, 1.0, uint8(4), uint8(4), uint8(0), uint8(0), uint8(2), uint8(2), int64(4), int64(1), math.NaN(), true, uint8(0), uint8(0))
+	f.Add(0.0, 0.0, 1.0, 1.0, uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), int64(5), int64(9), math.Inf(-1), true, uint8(0), uint8(0))
 	for k, v := range countBoundaries() { // first lands in the first tile's disjoint, −first in the last's overlap
-		f.Add(0.0, 0.0, 360.0, 180.0, uint8(36), uint8(18), uint8(0), uint8(0), uint8(6), uint8(3), int64(k), v, 0.0, false)
+		f.Add(0.0, 0.0, 360.0, 180.0, uint8(36), uint8(18), uint8(0), uint8(0), uint8(6), uint8(3), int64(k), v, 0.0, false, uint8(0), uint8(0))
 	}
-	f.Fuzz(func(t *testing.T, x1, y1, x2, y2 float64, nx, ny, i1, j1, cols, rows uint8, seed, first int64, bound float64, hasBound bool) {
+	// The longest coordinate texts: 17 significant digits, negative, in
+	// 'f' form (25 bytes, the longest block) and in 'e' form.
+	f.Add(-1.2345678901234567e-6, -1.2345678901234567e-6, 1e-5, 1e-5, uint8(7), uint8(9), uint8(0), uint8(0), uint8(7), uint8(9), int64(6), int64(math.MaxInt64), 0.0, false, uint8(0), uint8(0))
+	f.Add(-1.2345678901234567e-100, -1.2345678901234567e-100, 1e-99, 1e-99, uint8(3), uint8(5), uint8(0), uint8(0), uint8(3), uint8(5), int64(7), int64(math.MaxInt64), -1.2345678901234567e-100, true, uint8(0), uint8(0))
+	// Counts where the writer changes how many table entries it stores.
+	for _, v := range []int64{1e4 - 1, 1e4, 1e8 - 1, 1e8, math.MaxInt64} {
+		f.Add(-180.0, -90.0, 180.0, 90.0, uint8(144), uint8(72), uint8(0), uint8(0), uint8(12), uint8(8), int64(8), v, 0.0, false, uint8(0), uint8(0))
+	}
+	// 1×1, 1×N and N×1 maps onto a prefix, without spare capacity and with.
+	for _, shape := range [][2]uint8{{1, 1}, {1, 9}, {9, 1}} {
+		for _, spare := range []uint8{0, 5, 200} {
+			f.Add(-123.45678901234567, -67.891234567890123, 123.0, 68.0, uint8(9), uint8(9), uint8(0), uint8(0), shape[0], shape[1], int64(9), int64(math.MaxInt64), 2.5, spare == 5, uint8(6), spare)
+		}
+	}
+	f.Fuzz(func(t *testing.T, x1, y1, x2, y2 float64, nx, ny, i1, j1, cols, rows uint8, seed, first int64, bound float64, hasBound bool, prefix, spare uint8) {
 		extent := geom.Rect{XMin: x1, YMin: y1, XMax: x2, YMax: y2}
 		if nx == 0 || ny == 0 || !extent.Valid() || extent.Degenerate() {
 			t.Skip()
@@ -525,14 +584,19 @@ func FuzzBrowseEncode(f *testing.F) {
 		}
 		region := grid.Span{I1: int(i1), J1: int(j1), I2: int(i1) + c*tw - 1, J2: int(j1) + r*th - 1}
 		ests := wireEstimates(rand.New(rand.NewSource(seed)), c*r)
-		ests[0].Disjoint, ests[len(ests)-1].Overlap = first, -first
+		ests[0] = core.Estimate{Disjoint: first, Contains: first, Contained: first, Overlap: first}
+		ests[len(ests)-1].Overlap = -first
 		var b *float64
 		if hasBound {
 			b = &bound
 		}
 
+		var dst []byte
+		if prefix > 0 || spare > 0 {
+			dst = append(make([]byte, 0, int(prefix)+int(spare)), bytes.Repeat([]byte{'p'}, int(prefix))...)
+		}
 		want, wantErr := oracleBrowse(g, region, c, r, ests, b)
-		got, err := AppendBrowseResponse(nil, g, region, c, r, ests, b)
+		got, err := AppendBrowseResponse(dst, g, region, c, r, ests, b)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("error = %v, json.Marshal's = %v", err, wantErr)
 		}
@@ -542,18 +606,52 @@ func FuzzBrowseEncode(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("wire bytes differ from json.Marshal\n got: %.300s\nwant: %.300s", got, want)
+		if !bytes.Equal(got[:min(len(got), int(prefix))], dst) || !bytes.Equal(got[min(len(got), int(prefix)):], want) {
+			t.Fatalf("wire bytes differ from json.Marshal after a %d-byte prefix\n got: %.300s\nwant: %.300s", prefix, got, want)
 		}
-		if cap(got) != len(got) {
+		if grew := cap(dst) < len(got); grew && cap(got) != len(got) {
 			t.Fatalf("body of %d bytes retains capacity %d", len(got), cap(got))
+		} else if !grew && &got[0] != &dst[:1][0] {
+			t.Fatalf("a body that fits %d bytes of capacity was written elsewhere", cap(dst))
 		}
 	})
 }
 
+// servedEstimates draws counts with the digit lengths of a cold-maps
+// map's tiles over a 1M-object dataset: disjoint has 7 digits on every
+// tile, contains 1, 2 or 3 on 70, 28 and 2 % of them, contained 3 on 99 %
+// (2 on the rest), overlap 2 or 3 on 70 and 30 %.
+func servedEstimates(r *rand.Rand, n int) []core.Estimate {
+	digits := func(d int) int64 { // a number of exactly d digits
+		lo := int64(math.Pow10(d - 1))
+		return lo + r.Int63n(9*lo)
+	}
+	pick := func(shares ...int) int { // the length whose cumulative percentage the draw falls under
+		p := r.Intn(100)
+		for d := 1; ; d++ {
+			if p -= shares[d-1]; p < 0 {
+				return d
+			}
+		}
+	}
+	ests := make([]core.Estimate, n)
+	for k := range ests {
+		contains := digits(pick(70, 28, 2))
+		if contains < 10 {
+			contains = r.Int63n(10) // 0 too
+		}
+		ests[k] = core.Estimate{Disjoint: digits(7), Contains: contains,
+			Contained: digits(pick(0, 1, 99)), Overlap: digits(pick(0, 70, 30))}
+	}
+	return ests
+}
+
 // BenchmarkBrowseEncode is the encode rung of the browse ladder at the
 // benchmark's map sizes (648 and 4050 tiles on 360×180, 16 384 on
-// 1440×720): the reflection oracle against the append encoder.
+// 1440×720), counts shaped like served ones: the reflection oracle, the
+// append encoder into a fresh body (a cached miss), and into a recycled
+// one with room (recycled: an uncached server's path, which allocates
+// nothing).
 func BenchmarkBrowseEncode(b *testing.B) {
 	for _, m := range []struct {
 		nx, ny, cols, rows int
@@ -561,13 +659,7 @@ func BenchmarkBrowseEncode(b *testing.B) {
 		g := grid.New(geom.NewRect(-180, -90, 180, 90), m.nx, m.ny)
 		tw, th := m.nx/m.cols, m.ny/m.rows
 		region := grid.Span{I2: m.cols*tw - 1, J2: m.rows*th - 1}
-		r := rand.New(rand.NewSource(2002))
-		ests := make([]core.Estimate, m.cols*m.rows)
-		for k := range ests {
-			// Counts the size of a 1M-object dataset's, a few negative.
-			ests[k] = core.Estimate{Disjoint: 1_000_000 - r.Int63n(5000), Contains: r.Int63n(3000),
-				Contained: r.Int63n(3) - 1, Overlap: r.Int63n(2000)}
-		}
+		ests := servedEstimates(rand.New(rand.NewSource(2002)), m.cols*m.rows)
 		name := fmt.Sprintf("tiles=%d", len(ests))
 		b.Run("reflect/"+name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -584,6 +676,17 @@ func BenchmarkBrowseEncode(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				body, err := AppendBrowseResponse(nil, g, region, m.cols, m.rows, ests, nil)
 				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(body)))
+			}
+		})
+		b.Run("recycled/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			var body []byte
+			for i := 0; i < b.N; i++ {
+				var err error
+				if body, err = AppendBrowseResponse(body[:0], g, region, m.cols, m.rows, ests, nil); err != nil {
 					b.Fatal(err)
 				}
 				b.SetBytes(int64(len(body)))

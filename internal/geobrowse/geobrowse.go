@@ -26,6 +26,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -283,7 +284,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	span, err := parseRegionRequest(s.g, r)
+	span, err := parseRegionRequest(s.g, r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -303,7 +304,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // generation's histogram buffers, and the plane goes back only once the
 // body is written: w keeps no reference to it once Write returns.
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
-	span, cols, rows, err := parseBrowseRequest(s.g, r)
+	span, cols, rows, err := parseBrowseRequest(s.g, r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -397,16 +398,16 @@ func browseKey(gen uint64, level int, span grid.Span, cols, rows int, facet stri
 // parseBrowseRequest reads the region and tiling of a browse request
 // against g, bounding cols and rows individually before multiplying so the
 // product check cannot be bypassed by overflow.
-func parseBrowseRequest(g *grid.Grid, r *http.Request) (span grid.Span, cols, rows int, err error) {
-	span, err = parseRegionRequest(g, r)
+func parseBrowseRequest(g *grid.Grid, q url.Values) (span grid.Span, cols, rows int, err error) {
+	span, err = parseRegionRequest(g, q)
 	if err != nil {
 		return grid.Span{}, 0, 0, err
 	}
-	cols, err = posIntParam(r, "cols", maxTiles)
+	cols, err = posIntParam(q, "cols", maxTiles)
 	if err != nil {
 		return grid.Span{}, 0, 0, err
 	}
-	rows, err = posIntParam(r, "rows", maxTiles)
+	rows, err = posIntParam(q, "rows", maxTiles)
 	if err != nil {
 		return grid.Span{}, 0, 0, err
 	}
@@ -416,12 +417,12 @@ func parseBrowseRequest(g *grid.Grid, r *http.Request) (span grid.Span, cols, ro
 	return span, cols, rows, nil
 }
 
-// parseRegionRequest reads the x1..y2 region parameters of a request and
-// converts them to a span aligned with g.
-func parseRegionRequest(g *grid.Grid, r *http.Request) (grid.Span, error) {
+// parseRegionRequest reads the x1..y2 region parameters of a request's
+// parsed query and converts them to a span aligned with g.
+func parseRegionRequest(g *grid.Grid, q url.Values) (grid.Span, error) {
 	var vals [4]float64
 	for i, name := range []string{"x1", "y1", "x2", "y2"} {
-		raw := r.URL.Query().Get(name)
+		raw := q.Get(name)
 		if raw == "" {
 			return grid.Span{}, fmt.Errorf("missing parameter %q", name)
 		}
@@ -440,8 +441,8 @@ func parseRegionRequest(g *grid.Grid, r *http.Request) (grid.Span, error) {
 }
 
 // posIntParam parses a positive integer parameter bounded by max.
-func posIntParam(r *http.Request, name string, max int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func posIntParam(q url.Values, name string, max int) (int, error) {
+	raw := q.Get(name)
 	v, err := strconv.Atoi(raw)
 	if err != nil || v <= 0 {
 		return 0, fmt.Errorf("parameter %q must be a positive integer, got %q", name, raw)

@@ -442,8 +442,9 @@ func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len
 // those are recycled. Measured on a 2-core VM (median bytes per map,
 // 45×45 / 90×90): the scatter-and-merge front allocated 306,744 /
 // 1,196,600 — two shard planes and a body — and the in-place sum on the
-// request's goroutine allocates 11,816 / 16,296, the request metrics of
-// the front's middleware included.
+// request's goroutine allocates 14,264 / 23,416, the request metrics of
+// the front's middleware included (11,816 / 16,296 before the encoder's
+// edge table became padded text blocks).
 func TestCoordinatorBrowseBudget(t *testing.T) {
 	g := grid.New(geom.Rect{XMin: 0, YMin: 0, XMax: 360, YMax: 180}, 180, 90)
 	var stores []*live.Store
