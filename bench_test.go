@@ -277,11 +277,13 @@ func BenchmarkTuneAreas(b *testing.B) {
 // EstimateSet) behind the same entry point.
 type perTileOnly struct{ core.Estimator }
 
-// BenchmarkBrowseGrid measures a full 100x100-tile browse map — the
-// paper's GeoBrowsing interaction — answered through core.EstimateGrid:
-// EulerApprox per tile over a query.Browsing tiling and in one sweep, and
-// the served M-EulerApprox(1, 9, 100), whose groups run the S-EulerApprox
-// and EulerApprox kernels by tile area.
+// BenchmarkBrowseGrid measures a 100x100-tile browse map — the paper's
+// GeoBrowsing interaction — answered through core.EstimateGrid: over the
+// whole space, EulerApprox per tile over a query.Browsing tiling and in one
+// sweep, and the served M-EulerApprox(1, 9, 100), whose groups share one
+// fused pass with one group in the EulerApprox role; and, as
+// batched-meuler-unit, the served estimator on the unaligned 1-cell tiles
+// of a cold map, where every group is in the no-contains role.
 func BenchmarkBrowseGrid(b *testing.B) {
 	d := dataset.SzSkew(200_000, 3)
 	g := grid.New(d.Extent, 400, 300)
@@ -290,15 +292,22 @@ func BenchmarkBrowseGrid(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	region := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
+	whole := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
+	unit := grid.Span{I1: 151, J1: 101, I2: 250, J2: 200}
 	const cols, rows = 100, 100
 	for _, run := range []struct {
-		name string
-		est  core.Estimator
-	}{{"per-tile", perTileOnly{est}}, {"batched", est}, {"batched-meuler", served}} {
+		name   string
+		est    core.Estimator
+		region grid.Span
+	}{
+		{"per-tile", perTileOnly{est}, whole},
+		{"batched", est, whole},
+		{"batched-meuler", served, whole},
+		{"batched-meuler-unit", served, unit},
+	} {
 		b.Run(run.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.EstimateGrid(run.est, region, cols, rows); err != nil {
+				if _, err := core.EstimateGrid(run.est, run.region, cols, rows); err != nil {
 					b.Fatal(err)
 				}
 			}

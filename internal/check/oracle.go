@@ -18,10 +18,13 @@ func gridDesc(g *grid.Grid) string {
 	return fmt.Sprintf("%dx%d over [%g,%g]x[%g,%g]", g.NX(), g.NY(), ext.XMin, ext.XMax, ext.YMin, ext.YMax)
 }
 
-// randAreas draws a valid ascending M-EulerApprox area partitioning.
+// randAreas draws a valid ascending M-EulerApprox partitioning of 1 to 5 groups.
 func randAreas(r *rand.Rand) []float64 {
-	a2 := 2 + r.Float64()*8
-	return []float64{1, a2, a2 + 1 + r.Float64()*40}
+	areas := []float64{1}
+	for k := r.Intn(5); k > 0; k-- {
+		areas = append(areas, areas[len(areas)-1]+1+r.Float64()*20)
+	}
+	return areas
 }
 
 // paperSpecs returns the specs of the paper's three algorithms (§5), the

@@ -114,8 +114,7 @@ func addSEulerGrid[T euler.Cell](e *SEuler, dst []Estimate, region grid.Span, co
 	if err != nil {
 		return err
 	}
-	n := e.h.Count()
-	total := e.h.Total()
+	n, total := e.h.Count(), e.h.Total()
 	v0, step, r0, r1 := cv.Interior()
 	if r0 < r1 {
 		lo, hi := interiorWindow(v0, step, r0, r1)
@@ -131,6 +130,13 @@ func addSEulerGrid[T euler.Cell](e *SEuler, dst []Estimate, region grid.Span, co
 			}
 		}
 	}
+	addSEulerEdges(e, &cv, dst, cols, rows, cs)
+	return nil
+}
+
+// addSEulerEdges adds the per-tile sums of the rows outside the interior.
+func addSEulerEdges[T euler.Cell](e *SEuler, cv *euler.CornerView[T], dst []Estimate, cols, rows int, cs int64) {
+	_, _, r0, r1 := cv.Interior()
 	for r := 0; r < rows; r++ {
 		if r >= r0 && r < r1 {
 			continue
@@ -139,7 +145,6 @@ func addSEulerGrid[T euler.Cell](e *SEuler, dst []Estimate, region grid.Span, co
 			e.addMasked(&dst[r*cols+col], cv.Tile(col, r), cs)
 		}
 	}
-	return nil
 }
 
 // addGrid resolves the histogram's cell width, once per sweep, and runs the
@@ -160,25 +165,9 @@ func addEulerGrid[T euler.Cell](e *Euler, dst []Estimate, region grid.Span, cols
 	if err != nil {
 		return err
 	}
-	n := e.h.Count()
-	total := e.h.Total()
-	g := e.h.Grid()
-	nx, ny := g.NX(), g.NY()
-	th := region.Height() / rows
-	// aBase[r] is row r's Region A band inside sum plus its Region B
-	// contained count: N_cd is aBase[r] less the A-wide sum and N'_ei.
-	aBase := make([]int64, rows)
-	for r := 0; r < rows; r++ {
-		j1 := region.J1 + r*th
-		aBase[r] = e.h.InsideSum(grid.Span{I1: 0, J1: j1, I2: nx - 1, J2: ny - 1})
-		if j1 > 0 {
-			aBase[r] += e.h.ContainedIn(grid.Span{I1: 0, J1: 0, I2: nx - 1, J2: j1 - 1})
-		}
-	}
+	n, total := e.h.Count(), e.h.Total()
+	aBase := e.aBase(region, rows)
 	v0, step, r0, r1 := cv.Interior()
-	add := func(r, col int, nii, neiPrime, aWide int64) {
-		addEuler(&dst[r*cols+col], n, nii, neiPrime, aBase[r]-aWide-neiPrime)
-	}
 	if r0 < r1 {
 		lo, hi := interiorWindow(v0, step, r0, r1)
 		for col := 0; col < cols; col++ {
@@ -196,11 +185,36 @@ func addEulerGrid[T euler.Cell](e *Euler, dst []Estimate, region grid.Span, cols
 			}
 		}
 	}
-	// Edge tile rows, where corner positions leave the lattice. A pure
-	// bottom row reads zeros below the lattice (dropping half its loads); a
-	// pure top row clamps the closed/A-wide top onto the inside top
-	// position. Rows that are both at once (a rows==1 full-height map) take
-	// the per-tile sums.
+	addEulerEdges(e, &cv, dst, cols, rows, aBase)
+	return nil
+}
+
+// aBase returns each tile row's Region A band inside sum plus its Region B
+// contained count: N_cd is aBase[r] less the A-wide sum and N'_ei.
+func (e *Euler) aBase(region grid.Span, rows int) []int64 {
+	nx, ny := e.h.Grid().NX(), e.h.Grid().NY()
+	aBase := make([]int64, rows)
+	for r := range aBase {
+		j1 := region.J1 + r*(region.Height()/rows)
+		aBase[r] = e.h.InsideSum(grid.Span{I1: 0, J1: j1, I2: nx - 1, J2: ny - 1})
+		if j1 > 0 {
+			aBase[r] += e.h.ContainedIn(grid.Span{I1: 0, J1: 0, I2: nx - 1, J2: j1 - 1})
+		}
+	}
+	return aBase
+}
+
+// addEulerEdges adds the edge tile rows, where corner positions leave the
+// lattice. A pure bottom row reads zeros below the lattice (dropping half
+// its loads); a pure top row clamps the closed/A-wide top onto the inside
+// top position. Rows that are both at once (a rows==1 full-height map)
+// take the per-tile sums.
+func addEulerEdges[T euler.Cell](e *Euler, cv *euler.CornerView[T], dst []Estimate, cols, rows int, aBase []int64) {
+	n, total := e.h.Count(), e.h.Total()
+	v0, step, r0, r1 := cv.Interior()
+	add := func(r, col int, nii, neiPrime, aWide int64) {
+		addEuler(&dst[r*cols+col], n, nii, neiPrime, aBase[r]-aWide-neiPrime)
+	}
 	if r0 == 1 && rows > 1 { // bottom row: corners below the lattice are zero
 		vT := v0 + step
 		for col := 0; col < cols; col++ {
@@ -230,31 +244,140 @@ func addEulerGrid[T euler.Cell](e *Euler, dst []Estimate, region grid.Span, cols
 			e.add(&dst[r*cols+col], cv.Tile(col, r))
 		}
 	}
-	return nil
 }
 
 // addGrid sums the area groups into the one plane. Every tile of an equal
 // tiling has the same area, so the per-group algorithm choice of §5.4 is
-// made once for the whole map and each group contributes one batch sweep
-// of its histogram.
+// made once for the whole map, and the groups of one cell width share
+// sweeps (addGroupPasses).
 func (m *MEuler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error {
 	tw, th, err := query.Tiling(region, cols, rows)
 	if err != nil {
 		return err
 	}
 	aq := float64(tw*th) * m.unit // exact, matching MEuler.estimate
-	for i := range m.hists {
-		switch m.role(i, aq) {
-		case GroupNoContains:
-			err = m.seuler[i].addGridMasked(dst, region, cols, rows, 0)
-		case GroupSEuler:
-			err = m.seuler[i].addGrid(dst, region, cols, rows)
-		default:
-			err = m.eapx[i].addGrid(dst, region, cols, rows)
+	if err := addGroupPasses[int32](m, dst, region, cols, rows, aq, 4); err != nil {
+		return err
+	}
+	return addGroupPasses[int64](m, dst, region, cols, rows, aq, 8)
+}
+
+// groupSweep is an area group's slot in a pass, cs its role mask.
+type groupSweep[T euler.Cell] struct {
+	cv           euler.CornerView[T]
+	i            int
+	n, total, cs int64
+}
+
+// addGroupPasses adds the groups of cell width width in passes of three,
+// the EulerApprox-role group first in its pass. A full pass shares
+// addFusedInterior, then adds edge rows each; a last pass of one or two
+// groups runs each group's own kernel.
+func addGroupPasses[T euler.Cell](m *MEuler, dst []Estimate, region grid.Span, cols, rows int, aq float64, width int) error {
+	var pass [3]groupSweep[T]
+	k, em := 0, int64(0) // em: all ones when pass[0] is the EulerApprox-role group
+	flush := func() (err error) {
+		if k < len(pass) {
+			for j := 0; j < k && err == nil; j++ {
+				if g := &pass[j]; j == 0 && em != 0 {
+					err = m.eapx[g.i].addGrid(dst, region, cols, rows)
+				} else {
+					err = m.seuler[g.i].addGridMasked(dst, region, cols, rows, g.cs)
+				}
+			}
+			k, em = 0, 0
+			return err
 		}
+		var aBase []int64
+		if em != 0 {
+			aBase = m.eapx[pass[0].i].aBase(region, rows)
+		} else {
+			aBase = make([]int64, rows) // read under em = 0 only
+		}
+		addFusedInterior(dst, &pass, cols, aBase, em)
+		for j := range pass {
+			if g := &pass[j]; j == 0 && em != 0 {
+				addEulerEdges(m.eapx[g.i], &g.cv, dst, cols, rows, aBase)
+			} else {
+				addSEulerEdges(m.seuler[g.i], &g.cv, dst, cols, rows, g.cs)
+			}
+		}
+		k, em = 0, 0
+		return nil
+	}
+	for i, h := range m.hists {
+		if h.CellWidth() != width {
+			continue
+		}
+		cv, err := euler.CornerViewOf[T](h, region, cols, rows)
 		if err != nil {
 			return err
 		}
+		pass[k] = groupSweep[T]{cv: cv, i: i, n: h.Count(), total: h.Total(), cs: -1}
+		switch m.role(i, aq) {
+		case GroupNoContains:
+			pass[k].cs = 0
+		case GroupEulerApprox:
+			pass[0], pass[k], em = pass[k], pass[0], -1
+		}
+		if k++; k == len(pass) {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
 	}
-	return nil
+	return flush()
+}
+
+// addFusedInterior adds the interior tile rows of a pass of three groups,
+// one straight-line body per tile, each group's role a pair of masks
+// (DESIGN, "One pass per width"); pass[0]'s N_cd is masked by em.
+// Integer addition reassociates, so the plane is bit-identical.
+func addFusedInterior[T euler.Cell](dst []Estimate, pass *[3]groupSweep[T], cols int, aBase []int64, em int64) {
+	a, b, c := &pass[0], &pass[1], &pass[2]
+	v0, step, r0, r1 := a.cv.Interior()
+	if r0 >= r1 {
+		return
+	}
+	lo, hi := interiorWindow(v0, step, r0, r1)
+	n, k := a.n+b.n+c.n, a.total-a.n+b.total-b.n+c.total-c.n // c_g = closed_g − k_g
+	kcs := (a.total-a.n)&a.cs + (b.total-b.n)&b.cs + (c.total-c.n)&c.cs
+	csa, csb, csc, ta, base := a.cs, b.cs, c.cs, a.total, aBase[r0:r1]
+	for col := 0; col < cols; col++ {
+		aiL, aiR, acL, acR := a.window(col, lo, hi)
+		biL, biR, bcL, bcR := b.window(col, lo, hi)
+		ciL, ciR, ccL, ccR := c.window(col, lo, hi)
+		// One length for all twelve rows lets one bounds check cover them.
+		w := len(acR)
+		aiL, aiR, acL = aiL[:w], aiR[:w], acL[:w]
+		biL, biR, bcL, bcR = biL[:w], biR[:w], bcL[:w], bcR[:w]
+		ciL, ciR, ccL, ccR = ciL[:w], ciR[:w], ccL[:w], ccR[:w]
+		awLB, awRB := int64(acL[1]), int64(acR[1]) // pass[0]'s A-wide bottom, carried
+		// A tile row reads the window at its closed bottom corner cb, its
+		// inside corners ib = cb+1 and it, and its closed top ct = it+1.
+		for j, cb, ib, it, ct, d := 0, 0, 1, step, step+1, r0*cols+col; j < len(base) && ct < w; j, cb, ib, it, ct, d = j+1, it, ct, it+step, ct+step, d+cols {
+			acLT, acRT := int64(acL[ct]), int64(acR[ct])
+			clA := acRT - acLT - int64(acR[cb]) + int64(acL[cb])
+			clB := int64(bcR[ct]) - int64(bcL[ct]) - int64(bcR[cb]) + int64(bcL[cb])
+			clC := int64(ccR[ct]) - int64(ccL[ct]) - int64(ccR[cb]) + int64(ccL[cb])
+			ncd := (base[j] - (acRT - acLT - awRB + awLB) - ta + clA) & em
+			awLB, awRB = acLT, acRT
+			cl := clA + clB + clC
+			cs := clA&csa + clB&csb + clC&csc - kcs - ncd
+			nii := int64(aiR[it]) - int64(aiL[it]) - int64(aiR[ib]) + int64(aiL[ib]) +
+				int64(biR[it]) - int64(biL[it]) - int64(biR[ib]) + int64(biL[ib]) +
+				int64(ciR[it]) - int64(ciL[it]) - int64(ciR[ib]) + int64(ciL[ib])
+			t := &dst[d]
+			t.Disjoint += n - nii
+			t.Contains += cs
+			t.Contained += cl - k - cs
+			t.Overlap += k - cl + nii
+		}
+	}
+}
+
+// window returns the slot's column rows over [lo, hi).
+func (g *groupSweep[T]) window(col, lo, hi int) (inL, inR, clL, clR []T) {
+	inL, inR, clL, clR = g.cv.ColumnRows(col)
+	return inL[lo:hi], inR[lo:hi], clL[lo:hi], clR[lo:hi]
 }

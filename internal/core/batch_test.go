@@ -274,28 +274,46 @@ func TestPlanAdd(t *testing.T) {
 // the kernels meet there, edge rows on both sides or neither — and holds
 // each kernel to the per-tile path at both cell widths: S-EulerApprox
 // under both masks, EulerApprox and M-EulerApprox, EstimateGrid against
-// the same estimator behind hideBatch. It also pins interiorWindow to the
-// lowest and highest lattice positions the interior rows' corner sums
-// read, inside the lattice rows ColumnRows hands out.
+// the same estimator behind hideBatch. The M-EulerApprox cases cover every
+// pass shape: 1 to 5 groups (a fused pass of three, a last pass of one or
+// two run group by group, and two passes at one width), at thresholds that put every group in every role
+// it can take somewhere in the 1–30-cell tile areas, and mixed widths (one
+// group widened). Plan.Add onto a garbage-filled plane must be the garbage
+// plus the per-tile answer. It also pins interiorWindow to the lowest and
+// highest lattice positions the interior rows' corner sums read, inside
+// the lattice rows ColumnRows hands out.
 func TestKernelWindowsExhaustive(t *testing.T) {
 	r := rand.New(rand.NewSource(56))
 	g := grid.NewUnit(6, 5)
 	rects := batchRects(r, g, 80)
-	m, err := NewMEuler(g, []float64{1, 4, 12}, rects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := make([]*euler.Histogram, 0, len(m.Histograms()))
-	for _, h := range m.Histograms() {
-		wide = append(wide, widened(t, h))
-	}
-	mw, err := MEulerFromHistograms(m.Areas(), wide)
-	if err != nil {
-		t.Fatal(err)
-	}
 	se, eu := SEulerFromRects(g, rects), EulerFromRects(g, rects)
 	seW, euW := NewSEuler(widened(t, se.Histogram())), NewEuler(widened(t, eu.Histogram()))
-	ests := []Estimator{se, seW, eu, euW, m, mw}
+	ests := []Estimator{se, seW, eu, euW}
+	var ms []*MEuler
+	for _, areas := range [][]float64{{1}, {1, 6}, {1, 4, 12}, {1, 3, 7, 16}, {1, 3, 6, 12, 20}} {
+		m, err := NewMEuler(g, areas, rects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := m.Histograms()
+		wide, mixed := make([]*euler.Histogram, len(hs)), slices.Clone(hs)
+		for i, h := range hs {
+			wide[i] = widened(t, h)
+		}
+		mixed[len(hs)/2] = wide[len(hs)/2]
+		for _, planes := range [][]*euler.Histogram{wide, mixed} {
+			mw, err := MEulerFromHistograms(areas, planes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms = append(ms, mw)
+		}
+		ms = append(ms, m)
+	}
+	for _, m := range ms {
+		ests = append(ests, m)
+	}
+	roles := make([]map[[2]int]bool, len(ms)) // (group, role) pairs each M-EulerApprox reached
 
 	windows := map[[3]int]bool{}
 	for i1 := 0; i1 < g.NX(); i1++ {
@@ -310,6 +328,16 @@ func TestKernelWindowsExhaustive(t *testing.T) {
 							}
 							for _, est := range ests {
 								checkBatchAgainstPerTile(t, est, region, cols, rows)
+								checkAddOntoGarbage(t, r, est, region, cols, rows)
+							}
+							for k, m := range ms {
+								if roles[k] == nil {
+									roles[k] = map[[2]int]bool{}
+								}
+								aq := float64(region.Cells() / (cols * rows))
+								for i := range m.Areas() {
+									roles[k][[2]int{i, int(m.role(i, aq))}] = true
+								}
 							}
 							for _, s := range []*SEuler{se, seW} {
 								checkMaskedAgainstPerTile(t, s, region, cols, rows)
@@ -322,7 +350,40 @@ func TestKernelWindowsExhaustive(t *testing.T) {
 			}
 		}
 	}
+	for k, m := range ms {
+		// The last group takes no S-EulerApprox role: nothing is too large
+		// to contain a query.
+		if want := 3*len(m.Areas()) - 1; len(roles[k]) != want {
+			t.Errorf("%s %v: %d (group, role) pairs reached, want %d: %v", m.Name(), m.Areas(), len(roles[k]), want, roles[k])
+		}
+	}
 	t.Logf("%d distinct (r0, r1, step) interior bands", len(windows))
+}
+
+// checkAddOntoGarbage holds Plan.Add to the accumulate contract: onto a
+// garbage-filled plane it adds the per-tile answer and touches nothing
+// else.
+func checkAddOntoGarbage(t *testing.T, r *rand.Rand, est Estimator, region grid.Span, cols, rows int) {
+	t.Helper()
+	want, err := EstimateGrid(hideBatch{est}, region, cols, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := PlanGrid(est, region, cols, rows, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := make([]Estimate, len(want))
+	for k := range plane {
+		plane[k] = Estimate{Disjoint: r.Int63(), Contains: -r.Int63(), Contained: r.Int63(), Overlap: -r.Int63()}
+		want[k].Add(plane[k])
+	}
+	if err := p.Add(plane); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(plane, want) {
+		t.Fatalf("%s %v %dx%d Add onto garbage: %v, garbage + per-tile %v", est.Name(), region, cols, rows, plane, want)
+	}
 }
 
 func checkBatchAgainstPerTile(t *testing.T, est Estimator, region grid.Span, cols, rows int) {
@@ -404,4 +465,88 @@ func checkInteriorWindow(t *testing.T, h *euler.Histogram, region grid.Span, col
 			region, cols, rows, r0, r1, step, lo, hi, least, most, rowLen)
 	}
 	return [3]int{r0, r1, step}
+}
+
+// TestPlanAddAllocs bounds what a warm Plan.Add of the served
+// M-EulerApprox(1, 9, 100) allocates onto a recycled plane, for two
+// full-space maps over a 360×180 grid that each sweep the three groups in
+// one pass: 36×18, whose 10×10 tiles leave no group in the EulerApprox
+// role, and 72×36, whose 5×5 tiles put the middle group in it. The sweep
+// telemetry is resolved once per algorithm, so what is left is the sweep's
+// own: the EulerApprox row bases (or the masked-off stand-in) and the zero
+// lattice rows of the groups' views at the left edge of the space.
+func TestPlanAddAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(57))
+	g := grid.NewUnit(360, 180)
+	m, err := NewMEuler(g, []float64{1, 9, 100}, batchRects(r, g, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := grid.Span{I2: 359, J2: 179}
+	for _, tl := range [][2]int{{36, 18}, {72, 36}} {
+		p, err := PlanGrid(m, whole, tl[0], tl[1], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plane := make([]Estimate, tl[0]*tl[1])
+		if err := p.Add(plane); err != nil { // warm: the series resolved
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			clear(plane)
+			if err := p.Add(plane); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%dx%d: %.0f allocations per Plan.Add", tl[0], tl[1], allocs)
+		if allocs > 4 {
+			t.Errorf("%dx%d: %.0f allocations per Plan.Add, want at most 4", tl[0], tl[1], allocs)
+		}
+	}
+}
+
+// FuzzMEulerGrid fuzzes the M-EulerApprox sweep's pass shapes: 1 to 5 area
+// groups at fuzzed thresholds (fractional ones included), each group's
+// cell width, and a region and dividing tiling of a 12×10 grid. The batch
+// sweep must equal the per-tile path, bit for bit.
+func FuzzMEulerGrid(f *testing.F) {
+	g := grid.NewUnit(12, 10)
+	rects := batchRects(rand.New(rand.NewSource(58)), g, 300)
+	f.Add(uint8(3), uint32(0x00100810), uint8(0), uint8(0), uint8(0), uint8(11), uint8(9), uint8(3), uint8(2))
+	f.Add(uint8(5), uint32(0x0c060402), uint8(0b10110), uint8(1), uint8(2), uint8(10), uint8(8), uint8(0), uint8(4))
+	f.Add(uint8(2), uint32(0x0000000b), uint8(0b10), uint8(3), uint8(0), uint8(5), uint8(9), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, groups uint8, gaps uint32, wide, i1, j1, i2, j2, cols, rows uint8) {
+		// Thresholds: 1, then steps of 0.5 to 16 cells, one byte of gaps each.
+		areas := []float64{1}
+		for k := 1; k < 1+int(groups%5); k++ {
+			areas = append(areas, areas[k-1]+0.5+float64(gaps>>(8*(k-1))&0x1f)/2)
+		}
+		m, err := NewMEuler(g, areas, rects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := m.Histograms()
+		for i, h := range hs {
+			if wide>>i&1 != 0 {
+				hs[i] = widened(t, h)
+			}
+		}
+		if m, err = MEulerFromHistograms(areas, hs); err != nil {
+			t.Fatal(err)
+		}
+		x1, x2 := int(i1)%g.NX(), int(i2)%g.NX()
+		y1, y2 := int(j1)%g.NY(), int(j2)%g.NY()
+		region := grid.Span{I1: min(x1, x2), J1: min(y1, y2), I2: max(x1, x2), J2: max(y1, y2)}
+		// The cols-th and rows-th divisors, cyclically, of the region's sides.
+		divisor := func(n int, k uint8) int {
+			var ds []int
+			for d := 1; d <= n; d++ {
+				if n%d == 0 {
+					ds = append(ds, d)
+				}
+			}
+			return ds[int(k)%len(ds)]
+		}
+		checkBatchAgainstPerTile(t, m, region, divisor(region.Width(), cols), divisor(region.Height(), rows))
+	})
 }

@@ -37,6 +37,7 @@ type MEuler struct {
 	seuler []*SEuler
 	eapx   []*Euler
 	n      int64
+	name   string // Name, formatted as each group is added
 	// unit is the area of one cell of g measured in base-resolution cells:
 	// 1 for a base-level estimator, 4^k for the level-k member of a zoom
 	// stack. Query areas are compared against the thresholds in base cells,
@@ -86,6 +87,7 @@ func (m *MEuler) addGroup(h *euler.Histogram) {
 	m.seuler = append(m.seuler, NewSEuler(h))
 	m.eapx = append(m.eapx, NewEuler(h))
 	m.n += h.Count()
+	m.name = fmt.Sprintf("M-EulerApprox(%d)", len(m.hists))
 }
 
 // MEulerFromHistograms reassembles an M-EulerApprox estimator from
@@ -148,7 +150,7 @@ func ObjectAreaGroup(g *grid.Grid, areas []float64, r geom.Rect) (group int, ok 
 }
 
 // Name implements Estimator.
-func (m *MEuler) Name() string { return fmt.Sprintf("M-EulerApprox(%d)", len(m.hists)) }
+func (m *MEuler) Name() string { return m.name }
 
 // Grid implements Estimator.
 func (m *MEuler) Grid() *grid.Grid { return m.g }

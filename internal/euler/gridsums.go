@@ -66,12 +66,12 @@ type CornerView[T Cell] struct {
 // must be h's cell type (CellWidth); a batch kernel resolves it once per
 // sweep and runs monomorphic from there. The view gathers nothing: callers
 // stream the prefix rows directly.
-func CornerViewOf[T Cell](h *Histogram, region grid.Span, cols, rows int) (*CornerView[T], error) {
+func CornerViewOf[T Cell](h *Histogram, region grid.Span, cols, rows int) (CornerView[T], error) {
 	tw, th, err := checkTiling(h.g, region, cols, rows)
 	if err != nil {
-		return nil, err
+		return CornerView[T]{}, err
 	}
-	return &CornerView[T]{hc: prefixsum.PlaneOf[T](h.hc), region: region, ny: h.g.NY(), tw: tw, th: th, cols: cols, rows: rows}, nil
+	return CornerView[T]{hc: prefixsum.PlaneOf[T](h.hc), region: region, ny: h.g.NY(), tw: tw, th: th, cols: cols, rows: rows}, nil
 }
 
 // ColumnRows returns the four prefix lattice rows flanking tile column
