@@ -61,6 +61,18 @@ func TestParseTenants(t *testing.T) {
 	}
 }
 
+func TestParseAreas(t *testing.T) {
+	got, err := parseAreas("1, 9,100")
+	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 9 || got[2] != 100 {
+		t.Fatalf("parseAreas = %v, %v", got, err)
+	}
+	for _, bad := range []string{"1,x", "", "1,,9"} {
+		if _, err := parseAreas(bad); err == nil {
+			t.Errorf("area list %q must error", bad)
+		}
+	}
+}
+
 func TestBuildEstimator(t *testing.T) {
 	d := dataset.SpSkew(200, 1)
 	g := grid.New(d.Extent, 36, 18)

@@ -269,6 +269,65 @@ func TestPlanAdd(t *testing.T) {
 	}
 }
 
+// TestPlanAddSumsPartitions: the histograms are linear in their objects,
+// so one plane that each part of a split dataset's plan adds into is the
+// whole dataset's per-tile estimate, bit for bit, for every algorithm at
+// both cell widths and as a zoom stack. A faceted front that sums the
+// partitions a filter selects rests on this.
+func TestPlanAddSumsPartitions(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	g := grid.NewUnit(48, 40)
+	rects := batchRects(r, g, 600)
+	var parts [3][]geom.Rect
+	for i, rect := range rects {
+		parts[i%3] = append(parts[i%3], rect)
+	}
+	whole := intoEstimators(t, g, rects)
+	partEsts := make([][]Estimator, len(parts))
+	for p, part := range parts {
+		partEsts[p] = intoEstimators(t, g, part)
+	}
+	names := []string{"seuler", "euler", "meuler", "per-tile", "seuler-wide", "euler-wide", "meuler-wide", "seuler-zoom", "euler-zoom", "meuler-zoom"}
+	if len(names) != len(whole) {
+		t.Fatalf("%d names for %d estimators", len(names), len(whole))
+	}
+	tilings := []struct {
+		region     grid.Span
+		cols, rows int
+	}{
+		{grid.Span{I2: 47, J2: 39}, 12, 10},
+		{grid.Span{I2: 47, J2: 39}, 48, 40},
+		{grid.Span{I2: 47, J2: 39}, 6, 1},
+		{grid.Span{I1: 8, J1: 8, I2: 39, J2: 31}, 4, 8},
+	}
+	for i, name := range names {
+		t.Run(name, func(t *testing.T) {
+			for _, tl := range tilings {
+				qs, err := query.Browsing(tl.region, tl.cols, tl.rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := EstimateSet(whole[i], qs.Tiles)
+				plane := make([]Estimate, tl.cols*tl.rows)
+				for p := range partEsts {
+					pl, err := PlanGrid(partEsts[p][i], tl.region, tl.cols, tl.rows, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := pl.Add(plane); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for k := range want {
+					if plane[k] != want[k] {
+						t.Fatalf("%v %dx%d tile %d: parts summed %v, whole %v", tl.region, tl.cols, tl.rows, k, plane[k], want[k])
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestKernelWindowsExhaustive sweeps every region of a 6×5 grid in every
 // tiling that divides it — so every interior band (r0, r1) and row step
 // the kernels meet there, edge rows on both sides or neither — and holds

@@ -261,3 +261,21 @@ func abs64(v int64) int64 {
 	}
 	return v
 }
+
+func TestParseRelation(t *testing.T) {
+	for arg, want := range map[string]geom.Rel2{
+		"contains":  geom.Rel2Contains,
+		"contained": geom.Rel2Contained,
+		"overlap":   geom.Rel2Overlap,
+		"disjoint":  geom.Rel2Disjoint,
+	} {
+		if got, err := parseRelation(arg); err != nil || got != want {
+			t.Errorf("parseRelation(%q) = %v, %v", arg, got, err)
+		}
+	}
+	for _, bad := range []string{"equals", "", "Contains"} {
+		if _, err := parseRelation(bad); err == nil || !strings.Contains(err.Error(), `"`+bad+`"`) {
+			t.Errorf("parseRelation(%q): %v, want an error naming it", bad, err)
+		}
+	}
+}

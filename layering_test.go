@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -145,6 +147,40 @@ func TestBuildsAndMapsRunOnOneGoroutine(t *testing.T) {
 			}
 		})
 	})
+}
+
+// docsNamingPaths are the documents whose code names tree paths.
+var docsNamingPaths = []string{"README.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+
+var (
+	fencedBlock = regexp.MustCompile("(?ms)^[ \t]*```.*?^[ \t]*```")
+	codeSpan    = regexp.MustCompile("`[^`]+`")
+	treePath    = regexp.MustCompile(`(?m)(?:^|[^\w./-])(?:\./)?((?:internal|cmd|examples)/[\w./-]*\w)`)
+)
+
+// TestDocsNameExistingPaths keeps the documents naming only what exists:
+// every internal/…, cmd/… or examples/… path in a code span or a fenced
+// block of docsNamingPaths is a file or directory of the tree, so a
+// deleted package, command or example takes its mentions with it.
+func TestDocsNameExistingPaths(t *testing.T) {
+	for _, doc := range docsNamingPaths {
+		t.Run(filepath.ToSlash(doc), func(t *testing.T) {
+			data, err := os.ReadFile(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := string(data)
+			code := fencedBlock.FindAllString(text, -1)
+			code = append(code, codeSpan.FindAllString(fencedBlock.ReplaceAllString(text, ""), -1)...)
+			for _, c := range code {
+				for _, m := range treePath.FindAllStringSubmatch(c, -1) {
+					if _, err := os.Stat(filepath.FromSlash(m[1])); err != nil {
+						t.Errorf("%s names %s, which is not in the tree", doc, m[1])
+					}
+				}
+			}
+		})
+	}
 }
 
 // walkModule parses every non-test Go file of the main module outside
