@@ -39,7 +39,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,10 +70,8 @@ type config struct {
 	pyramidLevels int
 	overviewEps   float64
 
-	tenants      string
-	tenantBudget int64
-	maxInflight  int
-	shedAfter    time.Duration
+	maxInflight int
+	shedAfter   time.Duration
 
 	live                        bool
 	wal, checkpoint             string
@@ -107,8 +104,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.pyramidLevels, "pyramid-levels", 4, "coarse histogram levels above the base for zoom-native browse routing (0 disables the pyramid)")
 	fs.Float64Var(&c.overviewEps, "overview-epsilon", 0, "serve overview browse maps from the reduced tier when every tile certifies within eps*|tile| objects of exact (0 = always exact; needs pyramids)")
 
-	fs.StringVar(&c.tenants, "tenants", "", `serve multiple datasets behind /api/{tenant}/: comma-separated name=dataset[:n] specs (e.g. "west=adl:100000,east=uni")`)
-	fs.Int64Var(&c.tenantBudget, "tenant-budget", 0, "memory budget in MiB for resident tenant estimators (0 = unlimited); cold tenants are evicted LRU-first")
 	fs.IntVar(&c.maxInflight, "max-inflight", 0, "admission control: concurrent browse-path requests admitted (0 disables)")
 	fs.DurationVar(&c.shedAfter, "shed-after", geobrowse.DefaultShedAfter, "admission control: bounded wait before a queued request is shed with 429")
 
@@ -143,30 +138,29 @@ func main() {
 // node is one assembled serving mode — what run needs of it and nothing of
 // how it was composed.
 type node struct {
-	handler http.Handler
-	// drain flips /healthz to 503 ahead of a shutdown.
-	drain func()
-	// gb and store feed the self-report: the server whose cache is
-	// reported (nil for a registry front) and the single live store whose
-	// rebuilds are (nil otherwise).
-	gb    *geobrowse.Server
+	// gb serves every request, and its cache feeds the self-report.
+	gb *geobrowse.Server
+	// store is the single live store whose rebuilds the self-report
+	// reports (nil otherwise).
 	store *live.Store
 	// close releases what the mode holds — stores, followers, coordinators
 	// — after the listener has drained.
 	close func() error
 }
 
-// front is the node of a single-dataset front: every mode but the tenant
-// registry.
-func front(gb *geobrowse.Server, store *live.Store, close func() error) node {
-	return node{handler: gb, drain: gb.StartDrain, gb: gb, store: store, close: close}
-}
-
 // assemble composes the serving mode cfg selects: a coordinator over remote
-// shards, a read replica, a tenant registry, a saved summary, a live store
-// (one, or -shards of them behind an in-process coordinator) or a summary
-// built from the dataset.
+// shards, a read replica, a saved summary, a live store (one, or -shards of
+// them behind an in-process coordinator) or a summary built from the
+// dataset.
 func assemble(cfg config) (node, error) {
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{{"-shards", cfg.shards}, {"-max-inflight", cfg.maxInflight}} {
+		if c.n < 0 {
+			return node{}, fmt.Errorf("%s must not be negative, got %d", c.flag, c.n)
+		}
+	}
 	if flag, why := cfg.droppedFlag(); flag != "" {
 		return node{}, fmt.Errorf("%s would be ignored: %s", flag, why)
 	}
@@ -188,14 +182,12 @@ func assemble(cfg config) (node, error) {
 		return node{}, errors.New("-live builds its own store; it cannot serve a -load summary")
 	case cfg.shards != 0 && !cfg.live:
 		return node{}, errors.New("-shards partitions a live store; it requires -live")
-	case (cfg.replicaOf != "" || cfg.coordinator != "") && (cfg.live || cfg.tenants != "" || cfg.load != ""):
-		return node{}, errors.New("-replica-of and -coordinator are serving topologies of their own; they do not compose with -live, -tenants or -load")
+	case (cfg.replicaOf != "" || cfg.coordinator != "") && (cfg.live || cfg.load != ""):
+		return node{}, errors.New("-replica-of and -coordinator are serving topologies of their own; they do not compose with -live or -load")
 	case cfg.coordinator != "":
 		return assembleCoordinator(cfg, opts)
 	case cfg.replicaOf != "":
 		return assembleReplica(cfg, opts)
-	case cfg.tenants != "":
-		return assembleTenants(cfg, opts)
 	case cfg.load != "":
 		sum, err := spatialhist.LoadFile(cfg.load)
 		if err != nil {
@@ -267,7 +259,7 @@ func staticNode(cfg config, name string, est core.Estimator, opts geobrowse.Opti
 	if err != nil {
 		return node{}, err
 	}
-	return front(geobrowse.New(name, geobrowse.StaticSource(est), opts), nil, nil), nil
+	return node{gb: geobrowse.New(name, geobrowse.StaticSource(est), opts)}, nil
 }
 
 // assembleCoordinator scatter-gathers over the remote shard nodes of
@@ -288,7 +280,7 @@ func assembleCoordinator(cfg config, opts geobrowse.Options) (node, error) {
 	}
 	log.Printf("coordinator over %d shards (max follower lag %d bytes, probe every %v)",
 		c.Shards(), cfg.maxLag, cfg.probeInterval)
-	return front(shard.Front(c, opts), nil, c.Close), nil
+	return node{gb: shard.Front(c, opts), close: c.Close}, nil
 }
 
 // assembleReplica tails the live leader at -replica-of into a store of its
@@ -319,40 +311,7 @@ func assembleReplica(cfg config, opts geobrowse.Options) (node, error) {
 		cfg.replicaOf, info.Dataset, f.Seq(), cfg.pollInterval)
 	gb := geobrowse.New(info.Dataset, f, opts)
 	shard.ServeNode(gb, f.Store(), telemetry.Default())
-	return front(gb, nil, f.Close), nil
-}
-
-// assembleTenants serves the generated datasets of -tenants behind one
-// registry front.
-func assembleTenants(cfg config, opts geobrowse.Options) (node, error) {
-	if cfg.live || cfg.load != "" || cfg.file != "" {
-		return node{}, errors.New("-tenants generates its datasets; it composes with -algo/-n/-seed only")
-	}
-	tenants, err := parseTenants(cfg.tenants, cfg.n, func(dsName string, count int, seed int64) (core.Estimator, error) {
-		d, err := dataset.Generate(dsName, count, seed)
-		if err != nil {
-			return nil, err
-		}
-		est, err := buildEstimator(cfg.algo, cfg.areas, grid.New(d.Extent, cfg.gridW, cfg.gridH), d)
-		if err != nil {
-			return nil, err
-		}
-		return zoomWrap(est, cfg.pyramidLevels)
-	}, cfg.seed)
-	if err != nil {
-		return node{}, err
-	}
-	reg, err := geobrowse.NewRegistry(tenants, geobrowse.RegistryOptions{
-		MemoryBudget: cfg.tenantBudget << 20,
-		Server:       opts,
-	})
-	if err != nil {
-		return node{}, err
-	}
-	ms := geobrowse.NewMultiServer(reg)
-	log.Printf("serving %d tenants (%s), budget %d MiB, lazy-loaded on first touch",
-		len(tenants), strings.Join(reg.Tenants(), ", "), cfg.tenantBudget)
-	return node{handler: ms, drain: ms.StartDrain}, nil
+	return node{gb: gb, close: f.Close}, nil
 }
 
 // assembleLive opens the mutable store over the dataset's objects — split
@@ -389,7 +348,7 @@ func assembleLive(cfg config, opts geobrowse.Options, g *grid.Grid, d *dataset.D
 		time.Since(start).Round(time.Millisecond), st.Algorithm, st.LiveObjects, st.Generation, st.Mutations, cfg.wal, st.WALBytes)
 	gb := geobrowse.New(d.Name, store, opts)
 	shard.ServeNode(gb, store, telemetry.Default())
-	return front(gb, store, func() error { return closeStore("live store", store) }), nil
+	return node{gb: gb, store: store, close: func() error { return closeStore("live store", store) }}, nil
 }
 
 // closeStore closes a live store — syncing its journal and writing its
@@ -499,13 +458,13 @@ func assembleSharded(cfg config, opts geobrowse.Options, base live.Config, d *da
 	}
 	log.Printf("sharded live store open in %v: %d shards, %d objects total",
 		time.Since(start).Round(time.Millisecond), n, objects)
-	return front(shard.Front(c, opts), nil, func() error {
+	return node{gb: shard.Front(c, opts), close: func() error {
 		err := c.Close()
 		if serr := closeStores(); err == nil {
 			err = serr
 		}
 		return err
-	}), nil
+	}}, nil
 }
 
 // parseShardSpec expands a -coordinator spec into backend groups:
@@ -539,14 +498,14 @@ func parseShardSpec(spec string) ([]shard.Backends, error) {
 	return groups, nil
 }
 
-// run serves the node's handler (which exposes Prometheus metrics at
+// run serves the node's server (which exposes Prometheus metrics at
 // /metrics), optionally mounts net/http/pprof, and starts the periodic
 // self-report loop. On SIGINT/SIGTERM it drains — flipping /healthz to 503
 // so load balancers stop routing here — then waits out in-flight requests
 // and closes the node, which for a live store syncs the journal and writes
 // the checkpoint, so a clean shutdown never loses acknowledged mutations.
 func run(cfg config, nd node) error {
-	handler := nd.handler
+	var handler http.Handler = nd.gb
 	if cfg.pprof {
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)
@@ -584,7 +543,7 @@ func run(cfg config, nd node) error {
 	case got := <-sig:
 		log.Printf("received %v, shutting down", got)
 	}
-	nd.drain()
+	nd.gb.StartDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -612,21 +571,14 @@ func selfReport(s *geobrowse.Server, every time.Duration, store *live.Store) {
 	prev := reg.FamilySnapshot("geobrowse_http_request_seconds")
 	prevRebuild := reg.FamilySnapshot("live_rebuild_seconds")
 	prevDirty := reg.FamilySnapshot("live_rebuild_dirty_frac")
-	cacheStats := func() (hits, misses, bytes int64) {
-		if s == nil { // multi-tenant mode: caches are per tenant
-			return 0, 0, 0
-		}
-		hits, misses = s.CacheStats()
-		return hits, misses, s.CacheBytes()
-	}
-	prevHits, prevMisses, _ := cacheStats()
+	prevHits, prevMisses := s.CacheStats()
 	prevLevels := reg.CounterValues(pyramidHitsMetric)
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for range ticker.C {
 		snap := reg.FamilySnapshot("geobrowse_http_request_seconds")
 		delta := snap.Sub(prev)
-		hits, misses, cacheBytes := cacheStats()
+		hits, misses := s.CacheStats()
 		dh, dm := hits-prevHits, misses-prevMisses
 		hitRate := 0.0
 		if dh+dm > 0 {
@@ -638,7 +590,7 @@ func selfReport(s *geobrowse.Server, every time.Duration, store *live.Store) {
 			"p50_ms", delta.Quantile(0.50)*1000,
 			"p99_ms", delta.Quantile(0.99)*1000,
 			"cache_hit_rate", hitRate,
-			"cache_bytes", cacheBytes,
+			"cache_bytes", s.CacheBytes(),
 		)
 		prev, prevHits, prevMisses = snap, hits, misses
 
@@ -721,51 +673,6 @@ func buildEstimator(algo, areasArg string, g *grid.Grid, d *dataset.Dataset) (co
 		return nil, err
 	}
 	return spec.FromRects(g, d.Rects)
-}
-
-// parseTenants expands a "-tenants" spec — comma-separated
-// name=dataset[:n] entries — into registry TenantConfigs whose loaders
-// call build. Each tenant derives its generation seed from the base seed
-// and its position in the spec, so tenant datasets are distinct but the
-// whole fleet stays reproducible from one -seed.
-func parseTenants(spec string, defaultN int,
-	build func(dsName string, n int, seed int64) (core.Estimator, error),
-	baseSeed int64) ([]geobrowse.TenantConfig, error) {
-	var tenants []geobrowse.TenantConfig
-	for idx, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		name, rest, ok := strings.Cut(entry, "=")
-		if !ok || name == "" || rest == "" {
-			return nil, fmt.Errorf("tenant spec %q: want name=dataset[:n]", entry)
-		}
-		dsName, count := rest, defaultN
-		if ds, nStr, hasN := strings.Cut(rest, ":"); hasN {
-			v, err := strconv.Atoi(nStr)
-			if err != nil || v <= 0 {
-				return nil, fmt.Errorf("tenant spec %q: bad object count %q", entry, nStr)
-			}
-			dsName, count = ds, v
-		}
-		// Validate eagerly: loaders run lazily on first touch, and a
-		// typo'd dataset name must fail at startup, not as 500s under
-		// traffic hours later.
-		if !slices.Contains(dataset.Names(), dsName) {
-			return nil, fmt.Errorf("tenant spec %q: unknown dataset %q (want one of %v)",
-				entry, dsName, dataset.Names())
-		}
-		seed := baseSeed + int64(idx)
-		tenants = append(tenants, geobrowse.TenantConfig{
-			Name: name,
-			Load: func() (core.Estimator, error) { return build(dsName, count, seed) },
-		})
-	}
-	if len(tenants) == 0 {
-		return nil, fmt.Errorf("tenant spec %q declares no tenants", spec)
-	}
-	return tenants, nil
 }
 
 func parseAreas(areasArg string) ([]float64, error) {

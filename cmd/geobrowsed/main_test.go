@@ -7,59 +7,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"unicode"
 
-	"spatialhist/internal/core"
 	"spatialhist/internal/dataset"
 	"spatialhist/internal/grid"
 )
-
-func TestParseTenants(t *testing.T) {
-	type built struct {
-		ds   string
-		n    int
-		seed int64
-	}
-	var calls []built
-	build := func(ds string, n int, seed int64) (core.Estimator, error) {
-		calls = append(calls, built{ds, n, seed})
-		return nil, nil
-	}
-	tenants, err := parseTenants("west=adl:1000, east=ca_road ,south=sp_skew:5", 42, build, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tenants) != 3 {
-		t.Fatalf("parsed %d tenants, want 3", len(tenants))
-	}
-	wantNames := []string{"west", "east", "south"}
-	for i, tc := range tenants {
-		if tc.Name != wantNames[i] {
-			t.Errorf("tenant %d = %q, want %q", i, tc.Name, wantNames[i])
-		}
-		if _, err := tc.Load(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Loaders capture their own dataset, count (default when omitted) and
-	// a per-tenant seed derived from the base.
-	want := []built{{"adl", 1000, 100}, {"ca_road", 42, 101}, {"sp_skew", 5, 102}}
-	for i, c := range calls {
-		if c != want[i] {
-			t.Errorf("loader %d built %+v, want %+v", i, c, want[i])
-		}
-	}
-
-	// "uni" is the kind of typo that must fail at startup, not as 500s
-	// at first lazy touch.
-	for _, bad := range []string{"", "noequals", "=adl", "west=", "west=adl:0", "west=adl:x", " , ", "east=uni"} {
-		if _, err := parseTenants(bad, 42, build, 1); err == nil {
-			t.Errorf("spec %q must error", bad)
-		}
-	}
-}
 
 func TestParseAreas(t *testing.T) {
 	got, err := parseAreas("1, 9,100")
@@ -125,26 +82,24 @@ func TestParseShardSpec(t *testing.T) {
 }
 
 // TestAssembleRefusesBadCommandLines: every flag combination main used to
-// die on inside a mode, and every flag a mode would silently drop, is an
-// error assemble returns before serving anything. A dropped flag's error
-// must name it, so a case cannot pass for another reason (an unreachable
-// -coordinator, say).
+// die on inside a mode, every flag a mode would silently drop and every
+// negative count is an error assemble returns before serving anything. A
+// dropped flag's or a negative count's error must name the flag, so a case
+// cannot pass for another reason (an unreachable -coordinator, say).
 func TestAssembleRefusesBadCommandLines(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)
 	save := filepath.Join(t.TempDir(), "s.bin")
 	for _, tc := range []struct {
 		args []string
-		flag string // the flag the error must name; "" for any error
+		want string // the start of the error, naming the flag; "" for any error
 	}{
 		{[]string{"-live", "-load", "summary.bin"}, ""},
 		{[]string{"-shards", "2"}, ""},
 		{[]string{"-replica-of", "http://localhost:1", "-live"}, ""},
-		{[]string{"-coordinator", "http://localhost:1", "-tenants", "a=adl"}, ""},
+		{[]string{"-coordinator", "http://localhost:1", "-load", "summary.bin"}, ""},
 		{[]string{"-coordinator", " ; "}, ""},
 		{[]string{"-replica-of", "http://localhost:1"}, ""}, // no -checkpoint
-		{[]string{"-tenants", "a=adl", "-file", "adl.bin"}, ""},
-		{[]string{"-tenants", "a=uni"}, ""},
 		{[]string{"-load", filepath.Join(t.TempDir(), "missing.bin")}, ""},
 		{[]string{"-file", filepath.Join(t.TempDir(), "missing.bin")}, ""},
 		{[]string{"-dataset", "uni"}, ""},
@@ -154,12 +109,14 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 		{[]string{"-live", "-areas", "1,x"}, ""},
 		{[]string{"-live", "-shards", "100000", "-gw", "8"}, ""},
 		{[]string{"-save", filepath.Join(t.TempDir(), "no", "such", "dir", "s.bin")}, ""},
-		{[]string{"-live", "-shards", "2", "-cache", "8"}, "-cache"},
-		{[]string{"-live", "-shards", "2", "-overview-epsilon", "0.05"}, "-overview-epsilon"},
-		{[]string{"-coordinator", "http://localhost:1", "-cache", "8"}, "-cache"},
-		{[]string{"-coordinator", "http://localhost:1", "-overview-epsilon", "0.05"}, "-overview-epsilon"},
-		{[]string{"-live", "-save", save}, "-save"},
-		{[]string{"-live", "-shards", "2", "-save", save}, "-save"},
+		{[]string{"-live", "-shards", "-3"}, "-shards must not be negative"},
+		{[]string{"-max-inflight", "-5"}, "-max-inflight must not be negative"},
+		{[]string{"-live", "-shards", "2", "-cache", "8"}, "-cache would be ignored"},
+		{[]string{"-live", "-shards", "2", "-overview-epsilon", "0.05"}, "-overview-epsilon would be ignored"},
+		{[]string{"-coordinator", "http://localhost:1", "-cache", "8"}, "-cache would be ignored"},
+		{[]string{"-coordinator", "http://localhost:1", "-overview-epsilon", "0.05"}, "-overview-epsilon would be ignored"},
+		{[]string{"-live", "-save", save}, "-save would be ignored"},
+		{[]string{"-live", "-shards", "2", "-save", save}, "-save would be ignored"},
 	} {
 		fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
 		var cfg config
@@ -174,8 +131,8 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 			if nd.close != nil {
 				nd.close()
 			}
-		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" would be ignored"):
-			t.Errorf("%v: error %q, want %s refused", tc.args, err, tc.flag)
+		case !strings.HasPrefix(err.Error(), tc.want):
+			t.Errorf("%v: error %q, want %q", tc.args, err, tc.want)
 		}
 	}
 	if _, err := os.Stat(save); !os.IsNotExist(err) {
@@ -198,6 +155,106 @@ func TestRetiredFlagsAreErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// flagDocs are the documents whose fenced blocks start geobrowsed.
+var flagDocs = []string{"README.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+
+// TestDocsNameRegisteredFlags keeps the documents starting geobrowsed only
+// with flags it has: every -flag of a geobrowsed command line in a fenced
+// block of flagDocs — continuation lines joined, quoted strings and #
+// comments skipped — is registered. Prose may still name a retired flag.
+func TestDocsNameRegisteredFlags(t *testing.T) {
+	fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
+	var cfg config
+	cfg.register(fs)
+	fence := regexp.MustCompile("(?ms)^[ \t]*```.*?^[ \t]*```")
+	lines := 0
+	for _, doc := range flagDocs {
+		data, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, block := range fence.FindAllString(string(data), -1) {
+			for _, line := range strings.Split(strings.ReplaceAll(block, "\\\n", " "), "\n") {
+				for _, cmd := range shellCommands(line) {
+					args, ok := geobrowsedArgs(cmd)
+					if !ok {
+						continue
+					}
+					lines++
+					for _, a := range args {
+						name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
+						if a[0] != '-' || name == "" || !unicode.IsLetter(rune(name[0])) {
+							continue // an operand or a negative value
+						}
+						if fs.Lookup(name) == nil && name != "h" && name != "help" {
+							t.Errorf("%s starts geobrowsed with -%s, which it does not register: %s", doc, name, strings.TrimSpace(line))
+						}
+					}
+				}
+			}
+		}
+	}
+	if lines == 0 {
+		t.Fatal("no geobrowsed command line found in the documents")
+	}
+	t.Logf("%d geobrowsed command lines checked", lines)
+}
+
+// geobrowsedArgs returns the arguments of a command that starts geobrowsed
+// — its binary, or go run of its package.
+func geobrowsedArgs(cmd []string) ([]string, bool) {
+	if len(cmd) > 2 && cmd[0] == "go" && cmd[1] == "run" {
+		cmd = cmd[2:]
+	}
+	if len(cmd) == 0 || path.Base(cmd[0]) != "geobrowsed" {
+		return nil, false
+	}
+	return cmd[1:], true
+}
+
+// shellCommands splits one shell line into its commands' words: ; & and |
+// end a command, quoted text is dropped, and # begins a comment.
+func shellCommands(line string) [][]string {
+	var cmds [][]string
+	var cmd []string
+	var word strings.Builder
+	endWord := func() {
+		if word.Len() > 0 {
+			cmd = append(cmd, word.String())
+			word.Reset()
+		}
+	}
+	endCmd := func() {
+		endWord()
+		if len(cmd) > 0 {
+			cmds = append(cmds, cmd)
+			cmd = nil
+		}
+	}
+	var quote rune
+	for _, c := range line {
+		switch {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case c == '"' || c == '\'':
+			quote = c
+		case c == '#' && word.Len() == 0:
+			endCmd()
+			return cmds
+		case c == ';' || c == '&' || c == '|':
+			endCmd()
+		case unicode.IsSpace(c):
+			endWord()
+		default:
+			word.WriteRune(c)
+		}
+	}
+	endCmd()
+	return cmds
 }
 
 // heldWriter is a ResponseWriter whose first Write blocks until release is
@@ -246,11 +303,11 @@ func TestCoordinatorFrontHonoursServingFlags(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		nd.handler.ServeHTTP(hold, httptest.NewRequest("GET", browse, nil))
+		nd.gb.ServeHTTP(hold, httptest.NewRequest("GET", browse, nil))
 	}()
 	<-held // the first map is writing its body, its slot held
 	rec := httptest.NewRecorder()
-	nd.handler.ServeHTTP(rec, httptest.NewRequest("GET", browse, nil))
+	nd.gb.ServeHTTP(rec, httptest.NewRequest("GET", browse, nil))
 	close(hold.release)
 	<-done
 	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
@@ -258,7 +315,7 @@ func TestCoordinatorFrontHonoursServingFlags(t *testing.T) {
 			rec.Code, rec.Header().Get("Retry-After"))
 	}
 	rec = httptest.NewRecorder()
-	nd.handler.ServeHTTP(rec, httptest.NewRequest("GET", browse, nil))
+	nd.gb.ServeHTTP(rec, httptest.NewRequest("GET", browse, nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("browse once the slot is free: %d %s", rec.Code, rec.Body.String())
 	}

@@ -51,7 +51,7 @@ func serveNode(t *testing.T, args ...string) *httptest.Server {
 	if err != nil {
 		t.Fatalf("%v: %v", args, err)
 	}
-	srv := httptest.NewServer(nd.handler)
+	srv := httptest.NewServer(nd.gb)
 	t.Cleanup(func() {
 		srv.Close()
 		if nd.close != nil {

@@ -128,7 +128,7 @@ func TestWireGolden(t *testing.T) {
 		do := func(method, target, body string) {
 			req := httptest.NewRequest(method, target, strings.NewReader(body))
 			rec := httptest.NewRecorder()
-			nd.handler.ServeHTTP(rec, req)
+			nd.gb.ServeHTTP(rec, req)
 			data := rec.Body.Bytes()
 			if strings.HasPrefix(target, "/api/store/status") {
 				data = statusClock.ReplaceAll(data, nil)

@@ -19,9 +19,9 @@
 // The fourth compares paths with each other: the transcript checks carry
 // out one seeded script (gen.Script) of mutations, publishes, checkpoints,
 // restarts and probes with a set of interpreters — fresh builds, BuildFrom
-// chains, live stores over journals, shard coordinators, followers, the
-// tenant registry, every tile-map sweep, a lowered cell-width limit — and
-// hold every transcript to the fresh reference's, entry for entry.
+// chains, live stores over journals, shard coordinators, followers, every
+// tile-map sweep, a lowered cell-width limit — and hold every transcript to
+// the fresh reference's, entry for entry.
 //
 // Stores are read the one way there is: estimators are pinned
 // (AcquireEstimator) for as long as they are read and released after, so
@@ -176,8 +176,6 @@ func Transcripts() []Check {
 				o.follower = true
 				return []config{storeConfig(o, 25+int64(r.Intn(24)), sw(r), r.Int63())}
 			}),
-		transcriptCheck("registry-vs-fresh", "a registry tenant evicted under a one-tenant budget and rebuilt by its loader reads as fresh builds",
-			func(r *rand.Rand) []config { return []config{registryConfig(lowered(r, 4), sw(r), r.Int63())} }),
 		transcriptCheck("composed-vs-fresh", "compositions read as fresh builds: a journaled, checkpointed store under a lowered cell-width limit, reopened mid-script; a 2-shard coordinator over journaled shards restarted from their WALs",
 			func(r *rand.Rand) []config {
 				durable, shards := drawStore(r), drawStore(r)

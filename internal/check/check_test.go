@@ -260,7 +260,6 @@ func TestTranscriptsAreNotVacuous(t *testing.T) {
 		storeConfig(storeOpts{wal: true, ckpt: true, syncEvery: 1}, 30, perTile, 4),
 		storeConfig(storeOpts{shards: 2}, -1, oneSweep, 5),
 		storeConfig(storeOpts{follower: true}, -1, banded, 6),
-		registryConfig(-1, perTile, 7),
 	} {
 		swallow := i%2 == 0
 		open := c.open

@@ -1,7 +1,7 @@
 // Store interpreters: the live store and what is built around it — its
-// journal and checkpoints, a shard coordinator, a WAL-shipped follower, the
-// multi-tenant registry — composed by storeOpts and held to the fresh
-// reference by the transcript checks.
+// journal and checkpoints, a shard coordinator and a WAL-shipped follower —
+// composed by storeOpts and held to the fresh reference by the transcript
+// checks.
 package check
 
 import (
@@ -10,14 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"spatialhist/internal/check/gen"
 	"spatialhist/internal/core"
-	"spatialhist/internal/geobrowse"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/live"
@@ -347,57 +345,3 @@ func (s *fleet) Close() error {
 	}
 	return err
 }
-
-// registry serves fresh builds through a geobrowse.Registry whose budget is
-// what the registry charges for one of them. Every publish loads the
-// script's tenant, evicts it by loading a ballast tenant, and reads the
-// reload: what the loader rebuilds after an eviction. No more than one
-// tenant is ever resident.
-type registry struct {
-	*fresh
-	est core.Estimator // what the script's tenant serves
-}
-
-func registryConfig(limit int64, sw sweep, seed int64) config {
-	return config{name: fmt.Sprintf("registry (limit %d, %v)", limit, sw), limit: limit, open: func(sc *scenario) (interpreter, error) {
-		g := &registry{fresh: &fresh{reader: reader{sw, gen.Rand(seed)}, spec: sc.spec, g: sc.Grid, objects: slices.Clone(sc.Seed)}}
-		return g, g.Publish()
-	}}
-}
-
-// load is the tenants' loader: the fresh build with the pyramids
-// geobrowsed serves from.
-func (g *registry) load() (core.Estimator, error) {
-	est, err := g.spec.FromRects(g.g, g.objects)
-	if err != nil {
-		return nil, err
-	}
-	spec, pyrs, _ := core.Pyramids(est, popts)
-	return spec.FromPyramids(pyrs)
-}
-
-func (g *registry) Publish() error {
-	est, err := g.load()
-	if err != nil {
-		return err
-	}
-	reg, err := geobrowse.NewRegistry([]geobrowse.TenantConfig{{Name: "script", Load: g.load}, {Name: "ballast", Load: g.load}},
-		geobrowse.RegistryOptions{
-			MemoryBudget: int64(est.(core.LatticeSizer).LatticeBytes()),
-			Server:       geobrowse.Options{Telemetry: telemetry.NewRegistry()},
-		})
-	if err != nil {
-		return err
-	}
-	for _, name := range []string{"script", "ballast", "script"} {
-		if _, g.est, err = reg.Resolve(name); err != nil {
-			return err
-		}
-		if _, loaded, bytes := reg.Stats(); loaded != 1 {
-			return fmt.Errorf("%s resolved with %d tenants (%d bytes) resident under a one-tenant budget", name, loaded, bytes)
-		}
-	}
-	return nil
-}
-
-func (g *registry) Observe(p gen.Probe) string { return g.observe(g.est, p) }

@@ -3,6 +3,7 @@ package geobrowse
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,12 +18,7 @@ import (
 // sharp: at most MaxInflight browse-path requests run at once, a bounded
 // number wait for a bounded time, and everything beyond that is shed
 // immediately with 429 + Retry-After so clients back off instead of piling
-// on.
-//
-// Waiters are queued per tenant and admitted round-robin across tenants,
-// so one tenant flooding the queue cannot starve another: under
-// contention each tenant with pending work gets an equal share of freed
-// slots regardless of queue depth.
+// on. Waiters are admitted in arrival order.
 
 // Shed reasons, used as the reason label of
 // geobrowse_admission_shed_total.
@@ -42,15 +38,13 @@ var ErrShedTimeout = errors.New("geobrowse: admission wait timed out")
 
 // AdmissionConfig tunes a Limiter.
 type AdmissionConfig struct {
-	// MaxInflight bounds concurrently admitted browse-path requests.
-	// Values <= 0 disable admission control (NewLimiter returns nil).
+	// MaxInflight bounds concurrently admitted browse-path requests, and
+	// waitersPerSlot × MaxInflight the requests waiting for one. Values
+	// <= 0 disable admission control (NewLimiter returns nil).
 	MaxInflight int
 	// ShedAfter bounds how long a request may wait for a slot before it
 	// is shed with 429. 0 means DefaultShedAfter.
 	ShedAfter time.Duration
-	// MaxQueue bounds the total number of waiting requests across all
-	// tenants. 0 means 4*MaxInflight.
-	MaxQueue int
 	// Telemetry receives the limiter's metrics. nil means
 	// telemetry.Default().
 	Telemetry *telemetry.Registry
@@ -58,6 +52,10 @@ type AdmissionConfig struct {
 
 // DefaultShedAfter is the wait bound when AdmissionConfig.ShedAfter is 0.
 const DefaultShedAfter = 250 * time.Millisecond
+
+// waitersPerSlot bounds the queue: a request arriving to find
+// waitersPerSlot × MaxInflight waiting is shed at once.
+const waitersPerSlot = 4
 
 // waiter is one queued request. granted and the channel close are flipped
 // together under the limiter lock, so a timeout racing a grant can tell
@@ -67,25 +65,15 @@ type waiter struct {
 	granted bool
 }
 
-// tenantQueue is one tenant's FIFO of waiters; tenants with a non-empty
-// queue sit in the limiter's round-robin ring.
-type tenantQueue struct {
-	waiters []*waiter
-}
-
-// Limiter is a tenant-fair concurrency limiter with bounded wait. The
-// zero value is not usable; a nil *Limiter admits everything (see
-// Acquire), so servers can hold one unconditionally.
+// Limiter is a FIFO concurrency limiter with bounded wait. The zero value
+// is not usable; a nil *Limiter admits everything (see Acquire), so
+// servers can hold one unconditionally.
 type Limiter struct {
 	mu        sync.Mutex
 	capacity  int
 	inflight  int
-	queued    int
-	maxQueue  int
 	shedAfter time.Duration
-	queues    map[string]*tenantQueue
-	ring      []*tenantQueue // tenants with waiters, round-robin order
-	next      int            // ring index served next
+	waiters   []*waiter // arrival order
 
 	mInflight *telemetry.Gauge
 	mQueue    *telemetry.Gauge
@@ -102,9 +90,6 @@ func NewLimiter(cfg AdmissionConfig) *Limiter {
 	if cfg.ShedAfter <= 0 {
 		cfg.ShedAfter = DefaultShedAfter
 	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 4 * cfg.MaxInflight
-	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.Default()
@@ -113,9 +98,7 @@ func NewLimiter(cfg AdmissionConfig) *Limiter {
 		"Maximum concurrently admitted browse-path requests.").Set(int64(cfg.MaxInflight))
 	return &Limiter{
 		capacity:  cfg.MaxInflight,
-		maxQueue:  cfg.MaxQueue,
 		shedAfter: cfg.ShedAfter,
-		queues:    make(map[string]*tenantQueue),
 		reg:       reg,
 		mInflight: reg.Gauge("geobrowse_admission_inflight",
 			"Browse-path requests currently holding an admission slot."),
@@ -126,38 +109,36 @@ func NewLimiter(cfg AdmissionConfig) *Limiter {
 	}
 }
 
-// shed counts one shed request by tenant and reason. Labels are created
-// through the registry's get-or-create path; tenant cardinality is
-// bounded by the registry's configured tenants.
-func (l *Limiter) shed(tenant, reason string) {
+// shed counts one shed request by reason.
+func (l *Limiter) shed(reason string) {
 	l.reg.Counter("geobrowse_admission_shed_total",
-		"Browse-path requests shed with 429, by tenant and reason.",
-		"tenant", tenant, "reason", reason).Inc()
+		"Browse-path requests shed with 429, by reason.",
+		"reason", reason).Inc()
 }
 
-// Acquire admits one request for tenant, blocking up to the configured
-// wait bound when all slots are busy. It returns a release callback the
+// Acquire admits one request, blocking up to the configured wait bound
+// when all slots are busy. It returns a release callback the
 // caller must invoke when the request is done, or an error when the
 // request was shed (queue full, wait bound exceeded, or context
 // canceled). A nil Limiter admits immediately.
-func (l *Limiter) Acquire(ctx context.Context, tenant string) (release func(), err error) {
+func (l *Limiter) Acquire(ctx context.Context) (release func(), err error) {
 	if l == nil {
 		return func() {}, nil
 	}
 	l.mu.Lock()
-	if l.inflight < l.capacity && l.queued == 0 {
+	if l.inflight < l.capacity && len(l.waiters) == 0 {
 		l.inflight++
 		l.mInflight.Set(int64(l.inflight))
 		l.mu.Unlock()
 		return l.releaseFunc(), nil
 	}
-	if l.queued >= l.maxQueue {
+	if len(l.waiters) >= waitersPerSlot*l.capacity {
 		l.mu.Unlock()
-		l.shed(tenant, shedQueueFull)
+		l.shed(shedQueueFull)
 		return nil, ErrShedQueueFull
 	}
 	w := &waiter{ch: make(chan struct{})}
-	l.enqueueLocked(tenant, w)
+	l.waiters = append(l.waiters, w)
 	// A slot may have freed between the fast-path check and the enqueue;
 	// granting under the same lock keeps the queue drained.
 	l.grantLocked()
@@ -171,16 +152,16 @@ func (l *Limiter) Acquire(ctx context.Context, tenant string) (release func(), e
 		l.mWait.ObserveDuration(time.Since(start))
 		return l.releaseFunc(), nil
 	case <-timer.C:
-		if l.cancelWaiter(tenant, w) {
-			l.shed(tenant, shedTimeout)
+		if l.cancelWaiter(w) {
+			l.shed(shedTimeout)
 			return nil, ErrShedTimeout
 		}
 		// The grant won the race: the slot is ours.
 		l.mWait.ObserveDuration(time.Since(start))
 		return l.releaseFunc(), nil
 	case <-ctx.Done():
-		if l.cancelWaiter(tenant, w) {
-			l.shed(tenant, shedCanceled)
+		if l.cancelWaiter(w) {
+			l.shed(shedCanceled)
 			return nil, ctx.Err()
 		}
 		l.mWait.ObserveDuration(time.Since(start))
@@ -189,7 +170,7 @@ func (l *Limiter) Acquire(ctx context.Context, tenant string) (release func(), e
 }
 
 // releaseFunc returns the callback that frees one slot and hands it to
-// the next waiter round-robin.
+// the longest waiter.
 func (l *Limiter) releaseFunc() func() {
 	var once sync.Once
 	return func() {
@@ -197,83 +178,38 @@ func (l *Limiter) releaseFunc() func() {
 			l.mu.Lock()
 			l.inflight--
 			l.grantLocked()
-			l.mInflight.Set(int64(l.inflight))
 			l.mu.Unlock()
 		})
 	}
 }
 
-// enqueueLocked appends w to tenant's FIFO, adding the tenant to the
-// round-robin ring on its first waiter.
-func (l *Limiter) enqueueLocked(tenant string, w *waiter) {
-	q := l.queues[tenant]
-	if q == nil {
-		q = &tenantQueue{}
-		l.queues[tenant] = q
-	}
-	if len(q.waiters) == 0 {
-		l.ring = append(l.ring, q)
-	}
-	q.waiters = append(q.waiters, w)
-	l.queued++
-	l.mQueue.Set(int64(l.queued))
-}
-
-// grantLocked hands free slots to waiting requests, one tenant at a time
-// in ring order, so concurrent tenants drain their queues at the same
-// rate regardless of depth.
+// grantLocked hands free slots to waiting requests in arrival order, and
+// sets the gauges either way.
 func (l *Limiter) grantLocked() {
-	for l.inflight < l.capacity && len(l.ring) > 0 {
-		if l.next >= len(l.ring) {
-			l.next = 0
-		}
-		q := l.ring[l.next]
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		l.queued--
-		if len(q.waiters) == 0 {
-			l.ring = append(l.ring[:l.next], l.ring[l.next+1:]...)
-			// next now points at the following tenant; no advance.
-		} else {
-			l.next++
-		}
+	for l.inflight < l.capacity && len(l.waiters) > 0 {
+		w := l.waiters[0]
+		l.waiters[0] = nil
+		l.waiters = l.waiters[1:]
 		l.inflight++
 		w.granted = true
 		close(w.ch)
 	}
 	l.mInflight.Set(int64(l.inflight))
-	l.mQueue.Set(int64(l.queued))
+	l.mQueue.Set(int64(len(l.waiters)))
 }
 
-// cancelWaiter removes w from tenant's queue if it has not been granted
-// yet. It reports true when the waiter was removed (the caller sheds) and
-// false when the grant won the race (the caller owns a slot).
-func (l *Limiter) cancelWaiter(tenant string, w *waiter) bool {
+// cancelWaiter removes w from the queue if it has not been granted yet.
+// It reports true when the waiter was removed (the caller sheds) and false
+// when the grant won the race (the caller owns a slot).
+func (l *Limiter) cancelWaiter(w *waiter) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if w.granted {
 		return false
 	}
-	q := l.queues[tenant]
-	for i, cand := range q.waiters {
-		if cand == w {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			l.queued--
-			l.mQueue.Set(int64(l.queued))
-			break
-		}
-	}
-	if len(q.waiters) == 0 {
-		for i, rq := range l.ring {
-			if rq == q {
-				l.ring = append(l.ring[:i], l.ring[i+1:]...)
-				if i < l.next {
-					l.next--
-				}
-				break
-			}
-		}
-	}
+	i := slices.Index(l.waiters, w)
+	l.waiters = slices.Delete(l.waiters, i, i+1)
+	l.mQueue.Set(int64(len(l.waiters)))
 	return true
 }
 
@@ -285,5 +221,5 @@ func (l *Limiter) Stats() (inflight, queued int) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.inflight, l.queued
+	return l.inflight, len(l.waiters)
 }

@@ -3,9 +3,10 @@ package geobrowse
 import (
 	"context"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,7 +49,7 @@ func TestLimiterDisabled(t *testing.T) {
 		t.Fatal("MaxInflight 0 must disable admission control")
 	}
 	var l *Limiter
-	release, err := l.Acquire(context.Background(), "a")
+	release, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("nil limiter must admit: %v", err)
 	}
@@ -58,11 +59,27 @@ func TestLimiterDisabled(t *testing.T) {
 	}
 }
 
+// waitQueued polls until n requests wait on l.
+func waitQueued(t *testing.T, l *Limiter, n int) {
+	t.Helper()
+	for i := 0; ; i++ {
+		if _, q := l.Stats(); q == n {
+			return
+		}
+		if i > 5000 {
+			t.Fatalf("queue never reached %d waiters", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLimiterAdmitsUpToCapacity: MaxInflight requests hold slots, four
+// times as many wait, and the next is shed at once; the waiters time out.
 func TestLimiterAdmitsUpToCapacity(t *testing.T) {
-	l, _ := testLimiter(t, AdmissionConfig{MaxInflight: 3, ShedAfter: 300 * time.Millisecond, MaxQueue: 1})
+	l, reg := testLimiter(t, AdmissionConfig{MaxInflight: 3, ShedAfter: 300 * time.Millisecond})
 	var releases []func()
 	for i := 0; i < 3; i++ {
-		release, err := l.Acquire(context.Background(), "a")
+		release, err := l.Acquire(context.Background())
 		if err != nil {
 			t.Fatalf("acquire %d: %v", i, err)
 		}
@@ -71,28 +88,22 @@ func TestLimiterAdmitsUpToCapacity(t *testing.T) {
 	if in, _ := l.Stats(); in != 3 {
 		t.Fatalf("inflight = %d, want 3", in)
 	}
-	// Capacity full, queue capacity 1: the 4th waits then times out, the
-	// 5th (queued behind it) is shed immediately.
-	done := make(chan error, 1)
-	go func() {
-		_, err := l.Acquire(context.Background(), "a")
-		done <- err
-	}()
-	// Wait until the 4th occupies the queue so the 5th sees it full.
-	for i := 0; ; i++ {
-		if _, q := l.Stats(); q == 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("4th acquire never queued")
-		}
-		time.Sleep(time.Millisecond)
+	const queue = 4 * 3
+	done := make(chan error, queue)
+	for i := 0; i < queue; i++ {
+		go func() {
+			_, err := l.Acquire(context.Background())
+			done <- err
+		}()
 	}
-	if _, err := l.Acquire(context.Background(), "a"); !errors.Is(err, ErrShedQueueFull) {
+	waitQueued(t, l, queue)
+	if _, err := l.Acquire(context.Background()); !errors.Is(err, ErrShedQueueFull) {
 		t.Fatalf("over-queue acquire = %v, want ErrShedQueueFull", err)
 	}
-	if err := <-done; !errors.Is(err, ErrShedTimeout) {
-		t.Fatalf("queued acquire = %v, want ErrShedTimeout", err)
+	for i := 0; i < queue; i++ {
+		if err := <-done; !errors.Is(err, ErrShedTimeout) {
+			t.Fatalf("queued acquire = %v, want ErrShedTimeout", err)
+		}
 	}
 	for _, r := range releases {
 		r()
@@ -100,16 +111,20 @@ func TestLimiterAdmitsUpToCapacity(t *testing.T) {
 	if in, q := l.Stats(); in != 0 || q != 0 {
 		t.Fatalf("after release: inflight %d queued %d", in, q)
 	}
+	sheds := reg.CounterValues("geobrowse_admission_shed_total")
+	if sheds[`{reason="queue_full"}`] != 1 || sheds[`{reason="timeout"}`] != queue {
+		t.Fatalf("shed counters %v, want 1 queue_full and %d timeouts", sheds, queue)
+	}
 }
 
 func TestLimiterBoundedWait(t *testing.T) {
 	l, _ := testLimiter(t, AdmissionConfig{MaxInflight: 1, ShedAfter: 30 * time.Millisecond})
-	release, err := l.Acquire(context.Background(), "a")
+	release, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := l.Acquire(context.Background(), "a"); !errors.Is(err, ErrShedTimeout) {
+	if _, err := l.Acquire(context.Background()); !errors.Is(err, ErrShedTimeout) {
 		t.Fatalf("want timeout shed, got %v", err)
 	}
 	if wait := time.Since(start); wait < 25*time.Millisecond || wait > 5*time.Second {
@@ -118,7 +133,7 @@ func TestLimiterBoundedWait(t *testing.T) {
 	release()
 
 	// A waiter that gets its slot within the bound is admitted.
-	release, err = l.Acquire(context.Background(), "a")
+	release, err = l.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +141,7 @@ func TestLimiterBoundedWait(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		release()
 	}()
-	release2, err := l.Acquire(context.Background(), "a")
+	release2, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("waiter within the bound must be admitted: %v", err)
 	}
@@ -135,7 +150,7 @@ func TestLimiterBoundedWait(t *testing.T) {
 
 func TestLimiterContextCancel(t *testing.T) {
 	l, _ := testLimiter(t, AdmissionConfig{MaxInflight: 1, ShedAfter: time.Minute})
-	release, err := l.Acquire(context.Background(), "a")
+	release, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,125 +160,115 @@ func TestLimiterContextCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := l.Acquire(ctx, "a"); !errors.Is(err, context.Canceled) {
+	if _, err := l.Acquire(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
-// TestLimiterTenantFairness floods tenant "hog" with waiters while
-// tenant "mouse" queues a few: freed slots must alternate between the
-// tenants, so mouse's small queue drains in its first few grants rather
-// than behind the hog's backlog.
-func TestLimiterTenantFairness(t *testing.T) {
-	l, _ := testLimiter(t, AdmissionConfig{MaxInflight: 1, ShedAfter: time.Minute, MaxQueue: 64})
-	release, err := l.Acquire(context.Background(), "hog")
-	if err != nil {
-		t.Fatal(err)
+// TestLimiterGrantsInArrivalOrder: with both slots held, five waiters
+// queued one at a time (a queue one slot could not hold: it bounds four)
+// are granted in the order they arrived as slots free one at a time, and a
+// canceled waiter leaves the queue without a grant.
+func TestLimiterGrantsInArrivalOrder(t *testing.T) {
+	l, reg := testLimiter(t, AdmissionConfig{MaxInflight: 2, ShedAfter: time.Minute})
+	var held []func() // releases, oldest grant first
+	for i := 0; i < 2; i++ {
+		release, err := l.Acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, release)
+	}
+	type grant struct {
+		i       int
+		release func()
+	}
+	const waiters, canceled = 5, 2
+	grants := make(chan grant, waiters)
+	errs := make(chan error, waiters)
+	var cancels []context.CancelFunc
+	for i := 0; i < waiters; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cancels = append(cancels, cancel)
+		go func() {
+			rel, err := l.Acquire(ctx)
+			if err != nil {
+				errs <- err
+				return
+			}
+			grants <- grant{i, rel}
+		}()
+		waitQueued(t, l, i+1)
+	}
+	cancels[canceled]()
+	if err := <-errs; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled waiter: %v, want context.Canceled", err)
+	}
+	if _, q := l.Stats(); q != waiters-1 {
+		t.Fatalf("%d waiting after the cancel, want %d", q, waiters-1)
 	}
 
-	const hogs, mice = 20, 3
-	var mu sync.Mutex
-	var order []string
-	var wg sync.WaitGroup
-	admitted := func(tenant string) {
-		mu.Lock()
-		order = append(order, tenant)
-		mu.Unlock()
-	}
-	enqueue := func(tenant string, n int) {
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rel, err := l.Acquire(context.Background(), tenant)
-				if err != nil {
-					t.Errorf("%s: %v", tenant, err)
-					return
-				}
-				admitted(tenant)
-				rel()
-			}()
+	var order []int
+	for len(held) > 0 {
+		held[0]()
+		held = held[1:]
+		if len(order) == waiters-1 {
+			continue // nobody waits any more
+		}
+		select {
+		case g := <-grants:
+			order = append(order, g.i)
+			held = append(held, g.release)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no grant after a release; granted %v", order)
 		}
 	}
-	enqueue("hog", hogs)
-	// Wait for the hog backlog to queue before the mice arrive, so the
-	// test observes fairness, not arrival order.
-	for i := 0; ; i++ {
-		if _, q := l.Stats(); q == hogs {
-			break
-		}
-		if i > 5000 {
-			t.Fatal("hog backlog never queued")
-		}
-		time.Sleep(time.Millisecond)
+	if want := []int{0, 1, 3, 4}; !slices.Equal(order, want) {
+		t.Fatalf("grant order %v, want %v", order, want)
 	}
-	enqueue("mouse", mice)
-	for i := 0; ; i++ {
-		if _, q := l.Stats(); q == hogs+mice {
-			break
-		}
-		if i > 5000 {
-			t.Fatal("mice never queued")
-		}
-		time.Sleep(time.Millisecond)
+	if in, q := l.Stats(); in != 0 || q != 0 {
+		t.Fatalf("after the last release: inflight %d queued %d", in, q)
 	}
-
-	release() // start draining
-	wg.Wait()
-
-	// Round-robin over two tenants admits every mouse within the first
-	// 2*mice grants (alternating), far ahead of FIFO order which would
-	// put them after all 20 hogs.
-	lastMouse := -1
-	for i, tenant := range order {
-		if tenant == "mouse" {
-			lastMouse = i
-		}
-	}
-	if lastMouse == -1 || lastMouse >= 2*mice+1 {
-		t.Fatalf("last mouse admitted at position %d of %d; round-robin should interleave (order %v)",
-			lastMouse, len(order), order)
+	if d := reg.Gauge("geobrowse_admission_queue_depth", "").Value(); d != 0 {
+		t.Fatalf("queue depth gauge = %d, want 0", d)
 	}
 }
 
 func TestLimiterShedAccounting(t *testing.T) {
-	l, reg := testLimiter(t, AdmissionConfig{MaxInflight: 1, ShedAfter: 5 * time.Millisecond, MaxQueue: 1})
-	release, err := l.Acquire(context.Background(), "a")
+	l, reg := testLimiter(t, AdmissionConfig{MaxInflight: 1, ShedAfter: 200 * time.Millisecond})
+	release, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
+	const queue = 4
 	var wg sync.WaitGroup
-	var timeouts, fulls atomic.Int64
-	for i := 0; i < 8; i++ {
+	var timeouts atomic.Int64
+	for i := 0; i < queue; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := l.Acquire(context.Background(), "a")
+			_, err := l.Acquire(context.Background())
 			switch {
 			case errors.Is(err, ErrShedTimeout):
 				timeouts.Add(1)
-			case errors.Is(err, ErrShedQueueFull):
-				fulls.Add(1)
 			case err == nil:
-				t.Error("no slot should free while the holder sleeps")
+				t.Error("no slot should free while the holder holds it")
 			}
 		}()
 	}
+	waitQueued(t, l, queue)
+	for i := 0; i < 3; i++ {
+		if _, err := l.Acquire(context.Background()); !errors.Is(err, ErrShedQueueFull) {
+			t.Fatalf("acquire past a full queue = %v, want ErrShedQueueFull", err)
+		}
+	}
 	wg.Wait()
-	release()
-	if timeouts.Load() == 0 || fulls.Load() == 0 {
-		t.Fatalf("want both shed reasons, got timeouts=%d queue_full=%d", timeouts.Load(), fulls.Load())
-	}
 	vals := reg.CounterValues("geobrowse_admission_shed_total")
-	var total int64
-	for _, v := range vals {
-		total += v
-	}
-	if total != timeouts.Load()+fulls.Load() {
-		t.Fatalf("shed counter total %d != observed %d (%v)", total, timeouts.Load()+fulls.Load(), vals)
-	}
-	if v := vals[`{reason="timeout",tenant="a"}`]; v != timeouts.Load() {
-		t.Fatalf("timeout series = %d, want %d (%v)", v, timeouts.Load(), vals)
+	want := map[string]int64{`{reason="queue_full"}`: 3, `{reason="timeout"}`: queue}
+	if timeouts.Load() != queue || !maps.Equal(vals, want) {
+		t.Fatalf("%d timeouts observed, shed counters %v, want %v", timeouts.Load(), vals, want)
 	}
 }
 
@@ -273,13 +278,13 @@ func TestLimiterShedAccounting(t *testing.T) {
 func TestAdmissionHTTP(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	limiter := NewLimiter(AdmissionConfig{
-		MaxInflight: 1, ShedAfter: 5 * time.Millisecond, MaxQueue: 1, Telemetry: reg,
+		MaxInflight: 1, ShedAfter: 5 * time.Millisecond, Telemetry: reg,
 	})
 	srv := newTestHTTPServer(t, Options{Telemetry: reg, Limiter: limiter})
 
 	// Hold the only slot via a request that blocks in the handler by
 	// acquiring out-of-band.
-	release, err := limiter.Acquire(context.Background(), "")
+	release, err := limiter.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +311,7 @@ func TestAdmissionHTTP(t *testing.T) {
 	}
 	// /api/info and /healthz stay outside admission control.
 	for _, path := range []string{"/api/info", "/healthz"} {
-		release, err := limiter.Acquire(context.Background(), "")
+		release, err := limiter.Acquire(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +331,7 @@ func TestAdmissionHTTP(t *testing.T) {
 		t.Fatal("shed counter never recorded")
 	}
 	for label := range sheds {
-		if !strings.Contains(label, `tenant=""`) {
+		if label != `{reason="timeout"}` {
 			t.Fatalf("unexpected shed label %q", label)
 		}
 	}

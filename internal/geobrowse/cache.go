@@ -62,16 +62,10 @@ type flight struct {
 // newBrowseCache returns a cache holding up to capacity responses in up to
 // capacity × cacheBytesPerEntry bytes; capacity <= 0 disables storage but
 // keeps single-flight deduplication.
-// Cache events are recorded into reg (nil means telemetry.Default());
-// tenant, when non-empty, labels the counters so a registry front's
-// per-tenant cache partitions stay distinguishable.
-func newBrowseCache(capacity int, reg *telemetry.Registry, tenant string) *browseCache {
+// Cache events are recorded into reg (nil means telemetry.Default()).
+func newBrowseCache(capacity int, reg *telemetry.Registry) *browseCache {
 	if reg == nil {
 		reg = telemetry.Default()
-	}
-	var labels []string
-	if tenant != "" {
-		labels = []string{"tenant", tenant}
 	}
 	return &browseCache{
 		capacity: capacity,
@@ -80,19 +74,19 @@ func newBrowseCache(capacity int, reg *telemetry.Registry, tenant string) *brows
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]*flight),
 		mHits: reg.Counter("geobrowse_cache_hits_total",
-			"Browse requests served from a stored response.", labels...),
+			"Browse requests served from a stored response."),
 		mMisses: reg.Counter("geobrowse_cache_misses_total",
-			"Browse requests that computed their response.", labels...),
+			"Browse requests that computed their response."),
 		mDedup: reg.Counter("geobrowse_cache_dedup_total",
-			"Browse requests that waited on an identical in-flight computation.", labels...),
+			"Browse requests that waited on an identical in-flight computation."),
 		mEvictions: reg.Counter("geobrowse_cache_evictions_total",
-			"Stored responses evicted by the entry or byte bound.", labels...),
+			"Stored responses evicted by the entry or byte bound."),
 		mBypass: reg.Counter("geobrowse_cache_bypass_total",
-			"Computed responses larger than the cache's whole byte budget, served but not stored.", labels...),
+			"Computed responses larger than the cache's whole byte budget, served but not stored."),
 		mEntries: reg.Gauge("geobrowse_cache_entries",
-			"Stored responses currently in the cache.", labels...),
+			"Stored responses currently in the cache."),
 		mBytes: reg.Gauge("geobrowse_cache_bytes",
-			"Bytes of response bodies currently stored in the cache.", labels...),
+			"Bytes of response bodies currently stored in the cache."),
 	}
 }
 

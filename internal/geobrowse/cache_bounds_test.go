@@ -117,7 +117,7 @@ func TestBrowseCacheTwoBounds(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newBrowseCache(tc.capacity, telemetry.NewRegistry(), "")
+			c := newBrowseCache(tc.capacity, telemetry.NewRegistry())
 			for i, o := range tc.ops {
 				when := fmt.Sprintf("op %d (%s)", i, o.key)
 				evBefore, byBefore := c.mEvictions.Value(), c.mBypass.Value()
@@ -168,7 +168,7 @@ func TestBrowseCacheOverBudgetSingleFlight(t *testing.T) {
 	const callers = 8
 	big := bytes.Repeat([]byte("x"), 2*cacheBytesPerEntry+1)
 	for round := 0; round < 20; round++ {
-		c := newBrowseCache(2, telemetry.NewRegistry(), "")
+		c := newBrowseCache(2, telemetry.NewRegistry())
 		if _, err := c.Do("small", func() ([]byte, error) { return []byte("s"), nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestBrowseCacheMatchesEntryLRUForSmallBodies(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, 64} {
 		r := rand.New(rand.NewSource(int64(2002 + capacity)))
 		zipf := rand.NewZipf(r, 1.2, 4, uint64(4*capacity+10))
-		c := newBrowseCache(capacity, telemetry.NewRegistry(), "")
+		c := newBrowseCache(capacity, telemetry.NewRegistry())
 		ref := &entryLRU{capacity: capacity}
 		var hits, evictions int64
 		for i := 0; i < 5000; i++ {
@@ -292,31 +292,6 @@ func TestBrowseCacheMatchesEntryLRUForSmallBodies(t *testing.T) {
 		if hits == 0 || evictions == 0 {
 			t.Fatalf("capacity %d: stream made %d hits and %d evictions; it exercises nothing", capacity, hits, evictions)
 		}
-	}
-}
-
-// TestBrowseCacheSizeMetricsAreTenantLabelled: the bytes gauge and the
-// bypass counter carry the tenant label of their siblings, so a registry
-// front's per-tenant caches stay apart in /metrics.
-func TestBrowseCacheSizeMetricsAreTenantLabelled(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	west := newBrowseCache(1, reg, "west")
-	east := newBrowseCache(1, reg, "east")
-	if _, err := west.Do("k", func() ([]byte, error) { return make([]byte, 10), nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := east.Do("k", func() ([]byte, error) { return make([]byte, cacheBytesPerEntry+1), nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Gauge("geobrowse_cache_bytes", "", "tenant", "west").Value(); got != 10 {
-		t.Errorf("west holds %d bytes, want 10", got)
-	}
-	if got := reg.Gauge("geobrowse_cache_bytes", "", "tenant", "east").Value(); got != 0 {
-		t.Errorf("east holds %d bytes, want 0", got)
-	}
-	bypass := reg.CounterValues("geobrowse_cache_bypass_total")
-	if bypass[`{tenant="west"}`] != 0 || bypass[`{tenant="east"}`] != 1 {
-		t.Errorf("bypass counters %v, want east alone at 1", bypass)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 )
 
 func TestBrowseCacheLRU(t *testing.T) {
-	c := newBrowseCache(2, telemetry.NewRegistry(), "")
+	c := newBrowseCache(2, telemetry.NewRegistry())
 	calls := 0
 	get := func(key string) []byte {
 		t.Helper()
@@ -60,7 +60,7 @@ func TestBrowseCacheLRU(t *testing.T) {
 }
 
 func TestBrowseCacheErrorNotCached(t *testing.T) {
-	c := newBrowseCache(4, telemetry.NewRegistry(), "")
+	c := newBrowseCache(4, telemetry.NewRegistry())
 	boom := errors.New("boom")
 	calls := 0
 	for i := 0; i < 3; i++ {
@@ -78,7 +78,7 @@ func TestBrowseCacheErrorNotCached(t *testing.T) {
 }
 
 func TestBrowseCacheSingleFlight(t *testing.T) {
-	c := newBrowseCache(4, telemetry.NewRegistry(), "")
+	c := newBrowseCache(4, telemetry.NewRegistry())
 	var calls atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{})

@@ -485,7 +485,7 @@ func TestEncodeFailureIs500(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	nan := math.NaN()
 	g := grid.NewUnit(4, 4)
-	h := newHTTPMetrics(reg, nil, "").wrap("/api/browse", func(w http.ResponseWriter, r *http.Request) {
+	h := (&httpMetrics{reg: reg}).wrap("/api/browse", func(w http.ResponseWriter, r *http.Request) {
 		data, err := encoded(AppendBrowseResponse(nil, g, grid.Span{I2: 3, J2: 3}, 2, 2, make([]core.Estimate, 4), &nan))
 		writeRead(w, data, err)
 	})

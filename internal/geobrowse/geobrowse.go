@@ -4,7 +4,7 @@
 // the dataset's Euler histograms — the "hundreds of trial queries with a
 // single click" interaction, without touching the actual objects.
 //
-// One constructor, New, builds the front of every single-dataset mode over
+// One constructor, New, builds the front of every serving mode over
 // a Source; its doc lists the endpoints. Query parameters are
 // x1,y1,x2,y2 for a region, plus cols,rows for a browse map and
 // relation,hot,depth for a drill-down. All coordinates must align with the
@@ -60,14 +60,9 @@ type Options struct {
 	// AccessLog, when non-nil, receives one structured JSON line per API
 	// request (endpoint, status, bytes, duration).
 	AccessLog io.Writer
-	// Tenant labels this server's request and cache metrics when serving
-	// as one tenant of a Registry, and names the tenant in admission
-	// accounting. Empty for single-dataset servers.
-	Tenant string
 	// Limiter applies admission control to the browse-path endpoints
 	// (query, browse, drill): bounded concurrency, bounded wait,
-	// 429 load-shedding. nil admits everything. A Registry shares one
-	// Limiter across its tenants so fairness spans the process.
+	// 429 load-shedding. nil admits everything.
 	Limiter *Limiter
 	// OverviewEpsilon opts browse maps into the ε-approximate reduced
 	// tier: when the estimator carries one (zoom stacks over pyramids
@@ -101,9 +96,9 @@ func (o Options) accessLogger() *telemetry.Logger {
 	return telemetry.NewLogger(o.AccessLog)
 }
 
-// Server answers browsing queries over one dataset. Every single-dataset
-// front — a fixed summary, a live store, a replica, a shard coordinator —
-// is one, built by New.
+// Server answers browsing queries over one dataset. Every front — a fixed
+// summary, a live store, a replica, a shard coordinator — is one, built by
+// New.
 type Server struct {
 	name    string
 	g       *grid.Grid // constant across generations
@@ -112,7 +107,6 @@ type Server struct {
 	metrics *httpMetrics
 	cache   *browseCache // nil for a Reader: it pins no generation
 	maps    sync.Pool    // *mapBuffers
-	tenant  string
 	limiter *Limiter
 	epsilon float64     // ε-approximate overview serving; 0 = exact only
 	healthy func() bool // nil when the source has no health of its own
@@ -149,14 +143,13 @@ func New(name string, src Source, opts Options) *Server {
 		name:    name,
 		g:       src.Grid(),
 		mux:     http.NewServeMux(),
-		metrics: newHTTPMetrics(opts.Telemetry, opts.accessLogger(), opts.Tenant),
-		tenant:  opts.Tenant,
+		metrics: &httpMetrics{reg: opts.Telemetry, access: opts.accessLogger()},
 		limiter: opts.Limiter,
 		epsilon: opts.OverviewEpsilon,
 	}
 	switch src := src.(type) {
 	case EstimatorSource:
-		s.cache = newBrowseCache(opts.CacheSize, opts.Telemetry, opts.Tenant)
+		s.cache = newBrowseCache(opts.CacheSize, opts.Telemetry)
 		s.read = func() (reading, func()) {
 			est, gen, release := src.AcquireEstimator()
 			return &pinned{s: s, est: est, gen: gen}, release
@@ -167,12 +160,8 @@ func New(name string, src Source, opts Options) *Server {
 	default:
 		panic(fmt.Sprintf("geobrowse: %T is neither an EstimatorSource nor a Reader", src))
 	}
-	var labels []string
-	if opts.Tenant != "" {
-		labels = []string{"tenant", opts.Tenant}
-	}
 	s.approx = opts.Telemetry.Counter("geobrowse_approx_maps_total",
-		"Browse maps served from the ε-approximate reduced tier.", labels...)
+		"Browse maps served from the ε-approximate reduced tier.")
 	s.Handle("GET /api/info", s.handleInfo)
 	s.Handle("GET /api/query", s.admit(s.handleQuery))
 	s.Handle("GET /api/browse", s.admit(s.handleBrowse))
@@ -208,7 +197,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 		return h
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		release, err := s.limiter.Acquire(r.Context(), s.tenant)
+		release, err := s.limiter.Acquire(r.Context())
 		if err != nil {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, err.Error(), http.StatusTooManyRequests)

@@ -1,11 +1,14 @@
 package geobrowse
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"testing"
 
+	"spatialhist/internal/core"
+	"spatialhist/internal/euler"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/live"
@@ -58,4 +61,39 @@ func TestHealthzProbesAreNotReaders(t *testing.T) {
 			t.Fatalf("8 publishes allocate %d KB under 1000 probes, %d KB without", probed>>10, quiet>>10)
 		}
 	})
+}
+
+// TestHealthzSingleServerAndDrain: /healthz names the dataset and answers
+// 200 until StartDrain, then 503 "draining", while API traffic still
+// completes.
+func TestHealthzSingleServerAndDrain(t *testing.T) {
+	est := core.NewEuler(euler.FromRects(grid.NewUnit(36, 18), []geom.Rect{geom.NewRect(2, 2, 4, 4)}))
+	gb := New("testdata", StaticSource(est), Options{Telemetry: telemetry.NewRegistry()})
+	srv := httptest.NewServer(gb)
+	defer srv.Close()
+
+	var h Health
+	getJSON(t, srv.URL+"/healthz", &h)
+	if h != (Health{Status: "ok", Dataset: "testdata"}) {
+		t.Fatalf("health = %+v", h)
+	}
+
+	gb.StartDrain()
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining healthz = %d, want 503", resp.StatusCode)
+	}
+	var hd Health
+	if err := json.NewDecoder(resp.Body).Decode(&hd); err != nil {
+		t.Fatal(err)
+	}
+	if hd.Status != "draining" {
+		t.Fatalf("draining payload = %+v", hd)
+	}
+	// API traffic still completes while draining.
+	getJSON(t, srv.URL+"/api/info", new(Info))
 }

@@ -193,7 +193,7 @@ func TestAccessLogLine(t *testing.T) {
 // the middleware and checks it lands in the encode-error counter and a 500.
 func TestEncodeErrorCounted(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m := newHTTPMetrics(reg, nil, "")
+	m := &httpMetrics{reg: reg}
 	h := m.wrap("/boom", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, make(chan int)) // unmarshalable: server bug path
 	})
@@ -217,7 +217,7 @@ func TestEncodeErrorCounted(t *testing.T) {
 // TestWriteErrorCounted simulates a client that went away mid-response.
 func TestWriteErrorCounted(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m := newHTTPMetrics(reg, nil, "")
+	m := &httpMetrics{reg: reg}
 	h := m.wrap("/gone", func(w http.ResponseWriter, r *http.Request) {
 		writeJSONBytes(w, []byte(`{}`))
 	})

@@ -16,20 +16,6 @@ import (
 type httpMetrics struct {
 	reg    *telemetry.Registry
 	access *telemetry.Logger // nil disables request logging
-	tenant string            // non-empty adds a tenant label to every family
-}
-
-func newHTTPMetrics(reg *telemetry.Registry, access *telemetry.Logger, tenant string) *httpMetrics {
-	return &httpMetrics{reg: reg, access: access, tenant: tenant}
-}
-
-// labels appends the middleware's tenant label (when serving as one
-// tenant of a registry) to an endpoint's label pairs.
-func (m *httpMetrics) labels(pairs ...string) []string {
-	if m.tenant == "" {
-		return pairs
-	}
-	return append(pairs, "tenant", m.tenant)
 }
 
 // Metric families recorded by the middleware. Names are part of the
@@ -53,11 +39,11 @@ func (m *httpMetrics) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc
 
 		code := strconv.Itoa(mw.status)
 		m.reg.Counter(metricRequests, "API requests by endpoint and status code.",
-			m.labels("endpoint", endpoint, "code", code)...).Inc()
+			"endpoint", endpoint, "code", code).Inc()
 		m.reg.Histogram(metricLatency, "API request latency in seconds.", nil,
-			m.labels("endpoint", endpoint)...).ObserveDuration(dur)
+			"endpoint", endpoint).ObserveDuration(dur)
 		m.reg.Counter(metricRespBytes, "Response body bytes written by endpoint.",
-			m.labels("endpoint", endpoint)...).Add(mw.bytes)
+			"endpoint", endpoint).Add(mw.bytes)
 		if mw.writeErr != nil {
 			m.reg.Counter(metricWriteErrors,
 				"Response writes that failed (client went away).").Inc()

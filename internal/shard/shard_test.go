@@ -910,7 +910,7 @@ func TestCoordinatorFrontHealthz(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 			t.Fatalf("healthz body %q: %v", rec.Body.String(), err)
 		}
-		want := geobrowse.Health{Status: wantStatus, Dataset: "test", Tenants: 1,
+		want := geobrowse.Health{Status: wantStatus, Dataset: "test",
 			Generation: stores[0].Generation() + stores[1].Generation()}
 		if rec.Code != wantCode || h != want {
 			t.Fatalf("healthz: %d %+v, want %d %+v", rec.Code, h, wantCode, want)
