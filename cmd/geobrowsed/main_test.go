@@ -10,6 +10,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -171,30 +172,32 @@ func TestDocsNameRegisteredFlags(t *testing.T) {
 	fence := regexp.MustCompile("(?ms)^[ \t]*```.*?^[ \t]*```")
 	lines := 0
 	for _, doc := range flagDocs {
-		data, err := os.ReadFile(filepath.Join("..", "..", doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, block := range fence.FindAllString(string(data), -1) {
-			for _, line := range strings.Split(strings.ReplaceAll(block, "\\\n", " "), "\n") {
-				for _, cmd := range shellCommands(line) {
-					args, ok := geobrowsedArgs(cmd)
-					if !ok {
-						continue
-					}
-					lines++
-					for _, a := range args {
-						name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
-						if a[0] != '-' || name == "" || !unicode.IsLetter(rune(name[0])) {
-							continue // an operand or a negative value
+		t.Run(filepath.Base(doc), func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("..", "..", doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, block := range fence.FindAllString(string(data), -1) {
+				for _, line := range strings.Split(strings.ReplaceAll(block, "\\\n", " "), "\n") {
+					for _, cmd := range shellCommands(line) {
+						args, ok := geobrowsedArgs(cmd)
+						if !ok {
+							continue
 						}
-						if fs.Lookup(name) == nil && name != "h" && name != "help" {
-							t.Errorf("%s starts geobrowsed with -%s, which it does not register: %s", doc, name, strings.TrimSpace(line))
+						lines++
+						for _, a := range args {
+							name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
+							if a[0] != '-' || name == "" || !unicode.IsLetter(rune(name[0])) {
+								continue // an operand or a negative value
+							}
+							if fs.Lookup(name) == nil && name != "h" && name != "help" {
+								t.Errorf("%s starts geobrowsed with -%s, which it does not register: %s", doc, name, strings.TrimSpace(line))
+							}
 						}
 					}
 				}
 			}
-		}
+		})
 	}
 	if lines == 0 {
 		t.Fatal("no geobrowsed command line found in the documents")
@@ -255,6 +258,37 @@ func shellCommands(line string) [][]string {
 	}
 	endCmd()
 	return cmds
+}
+
+// TestShellCommandsFindGeobrowsedArgs pins the line splitting that
+// TestDocsNameRegisteredFlags relies on: a flag hidden by a misparse would
+// make that guard pass without looking.
+func TestShellCommandsFindGeobrowsedArgs(t *testing.T) {
+	for _, tc := range []struct {
+		name, line string
+		want       [][]string // the arguments of each geobrowsed command
+	}{
+		{"binary path", "/tmp/geobrowsed -live -n 20", [][]string{{"-live", "-n", "20"}}},
+		{"go run", "go run ./cmd/geobrowsed -dataset adl", [][]string{{"-dataset", "adl"}}},
+		{"after cd and &&", "cd /tmp && ./geobrowsed -wal store.wal &", [][]string{{"-wal", "store.wal"}}},
+		{"two commands", "geobrowsed -a; geobrowsed -b | head", [][]string{{"-a"}, {"-b"}}},
+		{"quoted text dropped", `geobrowsed -coordinator "http://a:1;http://b:2" -n 5`, [][]string{{"-coordinator", "-n", "5"}}},
+		{"comment ends the line", "geobrowsed -n 5 # not -tenants", [][]string{{"-n", "5"}}},
+		{"hash inside a word kept", "geobrowsed -file a#b", [][]string{{"-file", "a#b"}}},
+		{"other commands ignored", "curl -s localhost:18080/metrics | grep -c geobrowsed", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got [][]string
+			for _, cmd := range shellCommands(tc.line) {
+				if args, ok := geobrowsedArgs(cmd); ok {
+					got = append(got, args)
+				}
+			}
+			if !slices.EqualFunc(got, tc.want, slices.Equal) {
+				t.Fatalf("%q: geobrowsed arguments %q, want %q", tc.line, got, tc.want)
+			}
+		})
+	}
 }
 
 // heldWriter is a ResponseWriter whose first Write blocks until release is

@@ -336,3 +336,85 @@ func TestAdmissionHTTP(t *testing.T) {
 		}
 	}
 }
+
+// TestLimiterReleaseIsIdempotent: a release callback frees its one slot
+// however often it is called, so a double release cannot admit a request
+// past MaxInflight.
+func TestLimiterReleaseIsIdempotent(t *testing.T) {
+	l, _ := testLimiter(t, AdmissionConfig{MaxInflight: 2, ShedAfter: 10 * time.Millisecond})
+	first, err := l.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := l.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first()
+	first()
+	if in, _ := l.Stats(); in != 1 {
+		t.Fatalf("inflight after releasing one slot twice = %d, want 1", in)
+	}
+	third, err := l.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Acquire(context.Background()); !errors.Is(err, ErrShedTimeout) {
+		t.Fatalf("acquire past two held slots = %v, want ErrShedTimeout", err)
+	}
+	second()
+	third()
+	third()
+	if in, q := l.Stats(); in != 0 || q != 0 {
+		t.Fatalf("after every release: inflight %d queued %d", in, q)
+	}
+}
+
+// TestLimiterGaugesAndWaitHistogram: the capacity and inflight gauges
+// report the limiter's slots, and the wait histogram observes each waiter
+// that was granted a slot but no shed one and no fast-path admission.
+func TestLimiterGaugesAndWaitHistogram(t *testing.T) {
+	l, reg := testLimiter(t, AdmissionConfig{MaxInflight: 2, ShedAfter: 200 * time.Millisecond})
+	gauge := func(name string) int64 { return reg.Gauge(name, "").Value() }
+	waits := func() uint64 { return reg.Histogram("geobrowse_admission_wait_seconds", "", nil).Snapshot().Count }
+	if c := gauge("geobrowse_admission_capacity"); c != 2 {
+		t.Fatalf("capacity gauge = %d, want 2", c)
+	}
+	a, err := l.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := l.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := gauge("geobrowse_admission_inflight"); in != 2 || waits() != 0 {
+		t.Fatalf("two fast-path admissions: inflight gauge %d, %d waits observed", in, waits())
+	}
+	if _, err := l.Acquire(context.Background()); !errors.Is(err, ErrShedTimeout) {
+		t.Fatalf("acquire past two held slots = %v, want ErrShedTimeout", err)
+	}
+	if n := waits(); n != 0 {
+		t.Fatalf("a shed waiter was observed: %d waits", n)
+	}
+	granted := make(chan func())
+	go func() {
+		rel, err := l.Acquire(context.Background())
+		if err != nil {
+			t.Error(err)
+			rel = func() {}
+		}
+		granted <- rel
+	}()
+	waitQueued(t, l, 1)
+	a()
+	c := <-granted
+	if in, n := gauge("geobrowse_admission_inflight"), waits(); in != 2 || n != 1 {
+		t.Fatalf("after a granted wait: inflight gauge %d, %d waits observed, want 2 and 1", in, n)
+	}
+	b()
+	c()
+	if in, q := gauge("geobrowse_admission_inflight"), gauge("geobrowse_admission_queue_depth"); in != 0 || q != 0 {
+		t.Fatalf("after every release: inflight gauge %d, queue depth gauge %d", in, q)
+	}
+}

@@ -325,3 +325,25 @@ func TestBrowseOverBudgetMapBypassesTheCache(t *testing.T) {
 		t.Errorf("roomy server: %d hits / %d misses / %d bytes stored, want 1 / 1 / %d", hits, misses, roomy.CacheBytes(), len(want))
 	}
 }
+
+// TestBrowseCacheDisabledStoresNothing: a capacity-0 cache (-cache -1)
+// computes every request, stores no body however small, and neither
+// evicts nor counts a bypass, so its size gauges stay at zero.
+func TestBrowseCacheDisabledStoresNothing(t *testing.T) {
+	c := newBrowseCache(0, telemetry.NewRegistry())
+	calls := 0
+	for i := 0; i < 3; i++ {
+		v, err := c.Do("k", func() ([]byte, error) { calls++; return []byte("body"), nil })
+		if err != nil || string(v) != "body" {
+			t.Fatalf("request %d: %q, %v", i, v, err)
+		}
+		checkCacheAccounting(t, c, fmt.Sprintf("after request %d", i))
+	}
+	hits, misses := c.Stats()
+	if calls != 3 || hits != 0 || misses != 3 || c.Len() != 0 {
+		t.Fatalf("%d computations, %d hits / %d misses, %d stored; want 3, 0 / 3, 0", calls, hits, misses, c.Len())
+	}
+	if c.mEvictions.Value() != 0 || c.mBypass.Value() != 0 {
+		t.Fatalf("%d evictions and %d bypasses counted by a disabled cache", c.mEvictions.Value(), c.mBypass.Value())
+	}
+}
