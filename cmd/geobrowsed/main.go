@@ -8,24 +8,17 @@
 //	geobrowsed -file ca_road.bin -algo seuler
 //	geobrowsed -live -wal store.wal -rebuild-every 1024
 //	geobrowsed -live -shards 4 -wal store.wal -checkpoint store.ckpt
-//	geobrowsed -replica-of http://leader:8080 -checkpoint replica.ckpt
-//	geobrowsed -coordinator "http://s0:8080,http://s0r:8081;http://s1:8082"
 //
 // With -live the service fronts a mutable ingestion store instead of a
 // fixed summary: POST /api/ingest and /api/delete mutate it, every
 // mutation is journaled to the -wal file (replayed on restart), and
 // browse traffic reads generational snapshots published by the rebuild
 // policy. SIGINT/SIGTERM shut down gracefully, syncing the journal and
-// writing the -checkpoint file if one is configured. A live node also
-// serves the shard/replication API (/api/shard/*, /api/replica/*) so it
-// can act as a scatter-gather backend or a replication leader.
+// writing the -checkpoint file if one is configured.
 //
 // -shards N splits the live store across N column-band shards behind an
 // in-process coordinator that sums them into one plane (per-shard WAL and
-// checkpoint files get a .0, .1, ... suffix). -replica-of runs a
-// WAL-shipped read replica of a remote leader, and -coordinator
-// scatter-gathers over remote shard nodes: ';'-separated shards, each a
-// ','-separated backend list with the leader first.
+// checkpoint files get a .0, .1, ... suffix).
 package main
 
 import (
@@ -73,14 +66,11 @@ type config struct {
 	maxInflight int
 	shedAfter   time.Duration
 
-	live                        bool
-	wal, checkpoint             string
-	rebuildEvery, syncEvery     int
-	rebuildInterval             time.Duration
-	shards                      int
-	replicaOf, coordinator      string
-	maxLag                      int64
-	probeInterval, pollInterval time.Duration
+	live                    bool
+	wal, checkpoint         string
+	rebuildEvery, syncEvery int
+	rebuildInterval         time.Duration
+	shards                  int
 }
 
 // register binds every flag to its field of c.
@@ -115,11 +105,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.syncEvery, "sync-every", 0, "live mode: fsync the WAL every N mutations (0 = on flush/checkpoint/shutdown only)")
 
 	fs.IntVar(&c.shards, "shards", 0, "live mode: split the store across N column-band shards behind an in-process scatter-gather coordinator")
-	fs.StringVar(&c.replicaOf, "replica-of", "", "serve a WAL-shipped read replica of the live leader at this base URL (requires -checkpoint)")
-	fs.StringVar(&c.coordinator, "coordinator", "", `scatter-gather over remote shard nodes: ';'-separated shards, each a ','-separated list of backend URLs with the leader first`)
-	fs.Int64Var(&c.maxLag, "max-lag-bytes", 1<<20, "coordinator: WAL bytes a follower may lag before its reads route back to the leader (0 = fully caught-up only)")
-	fs.DurationVar(&c.probeInterval, "probe-interval", 250*time.Millisecond, "coordinator: backend liveness/lag probe interval")
-	fs.DurationVar(&c.pollInterval, "poll-interval", 50*time.Millisecond, "replica mode: WAL tail poll interval when caught up")
 }
 
 func main() {
@@ -143,15 +128,14 @@ type node struct {
 	// store is the single live store whose rebuilds the self-report
 	// reports (nil otherwise).
 	store *live.Store
-	// close releases what the mode holds — stores, followers, coordinators
-	// — after the listener has drained.
+	// close releases what the mode holds — stores and coordinators — after
+	// the listener has drained.
 	close func() error
 }
 
-// assemble composes the serving mode cfg selects: a coordinator over remote
-// shards, a read replica, a saved summary, a live store (one, or -shards of
-// them behind an in-process coordinator) or a summary built from the
-// dataset.
+// assemble composes the serving mode cfg selects: a saved summary, a live
+// store (one, or -shards of them behind an in-process coordinator) or a
+// summary built from the dataset.
 func assemble(cfg config) (node, error) {
 	for _, c := range []struct {
 		flag string
@@ -182,12 +166,6 @@ func assemble(cfg config) (node, error) {
 		return node{}, errors.New("-live builds its own store; it cannot serve a -load summary")
 	case cfg.shards != 0 && !cfg.live:
 		return node{}, errors.New("-shards partitions a live store; it requires -live")
-	case (cfg.replicaOf != "" || cfg.coordinator != "") && (cfg.live || cfg.load != ""):
-		return node{}, errors.New("-replica-of and -coordinator are serving topologies of their own; they do not compose with -live or -load")
-	case cfg.coordinator != "":
-		return assembleCoordinator(cfg, opts)
-	case cfg.replicaOf != "":
-		return assembleReplica(cfg, opts)
 	case cfg.load != "":
 		sum, err := spatialhist.LoadFile(cfg.load)
 		if err != nil {
@@ -234,10 +212,10 @@ func assemble(cfg config) (node, error) {
 }
 
 // droppedFlag names a flag the selected mode would accept and then ignore,
-// and why, so assemble refuses it before any store is opened or backend
-// probed; "" when every flag given takes effect.
+// and why, so assemble refuses it before any store is opened; "" when
+// every flag given takes effect.
 func (c *config) droppedFlag() (flag, why string) {
-	if c.coordinator != "" || c.live && c.shards > 1 {
+	if c.live && c.shards > 1 {
 		const uncached = "the coordinator pins no generation, so nothing can key a cache entry or certify ε"
 		switch {
 		case c.cache != 0:
@@ -246,8 +224,22 @@ func (c *config) droppedFlag() (flag, why string) {
 			return "-overview-epsilon", uncached
 		}
 	}
-	switch {
-	case c.live && c.save != "":
+	if !c.live {
+		const fixed = "it configures the live store, and without -live the summary is fixed"
+		switch {
+		case c.wal != "":
+			return "-wal", fixed
+		case c.checkpoint != "":
+			return "-checkpoint", fixed
+		case c.syncEvery != 0:
+			return "-sync-every", fixed
+		case c.rebuildInterval != 0:
+			return "-rebuild-interval", fixed
+		case c.rebuildEvery != live.DefaultRebuildEvery:
+			return "-rebuild-every", fixed
+		}
+	}
+	if c.live && c.save != "" {
 		return "-save", "-live serves a store, not a built summary to save"
 	}
 	return "", ""
@@ -262,62 +254,8 @@ func staticNode(cfg config, name string, est core.Estimator, opts geobrowse.Opti
 	return node{gb: geobrowse.New(name, geobrowse.StaticSource(est), opts)}, nil
 }
 
-// assembleCoordinator scatter-gathers over the remote shard nodes of
-// -coordinator.
-func assembleCoordinator(cfg config, opts geobrowse.Options) (node, error) {
-	groups, err := parseShardSpec(cfg.coordinator)
-	if err != nil {
-		return node{}, err
-	}
-	c, err := shard.NewCoordinator(shard.Config{
-		Shards:        groups,
-		MaxLagBytes:   cfg.maxLag,
-		ProbeInterval: cfg.probeInterval,
-		Telemetry:     telemetry.Default(),
-	})
-	if err != nil {
-		return node{}, err
-	}
-	log.Printf("coordinator over %d shards (max follower lag %d bytes, probe every %v)",
-		c.Shards(), cfg.maxLag, cfg.probeInterval)
-	return node{gb: shard.Front(c, opts), close: c.Close}, nil
-}
-
-// assembleReplica tails the live leader at -replica-of into a store of its
-// own and serves it, with the shard-node API a coordinator reads it by.
-// The follower is the source: it refuses writes itself.
-func assembleReplica(cfg config, opts geobrowse.Options) (node, error) {
-	if cfg.checkpoint == "" {
-		return node{}, errors.New("-replica-of needs -checkpoint for the replica's own durable state")
-	}
-	leader := &shard.HTTPHandle{Base: strings.TrimSuffix(cfg.replicaOf, "/")}
-	info, err := leader.Info()
-	if err != nil {
-		return node{}, fmt.Errorf("probing leader %s: %w", cfg.replicaOf, err)
-	}
-	f, err := shard.StartFollower(shard.FollowerConfig{
-		Source:          leader,
-		CheckpointPath:  cfg.checkpoint,
-		PollInterval:    cfg.pollInterval,
-		RebuildEvery:    cfg.rebuildEvery,
-		RebuildInterval: cfg.rebuildInterval,
-		PyramidLevels:   cfg.pyramidLevels,
-		Telemetry:       telemetry.Default(),
-	})
-	if err != nil {
-		return node{}, fmt.Errorf("starting replica: %w", err)
-	}
-	log.Printf("replica of %s (%s) tailing from seq %d, polling every %v",
-		cfg.replicaOf, info.Dataset, f.Seq(), cfg.pollInterval)
-	gb := geobrowse.New(info.Dataset, f, opts)
-	shard.ServeNode(gb, f.Store(), telemetry.Default())
-	return node{gb: gb, close: f.Close}, nil
-}
-
 // assembleLive opens the mutable store over the dataset's objects — split
-// across -shards column bands when asked — with the shard/replication API
-// mounted beside the browse API, so the node can serve as a scatter-gather
-// backend or a replication leader.
+// across -shards column bands when asked.
 func assembleLive(cfg config, opts geobrowse.Options, g *grid.Grid, d *dataset.Dataset) (node, error) {
 	spec, err := parseSpec(cfg.algo, cfg.areas)
 	if err != nil {
@@ -346,9 +284,7 @@ func assembleLive(cfg config, opts geobrowse.Options, g *grid.Grid, d *dataset.D
 	st := store.Status()
 	log.Printf("live store open in %v: %s, %d objects, generation %d, %d replayed mutations (wal %q, %d bytes)",
 		time.Since(start).Round(time.Millisecond), st.Algorithm, st.LiveObjects, st.Generation, st.Mutations, cfg.wal, st.WALBytes)
-	gb := geobrowse.New(d.Name, store, opts)
-	shard.ServeNode(gb, store, telemetry.Default())
-	return node{gb: gb, store: store, close: func() error { return closeStore("live store", store) }}, nil
+	return node{gb: geobrowse.New(d.Name, store, opts), store: store, close: func() error { return closeStore("live store", store) }}, nil
 }
 
 // closeStore closes a live store — syncing its journal and writing its
@@ -438,13 +374,7 @@ func assembleSharded(cfg config, opts geobrowse.Options, base live.Config, d *da
 			Store: s, Label: fmt.Sprintf("%s/shard%d", d.Name, i),
 		}}
 	}
-	c, err := shard.NewCoordinator(shard.Config{
-		Name:          d.Name,
-		Shards:        groups,
-		MaxLagBytes:   cfg.maxLag,
-		ProbeInterval: cfg.probeInterval,
-		Telemetry:     telemetry.Default(),
-	})
+	c, err := shard.NewCoordinator(shard.Config{Name: d.Name, Shards: groups, Telemetry: telemetry.Default()})
 	if err != nil {
 		closeStores()
 		return node{}, err
@@ -465,37 +395,6 @@ func assembleSharded(cfg config, opts geobrowse.Options, base live.Config, d *da
 		}
 		return err
 	}}, nil
-}
-
-// parseShardSpec expands a -coordinator spec into backend groups:
-// ';' separates shards (in band order), ',' separates a shard's backend
-// URLs, and the first URL of each group is the writer/leader.
-func parseShardSpec(spec string) ([]shard.Backends, error) {
-	var groups []shard.Backends
-	for _, group := range strings.Split(spec, ";") {
-		group = strings.TrimSpace(group)
-		if group == "" {
-			continue
-		}
-		var b shard.Backends
-		for j, u := range strings.Split(group, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				return nil, fmt.Errorf("coordinator spec %q: empty backend URL", spec)
-			}
-			h := &shard.HTTPHandle{Base: strings.TrimSuffix(u, "/")}
-			if j == 0 {
-				b.Leader = h
-			} else {
-				b.Followers = append(b.Followers, h)
-			}
-		}
-		groups = append(groups, b)
-	}
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("coordinator spec %q declares no shards", spec)
-	}
-	return groups, nil
 }
 
 // run serves the node's server (which exposes Prometheus metrics at

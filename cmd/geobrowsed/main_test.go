@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
 	"log"
@@ -16,7 +17,9 @@ import (
 	"unicode"
 
 	"spatialhist/internal/dataset"
+	"spatialhist/internal/geobrowse"
 	"spatialhist/internal/grid"
+	"spatialhist/internal/shard"
 )
 
 func TestParseAreas(t *testing.T) {
@@ -58,35 +61,12 @@ func TestBuildEstimator(t *testing.T) {
 	}
 }
 
-func TestParseShardSpec(t *testing.T) {
-	groups, err := parseShardSpec(" http://a:1 , http://b:2/ ; http://c:3 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 {
-		t.Fatalf("parsed %d shards, want 2", len(groups))
-	}
-	if got := groups[0].Leader.Name(); got != "http://a:1" {
-		t.Errorf("shard 0 leader = %q", got)
-	}
-	if len(groups[0].Followers) != 1 || groups[0].Followers[0].Name() != "http://b:2" {
-		t.Errorf("shard 0 followers = %v", groups[0].Followers)
-	}
-	if len(groups[1].Followers) != 0 || groups[1].Leader.Name() != "http://c:3" {
-		t.Errorf("shard 1 = %+v", groups[1])
-	}
-	for _, bad := range []string{"", " ; ", "http://a:1,,http://b:2"} {
-		if _, err := parseShardSpec(bad); err == nil {
-			t.Errorf("spec %q must error", bad)
-		}
-	}
-}
-
 // TestAssembleRefusesBadCommandLines: every flag combination main used to
 // die on inside a mode, every flag a mode would silently drop and every
 // negative count is an error assemble returns before serving anything. A
 // dropped flag's or a negative count's error must name the flag, so a case
-// cannot pass for another reason (an unreachable -coordinator, say).
+// cannot pass for another reason (a dataset the flags never let it build,
+// say).
 func TestAssembleRefusesBadCommandLines(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)
@@ -97,10 +77,6 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 	}{
 		{[]string{"-live", "-load", "summary.bin"}, ""},
 		{[]string{"-shards", "2"}, ""},
-		{[]string{"-replica-of", "http://localhost:1", "-live"}, ""},
-		{[]string{"-coordinator", "http://localhost:1", "-load", "summary.bin"}, ""},
-		{[]string{"-coordinator", " ; "}, ""},
-		{[]string{"-replica-of", "http://localhost:1"}, ""}, // no -checkpoint
 		{[]string{"-load", filepath.Join(t.TempDir(), "missing.bin")}, ""},
 		{[]string{"-file", filepath.Join(t.TempDir(), "missing.bin")}, ""},
 		{[]string{"-dataset", "uni"}, ""},
@@ -114,18 +90,15 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 		{[]string{"-max-inflight", "-5"}, "-max-inflight must not be negative"},
 		{[]string{"-live", "-shards", "2", "-cache", "8"}, "-cache would be ignored"},
 		{[]string{"-live", "-shards", "2", "-overview-epsilon", "0.05"}, "-overview-epsilon would be ignored"},
-		{[]string{"-coordinator", "http://localhost:1", "-cache", "8"}, "-cache would be ignored"},
-		{[]string{"-coordinator", "http://localhost:1", "-overview-epsilon", "0.05"}, "-overview-epsilon would be ignored"},
 		{[]string{"-live", "-save", save}, "-save would be ignored"},
 		{[]string{"-live", "-shards", "2", "-save", save}, "-save would be ignored"},
+		{[]string{"-wal", filepath.Join(t.TempDir(), "store.wal")}, "-wal would be ignored"},
+		{[]string{"-checkpoint", filepath.Join(t.TempDir(), "store.ckpt")}, "-checkpoint would be ignored"},
+		{[]string{"-sync-every", "1"}, "-sync-every would be ignored"},
+		{[]string{"-rebuild-interval", "1s"}, "-rebuild-interval would be ignored"},
+		{[]string{"-load", "summary.bin", "-rebuild-every", "50"}, "-rebuild-every would be ignored"},
 	} {
-		fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
-		var cfg config
-		cfg.register(fs)
-		if err := fs.Parse(append([]string{"-n", "50"}, tc.args...)); err != nil {
-			t.Fatal(err)
-		}
-		nd, err := assemble(cfg)
+		nd, err := assemble(parseConfig(t, append([]string{"-n", "50"}, tc.args...)...))
 		switch {
 		case err == nil:
 			t.Errorf("%v: assembled a node", tc.args)
@@ -141,11 +114,60 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 	}
 }
 
+// TestLiveFlagsTakeEffect: the flags refused without -live are the live
+// store's, and with -live they take effect — the journal and the
+// checkpoint are written, and a node reopened on them answers with the
+// objects the first one acknowledged.
+func TestLiveFlagsTakeEffect(t *testing.T) {
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	dir := t.TempDir()
+	wal, ckpt := filepath.Join(dir, "store.wal"), filepath.Join(dir, "store.ckpt")
+	cfg := parseConfig(t, "-report", "0", "-live", "-n", "200", "-wal", wal, "-checkpoint", ckpt,
+		"-sync-every", "1", "-rebuild-every", "5", "-rebuild-interval", "1h")
+	open := func() node {
+		nd, err := assemble(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nd
+	}
+	objects := func(nd node) int64 {
+		var info geobrowse.Info
+		if err := json.Unmarshal(serve(nd, "GET", "/api/info", "").Body.Bytes(), &info); err != nil {
+			t.Fatal(err)
+		}
+		return info.Objects
+	}
+
+	nd := open()
+	if rec := serve(nd, "POST", "/api/ingest?flush=1", `{"rects":[[10,10,20,20]]}`); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+	}
+	want := objects(nd)
+	if err := nd.close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{wal, ckpt} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Fatalf("%s after close: %v", f, err)
+		}
+	}
+	nd = open()
+	defer nd.close()
+	if got := objects(nd); got != want || want != 201 {
+		t.Fatalf("reopened node answers %d objects, the first acknowledged %d (want 201)", got, want)
+	}
+}
+
 // TestRetiredFlagsAreErrors: flags whose settings the code now makes from
-// the data are gone, and passing one fails the command line instead of
-// being ignored.
+// the data, and those of the deleted remote topology (a coordinator over
+// shard nodes, a replica of a remote leader), are gone, and passing one
+// fails the command line instead of being ignored.
 func TestRetiredFlagsAreErrors(t *testing.T) {
-	for _, args := range [][]string{{"-rebuild-crossover", "-1"}, {"-pack-cold", "3"}, {"-pyramid-min-grid", "8"}, {"-workers", "2"}} {
+	for _, args := range [][]string{{"-rebuild-crossover", "-1"}, {"-pack-cold", "3"}, {"-pyramid-min-grid", "8"}, {"-workers", "2"},
+		{"-coordinator", "http://localhost:1"}, {"-replica-of", "http://localhost:1"}, {"-max-lag-bytes", "0"},
+		{"-probe-interval", "10ms"}, {"-poll-interval", "5ms"}} {
 		t.Run(args[0], func(t *testing.T) {
 			fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
@@ -272,7 +294,7 @@ func TestShellCommandsFindGeobrowsedArgs(t *testing.T) {
 		{"go run", "go run ./cmd/geobrowsed -dataset adl", [][]string{{"-dataset", "adl"}}},
 		{"after cd and &&", "cd /tmp && ./geobrowsed -wal store.wal &", [][]string{{"-wal", "store.wal"}}},
 		{"two commands", "geobrowsed -a; geobrowsed -b | head", [][]string{{"-a"}, {"-b"}}},
-		{"quoted text dropped", `geobrowsed -coordinator "http://a:1;http://b:2" -n 5`, [][]string{{"-coordinator", "-n", "5"}}},
+		{"quoted text dropped", `geobrowsed -areas "1;9 | 100" -n 5`, [][]string{{"-areas", "-n", "5"}}},
 		{"comment ends the line", "geobrowsed -n 5 # not -tenants", [][]string{{"-n", "5"}}},
 		{"hash inside a word kept", "geobrowsed -file a#b", [][]string{{"-file", "a#b"}}},
 		{"other commands ignored", "curl -s localhost:18080/metrics | grep -c geobrowsed", nil},
@@ -317,19 +339,9 @@ func (w *heldWriter) Write(p []byte) (int, error) {
 // slot is held.
 func TestCoordinatorFrontHonoursServingFlags(t *testing.T) {
 	log.SetOutput(io.Discard)
-	defer log.SetOutput(os.Stderr)
-	fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
-	var cfg config
-	cfg.register(fs)
-	if err := fs.Parse([]string{"-live", "-shards", "2", "-dataset", "adl", "-n", "2000",
-		"-max-inflight", "1", "-shed-after", "10ms", "-report", "0"}); err != nil {
-		t.Fatal(err)
-	}
-	nd, err := assemble(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.close()
+	t.Cleanup(func() { log.SetOutput(os.Stderr) }) // after the node closes
+	nd := assembleArgs(t, "-live", "-shards", "2", "-dataset", "adl", "-n", "2000",
+		"-max-inflight", "1", "-shed-after", "10ms")
 	const browse = "/api/browse?x1=0&y1=0&x2=360&y2=180&cols=12&rows=9"
 
 	hold := &heldWriter{h: http.Header{}, held: make(chan struct{}), release: make(chan struct{})}
@@ -353,4 +365,116 @@ func TestCoordinatorFrontHonoursServingFlags(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Errorf("browse once the slot is free: %d %s", rec.Code, rec.Body.String())
 	}
+}
+
+// shardedReads are the reads TestShardedAnswersAsSingle holds a sharded
+// node to: the 12×9 grid CI compares, level-aligned, banded and unaligned
+// maps, point queries and drill-downs, all of which cross the two shards'
+// column bands.
+var shardedReads = []struct{ name, target string }{
+	{"browse-12x9", "/api/browse?x1=0&y1=0&x2=360&y2=180&cols=12&rows=9"},
+	{"browse-36x18", "/api/browse?x1=0&y1=0&x2=360&y2=180&cols=36&rows=18"},
+	{"browse-90x90", "/api/browse?x1=0&y1=0&x2=360&y2=180&cols=90&rows=90"},
+	{"browse-unaligned", "/api/browse?x1=1&y1=1&x2=91&y2=46&cols=9&rows=5"},
+	{"query-world", "/api/query?x1=0&y1=0&x2=360&y2=180"},
+	{"query-block", "/api/query?x1=128&y1=64&x2=192&y2=128"},
+	{"drill-overlap", "/api/drill?x1=0&y1=0&x2=360&y2=180&depth=2&hot=4&relation=overlap"},
+	{"drill-contained", "/api/drill?x1=90&y1=45&x2=270&y2=135&depth=3&hot=50&relation=contained"},
+}
+
+// shardedIngest is the one fixed batch CI posts to both nodes: rects in
+// both column bands.
+const shardedIngest = `{"rects":[[10,10,20,20],[40,60,55,70],[100,20,130,45],[170,150,179,170],` +
+	`[185,10,200,30],[220,90,240,100],[300,40,330,80],[350,160,359,179]]}`
+
+// parseConfig parses a geobrowsed command line, as main does.
+func parseConfig(t *testing.T, args ...string) config {
+	t.Helper()
+	fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
+	var cfg config
+	cfg.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// assembleArgs assembles geobrowsed from a command line, as main would,
+// and closes the node when the test ends.
+func assembleArgs(t *testing.T, args ...string) node {
+	t.Helper()
+	nd, err := assemble(parseConfig(t, append([]string{"-report", "0"}, args...)...))
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	t.Cleanup(func() {
+		if err := nd.close(); err != nil {
+			t.Errorf("%v: closing: %v", args, err)
+		}
+	})
+	return nd
+}
+
+// serve answers one request through the node's front, in process.
+func serve(nd node, method, target, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	nd.gb.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	return rec
+}
+
+// TestShardedAnswersAsSingle is CI's sharded-vs-single spot check in
+// process: a -live -shards 2 node and a -live node assembled from command
+// lines over the same dataset answer every read with the same bytes,
+// before and after the same batch is ingested into both. Raw sums merge by
+// addition, so the shards together answer bit for bit as one store holding
+// everything.
+func TestShardedAnswersAsSingle(t *testing.T) {
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) }) // after the nodes close
+	data := []string{"-live", "-dataset", "adl", "-n", "20000", "-algo", "meuler"}
+	sharded := assembleArgs(t, append(data, "-shards", "2")...)
+	single := assembleArgs(t, data...)
+
+	t.Run("shards", func(t *testing.T) {
+		rec := serve(sharded, "GET", "/api/shards", "")
+		var top shard.TopologyResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &top); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("/api/shards: %d %s (%v)", rec.Code, rec.Body, err)
+		}
+		if len(top.Shards) != 2 {
+			t.Fatalf("%d shards, want 2: %s", len(top.Shards), rec.Body)
+		}
+		for si, s := range top.Shards {
+			if len(s.Backends) != 1 || !s.Backends[0].Alive {
+				t.Errorf("shard %d: backends %+v, want one alive", si, s.Backends)
+			}
+		}
+	})
+	sameReads := func(t *testing.T) {
+		for _, r := range shardedReads {
+			t.Run(r.name, func(t *testing.T) {
+				got, want := serve(sharded, "GET", r.target, ""), serve(single, "GET", r.target, "")
+				if got.Code != http.StatusOK || want.Code != http.StatusOK {
+					t.Fatalf("status %d, single %d (%s vs %s)", got.Code, want.Code, got.Body, want.Body)
+				}
+				if got.Body.String() != want.Body.String() {
+					t.Fatalf("bodies differ:\n sharded %s\n single  %s", got.Body, want.Body)
+				}
+			})
+		}
+	}
+	t.Run("before-ingest", sameReads)
+	t.Run("ingest", func(t *testing.T) {
+		for name, nd := range map[string]node{"sharded": sharded, "single": single} {
+			rec := serve(nd, "POST", "/api/ingest?flush=1", shardedIngest)
+			var res geobrowse.MutationResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); rec.Code != http.StatusOK || err != nil {
+				t.Fatalf("%s ingest: %d %s (%v)", name, rec.Code, rec.Body, err)
+			}
+			if res.Applied != 8 {
+				t.Fatalf("%s applied %d of 8: %s", name, res.Applied, rec.Body)
+			}
+		}
+	})
+	t.Run("after-ingest", sameReads)
 }

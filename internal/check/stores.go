@@ -186,12 +186,12 @@ func newFleet(sc *scenario, o storeOpts) (*fleet, error) {
 // still sees the leader's applied sequence.
 type deadLeader struct{ shard.Handle }
 
-func (deadLeader) EstimateGrid(grid.Span, int, int) ([]core.Estimate, error) {
-	return nil, fmt.Errorf("leader read path down")
+func (deadLeader) AddGrid([]core.Estimate, grid.Span, int, int) error {
+	return fmt.Errorf("leader read path down")
 }
 
-func (deadLeader) EstimateSpans([]grid.Span) ([]core.Estimate, error) {
-	return nil, fmt.Errorf("leader read path down")
+func (deadLeader) AddSpans([]core.Estimate, []grid.Span) error {
+	return fmt.Errorf("leader read path down")
 }
 
 // start puts a coordinator and its reader over the shards, and followers

@@ -97,8 +97,7 @@ func (o Options) accessLogger() *telemetry.Logger {
 }
 
 // Server answers browsing queries over one dataset. Every front — a fixed
-// summary, a live store, a replica, a shard coordinator — is one, built by
-// New.
+// summary, a live store, a shard coordinator — is one, built by New.
 type Server struct {
 	name    string
 	g       *grid.Grid // constant across generations

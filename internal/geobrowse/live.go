@@ -42,11 +42,11 @@ const (
 	maxMutationBody  = 8 << 20
 )
 
-// DecodeBody decodes a request body that must be exactly one JSON value of
+// decodeBody decodes a request body that must be exactly one JSON value of
 // at most limit bytes into v: trailing bytes mean a truncated or
 // concatenated request, and acting on its prefix would silently drop the
 // rest.
-func DecodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding body: %w", err)
@@ -59,20 +59,16 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) erro
 
 // Mutator applies one batch of inserts (live.OpInsert) or deletes
 // (live.OpDelete), publishing at the end when flush is set, with
-// live.Store.Apply's contract. A live store, a shard backend, a shard
-// coordinator and a replica (which refuses with ErrReadOnly) all are one;
-// a Server over one mounts POST /api/ingest and /api/delete.
+// live.Store.Apply's contract. A live store, a shard backend and a shard
+// coordinator all are one; a Server over one mounts POST /api/ingest and
+// /api/delete.
 type Mutator interface {
 	Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error)
 }
 
-// ErrReadOnly is what a Mutator that takes no writes of its own returns —
-// a read replica, whose writes belong to its leader. It is answered 403.
-var ErrReadOnly = errors.New("read-only replica: send writes to the leader")
-
 // mutationHandler serves the op endpoint against m — POST /api/ingest
-// with live.OpInsert, /api/delete with live.OpDelete. A refused write is a
-// 403, any other failure to apply a 503.
+// with live.OpInsert, /api/delete with live.OpDelete. A failure to apply
+// is a 503.
 func mutationHandler(m Mutator, op byte) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rects, flush, err := parseMutationRequest(w, r)
@@ -82,11 +78,7 @@ func mutationHandler(m Mutator, op byte) http.HandlerFunc {
 		}
 		applied, rejected, gen, err := m.Apply(op, rects, flush)
 		if err != nil {
-			code := http.StatusServiceUnavailable
-			if errors.Is(err, ErrReadOnly) {
-				code = http.StatusForbidden
-			}
-			http.Error(w, err.Error(), code)
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 		WriteJSON(w, MutationResponse{Applied: applied, Rejected: rejected, Generation: gen})
@@ -97,7 +89,7 @@ func mutationHandler(m Mutator, op byte) http.HandlerFunc {
 // to maxMutationRects MBRs — and its flush parameter.
 func parseMutationRequest(w http.ResponseWriter, r *http.Request) (rects []geom.Rect, flush bool, err error) {
 	var req MutationRequest
-	if err := DecodeBody(w, r, &req, maxMutationBody); err != nil {
+	if err := decodeBody(w, r, &req, maxMutationBody); err != nil {
 		return nil, false, err
 	}
 	if len(req.Rects) == 0 {

@@ -10,9 +10,9 @@ import (
 )
 
 // Source is the dataset a Server serves, read once per request in one of
-// two ways. An EstimatorSource (a fixed summary, a live store, a replica)
-// is pinned at one generation, which keys the browse cache, and its
-// estimator plans every map, ε tier included. A Reader (the shard
+// two ways. An EstimatorSource (a fixed summary, a live store) is pinned
+// at one generation, which keys the browse cache, and its estimator plans
+// every map, ε tier included. A Reader (the shard
 // coordinator) answers as it is, uncached: it pins no generation, so
 // nothing could key a cache entry or certify ε. Everything else a Server
 // mounts is found on the source by capability: see New.

@@ -75,10 +75,9 @@ func (grp *shardGroup) raiseGen(gen uint64) {
 	}
 }
 
-// Coordinator answers queries by summing every shard's raw per-tile
-// estimates — in-process shards straight into one plane on the request
-// goroutine, remote and wrapped backends concurrently, their planes added
-// in after — and routes ingest to the writer shard owning each object.
+// Coordinator answers queries by adding every shard's raw per-tile
+// estimates into one plane, one shard after another on the request
+// goroutine, and routes ingest to the writer shard owning each object.
 // Reads balance across each shard's leader and its sufficiently
 // fresh followers; freshness is judged by the replica's snapshot-visible
 // sequence against the leader's applied sequence, both refreshed by the
@@ -95,7 +94,6 @@ type Coordinator struct {
 	done chan struct{}
 
 	fanout       *telemetry.Histogram
-	mergeTime    *telemetry.Histogram
 	reads        map[string]*telemetry.Counter // by role
 	scatterErr   *telemetry.Counter
 	ingestRouted *telemetry.Counter
@@ -118,14 +116,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		fanout: reg.Histogram("shard_fanout_seconds",
-			"Gather latency: every shard read, in-process sums included.", nil),
-		mergeTime: reg.Histogram("shard_merge_seconds",
-			"Time adding the planes of remote and wrapped backends into the sum.", nil),
+			"Gather latency: every shard read into one plane.", nil),
 		reads: map[string]*telemetry.Counter{
 			"leader": reg.Counter("shard_reads_total",
-				"Backend reads by role, in-process ones included.", "role", "leader"),
+				"Backend reads by role.", "role", "leader"),
 			"follower": reg.Counter("shard_reads_total",
-				"Backend reads by role, in-process ones included.", "role", "follower"),
+				"Backend reads by role.", "role", "follower"),
 		},
 		scatterErr: reg.Counter("shard_scatter_errors_total",
 			"Backend requests that failed and were retried or gave up."),
@@ -204,32 +200,24 @@ func (c *Coordinator) Partition() *Partition { return c.part }
 // sequences. The background prober calls it on its interval; tests and
 // failover-sensitive callers can force a refresh.
 func (c *Coordinator) Probe() {
-	var wg sync.WaitGroup
 	for _, grp := range c.shards {
 		for _, be := range grp.all {
-			wg.Add(1)
-			go func(grp *shardGroup, be *backend) {
-				defer wg.Done()
-				c.probes.Inc()
-				st, err := be.h.Status()
-				if err != nil {
-					be.alive.Store(false)
-					be.upGauge.Set(0)
-					return
-				}
-				be.alive.Store(true)
-				be.upGauge.Set(1)
-				be.appliedSeq.Store(st.AppliedSeq)
-				be.snapshotSeq.Store(st.SnapshotSeq)
-				be.gen.Store(st.Generation)
-				if be == grp.leader {
-					grp.raiseGen(st.Generation)
-				}
-			}(grp, be)
+			c.probes.Inc()
+			st, err := be.h.Status()
+			if err != nil {
+				be.alive.Store(false)
+				be.upGauge.Set(0)
+				continue
+			}
+			be.alive.Store(true)
+			be.upGauge.Set(1)
+			be.appliedSeq.Store(st.AppliedSeq)
+			be.snapshotSeq.Store(st.SnapshotSeq)
+			be.gen.Store(st.Generation)
+			if be == grp.leader {
+				grp.raiseGen(st.Generation)
+			}
 		}
-	}
-	wg.Wait()
-	for _, grp := range c.shards {
 		leaderSeq := grp.leader.appliedSeq.Load()
 		for _, be := range grp.all {
 			be.lagGauge.Set(max(0, leaderSeq-be.snapshotSeq.Load()))
@@ -281,44 +269,25 @@ func (grp *shardGroup) candidates(maxLag int64) []*backend {
 	return append(eligible, rest...)
 }
 
-// gather reads one backend of every shard, failing over across each
-// shard's remaining candidates when one errors. A shard whose preferred
-// backend is InProcess is read on the calling goroutine, one such shard
-// after another, while the others — remote nodes, wrapped handles — are
-// read concurrently; read's inline argument says which, and only an inline
-// read may write state it shares with the other shards' reads. A failing
-// backend is marked down on the spot (the prober revives it), so one slow
-// death doesn't tax every later request.
-func (c *Coordinator) gather(read func(si int, h Handle, inline bool) error) error {
+// gather reads one backend of every shard, one shard after another on the
+// calling goroutine, failing over across each shard's remaining candidates
+// when one errors. A failing backend is marked down on the spot (the
+// prober revives it), so one slow death doesn't tax every later request.
+func (c *Coordinator) gather(read func(h Handle) error) error {
 	start := time.Now()
-	orders := make([][]*backend, len(c.shards))
 	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
 	for si, grp := range c.shards {
-		orders[si] = grp.candidates(c.maxLag)
-		if _, ok := orders[si][0].h.(InProcess); !ok {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[si] = c.failover(si, orders[si], read, false)
-			}()
-		}
+		errs[si] = c.failover(si, grp.candidates(c.maxLag), read)
 	}
-	for si, order := range orders {
-		if _, ok := order[0].h.(InProcess); ok {
-			errs[si] = c.failover(si, order, read, true)
-		}
-	}
-	wg.Wait()
 	c.fanout.ObserveDuration(time.Since(start))
 	return errors.Join(errs...)
 }
 
 // failover tries shard si's backends in order until one reads.
-func (c *Coordinator) failover(si int, order []*backend, read func(si int, h Handle, inline bool) error, inline bool) error {
+func (c *Coordinator) failover(si int, order []*backend, read func(h Handle) error) error {
 	var lastErr error
 	for _, be := range order {
-		if err := read(si, be.h, inline); err != nil {
+		if err := read(be.h); err != nil {
 			c.scatterErr.Inc()
 			be.alive.Store(false)
 			be.upGauge.Set(0)
@@ -329,6 +298,14 @@ func (c *Coordinator) failover(si int, order []*backend, read func(si int, h Han
 		return nil
 	}
 	return fmt.Errorf("shard %d: every backend failed: %w", si, lastErr)
+}
+
+// checkSpan validates that a span is well-formed and inside the grid.
+func checkSpan(g *grid.Grid, s grid.Span) error {
+	if !s.Valid() || s.I1 < 0 || s.J1 < 0 || s.I2 >= g.NX() || s.J2 >= g.NY() {
+		return fmt.Errorf("span %v outside the %dx%d grid", s, g.NX(), g.NY())
+	}
+	return nil
 }
 
 // checkGrid refuses a tile map before it is gathered, with a
@@ -354,21 +331,17 @@ func (c *Coordinator) EstimateGrid(region grid.Span, cols, rows int) ([]core.Est
 }
 
 // SumGrid is EstimateGrid into buf's storage, which it grows to cols×rows
-// and zeroes, returning the plane. In-process shards sweep straight into
-// it on the caller's goroutine; every other shard's plane is added into
-// it once all have answered. Addition is exact for Euler histograms: each
-// estimator field is an integer-linear function of its histogram's bucket
-// sums, so summing the per-shard fields equals evaluating one store over
-// all the objects.
+// and zeroes, returning the plane every shard sweeps into on the caller's
+// goroutine. Addition is exact for Euler histograms: each estimator field
+// is an integer-linear function of its histogram's bucket sums, so summing
+// the per-shard fields equals evaluating one store over all the objects.
 func (c *Coordinator) SumGrid(buf []core.Estimate, region grid.Span, cols, rows int) ([]core.Estimate, error) {
 	if err := c.checkGrid(region, cols, rows); err != nil {
 		return buf, err
 	}
 	dst := slices.Grow(buf[:0], cols*rows)[:cols*rows]
 	clear(dst)
-	return dst, c.sum(dst,
-		func(l InProcess, dst []core.Estimate) error { return l.AddGrid(dst, region, cols, rows) },
-		func(h Handle) ([]core.Estimate, error) { return h.EstimateGrid(region, cols, rows) })
+	return dst, c.gather(func(h Handle) error { return h.AddGrid(dst, region, cols, rows) })
 }
 
 // EstimateSpans gathers a batch of arbitrary spans — the query and
@@ -380,53 +353,7 @@ func (c *Coordinator) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) 
 		}
 	}
 	dst := make([]core.Estimate, len(spans))
-	return dst, c.sum(dst,
-		func(l InProcess, dst []core.Estimate) error { return l.AddSpans(dst, spans) },
-		func(h Handle) ([]core.Estimate, error) { return h.EstimateSpans(spans) })
-}
-
-// sum gathers every shard's raw estimates into the zeroed plane dst. An
-// inline in-process read adds into dst itself; any other read yields a
-// plane of its own — fetched, or added into a fresh one by an in-process
-// follower a remote-first shard failed over to — and those planes are
-// added into dst once every shard has answered: the one merge site,
-// observed only when there is a plane to add.
-func (c *Coordinator) sum(dst []core.Estimate, add func(l InProcess, dst []core.Estimate) error, fetch func(h Handle) ([]core.Estimate, error)) error {
-	parts := make([][]core.Estimate, len(c.shards))
-	err := c.gather(func(si int, h Handle, inline bool) (err error) {
-		l, ok := h.(InProcess)
-		switch {
-		case ok && inline:
-			return add(l, dst)
-		case ok:
-			parts[si] = make([]core.Estimate, len(dst))
-			return add(l, parts[si])
-		default:
-			parts[si], err = fetch(h)
-			return err
-		}
-	})
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	merged := false
-	for si, p := range parts {
-		if p == nil {
-			continue
-		}
-		if len(p) != len(dst) {
-			return fmt.Errorf("shard %d returned %d estimates for %d", si, len(p), len(dst))
-		}
-		for k := range dst {
-			dst[k].Add(p[k])
-		}
-		merged = true
-	}
-	if merged {
-		c.mergeTime.ObserveDuration(time.Since(start))
-	}
-	return nil
+	return dst, c.gather(func(h Handle) error { return h.AddSpans(dst, spans) })
 }
 
 // Close stops the prober. Backends are not owned by the coordinator and
@@ -506,14 +433,11 @@ func (c *Coordinator) Info() (geobrowse.Info, error) {
 		GridNX:    c.g.NX(),
 		GridNY:    c.g.NY(),
 	}
-	var mu sync.Mutex
-	err := c.gather(func(_ int, h Handle, _ bool) error {
+	err := c.gather(func(h Handle) error {
 		si, err := h.Info()
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		defer mu.Unlock()
 		info.Objects += si.Objects
 		info.StorageBuckets += si.StorageBuckets
 		info.Generation += si.Generation
@@ -539,4 +463,12 @@ func (c *Coordinator) Healthy() bool {
 		}
 	}
 	return true
+}
+
+// gridFromInfo reconstructs a backend's grid from its Info, which carries
+// the extent's float64s as they are, so the derived cell geometry matches
+// the backend's exactly.
+func gridFromInfo(info geobrowse.Info) *grid.Grid {
+	ext := geom.Rect{XMin: info.Extent[0], YMin: info.Extent[1], XMax: info.Extent[2], YMax: info.Extent[3]}
+	return grid.New(ext, info.GridNX, info.GridNY)
 }

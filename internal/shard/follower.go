@@ -7,21 +7,19 @@ import (
 	"os"
 	"time"
 
-	"spatialhist/internal/core"
-	"spatialhist/internal/geobrowse"
-	"spatialhist/internal/geom"
-	"spatialhist/internal/grid"
 	"spatialhist/internal/live"
 	"spatialhist/internal/telemetry"
 )
 
-// logf reports server-side problems; a variable so tests can capture it.
+// logf reports replication problems; a variable so tests can capture it.
 var logf = log.Printf
 
+// defaultSegmentBytes is the WAL segment size a follower fetches.
+const defaultSegmentBytes = 1 << 20
+
 // SegmentSource is where a follower gets its leader's state: a checkpoint
-// stream to bootstrap from and WAL segments to tail. LocalHandle-free
-// in-process replication uses LocalSource; production followers use an
-// HTTPHandle (which implements this over the node endpoints).
+// stream to bootstrap from and WAL segments to tail. LocalSource is the
+// one over a leader store in the same process.
 type SegmentSource interface {
 	// Segment returns up to max journal bytes from byte offset from, plus
 	// the journal's current size. The data may end mid-record.
@@ -163,29 +161,10 @@ func (f *Follower) bootstrap(path string) error {
 	return nil
 }
 
-// Store returns the follower's live store — what the shard-node API of a
-// replica serves. The store is owned by the Follower; mutate it only
-// through the replication stream.
+// Store returns the follower's live store, read through a LocalHandle.
+// The store is owned by the Follower; mutate it only through the
+// replication stream.
 func (f *Follower) Store() *live.Store { return f.store }
-
-// Grid implements geobrowse.Source: a Follower is the source of a
-// replica's front, read through its store.
-func (f *Follower) Grid() *grid.Grid { return f.store.Grid() }
-
-// AcquireEstimator implements geobrowse.EstimatorSource.
-func (f *Follower) AcquireEstimator() (core.Estimator, uint64, func()) {
-	return f.store.AcquireEstimator()
-}
-
-// Status reports the store's status, as /api/store/status serves it.
-func (f *Follower) Status() live.Status { return f.store.Status() }
-
-// Apply refuses every write with geobrowse.ErrReadOnly: a replica's writes
-// belong to its leader, and one it accepted would silently diverge from
-// the stream it tails. Its front answers them 403.
-func (f *Follower) Apply(byte, []geom.Rect, bool) (applied, rejected int, gen uint64, err error) {
-	return 0, 0, 0, geobrowse.ErrReadOnly
-}
 
 // Seq returns the leader journal offset the follower has applied through.
 func (f *Follower) Seq() int64 { return f.store.Seq() }

@@ -325,22 +325,3 @@ func TestFollowerBootstrapIsTornCheckpointSafe(t *testing.T) {
 	waitCaughtUp(t, f, leader)
 	assertStoresIdentical(t, "bootstrap after a torn one", leader, f.Store())
 }
-
-func TestFollowerRejectsLocalWrites(t *testing.T) {
-	g := testGrid(t)
-	dir := t.TempDir()
-	leader := openTestStore(t, g, dir, "leader")
-	leader.Insert(randTestRect(rand.New(rand.NewSource(1))))
-	leader.Flush()
-
-	f := startTestFollower(t, LocalSource{Store: leader}, filepath.Join(dir, "f.ckpt"))
-	defer f.Close()
-	waitCaughtUp(t, f, leader)
-
-	// The follower's store is journal-less; its WALSegment must refuse so
-	// a misconfigured tailer pointed at a replica fails loudly instead of
-	// silently shipping nothing.
-	if _, _, err := f.Store().WALSegment(0, 1024); err == nil {
-		t.Fatal("WALSegment on a journal-less follower succeeded")
-	}
-}

@@ -18,11 +18,8 @@ func Front(c *Coordinator, opts geobrowse.Options) *geobrowse.Server {
 	return s
 }
 
-// The coordinator is read as it is; a replica is pinned like a store.
-var (
-	_ geobrowse.Reader          = (*Coordinator)(nil)
-	_ geobrowse.EstimatorSource = (*Follower)(nil)
-)
+// The coordinator is read as it is.
+var _ geobrowse.Reader = (*Coordinator)(nil)
 
 // NewServer is Front with default options; benchmark/layers.go builds its
 // coordinator front with it.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -232,25 +233,17 @@ func TestScatterGatherBitIdentity(t *testing.T) {
 }
 
 // FuzzCoordinatorSum: whatever the shard count (1–4), the backend of each
-// shard — in-process, an HTTP node, or a wrapped leader whose read path is
-// down in front of an in-process follower — the algorithm, the objects
-// and the tiling, the coordinator's summed raw estimates are a single
-// store's over the same objects, bit for bit. In-process shards are summed
-// in place; remote and wrapped shards are merged from planes of their own,
-// and a follower a wrapped leader failed over to is summed off the request
-// goroutine into a plane of its own.
+// shard — a live store, or a wrapped leader whose read path is down in
+// front of a follower over the same store — the algorithm, the objects and
+// the tiling, the coordinator's summed raw estimates are a single store's
+// over the same objects, bit for bit. Every shard adds into the one plane,
+// a follower a downed leader failed over to included.
 func FuzzCoordinatorSum(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(0), uint16(300), uint8(0), uint8(0), uint16(0))         // 128×64 tiles
-	f.Add(int64(2), uint8(3), uint8(0b100100), uint16(250), uint8(6), uint8(1), uint16(33)) // in-process, HTTP, wrapped
-	f.Add(int64(3), uint8(4), uint8(0b10011001), uint16(120), uint8(5), uint8(0x55), uint16(530))
-	f.Add(int64(4), uint8(1), uint8(2), uint16(0), uint8(1), uint8(0xff), uint16(511))
+	f.Add(int64(1), uint8(2), uint8(0), uint16(300), uint8(0), uint8(0), uint16(0))      // 128×64 tiles
+	f.Add(int64(2), uint8(3), uint8(0b110), uint16(250), uint8(6), uint8(1), uint16(33)) // local, wrapped, wrapped
+	f.Add(int64(3), uint8(4), uint8(0b1001), uint16(120), uint8(5), uint8(0x55), uint16(530))
+	f.Add(int64(4), uint8(1), uint8(1), uint16(0), uint8(1), uint8(0xff), uint16(511))
 	f.Fuzz(func(t *testing.T, seed int64, shards, topo uint8, objects uint16, algo, tiling uint8, origin uint16) {
-		// Handles that embed Handle have its method set only: read as remote.
-		for _, h := range []Handle{&flakyHandle{}, &HTTPHandle{}} {
-			if _, ok := h.(InProcess); ok {
-				t.Fatalf("%T takes the in-process path", h)
-			}
-		}
 		g := grid.New(geom.Rect{XMax: 128, YMax: 64}, 128, 64)
 		n := 1 + int(shards)%4
 		rng := rand.New(rand.NewSource(seed))
@@ -287,12 +280,9 @@ func FuzzCoordinatorSum(f *testing.F) {
 		for si, seed := range part.RouteRects(rects) {
 			s := open(seed)
 			local := &LocalHandle{Store: s, Label: fmt.Sprint("s", si)}
-			switch topo >> (2 * si) & 3 % 3 {
-			case 0:
+			if topo>>si&1 == 0 {
 				ccfg.Shards = append(ccfg.Shards, Backends{Leader: local})
-			case 1:
-				ccfg.Shards = append(ccfg.Shards, Backends{Leader: &HTTPHandle{Base: nodeServer(t, local.Label, s).URL}})
-			case 2:
+			} else {
 				leader := &flakyHandle{Handle: &LocalHandle{Store: s, Label: local.Label + "-leader"}}
 				dead = append(dead, leader)
 				ccfg.Shards = append(ccfg.Shards, Backends{Leader: leader, Followers: []Handle{local}})
@@ -327,7 +317,7 @@ func FuzzCoordinatorSum(f *testing.F) {
 		if err != nil {
 			t.Fatalf("EstimateGrid %v %dx%d: %v", region, cols, rows, err)
 		}
-		estimatesEqual(t, fmt.Sprintf("inline %v %dx%d", region, cols, rows), got, want)
+		estimatesEqual(t, fmt.Sprintf("fresh %v %dx%d", region, cols, rows), got, want)
 
 		spans := make([]grid.Span, 1+rng.Intn(24))
 		for k := range spans {
@@ -501,81 +491,6 @@ func TestCoordinatorBrowseBudget(t *testing.T) {
 	}
 }
 
-// nodeServer serves a live store the way geobrowsed -live does: the
-// geobrowse API with the shard-node endpoints mounted on it.
-func nodeServer(t *testing.T, name string, s *live.Store) *httptest.Server {
-	t.Helper()
-	reg := telemetry.NewRegistry()
-	srv := geobrowse.New(name, s, geobrowse.Options{Telemetry: reg})
-	ServeNode(srv, s, reg)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return ts
-}
-
-func TestHTTPHandleMatchesLocal(t *testing.T) {
-	g := testGrid(t)
-	store := openTestStore(t, g, "", "node")
-	rng := rand.New(rand.NewSource(17))
-	for k := 0; k < 150; k++ {
-		store.Insert(randTestRect(rng))
-	}
-	store.Flush()
-
-	ts := nodeServer(t, "node", store)
-	hh := &HTTPHandle{Base: ts.URL}
-	lh := &LocalHandle{Store: store}
-
-	full := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
-	hGrid, err := hh.EstimateGrid(full, 8, 8)
-	if err != nil {
-		t.Fatalf("http EstimateGrid: %v", err)
-	}
-	lGrid, _ := lh.EstimateGrid(full, 8, 8)
-	estimatesEqual(t, "http grid", hGrid, lGrid)
-
-	spans := []grid.Span{{I1: 3, J1: 4, I2: 20, J2: 29}, {I1: 0, J1: 0, I2: 0, J2: 0}}
-	hSpans, err := hh.EstimateSpans(spans)
-	if err != nil {
-		t.Fatalf("http EstimateSpans: %v", err)
-	}
-	lSpans, _ := lh.EstimateSpans(spans)
-	estimatesEqual(t, "http spans", hSpans, lSpans)
-
-	hInfo, err := hh.Info()
-	if err != nil {
-		t.Fatalf("http Info: %v", err)
-	}
-	lInfo, _ := lh.Info()
-	if hInfo.Objects != lInfo.Objects || hInfo.Extent != lInfo.Extent ||
-		hInfo.GridNX != lInfo.GridNX || hInfo.GridNY != lInfo.GridNY {
-		t.Fatalf("http Info = %+v, local = %+v", hInfo, lInfo)
-	}
-	if got := gridFromInfo(hInfo); got.Extent() != g.Extent() {
-		t.Fatalf("gridFromInfo extent %v, want %v", got.Extent(), g.Extent())
-	}
-
-	hSt, err := hh.Status()
-	if err != nil {
-		t.Fatalf("http Status: %v", err)
-	}
-	lSt, _ := lh.Status()
-	if hSt.AppliedSeq != lSt.AppliedSeq || hSt.SnapshotSeq != lSt.SnapshotSeq {
-		t.Fatalf("http Status seqs %d/%d, local %d/%d",
-			hSt.AppliedSeq, hSt.SnapshotSeq, lSt.AppliedSeq, lSt.SnapshotSeq)
-	}
-
-	applied, rejected, _, err := hh.Apply(live.OpInsert, []geom.Rect{
-		geom.NewRect(1, 1, 2, 2), geom.NewRect(900, 900, 901, 901),
-	}, true)
-	if err != nil {
-		t.Fatalf("http Apply: %v", err)
-	}
-	if applied != 1 || rejected != 1 {
-		t.Fatalf("http Apply applied=%d rejected=%d, want 1/1", applied, rejected)
-	}
-}
-
 // readBody fetches a URL and returns status plus body bytes.
 func readBody(t *testing.T, url string) (int, string) {
 	t.Helper()
@@ -605,22 +520,11 @@ func readBody(t *testing.T, url string) (int, string) {
 func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
 	g := testGrid(t)
 	single, shards := buildSharded(t, g, 2, 300, 41)
-
-	nodes := make([]*httptest.Server, len(shards))
-	cfg := Config{Name: "world", ProbeInterval: -1, Telemetry: telemetry.NewRegistry()}
-	for i, s := range shards {
-		nodes[i] = nodeServer(t, fmt.Sprintf("shard%d", i), s)
-		cfg.Shards = append(cfg.Shards, Backends{Leader: &HTTPHandle{Base: nodes[i].URL}})
-	}
-	c, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	t.Cleanup(func() { c.Close() })
+	c := localCoordinator(t, shards, nil, 0)
 
 	coord := httptest.NewServer(NewServer(c, telemetry.NewRegistry()))
 	t.Cleanup(coord.Close)
-	ref := httptest.NewServer(geobrowse.New("world", single, geobrowse.Options{Telemetry: telemetry.NewRegistry()}))
+	ref := httptest.NewServer(geobrowse.New("test", single, geobrowse.Options{Telemetry: telemetry.NewRegistry()}))
 	t.Cleanup(ref.Close)
 
 	for _, q := range []string{
@@ -708,18 +612,18 @@ func (f *flakyHandle) Info() (geobrowse.Info, error) {
 	return f.Handle.Info()
 }
 
-func (f *flakyHandle) EstimateGrid(region grid.Span, cols, rows int) ([]core.Estimate, error) {
+func (f *flakyHandle) AddGrid(dst []core.Estimate, region grid.Span, cols, rows int) error {
 	if err := f.fail(); err != nil {
-		return nil, err
+		return err
 	}
-	return f.Handle.EstimateGrid(region, cols, rows)
+	return f.Handle.AddGrid(dst, region, cols, rows)
 }
 
-func (f *flakyHandle) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) {
+func (f *flakyHandle) AddSpans(dst []core.Estimate, spans []grid.Span) error {
 	if err := f.fail(); err != nil {
-		return nil, err
+		return err
 	}
-	return f.Handle.EstimateSpans(spans)
+	return f.Handle.AddSpans(dst, spans)
 }
 
 func (f *flakyHandle) Status() (live.Status, error) {
@@ -753,6 +657,7 @@ func TestCoordinatorFailsOverToFollower(t *testing.T) {
 	waitCaughtUp(t, f, leader)
 
 	leaderHandle := &flakyHandle{Handle: &LocalHandle{Store: leader, Label: "leader"}}
+	reg := telemetry.NewRegistry()
 	c, err := NewCoordinator(Config{
 		Shards: []Backends{{
 			Leader:    leaderHandle,
@@ -760,12 +665,16 @@ func TestCoordinatorFailsOverToFollower(t *testing.T) {
 		}},
 		MaxLagBytes:   0,
 		ProbeInterval: -1,
-		Telemetry:     telemetry.NewRegistry(),
+		Telemetry:     reg,
 	})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
+	reads := func() (leader, follower int64) {
+		v := reg.CounterValues("shard_reads_total")
+		return v[`{role="leader"}`], v[`{role="follower"}`]
+	}
 
 	full := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
 	want, err := c.EstimateGrid(full, 8, 8)
@@ -773,26 +682,41 @@ func TestCoordinatorFailsOverToFollower(t *testing.T) {
 		t.Fatalf("pre-failover read: %v", err)
 	}
 
-	// Kill the leader: reads must keep answering, served by the follower,
-	// and stay bit-identical (the follower is caught up).
+	// Kill the leader behind the prober's back, so the reads find it down:
+	// they alternate which backend they try first, and every one must be
+	// answered by the follower — bit-identical, as it is caught up. A
+	// leader that still answered (a wrapper whose add methods were the
+	// embedded store's) would count leader reads here.
 	leaderHandle.down.Store(true)
-	c.Probe()
-	for k := 0; k < 10; k++ {
+	leader0, follower0 := reads()
+	const failoverReads = 10
+	for k := 0; k < failoverReads; k++ {
 		got, err := c.EstimateGrid(full, 8, 8)
 		if err != nil {
 			t.Fatalf("failover read %d: %v", k, err)
 		}
 		estimatesEqual(t, "failover read", got, want)
 	}
+	if l, f := reads(); l != leader0 || f != follower0+failoverReads {
+		t.Fatalf("%d reads with the leader down: leader reads %d -> %d, follower reads %d -> %d, want all on the follower",
+			failoverReads, leader0, l, follower0, f)
+	}
+	c.Probe()
 	if !c.Healthy() {
 		t.Fatal("coordinator unhealthy with an alive follower")
 	}
 
-	// Revive the leader; the probe brings it back into rotation.
+	// Revive the leader; the probe brings it back into rotation, and of two
+	// reads one tries it first.
 	leaderHandle.down.Store(false)
 	c.Probe()
-	if _, err := c.EstimateGrid(full, 8, 8); err != nil {
-		t.Fatalf("post-revival read: %v", err)
+	for k := 0; k < 2; k++ {
+		if _, err := c.EstimateGrid(full, 8, 8); err != nil {
+			t.Fatalf("post-revival read: %v", err)
+		}
+	}
+	if l, _ := reads(); l == leader0 {
+		t.Fatal("no read reached the revived leader")
 	}
 }
 
@@ -928,4 +852,164 @@ func TestCoordinatorFrontHealthz(t *testing.T) {
 
 	front.StartDrain()
 	healthz(http.StatusServiceUnavailable, "draining")
+}
+
+// goroutineID is the calling goroutine's number, as runtime.Stack prints
+// it ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// callerHandle counts the reads of a Handle by the goroutine each ran on.
+type callerHandle struct {
+	Handle
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (h *callerHandle) record() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.seen[goroutineID()]++
+}
+
+func (h *callerHandle) Info() (geobrowse.Info, error) {
+	h.record()
+	return h.Handle.Info()
+}
+
+func (h *callerHandle) AddGrid(dst []core.Estimate, region grid.Span, cols, rows int) error {
+	h.record()
+	return h.Handle.AddGrid(dst, region, cols, rows)
+}
+
+func (h *callerHandle) AddSpans(dst []core.Estimate, spans []grid.Span) error {
+	h.record()
+	return h.Handle.AddSpans(dst, spans)
+}
+
+// TestEveryShardIsReadOnTheCallingGoroutine: the coordinator reads its
+// shards one after another on its caller's goroutine — tile maps, span
+// batches and Info alike — so a request starts no goroutine per shard, and
+// every shard adds into the one plane without a lock.
+func TestEveryShardIsReadOnTheCallingGoroutine(t *testing.T) {
+	g := testGrid(t)
+	single, stores := buildSharded(t, g, 3, 200, 71)
+	cfg := Config{ProbeInterval: -1, Telemetry: telemetry.NewRegistry()}
+	var handles []*callerHandle
+	for i, s := range stores {
+		h := &callerHandle{Handle: &LocalHandle{Store: s, Label: fmt.Sprint("s", i)}, seen: map[string]int{}}
+		handles = append(handles, h)
+		cfg.Shards = append(cfg.Shards, Backends{Leader: h})
+	}
+	c, err := NewCoordinator(cfg) // reads every leader's Info
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	full := grid.Span{I2: g.NX() - 1, J2: g.NY() - 1}
+	got, err := c.EstimateGrid(full, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	estimatesEqual(t, "grid", got, singleEstimates(t, single, full, 4, 4))
+	if _, err := c.EstimateSpans([]grid.Span{full, {I1: 3, J1: 3, I2: 9, J2: 20}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Info(); err != nil {
+		t.Fatal(err)
+	}
+	me := goroutineID()
+	for i, h := range handles {
+		if len(h.seen) != 1 || h.seen[me] != 4 {
+			t.Errorf("shard %d read on goroutines %v, want 4 reads all on the caller's, %s", i, h.seen, me)
+		}
+	}
+}
+
+// TestLocalHandleFailsBeforeAdding: the contract failover leans on — a
+// read that fails has added nothing, so the next backend can add into the
+// same plane.
+func TestLocalHandleFailsBeforeAdding(t *testing.T) {
+	g := testGrid(t)
+	_, stores := buildSharded(t, g, 1, 100, 73)
+	h := &LocalHandle{Store: stores[0]}
+	full := grid.Span{I2: g.NX() - 1, J2: g.NY() - 1}
+	for _, tc := range []struct {
+		name  string
+		plane int
+		read  func(dst []core.Estimate) error
+	}{
+		{"non-dividing-tiling", 7, func(dst []core.Estimate) error { return h.AddGrid(dst, full, 7, 1) }},
+		{"short-grid-plane", 15, func(dst []core.Estimate) error { return h.AddGrid(dst, full, 4, 4) }},
+		{"short-span-plane", 1, func(dst []core.Estimate) error { return h.AddSpans(dst, []grid.Span{full, full}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst := make([]core.Estimate, tc.plane)
+			for k := range dst {
+				dst[k].Overlap = 42
+			}
+			if err := tc.read(dst); err == nil {
+				t.Fatal("read succeeded")
+			}
+			for k, e := range dst {
+				if e != (core.Estimate{Overlap: 42}) {
+					t.Fatalf("failed read left %+v at %d", e, k)
+				}
+			}
+		})
+	}
+}
+
+// TestProbeReportsEveryBackend: one probe refreshes every backend of every
+// shard — liveness and generation — as /api/shards and the
+// shard_backend_up gauges report them.
+func TestProbeReportsEveryBackend(t *testing.T) {
+	g := testGrid(t)
+	_, stores := buildSharded(t, g, 2, 100, 79)
+	follower := &flakyHandle{Handle: &LocalHandle{Store: stores[1], Label: "f1"}}
+	follower.down.Store(true) // down from the start: no probe ever saw it
+	reg := telemetry.NewRegistry()
+	c, err := NewCoordinator(Config{ProbeInterval: -1, Telemetry: reg, Shards: []Backends{
+		{Leader: &LocalHandle{Store: stores[0], Label: "s0"}},
+		{Leader: &LocalHandle{Store: stores[1], Label: "s1"}, Followers: []Handle{follower}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if _, err := stores[0].Insert(geom.NewRect(1, 1, 2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	stores[0].Flush() // a generation only the next probe sees
+	c.Probe()
+
+	rec := httptest.NewRecorder()
+	NewServer(c, telemetry.NewRegistry()).ServeHTTP(rec, httptest.NewRequest("GET", "/api/shards", nil))
+	var top TopologyResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
+		t.Fatalf("/api/shards %d %q: %v", rec.Code, rec.Body, err)
+	}
+	want := []struct {
+		name  string
+		shard int
+		alive bool
+		gen   uint64
+	}{{"s0", 0, true, stores[0].Generation()}, {"s1", 1, true, stores[1].Generation()}, {"f1", 1, false, 0}}
+	var got []TopologyBackend
+	for _, s := range top.Shards {
+		got = append(got, s.Backends...)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("/api/shards lists %d backends, want %d: %s", len(got), len(want), rec.Body)
+	}
+	for i, w := range want {
+		b := got[i]
+		up := reg.Gauge("shard_backend_up", "", "shard", fmt.Sprint(w.shard), "backend", w.name).Value()
+		if b.Name != w.name || b.Alive != w.alive || b.Generation != w.gen || up != map[bool]int64{true: 1}[w.alive] {
+			t.Errorf("backend %d: %+v, up %d; want %s alive=%v at generation %d", i, b, up, w.name, w.alive, w.gen)
+		}
+	}
 }

@@ -183,6 +183,75 @@ func TestDocsNameExistingPaths(t *testing.T) {
 	}
 }
 
+// identifierDocs are the documents whose code spans name only
+// declarations that exist. DESIGN.md is exempt: its "Why …" paragraphs
+// name the deleted designs they explain (core.BandPool, say).
+var identifierDocs = []string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+
+// qualifiedIdent is a pkg.Ident: a lower-case package name, not part of a
+// path or a longer selector, and an exported identifier.
+var qualifiedIdent = regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.([A-Z]\w*)`)
+
+// TestDocsNameExistingIdentifiers keeps the documents naming only
+// declarations that exist: every pkg.Ident in a code span of
+// identifierDocs, where pkg is a package under internal/, names an
+// exported top-level declaration of that package's non-test files, so a
+// deleted type, function, variable or constant takes its mentions with it.
+func TestDocsNameExistingIdentifiers(t *testing.T) {
+	exported := map[string]map[string]bool{} // package name -> its exported names
+	walkModule(t, "", func(_ *token.FileSet, path string, file *ast.File) {
+		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			return
+		}
+		names := exported[file.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			exported[file.Name.Name] = names
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						names[sp.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	})
+	for _, doc := range identifierDocs {
+		t.Run(filepath.ToSlash(doc), func(t *testing.T) {
+			data, err := os.ReadFile(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked := 0
+			for _, c := range codeSpan.FindAllString(fencedBlock.ReplaceAllString(string(data), ""), -1) {
+				for _, m := range qualifiedIdent.FindAllStringSubmatch(c, -1) {
+					names, ok := exported[m[1]]
+					if !ok {
+						continue // not an internal package
+					}
+					checked++
+					if !names[m[2]] {
+						t.Errorf("%s names %s.%s, which package %s does not declare: %s", doc, m[1], m[2], m[1], c)
+					}
+				}
+			}
+			t.Logf("%d identifiers checked", checked)
+		})
+	}
+}
+
 // walkModule parses every non-test Go file of the main module outside
 // skip and hands it to fn. benchmark/ is a module of its own, and
 // dot-directories hold build output.
