@@ -86,7 +86,7 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.gridH, "gh", 180, "grid cells in y")
 	fs.StringVar(&c.load, "load", "", "serve a saved summary file instead of building one")
 	fs.StringVar(&c.save, "save", "", "after building, save the summary to this file")
-	fs.IntVar(&c.cache, "cache", 0, "browse-response cache entries, each worth 128 KiB of stored bodies: at most N responses in at most N x 128 KiB (0 = default 64, i.e. 8 MiB; negative disables)")
+	fs.IntVar(&c.cache, "cache", 0, "browse-response cache entries: at most N responses of at most 128 KiB each, a larger one served but not stored (0 = default 64; negative disables)")
 	fs.BoolVar(&c.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	fs.DurationVar(&c.report, "report", time.Minute, "self-report interval (QPS, p50/p99, cache hit rate and bytes; 0 disables)")
 	fs.BoolVar(&c.logRequests, "log-requests", false, "log one structured JSON line per API request to stderr")

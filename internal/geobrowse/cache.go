@@ -15,15 +15,13 @@ import (
 // histograms or re-encoding JSON.
 //
 // Values are the final response bytes, so a hit is a map lookup plus one
-// Write. The cache is bounded twice: at most capacity entries and at most
-// capacity × cacheBytesPerEntry bytes of stored bodies, whichever binds
-// first, so what a server keeps resident for its cache is fixed by -cache
-// and not by the size of the maps its clients happen to ask for. A body
-// larger than the whole byte budget is served but never stored.
+// Write. The cache keeps at most capacity entries, each its own copy of a
+// body of at most cacheBytesPerEntry, so what a server keeps resident for
+// its cache is fixed by -cache and not by the size of the maps its clients
+// happen to ask for. A larger body is served but never stored.
 type browseCache struct {
 	mu       sync.Mutex
 	capacity int        // entries
-	budget   int64      // bytes of stored bodies: capacity × cacheBytesPerEntry
 	bytes    int64      // bytes of stored bodies now
 	ll       *list.List // front = most recently used
 	entries  map[string]*list.Element
@@ -39,11 +37,10 @@ type browseCache struct {
 	mEntries, mBytes                            *telemetry.Gauge
 }
 
-// cacheBytesPerEntry is the byte budget one entry of capacity buys. A
-// session map (36×18 tiles, ≈ 55 KB) and anything up to ≈ 1500 tiles fits
-// one share, so for them the byte bound never binds and the cache is the
-// plain capacity-entry LRU; a 0.8 MB map of 10k tiles takes the room of
-// seven.
+// cacheBytesPerEntry is the largest body the cache stores. A session map
+// (36×18 tiles, ≈ 55 KB) and anything up to ≈ 1500 tiles fits, so for them
+// the cache is the plain capacity-entry LRU. A larger map is rarely asked
+// twice before it would be evicted, and storing it would cost the copy.
 const cacheBytesPerEntry = 128 << 10
 
 type cacheEntry struct {
@@ -51,17 +48,18 @@ type cacheEntry struct {
 	val []byte
 }
 
-// flight is one in-progress computation; followers wait on done and read
-// val/err afterwards.
+// flight is one in-progress computation; followers register in waiting
+// and, once done is closed, read val/err.
 type flight struct {
-	done chan struct{}
-	val  []byte
-	err  error
+	done    chan struct{}
+	waiting int // followers, counted under the cache's mu
+	val     []byte
+	err     error
 }
 
-// newBrowseCache returns a cache holding up to capacity responses in up to
-// capacity × cacheBytesPerEntry bytes; capacity <= 0 disables storage but
-// keeps single-flight deduplication.
+// newBrowseCache returns a cache holding up to capacity responses of up to
+// cacheBytesPerEntry each; capacity <= 0 disables storage but keeps
+// single-flight deduplication.
 // Cache events are recorded into reg (nil means telemetry.Default()).
 func newBrowseCache(capacity int, reg *telemetry.Registry) *browseCache {
 	if reg == nil {
@@ -69,7 +67,6 @@ func newBrowseCache(capacity int, reg *telemetry.Registry) *browseCache {
 	}
 	return &browseCache{
 		capacity: capacity,
-		budget:   int64(capacity) * cacheBytesPerEntry,
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]*flight),
@@ -80,9 +77,9 @@ func newBrowseCache(capacity int, reg *telemetry.Registry) *browseCache {
 		mDedup: reg.Counter("geobrowse_cache_dedup_total",
 			"Browse requests that waited on an identical in-flight computation."),
 		mEvictions: reg.Counter("geobrowse_cache_evictions_total",
-			"Stored responses evicted by the entry or byte bound."),
+			"Stored responses evicted by the entry bound."),
 		mBypass: reg.Counter("geobrowse_cache_bypass_total",
-			"Computed responses larger than the cache's whole byte budget, served but not stored."),
+			"Computed responses larger than one entry's 128 KiB, served but not stored."),
 		mEntries: reg.Gauge("geobrowse_cache_entries",
 			"Stored responses currently in the cache."),
 		mBytes: reg.Gauge("geobrowse_cache_bytes",
@@ -93,8 +90,10 @@ func newBrowseCache(capacity int, reg *telemetry.Registry) *browseCache {
 // Do returns the cached response for key, or computes it with compute,
 // deduplicating concurrent calls for the same key: one caller runs
 // compute, the rest wait for its result. Errors are returned to every
-// waiter and never cached. A response larger than the byte budget goes to
-// its caller and its waiters, is not stored and evicts nothing.
+// waiter and never cached. The computing caller gets compute's own slice
+// back, free to recycle it once it is written; the cache stores a copy of
+// a body of at most cacheBytesPerEntry, and waiters get that copy or, for
+// a larger body, which is not stored and evicts nothing, one made for them.
 func (c *browseCache) Do(key string, compute func() ([]byte, error)) ([]byte, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -106,6 +105,7 @@ func (c *browseCache) Do(key string, compute func() ([]byte, error)) ([]byte, er
 		return val, nil
 	}
 	if f, ok := c.inflight[key]; ok {
+		f.waiting++
 		c.mu.Unlock()
 		<-f.done
 		c.mDedup.Inc()
@@ -122,30 +122,33 @@ func (c *browseCache) Do(key string, compute func() ([]byte, error)) ([]byte, er
 
 	c.misses.Add(1)
 	c.mMisses.Inc()
-	f.val, f.err = compute()
+	val, err := compute()
 
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if f.err == nil && c.capacity > 0 {
+	stored := err == nil && c.capacity > 0 && len(val) <= cacheBytesPerEntry
+	if stored || err == nil && f.waiting > 0 {
+		kept := make([]byte, len(val)) // with the copy: not zeroed first
+		copy(kept, val)
+		f.val = kept
+	}
+	if stored {
 		c.store(key, f.val)
+	} else if err == nil && c.capacity > 0 {
+		c.mBypass.Inc()
 	}
 	c.mu.Unlock()
+	f.err = err
 	close(f.done)
-	return f.val, f.err
+	return val, err
 }
 
 // store inserts a computed response at the hot end and evicts from the cold
-// end until both bounds hold. The new entry is never the one evicted: it
-// fits the byte budget on its own, or it is not stored. Called with mu held.
+// end down to capacity entries. Called with mu held.
 func (c *browseCache) store(key string, val []byte) {
-	size := int64(len(val))
-	if size > c.budget {
-		c.mBypass.Inc()
-		return
-	}
 	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
-	c.bytes += size
-	for c.ll.Len() > c.capacity || c.bytes > c.budget {
+	c.bytes += int64(len(val))
+	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Remove(c.ll.Back()).(*cacheEntry)
 		delete(c.entries, oldest.key)
 		c.bytes -= int64(len(oldest.val))
@@ -159,13 +162,6 @@ func (c *browseCache) store(key string, val []byte) {
 // in-flight computation) versus computed.
 func (c *browseCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// Len returns the number of stored responses.
-func (c *browseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Bytes returns the bytes of response bodies stored.

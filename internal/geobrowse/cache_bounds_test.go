@@ -27,36 +27,47 @@ func storedKeys(c *browseCache) []string {
 }
 
 // checkCacheAccounting: Len, Bytes, the two gauges and the stored bodies
-// themselves must tell one story after every operation.
+// themselves must tell one story after every operation, and no more than
+// capacity bodies of at most one share each may be stored, each with no
+// capacity to spare.
 func checkCacheAccounting(t *testing.T, c *browseCache, when string) {
 	t.Helper()
 	c.mu.Lock()
 	var sum int64
+	largest := 0
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		sum += int64(len(el.Value.(*cacheEntry).val))
+		val := el.Value.(*cacheEntry).val
+		sum += int64(len(val))
+		largest = max(largest, len(val))
+		if cap(val) != len(val) {
+			t.Errorf("%s: a stored body of %d bytes has capacity %d", when, len(val), cap(val))
+		}
 	}
 	entries, mapped := c.ll.Len(), len(c.entries)
 	c.mu.Unlock()
-	if mapped != entries || c.Len() != entries || c.mEntries.Value() != int64(entries) {
-		t.Fatalf("%s: list %d, map %d, Len %d, entries gauge %d", when, entries, mapped, c.Len(), c.mEntries.Value())
+	if mapped != entries || c.mEntries.Value() != int64(entries) {
+		t.Fatalf("%s: list %d, map %d, entries gauge %d", when, entries, mapped, c.mEntries.Value())
 	}
 	if c.Bytes() != sum || c.mBytes.Value() != sum {
 		t.Fatalf("%s: stored bodies hold %d bytes, Bytes %d, bytes gauge %d", when, sum, c.Bytes(), c.mBytes.Value())
 	}
-	if entries > c.capacity || sum > c.budget {
-		t.Fatalf("%s: %d entries / %d bytes exceed %d / %d", when, entries, sum, c.capacity, c.budget)
+	if entries > c.capacity || largest > cacheBytesPerEntry {
+		t.Fatalf("%s: %d entries, the largest %d bytes, exceed %d / %d", when, entries, largest, c.capacity, cacheBytesPerEntry)
 	}
 }
 
-// TestBrowseCacheTwoBounds walks the entry bound and the byte bound through
-// scripted requests. Sizes are in units of cacheBytesPerEntry/4, so a
-// capacity-4 cache has room for 16 units.
+// TestBrowseCacheTwoBounds walks the entry bound and the share bound through
+// scripted requests. Sizes are in units of cacheBytesPerEntry/4, so one
+// share is 4 units. The caller scribbles over every body it computed once
+// Do returns, as a server recycles it, so a hit that reads the caller's
+// slice instead of the cache's copy shows.
 func TestBrowseCacheTwoBounds(t *testing.T) {
 	const unit = cacheBytesPerEntry / 4
 	boom := errors.New("boom")
 	type op struct {
 		key   string
 		units int  // body size when computed; ignored on a hit
+		extra int  // bytes added to the body
 		fail  bool // compute returns an error
 		// expectations after the op
 		computed bool
@@ -77,32 +88,18 @@ func TestBrowseCacheTwoBounds(t *testing.T) {
 			{key: "d", units: 1, computed: true, stored: "d a c", evicted: 1},
 			{key: "b", units: 1, computed: true, stored: "b d a", evicted: 1},
 		}},
-		{"byte bound evicts cold entries until the new body fits", 4, []op{
-			{key: "a", units: 4, computed: true, stored: "a"},
-			{key: "b", units: 4, computed: true, stored: "b a"},
-			{key: "c", units: 4, computed: true, stored: "c b a"},
-			{key: "a", stored: "a c b"},
-			{key: "d", units: 9, computed: true, stored: "d a", evicted: 2},   // 12+9 > 16: b, then c, go
-			{key: "e", units: 3, computed: true, stored: "e d a"},             // 4+9+3 = 16 fits exactly
-			{key: "f", units: 1, computed: true, stored: "f e d", evicted: 1}, // one unit over: a goes
-			{key: "g", units: 16, computed: true, stored: "g", evicted: 3},    // the whole budget: alone
-			{key: "h", units: 1, computed: true, stored: "h", evicted: 1},
-			{key: "i", units: 0, computed: true, stored: "i h"}, // an empty body is an entry
-			{key: "g", units: 16, computed: true, stored: "g i", evicted: 1},
-			{key: "j", units: 1, computed: true, stored: "j", evicted: 2}, // cold end first, though i frees nothing
-			{key: "k", units: 1, computed: true, stored: "k j"},
-			{key: "l", units: 1, computed: true, stored: "l k j"},
-			{key: "m", units: 13, computed: true, stored: "m l k j"},            // 4 entries, 16 units: both bounds met
-			{key: "n", units: 0, computed: true, stored: "n m l k", evicted: 1}, // the entry bound still binds
-		}},
-		{"an over-budget body is served, not stored, and evicts nothing", 2, []op{
+		{"a body over one share is served, not stored, and evicts nothing", 2, []op{
 			{key: "a", units: 3, computed: true, stored: "a"},
-			{key: "b", units: 4, computed: true, stored: "b a"},
+			{key: "b", units: 4, computed: true, stored: "b a"}, // exactly one share is stored
 			{key: "big", units: 9, computed: true, stored: "b a", bypassed: 1},
 			{key: "big", units: 9, computed: true, stored: "b a", bypassed: 1}, // recomputed every time
 			{key: "a", stored: "a b"},
 			{key: "b", stored: "b a"},
-			{key: "edge", units: 8, computed: true, stored: "edge", evicted: 2}, // exactly the budget is stored
+			{key: "over", units: 4, extra: 1, computed: true, stored: "b a", bypassed: 1}, // one byte over
+			{key: "huge", units: 64, computed: true, stored: "b a", bypassed: 1},
+			{key: "i", units: 0, computed: true, stored: "i b", evicted: 1}, // an empty body is an entry
+			{key: "edge", units: 4, computed: true, stored: "edge i", evicted: 1},
+			{key: "edge", stored: "edge i"},
 		}},
 		{"errors are never stored and cost no room", 2, []op{
 			{key: "a", units: 1, computed: true, stored: "a"},
@@ -122,7 +119,7 @@ func TestBrowseCacheTwoBounds(t *testing.T) {
 				when := fmt.Sprintf("op %d (%s)", i, o.key)
 				evBefore, byBefore := c.mEvictions.Value(), c.mBypass.Value()
 				computed := false
-				body := bytes.Repeat([]byte{o.key[0]}, o.units*unit)
+				body := bytes.Repeat([]byte{o.key[0]}, o.units*unit+o.extra)
 				val, err := c.Do(o.key, func() ([]byte, error) {
 					computed = true
 					if o.fail {
@@ -136,8 +133,11 @@ func TestBrowseCacheTwoBounds(t *testing.T) {
 				if err == nil && computed && !bytes.Equal(val, body) {
 					t.Fatalf("%s: the caller did not get the computed body", when)
 				}
-				if err == nil && len(val) > 0 && val[0] != o.key[0] {
-					t.Fatalf("%s: got the body of %q", when, val[0])
+				if err == nil && bytes.Count(val, []byte{o.key[0]}) != len(val) {
+					t.Fatalf("%s: got a body that is not all %q", when, o.key[0])
+				}
+				for k := range body {
+					body[k] = '!'
 				}
 				if computed != o.computed {
 					t.Fatalf("%s: computed = %v, want %v", when, computed, o.computed)
@@ -158,12 +158,15 @@ func TestBrowseCacheTwoBounds(t *testing.T) {
 }
 
 // TestBrowseCacheOverBudgetSingleFlight (run with -race): concurrent
-// identical requests for a body larger than the whole budget share one
-// computation like any other, every caller gets the body, and the cache —
-// holding a small entry — is left exactly as it was. Callers that arrive
-// after the leader finished find nothing stored and compute again, so the
-// invariant is calls + deduplicated = callers; a round in which the
-// followers were in time must turn up within a few tries.
+// identical requests for a body over one share are computed once like any
+// other, every caller gets the body, and the cache — holding a small
+// entry — is left exactly as it was. Each computation returns its
+// own slice, which its caller overwrites once Do returns, as a server
+// recycles it: a follower handed the leader's slice would read the
+// overwrite. Callers that arrive after the leader finished find nothing
+// stored and compute again, so the invariant is calls + deduplicated =
+// callers; a round in which the followers were in time must turn up within
+// a few tries.
 func TestBrowseCacheOverBudgetSingleFlight(t *testing.T) {
 	const callers = 8
 	big := bytes.Repeat([]byte("x"), 2*cacheBytesPerEntry+1)
@@ -173,12 +176,14 @@ func TestBrowseCacheOverBudgetSingleFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		var calls, entered atomic.Int64
+		got := make([][]byte, callers)
 		var wg sync.WaitGroup
 		for i := 0; i < callers; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				entered.Add(1)
+				var own []byte
 				v, err := c.Do("big", func() ([]byte, error) {
 					calls.Add(1)
 					for entered.Load() < callers {
@@ -187,15 +192,32 @@ func TestBrowseCacheOverBudgetSingleFlight(t *testing.T) {
 					for k := 0; k < 100; k++ { // let the others reach the flight
 						runtime.Gosched()
 					}
-					return big, nil
+					own = bytes.Clone(big)
+					return own, nil
 				})
-				if err != nil || !bytes.Equal(v, big) {
-					t.Errorf("caller got %d bytes, err %v", len(v), err)
+				if err != nil {
+					t.Errorf("caller %d: %v", i, err)
+				}
+				if own == nil {
+					got[i] = v // a follower's, read once every leader has overwritten its own
+					return
+				}
+				if !bytes.Equal(v, big) || &v[0] != &own[0] {
+					t.Errorf("caller %d computed the body but was not handed its own slice", i)
+				}
+				for k := range own {
+					own[k] = '!'
 				}
 			}()
 		}
 		wg.Wait()
 		dedup := c.mDedup.Value()
+		for i, v := range got {
+			if v != nil && !bytes.Equal(v, big) {
+				t.Fatalf("round %d: follower %d read %d bytes that are not the body (%d of them 'x')",
+					round, i, len(v), bytes.Count(v, []byte("x")))
+			}
+		}
 		if calls.Load()+dedup != callers || c.mBypass.Value() != calls.Load() {
 			t.Fatalf("%d computations + %d deduplicated ≠ %d callers (bypass counter %d)",
 				calls.Load(), dedup, callers, c.mBypass.Value())
@@ -211,8 +233,8 @@ func TestBrowseCacheOverBudgetSingleFlight(t *testing.T) {
 	t.Fatal("no round deduplicated a follower onto the over-budget flight")
 }
 
-// entryLRU is the cache as it was before the byte bound: capacity entries,
-// least recently used out first. The reference of the differential test.
+// entryLRU is the plain capacity-entry LRU: least recently used out first.
+// The reference of the differential test.
 type entryLRU struct {
 	capacity int
 	keys     []string // hot → cold
@@ -234,10 +256,9 @@ func (l *entryLRU) do(key string) (hit bool, evicted string) {
 }
 
 // TestBrowseCacheMatchesEntryLRUForSmallBodies is why a workload of session
-// maps cannot see the byte bound: while every body is at most
-// cacheBytesPerEntry, capacity of them fit the budget, the byte bound never
-// binds, and the cache makes exactly the hit, miss and eviction decisions of
-// the entry-count LRU it replaced.
+// maps cannot see the share bound: while every body is at most
+// cacheBytesPerEntry, every one is stored, and the cache makes exactly the
+// hit, miss and eviction decisions of the entry-count LRU.
 func TestBrowseCacheMatchesEntryLRUForSmallBodies(t *testing.T) {
 	backing := make([]byte, cacheBytesPerEntry)
 	for _, capacity := range []int{1, 2, 7, 64} {
@@ -296,33 +317,41 @@ func TestBrowseCacheMatchesEntryLRUForSmallBodies(t *testing.T) {
 }
 
 // TestBrowseOverBudgetMapBypassesTheCache: over HTTP, a tile map larger
-// than the server's whole cache budget is answered every time with the
-// bytes a server that stores it answers with, and leaves the cache empty.
+// than one share is answered every time with the bytes of a server that
+// stores nothing, and leaves the cache empty whatever its size; a map of
+// one share or less is stored, and its repeat is a hit.
 func TestBrowseOverBudgetMapBypassesTheCache(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tight, tightSrv := denseServer(t, Options{CacheSize: 1, Telemetry: reg})
-	roomy, roomySrv := denseServer(t, Options{Telemetry: telemetry.NewRegistry()})
-	path := "/api/browse?x1=0&y1=0&x2=128&y2=64&cols=128&rows=64"
-	_, want := get(t, roomySrv.URL+path)
-	if len(want) <= cacheBytesPerEntry {
-		t.Fatalf("the %d-byte map fits one entry's budget; the test needs a larger one", len(want))
+	_, plainSrv := denseServer(t, Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
+	big := "/api/browse?x1=0&y1=0&x2=128&y2=64&cols=128&rows=64"
+	small := "/api/browse?x1=0&y1=0&x2=128&y2=64&cols=32&rows=16"
+	_, wantBig := get(t, plainSrv.URL+big)
+	_, wantSmall := get(t, plainSrv.URL+small)
+	if len(wantBig) <= cacheBytesPerEntry || len(wantSmall) > cacheBytesPerEntry {
+		t.Fatalf("maps of %d and %d bytes, one share is %d; the test needs one over it and one within", len(wantBig), len(wantSmall), cacheBytesPerEntry)
 	}
-	for i := 0; i < 2; i++ {
-		if code, body := get(t, tightSrv.URL+path); code != 200 || body != want {
-			t.Fatalf("request %d: status %d, body differs from the caching server's: %v", i, code, body != want)
+	for _, size := range []int{1, 0} { // -cache 1 and the default 64
+		reg := telemetry.NewRegistry()
+		s, srv := denseServer(t, Options{CacheSize: size, Telemetry: reg})
+		bypass := reg.Counter("geobrowse_cache_bypass_total", "")
+		evictions := reg.Counter("geobrowse_cache_evictions_total", "")
+		for i := 0; i < 2; i++ {
+			if code, body := get(t, srv.URL+big); code != 200 || body != wantBig {
+				t.Fatalf("cache %d, request %d: status %d, body differs from the uncached server's: %v", size, i, code, body != wantBig)
+			}
 		}
-	}
-	if _, again := get(t, roomySrv.URL+path); again != want {
-		t.Fatal("the cached repeat differs from the computed body")
-	}
-	if hits, misses := tight.CacheStats(); hits != 0 || misses != 2 || tight.CacheBytes() != 0 {
-		t.Errorf("tight server: %d hits / %d misses / %d bytes stored, want 0 / 2 / 0", hits, misses, tight.CacheBytes())
-	}
-	if got := reg.Counter("geobrowse_cache_bypass_total", "").Value(); got != 2 {
-		t.Errorf("bypass counter = %d, want 2", got)
-	}
-	if hits, misses := roomy.CacheStats(); hits != 1 || misses != 1 || roomy.CacheBytes() != int64(len(want)) {
-		t.Errorf("roomy server: %d hits / %d misses / %d bytes stored, want 1 / 1 / %d", hits, misses, roomy.CacheBytes(), len(want))
+		if hits, misses := s.CacheStats(); hits != 0 || misses != 2 || s.CacheBytes() != 0 || bypass.Value() != 2 {
+			t.Errorf("cache %d: %d hits / %d misses / %d bytes stored / %d bypasses, want 0 / 2 / 0 / 2",
+				size, hits, misses, s.CacheBytes(), bypass.Value())
+		}
+		for i := 0; i < 2; i++ {
+			if code, body := get(t, srv.URL+small); code != 200 || body != wantSmall {
+				t.Fatalf("cache %d, small request %d: status %d, body differs from the uncached server's: %v", size, i, code, body != wantSmall)
+			}
+		}
+		if hits, misses := s.CacheStats(); hits != 1 || misses != 3 || s.CacheBytes() != int64(len(wantSmall)) || bypass.Value() != 2 || evictions.Value() != 0 {
+			t.Errorf("cache %d: %d hits / %d misses / %d bytes stored / %d bypasses / %d evictions, want 1 / 3 / %d / 2 / 0",
+				size, hits, misses, s.CacheBytes(), bypass.Value(), evictions.Value(), len(wantSmall))
+		}
 	}
 }
 
@@ -340,8 +369,8 @@ func TestBrowseCacheDisabledStoresNothing(t *testing.T) {
 		checkCacheAccounting(t, c, fmt.Sprintf("after request %d", i))
 	}
 	hits, misses := c.Stats()
-	if calls != 3 || hits != 0 || misses != 3 || c.Len() != 0 {
-		t.Fatalf("%d computations, %d hits / %d misses, %d stored; want 3, 0 / 3, 0", calls, hits, misses, c.Len())
+	if calls != 3 || hits != 0 || misses != 3 || len(storedKeys(c)) != 0 {
+		t.Fatalf("%d computations, %d hits / %d misses, %d stored; want 3, 0 / 3, 0", calls, hits, misses, len(storedKeys(c)))
 	}
 	if c.mEvictions.Value() != 0 || c.mBypass.Value() != 0 {
 		t.Fatalf("%d evictions and %d bypasses counted by a disabled cache", c.mEvictions.Value(), c.mBypass.Value())

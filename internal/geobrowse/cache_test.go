@@ -50,8 +50,8 @@ func TestBrowseCacheLRU(t *testing.T) {
 	if calls != 4 {
 		t.Fatalf("calls = %d, want 4 (b was evicted)", calls)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if len(storedKeys(c)) != 2 {
+		t.Fatalf("len = %d, want 2", len(storedKeys(c)))
 	}
 	hits, misses := c.Stats()
 	if hits != 2 || misses != 4 {
@@ -134,58 +134,80 @@ func denseServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 }
 
 // TestBrowseConcurrentIdenticalRequests hammers one browse URL from many
-// goroutines (run with -race): all responses must be identical and the
-// underlying tile map must be computed far fewer times than it is served.
+// goroutines (run with -race): all responses must be identical. A map of
+// one share or less is computed once and then served from the flight or
+// the store; a larger one is not stored, so every client either computed
+// it or waited on a flight that did.
 func TestBrowseConcurrentIdenticalRequests(t *testing.T) {
-	s, srv := denseServer(t, Options{})
-	url := srv.URL + "/api/browse?x1=0&y1=0&x2=128&y2=64&cols=128&rows=64"
-	const clients = 24
-	bodies := make([][]byte, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Get(url)
-			if err != nil {
-				t.Error(err)
-				return
+	for _, tc := range []struct {
+		name       string
+		cols, rows int
+		stored     bool
+	}{
+		{"one share, computed once", 32, 16, true},
+		{"over one share, never stored", 128, 64, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			s, srv := denseServer(t, Options{Telemetry: reg})
+			url := fmt.Sprintf("%s/api/browse?x1=0&y1=0&x2=128&y2=64&cols=%d&rows=%d", srv.URL, tc.cols, tc.rows)
+			const clients = 24
+			bodies := make([][]byte, clients)
+			var wg sync.WaitGroup
+			for i := 0; i < clients; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, err := http.Get(url)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("status %d", resp.StatusCode)
+						return
+					}
+					bodies[i], _ = io.ReadAll(resp.Body)
+				}(i)
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status %d", resp.StatusCode)
-				return
+			wg.Wait()
+			for i := 1; i < clients; i++ {
+				if string(bodies[i]) != string(bodies[0]) {
+					t.Fatalf("response %d differs from response 0", i)
+				}
 			}
-			bodies[i], _ = io.ReadAll(resp.Body)
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < clients; i++ {
-		if string(bodies[i]) != string(bodies[0]) {
-			t.Fatalf("response %d differs from response 0", i)
-		}
-	}
-	var resp BrowseResponse
-	if err := json.Unmarshal(bodies[0], &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Tiles) != 128*64 {
-		t.Fatalf("%d tiles, want %d", len(resp.Tiles), 128*64)
-	}
-	hits, misses := s.CacheStats()
-	if misses != 1 || hits != clients-1 {
-		t.Fatalf("cache stats %d hits / %d misses, want %d/1", hits, misses, clients-1)
+			var resp BrowseResponse
+			if err := json.Unmarshal(bodies[0], &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Tiles) != tc.cols*tc.rows {
+				t.Fatalf("%d tiles, want %d", len(resp.Tiles), tc.cols*tc.rows)
+			}
+			if stored := len(bodies[0]) <= cacheBytesPerEntry; stored != tc.stored {
+				t.Fatalf("a %d-byte body, one share is %d: the case does not test what it says", len(bodies[0]), cacheBytesPerEntry)
+			}
+			hits, misses := s.CacheStats()
+			dedup := reg.Counter("geobrowse_cache_dedup_total", "").Value()
+			switch {
+			case tc.stored && (misses != 1 || hits != clients-1):
+				t.Fatalf("cache stats %d hits / %d misses, want %d/1", hits, misses, clients-1)
+			case !tc.stored && (misses+dedup != clients || hits != dedup || s.CacheBytes() != 0):
+				t.Fatalf("%d computations + %d deduplicated ≠ %d clients, or %d hits / %d bytes stored",
+					misses, dedup, clients, hits, s.CacheBytes())
+			}
+		})
 	}
 }
 
 // BenchmarkBrowseCache measures the browse handler with a warm cache
 // (every request hits) against an uncached server (every request computes
-// the 64x64 tile map and re-encodes it).
+// the 32x16 tile map, one share or less, and re-encodes it).
 func BenchmarkBrowseCache(b *testing.B) {
 	g := grid.NewUnit(128, 64)
 	rects := denseRects(g)
 	est := core.NewEuler(euler.FromRects(g, rects))
-	req := httptest.NewRequest("GET", "/api/browse?x1=0&y1=0&x2=128&y2=64&cols=64&rows=64", nil)
+	req := httptest.NewRequest("GET", "/api/browse?x1=0&y1=0&x2=128&y2=64&cols=32&rows=16", nil)
 	run := func(b *testing.B, s *Server) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {

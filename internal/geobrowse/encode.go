@@ -22,14 +22,15 @@ import (
 // decode-side types and the oracle the encoders are fuzzed against
 // (FuzzBrowseEncode).
 //
-// A tile map is measured before it is written (appendMapResponse), so its
-// body is allocated once, at the exact size.
+// A tile map is measured before it is written (appendResponse), so its
+// body grows at most once, to the exact size.
 //
 // A tile map's rectangles are separable per axis (grid.XEdge/YEdge), so a
 // cols×rows map has only cols+1 distinct x and rows+1 distinct y
 // coordinates: each is formatted once per request into the blocks of
 // tileMap and moved into the tiles that touch it, instead of 4·cols·rows
-// shortest-float conversions. The blocks live for one request.
+// shortest-float conversions. A server's requests recycle the blocks with
+// the body (mapBuffers); AppendBrowseResponse makes both afresh.
 
 // Tile object skeleton, in TileEstimate's field order.
 const (
@@ -143,21 +144,25 @@ type tileMap struct {
 
 func (m *tileMap) block(k int) []byte { return m.text[k*tileBlock:][:m.lens[k]] }
 
-// newTileMap formats the cols+1 x-edges and rows+1 y-edges of a tiling of
-// region into its blocks. ests must be the tiling's row-major estimates.
-func newTileMap(g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate) (tileMap, error) {
+// reset formats the cols+1 x-edges and rows+1 y-edges of a tiling of
+// region into m's blocks, in the storage of m's last tiling when it is
+// large enough. ests must be the tiling's row-major estimates.
+func (m *tileMap) reset(g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate) error {
 	tw, th, err := query.Tiling(region, cols, rows)
 	if err != nil {
-		return tileMap{}, err
+		return err
 	}
 	if region.I1 < 0 || region.J1 < 0 || region.I2 >= g.NX() || region.J2 >= g.NY() {
-		return tileMap{}, fmt.Errorf("geobrowse: region %v outside %v", region, g)
+		return fmt.Errorf("geobrowse: region %v outside %v", region, g)
 	}
 	if len(ests) != cols*rows {
-		return tileMap{}, fmt.Errorf("geobrowse: %d estimates for a %dx%d tile map", len(ests), cols, rows)
+		return fmt.Errorf("geobrowse: %d estimates for a %dx%d tile map", len(ests), cols, rows)
 	}
-	m := tileMap{cols: cols, rows: rows, ests: ests,
-		text: make([]byte, 2*(cols+rows)*tileBlock), lens: make([]uint8, 2*(cols+rows))}
+	blocks := 2 * (cols + rows)
+	if cap(m.lens) < blocks {
+		m.text, m.lens = make([]byte, blocks*tileBlock), make([]uint8, blocks)
+	}
+	*m = tileMap{cols: cols, rows: rows, ests: ests, text: m.text[:blocks*tileBlock], lens: m.lens[:blocks]}
 	// The first non-finite edge is the error: an axis whose cell size
 	// overflowed has no finite edge, so json.Marshal meets it first too.
 	var bad error
@@ -185,7 +190,7 @@ func newTileMap(g *grid.Grid, region grid.Span, cols, rows int, ests []core.Esti
 	for r := 0; r <= rows; r++ {
 		edge(2*cols, r, rows, g.YEdge(region.J1+r*th), "", tileDisjoint)
 	}
-	return m, bad
+	return bad
 }
 
 // tilesSize returns the exact byte count writeTiles writes: a column's
@@ -355,14 +360,34 @@ func appendCount(dst []byte, v int64) []byte {
 	return append(dst, b[:putCount(b[:], uint64(max(v, 0)))]...)
 }
 
-// appendMapResponse appends a tile-map response object: cols, rows, the
-// tiles array, then tail (further members, each with its leading comma) —
-// growing dst once, to exactly the bytes written, so a body kept by the
-// browse cache retains no slack. The tiles are measured, then written in
-// place (writeTiles).
-func appendMapResponse(dst []byte, m tileMap, tail []byte) ([]byte, error) {
-	var scratch [64]byte
-	head := fmt.Appendf(scratch[:0], `{"cols":%d,"rows":%d,"tiles":[`, m.cols, m.rows)
+// AppendBrowseResponse appends the /api/browse wire form of a tile map:
+// ests are the raw row-major estimates of a cols×rows tiling of region,
+// bound the certified ε-tier error (nil for an exact map). The bytes are
+// those of json.Marshal(BrowseResponse{cols, rows, TileEstimates(g,
+// region, cols, rows, ests), bound}), and so is the error for a non-finite
+// bound or coordinate. dst is grown only when its capacity is short of the
+// body, and then once, to exactly the bytes written, so a recycled buffer
+// costs no allocation; capacity past the body may be overwritten.
+func AppendBrowseResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
+	return new(tileMap).appendResponse(dst, g, region, cols, rows, ests, bound)
+}
+
+// appendResponse is AppendBrowseResponse with the tiling's blocks in m's
+// recycled storage. The tiles are measured, then written in place
+// (writeTiles) between the head and the bound's member.
+func (m *tileMap) appendResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
+	if err := m.reset(g, region, cols, rows, ests); err != nil {
+		return dst, err
+	}
+	var scratch [128]byte
+	head := fmt.Appendf(scratch[:0], `{"cols":%d,"rows":%d,"tiles":[`, cols, rows)
+	tail := head[len(head):] // after head in scratch
+	if bound != nil {
+		var err error
+		if tail, err = appendJSONFloat(append(tail, `,"approxErrorBound":`...), *bound); err != nil {
+			return dst, err
+		}
+	}
 	size := m.tilesSize()
 	n := len(dst)
 	if total := n + len(head) + size + len(tail) + 1; cap(dst) < total {
@@ -376,28 +401,4 @@ func appendMapResponse(dst []byte, m tileMap, tail []byte) ([]byte, error) {
 	}
 	body[len(body)-1] = ']' // over the last tile's comma
 	return append(append(body, tail...), '}'), nil
-}
-
-// AppendBrowseResponse appends the /api/browse wire form of a tile map:
-// ests are the raw row-major estimates of a cols×rows tiling of region,
-// bound the certified ε-tier error (nil for an exact map). The bytes are
-// those of json.Marshal(BrowseResponse{cols, rows, TileEstimates(g,
-// region, cols, rows, ests), bound}), and so is the error for a non-finite
-// bound or coordinate. dst is grown only when its capacity is short of the
-// body, so a recycled buffer costs no allocation; capacity past the body
-// may be overwritten.
-func AppendBrowseResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
-	m, err := newTileMap(g, region, cols, rows, ests)
-	if err != nil {
-		return dst, err
-	}
-	var tail []byte
-	if bound != nil {
-		var scratch [64]byte
-		tail = append(scratch[:0], `,"approxErrorBound":`...)
-		if tail, err = appendJSONFloat(tail, *bound); err != nil {
-			return dst, err
-		}
-	}
-	return appendMapResponse(dst, m, tail)
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"slices"
 	"strconv"
 	"testing"
 
@@ -258,12 +257,14 @@ func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
 // TestBrowseMissBudget bounds what one cache miss allocates once warm,
-// request to body, by the budget TestCoordinatorBrowseBudget holds the
-// coordinator's maps to: a miss sweeps into the server's recycled plane,
-// so it may take the body — fresh, since the cache or the waiters of the
-// single-flight keep it — and O(cols+rows) of edge tables plus a
-// constant, but no plane. A 90×90 M-EulerApprox map, through a server
-// that stores nothing.
+// request to body. A miss sweeps into the server's recycled plane and
+// encodes into its recycled edge blocks and body, so a map over one share,
+// which no cache stores, allocates nothing in proportion to the map: at
+// most 16 KiB, on a server with no cache and on one with the default cache
+// (as the cold-maps workload runs). A map of one share or less on a caching
+// server adds the cache's own copy of its body; its requests move the
+// region one cell east each time, so every one misses. M-EulerApprox maps
+// over a 184×92 grid.
 func TestBrowseMissBudget(t *testing.T) {
 	g := grid.NewUnit(184, 92)
 	r := rand.New(rand.NewSource(17))
@@ -276,47 +277,84 @@ func TestBrowseMissBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New("budget", StaticSource(est), Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
-	// Off the west edge, so no lattice-height row of zeros is made up.
-	span := grid.Span{I1: 2, J1: 1, I2: 2 + 180 - 1, J2: 1 + 90 - 1}
-	const cols, rows = 90, 90
-	req := httptest.NewRequest("GET", fmt.Sprintf("/api/browse?x1=2&y1=1&x2=182&y2=91&cols=%d&rows=%d", cols, rows), nil)
-	serve := func() {
-		w := &discardWriter{h: http.Header{}}
-		s.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			t.Fatalf("status %d", w.status)
-		}
-	}
-	serve() // warm: the recycled plane reaches this map's size
-	// The median request: a sync.Pool may drop what it holds (at a GC, and
-	// at random under the race detector), and a request that finds it empty
-	// allocates afresh — rarely, and it must not be the norm.
-	allocs := make([]uint64, 21)
-	var before, after runtime.MemStats
-	for i := range allocs {
-		runtime.ReadMemStats(&before)
-		serve()
-		runtime.ReadMemStats(&after)
-		allocs[i] = after.TotalAlloc - before.TotalAlloc
-	}
-	slices.Sort(allocs)
-	perMap := int(allocs[len(allocs)/2])
+	const budget = 16 << 10
+	for _, tc := range []struct {
+		cacheSize  int
+		cols, rows int
+		w, h       int  // the region's cells
+		moves      bool // each request one cell east of the last, its body one share or less
+	}{
+		{-1, 90, 90, 180, 90, false},
+		{-1, 45, 45, 180, 90, false},
+		{0, 90, 90, 180, 90, false},
+		{0, 45, 45, 180, 90, false},
+		{0, 36, 18, 72, 36, true},
+	} {
+		t.Run(fmt.Sprintf("cache %d, %dx%d", tc.cacheSize, tc.cols, tc.rows), func(t *testing.T) {
+			s := New("budget", StaticSource(est), Options{CacheSize: tc.cacheSize, Telemetry: telemetry.NewRegistry()})
+			// Off the west edge, so no lattice-height row of zeros is made up.
+			const x1, y1 = 2, 1
+			reqs := make([]*http.Request, 23)
+			for i := range reqs {
+				dx := 0
+				if tc.moves {
+					dx = i
+				}
+				reqs[i] = httptest.NewRequest("GET", fmt.Sprintf("/api/browse?x1=%d&y1=%d&x2=%d&y2=%d&cols=%d&rows=%d",
+					x1+dx, y1, x1+dx+tc.w, y1+tc.h, tc.cols, tc.rows), nil)
+			}
+			serve := func(req *http.Request) {
+				w := &discardWriter{h: http.Header{}}
+				s.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					t.Fatalf("status %d", w.status)
+				}
+			}
+			serve(reqs[0]) // warm: the recycled buffers reach this map's size
+			// The fewest bytes of 21 requests: what every miss allocates.
+			// A sync.Pool may drop what it holds (at a GC, and at random
+			// under the race detector, often enough there to move the
+			// median), and a request that finds it empty allocates afresh.
+			perMap := math.MaxInt
+			var before, after runtime.MemStats
+			for _, req := range reqs[1 : len(reqs)-1] {
+				runtime.ReadMemStats(&before)
+				serve(req)
+				runtime.ReadMemStats(&after)
+				perMap = min(perMap, int(after.TotalAlloc-before.TotalAlloc))
+			}
 
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	body := rec.Body.Bytes()
-	t.Logf("%dx%d miss: %d bytes allocated per request (plane %d, body %d)", cols, rows, perMap, 32*cols*rows, len(body))
-	if budget := len(body) + 64*(cols+rows) + 16<<10; perMap > budget {
-		t.Errorf("%d bytes allocated per %dx%d miss, budget %d: a plane is %d and the body %d",
-			perMap, cols, rows, budget, 32*cols*rows, len(body))
-	}
-	want, err := core.EstimateGrid(est, span, cols, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial, err := AppendBrowseResponse(nil, g, span, cols, rows, want, nil); err != nil || !bytes.Equal(body, serial) {
-		t.Fatalf("miss body differs from the encoding of EstimateGrid (err %v)", err)
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, reqs[len(reqs)-1])
+			body := rec.Body.Bytes()
+			if hits, _ := s.CacheStats(); hits != 0 {
+				t.Fatalf("%d requests were hits; every one must miss", hits)
+			}
+			if stored := len(body) <= cacheBytesPerEntry; stored != tc.moves {
+				t.Fatalf("a %d-byte body, one share is %d: the case does not test what it says", len(body), cacheBytesPerEntry)
+			}
+			limit := budget
+			if tc.moves {
+				limit += len(body)
+			}
+			t.Logf("%d bytes allocated per request (plane %d, body %d, limit %d)", perMap, 32*tc.cols*tc.rows, len(body), limit)
+			if perMap > limit {
+				t.Errorf("%d bytes allocated per %dx%d miss, limit %d: a plane is %d and the body %d",
+					perMap, tc.cols, tc.rows, limit, 32*tc.cols*tc.rows, len(body))
+			}
+			dx := x1
+			if tc.moves {
+				dx += len(reqs) - 1
+			}
+			span := grid.Span{I1: dx, J1: y1, I2: dx + tc.w - 1, J2: y1 + tc.h - 1}
+			want, err := core.EstimateGrid(est, span, tc.cols, tc.rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial, err := AppendBrowseResponse(nil, g, span, tc.cols, tc.rows, want, nil); err != nil || !bytes.Equal(body, serial) {
+				t.Fatalf("miss body differs from the encoding of EstimateGrid (err %v)", err)
+			}
+		})
 	}
 }
 

@@ -49,10 +49,10 @@ const maxTiles = 100_000
 
 // Options tunes a Server's serving machinery.
 type Options struct {
-	// CacheSize bounds the browse-response LRU: at most CacheSize entries
-	// in at most CacheSize × 128 KiB of stored bodies. 0 means the default
-	// (64, so 8 MiB); negative disables storage while keeping single-flight
-	// deduplication of concurrent identical requests.
+	// CacheSize bounds the browse-response LRU: at most CacheSize entries,
+	// each a body of at most 128 KiB (a larger one is served, not stored).
+	// 0 means the default, 64; negative disables storage while keeping
+	// single-flight deduplication of concurrent identical requests.
 	CacheSize int
 	// Telemetry receives the server's runtime metrics and backs its
 	// /metrics endpoint. nil means telemetry.Default().
@@ -287,10 +287,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeRead(w, data, err)
 }
 
-// handleBrowse answers a tile map from one recycled plane. The read spans
-// the whole computation — the cache fill included — since it reads the
-// generation's histogram buffers, and the plane goes back only once the
-// body is written: w keeps no reference to it once Write returns.
+// handleBrowse answers a tile map from one request's recycled buffers. The
+// read spans the whole computation — the cache fill included — since it
+// reads the generation's histogram buffers, and the buffers go back only
+// once the body is written: w keeps no reference to it once Write returns.
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	span, cols, rows, err := parseBrowseRequest(s.g, r.URL.Query())
 	if err != nil {

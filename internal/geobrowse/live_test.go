@@ -173,7 +173,7 @@ func TestGenerationCacheInvalidation(t *testing.T) {
 	}
 	// Both generations' entries are resident: the swap invalidated by
 	// keying, not by flushing the cache.
-	if n := srv.cache.Len(); n != 2 {
+	if n := len(storedKeys(srv.cache)); n != 2 {
 		t.Fatalf("cache holds %d entries, want both generations' responses", n)
 	}
 	// And the post-swap key now hits.

@@ -108,11 +108,21 @@ type reading interface {
 	browseMap(m *mapBuffers, span grid.Span, cols, rows int) ([]byte, error)
 }
 
-// mapBuffers is a browse map's plane and, where the request owns it, its
-// body, kept for the next request once the body is written.
+// mapBuffers is everything a browse miss writes — the plane, the tiling's
+// edge blocks and the body — kept for the next request once the body is
+// written.
 type mapBuffers struct {
 	plane []core.Estimate
+	tiles tileMap
 	body  []byte
+}
+
+// encode writes the browse response of ests, a cols×rows tiling of span,
+// into m's body.
+func (m *mapBuffers) encode(g *grid.Grid, span grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
+	var err error
+	m.body, err = m.tiles.appendResponse(m.body[:0], g, span, cols, rows, ests, bound)
+	return encoded(m.body, err)
 }
 
 // pinned is one request's read of an EstimatorSource: the estimator of one
@@ -133,8 +143,8 @@ func (p *pinned) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) {
 
 // browseMap plans the map once and reads the plan three times: its level
 // and ε key the cache entry, and it answers the miss — from the ε tier when
-// it asks for it, otherwise into the recycled plane. Only the body is
-// fresh: the cache, or the waiters of the single-flight, keep it.
+// it asks for it, otherwise into the recycled plane — encoding into m. The
+// cache copies what it keeps, so the body returned may be m's.
 func (p *pinned) browseMap(m *mapBuffers, span grid.Span, cols, rows int) ([]byte, error) {
 	s := p.s
 	plan, err := core.PlanGrid(p.est, span, cols, rows, s.epsilon)
@@ -157,12 +167,11 @@ func (p *pinned) browseMap(m *mapBuffers, span grid.Span, cols, rows int) ([]byt
 		} else {
 			m.plane = plane
 		}
-		return encoded(AppendBrowseResponse(nil, s.g, span, cols, rows, plane, bound))
+		return m.encode(s.g, span, cols, rows, plane, bound)
 	})
 }
 
-// uncached reads a Reader as it is. With no cache holding the body, the
-// request owns it, and it is recycled with the plane.
+// uncached reads a Reader as it is.
 type uncached struct {
 	Reader
 	s *Server
@@ -173,6 +182,5 @@ func (u uncached) browseMap(m *mapBuffers, span grid.Span, cols, rows int) ([]by
 	if m.plane, err = u.SumGrid(m.plane, span, cols, rows); err != nil {
 		return nil, err
 	}
-	m.body, err = AppendBrowseResponse(m.body[:0], u.s.g, span, cols, rows, m.plane, nil)
-	return encoded(m.body, err)
+	return m.encode(u.s.g, span, cols, rows, m.plane, nil)
 }

@@ -29,11 +29,6 @@ type Config struct {
 	// Shards lists each shard's backends in band order; required. All
 	// backends must serve the same grid and algorithm.
 	Shards []Backends
-	// MaxLagBytes is the staleness bound for follower reads: a follower is
-	// eligible while the leader's applied sequence minus the follower's
-	// snapshot-visible sequence is at most this many journal bytes.
-	// 0 admits only fully caught-up followers.
-	MaxLagBytes int64
 	// ProbeInterval is how often backend status (liveness, lag) is
 	// refreshed. 0 means 250ms; negative disables the background prober
 	// (Probe can still be called explicitly).
@@ -78,9 +73,9 @@ func (grp *shardGroup) raiseGen(gen uint64) {
 // Coordinator answers queries by adding every shard's raw per-tile
 // estimates into one plane, one shard after another on the request
 // goroutine, and routes ingest to the writer shard owning each object.
-// Reads balance across each shard's leader and its sufficiently
-// fresh followers; freshness is judged by the replica's snapshot-visible
-// sequence against the leader's applied sequence, both refreshed by the
+// Reads balance across each shard's leader and its caught-up
+// followers; a follower has caught up when its snapshot-visible sequence
+// has reached the leader's applied sequence, both refreshed by the
 // prober.
 type Coordinator struct {
 	name   string
@@ -88,7 +83,6 @@ type Coordinator struct {
 	algo   string
 	part   *Partition
 	shards []*shardGroup
-	maxLag int64
 
 	stop chan struct{}
 	done chan struct{}
@@ -111,10 +105,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		reg = telemetry.Default()
 	}
 	c := &Coordinator{
-		name:   cfg.Name,
-		maxLag: cfg.MaxLagBytes,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		name: cfg.Name,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 		fanout: reg.Histogram("shard_fanout_seconds",
 			"Gather latency: every shard read into one plane.", nil),
 		reads: map[string]*telemetry.Counter{
@@ -243,11 +236,11 @@ func (c *Coordinator) probeLoop(every time.Duration) {
 // first (rotated round-robin so load spreads), then the remaining ones as
 // a last resort — probe state can be stale, and trying a "dead" backend
 // beats failing the query. A follower is eligible while it is alive and
-// its published snapshot trails the leader's applied sequence by at most
-// the staleness bound; when the leader is unreachable the bound cannot be
-// verified, and availability wins: alive followers stay eligible (reads
-// keep flowing during a leader failover).
-func (grp *shardGroup) candidates(maxLag int64) []*backend {
+// its published snapshot has caught up with the leader's applied
+// sequence; when the leader is unreachable that cannot be verified, and
+// availability wins: alive followers stay eligible (reads keep flowing
+// during a leader failover).
+func (grp *shardGroup) candidates() []*backend {
 	leaderSeq := grp.leader.appliedSeq.Load()
 	leaderUp := grp.leader.alive.Load()
 	var eligible, rest []*backend
@@ -260,7 +253,7 @@ func (grp *shardGroup) candidates(maxLag int64) []*backend {
 			rest = append(rest, be)
 		case be.role == "leader":
 			eligible = append(eligible, be)
-		case !leaderUp || leaderSeq-be.snapshotSeq.Load() <= maxLag:
+		case !leaderUp || be.snapshotSeq.Load() >= leaderSeq:
 			eligible = append(eligible, be)
 		default:
 			rest = append(rest, be)
@@ -277,7 +270,7 @@ func (c *Coordinator) gather(read func(h Handle) error) error {
 	start := time.Now()
 	errs := make([]error, len(c.shards))
 	for si, grp := range c.shards {
-		errs[si] = c.failover(si, grp.candidates(c.maxLag), read)
+		errs[si] = c.failover(si, grp.candidates(), read)
 	}
 	c.fanout.ObserveDuration(time.Since(start))
 	return errors.Join(errs...)

@@ -46,12 +46,11 @@ type TopologyShard struct {
 
 // TopologyResponse is the /api/shards response.
 type TopologyResponse struct {
-	Shards      []TopologyShard `json:"shards"`
-	MaxLagBytes int64           `json:"maxLagBytes"`
+	Shards []TopologyShard `json:"shards"`
 }
 
 func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
-	resp := TopologyResponse{MaxLagBytes: c.maxLag}
+	var resp TopologyResponse
 	for si, grp := range c.shards {
 		c1, c2 := c.part.Band(si)
 		ts := TopologyShard{Band: [2]int{c1, c2}}

@@ -177,11 +177,10 @@ func singleEstimates(t *testing.T, s *live.Store, region grid.Span, cols, rows i
 	return ests
 }
 
-func localCoordinator(t *testing.T, shards []*live.Store, followers map[int][]Handle, maxLag int64) *Coordinator {
+func localCoordinator(t *testing.T, shards []*live.Store, followers map[int][]Handle) *Coordinator {
 	t.Helper()
 	cfg := Config{
 		Name:          "test",
-		MaxLagBytes:   maxLag,
 		ProbeInterval: -1,
 		Telemetry:     telemetry.NewRegistry(),
 	}
@@ -201,7 +200,7 @@ func localCoordinator(t *testing.T, shards []*live.Store, followers map[int][]Ha
 func TestScatterGatherBitIdentity(t *testing.T) {
 	g := testGrid(t)
 	single, shards := buildSharded(t, g, 3, 400, 11)
-	c := localCoordinator(t, shards, nil, 0)
+	c := localCoordinator(t, shards, nil)
 
 	rng := rand.New(rand.NewSource(13))
 	full := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
@@ -342,7 +341,7 @@ func TestCoordinatorIngestMatchesSingle(t *testing.T) {
 		openTestStore(t, g, "", "s0"),
 		openTestStore(t, g, "", "s1"),
 	}
-	c := localCoordinator(t, shards, nil, 0)
+	c := localCoordinator(t, shards, nil)
 
 	rng := rand.New(rand.NewSource(29))
 	var rects []geom.Rect
@@ -395,7 +394,7 @@ func TestCoordinatorIngestMatchesSingle(t *testing.T) {
 // before it, and no ack may run ahead of /api/info's.
 func TestIngestAcksMonotone(t *testing.T) {
 	g := testGrid(t)
-	c := localCoordinator(t, []*live.Store{openTestStore(t, g, "", "s0"), openTestStore(t, g, "", "s1")}, nil, 0)
+	c := localCoordinator(t, []*live.Store{openTestStore(t, g, "", "s0"), openTestStore(t, g, "", "s1")}, nil)
 	west, east := geom.NewRect(2, 2, 4, 4), geom.NewRect(40, 2, 42, 4)
 	var last uint64
 	for k, r := range []geom.Rect{west, west, east, west, east} {
@@ -456,7 +455,7 @@ func TestCoordinatorBrowseBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	front := NewServer(localCoordinator(t, stores, nil, 0), telemetry.NewRegistry())
+	front := NewServer(localCoordinator(t, stores, nil), telemetry.NewRegistry())
 	for _, n := range []int{45, 90} {
 		req := httptest.NewRequest("GET", fmt.Sprintf("/api/browse?x1=0&y1=0&x2=360&y2=180&cols=%d&rows=%d", n, n), nil)
 		serve := func() int {
@@ -520,7 +519,7 @@ func readBody(t *testing.T, url string) (int, string) {
 func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
 	g := testGrid(t)
 	single, shards := buildSharded(t, g, 2, 300, 41)
-	c := localCoordinator(t, shards, nil, 0)
+	c := localCoordinator(t, shards, nil)
 
 	coord := httptest.NewServer(NewServer(c, telemetry.NewRegistry()))
 	t.Cleanup(coord.Close)
@@ -559,7 +558,7 @@ func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
 func TestInProcessFrontConcurrentMaps(t *testing.T) {
 	g := grid.New(geom.Rect{XMax: 128, YMax: 64}, 128, 64)
 	single, shards := buildSharded(t, g, 2, 300, 43)
-	front := NewServer(localCoordinator(t, shards, nil, 0), telemetry.NewRegistry())
+	front := NewServer(localCoordinator(t, shards, nil), telemetry.NewRegistry())
 	ref := geobrowse.New("test", single, geobrowse.Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
 	queries := []string{
 		"/api/browse?x1=0&y1=0&x2=128&y2=64&cols=128&rows=64", // 8192 tiles
@@ -663,7 +662,6 @@ func TestCoordinatorFailsOverToFollower(t *testing.T) {
 			Leader:    leaderHandle,
 			Followers: []Handle{&LocalHandle{Store: f.Store(), Label: "follower"}},
 		}},
-		MaxLagBytes:   0,
 		ProbeInterval: -1,
 		Telemetry:     reg,
 	})
@@ -720,6 +718,9 @@ func TestCoordinatorFailsOverToFollower(t *testing.T) {
 	}
 }
 
+// TestCandidatesLagGating: a follower is read first only once it has
+// caught up with its leader; a lagging one, however little, is a last
+// resort, until the leader is down and availability wins.
 func TestCandidatesLagGating(t *testing.T) {
 	mk := func(role string, alive bool, appliedSeq, snapSeq int64) *backend {
 		be := &backend{h: &LocalHandle{Label: role}, role: role}
@@ -729,41 +730,39 @@ func TestCandidatesLagGating(t *testing.T) {
 		return be
 	}
 	leader := mk("leader", true, 1000, 1000)
-	fresh := mk("follower", true, 1000, 990) // lag 10
-	stale := mk("follower", true, 500, 500)  // lag 500
-	grp := &shardGroup{leader: leader, all: []*backend{leader, fresh, stale}}
+	caught := mk("follower", true, 1000, 1000)
+	lagging := mk("follower", true, 1000, 990) // lag 10
+	stale := mk("follower", true, 500, 500)    // lag 500
+	grp := &shardGroup{leader: leader, all: []*backend{leader, caught, lagging, stale}}
 
-	order := grp.candidates(50)
-	if len(order) != 3 {
-		t.Fatalf("candidates returned %d backends", len(order))
+	first := map[*backend]int{}
+	for k := 0; k < len(grp.all); k++ { // one full round-robin turn
+		order := grp.candidates()
+		if len(order) != 4 {
+			t.Fatalf("candidates returned %d backends", len(order))
+		}
+		eligible := []*backend{order[0], order[1]}
+		if !slices.Contains(eligible, leader) || !slices.Contains(eligible, caught) {
+			t.Fatalf("turn %d: the leader and the caught-up follower are not both ahead of the lagging ones", k)
+		}
+		first[order[0]]++
 	}
-	// The stale follower must sort after both eligible backends.
-	if order[2] != stale {
-		t.Fatalf("stale follower not last: %v", []*backend{order[0], order[1], order[2]})
-	}
-
-	// Zero lag bound admits only fully caught-up followers.
-	order = grp.candidates(0)
-	if order[1] == fresh && order[0] == fresh {
-		t.Fatal("lagging follower eligible under a zero bound")
-	}
-	pos := map[*backend]int{}
-	for i, be := range order {
-		pos[be] = i
-	}
-	if pos[leader] > 0 {
-		t.Fatalf("leader not first under zero bound: leader at %d", pos[leader])
+	if first[leader] == 0 || first[caught] == 0 {
+		t.Fatalf("reads did not rotate across the eligible backends: %d first for the leader, %d for the follower",
+			first[leader], first[caught])
 	}
 
-	// Leader down: the fresh follower keeps serving (availability wins).
+	// Leader down: every alive follower serves (availability wins), the
+	// dead leader is the last resort.
 	leader.alive.Store(false)
-	order = grp.candidates(0)
-	if order[0] != fresh && order[0] != stale {
-		t.Fatal("no follower first with the leader down")
+	order := grp.candidates()
+	if order[3] != leader {
+		t.Fatal("the dead leader is not last")
 	}
-	first := order[0]
-	if first.role != "follower" || !first.alive.Load() {
-		t.Fatal("dead or non-follower backend preferred with leader down")
+	for _, be := range order[:3] {
+		if be.role != "follower" || !be.alive.Load() {
+			t.Fatal("dead or non-follower backend preferred with the leader down")
+		}
 	}
 }
 
@@ -776,7 +775,7 @@ func second[T any](_ T, err error) error { return err }
 func TestCoordinatorRejectsBadQueries(t *testing.T) {
 	g := testGrid(t)
 	_, stores := buildSharded(t, g, 2, 50, 1)
-	c := localCoordinator(t, stores, nil, 0)
+	c := localCoordinator(t, stores, nil)
 	for what, err := range map[string]error{
 		"non-dividing tiling": second(c.EstimateGrid(grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}, 7, 1)),
 		"out-of-grid span":    second(c.EstimateGrid(grid.Span{I1: 0, J1: 0, I2: g.NX(), J2: 0}, 1, 1)),
