@@ -444,10 +444,8 @@ func TestShardedAnswersAsSingle(t *testing.T) {
 		if len(top.Shards) != 2 {
 			t.Fatalf("%d shards, want 2: %s", len(top.Shards), rec.Body)
 		}
-		for si, s := range top.Shards {
-			if len(s.Backends) != 1 || !s.Backends[0].Alive {
-				t.Errorf("shard %d: backends %+v, want one alive", si, s.Backends)
-			}
+		if w, e := top.Shards[0].Band, top.Shards[1].Band; w[0] != 0 || w[1]+1 != e[0] || e[1] != 359 {
+			t.Errorf("bands %v and %v are not disjoint and covering columns 0-359", w, e)
 		}
 	})
 	sameReads := func(t *testing.T) {

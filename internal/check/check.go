@@ -19,8 +19,8 @@
 // The fourth compares paths with each other: the transcript checks carry
 // out one seeded script (gen.Script) of mutations, publishes, checkpoints,
 // restarts and probes with a set of interpreters — fresh builds, BuildFrom
-// chains, live stores over journals, shard coordinators, followers, every
-// tile-map sweep, a lowered cell-width limit — and hold every transcript to
+// chains, live stores over journals, shard coordinators, every tile-map
+// sweep, a lowered cell-width limit — and hold every transcript to
 // the fresh reference's, entry for entry.
 //
 // Stores are read the one way there is: estimators are pinned
@@ -152,7 +152,7 @@ func Transcripts() []Check {
 	store := func(axes storeOpts) func(r *rand.Rand) []config {
 		return func(r *rand.Rand) []config {
 			o := drawStore(r)
-			o.wal, o.follower = axes.wal, axes.follower
+			o.wal = axes.wal
 			if axes.shards > 0 {
 				o.shards = 1 + r.Intn(axes.shards)
 			}
@@ -170,12 +170,6 @@ func Transcripts() []Check {
 			store(storeOpts{wal: true})),
 		transcriptCheck("sharded-vs-fresh", "a coordinator over 1–4 column-band shards, written and read through while a concurrent reader maps the space, reads as fresh builds",
 			store(storeOpts{shards: 4})),
-		transcriptCheck("follower-vs-fresh", "a WAL-shipped follower of a leader that widens mid-stream, killed and restarted from its own checkpoint while the leader writes on, serves dead-leader failover reads as fresh builds",
-			func(r *rand.Rand) []config {
-				o := drawStore(r)
-				o.follower = true
-				return []config{storeConfig(o, 25+int64(r.Intn(24)), sw(r), r.Int63())}
-			}),
 		transcriptCheck("composed-vs-fresh", "compositions read as fresh builds: a journaled, checkpointed store under a lowered cell-width limit, reopened mid-script; a 2-shard coordinator over journaled shards restarted from their WALs",
 			func(r *rand.Rand) []config {
 				durable, shards := drawStore(r), drawStore(r)

@@ -7,11 +7,9 @@ import (
 	"testing"
 
 	"spatialhist/internal/check/gen"
-	"spatialhist/internal/core"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/live"
-	"spatialhist/internal/shard"
 	"spatialhist/internal/telemetry"
 )
 
@@ -47,38 +45,6 @@ func TestNamed(t *testing.T) {
 	if _, ok := Named("no-such-check"); ok {
 		t.Fatal("Named accepted an unknown name")
 	}
-}
-
-// TestDeadLeaderIsReadRemotely: the follower interpreter's dead leader
-// wraps a store with objects in it, and both of its reads fail without
-// adding a thing, so the coordinator serves every read from the follower
-// into the same plane. A wrapper that inherited the store's add methods
-// would serve every read itself.
-func TestDeadLeaderIsReadRemotely(t *testing.T) {
-	g := grid.New(geom.Rect{XMax: 16, YMax: 16}, 16, 16)
-	st, err := live.Open(live.Config{Grid: g, Algo: live.AlgoEuler, Telemetry: telemetry.NewRegistry(),
-		Seed: []geom.Rect{geom.NewRect(1, 1, 5, 5), geom.NewRect(8, 2, 15, 9)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	h := deadLeader{&shard.LocalHandle{Store: st}}
-	full := grid.Span{I2: 15, J2: 15}
-	untouched := func(what string, dst []core.Estimate, err error) {
-		t.Helper()
-		if err == nil {
-			t.Errorf("%s on the dead leader succeeded", what)
-		}
-		for k, e := range dst {
-			if e != (core.Estimate{}) {
-				t.Errorf("%s on the dead leader added %+v at %d", what, e, k)
-			}
-		}
-	}
-	grid4 := make([]core.Estimate, 16)
-	untouched("AddGrid", grid4, h.AddGrid(grid4, full, 4, 4))
-	spans := make([]core.Estimate, 2)
-	untouched("AddSpans", spans, h.AddSpans(spans, []grid.Span{full, {I1: 2, J1: 2, I2: 3, J2: 3}}))
 }
 
 // TestChainReachesBothStrategies: nothing forces BuildFrom's hand, so the
@@ -283,7 +249,6 @@ func TestTranscriptsAreNotVacuous(t *testing.T) {
 		storeConfig(storeOpts{rebuildEvery: 7}, -1, oneSweep, 3),
 		storeConfig(storeOpts{wal: true, ckpt: true, syncEvery: 1}, 30, perTile, 4),
 		storeConfig(storeOpts{shards: 2}, -1, oneSweep, 5),
-		storeConfig(storeOpts{follower: true}, -1, banded, 6),
 	} {
 		swallow := i%2 == 0
 		open := c.open

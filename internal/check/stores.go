@@ -1,7 +1,6 @@
 // Store interpreters: the live store and what is built around it — its
-// journal and checkpoints, a shard coordinator and a WAL-shipped follower —
-// composed by storeOpts and held to the fresh reference by the transcript
-// checks.
+// journal and checkpoints, and a shard coordinator — composed by storeOpts
+// and held to the fresh reference by the transcript checks.
 package check
 
 import (
@@ -9,13 +8,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"spatialhist/internal/check/gen"
-	"spatialhist/internal/core"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 	"spatialhist/internal/live"
@@ -27,7 +23,6 @@ import (
 type storeOpts struct {
 	wal, ckpt    bool // journal, reopened at restarts; and a checkpoint file
 	shards       int  // > 0: that many column-band stores behind a coordinator
-	follower     bool // each shard's reads served by a follower of its journaled leader
 	syncEvery    int
 	rebuildEvery int
 }
@@ -40,7 +35,7 @@ func drawStore(r *rand.Rand) storeOpts {
 
 func storeConfig(o storeOpts, limit int64, sw sweep, seed int64) config {
 	return config{name: fmt.Sprintf("store%+v (limit %d, %v)", o, limit, sw), limit: limit, open: func(sc *scenario) (interpreter, error) {
-		if o.shards > 0 || o.follower {
+		if o.shards > 0 {
 			return newFleet(sc, o)
 		}
 		return o.open(sc, sc.Seed, reader{sw, gen.Rand(seed)})
@@ -75,7 +70,7 @@ func (o storeOpts) open(sc *scenario, seed []geom.Rect, rd reader) (*store, erro
 	s := &store{reader: rd, dir: dir, cfg: live.Config{Grid: sc.Grid, Algo: sc.spec.Algo, Areas: sc.spec.Areas, Seed: seed,
 		RebuildEvery: o.rebuildEvery, SyncEvery: o.syncEvery,
 		PyramidLevels: 8, PyramidMinGrid: popts.MinGrid, Telemetry: telemetry.NewRegistry()}}
-	if o.wal || o.follower {
+	if o.wal {
 		s.cfg.WALPath = filepath.Join(dir, "journal.wal")
 	}
 	if o.ckpt {
@@ -148,21 +143,15 @@ func applyMut(s *live.Store, m gen.Mutation) (bool, error) {
 
 // fleet is column-band shards behind a coordinator, written and read
 // through it while a reader maps the whole space all along: its answers
-// cannot be held to a store mid-stream, but it must never fail. With
-// followers, every shard's leader read path is down, so every read is
-// served by the shard's WAL-shipped follower. A restart kills the
-// followers and restarts the shards; the next publish starts the followers
-// again from their own checkpoints, the leaders having kept writing.
+// cannot be held to a store mid-stream, but it must never fail.
 type fleet struct {
-	o         storeOpts
-	shards    []*store
-	followers []*shard.Follower // while they are up
-	c         *shard.Coordinator
-	halt      func() error // stops the reader and the coordinator, reporting what the reader saw
+	shards []*store
+	c      *shard.Coordinator
+	halt   func() error // stops the reader, reporting what it saw
 }
 
 func newFleet(sc *scenario, o storeOpts) (*fleet, error) {
-	part, err := shard.NewPartition(sc.Grid, max(1, o.shards))
+	part, err := shard.NewPartition(sc.Grid, o.shards)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +159,7 @@ func newFleet(sc *scenario, o storeOpts) (*fleet, error) {
 	for _, r := range sc.Seed {
 		seeds[part.ShardFor(r)] = append(seeds[part.ShardFor(r)], r)
 	}
-	s := &fleet{o: o}
+	s := &fleet{}
 	for _, seed := range seeds {
 		st, err := o.open(sc, seed, reader{})
 		if err != nil {
@@ -178,42 +167,14 @@ func newFleet(sc *scenario, o storeOpts) (*fleet, error) {
 		}
 		s.shards = append(s.shards, st)
 	}
-	return s, s.Publish()
+	return s, s.start()
 }
 
-// deadLeader wraps a Handle whose read path is down, forcing the
-// coordinator onto the follower; Status keeps answering so the lag gate
-// still sees the leader's applied sequence.
-type deadLeader struct{ shard.Handle }
-
-func (deadLeader) AddGrid([]core.Estimate, grid.Span, int, int) error {
-	return fmt.Errorf("leader read path down")
-}
-
-func (deadLeader) AddSpans([]core.Estimate, []grid.Span) error {
-	return fmt.Errorf("leader read path down")
-}
-
-// start puts a coordinator and its reader over the shards, and followers
-// behind dead leaders when follow is set.
-func (s *fleet) start(follow bool) error {
-	if err := s.stop(); err != nil {
-		return err
-	}
-	cfg := shard.Config{ProbeInterval: -1, Telemetry: telemetry.NewRegistry()}
+// start puts a coordinator and its reader over the shards.
+func (s *fleet) start() error {
+	cfg := shard.Config{Telemetry: telemetry.NewRegistry()}
 	for i, st := range s.shards {
-		b := shard.Backends{Leader: &shard.LocalHandle{Store: st.st, Label: fmt.Sprint("s", i)}}
-		if follow {
-			f, err := shard.StartFollower(shard.FollowerConfig{Source: shard.LocalSource{Store: st.st},
-				CheckpointPath: filepath.Join(st.dir, "follower.ckpt"), PollInterval: 50 * time.Microsecond,
-				RebuildEvery: s.o.rebuildEvery, Telemetry: telemetry.NewRegistry()})
-			if err != nil {
-				return err
-			}
-			s.followers = append(s.followers, f)
-			b = shard.Backends{Leader: deadLeader{b.Leader}, Followers: []shard.Handle{&shard.LocalHandle{Store: f.Store(), Label: fmt.Sprint("f", i)}}}
-		}
-		cfg.Shards = append(cfg.Shards, b)
+		cfg.Shards = append(cfg.Shards, shard.Backends{Leader: &shard.LocalHandle{Store: st.st, Label: fmt.Sprint("s", i)}})
 	}
 	c, err := shard.NewCoordinator(cfg)
 	if err != nil {
@@ -236,23 +197,16 @@ func (s *fleet) start(follow bool) error {
 	s.c, s.halt = c, func() error {
 		stop.Store(true)
 		wg.Wait()
-		c.Close()
 		return readErr
 	}
 	return nil
 }
 
-// stop halts the reader, the coordinator and the followers.
+// stop halts the reader.
 func (s *fleet) stop() (err error) {
 	if s.halt != nil {
 		err, s.halt = s.halt(), nil
 	}
-	for _, f := range s.followers {
-		if e := f.Close(); err == nil {
-			err = e
-		}
-	}
-	s.followers = nil
 	return err
 }
 
@@ -284,28 +238,8 @@ func (s *fleet) each(fn func(*store) error) error {
 	return nil
 }
 
-// Publish flushes the shards and, with followers, starts any that are down
-// and waits for every one to catch up with its leader.
-func (s *fleet) Publish() error {
-	if err := s.each((*store).Publish); err != nil {
-		return err
-	}
-	if s.c == nil || s.o.follower && s.followers == nil {
-		if err := s.start(s.o.follower); err != nil {
-			return err
-		}
-	}
-	for i, f := range s.followers {
-		target := s.shards[i].st.Seq()
-		for deadline := time.Now().Add(10 * time.Second); f.Store().VisibleSeq() < target; runtime.Gosched() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("follower %d stuck at seq %d of %d", i, f.Seq(), target)
-			}
-		}
-	}
-	s.c.Probe()
-	return nil
-}
+// Publish flushes the shards.
+func (s *fleet) Publish() error { return s.each((*store).Publish) }
 
 func (s *fleet) Checkpoint() error { return s.each((*store).Checkpoint) }
 
@@ -315,7 +249,7 @@ func (s *fleet) Restart() error {
 		err = s.each((*store).Restart)
 	}
 	if err == nil {
-		err = s.start(false) // the leaders write on, unfollowed
+		err = s.start()
 	}
 	return err
 }
@@ -323,11 +257,6 @@ func (s *fleet) Restart() error {
 // Observe answers the estimator probes through the coordinator's merge. It
 // holds no histograms.
 func (s *fleet) Observe(p gen.Probe) string {
-	if s.o.follower && s.followers == nil { // killed, and nothing written since
-		if err := s.Publish(); err != nil {
-			return render("", err)
-		}
-	}
 	switch p.Kind {
 	case gen.ProbeEstimates:
 		return render(s.c.EstimateSpans(p.Spans))

@@ -45,9 +45,9 @@ import (
 // 4-byte width whenever the object count fits int32: each object
 // contributes exactly one increment per bucket of its lattice rectangle, so
 // every signed bucket value lies in [−n, n] and the narrow encoding is
-// exact. Summary files, checkpoints and shard/replica bootstrap transport
-// all carry it. Read accepts all three magics, so files written at 8 bytes
-// per bucket before Write packed keep loading.
+// exact. Summary files and checkpoints both carry it. Read accepts all
+// three magics, so files written at 8 bytes per bucket before Write packed
+// keep loading.
 //
 // Persistence is what makes the browsing service operational: a histogram
 // over millions of objects is a few MB and loads in milliseconds, so a

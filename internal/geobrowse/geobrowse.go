@@ -107,8 +107,7 @@ type Server struct {
 	cache   *browseCache // nil for a Reader: it pins no generation
 	maps    sync.Pool    // *mapBuffers
 	limiter *Limiter
-	epsilon float64     // ε-approximate overview serving; 0 = exact only
-	healthy func() bool // nil when the source has no health of its own
+	epsilon float64 // ε-approximate overview serving; 0 = exact only
 	drain   atomic.Bool
 
 	approx *telemetry.Counter // browse maps served from the reduced tier
@@ -127,7 +126,7 @@ func NewServerOpts(name string, est core.Estimator, opts Options) *Server {
 //	GET  /api/query        one estimate
 //	GET  /api/browse       tiled estimates
 //	GET  /api/drill        adaptive refinement
-//	GET  /healthz          readiness: 503 while draining or unhealthy
+//	GET  /healthz          readiness: 503 while draining
 //	GET  /metrics          the telemetry registry's exposition
 //	POST /api/ingest       inserts, when src is a Mutator
 //	POST /api/delete       deletes, when src is a Mutator
@@ -174,9 +173,6 @@ func New(name string, src Source, opts Options) *Server {
 	}
 	if st, ok := src.(interface{ Status() live.Status }); ok {
 		s.Handle("GET /api/store/status", func(w http.ResponseWriter, r *http.Request) { WriteJSON(w, st.Status()) })
-	}
-	if h, ok := src.(interface{ Healthy() bool }); ok {
-		s.healthy = h.Healthy
 	}
 	return s
 }

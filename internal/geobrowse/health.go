@@ -7,15 +7,13 @@ import "net/http"
 // estimation work) so probing it never competes with browse traffic for
 // admission slots.
 type Health struct {
-	// Status is "ok"; "draining" once a graceful shutdown began; or
-	// "unhealthy" while the source cannot answer (a shard coordinator with
-	// a shard that has no alive backend). Anything but "ok" is reported
-	// with a 503 so probes stop routing new traffic here.
+	// Status is "ok", or "draining" once a graceful shutdown began,
+	// reported with a 503 so probes stop routing new traffic here.
 	Status string `json:"status"`
 	// Dataset names the served dataset.
 	Dataset string `json:"dataset,omitempty"`
 	// Generation is the serving generation (0 for fixed summaries; for a
-	// coordinator, the sum of the leader generations its prober last saw).
+	// coordinator, the sum of its shards' generations).
 	Generation uint64 `json:"generation"`
 }
 
@@ -26,16 +24,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	rd, release := s.read()
 	h := Health{Status: "ok", Dataset: s.name, Generation: rd.Generation()}
 	release()
-	switch {
-	case s.drain.Load():
-		h.Status = "draining"
-	case s.healthy != nil && !s.healthy():
-		h.Status = "unhealthy"
-	}
-	if h.Status == "ok" {
+	if !s.drain.Load() {
 		WriteJSON(w, h)
 		return
 	}
+	h.Status = "draining"
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	WriteJSON(&committedWriter{w}, h)

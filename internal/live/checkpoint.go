@@ -27,7 +27,7 @@ import (
 // euler.BuilderFromHistogram — the exact inverse of Build — so a
 // checkpointed store resumes mutating as if it had never stopped.
 // Checkpoints are written to a temp file and renamed into place
-// (SaveCheckpoint); a crash mid-write leaves the previous checkpoint intact.
+// (writeCheckpoint); a crash mid-write leaves the previous checkpoint intact.
 
 var ckptMagic = [8]byte{'S', 'P', 'C', 'K', 'P', 'T', '0', '1'}
 
@@ -45,20 +45,19 @@ func (s *Store) Checkpoint() error {
 
 // checkpointState captures the store's builder state at a consistent
 // journal position. For a journaled store the offset is its WAL size,
-// synced first so the recorded bytes are all on disk; for a journal-less
-// store (a read replica) it is the shipped leader sequence, making a
-// replica checkpoint self-contained: state plus the exact leader offset
-// to resume tailing from.
+// synced first so the recorded bytes are all on disk; a journal-less store
+// keeps the offset of the checkpoint it opened from (0 when there was
+// none), so that a journaled store reopened on its checkpoint replays only
+// what the state does not hold.
 func (s *Store) checkpointState() (hists []*euler.Histogram, walOff, applied int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	walOff = s.ckptOff
 	if s.wal != nil {
 		if err := s.wal.sync(); err != nil {
 			return nil, 0, 0, fmt.Errorf("live: syncing WAL before checkpoint: %w", err)
 		}
 		walOff = s.wal.size
-	} else {
-		walOff = s.seq
 	}
 	hists = make([]*euler.Histogram, len(s.builders))
 	for i, b := range s.builders {
@@ -73,9 +72,7 @@ func (s *Store) checkpointState() (hists []*euler.Histogram, walOff, applied int
 }
 
 // writeCheckpointPayload renders the checkpoint wire form: magic, config
-// header, offsets, one histogram per partition. Shared by the on-disk
-// checkpoint writer and the replica bootstrap stream, so a shipped
-// checkpoint is byte-compatible with a local one.
+// header, offsets, one histogram per partition.
 func writeCheckpointPayload(w io.Writer, header []byte, walOff, applied int64, hists []*euler.Histogram) error {
 	if _, err := w.Write(ckptMagic[:]); err != nil {
 		return err
@@ -97,30 +94,23 @@ func writeCheckpointPayload(w io.Writer, header []byte, walOff, applied int64, h
 	return nil
 }
 
+// writeCheckpoint is the one writer of checkpoint files: it streams the
+// payload into a temp file beside path, through the
+// FailpointCheckpointWrite site, which is fsynced and renamed into place. A
+// crash or error mid-write leaves whatever was at path before — the
+// previous checkpoint, or nothing.
 func (s *Store) writeCheckpoint(path string) error {
 	hists, walOff, applied, err := s.checkpointState()
 	if err != nil {
 		return err
 	}
-	return SaveCheckpoint(path, func(w io.Writer) error {
-		return writeCheckpointPayload(w, s.header, walOff, applied, hists)
-	})
-}
-
-// SaveCheckpoint is the one writer of checkpoint files: write streams the
-// payload into a temp file beside path, through the FailpointCheckpointWrite
-// site, which is fsynced and renamed into place. A crash or error
-// mid-write leaves whatever was at path before — the previous checkpoint,
-// or nothing. A store's own checkpoints and a follower's bootstrap from its
-// leader's stream both go through it.
-func SaveCheckpoint(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriterSize(failpoint.Wrap(FailpointCheckpointWrite, tmp), 1<<20)
-	err = write(bw)
+	err = writeCheckpointPayload(bw, s.header, walOff, applied, hists)
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -153,24 +143,6 @@ func readCheckpointConfig(r io.Reader) (Config, error) {
 	cfg := Config{Grid: g, Algo: Algo(algo), Areas: areas}
 	if err := cfg.validate(); err != nil {
 		return Config{}, err
-	}
-	return cfg, nil
-}
-
-// PeekCheckpoint reads just the configuration pinned in a checkpoint
-// file: the grid, algorithm and area thresholds the state was built
-// under. A follower bootstrapping from a shipped checkpoint derives its
-// Config from this, so replica topology needs no out-of-band config
-// distribution — the checkpoint is self-describing.
-func PeekCheckpoint(path string) (Config, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Config{}, err
-	}
-	defer f.Close()
-	cfg, err := readCheckpointConfig(bufio.NewReader(f))
-	if err != nil {
-		return Config{}, fmt.Errorf("live: checkpoint %s: %w", path, err)
 	}
 	return cfg, nil
 }

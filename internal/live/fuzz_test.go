@@ -8,7 +8,7 @@ import (
 	"spatialhist/internal/geom"
 )
 
-// FuzzWALScan throws arbitrary bytes at journal replay — DecodeRecords fed
+// FuzzWALScan throws arbitrary bytes at journal replay — decodeRecords fed
 // through replay's one buffer, the code that parses whatever a crash left
 // on disk — and checks its contract: never panic, never consume more than
 // it read, accept exactly a prefix that re-encodes to the same bytes

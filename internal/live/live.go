@@ -128,10 +128,6 @@ type Snapshot struct {
 	// Mutations is how many journal mutations (including replayed ones)
 	// were folded in when the generation was built.
 	Mutations int64
-	// Seq is the replication sequence the generation was built at: the
-	// leader's journal byte offset covered by this snapshot (see Store.Seq).
-	// Zero for stores that neither journal nor replicate.
-	Seq int64
 	// BuiltAt is when the generation was published.
 	BuiltAt time.Time
 	// CellWidth is the widest cell, in bytes per bucket, of the lattices
@@ -152,12 +148,16 @@ type Store struct {
 	spec   core.Spec // cfg's algorithm and thresholds
 	header []byte    // config-pinning WAL/checkpoint header
 
-	mu       sync.Mutex // guards builders, wal appends, applied, seq, closed
+	mu       sync.Mutex // guards builders, wal appends, applied, closed
 	builders []*euler.Builder
 	wal      *wal
 	applied  int64 // mutations applied to the builders (incl. replayed)
-	seq      int64 // replication sequence: leader journal bytes folded in
 	closed   bool
+
+	// ckptOff is the journal offset of the checkpoint Open loaded: a
+	// journal-less store writes it back, so its checkpoint still tells a
+	// later journaled Open where its journal resumes.
+	ckptOff int64
 
 	rebuildMu sync.Mutex // serializes rebuilds so generations publish in order
 	lastHists []*euler.Histogram
@@ -167,7 +167,6 @@ type Store struct {
 	snap    atomic.Pointer[Snapshot]
 	gen     atomic.Uint64
 	pending atomic.Int64 // mutations applied since the last rebuild
-	visible atomic.Int64 // sequence the published snapshot is exact through
 
 	rejected atomic.Int64
 
@@ -178,11 +177,11 @@ type Store struct {
 }
 
 // Open builds (or recovers) a store. It starts from the checkpoint if one
-// is configured and present, else from Seed. It then tails its own journal
-// past the checkpoint's offset (or the whole log) the way a follower tails
-// its leader's: one buffer through DecodeRecords, each record applied as
-// it is decoded, through the apply path of a live mutation. Last it
-// publishes generation 1 and starts the rebuild timer. Replay is
+// is configured and present, else from Seed. It then replays its journal
+// past the checkpoint's offset (or the whole log): one buffer through
+// decodeRecords, each record applied as it is decoded, through the apply
+// path of a live mutation. Last it publishes generation 1 and starts the
+// rebuild timer. Replay is
 // deterministic, so a recovered store's estimates are bit-identical to an
 // uninterrupted one's.
 func Open(cfg Config) (*Store, error) {
@@ -202,17 +201,12 @@ func Open(cfg Config) (*Store, error) {
 		arena:     newGenArena(spec.Groups()),
 	}
 
-	var walOff int64
 	seeded := false
 	if cfg.CheckpointPath != "" {
 		builders, off, applied, err := loadCheckpoint(cfg.CheckpointPath, s.header, spec.Groups())
 		switch {
 		case err == nil:
-			s.builders, walOff, s.applied = builders, off, applied
-			// For a journal-less store the checkpoint offset is the leader
-			// sequence its state embodies (see ApplyReplicated); a journaled
-			// store overwrites this with its own WAL size below.
-			s.seq = off
+			s.builders, s.ckptOff, s.applied = builders, off, applied
 			seeded = true
 		case errors.Is(err, errNoCheckpoint):
 			// First start: fall through to the seed.
@@ -231,12 +225,11 @@ func Open(cfg Config) (*Store, error) {
 	}
 
 	if cfg.WALPath != "" {
-		w, torn, err := openWAL(cfg.WALPath, s.header, walOff, cfg.SyncEvery, s.replayed)
+		w, torn, err := openWAL(cfg.WALPath, s.header, s.ckptOff, cfg.SyncEvery, s.replayed)
 		if err != nil {
 			return nil, err
 		}
 		s.wal = w
-		s.seq = w.size
 		if torn {
 			s.m.tornTails.Inc()
 		}
@@ -310,39 +303,14 @@ func (s *Store) Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected
 	return applied, rejected, s.Generation(), nil
 }
 
-// mutate journals rec (write-ahead) and commits it.
+// mutate journals rec (write-ahead), applies it to the builders, counts
+// it and runs the count-based rebuild policy. A record that cannot be
+// journaled is not applied.
 func (s *Store) mutate(rec Record) (bool, error) {
 	s.mu.Lock()
-	return s.commit(rec, s.journal(rec))
-}
-
-// journal is a local mutation's sequence step, with mu held: append rec
-// to the WAL, when there is one, before it is applied.
-func (s *Store) journal(rec Record) error {
-	if s.closed {
-		return ErrClosed
-	}
-	if s.wal == nil {
-		return nil
-	}
-	n, err := s.wal.append(rec)
-	if err != nil {
-		return fmt.Errorf("live: journaling mutation: %w", err)
-	}
-	s.seq = s.wal.size
-	s.m.walBytes.Add(n)
-	return nil
-}
-
-// commit is everything a mutation does past its sequence step — journal
-// for a local one, follow for a replicated one — which ran under mu with
-// outcome stepErr: apply rec to the builders, release mu, count it and run
-// the count-based rebuild policy. A failed step applies nothing. Called
-// with mu held; returns with it released.
-func (s *Store) commit(rec Record, stepErr error) (bool, error) {
-	if stepErr != nil {
+	if err := s.journal(rec); err != nil {
 		s.mu.Unlock()
-		return false, stepErr
+		return false, err
 	}
 	ok := s.apply(rec)
 	s.applied++
@@ -359,6 +327,23 @@ func (s *Store) commit(rec Record, stepErr error) (bool, error) {
 		s.rebuild()
 	}
 	return ok, nil
+}
+
+// journal appends rec to the WAL, when there is one, before it is applied.
+// Called with mu held.
+func (s *Store) journal(rec Record) error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.wal == nil {
+		return nil
+	}
+	n, err := s.wal.append(rec)
+	if err != nil {
+		return fmt.Errorf("live: journaling mutation: %w", err)
+	}
+	s.m.walBytes.Add(n)
+	return nil
 }
 
 // replayed applies one record read back from the journal at Open: the
@@ -383,8 +368,8 @@ func (s *Store) rebuildEvery() int {
 
 // apply routes one journal record into the builders. Called with mu held
 // (or, during Open, before the store is shared); the identical code path
-// serves live, replicated and replayed mutations, which is what makes
-// recovery and replication bit-identical.
+// serves live and replayed mutations, which is what makes recovery
+// bit-identical.
 func (s *Store) apply(rec Record) bool {
 	switch rec.Op {
 	case OpInsert:
@@ -473,7 +458,6 @@ func (s *Store) rebuild() {
 		dirtyArea += stats.DirtyFrac * float64(lattice)
 	}
 	applied := s.applied
-	seq := s.seq
 	s.mu.Unlock()
 
 	prevSnap := s.snap.Load()
@@ -486,10 +470,7 @@ func (s *Store) rebuild() {
 	if !changed && prevSnap != nil {
 		// Every mutation since the last publish was rejected or net-zero:
 		// the published snapshot is already exact. Skip the generation
-		// bump so browse caches stay warm. The snapshot is nonetheless
-		// exact through the captured sequence — advance the visibility
-		// watermark so replica-lag gating doesn't stall on no-op records.
-		s.visible.Store(seq)
+		// bump so browse caches stay warm.
 		s.pending.Store(0)
 		s.m.pendingG.Set(0)
 		s.m.rebuildIncremental.Inc()
@@ -515,7 +496,6 @@ func (s *Store) rebuild() {
 		Est:       est,
 		Count:     est.Count(),
 		Mutations: applied,
-		Seq:       seq,
 		BuiltAt:   time.Now(),
 		CellWidth: width,
 	}
@@ -542,7 +522,6 @@ func (s *Store) rebuild() {
 	}
 
 	old := s.snap.Swap(snap)
-	s.visible.Store(seq)
 	s.pending.Store(0)
 	if old != nil {
 		s.release(old)
@@ -681,13 +660,6 @@ type Status struct {
 	// CellWidth is the published snapshot's Snapshot.CellWidth: 4 or 8
 	// bytes per bucket.
 	CellWidth int `json:"cellWidth"`
-	// AppliedSeq is the replication sequence the builders have consumed:
-	// the store's own WAL size for journaled stores, the shipped leader
-	// offset for read replicas (see Store.Seq).
-	AppliedSeq int64 `json:"appliedSeq"`
-	// SnapshotSeq is the sequence the published snapshot is exact through;
-	// coordinators gate stale-bounded replica reads on it.
-	SnapshotSeq int64 `json:"snapshotSeq"`
 }
 
 // Status reports the store's current generation, staleness and journal
@@ -701,7 +673,6 @@ func (s *Store) Status() Status {
 		live += b.Count()
 	}
 	applied := s.applied
-	seq := s.seq
 	var walBytes int64
 	if s.wal != nil {
 		walBytes = s.wal.size
@@ -725,8 +696,6 @@ func (s *Store) Status() Status {
 		GridNY:          s.cfg.Grid.NY(),
 		PyramidLevels:   core.NumLevels(snap.Est) - 1,
 		CellWidth:       snap.CellWidth,
-		AppliedSeq:      seq,
-		SnapshotSeq:     s.visible.Load(),
 	}
 }
 

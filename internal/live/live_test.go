@@ -181,7 +181,7 @@ func TestCrashRecovery(t *testing.T) {
 	lenAfter := func(n int) int64 {
 		off := int64(len(s.header))
 		for _, rec := range recs[:n] {
-			off += rec.EncodedLen()
+			off += rec.encodedLen()
 		}
 		return off
 	}
@@ -297,7 +297,7 @@ func TestReplayAcrossBufferBoundary(t *testing.T) {
 	}
 	ends := []int64{int64(len(s.header))} // journal length after each record
 	for _, rec := range recs {
-		ends = append(ends, ends[len(ends)-1]+rec.EncodedLen())
+		ends = append(ends, ends[len(ends)-1]+rec.encodedLen())
 	}
 	boundary := int64(len(s.header)) + replayBufBytes
 	if int64(len(raw)) != ends[len(recs)] || int64(len(raw)) < boundary+updateRecordBytes {
@@ -583,6 +583,44 @@ func TestCheckpointMidCrash(t *testing.T) {
 	recovered := openTestStore(t, rcfg)
 	got, _ := current(t, recovered)
 	sweep(t, got, want)
+}
+
+// TestJournalLessCheckpointKeepsJournalOffset: a store opened on a
+// journaled store's checkpoint without the journal writes the journal
+// offset it loaded back into its own checkpoint, so reopening the journal
+// over that checkpoint replays nothing twice.
+func TestJournalLessCheckpointKeepsJournalOffset(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Grid: testGrid(), Algo: AlgoEuler, Seed: seedRects(30),
+		WALPath: filepath.Join(dir, "store.wal"), CheckpointPath: filepath.Join(dir, "store.ckpt"),
+		RebuildEvery: -1}
+	recs := mutationScript(cfg.Seed, 90)
+
+	s := openTestStore(t, cfg)
+	play(t, s, recs[:60])
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bare := cfg
+	bare.Seed, bare.WALPath = nil, ""
+	s = openTestStore(t, bare)
+	play(t, s, recs[60:])
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := current(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rcfg := cfg
+	rcfg.Seed = nil
+	reopened := openTestStore(t, rcfg)
+	got, _ := current(t, reopened)
+	sweep(t, got, want)
+	if m := reopened.Status().Mutations; m != int64(len(recs)) {
+		t.Fatalf("reopened store counts %d mutations, want %d", m, len(recs))
+	}
 }
 
 func TestConfigMismatchRejected(t *testing.T) {

@@ -48,9 +48,6 @@ const (
 // corrupt tail — the expected shape of a crash mid-append — is detected by
 // the per-record CRC and truncated on open; everything after the first bad
 // byte is untrusted by design.
-//
-// The same record bytes are the replication stream: a follower decodes
-// shipped segments with the DecodeRecords that replays the journal at Open.
 
 var walMagic = [8]byte{'S', 'P', 'W', 'A', 'L', '0', '0', '1'}
 
@@ -72,8 +69,8 @@ const (
 // replayBufBytes is the one buffer Open reads the journal through.
 const replayBufBytes = 1 << 16
 
-// Record is one journal mutation: what a store appends to its WAL, what
-// replay at Open and a follower's tail decode, and the unit of WAL shipping.
+// Record is one journal mutation: what a store appends to its WAL and
+// replay at Open decodes.
 type Record struct {
 	// Op is OpInsert, OpDelete or OpUpdate.
 	Op byte
@@ -83,9 +80,8 @@ type Record struct {
 	Old geom.Rect
 }
 
-// EncodedLen is the record's journal wire size in bytes — what applying
-// it advances the replication sequence by.
-func (r Record) EncodedLen() int64 {
+// encodedLen is the record's journal wire size in bytes.
+func (r Record) encodedLen() int64 {
 	if r.Op == OpUpdate {
 		return updateRecordBytes
 	}
@@ -191,16 +187,15 @@ func encodeRecord(dst []byte, rec Record) []byte {
 	return append(dst, crc[:]...)
 }
 
-// DecodeRecords is the one parser of journal record bytes, for replay at
-// Open and for a follower's shipped segments alike. It decodes the whole
-// records at the front of seg and hands each to fn as it is decoded,
-// allocating nothing per record. A segment may end mid-record — a journal
-// cut short by a crash, or a segment the leader was still appending to —
-// and that partial tail is left unconsumed without error. A complete record that
-// fails its CRC, or an unknown opcode, is corruption and errors. consumed
-// spans the records fn accepted; an error from fn stops decoding and is
-// returned as it is.
-func DecodeRecords(seg []byte, fn func(Record) error) (consumed int, err error) {
+// decodeRecords is the one parser of journal record bytes, for replay at
+// Open. It decodes the whole records at the front of seg and hands each to
+// fn as it is decoded, allocating nothing per record. A segment may end
+// mid-record — a journal cut short by a crash, or a read buffer that ends
+// inside a record — and that partial tail is left unconsumed without
+// error. A complete record that fails its CRC, or an unknown opcode, is
+// corruption and errors. consumed spans the records fn accepted; an error
+// from fn stops decoding and is returned as it is.
+func decodeRecords(seg []byte, fn func(Record) error) (consumed int, err error) {
 	for consumed < len(seg) {
 		b := seg[consumed:]
 		op := b[0]
@@ -232,7 +227,7 @@ func DecodeRecords(seg []byte, fn func(Record) error) (consumed int, err error) 
 	return consumed, nil
 }
 
-// replay feeds the record stream of r through DecodeRecords, reading into
+// replay feeds the record stream of r through decodeRecords, reading into
 // buf (at least one update record long) and carrying each read's partial
 // tail to the front of the next, so memory stays one buffer however long
 // the journal. It returns the bytes the valid records span and whether a
@@ -247,7 +242,7 @@ func replay(r io.Reader, buf []byte, apply func(Record)) (consumed int64, torn b
 	for {
 		m, rerr := io.ReadFull(r, buf[n:])
 		n += m
-		used, derr := DecodeRecords(buf[:n], fn)
+		used, derr := decodeRecords(buf[:n], fn)
 		consumed += int64(used)
 		if derr != nil {
 			return consumed, true, nil
@@ -365,11 +360,6 @@ func (w *wal) append(rec Record) (int64, error) {
 	}
 	return n, nil
 }
-
-// flush pushes buffered records to the file without fsyncing: every
-// appended byte becomes readable (the WAL-shipping read path needs that)
-// while durability still waits for the sync policy.
-func (w *wal) flush() error { return w.w.Flush() }
 
 // sync flushes buffered records and fsyncs the file.
 func (w *wal) sync() error {

@@ -99,10 +99,28 @@ func TestMeasure(t *testing.T) {
 	if tm.Queries != 10 || tm.Total < 0 {
 		t.Errorf("Measure = %+v", tm)
 	}
-	calls = 0
-	Measure(1, 2*time.Millisecond, func() { calls++; time.Sleep(time.Millisecond) })
-	if calls < 2 {
-		t.Errorf("Measure should repeat until minDuration: %d calls", calls)
+
+	// Measure repeats until its calls add up to minDuration and stops at
+	// the first call that crosses it, however long any one sleep takes.
+	// The times f takes inside itself fall short of what Measure clocks
+	// around it, so the calls all together are clocked around Measure.
+	const minDuration = 2 * time.Millisecond
+	var took []time.Duration
+	start := time.Now()
+	Measure(1, minDuration, func() {
+		t0 := time.Now()
+		time.Sleep(time.Millisecond)
+		took = append(took, time.Since(t0))
+	})
+	if all := time.Since(start); all < minDuration {
+		t.Errorf("Measure stopped after %d calls in %v, short of minDuration %v", len(took), all, minDuration)
+	}
+	var before time.Duration
+	for _, d := range took[:len(took)-1] {
+		before += d
+	}
+	if before >= minDuration {
+		t.Errorf("Measure ran on past minDuration: the first %d of %d calls took %v", len(took)-1, len(took), before)
 	}
 }
 

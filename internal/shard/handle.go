@@ -10,32 +10,28 @@ import (
 	"spatialhist/internal/live"
 )
 
-// Handle is one shard backend (a leader or a follower) as the coordinator
-// sees it: raw estimates added into a plane the coordinator owns, status
-// for lag gating, and — on leaders — the write path. Implementations must
-// be safe for concurrent use.
+// Handle is one shard as the coordinator sees it: raw estimates added into
+// a plane the coordinator owns, its generation, and the write path.
+// Implementations must be safe for concurrent use.
 type Handle interface {
-	// Name labels the backend in errors and metrics.
+	// Name labels the shard in errors and /api/shards.
 	Name() string
-	// Info returns the backend's dataset metadata (grid, algorithm,
-	// object count, generation).
+	// Info returns the shard's dataset metadata (grid, algorithm, object
+	// count, generation).
 	Info() (geobrowse.Info, error)
 	// AddGrid adds the RAW (unclamped) estimates of the cols×rows tiling of
 	// region into dst, row-major from the south-west (len cols×rows) — raw
 	// because the coordinator sums shards by addition and clamping is not
-	// additive. It fails only before adding anything, so a failed read can
-	// be retried on another backend into the same plane.
+	// additive. It fails only before adding anything.
 	AddGrid(dst []core.Estimate, region grid.Span, cols, rows int) error
 	// AddSpans adds the raw estimate of every span into dst, one per span,
 	// with AddGrid's failure contract.
 	AddSpans(dst []core.Estimate, spans []grid.Span) error
-	// Status reports the backend's store status, including the applied and
-	// snapshot-visible replication sequences the coordinator gates
-	// stale-bounded reads on.
-	Status() (live.Status, error)
+	// Generation returns the shard's published generation.
+	Generation() uint64
 	// Apply applies one batch of inserts (live.OpInsert) or deletes
-	// (live.OpDelete) with live.Store.Apply's contract — leaders only.
-	// A Handle is a geobrowse.Mutator.
+	// (live.OpDelete) with live.Store.Apply's contract. A Handle is a
+	// geobrowse.Mutator.
 	Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error)
 }
 
@@ -86,8 +82,8 @@ func (h *LocalHandle) AddSpans(dst []core.Estimate, spans []grid.Span) error {
 	return nil
 }
 
-// Status implements Handle.
-func (h *LocalHandle) Status() (live.Status, error) { return h.Store.Status(), nil }
+// Generation implements Handle: live.Store.Generation, a lock-free read.
+func (h *LocalHandle) Generation() uint64 { return h.Store.Generation() }
 
 // Apply implements Handle.
 func (h *LocalHandle) Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {

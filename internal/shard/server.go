@@ -9,7 +9,7 @@ import (
 
 // Front serves the coordinator as a geobrowse.Server — the single node's
 // API, middleware, admission and drain, read from the coordinator
-// uncached — plus its probed topology at GET /api/shards. Shards are
+// uncached — plus its topology at GET /api/shards. Shards are
 // summed on raw estimates and the server clamps once, after the sum, so
 // every body is byte-for-byte a single store's over the same objects.
 func Front(c *Coordinator, opts geobrowse.Options) *geobrowse.Server {
@@ -27,21 +27,12 @@ func NewServer(c *Coordinator, reg *telemetry.Registry) http.Handler {
 	return Front(c, geobrowse.Options{Telemetry: reg})
 }
 
-// TopologyBackend is one backend's probed state in /api/shards.
-type TopologyBackend struct {
-	Name        string `json:"name"`
-	Role        string `json:"role"`
-	Alive       bool   `json:"alive"`
-	AppliedSeq  int64  `json:"appliedSeq"`
-	SnapshotSeq int64  `json:"snapshotSeq"`
-	LagBytes    int64  `json:"lagBytes"`
-	Generation  uint64 `json:"generation"`
-}
-
-// TopologyShard is one shard's band and backends in /api/shards.
+// TopologyShard is one shard in /api/shards: the columns it owns, its
+// name and its published generation.
 type TopologyShard struct {
-	Band     [2]int            `json:"band"` // inclusive column range
-	Backends []TopologyBackend `json:"backends"`
+	Band       [2]int `json:"band"` // inclusive column range
+	Name       string `json:"name"`
+	Generation uint64 `json:"generation"`
 }
 
 // TopologyResponse is the /api/shards response.
@@ -51,22 +42,9 @@ type TopologyResponse struct {
 
 func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
 	var resp TopologyResponse
-	for si, grp := range c.shards {
+	for si, h := range c.shards {
 		c1, c2 := c.part.Band(si)
-		ts := TopologyShard{Band: [2]int{c1, c2}}
-		leaderSeq := grp.leader.appliedSeq.Load()
-		for _, be := range grp.all {
-			ts.Backends = append(ts.Backends, TopologyBackend{
-				Name:        be.h.Name(),
-				Role:        be.role,
-				Alive:       be.alive.Load(),
-				AppliedSeq:  be.appliedSeq.Load(),
-				SnapshotSeq: be.snapshotSeq.Load(),
-				LagBytes:    max(0, leaderSeq-be.snapshotSeq.Load()),
-				Generation:  be.gen.Load(),
-			})
-		}
-		resp.Shards = append(resp.Shards, ts)
+		resp.Shards = append(resp.Shards, TopologyShard{Band: [2]int{c1, c2}, Name: h.Name(), Generation: h.Generation()})
 	}
 	geobrowse.WriteJSON(w, resp)
 }

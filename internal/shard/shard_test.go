@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialhist/internal/check/failpoint"
 	"spatialhist/internal/core"
 	"spatialhist/internal/geobrowse"
 	"spatialhist/internal/geom"
@@ -29,20 +30,11 @@ func testGrid(t *testing.T) *grid.Grid {
 	return grid.New(geom.Rect{XMin: 0, YMin: 0, XMax: 64, YMax: 64}, 32, 32)
 }
 
-func openTestStore(t *testing.T, g *grid.Grid, dir, name string) *live.Store {
+func openTestStore(t *testing.T, g *grid.Grid) *live.Store {
 	t.Helper()
-	cfg := live.Config{
-		Grid:         g,
-		Algo:         live.AlgoEuler,
-		RebuildEvery: 1,
-		Telemetry:    telemetry.NewRegistry(),
-	}
-	if dir != "" {
-		cfg.WALPath = filepath.Join(dir, name+".wal")
-	}
-	s, err := live.Open(cfg)
+	s, err := live.Open(live.Config{Grid: g, Algo: live.AlgoEuler, RebuildEvery: 1, Telemetry: telemetry.NewRegistry()})
 	if err != nil {
-		t.Fatalf("open %s: %v", name, err)
+		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
@@ -59,10 +51,10 @@ func randTestRect(rng *rand.Rand) geom.Rect {
 // shard stores.
 func buildSharded(t *testing.T, g *grid.Grid, n, objects int, seed int64) (*live.Store, []*live.Store) {
 	t.Helper()
-	single := openTestStore(t, g, "", "single")
+	single := openTestStore(t, g)
 	shards := make([]*live.Store, n)
 	for i := range shards {
-		shards[i] = openTestStore(t, g, "", fmt.Sprintf("shard%d", i))
+		shards[i] = openTestStore(t, g)
 	}
 	part, err := NewPartition(g, n)
 	if err != nil {
@@ -177,30 +169,34 @@ func singleEstimates(t *testing.T, s *live.Store, region grid.Span, cols, rows i
 	return ests
 }
 
-func localCoordinator(t *testing.T, shards []*live.Store, followers map[int][]Handle) *Coordinator {
+func localCoordinator(t *testing.T, shards []*live.Store) *Coordinator {
 	t.Helper()
-	cfg := Config{
-		Name:          "test",
-		ProbeInterval: -1,
-		Telemetry:     telemetry.NewRegistry(),
-	}
+	handles := make([]Handle, len(shards))
 	for i, s := range shards {
-		b := Backends{Leader: &LocalHandle{Store: s, Label: fmt.Sprintf("s%d", i)}}
-		b.Followers = followers[i]
-		cfg.Shards = append(cfg.Shards, b)
+		handles[i] = &LocalHandle{Store: s, Label: fmt.Sprintf("s%d", i)}
+	}
+	return coordinatorOver(t, handles...)
+}
+
+// coordinatorOver is a coordinator named "test" over the handles, in band
+// order.
+func coordinatorOver(t *testing.T, handles ...Handle) *Coordinator {
+	t.Helper()
+	cfg := Config{Name: "test", Telemetry: telemetry.NewRegistry()}
+	for _, h := range handles {
+		cfg.Shards = append(cfg.Shards, Backends{Leader: h})
 	}
 	c, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	t.Cleanup(func() { c.Close() })
 	return c
 }
 
 func TestScatterGatherBitIdentity(t *testing.T) {
 	g := testGrid(t)
 	single, shards := buildSharded(t, g, 3, 400, 11)
-	c := localCoordinator(t, shards, nil)
+	c := localCoordinator(t, shards)
 
 	rng := rand.New(rand.NewSource(13))
 	full := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
@@ -231,18 +227,16 @@ func TestScatterGatherBitIdentity(t *testing.T) {
 	estimatesEqual(t, "spans", got, want)
 }
 
-// FuzzCoordinatorSum: whatever the shard count (1–4), the backend of each
-// shard — a live store, or a wrapped leader whose read path is down in
-// front of a follower over the same store — the algorithm, the objects and
-// the tiling, the coordinator's summed raw estimates are a single store's
-// over the same objects, bit for bit. Every shard adds into the one plane,
-// a follower a downed leader failed over to included.
+// FuzzCoordinatorSum: whatever the shard count (1–4), the algorithm, the
+// objects and the tiling, the coordinator's summed raw estimates are a
+// single store's over the same objects, bit for bit: every shard adds into
+// the one plane.
 func FuzzCoordinatorSum(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(0), uint16(300), uint8(0), uint8(0), uint16(0))      // 128×64 tiles
-	f.Add(int64(2), uint8(3), uint8(0b110), uint16(250), uint8(6), uint8(1), uint16(33)) // local, wrapped, wrapped
-	f.Add(int64(3), uint8(4), uint8(0b1001), uint16(120), uint8(5), uint8(0x55), uint16(530))
-	f.Add(int64(4), uint8(1), uint8(1), uint16(0), uint8(1), uint8(0xff), uint16(511))
-	f.Fuzz(func(t *testing.T, seed int64, shards, topo uint8, objects uint16, algo, tiling uint8, origin uint16) {
+	f.Add(int64(1), uint8(2), uint16(300), uint8(0), uint8(0), uint16(0)) // 128×64 tiles
+	f.Add(int64(2), uint8(3), uint16(250), uint8(6), uint8(1), uint16(33))
+	f.Add(int64(3), uint8(4), uint16(120), uint8(5), uint8(0x55), uint16(530))
+	f.Add(int64(4), uint8(1), uint16(0), uint8(1), uint8(0xff), uint16(511))
+	f.Fuzz(func(t *testing.T, seed int64, shards uint8, objects uint16, algo, tiling uint8, origin uint16) {
 		g := grid.New(geom.Rect{XMax: 128, YMax: 64}, 128, 64)
 		n := 1 + int(shards)%4
 		rng := rand.New(rand.NewSource(seed))
@@ -274,28 +268,11 @@ func FuzzCoordinatorSum(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ccfg := Config{ProbeInterval: -1, Telemetry: telemetry.NewRegistry()}
-		var dead []*flakyHandle
+		var handles []Handle
 		for si, seed := range part.RouteRects(rects) {
-			s := open(seed)
-			local := &LocalHandle{Store: s, Label: fmt.Sprint("s", si)}
-			if topo>>si&1 == 0 {
-				ccfg.Shards = append(ccfg.Shards, Backends{Leader: local})
-			} else {
-				leader := &flakyHandle{Handle: &LocalHandle{Store: s, Label: local.Label + "-leader"}}
-				dead = append(dead, leader)
-				ccfg.Shards = append(ccfg.Shards, Backends{Leader: leader, Followers: []Handle{local}})
-			}
+			handles = append(handles, &LocalHandle{Store: open(seed), Label: fmt.Sprint("s", si)})
 		}
-		c, err := NewCoordinator(ccfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		// Down after the probe: the first read still prefers the leader.
-		for _, h := range dead {
-			h.down.Store(true)
-		}
+		c := coordinatorOver(t, handles...)
 
 		tw, th := 1+int(tiling%4), 1+int(tiling/4%4)
 		i1, j1 := int(origin%32), int(origin/32%16)
@@ -336,12 +313,12 @@ func FuzzCoordinatorSum(f *testing.F) {
 
 func TestCoordinatorIngestMatchesSingle(t *testing.T) {
 	g := testGrid(t)
-	single := openTestStore(t, g, "", "single")
+	single := openTestStore(t, g)
 	shards := []*live.Store{
-		openTestStore(t, g, "", "s0"),
-		openTestStore(t, g, "", "s1"),
+		openTestStore(t, g),
+		openTestStore(t, g),
 	}
-	c := localCoordinator(t, shards, nil)
+	c := localCoordinator(t, shards)
 
 	rng := rand.New(rand.NewSource(29))
 	var rects []geom.Rect
@@ -394,7 +371,7 @@ func TestCoordinatorIngestMatchesSingle(t *testing.T) {
 // before it, and no ack may run ahead of /api/info's.
 func TestIngestAcksMonotone(t *testing.T) {
 	g := testGrid(t)
-	c := localCoordinator(t, []*live.Store{openTestStore(t, g, "", "s0"), openTestStore(t, g, "", "s1")}, nil)
+	c := localCoordinator(t, []*live.Store{openTestStore(t, g), openTestStore(t, g)})
 	west, east := geom.NewRect(2, 2, 4, 4), geom.NewRect(40, 2, 42, 4)
 	var last uint64
 	for k, r := range []geom.Rect{west, west, east, west, east} {
@@ -438,7 +415,7 @@ func TestCoordinatorBrowseBudget(t *testing.T) {
 	g := grid.New(geom.Rect{XMin: 0, YMin: 0, XMax: 360, YMax: 180}, 180, 90)
 	var stores []*live.Store
 	for i := 0; i < 2; i++ {
-		stores = append(stores, openTestStore(t, g, "", fmt.Sprintf("s%d", i)))
+		stores = append(stores, openTestStore(t, g))
 	}
 	part, err := NewPartition(g, len(stores))
 	if err != nil {
@@ -455,7 +432,7 @@ func TestCoordinatorBrowseBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	front := NewServer(localCoordinator(t, stores, nil), telemetry.NewRegistry())
+	front := NewServer(localCoordinator(t, stores), telemetry.NewRegistry())
 	for _, n := range []int{45, 90} {
 		req := httptest.NewRequest("GET", fmt.Sprintf("/api/browse?x1=0&y1=0&x2=360&y2=180&cols=%d&rows=%d", n, n), nil)
 		serve := func() int {
@@ -519,7 +496,7 @@ func readBody(t *testing.T, url string) (int, string) {
 func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
 	g := testGrid(t)
 	single, shards := buildSharded(t, g, 2, 300, 41)
-	c := localCoordinator(t, shards, nil)
+	c := localCoordinator(t, shards)
 
 	coord := httptest.NewServer(NewServer(c, telemetry.NewRegistry()))
 	t.Cleanup(coord.Close)
@@ -558,7 +535,7 @@ func TestCoordinatorServerBitIdenticalToSingle(t *testing.T) {
 func TestInProcessFrontConcurrentMaps(t *testing.T) {
 	g := grid.New(geom.Rect{XMax: 128, YMax: 64}, 128, 64)
 	single, shards := buildSharded(t, g, 2, 300, 43)
-	front := NewServer(localCoordinator(t, shards, nil), telemetry.NewRegistry())
+	front := NewServer(localCoordinator(t, shards), telemetry.NewRegistry())
 	ref := geobrowse.New("test", single, geobrowse.Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
 	queries := []string{
 		"/api/browse?x1=0&y1=0&x2=128&y2=64&cols=128&rows=64", // 8192 tiles
@@ -591,7 +568,7 @@ func TestInProcessFrontConcurrentMaps(t *testing.T) {
 	wg.Wait()
 }
 
-// flakyHandle wraps a Handle and fails every call while down.
+// flakyHandle wraps a Handle and fails every read and write while down.
 type flakyHandle struct {
 	Handle
 	down atomic.Bool
@@ -625,144 +602,113 @@ func (f *flakyHandle) AddSpans(dst []core.Estimate, spans []grid.Span) error {
 	return f.Handle.AddSpans(dst, spans)
 }
 
-func (f *flakyHandle) Status() (live.Status, error) {
+func (f *flakyHandle) Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
 	if err := f.fail(); err != nil {
-		return live.Status{}, err
+		return 0, 0, 0, err
 	}
-	return f.Handle.Status()
+	return f.Handle.Apply(op, rects, flush)
 }
 
-func TestCoordinatorFailsOverToFollower(t *testing.T) {
+// TestFailingShard: a shard that cannot answer fails the read it is part
+// of — named in the error, counted in shard_scatter_errors_total, a 502 at
+// the front — and an ingest reports it while the shards after it still
+// apply their own parts.
+func TestFailingShard(t *testing.T) {
 	g := testGrid(t)
-	dir := t.TempDir()
-	leader := openTestStore(t, g, dir, "leader")
-	rng := rand.New(rand.NewSource(53))
-	for k := 0; k < 120; k++ {
-		leader.Insert(randTestRect(rng))
-	}
-	leader.Flush()
-
-	f, err := StartFollower(FollowerConfig{
-		Source:         LocalSource{Store: leader},
-		CheckpointPath: filepath.Join(dir, "follower.ckpt"),
-		PollInterval:   time.Millisecond,
-		RebuildEvery:   1,
-		Telemetry:      telemetry.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatalf("follower: %v", err)
-	}
-	t.Cleanup(func() { f.Close() })
-	waitCaughtUp(t, f, leader)
-
-	leaderHandle := &flakyHandle{Handle: &LocalHandle{Store: leader, Label: "leader"}}
+	_, stores := buildSharded(t, g, 2, 100, 59)
+	west := &flakyHandle{Handle: &LocalHandle{Store: stores[0], Label: "s0"}}
 	reg := telemetry.NewRegistry()
-	c, err := NewCoordinator(Config{
-		Shards: []Backends{{
-			Leader:    leaderHandle,
-			Followers: []Handle{&LocalHandle{Store: f.Store(), Label: "follower"}},
-		}},
-		ProbeInterval: -1,
-		Telemetry:     reg,
-	})
+	c, err := NewCoordinator(Config{Name: "test", Telemetry: reg, Shards: []Backends{
+		{Leader: west}, {Leader: &LocalHandle{Store: stores[1], Label: "s1"}},
+	}})
 	if err != nil {
-		t.Fatalf("coordinator: %v", err)
+		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	reads := func() (leader, follower int64) {
-		v := reg.CounterValues("shard_reads_total")
-		return v[`{role="leader"}`], v[`{role="follower"}`]
+	west.down.Store(true)
+
+	full := grid.Span{I2: g.NX() - 1, J2: g.NY() - 1}
+	if _, err := c.EstimateGrid(full, 4, 4); err == nil || !strings.Contains(err.Error(), "shard 0 (s0)") {
+		t.Fatalf("read with shard 0 down: %v, want an error naming it", err)
+	}
+	rec := httptest.NewRecorder()
+	Front(c, geobrowse.Options{Telemetry: telemetry.NewRegistry()}).ServeHTTP(rec,
+		httptest.NewRequest("GET", "/api/browse?x1=0&y1=0&x2=64&y2=64&cols=4&rows=4", nil))
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("browse with shard 0 down: %d %s, want 502", rec.Code, rec.Body)
+	}
+	if n := reg.CounterValues("shard_scatter_errors_total")[""]; n != 2 {
+		t.Fatalf("shard_scatter_errors_total = %d after two failed reads", n)
 	}
 
-	full := grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}
-	want, err := c.EstimateGrid(full, 8, 8)
-	if err != nil {
-		t.Fatalf("pre-failover read: %v", err)
+	east := stores[1].Status().LiveObjects
+	applied, rejected, _, err := c.Apply(live.OpInsert, []geom.Rect{geom.NewRect(2, 2, 4, 4), geom.NewRect(40, 2, 42, 4)}, true)
+	if err == nil || !strings.Contains(err.Error(), "shard 0") || applied != 1 || rejected != 0 {
+		t.Fatalf("ingest with shard 0 down: applied %d rejected %d, %v; want shard 1's one object and an error naming shard 0",
+			applied, rejected, err)
 	}
-
-	// Kill the leader behind the prober's back, so the reads find it down:
-	// they alternate which backend they try first, and every one must be
-	// answered by the follower — bit-identical, as it is caught up. A
-	// leader that still answered (a wrapper whose add methods were the
-	// embedded store's) would count leader reads here.
-	leaderHandle.down.Store(true)
-	leader0, follower0 := reads()
-	const failoverReads = 10
-	for k := 0; k < failoverReads; k++ {
-		got, err := c.EstimateGrid(full, 8, 8)
-		if err != nil {
-			t.Fatalf("failover read %d: %v", k, err)
-		}
-		estimatesEqual(t, "failover read", got, want)
-	}
-	if l, f := reads(); l != leader0 || f != follower0+failoverReads {
-		t.Fatalf("%d reads with the leader down: leader reads %d -> %d, follower reads %d -> %d, want all on the follower",
-			failoverReads, leader0, l, follower0, f)
-	}
-	c.Probe()
-	if !c.Healthy() {
-		t.Fatal("coordinator unhealthy with an alive follower")
-	}
-
-	// Revive the leader; the probe brings it back into rotation, and of two
-	// reads one tries it first.
-	leaderHandle.down.Store(false)
-	c.Probe()
-	for k := 0; k < 2; k++ {
-		if _, err := c.EstimateGrid(full, 8, 8); err != nil {
-			t.Fatalf("post-revival read: %v", err)
-		}
-	}
-	if l, _ := reads(); l == leader0 {
-		t.Fatal("no read reached the revived leader")
+	if n := stores[1].Status().LiveObjects; n != east+1 {
+		t.Fatalf("shard 1 holds %d objects after the ingest, want %d", n, east+1)
 	}
 }
 
-// TestCandidatesLagGating: a follower is read first only once it has
-// caught up with its leader; a lagging one, however little, is a last
-// resort, until the leader is down and availability wins.
-func TestCandidatesLagGating(t *testing.T) {
-	mk := func(role string, alive bool, appliedSeq, snapSeq int64) *backend {
-		be := &backend{h: &LocalHandle{Label: role}, role: role}
-		be.alive.Store(alive)
-		be.appliedSeq.Store(appliedSeq)
-		be.snapshotSeq.Store(snapSeq)
-		return be
+// TestApplyCountsAPartialShardBatch: a shard whose journal fails mid-batch
+// has applied the mutations before the failure, and the coordinator's ack
+// counts them, as the shard's own live.Store.Apply does.
+func TestApplyCountsAPartialShardBatch(t *testing.T) {
+	g := testGrid(t)
+	s, err := live.Open(live.Config{Grid: g, Algo: live.AlgoEuler, RebuildEvery: -1, SyncEvery: 1,
+		WALPath: filepath.Join(t.TempDir(), "s0.wal"), Telemetry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	leader := mk("leader", true, 1000, 1000)
-	caught := mk("follower", true, 1000, 1000)
-	lagging := mk("follower", true, 1000, 990) // lag 10
-	stale := mk("follower", true, 500, 500)    // lag 500
-	grp := &shardGroup{leader: leader, all: []*backend{leader, caught, lagging, stale}}
+	defer s.Close()
+	c := localCoordinator(t, []*live.Store{s})
+	defer failpoint.Reset()
+	failpoint.SetWriteBudget(live.FailpointWALWrite, 2*37+10) // two 37-byte records, then the third fails
+	batch := []geom.Rect{geom.NewRect(2, 2, 4, 4), geom.NewRect(6, 6, 8, 8), geom.NewRect(10, 10, 12, 12)}
+	applied, rejected, _, err := c.Apply(live.OpInsert, batch, true)
+	if err == nil || applied != 2 || rejected != 0 {
+		t.Fatalf("ingest whose third record fails to journal: applied %d rejected %d, %v; want 2, 0 and the error",
+			applied, rejected, err)
+	}
+	if n := s.Status().LiveObjects; n != int64(applied) {
+		t.Fatalf("the shard holds %d objects, the ack counts %d", n, applied)
+	}
+}
 
-	first := map[*backend]int{}
-	for k := 0; k < len(grp.all); k++ { // one full round-robin turn
-		order := grp.candidates()
-		if len(order) != 4 {
-			t.Fatalf("candidates returned %d backends", len(order))
+// TestNewCoordinatorValidatesTopology: a coordinator is made only over at
+// least one shard, every one answering Info, all on one grid and one
+// algorithm — the conditions under which their raw sums add.
+func TestNewCoordinatorValidatesTopology(t *testing.T) {
+	g := testGrid(t)
+	store := func(g *grid.Grid, algo live.Algo) Handle {
+		s, err := live.Open(live.Config{Grid: g, Algo: algo, Telemetry: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
 		}
-		eligible := []*backend{order[0], order[1]}
-		if !slices.Contains(eligible, leader) || !slices.Contains(eligible, caught) {
-			t.Fatalf("turn %d: the leader and the caught-up follower are not both ahead of the lagging ones", k)
-		}
-		first[order[0]]++
+		t.Cleanup(func() { s.Close() })
+		return &LocalHandle{Store: s}
 	}
-	if first[leader] == 0 || first[caught] == 0 {
-		t.Fatalf("reads did not rotate across the eligible backends: %d first for the leader, %d for the follower",
-			first[leader], first[caught])
-	}
-
-	// Leader down: every alive follower serves (availability wins), the
-	// dead leader is the last resort.
-	leader.alive.Store(false)
-	order := grp.candidates()
-	if order[3] != leader {
-		t.Fatal("the dead leader is not last")
-	}
-	for _, be := range order[:3] {
-		if be.role != "follower" || !be.alive.Load() {
-			t.Fatal("dead or non-follower backend preferred with the leader down")
-		}
+	base := store(g, live.AlgoEuler)
+	down := &flakyHandle{Handle: store(g, live.AlgoEuler)}
+	down.down.Store(true)
+	for _, tc := range []struct {
+		name   string
+		shards []Backends
+		want   string
+	}{
+		{"no-shards", nil, "Shards is required"},
+		{"no-leader", []Backends{{Leader: base}, {}}, "shard 1 has no leader"},
+		{"unreadable", []Backends{{Leader: base}, {Leader: down}}, "reading shard 1"},
+		{"other-grid", []Backends{{Leader: base}, {Leader: store(grid.New(g.Extent(), 16, 32), live.AlgoEuler)}}, "grid"},
+		{"other-algorithm", []Backends{{Leader: base}, {Leader: store(g, live.AlgoSEuler)}}, "algorithm"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewCoordinator(Config{Shards: tc.shards, Telemetry: telemetry.NewRegistry()})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("NewCoordinator: %v, want an error saying %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -771,11 +717,12 @@ func second[T any](_ T, err error) error { return err }
 
 // TestCoordinatorRejectsBadQueries: malformed queries must be refused at
 // the coordinator without reading a shard — a client's 400 is not a
-// backend failure and must not mark anyone dead.
+// shard failure.
 func TestCoordinatorRejectsBadQueries(t *testing.T) {
 	g := testGrid(t)
 	_, stores := buildSharded(t, g, 2, 50, 1)
-	c := localCoordinator(t, stores, nil)
+	handles, seen := callerHandles(stores)
+	c := coordinatorOver(t, handles...) // reads every shard's Info once
 	for what, err := range map[string]error{
 		"non-dividing tiling": second(c.EstimateGrid(grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1}, 7, 1)),
 		"out-of-grid span":    second(c.EstimateGrid(grid.Span{I1: 0, J1: 0, I2: g.NX(), J2: 0}, 1, 1)),
@@ -797,60 +744,93 @@ func TestCoordinatorRejectsBadQueries(t *testing.T) {
 			t.Fatalf("%s: status %d (%s), want 400", q, st, body)
 		}
 	}
-	// Nobody was read, so every backend is still alive.
-	for _, grp := range c.shards {
-		for _, b := range grp.all {
-			if !b.alive.Load() {
-				t.Fatalf("backend %s marked dead by a bad query", b.h.Name())
-			}
+	for i, h := range seen {
+		reads := 0
+		for _, n := range h.seen {
+			reads += n
+		}
+		if reads != 1 {
+			t.Fatalf("shard %d read %d times, want only the coordinator's Info at start", i, reads)
 		}
 	}
 }
 
+// healthz serves /healthz from front and decodes its Health body.
+func healthz(t *testing.T, front http.Handler) (int, geobrowse.Health) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	front.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	var h geobrowse.Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatalf("healthz body %q: %v", rec.Body.String(), err)
+	}
+	return rec.Code, h
+}
+
 // TestCoordinatorFrontHealthz: the coordinator front reports health as a
-// node does — the node's Health body, at the sum of the leader generations
-// the prober last saw — and turns 503 while a shard has no alive backend
-// or once it drains. /healthz reads no shard: a leader that died since the
-// last probe still reads healthy until the prober sees it.
+// node does — the node's Health body, at the sum of its shards'
+// generations — and turns 503 once it drains.
 func TestCoordinatorFrontHealthz(t *testing.T) {
 	g := testGrid(t)
 	_, stores := buildSharded(t, g, 2, 100, 61)
-	east := &flakyHandle{Handle: &LocalHandle{Store: stores[1], Label: "s1"}}
-	c, err := NewCoordinator(Config{Name: "test", ProbeInterval: -1, Telemetry: telemetry.NewRegistry(), Shards: []Backends{
-		{Leader: &LocalHandle{Store: stores[0], Label: "s0"}},
-		{Leader: east},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	front := Front(c, geobrowse.Options{Telemetry: telemetry.NewRegistry()})
-	healthz := func(wantCode int, wantStatus string) {
+	front := Front(localCoordinator(t, stores), geobrowse.Options{Telemetry: telemetry.NewRegistry()})
+	check := func(wantCode int, wantStatus string) {
 		t.Helper()
-		rec := httptest.NewRecorder()
-		front.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-		var h geobrowse.Health
-		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
-			t.Fatalf("healthz body %q: %v", rec.Body.String(), err)
-		}
+		code, h := healthz(t, front)
 		want := geobrowse.Health{Status: wantStatus, Dataset: "test",
 			Generation: stores[0].Generation() + stores[1].Generation()}
-		if rec.Code != wantCode || h != want {
-			t.Fatalf("healthz: %d %+v, want %d %+v", rec.Code, h, wantCode, want)
+		if code != wantCode || h != want {
+			t.Fatalf("healthz: %d %+v, want %d %+v", code, h, wantCode, want)
 		}
 	}
-	healthz(http.StatusOK, "ok")
-
-	east.down.Store(true)
-	healthz(http.StatusOK, "ok") // no shard read, no probe yet
-	c.Probe()
-	healthz(http.StatusServiceUnavailable, "unhealthy")
-	east.down.Store(false)
-	c.Probe()
-	healthz(http.StatusOK, "ok")
+	check(http.StatusOK, "ok")
+	if _, err := stores[1].Insert(geom.NewRect(40, 2, 42, 4)); err != nil {
+		t.Fatal(err)
+	}
+	check(http.StatusOK, "ok") // published by the store's own RebuildEvery 1
 
 	front.StartDrain()
-	healthz(http.StatusServiceUnavailable, "draining")
+	check(http.StatusServiceUnavailable, "draining")
+}
+
+// TestShardGenerationIsReadWhenAsked: a shard that publishes on its own
+// rebuild timer — acknowledged to no one, probed by nothing — shows its
+// new generation at once in the coordinator front's /healthz and in the
+// next ingest's ack, even one that touches only another shard.
+func TestShardGenerationIsReadWhenAsked(t *testing.T) {
+	g := testGrid(t)
+	open := func(interval time.Duration) *live.Store {
+		s, err := live.Open(live.Config{Grid: g, Algo: live.AlgoEuler, RebuildEvery: -1,
+			RebuildInterval: interval, Telemetry: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	west, east := open(time.Millisecond), open(0)
+	c := localCoordinator(t, []*live.Store{west, east})
+	front := Front(c, geobrowse.Options{Telemetry: telemetry.NewRegistry()})
+
+	before := west.Generation()
+	if _, err := west.Insert(geom.NewRect(2, 2, 4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); west.Generation() == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the rebuild timer published no generation")
+		}
+	}
+	want := west.Generation() + east.Generation()
+	if _, h := healthz(t, front); h.Generation != want {
+		t.Fatalf("/healthz reads generation %d, the shards are at %d", h.Generation, want)
+	}
+	// Into the east shard, unflushed: it publishes nothing, so the ack is
+	// exactly the generations the shards are at.
+	_, _, gen, err := c.Apply(live.OpInsert, []geom.Rect{geom.NewRect(40, 2, 42, 4)}, false)
+	if err != nil || gen != want {
+		t.Fatalf("ingest acked generation %d (%v), the shards are at %d", gen, err, want)
+	}
 }
 
 // goroutineID is the calling goroutine's number, as runtime.Stack prints
@@ -860,11 +840,23 @@ func goroutineID() string {
 	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }
 
-// callerHandle counts the reads of a Handle by the goroutine each ran on.
+// callerHandle counts the reads and writes of a Handle by the goroutine
+// each ran on.
 type callerHandle struct {
 	Handle
 	mu   sync.Mutex
 	seen map[string]int
+}
+
+// callerHandles wraps each store in a callerHandle, in band order, and
+// returns them both as the coordinator's handles and as themselves.
+func callerHandles(stores []*live.Store) ([]Handle, []*callerHandle) {
+	handles, seen := make([]Handle, len(stores)), make([]*callerHandle, len(stores))
+	for i, s := range stores {
+		seen[i] = &callerHandle{Handle: &LocalHandle{Store: s, Label: fmt.Sprint("s", i)}, seen: map[string]int{}}
+		handles[i] = seen[i]
+	}
+	return handles, seen
 }
 
 func (h *callerHandle) record() {
@@ -888,25 +880,21 @@ func (h *callerHandle) AddSpans(dst []core.Estimate, spans []grid.Span) error {
 	return h.Handle.AddSpans(dst, spans)
 }
 
-// TestEveryShardIsReadOnTheCallingGoroutine: the coordinator reads its
-// shards one after another on its caller's goroutine — tile maps, span
-// batches and Info alike — so a request starts no goroutine per shard, and
-// every shard adds into the one plane without a lock.
+func (h *callerHandle) Apply(op byte, rects []geom.Rect, flush bool) (applied, rejected int, gen uint64, err error) {
+	h.record()
+	return h.Handle.Apply(op, rects, flush)
+}
+
+// TestEveryShardIsReadOnTheCallingGoroutine: the coordinator reads and
+// writes its shards one after another on its caller's goroutine — tile
+// maps, span batches, Info and ingest alike — so a request starts no
+// goroutine per shard, and every shard adds into the one plane without a
+// lock.
 func TestEveryShardIsReadOnTheCallingGoroutine(t *testing.T) {
 	g := testGrid(t)
 	single, stores := buildSharded(t, g, 3, 200, 71)
-	cfg := Config{ProbeInterval: -1, Telemetry: telemetry.NewRegistry()}
-	var handles []*callerHandle
-	for i, s := range stores {
-		h := &callerHandle{Handle: &LocalHandle{Store: s, Label: fmt.Sprint("s", i)}, seen: map[string]int{}}
-		handles = append(handles, h)
-		cfg.Shards = append(cfg.Shards, Backends{Leader: h})
-	}
-	c, err := NewCoordinator(cfg) // reads every leader's Info
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	handles, seen := callerHandles(stores)
+	c := coordinatorOver(t, handles...) // reads every shard's Info
 
 	full := grid.Span{I2: g.NX() - 1, J2: g.NY() - 1}
 	got, err := c.EstimateGrid(full, 4, 4)
@@ -920,17 +908,21 @@ func TestEveryShardIsReadOnTheCallingGoroutine(t *testing.T) {
 	if _, err := c.Info(); err != nil {
 		t.Fatal(err)
 	}
+	// One object in each of the three bands.
+	batch := []geom.Rect{geom.NewRect(2, 2, 4, 4), geom.NewRect(30, 2, 32, 4), geom.NewRect(60, 2, 62, 4)}
+	if applied, _, _, err := c.Apply(live.OpInsert, batch, true); err != nil || applied != len(batch) {
+		t.Fatalf("Apply: %d applied, %v", applied, err)
+	}
 	me := goroutineID()
-	for i, h := range handles {
-		if len(h.seen) != 1 || h.seen[me] != 4 {
-			t.Errorf("shard %d read on goroutines %v, want 4 reads all on the caller's, %s", i, h.seen, me)
+	for i, h := range seen {
+		if len(h.seen) != 1 || h.seen[me] != 5 {
+			t.Errorf("shard %d called on goroutines %v, want 4 reads and 1 write all on the caller's, %s", i, h.seen, me)
 		}
 	}
 }
 
-// TestLocalHandleFailsBeforeAdding: the contract failover leans on — a
-// read that fails has added nothing, so the next backend can add into the
-// same plane.
+// TestLocalHandleFailsBeforeAdding: a read that fails has added nothing,
+// so the plane it was handed is as it was.
 func TestLocalHandleFailsBeforeAdding(t *testing.T) {
 	g := testGrid(t)
 	_, stores := buildSharded(t, g, 1, 100, 73)
@@ -962,28 +954,16 @@ func TestLocalHandleFailsBeforeAdding(t *testing.T) {
 	}
 }
 
-// TestProbeReportsEveryBackend: one probe refreshes every backend of every
-// shard — liveness and generation — as /api/shards and the
-// shard_backend_up gauges report them.
-func TestProbeReportsEveryBackend(t *testing.T) {
+// TestTopologyListsEveryShard: /api/shards lists every shard in band
+// order — its columns, its name and its generation when asked — the bands
+// disjoint and covering the grid.
+func TestTopologyListsEveryShard(t *testing.T) {
 	g := testGrid(t)
-	_, stores := buildSharded(t, g, 2, 100, 79)
-	follower := &flakyHandle{Handle: &LocalHandle{Store: stores[1], Label: "f1"}}
-	follower.down.Store(true) // down from the start: no probe ever saw it
-	reg := telemetry.NewRegistry()
-	c, err := NewCoordinator(Config{ProbeInterval: -1, Telemetry: reg, Shards: []Backends{
-		{Leader: &LocalHandle{Store: stores[0], Label: "s0"}},
-		{Leader: &LocalHandle{Store: stores[1], Label: "s1"}, Followers: []Handle{follower}},
-	}})
-	if err != nil {
+	_, stores := buildSharded(t, g, 3, 100, 79)
+	c := localCoordinator(t, stores)
+	if _, err := stores[0].Insert(geom.NewRect(1, 1, 2, 2)); err != nil { // a publish the coordinator never saw
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	if _, err := stores[0].Insert(geom.NewRect(1, 1, 2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	stores[0].Flush() // a generation only the next probe sees
-	c.Probe()
 
 	rec := httptest.NewRecorder()
 	NewServer(c, telemetry.NewRegistry()).ServeHTTP(rec, httptest.NewRequest("GET", "/api/shards", nil))
@@ -991,24 +971,18 @@ func TestProbeReportsEveryBackend(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
 		t.Fatalf("/api/shards %d %q: %v", rec.Code, rec.Body, err)
 	}
-	want := []struct {
-		name  string
-		shard int
-		alive bool
-		gen   uint64
-	}{{"s0", 0, true, stores[0].Generation()}, {"s1", 1, true, stores[1].Generation()}, {"f1", 1, false, 0}}
-	var got []TopologyBackend
-	for _, s := range top.Shards {
-		got = append(got, s.Backends...)
+	if len(top.Shards) != len(stores) {
+		t.Fatalf("/api/shards lists %d shards, want %d: %s", len(top.Shards), len(stores), rec.Body)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("/api/shards lists %d backends, want %d: %s", len(got), len(want), rec.Body)
-	}
-	for i, w := range want {
-		b := got[i]
-		up := reg.Gauge("shard_backend_up", "", "shard", fmt.Sprint(w.shard), "backend", w.name).Value()
-		if b.Name != w.name || b.Alive != w.alive || b.Generation != w.gen || up != map[bool]int64{true: 1}[w.alive] {
-			t.Errorf("backend %d: %+v, up %d; want %s alive=%v at generation %d", i, b, up, w.name, w.alive, w.gen)
+	next := 0
+	for si, s := range top.Shards {
+		want := TopologyShard{Band: [2]int{next, s.Band[1]}, Name: fmt.Sprint("s", si), Generation: stores[si].Generation()}
+		if s != want || s.Band[1] < s.Band[0] {
+			t.Errorf("shard %d: %+v, want %+v", si, s, want)
 		}
+		next = s.Band[1] + 1
+	}
+	if next != g.NX() {
+		t.Errorf("bands end at column %d, the grid has %d", next-1, g.NX())
 	}
 }

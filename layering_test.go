@@ -120,12 +120,14 @@ func TestOneServerAssembly(t *testing.T) {
 
 // serialPackages are the packages that run on their caller's goroutine:
 // the histogram and prefix-sum constructions of the paper, one pass each,
-// and the tile-map sweep and its wire encoder, one linear pass per map.
+// the tile-map sweep and its wire encoder, one linear pass per map, and
+// the shard coordinator, one shard after another.
 var serialPackages = []string{
 	filepath.Join("internal", "euler"),
 	filepath.Join("internal", "prefixsum"),
 	filepath.Join("internal", "core"),
 	filepath.Join("internal", "geobrowse"),
+	filepath.Join("internal", "shard"),
 }
 
 // TestBuildsAndMapsRunOnOneGoroutine keeps histogram construction and
@@ -134,7 +136,8 @@ var serialPackages = []string{
 // carried, and the row bands core and geobrowse fanned large maps across
 // made them slower on two cores (DESIGN, "Why builds run on one goroutine"
 // and "Why a map runs on one goroutine"); a request runs on its own, and
-// admission control bounds how many run at once.
+// admission control bounds how many run at once. The shard coordinator
+// reads and writes its in-process shards on the request's goroutine too.
 func TestBuildsAndMapsRunOnOneGoroutine(t *testing.T) {
 	walkModule(t, "", func(fset *token.FileSet, path string, file *ast.File) {
 		pkg := filepath.Dir(path)
