@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -620,6 +621,69 @@ func TestJournalLessCheckpointKeepsJournalOffset(t *testing.T) {
 	sweep(t, got, want)
 	if m := reopened.Status().Mutations; m != int64(len(recs)) {
 		t.Fatalf("reopened store counts %d mutations, want %d", m, len(recs))
+	}
+}
+
+// TestDamagedCheckpointRefusesToOpen: a checkpoint that is foreign,
+// truncated, or ahead of its journal is a hard error at Open — starting
+// from the seed, or replaying from the wrong offset, would fork history.
+func TestDamagedCheckpointRefusesToOpen(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Grid: testGrid(), Algo: AlgoEuler, Seed: seedRects(30),
+		WALPath: filepath.Join(dir, "store.wal"), CheckpointPath: filepath.Join(dir, "store.ckpt"),
+		RebuildEvery: -1}
+	s := openTestStore(t, cfg)
+	play(t, s, mutationScript(cfg.Seed, 40))
+	if err := s.Close(); err != nil { // checkpoints at the journal's end
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Algo, other.WALPath, other.CheckpointPath = AlgoSEuler, "", filepath.Join(dir, "other.ckpt")
+	if err := openTestStore(t, other).Close(); err != nil {
+		t.Fatal(err)
+	}
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	ckpt, journal, foreign := read("store.ckpt"), read("store.wal"), read("other.ckpt")
+	offsets := len(ckptMagic) + len(cfg.header()) // where walOff begins
+
+	for _, tc := range []struct {
+		name          string
+		ckpt, journal []byte
+		want          string
+	}{
+		{"not-a-checkpoint", append([]byte("NOTACKPT"), ckpt[len(ckptMagic):]...), journal, "not a checkpoint"},
+		{"other-configuration", foreign, journal, "different store configuration"},
+		{"truncated-offsets", ckpt[:offsets+4], journal, "WAL offset"},
+		{"truncated-histograms", ckpt[:len(ckpt)-1], journal, "checkpoint partition"},
+		{"journal-behind-checkpoint", ckpt, journal[:len(journal)-1], "checkpoint expects"},
+		{"journal-empty", ckpt, nil, "is empty"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sub := t.TempDir()
+			rcfg := cfg
+			rcfg.Seed, rcfg.Telemetry = nil, telemetry.NewRegistry()
+			rcfg.WALPath, rcfg.CheckpointPath = filepath.Join(sub, "store.wal"), filepath.Join(sub, "store.ckpt")
+			if err := os.WriteFile(rcfg.CheckpointPath, tc.ckpt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(rcfg.WALPath, tc.journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(rcfg)
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted the damaged checkpoint")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open: %v, want an error saying %q", err, tc.want)
+			}
+		})
 	}
 }
 

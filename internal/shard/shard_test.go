@@ -676,6 +676,63 @@ func TestApplyCountsAPartialShardBatch(t *testing.T) {
 	}
 }
 
+// TestApplyWithNothingToRouteTouchesNoShard: an empty batch calls no
+// shard's Apply and acknowledges the generation the shards are at.
+func TestApplyWithNothingToRouteTouchesNoShard(t *testing.T) {
+	g := testGrid(t)
+	_, stores := buildSharded(t, g, 2, 50, 83)
+	handles, seen := callerHandles(stores)
+	c := coordinatorOver(t, handles...) // reads every shard's Info once
+	for _, op := range []byte{live.OpInsert, live.OpDelete} {
+		applied, rejected, gen, err := c.Apply(op, nil, true)
+		if err != nil || applied != 0 || rejected != 0 || gen != c.Generation() {
+			t.Fatalf("empty batch (op %d): applied %d rejected %d gen %d, %v; want 0, 0, %d",
+				op, applied, rejected, gen, err, c.Generation())
+		}
+	}
+	for i, h := range seen {
+		if n := len(h.seen); n != 1 {
+			t.Fatalf("shard %d called on %d goroutines after empty batches", i, n)
+		}
+		for _, n := range h.seen {
+			if n != 1 {
+				t.Fatalf("shard %d called %d times, want only the coordinator's Info at start", i, n)
+			}
+		}
+	}
+}
+
+// TestCoordinatorCloseReleasesNothing: the coordinator owns no goroutine
+// and no shard, so ProbeInterval changes nothing, and after Close — once
+// or twice — it still reads and writes its shards as before.
+func TestCoordinatorCloseReleasesNothing(t *testing.T) {
+	g := testGrid(t)
+	single, stores := buildSharded(t, g, 2, 100, 89)
+	cfg := Config{Name: "test", ProbeInterval: time.Nanosecond, Telemetry: telemetry.NewRegistry()}
+	for i, s := range stores {
+		cfg.Shards = append(cfg.Shards, Backends{Leader: &LocalHandle{Store: s, Label: fmt.Sprint("s", i)}})
+	}
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		if err := c.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+	}
+	full := grid.Span{I2: g.NX() - 1, J2: g.NY() - 1}
+	got, err := c.EstimateGrid(full, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	estimatesEqual(t, "grid after Close", got, singleEstimates(t, single, full, 4, 4))
+	before := c.Generation()
+	if applied, _, gen, err := c.Apply(live.OpInsert, []geom.Rect{geom.NewRect(40, 2, 42, 4)}, true); err != nil || applied != 1 || gen <= before {
+		t.Fatalf("ingest after Close: applied %d gen %d (was %d), %v", applied, gen, before, err)
+	}
+}
+
 // TestNewCoordinatorValidatesTopology: a coordinator is made only over at
 // least one shard, every one answering Info, all on one grid and one
 // algorithm — the conditions under which their raw sums add.
