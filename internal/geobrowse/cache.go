@@ -2,6 +2,7 @@ package geobrowse
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -57,6 +58,11 @@ type flight struct {
 	err     error
 }
 
+// errComputePanicked is what the followers of a computation that panicked
+// get: a server bug, answered 500. The panic itself goes on up the
+// computing caller's stack.
+var errComputePanicked = errors.New("geobrowse: the response's computation panicked")
+
 // newBrowseCache returns a cache holding up to capacity responses of up to
 // cacheBytesPerEntry each; capacity <= 0 disables storage but keeps
 // single-flight deduplication.
@@ -94,6 +100,8 @@ func newBrowseCache(capacity int, reg *telemetry.Registry) *browseCache {
 // back, free to recycle it once it is written; the cache stores a copy of
 // a body of at most cacheBytesPerEntry, and waiters get that copy or, for
 // a larger body, which is not stored and evicts nothing, one made for them.
+// A compute that panics releases its key: its followers get
+// errComputePanicked, the next call computes afresh, and the panic goes on.
 func (c *browseCache) Do(key string, compute func() ([]byte, error)) ([]byte, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -122,7 +130,18 @@ func (c *browseCache) Do(key string, compute func() ([]byte, error)) ([]byte, er
 
 	c.misses.Add(1)
 	c.mMisses.Inc()
+	returned := false
+	defer func() {
+		if !returned {
+			c.mu.Lock()
+			delete(c.inflight, key)
+			c.mu.Unlock()
+			f.err = errComputePanicked
+			close(f.done)
+		}
+	}()
 	val, err := compute()
+	returned = true
 
 	c.mu.Lock()
 	delete(c.inflight, key)

@@ -7,9 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spatialhist/internal/check/gen"
 	"spatialhist/internal/core"
@@ -111,6 +113,54 @@ func TestBrowseCacheSingleFlight(t *testing.T) {
 		if string(v) != "v" {
 			t.Fatalf("waiter %d got %q", i, v)
 		}
+	}
+}
+
+// TestBrowseCachePanicReleasesKey: a compute that panics must not leave
+// its key in flight. The panic reaches its caller; a follower waiting on
+// the flight returns errComputePanicked, answered 500; the next call for
+// the key computes afresh.
+func TestBrowseCachePanicReleasesKey(t *testing.T) {
+	c := newBrowseCache(4, telemetry.NewRegistry())
+	computing, fail := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do("k", func() ([]byte, error) {
+			close(computing)
+			<-fail
+			panic("boom")
+		})
+	}()
+	<-computing
+	followed := make(chan error)
+	go func() {
+		_, err := c.Do("k", func() ([]byte, error) { return []byte("follower computed"), nil })
+		followed <- err
+	}()
+	for waiting := 0; waiting == 0; runtime.Gosched() { // until the follower waits on the flight
+		c.mu.Lock()
+		waiting = c.inflight["k"].waiting
+		c.mu.Unlock()
+	}
+	close(fail)
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("the computing caller recovered %v, want the panic", r)
+	}
+	select {
+	case err := <-followed:
+		if !errors.Is(err, errComputePanicked) || readStatus(err) != http.StatusInternalServerError {
+			t.Fatalf("follower err = %v (status %d), want errComputePanicked (500)", err, readStatus(err))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower is still waiting on the panicked flight")
+	}
+	v, err := c.Do("k", func() ([]byte, error) { return []byte("fresh"), nil })
+	if err != nil || string(v) != "fresh" {
+		t.Fatalf("after the panic: %q, %v; want a fresh computation", v, err)
+	}
+	if _, misses := c.Stats(); misses != 2 {
+		t.Fatalf("misses = %d, want 2: the panicked computation and the fresh one", misses)
 	}
 }
 

@@ -16,21 +16,23 @@ import (
 
 // Wire encoding. Every tile payload — browse maps, drill leaves, single
 // queries, on every Server — is written by the append encoders in this
-// file, straight from the sweep's []core.Estimate into one exactly-sized
-// buffer. The bytes are those encoding/json produces for
-// BrowseResponse, DrillResponse and TileEstimate, which stay the
-// decode-side types and the oracle the encoders are fuzzed against
-// (FuzzBrowseEncode).
+// file, straight from the sweep's []core.Estimate into one buffer. The
+// bytes are those encoding/json produces for BrowseResponse,
+// DrillResponse and TileEstimate, which stay the decode-side types and
+// the oracle the encoders are fuzzed against (FuzzBrowseEncode).
 //
-// A tile map is measured before it is written (appendResponse), so its
-// body grows at most once, to the exact size.
+// A tile map is written in one pass (appendResponse): its body grows at
+// most once, to a bound that takes every count at 8 digits, unless a count
+// of 10^8 or more takes it past that bound (writeTiles).
 //
 // A tile map's rectangles are separable per axis (grid.XEdge/YEdge), so a
 // cols×rows map has only cols+1 distinct x and rows+1 distinct y
-// coordinates: each is formatted once per request into the blocks of
-// tileMap and moved into the tiles that touch it, instead of 4·cols·rows
-// shortest-float conversions. A server's requests recycle the blocks with
-// the body (mapBuffers); AppendBrowseResponse makes both afresh.
+// coordinates. A Server formats every edge of its grid once, in New
+// (edgeTexts); a request copies the ones its tiling uses into the blocks
+// of tileMap, which are moved into the tiles that touch them, instead of
+// 4·cols·rows shortest-float conversions. A server's requests recycle the
+// blocks with the body (mapBuffers); AppendBrowseResponse makes the
+// table, the blocks and the body afresh.
 
 // Tile object skeleton, in TileEstimate's field order.
 const (
@@ -62,6 +64,44 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 		dst = dst[:n-1]
 	}
 	return dst, nil
+}
+
+// edgeTexts is a grid's edges as appendJSONFloat writes them, formatted
+// once: entry k is text[off[k]:off[k+1]], x-edges 0..nx first, then
+// y-edges 0..ny. A non-finite edge has no text.
+type edgeTexts struct {
+	g    *grid.Grid
+	text []byte
+	off  []int
+}
+
+// newEdgeTexts formats g's nx+1 x-edges and ny+1 y-edges, O(nx+ny).
+func newEdgeTexts(g *grid.Grid) *edgeTexts {
+	nx, ny := g.NX(), g.NY()
+	e := &edgeTexts{g: g, off: make([]int, 1, nx+ny+3)}
+	for k := 0; k <= nx+ny+1; k++ {
+		e.text, _ = appendJSONFloat(e.text, e.coord(k)) // a non-finite edge appends nothing
+		e.off = append(e.off, len(e.text))
+	}
+	return e
+}
+
+// coord is entry k's coordinate.
+func (e *edgeTexts) coord(k int) float64 {
+	if nx := e.g.NX(); k > nx {
+		return e.g.YEdge(k - nx - 1)
+	}
+	return e.g.XEdge(k)
+}
+
+// edge returns entry k's text, or for a non-finite edge the error
+// json.Marshal reports for it.
+func (e *edgeTexts) edge(k int) ([]byte, error) {
+	if t := e.text[e.off[k]:e.off[k+1]]; len(t) > 0 {
+		return t, nil
+	}
+	_, err := appendJSONFloat(nil, e.coord(k))
+	return nil, err
 }
 
 // appendTile appends one tile object up to, not including, its closing
@@ -131,8 +171,9 @@ func AppendDrillResponse(dst []byte, g *grid.Grid, rel geom.Rel2, leaves []core.
 const tileBlock = 40
 
 // tileMap is the tiles array of one browse response before it is written:
-// the sweep's estimates plus their tiling's fixed text in zero-padded
-// blocks, block k at text[k·tileBlock:], lens[k] bytes long. Tile column c
+// the sweep's estimates plus their tiling's fixed text in padded blocks
+// (what pads a recycled block is stale and moved only as overhang), block
+// k at text[k·tileBlock:], lens[k] bytes long. Tile column c
 // has blocks 2c and 2c+1, `{"rect":[x_c,` and `x_{c+1},`; tile row r
 // blocks 2·cols+2r and the next, `y_r,` and `y_{r+1}],"disjoint":`.
 type tileMap struct {
@@ -144,10 +185,11 @@ type tileMap struct {
 
 func (m *tileMap) block(k int) []byte { return m.text[k*tileBlock:][:m.lens[k]] }
 
-// reset formats the cols+1 x-edges and rows+1 y-edges of a tiling of
-// region into m's blocks, in the storage of m's last tiling when it is
-// large enough. ests must be the tiling's row-major estimates.
-func (m *tileMap) reset(g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate) error {
+// reset copies the cols+1 x-edge and rows+1 y-edge texts of a tiling of
+// region out of e into m's blocks, in the storage of m's last tiling when
+// it is large enough. ests must be the tiling's row-major estimates.
+func (m *tileMap) reset(e *edgeTexts, region grid.Span, cols, rows int, ests []core.Estimate) error {
+	g := e.g
 	tw, th, err := query.Tiling(region, cols, rows)
 	if err != nil {
 		return err
@@ -163,15 +205,13 @@ func (m *tileMap) reset(g *grid.Grid, region grid.Span, cols, rows int, ests []c
 		m.text, m.lens = make([]byte, blocks*tileBlock), make([]uint8, blocks)
 	}
 	*m = tileMap{cols: cols, rows: rows, ests: ests, text: m.text[:blocks*tileBlock], lens: m.lens[:blocks]}
-	// The first non-finite edge is the error: an axis whose cell size
-	// overflowed has no finite edge, so json.Marshal meets it first too.
-	var bad error
-	var num [32]byte
-	// Edge k of an axis of n tiles closes tile k−1, opens tile k.
-	edge := func(first, k, n int, f float64, open, close string) {
-		t, err := appendJSONFloat(num[:0], f)
-		if err != nil && bad == nil {
-			bad = err
+	// Edge k of an axis of n tiles closes tile k−1, opens tile k. The
+	// first non-finite edge, x before y, is the error: an axis whose cell
+	// size overflowed has no finite edge, so json.Marshal meets it first too.
+	edge := func(first, k, n, entry int, open, close string) error {
+		t, err := e.edge(entry)
+		if err != nil {
+			return err
 		}
 		put := func(b int, pre, post string) {
 			at := b * tileBlock
@@ -183,28 +223,31 @@ func (m *tileMap) reset(g *grid.Grid, region grid.Span, cols, rows int, ests []c
 		if k < n {
 			put(first+2*k, open, ",")
 		}
+		return nil
 	}
 	for c := 0; c <= cols; c++ {
-		edge(0, c, cols, g.XEdge(region.I1+c*tw), tileRect, ",")
+		if err := edge(0, c, cols, region.I1+c*tw, tileRect, ","); err != nil {
+			return err
+		}
 	}
 	for r := 0; r <= rows; r++ {
-		edge(2*cols, r, rows, g.YEdge(region.J1+r*th), "", tileDisjoint)
+		if err := edge(2*cols, r, rows, g.NX()+1+region.J1+r*th, "", tileDisjoint); err != nil {
+			return err
+		}
 	}
-	return bad
+	return nil
 }
 
-// tilesSize returns the exact byte count writeTiles writes: a column's
-// blocks are in every row, a row's in every column.
-func (m *tileMap) tilesSize() int {
-	size := len(m.ests) * tileLabels
+// tilesBound bounds the bytes writeTiles writes: exact but for the
+// counts, each taken at the 8 digits of one below 10^8. A column's blocks
+// are in every row, a row's in every column.
+func (m *tileMap) tilesBound() int {
+	size := len(m.ests) * (tileLabels + 4*8)
 	for k, l := range m.lens {
 		size += int(l) * m.rows
 		if k >= 2*m.cols {
 			size += int(l) * (m.cols - m.rows)
 		}
-	}
-	for _, e := range m.ests {
-		size += decimalLen(e.Disjoint) + decimalLen(e.Contains) + decimalLen(e.Contained) + decimalLen(e.Overlap)
 	}
 	return size
 }
@@ -242,7 +285,9 @@ func putBlock(t []byte, o int, block []byte, parts int, n uint8) int {
 // the last one's overhang. A tile with a count of 10^8 or more, and every
 // tile within closeReach and one widest tile (longest blocks, 8-digit
 // counts) of the capacity's end, goes by appendTile instead, so no move
-// leaves the capacity; capacity past the tiles may be overwritten.
+// leaves the capacity; capacity past the tiles may be overwritten. When
+// appendTile outgrows the capacity, the tiles after it go on in the
+// buffer it grew.
 func (m *tileMap) writeTiles(dst []byte) []byte {
 	var longest, parts [4]int // x opening, x closing, y opening, y closing
 	for k, n := range m.lens {
@@ -250,15 +295,17 @@ func (m *tileMap) writeTiles(dst []byte) []byte {
 		longest[i] = max(longest[i], int(n))
 		parts[i] = (longest[i] + 15) / 16
 	}
+	widest := closeReach + longest[0] + longest[1] + longest[2] + longest[3] + tileLabels + 4*8
 	buf, pos := dst[:cap(dst)], len(dst)
-	stop := len(buf) - closeReach - (longest[0] + longest[1] + longest[2] + longest[3] + tileLabels + 4*8)
+	stop := len(buf) - widest
 	text, lens, k := m.text, m.lens, 0
 	for r := 2 * m.cols; r < len(lens); r += 2 {
 		yOpen, yClose := text[r*tileBlock:], text[(r+1)*tileBlock:]
 		for c := 0; c < 2*m.cols; c, k = c+2, k+1 {
 			e := &m.ests[k]
 			if pos > stop || max(e.Disjoint, e.Contains, e.Contained, e.Overlap) >= 1e8 {
-				pos = len(append(appendTile(buf[:pos], m.block(c), m.block(r), m.block(c+1), m.block(r+1), *e), tileClose...))
+				b := append(appendTile(buf[:pos], m.block(c), m.block(r), m.block(c+1), m.block(r+1), *e), tileClose...)
+				buf, pos, stop = b[:cap(b)], len(b), cap(b)-widest
 				continue
 			}
 			t := buf[pos:]
@@ -297,19 +344,6 @@ func (m *tileMap) writeTiles(dst []byte) []byte {
 		}
 	}
 	return buf[:pos]
-}
-
-// pow10 backs decimalLen.
-var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
-
-// decimalLen returns the number of digits strconv.AppendInt writes for v
-// clamped at zero: ⌊log10 u⌋ is ⌊log2 u⌋·log10(2) rounded down, or one
-// more when u reaches the next power of ten (the borrow's sign bit).
-func decimalLen(v int64) int {
-	u := uint64(max(v, 0))
-	t := bits.Len64(u|1) * 1233 >> 12
-	return max(t+int((pow10[t]-1-u)>>63), 1)
 }
 
 // digitQuads holds each number below 10^4 as four ASCII digits, leading
@@ -365,22 +399,26 @@ func appendCount(dst []byte, v int64) []byte {
 // bound the certified ε-tier error (nil for an exact map). The bytes are
 // those of json.Marshal(BrowseResponse{cols, rows, TileEstimates(g,
 // region, cols, rows, ests), bound}), and so is the error for a non-finite
-// bound or coordinate. dst is grown only when its capacity is short of the
-// body, and then once, to exactly the bytes written, so a recycled buffer
-// costs no allocation; capacity past the body may be overwritten.
+// bound or coordinate. It formats g's edges on each call, O(nx+ny); a
+// Server formats them once, in New. dst is grown only when its capacity is
+// short of the body's bound — its bytes with every count at 8 digits — and
+// then once, to that bound, unless a count of 10^8 or more takes the body
+// past it; a recycled buffer with room costs no allocation, and capacity
+// past the body may be overwritten.
 func AppendBrowseResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
-	return new(tileMap).appendResponse(dst, g, region, cols, rows, ests, bound)
+	return new(tileMap).appendResponse(dst, newEdgeTexts(g), region, cols, rows, ests, bound)
 }
 
-// appendResponse is AppendBrowseResponse with the tiling's blocks in m's
-// recycled storage. The tiles are measured, then written in place
-// (writeTiles) between the head and the bound's member.
-func (m *tileMap) appendResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
-	if err := m.reset(g, region, cols, rows, ests); err != nil {
+// appendResponse is AppendBrowseResponse with the grid's edges formatted
+// in e and the tiling's blocks in m's recycled storage. The tiles are
+// written in place (writeTiles) between the head and the bound's member.
+func (m *tileMap) appendResponse(dst []byte, e *edgeTexts, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
+	if err := m.reset(e, region, cols, rows, ests); err != nil {
 		return dst, err
 	}
 	var scratch [128]byte
-	head := fmt.Appendf(scratch[:0], `{"cols":%d,"rows":%d,"tiles":[`, cols, rows)
+	head := strconv.AppendInt(append(scratch[:0], `{"cols":`...), int64(cols), 10)
+	head = append(strconv.AppendInt(append(head, `,"rows":`...), int64(rows), 10), `,"tiles":[`...)
 	tail := head[len(head):] // after head in scratch
 	if bound != nil {
 		var err error
@@ -388,17 +426,13 @@ func (m *tileMap) appendResponse(dst []byte, g *grid.Grid, region grid.Span, col
 			return dst, err
 		}
 	}
-	size := m.tilesSize()
 	n := len(dst)
-	if total := n + len(head) + size + len(tail) + 1; cap(dst) < total {
-		grown := make([]byte, n, total)
+	if most := n + len(head) + m.tilesBound() + len(tail) + 1; cap(dst) < most {
+		grown := make([]byte, n, most)
 		copy(grown, dst)
 		dst = grown
 	}
 	body := m.writeTiles(append(dst, head...))
-	if got := len(body) - n - len(head); got != size {
-		return dst, fmt.Errorf("geobrowse: tiles encoded to %d bytes, measured %d", got, size)
-	}
 	body[len(body)-1] = ']' // over the last tile's comma
 	return append(append(body, tail...), '}'), nil
 }

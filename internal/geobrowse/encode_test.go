@@ -50,6 +50,19 @@ func wireEstimates(r *rand.Rand, n int) []core.Estimate {
 	return ests
 }
 
+// boundOf is the capacity a body is grown to: the prefix, json.Marshal's
+// bytes, and the digits that would take every clamped count to 8. A count
+// of 10^8 or more takes the body past it.
+func boundOf(prefix int, want []byte, ests []core.Estimate) int {
+	most := prefix + len(want)
+	for _, e := range ests {
+		for _, v := range [4]int64{e.Disjoint, e.Contains, e.Contained, e.Overlap} {
+			most += 8 - len(strconv.AppendInt(nil, max(v, 0), 10))
+		}
+	}
+	return most
+}
+
 func checkBrowseWire(t *testing.T, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) {
 	t.Helper()
 	want, wantErr := oracleBrowse(g, region, cols, rows, ests, bound)
@@ -66,8 +79,9 @@ func checkBrowseWire(t *testing.T, g *grid.Grid, region grid.Span, cols, rows in
 	if !bytes.Equal(got, want) {
 		t.Fatalf("wire bytes differ from json.Marshal\n got: %.300s\nwant: %.300s", got, want)
 	}
-	if cap(got) != len(got) {
-		t.Fatalf("body of %d bytes retains capacity %d", len(got), cap(got))
+	most := boundOf(0, want, ests)
+	if len(got) <= most && cap(got) != most {
+		t.Fatalf("body of %d bytes grew to capacity %d, its bound is %d", len(got), cap(got), most)
 	}
 	// Appending after existing content must leave it alone.
 	pre := []byte("prefix")
@@ -75,8 +89,9 @@ func checkBrowseWire(t *testing.T, g *grid.Grid, region grid.Span, cols, rows in
 		!bytes.Equal(got, append([]byte("prefix"), want...)) {
 		t.Fatalf("append onto a non-empty buffer diverges (err %v)", err)
 	}
-	// A recycled buffer with room is written in place over its stale bytes.
-	stale := bytes.Repeat([]byte{'x'}, len(want)+16)
+	// A recycled buffer with room for the bound is written in place over
+	// its stale bytes.
+	stale := bytes.Repeat([]byte{'x'}, max(most, len(want)))
 	if got, err = AppendBrowseResponse(stale[:0], g, region, cols, rows, ests, bound); err != nil ||
 		!bytes.Equal(got, want) || &got[0] != &stale[0] {
 		t.Fatalf("encode into a recycled buffer diverges or reallocates (err %v)", err)
@@ -232,18 +247,6 @@ func TestTileAndDrillEncodeMatchJSON(t *testing.T) {
 	}
 }
 
-func TestDecimalLen(t *testing.T) {
-	vals := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
-	for p := int64(1); p > 0 && p <= math.MaxInt64/10; p *= 10 {
-		vals = append(vals, p-1, p, p+1, 10*p-1)
-	}
-	for _, v := range vals {
-		if got, want := decimalLen(v), len(strconv.AppendInt(nil, max(v, 0), 10)); got != want {
-			t.Errorf("decimalLen(%d) = %d, want %d", v, got, want)
-		}
-	}
-}
-
 // discardWriter is a ResponseWriter that keeps nothing of the body, so a
 // request's allocations are the handler's own.
 type discardWriter struct {
@@ -358,9 +361,10 @@ func TestBrowseMissBudget(t *testing.T) {
 	}
 }
 
-// TestBrowseEncodeSizesExactly: the measured encoder allocates a body of
-// exactly its bytes, with row sizes that differ (counts of every digit
-// length), and a body appended onto a prefix is the prefix and the body.
+// TestBrowseEncodeSizesExactly: a body that must grow is grown once, to
+// exactly its bound — its bytes with every count at 8 digits — with row
+// sizes that differ (counts of every digit length up to 8), and a body
+// appended onto a prefix is the prefix and the body.
 func TestBrowseEncodeSizesExactly(t *testing.T) {
 	g := grid.New(geom.NewRect(-180, -90, 180, 90), 128, 134)
 	r := rand.New(rand.NewSource(18))
@@ -369,17 +373,57 @@ func TestBrowseEncodeSizesExactly(t *testing.T) {
 		const cols = 64
 		region := grid.Span{I2: 2*cols - 1, J2: 2*rows - 1}
 		ests := wireEstimates(r, cols*rows)
-		got, err := AppendBrowseResponse(nil, g, region, cols, rows, ests, &bound)
+		for k := range ests { // below 10^8, within the bound
+			e := &ests[k]
+			e.Disjoint, e.Contains, e.Contained, e.Overlap = e.Disjoint%1e8, e.Contains%1e8, e.Contained%1e8, e.Overlap%1e8
+		}
+		want, err := oracleBrowse(g, region, cols, rows, ests, &bound)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cap(got) != len(got) {
-			t.Fatalf("%d rows: body of %d bytes retains capacity %d", rows, len(got), cap(got))
+		got, err := AppendBrowseResponse(nil, g, region, cols, rows, ests, &bound)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d rows: wire bytes differ from json.Marshal (err %v)", rows, err)
+		}
+		if most := boundOf(0, want, ests); cap(got) != most {
+			t.Fatalf("%d rows: body of %d bytes grew to capacity %d, its bound is %d", rows, len(got), cap(got), most)
 		}
 		onto, err := AppendBrowseResponse([]byte("prefix"), g, region, cols, rows, ests, &bound)
 		if err != nil || !bytes.Equal(onto, append([]byte("prefix"), got...)) {
 			t.Fatalf("%d rows: body onto a prefix differs (err %v)", rows, err)
 		}
+	}
+}
+
+// TestBrowseEncodeGrowsInMidMap: counts of 10^8 or more take a body past
+// its bound. Onto a prefix with capacity exactly at the bound, every other
+// tile has four 19-digit counts, so appendTile outgrows the capacity part
+// way through the map, and the tiles after it — by appendTile and by
+// moves — must go on in the buffer it grew.
+func TestBrowseEncodeGrowsInMidMap(t *testing.T) {
+	const cols, rows = 32, 16
+	g := grid.New(geom.NewRect(-180, -90, 180, 90), 2*cols, 2*rows)
+	region := grid.Span{I2: 2*cols - 1, J2: 2*rows - 1}
+	ests := make([]core.Estimate, cols*rows)
+	for k := range ests {
+		v := int64(1e8 - 1) // the 8 digits the bound allows
+		if k%2 == 0 {
+			v = math.MaxInt64
+		}
+		ests[k] = core.Estimate{Disjoint: v, Contains: v, Contained: v, Overlap: v}
+	}
+	want, err := oracleBrowse(g, region, cols, rows, ests, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := boundOf(3, want, ests)
+	if most > 9*(3+len(want))/10 {
+		t.Fatalf("the body (%d bytes) passes its bound (%d) only in its last tenth", 3+len(want), most)
+	}
+	dst := append(make([]byte, 0, most), "pre"...)
+	got, err := AppendBrowseResponse(dst, g, region, cols, rows, ests, nil)
+	if err != nil || string(got[:3]) != "pre" || !bytes.Equal(got[3:], want) {
+		t.Fatalf("wire bytes differ from json.Marshal (err %v)\n got: %.300s\nwant: %.300s", err, got, want)
 	}
 }
 
@@ -433,8 +477,7 @@ func countBoundaries() []int64 {
 // checkAppendCount compares the count writer with strconv.AppendInt of the
 // clamped value: appendCount onto a buffer with spare capacity and onto a
 // full one, and putCount's stores into the fewest bytes it may be given,
-// max(8, digits), over stale bytes. The digit count is decimalLen's, which
-// sizes the body.
+// max(8, digits), over stale bytes.
 func checkAppendCount(t *testing.T, prefix string, v int64) {
 	t.Helper()
 	want := strconv.AppendInt([]byte(prefix), max(v, 0), 10)
@@ -450,8 +493,8 @@ func checkAppendCount(t *testing.T, prefix string, v int64) {
 	}
 	digits := want[len(prefix):]
 	b := bytes.Repeat([]byte{'x'}, max(8, len(digits)))
-	if n := putCount(b, uint64(max(v, 0))); n != len(digits) || !bytes.Equal(b[:n], digits) || n != decimalLen(v) {
-		t.Fatalf("putCount(%d) = %q (%d digits), want %q (decimalLen %d)", v, b[:n], n, digits, decimalLen(v))
+	if n := putCount(b, uint64(max(v, 0))); n != len(digits) || !bytes.Equal(b[:n], digits) {
+		t.Fatalf("putCount(%d) = %q (%d digits), want %q", v, b[:n], n, digits)
 	}
 }
 
@@ -577,9 +620,12 @@ func TestLargeMapIsNotChunked(t *testing.T) {
 // arbitrary extents, tilings, counts and bounds, appended onto a prefix of
 // that many bytes with spare bytes of capacity: identical bytes after the
 // prefix, or both fail — with the identical error when a finite grid meets
-// a non-finite bound. A body that had to grow has no slack (cap == len);
-// one that fit is written in place. first is every count of the first
-// tile and, negated, the last tile's overlap.
+// a non-finite bound. A body whose bound the capacity holds is written in
+// place; one that had to grow has capacity exactly its bound, unless its
+// counts took it past. Each input is also encoded through one mapBuffers
+// that already holds a larger map with longer texts, as a server's
+// recycled buffers do: no byte of it may show. first is every count of
+// the first tile and, negated, the last tile's overlap.
 func FuzzBrowseEncode(f *testing.F) {
 	f.Add(0.0, 0.0, 360.0, 180.0, uint8(36), uint8(18), uint8(0), uint8(0), uint8(6), uint8(3), int64(2002), int64(-5), 0.0, false, uint8(0), uint8(0))
 	f.Add(-180.0, -90.0, 180.0, 90.0, uint8(144), uint8(72), uint8(4), uint8(2), uint8(10), uint8(7), int64(7), int64(math.MaxInt64), 1.5, true, uint8(0), uint8(0))
@@ -638,6 +684,19 @@ func FuzzBrowseEncode(f *testing.F) {
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("error = %v, json.Marshal's = %v", err, wantErr)
 		}
+		var m mapBuffers
+		const lo, hi = -1.2345678901234567e-6, -1.2345678901234566e-6
+		wider := make([]core.Estimate, (c+1)*(r+1))
+		for k := range wider {
+			wider[k] = core.Estimate{Disjoint: 1e8 - 1, Contains: 1e8 - 1, Contained: 1e8 - 1, Overlap: 1e8 - 1}
+		}
+		if _, err := m.encode(newEdgeTexts(grid.New(geom.NewRect(lo, lo, hi, hi), c+1, r+1)), grid.Span{I2: c, J2: r}, c+1, r+1, wider, nil); err != nil {
+			t.Fatal(err)
+		}
+		recycled, recycledErr := m.encode(newEdgeTexts(g), region, c, r, ests, b)
+		if (recycledErr != nil) != (wantErr != nil) {
+			t.Fatalf("error through recycled buffers = %v, json.Marshal's = %v", recycledErr, wantErr)
+		}
 		if wantErr != nil {
 			if _, gridErr := oracleBrowse(g, region, c, r, ests, nil); gridErr == nil && err.Error() != wantErr.Error() {
 				t.Fatalf("error = %v, want json.Marshal's %v", err, wantErr)
@@ -647,10 +706,14 @@ func FuzzBrowseEncode(f *testing.F) {
 		if !bytes.Equal(got[:min(len(got), int(prefix))], dst) || !bytes.Equal(got[min(len(got), int(prefix)):], want) {
 			t.Fatalf("wire bytes differ from json.Marshal after a %d-byte prefix\n got: %.300s\nwant: %.300s", prefix, got, want)
 		}
-		if grew := cap(dst) < len(got); grew && cap(got) != len(got) {
-			t.Fatalf("body of %d bytes retains capacity %d", len(got), cap(got))
-		} else if !grew && &got[0] != &dst[:1][0] {
-			t.Fatalf("a body that fits %d bytes of capacity was written elsewhere", cap(dst))
+		if !bytes.Equal(recycled, want) {
+			t.Fatalf("wire bytes through recycled buffers differ from json.Marshal\n got: %.300s\nwant: %.300s", recycled, want)
+		}
+		most := boundOf(int(prefix), want, ests)
+		if grew := cap(dst) < most; grew && len(got) <= most && cap(got) != most {
+			t.Fatalf("body of %d bytes grew to capacity %d, its bound is %d", len(got), cap(got), most)
+		} else if !grew && len(got) <= cap(dst) && &got[0] != &dst[:1][0] {
+			t.Fatalf("a body whose bound %d fits %d bytes of capacity was written elsewhere", most, cap(dst))
 		}
 	})
 }
@@ -687,9 +750,9 @@ func servedEstimates(r *rand.Rand, n int) []core.Estimate {
 // BenchmarkBrowseEncode is the encode rung of the browse ladder at the
 // benchmark's map sizes (648 and 4050 tiles on 360×180, 16 384 on
 // 1440×720), counts shaped like served ones: the reflection oracle, the
-// append encoder into a fresh body (a cached miss), and into a recycled
-// one with room (recycled: an uncached server's path, which allocates
-// nothing).
+// append encoder into a fresh body (AppendBrowseResponse, which formats
+// the grid's edges too), and a server's path (recycled: its edge table and
+// one recycled mapBuffers, which allocates nothing).
 func BenchmarkBrowseEncode(b *testing.B) {
 	for _, m := range []struct {
 		nx, ny, cols, rows int
@@ -721,15 +784,40 @@ func BenchmarkBrowseEncode(b *testing.B) {
 		})
 		b.Run("recycled/"+name, func(b *testing.B) {
 			b.ReportAllocs()
-			var body []byte
+			edges := newEdgeTexts(g)
+			var bufs mapBuffers
 			for i := 0; i < b.N; i++ {
-				var err error
-				if body, err = AppendBrowseResponse(body[:0], g, region, m.cols, m.rows, ests, nil); err != nil {
+				body, err := bufs.encode(edges, region, m.cols, m.rows, ests, nil)
+				if err != nil {
 					b.Fatal(err)
 				}
 				b.SetBytes(int64(len(body)))
 			}
 		})
+	}
+}
+
+// TestWarmBrowseEncodeAllocatesNothing: a server's encode — its edge
+// table and one recycled mapBuffers, as BenchmarkBrowseEncode's recycled
+// case runs it — allocates nothing once the buffers have held the map.
+func TestWarmBrowseEncodeAllocatesNothing(t *testing.T) {
+	for _, m := range []struct {
+		nx, ny, cols, rows int
+	}{{360, 180, 36, 18}, {360, 180, 360, 1}, {1440, 720, 128, 128}} {
+		g := grid.New(geom.NewRect(-180, -90, 180, 90), m.nx, m.ny)
+		region := grid.Span{I2: m.nx/m.cols*m.cols - 1, J2: m.ny/m.rows*m.rows - 1}
+		ests := servedEstimates(rand.New(rand.NewSource(2002)), m.cols*m.rows)
+		edges := newEdgeTexts(g)
+		var bufs mapBuffers
+		encode := func() {
+			if _, err := bufs.encode(edges, region, m.cols, m.rows, ests, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode()
+		if allocs := testing.AllocsPerRun(10, encode); allocs != 0 {
+			t.Errorf("%dx%d: a warm encode allocates %v objects", m.cols, m.rows, allocs)
+		}
 	}
 }
 

@@ -101,6 +101,7 @@ func (o Options) accessLogger() *telemetry.Logger {
 type Server struct {
 	name    string
 	g       *grid.Grid // constant across generations
+	edges   *edgeTexts // g's edges, formatted once for every browse map
 	read    func() (reading, func())
 	mux     *http.ServeMux
 	metrics *httpMetrics
@@ -137,9 +138,11 @@ func NewServerOpts(name string, est core.Estimator, opts Options) *Server {
 // access log; query, browse and drill also wait for admission.
 func New(name string, src Source, opts Options) *Server {
 	opts = opts.withDefaults()
+	g := src.Grid()
 	s := &Server{
 		name:    name,
-		g:       src.Grid(),
+		g:       g,
+		edges:   newEdgeTexts(g),
 		mux:     http.NewServeMux(),
 		metrics: &httpMetrics{reg: opts.Telemetry, access: opts.accessLogger()},
 		limiter: opts.Limiter,

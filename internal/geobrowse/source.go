@@ -72,11 +72,15 @@ func (e *RequestError) Error() string { return e.Err.Error() }
 func (e *RequestError) Unwrap() error { return e.Err }
 
 // readStatus is the status of a failed read: 400 for a request the source
-// refused, 502 when the source could not answer it.
+// refused, 500 for one that waited on a computation that panicked, 502
+// when the source could not answer it.
 func readStatus(err error) int {
 	var re *RequestError
-	if errors.As(err, &re) {
+	switch {
+	case errors.As(err, &re):
 		return http.StatusBadRequest
+	case errors.Is(err, errComputePanicked):
+		return http.StatusInternalServerError
 	}
 	return http.StatusBadGateway
 }
@@ -117,11 +121,11 @@ type mapBuffers struct {
 	body  []byte
 }
 
-// encode writes the browse response of ests, a cols×rows tiling of span,
-// into m's body.
-func (m *mapBuffers) encode(g *grid.Grid, span grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
+// encode writes the browse response of ests, a cols×rows tiling of span
+// over e's grid, into m's body.
+func (m *mapBuffers) encode(e *edgeTexts, span grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
 	var err error
-	m.body, err = m.tiles.appendResponse(m.body[:0], g, span, cols, rows, ests, bound)
+	m.body, err = m.tiles.appendResponse(m.body[:0], e, span, cols, rows, ests, bound)
 	return encoded(m.body, err)
 }
 
@@ -167,7 +171,7 @@ func (p *pinned) browseMap(m *mapBuffers, span grid.Span, cols, rows int) ([]byt
 		} else {
 			m.plane = plane
 		}
-		return m.encode(s.g, span, cols, rows, plane, bound)
+		return m.encode(s.edges, span, cols, rows, plane, bound)
 	})
 }
 
@@ -182,5 +186,5 @@ func (u uncached) browseMap(m *mapBuffers, span grid.Span, cols, rows int) ([]by
 	if m.plane, err = u.SumGrid(m.plane, span, cols, rows); err != nil {
 		return nil, err
 	}
-	return m.encode(u.s.g, span, cols, rows, m.plane, nil)
+	return m.encode(u.s.edges, span, cols, rows, m.plane, nil)
 }
