@@ -61,7 +61,6 @@ type config struct {
 	report                           time.Duration
 
 	pyramidLevels int
-	overviewEps   float64
 
 	maxInflight int
 	shedAfter   time.Duration
@@ -92,7 +91,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.logRequests, "log-requests", false, "log one structured JSON line per API request to stderr")
 
 	fs.IntVar(&c.pyramidLevels, "pyramid-levels", 4, "coarse histogram levels above the base for zoom-native browse routing (0 disables the pyramid)")
-	fs.Float64Var(&c.overviewEps, "overview-epsilon", 0, "serve overview browse maps from the reduced tier when every tile certifies within eps*|tile| objects of exact (0 = always exact; needs pyramids)")
 
 	fs.IntVar(&c.maxInflight, "max-inflight", 0, "admission control: concurrent browse-path requests admitted (0 disables)")
 	fs.DurationVar(&c.shedAfter, "shed-after", geobrowse.DefaultShedAfter, "admission control: bounded wait before a queued request is shed with 429")
@@ -148,7 +146,7 @@ func assemble(cfg config) (node, error) {
 	if flag, why := cfg.droppedFlag(); flag != "" {
 		return node{}, fmt.Errorf("%s would be ignored: %s", flag, why)
 	}
-	opts := geobrowse.Options{CacheSize: cfg.cache, OverviewEpsilon: cfg.overviewEps}
+	opts := geobrowse.Options{CacheSize: cfg.cache}
 	if cfg.logRequests {
 		opts.AccessLog = os.Stderr
 	}
@@ -215,14 +213,8 @@ func assemble(cfg config) (node, error) {
 // and why, so assemble refuses it before any store is opened; "" when
 // every flag given takes effect.
 func (c *config) droppedFlag() (flag, why string) {
-	if c.live && c.shards > 1 {
-		const uncached = "the coordinator pins no generation, so nothing can key a cache entry or certify ε"
-		switch {
-		case c.cache != 0:
-			return "-cache", uncached
-		case c.overviewEps != 0:
-			return "-overview-epsilon", uncached
-		}
+	if c.live && c.shards > 1 && c.cache != 0 {
+		return "-cache", "the coordinator pins no generation, so nothing can key a cache entry"
 	}
 	if !c.live {
 		const fixed = "it configures the live store, and without -live the summary is fixed"

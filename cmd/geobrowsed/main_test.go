@@ -89,7 +89,6 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 		{[]string{"-live", "-shards", "-3"}, "-shards must not be negative"},
 		{[]string{"-max-inflight", "-5"}, "-max-inflight must not be negative"},
 		{[]string{"-live", "-shards", "2", "-cache", "8"}, "-cache would be ignored"},
-		{[]string{"-live", "-shards", "2", "-overview-epsilon", "0.05"}, "-overview-epsilon would be ignored"},
 		{[]string{"-live", "-save", save}, "-save would be ignored"},
 		{[]string{"-live", "-shards", "2", "-save", save}, "-save would be ignored"},
 		{[]string{"-wal", filepath.Join(t.TempDir(), "store.wal")}, "-wal would be ignored"},
@@ -161,13 +160,14 @@ func TestLiveFlagsTakeEffect(t *testing.T) {
 }
 
 // TestRetiredFlagsAreErrors: flags whose settings the code now makes from
-// the data, and those of the deleted remote topology (a coordinator over
-// shard nodes, a replica of a remote leader), are gone, and passing one
-// fails the command line instead of being ignored.
+// the data, those of the deleted remote topology (a coordinator over shard
+// nodes, a replica of a remote leader) and that of the deleted ε overview
+// tier are gone, and passing one fails the command line instead of being
+// ignored.
 func TestRetiredFlagsAreErrors(t *testing.T) {
 	for _, args := range [][]string{{"-rebuild-crossover", "-1"}, {"-pack-cold", "3"}, {"-pyramid-min-grid", "8"}, {"-workers", "2"},
 		{"-coordinator", "http://localhost:1"}, {"-replica-of", "http://localhost:1"}, {"-max-lag-bytes", "0"},
-		{"-probe-interval", "10ms"}, {"-poll-interval", "5ms"}} {
+		{"-probe-interval", "10ms"}, {"-poll-interval", "5ms"}, {"-overview-epsilon", "0.05"}} {
 		t.Run(args[0], func(t *testing.T) {
 			fs := flag.NewFlagSet("geobrowsed", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)

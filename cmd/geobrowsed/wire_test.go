@@ -32,7 +32,6 @@ var wireModes = []struct {
 	{name: "meuler-cache1", args: []string{"-cache", "1"}},
 	{name: "seuler", args: []string{"-algo", "seuler"}},
 	{name: "euler", args: []string{"-algo", "euler"}},
-	{name: "epsilon", args: []string{"-overview-epsilon", "0.05"}},
 	{name: "live", args: []string{"-live"}, live: true},
 	{name: "live-shards2", args: []string{"-live", "-shards", "2"}, live: true},
 }
@@ -52,15 +51,14 @@ var wireReads = []string{
 	// Unaligned: odd origin, odd tiles.
 	"/api/browse?x1=1&y1=1&x2=91&y2=46&cols=9&rows=5",
 	"/api/browse?x1=3&y1=7&x2=103&y2=57&cols=4&rows=10",
-	// Overview maps: the exact route is the base, so an ε server tries the
-	// reduced tier.
+	// Overview maps of a few tiles, at level 1 or the base.
 	"/api/browse?x1=0&y1=0&x2=360&y2=180&cols=2&rows=2",
 	"/api/browse?x1=0&y1=0&x2=360&y2=180&cols=4&rows=4",
 	"/api/browse?x1=0&y1=0&x2=360&y2=180&cols=8&rows=4",
 	"/api/browse?x1=0&y1=0&x2=360&y2=180&cols=1&rows=2",
 	"/api/browse?x1=0&y1=0&x2=360&y2=180&cols=3&rows=2",
 	"/api/browse?x1=0&y1=0&x2=360&y2=180&cols=2&rows=4",
-	// Already at the reduced tier's level: nothing to gain, served exactly.
+	// One tile over the whole space, at level 2.
 	"/api/browse?x1=0&y1=0&x2=360&y2=180&cols=1&rows=1",
 	// Banded maps of at least 4096 tiles, at a coarse level and at the base.
 	"/api/browse?x1=0&y1=0&x2=360&y2=180&cols=90&rows=90",

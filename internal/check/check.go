@@ -11,8 +11,8 @@
 //	                     the join product sum vs the exact dual-rtree joins.
 //	metamorphic          relations the paper implies: per-tile
 //	                     conservation, translation and refinement of tile
-//	                     maps, error collapse once N_cd = 0 holds, the
-//	                     certified ε bounds, zoom-stack drill-down.
+//	                     maps, error collapse once N_cd = 0 holds,
+//	                     zoom-stack drill-down.
 //	failpoint            WAL and checkpoint crashes (internal/check/failpoint),
 //	                     recovery held to a fresh build of what survived.
 //
@@ -194,8 +194,6 @@ func Metamorphic() []Check {
 			"tile maps are consistent under refinement: each coarse tile equals its own sub-map's tiles re-estimated directly", runRefinement},
 		{"error-collapse", KindMetamorphic,
 			"once no object can contain or cross a query (N_cd = 0 holds), S-EulerApprox error collapses to zero and stays there as queries grow", runErrorCollapse},
-		{"epsilon-bound", KindMetamorphic,
-			"the reduced tier's sandwich and slack certificates contain the exact sums for every query, and every served overview map stays within its reported ε bound", runEpsilonBound},
 		{"pyramid-drill-conservation", KindMetamorphic,
 			"drill-down through the zoom stack's pyramid levels preserves Eq. 11 conservation at every leaf", runPyramidDrill},
 		{"raster-vs-mbr-refinement", KindMetamorphic,

@@ -257,7 +257,7 @@ func (rd *reader) mapOf(est core.Estimator, region grid.Span, cols, rows int) ([
 		th := region.Height() / rows
 		for r0 := 0; r0 < rows; {
 			r1 := r0 + 1 + rd.r.Intn(rows-r0)
-			p, err := core.PlanGrid(est, query.RowBand(region, th, r0, r1-1), cols, r1-r0, 0)
+			p, err := core.PlanGrid(est, query.RowBand(region, th, r0, r1-1), cols, r1-r0)
 			if err != nil {
 				return nil, err
 			}

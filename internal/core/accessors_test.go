@@ -63,3 +63,35 @@ func TestInsertThreshold(t *testing.T) {
 		t.Fatalf("insertThreshold sub-unit = %v, want nil", got)
 	}
 }
+
+// TestZoomAccessors: a zoom stack exposes one estimator per pyramid level,
+// each over the grid halved once more, and charges the whole pyramid's
+// buckets and lattice bytes; anything else routes across one level.
+func TestZoomAccessors(t *testing.T) {
+	g := grid.NewUnit(64, 32)
+	p := euler.NewPyramid(euler.FromRects(g, []geom.Rect{geom.NewRect(1, 1, 30, 9)}), euler.PyramidOpts{MinGrid: 4})
+	z := ZoomEuler(p)
+	if NumLevels(z) != p.Levels() || p.Levels() != 4 { // 64×32 → 32×16 → 16×8 → 8×4
+		t.Fatalf("%d zoom levels over a pyramid of %d, want 4", NumLevels(z), p.Levels())
+	}
+	lattice := 0
+	for k := 0; k < NumLevels(z); k++ {
+		lg := z.Level(k).Grid()
+		if lg.NX() != 64>>k || lg.NY() != 32>>k || lg.Extent() != g.Extent() {
+			t.Fatalf("level %d grid %v, want %d×%d over %v", k, lg, 64>>k, 32>>k, g.Extent())
+		}
+		lattice += z.Level(k).(LatticeSizer).LatticeBytes()
+	}
+	if z.StorageBuckets() != p.StorageBuckets() || 3*z.StorageBuckets() > 4*p.Base().StorageBuckets() {
+		t.Fatalf("zoom charges %d buckets, pyramid holds %d over a base of %d", z.StorageBuckets(), p.StorageBuckets(), p.Base().StorageBuckets())
+	}
+	if z.LatticeBytes() != lattice {
+		t.Fatalf("zoom charges %d lattice bytes, its levels hold %d", z.LatticeBytes(), lattice)
+	}
+	if z.Grid() != g || z.Count() != 1 {
+		t.Fatalf("zoom grid %v count %d, want the base's", z.Grid(), z.Count())
+	}
+	if n := NumLevels(NewEuler(p.Base())); n != 1 {
+		t.Fatalf("a plain estimator routes across %d levels, want 1", n)
+	}
+}

@@ -24,18 +24,16 @@ type gridAdder interface {
 	addGrid(dst []Estimate, region grid.Span, cols, rows int) error
 }
 
-// EstimateGrid answers every tile of the cols×rows tiling of region,
-// exact: PlanGrid then Plan.Estimates, for callers that do not bound the
-// error. The plane is row-major from the south-west (index row*cols+col,
-// the query.Browsing order), bit-identical to calling Estimate per tile,
-// and the map is recorded as one sweep.
+// EstimateGrid answers every tile of the cols×rows tiling of region:
+// PlanGrid then Plan.Estimates. The plane is row-major from the south-west
+// (index row*cols+col, the query.Browsing order), bit-identical to calling
+// Estimate per tile, and the map is recorded as one sweep.
 func EstimateGrid(est Estimator, region grid.Span, cols, rows int) ([]Estimate, error) {
-	p, err := PlanGrid(est, region, cols, rows, 0)
+	p, err := PlanGrid(est, region, cols, rows)
 	if err != nil {
 		return nil, err
 	}
-	ests, _, err := p.Estimates(nil)
-	return ests, err
+	return p.Estimates(nil)
 }
 
 // sumGrid adds the answer to one tiling into dst, without telemetry: one

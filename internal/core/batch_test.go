@@ -123,15 +123,15 @@ func TestPlanEstimatesIntoRecycledPlane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := PlanGrid(est, whole, cols, rows, 0)
+		p, err := PlanGrid(est, whole, cols, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, n := range []int{0, cols * rows, cols*rows + 9, cols*rows - 1} {
 			buf := dirty(n)
-			got, bound, err := p.Estimates(buf)
-			if err != nil || bound != nil {
-				t.Fatalf("%s buffer of %d: err %v, bound %v", est.Name(), n, err, bound)
+			got, err := p.Estimates(buf)
+			if err != nil {
+				t.Fatalf("%s buffer of %d: %v", est.Name(), n, err)
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s buffer of %d: plane differs from EstimateGrid", est.Name(), n)
@@ -154,7 +154,7 @@ func TestEstimateGridErrors(t *testing.T) {
 	if _, err := EstimateGrid(est, whole, 0, 2); err == nil {
 		t.Error("zero cols: expected error")
 	}
-	if _, err := PlanGrid(est, whole, 3, 2, 0); err == nil {
+	if _, err := PlanGrid(est, whole, 3, 2); err == nil {
 		t.Error("planning a non-dividing tiling: expected error")
 	}
 }
@@ -235,7 +235,7 @@ func TestPlanAdd(t *testing.T) {
 					if r0 == r1 {
 						continue
 					}
-					p, err := PlanGrid(est, query.RowBand(region, region.Height()/rows, r0, r1-1), cols, r1-r0, 0)
+					p, err := PlanGrid(est, query.RowBand(region, region.Height()/rows, r0, r1-1), cols, r1-r0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -254,14 +254,14 @@ func TestPlanAdd(t *testing.T) {
 		}
 	}
 	se := SEulerFromRects(g, nil)
-	p, err := PlanGrid(se, grid.Span{I2: 47, J2: 39}, 2, 2, 0)
+	p, err := PlanGrid(se, grid.Span{I2: 47, J2: 39}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Add(make([]Estimate, 5)); err == nil {
 		t.Error("plane of the wrong length: expected error")
 	}
-	if p, err = PlanGrid(se, grid.Span{I2: 95, J2: 39}, 2, 2, 0); err != nil {
+	if p, err = PlanGrid(se, grid.Span{I2: 95, J2: 39}, 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Add(make([]Estimate, 4)); err == nil {
@@ -310,7 +310,7 @@ func TestPlanAddSumsPartitions(t *testing.T) {
 				want := EstimateSet(whole[i], qs.Tiles)
 				plane := make([]Estimate, tl.cols*tl.rows)
 				for p := range partEsts {
-					pl, err := PlanGrid(partEsts[p][i], tl.region, tl.cols, tl.rows, 0)
+					pl, err := PlanGrid(partEsts[p][i], tl.region, tl.cols, tl.rows)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -428,7 +428,7 @@ func checkAddOntoGarbage(t *testing.T, r *rand.Rand, est Estimator, region grid.
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := PlanGrid(est, region, cols, rows, 0)
+	p, err := PlanGrid(est, region, cols, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +543,7 @@ func TestPlanAddAllocs(t *testing.T) {
 	}
 	whole := grid.Span{I2: 359, J2: 179}
 	for _, tl := range [][2]int{{36, 18}, {72, 36}} {
-		p, err := PlanGrid(m, whole, tl[0], tl[1], 0)
+		p, err := PlanGrid(m, whole, tl[0], tl[1])
 		if err != nil {
 			t.Fatal(err)
 		}

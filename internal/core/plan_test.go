@@ -58,7 +58,7 @@ func TestPlanGridSweep(t *testing.T) {
 		z, _ := est.(*Zoom)
 		for trial := 0; trial < 150; trial++ {
 			region, cols, rows := randTiling(r, 64, 48)
-			p, err := PlanGrid(est, region, cols, rows, 0)
+			p, err := PlanGrid(est, region, cols, rows)
 			if err != nil {
 				t.Fatalf("%s %v %dx%d: %v", est.Name(), region, cols, rows, err)
 			}
@@ -69,12 +69,12 @@ func TestPlanGridSweep(t *testing.T) {
 					t.Fatalf("%s: RouteGrid(%v, %dx%d) = %d %v, want level %d", est.Name(), region, cols, rows, level, lregion, want)
 				}
 			}
-			if p.Level != want || p.Epsilon != 0 {
-				t.Fatalf("%s: PlanGrid(%v, %dx%d) level %d ε %g, want level %d", est.Name(), region, cols, rows, p.Level, p.Epsilon, want)
+			if p.Level != want {
+				t.Fatalf("%s: PlanGrid(%v, %dx%d) level %d, want level %d", est.Name(), region, cols, rows, p.Level, want)
 			}
-			got, bound, err := p.Estimates(nil)
-			if err != nil || bound != nil {
-				t.Fatalf("%s: Estimates = %v, bound %v", est.Name(), err, bound)
+			got, err := p.Estimates(nil)
+			if err != nil {
+				t.Fatalf("%s: Estimates = %v", est.Name(), err)
 			}
 			qs, err := query.Browsing(region, cols, rows)
 			if err != nil {
@@ -95,81 +95,15 @@ func TestPlanGridSweep(t *testing.T) {
 				}
 			}
 		}
-		if _, err := PlanGrid(est, spanOf(0, 0, 63, 47), 5, 4, 0); err == nil {
+		if _, err := PlanGrid(est, spanOf(0, 0, 63, 47), 5, 4); err == nil {
 			t.Fatalf("%s: a tiling that does not divide its region planned", est.Name())
 		}
 	}
 }
 
-// TestPlanEpsilonServesWhatApproxDid: the ε plan serves from the reduced
-// tier exactly the maps (*Zoom).EstimateGridApprox served — an overview
-// attached, a positive ε, the exact route finer than the overview's shift,
-// every tile certified — with the same estimates and bound, and answers
-// every other map exactly.
-func TestPlanEpsilonServesWhatApproxDid(t *testing.T) {
-	r := rand.New(rand.NewSource(72))
-	g := grid.NewUnit(128, 128)
-	rects := batchRects(r, g, 600)
-	served, declined := 0, 0
-	for _, spec := range testSpecs {
-		base, err := spec.FromRects(g, rects)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, pyrs, _ := Pyramids(base, euler.PyramidOpts{MinGrid: 8})
-		z, err := spec.zoom(pyrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 200; trial++ {
-			region, cols, rows := randTiling(r, 128, 128)
-			eps := r.Float64() * 2
-			if trial%10 == 0 {
-				eps = 0
-			}
-			// EstimateGridApprox, as it was.
-			var wantEsts []Estimate
-			var wantBound float64
-			ok := false
-			if level, _ := z.RouteGrid(region, cols, rows); eps > 0 && level < z.overview.Shift() {
-				wantEsts, wantBound, ok = z.overview.EstimateGrid(region, cols, rows, eps)
-			}
-			p, err := PlanGrid(z, region, cols, rows, eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, bound, err := p.Estimates(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (bound != nil) != ok {
-				t.Fatalf("%s %v %dx%d ε=%g: served approximately = %v, want %v", z.Name(), region, cols, rows, eps, bound != nil, ok)
-			}
-			if ok {
-				served++
-				if *bound != wantBound || !reflect.DeepEqual(got, wantEsts) {
-					t.Fatalf("%s %v %dx%d ε=%g: reduced-tier answer diverges", z.Name(), region, cols, rows, eps)
-				}
-				continue
-			}
-			declined++
-			exact, err := EstimateGrid(z, region, cols, rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, exact) {
-				t.Fatalf("%s %v %dx%d ε=%g: declined map is not the exact sweep", z.Name(), region, cols, rows, eps)
-			}
-		}
-	}
-	if served < 20 || declined < 20 {
-		t.Fatalf("sweep served %d maps approximately and %d exactly: one side is untested", served, declined)
-	}
-}
-
 // TestPlanCountsMaps: a map advances the per-level hit counter and the
 // batch sweep counter once, whether Plan.Estimates, EstimateGrid or
-// Plan.Add answers it, and a map the reduced tier serves advances neither.
+// Plan.Add answers it.
 func TestPlanCountsMaps(t *testing.T) {
 	g := grid.NewUnit(128, 128)
 	z := ZoomSEuler(euler.NewPyramid(euler.FromRects(g, nil), euler.PyramidOpts{MinGrid: 8}))
@@ -182,11 +116,11 @@ func TestPlanCountsMaps(t *testing.T) {
 	}
 	full := spanOf(0, 0, 127, 127)
 	h0, s0 := counts()
-	p, err := PlanGrid(z, full, 128, 64, 0)
+	p, err := PlanGrid(z, full, 128, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Estimates(nil); err != nil {
+	if _, err := p.Estimates(nil); err != nil {
 		t.Fatal(err)
 	}
 	h1, s1 := counts()
@@ -201,16 +135,5 @@ func TestPlanCountsMaps(t *testing.T) {
 	}
 	if h2, s2 := counts(); h2-h1 != 2 || s2-s1 != 2 {
 		t.Fatalf("two more maps advanced level hits by %d and sweeps by %d, want 2 and 2", h2-h1, s2-s1)
-	}
-	h2, s2 := counts()
-	p, err = PlanGrid(z, spanOf(1, 1, 96, 96), 1, 1, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, bound, err := p.Estimates(nil); err != nil || bound == nil {
-		t.Fatalf("empty dataset under a huge ε not served approximately: %v", err)
-	}
-	if h3, s3 := counts(); h3 != h2 || s3 != s2 {
-		t.Fatalf("a reduced-tier map advanced level hits by %d and sweeps by %d, want 0", h3-h2, s3-s2)
 	}
 }

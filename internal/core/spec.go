@@ -127,8 +127,8 @@ func (s Spec) FromHistograms(hists []*euler.Histogram) (Estimator, error) {
 }
 
 // FromPyramids assembles the spec's estimator over one pyramid per group:
-// the zoom stack with the ε-approximate overview attached, or the plain
-// base-level estimator when the pyramids hold no coarse level to route to.
+// the zoom stack, or the plain base-level estimator when the pyramids hold
+// no coarse level to route to.
 func (s Spec) FromPyramids(pyrs []*euler.Pyramid) (Estimator, error) {
 	z, err := s.zoom(pyrs)
 	if err != nil {
@@ -142,10 +142,7 @@ func (s Spec) FromPyramids(pyrs []*euler.Pyramid) (Estimator, error) {
 
 // zoom is the one assembly of a zoom stack: the spec's estimator at every
 // level the pyramids share — an M-EulerApprox level measuring query areas
-// in base cells (unit 4^k), so its per-group choice matches level 0 — and
-// the reduced tier over the level two halvings down, or one when the stack
-// is that shallow. The overview shares the pyramids' lattices, costs
-// nothing, and is inert until a plan asks for ε.
+// in base cells (unit 4^k), so its per-group choice matches level 0.
 func (s Spec) zoom(pyrs []*euler.Pyramid) (*Zoom, error) {
 	if len(pyrs) == 0 {
 		return nil, fmt.Errorf("core: a zoom stack needs one pyramid per group")
@@ -169,14 +166,7 @@ func (s Spec) zoom(pyrs []*euler.Pyramid) (*Zoom, error) {
 		}
 		levels[k] = est
 	}
-	z, err := NewZoom(levels)
-	if err != nil {
-		return nil, err
-	}
-	if o, ok := OverviewFromPyramids(pyrs, min(DefaultOverviewShift, depth-1)); ok {
-		z.overview = o
-	}
-	return z, nil
+	return NewZoom(levels)
 }
 
 // SpecOf is the inverse of the From constructors: the spec of one of the

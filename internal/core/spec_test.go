@@ -97,8 +97,7 @@ func TestSpecRoundTrip(t *testing.T) {
 
 // handZoom is the zoom stack as it was assembled before Spec.FromPyramids:
 // one estimator per level by the concrete constructors, M-EulerApprox
-// levels measuring areas in base cells, then the overview attached at the
-// clamped shift.
+// levels measuring areas in base cells.
 func handZoom(t *testing.T, spec Spec, pyrs []*euler.Pyramid) *Zoom {
 	t.Helper()
 	depth := pyrs[0].Levels()
@@ -126,15 +125,12 @@ func handZoom(t *testing.T, spec Spec, pyrs []*euler.Pyramid) *Zoom {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o, ok := OverviewFromPyramids(pyrs, min(DefaultOverviewShift, depth-1)); ok {
-		z.overview = o
-	}
 	return z
 }
 
 // TestFromPyramidsMatchesHandAssembly: the one zoom assembly builds, at
-// every depth, the stack the per-algorithm constructors plus AttachOverview
-// used to — same name, footprint, estimates, routing and ε maps — and
+// every depth, the stack the per-algorithm constructors used to — same
+// name, footprint, estimates and routing — and
 // core.Pyramids + FromPyramids is how a fixed summary gets there.
 func TestFromPyramidsMatchesHandAssembly(t *testing.T) {
 	r := rand.New(rand.NewSource(62))
@@ -161,9 +157,6 @@ func TestFromPyramidsMatchesHandAssembly(t *testing.T) {
 			}
 			what := spec.Algo.String() + " FromPyramids"
 			sameEstimator(t, r, what, got, want)
-			if got.overview == nil || got.overview.Shift() != want.overview.Shift() {
-				t.Fatalf("%s: overview %v, want %v", what, got.overview, want.overview)
-			}
 			for trial := 0; trial < 40; trial++ {
 				cols, rows := 1+r.Intn(4), 1+r.Intn(4)
 				tw, th := 1+r.Intn(64/cols), 1+r.Intn(32/rows)
@@ -174,11 +167,6 @@ func TestFromPyramidsMatchesHandAssembly(t *testing.T) {
 				if gl != wl || gr != wr {
 					t.Fatalf("%s: RouteGrid(%v, %dx%d) = %d %v, want %d %v", what, region, cols, rows, gl, gr, wl, wr)
 				}
-				ge, gb, gok := got.overview.EstimateGrid(region, cols, rows, 0.5)
-				we, wb, wok := want.overview.EstimateGrid(region, cols, rows, 0.5)
-				if gok != wok || gb != wb || !reflect.DeepEqual(ge, we) {
-					t.Fatalf("%s: ε map %v %dx%d diverges", what, region, cols, rows)
-				}
 			}
 			if s2, h2, ok := SpecOf(got); !ok || !reflect.DeepEqual(s2, spec) || h2[0] != pyrs[0].Level(0) {
 				t.Fatalf("SpecOf(zoom %v) = %v, %v", spec, s2, ok)
@@ -187,6 +175,41 @@ func TestFromPyramidsMatchesHandAssembly(t *testing.T) {
 	}
 	if _, err := (Spec{Algo: AlgoSEuler}).FromPyramids(nil); err == nil {
 		t.Fatal("a zoom stack over no pyramid accepted")
+	}
+}
+
+// TestFromPyramidsFollowsPyramidDepth: for every spec the zoom stack is
+// exactly as deep as its pyramids, and pyramids with no coarse level
+// assemble the plain base-level estimator, indistinguishable from the one
+// built over the base histograms.
+func TestFromPyramidsFollowsPyramidDepth(t *testing.T) {
+	r := rand.New(rand.NewSource(213))
+	g := grid.NewUnit(64, 64)
+	rects := batchRects(r, g, 300)
+	for _, spec := range testSpecs {
+		base, err := spec.FromRects(g, rects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, levels := range []int{2, 3, 5} {
+			_, pyrs, _ := Pyramids(base, euler.PyramidOpts{MaxLevels: levels - 1, MinGrid: 2})
+			est, err := spec.FromPyramids(pyrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, isZoom := est.(*Zoom); !isZoom || NumLevels(est) != levels {
+				t.Fatalf("%v over %d levels assembled %T of %d levels", spec, levels, est, NumLevels(est))
+			}
+		}
+		_, flat, _ := Pyramids(base, euler.PyramidOpts{MinGrid: 64})
+		est, err := spec.FromPyramids(flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, isZoom := est.(*Zoom); isZoom {
+			t.Fatalf("%v over one level assembled a zoom stack", spec)
+		}
+		sameEstimator(t, r, spec.Algo.String()+" over one level", est, base)
 	}
 }
 

@@ -27,11 +27,10 @@ import (
 // floor-halving at aligned boundaries), so routing is purely a memory-
 // traffic optimization, never an accuracy trade.
 type Zoom struct {
-	levels   []Estimator
-	name     string
-	hits     []*telemetry.Counter
-	sweeps   []*telemetry.Histogram
-	overview *Overview // the ε-approximate tier; nil when the stack is too shallow
+	levels []Estimator
+	name   string
+	hits   []*telemetry.Counter
+	sweeps []*telemetry.Histogram
 }
 
 // NewZoom wraps per-level estimators into a zoom-routing estimator.
@@ -114,7 +113,7 @@ func (z *Zoom) RouteSpan(q grid.Span) (level int, lq grid.Span) {
 // region and the region in that level's coordinates. Tilings that do not
 // divide the region evenly route to level 0 unchanged.
 func (z *Zoom) RouteGrid(region grid.Span, cols, rows int) (level int, lregion grid.Span) {
-	p, err := PlanGrid(z, region, cols, rows, 0)
+	p, err := PlanGrid(z, region, cols, rows)
 	if err != nil {
 		return 0, region
 	}
@@ -153,8 +152,7 @@ func (z *Zoom) StorageBuckets() int {
 	return total
 }
 
-// LatticeBytes implements LatticeSizer: every level of the stack. An
-// attached overview adds nothing — its reduced lattices are these levels.
+// LatticeBytes implements LatticeSizer: every level of the stack.
 func (z *Zoom) LatticeBytes() int {
 	total := 0
 	for _, l := range z.levels {

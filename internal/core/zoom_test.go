@@ -81,6 +81,29 @@ func TestZoomRouting(t *testing.T) {
 	}
 }
 
+// TestRouteGridOfUndividedTilingIsTheBase: a tiling that does not divide
+// its region, which PlanGrid refuses, routes to level 0 with the region
+// unchanged, even where its origin and extent are coarsely aligned.
+func TestRouteGridOfUndividedTilingIsTheBase(t *testing.T) {
+	z := ZoomSEuler(euler.NewPyramid(euler.FromRects(grid.NewUnit(64, 64), nil), euler.PyramidOpts{MinGrid: 4}))
+	for _, tc := range []struct {
+		region     grid.Span
+		cols, rows int
+	}{
+		{grid.Span{I2: 63, J2: 63}, 3, 4},
+		{grid.Span{I2: 63, J2: 63}, 4, 5},
+		{grid.Span{I1: 16, J1: 16, I2: 47, J2: 47}, 64, 1},
+		{grid.Span{I2: 63, J2: 63}, 0, 4},
+	} {
+		if _, err := PlanGrid(z, tc.region, tc.cols, tc.rows); err == nil {
+			t.Fatalf("PlanGrid(%v, %dx%d) planned an undivided tiling", tc.region, tc.cols, tc.rows)
+		}
+		if level, lregion := z.RouteGrid(tc.region, tc.cols, tc.rows); level != 0 || lregion != tc.region {
+			t.Errorf("RouteGrid(%v, %dx%d) = %d %v, want 0 and the region", tc.region, tc.cols, tc.rows, level, lregion)
+		}
+	}
+}
+
 // TestZoomMatchesBase asserts the serving property behind the pyramid:
 // for every query — aligned (served coarse) or not (level-0 fallback) —
 // the zoom stack returns exactly the base estimator's counts, for all

@@ -122,6 +122,22 @@ func TestPyramidShape(t *testing.T) {
 	}
 }
 
+// TestPyramidDefaultMinGrid: zero options coarsen down to, and not below,
+// DefaultPyramidMinGrid cells on the shorter axis.
+func TestPyramidDefaultMinGrid(t *testing.T) {
+	g := grid.NewUnit(256, 64) // 256×64 → 128×32 → 64×16 (→ 32×8 below the floor)
+	p := NewPyramid(NewBuilder(g).Build(), PyramidOpts{})
+	if p.Levels() != 3 {
+		t.Fatalf("%d levels, want 3", p.Levels())
+	}
+	if top := p.Level(p.Levels() - 1).Grid(); top.NX() != 64 || top.NY() != DefaultPyramidMinGrid {
+		t.Fatalf("coarsest level %d×%d, want 64×%d", top.NX(), top.NY(), DefaultPyramidMinGrid)
+	}
+	if want := NewPyramid(NewBuilder(g).Build(), PyramidOpts{MinGrid: DefaultPyramidMinGrid}); want.Levels() != p.Levels() {
+		t.Fatalf("zero MinGrid gave %d levels, MinGrid %d gives %d", p.Levels(), DefaultPyramidMinGrid, want.Levels())
+	}
+}
+
 // TestPyramidFromIncremental drives the live-store publish shape: mutate,
 // BuildFrom (by its own choice, or either strategy forced), PyramidFrom
 // with the retired generation as donor — both the clone-and-repair and the

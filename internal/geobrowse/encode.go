@@ -395,44 +395,36 @@ func appendCount(dst []byte, v int64) []byte {
 }
 
 // AppendBrowseResponse appends the /api/browse wire form of a tile map:
-// ests are the raw row-major estimates of a cols×rows tiling of region,
-// bound the certified ε-tier error (nil for an exact map). The bytes are
-// those of json.Marshal(BrowseResponse{cols, rows, TileEstimates(g,
-// region, cols, rows, ests), bound}), and so is the error for a non-finite
-// bound or coordinate. It formats g's edges on each call, O(nx+ny); a
+// ests are the raw row-major estimates of a cols×rows tiling of region.
+// The bytes are those of json.Marshal(BrowseResponse{cols, rows,
+// TileEstimates(g, region, cols, rows, ests)}), and so is the error for a
+// non-finite coordinate. It formats g's edges on each call, O(nx+ny); a
 // Server formats them once, in New. dst is grown only when its capacity is
 // short of the body's bound — its bytes with every count at 8 digits — and
 // then once, to that bound, unless a count of 10^8 or more takes the body
 // past it; a recycled buffer with room costs no allocation, and capacity
 // past the body may be overwritten.
-func AppendBrowseResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
-	return new(tileMap).appendResponse(dst, newEdgeTexts(g), region, cols, rows, ests, bound)
+func AppendBrowseResponse(dst []byte, g *grid.Grid, region grid.Span, cols, rows int, ests []core.Estimate) ([]byte, error) {
+	return new(tileMap).appendResponse(dst, newEdgeTexts(g), region, cols, rows, ests)
 }
 
 // appendResponse is AppendBrowseResponse with the grid's edges formatted
 // in e and the tiling's blocks in m's recycled storage. The tiles are
-// written in place (writeTiles) between the head and the bound's member.
-func (m *tileMap) appendResponse(dst []byte, e *edgeTexts, region grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
+// written in place (writeTiles) after the head.
+func (m *tileMap) appendResponse(dst []byte, e *edgeTexts, region grid.Span, cols, rows int, ests []core.Estimate) ([]byte, error) {
 	if err := m.reset(e, region, cols, rows, ests); err != nil {
 		return dst, err
 	}
 	var scratch [128]byte
 	head := strconv.AppendInt(append(scratch[:0], `{"cols":`...), int64(cols), 10)
 	head = append(strconv.AppendInt(append(head, `,"rows":`...), int64(rows), 10), `,"tiles":[`...)
-	tail := head[len(head):] // after head in scratch
-	if bound != nil {
-		var err error
-		if tail, err = appendJSONFloat(append(tail, `,"approxErrorBound":`...), *bound); err != nil {
-			return dst, err
-		}
-	}
 	n := len(dst)
-	if most := n + len(head) + m.tilesBound() + len(tail) + 1; cap(dst) < most {
+	if most := n + len(head) + m.tilesBound() + 1; cap(dst) < most {
 		grown := make([]byte, n, most)
 		copy(grown, dst)
 		dst = grown
 	}
 	body := m.writeTiles(append(dst, head...))
 	body[len(body)-1] = ']' // over the last tile's comma
-	return append(append(body, tail...), '}'), nil
+	return append(body, '}'), nil
 }

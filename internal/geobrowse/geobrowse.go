@@ -64,15 +64,6 @@ type Options struct {
 	// (query, browse, drill): bounded concurrency, bounded wait,
 	// 429 load-shedding. nil admits everything.
 	Limiter *Limiter
-	// OverviewEpsilon opts browse maps into the ε-approximate reduced
-	// tier: when the estimator carries one (zoom stacks over pyramids
-	// ≥ 3 levels deep), overview tile maps are served from 1/16 the
-	// lattice memory whenever every tile certifies within
-	// OverviewEpsilon·|tile| objects of the exact answer; uncertifiable
-	// or drill-depth maps fall back to the exact sweep. Served responses
-	// carry the certified bound in approxErrorBound. 0 disables —
-	// every map is exact.
-	OverviewEpsilon float64
 }
 
 func (o Options) withDefaults() Options {
@@ -108,10 +99,7 @@ type Server struct {
 	cache   *browseCache // nil for a Reader: it pins no generation
 	maps    sync.Pool    // *mapBuffers
 	limiter *Limiter
-	epsilon float64 // ε-approximate overview serving; 0 = exact only
 	drain   atomic.Bool
-
-	approx *telemetry.Counter // browse maps served from the reduced tier
 }
 
 // NewServerOpts is New over a fixed estimator; benchmark/layers.go builds
@@ -146,7 +134,6 @@ func New(name string, src Source, opts Options) *Server {
 		mux:     http.NewServeMux(),
 		metrics: &httpMetrics{reg: opts.Telemetry, access: opts.accessLogger()},
 		limiter: opts.Limiter,
-		epsilon: opts.OverviewEpsilon,
 	}
 	switch src := src.(type) {
 	case EstimatorSource:
@@ -161,8 +148,6 @@ func New(name string, src Source, opts Options) *Server {
 	default:
 		panic(fmt.Sprintf("geobrowse: %T is neither an EstimatorSource nor a Reader", src))
 	}
-	s.approx = opts.Telemetry.Counter("geobrowse_approx_maps_total",
-		"Browse maps served from the ε-approximate reduced tier.")
 	s.Handle("GET /api/info", s.handleInfo)
 	s.Handle("GET /api/query", s.admit(s.handleQuery))
 	s.Handle("GET /api/browse", s.admit(s.handleBrowse))
@@ -253,10 +238,6 @@ type BrowseResponse struct {
 	Cols  int            `json:"cols"`
 	Rows  int            `json:"rows"`
 	Tiles []TileEstimate `json:"tiles"` // row-major from the south-west
-	// ApproxErrorBound, present only when the map was served from the
-	// ε-approximate reduced tier, is the largest certified per-tile
-	// additive error (in objects). Absent means every tile is exact.
-	ApproxErrorBound *float64 `json:"approxErrorBound,omitempty"`
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -377,9 +358,9 @@ func NewTileEstimate(g *grid.Grid, span grid.Span, e core.Estimate) TileEstimate
 // level is the plan's pyramid level (0 when no pyramid is in play): it is
 // part of what was computed, and two requests over the same region and
 // tiling resolve different levels once a snapshot swap changes the stack
-// depth. facet tells an ε request from an exact one over the same region.
-func browseKey(gen uint64, level int, span grid.Span, cols, rows int, facet string) string {
-	return fmt.Sprintf("g%d:l%d:%d,%d,%d,%d/%dx%d;%s", gen, level, span.I1, span.J1, span.I2, span.J2, cols, rows, facet)
+// depth.
+func browseKey(gen uint64, level int, span grid.Span, cols, rows int) string {
+	return fmt.Sprintf("g%d:l%d:%d,%d,%d,%d/%dx%d", gen, level, span.I1, span.J1, span.I2, span.J2, cols, rows)
 }
 
 // parseBrowseRequest reads the region and tiling of a browse request

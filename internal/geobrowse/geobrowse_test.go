@@ -3,7 +3,6 @@ package geobrowse
 import (
 	"encoding/json"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -189,77 +188,6 @@ func TestDrillLeavesBrowseCacheAlone(t *testing.T) {
 	if hits, misses := s.CacheStats(); hits != 0 || misses != 0 || s.CacheBytes() != 0 {
 		t.Fatalf("after a drill the browse cache saw %d hits and %d misses and holds %d bytes, want none", hits, misses, s.CacheBytes())
 	}
-}
-
-// approxTestServer serves a pyramid-backed S-EulerApprox zoom stack with
-// the reduced overview tier attached, at the given ε.
-func approxTestServer(t *testing.T, eps float64) *httptest.Server {
-	t.Helper()
-	g := grid.NewUnit(128, 128)
-	rects := make([]geom.Rect, 0, 400)
-	r := rand.New(rand.NewSource(31))
-	for k := 0; k < 400; k++ {
-		x1, y1 := r.Float64()*120, r.Float64()*120
-		rects = append(rects, geom.NewRect(x1, y1, x1+r.Float64()*8, y1+r.Float64()*8))
-	}
-	h := euler.FromRects(g, rects)
-	p := euler.NewPyramid(h, euler.PyramidOpts{MinGrid: 8})
-	z := core.ZoomSEuler(p)
-	if z.Overview() == nil {
-		t.Fatal("overview derivation refused")
-	}
-	srv := httptest.NewServer(New("approx", StaticSource(z), Options{OverviewEpsilon: eps}))
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-// TestBrowseApprox is the ε-opt-in serving contract: an unaligned overview
-// map is served from the reduced tier with its certified bound in the
-// response, every tile stays within that bound of the exact server's
-// answer, and an ε=0 server never reports a bound.
-func TestBrowseApprox(t *testing.T) {
-	approxSrv := approxTestServer(t, 2)
-	exactSrv := approxTestServer(t, 0)
-	const q = "/api/browse?x1=1&y1=1&x2=97&y2=97&cols=2&rows=2"
-	var approx, exact BrowseResponse
-	getJSON(t, approxSrv.URL+q, &approx)
-	getJSON(t, exactSrv.URL+q, &exact)
-	if exact.ApproxErrorBound != nil {
-		t.Fatal("exact server reported an error bound")
-	}
-	if approx.ApproxErrorBound == nil {
-		t.Fatal("ε-opted server did not serve the overview map approximately")
-	}
-	bound := *approx.ApproxErrorBound
-	if bound < 0 || bound > 2*48*48 {
-		t.Fatalf("certified bound %g outside [0, ε·|tile|]", bound)
-	}
-	lim := int64(bound)
-	for k := range exact.Tiles {
-		a, e := approx.Tiles[k], exact.Tiles[k]
-		if a.Rect != e.Rect || a.Contained != 0 || e.Contained != 0 {
-			t.Fatalf("tile %d geometry or form diverges: %+v vs %+v", k, a, e)
-		}
-		if abs64(a.Disjoint-e.Disjoint) > lim || abs64(a.Contains-e.Contains) > lim ||
-			abs64(a.Overlap-e.Overlap) > 2*lim {
-			t.Fatalf("tile %d drifts past the certified bound %g: %+v vs %+v", k, bound, a, e)
-		}
-	}
-
-	// A map the zoom route answers at the reduced level or coarser must
-	// be exact even on the ε-opted server.
-	var aligned BrowseResponse
-	getJSON(t, approxSrv.URL+"/api/browse?x1=0&y1=0&x2=128&y2=128&cols=4&rows=4", &aligned)
-	if aligned.ApproxErrorBound != nil {
-		t.Fatal("aligned overview map was served approximately")
-	}
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func TestParseRelation(t *testing.T) {

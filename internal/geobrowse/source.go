@@ -2,7 +2,6 @@ package geobrowse
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 
 	"spatialhist/internal/core"
@@ -12,10 +11,9 @@ import (
 // Source is the dataset a Server serves, read once per request in one of
 // two ways. An EstimatorSource (a fixed summary, a live store) is pinned
 // at one generation, which keys the browse cache, and its estimator plans
-// every map, ε tier included. A Reader (the shard
-// coordinator) answers as it is, uncached: it pins no generation, so
-// nothing could key a cache entry or certify ε. Everything else a Server
-// mounts is found on the source by capability: see New.
+// every map. A Reader (the shard coordinator) answers as it is, uncached:
+// it pins no generation, so nothing could key a cache entry. Everything
+// else a Server mounts is found on the source by capability: see New.
 type Source interface {
 	Grid() *grid.Grid
 }
@@ -123,9 +121,9 @@ type mapBuffers struct {
 
 // encode writes the browse response of ests, a cols×rows tiling of span
 // over e's grid, into m's body.
-func (m *mapBuffers) encode(e *edgeTexts, span grid.Span, cols, rows int, ests []core.Estimate, bound *float64) ([]byte, error) {
+func (m *mapBuffers) encode(e *edgeTexts, span grid.Span, cols, rows int, ests []core.Estimate) ([]byte, error) {
 	var err error
-	m.body, err = m.tiles.appendResponse(m.body[:0], e, span, cols, rows, ests, bound)
+	m.body, err = m.tiles.appendResponse(m.body[:0], e, span, cols, rows, ests)
 	return encoded(m.body, err)
 }
 
@@ -145,33 +143,22 @@ func (p *pinned) EstimateSpans(spans []grid.Span) ([]core.Estimate, error) {
 	return core.EstimateSet(p.est, spans), nil
 }
 
-// browseMap plans the map once and reads the plan three times: its level
-// and ε key the cache entry, and it answers the miss — from the ε tier when
-// it asks for it, otherwise into the recycled plane — encoding into m. The
-// cache copies what it keeps, so the body returned may be m's.
+// browseMap plans the map once and reads the plan twice: its level keys
+// the cache entry, and it answers the miss into the recycled plane,
+// encoding into m. The cache copies what it keeps, so the body returned
+// may be m's.
 func (p *pinned) browseMap(m *mapBuffers, span grid.Span, cols, rows int) ([]byte, error) {
 	s := p.s
-	plan, err := core.PlanGrid(p.est, span, cols, rows, s.epsilon)
+	plan, err := core.PlanGrid(p.est, span, cols, rows)
 	if err != nil {
 		return nil, &RequestError{err}
 	}
-	// Whether an ε plan is served approximately depends on the data
-	// (certification), so its entries carry a facet an exact plan's never do.
-	facet := ""
-	if plan.Epsilon > 0 {
-		facet = fmt.Sprintf("~%g", plan.Epsilon)
-	}
-	return s.cache.Do(browseKey(p.gen, plan.Level, span, cols, rows, facet), func() ([]byte, error) {
-		plane, bound, err := plan.Estimates(m.plane)
-		if err != nil {
+	return s.cache.Do(browseKey(p.gen, plan.Level, span, cols, rows), func() ([]byte, error) {
+		var err error
+		if m.plane, err = plan.Estimates(m.plane); err != nil {
 			return nil, err
 		}
-		if bound != nil {
-			s.approx.Inc()
-		} else {
-			m.plane = plane
-		}
-		return m.encode(s.edges, span, cols, rows, plane, bound)
+		return m.encode(s.edges, span, cols, rows, m.plane)
 	})
 }
 
@@ -186,5 +173,5 @@ func (u uncached) browseMap(m *mapBuffers, span grid.Span, cols, rows int) ([]by
 	if m.plane, err = u.SumGrid(m.plane, span, cols, rows); err != nil {
 		return nil, err
 	}
-	return m.encode(u.s.edges, span, cols, rows, m.plane, nil)
+	return m.encode(u.s.edges, span, cols, rows, m.plane)
 }

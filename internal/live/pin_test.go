@@ -24,14 +24,14 @@ func TestEveryReaderReleasesItsPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	srv := geobrowse.New("live", store, geobrowse.Options{Telemetry: telemetry.NewRegistry(), OverviewEpsilon: 0.5})
+	srv := geobrowse.New("live", store, geobrowse.Options{Telemetry: telemetry.NewRegistry()})
 	for _, target := range []string{
 		"/healthz",
 		"/api/info",
 		"/api/query?x1=0&y1=0&x2=64&y2=64",
 		"/api/browse?x1=0&y1=0&x2=64&y2=64&cols=8&rows=8",
 		"/api/browse?x1=0&y1=0&x2=64&y2=64&cols=8&rows=8", // cache hit
-		"/api/browse?x1=1&y1=1&x2=61&y2=61&cols=2&rows=2", // ε plan
+		"/api/browse?x1=1&y1=1&x2=61&y2=61&cols=2&rows=2", // unaligned: the base level
 		"/api/browse?x1=0&y1=0&x2=64&y2=64&cols=7&rows=8", // refused by the plan
 		"/api/browse?x1=0.5&y1=0&x2=64&y2=64&cols=8&rows=8",
 		"/api/store/status",

@@ -16,8 +16,8 @@ import (
 
 // TestStatusReportsCellWidth: Status.CellWidth and the euler_lattice_bytes
 // gauges name the published planes by cell width. A store is packed from
-// its first publish — 4 bytes per bucket, pyramid and ε overview included
-// — with no policy to wait out.
+// its first publish — 4 bytes per bucket, pyramid included — with no
+// policy to wait out.
 func TestStatusReportsCellWidth(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
 	reg := telemetry.NewRegistry()
@@ -44,8 +44,8 @@ func TestStatusReportsCellWidth(t *testing.T) {
 		t.Fatalf("cell width %d with %d pyramid levels, want 4 with 2", st.CellWidth, st.PyramidLevels)
 	}
 	z, ok := s.snap.Load().Est.(*core.Zoom)
-	if !ok || z.Overview() == nil {
-		t.Fatal("a narrow publish with pyramids is not a zoom stack with the overview attached")
+	if !ok || core.NumLevels(z) != 1+st.PyramidLevels {
+		t.Fatal("a narrow publish with pyramids is not a zoom stack over every level")
 	}
 	packed := reg.Gauge("euler_lattice_bytes", latticeBytesHelp, "width", "4").Value()
 	full := reg.Gauge("euler_lattice_bytes", latticeBytesHelp, "width", "8").Value()

@@ -62,7 +62,7 @@ func (h *LocalHandle) Info() (geobrowse.Info, error) {
 func (h *LocalHandle) AddGrid(dst []core.Estimate, region grid.Span, cols, rows int) error {
 	est, _, release := h.Store.AcquireEstimator()
 	defer release()
-	p, err := core.PlanGrid(est, region, cols, rows, 0)
+	p, err := core.PlanGrid(est, region, cols, rows)
 	if err != nil {
 		return err
 	}

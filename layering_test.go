@@ -22,11 +22,11 @@ var concreteEstimators = map[string]bool{"SEuler": true, "Euler": true, "MEuler"
 // M-EulerApprox per-group breakdown, a capability no other estimator has.
 var allowedConcreteSites = map[string]bool{"spatialhist.go:QueryDetail": false}
 
-// TestNoConcreteEstimatorTypesOutsideCore keeps the estimator × level × ε
+// TestNoConcreteEstimatorTypesOutsideCore keeps the estimator × level
 // matrix behind core: no non-test file of the module outside internal/core
 // asserts to, or switches on, *core.SEuler, *core.Euler, *core.MEuler or
 // *core.Zoom. Code that needs to know which algorithm it holds asks
-// core.SpecOf; code that needs a level or an ε answer asks core.PlanGrid.
+// core.SpecOf; code that needs a level asks core.PlanGrid.
 func TestNoConcreteEstimatorTypesOutsideCore(t *testing.T) {
 	walkModule(t, filepath.Join("internal", "core"), func(fset *token.FileSet, path string, file *ast.File) {
 		corePkg := importName(file, "spatialhist/internal/core")
@@ -77,7 +77,7 @@ func TestNoConcreteEstimatorTypesOutsideCore(t *testing.T) {
 		}
 	}
 	if t.Failed() {
-		t.Log("ask core.SpecOf which algorithm an estimator is, core.PlanGrid for its level and ε answer")
+		t.Log("ask core.SpecOf which algorithm an estimator is, core.PlanGrid for its level")
 	}
 }
 
@@ -253,6 +253,56 @@ func TestDocsNameExistingIdentifiers(t *testing.T) {
 			t.Logf("%d identifiers checked", checked)
 		})
 	}
+}
+
+// metricRow is a row of README's /metrics table: its first cell, then a
+// counter, gauge or histogram type.
+var metricRow = regexp.MustCompile("(?m)^\\| (`[^|]*) \\| (?:counter|gauge|histogram)")
+
+// TestDocsNameRegisteredMetrics keeps README's /metrics table naming only
+// metrics the code registers: every metric name in the first cell of a
+// row — brace alternatives expanded — is a string literal of a non-test
+// file of the module, so a deleted metric takes its row with it.
+func TestDocsNameRegisteredMetrics(t *testing.T) {
+	literals := map[string]bool{}
+	walkModule(t, "", func(_ *token.FileSet, _ string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if v, err := strconv.Unquote(lit.Value); err == nil {
+					literals[v] = true
+				}
+			}
+			return true
+		})
+	})
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := 0
+	for _, row := range metricRow.FindAllStringSubmatch(string(data), -1) {
+		for _, span := range codeSpan.FindAllString(row[1], -1) {
+			name := strings.Trim(span, "`")
+			alts := []string{name}
+			if pre, rest, ok := strings.Cut(name, "{"); ok {
+				list, post, _ := strings.Cut(rest, "}")
+				alts = alts[:0]
+				for _, alt := range strings.Split(list, ",") {
+					alts = append(alts, pre+alt+post)
+				}
+			}
+			for _, metric := range alts {
+				names++
+				if !literals[metric] {
+					t.Errorf("README.md's /metrics table names %s, which no non-test file registers: %s", metric, strings.TrimSpace(row[0]))
+				}
+			}
+		}
+	}
+	if names == 0 {
+		t.Fatal("no /metrics table rows found in README.md")
+	}
+	t.Logf("%d metric names checked", names)
 }
 
 // walkModule parses every non-test Go file of the main module outside
