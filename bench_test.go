@@ -14,7 +14,6 @@ import (
 	"spatialhist/internal/baseline"
 	"spatialhist/internal/core"
 	"spatialhist/internal/dataset"
-	"spatialhist/internal/euler"
 	"spatialhist/internal/exact"
 	"spatialhist/internal/experiments"
 	"spatialhist/internal/geom"
@@ -312,57 +311,6 @@ func BenchmarkBrowseGrid(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkJoinEstimate measures the two-histogram join product sum —
-// one fused lattice sweep per estimate — for same-grid and resampled
-// (fine joined against 2x-coarser) pairs. Hermetic: synthetic datasets,
-// no fixture files. core's TestJoinEstimateAllocs bounds its allocations.
-func BenchmarkJoinEstimate(b *testing.B) {
-	da := dataset.SzSkew(100_000, 3)
-	db := dataset.SpSkew(100_000, 7)
-	db.Extent = da.Extent // joins require a shared extent
-	g := grid.New(da.Extent, 400, 300)
-	ea := core.NewSEuler(euler.FromRects(g, da.Rects))
-	eb := core.NewSEuler(euler.FromRects(g, db.Rects))
-	gc := grid.New(da.Extent, 200, 150)
-	ec := core.NewSEuler(euler.FromRects(gc, db.Rects))
-	run := func(b *testing.B, right core.Estimator) {
-		for i := 0; i < b.N; i++ {
-			j, err := core.NewJoin(ea, right)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := j.Estimate(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("same-grid", func(b *testing.B) { run(b, eb) })
-	b.Run("resampled", func(b *testing.B) { run(b, ec) })
-}
-
-// BenchmarkRasterIngest measures polygon rasterization plus multi-span
-// AddRaster ingest and the Build sweep — the beyond-MBR ingest path —
-// over 2000 synthetic polygons. Hermetic like BenchmarkJoinEstimate;
-// euler's TestRasterIngestAllocs bounds its allocations.
-func BenchmarkRasterIngest(b *testing.B) {
-	d := dataset.SzSkew(2_000, 3)
-	pd := dataset.Polygonize(d, 11, 0.25, 0.2)
-	g := grid.New(d.Extent, 180, 90)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bld := euler.NewBuilder(g)
-		for _, p := range pd.Polys {
-			for _, rst := range g.Rasterize(p) {
-				bld.AddRaster(rst)
-			}
-		}
-		h := bld.Build()
-		if h.Count() == 0 {
-			b.Fatal("empty raster ingest")
-		}
 	}
 }
 

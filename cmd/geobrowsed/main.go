@@ -138,9 +138,17 @@ func assemble(cfg config) (node, error) {
 	for _, c := range []struct {
 		flag string
 		n    int
-	}{{"-shards", cfg.shards}, {"-max-inflight", cfg.maxInflight}} {
+	}{{"-shards", cfg.shards}, {"-max-inflight", cfg.maxInflight}, {"-n", cfg.n}} {
 		if c.n < 0 {
 			return node{}, fmt.Errorf("%s must not be negative, got %d", c.flag, c.n)
+		}
+	}
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{{"-gw", cfg.gridW}, {"-gh", cfg.gridH}} {
+		if c.n <= 0 {
+			return node{}, fmt.Errorf("%s must be positive, got %d", c.flag, c.n)
 		}
 	}
 	if flag, why := cfg.droppedFlag(); flag != "" {

@@ -88,6 +88,9 @@ func TestAssembleRefusesBadCommandLines(t *testing.T) {
 		{[]string{"-save", filepath.Join(t.TempDir(), "no", "such", "dir", "s.bin")}, ""},
 		{[]string{"-live", "-shards", "-3"}, "-shards must not be negative"},
 		{[]string{"-max-inflight", "-5"}, "-max-inflight must not be negative"},
+		{[]string{"-n", "-1"}, "-n must not be negative"},
+		{[]string{"-gw", "0"}, "-gw must be positive"},
+		{[]string{"-gh", "-3"}, "-gh must be positive"},
 		{[]string{"-live", "-shards", "2", "-cache", "8"}, "-cache would be ignored"},
 		{[]string{"-live", "-save", save}, "-save would be ignored"},
 		{[]string{"-live", "-shards", "2", "-save", save}, "-save would be ignored"},

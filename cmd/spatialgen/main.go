@@ -9,114 +9,101 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"spatialhist/internal/dataset"
-	"spatialhist/internal/euler"
-	"spatialhist/internal/grid"
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var usage usageError
+	switch {
+	case err == nil:
+	case errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &usage):
+		os.Exit(2) // the flag package has printed the error and the usage
+	default:
+		fmt.Fprintln(os.Stderr, "spatialgen:", err)
+		os.Exit(1)
+	}
+}
+
+// usageError is a command line the flag package refused.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// run generates the dataset args name and writes what they ask for,
+// reporting progress to stdout and flag errors and usage to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("spatialgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name    = flag.String("dataset", "sp_skew", "dataset to generate: "+strings.Join(dataset.Names(), ", "))
-		n       = flag.Int("n", 100_000, "number of objects (0 = the paper's size for this dataset)")
-		seed    = flag.Int64("seed", 2002, "generator seed")
-		out     = flag.String("out", "", "output file (omit to skip writing)")
-		outCSV  = flag.String("csv", "", "also write the dataset as x1,y1,x2,y2 CSV")
-		summary = flag.Bool("summary", false, "print the distribution summary and center plot")
-		poly    = flag.Bool("poly", false, "inscribe simple polygons into the MBRs and rasterize them")
-		stars   = flag.Float64("stars", 0.25, "with -poly: fraction of concave star polygons")
-		rectsF  = flag.Float64("rects", 0.2, "with -poly: fraction kept as exact rectangles")
-		nx      = flag.Int("nx", 360, "with -poly: histogram grid cells along x")
-		ny      = flag.Int("ny", 180, "with -poly: histogram grid cells along y")
-		hist    = flag.String("hist", "", "with -poly: write the rasterized histogram (SPHEUL03) here")
+		name    = fs.String("dataset", "sp_skew", "dataset to generate: "+strings.Join(dataset.Names(), ", "))
+		n       = fs.Int("n", 100_000, "number of objects (0 = the paper's size for this dataset)")
+		seed    = fs.Int64("seed", 2002, "generator seed")
+		out     = fs.String("out", "", "output file (omit to skip writing)")
+		outCSV  = fs.String("csv", "", "also write the dataset as x1,y1,x2,y2 CSV")
+		summary = fs.Bool("summary", false, "print the distribution summary and center plot")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
 
 	if *n == 0 {
 		*n = dataset.PaperSize(*name)
 	}
 	d, err := dataset.Generate(*name, *n, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(d)
+	fmt.Fprintln(stdout, d)
 
 	if *summary {
-		fmt.Print(dataset.Summarize(d))
-		fmt.Println("center distribution:")
-		fmt.Print(dataset.RenderCenterGrid(dataset.CenterGrid(d, 72, 18)))
+		fmt.Fprint(stdout, dataset.Summarize(d))
+		fmt.Fprintln(stdout, "center distribution:")
+		fmt.Fprint(stdout, dataset.RenderCenterGrid(dataset.CenterGrid(d, 72, 18)))
 	}
 	if *out != "" {
 		if err := d.Save(*out); err != nil {
-			fatal(err)
+			return err
 		}
-		report(*out)
-	}
-	if *poly {
-		pd := dataset.Polygonize(d, *seed, *stars, *rectsF)
-		fmt.Println(pd)
-		g := grid.New(d.Extent, *nx, *ny)
-		b := euler.NewBuilder(g)
-		components, skipped := 0, 0
-		for _, p := range pd.Polys {
-			rs := g.Rasterize(p)
-			if len(rs) == 0 {
-				skipped++ // degenerate or sub-cell slivers that cover nothing
-				continue
-			}
-			for _, rst := range rs {
-				b.AddRaster(rst)
-			}
-			components += len(rs)
-		}
-		h := b.Build()
-		partial, _ := h.PartialIn(grid.Span{I1: 0, J1: 0, I2: g.NX() - 1, J2: g.NY() - 1})
-		fmt.Printf("rasterized %d components on %v (%d skipped, %d partial-cell incidences)\n",
-			components, g, skipped, partial)
-		if *hist != "" {
-			f, err := os.Create(*hist)
-			if err != nil {
-				fatal(err)
-			}
-			err = h.Write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fatal(err)
-			}
-			report(*hist)
+		if err := report(stdout, *out); err != nil {
+			return err
 		}
 	}
 	if *outCSV != "" {
 		f, err := os.Create(*outCSV)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		err = d.WriteCSV(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		report(*outCSV)
+		if err := report(stdout, *outCSV); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-func report(path string) {
+func report(w io.Writer, path string) error {
 	info, err := os.Stat(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s (%.1f MB)\n", path, float64(info.Size())/(1<<20))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "spatialgen:", err)
-	os.Exit(1)
+	fmt.Fprintf(w, "wrote %s (%.1f MB)\n", path, float64(info.Size())/(1<<20))
+	return nil
 }

@@ -6,9 +6,8 @@
 //
 //	estimator vs exact   S/M/EulerApprox vs internal/exact (N_d and
 //	                     conservation always; all four counts on
-//	                     assumption-clean configurations), the exact
-//	                     evaluators cross-checked against each other, and
-//	                     the join product sum vs the exact dual-rtree joins.
+//	                     assumption-clean configurations), and the exact
+//	                     evaluators cross-checked against each other.
 //	metamorphic          relations the paper implies: per-tile
 //	                     conservation, translation and refinement of tile
 //	                     maps, error collapse once N_cd = 0 holds,
@@ -58,10 +57,6 @@ type Divergence struct {
 	Grid string `json:"grid,omitempty"`
 	// Rects is the minimized dataset, when the check is dataset-shaped.
 	Rects []geom.Rect `json:"rects,omitempty"`
-	// Polys and PolysB are the minimized polygon datasets (per join side),
-	// for the rasterized-object checks.
-	Polys  []geom.Polygon `json:"polys,omitempty"`
-	PolysB []geom.Polygon `json:"polysB,omitempty"`
 	// Steps is the minimized script, for the transcript checks.
 	Steps []gen.Step `json:"steps,omitempty"`
 	// Query is the minimized diverging query span, when query-shaped.
@@ -85,12 +80,6 @@ func (d *Divergence) String() string {
 	}
 	if len(d.Rects) > 0 {
 		s += fmt.Sprintf("\n  rects (%d, minimized): %v", len(d.Rects), d.Rects)
-	}
-	if len(d.Polys) > 0 {
-		s += fmt.Sprintf("\n  polys (%d, minimized): %v", len(d.Polys), d.Polys)
-	}
-	if len(d.PolysB) > 0 {
-		s += fmt.Sprintf("\n  polysB (%d, minimized): %v", len(d.PolysB), d.PolysB)
 	}
 	if len(d.Steps) > 0 {
 		s += fmt.Sprintf("\n  script (%d steps, minimized):", len(d.Steps))
@@ -130,8 +119,6 @@ func Oracles() []Check {
 	return []Check{
 		{"estimator-vs-exact", KindOracle,
 			"S/M/EulerApprox agree with internal/exact wherever the paper guarantees it; the exact evaluators agree with each other everywhere", runEstimatorVsExact},
-		{"join-vs-exact", KindOracle,
-			"the two-histogram join product sum equals the exact dual-rtree pair count for MBR datasets and the exact summed Euler characteristic for rasterized objects, directly and through the resampling path", runJoinVsExact},
 	}
 }
 
@@ -196,8 +183,6 @@ func Metamorphic() []Check {
 			"once no object can contain or cross a query (N_cd = 0 holds), S-EulerApprox error collapses to zero and stays there as queries grow", runErrorCollapse},
 		{"pyramid-drill-conservation", KindMetamorphic,
 			"drill-down through the zoom stack's pyramid levels preserves Eq. 11 conservation at every leaf", runPyramidDrill},
-		{"raster-vs-mbr-refinement", KindMetamorphic,
-			"for the same objects, the MBR join equals the exact bounding-span pair count, the raster join equals the exact summed Euler characteristic, rasterization never raises the join above its MBR coarsening when all pair characteristics are unit, and aligned-rectangle joins certify exact", runRasterVsMBR},
 	}
 }
 

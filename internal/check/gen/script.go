@@ -49,10 +49,9 @@ const (
 	ProbeBuckets                    // every bucket of the published histograms, and their sums at Spans
 	ProbePyramid                    // the same for every coarse pyramid level
 	ProbeFile                       // the published histograms written, read back and resumed
-	ProbeJoin                       // the published histograms joined with each other and with Polys rasterized
 )
 
-var probeNames = [...]string{"estimates", "map", "buckets", "pyramid levels", "file round trips", "joins"}
+var probeNames = [...]string{"estimates", "map", "buckets", "pyramid levels", "file round trips"}
 
 // Probe is one observation.
 type Probe struct {
@@ -60,7 +59,6 @@ type Probe struct {
 	Spans      []grid.Span
 	Region     grid.Span
 	Cols, Rows int
-	Polys      []geom.Polygon
 }
 
 // String names the probe.
@@ -91,7 +89,7 @@ func (s Step) String() string {
 // by turns, of its histograms' buckets or pyramid levels — one checkpoint
 // mid-batch, one restart at or after it with a round still to come, and
 // more restarts now and then — and last, after deleting every object one
-// time in four, file round trips and joins.
+// time in four, file round trips.
 func NewScript(r *rand.Rand, g *grid.Grid) *Script {
 	s := &Script{Grid: g, Seed: Rects(r, g, 5+r.Intn(20), RectOpts{})}
 	live := slices.Clone(s.Seed)
@@ -165,7 +163,6 @@ func NewScript(r *rand.Rand, g *grid.Grid) *Script {
 		add(Step{Kind: StepProbe, Probe: Probe{Kind: ProbeBuckets, Spans: spans}})
 	}
 	add(Step{Kind: StepProbe, Probe: Probe{Kind: ProbeFile, Spans: spans}})
-	add(Step{Kind: StepProbe, Probe: Probe{Kind: ProbeJoin, Polys: Polygons(r, g, 1+r.Intn(3), PolyOpts{Aligned: 0.2})}})
 	return s
 }
 

@@ -289,9 +289,8 @@ func histPrint(h *euler.Histogram, spans []grid.Span) string {
 	}
 	s := fmt.Sprintf("count=%d total=%d buckets=%016x", h.Count(), h.Total(), hash)
 	for _, q := range spans {
-		partial, classed := h.PartialIn(q)
-		s += fmt.Sprintf(" %v:%d/%d/%d/%d/%d/%d,%v", q, h.InsideSum(q), h.ClosedSum(q), h.OutsideSum(q),
-			h.ContainedIn(q), h.LatticeSum(2*q.I1-1, 2*q.J1, 2*q.I2+1, 2*q.J2+1), partial, classed)
+		s += fmt.Sprintf(" %v:%d/%d/%d/%d/%d", q, h.InsideSum(q), h.ClosedSum(q), h.OutsideSum(q),
+			h.ContainedIn(q), h.LatticeSum(2*q.I1-1, 2*q.J1, 2*q.I2+1, 2*q.J2+1))
 	}
 	return s
 }
@@ -334,15 +333,10 @@ func levelsPrint(n int, spans []grid.Span, level func(k int) []*euler.Histogram)
 // Transcripts run one at a time, and so do their file probes.
 var fileW, fileR = bufio.NewWriterSize(nil, 1<<20), bufio.NewReaderSize(nil, 1<<20)
 
-// histsProbe answers the bucket, file and join probes over the published
-// histograms, one per group. Files do not know the resident cell width,
-// nor do joins: either side of a join may be the narrow one.
+// histsProbe answers the bucket and file probes over the published
+// histograms, one per group. Files do not know the resident cell width.
 func histsProbe(hs []*euler.Histogram, p gen.Probe) string {
 	var s string
-	var raster *euler.Histogram
-	if p.Kind == gen.ProbeJoin && len(hs) > 0 {
-		raster, _ = rasterSide(hs[0].Grid(), p.Polys) // under the run's limit
-	}
 	for i, h := range hs {
 		switch p.Kind {
 		case gen.ProbeBuckets:
@@ -363,12 +357,6 @@ func histsProbe(hs []*euler.Histogram, p gen.Probe) string {
 			}
 			s += fmt.Sprintf(", read %s, resumed %s; ", histPrint(back, p.Spans),
 				histPrint(euler.BuilderFromHistogram(back).Build(), p.Spans))
-		case gen.ProbeJoin:
-			s += fmt.Sprintf("group %d: raster %s", i, productSum(h, raster))
-			for _, o := range hs {
-				s += " " + productSum(h, o)
-			}
-			s += "; "
 		}
 	}
 	return s

@@ -251,8 +251,12 @@ func CARoadLike(n int, seed int64) *Dataset {
 // Names lists the datasets Generate accepts, in the paper's order.
 func Names() []string { return []string{"sp_skew", "sz_skew", "adl", "ca_road"} }
 
-// Generate produces one of the paper's four datasets by name.
+// Generate produces one of the paper's four datasets by name, n objects
+// strong; a negative n is an error.
 func Generate(name string, n int, seed int64) (*Dataset, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("dataset: negative object count %d", n)
+	}
 	switch name {
 	case "sp_skew":
 		return SpSkew(n, seed), nil

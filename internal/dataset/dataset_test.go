@@ -41,6 +41,16 @@ func TestGenerateUnknown(t *testing.T) {
 	}
 }
 
+// TestGenerateRefusesNegativeCount: a negative object count is an error
+// from every generator's name, not a panic in its allocation.
+func TestGenerateRefusesNegativeCount(t *testing.T) {
+	for _, name := range Names() {
+		if d, err := Generate(name, -1, 1); err == nil {
+			t.Errorf("%s: Generate(-1) = %v, want an error", name, d)
+		}
+	}
+}
+
 func TestGeneratorsDeterministic(t *testing.T) {
 	for _, name := range Names() {
 		a, _ := Generate(name, 500, 42)

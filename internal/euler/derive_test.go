@@ -108,17 +108,11 @@ func testDerivedBuckets(t *testing.T, cellWidth int) {
 				switch {
 				case len(objects) > 0 && r.Intn(4) == 0:
 					i := r.Intn(len(objects))
-					if !b.RemoveObject(objects[i]) {
-						t.Fatalf("seed %d: RemoveObject refused an inserted object", seed)
+					if !b.RemoveSpan(objects[i][0]) {
+						t.Fatalf("seed %d: RemoveSpan refused an inserted object", seed)
 					}
 					objects[i] = objects[len(objects)-1]
 					objects = objects[:len(objects)-1]
-				case r.Intn(3) == 0:
-					rasters, _ := rasterObjects(r, g, 1, gen.PolyOpts{})
-					for _, rst := range rasters {
-						b.AddObject(rst.Spans)
-						objects = append(objects, rst.Spans)
-					}
 				default:
 					s := gen.Span(r, g)
 					b.AddSpan(s)

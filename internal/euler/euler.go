@@ -69,7 +69,6 @@ type Builder struct {
 	lx, ly int
 	d32    []int32 // (lx+1)×(ly+1) difference array while narrow, else nil
 	d64    []int64 // the same array once wide
-	pdiff  []int64 // optional (nx+1)×(ny+1) partial-cell count difference array
 	n      int64
 	rects  int64 // objects rejected as outside the space
 	dirty  DirtyRegion
@@ -77,7 +76,7 @@ type Builder struct {
 	// every cumulative lattice value of the builder's state. A rectangle
 	// update moves each of them by at most 1 (its per-axis signed interval
 	// sums telescope to {0, 1}), so bound grows by one per update: lifetime
-	// adds plus removes for MBR objects.
+	// adds plus removes.
 	bound int64
 	limit int64 // narrowLimit when the builder was made
 }
@@ -153,11 +152,6 @@ func (b *Builder) AddSpan(s grid.Span) {
 	// A difference-array rectangle update changes the raw prefix only
 	// inside [u1..u2]×[v1..v2]: the four corners cancel everywhere else.
 	b.dirty = b.dirty.Union(DirtyRegion{U1: u1, V1: v1, U2: u2, V2: v2})
-	if b.pdiff != nil {
-		// An MBR span carries no coverage classes; count every cell as
-		// partially covered — conservative, so certificates stay sound.
-		b.planeSpan(s, 1)
-	}
 }
 
 // RemoveSpan deletes one previously inserted object span, supporting
@@ -182,9 +176,6 @@ func (b *Builder) RemoveSpan(s grid.Span) bool {
 	b.addRect(u1, v1, u2, v2, -1)
 	b.n--
 	b.dirty = b.dirty.Union(DirtyRegion{U1: u1, V1: v1, U2: u2, V2: v2})
-	if b.pdiff != nil {
-		b.planeSpan(s, -1)
-	}
 	return true
 }
 
@@ -238,7 +229,6 @@ func (b *Builder) Reset() {
 	} else { // gone wide: a new builder starts narrow
 		b.d32, b.d64 = make([]int32, len(b.d64)), nil
 	}
-	b.pdiff = nil
 	b.n, b.rects, b.bound = 0, 0, 0
 	b.dirty = EmptyRegion()
 }
@@ -266,7 +256,6 @@ func BuilderFromHistogram(h *Histogram) *Builder {
 	if b.d64 != nil {
 		b.bound = resumeDiff(b.d64, h)
 	}
-	b.restorePlane(h)
 	b.n = h.n
 	return b
 }
@@ -326,7 +315,7 @@ func (b *Builder) buildInto(scratch *Histogram) *Histogram {
 		hc = buildPlane(b, b.d64, scratch)
 	}
 	b.dirty = EmptyRegion()
-	return &Histogram{g: b.g, lx: b.lx, ly: b.ly, hc: hc, pc: b.partialPlane(), n: b.n}
+	return &Histogram{g: b.g, lx: b.lx, ly: b.ly, hc: hc, n: b.n}
 }
 
 // buildPlane materializes the signed buckets from the difference array and
@@ -368,15 +357,14 @@ func rawInto[T Cell](diff, raw []T, lx, ly int) {
 // Histogram is an immutable Euler histogram, held as its cumulative form
 // H_c alone (§5.2): every query is a constant-time combination of prefix
 // values, and the signed bucket values themselves — needed only to
-// serialize, to resume a builder and by the join sweep — are recovered from
-// it on demand (Bucket, rawRowOf). The plane's cells are 4 bytes wide
-// whenever whoever built it could show the values fit, 8 otherwise
-// (CellWidth); answers do not depend on which.
+// serialize and to resume a builder — are recovered from it on demand
+// (Bucket, rawRowOf). The plane's cells are 4 bytes wide whenever whoever
+// built it could show the values fit, 8 otherwise (CellWidth); answers do
+// not depend on which.
 type Histogram struct {
 	g      *grid.Grid
 	lx, ly int
 	hc     *prefixsum.Sum2D // prefix sums of the signed buckets, row-major [u*ly+v]
-	pc     *prefixsum.Sum2D // optional nx×ny partial-cell count plane, always wide
 	n      int64
 }
 
@@ -453,15 +441,8 @@ func (h *Histogram) CellWidth() int {
 }
 
 // LatticeBytes returns the resident payload bytes of the histogram: the
-// cumulative plane at its cell width, plus the class plane — 8 bytes per
-// cell, cumulative form only — when present.
-func (h *Histogram) LatticeBytes() int {
-	bytes := h.hc.Bytes()
-	if h.pc != nil {
-		bytes += h.pc.Bytes()
-	}
-	return bytes
-}
+// cumulative plane at its cell width.
+func (h *Histogram) LatticeBytes() int { return h.hc.Bytes() }
 
 // Pack returns the histogram at 4 bytes per bucket: h itself when it is
 // narrow already, else a copy narrowed value by value. ok is false when a
@@ -483,7 +464,7 @@ func (h *Histogram) withPlane(hc *prefixsum.Sum2D) *Histogram {
 	if hc == h.hc {
 		return h
 	}
-	return &Histogram{g: h.g, lx: h.lx, ly: h.ly, hc: hc, pc: h.pc, n: h.n}
+	return &Histogram{g: h.g, lx: h.lx, ly: h.ly, hc: hc, n: h.n}
 }
 
 // Bucket returns the signed value of lattice bucket (u, v).

@@ -2,13 +2,13 @@ package euler
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"spatialhist/internal/check/gen"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
 )
@@ -17,10 +17,10 @@ import (
 // written by the two-plane implementation (the commit before the raw plane
 // was dropped), so they prove both directions at once: today's writer emits
 // the same bytes from the cumulative plane alone, and files written before
-// still load. Two of them are the 8-byte forms Write no longer emits —
-// SPHEUL01, and SPHEUL03 at 8 bytes per bucket — kept as the files the
-// compatibility reader must keep reading. Regenerate only when a format
-// changes on purpose.
+// still load. golden_spheul01.bin is the 8-byte form Write no longer emits,
+// kept as the file the compatibility reader must keep reading. The two
+// golden_spheul03 files carry a partial-cell class plane (flag 1), which
+// Read refuses. Regenerate only when a format changes on purpose.
 var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/golden_*.bin files Write emits from this build's writer")
 
 type goldenCase struct {
@@ -50,19 +50,9 @@ func goldenCases() []goldenCase {
 		}
 	}
 	spans, _ := repairOnly.publish(mbr, prev, BuildFromOpts{})
-
-	rb := NewBuilder(g)
-	rasters, _ := rasterObjects(rand.New(rand.NewSource(2003)), g, 60, gen.PolyOpts{})
-	for _, rst := range rasters {
-		rb.AddRaster(rst)
-	}
-	classed := rb.Build()
-
 	return []goldenCase{
 		{"golden_spheul01.bin", spans, "golden_spheul02.bin"},
 		{"golden_spheul02.bin", spans, "golden_spheul02.bin"},
-		{"golden_spheul03.bin", classed, "golden_spheul03.bin"},
-		{"golden_spheul03_wide.bin", classed, "golden_spheul03.bin"},
 	}
 }
 
@@ -99,18 +89,53 @@ func TestGoldenFormats(t *testing.T) {
 			t.Fatalf("%s: reading golden file: %v", c.name, err)
 		}
 		requireHistEqual(t, c.name, got, c.h)
-		whole := grid.Span{I2: c.h.g.NX() - 1, J2: c.h.g.NY() - 1}
-		gp, gok := got.PartialIn(whole)
-		wp, wok := c.h.PartialIn(whole)
-		if gp != wp || gok != wok {
-			t.Errorf("%s: PartialIn = %d,%v after Read, want %d,%v", c.name, gp, gok, wp, wok)
-		}
 		var again bytes.Buffer
 		if err := got.Write(&again); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(again.Bytes(), want) {
 			t.Errorf("%s: Read then Write is not %s byte for byte", c.name, c.current)
+		}
+	}
+}
+
+// TestReadSPHEUL03ByClassFlag: a SPHEUL03 file loads when its class flag
+// says no plane follows, and is refused by name when it says one does (the
+// golden files at both bucket widths); any other flag, or none, is an error.
+func TestReadSPHEUL03ByClassFlag(t *testing.T) {
+	packed, err := os.ReadFile(filepath.Join("testdata", "golden_spheul02.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spheul03 := func(flag ...byte) []byte {
+		b := append([]byte("SPHEUL03"), packed[8:]...)
+		return append(b, flag...)
+	}
+	got, err := Read(bytes.NewReader(spheul03(0)))
+	if err != nil {
+		t.Fatalf("flag 0: %v", err)
+	}
+	requireHistEqual(t, "flag 0", got, goldenCases()[1].h)
+	var again bytes.Buffer
+	if err := got.Write(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), packed) {
+		t.Error("flag 0: Read then Write is not golden_spheul02.bin byte for byte")
+	}
+
+	for _, name := range []string{"golden_spheul03.bin", "golden_spheul03_wide.bin"} {
+		file, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(bytes.NewReader(file)); !errors.Is(err, ErrClassPlane) {
+			t.Errorf("%s: Read error %v, want ErrClassPlane", name, err)
+		}
+	}
+	for _, flag := range [][]byte{{2}, {0xff}, nil} {
+		if _, err := Read(bytes.NewReader(spheul03(flag...))); err == nil || errors.Is(err, ErrClassPlane) {
+			t.Errorf("flag %v: Read error %v, want an invalid-flag error", flag, err)
 		}
 	}
 }

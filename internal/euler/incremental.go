@@ -162,7 +162,7 @@ func (b *Builder) repair(prev, scratch *Histogram, r DirtyRegion) *Histogram {
 		repairInto(b, b.d64, hc, r)
 	}
 	b.dirty = EmptyRegion()
-	return &Histogram{g: b.g, lx: b.lx, ly: b.ly, hc: hc, pc: b.partialPlane(), n: b.n}
+	return &Histogram{g: b.g, lx: b.lx, ly: b.ly, hc: hc, n: b.n}
 }
 
 // repairCost estimates the bucket-writes of repairInto for region r: the

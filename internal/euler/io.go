@@ -3,6 +3,7 @@ package euler
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -26,11 +27,9 @@ import (
 //	width   1 byte: bytes per bucket, 4 or 8
 //	buckets (2nx−1)(2ny−1) × int32 or int64 signed bucket values
 //
-// "SPHEUL03" extends SPHEUL02 with the partial-cell class plane of
-// rasterized-object histograms, appended after the buckets:
-//
-//	classes 1 byte: 1 when a plane follows, 0 otherwise
-//	plane   nx·ny × per-cell partial counts at the same bucket width
+// "SPHEUL03" is SPHEUL02 followed by a class-plane flag byte. Only 0 (no
+// plane follows) is read; 1, a per-cell partial-count plane that
+// rasterized-polygon builds once appended, is refused with ErrClassPlane.
 //
 // Little-endian throughout. Files carry bucket values, not the cumulative
 // form the histogram holds in memory: the writer differences them back out
@@ -41,13 +40,12 @@ import (
 // the reader sees: a plane comes back narrow when every cumulative value it
 // accumulates is within the limit, whatever width the file was written at.
 //
-// Write emits SPHEUL02, or SPHEUL03 when there is a class plane, at the
-// 4-byte width whenever the object count fits int32: each object
-// contributes exactly one increment per bucket of its lattice rectangle, so
-// every signed bucket value lies in [−n, n] and the narrow encoding is
-// exact. Summary files and checkpoints both carry it. Read accepts all
-// three magics, so files written at 8 bytes per bucket before Write packed
-// keep loading.
+// Write emits SPHEUL02 at the 4-byte width whenever the object count fits
+// int32: each object contributes exactly one increment per bucket of its
+// lattice rectangle, so every signed bucket value lies in [−n, n] and the
+// narrow encoding is exact. Summary files and checkpoints both carry it.
+// Read accepts all three magics, so files written at 8 bytes per bucket
+// before Write packed keep loading.
 //
 // Persistence is what makes the browsing service operational: a histogram
 // over millions of objects is a few MB and loads in milliseconds, so a
@@ -59,18 +57,18 @@ var (
 	histMagicClassed = [8]byte{'S', 'P', 'H', 'E', 'U', 'L', '0', '3'}
 )
 
-// Write serializes the histogram to w in the SPHEUL02 format (SPHEUL03
-// with a class plane), packing buckets to 4 bytes when the object count
-// fits int32 (see the package format comment for why that is exact) and
-// falling back to 8-byte buckets otherwise.
+// ErrClassPlane is Read's answer to a SPHEUL03 file whose flag says a
+// partial-cell class plane follows: histograms are built from object MBRs
+// alone, and nothing reads such a plane.
+var ErrClassPlane = errors.New("euler: histogram file carries a partial-cell class plane, which is not supported")
+
+// Write serializes the histogram to w in the SPHEUL02 format, packing
+// buckets to 4 bytes when the object count fits int32 (see the package
+// format comment for why that is exact) and falling back to 8-byte buckets
+// otherwise.
 func (h *Histogram) Write(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	classed := h.pc != nil
-	magic := histMagicPacked
-	if classed {
-		magic = histMagicClassed
-	}
-	if _, err := bw.Write(magic[:]); err != nil {
+	if _, err := bw.Write(histMagicPacked[:]); err != nil {
 		return err
 	}
 	ext := h.g.Extent()
@@ -109,29 +107,15 @@ func (h *Histogram) Write(w io.Writer) error {
 		_, err := bw.Write(buf)
 		return err
 	}
-	// Both planes are cumulative-only in memory and ship as the values they
-	// accumulate: buckets, then per-cell partial counts.
-	writePlane := func(plane *prefixsum.Sum2D) error {
-		row := make([]int64, plane.NY())
-		for i := 0; i < plane.NX(); i++ {
-			rawRowOf(plane, i, 0, row)
-			for _, v := range row {
-				if err := writeVal(v); err != nil {
-					return err
-				}
+	// The plane is cumulative-only in memory and ships as the bucket
+	// values it accumulates.
+	row := make([]int64, h.ly)
+	for u := 0; u < h.lx; u++ {
+		rawRowOf(h.hc, u, 0, row)
+		for _, v := range row {
+			if err := writeVal(v); err != nil {
+				return err
 			}
-		}
-		return nil
-	}
-	if err := writePlane(h.hc); err != nil {
-		return err
-	}
-	if classed {
-		if err := bw.WriteByte(1); err != nil {
-			return err
-		}
-		if err := writePlane(h.pc); err != nil {
-			return err
 		}
 	}
 	return bw.Flush()
@@ -149,8 +133,7 @@ func Read(r io.Reader) (*Histogram, error) {
 	if m != histMagic && m != histMagicPacked && m != histMagicClassed {
 		return nil, fmt.Errorf("euler: bad magic %q", m)
 	}
-	classed := m == histMagicClassed
-	hasWidth := m == histMagicPacked || classed
+	hasWidth := m != histMagic
 	var ext [4]float64
 	for i := range ext {
 		if err := binary.Read(br, binary.LittleEndian, &ext[i]); err != nil {
@@ -196,33 +179,17 @@ func Read(r io.Reader) (*Histogram, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pc *prefixsum.Sum2D
-	if classed {
-		fb, err := br.ReadByte()
-		if err != nil {
+	if m == histMagicClassed {
+		switch fb, err := br.ReadByte(); {
+		case err != nil:
 			return nil, fmt.Errorf("euler: reading class-plane flag: %w", err)
-		}
-		switch fb {
-		case 0:
-		case 1:
-			cells := make([]int64, 0, min(int(nx)*int(ny), 1<<20))
-			for i := 0; i < int(nx)*int(ny); i++ {
-				v, err := readValue(br, buf, width)
-				if err != nil {
-					return nil, fmt.Errorf("euler: reading class plane cell %d: %w", i, err)
-				}
-				// A cell's partial count is a count of inserted objects.
-				if v < 0 || uint64(v) > count {
-					return nil, fmt.Errorf("euler: corrupt class plane: cell %d count %d outside [0, %d]", i, v, count)
-				}
-				cells = append(cells, v)
-			}
-			pc = prefixsum.AdoptSum2D(cells, int(nx), int(ny))
-		default:
+		case fb == 1:
+			return nil, ErrClassPlane
+		case fb != 0:
 			return nil, fmt.Errorf("euler: invalid class-plane flag %d", fb)
 		}
 	}
-	h := &Histogram{g: g, lx: lx, ly: ly, hc: hc, pc: pc, n: int64(count)}
+	h := &Histogram{g: g, lx: lx, ly: ly, hc: hc, n: int64(count)}
 	if h.Total() != h.n {
 		return nil, fmt.Errorf("euler: corrupt histogram: bucket sum %d != object count %d", h.Total(), h.n)
 	}

@@ -267,9 +267,9 @@ func TestChurnMatchesRebuild(t *testing.T) {
 	}
 }
 
-// writeSPHEUL01 writes h, which must have no class plane and a count that
-// fits int32, in the 8-byte format Write emitted before it packed: what the
-// compatibility reader is held to beside the golden file.
+// writeSPHEUL01 writes h, which must have a count that fits int32, in the
+// 8-byte format Write emitted before it packed: what the compatibility
+// reader is held to beside the golden file.
 func writeSPHEUL01(h *Histogram, w *bytes.Buffer) error {
 	var packed bytes.Buffer
 	if err := h.Write(&packed); err != nil {
@@ -277,8 +277,8 @@ func writeSPHEUL01(h *Histogram, w *bytes.Buffer) error {
 	}
 	const header = 8 + 32 + 8 + 8 // magic, extent, nx/ny, count
 	p := packed.Bytes()
-	if p[header] != 4 || h.HasClassPlane() {
-		return fmt.Errorf("not a packed, class-free histogram")
+	if p[header] != 4 {
+		return fmt.Errorf("not a packed histogram")
 	}
 	w.WriteString("SPHEUL01")
 	w.Write(p[8:header])

@@ -331,8 +331,7 @@ func TestResumeChecksDifferenceEntries(t *testing.T) {
 
 // TestBuilderResetEqualsFreshAtBothWidths: a builder emptied by Reset is a
 // new builder that kept its array. Whatever went through it before — a
-// script that took it wide, a rasterized object with its class plane,
-// rejected objects — the next script builds the bytes, count, cell width,
+// script that took it wide, rejected objects — the next script builds the bytes, count, cell width,
 // skip count and dirty region a fresh builder builds, and histograms built
 // before the Reset are not disturbed by it.
 func TestBuilderResetEqualsFreshAtBothWidths(t *testing.T) {
@@ -366,13 +365,6 @@ func TestBuilderResetEqualsFreshAtBothWidths(t *testing.T) {
 		n     int
 		width int
 	}{{150, 8}, {40, 4}, {40, 4}, {150, 8}, {0, 4}, {60, 4}} {
-		if step == 2 { // a class plane from the previous life must not survive
-			b.AddObject([]grid.Span{spanOf(1, 1, 3, 1), spanOf(1, 2, 2, 2)})
-			if b.Build().pc == nil {
-				t.Fatal("raster object built no class plane")
-			}
-			b.Reset()
-		}
 		before := b.Dirty()
 		got := run(b, int64(300+step), script.n)
 		fresh := NewBuilder(g)
@@ -393,7 +385,7 @@ func TestBuilderResetEqualsFreshAtBothWidths(t *testing.T) {
 		}
 		keep := written(got)
 		b.Reset()
-		if b.Count() != 0 || b.Skipped() != 0 || b.bound != 0 || b.d32 == nil || b.d64 != nil || b.pdiff != nil {
+		if b.Count() != 0 || b.Skipped() != 0 || b.bound != 0 || b.d32 == nil || b.d64 != nil {
 			t.Fatalf("step %d: Reset left count %d, skipped %d, bound %d, narrow %v", step, b.Count(), b.Skipped(), b.bound, b.d32 != nil)
 		}
 		if !bytes.Equal(written(got), keep) {

@@ -10,6 +10,7 @@ import (
 	"spatialhist/internal/geobrowse"
 	"spatialhist/internal/geom"
 	"spatialhist/internal/grid"
+	"spatialhist/internal/query"
 	"spatialhist/internal/telemetry"
 )
 
@@ -129,9 +130,8 @@ func (c *Coordinator) checkGrid(region grid.Span, cols, rows int) error {
 	if err := checkSpan(c.g, region); err != nil {
 		return &geobrowse.RequestError{Err: err}
 	}
-	w, h := region.I2-region.I1+1, region.J2-region.J1+1
-	if cols <= 0 || rows <= 0 || w%cols != 0 || h%rows != 0 {
-		return &geobrowse.RequestError{Err: fmt.Errorf("query: %dx%d tiling does not divide region %v at this resolution", cols, rows, region)}
+	if _, _, err := query.Tiling(region, cols, rows); err != nil {
+		return &geobrowse.RequestError{Err: err}
 	}
 	return nil
 }

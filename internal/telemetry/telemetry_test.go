@@ -237,3 +237,93 @@ func TestCounterValues(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelValuesAreEscaped: a label value's backslashes, double quotes
+// and newlines are escaped in the exposition, and nothing else is.
+func TestLabelValuesAreEscaped(t *testing.T) {
+	for _, tc := range []struct{ name, value, want string }{
+		{"plain", "/api/browse", `/api/browse`},
+		{"backslash", `C:\data`, `C:\\data`},
+		{"quote", `say "hi"`, `say \"hi\"`},
+		{"newline", "two\nlines", `two\nlines`},
+		{"all-three", "a\\\"\n", `a\\\"\n`},
+		{"non-ascii", "zürich\tτ", "zürich\tτ"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			r.Counter("hits_total", "", "path", tc.value).Inc()
+			var buf bytes.Buffer
+			if err := r.WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if line := `hits_total{path="` + tc.want + `"} 1` + "\n"; !strings.Contains(buf.String(), line) {
+				t.Errorf("exposition lacks %q:\n%s", line, buf.String())
+			}
+		})
+	}
+}
+
+func TestGaugeIncDec(t *testing.T) {
+	g := NewRegistry().Gauge("workers", "")
+	g.Inc()
+	g.Inc()
+	g.Dec()
+	g.Add(-3)
+	if got := g.Value(); got != -2 {
+		t.Errorf("gauge = %d after +1 +1 -1 -3, want -2", got)
+	}
+}
+
+// TestObserveDurationRecordsSeconds: durations land in the seconds
+// buckets and the sum.
+func TestObserveDurationRecordsSeconds(t *testing.T) {
+	h := NewRegistry().Histogram("op_seconds", "", []float64{0.001, 1})
+	h.ObserveDuration(500 * time.Microsecond)
+	h.ObserveDuration(250 * time.Millisecond)
+	h.ObserveDuration(2 * time.Second)
+	s := h.Snapshot()
+	if want := []uint64{1, 1, 1}; s.Count != 3 || len(s.Counts) != 3 || s.Counts[0] != want[0] || s.Counts[1] != want[1] || s.Counts[2] != want[2] {
+		t.Errorf("snapshot %+v, want counts %v", s, want)
+	}
+	if s.Sum < 2.25049 || s.Sum > 2.25051 {
+		t.Errorf("sum = %v s, want 2.2505", s.Sum)
+	}
+}
+
+func TestOddLabelListPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a label key without a value must panic")
+		}
+	}()
+	NewRegistry().Counter("c", "", "endpoint")
+}
+
+// TestFamilySnapshotSkipsOtherLayouts: a family whose histograms disagree
+// on their buckets is merged only over the ones sharing the first layout
+// seen, so counts are never added across different bucket bounds.
+func TestFamilySnapshotSkipsOtherLayouts(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("lat_seconds", "", []float64{1, 2}, "ep", "a").Observe(0.5)
+	r.Histogram("lat_seconds", "", []float64{1, 2}, "ep", "b").Observe(1.5)
+	odd := r.Histogram("lat_seconds", "", []float64{1, 2, 3}, "ep", "c")
+	for range 4 {
+		odd.Observe(2.5)
+	}
+	s := r.FamilySnapshot("lat_seconds")
+	switch len(s.Buckets) {
+	case 2:
+		if s.Count != 2 || s.Counts[0] != 1 || s.Counts[1] != 1 || s.Sum != 2 {
+			t.Errorf("merged two-bound layout %+v, want the two ep=a/ep=b observations", s)
+		}
+	case 3:
+		if s.Count != 4 || s.Counts[2] != 4 || s.Sum != 10 {
+			t.Errorf("three-bound layout %+v, want ep=c's four observations alone", s)
+		}
+	default:
+		t.Errorf("FamilySnapshot buckets %v, want one of the two layouts", s.Buckets)
+	}
+	if len(s.Counts) != len(s.Buckets)+1 {
+		t.Errorf("%d counts for %d bounds", len(s.Counts), len(s.Buckets))
+	}
+}
