@@ -32,6 +32,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,6 +130,10 @@ type node struct {
 	// close releases what the mode holds — stores and coordinators — after
 	// the listener has drained.
 	close func() error
+	// lattice is the resident lattice bytes of a fixed summary, which run
+	// leaves out of the GC allowance; 0 for live modes, whose lattice
+	// bytes move with arena leases and cell width.
+	lattice int
 }
 
 // assemble composes the serving mode cfg selects: a saved summary, a live
@@ -197,13 +202,21 @@ func assemble(cfg config) (node, error) {
 	if cfg.live {
 		return assembleLive(cfg, opts, g, d)
 	}
+	return assembleStatic(cfg, opts, g, d)
+}
 
+// assembleStatic builds the fixed summary of d's objects and serves it.
+// The summary holds all the server needs of the objects, so d.Rects is let
+// go once it is built: the objects weigh about half as much as the lattice
+// of a 1440×720 grid, and nothing would read them again.
+func assembleStatic(cfg config, opts geobrowse.Options, g *grid.Grid, d *dataset.Dataset) (node, error) {
 	start := time.Now()
 	est, err := buildEstimator(cfg.algo, cfg.areas, g, d)
 	if err != nil {
 		return node{}, err
 	}
 	log.Printf("built %s (%d buckets, %s) in %v", est.Name(), est.StorageBuckets(), latticeSummary(est), time.Since(start).Round(time.Millisecond))
+	d.Rects = nil
 	if cfg.save != "" {
 		sum, err := spatialhist.SummaryOf(est)
 		if err != nil {
@@ -245,13 +258,21 @@ func (c *config) droppedFlag() (flag, why string) {
 	return "", ""
 }
 
-// staticNode serves a fixed estimator, stacked over its pyramid.
+// staticNode serves a fixed estimator, stacked over its pyramid. It
+// collects first, so that the pyramid reuses the pages of what building
+// the base left behind — the objects, the group index, a loaded file's
+// buffers — instead of raising the peak beside them.
 func staticNode(cfg config, name string, est core.Estimator, opts geobrowse.Options) (node, error) {
+	runtime.GC()
 	est, err := zoomWrap(est, cfg.pyramidLevels)
 	if err != nil {
 		return node{}, err
 	}
-	return node{gb: geobrowse.New(name, geobrowse.StaticSource(est), opts)}, nil
+	nd := node{gb: geobrowse.New(name, geobrowse.StaticSource(est), opts)}
+	if ls, ok := est.(core.LatticeSizer); ok {
+		nd.lattice = ls.LatticeBytes()
+	}
+	return nd, nil
 }
 
 // assembleLive opens the mutable store over the dataset's objects — split
@@ -420,10 +441,13 @@ func run(cfg config, nd node) error {
 		go selfReport(nd.gb, cfg.report, nd.store)
 	}
 	// The runtime last collected while start-up garbage — dataset buffers,
-	// the builders' difference arrays, each as large as a lattice — was
-	// still live, and paces the next collection at twice that. Collect once
-	// here so the heap under load is paced by what the server keeps.
+	// build scratch — was still live, and paces the next collection at
+	// twice that. Collect once here so the heap under load is paced by what
+	// the server keeps; a fixed summary's lattice is then left out of that.
 	runtime.GC()
+	if nd.lattice > 0 {
+		setGCAllowance(nd.lattice)
+	}
 	srv := &http.Server{
 		Addr:         cfg.addr,
 		Handler:      handler,
@@ -452,6 +476,42 @@ func run(cfg config, nd node) error {
 		return nd.close()
 	}
 	return nil
+}
+
+// minGCHeap is the runtime's own minimum heap goal (4 MiB at GOGC=100):
+// the least allowance a static node is given.
+const minGCHeap = 4 << 20
+
+// gcPercent is the GC percent that lets a live heap, lattice bytes of which
+// are a fixed summary's lattice, grow by the rest of it — at least
+// minGCHeap — before the next collection: ⌈100·max(live−lattice,
+// minGCHeap)/live⌉, and at most 100, the default.
+func gcPercent(live, lattice uint64) int {
+	rest := uint64(minGCHeap)
+	if live > lattice+rest {
+		rest = live - lattice
+	}
+	return int(min(100, (100*rest+live-1)/max(live, 1)))
+}
+
+// setGCAllowance leaves a fixed summary's lattice out of the GC allowance,
+// and returns the percent it set. The lattice never becomes garbage, so the
+// default lets the heap grow by as much again for nothing; the allowance
+// is instead what the rest of the live heap, measured now, comes to. An
+// explicit GOGC in the environment wins: then nothing is set, and ok is
+// false.
+func setGCAllowance(lattice int) (percent int, ok bool) {
+	if v, set := os.LookupEnv("GOGC"); set {
+		log.Printf("gc: GOGC=%s from the environment", v)
+		return 0, false
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	percent = gcPercent(ms.HeapAlloc, uint64(lattice))
+	debug.SetGCPercent(percent)
+	log.Printf("gc: percent %d: %.1f MB live heap, %.1f MB of it lattice (GOGC overrides)",
+		percent, float64(ms.HeapAlloc)/1e6, float64(lattice)/1e6)
+	return percent, true
 }
 
 // selfReport emits one structured line per interval with the window's

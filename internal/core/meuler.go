@@ -50,10 +50,11 @@ type MEuler struct {
 // Spec.Validate. Objects are assigned by their geometric area clipped to the
 // data space.
 //
-// The groups are built one after another through a single euler.Builder, so
-// construction holds one difference array beside the m planes it returns,
-// not m: each object's group is worked out once up front (4 bytes per
-// object while building), then one pass per group inserts its members.
+// The groups are built one after another, each in a fresh euler.Builder
+// whose difference array becomes the group's plane (Finish), so
+// construction allocates the m planes it returns and no lattice beside
+// them: each object's group is worked out once up front (4 bytes per object
+// while building), then one pass per group inserts its members.
 func NewMEuler(g *grid.Grid, areas []float64, rects []geom.Rect) (*MEuler, error) {
 	if err := (Spec{Algo: AlgoMEuler, Areas: areas}).Validate(); err != nil {
 		return nil, err
@@ -66,17 +67,14 @@ func NewMEuler(g *grid.Grid, areas []float64, rects []geom.Rect) (*MEuler, error
 			group[i] = int32(gi)
 		}
 	}
-	b := euler.NewBuilder(g)
 	for gi := range areas {
-		if gi > 0 {
-			b.Reset()
-		}
+		b := euler.NewBuilder(g)
 		for i, r := range rects {
 			if group[i] == int32(gi) {
 				b.Add(r)
 			}
 		}
-		m.addGroup(b.Build())
+		m.addGroup(b.Finish())
 	}
 	return m, nil
 }

@@ -12,11 +12,12 @@ import (
 	"spatialhist/internal/grid"
 )
 
-// TestNewMEulerBuildsThroughOneDifferenceArray is the allocation gate of
-// the group-by-group build: m planes and ONE difference array, plus four
-// bytes per object of group numbers — not a difference array per group,
-// which at three groups is half as much again.
-func TestNewMEulerBuildsThroughOneDifferenceArray(t *testing.T) {
+// TestNewMEulerAllocatesOnePlanePerGroup is the allocation gate of the
+// group-by-group build: each group's difference array becomes its plane, so
+// m groups cost m lattice arrays, plus four bytes per object of group
+// numbers — not a difference array beside the planes, which at three
+// groups is a third as much again.
+func TestNewMEulerAllocatesOnePlanePerGroup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement on a 1024×512 grid")
 	}
@@ -32,9 +33,9 @@ func TestNewMEulerBuildsThroughOneDifferenceArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	lx, ly := 2*g.NX()-1, 2*g.NY()-1
-	lattices := uint64(4*(lx+1)*(ly+1) + len(areas)*4*lx*ly)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, lattices+lattices/4+uint64(4*len(rects)); got > limit {
-		t.Errorf("NewMEuler allocated %d bytes, want < 1.25 × (one difference array + %d planes = %d) + %d of group numbers",
+	lattices := uint64(len(areas) * 4 * (lx + 1) * (ly + 1))
+	if got, limit := after.TotalAlloc-before.TotalAlloc, lattices+lattices/10+uint64(4*len(rects)); got > limit {
+		t.Errorf("NewMEuler allocated %d bytes, want < 1.1 × %d difference arrays that become the planes (%d) + %d of group numbers",
 			got, len(areas), lattices, 4*len(rects))
 	}
 	if m.LatticeBytes() != len(areas)*4*lx*ly {
@@ -48,7 +49,7 @@ func TestNewMEulerBuildsThroughOneDifferenceArray(t *testing.T) {
 }
 
 // TestNewMEulerGroupsMatchFromRectsAtBothWidths: every group NewMEuler
-// builds through its one recycled builder is, bit for bit, the histogram
+// builds in its own builder is, bit for bit, the histogram
 // euler.FromRects builds over that group's objects alone — same bytes
 // written, same count, same cell width, including past a lowered narrow
 // limit where a crowded group goes wide and the next starts narrow again.
@@ -68,7 +69,7 @@ func TestNewMEulerGroupsMatchFromRectsAtBothWidths(t *testing.T) {
 		{48, 40, []float64{1}, 0, nil},
 		{48, 40, []float64{1, 9, 100}, 0, nil},
 		{48, 40, []float64{1, 9, 100}, 200, []int{4, 8, 8}},
-		{48, 40, []float64{1, 100, 380}, 200, []int{8, 8, 4}}, // Reset after a wide group
+		{48, 40, []float64{1, 100, 380}, 200, []int{8, 8, 4}}, // a narrow group after wide ones
 		{40, 40, many, 0, nil},
 	} {
 		t.Run(fmt.Sprintf("%dx%d/%d groups/limit %d", tc.nx, tc.ny, len(tc.areas), tc.limit), func(t *testing.T) {

@@ -269,8 +269,8 @@ func testDerivedPyramidBuckets(t *testing.T, cellWidth int) {
 // Build materializes the buckets in the array that becomes the cumulative
 // form, so it allocates one lattice-sized array of 4-byte cells, plus a
 // column accumulator — no 8-byte plane is staged anywhere on the way. A
-// build from rectangles is those two arrays and no more, whatever worker
-// count it is handed: no second difference array is filled beside the first.
+// build from rectangles, whatever worker count it is handed, allocates one
+// lattice array in all: its difference array becomes the plane (Finish).
 func TestBuildAllocatesOnePlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement on a 1024×1024 grid")
@@ -315,8 +315,8 @@ func TestBuildAllocatesOnePlane(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			tc.build()
 			runtime.ReadMemStats(&after)
-			if got, want := after.TotalAlloc-before.TotalAlloc, diff+plane; got > want+want/4 {
-				t.Errorf("allocated %d bytes, want < 1.25 × one %d-byte difference array and one %d-byte plane", got, diff, plane)
+			if got := after.TotalAlloc - before.TotalAlloc; got > diff+diff/4 {
+				t.Errorf("allocated %d bytes, want < 1.25 × one %d-byte difference array, which becomes the %d-byte plane", got, diff, plane)
 			}
 		})
 	}

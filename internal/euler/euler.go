@@ -218,19 +218,13 @@ func (b *Builder) AddAll(rs []geom.Rect) int {
 // Count returns the number of objects inserted so far.
 func (b *Builder) Count() int64 { return b.n }
 
-// Reset empties the builder to the state NewBuilder returns, keeping its
-// difference array: a caller building several histograms over one grid, one
-// after another, pays for one array instead of one per histogram. Histograms
-// already built are unaffected (they share no memory with the builder) but
-// are no baseline for a BuildFrom after the Reset.
-func (b *Builder) Reset() {
+// CellWidth returns the bytes per bucket of the histogram the builder
+// would build now: 4 while it is narrow, 8 once it has gone wide.
+func (b *Builder) CellWidth() int {
 	if b.d32 != nil {
-		clear(b.d32)
-	} else { // gone wide: a new builder starts narrow
-		b.d32, b.d64 = make([]int32, len(b.d64)), nil
+		return 4
 	}
-	b.n, b.rects, b.bound = 0, 0, 0
-	b.dirty = EmptyRegion()
+	return 8
 }
 
 // BuilderFromHistogram reconstructs a Builder whose state reproduces h:
@@ -333,6 +327,31 @@ func buildPlane[T Cell](b *Builder, diff []T, scratch *Histogram) *prefixsum.Sum
 	return prefixsum.AdoptSum2D(buf, b.lx, b.ly)
 }
 
+// Finish is Build for a builder's last use: the difference array itself
+// becomes the histogram's plane, so the build allocates no lattice beside
+// the one the builder already holds. The builder must not be used again.
+func (b *Builder) Finish() *Histogram {
+	var hc *prefixsum.Sum2D
+	if b.d32 != nil {
+		hc = finishPlane(b.d32, b.lx, b.ly)
+	} else {
+		hc = finishPlane(b.d64, b.lx, b.ly)
+	}
+	h := &Histogram{g: b.g, lx: b.lx, ly: b.ly, hc: hc, n: b.n}
+	b.d32, b.d64 = nil, nil
+	return h
+}
+
+// finishPlane turns a (lx+1)×(ly+1) difference array into the lx×ly
+// cumulative plane in its own first lx·ly entries. rawInto may run in
+// place: the entry it writes, u·ly+v, is never past the entry it has just
+// read, u·(ly+1)+v, so no write lands on an entry still to be read.
+func finishPlane[T Cell](diff []T, lx, ly int) *prefixsum.Sum2D {
+	raw := diff[:lx*ly]
+	rawInto(diff, raw, lx, ly)
+	return prefixsum.AdoptSum2D(raw, lx, ly)
+}
+
 // rawInto computes the lx×ly signed bucket values from the difference
 // array, row by row with one running column accumulator. In narrow cells
 // the sums wrap: only the values that come out need to fit, and bound
@@ -408,7 +427,7 @@ func rawRowOf(hc *prefixsum.Sum2D, u, v1 int, out []int64) {
 func FromRects(g *grid.Grid, rs []geom.Rect) *Histogram {
 	b := NewBuilder(g)
 	b.AddAll(rs)
-	return b.Build()
+	return b.Finish()
 }
 
 // FromRectsParallel is FromRects: builds run on one goroutine, and the

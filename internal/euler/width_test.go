@@ -2,6 +2,7 @@ package euler
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -329,14 +330,12 @@ func TestResumeChecksDifferenceEntries(t *testing.T) {
 	assertIdentical(t, wide, b.Build())
 }
 
-// TestBuilderResetEqualsFreshAtBothWidths: a builder emptied by Reset is a
-// new builder that kept its array. Whatever went through it before — a
-// script that took it wide, rejected objects — the next script builds the bytes, count, cell width,
-// skip count and dirty region a fresh builder builds, and histograms built
-// before the Reset are not disturbed by it.
-func TestBuilderResetEqualsFreshAtBothWidths(t *testing.T) {
+// TestFinishEqualsBuildAtBothWidths: Finish, which turns the builder's own
+// difference array into the plane, builds the bytes, count and cell width
+// Build builds from the same script — narrow, and past a lowered narrow
+// limit where the builder went wide — and its plane is that array.
+func TestFinishEqualsBuildAtBothWidths(t *testing.T) {
 	defer LowerNarrowLimit(100)()
-	g := grid.NewUnit(24, 20)
 	written := func(h *Histogram) []byte {
 		var buf bytes.Buffer
 		if err := h.Write(&buf); err != nil {
@@ -345,8 +344,9 @@ func TestBuilderResetEqualsFreshAtBothWidths(t *testing.T) {
 		return buf.Bytes()
 	}
 	// run plays n random adds (every fifth followed by its removal, every
-	// seventh an object outside the space) and returns the build.
-	run := func(b *Builder, seed int64, n int) *Histogram {
+	// seventh an object outside the space) into b.
+	run := func(b *Builder, seed int64, n int) {
+		g := b.Grid()
 		r := rand.New(rand.NewSource(seed))
 		for k := 0; k < n; k++ {
 			s := randSpan(r, g)
@@ -358,45 +358,36 @@ func TestBuilderResetEqualsFreshAtBothWidths(t *testing.T) {
 				b.Add(g.SpanRect(s).Translate(1000, 1000))
 			}
 		}
-		return b.Build()
 	}
-	b := NewBuilder(g)
-	for step, script := range []struct {
-		n     int
-		width int
-	}{{150, 8}, {40, 4}, {40, 4}, {150, 8}, {0, 4}, {60, 4}} {
-		before := b.Dirty()
-		got := run(b, int64(300+step), script.n)
-		fresh := NewBuilder(g)
-		want := run(fresh, int64(300+step), script.n)
-		if !before.Empty() {
-			t.Fatalf("step %d: dirty region %+v after Reset, want empty", step, before)
-		}
-		if got.CellWidth() != script.width || want.CellWidth() != script.width {
-			t.Fatalf("step %d: reset builder built %d B/bucket, fresh %d, want %d", step, got.CellWidth(), want.CellWidth(), script.width)
-		}
-		assertIdentical(t, want, got)
-		if !bytes.Equal(written(got), written(want)) {
-			t.Fatalf("step %d: Write bytes differ from a fresh builder's", step)
-		}
-		if b.Count() != fresh.Count() || b.Skipped() != fresh.Skipped() || b.bound != fresh.bound || b.Dirty() != fresh.Dirty() {
-			t.Fatalf("step %d: count %d/%d, skipped %d/%d, bound %d/%d, dirty %+v/%+v (reset/fresh)", step,
-				b.Count(), fresh.Count(), b.Skipped(), fresh.Skipped(), b.bound, fresh.bound, b.Dirty(), fresh.Dirty())
-		}
-		keep := written(got)
-		b.Reset()
-		if b.Count() != 0 || b.Skipped() != 0 || b.bound != 0 || b.d32 == nil || b.d64 != nil {
-			t.Fatalf("step %d: Reset left count %d, skipped %d, bound %d, narrow %v", step, b.Count(), b.Skipped(), b.bound, b.d32 != nil)
-		}
-		if !bytes.Equal(written(got), keep) {
-			t.Fatalf("step %d: Reset changed a histogram already built", step)
-		}
-	}
-	// While narrow, Reset keeps the array it has.
-	arr := &b.d32[0]
-	run(b, 400, 30)
-	b.Reset()
-	if &b.d32[0] != arr {
-		t.Fatal("Reset of a narrow builder replaced its difference array")
+	for _, tc := range []struct {
+		nx, ny, n int
+		width     int
+	}{{24, 20, 0, 4}, {24, 20, 40, 4}, {24, 20, 150, 8}, {1, 1, 150, 8}, {31, 7, 60, 4}} {
+		t.Run(fmt.Sprintf("%dx%d/%d objects", tc.nx, tc.ny, tc.n), func(t *testing.T) {
+			g := grid.NewUnit(tc.nx, tc.ny)
+			built, finished := NewBuilder(g), NewBuilder(g)
+			run(built, int64(300+tc.n), tc.n)
+			run(finished, int64(300+tc.n), tc.n)
+			var own any
+			if finished.d32 != nil {
+				own = &finished.d32[0]
+			} else {
+				own = &finished.d64[0]
+			}
+			want, got := built.Build(), finished.Finish()
+			if got.CellWidth() != tc.width || want.CellWidth() != tc.width {
+				t.Fatalf("Finish built %d B/bucket, Build %d, want %d", got.CellWidth(), want.CellWidth(), tc.width)
+			}
+			assertIdentical(t, want, got)
+			if !bytes.Equal(written(got), written(want)) {
+				t.Fatal("Write bytes differ from Build's")
+			}
+			if planeAddr(got) != own {
+				t.Fatal("Finish's plane is not the builder's difference array")
+			}
+			if finished.d32 != nil || finished.d64 != nil {
+				t.Fatal("Finish left the builder holding the plane's array")
+			}
+		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	"spatialhist/internal/core"
@@ -337,10 +338,8 @@ func TestBrowseMissBudget(t *testing.T) {
 				}
 			}
 			serve(reqs[0]) // warm: the recycled buffers reach this map's size
-			// The fewest bytes of 21 requests: what every miss allocates.
-			// A sync.Pool may drop what it holds (at a GC, and at random
-			// under the race detector, often enough there to move the
-			// median), and a request that finds it empty allocates afresh.
+			// The fewest bytes of 21 requests: what every miss allocates,
+			// without whatever else the test process allocates meanwhile.
 			perMap := math.MaxInt
 			var before, after runtime.MemStats
 			for _, req := range reqs[1 : len(reqs)-1] {
@@ -382,6 +381,98 @@ func TestBrowseMissBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMapBuffersSurviveGC: the recycled plane and body of a browse miss
+// outlive a collection. A 16,384-tile map over one share, repeated with
+// collections between requests, allocates under 64 KiB per request — not
+// its 512 KiB plane and 1.3 MB body again, as it would if a GC emptied the
+// server's buffers. Two collections, because a sync.Pool keeps what it held
+// through one.
+func TestMapBuffersSurviveGC(t *testing.T) {
+	g := grid.NewUnit(256, 128)
+	r := rand.New(rand.NewSource(18))
+	rects := make([]geom.Rect, 3000)
+	for k := range rects {
+		x, y := r.Float64()*246, r.Float64()*118
+		rects[k] = geom.NewRect(x, y, x+r.Float64()*10, y+r.Float64()*10)
+	}
+	est, err := core.NewMEuler(g, []float64{1, 9, 100}, rects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New("gc", StaticSource(est), Options{Telemetry: telemetry.NewRegistry()})
+	req := httptest.NewRequest("GET", "/api/browse?x1=0&y1=0&x2=256&y2=128&cols=128&rows=128", nil)
+	serve := func() int {
+		w := &discardWriter{h: http.Header{}}
+		s.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+		return w.n
+	}
+	body := serve() // warm: the buffers reach this map's size
+	if body <= cacheBytesPerEntry {
+		t.Fatalf("a %d-byte body fits one cache share of %d: repeats would hit", body, cacheBytesPerEntry)
+	}
+	const limit = 64 << 10
+	var before, after runtime.MemStats
+	for k := 0; k < 8; k++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		serve()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Fatalf("request %d after two collections allocated %d bytes, limit %d (plane %d, body %d)", k, got, limit, 32*128*128, body)
+		}
+	}
+	if hits, _ := s.CacheStats(); hits != 0 {
+		t.Fatalf("%d requests were hits; every one must miss", hits)
+	}
+}
+
+// TestMapBuffersAreNotShared: more concurrent misses than the free list
+// keeps each write their own body — every response is the serial encoder's
+// bytes for its own map — whichever buffers they take and give back.
+func TestMapBuffersAreNotShared(t *testing.T) {
+	g := grid.NewUnit(72, 36)
+	r := rand.New(rand.NewSource(19))
+	rects := make([]geom.Rect, 500)
+	for k := range rects {
+		x, y := r.Float64()*66, r.Float64()*30
+		rects[k] = geom.NewRect(x, y, x+r.Float64()*6, y+r.Float64()*6)
+	}
+	est := core.SEulerFromRects(g, rects)
+	s := New("shared", StaticSource(est), Options{CacheSize: -1, Telemetry: telemetry.NewRegistry()})
+	tilings := [][2]int{{72, 36}, {36, 18}, {24, 12}, {8, 4}, {72, 12}, {1, 1}}
+	want := make([][]byte, len(tilings))
+	for k, tl := range tilings {
+		ests, err := core.EstimateGrid(est, grid.Span{I2: 71, J2: 35}, tl[0], tl[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[k], err = AppendBrowseResponse(nil, g, grid.Span{I2: 71, J2: 35}, tl[0], tl[1], ests); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4*runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				k := (w + i) % len(tilings)
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/api/browse?x1=0&y1=0&x2=72&y2=36&cols=%d&rows=%d", tilings[k][0], tilings[k][1]), nil))
+				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want[k]) {
+					t.Errorf("worker %d, %dx%d map: status %d, body differs from its own map's", w, tilings[k][0], tilings[k][1], rec.Code)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestBrowseEncodeSizesExactly: a body that must grow is grown once, to

@@ -27,9 +27,9 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"spatialhist/internal/core"
@@ -96,8 +96,8 @@ type Server struct {
 	read    func() (reading, func())
 	mux     *http.ServeMux
 	metrics *httpMetrics
-	cache   *browseCache // nil for a Reader: it pins no generation
-	maps    sync.Pool    // *mapBuffers
+	cache   *browseCache     // nil for a Reader: it pins no generation
+	maps    chan *mapBuffers // idle map buffers, kept across GCs
 	limiter *Limiter
 	drain   atomic.Bool
 }
@@ -134,6 +134,10 @@ func New(name string, src Source, opts Options) *Server {
 		mux:     http.NewServeMux(),
 		metrics: &httpMetrics{reg: opts.Telemetry, access: opts.accessLogger()},
 		limiter: opts.Limiter,
+		// One idle set per P: misses sweep and encode on their request's
+		// goroutine, so more than GOMAXPROCS of them rarely run at once,
+		// and a set is a plane and a body of up to ≈ 2 MB each.
+		maps: make(chan *mapBuffers, runtime.GOMAXPROCS(0)),
 	}
 	switch src := src.(type) {
 	case EstimatorSource:
@@ -279,13 +283,18 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	}
 	rd, release := s.read()
 	defer release()
-	m, _ := s.maps.Get().(*mapBuffers)
-	if m == nil {
+	var m *mapBuffers
+	select {
+	case m = <-s.maps:
+	default:
 		m = new(mapBuffers)
 	}
-	defer s.maps.Put(m)
 	data, err := rd.browseMap(m, span, cols, rows)
 	writeRead(w, data, err)
+	select {
+	case s.maps <- m:
+	default: // GOMAXPROCS sets are idle already
+	}
 }
 
 // encodeError marks a read that failed while encoding its response — a

@@ -230,12 +230,6 @@ func (g *Grid) XEdge(i int) float64 { return g.extent.XMin + float64(i)*g.cw }
 // row j.
 func (g *Grid) YEdge(j int) float64 { return g.extent.YMin + float64(j)*g.ch }
 
-// CellRect returns the closed rectangle of cell (i, j).
-func (g *Grid) CellRect(i, j int) geom.Rect {
-	g.checkCell(i, j)
-	return geom.Rect{XMin: g.XEdge(i), YMin: g.YEdge(j), XMax: g.XEdge(i + 1), YMax: g.YEdge(j + 1)}
-}
-
 // SpanRect returns the closed rectangle covered by the span.
 func (g *Grid) SpanRect(s Span) geom.Rect {
 	g.checkCell(s.I1, s.J1)

@@ -120,10 +120,10 @@ func TestAlignedSpan(t *testing.T) {
 	}
 }
 
-func TestCellAndSpanRect(t *testing.T) {
+func TestSpanRectAndArea(t *testing.T) {
 	g := New(geom.NewRect(100, 200, 110, 220), 10, 10) // 1x2 cells
-	if got, want := g.CellRect(0, 0), geom.NewRect(100, 200, 101, 202); got != want {
-		t.Errorf("CellRect(0,0) = %v, want %v", got, want)
+	if got, want := g.SpanRect(Span{0, 0, 0, 0}), geom.NewRect(100, 200, 101, 202); got != want {
+		t.Errorf("SpanRect of cell (0,0) = %v, want %v", got, want)
 	}
 	if got, want := g.SpanRect(Span{2, 3, 4, 5}), geom.NewRect(102, 206, 105, 212); got != want {
 		t.Errorf("SpanRect = %v, want %v", got, want)
@@ -133,10 +133,10 @@ func TestCellAndSpanRect(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Errorf("CellRect out of range must panic")
+			t.Errorf("SpanRect out of range must panic")
 		}
 	}()
-	g.CellRect(10, 0)
+	g.SpanRect(Span{9, 0, 10, 0})
 }
 
 func TestSpanRelations(t *testing.T) {

@@ -65,15 +65,26 @@ func newGenArena(partitions int) *genArena {
 	return &genArena{parts: make([][]*histLease, partitions)}
 }
 
-// take removes and returns a reusable lease for partition i, or nil.
-func (a *genArena) take(i int) *histLease {
-	for k, l := range a.parts[i] {
-		if l.collectible() {
-			a.parts[i] = append(a.parts[i][:k], a.parts[i][k+1:]...)
-			return l
+// take removes and returns a reusable lease for partition i whose plane
+// has the given cell width, or nil. Leases of the other width are dropped
+// on the way, pinned or not: a builder widens for good, so no later build
+// of the partition could use them (BuildFrom refuses such a scratch, and
+// the build that was handed one allocates a plane after all).
+func (a *genArena) take(i, width int) *histLease {
+	var got *histLease
+	kept := a.parts[i][:0]
+	for _, l := range a.parts[i] {
+		switch {
+		case l.hist.CellWidth() != width:
+		case got == nil && l.collectible():
+			got = l
+		default:
+			kept = append(kept, l)
 		}
 	}
-	return nil
+	clear(a.parts[i][len(kept):])
+	a.parts[i] = kept
+	return got
 }
 
 // damage widens every tracked lease of partition i: a new histogram was

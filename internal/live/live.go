@@ -444,7 +444,7 @@ func (s *Store) rebuild() {
 			continue
 		}
 		var opts euler.BuildFromOpts
-		if lease := s.arena.take(i); lease != nil {
+		if lease := s.arena.take(i, b.CellWidth()); lease != nil {
 			opts.Scratch, opts.Stale = lease.hist, lease.stale
 			leases[i] = lease
 		}

@@ -54,6 +54,60 @@ func TestStatusReportsCellWidth(t *testing.T) {
 	}
 }
 
+// TestWideBuildTakesNoNarrowLease: a narrow generation a reader pinned
+// across the width switch stays in the arena's reach only until the first
+// wide build looks there. Once the reader lets go, a publish that has a
+// collectible wide lease repairs into it and allocates no plane: it is not
+// handed the old narrow lease, which BuildFrom refuses, leaving the repair
+// to clone the published plane.
+func TestWideBuildTakesNoNarrowLease(t *testing.T) {
+	const limit = 300
+	defer euler.LowerNarrowLimit(limit)()
+	r := rand.New(rand.NewSource(94))
+	s := openTestStore(t, Config{Grid: grid.NewUnit(128, 128), Algo: AlgoSEuler, RebuildEvery: -1,
+		PyramidLevels: 2, Telemetry: telemetry.NewRegistry()})
+	insert := func(n int, at, spread float64) {
+		t.Helper()
+		for k := 0; k < n; k++ {
+			x, y := at+r.Float64()*spread, at+r.Float64()*spread
+			if ok, err := s.Insert(geom.NewRect(x, y, x+1+r.Float64()*3, y+1+r.Float64()*3)); err != nil || !ok {
+				t.Fatalf("insert: %v %v", ok, err)
+			}
+		}
+	}
+	publish := func() {
+		t.Helper()
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(limit-60, 2, 100)
+	publish()
+	for k := 0; k < 3; k++ { // fill the arena with narrow generations
+		insert(10, 2, 100)
+		publish()
+	}
+	_, _, release := s.AcquireEstimator() // pins the published narrow generation
+	insert(40, 2, 100)                    // update limit+1 is among these
+	publish()
+	if st := s.Status(); st.CellWidth != 8 {
+		t.Fatalf("past the limit: cell width %d, want 8", st.CellWidth)
+	}
+	for k := 0; k < 3; k++ {
+		insert(2, 40, 8)
+		publish()
+	}
+	release()
+	insert(1, 40, 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	publish()
+	runtime.ReadMemStats(&after)
+	if got, plane := after.TotalAlloc-before.TotalAlloc, uint64(8*255*255); got > plane/4 {
+		t.Fatalf("wide publish allocated %d bytes after the narrow pin was released, want well under the %d-byte plane", got, plane)
+	}
+}
+
 // TestStoreCrossesTheNarrowLimit is the int32 edge with the limit lowered to
 // a few hundred updates: a store that crosses it mid-life publishes a wide
 // generation bit-identical to a from-scratch build, keeps answering across

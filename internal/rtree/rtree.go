@@ -77,15 +77,6 @@ func (t *Tree) Len() int { return t.size }
 // Height returns the tree height (1 for a single leaf).
 func (t *Tree) Height() int { return t.height }
 
-// Bounds returns the MBR of all indexed objects; ok is false for an empty
-// tree.
-func (t *Tree) Bounds() (mbr geom.Rect, ok bool) {
-	if t.size == 0 {
-		return geom.Rect{}, false
-	}
-	return t.root.mbr, true
-}
-
 // Insert adds one object MBR with its id.
 func (t *Tree) Insert(r geom.Rect, id int64) {
 	if !r.Valid() {

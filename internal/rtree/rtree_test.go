@@ -36,9 +36,6 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Fatalf("empty tree Len/Height = %d/%d", tr.Len(), tr.Height())
 	}
-	if _, ok := tr.Bounds(); ok {
-		t.Fatal("empty tree must have no bounds")
-	}
 	if ids := tr.Search(geom.NewRect(0, 0, 1, 1), nil); len(ids) != 0 {
 		t.Fatal("empty tree search must be empty")
 	}
@@ -101,10 +98,6 @@ func TestBulkMatchesBrute(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	b, ok := tr.Bounds()
-	if !ok || !b.Contains(geom.MBROf(rects)) {
-		t.Fatalf("Bounds = %v/%t", b, ok)
 	}
 	for trial := 0; trial < 50; trial++ {
 		q := randRect(r, 100)
