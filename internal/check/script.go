@@ -313,7 +313,7 @@ func render[T any](v T, err error) string {
 }
 
 // levelsPrint renders a pyramid of n levels: every coarse level's
-// histograms, one per group, at the spans floor-halved to it.
+// histograms, one per plane, at the spans floor-halved to it.
 func levelsPrint(n int, spans []grid.Span, level func(k int) []*euler.Histogram) string {
 	s := fmt.Sprintf("%d levels", n)
 	for k := 1; k < n; k++ {
@@ -334,13 +334,13 @@ func levelsPrint(n int, spans []grid.Span, level func(k int) []*euler.Histogram)
 var fileW, fileR = bufio.NewWriterSize(nil, 1<<20), bufio.NewReaderSize(nil, 1<<20)
 
 // histsProbe answers the bucket and file probes over the published
-// histograms, one per group. Files do not know the resident cell width.
+// histograms, one per plane. Files do not know the resident cell width.
 func histsProbe(hs []*euler.Histogram, p gen.Probe) string {
 	var s string
 	for i, h := range hs {
 		switch p.Kind {
 		case gen.ProbeBuckets:
-			s += fmt.Sprintf("group %d: %s; ", i, histPrint(h, p.Spans))
+			s += fmt.Sprintf("plane %d: %s; ", i, histPrint(h, p.Spans))
 		case gen.ProbeFile:
 			var buf bytes.Buffer
 			fileW.Reset(&buf)
@@ -349,7 +349,7 @@ func histsProbe(hs []*euler.Histogram, p gen.Probe) string {
 			}
 			sum := fnv.New64a()
 			sum.Write(buf.Bytes())
-			s += fmt.Sprintf("group %d: %d bytes %016x", i, buf.Len(), sum.Sum64())
+			s += fmt.Sprintf("plane %d: %d bytes %016x", i, buf.Len(), sum.Sum64())
 			fileR.Reset(&buf)
 			back, err := euler.Read(fileR)
 			if err != nil {
@@ -407,11 +407,13 @@ func (f *fresh) Observe(p gen.Probe) string {
 	if p.Kind != gen.ProbePyramid {
 		return f.observe(f.est, p)
 	}
-	spans := make([][]grid.Span, f.spec.Groups())
+	spans := make([][]grid.Span, f.spec.Groups()) // plane k's: area groups 0..k
 	for _, r := range f.objects {
 		if gi, ok := f.spec.Group(f.g, r); ok && f.takes(r) {
 			s, _ := f.g.Snap(r)
-			spans[gi] = append(spans[gi], s)
+			for k := gi; k < len(spans); k++ {
+				spans[k] = append(spans[k], s)
+			}
 		}
 	}
 	n := 1
@@ -434,17 +436,18 @@ func (f *fresh) Close() error { return nil }
 var popts = euler.PyramidOpts{MinGrid: 4}
 
 // chain publishes the way the live store does, without the store: one
-// builder per group, each generation a BuildFrom of the last — repaired or
-// rebuilt in full as the script's mutations say, into a donated retired
-// buffer with its stale box or not — and its pyramid a PyramidFrom of the
-// last, cloned or repaired in place. It holds each cell width to its
-// builder's count of updates.
+// builder per nested plane, each generation a BuildFrom of the last —
+// repaired or rebuilt in full as the script's mutations say, into a
+// donated retired buffer with its stale box or not — and its pyramid a
+// PyramidFrom of the last, cloned or repaired in place. It holds every
+// plane's cell width to the count of updates, which the last plane takes.
 type chain struct {
 	reader
 	spec   core.Spec
 	g      *grid.Grid
 	limit  int64
 	groups []*link
+	ops    int64 // rectangle updates applied: what the planes' width follows
 	est    core.Estimator
 	// intoScratch counts the publishes into a donated buffer by strategy:
 	// what the scripts' data reach.
@@ -454,10 +457,9 @@ type chain struct {
 // strategies counts BuildFrom's publishes by strategy.
 type strategies struct{ repaired, rebuilt int }
 
-// link is one group of the chain: the live store's arena in miniature.
+// link is one plane of the chain: the live store's arena in miniature.
 type link struct {
 	b       *euler.Builder
-	ops     int64            // rectangle updates applied: what the builder's width follows
 	h       *euler.Histogram // the published generation
 	p       *euler.Pyramid
 	retired *euler.Pyramid // the generation before h, free to donate its buffers
@@ -489,23 +491,29 @@ func (c *chain) update(r geom.Rect, add bool) bool {
 	if !ok {
 		return false
 	}
-	l := c.groups[gi]
-	if add {
-		ok = l.b.Add(r)
-	} else {
-		ok = l.b.Remove(r)
+	for _, l := range c.groups[gi:] {
+		if add {
+			ok = l.b.Add(r)
+		} else {
+			ok = l.b.Remove(r)
+		}
 	}
 	if ok {
-		l.ops++
+		c.ops++
 	}
 	return ok
 }
 
 func (c *chain) Publish() (err error) {
+	if slices.ContainsFunc(c.groups, func(l *link) bool { return l.b.CellWidth() == 8 }) {
+		for _, l := range c.groups {
+			l.b.Widen()
+		}
+	}
 	pyrs := make([]*euler.Pyramid, len(c.groups))
 	for i, l := range c.groups {
-		if err := l.publish(c.r, c.limit, &c.intoScratch); err != nil {
-			return fmt.Errorf("group %d: %w", i, err)
+		if err := l.publish(c.r, c.limit >= 0 && c.ops > c.limit, &c.intoScratch); err != nil {
+			return fmt.Errorf("plane %d after %d updates under limit %d: %w", i, c.ops, c.limit, err)
 		}
 		pyrs[i] = l.p
 	}
@@ -513,7 +521,7 @@ func (c *chain) Publish() (err error) {
 	return err
 }
 
-func (l *link) publish(r *rand.Rand, limit int64, intoScratch *strategies) error {
+func (l *link) publish(r *rand.Rand, wide bool, intoScratch *strategies) error {
 	var opts euler.BuildFromOpts
 	donor, inPlace := l.p, false
 	if l.retired != nil && r.Intn(3) > 0 {
@@ -541,8 +549,8 @@ func (l *link) publish(r *rand.Rand, limit int64, intoScratch *strategies) error
 		}
 		l.h, l.p = next, np
 	}
-	if wide, want := l.h.CellWidth() == 8, limit >= 0 && l.ops > limit; wide != want {
-		return fmt.Errorf("%d-byte cells after %d updates under limit %d", l.h.CellWidth(), l.ops, limit)
+	if l.h.CellWidth() == 8 != wide {
+		return fmt.Errorf("%d-byte cells", l.h.CellWidth())
 	}
 	for k := 1; k < l.p.Levels(); k++ {
 		if w := l.p.Level(k).CellWidth(); w != l.h.CellWidth() {

@@ -70,7 +70,7 @@ func TestInsertThreshold(t *testing.T) {
 func TestZoomAccessors(t *testing.T) {
 	g := grid.NewUnit(64, 32)
 	p := euler.NewPyramid(euler.FromRects(g, []geom.Rect{geom.NewRect(1, 1, 30, 9)}), euler.PyramidOpts{MinGrid: 4})
-	z := ZoomEuler(p)
+	z := zoomOver(t, AlgoEuler, p)
 	if NumLevels(z) != p.Levels() || p.Levels() != 4 { // 64×32 → 32×16 → 16×8 → 8×4
 		t.Fatalf("%d zoom levels over a pyramid of %d, want 4", NumLevels(z), p.Levels())
 	}

@@ -182,8 +182,8 @@ func intoEstimators(t *testing.T, g *grid.Grid, rects []geom.Rect) []Estimator {
 	}
 	return append(ests,
 		NewSEuler(widened(t, se.Histogram())), NewEuler(widened(t, eu.Histogram())), mp,
-		ZoomSEuler(euler.NewPyramid(se.Histogram(), euler.PyramidOpts{MinGrid: 4})),
-		ZoomEuler(euler.NewPyramid(eu.Histogram(), euler.PyramidOpts{MinGrid: 4})), zm)
+		zoomOver(t, AlgoSEuler, euler.NewPyramid(se.Histogram(), euler.PyramidOpts{MinGrid: 4})),
+		zoomOver(t, AlgoEuler, euler.NewPyramid(eu.Histogram(), euler.PyramidOpts{MinGrid: 4})), zm)
 }
 
 // TestPlanAdd pins the accumulate contract from outside: Plan.Add onto a
@@ -328,28 +328,38 @@ func TestPlanAddSumsPartitions(t *testing.T) {
 	}
 }
 
-// TestKernelWindowsExhaustive sweeps every region of a 6×5 grid in every
-// tiling that divides it — so every interior band (r0, r1) and row step
-// the kernels meet there, edge rows on both sides or neither — and holds
-// each kernel to the per-tile path at both cell widths: S-EulerApprox
-// under both masks, EulerApprox and M-EulerApprox, EstimateGrid against
-// the same estimator behind hideBatch. The M-EulerApprox cases cover every
-// pass shape: 1 to 5 groups (a fused pass of three, a last pass of one or
-// two run group by group, and two passes at one width), at thresholds that put every group in every role
-// it can take somewhere in the 1–30-cell tile areas, and mixed widths (one
-// group widened). Plan.Add onto a garbage-filled plane must be the garbage
-// plus the per-tile answer. It also pins interiorWindow to the lowest and
-// highest lattice positions the interior rows' corner sums read, inside
-// the lattice rows ColumnRows hands out.
-func TestKernelWindowsExhaustive(t *testing.T) {
-	r := rand.New(rand.NewSource(56))
-	g := grid.NewUnit(6, 5)
-	rects := batchRects(r, g, 80)
-	se, eu := SEulerFromRects(g, rects), EulerFromRects(g, rects)
-	seW, euW := NewSEuler(widened(t, se.Histogram())), NewEuler(widened(t, eu.Histogram()))
-	ests := []Estimator{se, seW, eu, euW}
+// eachTiling calls f with every region of g in every tiling that divides
+// it.
+func eachTiling(g *grid.Grid, f func(region grid.Span, cols, rows int)) {
+	for i1 := 0; i1 < g.NX(); i1++ {
+		for i2 := i1; i2 < g.NX(); i2++ {
+			for j1 := 0; j1 < g.NY(); j1++ {
+				for j2 := j1; j2 < g.NY(); j2++ {
+					region := grid.Span{I1: i1, J1: j1, I2: i2, J2: j2}
+					for cols := 1; cols <= region.Width(); cols++ {
+						for rows := 1; rows <= region.Height(); rows++ {
+							if region.Width()%cols == 0 && region.Height()%rows == 0 {
+								f(region, cols, rows)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// exhaustiveAreas put every group in every role it can take somewhere in
+// the 1–30-cell tile areas of a 6×5 grid, for 1 to 5 groups.
+var exhaustiveAreas = [][]float64{{1}, {1, 6}, {1, 4, 12}, {1, 3, 7, 16}, {1, 3, 6, 12, 20}}
+
+// exhaustiveMEulers returns, for each of exhaustiveAreas, the estimator
+// NewMEuler builds, the same planes all widened, and the same planes with
+// one widened, which assembly widens to one width.
+func exhaustiveMEulers(t *testing.T, g *grid.Grid, rects []geom.Rect) []*MEuler {
+	t.Helper()
 	var ms []*MEuler
-	for _, areas := range [][]float64{{1}, {1, 6}, {1, 4, 12}, {1, 3, 7, 16}, {1, 3, 6, 12, 20}} {
+	for _, areas := range exhaustiveAreas {
 		m, err := NewMEuler(g, areas, rects)
 		if err != nil {
 			t.Fatal(err)
@@ -369,46 +379,50 @@ func TestKernelWindowsExhaustive(t *testing.T) {
 		}
 		ms = append(ms, m)
 	}
+	return ms
+}
+
+// TestKernelWindowsExhaustive sweeps every region of a 6×5 grid in every
+// tiling that divides it — so every interior band (r0, r1) and row step
+// the kernel meets there, edge rows on both sides or neither — and holds
+// the stack kernel to the per-tile path at both cell widths: S-EulerApprox,
+// EulerApprox and M-EulerApprox at 1 to 5 groups, EstimateGrid against the
+// same estimator behind hideBatch. The thresholds reach every (group,
+// role) pair, so every stack shape is swept: C_hi and C_s each C_0, C_m or
+// a plane of their own. Plan.Add onto a garbage-filled plane must be the
+// garbage plus the per-tile answer. It also pins interiorWindow to the
+// lowest and highest lattice positions the interior rows' corner sums
+// read, inside the lattice rows ColumnRows hands out.
+func TestKernelWindowsExhaustive(t *testing.T) {
+	r := rand.New(rand.NewSource(56))
+	g := grid.NewUnit(6, 5)
+	rects := batchRects(r, g, 80)
+	se, eu := SEulerFromRects(g, rects), EulerFromRects(g, rects)
+	seW, euW := NewSEuler(widened(t, se.Histogram())), NewEuler(widened(t, eu.Histogram()))
+	ests := []Estimator{se, seW, eu, euW}
+	ms := exhaustiveMEulers(t, g, rects)
 	for _, m := range ms {
 		ests = append(ests, m)
 	}
 	roles := make([]map[[2]int]bool, len(ms)) // (group, role) pairs each M-EulerApprox reached
-
 	windows := map[[3]int]bool{}
-	for i1 := 0; i1 < g.NX(); i1++ {
-		for i2 := i1; i2 < g.NX(); i2++ {
-			for j1 := 0; j1 < g.NY(); j1++ {
-				for j2 := j1; j2 < g.NY(); j2++ {
-					region := grid.Span{I1: i1, J1: j1, I2: i2, J2: j2}
-					for cols := 1; cols <= region.Width(); cols++ {
-						for rows := 1; rows <= region.Height(); rows++ {
-							if region.Width()%cols != 0 || region.Height()%rows != 0 {
-								continue
-							}
-							for _, est := range ests {
-								checkBatchAgainstPerTile(t, est, region, cols, rows)
-								checkAddOntoGarbage(t, r, est, region, cols, rows)
-							}
-							for k, m := range ms {
-								if roles[k] == nil {
-									roles[k] = map[[2]int]bool{}
-								}
-								aq := float64(region.Cells() / (cols * rows))
-								for i := range m.Areas() {
-									roles[k][[2]int{i, int(m.role(i, aq))}] = true
-								}
-							}
-							for _, s := range []*SEuler{se, seW} {
-								checkMaskedAgainstPerTile(t, s, region, cols, rows)
-							}
-							windows[checkInteriorWindow(t, se.Histogram(), region, cols, rows)] = true
-							checkInteriorWindow(t, seW.Histogram(), region, cols, rows)
-						}
-					}
-				}
+	eachTiling(g, func(region grid.Span, cols, rows int) {
+		for _, est := range ests {
+			checkBatchAgainstPerTile(t, est, region, cols, rows)
+			checkAddOntoGarbage(t, r, est, region, cols, rows)
+		}
+		for k, m := range ms {
+			if roles[k] == nil {
+				roles[k] = map[[2]int]bool{}
+			}
+			aq := float64(region.Cells() / (cols * rows))
+			for i := range m.Areas() {
+				roles[k][[2]int{i, int(m.role(i, aq))}] = true
 			}
 		}
-	}
+		windows[checkInteriorWindow(t, se.Histogram(), region, cols, rows)] = true
+		checkInteriorWindow(t, seW.Histogram(), region, cols, rows)
+	})
 	for k, m := range ms {
 		// The last group takes no S-EulerApprox role: nothing is too large
 		// to contain a query.
@@ -417,6 +431,151 @@ func TestKernelWindowsExhaustive(t *testing.T) {
 		}
 	}
 	t.Logf("%d distinct (r0, r1, step) interior bands", len(windows))
+}
+
+// groupReference is §5.4 as the paper states it, apart from the code under
+// test: one histogram per area group, each euler.FromRects over the
+// group's objects, answering in the group's role with Equations 16–17
+// (addSEuler) or 21–22 (addEuler), the groups' counts summed.
+type groupReference struct {
+	areas []float64
+	hists []*euler.Histogram
+}
+
+func newGroupReference(g *grid.Grid, areas []float64, rects []geom.Rect) groupReference {
+	members := make([][]geom.Rect, len(areas))
+	for _, r := range rects {
+		if gi, ok := ObjectAreaGroup(g, areas, r); ok {
+			members[gi] = append(members[gi], r)
+		}
+	}
+	ref := groupReference{areas: areas}
+	for _, group := range members {
+		ref.hists = append(ref.hists, euler.FromRects(g, group))
+	}
+	return ref
+}
+
+// detail answers q group by group.
+func (ref groupReference) detail(q grid.Span) (Estimate, []GroupDetail) {
+	aq := float64(q.Cells())
+	var sum Estimate
+	var lines []GroupDetail
+	for i, h := range ref.hists {
+		role := GroupEulerApprox
+		switch {
+		case aq <= ref.areas[i]:
+			role = GroupNoContains
+		case i+1 < len(ref.areas) && aq >= ref.areas[i+1]:
+			role = GroupSEuler
+		}
+		n, nii, nei := h.Count(), h.InsideSum(q), h.OutsideSum(q)
+		var d Estimate
+		switch role {
+		case GroupNoContains:
+			addSEuler(&d, n, nii, nei, 0)
+		case GroupSEuler:
+			addSEuler(&d, n, nii, nei, -1)
+		default:
+			addEuler(&d, n, nii, nei, referenceContained(h, q, nei))
+		}
+		sum.Add(d)
+		lines = append(lines, GroupDetail{Area: ref.areas[i], Count: n, Role: role, Estimate: d})
+	}
+	return sum, lines
+}
+
+// addSEuler adds one histogram's S-EulerApprox counts for one tile
+// (Equations 16–17): N_d = n − n_ii, N_o = n_ei − N_d, and n − n_ei, which
+// is N_cs under mask cs = all ones and N_cd under cs = 0 — the group whose
+// objects cannot fit inside the tile, where N_cs = 0 by construction and
+// N_cd closes the group's books.
+func addSEuler(d *Estimate, n, nii, nei, cs int64) {
+	nd := n - nii
+	d.Disjoint += nd
+	d.Contains += (n - nei) & cs
+	d.Contained += (n - nei) &^ cs
+	d.Overlap += nei - nd
+}
+
+// addEuler adds one histogram's EulerApprox counts for one tile: N_d and
+// N_o as above, ncd (Equation 21's N_cd) and N_cs = n − N_cd − N_d − N_o
+// (Equation 22).
+func addEuler(d *Estimate, n, nii, neiPrime, ncd int64) {
+	nd := n - nii
+	no := neiPrime - nd
+	d.Disjoint += nd
+	d.Contains += n - ncd - nd - no
+	d.Contained += ncd
+	d.Overlap += no
+}
+
+// referenceContained is Equation 21: N_cd = N_i(A) + N_cs(B) − n'_ei, with
+// Region A the full-width band from q's bottom edge up less q's closed
+// footprint widened by its left, right and top boundary, and Region B the
+// full-width strip below q (Figure 11).
+func referenceContained(h *euler.Histogram, q grid.Span, neiPrime int64) int64 {
+	nx, ny := h.Grid().NX(), h.Grid().NY()
+	niA := h.InsideSum(grid.Span{I1: 0, J1: q.J1, I2: nx - 1, J2: ny - 1}) -
+		h.LatticeSum(2*q.I1-1, 2*q.J1, 2*q.I2+1, 2*q.J2+1)
+	var ncsB int64
+	if q.J1 > 0 {
+		ncsB = h.ContainedIn(grid.Span{I1: 0, J1: 0, I2: nx - 1, J2: q.J1 - 1})
+	}
+	return niA + ncsB - neiPrime
+}
+
+// TestNestedPlanesMatchGroupReference holds M-EulerApprox over nested
+// planes to the per-group reference, bit for bit, over every region and
+// dividing tiling of a 6×5 grid at 1 to 5 groups, narrow and wide:
+// Estimate and EstimateDetail per tile (each group's line, area, count and
+// role), and Plan.Add of the whole map onto a garbage-filled plane.
+func TestNestedPlanesMatchGroupReference(t *testing.T) {
+	r := rand.New(rand.NewSource(60))
+	g := grid.NewUnit(6, 5)
+	rects := batchRects(r, g, 80)
+	ms := exhaustiveMEulers(t, g, rects)
+	refs := make([]groupReference, len(ms))
+	for k, m := range ms {
+		refs[k] = newGroupReference(g, m.Areas(), rects)
+	}
+	maps := 0
+	eachTiling(g, func(region grid.Span, cols, rows int) {
+		maps++
+		qs, err := query.Browsing(region, cols, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, m := range ms {
+			garbage := make([]Estimate, len(qs.Tiles))
+			for i := range garbage {
+				garbage[i] = Estimate{Disjoint: r.Int63n(1 << 40), Contains: -r.Int63n(1 << 40), Contained: r.Int63n(1 << 40), Overlap: -r.Int63n(1 << 40)}
+			}
+			plane := slices.Clone(garbage)
+			p, err := PlanGrid(m, region, cols, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Add(plane); err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range qs.Tiles {
+				want, wantLines := refs[k].detail(q)
+				if got := m.Estimate(q); got != want {
+					t.Fatalf("%s %v tile %v: Estimate %v, reference %v", m.Name(), m.Areas(), q, got, want)
+				}
+				got, lines := m.EstimateDetail(q)
+				if got != want || !slices.Equal(lines, wantLines) {
+					t.Fatalf("%s %v tile %v: EstimateDetail %v %v, reference %v %v", m.Name(), m.Areas(), q, got, lines, want, wantLines)
+				}
+				want.Add(garbage[i])
+				if plane[i] != want {
+					t.Fatalf("%s %v %v %dx%d tile %d: Plan.Add onto garbage %v, garbage + reference %v", m.Name(), m.Areas(), region, cols, rows, i, plane[i], want)
+				}
+			}
+		}
+	})
+	t.Logf("%d maps", maps)
 }
 
 // checkAddOntoGarbage holds Plan.Add to the accumulate contract: onto a
@@ -457,26 +616,6 @@ func checkBatchAgainstPerTile(t *testing.T, est Estimator, region grid.Span, col
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s %v %dx%d: batch %v, per-tile %v", est.Name(), region, cols, rows, got, want)
-	}
-}
-
-// checkMaskedAgainstPerTile runs the S-EulerApprox kernel under the
-// no-contains mask, the M-EulerApprox role whose N_cs is zero.
-func checkMaskedAgainstPerTile(t *testing.T, s *SEuler, region grid.Span, cols, rows int) {
-	t.Helper()
-	got, want := make([]Estimate, cols*rows), make([]Estimate, cols*rows)
-	if err := s.addGridMasked(got, region, cols, rows, 0); err != nil {
-		t.Fatal(err)
-	}
-	qs, err := query.Browsing(region, cols, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, q := range qs.Tiles {
-		s.addMasked(&want[k], q, 0)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("masked %v %dx%d: batch %v, per-tile %v", region, cols, rows, got, want)
 	}
 }
 

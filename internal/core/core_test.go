@@ -227,10 +227,10 @@ func TestMEulerGrouping(t *testing.T) {
 	if len(hists) != 3 {
 		t.Fatalf("got %d hists", len(hists))
 	}
-	wantCounts := []int64{2, 1, 2}
+	wantCounts := []int64{2, 3, 5} // nested: plane k holds groups 0..k
 	for i, h := range hists {
 		if h.Count() != wantCounts[i] {
-			t.Errorf("group %d count = %d, want %d", i, h.Count(), wantCounts[i])
+			t.Errorf("plane %d count = %d, want %d", i, h.Count(), wantCounts[i])
 		}
 	}
 	if m.Count() != 5 {
@@ -482,7 +482,7 @@ func TestMEulerEstimateDetail(t *testing.T) {
 func TestMEulerFromHistograms(t *testing.T) {
 	g := grid.NewUnit(12, 12)
 	small := histFromSpans(g, []grid.Span{spanOf(1, 1, 1, 1), spanOf(2, 2, 2, 2)})
-	big := histFromSpans(g, []grid.Span{spanOf(0, 0, 9, 9)})
+	big := histFromSpans(g, []grid.Span{spanOf(1, 1, 1, 1), spanOf(2, 2, 2, 2), spanOf(0, 0, 9, 9)})
 	m, err := MEulerFromHistograms([]float64{1, 25}, []*euler.Histogram{small, big})
 	if err != nil {
 		t.Fatal(err)

@@ -67,43 +67,16 @@ func (e *Euler) LatticeBytes() int { return e.h.LatticeBytes() }
 func (e *Euler) Histogram() *euler.Histogram { return e.h }
 
 // Estimate implements Estimator. A constant number of cumulative-histogram
-// lookups: constant time per query.
+// lookups (rowBase and aWide hold Regions A and B): constant time per query.
 func (e *Euler) Estimate(q grid.Span) Estimate {
 	var d Estimate
-	e.add(&d, q)
+	e.stack().add(&d, q)
 	return d
 }
 
-// add adds the histogram's counts for q into d: the one-tile case of
-// addGrid, each lattice sum read once.
-func (e *Euler) add(d *Estimate, q grid.Span) {
-	neiPrime := e.h.OutsideSum(q)
-	addEuler(d, e.h.Count(), e.h.InsideSum(q), neiPrime, e.estimateContained(q, neiPrime))
-}
+// stack is the one-plane stack in the EulerApprox role.
+func (e *Euler) stack() stack { return newStack(e.h, e.h, nil) }
 
-// estimateContained computes N_cd = N_i(A) + N_cs(B) − n'_ei.
-func (e *Euler) estimateContained(q grid.Span, neiPrime int64) int64 {
-	g := e.h.Grid()
-	nx, ny := g.NX(), g.NY()
-
-	// Region A is the ∩-shaped region R_A \ q, where R_A is the full-width
-	// band from the query's bottom edge to the top of the space. The sum of
-	// the buckets strictly inside A is the sum inside R_A minus the buckets
-	// of the closed query that lie inside R_A: the query's lattice footprint
-	// widened by its left/right/top boundary (its bottom boundary lies on
-	// R_A's boundary and is excluded from R_A's interior already).
-	rA := grid.Span{I1: 0, J1: q.J1, I2: nx - 1, J2: ny - 1}
-	niA := e.h.InsideSum(rA) -
-		e.h.LatticeSum(2*q.I1-1, 2*q.J1, 2*q.I2+1, 2*q.J2+1)
-
-	// Region B: the full-width strip below the query, anchored at the space
-	// boundary; ContainedIn is exact there. Empty when the query touches
-	// the bottom of the space (then A is the whole exterior).
-	var ncsB int64
-	if q.J1 > 0 {
-		bottom := grid.Span{I1: 0, J1: 0, I2: nx - 1, J2: q.J1 - 1}
-		ncsB = e.h.ContainedIn(bottom)
-	}
-
-	return niA + ncsB - neiPrime
+func (e *Euler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error {
+	return e.stack().addGrid(dst, region, cols, rows)
 }

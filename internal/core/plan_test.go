@@ -106,7 +106,7 @@ func TestPlanGridSweep(t *testing.T) {
 // Plan.Add answers it.
 func TestPlanCountsMaps(t *testing.T) {
 	g := grid.NewUnit(128, 128)
-	z := ZoomSEuler(euler.NewPyramid(euler.FromRects(g, nil), euler.PyramidOpts{MinGrid: 8}))
+	z := zoomOver(t, AlgoSEuler, euler.NewPyramid(euler.FromRects(g, nil), euler.PyramidOpts{MinGrid: 8}))
 	reg := telemetry.Default()
 	counts := func() (hits, sweeps int64) {
 		for _, v := range reg.CounterValues("core_pyramid_level_hits_total") {

@@ -53,12 +53,13 @@ func (e *SEuler) Histogram() *euler.Histogram { return e.h }
 // constant time per query.
 func (e *SEuler) Estimate(q grid.Span) Estimate {
 	var d Estimate
-	e.addMasked(&d, q, -1)
+	e.stack().add(&d, q)
 	return d
 }
 
-// addMasked adds the histogram's counts for q into d: the one-tile case of
-// addGridMasked, each lattice sum read once. cs is addSEuler's mask.
-func (e *SEuler) addMasked(d *Estimate, q grid.Span, cs int64) {
-	addSEuler(d, e.h.Count(), e.h.InsideSum(q), e.h.OutsideSum(q), cs)
+// stack is the one-plane stack in the S-EulerApprox role.
+func (e *SEuler) stack() stack { return newStack(e.h, e.h, e.h) }
+
+func (e *SEuler) addGrid(dst []Estimate, region grid.Span, cols, rows int) error {
+	return e.stack().addGrid(dst, region, cols, rows)
 }

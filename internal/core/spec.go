@@ -76,7 +76,7 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Groups returns how many histograms the spec partitions objects into.
+// Groups returns how many area groups, and histograms, the spec has.
 func (s Spec) Groups() int {
 	if s.Algo == AlgoMEuler {
 		return len(s.Areas)
@@ -109,7 +109,7 @@ func (s Spec) FromRects(g *grid.Grid, rects []geom.Rect) (Estimator, error) {
 }
 
 // FromHistograms assembles the spec's estimator over prebuilt histograms,
-// one per group, smallest area group first.
+// one per group: M-EulerApprox's are its nested planes, smallest first.
 func (s Spec) FromHistograms(hists []*euler.Histogram) (Estimator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -126,9 +126,9 @@ func (s Spec) FromHistograms(hists []*euler.Histogram) (Estimator, error) {
 	return MEulerFromHistograms(s.Areas, hists)
 }
 
-// FromPyramids assembles the spec's estimator over one pyramid per group:
-// the zoom stack, or the plain base-level estimator when the pyramids hold
-// no coarse level to route to.
+// FromPyramids assembles the spec's estimator over one pyramid per
+// histogram: the zoom stack, or the plain base-level estimator when the
+// pyramids hold no coarse level to route to.
 func (s Spec) FromPyramids(pyrs []*euler.Pyramid) (Estimator, error) {
 	z, err := s.zoom(pyrs)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialhist/internal/euler"
@@ -75,9 +76,10 @@ func TestCellWidthsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMEulerMixedCellWidths reassembles M-EulerApprox over groups of
-// different cell widths — what a store looks like after one partition has
-// outgrown 4 bytes — and checks it against the all-narrow estimator.
+// TestMEulerMixedCellWidths reassembles M-EulerApprox over nested planes
+// of different cell widths — what a set of planes looks like when one of
+// them has outgrown 4 bytes — and checks that the stack is assembled at
+// one width, the wide one, answering as the all-narrow estimator does.
 func TestMEulerMixedCellWidths(t *testing.T) {
 	r := rand.New(rand.NewSource(202))
 	nx, ny := 32, 32
@@ -89,17 +91,16 @@ func TestMEulerMixedCellWidths(t *testing.T) {
 		builders[i] = euler.NewBuilder(g)
 	}
 	for _, s := range spans {
-		builders[AreaGroup(areas, float64(s.Cells()))].AddSpan(s)
-	}
-	full := make([]*euler.Histogram, len(builders))
-	mixed := make([]*euler.Histogram, len(builders))
-	for i, b := range builders {
-		full[i] = b.Build()
-		mixed[i] = full[i]
-		if i%2 == 0 {
-			mixed[i] = widened(t, full[i])
+		for _, b := range builders[AreaGroup(areas, float64(s.Cells())):] {
+			b.AddSpan(s)
 		}
 	}
+	full := make([]*euler.Histogram, len(builders))
+	for i, b := range builders {
+		full[i] = b.Build()
+	}
+	mixed := slices.Clone(full)
+	mixed[1] = widened(t, full[1])
 	mF, err := MEulerFromHistograms(areas, full)
 	if err != nil {
 		t.Fatal(err)
@@ -111,11 +112,13 @@ func TestMEulerMixedCellWidths(t *testing.T) {
 	if mP.Count() != mF.Count() || mP.StorageBuckets() != mF.StorageBuckets() {
 		t.Fatal("reassembled MEuler metadata diverges")
 	}
-	if hs := mP.Histograms(); hs[0] != mixed[0] || hs[1] != mixed[1] {
-		t.Fatal("Histograms must return the groups it was assembled from")
+	for k, h := range mP.Histograms() {
+		if h.CellWidth() != 8 {
+			t.Fatalf("plane %d of a stack with one wide plane has %d-byte cells", k, h.CellWidth())
+		}
 	}
-	if lx, ly := full[0].Buckets(); mP.LatticeBytes() != mF.LatticeBytes()+2*4*lx*ly {
-		t.Fatalf("LatticeBytes = %d with two of three groups widened, %d all narrow", mP.LatticeBytes(), mF.LatticeBytes())
+	if mixed[0].CellWidth() != 4 || mP.LatticeBytes() != 2*mF.LatticeBytes() {
+		t.Fatalf("LatticeBytes = %d with one of three planes widened, %d all narrow", mP.LatticeBytes(), mF.LatticeBytes())
 	}
 	for trial := 0; trial < 300; trial++ {
 		i1, j1 := r.Intn(nx), r.Intn(ny)
@@ -136,6 +139,30 @@ func TestMEulerMixedCellWidths(t *testing.T) {
 	for k := range want {
 		if got[k] != want[k] {
 			t.Fatalf("MEuler batch tile %d diverges", k)
+		}
+	}
+}
+
+// TestStackOfMixedWidthsIsRefused: the planes of a stack share C_m's cell
+// width (MEulerFromHistograms widens them all together). A stack put
+// together otherwise gets an error from the sweep, not a panic or another
+// plane's rows.
+func TestStackOfMixedWidthsIsRefused(t *testing.T) {
+	g := grid.NewUnit(8, 8)
+	b := euler.NewBuilder(g)
+	for _, s := range randSpans(rand.New(rand.NewSource(7)), 8, 8, 20) {
+		b.AddSpan(s)
+	}
+	narrow := b.Build()
+	wide := widened(t, narrow)
+	region := grid.Span{I1: 0, J1: 0, I2: 7, J2: 7}
+	for i, st := range []stack{
+		newStack(narrow, wide, nil),
+		newStack(narrow, narrow, wide),
+		newStack(wide, narrow, narrow),
+	} {
+		if err := st.addGrid(make([]Estimate, 4), region, 2, 2); err == nil {
+			t.Errorf("stack %d of mixed cell widths swept without an error", i)
 		}
 	}
 }

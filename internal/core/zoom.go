@@ -63,25 +63,9 @@ func NewZoom(levels []Estimator) (*Zoom, error) {
 	return z, nil
 }
 
-// ZoomSEuler assembles the S-EulerApprox zoom stack over a pyramid.
-func ZoomSEuler(p *euler.Pyramid) *Zoom { return mustZoom(Spec{Algo: AlgoSEuler}, p) }
-
-// ZoomEuler assembles the EulerApprox zoom stack over a pyramid.
-func ZoomEuler(p *euler.Pyramid) *Zoom { return mustZoom(Spec{Algo: AlgoEuler}, p) }
-
-// mustZoom stacks a single-histogram spec over one pyramid, whose levels
-// halve by construction.
-func mustZoom(s Spec, p *euler.Pyramid) *Zoom {
-	z, err := s.zoom([]*euler.Pyramid{p})
-	if err != nil {
-		panic(fmt.Sprintf("core: pyramid levels violate the halving invariant: %v", err))
-	}
-	return z
-}
-
 // ZoomMEuler assembles the M-EulerApprox zoom stack over one pyramid per
-// area group, as deep as the shallowest of them (all share the base grid,
-// so in practice they coincide).
+// nested plane (MEuler.Histograms), as deep as the shallowest of them (all
+// share the base grid, so in practice they coincide).
 func ZoomMEuler(areas []float64, pyrs []*euler.Pyramid) (*Zoom, error) {
 	return Spec{Algo: AlgoMEuler, Areas: areas}.zoom(pyrs)
 }

@@ -23,7 +23,7 @@ func benchZoom(b *testing.B) (*SEuler, *Zoom) {
 		rects[i] = geom.NewRect(x, y, x+r.Float64()*80+0.1, y+r.Float64()*48+0.1)
 	}
 	base := SEulerFromRects(g, rects)
-	zoom := ZoomSEuler(euler.NewPyramid(base.Histogram(), euler.PyramidOpts{MinGrid: 16}))
+	zoom := zoomOver(b, AlgoSEuler, euler.NewPyramid(base.Histogram(), euler.PyramidOpts{MinGrid: 16}))
 	if NumLevels(zoom) != 9 {
 		b.Fatalf("zoom stack has %d levels, want 9", NumLevels(zoom))
 	}

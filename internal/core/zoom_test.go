@@ -18,6 +18,20 @@ func zoomTestRects(r *rand.Rand, n int) []geom.Rect {
 	return rects
 }
 
+// zoomOver is the zoom stack of a one-histogram spec over its pyramid.
+func zoomOver(t testing.TB, algo Algo, p *euler.Pyramid) *Zoom {
+	t.Helper()
+	est, err := Spec{Algo: algo}.FromPyramids([]*euler.Pyramid{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, ok := est.(*Zoom)
+	if !ok {
+		t.Fatalf("%s over a pyramid of %d levels is no zoom stack", algo, p.Levels())
+	}
+	return z
+}
+
 // zoomStacks builds the base estimator and its zoom stack for each paper
 // algorithm over the same dataset.
 func zoomStacks(t *testing.T, g *grid.Grid, rects []geom.Rect) map[string][2]Estimator {
@@ -40,8 +54,8 @@ func zoomStacks(t *testing.T, g *grid.Grid, rects []geom.Rect) map[string][2]Est
 		t.Fatal(err)
 	}
 	return map[string][2]Estimator{
-		"seuler": {seuler, ZoomSEuler(euler.NewPyramid(seuler.Histogram(), opts))},
-		"euler":  {eapx, ZoomEuler(euler.NewPyramid(eapx.Histogram(), opts))},
+		"seuler": {seuler, zoomOver(t, AlgoSEuler, euler.NewPyramid(seuler.Histogram(), opts))},
+		"euler":  {eapx, zoomOver(t, AlgoEuler, euler.NewPyramid(eapx.Histogram(), opts))},
 		"meuler": {meuler, zm},
 	}
 }
@@ -50,7 +64,7 @@ func zoomStacks(t *testing.T, g *grid.Grid, rects []geom.Rect) map[string][2]Est
 // largest power of two dividing the region origin and the tile size.
 func TestZoomRouting(t *testing.T) {
 	g := grid.NewUnit(64, 64)
-	z := ZoomSEuler(euler.NewPyramid(euler.FromRects(g, nil), euler.PyramidOpts{MinGrid: 4}))
+	z := zoomOver(t, AlgoSEuler, euler.NewPyramid(euler.FromRects(g, nil), euler.PyramidOpts{MinGrid: 4}))
 	if NumLevels(z) != 5 { // 64 → 32 → 16 → 8 → 4
 		t.Fatalf("NumLevels = %d, want 5", NumLevels(z))
 	}
@@ -85,7 +99,7 @@ func TestZoomRouting(t *testing.T) {
 // its region, which PlanGrid refuses, routes to level 0 with the region
 // unchanged, even where its origin and extent are coarsely aligned.
 func TestRouteGridOfUndividedTilingIsTheBase(t *testing.T) {
-	z := ZoomSEuler(euler.NewPyramid(euler.FromRects(grid.NewUnit(64, 64), nil), euler.PyramidOpts{MinGrid: 4}))
+	z := zoomOver(t, AlgoSEuler, euler.NewPyramid(euler.FromRects(grid.NewUnit(64, 64), nil), euler.PyramidOpts{MinGrid: 4}))
 	for _, tc := range []struct {
 		region     grid.Span
 		cols, rows int

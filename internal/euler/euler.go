@@ -70,7 +70,6 @@ type Builder struct {
 	d32    []int32 // (lx+1)×(ly+1) difference array while narrow, else nil
 	d64    []int64 // the same array once wide
 	n      int64
-	rects  int64 // objects rejected as outside the space
 	dirty  DirtyRegion
 	// bound is at least the magnitude of every difference entry and of
 	// every cumulative lattice value of the builder's state. A rectangle
@@ -109,6 +108,36 @@ func (b *Builder) addRect(u1, v1, u2, v2 int, dir int) {
 		b.widen()
 	}
 	diffRect(b.d64, b.ly+1, u1, v1, u2, v2, int64(dir))
+}
+
+// Widen moves the builder to 8-byte cells for good, as if its bound had
+// passed the limit, and marks its whole lattice dirty so that the next
+// BuildFrom rebuilds at the new width: how builders whose planes share one
+// cell width follow the first of them that goes wide.
+func (b *Builder) Widen() {
+	if b.d32 != nil {
+		b.widen()
+		b.dirty = DirtyRegion{U2: b.lx - 1, V2: b.ly - 1}
+	}
+}
+
+// Merge adds o's objects to b, as if each had been added to b as well:
+// the difference arrays, counts and bounds add, and the dirty boxes join.
+// The two must share a grid.
+func (b *Builder) Merge(o *Builder) {
+	if b.bound += o.bound; b.d32 != nil && (o.d32 == nil || b.bound > b.limit) {
+		b.widen()
+	}
+	switch {
+	case b.d32 != nil:
+		addCells(b.d32, o.d32)
+	case o.d32 != nil:
+		addCells(b.d64, o.d32)
+	default:
+		addCells(b.d64, o.d64)
+	}
+	b.n += o.n
+	b.dirty = b.dirty.Union(o.dirty)
 }
 
 // widen moves the difference array to 8-byte cells, exactly: its narrow
@@ -192,11 +221,10 @@ func (b *Builder) Remove(r geom.Rect) bool {
 
 // Add snaps the object MBR to the grid and inserts it. It reports whether
 // the object was inside the data space (objects entirely outside are
-// counted separately and skipped).
+// skipped).
 func (b *Builder) Add(r geom.Rect) bool {
 	s, ok := b.g.Snap(r)
 	if !ok {
-		b.rects++
 		return false
 	}
 	b.AddSpan(s)
@@ -233,8 +261,7 @@ func (b *Builder) CellWidth() int {
 // form. It lets a checkpointed or deserialized histogram resume accepting
 // mutations — Build on the returned builder is bit-identical to h, and
 // further Add/Remove calls behave exactly as if the original builder had
-// never been finalized. The skipped-object counter is not part of a
-// histogram and restarts at zero.
+// never been finalized.
 //
 // The builder resumes at h's cell width, so that BuildFrom against h
 // repairs instead of rebuilding — narrow only once every reconstructed
@@ -282,10 +309,6 @@ func resumeDiff[T Cell](diff []T, h *Histogram) (bound int64) {
 	// consistent with the reconstructed interior.
 	return max(bound, h.hc.MaxMagnitude())
 }
-
-// Skipped returns the number of objects rejected because they lie entirely
-// outside the data space.
-func (b *Builder) Skipped() int64 { return b.rects }
 
 // Build finalizes the difference array into the signed bucket values,
 // computes the cumulative (prefix-sum) form H_c of §5.2, and returns the

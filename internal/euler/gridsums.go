@@ -63,10 +63,14 @@ type CornerView[T Cell] struct {
 }
 
 // CornerViewOf validates the tiling and returns the lattice view for it. T
-// must be h's cell type (CellWidth); a batch kernel resolves it once per
-// sweep and runs monomorphic from there. The view gathers nothing: callers
-// stream the prefix rows directly.
+// must be h's cell type (CellWidth), or it returns an error; a batch kernel
+// resolves it once per sweep and runs monomorphic from there. The view
+// gathers nothing: callers stream the prefix rows directly.
 func CornerViewOf[T Cell](h *Histogram, region grid.Span, cols, rows int) (CornerView[T], error) {
+	var zero T
+	if _, narrow := any(zero).(int32); narrow != h.hc.Narrow() {
+		return CornerView[T]{}, fmt.Errorf("euler: a %T view of a histogram of %d-byte cells", zero, h.CellWidth())
+	}
 	tw, th, err := checkTiling(h.g, region, cols, rows)
 	if err != nil {
 		return CornerView[T]{}, err

@@ -66,7 +66,21 @@ var ErrClassPlane = errors.New("euler: histogram file carries a partial-cell cla
 // buckets to 4 bytes when the object count fits int32 (see the package
 // format comment for why that is exact) and falling back to 8-byte buckets
 // otherwise.
-func (h *Histogram) Write(w io.Writer) error {
+func (h *Histogram) Write(w io.Writer) error { return h.WriteAbove(w, nil) }
+
+// WriteAbove writes what Write would for the histogram of h's objects less
+// below's, without forming it: below holds some of h's objects over h's
+// grid, or is nil. It is how M-EulerApprox's nested planes go to a file as
+// one histogram per area group (ReadAbove brings them back).
+func (h *Histogram) WriteAbove(w io.Writer, below *Histogram) error {
+	var bn int64
+	if below != nil {
+		if err := sameGrid(h.g, below.g); err != nil {
+			return err
+		}
+		bn = below.n
+	}
+	n := h.n - bn
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(histMagicPacked[:]); err != nil {
 		return err
@@ -83,11 +97,11 @@ func (h *Histogram) Write(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint32(h.g.NY())); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(h.n)); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint64(n)); err != nil {
 		return err
 	}
 	width := 8
-	if h.n >= 0 && h.n <= math.MaxInt32 {
+	if n >= 0 && n <= math.MaxInt32 {
 		width = 4
 	}
 	if err := bw.WriteByte(byte(width)); err != nil {
@@ -97,7 +111,7 @@ func (h *Histogram) Write(w io.Writer) error {
 	writeVal := func(v int64) error {
 		if width == 4 {
 			if v > math.MaxInt32 || v < math.MinInt32 {
-				return fmt.Errorf("euler: bucket value %d overflows the packed width (count %d)", v, h.n)
+				return fmt.Errorf("euler: bucket value %d overflows the packed width (count %d)", v, n)
 			}
 			binary.LittleEndian.PutUint32(buf, uint32(int32(v)))
 			_, err := bw.Write(buf[:4])
@@ -109,11 +123,14 @@ func (h *Histogram) Write(w io.Writer) error {
 	}
 	// The plane is cumulative-only in memory and ships as the bucket
 	// values it accumulates.
-	row := make([]int64, h.ly)
+	row, sub := make([]int64, h.ly), make([]int64, h.ly)
 	for u := 0; u < h.lx; u++ {
 		rawRowOf(h.hc, u, 0, row)
-		for _, v := range row {
-			if err := writeVal(v); err != nil {
+		if below != nil {
+			rawRowOf(below.hc, u, 0, sub)
+		}
+		for v, b := range row {
+			if err := writeVal(b - sub[v]); err != nil {
 				return err
 			}
 		}
@@ -124,7 +141,14 @@ func (h *Histogram) Write(w io.Writer) error {
 // Read deserializes a histogram written by Write, or in any of the three
 // formats, rebuilding its cumulative form. The structural invariant Σ buckets == count is verified, so a
 // corrupted or truncated payload is detected rather than silently served.
-func Read(r io.Reader) (*Histogram, error) {
+func Read(r io.Reader) (*Histogram, error) { return ReadAbove(r, nil) }
+
+// ReadAbove reads a histogram file as Read does and returns the histogram
+// of its objects together with below's, over the same grid (or below is
+// nil): each cumulative value takes below's as it is formed, so nested
+// planes come back from one file histogram per area group in the memory of
+// the planes alone.
+func ReadAbove(r io.Reader, below *Histogram) (*Histogram, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var m [8]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
@@ -162,6 +186,13 @@ func Read(r io.Reader) (*Histogram, error) {
 		return nil, fmt.Errorf("euler: reading count: %w", err)
 	}
 	g := grid.New(geom.Rect{XMin: ext[0], YMin: ext[1], XMax: ext[2], YMax: ext[3]}, int(nx), int(ny))
+	var bhc *prefixsum.Sum2D
+	if below != nil {
+		if err := sameGrid(g, below.g); err != nil {
+			return nil, err
+		}
+		bhc, count = below.hc, count+uint64(below.n)
+	}
 	lx, ly := 2*int(nx)-1, 2*int(ny)-1
 	width := 8
 	if hasWidth {
@@ -175,7 +206,7 @@ func Read(r io.Reader) (*Histogram, error) {
 		width = int(wb)
 	}
 	buf := make([]byte, 8)
-	hc, err := readLattice(br, buf, width, lx, ly)
+	hc, err := readLattice(br, buf, width, lx, ly, bhc)
 	if err != nil {
 		return nil, err
 	}
@@ -196,6 +227,14 @@ func Read(r io.Reader) (*Histogram, error) {
 	return h, nil
 }
 
+// sameGrid returns an error unless a and b are the same grid.
+func sameGrid(a, b *grid.Grid) error {
+	if a.Extent() != b.Extent() || a.NX() != b.NX() || a.NY() != b.NY() {
+		return fmt.Errorf("euler: histograms over %v and %v", a, b)
+	}
+	return nil
+}
+
 // readValue reads one little-endian value of a histogram file, 4 or 8
 // bytes wide, through the caller's 8-byte buffer.
 func readValue(br *bufio.Reader, buf []byte, width int) (int64, error) {
@@ -209,12 +248,13 @@ func readValue(br *bufio.Reader, buf []byte, width int) (int64, error) {
 }
 
 // readLattice reads the lx×ly signed bucket values of a histogram file, at
-// width bytes each, into their cumulative plane: narrow while every prefix
-// value is within the limit, widened at the first that is not and wide from
-// there. Each value is checked as it is formed, so no plane is staged at
-// one width and converted afterwards, and nothing is taken on the header's
-// word — the arrays grow as payload arrives, not to the declared size.
-func readLattice(br *bufio.Reader, buf []byte, width, lx, ly int) (*prefixsum.Sum2D, error) {
+// width bytes each, into their cumulative plane, plus below's values when
+// below is not nil: narrow while every prefix value is within the limit,
+// widened at the first that is not and wide from there. Each value is
+// checked as it is formed, so no plane is staged at one width and
+// converted afterwards, and nothing is taken on the header's word — the
+// arrays grow as payload arrives, not to the declared size.
+func readLattice(br *bufio.Reader, buf []byte, width, lx, ly int, below *prefixsum.Sum2D) (*prefixsum.Sum2D, error) {
 	limit := narrowLimit.Load()
 	total := lx * ly
 	p32 := make([]int32, 0, min(total, 1<<20))
@@ -228,8 +268,11 @@ func readLattice(br *bufio.Reader, buf []byte, width, lx, ly int) (*prefixsum.Su
 				return nil, fmt.Errorf("euler: reading bucket %d: %w", u*ly+v, err)
 			}
 			acc += b
-			c := acc + above[v]
-			above[v] = c
+			above[v] += acc
+			c := above[v]
+			if below != nil {
+				c += below.PrefixAt(u, v)
+			}
 			if p64 == nil && max(c, ^c) > limit {
 				p64 = make([]int64, len(p32), cap(p32))
 				addCells(p64, p32)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"spatialhist/internal/geom"
@@ -375,5 +376,98 @@ func TestReadRejectsBadPackedWidth(t *testing.T) {
 	raw[8+32+8+8] = 3 // corrupt the width byte
 	if _, err := Read(bytes.NewReader(raw)); err == nil {
 		t.Fatal("invalid width byte accepted")
+	}
+}
+
+// TestWriteAboveReadAbove: nested planes go to files as one histogram per
+// group, the bytes Write writes for the group alone, and come back as the
+// planes, bit for bit and at the cell width the limit gives each: past a
+// lowered limit the upper planes are wide though every group is narrow.
+// The grids must agree.
+func TestWriteAboveReadAbove(t *testing.T) {
+	defer LowerNarrowLimit(60)()
+	r := rand.New(rand.NewSource(72))
+	g := grid.NewUnit(30, 20)
+	b := NewBuilder(g)
+	var planes, groups []*Histogram
+	for k := 0; k < 3; k++ {
+		gb := NewBuilder(g)
+		for i := 0; i < 40; i++ {
+			s := randSpan(r, g)
+			b.AddSpan(s)
+			gb.AddSpan(s)
+		}
+		planes = append(planes, b.Build())
+		groups = append(groups, gb.Build())
+	}
+	var below, back *Histogram
+	for k, h := range planes {
+		var file, alone bytes.Buffer
+		if err := h.WriteAbove(&file, below); err != nil {
+			t.Fatal(err)
+		}
+		if err := groups[k].Write(&alone); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file.Bytes(), alone.Bytes()) {
+			t.Fatalf("plane %d written above the one below differs from group %d written alone", k, k)
+		}
+		got, err := ReadAbove(&file, back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, h, got)
+		if want := []int{4, 8, 8}[k]; got.CellWidth() != want || groups[k].CellWidth() != 4 {
+			t.Fatalf("plane %d read back at %d B/cell, want %d (its group at %d)", k, got.CellWidth(), want, groups[k].CellWidth())
+		}
+		below, back = h, got
+	}
+	other := NewBuilder(grid.NewUnit(30, 21)).Build()
+	var file bytes.Buffer
+	if err := planes[1].WriteAbove(&file, other); err == nil {
+		t.Error("WriteAbove over a histogram of another grid")
+	}
+	if err := groups[1].Write(&file); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadAbove(&file, other); err == nil {
+		t.Error("ReadAbove over a histogram of another grid")
+	}
+}
+
+// TestReadAboveAllocatesWhatReadDoes: reading a group's file above the
+// plane below forms the plane in the memory the file's own histogram
+// takes, so loading m group files costs m planes, as reading them did
+// before they were nested.
+func TestReadAboveAllocatesWhatReadDoes(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	g := grid.NewUnit(300, 150)
+	lower, upper := NewBuilder(g), NewBuilder(g)
+	for i := 0; i < 2000; i++ {
+		s := randSpan(r, g)
+		upper.AddSpan(s)
+		if i%2 == 0 {
+			lower.AddSpan(s)
+		}
+	}
+	below := lower.Build()
+	var file bytes.Buffer
+	if err := upper.Build().WriteAbove(&file, below); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(read func() (*Histogram, error)) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := read(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	alone := allocated(func() (*Histogram, error) { return Read(bytes.NewReader(file.Bytes())) })
+	above := allocated(func() (*Histogram, error) { return ReadAbove(bytes.NewReader(file.Bytes()), below) })
+	if above > alone+4096 {
+		t.Errorf("ReadAbove allocated %d bytes, Read %d", above, alone)
 	}
 }

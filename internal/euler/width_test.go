@@ -391,3 +391,49 @@ func TestFinishEqualsBuildAtBothWidths(t *testing.T) {
 		})
 	}
 }
+
+// TestMergeIsAddingEachObject: a builder that merged another holds what one
+// builder fed both builders' updates holds — the same count, bound, cell
+// width and dirty box, and a bit-identical build — narrow, past a lowered
+// limit, and with either side alone wide. Widen then keeps the values and
+// marks the whole lattice dirty, so BuildFrom rebuilds at 8 bytes.
+func TestMergeIsAddingEachObject(t *testing.T) {
+	defer LowerNarrowLimit(100)()
+	g := grid.NewUnit(24, 20)
+	for _, tc := range []struct {
+		na, nb, width int
+	}{{30, 40, 4}, {60, 60, 8}, {150, 10, 8}, {10, 150, 8}} {
+		t.Run(fmt.Sprintf("%d+%d updates", tc.na, tc.nb), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(tc.na*1000 + tc.nb)))
+			a, b, both := NewBuilder(g), NewBuilder(g), NewBuilder(g)
+			for k := 0; k < tc.na+tc.nb; k++ {
+				into := a
+				if k >= tc.na {
+					into = b
+				}
+				s := randSpan(r, g)
+				into.AddSpan(s)
+				both.AddSpan(s)
+				if k%5 == 4 {
+					into.RemoveSpan(s)
+					both.RemoveSpan(s)
+				}
+			}
+			a.Merge(b)
+			if a.n != both.n || a.bound != both.bound || a.CellWidth() != tc.width || both.CellWidth() != tc.width || a.Dirty() != both.Dirty() {
+				t.Fatalf("merged: %d objects, bound %d, %d B/cell, dirty %v; one builder: %d, %d, %d, %v (want %d B/cell)",
+					a.n, a.bound, a.CellWidth(), a.Dirty(), both.n, both.bound, both.CellWidth(), both.Dirty(), tc.width)
+			}
+			prev := both.Build()
+			assertIdentical(t, prev, a.Build())
+			if tc.width == 4 {
+				both.Widen()
+				h, stats := both.BuildFrom(prev, BuildFromOpts{})
+				if h.CellWidth() != 8 || stats.Incremental || stats.DirtyFrac != 1 {
+					t.Fatalf("after Widen: %d B/cell, %+v", h.CellWidth(), stats)
+				}
+				assertIdentical(t, prev, h)
+			}
+		})
+	}
+}

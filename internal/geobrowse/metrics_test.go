@@ -142,7 +142,11 @@ func TestMetricsDefaultRegistryIncludesEstimatorCounters(t *testing.T) {
 // tiles.
 func TestSweepTelemetryCountsMaps(t *testing.T) {
 	g := grid.NewUnit(256, 128)
-	z := core.ZoomEuler(euler.NewPyramid(euler.FromRects(g, []geom.Rect{geom.NewRect(3, 3, 40, 20)}), euler.PyramidOpts{}))
+	z, err := core.Spec{Algo: core.AlgoEuler}.FromPyramids([]*euler.Pyramid{
+		euler.NewPyramid(euler.FromRects(g, []geom.Rect{geom.NewRect(3, 3, 40, 20)}), euler.PyramidOpts{})})
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := telemetry.NewRegistry()
 	srv := httptest.NewServer(New("wide", StaticSource(z), Options{Telemetry: reg}))
 	t.Cleanup(srv.Close)

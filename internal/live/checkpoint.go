@@ -21,9 +21,11 @@ import (
 //	header   the store's config-pinning header (same bytes as the WAL's)
 //	walOff   uint64  journal bytes consumed by this checkpoint
 //	applied  uint64  mutations folded in (for status continuity)
-//	hists    one euler histogram payload per partition
+//	hists    one euler histogram payload per area group
 //
-// The builders are reconstructed from the histograms with
+// The store's nested planes go to the file as one histogram per area group
+// (euler.WriteAbove) and come back nested (euler.ReadAbove); its builders
+// are reconstructed from them with
 // euler.BuilderFromHistogram — the exact inverse of Build — so a
 // checkpointed store resumes mutating as if it had never stopped.
 // Checkpoints are written to a temp file and renamed into place
@@ -72,8 +74,8 @@ func (s *Store) checkpointState() (hists []*euler.Histogram, walOff, applied int
 }
 
 // writeCheckpointPayload renders the checkpoint wire form: magic, config
-// header, offsets, one histogram per partition.
-func writeCheckpointPayload(w io.Writer, header []byte, walOff, applied int64, hists []*euler.Histogram) error {
+// header, offsets, one histogram per area group (plane k less plane k−1).
+func writeCheckpointPayload(w io.Writer, header []byte, walOff, applied int64, planes []*euler.Histogram) error {
 	if _, err := w.Write(ckptMagic[:]); err != nil {
 		return err
 	}
@@ -86,10 +88,12 @@ func writeCheckpointPayload(w io.Writer, header []byte, walOff, applied int64, h
 	if err := binary.Write(w, binary.LittleEndian, uint64(applied)); err != nil {
 		return err
 	}
-	for _, h := range hists {
-		if err := h.Write(w); err != nil {
+	var below *euler.Histogram
+	for _, h := range planes {
+		if err := h.WriteAbove(w, below); err != nil {
 			return err
 		}
+		below = h
 	}
 	return nil
 }
@@ -148,7 +152,7 @@ func readCheckpointConfig(r io.Reader) (Config, error) {
 }
 
 // loadCheckpoint reads a checkpoint written for the given header and
-// reconstructs the per-partition builders. A missing file returns
+// reconstructs the builders of the nested planes. A missing file returns
 // errNoCheckpoint; anything else wrong (foreign config, truncation,
 // corrupt histograms) is a hard error — silently starting from the seed
 // would fork history.
@@ -177,12 +181,13 @@ func loadCheckpoint(path string, header []byte, groups int) (builders []*euler.B
 		return nil, 0, 0, fmt.Errorf("live: reading checkpoint mutation count: %w", err)
 	}
 	builders = make([]*euler.Builder, groups)
+	var below *euler.Histogram // plane k is group k's histogram over plane k−1
 	for i := range builders {
-		h, err := euler.Read(br)
+		h, err := euler.ReadAbove(br, below)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("live: checkpoint partition %d: %w", i, err)
 		}
-		builders[i] = euler.BuilderFromHistogram(h)
+		builders[i], below = euler.BuilderFromHistogram(h), h
 	}
 	return builders, int64(off), int64(app), nil
 }

@@ -7,7 +7,7 @@
 // browsing service sees objects arrive and disappear continuously. The
 // store exploits the O(1) incremental Add/Remove of euler.Builder's
 // difference array: every mutation is journaled to a write-ahead log
-// (crash recovery), applied to the per-partition builders, and made
+// (crash recovery), applied to the builders of the planes it counts in, and made
 // visible by the rebuild policy, which finalizes the builders into a fresh
 // generation — difference array → cumulative form → core estimator — published
 // by atomic pointer swap. Readers never lock: they pin the current Snapshot
@@ -16,16 +16,17 @@
 // Status reports.
 //
 // Rebuilds are triggered every RebuildEvery mutations, every
-// RebuildInterval of wall time, or by an explicit Flush. For
-// M-EulerApprox stores, mutations are routed to the area partition by the
-// same rule NewMEuler uses (core.ObjectAreaGroup), so deletes find the
-// partition their insert chose and an Update whose area class changes
-// re-routes the object between histograms in one atomic journal record.
+// RebuildInterval of wall time, or by an explicit Flush. An M-EulerApprox
+// store's builders hold its nested planes: a mutation goes to its area
+// group's plane and every plane above, the group chosen by NewMEuler's
+// rule (core.ObjectAreaGroup), so deletes find the planes their insert
+// chose and an Update re-routes an object in one atomic journal record.
 package live
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,7 +110,7 @@ func (c Config) validate() error {
 }
 
 // spec is the estimator the config names; its Groups is how many builders
-// the store partitions objects into.
+// (planes) the store keeps.
 func (c Config) spec() core.Spec { return core.Spec{Algo: c.Algo, Areas: c.Areas} }
 
 // header is the config-pinning header of the store's WAL and checkpoints.
@@ -131,8 +132,8 @@ type Snapshot struct {
 	// BuiltAt is when the generation was published.
 	BuiltAt time.Time
 	// CellWidth is the widest cell, in bytes per bucket, of the lattices
-	// serving this generation: 4 for every store until a partition has
-	// seen more than MaxInt32 mutations, 8 once one is held that wide.
+	// serving this generation: 4 for every store until a plane has seen
+	// more than MaxInt32 mutations, 8 once the planes are held that wide.
 	CellWidth int
 
 	// refs pins the generation's histogram buffers against arena reuse:
@@ -215,12 +216,19 @@ func Open(cfg Config) (*Store, error) {
 		}
 	}
 	if !seeded {
+		// Each seed object goes into its own group's builder, and each
+		// builder then takes in the one below: one insert an object.
 		s.builders = make([]*euler.Builder, spec.Groups())
 		for i := range s.builders {
 			s.builders[i] = euler.NewBuilder(cfg.Grid)
 		}
 		for _, r := range cfg.Seed {
-			s.applyInsert(r)
+			if gi, ok := spec.Group(cfg.Grid, r); ok {
+				s.builders[gi].Add(r)
+			}
+		}
+		for i := 1; i < len(s.builders); i++ {
+			s.builders[i].Merge(s.builders[i-1])
 		}
 	}
 
@@ -260,15 +268,15 @@ func (s *Store) Insert(r geom.Rect) (bool, error) {
 
 // Delete removes one previously inserted object MBR. It reports whether
 // the delete was applied: deletes of objects outside the space, or against
-// an empty partition (which would underflow its count), are rejected.
+// an empty area group (which would underflow its count), are rejected.
 func (s *Store) Delete(r geom.Rect) (bool, error) {
 	return s.mutate(Record{Op: OpDelete, Rect: r})
 }
 
 // Update replaces an object's MBR in one atomic journal record. When the
 // object's area class changes, it is re-routed between M-EulerApprox
-// partitions: removed from the partition its old MBR mapped to and
-// inserted into the partition of the new one.
+// area groups: removed from the planes its old MBR counts in and inserted
+// into those of the new one.
 func (s *Store) Update(old, new geom.Rect) (bool, error) {
 	return s.mutate(Record{Op: OpUpdate, Old: old, Rect: new})
 }
@@ -384,30 +392,30 @@ func (s *Store) apply(rec Record) bool {
 	return false
 }
 
+// applyInsert adds r to every plane that counts it. Add refuses only what
+// snaps outside the grid, so the first builder speaks for all.
 func (s *Store) applyInsert(r geom.Rect) bool {
-	b, ok := s.route(r)
-	if !ok {
-		return false
-	}
-	return b.Add(r)
-}
-
-func (s *Store) applyDelete(r geom.Rect) bool {
-	b, ok := s.route(r)
-	if !ok {
-		return false
-	}
-	return b.Remove(r)
-}
-
-// route picks the builder for an object MBR: the partition the spec assigns
-// it to, by the same rule a batch construction applies.
-func (s *Store) route(r geom.Rect) (*euler.Builder, bool) {
 	gi, ok := s.spec.Group(s.cfg.Grid, r)
-	if !ok {
-		return nil, false
+	if !ok || !s.builders[gi].Add(r) {
+		return false
 	}
-	return s.builders[gi], true
+	for _, b := range s.builders[gi+1:] {
+		b.Add(r)
+	}
+	return true
+}
+
+// applyDelete removes r from every plane that counts it, refusing one from
+// an empty area group: its plane holds no more objects than the one below.
+func (s *Store) applyDelete(r geom.Rect) bool {
+	gi, ok := s.spec.Group(s.cfg.Grid, r)
+	if !ok || gi > 0 && s.builders[gi].Count() == s.builders[gi-1].Count() || !s.builders[gi].Remove(r) {
+		return false
+	}
+	for _, b := range s.builders[gi+1:] {
+		b.Remove(r)
+	}
+	return true
 }
 
 // rebuild finalizes the builders into a new generation and publishes it.
@@ -436,6 +444,12 @@ func (s *Store) rebuild() {
 	var dirtyArea float64
 
 	s.mu.Lock()
+	// The planes share one cell width: once one builder is wide, all are.
+	if slices.ContainsFunc(s.builders, func(b *euler.Builder) bool { return b.CellWidth() == 8 }) {
+		for _, b := range s.builders {
+			b.Widen()
+		}
+	}
 	for i, b := range s.builders {
 		prev := s.lastHists[i]
 		if prev != nil && b.Dirty().Empty() {
@@ -668,10 +682,7 @@ func (s *Store) Status() Status {
 	snap := s.acquireSnapshot()
 	defer s.release(snap)
 	s.mu.Lock()
-	var live int64
-	for _, b := range s.builders {
-		live += b.Count()
-	}
+	live := s.builders[len(s.builders)-1].Count() // the plane of every group
 	applied := s.applied
 	var walBytes int64
 	if s.wal != nil {

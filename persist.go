@@ -24,7 +24,7 @@ import (
 //	m      uint32  (number of histograms; 1 unless M-EulerApprox)
 //	areas  m × float64 (M-EulerApprox only)
 //	crc    uint32  crc32 (IEEE) over the algo, m and areas bytes
-//	hists  m × euler histogram payloads
+//	hists  m × euler histogram payloads, one per area group
 //
 // The header checksum exists because every header byte steers how the
 // megabytes after it are interpreted: a flipped area threshold or
@@ -59,10 +59,12 @@ func (s *Summary) Save(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, crc32.ChecksumIEEE(header)); err != nil {
 		return err
 	}
+	var below *euler.Histogram // the file holds plane k less plane k−1
 	for _, h := range hists {
-		if err := h.Write(bw); err != nil {
+		if err := h.WriteAbove(bw, below); err != nil {
 			return err
 		}
+		below = h
 	}
 	return bw.Flush()
 }
@@ -130,12 +132,13 @@ func Load(r io.Reader) (*Summary, error) {
 		return nil, fmt.Errorf("spatialhist: header checksum mismatch (stored %08x, computed %08x): the algo/count/area bytes are corrupt", storedCRC, got)
 	}
 	hists := make([]*euler.Histogram, count)
+	var below *euler.Histogram // plane k is group k's histogram over plane k−1
 	for i := range hists {
-		h, err := euler.Read(br)
+		h, err := euler.ReadAbove(br, below)
 		if err != nil {
 			return nil, fmt.Errorf("spatialhist: histogram %d: %w", i, err)
 		}
-		hists[i] = h
+		hists[i], below = h, h
 	}
 	est, err := spec.FromHistograms(hists)
 	if err != nil {

@@ -1,8 +1,10 @@
 package spatialhist
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -11,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"spatialhist/internal/core"
 	"spatialhist/internal/dataset"
+	"spatialhist/internal/euler"
 )
 
 func persistedEqual(t *testing.T, s *Summary) {
@@ -51,6 +55,63 @@ func TestSummaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	persistedEqual(t, me)
+}
+
+// TestLoadedSummaryHoldsNestedPlanes: a summary file keeps one histogram
+// per area group, and the M-EulerApprox loaded from it holds nested
+// planes: plane k writes the bytes euler.FromRects writes over the objects
+// of groups 0..k, as NewMEuler's do.
+func TestLoadedSummaryHoldsNestedPlanes(t *testing.T) {
+	d := dataset.SzSkew(2000, 33)
+	g := NewGrid(d.Extent, 40, 20)
+	areas := []float64{1, 4, 25}
+	me, err := NewMEuler(g, areas, d.Rects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := me.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The histograms past magic, algo, count, areas and CRC, in a reader as
+	// large as euler.Read's own, so that each Read leaves the next in it.
+	raw := bufio.NewReaderSize(bytes.NewReader(buf.Bytes()[8+5+8*len(areas)+4:]), 1<<20)
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, planes, _ := core.SpecOf(loaded.Estimator())
+	if len(planes) != len(areas) {
+		t.Fatalf("%d planes for %d area groups", len(planes), len(areas))
+	}
+	// sameAs holds h to FromRects over the objects of the groups in range.
+	sameAs := func(what string, h *euler.Histogram, in func(gi int) bool) {
+		t.Helper()
+		var members []Rect
+		for _, r := range d.Rects {
+			if gi, ok := core.ObjectAreaGroup(g, areas, r); ok && in(gi) {
+				members = append(members, r)
+			}
+		}
+		var got, want bytes.Buffer
+		if err := h.Write(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := euler.FromRects(g, members).Write(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s differs from FromRects over its %d objects", what, len(members))
+		}
+	}
+	for k, h := range planes {
+		sameAs(fmt.Sprintf("plane %d of the loaded summary", k), h, func(gi int) bool { return gi <= k })
+		onDisk, err := euler.Read(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAs(fmt.Sprintf("histogram %d of the file", k), onDisk, func(gi int) bool { return gi == k })
+	}
 }
 
 func TestSummaryFileRoundTrip(t *testing.T) {
